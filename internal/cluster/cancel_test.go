@@ -16,6 +16,11 @@ import (
 	"rapid/internal/tpch"
 )
 
+// lateTimer is a context past its deadline whose timer has not fired.
+type lateTimer struct{ context.Context }
+
+func (lateTimer) Deadline() (time.Time, bool) { return time.Now().Add(-time.Second), true }
+
 // TestTrayDeadlineCancelsAllNodes: a deadline expiring mid-query — during
 // admission, node-local execution or an exchange — must cancel every node
 // within one tile / work unit, return the context error, and leak no
@@ -49,6 +54,12 @@ func TestTrayDeadlineCancelsAllNodes(t *testing.T) {
 		if err != nil && took > 2*time.Second {
 			t.Fatalf("iter %d: cancellation took %v", i, took)
 		}
+	}
+
+	// A deadline already past on entry is refused even if its timer never
+	// fires (the tray twin of the hostdb entry check).
+	if _, err := tray.QueryCtx(lateTimer{context.Background()}, q.SQL, cluster.QueryOptions{Mode: qef.ModeX86}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("unfired timer: err = %v, want context.DeadlineExceeded", err)
 	}
 
 	// All node admissions must be back and no per-node executor goroutine

@@ -193,7 +193,7 @@ func (t *Tray) QueryCtx(goCtx context.Context, sql string, opts QueryOptions) (*
 		sql = inner
 		opts.Analyze = true
 	}
-	cctx, cancel := context.WithCancel(goCtx)
+	cctx, cancel := qef.QueryContext(goCtx)
 	defer cancel()
 	start := time.Now()
 	active := t.host.Active()

@@ -5,39 +5,44 @@
 // hardware-computed hash vectors can feed software partitioning directly.
 //
 // We use the Castagnoli polynomial: it is the CRC32 variant implemented in
-// hardware on commodity CPUs, so the Go standard library accelerates it,
-// matching the "hardware hash engine" role it plays here.
+// hardware on commodity CPUs, matching the "hardware hash engine" role it
+// plays here. Fixed-width values are folded with inline slicing-by-8/-4
+// tables derived from the standard library's Castagnoli table, so the result
+// is bit-identical to crc32.Update while the per-value cost is eight (four)
+// L1 table loads instead of a call into hash/crc32 through a byte slice.
 package hashcrc
 
 import "hash/crc32"
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// slice8[k][b] is the CRC of byte b followed by k zero bytes — the classic
+// slicing tables: slice8[0] is the plain byte table.
+var slice8 = func() (t [8][256]uint32) {
+	t[0] = *castagnoli
+	for k := 1; k < 8; k++ {
+		for b := range t[k] {
+			prev := t[k-1][b]
+			t[k][b] = t[0][prev&0xff] ^ prev>>8
+		}
+	}
+	return t
+}()
+
 // Seed is the initial CRC accumulator value for the first key column.
 const Seed uint32 = 0
 
-// Hash64 folds an 8-byte value into the accumulator.
+// Hash64 folds an 8-byte value (little-endian) into the accumulator.
 func Hash64(acc uint32, v uint64) uint32 {
-	var b [8]byte
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-	b[4] = byte(v >> 32)
-	b[5] = byte(v >> 40)
-	b[6] = byte(v >> 48)
-	b[7] = byte(v >> 56)
-	return crc32.Update(acc, castagnoli, b[:])
+	lo, hi := ^acc^uint32(v), uint32(v>>32)
+	return ^(slice8[7][lo&0xff] ^ slice8[6][lo>>8&0xff] ^ slice8[5][lo>>16&0xff] ^ slice8[4][lo>>24] ^
+		slice8[3][hi&0xff] ^ slice8[2][hi>>8&0xff] ^ slice8[1][hi>>16&0xff] ^ slice8[0][hi>>24])
 }
 
-// Hash32 folds a 4-byte value into the accumulator.
+// Hash32 folds a 4-byte value (little-endian) into the accumulator.
 func Hash32(acc uint32, v uint32) uint32 {
-	var b [4]byte
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-	return crc32.Update(acc, castagnoli, b[:])
+	c := ^acc ^ v
+	return ^(slice8[3][c&0xff] ^ slice8[2][c>>8&0xff] ^ slice8[1][c>>16&0xff] ^ slice8[0][c>>24])
 }
 
 // HashBytes folds arbitrary bytes into the accumulator (dictionary keys).

@@ -1,6 +1,8 @@
 package hashcrc
 
 import (
+	"hash/crc32"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -75,4 +77,51 @@ func TestQuickDeterminism(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func le(v uint64, n int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(v >> (8 * i))
+	}
+	return b
+}
+
+// The inline slicing tables must be bit-identical to the standard library's
+// CRC32-C: hash vectors computed by the DMS model, the software kernels and
+// any stored signature all assume the same function.
+func TestMatchesStdlibCRC32C(t *testing.T) {
+	check := func(acc uint32, v uint64) {
+		t.Helper()
+		if got, want := Hash64(acc, v), crc32.Update(acc, castagnoli, le(v, 8)); got != want {
+			t.Fatalf("Hash64(%#x, %#x) = %#x, want %#x", acc, v, got, want)
+		}
+		if got, want := Hash32(acc, uint32(v)), crc32.Update(acc, castagnoli, le(v&0xffffffff, 4)); got != want {
+			t.Fatalf("Hash32(%#x, %#x) = %#x, want %#x", acc, uint32(v), got, want)
+		}
+	}
+	// Width boundaries of every physical column width, both signs.
+	for _, acc := range []uint32{0, 1, 0x80000000, 0xffffffff} {
+		for _, bits := range []uint{0, 7, 8, 15, 16, 31, 32, 63} {
+			for _, d := range []int64{-1, 0, 1} {
+				v := int64(1)<<bits + d
+				check(acc, uint64(v))
+				check(acc, uint64(-v))
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(2018))
+	for i := 0; i < 1_000_000; i++ {
+		check(rng.Uint32(), rng.Uint64())
+	}
+}
+
+var hashSink uint32
+
+func BenchmarkHash64(b *testing.B) {
+	acc := Seed
+	for i := 0; i < b.N; i++ {
+		acc = Hash64(acc, uint64(i))
+	}
+	hashSink = acc
 }

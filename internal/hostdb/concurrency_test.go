@@ -209,6 +209,11 @@ func TestOverloadShedsQueries(t *testing.T) {
 // TestDeadlineCancelsPromptly: a query with an already-expired deadline
 // must return context.DeadlineExceeded (not fall back to the host engine),
 // must not leak goroutines, and must have released its admission slot.
+// lateTimer is a context past its deadline whose timer has not fired.
+type lateTimer struct{ context.Context }
+
+func (lateTimer) Deadline() (time.Time, bool) { return time.Now().Add(-time.Second), true }
+
 func TestDeadlineCancelsPromptly(t *testing.T) {
 	db := concurrencyDB(t, sched.Config{MaxConcurrent: 2})
 	q := tpch.Queries()[0]
@@ -235,6 +240,12 @@ func TestDeadlineCancelsPromptly(t *testing.T) {
 		if took > 2*time.Second {
 			t.Fatalf("iter %d: cancellation took %v", i, took)
 		}
+	}
+
+	// The deadline is compared with the clock on entry: a context whose
+	// deadline has passed but whose timer never fires is refused all the same.
+	if _, err := db.QueryCtx(lateTimer{context.Background()}, q.SQL, opts); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("unfired timer: err = %v, want context.DeadlineExceeded", err)
 	}
 
 	// Admission slots must all be back.

@@ -184,7 +184,7 @@ func (db *Database) QueryCtx(ctx context.Context, sql string, opts QueryOptions)
 	// Issue: allocate the fleet-wide QueryID, register in the active-query
 	// table (making the query cancelable by ID) and run under a derived
 	// context so CancelQuery can reach it.
-	qctx, cancel := context.WithCancel(ctx)
+	qctx, cancel := qef.QueryContext(ctx)
 	defer cancel()
 	id := db.active.NextID()
 	h := db.active.Register(id, sql, requestedMode(opts), 1, cancel)

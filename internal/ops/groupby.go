@@ -2,6 +2,7 @@ package ops
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 
 	"rapid/internal/coltypes"
@@ -276,30 +277,49 @@ func (m *GroupMerger) NumGroups() int {
 }
 
 // Relation materializes the merged result: group key columns first, then
-// one column per agg spec.
+// one column per agg spec, rows in ascending key order. Per-core tables merge
+// in whatever order the cores closed, and which groups a core saw depends on
+// the worker count; sorting the (unique) keys makes the result the same
+// relation at any parallelism.
 func (m *GroupMerger) Relation(keyCols []Col, outNames []string) *Relation {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	n := len(m.keys)
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool {
+		for _, kc := range m.kcols {
+			if x, y := kc[order[a]], kc[order[b]]; x != y {
+				return x < y
+			}
+		}
+		return false
+	})
 	cols := make([]Col, 0, m.NKeys+len(m.Specs))
 	for k := 0; k < m.NKeys; k++ {
+		vals := make([]int64, n)
+		for i, row := range order {
+			vals[i] = m.kcols[k][row]
+		}
 		c := keyCols[k]
-		c.Data = coltypes.I64(append([]int64(nil), m.kcols[k]...))
+		c.Data = coltypes.I64(vals)
 		cols = append(cols, c)
 	}
 	for s, spec := range m.Specs {
 		vals := make([]int64, n)
-		for row := 0; row < n; row++ {
+		for i, row := range order {
 			st := m.accs[s][row]
 			switch spec.Kind {
 			case AggSum:
-				vals[row] = st.Sum
+				vals[i] = st.Sum
 			case AggMin:
-				vals[row] = st.Min
+				vals[i] = st.Min
 			case AggMax:
-				vals[row] = st.Max
+				vals[i] = st.Max
 			default:
-				vals[row] = st.Count
+				vals[i] = st.Count
 			}
 		}
 		name := spec.Name

@@ -1,8 +1,6 @@
 package ops
 
 import (
-	"sync"
-
 	"rapid/internal/coltypes"
 	"rapid/internal/dpu"
 	"rapid/internal/primitives"
@@ -26,14 +24,15 @@ func GroupByPartitioned(ctx *qef.Context, rel *Relation, groupCols []int, specs 
 	out := &groupCollector{
 		nKeys: len(groupCols),
 		specs: specs,
+		slots: unitSlots{ncols: len(groupCols) + len(specs)},
 	}
 	units := make([]qef.WorkUnit, 0, parts.NumPartitions())
 	for p := 0; p < parts.NumPartitions(); p++ {
-		p := p
 		units = append(units, func(tc *qef.TaskCtx) error {
-			return groupOnePartition(tc, parts.Cols[p], parts.Hashes[p], parts.Bits, groupCols, specs, maxGroupsPerPart, out)
+			return groupOnePartition(tc, p, parts.Cols[p], parts.Hashes[p], parts.Bits, groupCols, specs, maxGroupsPerPart, out)
 		})
 	}
+	out.slots.units(len(units))
 	if err := ctx.RunParallel(units); err != nil {
 		return nil, err
 	}
@@ -48,9 +47,10 @@ func GroupByPartitioned(ctx *qef.Context, rel *Relation, groupCols []int, specs 
 	return out.relation(keyCols, outNames), nil
 }
 
-// groupOnePartition aggregates one partition, re-partitioning on overflow
-// (the runtime adaptation when statistics underestimated the NDV).
-func groupOnePartition(tc *qef.TaskCtx, cols []coltypes.Data, hv []uint32, usedBits uint, groupCols []int, specs []AggSpec, maxGroups int, out *groupCollector) error {
+// groupOnePartition aggregates one partition as work unit `unit`,
+// re-partitioning on overflow (the runtime adaptation when statistics
+// underestimated the NDV).
+func groupOnePartition(tc *qef.TaskCtx, unit int, cols []coltypes.Data, hv []uint32, usedBits uint, groupCols []int, specs []AggSpec, maxGroups int, out *groupCollector) error {
 	n := len(hv)
 	if n == 0 {
 		return nil
@@ -65,7 +65,7 @@ func groupOnePartition(tc *qef.TaskCtx, cols []coltypes.Data, hv []uint32, usedB
 		// The table itself cannot fit: re-partition immediately.
 		tc.DMEM.Release()
 		tc.DMEM.Mark()
-		return regroupSplit(tc, cols, hv, usedBits, groupCols, specs, maxGroups, out)
+		return regroupSplit(tc, unit, cols, hv, usedBits, groupCols, specs, maxGroups, out)
 	}
 	table := NewGroupTable(cap, len(groupCols))
 	aggs := make([]*primitives.GroupedAgg, len(specs))
@@ -86,7 +86,7 @@ func groupOnePartition(tc *qef.TaskCtx, cols []coltypes.Data, hv []uint32, usedB
 		if gid < 0 {
 			// NDV above estimate: split this partition further and retry
 			// each half with a fresh table.
-			return regroupSplit(tc, cols, hv, usedBits, groupCols, specs, maxGroups, out)
+			return regroupSplit(tc, unit, cols, hv, usedBits, groupCols, specs, maxGroups, out)
 		}
 		gids[i] = uint32(gid)
 	}
@@ -102,20 +102,23 @@ func groupOnePartition(tc *qef.TaskCtx, cols []coltypes.Data, hv []uint32, usedB
 		vals := spec.Expr.Eval(tc, tile)
 		aggs[s].Accumulate(core(tc), gids, vals)
 	}
-	out.add(table, aggs, specs)
+	out.add(tc, unit, table, aggs)
 	return nil
 }
 
-func regroupSplit(tc *qef.TaskCtx, cols []coltypes.Data, hv []uint32, usedBits uint, groupCols []int, specs []AggSpec, maxGroups int, out *groupCollector) error {
+func regroupSplit(tc *qef.TaskCtx, unit int, cols []coltypes.Data, hv []uint32, usedBits uint, groupCols []int, specs []AggSpec, maxGroups int, out *groupCollector) error {
 	const sub = 4
-	split := splitPartition(cols, hv, sub, usedBits)
+	split, err := splitPartition(nil, cols, hv, sub, usedBits)
+	if err != nil {
+		return err
+	}
 	for p := 0; p < sub; p++ {
 		if split.Rows(p) == len(hv) {
 			// All rows share the same hash bits (e.g. a single huge group
 			// cluster): splitting cannot help; grow the table instead.
-			return groupOnePartition(tc, split.Cols[p], split.Hashes[p], split.Bits, groupCols, specs, maxGroups*4, out)
+			return groupOnePartition(tc, unit, split.Cols[p], split.Hashes[p], split.Bits, groupCols, specs, maxGroups*4, out)
 		}
-		if err := groupOnePartition(tc, split.Cols[p], split.Hashes[p], split.Bits, groupCols, specs, maxGroups, out); err != nil {
+		if err := groupOnePartition(tc, unit, split.Cols[p], split.Hashes[p], split.Bits, groupCols, specs, maxGroups, out); err != nil {
 			return err
 		}
 	}
@@ -123,79 +126,51 @@ func regroupSplit(tc *qef.TaskCtx, cols []coltypes.Data, hv []uint32, usedBits u
 }
 
 // groupCollector accumulates finished partitions' groups. Groups are
-// disjoint across partitions, so this is a plain append.
+// disjoint across partitions, so this is a concatenation — in partition
+// (work unit) order, see unitSlots.
 type groupCollector struct {
 	nKeys int
 	specs []AggSpec
-
-	mu    sync.Mutex
-	kcols [][]int64
-	accs  [][]primitives.AggState
+	slots unitSlots // key columns, then one value column per spec
 }
 
-func (g *groupCollector) add(table *GroupTable, aggs []*primitives.GroupedAgg, specs []AggSpec) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.kcols == nil {
-		g.kcols = make([][]int64, g.nKeys)
-		g.accs = make([][]primitives.AggState, len(specs))
+func (g *groupCollector) add(tc *qef.TaskCtx, unit int, table *GroupTable, aggs []*primitives.GroupedAgg) {
+	n := table.NumGroups()
+	if n == 0 {
+		return
 	}
-	for gid := 0; gid < table.NumGroups(); gid++ {
-		for k := 0; k < g.nKeys; k++ {
-			g.kcols[k] = append(g.kcols[k], table.Key(k, gid))
+	rows := g.slots.chunk(tc, unit, n)
+	for k := 0; k < g.nKeys; k++ {
+		copy(rows[k], table.keyCols[k])
+	}
+	for s, spec := range g.specs {
+		vals := aggs[s].Counts
+		switch spec.Kind {
+		case AggSum:
+			vals = aggs[s].Sums
+		case AggMin:
+			vals = aggs[s].Mins
+		case AggMax:
+			vals = aggs[s].Maxs
 		}
-		for s := range specs {
-			g.accs[s] = append(g.accs[s], primitives.AggState{
-				Sum:   aggs[s].Sums[gid],
-				Min:   aggs[s].Mins[gid],
-				Max:   aggs[s].Maxs[gid],
-				Count: aggs[s].Counts[gid],
-			})
-		}
+		copy(rows[g.nKeys+s], vals)
 	}
 }
 
 func (g *groupCollector) relation(keyCols []Col, outNames []string) *Relation {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	var n int
-	if len(g.kcols) > 0 {
-		n = len(g.kcols[0])
-	} else if len(g.accs) > 0 {
-		n = len(g.accs[0])
-	}
-	cols := make([]Col, 0, g.nKeys+len(g.specs))
+	data := g.slots.columns()
+	cols := make([]Col, 0, len(data))
 	for k := 0; k < g.nKeys; k++ {
 		c := keyCols[k]
-		// g.kcols stays nil when the input had no rows (no partition ever
-		// produced a group); emit empty key columns, not a panic.
-		var kv []int64
-		if k < len(g.kcols) {
-			kv = g.kcols[k]
-		}
-		c.Data = coltypes.I64(append([]int64(nil), kv...))
+		c.Data = coltypes.I64(data[k])
 		cols = append(cols, c)
 	}
 	for s, spec := range g.specs {
-		vals := make([]int64, n)
-		for row := 0; row < n; row++ {
-			st := g.accs[s][row]
-			switch spec.Kind {
-			case AggSum:
-				vals[row] = st.Sum
-			case AggMin:
-				vals[row] = st.Min
-			case AggMax:
-				vals[row] = st.Max
-			default:
-				vals[row] = st.Count
-			}
-		}
 		name := spec.Name
 		if name == "" && s < len(outNames) {
 			name = outNames[s]
 		}
-		cols = append(cols, Col{Name: name, Type: coltypes.Int(), Data: coltypes.I64(vals)})
+		cols = append(cols, Col{Name: name, Type: coltypes.Int(), Data: coltypes.I64(data[g.nKeys+s])})
 	}
 	return MustRelation(cols)
 }

@@ -3,7 +3,6 @@ package ops
 import (
 	"fmt"
 	mathbits "math/bits"
-	"sync"
 
 	"rapid/internal/bits"
 	"rapid/internal/coltypes"
@@ -102,7 +101,6 @@ func HashJoin(ctx *qef.Context, build, probe *Relation, spec JoinSpec) (*Relatio
 	sink := newJoinSink(build, probe, spec)
 	var units []qef.WorkUnit
 	for p := 0; p < bp.NumPartitions(); p++ {
-		p := p
 		buildRows := bp.Rows(p)
 		probeRows := pp.Rows(p)
 		if probeRows == 0 && (spec.Type == InnerJoin || spec.Type == SemiJoin ||
@@ -121,17 +119,19 @@ func HashJoin(ctx *qef.Context, build, probe *Relation, spec JoinSpec) (*Relatio
 				if hi > probeRows {
 					hi = probeRows
 				}
-				lo, hi := lo, hi
+				unit := len(units)
 				units = append(units, func(tc *qef.TaskCtx) error {
-					return joinPair(tc, bp, pp, p, lo, hi, &spec, sink)
+					return joinPair(tc, bp, pp, p, lo, hi, &spec, sink, unit)
 				})
 			}
 			continue
 		}
+		unit := len(units)
 		units = append(units, func(tc *qef.TaskCtx) error {
-			return joinPair(tc, bp, pp, p, 0, pp.Rows(p), &spec, sink)
+			return joinPair(tc, bp, pp, p, 0, pp.Rows(p), &spec, sink, unit)
 		})
 	}
+	sink.out.units(len(units))
 	if err := ctx.RunParallel(units); err != nil {
 		return nil, err
 	}
@@ -159,8 +159,9 @@ func singleKeyPartition(pr *PartitionedRel, p int, keys []int) bool {
 	return true
 }
 
-// joinPair joins build partition p against probe rows [plo, phi).
-func joinPair(tc *qef.TaskCtx, bp, pp *PartitionedRel, p, plo, phi int, spec *JoinSpec, sink *joinSink) error {
+// joinPair joins build partition p against probe rows [plo, phi), emitting
+// into the sink slot of work unit `unit`.
+func joinPair(tc *qef.TaskCtx, bp, pp *PartitionedRel, p, plo, phi int, spec *JoinSpec, sink *joinSink, unit int) error {
 	buildRows := bp.Rows(p)
 	// Large skew (§6.4): dynamically insert another partitioning round for
 	// this pair when it exceeds the skew threshold and has key diversity.
@@ -168,14 +169,20 @@ func joinPair(tc *qef.TaskCtx, bp, pp *PartitionedRel, p, plo, phi int, spec *Jo
 		!singleKeyPartition(bp, p, spec.BuildKeys) {
 		sub := 4
 		subShift := bp.Bits
-		sbp := splitPartition(bp.Cols[p], bp.Hashes[p], sub, subShift)
+		sbp, err := splitPartition(nil, bp.Cols[p], bp.Hashes[p], sub, subShift)
+		if err != nil {
+			return err
+		}
 		probeCols := colScratch(tc, len(pp.Cols[p]))
 		for c := range probeCols {
 			probeCols[c] = pp.Cols[p][c].Slice(plo, phi)
 		}
-		spp := splitPartition(probeCols, pp.Hashes[p][plo:phi], sub, subShift)
+		spp, err := splitPartition(nil, probeCols, pp.Hashes[p][plo:phi], sub, subShift)
+		if err != nil {
+			return err
+		}
 		for sp := 0; sp < sub; sp++ {
-			if err := joinPairData(tc, sbp.Cols[sp], sbp.Hashes[sp], spp.Cols[sp], spp.Hashes[sp], spec, sink); err != nil {
+			if err := joinPairData(tc, sbp.Cols[sp], sbp.Hashes[sp], spp.Cols[sp], spp.Hashes[sp], spec, sink, unit); err != nil {
 				return err
 			}
 		}
@@ -185,20 +192,20 @@ func joinPair(tc *qef.TaskCtx, bp, pp *PartitionedRel, p, plo, phi int, spec *Jo
 	for c := range probeCols {
 		probeCols[c] = pp.Cols[p][c].Slice(plo, phi)
 	}
-	return joinPairData(tc, bp.Cols[p], bp.Hashes[p], probeCols, pp.Hashes[p][plo:phi], spec, sink)
+	return joinPairData(tc, bp.Cols[p], bp.Hashes[p], probeCols, pp.Hashes[p][plo:phi], spec, sink, unit)
 }
 
 // joinPairData runs the build and probe kernels over one partition pair.
-func joinPairData(tc *qef.TaskCtx, buildCols []coltypes.Data, bhv []uint32, probeCols []coltypes.Data, phv []uint32, spec *JoinSpec, sink *joinSink) error {
+func joinPairData(tc *qef.TaskCtx, buildCols []coltypes.Data, bhv []uint32, probeCols []coltypes.Data, phv []uint32, spec *JoinSpec, sink *joinSink, unit int) error {
 	nb, np := len(bhv), len(phv)
 	if nb == 0 {
 		// Anti and left-outer joins still emit probe rows: every probe row
 		// is unmatched, so take the dense path (nil selection).
 		if spec.Type == AntiJoin || spec.Type == LeftOuterJoin {
 			if spec.Type == AntiJoin {
-				sink.emitProbeOnly(tc, probeCols, nil, np)
+				sink.emitProbeOnly(tc, unit, probeCols, nil, np)
 			} else {
-				sink.emitOuter(tc, probeCols, nil, nil, np, nil)
+				sink.emitOuter(tc, unit, probeCols, nil, nil, np, nil)
 			}
 		}
 		return nil
@@ -260,8 +267,8 @@ func joinPairData(tc *qef.TaskCtx, buildCols []coltypes.Data, bhv []uint32, prob
 
 	switch spec.Type {
 	case InnerJoin:
-		matches := ht.Probe(core(tc), sphv, probeKeys, probeKeys2, spec.TileRows, nil)
-		sink.emitMatches(tc, buildCols, probeCols, matches)
+		matches := ht.Probe(core(tc), sphv, probeKeys, probeKeys2, spec.TileRows, make([]primitives.Match, 0, np))
+		sink.emitMatches(tc, unit, buildCols, probeCols, matches)
 	case SemiJoin, AntiJoin:
 		exists := bvScratch(tc, np)
 		ht.ProbeExists(core(tc), sphv, probeKeys, probeKeys2, spec.TileRows, exists)
@@ -270,155 +277,115 @@ func joinPairData(tc *qef.TaskCtx, buildCols []coltypes.Data, bhv []uint32, prob
 			neg.Not(exists)
 			exists = neg
 		}
-		sink.emitProbeOnly(tc, probeCols, exists, np)
+		sink.emitProbeOnly(tc, unit, probeCols, exists, np)
 	case LeftOuterJoin:
-		matches := ht.Probe(core(tc), sphv, probeKeys, probeKeys2, spec.TileRows, nil)
+		matches := ht.Probe(core(tc), sphv, probeKeys, probeKeys2, spec.TileRows, make([]primitives.Match, 0, np))
 		matched := bvScratch(tc, np)
 		for _, m := range matches {
 			matched.Set(int(m.ProbeRow))
 		}
 		unmatched := bvScratch(tc, np)
 		unmatched.Not(matched)
-		sink.emitOuter(tc, probeCols, buildCols, unmatched, np, matches)
+		sink.emitOuter(tc, unit, probeCols, buildCols, unmatched, np, matches)
 	}
 	return nil
 }
 
-// joinSink accumulates join output rows.
+// joinSink accumulates join output rows: one slot per join work unit,
+// concatenated in unit order (see unitSlots).
 type joinSink struct {
 	spec  *JoinSpec
 	build *Relation
 	probe *Relation
-
-	mu   sync.Mutex
-	cols [][]int64
+	out   unitSlots
 }
 
+// newJoinSink builds the sink; the caller sizes out.units once they are known.
 func newJoinSink(build, probe *Relation, spec JoinSpec) *joinSink {
-	n := len(spec.ProbePayload) + len(spec.BuildPayload)
 	return &joinSink{
 		spec:  &spec,
 		build: build,
 		probe: probe,
-		cols:  make([][]int64, n),
+		out:   unitSlots{ncols: len(spec.ProbePayload) + len(spec.BuildPayload)},
 	}
 }
 
-// emitMatches gathers payload columns for matched pairs.
-func (s *joinSink) emitMatches(tc *qef.TaskCtx, buildCols, probeCols []coltypes.Data, matches []primitives.Match) {
+// emitMatches gathers payload columns for matched pairs, charging the DMEM
+// gather cost per column.
+func (s *joinSink) emitMatches(tc *qef.TaskCtx, unit int, buildCols, probeCols []coltypes.Data, matches []primitives.Match) {
 	if len(matches) == 0 {
 		return
 	}
-	rows := rowScratch(tc, len(s.cols))
-	ci := 0
+	rows := s.out.chunk(tc, unit, len(matches))
 	probeRIDs := u32Scratch(tc, len(matches))
 	buildRIDs := u32Scratch(tc, len(matches))
 	for i, m := range matches {
 		probeRIDs[i] = m.ProbeRow
 		buildRIDs[i] = m.BuildRow
 	}
+	ci := 0
 	for _, pc := range s.spec.ProbePayload {
-		rows[ci] = gatherI64(tc, probeCols[pc], probeRIDs)
+		widenGather(rows[ci], probeCols[pc], probeRIDs)
 		ci++
 	}
 	for _, bc := range s.spec.BuildPayload {
-		rows[ci] = gatherI64(tc, buildCols[bc], buildRIDs)
+		widenGather(rows[ci], buildCols[bc], buildRIDs)
 		ci++
 	}
-	s.appendRows(rows)
-}
-
-// gatherI64 gathers src rows into a widened int64 vector, charging the
-// DMEM gather cost.
-func gatherI64(tc *qef.TaskCtx, src coltypes.Data, rids []uint32) []int64 {
-	out := scratch(tc, len(rids))
-	for i, r := range rids {
-		out[i] = src.Get(int(r))
-	}
 	if c := core(tc); c != nil {
-		c.Charge(dpu.Cycles(2 * len(rids)))
+		c.Charge(dpu.Cycles(2 * len(matches) * ci))
 	}
-	return out
 }
 
-// emitProbeOnly emits the probe payload of rows set in sel (semi/anti). A
-// nil sel means every one of the `total` probe rows qualifies — the dense
-// fast path copies sequentially without materializing a selection at all,
-// and the sparse path walks the bit-vector directly instead of building an
-// intermediate RID list.
-func (s *joinSink) emitProbeOnly(tc *qef.TaskCtx, probeCols []coltypes.Data, sel *bits.Vector, total int) {
+// emitProbeOnly emits the probe payload of rows set in sel (semi/anti) with
+// a zero build payload. A nil sel means every one of the `total` probe rows
+// qualifies — the dense path widens sequentially without materializing a
+// selection at all.
+func (s *joinSink) emitProbeOnly(tc *qef.TaskCtx, unit int, probeCols []coltypes.Data, sel *bits.Vector, total int) {
 	n := total
+	var rids []uint32
 	if sel != nil {
 		n = sel.Count()
+		rids = sel.ToRIDs(ridScratch(tc, n))
 	}
 	if n == 0 {
 		return
 	}
-	rows := rowScratch(tc, len(s.cols))
-	ci := 0
-	for _, pc := range s.spec.ProbePayload {
-		vals := scratch(tc, n)
-		col := probeCols[pc]
+	rows := s.out.chunk(tc, unit, n)
+	for ci, pc := range s.spec.ProbePayload {
 		if sel == nil {
-			for i := 0; i < n; i++ {
-				vals[i] = col.Get(i)
-			}
+			primitives.WidenToI64(nil, probeCols[pc], rows[ci])
 		} else {
-			j := 0
-			sel.ForEach(func(i int) {
-				vals[j] = col.Get(i)
-				j++
-			})
+			widenGather(rows[ci], probeCols[pc], rids)
 		}
-		rows[ci] = vals
-		ci++
-	}
-	for range s.spec.BuildPayload {
-		rows[ci] = scratch(tc, n) // zero build payload
-		ci++
 	}
 	if c := core(tc); c != nil {
 		c.Charge(dpu.Cycles(2 * n))
 	}
-	s.appendRows(rows)
 }
 
 // emitOuter emits matched pairs plus unmatched probe rows with zero build
 // payload. A nil unmatched vector means all `total` probe rows are
 // unmatched (the empty-build case).
-func (s *joinSink) emitOuter(tc *qef.TaskCtx, probeCols, buildCols []coltypes.Data, unmatched *bits.Vector, total int, matches []primitives.Match) {
-	if len(matches) > 0 {
-		s.emitMatches(tc, buildCols, probeCols, matches)
-	}
-	s.emitProbeOnly(tc, probeCols, unmatched, total)
-}
-
-func (s *joinSink) appendRows(rows [][]int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for c := range s.cols {
-		s.cols[c] = append(s.cols[c], rows[c]...)
-	}
+func (s *joinSink) emitOuter(tc *qef.TaskCtx, unit int, probeCols, buildCols []coltypes.Data, unmatched *bits.Vector, total int, matches []primitives.Match) {
+	s.emitMatches(tc, unit, buildCols, probeCols, matches)
+	s.emitProbeOnly(tc, unit, probeCols, unmatched, total)
 }
 
 // relation materializes the join output with column metadata from the
 // payload sources.
 func (s *joinSink) relation() *Relation {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Col, 0, len(s.cols))
-	ci := 0
+	data := s.out.columns()
+	out := make([]Col, 0, len(data))
 	for _, pc := range s.spec.ProbePayload {
 		c := s.probe.Cols[pc]
-		c.Data = coltypes.I64(s.cols[ci])
+		c.Data = coltypes.I64(data[len(out)])
 		out = append(out, c)
-		ci++
 	}
 	for _, bc := range s.spec.BuildPayload {
 		c := s.build.Cols[bc]
-		c.Data = coltypes.I64(s.cols[ci])
+		c.Data = coltypes.I64(data[len(out)])
 		out = append(out, c)
-		ci++
 	}
 	return MustRelation(out)
 }

@@ -40,11 +40,11 @@ func SortMergeJoin(ctx *qef.Context, build, probe *Relation, spec JoinSpec) (*Re
 	sink := newJoinSink(build, probe, spec)
 	units := make([]qef.WorkUnit, 0, len(bounds)+1)
 	for p := 0; p <= len(bounds); p++ {
-		p := p
 		units = append(units, func(tc *qef.TaskCtx) error {
-			return mergeJoinPair(tc, bParts[p], pParts[p], &spec, sink)
+			return mergeJoinPair(tc, bParts[p], pParts[p], &spec, sink, p)
 		})
 	}
+	sink.out.units(len(units))
 	if err := ctx.RunParallel(units); err != nil {
 		return nil, err
 	}
@@ -115,7 +115,7 @@ func rangeSplit(cols []coltypes.Data, key coltypes.Data, bounds []int64) [][]col
 }
 
 // mergeJoinPair sorts both sides of one range by key and merges.
-func mergeJoinPair(tc *qef.TaskCtx, buildCols, probeCols []coltypes.Data, spec *JoinSpec, sink *joinSink) error {
+func mergeJoinPair(tc *qef.TaskCtx, buildCols, probeCols []coltypes.Data, spec *JoinSpec, sink *joinSink, unit int) error {
 	bKey := buildCols[spec.BuildKeys[0]]
 	pKey := probeCols[spec.ProbeKeys[0]]
 	nb, np := bKey.Len(), pKey.Len()
@@ -164,7 +164,7 @@ func mergeJoinPair(tc *qef.TaskCtx, buildCols, probeCols []coltypes.Data, spec *
 	for i, m := range matches {
 		ms[i] = primitives.Match{BuildRow: m.b, ProbeRow: m.p}
 	}
-	sink.emitMatches(tc, buildCols, probeCols, ms)
+	sink.emitMatches(tc, unit, buildCols, probeCols, ms)
 	return nil
 }
 

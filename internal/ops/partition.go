@@ -74,6 +74,57 @@ func (p *PartitionedRel) Rows(i int) int {
 	return p.Cols[i][0].Len()
 }
 
+// partChunkRows is the row granularity at which ModeX86 spreads the
+// orchestrator-side partitioning passes (hash, histogram, scatter) over the
+// cores: large enough to amortise a work-unit dispatch, small enough that a
+// TPC-H-sized input yields several chunks per core.
+const partChunkRows = 16 << 10
+
+// checkCols rejects column representations the width-specialised kernels do
+// not know, as a query error: a fuzzed plan must not reach a Scatter panic.
+func checkCols(cols []coltypes.Data) error {
+	for i, c := range cols {
+		switch c.(type) {
+		case coltypes.I8, coltypes.I16, coltypes.I32, coltypes.I64:
+		default:
+			return fmt.Errorf("ops: column %d: unsupported data %T", i, c)
+		}
+	}
+	return nil
+}
+
+// numChunks returns how many pieces forChunks cuts n rows into: with a
+// ModeX86 context, partChunkRows pieces; with a nil context (the caller is
+// already inside a work unit) or in ModeDPU — where these passes model DMS
+// hardware and must bill nothing new — one.
+func numChunks(ctx *qef.Context, n int) int {
+	if ctx == nil || ctx.Mode == qef.ModeDPU || n <= partChunkRows {
+		return 1
+	}
+	return (n + partChunkRows - 1) / partChunkRows
+}
+
+// forChunks runs fn over [0, n) in numChunks pieces: a single piece inline,
+// several as work units on all cores.
+func forChunks(ctx *qef.Context, n int, fn func(chunk, lo, hi int)) error {
+	chunks := numChunks(ctx, n)
+	if chunks == 1 {
+		if n > 0 {
+			fn(0, 0, n)
+		}
+		return nil
+	}
+	units := make([]qef.WorkUnit, chunks)
+	for chunk := range units {
+		lo := chunk * partChunkRows
+		units[chunk] = func(*qef.TaskCtx) error {
+			fn(chunk, lo, min(lo+partChunkRows, n))
+			return nil
+		}
+	}
+	return ctx.RunParallel(units)
+}
+
 // PartitionByHash partitions cols by the CRC32 hash of keyCols according to
 // the scheme. Round 0 uses the DMS hash engine (no dpCore cycles); later
 // rounds run the software partitioning operator on all cores with
@@ -82,11 +133,10 @@ func PartitionByHash(ctx *qef.Context, cols []coltypes.Data, keyCols []int, sche
 	if err := scheme.Validate(); err != nil {
 		return nil, err
 	}
-	// Hardware hash: the DMS computes CRC32 over the key columns.
-	keyData := make([]coltypes.Data, len(keyCols))
-	for i, k := range keyCols {
-		keyData[i] = cols[k]
+	if err := checkCols(cols); err != nil {
+		return nil, err
 	}
+	// Hardware hash: the DMS computes CRC32 over the key columns.
 	var hv []uint32
 	if ctx.Mode == qef.ModeDPU {
 		var ht dms.Timing
@@ -95,8 +145,18 @@ func PartitionByHash(ctx *qef.Context, cols []coltypes.Data, keyCols []int, sche
 		// work unit; attribute its bytes/time to the active operator span so
 		// the profile reconciles with the engine's transfer totals.
 		ctx.AccountSpanTransfer(ht)
-	} else {
-		hv = primitives.HashColumns(nil, keyData, nil)
+	} else if len(cols) > 0 {
+		hv = make([]uint32, cols[0].Len())
+		err := forChunks(ctx, len(hv), func(_, lo, hi int) {
+			keys := make([]coltypes.Data, len(keyCols))
+			for i, k := range keyCols {
+				keys[i] = cols[k].Slice(lo, hi)
+			}
+			primitives.HashColumns(nil, keys, hv[lo:hi])
+		})
+		if err != nil {
+			return nil, err
+		}
 	}
 	cur := &PartitionedRel{Cols: [][]coltypes.Data{cols}, Hashes: [][]uint32{hv}}
 	if len(scheme.Rounds) == 0 {
@@ -106,8 +166,11 @@ func PartitionByHash(ctx *qef.Context, cols []coltypes.Data, keyCols []int, sche
 	// this during the transfer; it is billed inside HashVector's
 	// partition-time model, and the dpCores stay idle.
 	hw := scheme.Rounds[0]
-	cur = splitPartition(cur.Cols[0], cur.Hashes[0], hw, 0)
-	shift := uint(mathbits.Len(uint(hw - 1)))
+	cur, err := splitPartition(ctx, cols, hv, hw, 0)
+	if err != nil {
+		return nil, err
+	}
+	shift := cur.Bits
 	// Software rounds.
 	for _, fanout := range scheme.Rounds[1:] {
 		next, err := swPartitionRound(ctx, cur, fanout, shift, tileRows)
@@ -122,40 +185,76 @@ func PartitionByHash(ctx *qef.Context, cols []coltypes.Data, keyCols []int, sche
 }
 
 // splitPartition routes rows by hash bits [shift, shift+log2 fanout) — the
-// functional effect of the hardware round.
-func splitPartition(cols []coltypes.Data, hv []uint32, fanout int, shift uint) *PartitionedRel {
+// functional effect of the hardware round, of a skew re-split and of the
+// software operator. Histogram, prefix sum, one position vector, then one
+// scatter per column into a single buffer the partitions are carved from:
+// every output column is allocated once and every row copied once. Rows keep
+// their input order inside a partition. A non-nil ModeX86 ctx runs histogram
+// and scatter chunk-parallel (see forChunks); the per-chunk write cursors
+// come from one serial prefix sum, so the result is the same stable split.
+func splitPartition(ctx *qef.Context, cols []coltypes.Data, hv []uint32, fanout int, shift uint) (*PartitionedRel, error) {
+	if err := checkCols(cols); err != nil {
+		return nil, err
+	}
 	mask := uint32(fanout - 1)
 	n := len(hv)
-	counts := make([]int, fanout)
-	for _, h := range hv {
-		counts[(h>>shift)&mask]++
+	// cursor[chunk*fanout+p]: first the chunk's row count for partition p,
+	// after the prefix sum the position of its next row.
+	cursor := make([]uint32, numChunks(ctx, n)*fanout)
+	if err := forChunks(ctx, n, func(chunk, lo, hi int) {
+		cnt := cursor[chunk*fanout : (chunk+1)*fanout]
+		for _, h := range hv[lo:hi] {
+			cnt[(h>>shift)&mask]++
+		}
+	}); err != nil {
+		return nil, err
 	}
+	bounds := make([]uint32, fanout+1)
+	var sum uint32
+	for p := 0; p < fanout; p++ {
+		bounds[p] = sum
+		for at := p; at < len(cursor); at += fanout {
+			sum, cursor[at] = sum+cursor[at], sum
+		}
+	}
+	bounds[fanout] = sum
+
+	outHv := make([]uint32, n)
+	outCols := make([]coltypes.Data, len(cols))
+	for c, col := range cols {
+		outCols[c] = col.NewSame(n)
+	}
+	pos := make([]uint32, n)
+	if err := forChunks(ctx, n, func(chunk, lo, hi int) {
+		next, cpos := cursor[chunk*fanout:(chunk+1)*fanout], pos[lo:hi]
+		for i, h := range hv[lo:hi] {
+			p := (h >> shift) & mask
+			cpos[i] = next[p]
+			outHv[next[p]] = h
+			next[p]++
+		}
+		for c, col := range cols {
+			coltypes.Scatter(outCols[c], col.Slice(lo, hi), cpos)
+		}
+	}); err != nil {
+		return nil, err
+	}
+
 	out := &PartitionedRel{
 		Cols:   make([][]coltypes.Data, fanout),
 		Hashes: make([][]uint32, fanout),
+		Bits:   shift + uint(mathbits.Len(uint(fanout-1))),
 	}
-	rids := make([][]uint32, fanout)
-	for p := range rids {
-		rids[p] = make([]uint32, 0, counts[p])
-	}
-	for i := 0; i < n; i++ {
-		p := (hv[i] >> shift) & mask
-		rids[p] = append(rids[p], uint32(i))
-	}
+	carved := make([]coltypes.Data, fanout*len(cols))
 	for p := 0; p < fanout; p++ {
-		out.Hashes[p] = make([]uint32, len(rids[p]))
-		for j, r := range rids[p] {
-			out.Hashes[p][j] = hv[r]
-		}
-		out.Cols[p] = make([]coltypes.Data, len(cols))
-		for c, col := range cols {
-			dst := col.NewSame(len(rids[p]))
-			coltypes.Gather(dst, col, rids[p])
-			out.Cols[p][c] = dst
+		lo, hi := int(bounds[p]), int(bounds[p+1])
+		out.Hashes[p] = outHv[lo:hi:hi]
+		out.Cols[p] = carved[p*len(cols) : (p+1)*len(cols) : (p+1)*len(cols)]
+		for c := range cols {
+			out.Cols[p][c] = outCols[c].Slice(lo, hi)
 		}
 	}
-	out.Bits = shift + uint(mathbits.Len(uint(fanout-1)))
-	return out
+	return out, nil
 }
 
 // SWPartitionRound runs one software partitioning round over an existing
@@ -166,9 +265,8 @@ func SWPartitionRound(ctx *qef.Context, in *PartitionedRel, fanout int, shift ui
 }
 
 // swPartitionRound applies one software partitioning round to every current
-// partition in parallel: per input partition, stream tiles, compute the
-// partition map (Listing 2), gather per-partition rows into DMEM-local
-// buffers (Listing 3) and flush them to DRAM outputs as they fill.
+// partition in parallel, one work unit per input partition; child c of input
+// partition pi lands in slot pi*fanout+c.
 func swPartitionRound(ctx *qef.Context, in *PartitionedRel, fanout int, shift uint, tileRows int) (*PartitionedRel, error) {
 	nIn := in.NumPartitions()
 	out := &PartitionedRel{
@@ -177,48 +275,39 @@ func swPartitionRound(ctx *qef.Context, in *PartitionedRel, fanout int, shift ui
 	}
 	units := make([]qef.WorkUnit, 0, nIn)
 	for pi := 0; pi < nIn; pi++ {
-		pi := pi
 		units = append(units, func(tc *qef.TaskCtx) error {
-			return swPartitionOne(tc, in.Cols[pi], in.Hashes[pi], fanout, shift, tileRows,
-				func(child int, cols []coltypes.Data, hv []uint32) error {
-					slot := pi*fanout + child
-					if out.Cols[slot] == nil {
-						out.Cols[slot] = cols
-						out.Hashes[slot] = hv
-						return nil
-					}
-					for c := range cols {
-						nd, err := appendData(out.Cols[slot][c], cols[c])
-						if err != nil {
-							return err
-						}
-						out.Cols[slot][c] = nd
-					}
-					out.Hashes[slot] = append(out.Hashes[slot], hv...)
-					return nil
-				})
+			children, err := swPartitionOne(tc, in.Cols[pi], in.Hashes[pi], fanout, shift, tileRows)
+			if err != nil || children == nil {
+				return err
+			}
+			copy(out.Cols[pi*fanout:], children.Cols)
+			copy(out.Hashes[pi*fanout:], children.Hashes)
+			return nil
 		})
 	}
 	if err := ctx.RunParallel(units); err != nil {
 		return nil, err
 	}
-	// Normalize empty slots.
+	// Children of empty input partitions.
 	for slot := range out.Cols {
 		if out.Cols[slot] == nil {
 			out.Cols[slot] = emptyLike(in.Cols[0])
-			out.Hashes[slot] = nil
 		}
 	}
 	return out, nil
 }
 
 // swPartitionOne is the software partitioning operator over one input
-// partition. flush is called per (child, buffered rows) as DMEM buffers
-// fill; each input partition is owned by one core, so flush needs no
-// locking. A flush error aborts the unit.
-func swPartitionOne(tc *qef.TaskCtx, cols []coltypes.Data, hv []uint32, fanout int, shift uint, tileRows int, flush func(int, []coltypes.Data, []uint32) error) error {
+// partition (nil result for an empty one). The operator the paper describes
+// streams tiles, computes the partition map (Listing 2), gathers each
+// partition's rows into DMEM-local buffers (Listing 3) and flushes a buffer
+// to DRAM whenever it fills. Functionally that is a stable split, so the data
+// moves through splitPartition — child sizes are known from the hash vector —
+// while the DMEM admission and, on a dpCore, the tile loop's billing are
+// replayed exactly as the streaming operator incurs them.
+func swPartitionOne(tc *qef.TaskCtx, cols []coltypes.Data, hv []uint32, fanout int, shift uint, tileRows int) (*PartitionedRel, error) {
 	if len(hv) == 0 {
-		return nil
+		return nil, nil
 	}
 	rowBytes := 4 // hash
 	for _, c := range cols {
@@ -242,13 +331,13 @@ func swPartitionOne(tc *qef.TaskCtx, cols []coltypes.Data, hv []uint32, fanout i
 	}
 	bufRows := outBudget / (fanout * rowBytes)
 	if bufRows < 1 {
-		return fmt.Errorf("ops: fan-out %d leaves no DMEM for partition buffers", fanout)
+		return nil, fmt.Errorf("ops: fan-out %d leaves no DMEM for partition buffers", fanout)
 	}
 	if bufRows > 4096 {
 		bufRows = 4096
 	}
 	if err := tc.DMEM.Alloc(fanout * bufRows * rowBytes); err != nil {
-		return err
+		return nil, err
 	}
 	for tileRows > qef.MinTileRows && 2*tileRows*rowBytes+tileRows*4+(fanout+1)*4 > tc.DMEM.Free() {
 		tileRows /= 2
@@ -256,134 +345,49 @@ func swPartitionOne(tc *qef.TaskCtx, cols []coltypes.Data, hv []uint32, fanout i
 	inBytes := 2 * tileRows * rowBytes
 	mapBytes := tileRows*4 + (fanout+1)*4
 	if err := tc.DMEM.Alloc(inBytes + mapBytes); err != nil {
-		return err
+		return nil, err
 	}
 
-	bufCols := make([][]coltypes.Data, fanout)
-	bufHash := make([][]uint32, fanout)
+	children, err := splitPartition(nil, cols, hv, fanout, shift)
+	if err != nil || tc.Core == nil {
+		return children, err
+	}
+
+	// Billing replay of the streaming operator: per tile the input transfer,
+	// the partition map and the per-column gather; per modeled DMEM buffer
+	// one contiguous DMS flush each time it fills, and once at the end.
+	colBytes := rowBytes - 4
+	tile := make([]coltypes.Data, len(cols))
+	for c := range cols {
+		tile[c] = cols[c].NewSame(tileRows)
+	}
 	bufN := make([]int, fanout)
-	for p := 0; p < fanout; p++ {
-		bufCols[p] = make([]coltypes.Data, len(cols))
-		for c := range cols {
-			bufCols[p][c] = cols[c].NewSame(bufRows)
-		}
-		bufHash[p] = make([]uint32, bufRows)
-	}
-	doFlush := func(p int) error {
-		n := bufN[p]
-		if n == 0 {
-			return nil
-		}
-		outCols := make([]coltypes.Data, len(cols))
-		for c := range cols {
-			outCols[c] = bufCols[p][c].Slice(0, n).NewSame(n)
-			outCols[c].CopyFrom(0, bufCols[p][c].Slice(0, n))
-		}
-		outHv := append([]uint32(nil), bufHash[p][:n]...)
-		// Bill the DMS flush of the local buffer to DRAM (one contiguous
-		// region per partition).
-		if tc.Core != nil {
-			bytes := 0
-			for c := range outCols {
-				bytes += n * outCols[c].Width().Bytes()
-			}
-			tc.AddTransfer(tc.Ctx.DMS.StreamWrite(bytes))
-		}
-		if err := flush(p, outCols, outHv); err != nil {
-			return err
-		}
+	flush := func(p int) {
+		tc.AddTransfer(tc.Ctx.DMS.StreamWrite(bufN[p] * colBytes))
 		bufN[p] = 0
-		return nil
 	}
-
-	n := len(hv)
-	for lo := 0; lo < n; lo += tileRows {
-		hi := lo + tileRows
-		if hi > n {
-			hi = n
-		}
-		tn := hi - lo
-		// Input tile transfer (read side).
-		if tc.Core != nil {
-			views := make([]coltypes.Data, len(cols))
-			srcs := make([]coltypes.Data, len(cols))
-			for c := range cols {
-				views[c] = cols[c].NewSame(tn)
-				srcs[c] = cols[c]
-			}
-			tc.AddTransfer(tc.Ctx.DMS.Read(srcs, lo, hi, views))
-		}
-		tileHv := hv[lo:hi]
-		m := primitives.ComputePartitionMap(core(tc), tileHv, fanout, shift)
+	for lo := 0; lo < len(hv); lo += tileRows {
+		hi := min(lo+tileRows, len(hv))
+		tc.AddTransfer(tc.Ctx.DMS.Read(cols, lo, hi, tile))
+		m := primitives.ComputePartitionMap(tc.Core, hv[lo:hi], fanout, shift)
+		primitives.ChargeSwPartitionGather(tc.Core, (hi-lo)*len(cols))
 		for p := 0; p < fanout; p++ {
-			sel := m.Partition(p)
-			for len(sel) > 0 {
-				space := bufRows - bufN[p]
-				take := len(sel)
-				if take > space {
-					take = space
-				}
-				batch := sel[:take]
-				for c := range cols {
-					dst := bufCols[p][c].Slice(bufN[p], bufN[p]+take)
-					src := cols[c].Slice(lo, hi)
-					primitives.SwPartitionColumn(core(tc), src, &primitives.PartitionMap{
-						RowIdx:  batch,
-						Offsets: []int32{0, int32(take)},
-					}, 0, dst)
-				}
-				for j, r := range batch {
-					bufHash[p][bufN[p]+j] = tileHv[r]
-				}
+			for rows := m.Rows(p); rows > 0; {
+				take := min(rows, bufRows-bufN[p])
 				bufN[p] += take
-				sel = sel[take:]
+				rows -= take
 				if bufN[p] == bufRows {
-					if err := doFlush(p); err != nil {
-						return err
-					}
+					flush(p)
 				}
 			}
 		}
 	}
 	for p := 0; p < fanout; p++ {
-		if err := doFlush(p); err != nil {
-			return err
+		if bufN[p] > 0 {
+			flush(p)
 		}
 	}
-	return nil
-}
-
-// appendData concatenates two same-width columns. A width mismatch or an
-// unknown representation is a query error carried up through the work unit —
-// fuzzed plans must not crash the worker.
-func appendData(a, b coltypes.Data) (coltypes.Data, error) {
-	switch av := a.(type) {
-	case coltypes.I8:
-		bv, ok := b.(coltypes.I8)
-		if !ok {
-			return nil, fmt.Errorf("ops: cannot append %T to %T", b, a)
-		}
-		return append(av, bv...), nil
-	case coltypes.I16:
-		bv, ok := b.(coltypes.I16)
-		if !ok {
-			return nil, fmt.Errorf("ops: cannot append %T to %T", b, a)
-		}
-		return append(av, bv...), nil
-	case coltypes.I32:
-		bv, ok := b.(coltypes.I32)
-		if !ok {
-			return nil, fmt.Errorf("ops: cannot append %T to %T", b, a)
-		}
-		return append(av, bv...), nil
-	case coltypes.I64:
-		bv, ok := b.(coltypes.I64)
-		if !ok {
-			return nil, fmt.Errorf("ops: cannot append %T to %T", b, a)
-		}
-		return append(av, bv...), nil
-	}
-	return nil, fmt.Errorf("ops: unsupported data %T", a)
+	return children, nil
 }
 
 func emptyLike(cols []coltypes.Data) []coltypes.Data {

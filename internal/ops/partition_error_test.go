@@ -1,18 +1,19 @@
 package ops
 
 import (
-	"errors"
+	"strings"
 	"testing"
 
 	"rapid/internal/coltypes"
 	"rapid/internal/qef"
 )
 
-// fakeData is a Data representation the engine does not know how to append —
-// the stand-in for whatever a fuzzed plan smuggles into a partition flush.
+// fakeData is a Data representation the engine's width-specialised kernels
+// do not know — the stand-in for whatever a fuzzed plan smuggles into a
+// partitioning pass.
 type fakeData struct{}
 
-func (fakeData) Len() int                     { return 1 }
+func (fakeData) Len() int                     { return 256 }
 func (fakeData) Width() coltypes.Width        { return coltypes.W8 }
 func (fakeData) Get(int) int64                { return 0 }
 func (fakeData) Set(int, int64)               {}
@@ -21,38 +22,42 @@ func (fakeData) NewSame(int) coltypes.Data    { return fakeData{} }
 func (fakeData) SizeBytes() int               { return 8 }
 func (fakeData) CopyFrom(int, coltypes.Data)  {}
 
-// TestAppendDataMismatchIsError pins the partition-flush panic fix: a width
-// mismatch or an unknown representation must come back as a query error, not
-// crash the worker.
-func TestAppendDataMismatchIsError(t *testing.T) {
-	if _, err := appendData(coltypes.I32{1}, coltypes.I64{2}); err == nil {
-		t.Fatal("width mismatch must return an error")
-	}
-	if _, err := appendData(fakeData{}, fakeData{}); err == nil {
-		t.Fatal("unknown representation must return an error")
-	}
-	nd, err := appendData(coltypes.I16{1}, coltypes.I16{2, 3})
-	if err != nil || nd.Len() != 3 {
-		t.Fatalf("same-width append: err=%v len=%d", err, nd.Len())
-	}
-}
-
-// TestSWPartitionFlushErrorPropagates proves a flush failure aborts the work
-// unit and surfaces through the qef run instead of being swallowed (the
-// flush path used to have no error return at all).
-func TestSWPartitionFlushErrorPropagates(t *testing.T) {
-	ctx := qef.NewContext(qef.ModeX86)
-	cols := []coltypes.Data{coltypes.I64(seq(256, func(i int) int64 { return int64(i) }))}
+func fakeCols() ([]coltypes.Data, []uint32) {
+	cols := []coltypes.Data{coltypes.I64(seq(256, func(i int) int64 { return int64(i) })), fakeData{}}
 	hv := make([]uint32, 256)
 	for i := range hv {
 		hv[i] = uint32(i)
 	}
-	wantErr := errors.New("flush rejected")
-	err := ctx.RunSerial(func(tc *qef.TaskCtx) error {
-		return swPartitionOne(tc, cols, hv, 4, 0, 64,
-			func(int, []coltypes.Data, []uint32) error { return wantErr })
-	})
-	if !errors.Is(err, wantErr) {
-		t.Fatalf("err = %v, want the flush error", err)
+	return cols, hv
+}
+
+// TestSplitPartitionUnknownDataIsError pins the PR 8 fuzzer fix across the
+// scatter rewrite: an unknown column representation reaching the round-0 /
+// re-split path comes back as a query error, never a Scatter panic.
+func TestSplitPartitionUnknownDataIsError(t *testing.T) {
+	cols, hv := fakeCols()
+	if _, err := splitPartition(nil, cols, hv, 4, 0); err == nil || !strings.Contains(err.Error(), "unsupported data") {
+		t.Fatalf("err = %v, want an unsupported-data error", err)
+	}
+	for _, mode := range []qef.Mode{qef.ModeX86, qef.ModeDPU} {
+		_, err := PartitionByHash(qef.NewContext(mode), cols, []int{0}, PartScheme{Rounds: []int{4}}, 64)
+		if err == nil || !strings.Contains(err.Error(), "unsupported data") {
+			t.Fatalf("%v: err = %v, want an unsupported-data error", mode, err)
+		}
+	}
+}
+
+// TestSWPartitionUnknownDataIsError: the same for the software operator, on
+// both lanes, surfacing through the qef run like any other unit failure.
+func TestSWPartitionUnknownDataIsError(t *testing.T) {
+	cols, hv := fakeCols()
+	for _, mode := range []qef.Mode{qef.ModeX86, qef.ModeDPU} {
+		err := qef.NewContext(mode).RunSerial(func(tc *qef.TaskCtx) error {
+			_, err := swPartitionOne(tc, cols, hv, 4, 0, 64)
+			return err
+		})
+		if err == nil || !strings.Contains(err.Error(), "unsupported data") {
+			t.Fatalf("%v: err = %v, want an unsupported-data error", mode, err)
+		}
 	}
 }

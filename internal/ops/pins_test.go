@@ -1,0 +1,207 @@
+package ops
+
+import (
+	"fmt"
+	"hash/fnv"
+	"math"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"rapid/internal/coltypes"
+	"rapid/internal/qef"
+)
+
+// Equivalence pins. The values below were captured at the commit before the
+// single-copy partition → join → materialise rewrite (PR 14) by running this
+// file against that tree: the functional path may be reorganised at will, but
+// partition contents, row order inside a partition and everything the DMEM /
+// DMS / cycle model bills must not move. A mismatch prints the observed line
+// in the table's own syntax.
+
+// partitionPin is one cell of the n × scheme × width grid.
+type partitionPin struct {
+	n       int
+	scheme  string
+	width   int
+	sig     uint64  // FNV-1a over partition index, rows, hashes, Bits — in order
+	cycles  int64   // SoC total dpCore cycles
+	elapsed float64 // ctx.SimElapsed()
+	busy    float64 // ctx.SimTotalBusy()
+	bus     float64 // read + write DDR bus seconds (summed in completion order)
+	dmsB    int64   // DMS bytes moved, both directions
+	dmsDesc int64   // DMS descriptors issued
+}
+
+var partitionPins = []partitionPin{
+	{0, "32", 1, 0x812b20916c298720, 0, 0, 0, 0, 0, 1},
+	{0, "32", 4, 0x812b20916c298720, 0, 0, 0, 0, 0, 1},
+	{0, "32", 8, 0x812b20916c298720, 0, 0, 0, 0, 0, 1},
+	{0, "8x16", 1, 0xd9122185f16c8362, 0, 0, 0, 0, 0, 1},
+	{0, "8x16", 4, 0xd9122185f16c8362, 0, 0, 0, 0, 0, 1},
+	{0, "8x16", 8, 0xd9122185f16c8362, 0, 0, 0, 0, 0, 1},
+	{0, "8x8x4", 1, 0x1d1bdb92db79facd, 0, 0, 0, 0, 0, 1},
+	{0, "8x8x4", 4, 0x1d1bdb92db79facd, 0, 0, 0, 0, 0, 1},
+	{0, "8x8x4", 8, 0x1d1bdb92db79facd, 0, 0, 0, 0, 0, 1},
+	{1, "32", 1, 0xe947da201ed9a793, 0, 0, 0, 0, 1, 1},
+	{1, "32", 4, 0x42c80d2e275bd072, 0, 0, 0, 0, 4, 1},
+	{1, "32", 8, 0xa164683937d7a66b, 0, 0, 0, 0, 8, 1},
+	{1, "8x16", 1, 0x3d3d5938cebaeca5, 42, 5.25e-08, 5.25e-08, 3.735038759689923e-08, 21, 5},
+	{1, "8x16", 4, 0x487774184486bde0, 42, 5.25e-08, 5.25e-08, 3.828062015503876e-08, 36, 5},
+	{1, "8x16", 8, 0x7216af6731c99e45, 42, 5.25e-08, 5.25e-08, 3.952093023255814e-08, 56, 5},
+	{1, "8x8x4", 1, 0x81e1bf2c934986e, 44, 4.715038759689923e-08, 7.470077519379846e-08, 7.470077519379846e-08, 41, 9},
+	{1, "8x8x4", 4, 0xf692c4c25ac02743, 44, 4.808062015503876e-08, 7.656124031007752e-08, 7.656124031007752e-08, 68, 9},
+	{1, "8x8x4", 8, 0xb395f6e959defaaa, 44, 4.932093023255814e-08, 7.904186046511628e-08, 7.904186046511628e-08, 104, 9},
+	{1000, "32", 1, 0xc9813b054e6c4846, 0, 0, 0, 0, 1000, 1},
+	{1000, "32", 4, 0x49eaee0a01bf0104, 0, 0, 0, 0, 4000, 1},
+	{1000, "32", 8, 0xc826d55256018758, 0, 0, 0, 0, 8000, 1},
+	{1000, "8x16", 1, 0x848bd0dffadb903a, 10256, 2.296193798449614e-06, 1.282e-05, 3.2537875968992263e-06, 21000, 142},
+	{1000, "8x16", 4, 0x318f303a0bf14cb2, 10256, 2.90431007751938e-06, 1.282e-05, 4.32702015503876e-06, 36000, 153},
+	{1000, "8x16", 8, 0x93018dedd33d3652, 10256, 3.5244651162790715e-06, 1.2820000000000003e-05, 5.567330232558141e-06, 56000, 153},
+	{1000, "8x8x4", 1, 0x515f2db6e7421853, 20624, 4.384387596899224e-06, 2.5780000000000007e-05, 7.530775193798449e-06, 41000, 429},
+	{1000, "8x8x4", 4, 0x4eb35755aecfabc9, 20640, 6.562620155038775e-06, 2.5800000000000007e-05, 1.0684840310077535e-05, 68000, 531},
+	{1000, "8x8x4", 8, 0xf80353c343afb93b, 20640, 7.828930232558158e-06, 2.5800000000000004e-05, 1.3191460465116296e-05, 104000, 533},
+	{100003, "32", 1, 0xe22c8220d544e944, 0, 0, 0, 0, 100003, 1},
+	{100003, "32", 4, 0xc0f602a9eb1040bb, 0, 0, 0, 0, 400012, 1},
+	{100003, "32", 8, 0xcf73b46b0421ea71, 0, 0, 0, 0, 800024, 1},
+	{100003, "8x16", 1, 0xf9eadc1f68da6632, 1012670, 0.00019823, 0.0012658375, 0.00018261341085271384, 2100063, 2614},
+	{100003, "8x16", 4, 0x19b452bfa1c9e94e, 1012638, 0.000160725, 0.0012657975, 0.0002834036573643454, 3600108, 3210},
+	{100003, "8x16", 8, 0x253f6d89908bd2ce, 1012638, 0.0002229980930232513, 0.0012657975, 0.00041803338604650656, 5600168, 4025},
+	{100003, "8x8x4", 1, 0x7ad778db52a99f93, 2009780, 0.00022528999999999998, 0.002512225, 0.0003437068217054279, 4100123, 3609},
+	{100003, "8x8x4", 4, 0x43872813c0c7decb, 2009828, 0.00026850545736433954, 0.0025122850000000004, 0.0005354305147286806, 6800204, 4054},
+	{100003, "8x8x4", 8, 0xa4bf52bb2b033e29, 2009820, 0.00040035318604652367, 0.002512275000000001, 0.0007912901720930342, 10400312, 4652},
+}
+
+func pinScheme(s string) PartScheme {
+	var rounds []int
+	for _, f := range strings.Split(s, "x") {
+		var r int
+		fmt.Sscan(f, &r)
+		rounds = append(rounds, r)
+	}
+	return PartScheme{Rounds: rounds}
+}
+
+// pinCols builds (key, payload) at the given width plus a 64-bit row id that
+// makes any reordering inside a partition visible in the signature.
+func pinCols(n, width int) []coltypes.Data {
+	rng := rand.New(rand.NewSource(int64(n)*31 + int64(width)))
+	w := coltypes.Width(width)
+	key, pay, rid := coltypes.New(w, n), coltypes.New(w, n), make(coltypes.I64, n)
+	for i := 0; i < n; i++ {
+		key.Set(i, rng.Int63())
+		pay.Set(i, rng.Int63())
+		rid[i] = int64(i)
+	}
+	return []coltypes.Data{key, pay, rid}
+}
+
+func partitionSignature(p *PartitionedRel) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(v uint64) {
+		for i := range b {
+			b[i] = byte(v >> (8 * i))
+		}
+		h.Write(b[:])
+	}
+	put(uint64(p.Bits))
+	for pi := range p.Cols {
+		put(uint64(pi))
+		put(uint64(p.Rows(pi)))
+		for i := 0; i < p.Rows(pi); i++ {
+			for _, c := range p.Cols[pi] {
+				put(uint64(c.Get(i)))
+			}
+			put(uint64(p.Hashes[pi][i]))
+		}
+	}
+	return h.Sum64()
+}
+
+// sameBilled compares modeled seconds. Per-core sums are exact; the shared
+// bus lanes are float sums taken in unit-completion order, so they repeat
+// only to rounding.
+func sameBilled(a, b float64) bool {
+	return a == b || math.Abs(a-b) <= 1e-12*math.Max(math.Abs(a), math.Abs(b))
+}
+
+func TestPartitionByHashPins(t *testing.T) {
+	want := map[string]partitionPin{}
+	for _, p := range partitionPins {
+		want[fmt.Sprintf("%d/%s/%d", p.n, p.scheme, p.width)] = p
+	}
+	for _, n := range []int{0, 1, 1000, 100003} {
+		for _, scheme := range []string{"32", "8x16", "8x8x4"} {
+			for _, width := range []int{1, 4, 8} {
+				ctx := qef.NewContext(qef.ModeDPU)
+				parts, err := PartitionByHash(ctx, pinCols(n, width), []int{0}, pinScheme(scheme), qef.DefaultTileRows)
+				if err != nil {
+					t.Fatalf("n=%d %s w=%d: %v", n, scheme, width, err)
+				}
+				br, bw := ctx.BusSeconds()
+				got := partitionPin{n, scheme, width, partitionSignature(parts),
+					int64(ctx.SoC.TotalCycles()), ctx.SimElapsed(), ctx.SimTotalBusy(), br + bw,
+					ctx.DMS.Totals().Bytes, int64(ctx.DMS.Totals().Descriptors)}
+				w := want[fmt.Sprintf("%d/%s/%d", n, scheme, width)]
+				if got.sig != w.sig || got.cycles != w.cycles || got.dmsB != w.dmsB || got.dmsDesc != w.dmsDesc ||
+					!sameBilled(got.elapsed, w.elapsed) || !sameBilled(got.busy, w.busy) || !sameBilled(got.bus, w.bus) {
+					t.Errorf("pin moved:\n\t{%d, %q, %d, %#x, %d, %v, %v, %v, %d, %d},",
+						got.n, got.scheme, got.width, got.sig, got.cycles, got.elapsed, got.busy, got.bus, got.dmsB, got.dmsDesc)
+				}
+			}
+		}
+	}
+}
+
+// joinPins: total dpCore cycles and the output bag signature of one HashJoin
+// per join type (ModeDPU, 16x4 scheme so hardware and software rounds both
+// run).
+var joinPins = map[JoinType]struct {
+	rows   int
+	cycles int64
+	bag    uint64
+}{
+	InnerJoin:     {9945, 817959, 0x204d74e3be516f8d},
+	SemiJoin:      {9945, 760814, 0x158466e3abfdccc3},
+	AntiJoin:      {10055, 761034, 0x71adafa9fd24220f},
+	LeftOuterJoin: {20000, 838069, 0x91fb248dbb75919c},
+}
+
+func TestHashJoinCyclePins(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	nb, np := 3000, 20000
+	bk := seq(nb, func(i int) int64 { return int64(i) })
+	pk := seq(np, func(i int) int64 { return int64(rng.Intn(2 * nb)) })
+	build := intRel([]string{"bk", "bv"}, bk, seq(nb, func(i int) int64 { return int64(i * 10) }))
+	probe := intRel([]string{"pk", "pv"}, pk, seq(np, func(i int) int64 { return int64(i) }))
+	for _, jt := range []JoinType{InnerJoin, SemiJoin, AntiJoin, LeftOuterJoin} {
+		ctx := qef.NewContext(qef.ModeDPU)
+		out, err := HashJoin(ctx, build, probe, JoinSpec{
+			Type: jt, BuildKeys: []int{0}, ProbeKeys: []int{0},
+			BuildPayload: []int{1}, ProbePayload: []int{0, 1},
+			Scheme: PartScheme{Rounds: []int{16, 4}}, Vectorized: true,
+		})
+		if err != nil {
+			t.Fatalf("%v: %v", jt, err)
+		}
+		// Order-independent bag signature: the sum of per-row hashes.
+		var bag uint64
+		for i := 0; i < out.Rows(); i++ {
+			h := uint64(14695981039346656037)
+			for _, c := range out.Cols {
+				h = (h ^ uint64(c.Data.Get(i))) * 1099511628211
+			}
+			bag += h
+		}
+		got := joinPins[jt]
+		if out.Rows() != got.rows || int64(ctx.SoC.TotalCycles()) != got.cycles || bag != got.bag {
+			t.Errorf("join pin moved:\n\t%s: {%d, %d, %#x},", joinTypeIdent(jt), out.Rows(), ctx.SoC.TotalCycles(), bag)
+		}
+	}
+}
+
+func joinTypeIdent(jt JoinType) string {
+	return map[JoinType]string{InnerJoin: "InnerJoin", SemiJoin: "SemiJoin",
+		AntiJoin: "AntiJoin", LeftOuterJoin: "LeftOuterJoin"}[jt]
+}

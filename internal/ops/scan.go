@@ -34,7 +34,9 @@ func TableScan(ctx *qef.Context, snap *storage.Snapshot, cols []int, tileRows in
 			pruned++
 			continue
 		}
+		seq := len(units)
 		units = append(units, func(tc *qef.TaskCtx) error {
+			tc.Seq = seq
 			tc.SpanTileChunk()
 			head, err := chainOf(tc, chains, chainFor)
 			if err != nil {
@@ -74,7 +76,7 @@ func TableScan(ctx *qef.Context, snap *storage.Snapshot, cols []int, tileRows in
 	if err := ctx.RunParallel(units); err != nil {
 		return err
 	}
-	return closeChains(ctx, chains)
+	return closeChains(ctx, chains, len(units))
 }
 
 // tileZone adapts a ChunkView's zone maps to the scanned tile layout: the
@@ -108,8 +110,9 @@ func RelationScan(ctx *qef.Context, rel *Relation, tileRows int, chainFor func()
 		if hi > rows {
 			hi = rows
 		}
-		lo, hi := lo, hi
+		seq := len(units)
 		units = append(units, func(tc *qef.TaskCtx) error {
+			tc.Seq = seq
 			head, err := chainOf(tc, chains, chainFor)
 			if err != nil {
 				return err
@@ -136,7 +139,7 @@ func RelationScan(ctx *qef.Context, rel *Relation, tileRows int, chainFor func()
 	if err := ctx.RunParallel(units); err != nil {
 		return err
 	}
-	return closeChains(ctx, chains)
+	return closeChains(ctx, chains, len(units))
 }
 
 // chainOf returns the core's chain, opening a fresh instance on first use.
@@ -158,15 +161,16 @@ func emitTo(tc *qef.TaskCtx, head qef.Operator, t *qef.Tile) error {
 
 // closeChains closes every per-core chain on its own core: unit i of
 // RunParallel lands on worker i%workers, so the first `workers` units pin
-// one close per core.
-func closeChains(ctx *qef.Context, chains []qef.Operator) error {
+// one close per core. Rows an operator emits at Close sort after the scan's
+// own (Seq continues from scanUnits), in core order.
+func closeChains(ctx *qef.Context, chains []qef.Operator, scanUnits int) error {
 	units := make([]qef.WorkUnit, len(chains))
 	for w := range chains {
-		w := w
 		units[w] = func(tc *qef.TaskCtx) error {
 			if chains[w] == nil {
 				return nil
 			}
+			tc.Seq = scanUnits + w
 			return chains[w].Close(tc)
 		}
 	}

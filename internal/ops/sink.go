@@ -1,6 +1,7 @@
 package ops
 
 import (
+	"sort"
 	"sync"
 
 	"rapid/internal/coltypes"
@@ -8,90 +9,247 @@ import (
 	"rapid/internal/qef"
 )
 
+// widenGather writes src[rids[i]] widened to 64 bits into dst[i], with one
+// width-specialised loop per column instead of an interface call per value.
+func widenGather(dst []int64, src coltypes.Data, rids []uint32) {
+	switch s := src.(type) {
+	case coltypes.I8:
+		widenGatherOf(dst, s, rids)
+	case coltypes.I16:
+		widenGatherOf(dst, s, rids)
+	case coltypes.I32:
+		widenGatherOf(dst, s, rids)
+	case coltypes.I64:
+		widenGatherOf(dst, s, rids)
+	default:
+		for i, r := range rids {
+			dst[i] = src.Get(int(r))
+		}
+	}
+}
+
+func widenGatherOf[T coltypes.Elem](dst []int64, src []T, rids []uint32) {
+	for i, r := range rids {
+		dst[i] = int64(src[r])
+	}
+}
+
+// unitSlots collects the output of a batch of work units without a lock: a
+// unit writes exact-size, column-major chunks into the slot of its own index,
+// and columns() lays the slots out in unit order — so the result does not
+// depend on which unit finished first, each output column is allocated once
+// at its final size, and nothing grows by append on the way.
+type unitSlots struct {
+	ncols  int
+	byUnit [][][]int64 // [unit][chunk] -> ncols vectors of rows values, flat
+}
+
+// units sizes the collector for a batch of n work units; call it once the
+// batch is built and before it runs.
+func (u *unitSlots) units(n int) { u.byUnit = make([][][]int64, n) }
+
+// chunk reserves rows output rows in the unit's slot and returns one vector
+// per column to fill (the header slice is tile-lifetime scratch).
+func (u *unitSlots) chunk(tc *qef.TaskCtx, unit, rows int) [][]int64 {
+	flat := make([]int64, u.ncols*rows)
+	u.byUnit[unit] = append(u.byUnit[unit], flat)
+	cols := rowScratch(tc, u.ncols)
+	for c := range cols {
+		cols[c] = flat[c*rows : (c+1)*rows]
+	}
+	return cols
+}
+
+// columns concatenates all chunks in unit order.
+func (u *unitSlots) columns() [][]int64 {
+	if u.ncols == 0 {
+		return nil
+	}
+	total := 0
+	for _, slot := range u.byUnit {
+		for _, flat := range slot {
+			total += len(flat) / u.ncols
+		}
+	}
+	cols := make([][]int64, u.ncols)
+	for c := range cols {
+		cols[c] = make([]int64, total)
+	}
+	at := 0
+	for _, slot := range u.byUnit {
+		for _, flat := range slot {
+			rows := len(flat) / u.ncols
+			for c := range cols {
+				copy(cols[c][at:], flat[c*rows:(c+1)*rows])
+			}
+			at += rows
+		}
+	}
+	return cols
+}
+
 // CollectSink terminates a task: tiles are materialized (selection applied)
-// and appended to a DRAM result buffer — the materialization at a task
-// boundary of §5.2. One sink is shared by all parallel chain instances; the
-// append is serialized per tile, which is cheap relative to tile processing.
+// into a DRAM result buffer — the materialization at a task boundary of
+// §5.2. One sink is shared by all parallel chain instances, but each core
+// widens its tiles straight into blocks of its own and only notes which scan
+// unit (TaskCtx.Seq) the rows came from; Relation() emits the runs in Seq
+// order. The result is therefore in scan order whatever the worker count or
+// the order units happened to finish in, and the tile path takes no lock.
 type CollectSink struct {
 	// OutCols describes the result columns (names/types for the Relation).
 	OutCols []Col
 
-	mu   sync.Mutex
-	bufs [][]int64
-	rows int
+	mu    sync.Mutex // guards creating cores in Open
+	cores []collectCore
+}
+
+// Result blocks start at collectBlockRows and double up to
+// collectBlockMaxRows: a full block is kept, never copied into a larger one,
+// and the zeroed-but-unused tail of the last block stays bounded.
+const (
+	collectBlockRows    = 4 << 10
+	collectBlockMaxRows = 64 << 10
+)
+
+// collectCore is one core's share of the result: the block being filled and
+// the runs of consecutive rows each scan unit contributed.
+type collectCore struct {
+	blk          [][]int64 // current block, one full-capacity vector per column
+	fill, blocks int       // rows used in blk; blocks allocated so far
+	runs         []collectRun
+	rows         int
+}
+
+// collectRun is n rows of one unit at blk[c][start:start+n].
+type collectRun struct {
+	seq, start, n int
+	blk           [][]int64
 }
 
 // NewCollectSink builds a sink producing the given output column metadata.
 func NewCollectSink(outCols []Col) *CollectSink {
-	return &CollectSink{OutCols: outCols, bufs: make([][]int64, len(outCols))}
+	return &CollectSink{OutCols: outCols}
 }
 
-// DMEMSize: one widened 8-byte staging vector per output column. The old
-// declaration of 0 ignored the per-tile staging buffers entirely.
+// DMEMSize: one widened 8-byte output vector per result column — the
+// DMEM-side buffer the DMS drains to DRAM.
 func (s *CollectSink) DMEMSize(tileRows int) int {
 	return len(s.OutCols) * 8 * tileRows
 }
 
-func (s *CollectSink) Open(tc *qef.TaskCtx) error { return nil }
+// Open runs once per core, before its first tile.
+func (s *CollectSink) Open(tc *qef.TaskCtx) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.cores == nil {
+		s.cores = make([]collectCore, tc.Ctx.Workers())
+	}
+	return nil
+}
 
 func (s *CollectSink) Produce(tc *qef.TaskCtx, t *qef.Tile) error {
-	if len(t.Cols) < len(s.bufs) {
+	ncols := len(s.OutCols)
+	if len(t.Cols) < ncols {
 		panic("ops: sink received fewer columns than declared")
 	}
-	// Gather qualifying rows per column into pool scratch, then append under
-	// the lock (the append copies, so the scratch never escapes the tile).
 	n := t.QualifyingRows()
-	if n == 0 {
+	if n == 0 || ncols == 0 {
 		return nil
 	}
-	staged := rowScratch(tc, len(s.bufs))
-	dense := t.Dense()
-	for c := range s.bufs {
-		col := t.Cols[c]
-		var vals []int64
-		if dense {
-			if i64, ok := col.(coltypes.I64); ok {
-				vals = i64[:n]
-			} else {
-				vals = primitives.WidenToI64(nil, col, scratch(tc, n))
-			}
-		} else {
-			vals = scratch(tc, n)[:0]
-			t.ForEachRow(func(i int) { vals = append(vals, col.Get(i)) })
+	core := &s.cores[tc.CoreID]
+	if core.blk == nil || len(core.blk[0])-core.fill < n {
+		size := collectBlockRows
+		if core.blk != nil {
+			size = min(2*len(core.blk[0]), collectBlockMaxRows)
 		}
-		staged[c] = vals
+		size = max(size, n)
+		flat := make([]int64, ncols*size)
+		core.blk = make([][]int64, ncols)
+		for c := range core.blk {
+			core.blk[c] = flat[c*size : (c+1)*size]
+		}
+		core.fill = 0
+		core.blocks++
 	}
-	if tc != nil && tc.Core != nil {
+	var rids []uint32
+	if !t.Dense() {
+		rids = t.AppendSelRIDs(ridScratch(tc, n))
+	}
+	for c, vec := range core.blk {
+		dst := vec[core.fill : core.fill+n]
+		if rids != nil {
+			widenGather(dst, t.Cols[c], rids)
+			continue
+		}
+		col := t.Cols[c]
+		if col.Len() != n {
+			col = col.Slice(0, n)
+		}
+		primitives.WidenToI64(nil, col, dst)
+	}
+	if tc.Core != nil {
 		// Bill the DRAM materialization through the DMS model. WriteTiming
 		// uses Write's exact formula without throwaway destination buffers.
-		tc.AddTransfer(tc.Ctx.DMS.WriteTiming(len(staged), n, 8))
+		tc.AddTransfer(tc.Ctx.DMS.WriteTiming(ncols, n, 8))
 	}
-	s.mu.Lock()
-	for c := range s.bufs {
-		s.bufs[c] = append(s.bufs[c], staged[c]...)
+	// A unit's next tile extends its run unless a new block began (fill 0).
+	if last := len(core.runs) - 1; last >= 0 && core.runs[last].seq == tc.Seq && core.runs[last].start+core.runs[last].n == core.fill {
+		core.runs[last].n += n
+	} else {
+		core.runs = append(core.runs, collectRun{seq: tc.Seq, start: core.fill, n: n, blk: core.blk})
 	}
-	s.rows += n
-	s.mu.Unlock()
+	core.fill += n
+	core.rows += n
 	return nil
 }
 
 func (s *CollectSink) Close(tc *qef.TaskCtx) error { return nil }
 
-// Rows returns the number of collected rows.
+// Rows returns the number of collected rows. Like Relation it must only be
+// called once the scan feeding the sink has returned.
 func (s *CollectSink) Rows() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rows
+	rows := 0
+	for i := range s.cores {
+		rows += s.cores[i].rows
+	}
+	return rows
 }
 
-// Relation materializes the collected result.
+// Relation materializes the collected result in scan order. When everything
+// landed in one block of one core, that block is the result; otherwise the
+// cores' runs are merged by Seq into columns allocated once at the final
+// size.
 func (s *CollectSink) Relation() *Relation {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	var runs []collectRun
+	blocks := 0
+	for i := range s.cores {
+		// Units of one core run in ascending index order, so each core's
+		// runs are already sorted; a unit runs on one core, so Seq values
+		// never tie across cores.
+		runs = append(runs, s.cores[i].runs...)
+		blocks += s.cores[i].blocks
+	}
+	bufs := make([][]int64, len(s.OutCols))
+	switch {
+	case blocks == 1:
+		first, last := runs[0], runs[len(runs)-1]
+		for c := range bufs {
+			bufs[c] = first.blk[c][first.start : last.start+last.n : last.start+last.n]
+		}
+	case blocks > 1:
+		sort.SliceStable(runs, func(i, j int) bool { return runs[i].seq < runs[j].seq })
+		total := s.Rows()
+		for c := range bufs {
+			bufs[c] = make([]int64, 0, total)
+			for _, r := range runs {
+				bufs[c] = append(bufs[c], r.blk[c][r.start:r.start+r.n]...)
+			}
+		}
+	}
 	cols := make([]Col, len(s.OutCols))
 	for i, c := range s.OutCols {
 		cols[i] = c
-		cols[i].Data = coltypes.I64(s.bufs[i])
+		cols[i].Data = coltypes.I64(bufs[i])
 	}
 	return MustRelation(cols)
 }

@@ -157,12 +157,18 @@ type Match struct {
 func (ht *CompactHT) Probe(core *dpu.Core, hv []uint32, keys, keys2 []int64, tileRows int, out []Match) []Match {
 	n := len(hv)
 	hits := 0
+	overflowed := len(ht.ovRows) > 0
 	for i := 0; i < n; i++ {
 		b := hv[i] & ht.mask
 		k := keys[i]
-		// DRAM overflow chain first (newest rows), then the DMEM chain.
+		// DRAM overflow chain first (newest rows), then the DMEM chain. A
+		// table that never overflowed skips the overflow-map lookup.
 		dmStart := int64(-1)
-		if ov, ok := ht.ovBuckets[b]; ok {
+		ov, ok := int32(0), false
+		if overflowed {
+			ov, ok = ht.ovBuckets[b]
+		}
+		if ok {
 			for cur := ov; cur >= 0; {
 				if ht.ovKeys[cur] == k && (keys2 == nil || ht.ovKey2[cur] == keys2[i]) {
 					out = append(out, Match{BuildRow: uint32(ht.ovRows[cur]), ProbeRow: uint32(i)})
@@ -213,12 +219,17 @@ func (ht *CompactHT) Probe(core *dpu.Core, hv []uint32, keys, keys2 []int64, til
 func (ht *CompactHT) ProbeExists(core *dpu.Core, hv []uint32, keys, keys2 []int64, tileRows int, out *bits.Vector) int {
 	n := len(hv)
 	hits := 0
+	overflowed := len(ht.ovRows) > 0
 	for i := 0; i < n; i++ {
 		b := hv[i] & ht.mask
 		k := keys[i]
 		found := false
 		dmStart := int64(-1)
-		if ov, ok := ht.ovBuckets[b]; ok {
+		ov, ok := int32(0), false
+		if overflowed {
+			ov, ok = ht.ovBuckets[b]
+		}
+		if ok {
 			for cur := ov; cur >= 0 && !found; {
 				if ht.ovKeys[cur] == k && (keys2 == nil || ht.ovKey2[cur] == keys2[i]) {
 					found = true

@@ -200,7 +200,17 @@ func TestSwPartitionAll(t *testing.T) {
 	}
 	hv := HashColumns(core, []coltypes.Data{key}, nil)
 	m := ComputePartitionMap(core, hv, 8, 0)
-	parts := SwPartitionAll(core, []coltypes.Data{key, val}, m)
+	// Every partition of every column: the full software partitioning step
+	// over one tile.
+	cols := []coltypes.Data{key, val}
+	parts := make([][]coltypes.Data, m.Fanout())
+	for p := range parts {
+		parts[p] = make([]coltypes.Data, len(cols))
+		for c, col := range cols {
+			parts[p][c] = col.NewSame(m.Rows(p))
+			SwPartitionColumn(core, col, m, p, parts[p][c])
+		}
+	}
 	total := 0
 	for p := range parts {
 		rows := parts[p][0].Len()

@@ -78,26 +78,17 @@ func ComputePartitionMap(core *dpu.Core, hv []uint32, fanout int, shift uint) *P
 func SwPartitionColumn(core *dpu.Core, in coltypes.Data, m *PartitionMap, p int, out coltypes.Data) {
 	sel := m.Partition(p)
 	coltypes.Gather(out, in, sel)
-	charge(core, costSwPartGatherPerRow*float64(len(sel)))
-	if core != nil {
-		core.CountInstructions(int64(2 * len(sel)))
-	}
+	ChargeSwPartitionGather(core, len(sel))
 }
 
-// SwPartitionAll gathers every partition of every column: the full software
-// partitioning step over one tile. Returns per-partition column sets.
-func SwPartitionAll(core *dpu.Core, cols []coltypes.Data, m *PartitionMap) [][]coltypes.Data {
-	out := make([][]coltypes.Data, m.Fanout())
-	for p := range out {
-		rows := m.Rows(p)
-		out[p] = make([]coltypes.Data, len(cols))
-		for c, col := range cols {
-			dst := col.NewSame(rows)
-			SwPartitionColumn(core, col, m, p, dst)
-			out[p][c] = dst
-		}
+// ChargeSwPartitionGather bills Listing 3 for n gathered values (rows ×
+// columns): the software partitioning operator moves its data with one
+// scatter per column and replays the per-tile gather cost through here.
+func ChargeSwPartitionGather(core *dpu.Core, n int) {
+	charge(core, costSwPartGatherPerRow*float64(n))
+	if core != nil {
+		core.CountInstructions(int64(2 * n))
 	}
-	return out
 }
 
 // GatherRows gathers arbitrary rows of a DMEM-resident column (single-cycle

@@ -146,6 +146,19 @@ func NewContextWith(mode Mode, cfg dpu.Config) *Context {
 // Workers returns the number of parallel workers (virtual dpCores in use).
 func (c *Context) Workers() int { return c.workers }
 
+// QueryContext derives the cancelable context one query's lifecycle runs
+// under. A parent deadline is compared with the clock here, on entry: a
+// deadline that has already passed yields a context that is done with
+// context.DeadlineExceeded before the first check, whether or not the
+// parent's timer goroutine has fired yet (on a loaded box it can lag the
+// deadline by milliseconds, long enough for a small query to finish).
+func QueryContext(parent context.Context) (context.Context, context.CancelFunc) {
+	if d, ok := parent.Deadline(); ok {
+		return context.WithDeadline(parent, d)
+	}
+	return context.WithCancel(parent)
+}
+
 // SetGoContext installs the query's cancellation context. Must be called
 // before execution starts; tile loops and work-unit dispatch observe it.
 func (c *Context) SetGoContext(ctx context.Context) { c.goCtx = ctx }
@@ -263,6 +276,15 @@ type TaskCtx struct {
 	CoreID int
 	Core   *dpu.Core // nil in ModeX86
 	DMEM   *mem.DMEM
+
+	// Seq is the position of the running work unit in its task source's
+	// scan order, set by the source (ops.TableScan / ops.RelationScan) at the
+	// start of every unit. Sinks that materialize rows per core record it
+	// with each run of rows and emit the runs in Seq order, so result row
+	// order is scan order at any worker count. Contract: units of one source
+	// carry distinct, ascending Seq values in the order their rows must
+	// appear; a unit keeps one Seq for its whole run.
+	Seq int
 
 	transferSec float64
 	// NoOverlap disables compute/transfer overlap accounting for the

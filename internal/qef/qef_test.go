@@ -1,9 +1,11 @@
 package qef
 
 import (
+	"context"
 	"errors"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"rapid/internal/bits"
 	"rapid/internal/coltypes"
@@ -335,3 +337,32 @@ func TestChain(t *testing.T) {
 }
 
 func timing(sec float64) dms.Timing { return dms.Timing{Seconds: sec} }
+
+// lateTimer is a context whose deadline has passed but whose timer has not
+// fired: Deadline() is in the past, Done() never closes, Err() stays nil.
+type lateTimer struct{ context.Context }
+
+func (lateTimer) Deadline() (time.Time, bool) { return time.Now().Add(-time.Second), true }
+
+// TestQueryContextHonoursPastDeadlineOnEntry: the derived context is done
+// with DeadlineExceeded synchronously, without waiting for any timer; a
+// future deadline or none leaves it live and cancelable.
+func TestQueryContextHonoursPastDeadlineOnEntry(t *testing.T) {
+	qctx, cancel := QueryContext(lateTimer{context.Background()})
+	defer cancel()
+	if !errors.Is(qctx.Err(), context.DeadlineExceeded) {
+		t.Fatalf("past deadline: Err() = %v, want DeadlineExceeded", qctx.Err())
+	}
+	future, cancelF := context.WithTimeout(context.Background(), time.Hour)
+	defer cancelF()
+	for _, parent := range []context.Context{context.Background(), future} {
+		qctx, cancel := QueryContext(parent)
+		if qctx.Err() != nil {
+			t.Fatalf("live parent: Err() = %v", qctx.Err())
+		}
+		cancel()
+		if !errors.Is(qctx.Err(), context.Canceled) {
+			t.Fatalf("after cancel: Err() = %v", qctx.Err())
+		}
+	}
+}

@@ -143,6 +143,38 @@ func TestMetamorphicPruning(t *testing.T) {
 	t.Logf("pruning metamorphic: %d queries checked pruned-vs-unpruned", checked)
 }
 
+// TestWorkerCountInvariance is the determinism gate: every generated query
+// returns a byte-identical relation, row order included, at 1, 2 and 8
+// workers on the host X86 lanes — no result may depend on which work unit
+// finished first or on how the units were spread over cores.
+func TestWorkerCountInvariance(t *testing.T) {
+	n := *flagN / 4
+	if n < 30 {
+		n = 30
+	}
+	checked := 0
+	for scen := 0; checked < n; scen++ {
+		g := New(*flagSeed + 808_017 + int64(scen)*1_000_003)
+		r, err := NewRunner(g.NewScenario())
+		if err != nil {
+			t.Fatalf("scenario %d: %v", scen, err)
+		}
+		for i := 0; i < queriesPerScenario && checked < n; i++ {
+			q := g.NextQuery()
+			if m := r.CheckWorkerInvariance(q.SQL()); m != nil {
+				m.Minimized = r.Minimize(m.SQL)
+				t.Fatalf("%s", m.Reproducer())
+			}
+			checked++
+		}
+		if m := r.CheckJournal(); m != nil {
+			t.Fatalf("%s", m.Reproducer())
+		}
+		r.Close()
+	}
+	t.Logf("worker invariance: %d queries checked at 1/2/8 workers", checked)
+}
+
 // TestConcurrentDifferential is the scheduler-facing lane of the soak: every
 // generated query additionally runs on 6 concurrent sessions sharing the two
 // databases (and therefore their shared-SoC schedulers), each compared

@@ -3,6 +3,7 @@ package qgen
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -517,6 +518,60 @@ func (r *Runner) CheckPruningMetamorphic(sql string) *Mismatch {
 		if d := diffBags(bag(off.Rel), bag(on.Rel)); d != "" {
 			return r.mismatch("pruning", sql, fmt.Sprintf(
 				"%s: unpruned vs pruned: %s", name, d))
+		}
+	}
+	return nil
+}
+
+// sameRelation compares two relations value by value, row order included.
+func sameRelation(a, b *ops.Relation) string {
+	if a.NumCols() != b.NumCols() || a.Rows() != b.Rows() {
+		return fmt.Sprintf("shape %dx%d vs %dx%d", a.Rows(), a.NumCols(), b.Rows(), b.NumCols())
+	}
+	for c := range a.Cols {
+		for i := 0; i < a.Rows(); i++ {
+			if x, y := a.Cols[c].Data.Get(i), b.Cols[c].Data.Get(i); x != y {
+				return fmt.Sprintf("row %d column %d: %d vs %d", i, c, x, y)
+			}
+		}
+	}
+	return ""
+}
+
+// CheckWorkerInvariance verifies that results do not depend on goroutine
+// timing or on how many workers shared the work: the host X86 lanes (default
+// and alternate layout) must return the same relation — row order included —
+// at 1, 2 and 8 workers, and twice in a row at 8. A ModeX86 context sizes
+// itself from GOMAXPROCS, so the check sets it around each run; callers must
+// not run it beside other tests' queries.
+func (r *Runner) CheckWorkerInvariance(sql string) *Mismatch {
+	for _, e := range []engineSpec{engines[1], engines[3]} {
+		db := r.primary
+		if e.alt {
+			db = r.alt
+		}
+		var first *hostdb.QueryResult
+		var firstErr error
+		for i, procs := range []int{1, 2, 8, 8} {
+			prev := runtime.GOMAXPROCS(procs)
+			res, err := db.Query(sql, e.opts)
+			runtime.GOMAXPROCS(prev)
+			r.Executed++
+			if i == 0 {
+				first, firstErr = res, err
+				continue
+			}
+			if (err == nil) != (firstErr == nil) {
+				return r.mismatch("workers", sql, fmt.Sprintf(
+					"%s: 1 worker err=%v, %d workers err=%v", e.name, firstErr, procs, err))
+			}
+			if err != nil {
+				continue // consistently rejected
+			}
+			if d := sameRelation(first.Rel, res.Rel); d != "" {
+				return r.mismatch("workers", sql, fmt.Sprintf(
+					"%s: 1 worker vs %d workers: %s", e.name, procs, d))
+			}
 		}
 	}
 	return nil

@@ -20,9 +20,12 @@
 //     run in ascending order, and the deterministic lowest-failing-unit
 //     error semantics of qef.RunParallel are preserved. Simulated-time and
 //     profile accounting are therefore identical to serial execution.
-//   - Pool ownership: each scheduler worker owns one mem.TilePool for its
-//     whole lifetime, so tile-buffer pooling survives across queries (and is
-//     bounded by PoolRetainBytes so one huge query cannot pin its arenas).
+//   - Pool ownership: a worker borrows a mem.TilePool from the scheduler for
+//     the length of one work unit, most recently returned first. Pooling
+//     survives across queries (bounded by PoolRetainBytes so one huge query
+//     cannot pin its arenas), and only as many pools as units ever ran at
+//     once are in use — k concurrent strands keep k pools warm instead of
+//     ratcheting up one per worker in whatever order the workers woke.
 package sched
 
 import (
@@ -133,6 +136,8 @@ type Scheduler struct {
 	active   []*query
 	cursor   int
 	runnable int // total runnable strands (cond-wait predicate)
+	// pools not lent to a running unit, last returned on top.
+	pools []*mem.TilePool
 
 	// Metrics (never nil; obs handles a nil registry receiver but keeping
 	// concrete handles avoids name lookups on the hot path).
@@ -462,8 +467,14 @@ func (s *Scheduler) pickLocked() *strand {
 			s.active = append(s.active[:s.cursor], s.active[s.cursor+1:]...)
 			continue
 		}
+		// Pop by shifting down, not by re-slicing: the list holds at most
+		// one entry per virtual core, and keeping its backing array in place
+		// means requeues never reallocate — how often a sliding window would
+		// have depended on how the workers happened to interleave.
 		st := q.runnable[0]
-		q.runnable = q.runnable[1:]
+		n := copy(q.runnable, q.runnable[1:])
+		q.runnable[n] = nil
+		q.runnable = q.runnable[:n]
 		s.runnable--
 		q.served++
 		if q.served >= q.weight {
@@ -515,11 +526,10 @@ func (b *batch) taskCtx(v int) *qef.TaskCtx {
 	return b.q.tcs[v]
 }
 
-// worker is one shared virtual dpCore: it owns a TilePool for its lifetime
-// and executes one work unit per scheduling decision.
+// worker is one shared virtual dpCore: it executes one work unit per
+// scheduling decision, on a TilePool borrowed for that unit.
 func (s *Scheduler) worker() {
 	defer s.wg.Done()
-	pool := mem.NewTilePool()
 	var lastQ *query // identity only; never dereferenced after release
 	for {
 		s.mu.Lock()
@@ -537,6 +547,12 @@ func (s *Scheduler) worker() {
 			s.mu.Unlock()
 			continue
 		}
+		var pool *mem.TilePool
+		if n := len(s.pools); n > 0 {
+			pool, s.pools = s.pools[n-1], s.pools[:n-1]
+		} else {
+			pool = mem.NewTilePool()
+		}
 		s.mu.Unlock()
 
 		b := st.b
@@ -553,6 +569,7 @@ func (s *Scheduler) worker() {
 		}
 
 		s.mu.Lock()
+		s.pools = append(s.pools, pool)
 		if err != nil {
 			b.errs[idx] = err
 			for {
