@@ -1,0 +1,81 @@
+package cluster
+
+import (
+	"context"
+	"testing"
+
+	"rapid/internal/coltypes"
+	"rapid/internal/hostdb"
+	"rapid/internal/obs"
+	"rapid/internal/qef"
+	"rapid/internal/sqlparse"
+	"rapid/internal/storage"
+)
+
+// TestTrayBillsDMSDescriptors pins the shared billing tail on the tray: a
+// ModeDPU tray query moves rapid_dms_descriptors_total by exactly the
+// descriptors its node contexts and its coordinator context executed. (The
+// tray used to skip this counter, so it under-reported on every distributed
+// execution.)
+func TestTrayBillsDMSDescriptors(t *testing.T) {
+	db := hostdb.New()
+	defer db.Close()
+	schema := storage.MustSchema(
+		storage.ColumnDef{Name: "k", Type: coltypes.Int()},
+		storage.ColumnDef{Name: "g", Type: coltypes.Int()},
+		storage.ColumnDef{Name: "v", Type: coltypes.Int()},
+	)
+	if _, err := db.CreateTable("facts", schema); err != nil {
+		t.Fatal(err)
+	}
+	var rows [][]storage.Value
+	for i := 0; i < 3000; i++ {
+		rows = append(rows, []storage.Value{
+			storage.IntValue(int64(i)), storage.IntValue(int64(i % 11)), storage.IntValue(int64(i % 97)),
+		})
+	}
+	if _, err := db.Insert("facts", rows); err != nil {
+		t.Fatal(err)
+	}
+	tray, err := New(db, Config{Nodes: 3, ReplicateMaxRows: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tray.Close()
+	if err := tray.Load("facts", nil); err != nil {
+		t.Fatal(err)
+	}
+
+	stmt, err := sqlparse.Parse(`SELECT g, SUM(v) FROM facts WHERE k < 2500 GROUP BY g ORDER BY g`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound, err := sqlparse.Bind(stmt, engine{tray}, db.CurrentSCN())
+	if err != nil {
+		t.Fatal(err)
+	}
+	counter := tray.Metrics().Counter("rapid_dms_descriptors_total")
+	before := counter.Value()
+	res, q, err := tray.execute(context.Background(), bound, QueryOptions{Mode: qef.ModeDPU}, obs.ActiveHandle{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rel.Rows() != 11 {
+		t.Fatalf("rows = %d, want 11 groups", res.Rel.Rows())
+	}
+	descriptors := func(ctx *qef.Context) int64 {
+		rd, wr := ctx.DMS.TotalsByDir()
+		return int64(rd.Descriptors + wr.Descriptors)
+	}
+	var nodes int64
+	for _, ctx := range q.nctx {
+		nodes += descriptors(ctx)
+	}
+	coord := descriptors(q.coord)
+	if nodes == 0 || coord == 0 {
+		t.Fatalf("node descriptors = %d, coordinator = %d; the query must exercise both", nodes, coord)
+	}
+	if got := counter.Value() - before; got != nodes+coord {
+		t.Fatalf("rapid_dms_descriptors_total moved by %d, want %d (nodes %d + coordinator %d)", got, nodes+coord, nodes, coord)
+	}
+}

@@ -1,35 +1,27 @@
 package cluster
 
 import (
-	"context"
 	"fmt"
-	"time"
 
-	"rapid/internal/obs"
-	"rapid/internal/ops"
+	"rapid/internal/hostdb"
 	"rapid/internal/qcache"
-	"rapid/internal/sqlparse"
 )
 
-// Tray-side query-cache glue (DESIGN.md §10). The tray shares the host
-// database's cache instance — one byte budget and one singleflight table
-// across the fleet — but keys its entries under a distinct mode prefix and
-// the tray's node count, so a distributed result can never answer a
+// Tray-side query-cache glue. The lookup / singleflight / publish logic is
+// hostdb.RunQuery's (DESIGN.md "Query lifecycle"), and the tray shares the
+// host database's cache instance — one byte budget and one singleflight
+// table across the fleet — but keys its entries under a distinct mode prefix
+// and the tray's node count, so a distributed result can never answer a
 // single-SoC lookup (or vice versa).
 
-// cachedTrayExec is the engine payload of one tray result-cache entry.
-// The relation is shared, never mutated — the same read-only-once-returned
-// invariant Query callers already rely on.
-type cachedTrayExec struct {
-	Rel     *ops.Relation
-	Explain string
-}
-
-// trayModeKey discriminates tray cache entries from host entries and from
+// CacheMode discriminates tray cache entries from host entries and from
 // each other: per-node execution mode plus the pruning switch (pruning is
 // results-neutral by design, but the metamorphic lanes compare the two
 // populations independently, so they get separate keys).
-func trayModeKey(opts QueryOptions) string {
+func (engine) CacheMode(opts QueryOptions) string {
+	if opts.NoCache {
+		return ""
+	}
 	m := "tray-" + opts.Mode.String()
 	if opts.DisablePruning {
 		m += "+noprune"
@@ -37,197 +29,54 @@ func trayModeKey(opts QueryOptions) string {
 	return m
 }
 
-// planScope is the plan-cache scope for coordinator binds: plans are bound
+// PlanScope is the plan-cache scope for coordinator binds: plans are bound
 // against node shards, so trays of different widths cannot share skeletons.
-func (t *Tray) planScope() string { return fmt.Sprintf("tray%d", t.NumNodes()) }
+func (e engine) PlanScope() string { return fmt.Sprintf("tray%d", e.Nodes()) }
 
-// cacheVersion returns a table's version-vector entry as the tray sees it:
+// Version returns a table's version-vector entry as the tray sees it:
 // the host-level mutation SCN alone. Shard replicas reload exactly when the
 // host MutationSCN passes their load SCN (shardFor), so an unchanged MutSCN
 // means unchanged shard contents; host-replica checkpoint epochs never
 // affect tray answers and are deliberately excluded.
-func (t *Tray) cacheVersion(name string) (qcache.Version, bool) {
-	ht, err := t.host.Table(name)
+func (e engine) Version(name string) (qcache.Version, bool) {
+	ht, err := e.t.host.Table(name)
 	if err != nil {
 		return qcache.Version{}, false
 	}
 	return qcache.Version{Name: name, MutSCN: ht.MutationSCN()}, true
 }
 
-// cacheVersions captures the version vector for a table list, in order.
-func (t *Tray) cacheVersions(tables []string) ([]qcache.Version, bool) {
-	out := make([]qcache.Version, 0, len(tables))
-	for _, name := range tables {
-		v, ok := t.cacheVersion(name)
-		if !ok {
-			return nil, false
-		}
-		out = append(out, v)
-	}
-	return out, true
-}
-
-// versionsEqual is the validate-before-publish check (see the hostdb twin).
-func versionsEqual(a, b []qcache.Version) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// versionNames extracts the table-name footprint of a version vector.
-func versionNames(vs []qcache.Version) []string {
-	names := make([]string, len(vs))
-	for i, v := range vs {
-		names[i] = v.Name
-	}
-	return names
-}
-
-// relationBytes estimates a result relation's resident footprint for the
-// cache byte budget.
-func relationBytes(rel *ops.Relation) int64 {
-	if rel == nil {
-		return 0
-	}
-	var n int64 = 64
-	for _, c := range rel.Cols {
-		n += 64
-		if c.Data != nil {
-			n += int64(c.Data.SizeBytes())
-		}
-	}
-	return n
-}
-
-// cachedHitResult builds the Result for a tray result-cache hit or a shared
-// singleflight execution: the stored relation with zero marginal cycles,
-// network traffic, energy and admission, and the saved cost carried from
-// the producing execution.
-func (t *Tray) cachedHitResult(r *qcache.Result, opts QueryOptions, status string) *Result {
-	src := r.Payload.(*cachedTrayExec)
-	res := &Result{
-		Rel:           src.Rel,
-		Nodes:         t.NumNodes(),
-		Explain:       src.Explain,
-		Cache:         status,
-		CyclesSaved:   r.CyclesSaved,
-		EnergySavedNJ: r.EnergySavedNJ,
-	}
+// FromCache builds the Result for a tray result-cache hit or a shared
+// singleflight execution from the template CacheEntry stored: the shared
+// relation with zero marginal cycles, network traffic, energy and admission,
+// and the saved cost carried from the producing execution.
+func (engine) FromCache(r *qcache.Result, opts QueryOptions) *Result {
+	res := *r.Payload.(*Result)
 	if opts.Analyze {
 		res.Analyze = fmt.Sprintf(
-			"Distributed Plan (nodes=%d, cached)\ncache: %s — served from result cache; saved ~%d cycles, ~%d nJ, ~%.3fms execution\n",
-			res.Nodes, status, r.CyclesSaved, r.EnergySavedNJ, float64(r.WallNs)/1e6)
+			"Distributed Plan (nodes=%d, cached)\ncache: hit — served from result cache; saved ~%d cycles, ~%d nJ, ~%.3fms execution\n",
+			res.Nodes, r.CyclesSaved, r.EnergySavedNJ, float64(r.WallNs)/1e6)
 	}
-	return res
+	return &res
 }
 
-// buildTrayCacheEntry wraps a finished distributed execution as a
-// result-cache entry.
-func buildTrayCacheEntry(res *Result, versions []qcache.Version, wallNs int64) *qcache.Result {
-	rows := 0
-	if res.Rel != nil {
-		rows = res.Rel.Rows()
-	}
-	return &qcache.Result{
-		Payload:       &cachedTrayExec{Rel: res.Rel, Explain: res.Explain},
-		Bytes:         relationBytes(res.Rel),
-		Versions:      versions,
-		Rows:          rows,
-		CyclesSaved:   res.TotalCycles,
-		EnergySavedNJ: res.EnergyNJ,
-		WallNs:        wallNs,
-	}
+// CacheEntry wraps a finished distributed execution as a result-cache entry
+// whose payload is the result every later hit starts from. The relation is
+// shared, never mutated — the same read-only-once-returned invariant Query
+// callers already rely on.
+func (engine) CacheEntry(res *Result) *qcache.Result {
+	return hostdb.NewCacheEntry(&Result{
+		Rel: res.Rel, Nodes: res.Nodes, Explain: res.Explain,
+		Cache: "hit", CyclesSaved: res.TotalCycles, EnergySavedNJ: res.EnergyNJ,
+	}, res.Rel, res.TotalCycles, res.EnergyNJ)
 }
 
-// annotateTrayCache appends the cache interaction to the distributed
-// EXPLAIN ANALYZE report (only when a report was produced, so cacheless
-// trays render byte-identically to before the cache existed).
-func annotateTrayCache(res *Result, opts QueryOptions, status string) {
-	if opts.Analyze && res.Analyze != "" && status != "" {
+// SetCacheStatus records the cache interaction and appends it to the
+// distributed EXPLAIN ANALYZE report (only when a report was produced, so
+// cacheless trays render byte-identically to before the cache existed).
+func (engine) SetCacheStatus(res *Result, opts QueryOptions, status string) {
+	res.Cache = status
+	if opts.Analyze && res.Analyze != "" {
 		res.Analyze += fmt.Sprintf("cache: %s\n", status)
 	}
-}
-
-// normalizeForCache runs the literal normalization used for cache keys and
-// journal fingerprints; false means the statement does not lex (raw-SQL
-// fingerprint kept, cache bypassed).
-func normalizeForCache(sql string) (sqlparse.Normalized, bool) {
-	n, err := sqlparse.Normalize(sql)
-	return n, err == nil
-}
-
-// query orchestrates the cache tiers around queryCtx, mirroring the host
-// database's orchestrator: result-cache lookup (hits return before any
-// node's scheduler admission), singleflight collapse of concurrent
-// identical misses, the distributed execution, and validate-before-publish
-// admission of the finished result.
-func (t *Tray) query(ctx context.Context, sql string, norm sqlparse.Normalized, normOK bool, opts QueryOptions, h obs.ActiveHandle) (*Result, error) {
-	cache := t.host.QueryCache()
-	cacheable := cache != nil && normOK && !opts.NoCache
-	if !cacheable {
-		if cache != nil {
-			cache.NoteBypass()
-		}
-		res, _, err := t.queryCtx(ctx, sql, norm, false, opts, h)
-		if err == nil && cache != nil {
-			res.Cache = "bypass"
-			annotateTrayCache(res, opts, "bypass")
-		}
-		return res, err
-	}
-
-	key := qcache.Key{Template: norm.TemplateFP, Params: norm.ParamsFP, Mode: trayModeKey(opts), Nodes: t.NumNodes()}
-	status := "miss"
-	var flight *qcache.Flight
-	for {
-		if r, st := cache.GetResult(key, t.cacheVersion); st == qcache.Hit {
-			return t.cachedHitResult(r, opts, "hit"), nil
-		} else if st == qcache.Stale {
-			status = "stale"
-		}
-		f, leader := cache.Begin(key)
-		if leader {
-			flight = f
-			break
-		}
-		// Another client is executing this exact distributed query: wait for
-		// its result instead of fanning out N more fragments. ok=false means
-		// the leader failed or its result was unpublishable — loop back and
-		// compete for leadership.
-		if r, ok := f.Wait(ctx); ok {
-			return t.cachedHitResult(r, opts, "hit"), nil
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	// Leader path: always settle the flight so followers never block past
-	// this execution.
-	var entry *qcache.Result
-	defer func() { flight.Finish(entry) }()
-
-	execStart := time.Now()
-	res, v0, err := t.queryCtx(ctx, sql, norm, true, opts, h)
-	if err != nil {
-		return nil, err
-	}
-	res.Cache = status
-	annotateTrayCache(res, opts, status)
-	// Publish only when the version vector captured before bind still holds
-	// after the distributed execution — an interleaved host mutation (which
-	// would have re-sharded under us mid-flight) voids the entry.
-	if v0 != nil {
-		if cur, ok := t.cacheVersions(versionNames(v0)); ok && versionsEqual(v0, cur) {
-			e := buildTrayCacheEntry(res, v0, int64(time.Since(execStart)))
-			entry = e // share with flight followers even if admission rejects
-			cache.PutResult(key, e)
-		}
-	}
-	return res, nil
 }

@@ -9,15 +9,15 @@ import (
 	"time"
 
 	"rapid/internal/coltypes"
+	"rapid/internal/hostdb"
 	"rapid/internal/obs"
 	"rapid/internal/ops"
 	"rapid/internal/plan"
 	"rapid/internal/power"
-	"rapid/internal/qcache"
 	"rapid/internal/qcomp"
 	"rapid/internal/qef"
 	"rapid/internal/sched"
-	"rapid/internal/sqlparse"
+	"rapid/internal/storage"
 )
 
 // QueryOptions tunes one tray query.
@@ -123,7 +123,6 @@ type Result struct {
 // query is the per-execution state of one distributed query: the node and
 // coordinator contexts, the cancellation fan-out, and the exchange trace.
 type query struct {
-	t    *Tray
 	reg  *obs.Registry
 	link LinkModel
 	mode qef.Mode
@@ -158,16 +157,6 @@ func (q *query) step(format string, args ...any) {
 	q.steps = append(q.steps, fmt.Sprintf(format, args...))
 }
 
-func stripExplainAnalyze(sql string) (string, bool) {
-	rest := strings.TrimSpace(sql)
-	fields := strings.Fields(rest)
-	if len(fields) >= 2 && strings.EqualFold(fields[0], "EXPLAIN") && strings.EqualFold(fields[1], "ANALYZE") {
-		idx := strings.Index(strings.ToUpper(rest), "ANALYZE") + len("ANALYZE")
-		return strings.TrimSpace(rest[idx:]), true
-	}
-	return sql, false
-}
-
 // Query executes a SQL query across the tray. See QueryCtx.
 func (t *Tray) Query(sql string, opts QueryOptions) (*Result, error) {
 	return t.QueryCtx(context.Background(), sql, opts)
@@ -186,123 +175,61 @@ func (t *Tray) Query(sql string, opts QueryOptions) (*Result, error) {
 // visible in the host's active-query table while it runs (cancel-by-ID
 // tears the whole tray query down).
 func (t *Tray) QueryCtx(goCtx context.Context, sql string, opts QueryOptions) (*Result, error) {
-	if goCtx == nil {
-		goCtx = context.Background()
-	}
-	if inner, ok := stripExplainAnalyze(sql); ok {
-		sql = inner
-		opts.Analyze = true
-	}
-	cctx, cancel := qef.QueryContext(goCtx)
-	defer cancel()
-	start := time.Now()
-	active := t.host.Active()
-	id := active.NextID()
-	h := active.Register(id, sql, opts.Mode.String(), t.NumNodes(), cancel)
-	defer h.Done()
+	return hostdb.RunQuery(goCtx, t.host, engine{t}, sql, opts)
+}
 
-	// Literal normalization feeds the shared cache keys and the journal
-	// fingerprint, exactly as on the host path: parameterized repeats of one
-	// template group together. Unlexable statements keep the raw-SQL
-	// fingerprint and bypass the cache.
-	norm, normOK := normalizeForCache(sql)
-	fp := obs.Fingerprint(sql)
-	if normOK {
-		fp = norm.TemplateFP
-	}
+// engine is the tray's side of the query lifecycle (hostdb.RunQuery): the
+// coordinator catalog, distributed execution of a bound plan, and the
+// tray-specific journal fields. The cache payloads and keys it supplies are
+// in cache.go.
+type engine struct{ t *Tray }
 
-	res, err := t.query(cctx, sql, norm, normOK, opts, h)
-	wall := time.Since(start)
+func (engine) Analyzed(opts QueryOptions) QueryOptions {
+	opts.Analyze = true
+	return opts
+}
 
-	rec := obs.QueryRecord{
-		ID:          id,
-		Fingerprint: fp,
-		SQL:         sql,
-		Mode:        opts.Mode.String(),
-		Nodes:       t.NumNodes(),
-		Outcome:     trayOutcome(err),
-		WallNs:      int64(wall),
-		Start:       start.UnixNano(),
-	}
-	if err != nil {
-		rec.Error = err.Error()
-	}
-	if res != nil {
-		res.QueryID = id
-		if res.Rel != nil {
-			rec.Rows = int64(res.Rel.Rows())
-		}
-		rec.Cycles = res.TotalCycles
-		rec.EnergyNJ = res.EnergyNJ
-		rec.NetBytes = res.NetBytes
-		rec.QueueWaitNs = int64(res.QueueWait)
-		rec.DMEMHighNow = int64(res.DMEMHighWater)
-		rec.Cache = res.Cache
-	}
-	t.host.QueryJournal().Record(rec)
-	t.reg.Histogram("cluster_query_seconds", obs.DefLatencyBuckets...).Observe(wall.Seconds())
+func (engine) Label(opts QueryOptions) string { return opts.Mode.String() }
+
+func (e engine) Nodes() int { return e.t.NumNodes() }
+
+// Lookup binds once against node 0's shards — one join order for all nodes
+// even when per-shard statistics differ; Execute rewrites the plan per node.
+func (e engine) Lookup(name string) (*storage.Table, error) { return e.t.shardFor(0, name) }
+
+func (e engine) Execute(goCtx context.Context, bound plan.Node, opts QueryOptions, h obs.ActiveHandle) (*Result, error) {
+	res, _, err := e.t.execute(goCtx, bound, opts, h)
 	return res, err
 }
 
-// trayOutcome classifies a distributed query's terminal error for the
-// journal (mirrors the host database's classification).
-func trayOutcome(err error) obs.QueryOutcome {
-	switch {
-	case err == nil:
-		return obs.OutcomeOK
-	case errors.Is(err, sched.ErrOverloaded):
-		return obs.OutcomeShed
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		return obs.OutcomeCanceled
+// Finish observes the tray latency histogram and fills the journal fields a
+// distributed execution bills.
+func (e engine) Finish(id uint64, res *Result, err error, opts QueryOptions, wall time.Duration) obs.QueryRecord {
+	e.t.reg.Histogram("cluster_query_seconds", obs.DefLatencyBuckets...).Observe(wall.Seconds())
+	rec := obs.QueryRecord{Mode: opts.Mode.String()}
+	if err != nil {
+		return rec
 	}
-	return obs.OutcomeError
+	res.QueryID = id
+	if res.Rel != nil {
+		rec.Rows = int64(res.Rel.Rows())
+	}
+	rec.Cycles = res.TotalCycles
+	rec.EnergyNJ = res.EnergyNJ
+	rec.NetBytes = res.NetBytes
+	rec.QueueWaitNs = int64(res.QueueWait)
+	rec.DMEMHighNow = int64(res.DMEMHighWater)
+	rec.Cache = res.Cache
+	return rec
 }
 
-func (t *Tray) queryCtx(goCtx context.Context, sql string, norm sqlparse.Normalized, usePlanCache bool, opts QueryOptions, h obs.ActiveHandle) (*Result, []qcache.Version, error) {
-	h.SetPhase("planning")
-	scn := t.host.CurrentSCN()
-	cache := t.host.QueryCache()
-	usePlanCache = usePlanCache && cache != nil
-	var bound plan.Node
-	var v0 []qcache.Version
-	planKey := qcache.PlanKey{Template: norm.TemplateFP, Params: norm.ParamsFP, Scope: t.planScope()}
-	if usePlanCache {
-		if pe := cache.GetPlan(planKey, t.cacheVersion); pe != nil {
-			if cloned, cerr := plan.CloneAtSCN(pe.Root, scn); cerr == nil {
-				// Parse and coordinator bind skipped. The skeleton's Scan
-				// leaves still point at bind-time shard replicas, but
-				// rewriteForNode re-resolves every Scan by table name below,
-				// so only names flow into execution — stale pointers can't.
-				bound = cloned
-				v0 = pe.Versions
-			}
-		}
-	}
-	if bound == nil {
-		stmt, err := sqlparse.Parse(sql)
-		if err != nil {
-			return nil, nil, err
-		}
-		if usePlanCache {
-			v0, _ = t.cacheVersions(sqlparse.StmtTables(stmt))
-		}
-		// Bind once against node 0's shards — one join order for all nodes
-		// even when per-shard statistics differ — then rewrite per node.
-		bound, err = sqlparse.Bind(stmt, nodeCatalog{t: t, id: 0}, scn)
-		if err != nil {
-			return nil, nil, err
-		}
-		if usePlanCache && v0 != nil {
-			// Validate-before-publish, as on the host: binding may itself
-			// reload stale shards, so the skeleton is only sound when the
-			// vector captured before parse still holds after bind.
-			if cur, ok := t.cacheVersions(versionNames(v0)); ok && versionsEqual(v0, cur) {
-				cache.PutPlan(planKey, &qcache.Plan{Root: bound, Versions: v0})
-			} else {
-				v0 = nil
-			}
-		}
-	}
+// execute runs a coordinator-bound plan across the tray and bills it. The
+// finished per-execution state is returned beside the result so in-package
+// tests can reconcile the billing with the contexts it was read from. A
+// plan-cache skeleton's Scan leaves may still point at bind-time shard
+// replicas; rewriteForNode re-resolves every Scan by table name, so only
+// names flow into execution — stale pointers can't.
+func (t *Tray) execute(goCtx context.Context, bound plan.Node, opts QueryOptions, h obs.ActiveHandle) (*Result, *query, error) {
 	n := t.NumNodes()
 	plans := make([]plan.Node, n)
 	for i := 0; i < n; i++ {
@@ -315,7 +242,7 @@ func (t *Tray) queryCtx(goCtx context.Context, sql string, norm sqlparse.Normali
 	qctx, cancel := context.WithCancel(goCtx)
 	defer cancel()
 	q := &query{
-		t: t, reg: t.reg, link: t.link, mode: opts.Mode,
+		reg: t.reg, link: t.link, mode: opts.Mode,
 		outer: goCtx, goCtx: qctx, cancel: cancel,
 		traceOn: opts.Trace,
 		noPrune: opts.DisablePruning,
@@ -326,18 +253,17 @@ func (t *Tray) queryCtx(goCtx context.Context, sql string, norm sqlparse.Normali
 	// whole query (ErrOverloaded) after releasing what was admitted.
 	h.SetPhase("queued")
 	adms := make([]*sched.Admission, 0, n)
-	release := func() {
+	defer func() {
 		for _, a := range adms {
 			a.Release()
 		}
-	}
+	}()
 	for i := 0; i < n; i++ {
 		ctx := qef.NewContext(opts.Mode)
 		ctx.Metrics = t.reg
 		ctx.NoPrune = opts.DisablePruning
 		adm, aerr := t.nodes[i].sched.Admit(goCtx, sched.Request{Cores: ctx.Workers(), QueryID: h.ID()})
 		if aerr != nil {
-			release()
 			return nil, nil, aerr
 		}
 		adms = append(adms, adm)
@@ -345,7 +271,6 @@ func (t *Tray) queryCtx(goCtx context.Context, sql string, norm sqlparse.Normali
 		ctx.Exec = adm
 		q.nctx = append(q.nctx, ctx)
 	}
-	defer release()
 	h.SetPhase("executing")
 	q.coord = qef.NewContext(opts.Mode)
 	q.coord.Metrics = t.reg
@@ -367,19 +292,31 @@ func (t *Tray) queryCtx(goCtx context.Context, sql string, norm sqlparse.Normali
 		Explain:      plan.Format(bound),
 		ShardsPruned: q.shardsPruned,
 	}
-	em := power.DefaultEnergyModel()
-	var totCycles, totRd, totWr int64
-	for i, ctx := range q.nctx {
+	// Totals run over every node context and then the coordinator's; the
+	// per-node breakdown, makespan and queue wait over the nodes only.
+	var totRd, totWr, descriptors int64
+	for i, ctx := range append(q.nctx[:n:n], q.coord) {
 		cy := int64(ctx.SoC.TotalCycles())
 		rd, wr := ctx.DMS.TotalsByDir()
+		res.TotalCycles += cy
+		totRd += rd.Bytes
+		totWr += wr.Bytes
+		descriptors += int64(rd.Descriptors + wr.Descriptors)
+		res.TilesPruned += ctx.TilesPruned()
+		if opts.Mode == qef.ModeDPU {
+			for _, co := range ctx.SoC.Cores() {
+				if hw := co.DMEM().HighWater(); hw > res.DMEMHighWater {
+					res.DMEMHighWater = hw
+				}
+			}
+		}
+		if i == n {
+			break
+		}
 		sim := ctx.SimElapsed()
 		res.PerNode = append(res.PerNode, NodeStats{
 			Cycles: cy, DMSReadBytes: rd.Bytes, DMSWriteBytes: wr.Bytes, SimSeconds: sim,
 		})
-		totCycles += cy
-		totRd += rd.Bytes
-		totWr += wr.Bytes
-		res.TilesPruned += ctx.TilesPruned()
 		if sim > res.NodeSimSeconds {
 			res.NodeSimSeconds = sim
 		}
@@ -387,56 +324,27 @@ func (t *Tray) queryCtx(goCtx context.Context, sql string, norm sqlparse.Normali
 			res.QueueWait = w
 		}
 	}
-	crd, cwr := q.coord.DMS.TotalsByDir()
-	res.TilesPruned += q.coord.TilesPruned()
-	totCycles += int64(q.coord.SoC.TotalCycles())
-	totRd += crd.Bytes
-	totWr += cwr.Bytes
 	res.CoordSimSeconds = q.coord.SimElapsed()
 	res.SimSeconds = res.NodeSimSeconds + res.NetSeconds + res.CoordSimSeconds
-	res.TotalCycles = totCycles
 
-	core, rdFJ, wrFJ := em.ActivityFJ(totCycles, totRd, totWr)
+	em := power.DefaultEnergyModel()
+	core, rdFJ, wrFJ := em.ActivityFJ(res.TotalCycles, totRd, totWr)
 	res.Energy = TrayEnergy{
 		ActivityFJ: core + rdFJ + wrFJ,
 		NetFJ:      power.LinkEnergyFJ(q.netBytes),
 		IdleJ:      float64(n) * em.UncoreIdleWatts * res.SimSeconds,
 	}
-	if opts.Mode == qef.ModeDPU {
-		for _, ctx := range append(append([]*qef.Context(nil), q.nctx...), q.coord) {
-			for _, co := range ctx.SoC.Cores() {
-				if hw := co.DMEM().HighWater(); hw > res.DMEMHighWater {
-					res.DMEMHighWater = hw
-				}
-			}
-		}
-	}
-
-	// The per-query histograms observe the exact integers added to the
-	// counters below, so histogram sums reconcile with counter totals
-	// exactly (both stay below 2^53, where float64 addition is lossless).
 	actNJ := res.Energy.ActivityFJ / 1e6
 	idleNJ := int64(res.Energy.IdleJ * 1e9)
 	res.EnergyNJ = actNJ + idleNJ
-
-	m := t.reg
-	m.Counter("rapid_dpcore_cycles_total").Add(totCycles)
-	m.Counter("rapid_dms_read_bytes_total").Add(totRd)
-	m.Counter("rapid_dms_write_bytes_total").Add(totWr)
-	m.Counter("rapid_sim_microseconds_total").Add(int64(res.SimSeconds * 1e6))
-	m.Counter("rapid_activity_energy_nanojoules_total").Add(actNJ)
-	m.Counter("rapid_idle_energy_nanojoules_total").Add(idleNJ)
-	m.Histogram("rapid_query_cycles", obs.DefCycleBuckets...).Observe(float64(totCycles))
-	m.Histogram("rapid_query_energy_nanojoules", obs.DefEnergyNJBuckets...).Observe(float64(res.EnergyNJ))
-	m.Histogram("rapid_query_net_bytes", obs.DefBytesBuckets...).Observe(float64(q.netBytes))
+	hostdb.RecordRapidExecution(t.reg, res.TotalCycles, totRd, totWr, descriptors, int64(res.SimSeconds*1e6), actNJ, idleNJ)
+	t.reg.Histogram("rapid_query_net_bytes", obs.DefBytesBuckets...).Observe(float64(q.netBytes))
 
 	if opts.Analyze {
 		res.Analyze = q.renderAnalyze(res)
 	}
-	if q.traceOn {
-		res.Trace = q.trace
-	}
-	return res, v0, nil
+	res.Trace = q.trace
+	return res, q, nil
 }
 
 // exec runs lockstep plan trees and returns the combined (coordinator-side)
@@ -501,22 +409,11 @@ func (q *query) coordFragment(nodes []plan.Node) (*ops.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	var prof *obs.Profile
-	var snap fragSnap
-	if q.traceOn {
-		prof = obs.NewProfile(q.mode.String(), q.coord.SoC.Config().NumCores, q.coord.SoC.Config().FreqHz, compiled.SpanDefs())
-		snap = snapFrag(q.coord)
-		q.coord.Prof = prof
-	}
-	rel, err := compiled.Execute(q.coord)
-	if prof != nil {
-		q.coord.Prof = nil
-	}
+	rel, prof, err := q.runFragment(q.coord, compiled)
 	if err != nil {
 		return nil, err
 	}
 	if prof != nil {
-		finishFrag(prof, q.coord, snap)
 		q.trace = append(q.trace, obs.DistStep{Label: "coordinator " + opName(n0), Coord: prof})
 	}
 	q.step("coordinator %s rows=%d", opName(n0), rel.Rows())
@@ -639,6 +536,25 @@ func finishFrag(prof *obs.Profile, ctx *qef.Context, s fragSnap) {
 	})
 }
 
+// runFragment executes one compiled fragment on ctx. With tracing on, the
+// fragment is profiled from the context's counter deltas.
+func (q *query) runFragment(ctx *qef.Context, compiled *qcomp.Compiled) (*ops.Relation, *obs.Profile, error) {
+	if !q.traceOn {
+		rel, err := compiled.Execute(ctx)
+		return rel, nil, err
+	}
+	prof := obs.NewProfile(q.mode.String(), ctx.SoC.Config().NumCores, ctx.SoC.Config().FreqHz, compiled.SpanDefs())
+	snap := snapFrag(ctx)
+	ctx.Prof = prof
+	rel, err := compiled.Execute(ctx)
+	ctx.Prof = nil
+	if err != nil {
+		return nil, nil, err
+	}
+	finishFrag(prof, ctx, snap)
+	return rel, prof, nil
+}
+
 // runNodes compiles and executes one plan tree per node concurrently, each
 // on its own node context (its scheduler's worker pool in ModeDPU). The
 // first failing node cancels the shared query context, stopping the others
@@ -686,21 +602,11 @@ func (q *query) runNodes(trees []plan.Node, leaves []map[plan.Node]*ops.Relation
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ctx := q.nctx[i]
 			compiled, err := qcomp.CompileWithInputs(trees[i], leaves[i])
 			if err == nil {
-				if q.traceOn {
-					prof := obs.NewProfile(q.mode.String(), ctx.SoC.Config().NumCores, ctx.SoC.Config().FreqHz, compiled.SpanDefs())
-					snap := snapFrag(ctx)
-					ctx.Prof = prof
-					res[i], err = compiled.Execute(ctx)
-					ctx.Prof = nil
-					if err == nil {
-						finishFrag(prof, ctx, snap)
-						profs[i] = prof
-					}
-				} else {
-					res[i], err = compiled.Execute(ctx)
+				var prof *obs.Profile
+				if res[i], prof, err = q.runFragment(q.nctx[i], compiled); prof != nil {
+					profs[i] = prof
 				}
 			}
 			if err != nil {

@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"sync"
 
-	"rapid/internal/coltypes"
 	"rapid/internal/hostdb"
 	"rapid/internal/obs"
 	"rapid/internal/sched"
-	"rapid/internal/sqlparse"
 	"rapid/internal/storage"
 )
 
@@ -188,7 +186,7 @@ func (t *Tray) loadLocked(table string, spec *ShardSpec) error {
 			}
 			continue
 		}
-		encVal, err := encodeShardKey(ht, sm.Key, vals[sm.Key])
+		encVal, err := ht.EncodeValue(sm.Key, vals[sm.Key])
 		if err != nil {
 			return err
 		}
@@ -207,25 +205,6 @@ func (t *Tray) loadLocked(table string, spec *ShardSpec) error {
 	}
 	t.tables[table] = tt
 	return nil
-}
-
-// encodeShardKey maps a logical value onto the encoded int64 domain the
-// shard map routes on — the same encoding the builders store, so the map's
-// placement always agrees with the shard contents.
-func encodeShardKey(ht *hostdb.HostTable, col int, v storage.Value) (int64, error) {
-	def := ht.Schema().Col(col)
-	switch def.Type.Kind {
-	case coltypes.KindString:
-		return int64(ht.Dicts()[col].Add(v.Str)), nil
-	case coltypes.KindDecimal:
-		u, ok := v.Dec.Rescale(def.Type.Scale)
-		if !ok {
-			return 0, fmt.Errorf("cluster: shard key decimal %v does not fit scale %d", v.Dec, def.Type.Scale)
-		}
-		return u, nil
-	default:
-		return v.Int, nil
-	}
 }
 
 // ShardMapOf returns the shard map of a loaded table (nil if not loaded).
@@ -272,15 +251,3 @@ func (t *Tray) shardFor(nodeID int, table string) (*storage.Table, error) {
 	}
 	return tt.shards[nodeID], nil
 }
-
-// nodeCatalog binds SQL against one node's shard replicas.
-type nodeCatalog struct {
-	t  *Tray
-	id int
-}
-
-func (c nodeCatalog) Lookup(name string) (*storage.Table, error) {
-	return c.t.shardFor(c.id, name)
-}
-
-var _ sqlparse.Catalog = nodeCatalog{}

@@ -3,33 +3,23 @@ package hostdb
 import (
 	"fmt"
 
-	"rapid/internal/ops"
 	"rapid/internal/qcache"
-	"rapid/internal/sqlparse"
 )
 
-// Query-cache glue (DESIGN.md §10). The cache itself lives in
-// internal/qcache; this file supplies the host-side keying, version
-// vectors, payloads and hit accounting.
+// Query-cache glue of the single-SoC engine. The cache itself lives in
+// internal/qcache and the lookup / singleflight / publish logic in RunQuery
+// (DESIGN.md "Query lifecycle"); this file supplies the host-side keying,
+// version vectors, payloads and hit accounting.
 
-// cachedExec is the engine payload of one result-cache entry: everything a
-// later hit needs to reconstruct a QueryResult without executing. The
-// relation is shared, never mutated (result relations are read-only once
-// returned — the same invariant Query callers already rely on).
-type cachedExec struct {
-	Rel         *ops.Relation
-	Offloaded   bool
-	Explain     string
-	EstRapidSec float64
-	EstHostSec  float64
-}
-
-// cacheModeKey discriminates result-cache entries by everything that can
+// CacheMode discriminates result-cache entries by everything that can
 // legally change the result surface or the error contract: the requested
 // engine, strict-admissibility mode and pruning switch. Profile is
 // deliberately absent — profiling changes billing detail, not results.
-func cacheModeKey(opts QueryOptions) string {
-	m := requestedMode(opts)
+func (e hostEngine) CacheMode(opts QueryOptions) string {
+	if opts.NoCache {
+		return ""
+	}
+	m := e.Label(opts)
 	if opts.FailOnInadmissible {
 		m += "+strict"
 	}
@@ -39,11 +29,15 @@ func cacheModeKey(opts QueryOptions) string {
 	return m
 }
 
-// cacheVersion returns table name's current version-vector entry: the
+// PlanScope is the plan-cache scope for single-host binds; the tray binds
+// against shard catalogs and uses its own scope (see cluster).
+func (hostEngine) PlanScope() string { return "host" }
+
+// Version returns table name's current version-vector entry: the
 // host-level mutation SCN plus the RAPID replica's data epoch (which moves
 // on checkpoint apply and compaction without a new host SCN).
-func (db *Database) cacheVersion(name string) (qcache.Version, bool) {
-	t, err := db.Table(name)
+func (e hostEngine) Version(name string) (qcache.Version, bool) {
+	t, err := e.db.Table(name)
 	if err != nil {
 		return qcache.Version{}, false
 	}
@@ -54,109 +48,57 @@ func (db *Database) cacheVersion(name string) (qcache.Version, bool) {
 	return v, true
 }
 
-// cacheVersions captures the version vector for a table list, in order.
-// ok=false when any table is unknown (not cacheable).
-func (db *Database) cacheVersions(tables []string) ([]qcache.Version, bool) {
-	out := make([]qcache.Version, 0, len(tables))
-	for _, name := range tables {
-		v, ok := db.cacheVersion(name)
-		if !ok {
-			return nil, false
-		}
-		out = append(out, v)
-	}
-	return out, true
-}
-
-// versionsEqual is the validate-before-publish check: a result or plan is
-// only published when the vector captured before parse/bind still matches
-// the one captured after execution, so an interleaved mutation can never
-// produce a stale-keyed entry.
-func versionsEqual(a, b []qcache.Version) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// relationBytes estimates the resident footprint of a result relation for
-// the cache's byte budget: column payloads at physical width plus a small
-// per-column overhead.
-func relationBytes(rel *ops.Relation) int64 {
-	if rel == nil {
-		return 0
-	}
-	var n int64 = 64
-	for _, c := range rel.Cols {
-		n += 64
-		if c.Data != nil {
-			n += int64(c.Data.SizeBytes())
-		}
-	}
-	return n
-}
-
-// cachedHitResult builds the QueryResult for a result-cache hit or a
-// shared singleflight execution: the stored relation with ~zero marginal
-// billing (no cycles, no DMS, no energy, no admission) and the saved cost
-// carried from the producing execution's profile.
-func cachedHitResult(r *qcache.Result, opts QueryOptions, status string) *QueryResult {
-	src := r.Payload.(*cachedExec)
-	res := &QueryResult{
-		Rel:           src.Rel,
-		Offloaded:     src.Offloaded,
-		Explain:       src.Explain,
-		EstRapidSec:   src.EstRapidSec,
-		EstHostSec:    src.EstHostSec,
-		Cache:         status,
-		CyclesSaved:   r.CyclesSaved,
-		EnergySavedNJ: r.EnergySavedNJ,
-	}
+// FromCache builds the QueryResult for a result-cache hit or a shared
+// singleflight execution from the template CacheEntry stored: the shared
+// relation with ~zero marginal billing (no cycles, no DMS, no energy, no
+// admission) and the saved cost carried from the producing execution.
+func (hostEngine) FromCache(r *qcache.Result, opts QueryOptions) *QueryResult {
+	res := *r.Payload.(*QueryResult)
 	if opts.Profile {
 		res.ProfileNote = fmt.Sprintf(
-			"cache: %s — served from result cache; saved ~%d cycles, ~%d nJ, ~%.3fms execution",
-			status, r.CyclesSaved, r.EnergySavedNJ, float64(r.WallNs)/1e6)
+			"cache: hit — served from result cache; saved ~%d cycles, ~%d nJ, ~%.3fms execution",
+			r.CyclesSaved, r.EnergySavedNJ, float64(r.WallNs)/1e6)
 	}
-	return res
+	return &res
 }
 
-// buildCacheEntry wraps a finished miss execution as a result-cache entry.
-func buildCacheEntry(res *QueryResult, versions []qcache.Version, wallNs int64) *qcache.Result {
-	rows := 0
-	if res.Rel != nil {
-		rows = res.Rel.Rows()
+// CacheEntry wraps a finished miss execution as a result-cache entry whose
+// payload is the result every later hit starts from. The relation is
+// shared, never mutated (result relations are read-only once returned — the
+// same invariant Query callers already rely on). Fallback results are never
+// published: they are transitional (pending journal) and would leak
+// host-fallback answers into strict-offload keys after checkpointing.
+func (hostEngine) CacheEntry(res *QueryResult) *qcache.Result {
+	if res.FellBack {
+		return nil
 	}
-	return &qcache.Result{
-		Payload: &cachedExec{
-			Rel:         res.Rel,
-			Offloaded:   res.Offloaded,
-			Explain:     res.Explain,
-			EstRapidSec: res.EstRapidSec,
-			EstHostSec:  res.EstHostSec,
-		},
-		Bytes:         relationBytes(res.Rel),
-		Versions:      versions,
-		Rows:          rows,
+	return NewCacheEntry(&QueryResult{
+		Rel:           res.Rel,
+		Offloaded:     res.Offloaded,
+		Explain:       res.Explain,
+		EstRapidSec:   res.EstRapidSec,
+		EstHostSec:    res.EstHostSec,
+		Cache:         "hit",
 		CyclesSaved:   res.Cycles,
 		EnergySavedNJ: res.EnergyNJ,
-		WallNs:        wallNs,
-	}
+	}, res.Rel, res.Cycles, res.EnergyNJ)
 }
 
-// planScopeHost is the plan-cache scope for single-host binds; the tray
-// binds against shard catalogs and uses its own scope (see cluster).
-const planScopeHost = "host"
-
-// normalizeForCache runs the literal normalization used for cache keys and
-// journal fingerprints. The bool is false when the statement does not lex
-// (the raw-SQL fingerprint remains the journal key and the query bypasses
-// the cache).
-func normalizeForCache(sql string) (sqlparse.Normalized, bool) {
-	n, err := sqlparse.Normalize(sql)
-	return n, err == nil
+// SetCacheStatus records the cache interaction and surfaces it in EXPLAIN
+// ANALYZE output: profiled RAPID executions get a `cache:` line in the
+// profile, host-side runs get it appended to the profile note.
+func (hostEngine) SetCacheStatus(res *QueryResult, opts QueryOptions, status string) {
+	res.Cache = status
+	if !opts.Profile {
+		return
+	}
+	if res.Profile != nil {
+		res.Profile.SetCacheNote(status)
+		return
+	}
+	if res.ProfileNote != "" {
+		res.ProfileNote += "; cache: " + status
+	} else {
+		res.ProfileNote = "cache: " + status
+	}
 }

@@ -47,6 +47,11 @@ type Database struct {
 	qcache *qcache.Cache
 
 	stopCheckpointer chan struct{}
+
+	// rapidFault, when non-nil, fails every RAPID execution with it — a
+	// simulated node failure. Only in-package tests set it (before issuing
+	// queries), to exercise the §3.2 fallback path.
+	rapidFault error
 }
 
 // EnableQueryCache installs a two-tier query cache (plan + result) on the
@@ -109,10 +114,6 @@ func (db *Database) Metrics() *obs.Registry { return db.metrics }
 // per-query completion records with cumulative outcome counters and JSONL
 // export.
 func (db *Database) QueryJournal() *obs.Journal { return db.qjournal }
-
-// Active returns the live query set (the QueryID authority shared with an
-// attached tray).
-func (db *Database) Active() *obs.ActiveSet { return db.active }
 
 // ActiveQueries returns a snapshot of the in-flight queries, sorted by
 // QueryID.
@@ -291,24 +292,35 @@ func (t *HostTable) encodeRow(vals []storage.Value) ([]int64, error) {
 	}
 	row := make([]int64, len(vals))
 	for c, v := range vals {
-		def := t.schema.Col(c)
-		if v.Kind != def.Type.Kind {
-			return nil, fmt.Errorf("hostdb: column %s expects %v, got %v", def.Name, def.Type.Kind, v.Kind)
-		}
-		switch def.Type.Kind {
-		case coltypes.KindString:
-			row[c] = int64(t.dicts[c].Add(v.Str))
-		case coltypes.KindDecimal:
-			u, ok := v.Dec.Rescale(t.scales[c])
-			if !ok {
-				return nil, fmt.Errorf("hostdb: decimal %s does not fit scale %d", v.Dec, t.scales[c])
-			}
-			row[c] = u
-		default:
-			row[c] = v.Int
+		var err error
+		if row[c], err = t.EncodeValue(c, v); err != nil {
+			return nil, err
 		}
 	}
 	return row, nil
+}
+
+// EncodeValue converts one logical value to column col's fixed-width integer
+// encoding — the domain the row store, the replica builders and the tray's
+// shard maps all share, so a shard map's placement always agrees with the
+// shard contents.
+func (t *HostTable) EncodeValue(col int, v storage.Value) (int64, error) {
+	def := t.schema.Col(col)
+	if v.Kind != def.Type.Kind {
+		return 0, fmt.Errorf("hostdb: column %s expects %v, got %v", def.Name, def.Type.Kind, v.Kind)
+	}
+	switch def.Type.Kind {
+	case coltypes.KindString:
+		return int64(t.dicts[col].Add(v.Str)), nil
+	case coltypes.KindDecimal:
+		u, ok := v.Dec.Rescale(t.scales[col])
+		if !ok {
+			return 0, fmt.Errorf("hostdb: decimal %s does not fit scale %d", v.Dec, t.scales[col])
+		}
+		return u, nil
+	default:
+		return v.Int, nil
+	}
 }
 
 // DecodeValue renders an encoded cell.
@@ -368,18 +380,13 @@ func (db *Database) Update(table string, row, col int, val storage.Value) (uint6
 		return 0, fmt.Errorf("hostdb: row %d out of range", row)
 	}
 	t.mutSCN = scn
-	tmp := make([]storage.Value, t.schema.NumCols())
-	for c := range tmp {
-		tmp[c] = t.DecodeValue(c, t.rows[row][c])
-	}
-	tmp[col] = val
-	enc, err := t.encodeRow(tmp)
+	enc, err := t.EncodeValue(col, val)
 	if err != nil {
 		return 0, err
 	}
-	t.rows[row][col] = enc[col]
+	t.rows[row][col] = enc
 	if t.rapid != nil {
-		t.journal = append(t.journal, journalEntry{scn: scn, delRow: -1, updRow: row, updCol: col, updVal: enc[col]})
+		t.journal = append(t.journal, journalEntry{scn: scn, delRow: -1, updRow: row, updCol: col, updVal: enc})
 		db.checkpointLagGauge().Add(1)
 	}
 	return scn, nil

@@ -1,6 +1,7 @@
 package hostdb
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -212,8 +213,9 @@ func TestAdmissibilityFallback(t *testing.T) {
 func TestRapidFailureFallback(t *testing.T) {
 	db := newTestDB(t, 500)
 	loadAll(t, db)
+	db.rapidFault = errors.New("hostdb: injected RAPID node failure")
 	res, err := db.Query(`SELECT COUNT(*) FROM events`,
-		QueryOptions{Mode: ForceOffload, RapidMode: qef.ModeX86, InjectRapidFailure: true})
+		QueryOptions{Mode: ForceOffload, RapidMode: qef.ModeX86})
 	if err != nil {
 		t.Fatal(err)
 	}

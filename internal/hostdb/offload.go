@@ -2,9 +2,7 @@ package hostdb
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"rapid/internal/coltypes"
@@ -12,11 +10,9 @@ import (
 	"rapid/internal/ops"
 	"rapid/internal/plan"
 	"rapid/internal/power"
-	"rapid/internal/qcache"
 	"rapid/internal/qcomp"
 	"rapid/internal/qef"
 	"rapid/internal/sched"
-	"rapid/internal/sqlparse"
 	"rapid/internal/storage"
 )
 
@@ -42,9 +38,6 @@ type QueryOptions struct {
 	// falling back (paper: "the RAPID operator can either fail or
 	// fallback").
 	FailOnInadmissible bool
-	// InjectRapidFailure simulates a RAPID node failure mid-query to
-	// exercise the fallback path.
-	InjectRapidFailure bool
 	// Profile enables per-operator profiling of the RAPID execution; the
 	// finished profile is returned in QueryResult.Profile. Also set by the
 	// EXPLAIN ANALYZE prefix.
@@ -111,8 +104,8 @@ type QueryResult struct {
 	// Cache reports this query's result-cache interaction: "hit" (served
 	// without execution, ~zero marginal cycles/energy), "miss", "stale"
 	// (an entry existed but its version vector moved), "bypass" (cache
-	// installed but ineligible: NoCache, failure injection, unlexable
-	// statement), or "" when no cache is installed.
+	// installed but ineligible: NoCache, unlexable statement), or "" when
+	// no cache is installed.
 	Cache string
 	// CyclesSaved/EnergySavedNJ carry the billed cost of the execution that
 	// produced a cached result — the estimate of what this hit avoided.
@@ -130,34 +123,6 @@ func (r *QueryResult) RapidFraction() float64 {
 	return float64(r.RapidWall) / float64(total)
 }
 
-// catalogAdapter exposes loaded RAPID replicas to the binder.
-type catalogAdapter struct{ db *Database }
-
-func (c catalogAdapter) Lookup(name string) (*storage.Table, error) {
-	t, err := c.db.Table(name)
-	if err != nil {
-		return nil, err
-	}
-	rt := t.Rapid()
-	if rt == nil {
-		return nil, fmt.Errorf("hostdb: table %q not loaded into RAPID (run LOAD first)", name)
-	}
-	return rt, nil
-}
-
-// stripExplainAnalyze detects the EXPLAIN ANALYZE prefix (two words,
-// case-insensitive; bare EXPLAIN is handled by the callers' plan output)
-// and returns the inner query.
-func stripExplainAnalyze(sql string) (string, bool) {
-	rest := strings.TrimSpace(sql)
-	fields := strings.Fields(rest)
-	if len(fields) >= 2 && strings.EqualFold(fields[0], "EXPLAIN") && strings.EqualFold(fields[1], "ANALYZE") {
-		idx := strings.Index(strings.ToUpper(rest), "ANALYZE") + len("ANALYZE")
-		return strings.TrimSpace(rest[idx:]), true
-	}
-	return sql, false
-}
-
 // Query parses, plans and executes a SQL query, deciding offload cost-based
 // per §3.1 and enforcing the SCN admissibility rule of §3.3. An
 // `EXPLAIN ANALYZE <query>` prefix executes the inner query with
@@ -171,91 +136,26 @@ func (db *Database) Query(sql string, opts QueryOptions) (*QueryResult, error) {
 // checked while the query waits for admission, at work-unit dispatch and at
 // every tile boundary, so a canceled query stops within one tile and returns
 // ctx.Err(). Cancellation and scheduler overload (sched.ErrOverloaded) are
-// returned directly — they never fall back to the host engine, since the
-// caller asked the whole query to stop (or be shed), not just the offload.
+// returned directly — they never fall back to the host engine (NoFallback).
+// The lifecycle around the execution is RunQuery's.
 func (db *Database) QueryCtx(ctx context.Context, sql string, opts QueryOptions) (*QueryResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if inner, ok := stripExplainAnalyze(sql); ok {
-		sql = inner
-		opts.Profile = true
-	}
-	// Issue: allocate the fleet-wide QueryID, register in the active-query
-	// table (making the query cancelable by ID) and run under a derived
-	// context so CancelQuery can reach it.
-	qctx, cancel := qef.QueryContext(ctx)
-	defer cancel()
-	id := db.active.NextID()
-	h := db.active.Register(id, sql, requestedMode(opts), 1, cancel)
-	defer h.Done()
-
-	// Literal normalization feeds both the cache keys and the journal
-	// fingerprint: repeated parameterized queries group under one template
-	// regardless of whitespace, case or literal values. Statements the
-	// lexer rejects keep the raw-SQL fingerprint and bypass the cache.
-	norm, normOK := normalizeForCache(sql)
-	fp := obs.Fingerprint(sql)
-	if normOK {
-		fp = norm.TemplateFP
-	}
-
-	start := time.Now()
-	res, err := db.query(qctx, sql, norm, normOK, opts, h)
-	wall := time.Since(start)
-	m := db.metrics
-	m.Histogram("hostdb_query_seconds").Observe(wall.Seconds())
-	m.Counter("hostdb_queries_total").Inc()
-	switch {
-	case err != nil:
-		m.Counter("hostdb_queries_failed").Inc()
-	case res.Offloaded:
-		m.Counter("hostdb_queries_offloaded").Inc()
-		if res.FellBack {
-			// Not reachable today (FellBack implies !Offloaded), kept so the
-			// counters stay truthful if the retry semantics ever change.
-			m.Counter("hostdb_queries_fellback").Inc()
-		}
-	default:
-		if res.FellBack {
-			m.Counter("hostdb_queries_fellback").Inc()
-		}
-		m.Counter("hostdb_queries_host").Inc()
-	}
-
-	// Completion: one journal record per issued query, terminal outcome
-	// included, whether it succeeded, shed, canceled or failed.
-	rec := obs.QueryRecord{
-		ID: id, Fingerprint: fp, SQL: sql,
-		Mode: "host", Nodes: 1,
-		Outcome: outcomeFor(err),
-		WallNs:  int64(wall),
-		Start:   start.UnixNano(),
-	}
-	if err != nil {
-		rec.Error = err.Error()
-	}
-	if res != nil {
-		if res.Offloaded {
-			rec.Mode = opts.RapidMode.String()
-		}
-		if res.Rel != nil {
-			rec.Rows = int64(res.Rel.Rows())
-		}
-		rec.Cycles = res.Cycles
-		rec.EnergyNJ = res.EnergyNJ
-		rec.QueueWaitNs = int64(res.QueueWait)
-		rec.DMEMHighNow = int64(res.DMEMHighWater)
-		rec.Cache = res.Cache
-		res.QueryID = id
-	}
-	db.qjournal.Record(rec)
-	return res, err
+	return RunQuery(ctx, db, hostEngine{db}, sql, opts)
 }
 
-// requestedMode labels the engine the options ask for, before execution
-// resolves it ("auto" = cost-based decision pending).
-func requestedMode(opts QueryOptions) string {
+// hostEngine is the single SoC's side of the query lifecycle: the offload
+// decision of §3.1, the SCN admissibility rule of §3.3, RAPID execution on
+// the shared scheduler and the host row engine as fallback. The cache
+// payloads and keys it supplies are in cache.go.
+type hostEngine struct{ db *Database }
+
+func (hostEngine) Analyzed(opts QueryOptions) QueryOptions {
+	opts.Profile = true
+	return opts
+}
+
+// Label names the engine the options ask for, before execution resolves it
+// ("auto" = cost-based decision pending).
+func (hostEngine) Label(opts QueryOptions) string {
 	switch opts.Mode {
 	case ForceHost:
 		return "host"
@@ -266,150 +166,57 @@ func requestedMode(opts QueryOptions) string {
 	}
 }
 
-// outcomeFor classifies a query's terminal state for the journal.
-func outcomeFor(err error) obs.QueryOutcome {
-	switch {
-	case err == nil:
-		return obs.OutcomeOK
-	case errors.Is(err, sched.ErrOverloaded):
-		return obs.OutcomeShed
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		return obs.OutcomeCanceled
-	default:
-		return obs.OutcomeError
-	}
-}
+func (hostEngine) Nodes() int { return 1 }
 
-// noFallback reports whether a RAPID execution error must be returned as the
-// query's outcome instead of triggering host fallback: the query was
-// canceled / timed out, shed by admission control, or the database closed.
-func noFallback(err error) bool {
-	return errors.Is(err, context.Canceled) ||
-		errors.Is(err, context.DeadlineExceeded) ||
-		errors.Is(err, sched.ErrOverloaded) ||
-		errors.Is(err, sched.ErrClosed)
-}
-
-// query orchestrates the cache tiers around queryExec (DESIGN.md §10):
-// result-cache lookup (hits return immediately, bypassing scheduler
-// admission), singleflight collapse of concurrent identical misses, the
-// actual execution, and validate-before-publish admission of the finished
-// result. With no cache installed it degenerates to a plain queryExec.
-func (db *Database) query(ctx context.Context, sql string, norm sqlparse.Normalized, normOK bool, opts QueryOptions, h obs.ActiveHandle) (*QueryResult, error) {
-	cache := db.QueryCache()
-	cacheable := cache != nil && normOK && !opts.NoCache && !opts.InjectRapidFailure
-	if !cacheable {
-		if cache != nil {
-			cache.NoteBypass()
-		}
-		res, _, err := db.queryExec(ctx, sql, norm, false, opts, h)
-		if err == nil && cache != nil {
-			res.Cache = "bypass"
-			annotateCacheStatus(res, opts, "bypass")
-		}
-		return res, err
-	}
-
-	key := qcache.Key{Template: norm.TemplateFP, Params: norm.ParamsFP, Mode: cacheModeKey(opts), Nodes: 1}
-	status := "miss"
-	var flight *qcache.Flight
-	for {
-		if r, st := cache.GetResult(key, db.cacheVersion); st == qcache.Hit {
-			return cachedHitResult(r, opts, "hit"), nil
-		} else if st == qcache.Stale {
-			status = "stale"
-		}
-		f, leader := cache.Begin(key)
-		if leader {
-			flight = f
-			break
-		}
-		// Another client is executing this exact key: wait for its result
-		// instead of re-executing (thundering-herd collapse). ok=false
-		// means the leader failed or produced an unshareable result — loop
-		// back and compete for leadership.
-		if r, ok := f.Wait(ctx); ok {
-			return cachedHitResult(r, opts, "hit"), nil
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	// Leader path: always settle the flight, success or not, so followers
-	// never block past this execution.
-	var entry *qcache.Result
-	defer func() { flight.Finish(entry) }()
-
-	execStart := time.Now()
-	res, v0, err := db.queryExec(ctx, sql, norm, true, opts, h)
+// Lookup exposes the loaded RAPID replicas to the binder.
+func (e hostEngine) Lookup(name string) (*storage.Table, error) {
+	t, err := e.db.Table(name)
 	if err != nil {
 		return nil, err
 	}
-	res.Cache = status
-	annotateCacheStatus(res, opts, status)
-	// Publish only when the version vector captured before parse/bind
-	// still holds after execution — an interleaved mutation voids the
-	// entry (it may mix old and new data). Fallback results are never
-	// published: they are transitional (pending journal) and would leak
-	// host-fallback answers into strict-offload keys after checkpointing.
-	if !res.FellBack && v0 != nil {
-		if cur, ok := db.cacheVersions(versionNames(v0)); ok && versionsEqual(v0, cur) {
-			e := buildCacheEntry(res, v0, int64(time.Since(execStart)))
-			entry = e // share with flight followers even if admission rejects
-			cache.PutResult(key, e)
-		}
+	rt := t.Rapid()
+	if rt == nil {
+		return nil, fmt.Errorf("hostdb: table %q not loaded into RAPID (run LOAD first)", name)
 	}
-	return res, nil
+	return rt, nil
 }
 
-// queryExec parses (or serves from the plan cache), binds, decides offload
-// and executes one query. When usePlanCache is set it also captures the
-// pre-bind version vector v0, later used for validate-before-publish.
-func (db *Database) queryExec(ctx context.Context, sql string, norm sqlparse.Normalized, usePlanCache bool, opts QueryOptions, h obs.ActiveHandle) (*QueryResult, []qcache.Version, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+// Finish feeds the hostdb_* query counters and labels the journal record
+// with the engine that actually ran.
+func (e hostEngine) Finish(id uint64, res *QueryResult, err error, opts QueryOptions, wall time.Duration) obs.QueryRecord {
+	m := e.db.metrics
+	m.Histogram("hostdb_query_seconds").Observe(wall.Seconds())
+	m.Counter("hostdb_queries_total").Inc()
+	rec := obs.QueryRecord{Mode: "host"}
+	if err != nil {
+		m.Counter("hostdb_queries_failed").Inc()
+		return rec
 	}
-	h.SetPhase("planning")
-	hostStart := time.Now()
-	cache := db.QueryCache()
-	querySCN := db.CurrentSCN()
-	var node plan.Node
-	var v0 []qcache.Version
-	planKey := qcache.PlanKey{Template: norm.TemplateFP, Params: norm.ParamsFP, Scope: planScopeHost}
-	if usePlanCache && cache != nil {
-		if pe := cache.GetPlan(planKey, db.cacheVersion); pe != nil {
-			if cloned, cerr := plan.CloneAtSCN(pe.Root, querySCN); cerr == nil {
-				// Parse and bind skipped: the cached skeleton is re-stamped
-				// to this query's SCN. Costing, admissibility and zone
-				// pruning still run against the fresh snapshot below.
-				node = cloned
-				v0 = pe.Versions
-			}
+	if res.Offloaded {
+		m.Counter("hostdb_queries_offloaded").Inc()
+		rec.Mode = opts.RapidMode.String()
+	} else {
+		if res.FellBack {
+			m.Counter("hostdb_queries_fellback").Inc()
 		}
+		m.Counter("hostdb_queries_host").Inc()
 	}
-	if node == nil {
-		stmt, err := sqlparse.Parse(sql)
-		if err != nil {
-			return nil, nil, err
-		}
-		if usePlanCache && cache != nil {
-			v0, _ = db.cacheVersions(sqlparse.StmtTables(stmt))
-		}
-		node, err = sqlparse.Bind(stmt, catalogAdapter{db}, querySCN)
-		if err != nil {
-			return nil, nil, err
-		}
-		if usePlanCache && cache != nil && v0 != nil {
-			// Same validate-before-publish discipline as results: literals
-			// were encoded against the dictionaries as of v0, so the
-			// skeleton is only sound if nothing moved during binding.
-			if cur, ok := db.cacheVersions(versionNames(v0)); ok && versionsEqual(v0, cur) {
-				cache.PutPlan(planKey, &qcache.Plan{Root: node, Versions: v0})
-			} else {
-				v0 = nil
-			}
-		}
+	res.QueryID = id
+	if res.Rel != nil {
+		rec.Rows = int64(res.Rel.Rows())
 	}
+	rec.Cycles = res.Cycles
+	rec.EnergyNJ = res.EnergyNJ
+	rec.QueueWaitNs = int64(res.QueueWait)
+	rec.DMEMHighNow = int64(res.DMEMHighWater)
+	rec.Cache = res.Cache
+	return rec
+}
+
+// Execute decides offload for a bound plan and runs it on RAPID or on the
+// host row engine.
+func (e hostEngine) Execute(ctx context.Context, node plan.Node, opts QueryOptions, h obs.ActiveHandle) (*QueryResult, error) {
+	db := e.db
 	res := &QueryResult{Explain: plan.Format(node)}
 	res.EstRapidSec, res.EstHostSec = qcomp.OffloadBenefit(node)
 
@@ -432,93 +239,53 @@ func (db *Database) queryExec(ctx context.Context, sql string, norm sqlparse.Nor
 		// Admissibility (§3.3): every journal entry visible to the query
 		// must already be propagated to RAPID. The background checkpointer
 		// normally keeps this true.
-		admissible := db.admissible(node)
-		if !admissible && opts.FailOnInadmissible {
-			return nil, nil, fmt.Errorf("hostdb: query at SCN %d not admissible to RAPID", querySCN)
-		}
-		if admissible {
-			run, rerr := db.runRapid(ctx, node, opts, h)
-			res.QueueWait = run.queueWait
+		admissible, scn := db.admissible(node)
+		switch {
+		case admissible:
+			rerr := db.runRapid(ctx, node, opts, h, res)
 			if rerr == nil {
-				res.Rel = run.rel
 				res.Offloaded = true
-				res.RapidWall = run.wall
-				res.RapidSimSeconds = run.simSec
-				res.X86ModelSeconds = run.x86Sec
-				res.Profile = run.prof
-				res.Energy = run.energy
-				res.HasEnergy = run.hasEnergy
-				res.Cycles = run.cycles
-				res.EnergyNJ = run.energyNJ
-				res.DMEMHighWater = run.dmemHigh
-				res.TilesPruned = run.tilesPruned
-				res.HostWall = time.Since(hostStart) - run.wall
-				return res, v0, nil
+				res.HostWall = h.Elapsed() - res.RapidWall
+				return res, nil
 			}
-			if noFallback(rerr) {
-				return nil, nil, rerr
+			if NoFallback(rerr) {
+				return nil, rerr
 			}
 			// RAPID execution failed: fall back to the host plan (§3.2).
-			res.FellBack = true
 			if opts.Profile {
 				res.ProfileNote = fmt.Sprintf("no DPU profile: RAPID execution failed (%v), query fell back to host", rerr)
 			}
-		} else {
-			res.FellBack = true
-			if opts.Profile {
-				res.ProfileNote = "no DPU profile: query not admissible to RAPID (pending journal), fell back to host"
-			}
+		case opts.FailOnInadmissible:
+			return nil, fmt.Errorf("hostdb: query at SCN %d not admissible to RAPID", scn)
+		case opts.Profile:
+			res.ProfileNote = "no DPU profile: query not admissible to RAPID (pending journal), fell back to host"
 		}
+		res.FellBack = true
 	}
 
 	h.SetPhase("host-execute")
 	rel, err := db.runHost(ctx, node)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	res.Rel = rel
-	res.HostWall = time.Since(hostStart) - res.RapidWall
-	return res, v0, nil
+	res.HostWall = h.Elapsed()
+	return res, nil
 }
 
-// versionNames extracts the table-name footprint of a version vector.
-func versionNames(vs []qcache.Version) []string {
-	names := make([]string, len(vs))
-	for i, v := range vs {
-		names[i] = v.Name
-	}
-	return names
-}
-
-// annotateCacheStatus surfaces the cache interaction in EXPLAIN ANALYZE
-// output: profiled RAPID executions get a `cache:` line in the profile,
-// host-side runs get it appended to the profile note.
-func annotateCacheStatus(res *QueryResult, opts QueryOptions, status string) {
-	if !opts.Profile || status == "" {
-		return
-	}
-	if res.Profile != nil {
-		res.Profile.SetCacheNote(status)
-		return
-	}
-	if res.ProfileNote != "" {
-		res.ProfileNote += "; cache: " + status
-	} else {
-		res.ProfileNote = "cache: " + status
-	}
-}
-
-// admissible checks the SCN rule for every table the plan touches.
-func (db *Database) admissible(node plan.Node) bool {
-	ok := true
+// admissible checks the SCN rule for every table the plan touches; scn is
+// the SCN the plan reads at.
+func (db *Database) admissible(node plan.Node) (ok bool, scn uint64) {
+	ok = true
 	walkScans(node, func(s *plan.Scan) {
+		scn = s.SCN
 		if t, err := db.Table(s.Table.Name()); err == nil {
 			if t.PendingJournal() > 0 {
 				ok = false
 			}
 		}
 	})
-	return ok
+	return ok, scn
 }
 
 func walkScans(n plan.Node, fn func(*plan.Scan)) {
@@ -531,38 +298,22 @@ func walkScans(n plan.Node, fn func(*plan.Scan)) {
 	}
 }
 
-// rapidRun is the outcome of one RAPID execution.
-type rapidRun struct {
-	rel         *ops.Relation
-	wall        time.Duration
-	queueWait   time.Duration
-	simSec      float64
-	x86Sec      float64
-	prof        *obs.Profile
-	energy      power.Breakdown
-	hasEnergy   bool
-	cycles      int64
-	energyNJ    int64 // activity + idle nanojoules, as fed to the counters
-	dmemHigh    int   // max per-core DMEM high-water, bytes
-	tilesPruned int64 // chunks skipped by zone-map pruning
-}
-
 // runRapid is the RAPID operator (§3.1): it serializes the fragment plan to
 // the RAPID node (here: compiles it), triggers execution, and receives the
-// result relation "over the network". Execution goes through the shared-SoC
-// scheduler: the query is admitted (possibly waiting, bounded by the run
-// queue), its work units are multiplexed over the shared worker pool, and
-// its admission slot is released when execution ends — success, failure or
-// cancellation alike. Every DPU execution feeds the engine-wide telemetry
+// result relation "over the network" into res. Execution goes through the
+// shared-SoC scheduler: the query is admitted (possibly waiting, bounded by
+// the run queue), its work units are multiplexed over the shared worker pool,
+// and its admission slot is released when execution ends — success, failure
+// or cancellation alike. Every DPU execution feeds the engine-wide telemetry
 // counters and the activity energy model, whether or not per-operator
-// profiling was requested.
-func (db *Database) runRapid(goCtx context.Context, node plan.Node, opts QueryOptions, h obs.ActiveHandle) (rapidRun, error) {
-	if opts.InjectRapidFailure {
-		return rapidRun{}, fmt.Errorf("hostdb: injected RAPID node failure")
+// profiling was requested. On error only res.QueueWait is touched.
+func (db *Database) runRapid(goCtx context.Context, node plan.Node, opts QueryOptions, h obs.ActiveHandle, res *QueryResult) error {
+	if db.rapidFault != nil {
+		return db.rapidFault
 	}
 	compiled, err := qcomp.Compile(node)
 	if err != nil {
-		return rapidRun{}, err
+		return err
 	}
 	ctx := qef.NewContext(opts.RapidMode)
 	ctx.Metrics = db.metrics
@@ -570,7 +321,7 @@ func (db *Database) runRapid(goCtx context.Context, node plan.Node, opts QueryOp
 	h.SetPhase("queued")
 	adm, err := db.sched.Admit(goCtx, sched.Request{Cores: ctx.Workers(), QueryID: h.ID()})
 	if err != nil {
-		return rapidRun{}, err
+		return err
 	}
 	defer adm.Release()
 	h.SetPhase("executing")
@@ -584,10 +335,13 @@ func (db *Database) runRapid(goCtx context.Context, node plan.Node, opts QueryOp
 	start := time.Now()
 	rel, err := compiled.Execute(ctx)
 	wall := time.Since(start)
+	res.QueueWait = adm.QueueWait()
 	if err != nil {
-		return rapidRun{wall: wall, queueWait: adm.QueueWait()}, err
+		return err
 	}
-	run := rapidRun{rel: rel, wall: wall, queueWait: adm.QueueWait(), simSec: ctx.SimElapsed(), prof: prof, tilesPruned: ctx.TilesPruned()}
+	res.Rel, res.RapidWall, res.Profile = rel, wall, prof
+	res.RapidSimSeconds = ctx.SimElapsed()
+	res.TilesPruned = ctx.TilesPruned()
 	rdT, wrT := ctx.DMS.TotalsByDir()
 	if prof != nil {
 		busR, busW := ctx.BusSeconds()
@@ -598,8 +352,8 @@ func (db *Database) runRapid(goCtx context.Context, node plan.Node, opts QueryOp
 		}
 		prof.Finalize(obs.Totals{
 			WallSeconds:      wall.Seconds(),
-			QueueWaitSeconds: run.queueWait.Seconds(),
-			SimSeconds:       run.simSec,
+			QueueWaitSeconds: res.QueueWait.Seconds(),
+			SimSeconds:       res.RapidSimSeconds,
 			BusReadSeconds:   busR,
 			BusWriteSeconds:  busW,
 			CoreCycles:       coreCy,
@@ -609,35 +363,23 @@ func (db *Database) runRapid(goCtx context.Context, node plan.Node, opts QueryOp
 			DMSWriteSeconds:  wrT.Seconds,
 		})
 	}
-	totalCycles := int64(ctx.SoC.TotalCycles())
-	run.cycles = totalCycles
-	run.x86Sec = power.X86ModelSeconds(float64(totalCycles), ctx.DMS.Totals().Bytes)
+	res.Cycles = int64(ctx.SoC.TotalCycles())
+	res.X86ModelSeconds = power.X86ModelSeconds(float64(res.Cycles), ctx.DMS.Totals().Bytes)
 	if opts.RapidMode == qef.ModeDPU {
-		run.energy = power.DefaultEnergyModel().Activity(totalCycles, rdT.Bytes, wrT.Bytes, run.simSec)
-		run.hasEnergy = true
-		// The per-query histograms observe the exact integers added to the
-		// counters, so histogram sums reconcile with counter totals exactly
-		// (both stay below 2^53, where float64 addition is lossless).
-		actNJ := int64(run.energy.ActivityJoules() * 1e9)
-		idleNJ := int64(run.energy.IdleJ * 1e9)
-		run.energyNJ = actNJ + idleNJ
+		res.Energy = power.DefaultEnergyModel().Activity(res.Cycles, rdT.Bytes, wrT.Bytes, res.RapidSimSeconds)
+		res.HasEnergy = true
+		actNJ := int64(res.Energy.ActivityJoules() * 1e9)
+		idleNJ := int64(res.Energy.IdleJ * 1e9)
+		res.EnergyNJ = actNJ + idleNJ
 		for _, co := range ctx.SoC.Cores() {
-			if hw := co.DMEM().HighWater(); hw > run.dmemHigh {
-				run.dmemHigh = hw
+			if hw := co.DMEM().HighWater(); hw > res.DMEMHighWater {
+				res.DMEMHighWater = hw
 			}
 		}
-		m := db.metrics
-		m.Counter("rapid_dpcore_cycles_total").Add(totalCycles)
-		m.Counter("rapid_dms_read_bytes_total").Add(rdT.Bytes)
-		m.Counter("rapid_dms_write_bytes_total").Add(wrT.Bytes)
-		m.Counter("rapid_dms_descriptors_total").Add(int64(rdT.Descriptors + wrT.Descriptors))
-		m.Counter("rapid_sim_microseconds_total").Add(int64(run.simSec * 1e6))
-		m.Counter("rapid_activity_energy_nanojoules_total").Add(actNJ)
-		m.Counter("rapid_idle_energy_nanojoules_total").Add(idleNJ)
-		m.Histogram("rapid_query_cycles", obs.DefCycleBuckets...).Observe(float64(totalCycles))
-		m.Histogram("rapid_query_energy_nanojoules", obs.DefEnergyNJBuckets...).Observe(float64(run.energyNJ))
+		RecordRapidExecution(db.metrics, res.Cycles, rdT.Bytes, wrT.Bytes, int64(rdT.Descriptors+wrT.Descriptors),
+			int64(res.RapidSimSeconds*1e6), actNJ, idleNJ)
 	}
-	return run, nil
+	return nil
 }
 
 // runHost executes the plan on the System X row engine and materializes the

@@ -1,6 +1,7 @@
 package hostdb
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -29,8 +30,10 @@ func TestProfileNoteOnHostPaths(t *testing.T) {
 	}
 
 	// RAPID failure fallback notes the failure.
+	db.rapidFault = errors.New("hostdb: injected RAPID node failure")
 	res, err = db.Query(`EXPLAIN ANALYZE SELECT COUNT(*) FROM events`,
-		QueryOptions{Mode: ForceOffload, RapidMode: qef.ModeX86, InjectRapidFailure: true})
+		QueryOptions{Mode: ForceOffload, RapidMode: qef.ModeX86})
+	db.rapidFault = nil
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,6 @@ package rapid
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -350,25 +349,23 @@ func (db *DB) QueryWith(sql string, opts Options) (*Result, error) {
 	return db.QueryWithCtx(context.Background(), sql, opts)
 }
 
-// trayUnrecoverable reports errors the host must not paper over with a
-// fallback: the caller canceled, or admission control shed the query.
-func trayUnrecoverable(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) ||
-		errors.Is(err, sched.ErrOverloaded) || errors.Is(err, sched.ErrClosed)
+// rapidMode maps the engine choice onto the RAPID execution mode: the DPU
+// simulation when asked for by name, native software execution otherwise.
+func rapidMode(e Engine) qef.Mode {
+	if e == EngineRapidDPU {
+		return qef.ModeDPU
+	}
+	return qef.ModeX86
 }
 
 // queryTray routes an offloadable query to the tray and adapts the
 // distributed result. EngineAuto falls back to the host row engine when
 // distribution itself fails (e.g. a referenced table was never loaded).
 func (db *DB) queryTray(ctx context.Context, sql string, opts Options) (*Result, error) {
-	mode := qef.ModeX86
-	if opts.Engine == EngineRapidDPU {
-		mode = qef.ModeDPU
-	}
 	start := time.Now()
-	res, err := db.tray.QueryCtx(ctx, sql, cluster.QueryOptions{Mode: mode, NoCache: opts.NoCache})
+	res, err := db.tray.QueryCtx(ctx, sql, cluster.QueryOptions{Mode: rapidMode(opts.Engine), NoCache: opts.NoCache})
 	if err != nil {
-		if opts.Engine == EngineAuto && !trayUnrecoverable(err) {
+		if opts.Engine == EngineAuto && !hostdb.NoFallback(err) {
 			r, herr := db.host.QueryCtx(ctx, sql, hostdb.QueryOptions{Mode: hostdb.ForceHost})
 			if herr != nil {
 				return nil, herr
@@ -404,20 +401,13 @@ func (db *DB) QueryWithCtx(ctx context.Context, sql string, opts Options) (*Resu
 	qo := hostdb.QueryOptions{
 		FailOnInadmissible: opts.FailOnInadmissible,
 		NoCache:            opts.NoCache,
-		RapidMode:          qef.ModeDPU,
+		RapidMode:          rapidMode(opts.Engine),
 	}
 	switch opts.Engine {
 	case EngineHost:
 		qo.Mode = hostdb.ForceHost
-	case EngineRapidDPU:
+	case EngineRapidDPU, EngineRapidX86:
 		qo.Mode = hostdb.ForceOffload
-		qo.RapidMode = qef.ModeDPU
-	case EngineRapidX86:
-		qo.Mode = hostdb.ForceOffload
-		qo.RapidMode = qef.ModeX86
-	default:
-		qo.Mode = hostdb.CostBased
-		qo.RapidMode = qef.ModeX86
 	}
 	r, err := db.host.QueryCtx(ctx, sql, qo)
 	if err != nil {
