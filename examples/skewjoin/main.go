@@ -18,7 +18,7 @@ import (
 func intRel(name string, cols map[string][]int64, order []string) *ops.Relation {
 	rc := make([]ops.Col, 0, len(cols))
 	for _, n := range order {
-		rc = append(rc, ops.Col{Name: n, Type: coltypes.Int(), Data: coltypes.I64(cols[n])})
+		rc = append(rc, ops.Col{Name: n, Type: coltypes.Int(), Data: coltypes.Of(cols[n])})
 	}
 	return ops.MustRelation(rc)
 }

@@ -188,7 +188,7 @@ func seqI64(n int, f func(int) int64) []int64 {
 func benchIntRel(names []string, cols ...[]int64) *ops.Relation {
 	rc := make([]ops.Col, len(cols))
 	for i := range cols {
-		rc[i] = ops.Col{Name: names[i], Type: coltypes.Int(), Data: coltypes.I64(cols[i])}
+		rc[i] = ops.Col{Name: names[i], Type: coltypes.Int(), Data: coltypes.Of(cols[i])}
 	}
 	return ops.MustRelation(rc)
 }

@@ -99,7 +99,7 @@ func buildersRelation(bs []colBuilder) *ops.Relation {
 		if b.data == nil {
 			b.data = []int64{}
 		}
-		c.Data = coltypes.I64(b.data)
+		c.Data = coltypes.Of(b.data)
 		cols[i] = c
 	}
 	return ops.MustRelation(cols)

@@ -28,8 +28,8 @@ func propQuery(n int) *query {
 // pairRelation builds a two-column (key, payload) relation.
 func pairRelation(ks, vs []int64) *ops.Relation {
 	return ops.MustRelation([]ops.Col{
-		{Name: "k", Type: coltypes.Int(), Data: coltypes.I64(ks)},
-		{Name: "v", Type: coltypes.Int(), Data: coltypes.I64(vs)},
+		{Name: "k", Type: coltypes.Int(), Data: coltypes.Of(ks)},
+		{Name: "v", Type: coltypes.Int(), Data: coltypes.Of(vs)},
 	})
 }
 

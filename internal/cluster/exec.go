@@ -661,7 +661,7 @@ func (q *query) pickError(errs []error) error {
 func emptyRelation(fields []plan.Field) *ops.Relation {
 	cols := make([]ops.Col, len(fields))
 	for i, f := range fields {
-		cols[i] = ops.Col{Name: f.Name, Type: f.Type, Dict: f.Dict, Data: coltypes.I64{}}
+		cols[i] = ops.Col{Name: f.Name, Type: f.Type, Dict: f.Dict, Data: coltypes.Of([]int64{})}
 	}
 	return &ops.Relation{Cols: cols}
 }

@@ -165,7 +165,7 @@ func (q *query) mergePartials(g *plan.GroupBy, gathered *ops.Relation) (*ops.Rel
 			vals[i] = gr.keys[k]
 		}
 		f := outFields[k]
-		cols = append(cols, ops.Col{Name: f.Name, Type: f.Type, Dict: f.Dict, Data: coltypes.I64(vals)})
+		cols = append(cols, ops.Col{Name: f.Name, Type: f.Type, Dict: f.Dict, Data: coltypes.Of(vals)})
 	}
 	for j, l := range lay {
 		vals := make([]int64, n)
@@ -185,7 +185,7 @@ func (q *query) mergePartials(g *plan.GroupBy, gathered *ops.Relation) (*ops.Rel
 			}
 		}
 		f := outFields[nk+j]
-		cols = append(cols, ops.Col{Name: f.Name, Type: f.Type, Dict: f.Dict, Data: coltypes.I64(vals)})
+		cols = append(cols, ops.Col{Name: f.Name, Type: f.Type, Dict: f.Dict, Data: coltypes.Of(vals)})
 	}
 	return ops.NewRelation(cols)
 }

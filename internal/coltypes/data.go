@@ -2,54 +2,17 @@ package coltypes
 
 import "fmt"
 
-// Elem constrains the physical element types of column storage.
-type Elem interface {
-	~int8 | ~int16 | ~int32 | ~int64
-}
-
-// Data is the physical storage of one column vector: a flat array of
-// fixed-width integers. The interface exists for width-generic plumbing
-// (operators, DMS, storage); performance-critical primitives type-switch to
-// the concrete slice types and run width-specialized kernels, mirroring the
-// paper's generated type-specialized primitives.
-type Data interface {
-	// Len returns the number of elements.
-	Len() int
-	// Width returns the physical element width.
-	Width() Width
-	// Get returns element i sign-extended to 64 bits.
-	Get(i int) int64
-	// Set stores v into element i, truncating to the physical width.
-	Set(i int, v int64)
-	// Slice returns a view of elements [lo, hi).
-	Slice(lo, hi int) Data
-	// NewSame returns a fresh zeroed Data of the same width with n elements.
-	NewSame(n int) Data
-	// CopyFrom copies src (same width) into this Data starting at dstOff.
-	CopyFrom(dstOff int, src Data)
-	// SizeBytes returns the storage footprint.
-	SizeBytes() int
-}
-
-// Typed slice storage. The named slice types implement Data.
-type (
-	I8  []int8
-	I16 []int16
-	I32 []int32
-	I64 []int64
-)
-
 // New returns zeroed storage of the given width and length.
 func New(w Width, n int) Data {
 	switch w {
 	case W1:
-		return make(I8, n)
+		return Of(make([]int8, n))
 	case W2:
-		return make(I16, n)
+		return Of(make([]int16, n))
 	case W4:
-		return make(I32, n)
+		return Of(make([]int32, n))
 	case W8:
-		return make(I64, n)
+		return Of(make([]int64, n))
 	}
 	panic(fmt.Sprintf("coltypes: invalid width %d", w))
 }
@@ -72,141 +35,71 @@ func ToInt64s(d Data) []int64 {
 	return out
 }
 
-func (c I8) Len() int                   { return len(c) }
-func (c I8) Width() Width               { return W1 }
-func (c I8) Get(i int) int64            { return int64(c[i]) }
-func (c I8) Set(i int, v int64)         { c[i] = int8(v) }
-func (c I8) Slice(lo, hi int) Data      { return c[lo:hi] }
-func (c I8) NewSame(n int) Data         { return make(I8, n) }
-func (c I8) SizeBytes() int             { return len(c) }
-func (c I8) CopyFrom(off int, src Data) { copy(c[off:], src.(I8)) }
+// Len returns the number of elements.
+func (d Data) Len() int { return d.n }
 
-func (c I16) Len() int                   { return len(c) }
-func (c I16) Width() Width               { return W2 }
-func (c I16) Get(i int) int64            { return int64(c[i]) }
-func (c I16) Set(i int, v int64)         { c[i] = int16(v) }
-func (c I16) Slice(lo, hi int) Data      { return c[lo:hi] }
-func (c I16) NewSame(n int) Data         { return make(I16, n) }
-func (c I16) SizeBytes() int             { return len(c) * 2 }
-func (c I16) CopyFrom(off int, src Data) { copy(c[off:], src.(I16)) }
+// Width returns the physical element width.
+func (d Data) Width() Width { return d.w }
 
-func (c I32) Len() int                   { return len(c) }
-func (c I32) Width() Width               { return W4 }
-func (c I32) Get(i int) int64            { return int64(c[i]) }
-func (c I32) Set(i int, v int64)         { c[i] = int32(v) }
-func (c I32) Slice(lo, hi int) Data      { return c[lo:hi] }
-func (c I32) NewSame(n int) Data         { return make(I32, n) }
-func (c I32) SizeBytes() int             { return len(c) * 4 }
-func (c I32) CopyFrom(off int, src Data) { copy(c[off:], src.(I32)) }
+// SizeBytes returns the storage footprint.
+func (d Data) SizeBytes() int { return d.n * int(d.w) }
 
-func (c I64) Len() int                   { return len(c) }
-func (c I64) Width() Width               { return W8 }
-func (c I64) Get(i int) int64            { return c[i] }
-func (c I64) Set(i int, v int64)         { c[i] = v }
-func (c I64) Slice(lo, hi int) Data      { return c[lo:hi] }
-func (c I64) NewSame(n int) Data         { return make(I64, n) }
-func (c I64) SizeBytes() int             { return len(c) * 8 }
-func (c I64) CopyFrom(off int, src Data) { copy(c[off:], src.(I64)) }
+// NewSame returns a fresh zeroed Data of the same width with n elements.
+func (d Data) NewSame(n int) Data { return New(d.w, n) }
+
+// CopyFrom copies src (same width) into d starting at element dstOff.
+func (d Data) CopyFrom(dstOff int, src Data) {
+	if src.w != d.w {
+		panic(fmt.Sprintf("coltypes: CopyFrom of %d-byte Data into %d-byte Data", src.w, d.w))
+	}
+	copy(d.Slice(dstOff, d.n).bytes(), src.bytes())
+}
 
 // Zero clears every element of d. Pooled buffers are recycled with Zero
 // instead of being reallocated.
-func Zero(d Data) {
-	switch s := d.(type) {
-	case I8:
-		for i := range s {
-			s[i] = 0
-		}
-	case I16:
-		for i := range s {
-			s[i] = 0
-		}
-	case I32:
-		for i := range s {
-			s[i] = 0
-		}
-	case I64:
-		for i := range s {
-			s[i] = 0
-		}
-	default:
-		panic(fmt.Sprintf("coltypes: unsupported Data %T", d))
-	}
-}
+func Zero(d Data) { clear(d.bytes()) }
 
-// CopyRange copies src[lo:hi] into dst starting at dstOff. Equivalent to
-// dst.CopyFrom(dstOff, src.Slice(lo, hi)) but without boxing the slice view
-// into a fresh interface value — the DMS calls this once per column per
-// tile, so the hot path must not allocate.
-func CopyRange(dst Data, dstOff int, src Data, lo, hi int) {
-	switch s := src.(type) {
-	case I8:
-		copy(dst.(I8)[dstOff:], s[lo:hi])
-	case I16:
-		copy(dst.(I16)[dstOff:], s[lo:hi])
-	case I32:
-		copy(dst.(I32)[dstOff:], s[lo:hi])
-	case I64:
-		copy(dst.(I64)[dstOff:], s[lo:hi])
-	default:
-		panic(fmt.Sprintf("coltypes: unsupported Data %T", src))
-	}
-}
-
-// Gather copies src[rids[i]] into dst[i] for every i. dst and src must have
+// Gather copies src[rids[i]] into dst[i] for every i. (In Gather and Scatter
+// the 8-byte case is the switch's default, so that the zero Data panics in
+// the I64 accessor.) dst and src must have
 // the same width and dst.Len() >= len(rids). This is the software analogue
 // of the DMS gather pattern; the DMS itself uses it when simulating
 // descriptor execution.
 func Gather(dst, src Data, rids []uint32) {
-	switch s := src.(type) {
-	case I8:
-		d := dst.(I8)
-		for i, r := range rids {
-			d[i] = s[r]
-		}
-	case I16:
-		d := dst.(I16)
-		for i, r := range rids {
-			d[i] = s[r]
-		}
-	case I32:
-		d := dst.(I32)
-		for i, r := range rids {
-			d[i] = s[r]
-		}
-	case I64:
-		d := dst.(I64)
-		for i, r := range rids {
-			d[i] = s[r]
-		}
+	switch src.w {
+	case W1:
+		gather(dst.I8(), src.I8(), rids)
+	case W2:
+		gather(dst.I16(), src.I16(), rids)
+	case W4:
+		gather(dst.I32(), src.I32(), rids)
 	default:
-		panic(fmt.Sprintf("coltypes: unsupported Data %T", src))
+		gather(dst.I64(), src.I64(), rids)
+	}
+}
+
+func gather[T Elem](dst, src []T, rids []uint32) {
+	for i, r := range rids {
+		dst[i] = src[r]
 	}
 }
 
 // Scatter copies src[i] into dst[rids[i]] for every i.
 func Scatter(dst, src Data, rids []uint32) {
-	switch s := src.(type) {
-	case I8:
-		d := dst.(I8)
-		for i, r := range rids {
-			d[r] = s[i]
-		}
-	case I16:
-		d := dst.(I16)
-		for i, r := range rids {
-			d[r] = s[i]
-		}
-	case I32:
-		d := dst.(I32)
-		for i, r := range rids {
-			d[r] = s[i]
-		}
-	case I64:
-		d := dst.(I64)
-		for i, r := range rids {
-			d[r] = s[i]
-		}
+	switch src.w {
+	case W1:
+		scatter(dst.I8(), src.I8(), rids)
+	case W2:
+		scatter(dst.I16(), src.I16(), rids)
+	case W4:
+		scatter(dst.I32(), src.I32(), rids)
 	default:
-		panic(fmt.Sprintf("coltypes: unsupported Data %T", src))
+		scatter(dst.I64(), src.I64(), rids)
+	}
+}
+
+func scatter[T Elem](dst, src []T, rids []uint32) {
+	for i, r := range rids {
+		dst[r] = src[i]
 	}
 }

@@ -36,7 +36,7 @@ func (d *Descriptor) Validate() error {
 	if d.Rows <= 0 {
 		return fmt.Errorf("dms: descriptor rows must be positive")
 	}
-	if d.Col == nil || d.Buf == nil {
+	if !d.Col.Width().Valid() || !d.Buf.Width().Valid() {
 		return fmt.Errorf("dms: descriptor needs column and buffer")
 	}
 	if d.Buf.Len() < d.Rows {

@@ -16,7 +16,7 @@ func TestDescriptorValidation(t *testing.T) {
 	}
 	bad := []*Descriptor{
 		{Dir: DirRead, Col: col, Buf: buf, Rows: 0},
-		{Dir: DirRead, Col: nil, Buf: buf, Rows: 64},
+		{Dir: DirRead, Col: coltypes.Data{}, Buf: buf, Rows: 64},
 		{Dir: DirRead, Col: col, Buf: coltypes.New(coltypes.W4, 32), Rows: 64},
 		{Dir: DirRead, Col: col, Buf: coltypes.New(coltypes.W8, 64), Rows: 64},
 	}

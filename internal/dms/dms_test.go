@@ -55,6 +55,29 @@ func TestReadMovesData(t *testing.T) {
 	}
 }
 
+// TestReadPartialTileDoesNotAllocate: the tail tile of a scan reads into
+// shortened views of the DMEM buffers; taking those views and moving the
+// rows costs no heap allocation.
+func TestReadPartialTileDoesNotAllocate(t *testing.T) {
+	e, _ := newEngine()
+	src := mkCols(1000, 3, func(r, c int) int64 { return int64(r + c) })
+	bufs := mkCols(256, 3, func(r, c int) int64 { return 0 })
+	views := make([]coltypes.Data, len(bufs))
+	const lo, hi = 768, 1000 // 232 of 256 rows
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := range bufs {
+			views[i] = bufs[i].Slice(0, hi-lo)
+		}
+		e.Read(src, lo, hi, views)
+	})
+	if allocs != 0 {
+		t.Fatalf("partial-tile Read allocates %.0f times, want 0", allocs)
+	}
+	if views[2].Get(231) != 999+2 {
+		t.Fatalf("partial-tile Read moved the wrong rows: last = %d", views[2].Get(231))
+	}
+}
+
 func TestWriteMovesData(t *testing.T) {
 	e, _ := newEngine()
 	dst := mkCols(50, 2, func(r, c int) int64 { return 0 })
@@ -87,28 +110,6 @@ func TestGatherScatter(t *testing.T) {
 	}
 	if tm.Bytes != 24 {
 		t.Fatalf("gather Bytes = %d", tm.Bytes)
-	}
-	back := coltypes.New(coltypes.W8, 6)
-	e.ScatterWrite(back, []uint32{5, 1, 3}, dst)
-	if back.Get(5) != 50 || back.Get(1) != 10 || back.Get(3) != 30 || back.Get(0) != 0 {
-		t.Fatalf("scatter wrong: %v", coltypes.ToInt64s(back))
-	}
-}
-
-func TestBitVectorGatherRead(t *testing.T) {
-	e, _ := newEngine()
-	src := coltypes.FromInt64s(coltypes.W4, []int64{100, 101, 102, 103, 104, 105, 106, 107})
-	words := []uint64{0b10100101} // rows 0,2,5,7
-	dst := coltypes.New(coltypes.W4, 8)
-	n, _ := e.BitVectorGatherRead(src, words, 8, dst)
-	if n != 4 {
-		t.Fatalf("gathered %d rows", n)
-	}
-	want := []int64{100, 102, 105, 107}
-	for i, w := range want {
-		if dst.Get(i) != w {
-			t.Fatalf("row %d = %d, want %d", i, dst.Get(i), w)
-		}
 	}
 }
 
@@ -171,29 +172,29 @@ func uniformBounds(fanout int, card int) []int64 {
 	return b
 }
 
+// countIDs returns the rows per partition of a PartitionIDs vector.
+func countIDs(ids []uint8, fanout int) []int {
+	rows := make([]int, fanout)
+	for _, id := range ids {
+		rows[id]++
+	}
+	return rows
+}
+
 func TestRadixPartitioning(t *testing.T) {
 	e, _ := newEngine()
 	cols := mkCols(1000, 2, func(r, c int) int64 { return int64(r) })
-	parts, _, err := e.HWPartition(cols, PartitionSpec{Strategy: Radix, Fanout: 8, KeyCols: []int{0}})
+	ids, _, err := e.PartitionIDs(cols, PartitionSpec{Strategy: Radix, Fanout: 8, KeyCols: []int{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := 0
-	for p := 0; p < 8; p++ {
-		total += parts.Rows[p]
-		for i := 0; i < parts.Rows[p]; i++ {
-			key := parts.Cols[p][0].Get(i)
-			if key&7 != int64(p) {
-				t.Fatalf("row with key %d in partition %d", key, p)
-			}
-			// Row integrity: second column must travel with the first.
-			if parts.Cols[p][1].Get(i) != key {
-				t.Fatal("row torn across columns")
-			}
-		}
+	if len(ids) != 1000 {
+		t.Fatalf("rows lost: %d ids", len(ids))
 	}
-	if total != 1000 {
-		t.Fatalf("rows lost: %d", total)
+	for i, p := range ids {
+		if key := cols[0].Get(i); key&7 != int64(p) {
+			t.Fatalf("row with key %d in partition %d", key, p)
+		}
 	}
 }
 
@@ -229,12 +230,12 @@ func TestHashPartitioningBalance(t *testing.T) {
 	e, _ := newEngine()
 	const n = 32000
 	cols := mkCols(n, 1, func(r, c int) int64 { return int64(r) })
-	parts, _, err := e.HWPartition(cols, PartitionSpec{Strategy: Hash, Fanout: 32, KeyCols: []int{0}})
+	ids, _, err := e.PartitionIDs(cols, PartitionSpec{Strategy: Hash, Fanout: 32, KeyCols: []int{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := n / 32
-	for p, rows := range parts.Rows {
+	for p, rows := range countIDs(ids, 32) {
 		if rows < want*7/10 || rows > want*13/10 {
 			t.Fatalf("partition %d has %d rows, want ~%d", p, rows, want)
 		}
@@ -245,19 +246,17 @@ func TestRangePartitioning(t *testing.T) {
 	e, _ := newEngine()
 	cols := mkCols(100, 1, func(r, c int) int64 { return int64(r) })
 	spec := PartitionSpec{Strategy: Range, Fanout: 4, KeyCols: []int{0}, Bounds: []int64{25, 50, 75}}
-	parts, _, err := e.HWPartition(cols, spec)
+	ids, _, err := e.PartitionIDs(cols, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRows := []int{25, 25, 25, 25}
-	for p := range wantRows {
-		if parts.Rows[p] != wantRows[p] {
-			t.Fatalf("range partition %d has %d rows, want %d", p, parts.Rows[p], wantRows[p])
+	for p, rows := range countIDs(ids, 4) {
+		if rows != 25 {
+			t.Fatalf("range partition %d has %d rows, want 25", p, rows)
 		}
 	}
 	// Boundary value: key 25 goes to partition 1 (bounds are exclusive
 	// upper limits).
-	ids, _, _ := e.PartitionIDs(cols, spec)
 	if ids[25] != 1 || ids[24] != 0 || ids[99] != 3 {
 		t.Fatalf("boundary routing wrong: ids[24..25]=%d,%d ids[99]=%d", ids[24], ids[25], ids[99])
 	}

@@ -2,7 +2,6 @@ package dms
 
 import (
 	"fmt"
-	mathbits "math/bits"
 	"sync"
 
 	"rapid/internal/coltypes"
@@ -87,7 +86,7 @@ func (e *Engine) Read(src []coltypes.Data, lo, hi int, dst []coltypes.Data) Timi
 		if s.Width() != dst[i].Width() {
 			panic(fmt.Sprintf("dms: width mismatch on column %d", i))
 		}
-		coltypes.CopyRange(dst[i], 0, s, lo, hi)
+		dst[i].CopyFrom(0, s.Slice(lo, hi))
 		bytes := rows * s.Width().Bytes()
 		t.Seconds += e.model.chunkTime(bytes, len(src))
 		t.Bytes += int64(bytes)
@@ -105,7 +104,7 @@ func (e *Engine) Write(dst []coltypes.Data, at int, src []coltypes.Data, rows in
 	}
 	var t Timing
 	for i, s := range src {
-		coltypes.CopyRange(dst[i], at, s, 0, rows)
+		dst[i].CopyFrom(at, s.Slice(0, rows))
 		bytes := rows * s.Width().Bytes()
 		t.Seconds += e.model.chunkTime(bytes, len(src))
 		t.Bytes += int64(bytes)
@@ -174,52 +173,4 @@ func (e *Engine) GatherRead(src coltypes.Data, rids []uint32, dst coltypes.Data)
 	}
 	e.account(t)
 	return t
-}
-
-// ScatterWrite transfers src[i] (DMEM) into dst[rids[i]] (DRAM).
-func (e *Engine) ScatterWrite(dst coltypes.Data, rids []uint32, src coltypes.Data) Timing {
-	coltypes.Scatter(dst, src, rids)
-	bytes := len(rids) * src.Width().Bytes()
-	sec := float64(bytes) / e.model.PeakBytesPerSec
-	if pipe := float64(len(rids)) / GatherRate; pipe > sec {
-		sec = pipe
-	}
-	t := Timing{
-		Seconds:     sec + (e.model.DescriptorIssueNs+e.model.WriteTurnaroundNs)*1e-9,
-		Bytes:       int64(bytes),
-		Descriptors: 1,
-		Write:       true,
-	}
-	e.account(t)
-	return t
-}
-
-// BitVectorGatherRead is the bit-vector driven variant of GatherRead used by
-// filter chains: the DMS walks the bit-vector and fetches only set rows.
-// Returns the gathered row count.
-func (e *Engine) BitVectorGatherRead(src coltypes.Data, words []uint64, nbits int, dst coltypes.Data) (int, Timing) {
-	n := 0
-	for wi, w := range words {
-		base := wi * 64
-		for w != 0 {
-			tz := mathbits.TrailingZeros64(w)
-			i := base + tz
-			if i >= nbits {
-				break
-			}
-			dst.Set(n, src.Get(i))
-			n++
-			w &= w - 1
-		}
-	}
-	bytes := n * src.Width().Bytes()
-	// The bit-vector itself is also streamed from DMEM (free) but the
-	// gathered elements hit DRAM.
-	sec := float64(bytes) / e.model.PeakBytesPerSec
-	if pipe := float64(n) / GatherRate; pipe > sec {
-		sec = pipe
-	}
-	t := Timing{Seconds: sec + e.model.DescriptorIssueNs*1e-9, Bytes: int64(bytes), Descriptors: 1}
-	e.account(t)
-	return n, t
 }

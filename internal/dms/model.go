@@ -98,13 +98,6 @@ func (m Model) readTime(rows, cols int, width coltypes.Width) Timing {
 	}
 }
 
-// writeTime models a loop iteration writing column chunks back to DRAM.
-func (m Model) writeTime(rows, cols int, width coltypes.Width) Timing {
-	t := m.readTime(rows, cols, width)
-	t.Seconds += m.WriteTurnaroundNs * 1e-9
-	return t
-}
-
 // partitionEngineRate returns the row rate of the CMEM/CRC/CID pipeline for
 // a strategy.
 func (m Model) partitionEngineRate(s Strategy, keys int) float64 {

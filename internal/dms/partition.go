@@ -118,16 +118,6 @@ func (s PartitionSpec) Validate(numCols int) error {
 	return nil
 }
 
-// Partitions is the output of hardware partitioning: per-partition column
-// sets, conceptually placed directly into the target dpCores' DMEMs.
-type Partitions struct {
-	Cols [][]coltypes.Data // Cols[p][c]
-	Rows []int             // rows per partition
-}
-
-// NumPartitions returns the partition count.
-func (p *Partitions) NumPartitions() int { return len(p.Rows) }
-
 // PartitionIDs computes the target partition of every row (the CID vector
 // the hardware stages in CID memory) without moving data.
 func (e *Engine) PartitionIDs(cols []coltypes.Data, spec PartitionSpec) ([]uint8, Timing, error) {
@@ -159,15 +149,11 @@ func (e *Engine) PartitionIDs(cols []coltypes.Data, spec PartitionSpec) ([]uint8
 		}
 	case RoundRobin:
 		rrCounters := make([]int, len(spec.SkewRanges))
-		var keyCol coltypes.Data
-		if len(spec.KeyCols) > 0 {
-			keyCol = cols[spec.KeyCols[0]]
-		}
 		next := 0
 		for i := 0; i < n; i++ {
 			assigned := false
-			if keyCol != nil {
-				v := keyCol.Get(i)
+			if len(spec.KeyCols) > 0 {
+				v := cols[spec.KeyCols[0]].Get(i)
 				for ri, r := range spec.SkewRanges {
 					if v >= r.Lo && v <= r.Hi {
 						ids[i] = uint8(r.Targets[rrCounters[ri]%len(r.Targets)])
@@ -186,51 +172,6 @@ func (e *Engine) PartitionIDs(cols []coltypes.Data, spec PartitionSpec) ([]uint8
 	t := e.model.partitionTime(n, len(cols), widthOf(cols), spec.Strategy, len(spec.KeyCols))
 	e.account(t)
 	return ids, t, nil
-}
-
-// HWPartition partitions all columns by the spec, producing per-partition
-// column data. The DMS performs the whole operation in isolation from the
-// dpCores: no core cycles are charged.
-func (e *Engine) HWPartition(cols []coltypes.Data, spec PartitionSpec) (*Partitions, Timing, error) {
-	ids, t, err := e.PartitionIDs(cols, spec)
-	if err != nil {
-		return nil, Timing{}, err
-	}
-	n := 0
-	if len(cols) > 0 {
-		n = cols[0].Len()
-	}
-	counts := make([]int, spec.Fanout)
-	for _, id := range ids {
-		counts[id]++
-	}
-	// Per-partition RID lists via prefix offsets.
-	offsets := make([]int, spec.Fanout)
-	sum := 0
-	for p, c := range counts {
-		offsets[p] = sum
-		sum += c
-	}
-	rids := make([]uint32, n)
-	fill := append([]int(nil), offsets...)
-	for i, id := range ids {
-		rids[fill[id]] = uint32(i)
-		fill[id]++
-	}
-	out := &Partitions{
-		Cols: make([][]coltypes.Data, spec.Fanout),
-		Rows: counts,
-	}
-	for p := 0; p < spec.Fanout; p++ {
-		out.Cols[p] = make([]coltypes.Data, len(cols))
-		sel := rids[offsets[p] : offsets[p]+counts[p]]
-		for c, col := range cols {
-			dst := col.NewSame(len(sel))
-			coltypes.Gather(dst, col, sel)
-			out.Cols[p][c] = dst
-		}
-	}
-	return out, t, nil
 }
 
 // HashVector computes the CRC32 hash of the key columns for every row — the

@@ -261,10 +261,7 @@ func NewCacheEntry(payload any, rel *ops.Relation, cycles, energyNJ int64) *qcac
 		e.Rows = rel.Rows()
 		// Column payloads at physical width plus a small per-column overhead.
 		for _, c := range rel.Cols {
-			e.Bytes += 64
-			if c.Data != nil {
-				e.Bytes += int64(c.Data.SizeBytes())
-			}
+			e.Bytes += 64 + int64(c.Data.SizeBytes())
 		}
 	}
 	return e

@@ -406,7 +406,7 @@ func (db *Database) runHost(ctx context.Context, node plan.Node) (*ops.Relation,
 		if col == nil {
 			col = []int64{}
 		}
-		cols[c] = ops.Col{Name: f.Name, Type: f.Type, Dict: f.Dict, Data: coltypes.I64(col)}
+		cols[c] = ops.Col{Name: f.Name, Type: f.Type, Dict: f.Dict, Data: coltypes.Of(col)}
 	}
 	return ops.NewRelation(cols)
 }

@@ -40,11 +40,6 @@ type TilePool struct {
 
 	bv bvArena
 
-	// dbuf caches boxed coltypes.Data buffers per width (index = log2 of
-	// the width), so full-tile takes reuse the same interface value without
-	// re-boxing.
-	dbuf [4]dataArena
-
 	marks []poolMark
 
 	dataBytes int // data-buffer bytes currently taken
@@ -93,19 +88,9 @@ type bvArena struct {
 	idx  int
 }
 
-// dataArena recycles boxed coltypes.Data buffers by position. A take whose
-// length matches the cached buffer reuses the interface value outright (zero
-// allocations); shorter takes re-slice the cached backing (one interface
-// header); longer takes grow the slot.
-type dataArena struct {
-	slabs []coltypes.Data
-	idx   int
-}
-
 type poolMark struct {
 	i8, i16, i32, i64, u32, hdrs, rows int
 	bv                                 int
-	dbuf                               [4]int
 	dataBytes                          int
 }
 
@@ -114,7 +99,6 @@ func (p *TilePool) snapshot() poolMark {
 		i8: p.i8.off, i16: p.i16.off, i32: p.i32.off, i64: p.i64.off,
 		u32: p.u32.off, hdrs: p.hdrs.off, rows: p.rows.off,
 		bv:        p.bv.idx,
-		dbuf:      [4]int{p.dbuf[0].idx, p.dbuf[1].idx, p.dbuf[2].idx, p.dbuf[3].idx},
 		dataBytes: p.dataBytes,
 	}
 }
@@ -123,9 +107,6 @@ func (p *TilePool) restore(m poolMark) {
 	p.i8.off, p.i16.off, p.i32.off, p.i64.off = m.i8, m.i16, m.i32, m.i64
 	p.u32.off, p.hdrs.off, p.rows.off = m.u32, m.hdrs, m.rows
 	p.bv.idx = m.bv
-	for i := range p.dbuf {
-		p.dbuf[i].idx = m.dbuf[i]
-	}
 	p.dataBytes = m.dataBytes
 }
 
@@ -204,39 +185,18 @@ func (p *TilePool) BV(n int) *bits.Vector {
 	return v
 }
 
-// Data returns a zeroed coltypes.Data buffer of the given width and length.
-// Steady-state takes of a stable length reuse the cached boxed value with no
-// heap allocation; shorter takes cost one interface-header allocation.
+// Data returns a zeroed coltypes.Data buffer of the given width and length:
+// a view over the typed arena of that width.
 func (p *TilePool) Data(w coltypes.Width, n int) coltypes.Data {
-	var a *dataArena
 	switch w {
 	case coltypes.W1:
-		a = &p.dbuf[0]
+		return coltypes.Of(p.I8(n))
 	case coltypes.W2:
-		a = &p.dbuf[1]
+		return coltypes.Of(p.I16(n))
 	case coltypes.W4:
-		a = &p.dbuf[2]
-	default:
-		a = &p.dbuf[3]
+		return coltypes.Of(p.I32(n))
 	}
-	if a.idx == len(a.slabs) {
-		a.slabs = append(a.slabs, nil)
-	}
-	d := a.slabs[a.idx]
-	if d == nil || d.Len() < n || d.Width() != w {
-		d = coltypes.New(w, n)
-		a.slabs[a.idx] = d
-		p.grows++
-	}
-	a.idx++
-	p.noteData(n * w.Bytes())
-	if d.Len() == n {
-		coltypes.Zero(d)
-		return d
-	}
-	v := d.Slice(0, n)
-	coltypes.Zero(v)
-	return v
+	return coltypes.Of(p.I64(n))
 }
 
 // DataBytesInUse returns the bytes of data buffers currently taken (headers
@@ -257,22 +217,23 @@ func (p *TilePool) MarkHighWater() { p.highWater = p.dataBytes }
 // tiles; the QEF exports the delta as qef_pool_grows_total.
 func (p *TilePool) Grows() int64 { return p.grows }
 
+// Element sizes of the two header arenas on a 64-bit target; a test checks
+// them against unsafe.Sizeof.
+const (
+	dataHeaderBytes  = 24 // coltypes.Data: pointer, length, width
+	sliceHeaderBytes = 24 // []int64
+)
+
 // RetainedBytes returns the bytes of backing storage the pool keeps alive
-// for reuse (typed arenas, bit-vectors and boxed data slabs), independent of
-// how much is currently taken. With pools owned by long-lived scheduler
+// for reuse (typed and header arenas, bit-vectors), independent of how much
+// is currently taken. With pools owned by long-lived scheduler
 // workers this is the cross-query memory footprint of pooling.
 func (p *TilePool) RetainedBytes() int {
 	total := len(p.i8.buf) + 2*len(p.i16.buf) + 4*len(p.i32.buf) +
-		8*len(p.i64.buf) + 4*len(p.u32.buf)
+		8*len(p.i64.buf) + 4*len(p.u32.buf) +
+		dataHeaderBytes*len(p.hdrs.buf) + sliceHeaderBytes*len(p.rows.buf)
 	for _, v := range p.bv.vecs {
 		total += v.SizeBytes()
-	}
-	for _, a := range p.dbuf {
-		for _, d := range a.slabs {
-			if d != nil {
-				total += d.Len() * d.Width().Bytes()
-			}
-		}
 	}
 	return total
 }

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"testing"
+	"unsafe"
 
 	"rapid/internal/coltypes"
 )
@@ -109,10 +110,14 @@ func TestTilePoolDataSlabReuse(t *testing.T) {
 	d.Set(3, 99)
 	p.Reset()
 	d2 := p.Data(coltypes.W8, 256)
-	if d2.Get(3) != 0 {
-		t.Fatal("recycled Data slab not zeroed")
+	if &d2.I64()[0] != &d.I64()[0] {
+		t.Fatal("Data take after Reset did not reuse the arena storage")
 	}
-	// Shorter takes re-slice the cached slab and stay zeroed.
+	if d2.Get(3) != 0 {
+		t.Fatal("recycled Data buffer not zeroed")
+	}
+	// Data is a view over the typed arena of its width: a short take bumps
+	// the same arena the I64 takes use, and comes back zeroed.
 	d3 := p.Data(coltypes.W8, 100)
 	if d3.Len() != 100 {
 		t.Fatalf("short take len = %d", d3.Len())
@@ -122,6 +127,29 @@ func TestTilePoolDataSlabReuse(t *testing.T) {
 			t.Fatalf("short take not zeroed at %d", i)
 		}
 	}
+	if got := p.DataBytesInUse(); got != (256+100)*8 {
+		t.Fatalf("DataBytesInUse = %d, want %d", got, (256+100)*8)
+	}
+}
+
+// TestTilePoolDataTakesDoNotAllocate: a Data take is three words over arena
+// storage — full or short, at any width, it never reaches the heap once the
+// arenas have grown.
+func TestTilePoolDataTakesDoNotAllocate(t *testing.T) {
+	p := NewTilePool()
+	var sink coltypes.Data
+	takes := func() {
+		p.Reset()
+		for _, w := range []coltypes.Width{coltypes.W1, coltypes.W2, coltypes.W4, coltypes.W8} {
+			sink = p.Data(w, 256)
+			sink = p.Data(w, 37)
+		}
+	}
+	takes()
+	if allocs := testing.AllocsPerRun(100, takes); allocs != 0 {
+		t.Fatalf("steady-state Data takes allocate %.0f times per round, want 0", allocs)
+	}
+	_ = sink
 }
 
 func TestTilePoolHighWater(t *testing.T) {
@@ -202,5 +230,40 @@ func TestTilePoolRetainedBytesAndTrimTo(t *testing.T) {
 	}
 	if p.Grows() == grows {
 		t.Fatalf("take after trim should have regrown an arena")
+	}
+}
+
+// TestTilePoolHeaderSizes keeps the element sizes RetainedBytes assumes for
+// the two header arenas equal to the real ones.
+func TestTilePoolHeaderSizes(t *testing.T) {
+	if got := unsafe.Sizeof(coltypes.Data{}); got != dataHeaderBytes {
+		t.Errorf("unsafe.Sizeof(coltypes.Data{}) = %d, dataHeaderBytes = %d", got, dataHeaderBytes)
+	}
+	if got := unsafe.Sizeof([]int64(nil)); got != sliceHeaderBytes {
+		t.Errorf("unsafe.Sizeof([]int64) = %d, sliceHeaderBytes = %d", got, sliceHeaderBytes)
+	}
+}
+
+// TestTilePoolTrimToCountsHeaderArenas: a pool that grew nothing but header
+// arenas is still over a bound smaller than those arenas, and TrimTo drops
+// them.
+func TestTilePoolTrimToCountsHeaderArenas(t *testing.T) {
+	p := NewTilePool()
+	const n = 1 << 14
+	p.Headers(n)
+	p.RowHeaders(n)
+	p.Reset()
+	retained := p.RetainedBytes()
+	if want := n * (dataHeaderBytes + sliceHeaderBytes); retained < want {
+		t.Fatalf("RetainedBytes = %d with %d-element header arenas, want >= %d", retained, n, want)
+	}
+	grows := p.Grows()
+	p.TrimTo(retained - 1)
+	if got := p.RetainedBytes(); got != 0 {
+		t.Fatalf("TrimTo under the header arenas' size retained %d bytes, want 0", got)
+	}
+	p.Headers(1)
+	if p.Grows() == grows {
+		t.Fatal("header arena survived TrimTo")
 	}
 }

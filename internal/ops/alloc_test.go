@@ -207,36 +207,34 @@ func allocRelation(rows int) *Relation {
 	return MustRelation(cols)
 }
 
-// testTileLoopAllocs measures steady-state allocations of one full scan
-// (after a warm-up pass that grows the pools) and asserts the per-tile
-// budget. The budget tolerates the few interface-boxing allocations Go
-// forces per tile (slice-view headers and expression-result boxing) but
-// fails on any regression to per-tile buffer allocation.
+// testTileLoopAllocs asserts the steady-state allocation slope of the tile
+// loop: the allocations a scan of 2N rows makes beyond a scan of N rows,
+// per extra tile. Differencing cancels whatever a scan costs independent of
+// its length, so the budget is the tile loop's own and needs no allowance.
 func testTileLoopAllocs(t *testing.T, mode qef.Mode, perTileBudget float64) {
 	const rows = 1 << 15
 	const tileRows = 256
-	rel := allocRelation(rows)
 	ctx := qef.NewContext(mode)
-	scan := func() {
-		sink := &CountSink{}
-		if err := RelationScan(ctx, rel, tileRows, allocChain(sink)); err != nil {
-			t.Fatal(err)
+	allocsPerScan := func(rows int) float64 {
+		rel := allocRelation(rows)
+		scan := func() {
+			sink := &CountSink{}
+			if err := RelationScan(ctx, rel, tileRows, allocChain(sink)); err != nil {
+				t.Fatal(err)
+			}
+			if sink.Rows() == 0 {
+				t.Fatal("no rows survived the filter")
+			}
 		}
-		if sink.Rows() == 0 {
-			t.Fatal("no rows survived the filter")
-		}
+		scan() // warm-up: pools grow to steady-state size here
+		return testing.AllocsPerRun(5, scan)
 	}
-	scan() // warm-up: pools grow to steady-state size here
-	tiles := float64(rows / tileRows)
-	// Fixed per-scan overhead (work-unit closures, goroutines, chain
-	// construction) is excluded from the per-tile budget.
-	const fixedBudget = 4096
-	allocs := testing.AllocsPerRun(5, scan)
-	if perTile := (allocs - fixedBudget) / tiles; perTile > perTileBudget {
-		t.Errorf("%s tile loop: %.0f allocs/scan ≈ %.2f allocs/tile (budget %.2f) — the hot path regressed",
-			mode, allocs, perTile, perTileBudget)
+	long, short := allocsPerScan(2*rows), allocsPerScan(rows)
+	if perTile := (long - short) / (rows / tileRows); perTile > perTileBudget {
+		t.Errorf("%s tile loop: %.0f allocs/scan at %d rows, %.0f at %d ≈ %.2f allocs/tile (budget %.2f) — the hot path regressed",
+			mode, long, 2*rows, short, rows, perTile, perTileBudget)
 	}
 }
 
-func TestTileLoopAllocsX86(t *testing.T) { testTileLoopAllocs(t, qef.ModeX86, 8) }
-func TestTileLoopAllocsDPU(t *testing.T) { testTileLoopAllocs(t, qef.ModeDPU, 8) }
+func TestTileLoopAllocsX86(t *testing.T) { testTileLoopAllocs(t, qef.ModeX86, 1) }
+func TestTileLoopAllocsDPU(t *testing.T) { testTileLoopAllocs(t, qef.ModeDPU, 1) }

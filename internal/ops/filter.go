@@ -154,7 +154,7 @@ func (p *ProjectOp) Produce(tc *qef.TaskCtx, t *qef.Tile) error {
 		out[i] = t.Cols[k]
 	}
 	for i, e := range p.Exprs {
-		out[len(p.Keep)+i] = coltypes.I64(e.Eval(tc, t))
+		out[len(p.Keep)+i] = coltypes.Of(e.Eval(tc, t))
 	}
 	nt := tileScratch(tc, out, t.N)
 	nt.Sel = t.Sel

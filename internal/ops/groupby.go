@@ -304,7 +304,7 @@ func (m *GroupMerger) Relation(keyCols []Col, outNames []string) *Relation {
 			vals[i] = m.kcols[k][row]
 		}
 		c := keyCols[k]
-		c.Data = coltypes.I64(vals)
+		c.Data = coltypes.Of(vals)
 		cols = append(cols, c)
 	}
 	for s, spec := range m.Specs {
@@ -326,7 +326,7 @@ func (m *GroupMerger) Relation(keyCols []Col, outNames []string) *Relation {
 		if name == "" && s < len(outNames) {
 			name = outNames[s]
 		}
-		cols = append(cols, Col{Name: name, Type: coltypes.Int(), Data: coltypes.I64(vals)})
+		cols = append(cols, Col{Name: name, Type: coltypes.Int(), Data: coltypes.Of(vals)})
 	}
 	return MustRelation(cols)
 }

@@ -162,7 +162,7 @@ func (g *groupCollector) relation(keyCols []Col, outNames []string) *Relation {
 	cols := make([]Col, 0, len(data))
 	for k := 0; k < g.nKeys; k++ {
 		c := keyCols[k]
-		c.Data = coltypes.I64(data[k])
+		c.Data = coltypes.Of(data[k])
 		cols = append(cols, c)
 	}
 	for s, spec := range g.specs {
@@ -170,7 +170,7 @@ func (g *groupCollector) relation(keyCols []Col, outNames []string) *Relation {
 		if name == "" && s < len(outNames) {
 			name = outNames[s]
 		}
-		cols = append(cols, Col{Name: name, Type: coltypes.Int(), Data: coltypes.I64(data[g.nKeys+s])})
+		cols = append(cols, Col{Name: name, Type: coltypes.Int(), Data: coltypes.Of(data[g.nKeys+s])})
 	}
 	return MustRelation(cols)
 }

@@ -379,12 +379,12 @@ func (s *joinSink) relation() *Relation {
 	out := make([]Col, 0, len(data))
 	for _, pc := range s.spec.ProbePayload {
 		c := s.probe.Cols[pc]
-		c.Data = coltypes.I64(data[len(out)])
+		c.Data = coltypes.Of(data[len(out)])
 		out = append(out, c)
 	}
 	for _, bc := range s.spec.BuildPayload {
 		c := s.build.Cols[bc]
-		c.Data = coltypes.I64(data[len(out)])
+		c.Data = coltypes.Of(data[len(out)])
 		out = append(out, c)
 	}
 	return MustRelation(out)

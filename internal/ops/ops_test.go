@@ -14,7 +14,7 @@ import (
 func intRel(names []string, cols ...[]int64) *Relation {
 	rc := make([]Col, len(cols))
 	for i := range cols {
-		rc[i] = Col{Name: names[i], Type: coltypes.Int(), Data: coltypes.I64(cols[i])}
+		rc[i] = Col{Name: names[i], Type: coltypes.Int(), Data: coltypes.Of(cols[i])}
 	}
 	return MustRelation(rc)
 }
@@ -50,8 +50,8 @@ func TestRelationBasics(t *testing.T) {
 		t.Fatal("Render int")
 	}
 	if _, err := NewRelation([]Col{
-		{Name: "a", Data: coltypes.I64{1}},
-		{Name: "b", Data: coltypes.I64{1, 2}},
+		{Name: "a", Data: coltypes.Of([]int64{1})},
+		{Name: "b", Data: coltypes.Of([]int64{1, 2})},
 	}); err == nil {
 		t.Fatal("ragged relation should fail")
 	}
@@ -59,9 +59,9 @@ func TestRelationBasics(t *testing.T) {
 
 func TestRenderTypes(t *testing.T) {
 	r := MustRelation([]Col{
-		{Name: "d", Type: coltypes.Decimal(2), Data: coltypes.I64{12345}},
-		{Name: "dt", Type: coltypes.Date(), Data: coltypes.I64{storage.DateValue(1995, 3, 15).Days()}},
-		{Name: "b", Type: coltypes.Bool(), Data: coltypes.I64{1}},
+		{Name: "d", Type: coltypes.Decimal(2), Data: coltypes.Of([]int64{12345})},
+		{Name: "dt", Type: coltypes.Date(), Data: coltypes.Of([]int64{storage.DateValue(1995, 3, 15).Days()})},
+		{Name: "b", Type: coltypes.Bool(), Data: coltypes.Of([]int64{1})},
 	})
 	if r.Render(0, 0) != "123.45" {
 		t.Fatalf("decimal render = %s", r.Render(0, 0))

@@ -80,14 +80,12 @@ func (p *PartitionedRel) Rows(i int) int {
 // TPC-H-sized input yields several chunks per core.
 const partChunkRows = 16 << 10
 
-// checkCols rejects column representations the width-specialised kernels do
-// not know, as a query error: a fuzzed plan must not reach a Scatter panic.
+// checkCols rejects a column that was never given storage (the zero Data)
+// as a query error: a fuzzed plan must not reach a Scatter panic.
 func checkCols(cols []coltypes.Data) error {
 	for i, c := range cols {
-		switch c.(type) {
-		case coltypes.I8, coltypes.I16, coltypes.I32, coltypes.I64:
-		default:
-			return fmt.Errorf("ops: column %d: unsupported data %T", i, c)
+		if !c.Width().Valid() {
+			return fmt.Errorf("ops: column %d: unsupported data width %d", i, c.Width())
 		}
 	}
 	return nil

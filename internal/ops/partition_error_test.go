@@ -8,22 +8,11 @@ import (
 	"rapid/internal/qef"
 )
 
-// fakeData is a Data representation the engine's width-specialised kernels
-// do not know — the stand-in for whatever a fuzzed plan smuggles into a
-// partitioning pass.
-type fakeData struct{}
-
-func (fakeData) Len() int                     { return 256 }
-func (fakeData) Width() coltypes.Width        { return coltypes.W8 }
-func (fakeData) Get(int) int64                { return 0 }
-func (fakeData) Set(int, int64)               {}
-func (fakeData) Slice(int, int) coltypes.Data { return fakeData{} }
-func (fakeData) NewSame(int) coltypes.Data    { return fakeData{} }
-func (fakeData) SizeBytes() int               { return 8 }
-func (fakeData) CopyFrom(int, coltypes.Data)  {}
-
+// fakeCols returns a valid key column beside a column that was never given
+// storage (the zero Data) — the stand-in for whatever a fuzzed plan smuggles
+// into a partitioning pass.
 func fakeCols() ([]coltypes.Data, []uint32) {
-	cols := []coltypes.Data{coltypes.I64(seq(256, func(i int) int64 { return int64(i) })), fakeData{}}
+	cols := []coltypes.Data{coltypes.Of(seq(256, func(i int) int64 { return int64(i) })), {}}
 	hv := make([]uint32, 256)
 	for i := range hv {
 		hv[i] = uint32(i)
@@ -32,7 +21,7 @@ func fakeCols() ([]coltypes.Data, []uint32) {
 }
 
 // TestSplitPartitionUnknownDataIsError pins the PR 8 fuzzer fix across the
-// scatter rewrite: an unknown column representation reaching the round-0 /
+// scatter rewrite: a column without storage reaching the round-0 /
 // re-split path comes back as a query error, never a Scatter panic.
 func TestSplitPartitionUnknownDataIsError(t *testing.T) {
 	cols, hv := fakeCols()

@@ -87,13 +87,13 @@ func pinScheme(s string) PartScheme {
 func pinCols(n, width int) []coltypes.Data {
 	rng := rand.New(rand.NewSource(int64(n)*31 + int64(width)))
 	w := coltypes.Width(width)
-	key, pay, rid := coltypes.New(w, n), coltypes.New(w, n), make(coltypes.I64, n)
+	key, pay, rid := coltypes.New(w, n), coltypes.New(w, n), make([]int64, n)
 	for i := 0; i < n; i++ {
 		key.Set(i, rng.Int63())
 		pay.Set(i, rng.Int63())
 		rid[i] = int64(i)
 	}
-	return []coltypes.Data{key, pay, rid}
+	return []coltypes.Data{key, pay, coltypes.Of(rid)}
 }
 
 func partitionSignature(p *PartitionedRel) uint64 {

@@ -158,7 +158,7 @@ type ExprCmp struct {
 }
 
 func (p *ExprCmp) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.Vector, int) {
-	d := coltypes.I64(p.E.Eval(tc, t))
+	d := coltypes.Of(p.E.Eval(tc, t))
 	out := bvScratch(tc, t.N)
 	var hits int
 	if inBV == nil {

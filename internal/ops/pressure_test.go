@@ -113,7 +113,7 @@ func TestScanFailsCleanlyWhenTileCannotFit(t *testing.T) {
 	ctx := tinyDMEMContext(t, 2*1024)
 	cols := make([]Col, 40)
 	for i := range cols {
-		cols[i] = Col{Name: "c", Data: coltypes.I64(seq(1000, func(j int) int64 { return int64(j) }))}
+		cols[i] = Col{Name: "c", Data: coltypes.Of(seq(1000, func(j int) int64 { return int64(j) }))}
 	}
 	rel := MustRelation(cols)
 	sink := &CountSink{}

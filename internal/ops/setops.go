@@ -140,7 +140,7 @@ func SetOp(ctx *qef.Context, a, b *Relation, kind SetOpKind) (*Relation, error) 
 			}
 		}
 		cols[c] = a.Cols[c]
-		cols[c].Data = coltypes.I64(vals)
+		cols[c].Data = coltypes.Of(vals)
 	}
 	return MustRelation(cols), nil
 }

@@ -10,21 +10,17 @@ import (
 )
 
 // widenGather writes src[rids[i]] widened to 64 bits into dst[i], with one
-// width-specialised loop per column instead of an interface call per value.
+// width-specialised loop per column instead of a Get call per value.
 func widenGather(dst []int64, src coltypes.Data, rids []uint32) {
-	switch s := src.(type) {
-	case coltypes.I8:
-		widenGatherOf(dst, s, rids)
-	case coltypes.I16:
-		widenGatherOf(dst, s, rids)
-	case coltypes.I32:
-		widenGatherOf(dst, s, rids)
-	case coltypes.I64:
-		widenGatherOf(dst, s, rids)
+	switch src.Width() {
+	case coltypes.W1:
+		widenGatherOf(dst, src.I8(), rids)
+	case coltypes.W2:
+		widenGatherOf(dst, src.I16(), rids)
+	case coltypes.W4:
+		widenGatherOf(dst, src.I32(), rids)
 	default:
-		for i, r := range rids {
-			dst[i] = src.Get(int(r))
-		}
+		widenGatherOf(dst, src.I64(), rids)
 	}
 }
 
@@ -249,7 +245,7 @@ func (s *CollectSink) Relation() *Relation {
 	cols := make([]Col, len(s.OutCols))
 	for i, c := range s.OutCols {
 		cols[i] = c
-		cols[i].Data = coltypes.I64(bufs[i])
+		cols[i].Data = coltypes.Of(bufs[i])
 	}
 	return MustRelation(cols)
 }

@@ -143,7 +143,7 @@ func Window(ctx *qef.Context, rel *Relation, spec WindowSpec) (*Relation, error)
 	cols := append(append([]Col(nil), sorted.Cols...), Col{
 		Name: name,
 		Type: coltypes.Int(),
-		Data: coltypes.I64(out),
+		Data: coltypes.Of(out),
 	})
 	return MustRelation(cols), nil
 }

@@ -1,7 +1,6 @@
 package primitives
 
 import (
-	"fmt"
 	"math"
 
 	"rapid/internal/bits"
@@ -22,26 +21,24 @@ func WidenToI64(core *dpu.Core, d coltypes.Data, dst []int64) []int64 {
 		dst = make([]int64, n)
 	}
 	dst = dst[:n]
-	switch s := d.(type) {
-	case coltypes.I8:
-		for i, v := range s {
-			dst[i] = int64(v)
-		}
-	case coltypes.I16:
-		for i, v := range s {
-			dst[i] = int64(v)
-		}
-	case coltypes.I32:
-		for i, v := range s {
-			dst[i] = int64(v)
-		}
-	case coltypes.I64:
-		copy(dst, s)
+	switch d.Width() {
+	case coltypes.W1:
+		widen(dst, d.I8())
+	case coltypes.W2:
+		widen(dst, d.I16())
+	case coltypes.W4:
+		widen(dst, d.I32())
 	default:
-		panic(fmt.Sprintf("primitives: unsupported data %T", d))
+		copy(dst, d.I64())
 	}
 	charge(core, costWidenPerRow*float64(n))
 	return dst
+}
+
+func widen[T coltypes.Elem](dst []int64, src []T) {
+	for i, v := range src {
+		dst[i] = int64(v)
+	}
 }
 
 // AddConst computes out[i] = in[i] + c.

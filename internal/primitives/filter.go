@@ -93,10 +93,22 @@ func cmp[T coltypes.Elem](op CmpOp, a, b T) bool {
 
 // filterConstBV is the dense first-predicate kernel: evaluate `in[i] op
 // cval` for every row and set the output bit-vector. Returns the hit count.
-func filterConstBV[T coltypes.Elem](core *dpu.Core, in []T, op CmpOp, cval T, out *bits.Vector) int {
+// A constant outside T's domain makes the predicate uniformly true or false
+// and is resolved without billing (as in all three constant kernels).
+func filterConstBV[T coltypes.Elem](core *dpu.Core, in []T, op CmpOp, cval int64, out *bits.Vector) int {
+	c, ok := constFit[T](cval)
+	if !ok {
+		if !degenerateTrue(op, cval) {
+			return 0
+		}
+		for i := range in {
+			out.Set(i)
+		}
+		return len(in)
+	}
 	hits := 0
 	for i, v := range in {
-		if cmp(op, v, cval) {
+		if cmp(op, v, c) {
 			out.Set(i)
 			hits++
 		}
@@ -113,12 +125,23 @@ func filterConstBV[T coltypes.Elem](core *dpu.Core, in []T, op CmpOp, cval T, ou
 // surviving rows to out. Per-value cost scales with the candidate count,
 // but every bit-vector word must still be loaded and scanned — the reason
 // RID lists win below 1/32 density (§5.4).
-func filterConstBVMasked[T coltypes.Elem](core *dpu.Core, in []T, op CmpOp, cval T, inBV, out *bits.Vector) int {
+func filterConstBVMasked[T coltypes.Elem](core *dpu.Core, in []T, op CmpOp, cval int64, inBV, out *bits.Vector) int {
+	c, ok := constFit[T](cval)
 	hits := 0
+	if !ok {
+		if !degenerateTrue(op, cval) {
+			return 0
+		}
+		for i := inBV.NextSet(0); i >= 0; i = inBV.NextSet(i + 1) {
+			out.Set(i)
+			hits++
+		}
+		return hits
+	}
 	candidates := 0
 	for i := inBV.NextSet(0); i >= 0; i = inBV.NextSet(i + 1) {
 		candidates++
-		if cmp(op, in[i], cval) {
+		if cmp(op, in[i], c) {
 			out.Set(i)
 			hits++
 		}
@@ -132,26 +155,37 @@ func filterConstBVMasked[T coltypes.Elem](core *dpu.Core, in []T, op CmpOp, cval
 }
 
 // filterConstRIDs is the RID-list kernel chosen when fewer than 1/32 of the
-// rows are expected to qualify (§5.4): scan the candidate RIDs and append
-// survivors to out.
-func filterConstRIDs[T coltypes.Elem](core *dpu.Core, in []T, op CmpOp, cval T, inRIDs []uint32, out []uint32) []uint32 {
+// rows are expected to qualify (§5.4): scan the candidate RIDs (nil = all
+// rows) and append survivors to out.
+func filterConstRIDs[T coltypes.Elem](core *dpu.Core, in []T, op CmpOp, cval int64, inRIDs []uint32, out []uint32) []uint32 {
+	c, ok := constFit[T](cval)
+	if !ok {
+		if !degenerateTrue(op, cval) {
+			return out
+		}
+		if inRIDs != nil {
+			return append(out, inRIDs...)
+		}
+		for i := range in {
+			out = append(out, uint32(i))
+		}
+		return out
+	}
+	if inRIDs == nil {
+		for i, v := range in {
+			if cmp(op, v, c) {
+				out = append(out, uint32(i))
+			}
+		}
+		charge(core, costFilterRIDPerRow*float64(len(in)))
+		return out
+	}
 	for _, r := range inRIDs {
-		if cmp(op, in[r], cval) {
+		if cmp(op, in[r], c) {
 			out = append(out, r)
 		}
 	}
 	charge(core, costFilterRIDPerRow*float64(len(inRIDs)))
-	return out
-}
-
-// filterConstRIDsDense scans all n rows and emits qualifying RIDs.
-func filterConstRIDsDense[T coltypes.Elem](core *dpu.Core, in []T, op CmpOp, cval T, out []uint32) []uint32 {
-	for i, v := range in {
-		if cmp(op, v, cval) {
-			out = append(out, uint32(i))
-		}
-	}
-	charge(core, costFilterRIDPerRow*float64(len(in)))
 	return out
 }
 
@@ -237,100 +271,47 @@ func filterInSet[T coltypes.Elem](core *dpu.Core, in []T, set *bits.Vector, inBV
 }
 
 // Data-dispatching wrappers: select the width-specialized instantiation for
-// a coltypes.Data, mirroring the generated-primitive lookup.
+// a coltypes.Data, mirroring the generated-primitive lookup. The 8-byte
+// kernel is each switch's default, so a zero Data panics in its I64 accessor.
 
 // FilterConstBV evaluates `d op cval` densely into out, returning hits.
 func FilterConstBV(core *dpu.Core, d coltypes.Data, op CmpOp, cval int64, out *bits.Vector) int {
-	switch s := d.(type) {
-	case coltypes.I8:
-		c, ok := constFit[int8](cval)
-		if !ok {
-			return degenerateConst(op, cval, d, len(s), out)
-		}
-		return filterConstBV(core, s, op, c, out)
-	case coltypes.I16:
-		c, ok := constFit[int16](cval)
-		if !ok {
-			return degenerateConst(op, cval, d, len(s), out)
-		}
-		return filterConstBV(core, s, op, c, out)
-	case coltypes.I32:
-		c, ok := constFit[int32](cval)
-		if !ok {
-			return degenerateConst(op, cval, d, len(s), out)
-		}
-		return filterConstBV(core, s, op, c, out)
-	case coltypes.I64:
-		return filterConstBV(core, s, op, cval, out)
+	switch d.Width() {
+	case coltypes.W1:
+		return filterConstBV(core, d.I8(), op, cval, out)
+	case coltypes.W2:
+		return filterConstBV(core, d.I16(), op, cval, out)
+	case coltypes.W4:
+		return filterConstBV(core, d.I32(), op, cval, out)
 	}
-	panic(fmt.Sprintf("primitives: unsupported data %T", d))
+	return filterConstBV(core, d.I64(), op, cval, out)
 }
 
 // FilterConstBVMasked evaluates `d op cval` on rows of inBV into out.
 func FilterConstBVMasked(core *dpu.Core, d coltypes.Data, op CmpOp, cval int64, inBV, out *bits.Vector) int {
-	switch s := d.(type) {
-	case coltypes.I8:
-		c, ok := constFit[int8](cval)
-		if !ok {
-			return degenerateConstMasked(op, cval, d, inBV, out)
-		}
-		return filterConstBVMasked(core, s, op, c, inBV, out)
-	case coltypes.I16:
-		c, ok := constFit[int16](cval)
-		if !ok {
-			return degenerateConstMasked(op, cval, d, inBV, out)
-		}
-		return filterConstBVMasked(core, s, op, c, inBV, out)
-	case coltypes.I32:
-		c, ok := constFit[int32](cval)
-		if !ok {
-			return degenerateConstMasked(op, cval, d, inBV, out)
-		}
-		return filterConstBVMasked(core, s, op, c, inBV, out)
-	case coltypes.I64:
-		return filterConstBVMasked(core, s, op, cval, inBV, out)
+	switch d.Width() {
+	case coltypes.W1:
+		return filterConstBVMasked(core, d.I8(), op, cval, inBV, out)
+	case coltypes.W2:
+		return filterConstBVMasked(core, d.I16(), op, cval, inBV, out)
+	case coltypes.W4:
+		return filterConstBVMasked(core, d.I32(), op, cval, inBV, out)
 	}
-	panic(fmt.Sprintf("primitives: unsupported data %T", d))
+	return filterConstBVMasked(core, d.I64(), op, cval, inBV, out)
 }
 
 // FilterConstRIDs evaluates `d op cval` over candidate RIDs (nil = dense
 // scan) appending hits to out.
 func FilterConstRIDs(core *dpu.Core, d coltypes.Data, op CmpOp, cval int64, inRIDs []uint32, out []uint32) []uint32 {
-	switch s := d.(type) {
-	case coltypes.I8:
-		c, ok := constFit[int8](cval)
-		if !ok {
-			return degenerateConstRIDs(op, cval, d, inRIDs, out)
-		}
-		if inRIDs == nil {
-			return filterConstRIDsDense(core, s, op, c, out)
-		}
-		return filterConstRIDs(core, s, op, c, inRIDs, out)
-	case coltypes.I16:
-		c, ok := constFit[int16](cval)
-		if !ok {
-			return degenerateConstRIDs(op, cval, d, inRIDs, out)
-		}
-		if inRIDs == nil {
-			return filterConstRIDsDense(core, s, op, c, out)
-		}
-		return filterConstRIDs(core, s, op, c, inRIDs, out)
-	case coltypes.I32:
-		c, ok := constFit[int32](cval)
-		if !ok {
-			return degenerateConstRIDs(op, cval, d, inRIDs, out)
-		}
-		if inRIDs == nil {
-			return filterConstRIDsDense(core, s, op, c, out)
-		}
-		return filterConstRIDs(core, s, op, c, inRIDs, out)
-	case coltypes.I64:
-		if inRIDs == nil {
-			return filterConstRIDsDense(core, s, op, cval, out)
-		}
-		return filterConstRIDs(core, s, op, cval, inRIDs, out)
+	switch d.Width() {
+	case coltypes.W1:
+		return filterConstRIDs(core, d.I8(), op, cval, inRIDs, out)
+	case coltypes.W2:
+		return filterConstRIDs(core, d.I16(), op, cval, inRIDs, out)
+	case coltypes.W4:
+		return filterConstRIDs(core, d.I32(), op, cval, inRIDs, out)
 	}
-	panic(fmt.Sprintf("primitives: unsupported data %T", d))
+	return filterConstRIDs(core, d.I64(), op, cval, inRIDs, out)
 }
 
 // FilterBetweenBV evaluates lo <= d <= hi on rows of inBV (nil = all).
@@ -347,33 +328,30 @@ func FilterBetweenBV(core *dpu.Core, d coltypes.Data, lo, hi int64, inBV, out *b
 	if lo > hi {
 		return 0
 	}
-	switch s := d.(type) {
-	case coltypes.I8:
-		return filterBetweenBV(core, s, int8(lo), int8(hi), inBV, out)
-	case coltypes.I16:
-		return filterBetweenBV(core, s, int16(lo), int16(hi), inBV, out)
-	case coltypes.I32:
-		return filterBetweenBV(core, s, int32(lo), int32(hi), inBV, out)
-	case coltypes.I64:
-		return filterBetweenBV(core, s, lo, hi, inBV, out)
+	switch w {
+	case coltypes.W1:
+		return filterBetweenBV(core, d.I8(), int8(lo), int8(hi), inBV, out)
+	case coltypes.W2:
+		return filterBetweenBV(core, d.I16(), int16(lo), int16(hi), inBV, out)
+	case coltypes.W4:
+		return filterBetweenBV(core, d.I32(), int32(lo), int32(hi), inBV, out)
 	}
-	panic(fmt.Sprintf("primitives: unsupported data %T", d))
+	return filterBetweenBV(core, d.I64(), lo, hi, inBV, out)
 }
 
 // FilterColColBV evaluates a[i] op b[i]; a and b may have different widths
 // (widened comparison).
 func FilterColColBV(core *dpu.Core, a, b coltypes.Data, op CmpOp, inBV, out *bits.Vector) int {
 	if a.Width() == b.Width() {
-		switch sa := a.(type) {
-		case coltypes.I8:
-			return filterColColBV(core, sa, b.(coltypes.I8), op, inBV, out)
-		case coltypes.I16:
-			return filterColColBV(core, sa, b.(coltypes.I16), op, inBV, out)
-		case coltypes.I32:
-			return filterColColBV(core, sa, b.(coltypes.I32), op, inBV, out)
-		case coltypes.I64:
-			return filterColColBV(core, sa, b.(coltypes.I64), op, inBV, out)
+		switch a.Width() {
+		case coltypes.W1:
+			return filterColColBV(core, a.I8(), b.I8(), op, inBV, out)
+		case coltypes.W2:
+			return filterColColBV(core, a.I16(), b.I16(), op, inBV, out)
+		case coltypes.W4:
+			return filterColColBV(core, a.I32(), b.I32(), op, inBV, out)
 		}
+		return filterColColBV(core, a.I64(), b.I64(), op, inBV, out)
 	}
 	// Mixed widths: widen both (the compiler normally inserts explicit
 	// widen primitives; this fallback keeps the operator correct).
@@ -384,17 +362,15 @@ func FilterColColBV(core *dpu.Core, a, b coltypes.Data, op CmpOp, inBV, out *bit
 
 // FilterInSetBV tests dictionary-code membership on rows of inBV (nil=all).
 func FilterInSetBV(core *dpu.Core, d coltypes.Data, set *bits.Vector, inBV, out *bits.Vector) int {
-	switch s := d.(type) {
-	case coltypes.I8:
-		return filterInSet(core, s, set, inBV, out)
-	case coltypes.I16:
-		return filterInSet(core, s, set, inBV, out)
-	case coltypes.I32:
-		return filterInSet(core, s, set, inBV, out)
-	case coltypes.I64:
-		return filterInSet(core, s, set, inBV, out)
+	switch d.Width() {
+	case coltypes.W1:
+		return filterInSet(core, d.I8(), set, inBV, out)
+	case coltypes.W2:
+		return filterInSet(core, d.I16(), set, inBV, out)
+	case coltypes.W4:
+		return filterInSet(core, d.I32(), set, inBV, out)
 	}
-	panic(fmt.Sprintf("primitives: unsupported data %T", d))
+	return filterInSet(core, d.I64(), set, inBV, out)
 }
 
 // constFit narrows a 64-bit constant, reporting whether it is representable
@@ -404,51 +380,12 @@ func constFit[T coltypes.Elem](v int64) (T, bool) {
 	return t, int64(t) == v
 }
 
-// degenerateConst resolves comparisons whose constant lies outside the
-// column's physical domain: the predicate is then uniformly true or false.
-func degenerateConst(op CmpOp, cval int64, d coltypes.Data, n int, out *bits.Vector) int {
-	if !degenerateTrue(op, cval, d) {
-		return 0
-	}
-	for i := 0; i < n; i++ {
-		out.Set(i)
-	}
-	return n
-}
-
-func degenerateConstMasked(op CmpOp, cval int64, d coltypes.Data, inBV, out *bits.Vector) int {
-	if !degenerateTrue(op, cval, d) {
-		return 0
-	}
-	hits := 0
-	for i := inBV.NextSet(0); i >= 0; i = inBV.NextSet(i + 1) {
-		out.Set(i)
-		hits++
-	}
-	return hits
-}
-
-func degenerateConstRIDs(op CmpOp, cval int64, d coltypes.Data, inRIDs []uint32, out []uint32) []uint32 {
-	if !degenerateTrue(op, cval, d) {
-		return out
-	}
-	if inRIDs == nil {
-		for i := 0; i < d.Len(); i++ {
-			out = append(out, uint32(i))
-		}
-		return out
-	}
-	return append(out, inRIDs...)
-}
-
-// degenerateTrue reports whether `x op cval` holds for every representable
-// x of the column width, given that cval is outside that width's domain.
-func degenerateTrue(op CmpOp, cval int64, d coltypes.Data) bool {
-	w := d.Width()
-	above := cval > w.MaxInt()
+// degenerateTrue reports whether `x op cval` holds for every x of a column
+// whose (signed) physical domain does not contain cval: cval is then above
+// the domain when positive and below it when negative.
+func degenerateTrue(op CmpOp, cval int64) bool {
+	above := cval > 0
 	switch op {
-	case EQ:
-		return false
 	case NE:
 		return true
 	case LT, LE:

@@ -28,28 +28,24 @@ func HashColumn(core *dpu.Core, d coltypes.Data, acc []uint32, first bool) []uin
 	} else if len(acc) != n {
 		panic(fmt.Sprintf("primitives: hash accumulator length %d != %d", len(acc), n))
 	}
-	switch s := d.(type) {
-	case coltypes.I8:
-		for i, v := range s {
-			acc[i] = hashcrc.Hash64(acc[i], uint64(int64(v)))
-		}
-	case coltypes.I16:
-		for i, v := range s {
-			acc[i] = hashcrc.Hash64(acc[i], uint64(int64(v)))
-		}
-	case coltypes.I32:
-		for i, v := range s {
-			acc[i] = hashcrc.Hash64(acc[i], uint64(int64(v)))
-		}
-	case coltypes.I64:
-		for i, v := range s {
-			acc[i] = hashcrc.Hash64(acc[i], uint64(v))
-		}
+	switch d.Width() {
+	case coltypes.W1:
+		hashInto(acc, d.I8())
+	case coltypes.W2:
+		hashInto(acc, d.I16())
+	case coltypes.W4:
+		hashInto(acc, d.I32())
 	default:
-		panic(fmt.Sprintf("primitives: unsupported data %T", d))
+		hashInto(acc, d.I64())
 	}
 	charge(core, costHashPerRowPerKey*float64(n))
 	return acc
+}
+
+func hashInto[T coltypes.Elem](acc []uint32, in []T) {
+	for i, v := range in {
+		acc[i] = hashcrc.Hash64(acc[i], uint64(int64(v)))
+	}
 }
 
 // HashFinalize applies the final mix to the accumulator vector.

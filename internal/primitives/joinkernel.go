@@ -272,12 +272,3 @@ func (ht *CompactHT) ProbeExists(core *dpu.Core, hv []uint32, keys, keys2 []int6
 	charge(core, JoinProbeCost(n, tileRows, ratio))
 	return hits
 }
-
-// MatchedBuildRows marks every build row that matched at least once (outer
-// join bookkeeping). It re-probes with the given probe vectors.
-func (ht *CompactHT) MatchedBuildRows(core *dpu.Core, matches []Match, out *bits.Vector) {
-	for _, m := range matches {
-		out.Set(int(m.BuildRow))
-	}
-	charge(core, costGatherPerRow*float64(len(matches)))
-}

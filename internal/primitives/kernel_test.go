@@ -208,7 +208,8 @@ func TestSwPartitionAll(t *testing.T) {
 		parts[p] = make([]coltypes.Data, len(cols))
 		for c, col := range cols {
 			parts[p][c] = col.NewSame(m.Rows(p))
-			SwPartitionColumn(core, col, m, p, parts[p][c])
+			coltypes.Gather(parts[p][c], col, m.Partition(p))
+			ChargeSwPartitionGather(core, m.Rows(p))
 		}
 	}
 	total := 0
@@ -395,35 +396,6 @@ func TestCompactHTEquivalence(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRegistry(t *testing.T) {
-	// 4 widths x 6 ops x 2 variants of filters alone = 48 primitives.
-	if Count() < 60 {
-		t.Fatalf("registry has %d primitives, expected the generated matrix", Count())
-	}
-	in, ok := Lookup("rpdmpr_bvflt_i4_OPT_TYPE_EQ_cval")
-	if !ok {
-		t.Fatal("Listing 1's primitive must be registered")
-	}
-	if in.Kind != KindFilterBV || in.Width != coltypes.W4 || in.Op != "EQ" {
-		t.Fatalf("info = %+v", in)
-	}
-	if _, ok := Lookup("swpart_partcol_i4"); !ok {
-		t.Fatal("Listing 3's primitive must be registered")
-	}
-	if _, ok := Lookup("compute_partition_map"); !ok {
-		t.Fatal("Listing 2's primitive must be registered")
-	}
-	all := All()
-	if len(all) != Count() {
-		t.Fatal("All inconsistent")
-	}
-	for i := 1; i < len(all); i++ {
-		if all[i-1].Name >= all[i].Name {
-			t.Fatal("All must be sorted")
-		}
 	}
 }
 

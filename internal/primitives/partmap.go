@@ -72,18 +72,11 @@ func ComputePartitionMap(core *dpu.Core, hv []uint32, fanout int, shift uint) *P
 	return m
 }
 
-// SwPartitionColumn is Listing 3 (swpart_partcol): gather the rows of
-// partition p from the input column and emit them sequentially into out.
-// out must have m.Rows(p) elements.
-func SwPartitionColumn(core *dpu.Core, in coltypes.Data, m *PartitionMap, p int, out coltypes.Data) {
-	sel := m.Partition(p)
-	coltypes.Gather(out, in, sel)
-	ChargeSwPartitionGather(core, len(sel))
-}
-
-// ChargeSwPartitionGather bills Listing 3 for n gathered values (rows ×
-// columns): the software partitioning operator moves its data with one
-// scatter per column and replays the per-tile gather cost through here.
+// ChargeSwPartitionGather bills Listing 3 (swpart_partcol: gather the rows
+// of one partition from an input column and emit them sequentially) for n
+// gathered values (rows × columns): the software partitioning operator moves
+// its data with one scatter per column and replays the per-tile gather cost
+// through here.
 func ChargeSwPartitionGather(core *dpu.Core, n int) {
 	charge(core, costSwPartGatherPerRow*float64(n))
 	if core != nil {

@@ -490,7 +490,7 @@ func (p *pipelineNode) finalizeScalar(res *ops.ScalarAggResult) (*ops.Relation, 
 			v = res.Value(f.specIdx, ops.AggCount)
 		}
 		fld := p.outFields[i]
-		cols[i] = ops.Col{Name: fld.Name, Type: fld.Type, Data: coltypes.I64{v}}
+		cols[i] = ops.Col{Name: fld.Name, Type: fld.Type, Data: coltypes.Of([]int64{v})}
 	}
 	return ops.NewRelation(cols)
 }
@@ -524,7 +524,7 @@ func (p *pipelineNode) finalizeGrouped(raw *ops.Relation, nKeys int) (*ops.Relat
 				vals[r] = src.Get(r)
 			}
 		}
-		cols = append(cols, ops.Col{Name: fld.Name, Type: fld.Type, Data: coltypes.I64(vals)})
+		cols = append(cols, ops.Col{Name: fld.Name, Type: fld.Type, Data: coltypes.Of(vals)})
 	}
 	return ops.NewRelation(cols)
 }

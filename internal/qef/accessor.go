@@ -1,9 +1,6 @@
 package qef
 
-import (
-	"rapid/internal/bits"
-	"rapid/internal/coltypes"
-)
+import "rapid/internal/coltypes"
 
 // Accessor is the relation accessor (RA) of paper §5.1: the common interface
 // operators use to declare their memory access pattern — sequential, gather,
@@ -103,13 +100,8 @@ func (a *Accessor) Sequential(cols []coltypes.Data, tileRows int, fn func(*Tile)
 			hi = rows
 		}
 		n := hi - lo
-		if n == tileRows {
-			// Full tile: reuse the pre-boxed buffers outright.
-			copy(views, bufs)
-		} else {
-			for i := range bufs {
-				views[i] = bufs[i].Slice(0, n)
-			}
+		for i := range bufs {
+			views[i] = bufs[i].Slice(0, n)
 		}
 		t := a.tc.Ctx.DMS.Read(cols, lo, hi, views)
 		a.tc.AddTransfer(t)
@@ -134,47 +126,10 @@ func (a *Accessor) GatherTile(col coltypes.Data, rids []uint32) (coltypes.Data, 
 	// Admission check before the host-side buffer: a gather the scratchpad
 	// rejects must not have paid the allocation it is rejecting.
 	if err := a.tc.DMEM.Alloc(len(rids) * col.Width().Bytes()); err != nil {
-		return nil, err
+		return coltypes.Data{}, err
 	}
 	dst := a.tc.DataScratch(col.Width(), len(rids))
 	t := a.tc.Ctx.DMS.GatherRead(col, rids, dst)
 	a.tc.AddTransfer(t)
 	return dst, nil
-}
-
-// GatherBitVector fetches the rows set in bv from a DRAM column into a DMEM
-// buffer — the bit-vector driven gather of Listing 1's BVLD. The returned
-// buffer is tile-lifetime pool scratch, like GatherTile's.
-func (a *Accessor) GatherBitVector(col coltypes.Data, bv *bits.Vector) (coltypes.Data, int, error) {
-	n := bv.Count()
-	if a.tc.Core == nil {
-		dst := a.tc.DataScratch(col.Width(), n)
-		i := 0
-		bv.ForEach(func(r int) {
-			dst.Set(i, col.Get(r))
-			i++
-		})
-		return dst, n, nil
-	}
-	// Admission check first, as in GatherTile.
-	if err := a.tc.DMEM.Alloc(n * col.Width().Bytes()); err != nil {
-		return nil, 0, err
-	}
-	dst := a.tc.DataScratch(col.Width(), n)
-	got, t := a.tc.Ctx.DMS.BitVectorGatherRead(col, bv.Words(), bv.Len(), dst)
-	a.tc.AddTransfer(t)
-	return dst, got, nil
-}
-
-// WriteBack stores DMEM tile columns to DRAM destinations at row offset
-// `at` (the materialization at a task boundary).
-func (a *Accessor) WriteBack(dst []coltypes.Data, at int, src []coltypes.Data, rows int) {
-	if a.tc.Core == nil {
-		for i := range src {
-			dst[i].CopyFrom(at, src[i].Slice(0, rows))
-		}
-		return
-	}
-	t := a.tc.Ctx.DMS.Write(dst, at, src, rows)
-	a.tc.AddTransfer(t)
 }

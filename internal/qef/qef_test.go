@@ -116,9 +116,9 @@ func TestTileSelection(t *testing.T) {
 	if !tile.Dense() || tile.QualifyingRows() != 4 {
 		t.Fatal("dense tile")
 	}
-	rids := tile.SelRIDs()
+	rids := tile.AppendSelRIDs(nil)
 	if len(rids) != 4 || rids[3] != 3 {
-		t.Fatal("dense SelRIDs")
+		t.Fatal("dense AppendSelRIDs")
 	}
 	bv := bits.NewVector(4)
 	bv.Set(1)
@@ -134,7 +134,7 @@ func TestTileSelection(t *testing.T) {
 	}
 	tile.Sel = nil
 	tile.RIDs = []uint32{0, 2}
-	if tile.QualifyingRows() != 2 || tile.SelRIDs()[1] != 2 {
+	if tile.QualifyingRows() != 2 || tile.AppendSelRIDs(nil)[1] != 2 {
 		t.Fatal("rid selection")
 	}
 }
@@ -263,38 +263,10 @@ func TestAccessorGather(t *testing.T) {
 			if got.Get(0) != 50 || got.Get(1) != 10 {
 				return errors.New("gather wrong")
 			}
-			bv := bits.NewVector(5)
-			bv.Set(1)
-			bv.Set(3)
-			dst, n, err := ra.GatherBitVector(col, bv)
-			if err != nil {
-				return err
-			}
-			if n != 2 || dst.Get(0) != 20 || dst.Get(1) != 40 {
-				return errors.New("bv gather wrong")
-			}
 			return nil
 		})
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
-		}
-	}
-}
-
-func TestAccessorWriteBack(t *testing.T) {
-	for _, mode := range []Mode{ModeDPU, ModeX86} {
-		ctx := NewContext(mode)
-		dst := []coltypes.Data{coltypes.New(coltypes.W4, 10)}
-		src := []coltypes.Data{coltypes.FromInt64s(coltypes.W4, []int64{7, 8, 9})}
-		err := ctx.RunSerial(func(tc *TaskCtx) error {
-			NewAccessor(tc).WriteBack(dst, 4, src, 3)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dst[0].Get(4) != 7 || dst[0].Get(6) != 9 || dst[0].Get(3) != 0 {
-			t.Fatalf("%v: writeback wrong: %v", mode, coltypes.ToInt64s(dst[0]))
 		}
 	}
 }

@@ -44,26 +44,10 @@ func (t *Tile) QualifyingRows() int {
 	}
 }
 
-// SelRIDs returns the qualifying row offsets as a RID slice, converting
-// from the bit-vector representation if needed.
-func (t *Tile) SelRIDs() []uint32 {
-	switch {
-	case t.RIDs != nil:
-		return t.RIDs
-	case t.Sel != nil:
-		return t.Sel.ToRIDs(nil)
-	default:
-		rids := make([]uint32, t.N)
-		for i := range rids {
-			rids[i] = uint32(i)
-		}
-		return rids
-	}
-}
-
-// AppendSelRIDs appends the qualifying row offsets to dst and returns it —
-// the pooled-buffer variant of SelRIDs. When the tile already carries a RID
-// list it is returned directly (no copy) if dst is empty.
+// AppendSelRIDs appends the qualifying row offsets to dst and returns it,
+// converting from the bit-vector representation if needed. When the tile
+// already carries a RID list it is returned directly (no copy) if dst is
+// empty.
 func (t *Tile) AppendSelRIDs(dst []uint32) []uint32 {
 	switch {
 	case t.RIDs != nil:

@@ -385,7 +385,7 @@ func (s *Snapshot) deltaChunkView() *ChunkView {
 	cols := make([]coltypes.Data, s.t.schema.NumCols())
 	cv := &ChunkView{Rows: len(rows), Part: 0}
 	cv.data = func(col int) coltypes.Data {
-		if cols[col] == nil {
+		if cols[col].Width() == 0 { // not built yet
 			// Delta rows may exceed the base width; store wide.
 			d := coltypes.New(coltypes.W8, len(rows))
 			for i, r := range rows {
