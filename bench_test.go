@@ -50,8 +50,7 @@ func BenchmarkFig8_HardwarePartitioning(b *testing.B) {
 	}
 	for _, s := range strategies {
 		b.Run(s.name, func(b *testing.B) {
-			soc := dpu.MustNew(dpu.DefaultConfig())
-			eng := dms.NewEngine(dms.DefaultModel(), soc.DRAM())
+			eng := dms.NewEngine(dms.DefaultModel())
 			var simBW float64
 			for i := 0; i < b.N; i++ {
 				_, tm, err := eng.PartitionIDs(cols, s.spec)
@@ -70,8 +69,7 @@ func BenchmarkFig8_HardwarePartitioning(b *testing.B) {
 func BenchmarkFig9_DMSReadWrite(b *testing.B) {
 	const rows = 1 << 17
 	src := mk4ByteCols(rows, 4)
-	soc := dpu.MustNew(dpu.DefaultConfig())
-	eng := dms.NewEngine(dms.DefaultModel(), soc.DRAM())
+	eng := dms.NewEngine(dms.DefaultModel())
 	bufs := make([]coltypes.Data, 4)
 	for c := range bufs {
 		bufs[c] = coltypes.New(coltypes.W4, 128)

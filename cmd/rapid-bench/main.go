@@ -5,7 +5,7 @@
 // Usage:
 //
 //	rapid-bench [-sf 0.01] [-reps 3] [-micro-rows 2097152] [-skip-tpch]
-//	            [-clients 0] [-client-ops 8] [-cache] [-cache-warm 32]
+//	            [-clients 0] [-client-ops 8]
 //	            [-profile out.json] [-trace out.json]
 //	            [-tray-trace out.json] [-tray-trace-nodes 4]
 //	            [-metrics addr] [-pprof] [-metrics-out file]
@@ -53,8 +53,6 @@ func main() {
 	pprofOn := flag.Bool("pprof", false, "expose Go runtime profiles on /debug/pprof/* of the -metrics endpoint")
 	metricsOut := flag.String("metrics-out", "", "write the final Prometheus metrics exposition to this file")
 	pruning := flag.Bool("pruning", false, "run the zone-map pruning effectiveness experiment (shipdate-clustered lineitem, pruning on vs off)")
-	cacheBench := flag.Bool("cache", false, "run the query-cache repeated-workload experiment (cold vs warm latency, hit rate, energy saved)")
-	cacheWarm := flag.Int("cache-warm", 32, "warm re-issues per query for -cache")
 	flag.Parse()
 
 	fmt.Println("RAPID reproduction benchmark suite")
@@ -92,22 +90,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Println(bench.RunPruningTable(runs))
-		cdb.Close()
-	}
-
-	if *cacheBench {
-		fmt.Printf("building cached TPC-H workload at SF %.3f...\n", *sf)
-		cdb, err := bench.SetupTPCHCached(*sf)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cache setup:", err)
-			os.Exit(1)
-		}
-		runs, err := bench.RunCache(cdb, []string{"Q1", "Q6", "Q12", "Q14"}, *cacheWarm)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cache:", err)
-			os.Exit(1)
-		}
-		fmt.Println(bench.RunCacheTable(runs, *cacheWarm))
 		cdb.Close()
 	}
 

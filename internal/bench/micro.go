@@ -37,8 +37,7 @@ func RunFig8(rows int) *Table {
 		Title:   "Fig 8: Hardware-partitioning performance of DMS (32-way, 4x4B columns)",
 		Headers: []string{"strategy", "GiB/s", "paper"},
 	}
-	soc := dpu.MustNew(dpu.DefaultConfig())
-	eng := dms.NewEngine(dms.DefaultModel(), soc.DRAM())
+	eng := dms.NewEngine(dms.DefaultModel())
 	cols := mkCols(rows, 4)
 	bounds := make([]int64, 31)
 	for i := range bounds {
@@ -73,8 +72,7 @@ func RunFig9() *Table {
 		Title:   "Fig 9: Read/write performance with DMS (4B columns)",
 		Headers: []string{"cols", "tile", "mode", "GiB/s"},
 	}
-	soc := dpu.MustNew(dpu.DefaultConfig())
-	eng := dms.NewEngine(dms.DefaultModel(), soc.DRAM())
+	eng := dms.NewEngine(dms.DefaultModel())
 	const totalRows = 1 << 18
 	for _, nc := range []int{2, 4, 8, 16, 32} {
 		src := mkCols(totalRows, nc)

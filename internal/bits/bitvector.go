@@ -223,6 +223,17 @@ func (v *Vector) FromRIDs(rids []uint32) {
 	}
 }
 
+// ChooseRIDs implements the representation decision of paper §5.4: a list of
+// 32-bit row offsets (RIDs) wins over a bit-vector when the expected number
+// of qualifying rows is below 1/32 of the input (a RID costs 32 bits; a
+// bit-vector costs 1 bit per input row).
+func ChooseRIDs(expectedHits, inputRows int) bool {
+	if inputRows <= 0 {
+		return false
+	}
+	return expectedHits*32 < inputRows
+}
+
 // String renders the vector as 0/1 characters, lowest index first. Intended
 // for tests and debugging of small vectors.
 func (v *Vector) String() string {

@@ -155,27 +155,6 @@ func TestPackedArrayQuick(t *testing.T) {
 	}
 }
 
-func TestRIDList(t *testing.T) {
-	l := NewRIDList(4)
-	for i := 0; i < 10; i++ {
-		l.Append(RID(i * 3))
-	}
-	if l.Len() != 10 || l.At(4) != 12 {
-		t.Fatalf("Len/At = %d/%d", l.Len(), l.At(4))
-	}
-	if l.SizeBytes() != 40 {
-		t.Fatalf("SizeBytes = %d", l.SizeBytes())
-	}
-	v := l.ToVector(30)
-	if v.Count() != 10 || !v.Test(27) || v.Test(28) {
-		t.Fatal("ToVector wrong")
-	}
-	l.Reset()
-	if l.Len() != 0 {
-		t.Fatal("Reset failed")
-	}
-}
-
 func TestChooseRIDs(t *testing.T) {
 	// Exactly the 1/32 rule of §5.4.
 	if !ChooseRIDs(10, 1000) {

@@ -56,22 +56,37 @@ func TestTrayBillsDMSDescriptors(t *testing.T) {
 	}
 	counter := tray.Metrics().Counter("rapid_dms_descriptors_total")
 	before := counter.Value()
-	res, q, err := tray.execute(context.Background(), bound, QueryOptions{Mode: qef.ModeDPU}, obs.ActiveHandle{})
+	res, q, err := tray.execute(context.Background(), bound, QueryOptions{Mode: qef.ModeDPU, Trace: true}, obs.ActiveHandle{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Rel.Rows() != 11 {
 		t.Fatalf("rows = %d, want 11 groups", res.Rel.Rows())
 	}
-	descriptors := func(ctx *qef.Context) int64 {
-		rd, wr := ctx.DMS.TotalsByDir()
-		return int64(rd.Descriptors + wr.Descriptors)
+	descriptors := func(ctx *qef.Context) int64 { return ctx.Usage().Descriptors() }
+	// Each context's traced fragments add up to its whole-query descriptors.
+	fragments := make([]int64, len(q.nctx)+1)
+	for _, st := range res.Trace {
+		if st.Coord != nil {
+			fragments[len(q.nctx)] += st.Coord.Totals().DMSDescriptors
+		}
+		for i, p := range st.NodeProfiles {
+			if p != nil {
+				fragments[i] += p.Totals().DMSDescriptors
+			}
+		}
 	}
 	var nodes int64
-	for _, ctx := range q.nctx {
+	for i, ctx := range q.nctx {
 		nodes += descriptors(ctx)
+		if fragments[i] != descriptors(ctx) {
+			t.Errorf("node %d: fragments sum to %d descriptors, whole query billed %d", i, fragments[i], descriptors(ctx))
+		}
 	}
 	coord := descriptors(q.coord)
+	if fragments[len(q.nctx)] != coord {
+		t.Errorf("coordinator: fragments sum to %d descriptors, whole query billed %d", fragments[len(q.nctx)], coord)
+	}
 	if nodes == 0 || coord == 0 {
 		t.Fatalf("node descriptors = %d, coordinator = %d; the query must exercise both", nodes, coord)
 	}

@@ -296,26 +296,22 @@ func (t *Tray) execute(goCtx context.Context, bound plan.Node, opts QueryOptions
 	// per-node breakdown, makespan and queue wait over the nodes only.
 	var totRd, totWr, descriptors int64
 	for i, ctx := range append(q.nctx[:n:n], q.coord) {
-		cy := int64(ctx.SoC.TotalCycles())
-		rd, wr := ctx.DMS.TotalsByDir()
+		u := ctx.Usage()
+		cy, sim := u.Cycles(), u.SimElapsed()
 		res.TotalCycles += cy
-		totRd += rd.Bytes
-		totWr += wr.Bytes
-		descriptors += int64(rd.Descriptors + wr.Descriptors)
-		res.TilesPruned += ctx.TilesPruned()
-		if opts.Mode == qef.ModeDPU {
-			for _, co := range ctx.SoC.Cores() {
-				if hw := co.DMEM().HighWater(); hw > res.DMEMHighWater {
-					res.DMEMHighWater = hw
-				}
-			}
+		totRd += u.Read.Bytes
+		totWr += u.Write.Bytes
+		descriptors += u.Descriptors()
+		res.TilesPruned += u.TilesPruned
+		if u.DMEMHighWater > res.DMEMHighWater {
+			res.DMEMHighWater = u.DMEMHighWater
 		}
 		if i == n {
+			res.CoordSimSeconds = sim
 			break
 		}
-		sim := ctx.SimElapsed()
 		res.PerNode = append(res.PerNode, NodeStats{
-			Cycles: cy, DMSReadBytes: rd.Bytes, DMSWriteBytes: wr.Bytes, SimSeconds: sim,
+			Cycles: cy, DMSReadBytes: u.Read.Bytes, DMSWriteBytes: u.Write.Bytes, SimSeconds: sim,
 		})
 		if sim > res.NodeSimSeconds {
 			res.NodeSimSeconds = sim
@@ -324,7 +320,6 @@ func (t *Tray) execute(goCtx context.Context, bound plan.Node, opts QueryOptions
 			res.QueueWait = w
 		}
 	}
-	res.CoordSimSeconds = q.coord.SimElapsed()
 	res.SimSeconds = res.NodeSimSeconds + res.NetSeconds + res.CoordSimSeconds
 
 	em := power.DefaultEnergyModel()
@@ -472,86 +467,23 @@ func (q *query) materialize(rec *recipe, only0 bool, label string) ([]*ops.Relat
 	return q.runNodes(rec.trees, rec.leaves, label, only0, true)
 }
 
-// fragSnap is one context's cumulative counters at a fragment boundary.
-// A node context accumulates across every fragment of the query, so a
-// fragment's profile is finalized from the deltas since its snapshot.
-type fragSnap struct {
-	cycles     []int64
-	rdB, wrB   int64
-	rdS, wrS   float64
-	busR, busW float64
-	sim        float64
-	start      time.Time
-}
-
-func snapFrag(ctx *qef.Context) fragSnap {
-	cores := ctx.SoC.Cores()
-	cy := make([]int64, len(cores))
-	for i, co := range cores {
-		cy[i] = int64(co.Cycles())
-	}
-	rdT, wrT := ctx.DMS.TotalsByDir()
-	busR, busW := ctx.BusSeconds()
-	return fragSnap{
-		cycles: cy,
-		rdB:    rdT.Bytes, wrB: wrT.Bytes,
-		rdS: rdT.Seconds, wrS: wrT.Seconds,
-		busR: busR, busW: busW,
-		sim:   ctx.SimElapsed(),
-		start: time.Now(),
-	}
-}
-
-// finishFrag finalizes a fragment profile from the counter deltas since
-// the snapshot. SimSeconds takes the max of the elapsed-sim and bus-time
-// deltas: SimElapsed is a running max across engines, so its delta alone
-// could undercut the fragment's own bus time and break the profile's
-// SimSeconds >= bus-seconds invariant.
-func finishFrag(prof *obs.Profile, ctx *qef.Context, s fragSnap) {
-	cores := ctx.SoC.Cores()
-	cy := make([]int64, len(cores))
-	for i, co := range cores {
-		cy[i] = int64(co.Cycles()) - s.cycles[i]
-	}
-	rdT, wrT := ctx.DMS.TotalsByDir()
-	busR, busW := ctx.BusSeconds()
-	dBusR, dBusW := busR-s.busR, busW-s.busW
-	sim := ctx.SimElapsed() - s.sim
-	if dBusR > sim {
-		sim = dBusR
-	}
-	if dBusW > sim {
-		sim = dBusW
-	}
-	prof.Finalize(obs.Totals{
-		WallSeconds:     time.Since(s.start).Seconds(),
-		SimSeconds:      sim,
-		BusReadSeconds:  dBusR,
-		BusWriteSeconds: dBusW,
-		CoreCycles:      cy,
-		DMSReadBytes:    rdT.Bytes - s.rdB,
-		DMSWriteBytes:   wrT.Bytes - s.wrB,
-		DMSReadSeconds:  rdT.Seconds - s.rdS,
-		DMSWriteSeconds: wrT.Seconds - s.wrS,
-	})
-}
-
-// runFragment executes one compiled fragment on ctx. With tracing on, the
-// fragment is profiled from the context's counter deltas.
+// runFragment executes one compiled fragment on ctx. A node context
+// accumulates across every fragment of the query, so with tracing on the
+// fragment's profile is finalized from the usage delta around it.
 func (q *query) runFragment(ctx *qef.Context, compiled *qcomp.Compiled) (*ops.Relation, *obs.Profile, error) {
 	if !q.traceOn {
 		rel, err := compiled.Execute(ctx)
 		return rel, nil, err
 	}
 	prof := obs.NewProfile(q.mode.String(), ctx.SoC.Config().NumCores, ctx.SoC.Config().FreqHz, compiled.SpanDefs())
-	snap := snapFrag(ctx)
+	before, start := ctx.Usage(), time.Now()
 	ctx.Prof = prof
 	rel, err := compiled.Execute(ctx)
 	ctx.Prof = nil
 	if err != nil {
 		return nil, nil, err
 	}
-	finishFrag(prof, ctx, snap)
+	prof.Finalize(ctx.Usage().Sub(before).Totals(time.Since(start), 0))
 	return rel, prof, nil
 }
 

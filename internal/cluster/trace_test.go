@@ -2,10 +2,12 @@ package cluster_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"rapid/internal/cluster"
 	"rapid/internal/obs"
+	"rapid/internal/power"
 	"rapid/internal/qef"
 	"rapid/internal/tpch"
 )
@@ -165,6 +167,57 @@ func TestDistributedTraceGoldenStructure(t *testing.T) {
 	}
 	if flowRows != wantRows {
 		t.Fatalf("flow rows total %d, exchange MovedRows total %d", flowRows, wantRows)
+	}
+}
+
+// TestFragmentProfilesReconcile: every node and coordinator fragment of a
+// traced ModeDPU run passes the accounting AND the energy invariants — a
+// fragment's simulated time is the makespan of its own per-core deltas, so its
+// activity energy stays under the provisioned bound — and each node's
+// fragments add up to that node's whole-query bill exactly. Fragment sim
+// times are not summed: fragments overlap cores.
+func TestFragmentProfilesReconcile(t *testing.T) {
+	const nodes = 4
+	tray := newTray(t, tpchHost(t), cluster.Config{Nodes: nodes})
+	em := power.DefaultEnergyModel()
+	for _, name := range []string{"Q1", "Q3", "Q4", "Q5", "Q6", "Q10", "Q12", "Q14", "Q18", "Q19"} {
+		q, _ := tpch.QueryByName(name)
+		res, err := tray.Query(q.SQL, cluster.QueryOptions{Mode: qef.ModeDPU, Trace: true, NoCache: true})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		check := func(who, label string, p *obs.Profile) {
+			t.Helper()
+			if err := p.CheckInvariants(); err != nil {
+				t.Errorf("%s %s fragment %q: %v", name, who, label, err)
+			}
+			if err := p.CheckEnergyInvariants(em); err != nil {
+				t.Errorf("%s %s fragment %q: %v", name, who, label, err)
+			}
+		}
+		sum := make([]cluster.NodeStats, nodes)
+		for _, st := range res.Trace {
+			if st.Coord != nil {
+				check("coordinator", st.Label, st.Coord)
+			}
+			for i, p := range st.NodeProfiles {
+				if p == nil {
+					continue
+				}
+				check(fmt.Sprintf("node %d", i), st.Label, p)
+				tot := p.Totals()
+				sum[i].Cycles += p.TotalCycles()
+				sum[i].DMSReadBytes += tot.DMSReadBytes
+				sum[i].DMSWriteBytes += tot.DMSWriteBytes
+			}
+		}
+		for i, got := range sum {
+			want := res.PerNode[i]
+			want.SimSeconds = 0
+			if got != want {
+				t.Errorf("%s node %d: fragments sum to %+v, whole query billed %+v", name, i, got, want)
+			}
+		}
 	}
 }
 

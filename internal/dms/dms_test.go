@@ -5,13 +5,9 @@ import (
 	"testing"
 
 	"rapid/internal/coltypes"
-	"rapid/internal/mem"
 )
 
-func newEngine() (*Engine, *mem.DRAM) {
-	dram := mem.NewDRAM()
-	return NewEngine(DefaultModel(), dram), dram
-}
+func newEngine() *Engine { return NewEngine(DefaultModel()) }
 
 func mkCols(n, cols int, gen func(row, col int) int64) []coltypes.Data {
 	out := make([]coltypes.Data, cols)
@@ -26,7 +22,7 @@ func mkCols(n, cols int, gen func(row, col int) int64) []coltypes.Data {
 }
 
 func TestReadMovesData(t *testing.T) {
-	e, dram := newEngine()
+	e := newEngine()
 	src := mkCols(100, 3, func(r, c int) int64 { return int64(r*10 + c) })
 	dst := []coltypes.Data{
 		coltypes.New(coltypes.W4, 20),
@@ -47,9 +43,6 @@ func TestReadMovesData(t *testing.T) {
 	if tm.Descriptors != 3 {
 		t.Fatalf("Descriptors = %d", tm.Descriptors)
 	}
-	if dram.Traffic() != tm.Bytes {
-		t.Fatalf("DRAM traffic %d != %d", dram.Traffic(), tm.Bytes)
-	}
 	if e.Totals().Bytes != tm.Bytes {
 		t.Fatal("totals not accumulated")
 	}
@@ -59,7 +52,7 @@ func TestReadMovesData(t *testing.T) {
 // shortened views of the DMEM buffers; taking those views and moving the
 // rows costs no heap allocation.
 func TestReadPartialTileDoesNotAllocate(t *testing.T) {
-	e, _ := newEngine()
+	e := newEngine()
 	src := mkCols(1000, 3, func(r, c int) int64 { return int64(r + c) })
 	bufs := mkCols(256, 3, func(r, c int) int64 { return 0 })
 	views := make([]coltypes.Data, len(bufs))
@@ -79,7 +72,7 @@ func TestReadPartialTileDoesNotAllocate(t *testing.T) {
 }
 
 func TestWriteMovesData(t *testing.T) {
-	e, _ := newEngine()
+	e := newEngine()
 	dst := mkCols(50, 2, func(r, c int) int64 { return 0 })
 	src := mkCols(10, 2, func(r, c int) int64 { return int64(100 + r + c) })
 	tm := e.Write(dst, 5, src, 10)
@@ -100,16 +93,30 @@ func TestWriteMovesData(t *testing.T) {
 	}
 }
 
-func TestGatherScatter(t *testing.T) {
-	e, _ := newEngine()
-	src := coltypes.FromInt64s(coltypes.W8, []int64{0, 10, 20, 30, 40, 50})
-	dst := coltypes.New(coltypes.W8, 3)
-	tm := e.GatherRead(src, []uint32{5, 1, 3}, dst)
-	if dst.Get(0) != 50 || dst.Get(1) != 10 || dst.Get(2) != 30 {
-		t.Fatalf("gather wrong: %v", coltypes.ToInt64s(dst))
+// TestBillOnlyWritesMatchTheModel pins the two write forms that move no data:
+// WriteTiming bills exactly what Write bills for the same shape, StreamWrite
+// bills its closed form, and all of it lands in the write half of the
+// engine's ledger.
+func TestBillOnlyWritesMatchTheModel(t *testing.T) {
+	e := newEngine()
+	dst := mkCols(50, 3, func(r, c int) int64 { return 0 })
+	src := mkCols(10, 3, func(r, c int) int64 { return int64(r) })
+	w := e.Write(dst, 0, src, 10)
+	if wt := e.WriteTiming(3, 10, 4); wt != w {
+		t.Fatalf("WriteTiming = %+v, Write of the same shape = %+v", wt, w)
 	}
-	if tm.Bytes != 24 {
-		t.Fatalf("gather Bytes = %d", tm.Bytes)
+	m := e.Model()
+	sw := e.StreamWrite(1000)
+	wantSec := (m.DescriptorIssueNs+m.PageSwitchBaseNs+m.WriteTurnaroundNs)*1e-9 + 1000/m.PeakBytesPerSec
+	if sw.Seconds != wantSec || sw.Bytes != 1000 || sw.Descriptors != 1 || !sw.Write {
+		t.Fatalf("StreamWrite = %+v, want %g s / 1000 B / 1 descriptor", sw, wantSec)
+	}
+	rd, wr := e.TotalsByDir()
+	if rd != (Timing{}) {
+		t.Fatalf("writes reached the read ledger: %+v", rd)
+	}
+	if wr.Bytes != 2*w.Bytes+1000 || wr.Descriptors != 7 || wr.Seconds != w.Seconds+w.Seconds+sw.Seconds {
+		t.Fatalf("write ledger = %+v", wr)
 	}
 }
 
@@ -141,7 +148,7 @@ func TestFig9ShapeBandwidth(t *testing.T) {
 func TestFig8ShapePartitionBandwidth(t *testing.T) {
 	// 32-way HW partitioning of 4x4-byte columns lands around 9.3 GiB/s
 	// for every strategy.
-	e, _ := newEngine()
+	e := newEngine()
 	const n = 1 << 20
 	cols := mkCols(n, 4, func(r, c int) int64 { return int64(r) })
 	const gib = 1 << 30
@@ -182,7 +189,7 @@ func countIDs(ids []uint8, fanout int) []int {
 }
 
 func TestRadixPartitioning(t *testing.T) {
-	e, _ := newEngine()
+	e := newEngine()
 	cols := mkCols(1000, 2, func(r, c int) int64 { return int64(r) })
 	ids, _, err := e.PartitionIDs(cols, PartitionSpec{Strategy: Radix, Fanout: 8, KeyCols: []int{0}})
 	if err != nil {
@@ -199,7 +206,7 @@ func TestRadixPartitioning(t *testing.T) {
 }
 
 func TestHashPartitioningCompleteAndDeterministic(t *testing.T) {
-	e, _ := newEngine()
+	e := newEngine()
 	rng := rand.New(rand.NewSource(3))
 	cols := mkCols(5000, 1, func(r, c int) int64 { return int64(rng.Intn(100000)) })
 	ids1, _, err := e.PartitionIDs(cols, PartitionSpec{Strategy: Hash, Fanout: 16, KeyCols: []int{0}})
@@ -227,7 +234,7 @@ func TestHashPartitioningCompleteAndDeterministic(t *testing.T) {
 }
 
 func TestHashPartitioningBalance(t *testing.T) {
-	e, _ := newEngine()
+	e := newEngine()
 	const n = 32000
 	cols := mkCols(n, 1, func(r, c int) int64 { return int64(r) })
 	ids, _, err := e.PartitionIDs(cols, PartitionSpec{Strategy: Hash, Fanout: 32, KeyCols: []int{0}})
@@ -243,7 +250,7 @@ func TestHashPartitioningBalance(t *testing.T) {
 }
 
 func TestRangePartitioning(t *testing.T) {
-	e, _ := newEngine()
+	e := newEngine()
 	cols := mkCols(100, 1, func(r, c int) int64 { return int64(r) })
 	spec := PartitionSpec{Strategy: Range, Fanout: 4, KeyCols: []int{0}, Bounds: []int64{25, 50, 75}}
 	ids, _, err := e.PartitionIDs(cols, spec)
@@ -263,7 +270,7 @@ func TestRangePartitioning(t *testing.T) {
 }
 
 func TestRoundRobinSkewReplication(t *testing.T) {
-	e, _ := newEngine()
+	e := newEngine()
 	// Key 7 is a heavy hitter: replicate it over targets 0..3.
 	n := 1000
 	cols := mkCols(n, 1, func(r, c int) int64 {
@@ -302,7 +309,7 @@ func TestRoundRobinSkewReplication(t *testing.T) {
 }
 
 func TestHashVectorMatchesKernelHash(t *testing.T) {
-	e, _ := newEngine()
+	e := newEngine()
 	cols := mkCols(256, 2, func(r, c int) int64 { return int64(r * (c + 1)) })
 	hv, tm := e.HashVector(cols, []int{0, 1})
 	if len(hv) != 256 {
@@ -337,15 +344,6 @@ func TestSpecValidation(t *testing.T) {
 	for i, s := range bad {
 		if err := s.Validate(2); err == nil {
 			t.Errorf("case %d (%v) should fail validation", i, s.Strategy)
-		}
-	}
-}
-
-func TestRadixBitsFor(t *testing.T) {
-	cases := map[int]int{1: 0, 2: 1, 4: 2, 8: 3, 32: 5, 1024: 10}
-	for f, want := range cases {
-		if got := RadixBitsFor(f); got != want {
-			t.Errorf("RadixBitsFor(%d) = %d, want %d", f, got, want)
 		}
 	}
 }

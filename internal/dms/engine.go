@@ -5,28 +5,27 @@ import (
 	"sync"
 
 	"rapid/internal/coltypes"
-	"rapid/internal/mem"
 )
 
-// Engine is the DMS: it executes data-movement operations between the DRAM
-// arena and DMEM-resident buffers, accounting both the functional effect
+// Engine is the DMS: it executes data-movement operations between DRAM
+// columns and DMEM-resident buffers, accounting both the functional effect
 // (data really moves) and the modeled time. It is shared by all dpCores and
 // safe for concurrent use; per-operation Timing values are returned to the
-// caller so tasks can overlap transfer time with compute time, while the
-// engine also keeps global totals for reporting.
+// caller so tasks can overlap transfer time with compute time. The engine
+// also keeps its own totals: an independent ledger that
+// obs.Profile.CheckInvariants reconciles the per-span attributions against,
+// which is what catches an operation whose Timing never reached
+// qef.TaskCtx.AddTransfer.
 type Engine struct {
 	model Model
-	dram  *mem.DRAM
 
 	mu          sync.Mutex
 	totalsRead  Timing
 	totalsWrite Timing
 }
 
-// NewEngine creates a DMS over the given DRAM arena.
-func NewEngine(model Model, dram *mem.DRAM) *Engine {
-	return &Engine{model: model, dram: dram}
-}
+// NewEngine creates a DMS with the given timing model.
+func NewEngine(model Model) *Engine { return &Engine{model: model} }
 
 // Model returns the engine's timing model.
 func (e *Engine) Model() Model { return e.model }
@@ -57,9 +56,6 @@ func (e *Engine) ResetTotals() {
 }
 
 func (e *Engine) account(t Timing) {
-	if e.dram != nil {
-		e.dram.AddTraffic(int(t.Bytes))
-	}
 	e.mu.Lock()
 	if t.Write {
 		e.totalsWrite.Add(t)
@@ -147,29 +143,6 @@ func (e *Engine) StreamWrite(bytes int) Timing {
 		Bytes:       int64(bytes),
 		Descriptors: 1,
 		Write:       true,
-	}
-	e.account(t)
-	return t
-}
-
-// GatherRate is the DMS random-gather element rate (elements/s): the gather
-// engine issues one DRAM access per element and pipelines them.
-const GatherRate = 800e6
-
-// GatherRead transfers src[rids[i]] (DRAM) into dst[i] (DMEM) for each RID.
-// This is the gather pattern used by the filter operator for non-first
-// predicates (paper §5.4): only qualifying rows are moved.
-func (e *Engine) GatherRead(src coltypes.Data, rids []uint32, dst coltypes.Data) Timing {
-	coltypes.Gather(dst, src, rids)
-	bytes := len(rids) * src.Width().Bytes()
-	sec := float64(bytes) / e.model.PeakBytesPerSec
-	if pipe := float64(len(rids)) / GatherRate; pipe > sec {
-		sec = pipe
-	}
-	t := Timing{
-		Seconds:     sec + e.model.DescriptorIssueNs*1e-9,
-		Bytes:       int64(bytes),
-		Descriptors: 1,
 	}
 	e.account(t)
 	return t

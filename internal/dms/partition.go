@@ -2,7 +2,6 @@ package dms
 
 import (
 	"fmt"
-	mathbits "math/bits"
 	"sort"
 
 	"rapid/internal/coltypes"
@@ -227,12 +226,4 @@ func widthOf(cols []coltypes.Data) coltypes.Width {
 		return coltypes.W4
 	}
 	return cols[0].Width()
-}
-
-// RadixBitsFor returns the number of radix bits for a fan-out (log2).
-func RadixBitsFor(fanout int) int {
-	if fanout <= 1 {
-		return 0
-	}
-	return mathbits.Len(uint(fanout - 1))
 }

@@ -22,12 +22,6 @@ const (
 	// BranchMissPenalty is the in-order pipeline refill cost of a
 	// mispredicted branch.
 	BranchMissPenalty Cycles = 6
-
-	// ATESendCycles is the cost of posting a message descriptor to the
-	// hardware ATE engine; ATEHopCycles is the crossbar traversal cost per
-	// level (1 hop within a macro, 2 hops across macros).
-	ATESendCycles Cycles = 4
-	ATEHopCycles  Cycles = 2
 )
 
 // DualIssue returns the cycles needed to retire aluOps ALU-class and lsuOps
@@ -46,14 +40,3 @@ func SerialIssue(ops int64) Cycles { return Cycles(ops) }
 
 // MulCycles returns the cost of n multiplications including stalls.
 func MulCycles(n int64) Cycles { return Cycles(n) * MulStall }
-
-// ATEMessageCycles returns the latency of one ATE message between two cores:
-// send descriptor cost plus crossbar hops (1 level inside a macro, 2 levels
-// across macros, per the 2-level crossbar of §2.4).
-func ATEMessageCycles(fromMacro, toMacro int) Cycles {
-	hops := Cycles(1)
-	if fromMacro != toMacro {
-		hops = 2
-	}
-	return ATESendCycles + hops*ATEHopCycles
-}

@@ -80,7 +80,7 @@ func (c Config) CyclesPerSecond() float64 { return c.FreqHz }
 // Core is one dpCore: an ID, its macro, its private DMEM and a cycle
 // counter. A Core is owned by a single goroutine at a time (the actor model
 // of the QEF guarantees this), but the counters are atomic so that
-// cross-core observers — the ATE router charging on message delivery, the
+// cross-core observers — qef.Context.Usage snapshotting a running query, the
 // bench harness reading makespans mid-run — always see consistent values.
 type Core struct {
 	id    int
@@ -137,11 +137,10 @@ func (co *Core) Reset() {
 	co.dmem.Reset()
 }
 
-// SoC is a full DPU: configuration, cores and the attached DRAM.
+// SoC is a full DPU: configuration and cores.
 type SoC struct {
 	cfg   Config
 	cores []*Core
-	dram  *mem.DRAM
 }
 
 // New builds a DPU SoC from cfg.
@@ -149,7 +148,7 @@ func New(cfg Config) (*SoC, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &SoC{cfg: cfg, dram: mem.NewDRAM()}
+	s := &SoC{cfg: cfg}
 	s.cores = make([]*Core, cfg.NumCores)
 	for i := range s.cores {
 		s.cores[i] = &Core{
@@ -178,9 +177,6 @@ func (s *SoC) Core(i int) *Core { return s.cores[i] }
 
 // Cores returns all cores.
 func (s *SoC) Cores() []*Core { return s.cores }
-
-// DRAM returns the attached memory arena.
-func (s *SoC) DRAM() *mem.DRAM { return s.dram }
 
 // MaxCoreCycles returns the makespan across cores: with all cores running
 // in parallel, elapsed time is determined by the busiest core.
@@ -226,5 +222,4 @@ func (s *SoC) Reset() {
 	for _, co := range s.cores {
 		co.Reset()
 	}
-	s.dram.ResetTraffic()
 }

@@ -107,20 +107,6 @@ func TestDualIssue(t *testing.T) {
 	}
 }
 
-func TestATEMessageCycles(t *testing.T) {
-	intra := ATEMessageCycles(0, 0)
-	inter := ATEMessageCycles(0, 3)
-	if intra != ATESendCycles+ATEHopCycles {
-		t.Fatalf("intra-macro = %d", intra)
-	}
-	if inter != ATESendCycles+2*ATEHopCycles {
-		t.Fatalf("inter-macro = %d", inter)
-	}
-	if inter <= intra {
-		t.Fatal("crossing macros must cost more")
-	}
-}
-
 // The headline filter number of §7.2: 482 M tuples/s at 800 MHz is
 // 1.65 cycles/tuple. Check the clock arithmetic that every figure relies on.
 func TestFilterRateArithmetic(t *testing.T) {

@@ -340,43 +340,21 @@ func (db *Database) runRapid(goCtx context.Context, node plan.Node, opts QueryOp
 		return err
 	}
 	res.Rel, res.RapidWall, res.Profile = rel, wall, prof
-	res.RapidSimSeconds = ctx.SimElapsed()
-	res.TilesPruned = ctx.TilesPruned()
-	rdT, wrT := ctx.DMS.TotalsByDir()
+	u := ctx.Usage()
+	res.RapidSimSeconds = u.SimElapsed()
+	res.TilesPruned, res.DMEMHighWater = u.TilesPruned, u.DMEMHighWater
 	if prof != nil {
-		busR, busW := ctx.BusSeconds()
-		cores := ctx.SoC.Cores()
-		coreCy := make([]int64, len(cores))
-		for i, co := range cores {
-			coreCy[i] = int64(co.Cycles())
-		}
-		prof.Finalize(obs.Totals{
-			WallSeconds:      wall.Seconds(),
-			QueueWaitSeconds: res.QueueWait.Seconds(),
-			SimSeconds:       res.RapidSimSeconds,
-			BusReadSeconds:   busR,
-			BusWriteSeconds:  busW,
-			CoreCycles:       coreCy,
-			DMSReadBytes:     rdT.Bytes,
-			DMSWriteBytes:    wrT.Bytes,
-			DMSReadSeconds:   rdT.Seconds,
-			DMSWriteSeconds:  wrT.Seconds,
-		})
+		prof.Finalize(u.Totals(wall, res.QueueWait))
 	}
-	res.Cycles = int64(ctx.SoC.TotalCycles())
-	res.X86ModelSeconds = power.X86ModelSeconds(float64(res.Cycles), ctx.DMS.Totals().Bytes)
+	res.Cycles = u.Cycles()
+	res.X86ModelSeconds = power.X86ModelSeconds(float64(res.Cycles), u.Read.Bytes+u.Write.Bytes)
 	if opts.RapidMode == qef.ModeDPU {
-		res.Energy = power.DefaultEnergyModel().Activity(res.Cycles, rdT.Bytes, wrT.Bytes, res.RapidSimSeconds)
+		res.Energy = power.DefaultEnergyModel().Activity(res.Cycles, u.Read.Bytes, u.Write.Bytes, res.RapidSimSeconds)
 		res.HasEnergy = true
 		actNJ := int64(res.Energy.ActivityJoules() * 1e9)
 		idleNJ := int64(res.Energy.IdleJ * 1e9)
 		res.EnergyNJ = actNJ + idleNJ
-		for _, co := range ctx.SoC.Cores() {
-			if hw := co.DMEM().HighWater(); hw > res.DMEMHighWater {
-				res.DMEMHighWater = hw
-			}
-		}
-		RecordRapidExecution(db.metrics, res.Cycles, rdT.Bytes, wrT.Bytes, int64(rdT.Descriptors+wrT.Descriptors),
+		RecordRapidExecution(db.metrics, res.Cycles, u.Read.Bytes, u.Write.Bytes, u.Descriptors(),
 			int64(res.RapidSimSeconds*1e6), actNJ, idleNJ)
 	}
 	return nil

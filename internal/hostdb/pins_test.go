@@ -1,0 +1,46 @@
+package hostdb_test
+
+import (
+	"math"
+	"testing"
+
+	"rapid/internal/hostdb"
+	"rapid/internal/qef"
+	"rapid/internal/tpch"
+)
+
+// TestRapidBillPins: what an offloaded ModeDPU run of TPC-H Q18 (SF 0.002,
+// seed 42) bills, captured at commit be404d6 — before the bill was read
+// through qef.Usage — by running this query there and printing the result.
+// Integers must match exactly; seconds and EnergyNJ to 1e-9 relative,
+// because the bus-lane float sums are taken in unit-completion order
+// (ROADMAP item 2).
+func TestRapidBillPins(t *testing.T) {
+	db := hostdb.New()
+	defer db.Close()
+	if err := tpch.PopulateHostDB(db, tpch.Config{ScaleFactor: 0.002, Seed: 42}); err != nil {
+		t.Fatal(err)
+	}
+	q, _ := tpch.QueryByName("Q18")
+	res, err := db.Query(q.SQL, hostdb.QueryOptions{Mode: hostdb.ForceOffload, RapidMode: qef.ModeDPU, NoCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cycles != 1552195 || res.DMEMHighWater != 25320 || res.TilesPruned != 0 {
+		t.Errorf("Cycles/DMEMHighWater/TilesPruned = %d/%d/%d, parent returned 1552195/25320/0",
+			res.Cycles, res.DMEMHighWater, res.TilesPruned)
+	}
+	for _, c := range []struct {
+		what      string
+		got, want float64
+	}{
+		{"RapidSimSeconds", res.RapidSimSeconds, 0.00010525941705426356},
+		{"X86ModelSeconds", res.X86ModelSeconds, 1.6871684782608695e-05},
+		{"Energy.TotalJoules", res.Energy.TotalJoules(), 0.0004392713224127907},
+		{"EnergyNJ", float64(res.EnergyNJ), 439271},
+	} {
+		if math.Abs(c.got-c.want) > 1e-9*c.want {
+			t.Errorf("%s = %v, parent returned %v", c.what, c.got, c.want)
+		}
+	}
+}

@@ -2,7 +2,6 @@ package mem
 
 import (
 	"errors"
-	"sync"
 	"testing"
 )
 
@@ -89,58 +88,6 @@ func TestDMEMPanics(t *testing.T) {
 	mustPanicMem(t, func() { d.Alloc(-5) })
 	small := NewDMEMWithCapacity(8)
 	mustPanicMem(t, func() { small.MustAlloc(16) })
-}
-
-func TestDRAMAccounting(t *testing.T) {
-	m := NewDRAM()
-	m.Alloc(1000)
-	m.Alloc(500)
-	if m.Allocated() != 1500 || m.Peak() != 1500 {
-		t.Fatalf("Allocated/Peak = %d/%d", m.Allocated(), m.Peak())
-	}
-	m.Free(1200)
-	m.Alloc(100)
-	if m.Allocated() != 400 {
-		t.Fatalf("Allocated = %d", m.Allocated())
-	}
-	if m.Peak() != 1500 {
-		t.Fatalf("Peak = %d, want 1500", m.Peak())
-	}
-	m.AddTraffic(4096)
-	m.AddTraffic(4096)
-	if m.Traffic() != 8192 {
-		t.Fatalf("Traffic = %d", m.Traffic())
-	}
-	m.ResetTraffic()
-	if m.Traffic() != 0 {
-		t.Fatal("ResetTraffic failed")
-	}
-}
-
-func TestDRAMConcurrent(t *testing.T) {
-	m := NewDRAM()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				m.Alloc(16)
-				m.AddTraffic(16)
-				m.Free(16)
-			}
-		}()
-	}
-	wg.Wait()
-	if m.Allocated() != 0 {
-		t.Fatalf("Allocated = %d, want 0", m.Allocated())
-	}
-	if m.Traffic() != 8*1000*16 {
-		t.Fatalf("Traffic = %d", m.Traffic())
-	}
-	if m.Peak() < 16 {
-		t.Fatalf("Peak = %d", m.Peak())
-	}
 }
 
 func mustPanicMem(t *testing.T, fn func()) {

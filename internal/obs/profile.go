@@ -250,6 +250,7 @@ type Totals struct {
 	DMSWriteBytes    int64
 	DMSReadSeconds   float64
 	DMSWriteSeconds  float64
+	DMSDescriptors   int64 // both directions
 }
 
 // Profile is the per-query observability record: the span tree plus the

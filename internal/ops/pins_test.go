@@ -27,7 +27,7 @@ type partitionPin struct {
 	sig     uint64  // FNV-1a over partition index, rows, hashes, Bits — in order
 	cycles  int64   // SoC total dpCore cycles
 	elapsed float64 // ctx.SimElapsed()
-	busy    float64 // ctx.SimTotalBusy()
+	busy    float64 // Σ ctx.Usage().CoreSeconds
 	bus     float64 // read + write DDR bus seconds (summed in completion order)
 	dmsB    int64   // DMS bytes moved, both directions
 	dmsDesc int64   // DMS descriptors issued
@@ -139,10 +139,14 @@ func TestPartitionByHashPins(t *testing.T) {
 				if err != nil {
 					t.Fatalf("n=%d %s w=%d: %v", n, scheme, width, err)
 				}
-				br, bw := ctx.BusSeconds()
+				u := ctx.Usage()
+				var busy float64
+				for _, sec := range u.CoreSeconds {
+					busy += sec
+				}
 				got := partitionPin{n, scheme, width, partitionSignature(parts),
-					int64(ctx.SoC.TotalCycles()), ctx.SimElapsed(), ctx.SimTotalBusy(), br + bw,
-					ctx.DMS.Totals().Bytes, int64(ctx.DMS.Totals().Descriptors)}
+					u.Cycles(), u.SimElapsed(), busy, u.BusRead + u.BusWrite,
+					u.Read.Bytes + u.Write.Bytes, u.Descriptors()}
 				w := want[fmt.Sprintf("%d/%s/%d", n, scheme, width)]
 				if got.sig != w.sig || got.cycles != w.cycles || got.dmsB != w.dmsB || got.dmsDesc != w.dmsDesc ||
 					!sameBilled(got.elapsed, w.elapsed) || !sameBilled(got.busy, w.busy) || !sameBilled(got.bus, w.bus) {

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"rapid/internal/coltypes"
+	"rapid/internal/mem"
 	"rapid/internal/qef"
 )
 
@@ -131,6 +132,9 @@ func TestCollectSinkEmitsRunsInSeqOrder(t *testing.T) {
 	ctx := qef.NewContext(qef.ModeDPU) // 32 virtual cores
 	sink := NewCollectSink([]Col{{Name: "v", Type: coltypes.Int()}})
 	tcs := []*qef.TaskCtx{ctx.NewTaskCtx(0), ctx.NewTaskCtx(1)}
+	for _, tc := range tcs {
+		tc.BindPool(mem.NewTilePool())
+	}
 	feed := func(core, seq int, vals ...int64) {
 		tc := tcs[core]
 		if err := sink.Open(tc); err != nil {

@@ -136,8 +136,8 @@ func TestPrunedTilesAreUnbilled(t *testing.T) {
 		if err := TableScan(ctx, tbl.Snapshot(storage.LatestSCN), []int{0}, 512, prune, chain); err != nil {
 			t.Fatal(err)
 		}
-		rd, wr := ctx.DMS.TotalsByDir()
-		return sink.Relation(), int64(ctx.SoC.TotalCycles()), rd.Bytes + wr.Bytes, ctx
+		u := ctx.Usage()
+		return sink.Relation(), u.Cycles(), u.Read.Bytes + u.Write.Bytes, ctx
 	}
 
 	full, fullCycles, fullBytes, _ := run(nil, false)
@@ -146,7 +146,7 @@ func TestPrunedTilesAreUnbilled(t *testing.T) {
 	if full.Rows() != 500 || pruned.Rows() != full.Rows() {
 		t.Fatalf("rows: full=%d pruned=%d, want 500", full.Rows(), pruned.Rows())
 	}
-	if got := pctx.TilesPruned(); got != 8 { // chunks 0..7 of 10 hold k < 4096
+	if got := pctx.Usage().TilesPruned; got != 8 { // chunks 0..7 of 10 hold k < 4096
 		t.Fatalf("tiles pruned = %d, want 8", got)
 	}
 	if prunedCycles >= fullCycles {
@@ -158,7 +158,7 @@ func TestPrunedTilesAreUnbilled(t *testing.T) {
 
 	// NoPrune must force the full-billing path even with a prune predicate.
 	_, offCycles, offBytes, offCtx := run(pred, true)
-	if offCtx.TilesPruned() != 0 {
+	if offCtx.Usage().TilesPruned != 0 {
 		t.Fatal("NoPrune still pruned tiles")
 	}
 	if offCycles != fullCycles || offBytes != fullBytes {

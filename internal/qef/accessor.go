@@ -2,9 +2,8 @@ package qef
 
 import "rapid/internal/coltypes"
 
-// Accessor is the relation accessor (RA) of paper §5.1: the common interface
-// operators use to declare their memory access pattern — sequential, gather,
-// scatter or partitioned — while the RA programs the DMS descriptor loops,
+// Accessor is the relation accessor (RA) of paper §5.1: operators declare a
+// sequential scan of DRAM columns and the RA issues the DMS reads,
 // double-buffers the transfers and hands the operator DMEM-resident tiles.
 //
 // In ModeX86 the RA degenerates to zero-copy slice views: the same operator
@@ -111,25 +110,4 @@ func (a *Accessor) Sequential(cols []coltypes.Data, tileRows int, fn func(*Tile)
 		}
 	}
 	return nil
-}
-
-// GatherTile fetches the rows named by rids from a DRAM column into a DMEM
-// buffer — the RID-based gather the filter operator uses for non-first
-// predicates (§5.4). The returned buffer is tile-lifetime pool scratch:
-// valid until the caller's next ResetScratch.
-func (a *Accessor) GatherTile(col coltypes.Data, rids []uint32) (coltypes.Data, error) {
-	if a.tc.Core == nil {
-		dst := a.tc.DataScratch(col.Width(), len(rids))
-		coltypes.Gather(dst, col, rids)
-		return dst, nil
-	}
-	// Admission check before the host-side buffer: a gather the scratchpad
-	// rejects must not have paid the allocation it is rejecting.
-	if err := a.tc.DMEM.Alloc(len(rids) * col.Width().Bytes()); err != nil {
-		return coltypes.Data{}, err
-	}
-	dst := a.tc.DataScratch(col.Width(), len(rids))
-	t := a.tc.Ctx.DMS.GatherRead(col, rids, dst)
-	a.tc.AddTransfer(t)
-	return dst, nil
 }

@@ -20,7 +20,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"rapid/internal/ate"
 	"rapid/internal/bits"
 	"rapid/internal/coltypes"
 	"rapid/internal/dms"
@@ -59,13 +58,13 @@ type Executor interface {
 	RunUnits(c *Context, units []WorkUnit) error
 }
 
-// Context is the execution environment shared by a query: the SoC, the DMS,
-// the ATE router and per-core simulated-time accumulators.
+// Context is the execution environment shared by a query: the SoC, the DMS
+// and the simulated-time accumulators — exactly the state a query bills.
+// Usage is the one place those counters are read out.
 type Context struct {
-	Mode   Mode
-	SoC    *dpu.SoC
-	DMS    *dms.Engine
-	Router *ate.Router
+	Mode Mode
+	SoC  *dpu.SoC
+	DMS  *dms.Engine
 
 	// Prof, when non-nil, receives per-operator attribution of every
 	// cycle and DMS transfer executed through this context.
@@ -113,6 +112,9 @@ type Context struct {
 	// transfers on the memory interface, one lane per direction.
 	busRead  float64
 	busWrite float64
+	// dmemHigh is the largest DMEM high-water mark any dpCore reported at the
+	// end of a work unit (ModeDPU).
+	dmemHigh int
 }
 
 // NewContext builds an execution context. In ModeDPU the SoC is the paper's
@@ -127,8 +129,7 @@ func NewContextWith(mode Mode, cfg dpu.Config) *Context {
 	ctx := &Context{
 		Mode:    mode,
 		SoC:     soc,
-		DMS:     dms.NewEngine(dms.DefaultModel(), soc.DRAM()),
-		Router:  ate.NewRouter(cfg),
+		DMS:     dms.NewEngine(dms.DefaultModel()),
 		simTime: make([]float64, cfg.NumCores),
 		pools:   make([]*mem.TilePool, cfg.NumCores),
 	}
@@ -182,7 +183,7 @@ func (c *Context) Reset() {
 	for i := range c.simTime {
 		c.simTime[i] = 0
 	}
-	c.busRead, c.busWrite = 0, 0
+	c.busRead, c.busWrite, c.dmemHigh = 0, 0, 0
 	c.mu.Unlock()
 	c.tilesPruned.Store(0)
 }
@@ -190,49 +191,25 @@ func (c *Context) Reset() {
 // AddTilesPruned accumulates zone-pruned chunk counts for the query.
 func (c *Context) AddTilesPruned(n int64) { c.tilesPruned.Add(n) }
 
-// TilesPruned returns the number of storage chunks zone-map pruning skipped.
-func (c *Context) TilesPruned() int64 { return c.tilesPruned.Load() }
-
 // ActiveSpan returns the operator span subsequently started work units
 // attribute to (nil when profiling is off). Task sources use it to record
 // orchestrator-side per-scan accounting such as tile totals.
 func (c *Context) ActiveSpan() *obs.OpSpan { return c.activeSpan }
 
-// addSimTime records simulated elapsed seconds on a core.
-func (c *Context) addSimTime(core int, sec float64) {
+// billUnit records, at the end of a work unit, the simulated elapsed seconds
+// it took on its dpCore and that core's DMEM high-water mark.
+func (c *Context) billUnit(core int, sec float64, dmemHigh int) {
 	c.mu.Lock()
 	c.simTime[core] += sec
+	if dmemHigh > c.dmemHigh {
+		c.dmemHigh = dmemHigh
+	}
 	c.mu.Unlock()
 }
 
 // SimElapsed returns the simulated elapsed time of everything executed so
-// far. Cores run in parallel (makespan = busiest core), but all cores share
-// the DDR interface: the elapsed time is also bounded below by the total
-// bus occupancy per direction.
-func (c *Context) SimElapsed() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var m float64
-	for _, t := range c.simTime {
-		if t > m {
-			m = t
-		}
-	}
-	if c.busRead > m {
-		m = c.busRead
-	}
-	if c.busWrite > m {
-		m = c.busWrite
-	}
-	return m
-}
-
-// BusSeconds returns the accumulated DDR bus occupancy (read, write).
-func (c *Context) BusSeconds() (read, write float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.busRead, c.busWrite
-}
+// far (see Usage.SimElapsed).
+func (c *Context) SimElapsed() float64 { return c.Usage().SimElapsed() }
 
 // SetActiveSpan installs the operator span that subsequently started work
 // units attribute to, returning the previous one so callers can restore it.
@@ -255,17 +232,6 @@ func (c *Context) AccountSpanTransfer(t dms.Timing) {
 // CountMetric bumps a named engine counter if a registry is attached.
 func (c *Context) CountMetric(name string, delta int64) {
 	c.Metrics.Counter(name).Add(delta)
-}
-
-// SimTotalBusy returns the sum of per-core simulated busy seconds.
-func (c *Context) SimTotalBusy() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var s float64
-	for _, t := range c.simTime {
-		s += t
-	}
-	return s
 }
 
 // TaskCtx is the per-core execution state handed to operators: the core
@@ -303,8 +269,8 @@ type TaskCtx struct {
 	// temporaries on the DPU): expression accumulators, bit-vectors, RID
 	// lists, gathered column buffers and header slices. Reset at tile
 	// boundaries by the task source; buffers must not be retained across
-	// tiles. Nil only for hand-built contexts in tests, which then fall
-	// back to plain allocation.
+	// tiles. Bound before the first unit: by the context's own run loops, or
+	// by the shared scheduler via BindPool.
 	pool *mem.TilePool
 
 	// tiles recycles the Tile structs operators emit downstream, reset
@@ -316,63 +282,42 @@ type TaskCtx struct {
 // I64Scratch returns an n-element scratch buffer valid until the next
 // ResetScratch. Contents are zeroed.
 func (tc *TaskCtx) I64Scratch(n int) []int64 {
-	if tc.pool == nil {
-		return make([]int64, n)
-	}
 	return tc.pool.I64(n)
 }
 
 // U32Scratch returns a zeroed n-element uint32 scratch buffer (hash values,
 // group ids) valid until the next ResetScratch.
 func (tc *TaskCtx) U32Scratch(n int) []uint32 {
-	if tc.pool == nil {
-		return make([]uint32, n)
-	}
 	return tc.pool.U32(n)
 }
 
 // RIDScratch returns an empty RID buffer with capacity n, for append-style
 // fills (bit-vector → RID conversion), valid until the next ResetScratch.
 func (tc *TaskCtx) RIDScratch(n int) []uint32 {
-	if tc.pool == nil {
-		return make([]uint32, 0, n)
-	}
 	return tc.pool.U32(n)[:0]
 }
 
 // BVScratch returns a cleared n-bit vector valid until the next
 // ResetScratch.
 func (tc *TaskCtx) BVScratch(n int) *bits.Vector {
-	if tc.pool == nil {
-		return bits.NewVector(n)
-	}
 	return tc.pool.BV(n)
 }
 
 // DataScratch returns a zeroed column buffer of the given width and length
 // valid until the next ResetScratch.
 func (tc *TaskCtx) DataScratch(w coltypes.Width, n int) coltypes.Data {
-	if tc.pool == nil {
-		return coltypes.New(w, n)
-	}
 	return tc.pool.Data(w, n)
 }
 
 // ColScratch returns a zeroed []coltypes.Data header slice of length n
 // valid until the next ResetScratch.
 func (tc *TaskCtx) ColScratch(n int) []coltypes.Data {
-	if tc.pool == nil {
-		return make([]coltypes.Data, n)
-	}
 	return tc.pool.Headers(n)
 }
 
 // RowScratch returns a zeroed [][]int64 header slice of length n valid
 // until the next ResetScratch.
 func (tc *TaskCtx) RowScratch(n int) [][]int64 {
-	if tc.pool == nil {
-		return make([][]int64, n)
-	}
 	return tc.pool.RowHeaders(n)
 }
 
@@ -393,31 +338,20 @@ func (tc *TaskCtx) TileScratch(cols []coltypes.Data, n int) *Tile {
 // survive ResetScratch and are freed by the matching ReleaseScratch. Task
 // sources bracket their across-tile buffers (e.g. the accessor's double
 // buffers) with it.
-func (tc *TaskCtx) MarkScratch() {
-	if tc.pool != nil {
-		tc.pool.Mark()
-	}
-}
+func (tc *TaskCtx) MarkScratch() { tc.pool.Mark() }
 
 // ReleaseScratch closes the innermost MarkScratch scope.
-func (tc *TaskCtx) ReleaseScratch() {
-	if tc.pool != nil {
-		tc.pool.Release()
-	}
-}
+func (tc *TaskCtx) ReleaseScratch() { tc.pool.Release() }
 
 // ResetScratch recycles all tile-lifetime scratch buffers (everything taken
 // since the innermost MarkScratch). Called by task sources before emitting
 // each tile.
 func (tc *TaskCtx) ResetScratch() {
-	if tc.pool != nil {
-		tc.pool.ResetTile()
-	}
+	tc.pool.ResetTile()
 	tc.tileOff = 0
 }
 
-// Pool exposes the task's buffer pool for the DMEM-conformance tests; nil
-// for hand-built task contexts.
+// Pool exposes the task's buffer pool for the DMEM-conformance tests.
 func (tc *TaskCtx) Pool() *mem.TilePool { return tc.pool }
 
 // BindPool attaches the scratch pool serving this task context. The shared
@@ -503,7 +437,7 @@ type WorkUnit func(tc *TaskCtx) error
 
 // RunParallel executes the work units on the core pool: worker w owns core
 // w exclusively (the actor model — no shared mutable state between cores;
-// communication goes through ATE or DMS). Units are assigned round-robin,
+// they meet only at work-unit boundaries). Units are assigned round-robin,
 // matching the compiler's static task scheduling: simulated load balance
 // must not depend on how fast the Go host happens to run each goroutine.
 // Per unit, the simulated elapsed time is max(compute, transfer) honoring
@@ -595,12 +529,9 @@ func (c *Context) RunUnit(tc *TaskCtx, u WorkUnit) error {
 	tc.transferSec = 0
 	tc.NoOverlap = false
 	tc.DMEM.Reset()
-	var growsBefore int64
-	if tc.pool != nil {
-		tc.pool.Reset()
-		tc.tileOff = 0
-		growsBefore = tc.pool.Grows()
-	}
+	tc.pool.Reset()
+	tc.tileOff = 0
+	growsBefore := tc.pool.Grows()
 	profiling := c.Prof != nil
 	if profiling {
 		tc.span = c.activeSpan
@@ -615,10 +546,8 @@ func (c *Context) RunUnit(tc *TaskCtx, u WorkUnit) error {
 		tc.flushSpan()
 		tc.span = nil
 	}
-	if tc.pool != nil {
-		if d := tc.pool.Grows() - growsBefore; d > 0 {
-			c.CountMetric("qef_pool_grows_total", d)
-		}
+	if d := tc.pool.Grows() - growsBefore; d > 0 {
+		c.CountMetric("qef_pool_grows_total", d)
 	}
 	if tc.Core != nil {
 		compute := c.SoC.Config().Seconds(tc.Core.Cycles() - beforeCycles)
@@ -631,7 +560,7 @@ func (c *Context) RunUnit(tc *TaskCtx, u WorkUnit) error {
 		} else {
 			elapsed = transfer
 		}
-		c.addSimTime(tc.CoreID, elapsed)
+		c.billUnit(tc.CoreID, elapsed, tc.DMEM.HighWater())
 	}
 	if err != nil {
 		return fmt.Errorf("qef: work unit on core %d: %w", tc.CoreID, err)

@@ -35,6 +35,14 @@ func TestDistributedDifferential(t *testing.T) {
 				m.Minimized = r.Minimize(m.SQL)
 				t.Fatalf("%s", m.Reproducer())
 			}
+			// Every 10th query also runs billed and traced on one tray lane
+			// (rotating through the widths): each fragment's cycle, DMS-byte
+			// and energy decomposition must reconcile.
+			if executed%10 == 0 {
+				if m := r.CheckTrayFragments(q.SQL(), executed/10); m != nil {
+					t.Fatalf("%s", m.Reproducer())
+				}
+			}
 			executed++
 		}
 		if m := r.CheckJournal(); m != nil {

@@ -43,14 +43,12 @@ var engines = []engineSpec{
 // energy decomposition is checked alongside the accounting invariants, so
 // every soak query also proves span joules sum to whole-query joules and
 // stay inside the provisioned-power envelope.
-func profErr(res *hostdb.QueryResult) error {
-	if res.Profile != nil {
-		if err := res.Profile.CheckInvariants(); err != nil {
-			return fmt.Errorf("profile invariants: %w", err)
-		}
-		if err := res.Profile.CheckEnergyInvariants(power.DefaultEnergyModel()); err != nil {
-			return fmt.Errorf("energy invariants: %w", err)
-		}
+func profErr(p *obs.Profile) error {
+	if err := p.CheckInvariants(); err != nil {
+		return fmt.Errorf("profile invariants: %w", err)
+	}
+	if err := p.CheckEnergyInvariants(power.DefaultEnergyModel()); err != nil {
+		return fmt.Errorf("energy invariants: %w", err)
 	}
 	return nil
 }
@@ -198,7 +196,7 @@ func (r *Runner) runAll(sql string) []engineRun {
 			// the host could run the plan — that is a real engine bug.
 			out[i] = engineRun{name: e.name, err: fmt.Errorf("RAPID execution fell back to host")}
 		default:
-			if perr := profErr(res); perr != nil {
+			if perr := profErr(res.Profile); perr != nil {
 				out[i] = engineRun{name: e.name, err: perr}
 			} else {
 				out[i] = engineRun{name: e.name, rel: res.Rel}
@@ -216,6 +214,36 @@ func (r *Runner) runAll(sql string) []engineRun {
 		}
 	}
 	return out
+}
+
+// CheckTrayFragments runs sql once more on tray lane `lane` (modulo the lane
+// count, so callers can pass a running counter) in ModeDPU with
+// trace recording on and checks the accounting and energy invariants of every
+// node and coordinator fragment profile. Call it after Check has passed: an
+// error here is tolerated only if the host rejects the query too.
+func (r *Runner) CheckTrayFragments(sql string, lane int) *Mismatch {
+	tl := r.trays[lane%len(r.trays)]
+	res, err := tl.tray.Query(sql, cluster.QueryOptions{Mode: qef.ModeDPU, Trace: true})
+	r.Executed++
+	if err != nil {
+		_, herr := r.primary.Query(sql, engines[0].opts)
+		r.Executed++
+		if herr != nil {
+			return nil
+		}
+		return r.mismatch("tray-fragments", sql, fmt.Sprintf("host executed the query but tray%d/dpu failed: %v", tl.nodes, err))
+	}
+	for _, st := range res.Trace {
+		if err := profErr(st.Coord); err != nil {
+			return r.mismatch("tray-fragments", sql, fmt.Sprintf("tray%d coordinator fragment %q: %v", tl.nodes, st.Label, err))
+		}
+		for i, p := range st.NodeProfiles {
+			if err := profErr(p); err != nil {
+				return r.mismatch("tray-fragments", sql, fmt.Sprintf("tray%d node %d fragment %q: %v", tl.nodes, i, st.Label, err))
+			}
+		}
+	}
+	return nil
 }
 
 // bag renders every row of a relation and returns the sorted multiset.
@@ -334,7 +362,7 @@ func (r *Runner) CheckConcurrent(sql string, parallel int) *Mismatch {
 			case res.FellBack:
 				results[slot] = engineRun{name: name, err: fmt.Errorf("RAPID execution fell back to host")}
 			default:
-				if perr := profErr(res); perr != nil {
+				if perr := profErr(res.Profile); perr != nil {
 					results[slot] = engineRun{name: name, err: perr}
 				} else {
 					results[slot] = engineRun{name: name, rel: res.Rel}
@@ -453,7 +481,7 @@ func (r *Runner) CheckTLP(q *Query) *Mismatch {
 				perr = fmt.Errorf("RAPID execution fell back to host")
 			}
 			if perr == nil {
-				perr = profErr(pres)
+				perr = profErr(pres.Profile)
 			}
 			if perr != nil {
 				return r.mismatch("tlp", base, fmt.Sprintf(
@@ -495,7 +523,7 @@ func (r *Runner) CheckPruningMetamorphic(sql string) *Mismatch {
 			}
 			continue // consistently rejected
 		}
-		if perr := profErr(on); perr != nil {
+		if perr := profErr(on.Profile); perr != nil {
 			return r.mismatch("pruning", sql, fmt.Sprintf("%s (pruned): %v", e.name, perr))
 		}
 		if d := diffBags(bag(off.Rel), bag(on.Rel)); d != "" {
@@ -621,7 +649,7 @@ func (r *Runner) CheckTautology(q *Query) *Mismatch {
 			terr = fmt.Errorf("RAPID execution fell back to host")
 		}
 		if terr == nil {
-			terr = profErr(tres)
+			terr = profErr(tres.Profile)
 		}
 		if terr != nil {
 			return r.mismatch("tautology", base, fmt.Sprintf(
