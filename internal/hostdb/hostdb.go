@@ -9,7 +9,9 @@
 package hostdb
 
 import (
+	"errors"
 	"fmt"
+	"sort"
 	"sync"
 
 	"rapid/internal/coltypes"
@@ -174,6 +176,28 @@ type HostTable struct {
 	mutSCN  uint64         // SCN of the last row mutation (0 if never mutated)
 
 	rapid *storage.Table // loaded replica; nil until LOAD
+
+	// What Load recorded so rowRef can map a host row index to a replica row
+	// without any per-row state: the host row count at Load, and the indices
+	// of the tombstones Load skipped (ascending).
+	loadedRows int
+	loadTombs  []int
+}
+
+// ErrNoSuchRow and ErrNoSuchColumn are the causes of the errors Update and
+// Delete return for a row index that is out of range or already deleted, and
+// for a column index outside the schema.
+var (
+	ErrNoSuchRow    = errors.New("no such row")
+	ErrNoSuchColumn = errors.New("no such column")
+)
+
+// liveRow checks that row addresses a live host row (t.mu held).
+func (t *HostTable) liveRow(row int) error {
+	if row < 0 || row >= len(t.rows) || t.rows[row] == nil {
+		return fmt.Errorf("hostdb: table %s row %d: %w", t.name, row, ErrNoSuchRow)
+	}
+	return nil
 }
 
 // journalEntry is one pending change for RAPID propagation. Exactly one of
@@ -347,9 +371,11 @@ func (db *Database) Insert(table string, rows [][]storage.Value) (uint64, error)
 	if err != nil {
 		return 0, err
 	}
-	scn := db.NextSCN()
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	// SCNs are drawn under the table lock, so a table's journal is in SCN
+	// order however writers interleave.
+	scn := db.NextSCN()
 	t.mutSCN = scn
 	journaled := 0
 	defer func() { db.checkpointLagGauge().Add(int64(journaled)) }()
@@ -367,23 +393,28 @@ func (db *Database) Insert(table string, rows [][]storage.Value) (uint64, error)
 	return scn, nil
 }
 
-// Update changes one cell of a row (by host row index).
+// Update changes one cell of a live row (by host row index). A row that is
+// out of range or deleted, a column outside the schema and a value of the
+// wrong kind are errors that change nothing.
 func (db *Database) Update(table string, row, col int, val storage.Value) (uint64, error) {
 	t, err := db.Table(table)
 	if err != nil {
 		return 0, err
 	}
-	scn := db.NextSCN()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if row < 0 || row >= len(t.rows) {
-		return 0, fmt.Errorf("hostdb: row %d out of range", row)
+	if err := t.liveRow(row); err != nil {
+		return 0, err
 	}
-	t.mutSCN = scn
+	if col < 0 || col >= t.schema.NumCols() {
+		return 0, fmt.Errorf("hostdb: table %s row %d column %d: %w", t.name, row, col, ErrNoSuchColumn)
+	}
 	enc, err := t.EncodeValue(col, val)
 	if err != nil {
 		return 0, err
 	}
+	scn := db.NextSCN()
+	t.mutSCN = scn
 	t.rows[row][col] = enc
 	if t.rapid != nil {
 		t.journal = append(t.journal, journalEntry{scn: scn, delRow: -1, updRow: row, updCol: col, updVal: enc})
@@ -392,25 +423,25 @@ func (db *Database) Update(table string, row, col int, val storage.Value) (uint6
 	return scn, nil
 }
 
-// Delete removes a row by host row index. The host row store swaps-removes;
-// the journal records the logical delete for RAPID.
+// Delete removes a live row by host row index; deleting a row twice is an
+// error. The row store keeps a tombstone so host row indices stay stable, and
+// the journal records the delete for RAPID.
 func (db *Database) Delete(table string, row int) (uint64, error) {
 	t, err := db.Table(table)
 	if err != nil {
 		return 0, err
 	}
-	scn := db.NextSCN()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if row < 0 || row >= len(t.rows) {
-		return 0, fmt.Errorf("hostdb: row %d out of range", row)
+	if err := t.liveRow(row); err != nil {
+		return 0, err
 	}
+	scn := db.NextSCN()
 	t.mutSCN = scn
 	if t.rapid != nil {
 		t.journal = append(t.journal, journalEntry{scn: scn, delRow: row, updRow: -1})
 		db.checkpointLagGauge().Add(1)
 	}
-	// Tombstone rather than compact so journal row indices stay stable.
 	t.rows[row] = nil
 	return scn, nil
 }
@@ -471,14 +502,20 @@ func (db *Database) Load(table string, opts LoadOptions) (*storage.Table, error)
 	}
 	wg.Wait()
 
+	// The replica shares the host dictionaries (as tray shards do): a bound
+	// plan carries the replica's dictionaries and literal codes, and the row
+	// engine runs that same plan over host rows when a query falls back.
 	b := storage.NewTableBuilder(t.name, t.schema, storage.BuildOptions{
 		Partitions:   opts.Partitions,
 		PartitionKey: opts.PartitionKey,
 		ChunkRows:    opts.ChunkRows,
 		TryRLE:       opts.TryRLE,
+		SharedDicts:  t.dicts,
 	})
-	for _, vals := range decoded {
+	var tombs []int
+	for i, vals := range decoded {
 		if vals == nil {
+			tombs = append(tombs, i)
 			continue
 		}
 		if err := b.Append(vals); err != nil {
@@ -489,7 +526,7 @@ func (db *Database) Load(table string, opts LoadOptions) (*storage.Table, error)
 	if err != nil {
 		return nil, err
 	}
-	t.rapid = rapid
+	t.rapid, t.loadedRows, t.loadTombs = rapid, n, tombs
 	db.checkpointLagGauge().Add(-int64(len(t.journal)))
 	t.journal = nil
 	return rapid, nil
@@ -530,15 +567,11 @@ func (db *Database) Checkpoint(table string) error {
 				}
 				uu.Inserts = append(uu.Inserts, vals)
 			case e.delRow >= 0:
-				if ref, ok := rapidRowRef(t.rapid, e.delRow); ok {
-					uu.Deletes = append(uu.Deletes, ref)
-				}
+				uu.Deletes = append(uu.Deletes, t.rowRef(e.delRow))
 			case e.updRow >= 0:
-				if ref, ok := rapidRowRef(t.rapid, e.updRow); ok {
-					uu.Patches = append(uu.Patches, storage.CellPatch{
-						Ref: ref, Col: e.updCol, Val: t.DecodeValue(e.updCol, e.updVal),
-					})
-				}
+				uu.Patches = append(uu.Patches, storage.CellPatch{
+					Ref: t.rowRef(e.updRow), Col: e.updCol, Val: t.DecodeValue(e.updCol, e.updVal),
+				})
 			}
 			end++
 		}
@@ -553,22 +586,15 @@ func (db *Database) Checkpoint(table string) error {
 	return nil
 }
 
-// rapidRowRef maps a host row index to the RAPID base row position. Valid
-// while the replica was loaded with the same row order and a single
-// partition layout per builder defaults.
-func rapidRowRef(rt *storage.Table, hostRow int) (storage.RowRef, bool) {
-	remaining := hostRow
-	for p := 0; p < rt.NumPartitions(); p++ {
-		part := rt.Partition(p)
-		for c := 0; c < part.NumChunks(); c++ {
-			rows := part.Chunk(c).Rows()
-			if remaining < rows {
-				return storage.RowRef{Part: p, Chunk: c, Row: remaining}, true
-			}
-			remaining -= rows
-		}
+// rowRef maps a host row index to its replica row (t.mu held). Rows appended
+// since Load are the replica's inserted rows, in the same order; a loaded
+// row's build ordinal is its index less the tombstones Load skipped below it.
+// A reference the replica does not hold fails the checkpoint in Apply.
+func (t *HostTable) rowRef(hostRow int) storage.RowRef {
+	if hostRow >= t.loadedRows {
+		return storage.RowRef{Part: storage.DeltaPart, Row: hostRow - t.loadedRows}
 	}
-	return storage.RowRef{}, false
+	return t.rapid.BaseRowRef(hostRow - sort.SearchInts(t.loadTombs, hostRow))
 }
 
 // CheckpointAll checkpoints every loaded table.

@@ -356,3 +356,89 @@ func TestWindowAgreesAcrossEngines(t *testing.T) {
 		t.Fatalf("window results disagree: host %d vs rapid %d rows", host.Rel.Rows(), rapid.Rel.Rows())
 	}
 }
+
+// TestCheckpointAddressesEveryLayout: whatever layout Load built — one
+// partition, chunks dealt round-robin, rows routed by key hash — and however
+// many tombstones it skipped, every journaled update and delete lands on the
+// replica row of the host row it names, inserted rows included.
+func TestCheckpointAddressesEveryLayout(t *testing.T) {
+	for name, opts := range map[string]LoadOptions{
+		"single":     {ChunkRows: 16},
+		"roundrobin": {Partitions: 3, PartitionKey: -1, ChunkRows: 16},
+		"hash":       {Partitions: 4, PartitionKey: 1, ChunkRows: 16, TryRLE: true},
+	} {
+		t.Run(name, func(t *testing.T) {
+			db := newTestDB(t, 300)
+			defer db.Close()
+			must := func(_ uint64, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, h := range []int{0, 17, 18, 250} { // tombstones Load will skip
+				must(db.Delete("events", h))
+			}
+			if _, err := db.Load("events", opts); err != nil {
+				t.Fatal(err)
+			}
+			row := func(id int64) []storage.Value {
+				return []storage.Value{storage.IntValue(id), storage.IntValue(3), storage.DecString("1.00"), storage.StrValue("red")}
+			}
+			for _, h := range []int{1, 16, 19, 47, 48, 249, 251, 299} {
+				must(db.Update("events", h, 0, storage.IntValue(int64(-h))))
+			}
+			must(db.Delete("events", 20))
+			must(db.Delete("events", 298))
+			must(db.Insert("events", [][]storage.Value{row(1000), row(1001), row(1002)})) // host rows 300–302
+			must(db.Update("events", 301, 0, storage.IntValue(-301)))
+			must(db.Delete("events", 300))
+			if err := db.Checkpoint("events"); err != nil {
+				t.Fatal(err)
+			}
+			must(db.Update("events", 302, 1, storage.IntValue(9)))
+			must(db.Update("events", 21, 0, storage.IntValue(-21)))
+			if err := db.Checkpoint("events"); err != nil {
+				t.Fatal(err)
+			}
+			const sql = `SELECT id, grp, tag FROM events ORDER BY id`
+			host, err := db.Query(sql, QueryOptions{Mode: ForceHost})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rapid, err := db.Query(sql, QueryOptions{Mode: ForceOffload, RapidMode: qef.ModeX86, FailOnInadmissible: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if host.Rel.Rows() != 296 || rapid.Rel.Rows() != host.Rel.Rows() {
+				t.Fatalf("rows: host %d, RAPID %d, want 296", host.Rel.Rows(), rapid.Rel.Rows())
+			}
+			for i := 0; i < host.Rel.Rows(); i++ {
+				for c := 0; c < 3; c++ {
+					if h, r := host.Rel.Render(i, c), rapid.Rel.Render(i, c); h != r {
+						t.Fatalf("row %d column %d: host %s, RAPID %s (host row %s %s, RAPID row %s %s)", i, c, h, r,
+							host.Rel.Render(i, 0), host.Rel.Render(i, 1), rapid.Rel.Render(i, 0), rapid.Rel.Render(i, 1))
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestCheckpointRejectsUnaddressableRow: a journal entry the replica cannot
+// place fails the checkpoint and stays journaled; it is never skipped.
+func TestCheckpointRejectsUnaddressableRow(t *testing.T) {
+	db := newTestDB(t, 50)
+	defer db.Close()
+	loadAll(t, db)
+	if _, err := db.Update("events", 49, 0, storage.IntValue(1)); err != nil {
+		t.Fatal(err)
+	}
+	ht, _ := db.Table("events")
+	ht.mu.Lock()
+	ht.loadedRows = 40 // host row 49 now reads as the 10th insert since Load, of none
+	ht.mu.Unlock()
+	if err := db.Checkpoint("events"); err == nil || ht.PendingJournal() != 1 {
+		t.Fatalf("checkpoint of an unaddressable row: err %v, %d entries still pending", err, ht.PendingJournal())
+	}
+}

@@ -146,11 +146,16 @@ func runCached[O, R any](ctx context.Context, db *Database, e Engine[O, R], sql 
 			flight = f
 			break
 		}
+		if f == nil {
+			continue // published between the lookup and Begin
+		}
 		// Another client is executing this exact key: wait for its result
 		// instead of re-executing (thundering-herd collapse). ok=false
 		// means the leader failed or produced an unshareable result — loop
-		// back and compete for leadership.
-		if r, ok := f.Wait(ctx); ok {
+		// back and compete for leadership. So does a result whose versions
+		// have moved: the leader validated before it settled the flight, and
+		// this client may have arrived after a mutation in between.
+		if r, ok := f.Wait(ctx); ok && qcache.Validate(r.Versions, e.Version) {
 			return e.FromCache(r, opts), nil
 		}
 		if err := ctx.Err(); err != nil {

@@ -169,8 +169,12 @@ func (hostEngine) Label(opts QueryOptions) string {
 func (hostEngine) Nodes() int { return 1 }
 
 // Lookup exposes the loaded RAPID replicas to the binder.
-func (e hostEngine) Lookup(name string) (*storage.Table, error) {
-	t, err := e.db.Table(name)
+func (e hostEngine) Lookup(name string) (*storage.Table, error) { return e.db.Lookup(name) }
+
+// Lookup returns the loaded RAPID replica of a table: the database is the
+// binder's catalog (sqlparse.Bind).
+func (db *Database) Lookup(name string) (*storage.Table, error) {
+	t, err := db.Table(name)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"rapid/internal/bits"
 	"rapid/internal/coltypes"
 	"rapid/internal/primitives"
 	"rapid/internal/qef"
@@ -191,6 +192,35 @@ func TestScanSeesDeletes(t *testing.T) {
 	}
 	if sink.Rows() != 998 {
 		t.Fatalf("rows = %d, want 998", sink.Rows())
+	}
+}
+
+// TestLiveSelMatchesBitLoop: the word-wise complement of a window of the
+// deleted vector equals testing one bit per row, at every alignment of the
+// window and for tiles that end mid-word or at the end of the chunk.
+func TestLiveSelMatchesBitLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 2000; trial++ {
+		rows := 1 + rng.Intn(400)
+		deleted := bits.NewVector(rows)
+		for i, k := 0, rng.Intn(4)*rng.Intn(rows+1)/3; i < k; i++ {
+			deleted.Set(rng.Intn(rows))
+		}
+		base := rng.Intn(rows)
+		n := 1 + rng.Intn(rows-base)
+		sel := bits.NewVector(n)
+		any := liveSel(sel, deleted, base)
+		dead := 0
+		for i := 0; i < n; i++ {
+			if deleted.Test(base + i) {
+				dead++
+			} else if any && !sel.Test(i) {
+				t.Fatalf("trial %d: live row %d+%d not selected", trial, base, i)
+			}
+		}
+		if any != (dead > 0) || any && sel.Count() != n-dead {
+			t.Fatalf("trial %d: window [%d,%d) of %d rows: any=%v count=%d, want %d dead", trial, base, base+n, rows, any, sel.Count(), dead)
+		}
 	}
 }
 

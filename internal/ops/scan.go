@@ -1,6 +1,7 @@
 package ops
 
 import (
+	"rapid/internal/bits"
 	"rapid/internal/qef"
 	"rapid/internal/storage"
 )
@@ -28,9 +29,9 @@ func TableScan(ctx *qef.Context, snap *storage.Snapshot, cols []int, tileRows in
 	units := make([]qef.WorkUnit, 0, len(chunks))
 	chains := make([]qef.Operator, ctx.Workers())
 	pruned := int64(0)
-	for _, cv := range chunks {
-		cv := cv
-		if prune != nil && !ctx.NoPrune && ZoneReject(prune, tileZone(&cv, cols)) {
+	for i := range chunks {
+		cv := &chunks[i]
+		if prune != nil && !ctx.NoPrune && ZoneReject(prune, tileZone(cv, cols)) {
 			pruned++
 			continue
 		}
@@ -51,15 +52,7 @@ func TableScan(ctx *qef.Context, snap *storage.Snapshot, cols []int, tileRows in
 			return ra.Sequential(data, tileRows, func(t *qef.Tile) error {
 				tc.ResetScratch()
 				if cv.Deleted != nil {
-					sel := bvScratch(tc, t.N)
-					live := 0
-					for i := 0; i < t.N; i++ {
-						if !cv.Deleted.Test(base + i) {
-							sel.Set(i)
-							live++
-						}
-					}
-					if live < t.N {
+					if sel := bvScratch(tc, t.N); liveSel(sel, cv.Deleted, base) {
 						t.Sel = sel
 					}
 				}
@@ -77,6 +70,32 @@ func TableScan(ctx *qef.Context, snap *storage.Snapshot, cols []int, tileRows in
 		return err
 	}
 	return closeChains(ctx, chains, len(units))
+}
+
+// liveSel sets sel to the rows of deleted[base : base+sel.Len()] that are NOT
+// set and reports whether any was (when none is, the tile needs no selection
+// and sel is left cleared). It works a word at a time; base is not
+// word-aligned in general, so each word is stitched from two neighbours.
+func liveSel(sel, deleted *bits.Vector, base int) bool {
+	src, dst := deleted.Words(), sel.Words()
+	w, sh := base/64, uint(base%64)
+	dead := uint64(0)
+	for j := range dst {
+		d := src[w+j] >> sh
+		if sh != 0 && w+j+1 < len(src) {
+			d |= src[w+j+1] << (64 - sh)
+		}
+		if rest := sel.Len() - 64*j; rest < 64 {
+			d &= 1<<uint(rest) - 1 // rows past the tile
+		}
+		dst[j] = d
+		dead |= d
+	}
+	if dead == 0 {
+		return false
+	}
+	sel.Not(sel)
+	return true
 }
 
 // tileZone adapts a ChunkView's zone maps to the scanned tile layout: the

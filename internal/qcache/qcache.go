@@ -348,12 +348,17 @@ type Flight struct {
 
 // Begin joins or opens the flight for k. The second return is true for the
 // leader, who MUST call Finish exactly once (nil on failure) or followers
-// block until their contexts cancel.
+// block until their contexts cancel. A nil flight means neither: a result
+// for k was published since the caller's lookup missed (its leader put it
+// and finished in between), so the caller should look again, not execute.
 func (c *Cache) Begin(k Key) (*Flight, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if f, ok := c.flights[k]; ok {
 		return f, false
+	}
+	if _, ok := c.results[k]; ok {
+		return nil, false
 	}
 	f := &Flight{c: c, k: k, done: make(chan struct{})}
 	c.flights[k] = f

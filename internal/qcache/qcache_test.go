@@ -199,6 +199,29 @@ func TestSingleflightLeaderFailureReleasesFollowers(t *testing.T) {
 	}
 }
 
+// TestBeginAfterPublicationOpensNoFlight: a client whose lookup missed just
+// before a leader published, and who calls Begin just after that leader
+// finished, must be sent back to the store instead of leading a second
+// execution.
+func TestBeginAfterPublicationOpensNoFlight(t *testing.T) {
+	c := New(Config{})
+	k := Key{Template: 9}
+	leader, _ := c.Begin(k)
+	entry := &Result{Bytes: 1, Versions: []Version{{Name: "t"}}}
+	c.PutResult(k, entry)
+	leader.Finish(entry)
+	if f, leads := c.Begin(k); f != nil || leads {
+		t.Fatalf("Begin with a published entry and no open flight = (%v, %v), want (nil, false)", f, leads)
+	}
+	current := func(string) (Version, bool) { return Version{Name: "t", MutSCN: 1}, true }
+	if _, st := c.GetResult(k, current); st != Stale { // drops the entry
+		t.Fatalf("lookup of the outdated entry = %v, want Stale", st)
+	}
+	if f, leads := c.Begin(k); f == nil || !leads {
+		t.Fatal("Begin after the stale entry was dropped must lead")
+	}
+}
+
 func TestSingleflightWaitRespectsContext(t *testing.T) {
 	c := New(Config{})
 	f, _ := c.Begin(Key{Template: 1})

@@ -205,8 +205,9 @@ func (p *pipelineNode) zoneSurvivingRows() (int64, bool) {
 		return 0, false
 	}
 	var rows int64
-	for _, cv := range p.snap.Chunks() {
-		cv := cv
+	chunks := p.snap.Chunks()
+	for i := range chunks {
+		cv := &chunks[i]
 		zone := func(c int) (storage.Zone, bool) {
 			if c < 0 || c >= len(p.scanCols) {
 				return storage.Zone{}, false

@@ -74,32 +74,37 @@ type Runner struct {
 	Rejected int
 }
 
-// NewRunner builds both databases and loads every table: the primary with
-// default layout, the alternate with hash partitioning on the join key,
-// small chunks and RLE enabled.
+// altLoad is the alternate layout: hash partitioning on the join key, small
+// chunks and RLE enabled. The primary loads with the defaults.
+var altLoad = hostdb.LoadOptions{Partitions: 4, PartitionKey: 0, ChunkRows: 7, TryRLE: true}
+
+// loadOpts returns the layout db's tables are loaded (and reloaded) with.
+func (r *Runner) loadOpts(db *hostdb.Database) hostdb.LoadOptions {
+	if db == r.alt {
+		return altLoad
+	}
+	return hostdb.LoadOptions{}
+}
+
+// NewRunner builds both databases and loads every table, each with its own
+// layout.
 func NewRunner(sc *Scenario) (*Runner, error) {
 	r := &Runner{Sc: sc, primary: hostdb.New(), alt: hostdb.New()}
-	for _, spec := range []struct {
-		db   *hostdb.Database
-		opts hostdb.LoadOptions
-	}{
-		{r.primary, hostdb.LoadOptions{}},
-		{r.alt, hostdb.LoadOptions{Partitions: 4, PartitionKey: 0, ChunkRows: 7, TryRLE: true}},
-	} {
+	for _, db := range []*hostdb.Database{r.primary, r.alt} {
 		for _, t := range sc.Tables {
 			schema := make([]storage.ColumnDef, len(t.Cols))
 			for i, c := range t.Cols {
 				schema[i] = storage.ColumnDef{Name: c.Name, Type: c.Type}
 			}
-			if _, err := spec.db.CreateTable(t.Name, storage.MustSchema(schema...)); err != nil {
+			if _, err := db.CreateTable(t.Name, storage.MustSchema(schema...)); err != nil {
 				return nil, err
 			}
 			if len(t.Rows) > 0 {
-				if _, err := spec.db.Insert(t.Name, t.Rows); err != nil {
+				if _, err := db.Insert(t.Name, t.Rows); err != nil {
 					return nil, err
 				}
 			}
-			if _, err := spec.db.Load(t.Name, spec.opts); err != nil {
+			if _, err := db.Load(t.Name, r.loadOpts(db)); err != nil {
 				return nil, err
 			}
 		}

@@ -177,9 +177,9 @@ func (b *TableBuilder) Build() (*Table, error) {
 		parts[i] = &Partition{}
 	}
 	// Per-partition row index lists, order-preserving.
-	perPart := make([][]int, b.opts.Partitions)
+	perPart := make([][]int32, b.opts.Partitions)
 	for i := 0; i < n; i++ {
-		perPart[rowPart[i]] = append(perPart[rowPart[i]], i)
+		perPart[rowPart[i]] = append(perPart[rowPart[i]], int32(i))
 	}
 	for p, rows := range perPart {
 		for lo := 0; lo < len(rows); lo += b.opts.ChunkRows {
@@ -194,7 +194,7 @@ func (b *TableBuilder) Build() (*Table, error) {
 				var exc map[int]encoding.Decimal
 				for j, src := range chunkRows {
 					data.Set(j, b.cols[c][src])
-					if e, ok := b.exceptions[c][src]; ok {
+					if e, ok := b.exceptions[c][int(src)]; ok {
 						if exc == nil {
 							exc = make(map[int]encoding.Decimal)
 						}
@@ -218,14 +218,15 @@ func (b *TableBuilder) Build() (*Table, error) {
 		}
 	}
 
-	t := &Table{
-		name:   b.name,
-		schema: b.schema,
-		meta:   b.meta,
-		parts:  parts,
-		stats:  stats,
-	}
+	t := &Table{name: b.name, schema: b.schema}
 	t.tracker = NewTracker(t)
+	v := &version{meta: b.meta, stats: stats, chunkRows: b.opts.ChunkRows, snap: Snapshot{t: t, parts: parts}}
+	if b.opts.Partitions > 1 && b.opts.PartitionKey >= 0 {
+		// Hash routing is the one layout BaseRowRef cannot invert by
+		// arithmetic; keep which append ordinals each partition received.
+		v.partRows = perPart
+	}
+	t.cur.Store(v)
 	return t, nil
 }
 

@@ -120,9 +120,9 @@ func TestCompactMultiPartition(t *testing.T) {
 }
 
 func TestSnapshotIsolationDuringCompact(t *testing.T) {
-	// A snapshot taken before compaction still reads correct data after
-	// (the snapshot holds its own unit list; base replacement swaps
-	// atomically under the table lock).
+	// A snapshot taken before compaction still reads its own version after
+	// (it holds the base partitions and the unit-log prefix it was cut from;
+	// Compact publishes a new version beside it).
 	s := MustSchema(ColumnDef{Name: "v", Type: coltypes.Int()})
 	b := NewTableBuilder("t", s, BuildOptions{ChunkRows: 16})
 	for i := 0; i < 100; i++ {
@@ -134,12 +134,22 @@ func TestSnapshotIsolationDuringCompact(t *testing.T) {
 	if err := tbl.Tracker().Apply(UpdateUnit{SCN: 1, Inserts: [][]Value{{IntValue(500)}}}); err != nil {
 		t.Fatal(err)
 	}
+	before := tbl.Snapshot(LatestSCN) // first read happens after the swap
 	if err := tbl.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	after := tbl.Snapshot(LatestSCN)
 	if after.TotalRows() != 101 {
 		t.Fatalf("rows = %d", after.TotalRows())
+	}
+	if n := len(after.Chunks()); n != 7 {
+		t.Fatalf("compacted base has %d chunks, want 7 (101 rows of 16)", n)
+	}
+	// Through the old snapshot: the 7 original chunks (100 rows) plus the
+	// delta chunk holding the insert — not the rebuilt base.
+	old := before.Chunks()
+	if before.TotalRows() != 101 || len(old) != 8 || old[7].Rows != 1 || old[7].Data(0).Get(0) != 500 {
+		t.Fatalf("pre-compaction snapshot reads %d rows in %d chunks after the swap", before.TotalRows(), len(old))
 	}
 	if tbl.BaseSCN() != 1 || tbl.SCN() != 1 {
 		t.Fatalf("SCNs: base=%d curr=%d", tbl.BaseSCN(), tbl.SCN())

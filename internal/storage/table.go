@@ -2,7 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"rapid/internal/coltypes"
@@ -21,27 +20,38 @@ type ColumnMeta struct {
 
 // Table is a loaded base relation: schema, physical metadata, horizontally
 // partitioned columnar data, statistics and the SCN/update state of §3.3
-// and §4.3.
+// and §4.3. Everything that changes after Build lives in the current
+// version.
 type Table struct {
-	name   string
-	schema *Schema
-	meta   []ColumnMeta
-	parts  []*Partition
-	stats  *TableStats
-	shard  *ShardMap // tray shard map this table is one shard of (nil single-node)
-
-	mu      sync.RWMutex
-	baseSCN uint64 // SCN up to which changes are merged into base data
-	currSCN uint64 // SCN of the newest applied update unit
+	name    string
+	schema  *Schema
+	shard   *ShardMap // tray shard map this table is one shard of (nil single-node)
 	tracker *Tracker
 
+	// cur is the newest published version. Readers load it and never lock;
+	// Tracker.Apply and Compact (serialised on tracker.mu) build the next
+	// version and store it.
+	cur atomic.Pointer[version]
+
 	// epoch counts visible-data generations: Tracker.Apply and Compact bump
-	// it strictly BEFORE publishing the new data (DESIGN.md §10). A reader
+	// it strictly BEFORE publishing the new version (DESIGN.md §10). A reader
 	// that captures the epoch, computes, and sees the same epoch afterwards
 	// is guaranteed its computation saw no concurrently published mutation;
 	// the converse spurious case (epoch moved, data unchanged yet) only
 	// causes a harmless cache invalidation.
 	epoch atomic.Uint64
+}
+
+// version is one immutable state of a table: base storage with its metadata,
+// layout and statistics, the visible prefix of the unit log, and the one
+// read view every query at this version shares.
+type version struct {
+	meta      []ColumnMeta
+	stats     *TableStats
+	chunkRows int       // rows per full chunk
+	partRows  [][]int32 // hash-partitioned builds: per partition, the append ordinals it holds, ascending
+	baseSCN   uint64    // SCN up to which changes are merged into base data
+	snap      Snapshot  // its scn is that of the newest applied update unit
 }
 
 // DataEpoch returns the table's visible-data generation counter. Lock-free;
@@ -55,27 +65,22 @@ func (t *Table) Name() string { return t.name }
 func (t *Table) Schema() *Schema { return t.schema }
 
 // Meta returns the physical metadata of column i.
-func (t *Table) Meta(i int) ColumnMeta { return t.meta[i] }
+func (t *Table) Meta(i int) ColumnMeta { return t.cur.Load().meta[i] }
 
 // Stats returns the current table statistics. The returned TableStats is
-// immutable: updates install a fresh copy under t.mu (see refreshStatsLocked),
-// so callers may keep reading it without holding the lock.
-func (t *Table) Stats() *TableStats {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.stats
-}
+// immutable: every version carries its own (see refreshStats).
+func (t *Table) Stats() *TableStats { return t.cur.Load().stats }
 
 // NumPartitions returns the partition count.
-func (t *Table) NumPartitions() int { return len(t.parts) }
+func (t *Table) NumPartitions() int { return len(t.cur.Load().snap.parts) }
 
 // Partition returns partition i.
-func (t *Table) Partition(i int) *Partition { return t.parts[i] }
+func (t *Table) Partition(i int) *Partition { return t.cur.Load().snap.parts[i] }
 
 // Rows returns the base row count (excluding unmerged update units).
 func (t *Table) Rows() int {
 	n := 0
-	for _, p := range t.parts {
+	for _, p := range t.cur.Load().snap.parts {
 		n += p.Rows()
 	}
 	return n
@@ -84,24 +89,19 @@ func (t *Table) Rows() int {
 // SCN returns the newest change SCN applied to this table in RAPID. A query
 // is admissible only if every journal entry up to the query's SCN has been
 // propagated (paper §3.3); the host database compares against this value.
-func (t *Table) SCN() uint64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.currSCN
-}
+func (t *Table) SCN() uint64 { return t.cur.Load().snap.scn }
+
+// BaseSCN returns the SCN merged into base storage.
+func (t *Table) BaseSCN() uint64 { return t.cur.Load().baseSCN }
 
 // Tracker returns the update tracker.
-func (t *Table) Tracker() *Tracker {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.tracker
-}
+func (t *Table) Tracker() *Tracker { return t.tracker }
 
 // EncodeValue encodes a logical value into the physical representation of
 // column c, returning the encoded integer and, for decimals that do not fit
 // the common scale, the exact exception value.
 func (t *Table) EncodeValue(c int, v Value) (int64, *encoding.Decimal, error) {
-	m := &t.meta[c]
+	m := &t.cur.Load().meta[c]
 	want := m.Def.Type.Kind
 	if v.Kind != want {
 		return 0, nil, fmt.Errorf("storage: column %s expects %v, got %v", m.Def.Name, want, v.Kind)
@@ -128,7 +128,7 @@ func (t *Table) EncodeValue(c int, v Value) (int64, *encoding.Decimal, error) {
 // DecodeValue renders the encoded integer of column c back to a logical
 // value.
 func (t *Table) DecodeValue(c int, enc int64) Value {
-	m := &t.meta[c]
+	m := &t.cur.Load().meta[c]
 	switch m.Def.Type.Kind {
 	case coltypes.KindString:
 		return StrValue(m.Dict.Value(int32(enc)))
@@ -146,7 +146,7 @@ func (t *Table) DecodeValue(c int, enc int64) Value {
 // StoredBytes returns the total columnar storage footprint.
 func (t *Table) StoredBytes() int {
 	n := 0
-	for _, p := range t.parts {
+	for _, p := range t.cur.Load().snap.parts {
 		for _, ch := range p.chunks {
 			for _, v := range ch.cols {
 				n += v.StoredBytes()

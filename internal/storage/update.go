@@ -2,11 +2,11 @@ package storage
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 
 	"rapid/internal/bits"
 	"rapid/internal/coltypes"
-	"rapid/internal/encoding"
 )
 
 // The update model of paper §4.3: changes arrive as SCN-stamped update units
@@ -15,19 +15,26 @@ import (
 // concurrently. Accumulated units are merged into base storage by Compact
 // (the garbage-collection of outdated vectors the paper mentions).
 
-// RowRef addresses a base row: partition, chunk, row-in-chunk.
+// RowRef addresses one row of a table version: a base row by partition,
+// chunk and row-in-chunk, or, with Part == DeltaPart, the Row-th row the unit
+// log has inserted (in log order; Chunk unused).
 type RowRef struct {
 	Part, Chunk, Row int
 }
 
-// CellPatch updates a single cell of a base row.
+// DeltaPart is the RowRef.Part of rows inserted by update units.
+const DeltaPart = -1
+
+// CellPatch updates a single cell of a row.
 type CellPatch struct {
 	Ref RowRef
 	Col int
 	Val Value
 }
 
-// UpdateUnit is one SCN-stamped batch of changes.
+// UpdateUnit is one SCN-stamped batch of changes. Within a unit, inserts
+// apply first, then patches, then deletes, so a unit may address the rows it
+// inserts.
 type UpdateUnit struct {
 	SCN     uint64
 	Inserts [][]Value
@@ -39,60 +46,73 @@ type encPatch struct {
 	ref RowRef
 	col int
 	enc int64
-	exc *encoding.Decimal
 }
 
 type appliedUU struct {
-	scn     uint64
-	deletes []RowRef
-	patches []encPatch
-	inserts [][]int64 // encoded rows
+	scn      uint64
+	deletes  []RowRef
+	patches  []encPatch
+	inserts  [][]int64 // encoded rows
+	deltaEnd int       // rows inserted by the log up to and including this unit
 }
 
-// Tracker stores applied update units for a table and builds SCN-consistent
-// snapshots.
+// deltaRows returns the number of rows a unit log has inserted.
+func deltaRows(units []appliedUU) int {
+	if len(units) == 0 {
+		return 0
+	}
+	return units[len(units)-1].deltaEnd
+}
+
+// Tracker applies update units to a table. The unit log itself lives in the
+// table's versions: each Apply publishes a version whose log is one unit
+// longer, sharing the backing array with its predecessors (a version only
+// ever reads its own prefix).
 type Tracker struct {
-	t     *Table
-	mu    sync.RWMutex
-	units []appliedUU
+	t  *Table
+	mu sync.Mutex // serialises Apply and Compact; readers never take it
 }
 
 // NewTracker creates an empty tracker for t.
 func NewTracker(t *Table) *Tracker { return &Tracker{t: t} }
 
-// Apply validates and applies an update unit. SCNs must be monotonically
-// increasing per table.
+// Apply validates an update unit and publishes the table version that
+// includes it. SCNs must be monotonically increasing per table. The work is
+// O(unit): read views are materialised by the first reader, not here.
 func (tr *Tracker) Apply(uu UpdateUnit) error {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	tr.t.mu.Lock()
-	defer tr.t.mu.Unlock()
-	if uu.SCN <= tr.t.currSCN {
-		return fmt.Errorf("storage: UU SCN %d not newer than table SCN %d", uu.SCN, tr.t.currSCN)
+	t, v := tr.t, tr.t.cur.Load()
+	if uu.SCN <= v.snap.scn {
+		return fmt.Errorf("storage: UU SCN %d not newer than table SCN %d", uu.SCN, v.snap.scn)
 	}
-	a := appliedUU{scn: uu.SCN, deletes: uu.Deletes}
+	units := v.snap.units
+	a := appliedUU{scn: uu.SCN, deletes: uu.Deletes, deltaEnd: deltaRows(units) + len(uu.Inserts)}
 	for _, p := range uu.Patches {
-		if err := tr.checkRef(p.Ref); err != nil {
+		if err := checkRef(v.snap.parts, a.deltaEnd, p.Ref); err != nil {
 			return err
 		}
-		enc, exc, err := tr.t.EncodeValue(p.Col, p.Val)
+		if p.Col < 0 || p.Col >= t.schema.NumCols() {
+			return fmt.Errorf("storage: patch column %d out of range", p.Col)
+		}
+		enc, _, err := t.EncodeValue(p.Col, p.Val)
 		if err != nil {
 			return err
 		}
-		a.patches = append(a.patches, encPatch{ref: p.Ref, col: p.Col, enc: enc, exc: exc})
+		a.patches = append(a.patches, encPatch{ref: p.Ref, col: p.Col, enc: enc})
 	}
 	for _, d := range uu.Deletes {
-		if err := tr.checkRef(d); err != nil {
+		if err := checkRef(v.snap.parts, a.deltaEnd, d); err != nil {
 			return err
 		}
 	}
 	for _, row := range uu.Inserts {
-		if len(row) != tr.t.schema.NumCols() {
-			return fmt.Errorf("storage: insert row has %d values, want %d", len(row), tr.t.schema.NumCols())
+		if len(row) != t.schema.NumCols() {
+			return fmt.Errorf("storage: insert row has %d values, want %d", len(row), t.schema.NumCols())
 		}
 		enc := make([]int64, len(row))
-		for c, v := range row {
-			e, _, err := tr.t.EncodeValue(c, v)
+		for c, val := range row {
+			e, _, err := t.EncodeValue(c, val)
 			if err != nil {
 				return err
 			}
@@ -100,39 +120,35 @@ func (tr *Tracker) Apply(uu UpdateUnit) error {
 		}
 		a.inserts = append(a.inserts, enc)
 	}
-	// Epoch bump must precede unit publication: a cache validator that reads
-	// the epoch after its computation can then never pair pre-mutation data
-	// with a post-mutation epoch (the stale-hit direction). The reverse
+	nv := &version{
+		meta: v.meta, stats: refreshStats(v.stats, a), chunkRows: v.chunkRows, partRows: v.partRows,
+		baseSCN: v.baseSCN,
+		snap:    Snapshot{t: t, scn: uu.SCN, parts: v.snap.parts, units: append(units, a)},
+	}
+	// Epoch bump must precede version publication: a cache validator that
+	// reads the epoch after its computation can then never pair pre-mutation
+	// data with a post-mutation epoch (the stale-hit direction). The reverse
 	// window — epoch bumped, data not yet visible — only over-invalidates.
-	tr.t.epoch.Add(1)
-	tr.units = append(tr.units, a)
-	tr.t.currSCN = uu.SCN
-	tr.t.refreshStatsLocked(a)
+	t.epoch.Add(1)
+	t.cur.Store(nv)
 	return nil
 }
 
-// refreshStatsLocked maintains conservative table statistics across an
-// applied update unit (t.mu held). The contract the cost model and zone
-// pruning rely on is that [Min, Max] stays a superset of the live encoded
+// refreshStats returns conservative table statistics for the version that
+// adds unit a to one with statistics old. The contract the cost model and
+// zone pruning rely on is that [Min, Max] stays a superset of the live encoded
 // domain: patches and inserts widen the bounds to cover their values; the
 // row count tracks inserts and deletes; NDV becomes inexact (a mutation can
 // move it either way). Deletes never narrow bounds — a superset can only
 // under-prune, never produce a wrong result. Compact recomputes exact
 // statistics from scratch.
-func (t *Table) refreshStatsLocked(a appliedUU) {
-	if t.stats == nil {
-		return
+func refreshStats(old *TableStats, a appliedUU) *TableStats {
+	if old == nil || len(a.patches) == 0 && len(a.inserts) == 0 && len(a.deletes) == 0 {
+		return old
 	}
-	if len(a.patches) == 0 && len(a.inserts) == 0 && len(a.deletes) == 0 {
-		return
-	}
-	// Copy-on-write: readers hold the pointer returned by Stats() without a
-	// lock on its contents, so mutations build a fresh TableStats.
-	ns := &TableStats{Rows: t.stats.Rows, Cols: append([]ColStats(nil), t.stats.Cols...)}
+	// Copy-on-write: readers of older versions keep theirs.
+	ns := &TableStats{Rows: old.Rows, Cols: append([]ColStats(nil), old.Cols...)}
 	widen := func(col int, v int64) {
-		if col < 0 || col >= len(ns.Cols) {
-			return
-		}
 		cs := &ns.Cols[col]
 		if ns.Rows == 0 {
 			cs.Min, cs.Max = v, v
@@ -168,14 +184,21 @@ func (t *Table) refreshStatsLocked(a appliedUU) {
 			ns.Cols[c].NDV = ns.Rows
 		}
 	}
-	t.stats = ns
+	return ns
 }
 
-func (tr *Tracker) checkRef(r RowRef) error {
-	if r.Part < 0 || r.Part >= len(tr.t.parts) {
+// checkRef validates r against base storage and a log of deltaRows inserts.
+func checkRef(parts []*Partition, deltaRows int, r RowRef) error {
+	if r.Part == DeltaPart {
+		if r.Row < 0 || r.Row >= deltaRows {
+			return fmt.Errorf("storage: inserted row %d out of range", r.Row)
+		}
+		return nil
+	}
+	if r.Part < 0 || r.Part >= len(parts) {
 		return fmt.Errorf("storage: partition %d out of range", r.Part)
 	}
-	p := tr.t.parts[r.Part]
+	p := parts[r.Part]
 	if r.Chunk < 0 || r.Chunk >= p.NumChunks() {
 		return fmt.Errorf("storage: chunk %d out of range", r.Chunk)
 	}
@@ -185,35 +208,59 @@ func (tr *Tracker) checkRef(r RowRef) error {
 	return nil
 }
 
-// PendingUnits returns the number of unmerged update units.
-func (tr *Tracker) PendingUnits() int {
-	tr.mu.RLock()
-	defer tr.mu.RUnlock()
-	return len(tr.units)
+// BaseRowRef returns the base position of the ord-th row appended to the
+// builder (or, after Compact, the ord-th live row it re-appended). An ord the
+// build never saw yields a reference Apply rejects.
+func (t *Table) BaseRowRef(ord int) RowRef {
+	v := t.cur.Load()
+	np := len(v.snap.parts)
+	if v.partRows == nil {
+		// One partition, or whole chunks dealt round-robin in append order.
+		g := ord / v.chunkRows
+		return RowRef{Part: g % np, Chunk: g / np, Row: ord % v.chunkRows}
+	}
+	for p, rows := range v.partRows {
+		i := sort.Search(len(rows), func(i int) bool { return int(rows[i]) >= ord })
+		if i < len(rows) && int(rows[i]) == ord {
+			return RowRef{Part: p, Chunk: i / v.chunkRows, Row: i % v.chunkRows}
+		}
+	}
+	return RowRef{Part: np}
 }
+
+// PendingUnits returns the number of unmerged update units.
+func (tr *Tracker) PendingUnits() int { return len(tr.t.cur.Load().snap.units) }
 
 // LatestSCN is the SCN snapshot marker meaning "newest visible version".
 const LatestSCN = ^uint64(0)
 
 // Snapshot is an SCN-consistent read view over a table: base chunks with
-// the valid patches and deletes applied, plus the visible inserted rows.
+// the valid patches and deletes applied, plus the visible inserted rows. It
+// holds the base storage and log prefix it was cut from, so it reads the same
+// data for as long as anyone keeps it, whatever Apply and Compact publish
+// meanwhile. The views are built once, by the first reader.
 type Snapshot struct {
 	t     *Table
 	scn   uint64
+	parts []*Partition
 	units []appliedUU
+
+	once  sync.Once
+	views []ChunkView
+	rows  int
 }
 
-// Snapshot builds a read view of the table at the given SCN.
+// Snapshot returns the read view of the table at the given SCN: the current
+// version's shared view when scn covers its newest unit, a private one over
+// the log prefix otherwise.
 func (t *Table) Snapshot(scn uint64) *Snapshot {
-	t.tracker.mu.RLock()
-	defer t.tracker.mu.RUnlock()
-	s := &Snapshot{t: t, scn: scn}
-	for _, u := range t.tracker.units {
-		if u.scn <= scn {
-			s.units = append(s.units, u)
-		}
+	cur := &t.cur.Load().snap
+	n := len(cur.units)
+	if n == 0 || scn >= cur.units[n-1].scn {
+		return cur
 	}
-	return s
+	k := sort.Search(n, func(i int) bool { return cur.units[i].scn > scn })
+	return &Snapshot{t: t, scn: scn, parts: cur.parts, units: cur.units[:k]}
 }
 
 // Table returns the snapshot's table.
@@ -223,198 +270,148 @@ func (s *Snapshot) Table() *Table { return s.t }
 func (s *Snapshot) SCN() uint64 { return s.scn }
 
 // ChunkView is a readable chunk of a snapshot. Deleted, when non-nil, marks
-// rows that must be skipped.
+// rows that must be skipped. Views are shared by every reader of the
+// snapshot and must not be modified.
 type ChunkView struct {
 	Rows    int
 	Part    int
 	Deleted *bits.Vector
-	data    func(col int) coltypes.Data
-	vector  func(col int) *Vector
-	zone    func(col int) (Zone, bool)
+	chunk   *Chunk          // base chunk; nil for the delta chunk
+	overlay []coltypes.Data // per column: the patched copy or delta column; zero where the base column stands
+}
+
+func (cv *ChunkView) overlaid(col int) bool {
+	return cv.overlay != nil && cv.overlay[col].Width() != 0
 }
 
 // Data returns the (patched) column data of the view.
-func (cv *ChunkView) Data(col int) coltypes.Data { return cv.data(col) }
+func (cv *ChunkView) Data(col int) coltypes.Data {
+	if cv.overlaid(col) {
+		return cv.overlay[col]
+	}
+	return cv.chunk.cols[col].Data()
+}
 
 // Zone returns the zone-map entry for a column of the view, when one is
 // known to still bound the visible data. Patched columns and delta chunks
 // report ok=false; views with deletions keep their base zones — a zone is
 // then a superset of the live values, which can only under-prune.
 func (cv *ChunkView) Zone(col int) (Zone, bool) {
-	if cv.zone == nil {
+	if cv.chunk == nil || cv.overlaid(col) {
 		return Zone{}, false
 	}
-	return cv.zone(col)
-}
-
-// Vector returns the underlying base vector when the view is an unpatched
-// base chunk; nil for delta chunks or patched views. Scans use it to reach
-// DSB exception tables.
-func (cv *ChunkView) Vector(col int) *Vector {
-	if cv.vector == nil {
-		return nil
-	}
-	return cv.vector(col)
+	return cv.chunk.Zone(col)
 }
 
 // Chunks returns all visible chunks: the base chunks (patched as needed)
-// followed by one delta chunk holding visible inserted rows, if any.
+// followed by one delta chunk holding the inserted rows, if any.
 func (s *Snapshot) Chunks() []ChunkView {
-	var views []ChunkView
-	for pi, p := range s.t.parts {
-		for ci := range p.chunks {
-			views = append(views, s.baseChunkView(pi, ci))
-		}
-	}
-	if delta := s.deltaChunkView(); delta != nil {
-		views = append(views, *delta)
-	}
-	return views
+	s.once.Do(s.materialise)
+	return s.views
 }
 
 // TotalRows returns the number of visible rows (excluding deletions).
 func (s *Snapshot) TotalRows() int {
-	n := 0
-	for _, cv := range s.Chunks() {
-		n += cv.Rows
-		if cv.Deleted != nil {
-			n -= cv.Deleted.Count()
-		}
-	}
-	return n
+	s.once.Do(s.materialise)
+	return s.rows
 }
 
-func (s *Snapshot) baseChunkView(pi, ci int) ChunkView {
-	chunk := s.t.parts[pi].chunks[ci]
-	var deleted *bits.Vector
-	type patch struct {
-		row int
-		col int
-		enc int64
+// materialise builds the views in one pass over the visible units, applying
+// each in log order: O(chunks + changes), plus one column copy per patched
+// (chunk, column).
+func (s *Snapshot) materialise() {
+	ncols := s.t.schema.NumCols()
+	partOff := make([]int, len(s.parts))
+	nbase := 0
+	for pi, p := range s.parts {
+		partOff[pi] = nbase
+		nbase += len(p.chunks)
 	}
-	var patches []patch
-	for _, u := range s.units {
-		for _, d := range u.deletes {
-			if d.Part == pi && d.Chunk == ci {
-				if deleted == nil {
-					deleted = bits.NewVector(chunk.Rows())
-				}
-				deleted.Set(d.Row)
+	views := make([]ChunkView, 0, nbase+1)
+	for pi, p := range s.parts {
+		for _, ch := range p.chunks {
+			views = append(views, ChunkView{Rows: ch.rows, Part: pi, chunk: ch})
+			s.rows += ch.rows
+		}
+	}
+	if n := deltaRows(s.units); n > 0 {
+		// Delta rows may exceed the base width; store wide.
+		cols := make([]coltypes.Data, ncols)
+		for c := range cols {
+			cols[c] = coltypes.New(coltypes.W8, n)
+		}
+		views = append(views, ChunkView{Rows: n, overlay: cols})
+		s.rows += n
+	}
+	view := func(r RowRef) *ChunkView {
+		if r.Part == DeltaPart {
+			return &views[nbase]
+		}
+		return &views[partOff[r.Part]+r.Chunk]
+	}
+	inserted := 0
+	for i := range s.units {
+		u := &s.units[i]
+		for _, row := range u.inserts {
+			for c, enc := range row {
+				views[nbase].overlay[c].Set(inserted, enc)
 			}
+			inserted++
 		}
 		for _, p := range u.patches {
-			if p.ref.Part == pi && p.ref.Chunk == ci {
-				patches = append(patches, patch{row: p.ref.Row, col: p.col, enc: p.enc})
+			view(p.ref).patch(p.ref.Row, p.col, p.enc)
+		}
+		for _, d := range u.deletes {
+			cv := view(d)
+			if cv.Deleted == nil {
+				cv.Deleted = bits.NewVector(cv.Rows)
+			}
+			if !cv.Deleted.Test(d.Row) {
+				cv.Deleted.Set(d.Row)
+				s.rows--
 			}
 		}
 	}
-	cv := ChunkView{
-		Rows:    chunk.Rows(),
-		Part:    pi,
-		Deleted: deleted,
-		vector:  func(col int) *Vector { return chunk.Col(col) },
-	}
-	if len(patches) == 0 {
-		cv.data = func(col int) coltypes.Data { return chunk.Col(col).Data() }
-		cv.zone = chunk.Zone
-		return cv
-	}
-	patchedSet := make(map[int]bool, len(patches))
-	for _, p := range patches {
-		patchedSet[p.col] = true
-	}
-	cv.zone = func(col int) (Zone, bool) {
-		if patchedSet[col] {
-			return Zone{}, false
-		}
-		return chunk.Zone(col)
-	}
-	// Copy-on-patch: clone affected columns, widening if a patched value
-	// does not fit the base width.
-	patchedCols := make(map[int]coltypes.Data)
-	cv.data = func(col int) coltypes.Data {
-		if d, ok := patchedCols[col]; ok {
-			return d
-		}
-		base := chunk.Col(col).Data()
-		needsPatch := false
-		needWide := false
-		w := base.Width()
-		for _, p := range patches {
-			if p.col == col {
-				needsPatch = true
-				if p.enc < w.MinInt() || p.enc > w.MaxInt() {
-					needWide = true
-				}
-			}
-		}
-		if !needsPatch {
-			patchedCols[col] = base
-			return base
-		}
-		var cp coltypes.Data
-		if needWide {
-			cp = coltypes.New(coltypes.W8, base.Len())
-			for i := 0; i < base.Len(); i++ {
-				cp.Set(i, base.Get(i))
-			}
-		} else {
-			cp = base.NewSame(base.Len())
-			cp.CopyFrom(0, base)
-		}
-		for _, p := range patches {
-			if p.col == col {
-				cp.Set(p.row, p.enc)
-			}
-		}
-		patchedCols[col] = cp
-		return cp
-	}
-	cv.vector = nil // patched views must not expose base exception tables
-	return cv
+	s.views = views
 }
 
-func (s *Snapshot) deltaChunkView() *ChunkView {
-	var rows [][]int64
-	for _, u := range s.units {
-		rows = append(rows, u.inserts...)
+// patch sets one cell, copying the base column on its first patch and
+// widening the copy when a value does not fit its width.
+func (cv *ChunkView) patch(row, col int, enc int64) {
+	if cv.overlay == nil {
+		cv.overlay = make([]coltypes.Data, len(cv.chunk.cols))
 	}
-	if len(rows) == 0 {
-		return nil
+	d := cv.overlay[col]
+	if d.Width() == 0 {
+		base := cv.chunk.cols[col].Data()
+		d = base.NewSame(base.Len())
+		d.CopyFrom(0, base)
 	}
-	cols := make([]coltypes.Data, s.t.schema.NumCols())
-	cv := &ChunkView{Rows: len(rows), Part: 0}
-	cv.data = func(col int) coltypes.Data {
-		if cols[col].Width() == 0 { // not built yet
-			// Delta rows may exceed the base width; store wide.
-			d := coltypes.New(coltypes.W8, len(rows))
-			for i, r := range rows {
-				d.Set(i, r[col])
-			}
-			cols[col] = d
+	if w := d.Width(); enc < w.MinInt() || enc > w.MaxInt() {
+		wide := coltypes.New(coltypes.W8, d.Len())
+		for i := 0; i < d.Len(); i++ {
+			wide.Set(i, d.Get(i))
 		}
-		return cols[col]
+		d = wide
 	}
-	return cv
+	d.Set(row, enc)
+	cv.overlay[col] = d
 }
 
 // Compact merges every applied update unit into base storage, rebuilding
-// partitions and statistics, and clears the tracker. This is the background
-// reclamation of outdated vectors (§4.3).
+// partitions and statistics, and empties the unit log. This is the background
+// reclamation of outdated vectors (§4.3). Rows are renumbered: RowRefs and
+// BaseRowRef ordinals from before the call no longer address the same rows.
 func (t *Table) Compact() error {
 	t.tracker.mu.Lock()
 	defer t.tracker.mu.Unlock()
-	t.mu.Lock()
-	scn := t.currSCN
-	t.mu.Unlock()
-
-	snap := &Snapshot{t: t, scn: scn, units: t.tracker.units}
+	v := t.cur.Load()
 	b := NewTableBuilder(t.name, t.schema, BuildOptions{
-		Partitions: len(t.parts),
-		ChunkRows:  chunkRowsOf(t),
+		Partitions: len(v.snap.parts),
+		ChunkRows:  v.chunkRows,
 	})
-	for _, cv := range snap.Chunks() {
-		cols := make([]coltypes.Data, t.schema.NumCols())
+	cols := make([]coltypes.Data, t.schema.NumCols())
+	for _, cv := range v.snap.Chunks() {
 		for c := range cols {
 			cols[c] = cv.Data(c)
 		}
@@ -435,31 +432,14 @@ func (t *Table) Compact() error {
 	if err != nil {
 		return err
 	}
+	nv := nt.cur.Load()
 	// Same ordering contract as Tracker.Apply: bump before the rebuilt base
 	// becomes visible so validators never certify mid-compaction reads.
 	t.epoch.Add(1)
-	t.mu.Lock()
-	t.meta = nt.meta
-	t.parts = nt.parts
-	t.stats = nt.stats
-	t.baseSCN = scn
-	t.mu.Unlock()
-	t.tracker.units = nil
+	t.cur.Store(&version{
+		meta: nv.meta, stats: nv.stats, chunkRows: nv.chunkRows, partRows: nv.partRows,
+		baseSCN: v.snap.scn,
+		snap:    Snapshot{t: t, scn: v.snap.scn, parts: nv.snap.parts},
+	})
 	return nil
-}
-
-func chunkRowsOf(t *Table) int {
-	for _, p := range t.parts {
-		if p.NumChunks() > 0 {
-			return p.Chunk(0).Rows()
-		}
-	}
-	return DefaultChunkRows
-}
-
-// BaseSCN returns the SCN merged into base storage.
-func (t *Table) BaseSCN() uint64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.baseSCN
 }

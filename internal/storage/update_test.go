@@ -101,12 +101,21 @@ func TestSCNVersioning(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	base := tbl.Snapshot(LatestSCN)
 	must(tbl.Tracker().Apply(UpdateUnit{SCN: 10, Patches: []CellPatch{
 		{Ref: RowRef{0, 0, 0}, Col: 1, Val: IntValue(111)},
 	}}))
+	first := tbl.Snapshot(LatestSCN) // not read until a newer version exists
 	must(tbl.Tracker().Apply(UpdateUnit{SCN: 20, Patches: []CellPatch{
 		{Ref: RowRef{0, 0, 0}, Col: 1, Val: IntValue(222)},
 	}}))
+	// A snapshot taken before an Apply keeps reading its own version.
+	if v := scanCol(base, 1)[0]; v != 0 {
+		t.Fatalf("snapshot taken before any unit sees %d, want 0", v)
+	}
+	if v := scanCol(first, 1)[0]; v != 111 {
+		t.Fatalf("snapshot taken at SCN 10 sees %d after SCN 20 was applied, want 111", v)
+	}
 	// Snapshot before the first change sees the original value.
 	if v := scanCol(tbl.Snapshot(5), 1)[0]; v != 0 {
 		t.Fatalf("SCN 5 sees %d, want 0", v)
@@ -208,23 +217,5 @@ func TestCompact(t *testing.T) {
 		if am[k] != c {
 			t.Fatalf("compact changed data at %v", k)
 		}
-	}
-}
-
-func TestVectorRefAccessThroughView(t *testing.T) {
-	tbl := simpleTable(t, 10)
-	s := tbl.Snapshot(LatestSCN)
-	cv := s.Chunks()[0]
-	if cv.Vector(0) == nil {
-		t.Fatal("unpatched base chunk should expose vectors")
-	}
-	if err := tbl.Tracker().Apply(UpdateUnit{SCN: 1, Patches: []CellPatch{
-		{Ref: RowRef{0, 0, 1}, Col: 0, Val: IntValue(3)},
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	cv2 := tbl.Snapshot(LatestSCN).Chunks()[0]
-	if cv2.Vector(0) != nil {
-		t.Fatal("patched view must not expose base vectors")
 	}
 }

@@ -1,9 +1,12 @@
 package rapid
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
+
+	"rapid/internal/hostdb"
 )
 
 func exampleDB(t testing.TB) *DB {
@@ -334,5 +337,136 @@ func TestPublicAPIQueryCache(t *testing.T) {
 	}
 	if s := off.CacheStats(); s.Hits != 0 || s.Misses != 0 {
 		t.Fatalf("disabled cache reported stats %+v", s)
+	}
+}
+
+// hostAndRapid runs sql on the host row engine and on the replica (which must
+// be admissible) and returns both single-value answers.
+func hostAndRapid(t *testing.T, db *DB, sql string) (host, rapid int64) {
+	t.Helper()
+	h, err := db.QueryWith(sql, Options{Engine: EngineHost})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := db.QueryWith(sql, Options{Engine: EngineRapidX86, FailOnInadmissible: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h.GetInt(0, 0), r.GetInt(0, 0)
+}
+
+// TestUpdateOfInsertedRowReachesReplica: a row inserted after Load lives in
+// the replica's delta chunk; updating and deleting it must land there instead
+// of being dropped at Checkpoint.
+func TestUpdateOfInsertedRowReachesReplica(t *testing.T) {
+	db := exampleDB(t)
+	defer db.Close()
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	row := func(id int64) []Value {
+		return []Value{Int(id), String("north"), Date(2023, 12, 31), Decimal("1.00"), Bool(false)}
+	}
+	must(db.Insert("sales", [][]Value{row(5000), row(6000)})) // host rows 2000, 2001
+	must(db.Checkpoint("sales"))
+	must(db.Update("sales", 2000, 0, Int(7000)))
+	must(db.Checkpoint("sales"))
+	// 0+…+1999 = 1,999,000, plus 7000 and 6000.
+	if h, r := hostAndRapid(t, db, `SELECT SUM(id) FROM sales`); h != 2012000 || r != h {
+		t.Fatalf("after updating an inserted row: SUM(id) host %d, RAPID %d", h, r)
+	}
+	// Same again with insert, update and delete in ONE checkpoint.
+	must(db.Insert("sales", [][]Value{row(100)})) // host row 2002
+	must(db.Update("sales", 2002, 0, Int(200)))
+	must(db.Delete("sales", 2001))
+	must(db.Checkpoint("sales"))
+	if h, r := hostAndRapid(t, db, `SELECT SUM(id) FROM sales`); h != 2006200 || r != h {
+		t.Fatalf("after deleting an inserted row: SUM(id) host %d, RAPID %d", h, r)
+	}
+	if h, r := hostAndRapid(t, db, `SELECT COUNT(*) FROM sales`); h != 2002 || r != h {
+		t.Fatalf("COUNT(*) host %d, RAPID %d", h, r)
+	}
+}
+
+// TestUpdateAfterDeleteAndReload: Load skips tombstones but host row indices
+// keep counting them, so after Delete → Load a host index is not the
+// replica's row ordinal.
+func TestUpdateAfterDeleteAndReload(t *testing.T) {
+	db := exampleDB(t)
+	defer db.Close()
+	for _, step := range []func() error{
+		func() error { return db.Delete("sales", 10) },
+		func() error { return db.Delete("sales", 1500) },
+		func() error { return db.Load("sales") },
+		func() error { return db.Update("sales", 20, 0, Int(-20)) },
+		func() error { return db.Delete("sales", 1600) },
+		func() error { return db.Checkpoint("sales") },
+	} {
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, sql := range []string{
+		`SELECT COUNT(*) FROM sales WHERE id = 20`,  // 0: row 20 now holds -20
+		`SELECT COUNT(*) FROM sales WHERE id = 21`,  // 1: its neighbour is untouched
+		`SELECT COUNT(*) FROM sales WHERE id = -20`, // 1
+		`SELECT COUNT(*) FROM sales WHERE id = 1600`,
+		`SELECT COUNT(*) FROM sales WHERE id = 1602`,
+		`SELECT SUM(id) FROM sales`,
+	} {
+		if h, r := hostAndRapid(t, db, sql); h != r {
+			t.Fatalf("%s: host %d, RAPID %d", sql, h, r)
+		}
+	}
+}
+
+// TestDMLOnMissingRowOrColumn: DML that addresses a deleted row, a row out of
+// range or a column outside the schema is an error that changes nothing — no
+// panic, no journal entry, no new mutation SCN.
+func TestDMLOnMissingRowOrColumn(t *testing.T) {
+	db := exampleDB(t)
+	defer db.Close()
+	if err := db.Delete("sales", 10); err != nil {
+		t.Fatal(err)
+	}
+	ht, err := db.Host().Table("sales")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pending, mutSCN := ht.PendingJournal(), ht.MutationSCN()
+	for _, tc := range []struct {
+		name string
+		dml  func() error
+		want error
+	}{
+		{"UpdateDeletedRow", func() error { return db.Update("sales", 10, 0, Int(1)) }, hostdb.ErrNoSuchRow},
+		{"UpdatePastLastRow", func() error { return db.Update("sales", 2000, 0, Int(1)) }, hostdb.ErrNoSuchRow},
+		{"UpdateColumnPastSchema", func() error { return db.Update("sales", 11, 5, Int(1)) }, hostdb.ErrNoSuchColumn},
+		{"UpdateNegativeColumn", func() error { return db.Update("sales", 11, -1, Int(1)) }, hostdb.ErrNoSuchColumn},
+		{"DeleteTwice", func() error { return db.Delete("sales", 10) }, hostdb.ErrNoSuchRow},
+		{"DeleteNegativeRow", func() error { return db.Delete("sales", -1) }, hostdb.ErrNoSuchRow},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.dml()
+			if !errors.Is(err, tc.want) || !strings.Contains(err.Error(), "sales") {
+				t.Errorf("error %v, want one naming the table and wrapping %q", err, tc.want)
+			}
+		})
+	}
+	if err := db.Update("sales", 11, 0, String("x")); err == nil {
+		t.Error("update with a value of the wrong kind was accepted")
+	}
+	if ht.PendingJournal() != pending || ht.MutationSCN() != mutSCN {
+		t.Fatalf("failed DML left a trace: journal %d → %d entries, mutation SCN %d → %d",
+			pending, ht.PendingJournal(), mutSCN, ht.MutationSCN())
+	}
+	if err := db.Checkpoint("sales"); err != nil {
+		t.Fatal(err)
+	}
+	if h, r := hostAndRapid(t, db, `SELECT COUNT(*) FROM sales`); h != 1999 || r != h {
+		t.Fatalf("COUNT(*) host %d, RAPID %d", h, r)
 	}
 }
