@@ -155,7 +155,7 @@ func main() {
 			}
 			counts = append(counts, n)
 		}
-		runs, err := bench.RunScaling(db, counts, []string{"Q1", "Q6", "Q12", "Q14"})
+		runs, err := bench.RunScaling(db, counts, []string{"Q1", "Q6", "Q12", "Q14", "Q18"})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "scaling:", err)
 			os.Exit(1)

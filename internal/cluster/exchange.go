@@ -6,6 +6,7 @@ import (
 	"rapid/internal/coltypes"
 	"rapid/internal/obs"
 	"rapid/internal/ops"
+	"rapid/internal/primitives"
 	"rapid/internal/storage"
 )
 
@@ -14,7 +15,7 @@ type ExchangeKind int
 
 const (
 	// Shuffle re-partitions per-node relations by a key column: every row
-	// moves to the node its key hashes (or range-routes) to.
+	// moves to the node its key hashes (or range-routes) to (route, deliver).
 	Shuffle ExchangeKind = iota
 	// Broadcast replicates every node's rows to all other nodes, producing
 	// one full copy per node.
@@ -78,88 +79,130 @@ func relBytes(rel *ops.Relation) int64 {
 	return int64(rel.Rows()) * int64(exchangeRowBytes(rel))
 }
 
-// colBuilder accumulates destination columns for exchange outputs.
-type colBuilder struct {
-	meta ops.Col
-	data []int64
-}
-
-func newBuilders(proto *ops.Relation) []colBuilder {
-	bs := make([]colBuilder, proto.NumCols())
-	for i, c := range proto.Cols {
-		bs[i] = colBuilder{meta: ops.Col{Name: c.Name, Type: c.Type, Dict: c.Dict}}
+// exchangeColumns allocates an exchange output of exactly rows rows in the
+// 8-byte wire format: one vector per column of proto.
+func exchangeColumns(proto *ops.Relation, rows int) [][]int64 {
+	bufs := make([][]int64, proto.NumCols())
+	for c := range bufs {
+		bufs[c] = make([]int64, rows)
 	}
-	return bs
+	return bufs
 }
 
-func buildersRelation(bs []colBuilder) *ops.Relation {
-	cols := make([]ops.Col, len(bs))
-	for i, b := range bs {
-		c := b.meta
-		if b.data == nil {
-			b.data = []int64{}
-		}
-		c.Data = coltypes.Of(b.data)
-		cols[i] = c
+// columnsRelation wraps rows [lo, hi) of exchange output columns as a
+// relation with proto's column metadata.
+func columnsRelation(proto *ops.Relation, bufs [][]int64, lo, hi int) *ops.Relation {
+	cols := make([]ops.Col, len(bufs))
+	for c, pc := range proto.Cols {
+		cols[c] = ops.Col{Name: pc.Name, Type: pc.Type, Dict: pc.Dict, Data: coltypes.Of(bufs[c][lo:hi:hi])}
 	}
 	return ops.MustRelation(cols)
 }
 
-// shuffle re-partitions per-node relations so row r lands on
-// part.NodeFor(r[keyCol]). parts[i] is node i's input (nil treated empty);
-// the result is indexed by destination node. Cancellation is observed every
-// LinkModel.TileRows rows.
-func (q *query) shuffle(parts []*ops.Relation, keyCol int, part *storage.ShardMap, label string) ([]*ops.Relation, error) {
+// widened returns d's values as 8-byte integers: d's own storage when it is
+// 8 bytes wide already, else a copy in scratch (at least d.Len() long).
+func widened(d coltypes.Data, scratch []int64) []int64 {
+	if d.Width() == coltypes.W8 {
+		return d.I64()
+	}
+	return primitives.WidenToI64(nil, d, scratch)
+}
+
+// tiles calls fn for every [lo, hi) tile of LinkModel.TileRows rows — the
+// granularity at which exchanges observe cancellation.
+func (q *query) tiles(rows int, fn func(lo, hi int)) error {
+	for lo := 0; lo < rows; lo += q.link.TileRows {
+		if err := q.goCtx.Err(); err != nil {
+			return err
+		}
+		fn(lo, min(lo+q.link.TileRows, rows))
+	}
+	return nil
+}
+
+// routes is the first pass of a shuffle: the destination of every row, and
+// how many rows each source→destination stream carries.
+type routes struct {
+	dest     [][]uint32 // dest[src][r]: row r of node src's input goes to this node
+	streams  [][]int    // streams[src][dst]: rows, co-located deliveries included
+	crossing int64      // rows whose destination is not their source
+}
+
+// route computes where part.NodeFor(r[keyCol]) sends every row of the
+// per-node relations (parts[i] is node i's input, nil treated empty), in one
+// pass over the key column.
+func (q *query) route(parts []*ops.Relation, keyCol int, part *storage.ShardMap) (*routes, error) {
 	n := q.nodes()
-	proto := firstNonNil(parts)
-	outs := make([][]colBuilder, n)
-	for d := 0; d < n; d++ {
-		outs[d] = newBuilders(proto)
+	rt := &routes{dest: make([][]uint32, n), streams: make([][]int, n)}
+	scratch := make([]int64, q.link.TileRows)
+	for src := range rt.streams {
+		rt.streams[src] = make([]int, n)
 	}
-	st := ExchangeStats{
-		Kind: Shuffle, Label: label,
-		PerNodeRows:   make([]int64, n),
-		PerSourceRows: make([]int64, n),
-	}
-	rowBytes := exchangeRowBytes(proto)
-	// movedPer[src][dst] counts cross-node rows for tile accounting.
-	movedPer := make([][]int64, n)
-	for s := range movedPer {
-		movedPer[s] = make([]int64, n)
-	}
-	st.MovedMatrix = movedPer
 	for src, rel := range parts {
 		if rel == nil {
 			continue
 		}
+		dest, count := make([]uint32, rel.Rows()), rt.streams[src]
+		rt.dest[src] = dest
 		key := rel.Cols[keyCol].Data
-		rows := rel.Rows()
-		st.RowsIn += int64(rows)
-		st.PerSourceRows[src] += int64(rows)
-		for r := 0; r < rows; r++ {
-			if r%q.link.TileRows == 0 {
-				if err := q.goCtx.Err(); err != nil {
-					return nil, err
-				}
+		err := q.tiles(rel.Rows(), func(lo, hi int) {
+			for i, k := range widened(key.Slice(lo, hi), scratch) {
+				d := part.NodeFor(k)
+				dest[lo+i] = uint32(d)
+				count[d]++
 			}
-			d := part.NodeFor(key.Get(r))
-			for c := range rel.Cols {
-				outs[d][c].data = append(outs[d][c].data, rel.Cols[c].Data.Get(r))
-			}
-			st.PerNodeRows[d]++
-			if d != src {
-				movedPer[src][d]++
-			}
+		})
+		if err != nil {
+			return nil, err
+		}
+		rt.crossing += int64(rel.Rows() - count[src])
+	}
+	return rt, nil
+}
+
+// deliver is the second pass of a shuffle: it re-partitions parts along rt
+// (which it consumes). The result is indexed by destination node, each
+// destination's rows in source-node then source-row order. The stream counts
+// size every destination exactly and place each stream in it, so the rows are
+// scattered column by column with no growth and no per-cell dispatch.
+func (q *query) deliver(parts []*ops.Relation, rt *routes, label string) ([]*ops.Relation, error) {
+	n := q.nodes()
+	proto := firstNonNil(parts)
+	st := ExchangeStats{
+		Kind: Shuffle, Label: label,
+		PerNodeRows:   make([]int64, n),
+		PerSourceRows: make([]int64, n),
+		MovedMatrix:   make([][]int64, n),
+	}
+	for src, rel := range parts {
+		st.MovedMatrix[src] = make([]int64, n)
+		if rel != nil {
+			st.RowsIn += int64(rel.Rows())
+			st.PerSourceRows[src] = int64(rel.Rows())
 		}
 	}
-	res := make([]*ops.Relation, n)
+
+	// Lay the streams out destination by destination, source by source;
+	// rt.streams turns into each stream's write cursor.
+	bounds := make([]int, n+1)
+	total := 0
 	for d := 0; d < n; d++ {
-		res[d] = buildersRelation(outs[d])
-		st.RowsOut += int64(res[d].Rows())
+		for s := 0; s < n; s++ {
+			rows := rt.streams[s][d]
+			rt.streams[s][d] = total
+			total += rows
+			if s != d {
+				st.MovedMatrix[s][d] = int64(rows)
+			}
+		}
+		bounds[d+1] = total
+		st.PerNodeRows[d] = int64(total - bounds[d])
 	}
+	st.RowsOut = int64(total)
+	rowBytes := exchangeRowBytes(proto)
 	for s := 0; s < n; s++ {
 		for d := 0; d < n; d++ {
-			moved := movedPer[s][d]
+			moved := st.MovedMatrix[s][d]
 			if moved == 0 {
 				continue
 			}
@@ -169,8 +212,67 @@ func (q *query) shuffle(parts []*ops.Relation, keyCol int, part *storage.ShardMa
 			st.Seconds += q.link.TransferSeconds(int(moved), rowBytes)
 		}
 	}
+
+	bufs := exchangeColumns(proto, total)
+	scratch := make([]int64, q.link.TileRows)
+	for src, rel := range parts {
+		if rel == nil {
+			continue
+		}
+		dest, cursor := rt.dest[src], rt.streams[src]
+		err := q.tiles(rel.Rows(), func(lo, hi int) {
+			at := dest[lo:hi]
+			for i, d := range at {
+				at[i] = uint32(cursor[d])
+				cursor[d]++
+			}
+			for c, col := range rel.Cols {
+				out := bufs[c]
+				for i, v := range widened(col.Data.Slice(lo, hi), scratch) {
+					out[at[i]] = v
+				}
+			}
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	res := make([]*ops.Relation, n)
+	for d := range res {
+		res[d] = columnsRelation(proto, bufs, bounds[d], bounds[d+1])
+	}
 	q.record(st)
 	return res, nil
+}
+
+// concat is the union of the per-node relations in node order, in the
+// 8-byte wire format: what a gather delivers to the coordinator and a
+// broadcast to every node.
+func (q *query) concat(parts []*ops.Relation) (*ops.Relation, error) {
+	proto := firstNonNil(parts)
+	total := 0
+	for _, rel := range parts {
+		if rel != nil {
+			total += rel.Rows()
+		}
+	}
+	bufs := exchangeColumns(proto, total)
+	off := 0
+	for _, rel := range parts {
+		if rel == nil {
+			continue
+		}
+		err := q.tiles(rel.Rows(), func(lo, hi int) {
+			for c, col := range rel.Cols {
+				primitives.WidenToI64(nil, col.Data.Slice(lo, hi), bufs[c][off+lo:off+hi])
+			}
+		})
+		if err != nil {
+			return nil, err
+		}
+		off += rel.Rows()
+	}
+	return columnsRelation(proto, bufs, 0, total), nil
 }
 
 // broadcast produces one full union of all per-node inputs, delivered to
@@ -178,8 +280,10 @@ func (q *query) shuffle(parts []*ops.Relation, keyCol int, part *storage.ShardMa
 // The returned relation is shared (immutable) across destinations.
 func (q *query) broadcast(parts []*ops.Relation, label string) (*ops.Relation, error) {
 	n := q.nodes()
-	proto := firstNonNil(parts)
-	bs := newBuilders(proto)
+	out, err := q.concat(parts)
+	if err != nil {
+		return nil, err
+	}
 	st := ExchangeStats{
 		Kind: Broadcast, Label: label,
 		PerNodeRows:   make([]int64, n),
@@ -189,7 +293,7 @@ func (q *query) broadcast(parts []*ops.Relation, label string) (*ops.Relation, e
 	for s := range st.MovedMatrix {
 		st.MovedMatrix[s] = make([]int64, n)
 	}
-	rowBytes := exchangeRowBytes(proto)
+	rowBytes := exchangeRowBytes(out)
 	for src, rel := range parts {
 		if rel == nil {
 			continue
@@ -202,16 +306,6 @@ func (q *query) broadcast(parts []*ops.Relation, label string) (*ops.Relation, e
 				st.MovedMatrix[src][d] += int64(rows)
 			}
 		}
-		for r := 0; r < rows; r++ {
-			if r%q.link.TileRows == 0 {
-				if err := q.goCtx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			for c := range rel.Cols {
-				bs[c].data = append(bs[c].data, rel.Cols[c].Data.Get(r))
-			}
-		}
 		if rows > 0 && n > 1 {
 			moved := int64(rows) * int64(n-1)
 			st.MovedRows += moved
@@ -220,7 +314,6 @@ func (q *query) broadcast(parts []*ops.Relation, label string) (*ops.Relation, e
 			st.Seconds += q.link.TransferSeconds(rows, rowBytes) * float64(n-1)
 		}
 	}
-	out := buildersRelation(bs)
 	for d := 0; d < n; d++ {
 		st.PerNodeRows[d] = int64(out.Rows())
 	}
@@ -234,14 +327,16 @@ func (q *query) broadcast(parts []*ops.Relation, label string) (*ops.Relation, e
 // not a tray node).
 func (q *query) gather(parts []*ops.Relation, label string) (*ops.Relation, error) {
 	n := q.nodes()
-	proto := firstNonNil(parts)
-	bs := newBuilders(proto)
+	out, err := q.concat(parts)
+	if err != nil {
+		return nil, err
+	}
 	st := ExchangeStats{
 		Kind: Gather, Label: label,
 		PerNodeRows:   make([]int64, n),
 		PerSourceRows: make([]int64, n),
 	}
-	rowBytes := exchangeRowBytes(proto)
+	rowBytes := exchangeRowBytes(out)
 	for src, rel := range parts {
 		if rel == nil {
 			continue
@@ -250,16 +345,6 @@ func (q *query) gather(parts []*ops.Relation, label string) (*ops.Relation, erro
 		st.RowsIn += int64(rows)
 		st.PerNodeRows[src] = int64(rows)
 		st.PerSourceRows[src] = int64(rows)
-		for r := 0; r < rows; r++ {
-			if r%q.link.TileRows == 0 {
-				if err := q.goCtx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			for c := range rel.Cols {
-				bs[c].data = append(bs[c].data, rel.Cols[c].Data.Get(r))
-			}
-		}
 		if rows > 0 {
 			st.MovedRows += int64(rows)
 			st.MovedBytes += int64(rows) * int64(rowBytes)
@@ -267,7 +352,6 @@ func (q *query) gather(parts []*ops.Relation, label string) (*ops.Relation, erro
 			st.Seconds += q.link.TransferSeconds(rows, rowBytes)
 		}
 	}
-	out := buildersRelation(bs)
 	st.RowsOut = int64(out.Rows())
 	q.record(st)
 	return out, nil
@@ -277,13 +361,19 @@ func (q *query) gather(parts []*ops.Relation, label string) (*ops.Relation, erro
 // "virtual repartition" of an already-replicated relation: no bytes cross
 // the link because every node holds the full copy and keeps its share.
 func sliceModulo(rel *ops.Relation, node, n int) *ops.Relation {
-	bs := newBuilders(rel)
-	for r := node; r < rel.Rows(); r += n {
-		for c := range rel.Cols {
-			bs[c].data = append(bs[c].data, rel.Cols[c].Data.Get(r))
+	rows := 0
+	if rel.Rows() > node {
+		rows = (rel.Rows() - node + n - 1) / n
+	}
+	bufs := exchangeColumns(rel, rows)
+	scratch := make([]int64, rel.Rows())
+	for c, col := range rel.Cols {
+		src := widened(col.Data, scratch)
+		for i := range bufs[c] {
+			bufs[c][i] = src[node+i*n]
 		}
 	}
-	return buildersRelation(bs)
+	return columnsRelation(rel, bufs, 0, rows)
 }
 
 func firstNonNil(parts []*ops.Relation) *ops.Relation {

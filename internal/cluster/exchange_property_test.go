@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -23,6 +25,16 @@ func propQuery(n int) *query {
 		goCtx: context.Background(),
 		nctx:  make([]*qef.Context, n),
 	}
+}
+
+// shuffle is both passes of a shuffle exchange: row r of every input lands on
+// node part.NodeFor(r[keyCol]).
+func (q *query) shuffle(parts []*ops.Relation, keyCol int, part *storage.ShardMap, label string) ([]*ops.Relation, error) {
+	rt, err := q.route(parts, keyCol, part)
+	if err != nil {
+		return nil, err
+	}
+	return q.deliver(parts, rt, label)
 }
 
 // pairRelation builds a two-column (key, payload) relation.
@@ -199,5 +211,284 @@ func TestExchangeConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The reference kernels below are the exchange operators written the
+// obvious way — one row at a time, one cell at a time, growing by append.
+// The columnar kernels must deliver exactly the same rows in the same order.
+
+func refColumns(proto *ops.Relation) [][]int64 { return make([][]int64, proto.NumCols()) }
+
+func refAppendRow(dst [][]int64, rel *ops.Relation, r int) {
+	for c := range rel.Cols {
+		dst[c] = append(dst[c], rel.Cols[c].Data.Get(r))
+	}
+}
+
+func refShuffle(parts []*ops.Relation, keyCol int, sm *storage.ShardMap, n int) (outs [][][]int64, moved [][]int64) {
+	proto := firstNonNil(parts)
+	outs, moved = make([][][]int64, n), make([][]int64, n)
+	for d := range outs {
+		outs[d], moved[d] = refColumns(proto), make([]int64, n)
+	}
+	for src, rel := range parts {
+		if rel == nil {
+			continue
+		}
+		for r := 0; r < rel.Rows(); r++ {
+			d := sm.NodeFor(rel.Cols[keyCol].Data.Get(r))
+			refAppendRow(outs[d], rel, r)
+			if d != src {
+				moved[src][d]++
+			}
+		}
+	}
+	return outs, moved
+}
+
+func refConcat(parts []*ops.Relation) [][]int64 {
+	out := refColumns(firstNonNil(parts))
+	for _, rel := range parts {
+		if rel == nil {
+			continue
+		}
+		for r := 0; r < rel.Rows(); r++ {
+			refAppendRow(out, rel, r)
+		}
+	}
+	return out
+}
+
+func refSliceModulo(rel *ops.Relation, node, n int) [][]int64 {
+	out := refColumns(rel)
+	for r := node; r < rel.Rows(); r += n {
+		refAppendRow(out, rel, r)
+	}
+	return out
+}
+
+// sameRows compares a kernel's output with the reference, row for row, and
+// checks it is in the 8-byte wire format with the input's column metadata.
+func sameRows(t *testing.T, what string, got *ops.Relation, proto *ops.Relation, want [][]int64) {
+	t.Helper()
+	if got.NumCols() != len(want) {
+		t.Fatalf("%s: %d columns, want %d", what, got.NumCols(), len(want))
+	}
+	for c, col := range got.Cols {
+		if col.Data.Width() != coltypes.W8 || col.Name != proto.Cols[c].Name || col.Type != proto.Cols[c].Type {
+			t.Fatalf("%s: column %d is %q %v width %d, want %q %v width 8",
+				what, c, col.Name, col.Type, col.Data.Width(), proto.Cols[c].Name, proto.Cols[c].Type)
+		}
+		if col.Data.Len() != len(want[c]) {
+			t.Fatalf("%s: column %d has %d rows, want %d", what, c, col.Data.Len(), len(want[c]))
+		}
+		for r, v := range col.Data.I64() {
+			if v != want[c][r] {
+				t.Fatalf("%s: row %d column %d = %d, want %d", what, r, c, v, want[c][r])
+			}
+		}
+	}
+}
+
+// randomParts deals random rows into per-node inputs whose four columns are
+// stored 1, 2, 4 and 8 bytes wide (column order rotating with the node, so
+// one output column is fed from every width); some nodes get a nil input,
+// some a zero-row one. Column 0 is the key.
+func randomParts(rng *rand.Rand, n, maxRows int) []*ops.Relation {
+	parts := make([]*ops.Relation, n)
+	for i := range parts {
+		rows := rng.Intn(maxRows + 1)
+		switch rng.Intn(6) {
+		case 0:
+			continue // nil input
+		case 1:
+			rows = 0
+		}
+		vals := func(lo, hi int64) []int64 {
+			out := make([]int64, rows)
+			for r := range out {
+				out[r] = lo + rng.Int63n(hi-lo+1)
+			}
+			return out
+		}
+		widths := []coltypes.Width{coltypes.W1, coltypes.W2, coltypes.W4, coltypes.W8}
+		cols := make([]ops.Col, 4)
+		for c := range cols {
+			w := widths[(c+i)%4]
+			lo, hi := w.MinInt(), w.MaxInt()
+			if w == coltypes.W8 {
+				lo, hi = -1<<40, 1<<40 // past 32 bits, and hi-lo still fits
+			}
+			if c == 0 {
+				lo, hi = max(lo, -100), min(hi, 100) // repeating keys, both signs
+			}
+			cols[c] = ops.Col{Name: fmt.Sprintf("c%d", c), Type: coltypes.Int(), Data: coltypes.FromInt64s(w, vals(lo, hi))}
+		}
+		parts[i] = ops.MustRelation(cols)
+	}
+	return parts
+}
+
+// TestExchangeKernelsMatchReference runs the columnar shuffle, broadcast,
+// gather and sliceModulo against the per-row reference on inputs of every
+// storage width, with nil and zero-row parts, on 1..8 nodes, through hash and
+// range shard maps, with inputs longer than one LinkModel.TileRows tile.
+func TestExchangeKernelsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for iter := 0; iter < 120; iter++ {
+		n := 1 + iter%8
+		maxRows := 40
+		if iter%3 == 0 {
+			maxRows = 3 * DefaultLinkModel().TileRows
+		}
+		parts := randomParts(rng, n, maxRows)
+		proto := firstNonNil(parts)
+		sm := &storage.ShardMap{Policy: storage.HashSharded, Nodes: n}
+		if iter%2 == 1 {
+			sm = &storage.ShardMap{Policy: storage.RangeSharded, Nodes: n}
+			for b := 1; b < n; b++ {
+				sm.Bounds = append(sm.Bounds, int64(-100+200*b/n))
+			}
+			if err := sm.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		what := func(kernel string) string {
+			return fmt.Sprintf("iter %d, %d nodes, %s: %s", iter, n, sm.Policy, kernel)
+		}
+		q := propQuery(n)
+
+		outs, err := q.shuffle(parts, 0, sm, "ref")
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantOuts, wantMoved := refShuffle(parts, 0, sm, n)
+		st := q.stats[len(q.stats)-1]
+		var matrixTotal, rowsIn int64
+		for d := range outs {
+			sameRows(t, what(fmt.Sprintf("shuffle to node %d", d)), outs[d], proto, wantOuts[d])
+			if st.PerNodeRows[d] != int64(outs[d].Rows()) {
+				t.Fatalf("%s: PerNodeRows[%d] = %d, delivered %d", what("shuffle"), d, st.PerNodeRows[d], outs[d].Rows())
+			}
+			for s := range outs {
+				if st.MovedMatrix[s][d] != wantMoved[s][d] {
+					t.Fatalf("%s: MovedMatrix[%d][%d] = %d, want %d", what("shuffle"), s, d, st.MovedMatrix[s][d], wantMoved[s][d])
+				}
+				matrixTotal += st.MovedMatrix[s][d]
+			}
+		}
+		for src, rel := range parts {
+			if rel != nil {
+				rowsIn += int64(rel.Rows())
+				if st.PerSourceRows[src] != int64(rel.Rows()) {
+					t.Fatalf("%s: PerSourceRows[%d] = %d, want %d", what("shuffle"), src, st.PerSourceRows[src], rel.Rows())
+				}
+			}
+		}
+		if matrixTotal != st.MovedRows || st.RowsIn != rowsIn || st.RowsOut != rowsIn {
+			t.Fatalf("%s: MovedMatrix total %d, MovedRows %d; rows in %d out %d, want %d",
+				what("shuffle"), matrixTotal, st.MovedRows, st.RowsIn, st.RowsOut, rowsIn)
+		}
+
+		union := refConcat(parts)
+		full, err := q.broadcast(parts, "ref")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRows(t, what("broadcast"), full, proto, union)
+		st = q.stats[len(q.stats)-1]
+		matrixTotal = 0
+		for s := range st.MovedMatrix {
+			for _, rows := range st.MovedMatrix[s] {
+				matrixTotal += rows
+			}
+		}
+		if matrixTotal != st.MovedRows || st.MovedRows != rowsIn*int64(n-1) {
+			t.Fatalf("%s: MovedMatrix total %d, MovedRows %d, want %d", what("broadcast"), matrixTotal, st.MovedRows, rowsIn*int64(n-1))
+		}
+
+		gathered, err := q.gather(parts, "ref")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRows(t, what("gather"), gathered, proto, union)
+		if st = q.stats[len(q.stats)-1]; st.MovedRows != rowsIn || st.MovedMatrix != nil {
+			t.Fatalf("%s: MovedRows %d (want %d), MovedMatrix %v (want none)", what("gather"), st.MovedRows, rowsIn, st.MovedMatrix)
+		}
+
+		for node := 0; node < n; node++ {
+			sameRows(t, what(fmt.Sprintf("sliceModulo %d", node)), sliceModulo(full, node, n), proto, refSliceModulo(full, node, n))
+		}
+	}
+}
+
+// expiring is a context that reports cancellation from its checks-th Err
+// call on — a cancellation landing in the middle of an exchange.
+type expiring struct {
+	context.Context
+	checks *int
+}
+
+func (c expiring) Err() error {
+	if *c.checks--; *c.checks < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestExchangeCancelledMidway: a context cancelled between two tiles of an
+// exchange makes it return the context's error and no partial result, and
+// leaves no trace of the exchange in the query's statistics or the counters.
+func TestExchangeCancelledMidway(t *testing.T) {
+	const n = 3
+	rows := 4 * DefaultLinkModel().TileRows
+	ks, vs := make([]int64, rows), make([]int64, rows)
+	for i := range ks {
+		ks[i], vs[i] = int64(i), int64(-i)
+	}
+	parts := []*ops.Relation{pairRelation(ks, vs), nil, pairRelation(ks[:rows/2], vs[:rows/2])}
+	sm := &storage.ShardMap{Policy: storage.HashSharded, Nodes: n}
+	kernels := map[string]func(q *query) (any, error){
+		"shuffle":   func(q *query) (any, error) { r, err := q.shuffle(parts, 0, sm, "x"); return r, err },
+		"broadcast": func(q *query) (any, error) { r, err := q.broadcast(parts, "x"); return r, err },
+		"gather":    func(q *query) (any, error) { r, err := q.gather(parts, "x"); return r, err },
+	}
+	for name, run := range kernels {
+		// Uncancelled, the kernel checks the context once per tile (the
+		// shuffle on both of its passes): count the checks, then cancel at
+		// every one of them in turn.
+		total := 1 << 30
+		q := propQuery(n)
+		q.goCtx = expiring{context.Background(), &total}
+		if _, err := run(q); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		checks := 1<<30 - total
+		if perPass := (rows + rows/2) / DefaultLinkModel().TileRows; checks < perPass {
+			t.Fatalf("%s observed the context %d times over %d tiles", name, checks, perPass)
+		}
+		for at := 0; at < checks; at++ {
+			left := at
+			q := propQuery(n)
+			q.goCtx = expiring{context.Background(), &left}
+			res, err := run(q)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s cancelled at check %d/%d: err = %v, want context.Canceled", name, at, checks, err)
+			}
+			switch r := res.(type) {
+			case []*ops.Relation:
+				if r != nil {
+					t.Fatalf("%s cancelled at check %d returned a partial result", name, at)
+				}
+			case *ops.Relation:
+				if r != nil {
+					t.Fatalf("%s cancelled at check %d returned a partial result", name, at)
+				}
+			}
+			if len(q.stats) != 0 || q.netBytes != 0 || q.reg.Counter("rapid_net_exchanges_total").Value() != 0 {
+				t.Fatalf("%s cancelled at check %d still recorded an exchange", name, at)
+			}
+		}
 	}
 }

@@ -142,6 +142,7 @@ type query struct {
 	netBytes   int64
 	netRows    int64
 	netTiles   int64
+	analyze    bool     // QueryOptions.Analyze: record steps
 	steps      []string // execution-order trace for EXPLAIN ANALYZE
 
 	traceOn bool           // record fragment profiles + exchange spans
@@ -153,8 +154,12 @@ type query struct {
 
 func (q *query) nodes() int { return len(q.nctx) }
 
+// step records one line of the EXPLAIN ANALYZE trace; nothing else reads
+// the steps, so nothing is formatted unless the report was asked for.
 func (q *query) step(format string, args ...any) {
-	q.steps = append(q.steps, fmt.Sprintf(format, args...))
+	if q.analyze {
+		q.steps = append(q.steps, fmt.Sprintf(format, args...))
+	}
 }
 
 // Query executes a SQL query across the tray. See QueryCtx.
@@ -244,6 +249,7 @@ func (t *Tray) execute(goCtx context.Context, bound plan.Node, opts QueryOptions
 	q := &query{
 		reg: t.reg, link: t.link, mode: opts.Mode,
 		outer: goCtx, goCtx: qctx, cancel: cancel,
+		analyze: opts.Analyze,
 		traceOn: opts.Trace,
 		noPrune: opts.DisablePruning,
 	}
@@ -343,40 +349,40 @@ func (t *Tray) execute(goCtx context.Context, bound plan.Node, opts QueryOptions
 }
 
 // exec runs lockstep plan trees and returns the combined (coordinator-side)
-// result. Fragments below the first non-local operator run per node;
-// aggregations distribute as partials; everything else merges at the
-// coordinator.
+// result. The largest subtrees classify accepts run per node, with the
+// exchanges their joins need; an aggregation over one distributes as whole
+// groups or as partials; everything else merges at the coordinator.
 func (q *query) exec(nodes []plan.Node) (*ops.Relation, error) {
 	if err := q.goCtx.Err(); err != nil {
 		return nil, err
 	}
-	switch nodes[0].(type) {
+	switch n0 := nodes[0].(type) {
 	case *plan.GroupBy:
-		rec, ok, err := q.tryLocal(childAt(nodes, 0))
-		if err != nil {
+		if _, ok, err := classify(n0.Input); err != nil {
 			return nil, err
-		}
-		if ok {
+		} else if ok {
+			rec, err := q.localize(childAt(nodes, 0))
+			if err != nil {
+				return nil, err
+			}
 			return q.distributedGroupBy(nodes, rec)
 		}
 	case *plan.Scan, *plan.Filter, *plan.Project, *plan.Join:
-		rec, ok, err := q.tryLocal(nodes)
-		if err != nil {
+		if _, ok, err := classify(n0); err != nil {
 			return nil, err
-		}
-		if ok {
-			if rec.repl {
-				// Every node would produce the identical relation: run the
-				// fragment once and pull a single copy.
-				parts, err := q.materialize(rec, true, "fragment")
-				if err != nil {
-					return nil, err
-				}
-				return q.gather(parts[:1], "result")
-			}
-			parts, err := q.materialize(rec, false, "fragment")
+		} else if ok {
+			rec, err := q.localize(nodes)
 			if err != nil {
 				return nil, err
+			}
+			// Every node of a replicated fragment would produce the
+			// identical relation: run it once and pull a single copy.
+			parts, err := q.materialize(rec, rec.repl, "fragment")
+			if err != nil {
+				return nil, err
+			}
+			if rec.repl {
+				parts = parts[:1]
 			}
 			return q.gather(parts, "result")
 		}
@@ -415,42 +421,49 @@ func (q *query) coordFragment(nodes []plan.Node) (*ops.Relation, error) {
 	return rel, nil
 }
 
-// distributedGroupBy aggregates in two phases: exact per-node partials
-// (AVG lowered to SUM+COUNT, scalar aggregates carrying a __prows count so
-// empty shards can't poison MIN/MAX with their 0 sentinel), gathered and
-// folded at the coordinator with the same finalization arithmetic as the
-// single-node engine — distributed answers stay bit-identical.
+// distributedGroupBy aggregates over a node-local input. When every group is
+// complete on one node (groupLayout: a partition column among the keys, or a
+// replicated input) the node-local aggregation is final and the groups are
+// only gathered — one copy of them when replicated. Otherwise it takes two
+// phases: exact per-node partials (AVG lowered to SUM+COUNT, scalar
+// aggregates carrying a __prows count so empty shards can't poison MIN/MAX
+// with their 0 sentinel), gathered and folded at the coordinator with the
+// same finalization arithmetic as the single-node engine — distributed
+// answers stay bit-identical.
 func (q *query) distributedGroupBy(nodes []plan.Node, rec *recipe) (*ops.Relation, error) {
-	n := q.nodes()
-	if rec.repl {
-		trees := make([]plan.Node, n)
-		for i := range trees {
-			gi := nodes[i].(*plan.GroupBy)
-			trees[i] = &plan.GroupBy{Input: rec.trees[i], Keys: gi.Keys, Aggs: gi.Aggs}
-		}
-		// prunable=false: an aggregation over an empty input still yields
-		// identity rows (scalar aggregates), so skipping the fragment would
-		// change the answer.
-		parts, err := q.runNodes(trees, rec.leaves, "group-by (replicated)", true, false)
-		if err != nil {
-			return nil, err
-		}
-		return q.gather(parts[:1], "result")
-	}
-	trees := make([]plan.Node, n)
+	g0 := nodes[0].(*plan.GroupBy)
+	_, whole := groupLayout(g0, rec.layout)
+	trees := make([]plan.Node, len(nodes))
 	for i := range trees {
 		gi := nodes[i].(*plan.GroupBy)
-		trees[i] = &plan.GroupBy{Input: rec.trees[i], Keys: gi.Keys, Aggs: partialAggs(gi)}
+		aggs := gi.Aggs
+		if !whole {
+			aggs = partialAggs(gi)
+		}
+		trees[i] = &plan.GroupBy{Input: rec.trees[i], Keys: gi.Keys, Aggs: aggs}
 	}
-	parts, err := q.runNodes(trees, rec.leaves, "partial group-by", false, false)
+	label, result := "partial group-by", "partials"
+	switch {
+	case rec.repl:
+		label, result = "group-by (replicated)", "result"
+	case whole:
+		label, result = "group-by", "groups"
+	}
+	// prunable=false: an aggregation over an empty input still yields
+	// identity rows (scalar aggregates), so skipping the fragment would
+	// change the answer. A replicated input needs one execution, one copy.
+	parts, err := q.runNodes(trees, rec.leaves, label, rec.repl, false)
 	if err != nil {
 		return nil, err
 	}
-	gathered, err := q.gather(parts, "partials")
-	if err != nil {
-		return nil, err
+	if rec.repl {
+		parts = parts[:1]
 	}
-	out, err := q.mergePartials(nodes[0].(*plan.GroupBy), gathered)
+	gathered, err := q.gather(parts, result)
+	if err != nil || whole {
+		return gathered, err
+	}
+	out, err := q.mergePartials(g0, gathered)
 	if err != nil {
 		return nil, err
 	}
@@ -554,11 +567,13 @@ func (q *query) runNodes(trees []plan.Node, leaves []map[plan.Node]*ops.Relation
 	if q.traceOn {
 		q.trace = append(q.trace, obs.DistStep{Label: label, NodeProfiles: profs})
 	}
-	rows := make([]int64, count)
-	for i := 0; i < count; i++ {
-		rows[i] = int64(res[i].Rows())
+	if q.analyze {
+		rows := make([]int64, count)
+		for i := 0; i < count; i++ {
+			rows[i] = int64(res[i].Rows())
+		}
+		q.step("fragment %s rows/node=%v", label, rows)
 	}
-	q.step("fragment %s rows/node=%v", label, rows)
 	return res, nil
 }
 

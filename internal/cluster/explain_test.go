@@ -8,8 +8,8 @@ import (
 	"testing"
 
 	"rapid/internal/cluster"
-	"rapid/internal/hostdb"
 	"rapid/internal/coltypes"
+	"rapid/internal/hostdb"
 	"rapid/internal/qef"
 	"rapid/internal/storage"
 )
@@ -18,8 +18,8 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // explainDB builds a small self-contained host database: a fact table
 // hash-sharded on k and a second partitioned table joined on a different
-// column, so the distributed plan needs a shuffle, a gather and a
-// partial-aggregation merge.
+// column, so the distributed plan needs an exchange to co-locate the join, a
+// gather and a partial-aggregation merge.
 func explainDB(t *testing.T) *hostdb.Database {
 	t.Helper()
 	db := hostdb.New()
@@ -68,6 +68,13 @@ func explainDB(t *testing.T) *hostdb.Database {
 // cycle/DMS/sim breakdown and the makespan decomposition. Everything in the
 // report is modeled (ModeDPU), so it is bit-deterministic; regenerate with
 // -update after intentional planner or accounting changes.
+//
+// Re-captured when the side to move became a choice by bytes: facts (3000
+// rows) is the side that is off its join key, and the plan used to shuffle
+// it to dims' partitioning (36000 bytes); broadcasting the 8 filtered dims
+// rows costs 384, so facts now stays where it was materialised. Its groups
+// are then no longer concentrated by g, so every node reports all 8 partial
+// groups to the merge instead of 2.
 func TestDistributedExplainAnalyzeGolden(t *testing.T) {
 	db := explainDB(t)
 	tray, err := cluster.New(db, cluster.Config{Nodes: 4, ReplicateMaxRows: -1})

@@ -43,10 +43,7 @@ func (m LinkModel) withDefaults() LinkModel {
 	if m.BytesPerSec <= 0 {
 		m.BytesPerSec = d.BytesPerSec
 	}
-	if m.MessageLatencySec < 0 {
-		m.MessageLatencySec = d.MessageLatencySec
-	}
-	if m.MessageLatencySec == 0 {
+	if m.MessageLatencySec <= 0 {
 		m.MessageLatencySec = d.MessageLatencySec
 	}
 	if m.TileRows <= 0 {

@@ -9,43 +9,81 @@ import (
 	"rapid/internal/tpch"
 )
 
-// TestTrayBillPins: what a 4-node ModeDPU run of TPC-H Q5 bills, captured at
-// commit be404d6 — before the bill was read through qef.Usage — by running
-// this query there and printing the result. Integers must match exactly;
-// seconds and EnergyNJ to 1e-9 relative, because the bus-lane float sums are
-// taken in unit-completion order (ROADMAP item 2).
+// TestTrayBillPins: what a 4-node ModeDPU run bills, captured by running the
+// query and printing the result. Integers must match exactly; seconds and
+// EnergyNJ to 1e-9 relative, because the bus-lane float sums are taken in
+// unit-completion order (ROADMAP item 2).
+//
+// Q12 — a co-partitioned join under a partial aggregation, whose plan the
+// byte rule leaves alone — is the bill at 092e803, before exchanges were
+// decided by bytes and moved as columns: neither may move the bill of a plan
+// they do not change.
+//
+// Q5 was re-captured when exchanges became decided by bytes (it was pinned at
+// be404d6 as 833840 cycles, 1426501 nJ, 27696 bytes on the link): its last
+// join used to shuffle the 356-row, 14-column join output to customer's
+// partitioning; it now broadcasts customer (300 rows × 2 columns) instead.
+// The link carries 14528 bytes, modeled time and energy drop, and every node
+// spends a few percent more cycles building over all of customer rather than
+// a quarter of it.
 func TestTrayBillPins(t *testing.T) {
 	tray := newTray(t, tpchHost(t), cluster.Config{Nodes: 4})
-	q, _ := tpch.QueryByName("Q5")
-	res, err := tray.Query(q.SQL, cluster.QueryOptions{Mode: qef.ModeDPU, NoCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	near := func(what string, got, want float64) {
-		t.Helper()
-		if math.Abs(got-want) > 1e-9*want {
-			t.Errorf("%s = %v, parent returned %v", what, got, want)
-		}
-	}
-	if res.TotalCycles != 833840 || res.DMEMHighWater != 16384 || res.TilesPruned != 0 || res.Energy.ActivityFJ != 70245156000 {
-		t.Errorf("TotalCycles/DMEMHighWater/TilesPruned/ActivityFJ = %d/%d/%d/%d, parent returned 833840/16384/0/70245156000",
-			res.TotalCycles, res.DMEMHighWater, res.TilesPruned, res.Energy.ActivityFJ)
-	}
-	near("SimSeconds", res.SimSeconds, 0.00011302136821705426)
-	near("NodeSimSeconds", res.NodeSimSeconds, 2.6765276356589148e-05)
-	near("CoordSimSeconds", res.CoordSimSeconds, 9.929186046511628e-08)
-	near("EnergyNJ", float64(res.EnergyNJ), 1426501)
-	for i, want := range []cluster.NodeStats{
-		{Cycles: 203803, DMSReadBytes: 68362, DMSWriteBytes: 100952, SimSeconds: 2.6765276356589148e-05},
-		{Cycles: 199729, DMSReadBytes: 65794, DMSWriteBytes: 98776, SimSeconds: 2.5237013178294575e-05},
-		{Cycles: 219391, DMSReadBytes: 71906, DMSWriteBytes: 104400, SimSeconds: 2.612811666666667e-05},
-		{Cycles: 210872, DMSReadBytes: 67914, DMSWriteBytes: 100104, SimSeconds: 2.2397197286821705e-05},
+	for _, pin := range []struct {
+		query                                       string
+		cycles, activityFJ, netBytes, energyNJ      int64
+		dmemHighWater                               int
+		simSeconds, nodeSimSeconds, coordSimSeconds float64
+		perNode                                     []cluster.NodeStats
+	}{
+		{
+			query: "Q12", cycles: 130811, activityFJ: 13116609250, netBytes: 192, energyNJ: 474212, dmemHighWater: 12288,
+			simSeconds: 3.842474302325582e-05, nodeSimSeconds: 2.21971011627907e-05, coordSimSeconds: 7.404186046511628e-08,
+			perNode: []cluster.NodeStats{
+				{Cycles: 34393, DMSReadBytes: 36182, DMSWriteBytes: 12560, SimSeconds: 2.1120851162790702e-05},
+				{Cycles: 27944, DMSReadBytes: 35304, DMSWriteBytes: 12360, SimSeconds: 2.07458511627907e-05},
+				{Cycles: 35028, DMSReadBytes: 37145, DMSWriteBytes: 12560, SimSeconds: 2.21971011627907e-05},
+				{Cycles: 33434, DMSReadBytes: 36031, DMSWriteBytes: 12640, SimSeconds: 2.12058511627907e-05},
+			},
+		},
+		{
+			query: "Q5", cycles: 866192, activityFJ: 72653196000, netBytes: 14528, energyNJ: 1303415, dmemHighWater: 16384,
+			simSeconds: 0.00010256353062015503, nodeSimSeconds: 2.684183875968992e-05, coordSimSeconds: 9.929186046511628e-08,
+			perNode: []cluster.NodeStats{
+				{Cycles: 209448, DMSReadBytes: 71578, DMSWriteBytes: 100952, SimSeconds: 2.684183875968992e-05},
+				{Cycles: 203111, DMSReadBytes: 68722, DMSWriteBytes: 98776, SimSeconds: 2.50336507751938e-05},
+				{Cycles: 231574, DMSReadBytes: 75810, DMSWriteBytes: 104400, SimSeconds: 2.6287959302325582e-05},
+				{Cycles: 222014, DMSReadBytes: 72266, DMSWriteBytes: 100104, SimSeconds: 2.41529023255814e-05},
+			},
+		},
 	} {
-		got := res.PerNode[i]
-		near("PerNode SimSeconds", got.SimSeconds, want.SimSeconds)
-		got.SimSeconds = want.SimSeconds
-		if got != want {
-			t.Errorf("node %d billed %+v, parent returned %+v", i, got, want)
+		q, _ := tpch.QueryByName(pin.query)
+		res, err := tray.Query(q.SQL, cluster.QueryOptions{Mode: qef.ModeDPU, NoCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		near := func(what string, got, want float64) {
+			t.Helper()
+			if math.Abs(got-want) > 1e-9*want {
+				t.Errorf("%s %s = %v, pinned %v", pin.query, what, got, want)
+			}
+		}
+		if res.TotalCycles != pin.cycles || res.DMEMHighWater != pin.dmemHighWater || res.TilesPruned != 0 ||
+			res.Energy.ActivityFJ != pin.activityFJ || res.NetBytes != pin.netBytes {
+			t.Errorf("%s TotalCycles/DMEMHighWater/TilesPruned/ActivityFJ/NetBytes = %d/%d/%d/%d/%d, pinned %d/%d/0/%d/%d", pin.query,
+				res.TotalCycles, res.DMEMHighWater, res.TilesPruned, res.Energy.ActivityFJ, res.NetBytes,
+				pin.cycles, pin.dmemHighWater, pin.activityFJ, pin.netBytes)
+		}
+		near("SimSeconds", res.SimSeconds, pin.simSeconds)
+		near("NodeSimSeconds", res.NodeSimSeconds, pin.nodeSimSeconds)
+		near("CoordSimSeconds", res.CoordSimSeconds, pin.coordSimSeconds)
+		near("EnergyNJ", float64(res.EnergyNJ), float64(pin.energyNJ))
+		for i, want := range pin.perNode {
+			got := res.PerNode[i]
+			near("PerNode SimSeconds", got.SimSeconds, want.SimSeconds)
+			got.SimSeconds = want.SimSeconds
+			if got != want {
+				t.Errorf("%s node %d billed %+v, pinned %+v", pin.query, i, got, want)
+			}
 		}
 	}
 }

@@ -2,21 +2,24 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 
 	"rapid/internal/ops"
 	"rapid/internal/plan"
+	"rapid/internal/qcomp"
 	"rapid/internal/storage"
 )
 
 // The distributed planner works on N lockstep plan trees — nodes[i] is node
 // i's structurally-identical copy of the query plan, differing only in
-// which shard its Scan leaves read (rewriteForNode). tryLocal classifies a
-// subtree's locality bottom-up: a fragment is node-local when every node
-// can execute its copy over its own shards and the union of the per-node
-// results equals the global result. Partitioned joins that are not
-// co-located get exchange operators spliced in as materialized relation
-// leaves (relLeaf), executed eagerly — the tray's version of the paper's
-// "maximally push work to where the data lives".
+// which shard its Scan leaves read (rewriteForNode). A fragment is node-local
+// when every node can execute its copy over its own shards and the union of
+// the per-node results equals the global result. Planning a subtree is two
+// steps: classify decides, without running anything, whether it is
+// node-local; localize then builds its per-node recipe bottom-up, splicing
+// in exchange outputs as materialized relation leaves (relLeaf) where a join
+// is not co-located and choosing the side to move by bytes — the tray's
+// version of the paper's "maximally push work to where the data lives".
 
 // relLeaf is a plan leaf over an exchange output; CompileWithInputs maps it
 // to a qcomp relation node.
@@ -111,20 +114,184 @@ func (t *Tray) rewriteForNode(n plan.Node, nodeID int) (plan.Node, error) {
 	return nil, fmt.Errorf("cluster: cannot distribute plan node %T", n)
 }
 
-// recipe is a node-local execution plan for one subtree: per-node trees to
-// compile (possibly with relLeaf exchange inputs) plus the partitioning
-// state of the combined output.
-type recipe struct {
-	// repl: every node produces the identical full result (subtree touches
-	// only replicated tables).
+// withInput is a copy of one of the single-input operators localize carries
+// over an exchange — a Filter, Project or GroupBy — over another input,
+// sharing its (immutable) expressions.
+func withInput(n, in plan.Node) plan.Node {
+	switch n := n.(type) {
+	case *plan.Filter:
+		return &plan.Filter{Input: in, Pred: n.Pred}
+	case *plan.Project:
+		return &plan.Project{Input: in, Exprs: n.Exprs, Names: n.Names}
+	case *plan.GroupBy:
+		return &plan.GroupBy{Input: in, Keys: n.Keys, Aggs: n.Aggs}
+	}
+	panic(fmt.Sprintf("cluster: withInput of %T", n))
+}
+
+// layout is how the combined output of a node-local subtree is spread over
+// the tray's nodes.
+type layout struct {
+	// repl: every node produces the identical full result (the subtree reads
+	// only replicated inputs).
 	repl bool
-	// partCol is the output column every node's rows are partitioned on
-	// (-1 unknown/row-sliced); part is the partition function. Valid only
-	// when !repl.
-	partCol int
-	part    *storage.ShardMap
-	trees   []plan.Node
-	leaves  []map[plan.Node]*ops.Relation
+	// cols are the output columns that carry the partition key: a row lives
+	// on node part.NodeFor(row[c]) for every c in cols. It is a set because an
+	// inner equi-join's output carries the key on both sides' key columns.
+	// Empty, with part nil, when the rows are spread with no usable key.
+	cols []int
+	part *storage.ShardMap
+}
+
+func (l layout) on(col int) bool { return slices.Contains(l.cols, col) }
+
+// shifted is l as the right side of a join whose left side has nLeft columns.
+func (l layout) shifted(nLeft int) layout {
+	out := layout{repl: l.repl, part: l.part, cols: make([]int, len(l.cols))}
+	for i, c := range l.cols {
+		out.cols[i] = c + nLeft
+	}
+	return out
+}
+
+func scanLayout(s *plan.Scan) (layout, error) {
+	sm := s.Table.ShardMap()
+	if sm == nil {
+		return layout{}, fmt.Errorf("cluster: table %q carries no shard map", s.Table.Name())
+	}
+	if sm.Policy == storage.Replicated {
+		return layout{repl: true}, nil
+	}
+	for ci, c := range s.Cols {
+		if c == sm.Key {
+			return layout{cols: []int{ci}, part: sm}, nil
+		}
+	}
+	return layout{}, nil
+}
+
+// projectLayout keeps the partition columns the projection passes through
+// unchanged, at their new positions.
+func projectLayout(p *plan.Project, in layout) layout {
+	out := layout{repl: in.repl}
+	for j, e := range p.Exprs {
+		if cr, ok := e.(*plan.ColRef); ok && in.on(cr.Idx) {
+			out.cols = append(out.cols, j)
+		}
+	}
+	if len(out.cols) > 0 {
+		out.part = in.part
+	}
+	return out
+}
+
+// groupLayout reports whether every group of g is complete on one node — its
+// keys include a partition column, or the input is replicated — so that the
+// node-local aggregation is already final, and how its output is spread.
+func groupLayout(g *plan.GroupBy, in layout) (layout, bool) {
+	if in.repl {
+		return layout{repl: true}, true
+	}
+	out := layout{part: in.part}
+	for i, k := range g.Keys {
+		if cr, ok := k.(*plan.ColRef); ok && in.on(cr.Idx) {
+			out.cols = append(out.cols, i)
+		}
+	}
+	return out, len(out.cols) > 0
+}
+
+// colocated is the locality rule table: it reports whether a join whose sides
+// are spread as l and r can run on every node over that node's share alone,
+// and how its output is then spread.
+//
+//	repl ⋈ repl                         → replicated
+//	part ⋈ repl, any join type          → like the left
+//	repl ⋈ part, inner                  → like the right
+//	part ⋈ part, a key pair lying on a  → like the left; inner joins also
+//	  partition column of both sides,     carry the key on the right side's
+//	  same partition function             partition columns
+//
+// Everything else needs an exchange first (colocate).
+func colocated(j *plan.Join, l, r layout) (layout, bool) {
+	inner := j.Type == plan.InnerJoin
+	nLeft := len(j.Left.Schema())
+	switch {
+	case l.repl && r.repl:
+		return layout{repl: true}, true
+	case r.repl:
+		return l, true
+	case l.repl:
+		// Semi/anti/left-outer probing of a replicated left on every node
+		// would emit each left row once per node.
+		if !inner {
+			return layout{}, false
+		}
+		return r.shifted(nLeft), true
+	}
+	for k := range j.LeftKeys {
+		if l.on(j.LeftKeys[k]) && r.on(j.RightKeys[k]) && l.part.SameFunction(r.part) {
+			if inner {
+				l.cols = append(append([]int(nil), l.cols...), r.shifted(nLeft).cols...)
+			}
+			return l, true
+		}
+	}
+	return layout{}, false
+}
+
+// classify reports whether a subtree is node-local — every node can run its
+// copy over its own shards (after exchanges) and the union of the per-node
+// results is the global result — and, as far as it can be known without
+// running anything, how the output is spread. It is pure: nothing executes
+// until the whole subtree is known to localise. A join that needs an exchange
+// localises too, but which side moves is decided by bytes at execution
+// (colocate), so its layout is unknown here; a group-by is local only when a
+// partition column known at this point is among its keys.
+func classify(n plan.Node) (layout, bool, error) {
+	switch n := n.(type) {
+	case *plan.Scan:
+		lay, err := scanLayout(n)
+		return lay, err == nil, err
+	case *plan.Filter:
+		return classify(n.Input)
+	case *plan.Project:
+		in, ok, err := classify(n.Input)
+		return projectLayout(n, in), ok, err
+	case *plan.GroupBy:
+		in, ok, err := classify(n.Input)
+		if !ok || err != nil {
+			return layout{}, false, err
+		}
+		out, ok := groupLayout(n, in)
+		return out, ok, nil
+	case *plan.Join:
+		l, ok, err := classify(n.Left)
+		if !ok || err != nil {
+			return layout{}, false, err
+		}
+		r, ok, err := classify(n.Right)
+		if !ok || err != nil {
+			return layout{}, false, err
+		}
+		// A join colocated rejects still localises, after an exchange whose
+		// moving side is not chosen yet: nothing is known about its output.
+		out, ok := colocated(n, l, r)
+		if !ok {
+			out = layout{}
+		}
+		return out, true, nil
+	}
+	return layout{}, false, nil
+}
+
+// recipe is a node-local execution plan for one subtree: per-node trees to
+// compile (possibly with relLeaf exchange inputs) plus the layout of the
+// combined output.
+type recipe struct {
+	layout
+	trees  []plan.Node
+	leaves []map[plan.Node]*ops.Relation
 }
 
 func childAt(nodes []plan.Node, k int) []plan.Node {
@@ -150,291 +317,255 @@ func mergeLeaves(a, b []map[plan.Node]*ops.Relation) []map[plan.Node]*ops.Relati
 	return out
 }
 
-func emptyLeaves(n int) []map[plan.Node]*ops.Relation {
-	return make([]map[plan.Node]*ops.Relation, n)
+// localize builds the recipe of a subtree classify accepted, executing the
+// exchanges its joins need on the way up — each exactly once, since the
+// subtree is known to localise before the first one runs.
+func (q *query) localize(nodes []plan.Node) (*recipe, error) {
+	switch n0 := nodes[0].(type) {
+	case *plan.Scan:
+		lay, err := scanLayout(n0)
+		if err != nil {
+			return nil, err
+		}
+		return &recipe{layout: lay, trees: append([]plan.Node(nil), nodes...),
+			leaves: make([]map[plan.Node]*ops.Relation, len(nodes))}, nil
+
+	case *plan.Join:
+		l, err := q.localize(childAt(nodes, 0))
+		if err != nil {
+			return nil, err
+		}
+		r, err := q.localize(childAt(nodes, 1))
+		if err != nil {
+			return nil, err
+		}
+		lay, ok := colocated(n0, l.layout, r.layout)
+		if !ok {
+			if l, r, err = q.colocate(n0, l, r); err != nil {
+				return nil, err
+			}
+			if lay, ok = colocated(n0, l.layout, r.layout); !ok {
+				return nil, fmt.Errorf("cluster: join sides not co-located after their exchange")
+			}
+		}
+		rec := &recipe{layout: lay, trees: make([]plan.Node, len(nodes)), leaves: mergeLeaves(l.leaves, r.leaves)}
+		for i := range rec.trees {
+			ji := nodes[i].(*plan.Join)
+			rec.trees[i] = &plan.Join{Type: ji.Type, Left: l.trees[i], Right: r.trees[i],
+				LeftKeys: ji.LeftKeys, RightKeys: ji.RightKeys}
+		}
+		return rec, nil
+
+	case *plan.Filter, *plan.Project, *plan.GroupBy:
+		child, err := q.localize(childAt(nodes, 0))
+		if err != nil {
+			return nil, err
+		}
+		rec := &recipe{layout: child.layout, trees: make([]plan.Node, len(nodes)), leaves: child.leaves}
+		switch n0 := n0.(type) {
+		case *plan.Project:
+			rec.layout = projectLayout(n0, child.layout)
+		case *plan.GroupBy:
+			var ok bool
+			if rec.layout, ok = groupLayout(n0, child.layout); !ok {
+				return nil, fmt.Errorf("cluster: group-by classified node-local has no partition column among its keys")
+			}
+		}
+		for i := range rec.trees {
+			rec.trees[i] = withInput(nodes[i], child.trees[i])
+		}
+		return rec, nil
+	}
+	return nil, fmt.Errorf("cluster: cannot localize plan node %T", nodes[0])
 }
 
-// alignedKey returns the join-key index whose column is the recipe's
-// partition column, or -1: the side is already partitioned on that key.
-func alignedKey(rec *recipe, keys []int) int {
-	if rec.repl || rec.partCol < 0 || rec.part == nil {
-		return -1
+// placed wraps per-node relations (exchange outputs, or a side materialised
+// in place) as a recipe of relLeaf trees spread as lay.
+func placed(parts []*ops.Relation, lay layout) *recipe {
+	rec := &recipe{layout: lay, trees: make([]plan.Node, len(parts)), leaves: make([]map[plan.Node]*ops.Relation, len(parts))}
+	for i, rel := range parts {
+		leaf := newRelLeaf(rel)
+		rec.trees[i] = leaf
+		rec.leaves[i] = map[plan.Node]*ops.Relation{leaf: rel}
 	}
+	return rec
+}
+
+// routed is a shuffle's output as a recipe: partitioned by part on keyCol.
+func (q *query) routed(parts []*ops.Relation, rt *routes, keyCol int, part *storage.ShardMap, label string) (*recipe, error) {
+	outs, err := q.deliver(parts, rt, label)
+	if err != nil {
+		return nil, err
+	}
+	return placed(outs, layout{cols: []int{keyCol}, part: part}), nil
+}
+
+// broadcasted is a broadcast's output as a recipe: the one full relation,
+// bound to every node.
+func (q *query) broadcasted(parts []*ops.Relation, label string) (*recipe, error) {
+	full, err := q.broadcast(parts, label)
+	if err != nil {
+		return nil, err
+	}
+	all := make([]*ops.Relation, q.nodes())
+	for i := range all {
+		all[i] = full
+	}
+	return placed(all, layout{repl: true}), nil
+}
+
+// alignedKey returns the index of a join key that is one of the recipe's
+// partition columns — the side already lives on that key — or -1.
+func alignedKey(rec *recipe, keys []int) int {
 	for k, c := range keys {
-		if c == rec.partCol {
+		if rec.on(c) {
 			return k
 		}
 	}
 	return -1
 }
 
-// tryLocal classifies the subtree and, when it is node-local (possibly
-// after exchanges), returns the per-node recipe. Exchanges are executed
-// eagerly here — by the time a recipe is returned, its relLeaf inputs are
-// materialized and distributed.
-func (q *query) tryLocal(nodes []plan.Node) (*recipe, bool, error) {
-	n := q.nodes()
-	switch n0 := nodes[0].(type) {
-	case *plan.Scan:
-		sm := n0.Table.ShardMap()
-		if sm == nil {
-			return nil, false, fmt.Errorf("cluster: table %q carries no shard map", n0.Table.Name())
-		}
-		rec := &recipe{
-			repl:    sm.Policy == storage.Replicated,
-			partCol: -1,
-			trees:   append([]plan.Node(nil), nodes...),
-			leaves:  emptyLeaves(n),
-		}
-		if !rec.repl {
-			for ci, c := range n0.Cols {
-				if c == sm.Key {
-					rec.partCol, rec.part = ci, sm
-					break
-				}
-			}
-		}
-		return rec, true, nil
-
-	case *plan.Filter:
-		child, ok, err := q.tryLocal(childAt(nodes, 0))
-		if !ok || err != nil {
-			return nil, false, err
-		}
-		trees := make([]plan.Node, n)
-		for i := range trees {
-			trees[i] = &plan.Filter{Input: child.trees[i], Pred: nodes[i].(*plan.Filter).Pred}
-		}
-		return &recipe{repl: child.repl, partCol: child.partCol, part: child.part,
-			trees: trees, leaves: child.leaves}, true, nil
-
-	case *plan.Project:
-		child, ok, err := q.tryLocal(childAt(nodes, 0))
-		if !ok || err != nil {
-			return nil, false, err
-		}
-		partCol := -1
-		if !child.repl && child.partCol >= 0 {
-			for j, e := range n0.Exprs {
-				if cr, isRef := e.(*plan.ColRef); isRef && cr.Idx == child.partCol {
-					partCol = j
-					break
-				}
-			}
-		}
-		part := child.part
-		if partCol < 0 {
-			part = nil
-		}
-		trees := make([]plan.Node, n)
-		for i := range trees {
-			pi := nodes[i].(*plan.Project)
-			trees[i] = &plan.Project{Input: child.trees[i], Exprs: pi.Exprs, Names: pi.Names}
-		}
-		return &recipe{repl: child.repl, partCol: partCol, part: part,
-			trees: trees, leaves: child.leaves}, true, nil
-
-	case *plan.Join:
-		l, ok, err := q.tryLocal(childAt(nodes, 0))
-		if !ok || err != nil {
-			return nil, false, err
-		}
-		r, ok, err := q.tryLocal(childAt(nodes, 1))
-		if !ok || err != nil {
-			return nil, false, err
-		}
-		return q.localizeJoin(nodes, l, r)
+// treeBytes estimates the wire size of a side that is still a tree, over
+// all nodes: qcomp.Estimate's output rows per shard tree at the 8-byte wire
+// width. Estimate counts an exchange output spliced into the tree as one
+// row; the largest one below is the better floor.
+func treeBytes(rec *recipe) int64 {
+	var b int64
+	for _, t := range rec.trees {
+		rows := max(qcomp.Estimate(t).OutputRows, leafRows(t))
+		b += rows * 8 * int64(len(t.Schema()))
 	}
-	return nil, false, nil
+	return b
 }
 
-// joinTrees assembles per-node join copies over the given child trees.
-func joinTrees(nodes []plan.Node, lt, rt []plan.Node) []plan.Node {
-	out := make([]plan.Node, len(nodes))
-	for i := range nodes {
-		ji := nodes[i].(*plan.Join)
-		out[i] = &plan.Join{Type: ji.Type, Left: lt[i], Right: rt[i],
-			LeftKeys: ji.LeftKeys, RightKeys: ji.RightKeys}
+func leafRows(n plan.Node) int64 {
+	if leaf, ok := n.(*relLeaf); ok {
+		return int64(leaf.rel.Rows())
 	}
-	return out
+	var rows int64
+	for _, c := range n.Children() {
+		rows = max(rows, leafRows(c))
+	}
+	return rows
 }
 
-// leafTrees turns per-node relations into relLeaf plan nodes plus their
-// input bindings. shared, when non-nil, binds the one relation to every
-// node (broadcast output) and parts is ignored.
-func leafTrees(n int, parts []*ops.Relation, shared *ops.Relation) ([]plan.Node, []map[plan.Node]*ops.Relation) {
-	trees := make([]plan.Node, n)
-	leaves := make([]map[plan.Node]*ops.Relation, n)
-	for i := 0; i < n; i++ {
-		rel := shared
-		if rel == nil {
-			rel = parts[i]
-		}
-		leaf := newRelLeaf(rel)
-		trees[i] = leaf
-		leaves[i] = map[plan.Node]*ops.Relation{leaf: rel}
+// partsBytes is the exact wire size of a materialised side.
+func partsBytes(parts []*ops.Relation) int64 {
+	var b int64
+	for _, rel := range parts {
+		b += relBytes(rel)
 	}
-	return trees, leaves
+	return b
 }
 
-// localizeJoin distributes a join whose two children are node-local,
-// inserting exchanges where the sides are not co-located:
+// colocate moves data so that a join colocated rejected becomes node-local,
+// returning the two sides as they are afterwards; colocated's rules then
+// apply to them (a shuffled side is co-partitioned, a broadcast side
+// replicated). Whatever moves is chosen by the bytes it puts on the link:
 //
-//	repl ⋈ repl                       → local, replicated
-//	part ⋈ part, co-partitioned on key → local (the co-location fast path)
-//	part ⋈ repl                       → local, partitioned like the left
-//	repl ⋈ part, inner                → local, partitioned like the right
-//	repl ⋈ part, semi/anti/louter     → broadcast right + row-slice left
-//	                                    (probing per node would duplicate)
-//	part ⋈ part, one side aligned     → shuffle the other side to it
-//	part ⋈ part, neither aligned      → shuffle both by the join key, or
-//	                                    broadcast the small side when that
-//	                                    moves fewer bytes
-func (q *query) localizeJoin(nodes []plan.Node, l, r *recipe) (*recipe, bool, error) {
+//	repl ⋈ part, semi/anti/left-outer → broadcast the right and let every
+//	    node probe its own slice of the left (sliceModulo): the copies are
+//	    already everywhere, so slicing moves nothing
+//	part ⋈ part, one side on a join key → shuffle the other side to it
+//	    (align), or broadcast the side that is, when that is fewer bytes
+//	part ⋈ part, neither on a join key  → shuffle both by the first key
+//	    pair, or broadcast the smaller side when that is fewer bytes
+//
+// Broadcasting the left is for inner joins only: any other join type would
+// emit a left row once per node. A shuffle is priced at the rows that
+// actually change node (route), a broadcast at bytes·(n−1).
+func (q *query) colocate(j *plan.Join, l, r *recipe) (*recipe, *recipe, error) {
 	n := q.nodes()
-	j0 := nodes[0].(*plan.Join)
-	inner := j0.Type == plan.InnerJoin
-	nLeft := len(j0.Left.Schema())
-
-	switch {
-	case l.repl && r.repl:
-		return &recipe{repl: true, partCol: -1,
-			trees: joinTrees(nodes, l.trees, r.trees), leaves: mergeLeaves(l.leaves, r.leaves)}, true, nil
-
-	case !l.repl && !r.repl:
-		// Co-partitioned on a shared join key?
-		for k := range j0.LeftKeys {
-			if j0.LeftKeys[k] == l.partCol && j0.RightKeys[k] == r.partCol && l.part.SameFunction(r.part) {
-				return &recipe{partCol: l.partCol, part: l.part,
-					trees: joinTrees(nodes, l.trees, r.trees), leaves: mergeLeaves(l.leaves, r.leaves)}, true, nil
-			}
-		}
-		if k := alignedKey(l, j0.LeftKeys); k >= 0 {
-			// Left already lives on its join key: move only the right side.
-			rparts, err := q.materialize(r, false, "shuffle input")
-			if err != nil {
-				return nil, false, err
-			}
-			shuffled, err := q.shuffle(rparts, j0.RightKeys[k], l.part,
-				fmt.Sprintf("right by key[%d] to %s", k, l.part.Policy))
-			if err != nil {
-				return nil, false, err
-			}
-			rt, rl := leafTrees(n, shuffled, nil)
-			return &recipe{partCol: l.partCol, part: l.part,
-				trees: joinTrees(nodes, l.trees, rt), leaves: mergeLeaves(l.leaves, rl)}, true, nil
-		}
-		if k := alignedKey(r, j0.RightKeys); k >= 0 {
-			lparts, err := q.materialize(l, false, "shuffle input")
-			if err != nil {
-				return nil, false, err
-			}
-			shuffled, err := q.shuffle(lparts, j0.LeftKeys[k], r.part,
-				fmt.Sprintf("left by key[%d] to %s", k, r.part.Policy))
-			if err != nil {
-				return nil, false, err
-			}
-			lt, ll := leafTrees(n, shuffled, nil)
-			return &recipe{partCol: j0.LeftKeys[k], part: r.part,
-				trees: joinTrees(nodes, lt, r.trees), leaves: mergeLeaves(ll, r.leaves)}, true, nil
-		}
-		// Neither side aligned: materialize both, then pick the cheaper of
-		// shuffling both by the first key pair or broadcasting one side.
-		lparts, err := q.materialize(l, false, "exchange input")
-		if err != nil {
-			return nil, false, err
-		}
-		rparts, err := q.materialize(r, false, "exchange input")
-		if err != nil {
-			return nil, false, err
-		}
-		var bytesL, bytesR int64
-		for i := 0; i < n; i++ {
-			bytesL += relBytes(lparts[i])
-			bytesR += relBytes(rparts[i])
-		}
-		shuffleCost := (bytesL + bytesR) / int64(n) * int64(n-1)
-		bcastRCost := bytesR * int64(n-1)
-		bcastLCost := bytesL * int64(n-1)
-		if bcastRCost < shuffleCost && bcastRCost <= bcastLCost {
-			full, err := q.broadcast(rparts, "right (small side)")
-			if err != nil {
-				return nil, false, err
-			}
-			lt, ll := leafTrees(n, lparts, nil)
-			rt, rl := leafTrees(n, nil, full)
-			return &recipe{partCol: l.partCol, part: l.part,
-				trees: joinTrees(nodes, lt, rt), leaves: mergeLeaves(ll, rl)}, true, nil
-		}
-		if inner && bcastLCost < shuffleCost {
-			full, err := q.broadcast(lparts, "left (small side)")
-			if err != nil {
-				return nil, false, err
-			}
-			lt, ll := leafTrees(n, nil, full)
-			rt, rl := leafTrees(n, rparts, nil)
-			partCol := -1
-			if r.partCol >= 0 {
-				partCol = nLeft + r.partCol
-			}
-			return &recipe{partCol: partCol, part: r.part,
-				trees: joinTrees(nodes, lt, rt), leaves: mergeLeaves(ll, rl)}, true, nil
-		}
-		hash := &storage.ShardMap{Policy: storage.HashSharded, Key: 0, Nodes: n}
-		ls, err := q.shuffle(lparts, j0.LeftKeys[0], hash, "left by join key")
-		if err != nil {
-			return nil, false, err
-		}
-		rs, err := q.shuffle(rparts, j0.RightKeys[0], hash, "right by join key")
-		if err != nil {
-			return nil, false, err
-		}
-		lt, ll := leafTrees(n, ls, nil)
-		rt, rl := leafTrees(n, rs, nil)
-		return &recipe{partCol: j0.LeftKeys[0], part: hash,
-			trees: joinTrees(nodes, lt, rt), leaves: mergeLeaves(ll, rl)}, true, nil
-
-	case !l.repl: // left partitioned, right replicated: probe stays put.
-		return &recipe{partCol: l.partCol, part: l.part,
-			trees: joinTrees(nodes, l.trees, r.trees), leaves: mergeLeaves(l.leaves, r.leaves)}, true, nil
-
-	default: // left replicated, right partitioned
-		if inner {
-			partCol := -1
-			if r.partCol >= 0 {
-				partCol = nLeft + r.partCol
-			}
-			return &recipe{partCol: partCol, part: r.part,
-				trees: joinTrees(nodes, l.trees, r.trees), leaves: mergeLeaves(l.leaves, r.leaves)}, true, nil
-		}
-		// Semi/anti/left-outer with a replicated probe side: per-node
-		// probing would emit each left row once per node. Broadcast the
-		// right side so every node sees the full build input, and slice the
-		// replicated left by row index so each left row is probed exactly
-		// once (a free "virtual repartition" — the copies are already
-		// everywhere, no bytes move).
+	inner := j.Type == plan.InnerJoin
+	if l.repl {
 		rparts, err := q.materialize(r, false, "broadcast input")
 		if err != nil {
-			return nil, false, err
+			return nil, nil, err
 		}
-		full, err := q.broadcast(rparts, "right (build side)")
+		full, err := q.broadcasted(rparts, "right (build side)")
 		if err != nil {
-			return nil, false, err
+			return nil, nil, err
 		}
 		lparts, err := q.materialize(l, false, "replicated probe")
 		if err != nil {
-			return nil, false, err
+			return nil, nil, err
 		}
-		trees := make([]plan.Node, n)
-		leaves := make([]map[plan.Node]*ops.Relation, n)
-		for i := 0; i < n; i++ {
-			lleaf := newRelLeaf(sliceModulo(lparts[i], i, n))
-			rleaf := newRelLeaf(full)
-			ji := nodes[i].(*plan.Join)
-			trees[i] = &plan.Join{Type: ji.Type, Left: lleaf, Right: rleaf,
-				LeftKeys: ji.LeftKeys, RightKeys: ji.RightKeys}
-			leaves[i] = map[plan.Node]*ops.Relation{lleaf: lleaf.rel, rleaf: full}
+		for i, rel := range lparts {
+			lparts[i] = sliceModulo(rel, i, n)
 		}
-		return &recipe{partCol: -1, trees: trees, leaves: leaves}, true, nil
+		return placed(lparts, layout{}), full, nil
 	}
+	if k := alignedKey(l, j.LeftKeys); k >= 0 {
+		r, l, err := q.align(r, l, j.RightKeys[k], inner, fmt.Sprintf("right by key[%d]", k), "left (small side)")
+		return l, r, err
+	}
+	if k := alignedKey(r, j.RightKeys); k >= 0 {
+		return q.align(l, r, j.LeftKeys[k], true, fmt.Sprintf("left by key[%d]", k), "right (small side)")
+	}
+
+	lparts, err := q.materialize(l, false, "exchange input")
+	if err != nil {
+		return nil, nil, err
+	}
+	rparts, err := q.materialize(r, false, "exchange input")
+	if err != nil {
+		return nil, nil, err
+	}
+	hash := &storage.ShardMap{Policy: storage.HashSharded, Key: 0, Nodes: n}
+	lroutes, err := q.route(lparts, j.LeftKeys[0], hash)
+	if err != nil {
+		return nil, nil, err
+	}
+	rroutes, err := q.route(rparts, j.RightKeys[0], hash)
+	if err != nil {
+		return nil, nil, err
+	}
+	shuffleCost := lroutes.crossing*int64(exchangeRowBytes(lparts[0])) + rroutes.crossing*int64(exchangeRowBytes(rparts[0]))
+	bcastLCost, bcastRCost := partsBytes(lparts)*int64(n-1), partsBytes(rparts)*int64(n-1)
+	switch {
+	case bcastRCost < shuffleCost && bcastRCost <= bcastLCost:
+		r, err = q.broadcasted(rparts, "right (small side)")
+		return placed(lparts, l.layout), r, err
+	case inner && bcastLCost < shuffleCost:
+		l, err = q.broadcasted(lparts, "left (small side)")
+		return l, placed(rparts, r.layout), err
+	}
+	if l, err = q.routed(lparts, lroutes, j.LeftKeys[0], hash, "left by join key"); err != nil {
+		return nil, nil, err
+	}
+	r, err = q.routed(rparts, rroutes, j.RightKeys[0], hash, "right by join key")
+	return l, r, err
+}
+
+// align co-locates a side that does not live on its join key (mov) with one
+// that does (fix): it materialises mov, which has to happen whichever side
+// moves, and either shuffles it to fix's partition function or — when
+// allowed, and fix is fewer bytes on the link — broadcasts fix to it instead.
+// fix is still a tree, so it is materialised only when its estimated size
+// wins, and broadcast only when its exact size then does too. It returns mov
+// and fix as they are afterwards.
+func (q *query) align(mov, fix *recipe, movKey int, mayBroadcast bool, shuffleLabel, broadcastLabel string) (*recipe, *recipe, error) {
+	parts, err := q.materialize(mov, false, "exchange input")
+	if err != nil {
+		return nil, nil, err
+	}
+	rt, err := q.route(parts, movKey, fix.part)
+	if err != nil {
+		return nil, nil, err
+	}
+	shuffleCost := rt.crossing * int64(exchangeRowBytes(parts[0]))
+	if fanout := int64(q.nodes() - 1); mayBroadcast && treeBytes(fix)*fanout < shuffleCost {
+		fparts, err := q.materialize(fix, false, "broadcast input")
+		if err != nil {
+			return nil, nil, err
+		}
+		// The estimate only decided to look: the exact size decides.
+		if partsBytes(fparts)*fanout < shuffleCost {
+			fix, err = q.broadcasted(fparts, broadcastLabel)
+			return placed(parts, mov.layout), fix, err
+		}
+		fix = placed(fparts, fix.layout)
+	}
+	mov, err = q.routed(parts, rt, movKey, fix.part, fmt.Sprintf("%s to %s", shuffleLabel, fix.part.Policy))
+	return mov, fix, err
 }

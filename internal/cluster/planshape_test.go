@@ -1,0 +1,158 @@
+package cluster_test
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"rapid/internal/cluster"
+	"rapid/internal/hostdb"
+	"rapid/internal/obs"
+	"rapid/internal/qef"
+	"rapid/internal/tpch"
+)
+
+// parentNetBytes is Result.NetBytes of every TPC-H statement on tpchHost's
+// data (SF 0.002, seed 42, auto sharding) at commit 092e803, captured by
+// running this loop there — before exchanges were decided once and by bytes.
+var parentNetBytes = map[int]map[string]int64{
+	4: {"Q1": 1248, "Q3": 17792, "Q4": 320, "Q5": 27696, "Q6": 64, "Q10": 10944,
+		"Q12": 192, "Q14": 4000, "Q18": 2101824, "Q19": 31888, "Q21lite": 0},
+	8: {"Q1": 2496, "Q3": 20352, "Q4": 592, "Q5": 32352, "Q6": 128, "Q10": 11840,
+		"Q12": 360, "Q14": 4736, "Q18": 2322144, "Q19": 36896, "Q21lite": 0},
+}
+
+// TestExchangesRunOnceAndMoveNoMoreThanBefore: on 4 and 8 nodes, no TPC-H
+// statement executes the same exchange twice (the parent ran Q18's 12 k-row
+// shuffle three times and kept one), the exchange counter advances by exactly
+// the exchanges reported, and no statement puts more bytes on the link than
+// it did at the parent. Q18 no longer moves its lineitem ⋈ orders output at
+// all: the sub-query, the semi-join and the outer group-by stay on the nodes.
+func TestExchangesRunOnceAndMoveNoMoreThanBefore(t *testing.T) {
+	db := tpchHost(t)
+	lineitem, err := db.Table("lineitem")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, nodes := range []int{4, 8} {
+		reg := obs.NewRegistry()
+		tray := newTray(t, db, cluster.Config{Nodes: nodes, Metrics: reg})
+		exchanges := reg.Counter("rapid_net_exchanges_total")
+		for _, q := range tpch.Queries() {
+			before := exchanges.Value()
+			res, err := tray.Query(q.SQL, cluster.QueryOptions{Mode: qef.ModeX86, NoCache: true, Analyze: true})
+			if err != nil {
+				t.Fatalf("%d nodes %s: %v", nodes, q.Name, err)
+			}
+			if d := exchanges.Value() - before; d != int64(len(res.Exchanges)) {
+				t.Errorf("%d nodes %s: rapid_net_exchanges_total advanced by %d, %d exchanges reported", nodes, q.Name, d, len(res.Exchanges))
+			}
+			seen := map[string]bool{}
+			for _, ex := range res.Exchanges {
+				key := fmt.Sprintf("%s %s rows=%d", ex.Kind, ex.Label, ex.RowsIn)
+				if seen[key] {
+					t.Errorf("%d nodes %s: exchange %q ran more than once:\n%s", nodes, q.Name, key, res.Analyze)
+				}
+				seen[key] = true
+			}
+			want, ok := parentNetBytes[nodes][q.Name]
+			if !ok {
+				t.Fatalf("no parent NetBytes recorded for %s", q.Name)
+			}
+			if res.NetBytes > want {
+				t.Errorf("%d nodes %s: NetBytes = %d, the parent moved %d:\n%s", nodes, q.Name, res.NetBytes, want, res.Analyze)
+			}
+			if q.Name != "Q18" {
+				continue
+			}
+			for _, ex := range res.Exchanges {
+				if ex.RowsIn >= int64(lineitem.Rows()) {
+					t.Errorf("%d nodes Q18: %s %q carries %d rows — the lineitem ⋈ orders output (%d rows) still crosses the link:\n%s",
+						nodes, ex.Kind, ex.Label, ex.RowsIn, lineitem.Rows(), res.Analyze)
+				}
+				if ex.Kind == cluster.Shuffle {
+					t.Errorf("%d nodes Q18: shuffle %q; customer is the side to move, by broadcast", nodes, ex.Label)
+				}
+			}
+			if strings.Contains(res.Analyze, "coordinator Join") || strings.Contains(res.Analyze, "merge group-by") {
+				t.Errorf("%d nodes Q18: semi-join or aggregation still merges at the coordinator:\n%s", nodes, res.Analyze)
+			}
+			if res.NetBytes > want/50 {
+				t.Errorf("%d nodes Q18: NetBytes = %d, want under 2%% of the parent's %d", nodes, res.NetBytes, want)
+			}
+		}
+	}
+}
+
+// TestReplicatedLeftOuterJoinUnderGroupBy: a replicated table LEFT (or SEMI,
+// or ANTI) joined to a partitioned one is made node-local by broadcasting the
+// right and row-slicing the left, so the join's output is on no partition key
+// — a group-by above it (nested under the HAVING filter, where locality is
+// classified before anything runs) must take the partial + merge path, not be
+// classified node-local on the right's shard key and fail once the broadcast
+// has run.
+func TestReplicatedLeftOuterJoinUnderGroupBy(t *testing.T) {
+	db := tpchHost(t)
+	for _, nodes := range []int{4, 8} {
+		tray := newTray(t, db, cluster.Config{Nodes: nodes})
+		for _, sql := range []string{
+			`SELECT c_custkey, COUNT(*) AS n, SUM(n_regionkey) AS r
+FROM nation LEFT JOIN customer ON (n_nationkey = c_nationkey)
+GROUP BY c_custkey HAVING COUNT(*) > 0`,
+			`SELECT n_regionkey, COUNT(*) AS n FROM nation
+WHERE n_nationkey IN (SELECT c_nationkey FROM customer WHERE c_acctbal > 9000)
+GROUP BY n_regionkey HAVING COUNT(*) > 0`,
+			`SELECT n_regionkey, COUNT(*) AS n FROM nation
+WHERE n_nationkey NOT IN (SELECT c_nationkey FROM customer WHERE c_acctbal > 9000)
+GROUP BY n_regionkey HAVING COUNT(*) > 0`,
+		} {
+			want, err := db.Query(sql, hostdb.QueryOptions{Mode: hostdb.ForceHost})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := tray.Query(sql, cluster.QueryOptions{Mode: qef.ModeX86, NoCache: true, Analyze: true})
+			if err != nil {
+				t.Fatalf("%d nodes: %v\n%s", nodes, err, sql)
+			}
+			sameBags(t, fmt.Sprintf("%d nodes %s", nodes, sql), want.Rel, got.Rel)
+			if !strings.Contains(got.Analyze, "merge group-by") {
+				t.Errorf("%d nodes: the group-by did not merge partials at the coordinator:\n%s", nodes, got.Analyze)
+			}
+		}
+	}
+}
+
+// TestBroadcastDecidedByExactBytes: orders (not on its join key) meets
+// customer (on it) under a filter every customer row passes. The estimate
+// takes the filter for selective and prices customer's broadcast under the
+// orders shuffle; customer's exact size, known once it is materialised, is
+// over it — so the shuffle runs, and the link carries no more than it would
+// have without the byte rule.
+func TestBroadcastDecidedByExactBytes(t *testing.T) {
+	tray := newTray(t, tpchHost(t), cluster.Config{Nodes: 4})
+	res, err := tray.Query(`SELECT COUNT(*), SUM(o_totalprice) FROM orders, customer
+WHERE o_custkey = c_custkey AND c_acctbal > -2000 AND o_orderdate < DATE '1993-06-01'`,
+		cluster.QueryOptions{Mode: qef.ModeX86, NoCache: true, Analyze: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(res.Analyze, "fragment broadcast input") {
+		t.Fatalf("the estimate did not favour the broadcast; the query no longer exercises the exact re-check:\n%s", res.Analyze)
+	}
+	var shuffled int64
+	for _, ex := range res.Exchanges {
+		switch ex.Kind {
+		case cluster.Broadcast:
+			t.Errorf("broadcast %q of %d bytes:\n%s", ex.Label, ex.MovedBytes, res.Analyze)
+		case cluster.Shuffle:
+			shuffled += ex.MovedBytes
+		}
+	}
+	customer, err := tpchHost(t).Table("customer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if broadcast := int64(customer.Rows()) * 2 * 8 * 3; shuffled == 0 || shuffled >= broadcast {
+		t.Errorf("shuffled %d bytes; broadcasting customer's two columns to 3 other nodes is %d:\n%s", shuffled, broadcast, res.Analyze)
+	}
+}
