@@ -1,7 +1,6 @@
 package cluster_test
 
 import (
-	"math"
 	"testing"
 
 	"rapid/internal/cluster"
@@ -10,9 +9,9 @@ import (
 )
 
 // TestTrayBillPins: what a 4-node ModeDPU run bills, captured by running the
-// query and printing the result. Integers must match exactly; seconds and
-// EnergyNJ to 1e-9 relative, because the bus-lane float sums are taken in
-// unit-completion order (ROADMAP item 2).
+// query and printing the result. Everything must match exactly, the float
+// seconds too: each node's bill is per-core sums reduced in core order
+// (qef.Context.Usage).
 //
 // Q12 — a co-partitioned join under a partial aggregation, whose plan the
 // byte rule leaves alone — is the bill at 092e803, before exchanges were
@@ -61,9 +60,9 @@ func TestTrayBillPins(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		near := func(what string, got, want float64) {
+		same := func(what string, got, want float64) {
 			t.Helper()
-			if math.Abs(got-want) > 1e-9*want {
+			if got != want {
 				t.Errorf("%s %s = %v, pinned %v", pin.query, what, got, want)
 			}
 		}
@@ -73,13 +72,13 @@ func TestTrayBillPins(t *testing.T) {
 				res.TotalCycles, res.DMEMHighWater, res.TilesPruned, res.Energy.ActivityFJ, res.NetBytes,
 				pin.cycles, pin.dmemHighWater, pin.activityFJ, pin.netBytes)
 		}
-		near("SimSeconds", res.SimSeconds, pin.simSeconds)
-		near("NodeSimSeconds", res.NodeSimSeconds, pin.nodeSimSeconds)
-		near("CoordSimSeconds", res.CoordSimSeconds, pin.coordSimSeconds)
-		near("EnergyNJ", float64(res.EnergyNJ), float64(pin.energyNJ))
+		same("SimSeconds", res.SimSeconds, pin.simSeconds)
+		same("NodeSimSeconds", res.NodeSimSeconds, pin.nodeSimSeconds)
+		same("CoordSimSeconds", res.CoordSimSeconds, pin.coordSimSeconds)
+		same("EnergyNJ", float64(res.EnergyNJ), float64(pin.energyNJ))
 		for i, want := range pin.perNode {
 			got := res.PerNode[i]
-			near("PerNode SimSeconds", got.SimSeconds, want.SimSeconds)
+			same("PerNode SimSeconds", got.SimSeconds, want.SimSeconds)
 			got.SimSeconds = want.SimSeconds
 			if got != want {
 				t.Errorf("%s node %d billed %+v, pinned %+v", pin.query, i, got, want)

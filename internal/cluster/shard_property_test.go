@@ -184,3 +184,104 @@ func TestShardMapCompletenessProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestTrayLoadPlacesEncodedRows: Tray.Load routes host rows as the row store
+// holds them. Over a string key (placed by dictionary code), a decimal key
+// (by unscaled value) and an integer key, for hash, range, replicated and
+// auto specs, after inserts, deletes and a key update: every live host row is
+// on exactly the node NodeFor(encoded key) names — on every node when
+// replicated — and no tombstone is anywhere.
+func TestTrayLoadPlacesEncodedRows(t *testing.T) {
+	db := hostdb.New()
+	defer db.Close()
+	schema := storage.MustSchema(
+		storage.ColumnDef{Name: "k", Type: coltypes.String()},
+		storage.ColumnDef{Name: "d", Type: coltypes.Decimal(2)},
+		storage.ColumnDef{Name: "id", Type: coltypes.Int()},
+	)
+	if _, err := db.CreateTable("pt", schema); err != nil {
+		t.Fatal(err)
+	}
+	const n = 300
+	rows := make([][]storage.Value, n)
+	for i := range rows {
+		rows[i] = []storage.Value{
+			storage.StrValue(fmt.Sprintf("key%d", i%37)),
+			storage.DecString(fmt.Sprintf("%d.%02d", i%50, (i*25)%100)),
+			storage.IntValue(int64(i)),
+		}
+	}
+	if _, err := db.Insert("pt", rows); err != nil {
+		t.Fatal(err)
+	}
+	deleted := map[int64]bool{}
+	for i := 3; i < n; i += 7 {
+		if _, err := db.Delete("pt", i); err != nil {
+			t.Fatal(err)
+		}
+		deleted[int64(i)] = true
+	}
+	if _, err := db.Update("pt", 5, 0, storage.StrValue("a key no row had")); err != nil {
+		t.Fatal(err)
+	}
+	ht, err := db.Table("pt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var live [][]int64
+	if err := ht.ScanLive(func(rows [][]int64) error {
+		for _, r := range rows {
+			live = append(live, append([]int64(nil), r...))
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(live) != n-len(deleted) {
+		t.Fatalf("host scan yields %d rows, want %d live", len(live), n-len(deleted))
+	}
+
+	const nodes = 4
+	specs := map[string]*cluster.ShardSpec{
+		"auto":           nil, // more than ReplicateMaxRows rows: hash on column 0
+		"hash(string)":   {Policy: storage.HashSharded, Key: 0},
+		"hash(decimal)":  {Policy: storage.HashSharded, Key: 1},
+		"range(int)":     {Policy: storage.RangeSharded, Key: 2, Bounds: []int64{50, 120, 250}},
+		"range(decimal)": {Policy: storage.RangeSharded, Key: 1, Bounds: []int64{1000, 2500, 4000}},
+		"replicated":     {Policy: storage.Replicated},
+	}
+	for name, spec := range specs {
+		tray, err := cluster.New(db, cluster.Config{Nodes: nodes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tray.Load("pt", spec); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sm := tray.ShardMapOf("pt")
+		var all [][]int64
+		for i := 0; i < nodes; i++ {
+			got := shardRows(tray.Shard("pt", i))
+			for _, r := range got {
+				if deleted[r[2]] {
+					t.Fatalf("%s: deleted row %v on node %d", name, r, i)
+				}
+				if sm.Policy != storage.Replicated && sm.NodeFor(r[sm.Key]) != i {
+					t.Fatalf("%s: row %v on node %d, NodeFor(%d) = %d", name, r, i, r[sm.Key], sm.NodeFor(r[sm.Key]))
+				}
+			}
+			if sm.Policy == storage.Replicated {
+				// Every node holds every live row, in host order.
+				if fmt.Sprint(got) != fmt.Sprint(live) {
+					t.Fatalf("%s: node %d does not hold the host's live rows", name, i)
+				}
+				continue
+			}
+			all = append(all, got...)
+		}
+		if sm.Policy != storage.Replicated && !sameTupleBags(tupleBag(all), tupleBag(live)) {
+			t.Fatalf("%s: the shards' union (%d rows) is not the host's live rows (%d)", name, len(all), len(live))
+		}
+		tray.Close()
+	}
+}

@@ -152,22 +152,7 @@ func (t *Tray) loadLocked(table string, spec *ShardSpec) error {
 		return err
 	}
 	loadSCN := t.host.CurrentSCN()
-	rows := ht.LiveValues()
 	n := len(t.nodes)
-
-	sm := &storage.ShardMap{Nodes: n}
-	switch {
-	case spec != nil:
-		sm.Policy, sm.Key = spec.Policy, spec.Key
-		sm.Bounds = append([]int64(nil), spec.Bounds...)
-	case t.cfg.ReplicateMaxRows >= 0 && len(rows) <= t.cfg.ReplicateMaxRows:
-		sm.Policy = storage.Replicated
-	default:
-		sm.Policy, sm.Key = storage.HashSharded, 0
-	}
-	if err := sm.Validate(); err != nil {
-		return err
-	}
 
 	// Every shard builder shares the host dictionaries: identical string
 	// codes on every node make group keys, sort ranks and bound literals
@@ -177,22 +162,42 @@ func (t *Tray) loadLocked(table string, spec *ShardSpec) error {
 	for i := range builders {
 		builders[i] = storage.NewTableBuilder(table, ht.Schema(), opts)
 	}
-	for _, vals := range rows {
+	sm := &storage.ShardMap{Nodes: n}
+	// The host rows are routed as they are: a shard map places by the encoded
+	// key, which is what the row store holds.
+	err = ht.ScanLive(func(rows [][]int64) error {
+		switch {
+		case spec != nil:
+			sm.Policy, sm.Key = spec.Policy, spec.Key
+			sm.Bounds = append([]int64(nil), spec.Bounds...)
+		case t.cfg.ReplicateMaxRows >= 0 && len(rows) <= t.cfg.ReplicateMaxRows:
+			sm.Policy = storage.Replicated
+		default:
+			sm.Policy, sm.Key = storage.HashSharded, 0
+		}
+		if err := sm.Validate(); err != nil {
+			return err
+		}
+		perNode := make([][][]int64, n)
 		if sm.Policy == storage.Replicated {
-			for _, b := range builders {
-				if err := b.Append(vals); err != nil {
-					return err
-				}
+			for i := range perNode {
+				perNode[i] = rows
 			}
-			continue
+		} else {
+			for _, row := range rows {
+				node := sm.NodeFor(row[sm.Key])
+				perNode[node] = append(perNode[node], row)
+			}
 		}
-		encVal, err := ht.EncodeValue(sm.Key, vals[sm.Key])
-		if err != nil {
-			return err
+		for i, b := range builders {
+			if err := b.AppendEncoded(perNode[i], 1); err != nil {
+				return err
+			}
 		}
-		if err := builders[sm.NodeFor(encVal)].Append(vals); err != nil {
-			return err
-		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	tt := &trayTable{shard: sm, spec: spec, loadSCN: loadSCN, shards: make([]*storage.Table, n)}
 	for i, b := range builders {

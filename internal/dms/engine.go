@@ -2,24 +2,26 @@ package dms
 
 import (
 	"fmt"
-	"sync"
 
 	"rapid/internal/coltypes"
 )
 
 // Engine is the DMS: it executes data-movement operations between DRAM
 // columns and DMEM-resident buffers, accounting both the functional effect
-// (data really moves) and the modeled time. It is shared by all dpCores and
-// safe for concurrent use; per-operation Timing values are returned to the
-// caller so tasks can overlap transfer time with compute time. The engine
-// also keeps its own totals: an independent ledger that
+// (data really moves) and the modeled time. Per-operation Timing values are
+// returned to the caller so tasks can overlap transfer time with compute
+// time. The engine also keeps its own totals: an independent ledger that
 // obs.Profile.CheckInvariants reconciles the per-span attributions against,
 // which is what catches an operation whose Timing never reached
 // qef.TaskCtx.AddTransfer.
+//
+// An engine has one writer: the ledger is summed in the order its operations
+// were issued, so its float seconds are a function of that order alone. An
+// execution context gives every virtual core an engine of its own beside the
+// orchestrator's and adds them up in core order (qef.Context.Usage).
 type Engine struct {
 	model Model
 
-	mu          sync.Mutex
 	totalsRead  Timing
 	totalsWrite Timing
 }
@@ -41,28 +43,17 @@ func (e *Engine) Totals() Timing {
 // TotalsByDir returns the cumulative timing split by transfer direction:
 // DRAM→DMEM reads and DMEM→DRAM writes. The split is what the profiling
 // invariants reconcile per-operator byte attributions against.
-func (e *Engine) TotalsByDir() (read, write Timing) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.totalsRead, e.totalsWrite
-}
+func (e *Engine) TotalsByDir() (read, write Timing) { return e.totalsRead, e.totalsWrite }
 
 // ResetTotals zeroes the cumulative counters.
-func (e *Engine) ResetTotals() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.totalsRead = Timing{}
-	e.totalsWrite = Timing{}
-}
+func (e *Engine) ResetTotals() { e.totalsRead, e.totalsWrite = Timing{}, Timing{} }
 
 func (e *Engine) account(t Timing) {
-	e.mu.Lock()
 	if t.Write {
 		e.totalsWrite.Add(t)
 	} else {
 		e.totalsRead.Add(t)
 	}
-	e.mu.Unlock()
 }
 
 // Read transfers rows [lo, hi) of each source column (DRAM) into the

@@ -22,7 +22,8 @@ import (
 func TestCompileCostFlatOverCheckpointedRounds(t *testing.T) {
 	db := hostdb.New()
 	defer db.Close()
-	if err := tpch.PopulateHostDB(db, tpch.Config{ScaleFactor: 0.01, Seed: 7}); err != nil {
+	cfg := tpch.Config{ScaleFactor: 0.01, Seed: 7}
+	if err := tpch.PopulateHostDB(db, cfg); err != nil {
 		t.Fatal(err)
 	}
 	ht, err := db.Table("lineitem")
@@ -31,7 +32,7 @@ func TestCompileCostFlatOverCheckpointedRounds(t *testing.T) {
 	}
 	schema, baseRows := ht.Schema(), ht.Rows()
 	qty, disc := schema.ColIndex("l_quantity"), schema.ColIndex("l_discount")
-	extra := ht.LiveValues()[:1]
+	extra := tpch.Generate(cfg).Tables["lineitem"][:1]
 	rng := rand.New(rand.NewSource(1))
 	round := func() {
 		t.Helper()
@@ -101,5 +102,32 @@ func TestCompileCostFlatOverCheckpointedRounds(t *testing.T) {
 	// ratio; the growth this pins was milliseconds.
 	if t16 > 2*t1+100*time.Microsecond {
 		t.Errorf("compile took %v after 16 rounds, %v after 1: more than 2×", t16, t1)
+	}
+}
+
+// TestLoadAllocsPerRow: LOAD moves host rows into the replica's column
+// buffers as they are, so what it allocates is per chunk and per column
+// (vectors, zones, buffer growth), not per row. Decoding each row to values
+// and encoding it back cost one allocation per row and more (311 k objects
+// for the 300 k-row lineitem at SF 0.05; now ≈ 11 k, 0.035 a row).
+func TestLoadAllocsPerRow(t *testing.T) {
+	db := hostdb.New()
+	defer db.Close()
+	if err := tpch.PopulateHostDB(db, tpch.Config{ScaleFactor: 0.01, Seed: 7}); err != nil {
+		t.Fatal(err)
+	}
+	ht, err := db.Table("lineitem")
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := db.Load("lineitem", hostdb.LoadOptions{ScanThreads: 4, ChunkRows: 1024}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perRow := allocs / float64(ht.Rows())
+	t.Logf("Load(lineitem): %.0f allocations for %d rows, %.3f a row", allocs, ht.Rows(), perRow)
+	if perRow > 1.0/15 {
+		t.Errorf("Load allocates %.3f objects a row (%.0f for %d rows), budget 1/15", perRow, allocs, ht.Rows())
 	}
 }

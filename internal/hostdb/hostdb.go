@@ -11,10 +11,10 @@ package hostdb
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
-	"rapid/internal/coltypes"
 	"rapid/internal/encoding"
 	"rapid/internal/obs"
 	"rapid/internal/qcache"
@@ -167,8 +167,9 @@ func (db *Database) checkpointLagGauge() *obs.Gauge {
 type HostTable struct {
 	name   string
 	schema *storage.Schema
-	dicts  []*encoding.Dict
-	scales []int8
+	// meta is the per-column codec (storage.Codec): rows, journal entries,
+	// replicas and tray shards all hold the integers it produces.
+	meta []storage.ColumnMeta
 
 	mu      sync.RWMutex
 	rows    [][]int64
@@ -201,7 +202,8 @@ func (t *HostTable) liveRow(row int) error {
 }
 
 // journalEntry is one pending change for RAPID propagation. Exactly one of
-// the fields is active.
+// the fields is active. insert is the journal's own copy of the row, which
+// Checkpoint hands on to the replica's unit log.
 type journalEntry struct {
 	scn    uint64
 	insert []int64
@@ -233,16 +235,7 @@ func (db *Database) CreateTable(name string, schema *storage.Schema) (*HostTable
 	if _, dup := db.tables[name]; dup {
 		return nil, fmt.Errorf("hostdb: table %q exists", name)
 	}
-	t := &HostTable{name: name, schema: schema}
-	t.dicts = make([]*encoding.Dict, schema.NumCols())
-	t.scales = make([]int8, schema.NumCols())
-	for i := 0; i < schema.NumCols(); i++ {
-		def := schema.Col(i)
-		t.scales[i] = def.Type.Scale
-		if def.Type.Kind == coltypes.KindString {
-			t.dicts[i] = encoding.NewDict()
-		}
-	}
+	t := &HostTable{name: name, schema: schema, meta: storage.Codec(schema, nil)}
 	db.tables[name] = t
 	return t, nil
 }
@@ -280,7 +273,13 @@ func (t *HostTable) Rapid() *storage.Table {
 // Dicts returns the table's per-column dictionaries (nil for non-string
 // columns). The tray loader shares them into every node shard so encoded
 // values compare across nodes.
-func (t *HostTable) Dicts() []*encoding.Dict { return t.dicts }
+func (t *HostTable) Dicts() []*encoding.Dict {
+	dicts := make([]*encoding.Dict, len(t.meta))
+	for c, m := range t.meta {
+		dicts[c] = m.Dict
+	}
+	return dicts
+}
 
 // MutationSCN returns the SCN of the table's last row mutation (0 if the
 // table was never mutated). Shard replicas loaded at an older SCN are stale.
@@ -290,78 +289,29 @@ func (t *HostTable) MutationSCN() uint64 {
 	return t.mutSCN
 }
 
-// LiveValues decodes the current live rows (tombstones skipped) into fresh
-// value slices — the scan feeding a tray shard load.
-func (t *HostTable) LiveValues() [][]storage.Value {
+// liveRows returns the live rows in row order and the indices of the
+// tombstones between them (t.mu held). The rows are the row store's own.
+func (t *HostTable) liveRows() (live [][]int64, tombs []int) {
+	live = make([][]int64, 0, len(t.rows))
+	for i, row := range t.rows {
+		if row == nil {
+			tombs = append(tombs, i)
+		} else {
+			live = append(live, row)
+		}
+	}
+	return live, tombs
+}
+
+// ScanLive calls fn once with the table's live encoded rows (tombstones
+// skipped, row order) under the table's read lock — the scan feeding a tray
+// shard load. The rows are the row store's own and Update writes them in
+// place: fn only reads them and keeps none past its return.
+func (t *HostTable) ScanLive(fn func(rows [][]int64) error) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	out := make([][]storage.Value, 0, len(t.rows))
-	for _, row := range t.rows {
-		if row == nil {
-			continue
-		}
-		vals := make([]storage.Value, t.schema.NumCols())
-		for c := range vals {
-			vals[c] = t.DecodeValue(c, row[c])
-		}
-		out = append(out, vals)
-	}
-	return out
-}
-
-// encodeRow converts logical values to the fixed-width integer row.
-func (t *HostTable) encodeRow(vals []storage.Value) ([]int64, error) {
-	if len(vals) != t.schema.NumCols() {
-		return nil, fmt.Errorf("hostdb: row has %d values, want %d", len(vals), t.schema.NumCols())
-	}
-	row := make([]int64, len(vals))
-	for c, v := range vals {
-		var err error
-		if row[c], err = t.EncodeValue(c, v); err != nil {
-			return nil, err
-		}
-	}
-	return row, nil
-}
-
-// EncodeValue converts one logical value to column col's fixed-width integer
-// encoding — the domain the row store, the replica builders and the tray's
-// shard maps all share, so a shard map's placement always agrees with the
-// shard contents.
-func (t *HostTable) EncodeValue(col int, v storage.Value) (int64, error) {
-	def := t.schema.Col(col)
-	if v.Kind != def.Type.Kind {
-		return 0, fmt.Errorf("hostdb: column %s expects %v, got %v", def.Name, def.Type.Kind, v.Kind)
-	}
-	switch def.Type.Kind {
-	case coltypes.KindString:
-		return int64(t.dicts[col].Add(v.Str)), nil
-	case coltypes.KindDecimal:
-		u, ok := v.Dec.Rescale(t.scales[col])
-		if !ok {
-			return 0, fmt.Errorf("hostdb: decimal %s does not fit scale %d", v.Dec, t.scales[col])
-		}
-		return u, nil
-	default:
-		return v.Int, nil
-	}
-}
-
-// DecodeValue renders an encoded cell.
-func (t *HostTable) DecodeValue(col int, enc int64) storage.Value {
-	def := t.schema.Col(col)
-	switch def.Type.Kind {
-	case coltypes.KindString:
-		return storage.StrValue(t.dicts[col].Value(int32(enc)))
-	case coltypes.KindDecimal:
-		return storage.DecValue(encoding.Decimal{Unscaled: enc, Scale: t.scales[col]})
-	case coltypes.KindDate:
-		return storage.Value{Kind: coltypes.KindDate, Int: enc}
-	case coltypes.KindBool:
-		return storage.BoolValue(enc != 0)
-	default:
-		return storage.IntValue(enc)
-	}
+	live, _ := t.liveRows()
+	return fn(live)
 }
 
 // Insert appends rows transactionally: the host row store is updated and a
@@ -380,13 +330,16 @@ func (db *Database) Insert(table string, rows [][]storage.Value) (uint64, error)
 	journaled := 0
 	defer func() { db.checkpointLagGauge().Add(int64(journaled)) }()
 	for _, vals := range rows {
-		enc, err := t.encodeRow(vals)
-		if err != nil {
+		enc := make([]int64, len(t.meta))
+		if err := storage.EncodeRow(t.meta, vals, enc); err != nil {
 			return 0, err
 		}
 		t.rows = append(t.rows, enc)
 		if t.rapid != nil {
-			t.journal = append(t.journal, journalEntry{scn: scn, insert: enc, delRow: -1, updRow: -1})
+			// The journal owns a copy made now: Update writes the live row in
+			// place, and the unit stamped with this SCN must not carry values
+			// written at later ones.
+			t.journal = append(t.journal, journalEntry{scn: scn, insert: slices.Clone(enc), delRow: -1, updRow: -1})
 			journaled++
 		}
 	}
@@ -409,7 +362,7 @@ func (db *Database) Update(table string, row, col int, val storage.Value) (uint6
 	if col < 0 || col >= t.schema.NumCols() {
 		return 0, fmt.Errorf("hostdb: table %s row %d column %d: %w", t.name, row, col, ErrNoSuchColumn)
 	}
-	enc, err := t.EncodeValue(col, val)
+	enc, err := t.meta[col].Encode(val)
 	if err != nil {
 		return 0, err
 	}
@@ -456,9 +409,10 @@ type LoadOptions struct {
 	ScanThreads int
 }
 
-// Load executes the "LOAD" command (§4.4): scan threads cooperatively read
-// the host rows and a RAPID base table is built from them. After Load the
-// table's journal is empty and the replica is current.
+// Load executes the "LOAD" command (§4.4): scan threads cooperatively move
+// the live host rows, encoded as they are, into the column buffers of a
+// RAPID base table. After Load the table's journal is empty and the replica
+// is current.
 func (db *Database) Load(table string, opts LoadOptions) (*storage.Table, error) {
 	t, err := db.Table(table)
 	if err != nil {
@@ -470,38 +424,6 @@ func (db *Database) Load(table string, opts LoadOptions) (*storage.Table, error)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 
-	// Scan threads decode row ranges in parallel into value buffers
-	// (reading "disk blocks" directly — here, the row store slices).
-	n := len(t.rows)
-	decoded := make([][]storage.Value, n)
-	var wg sync.WaitGroup
-	chunk := (n + opts.ScanThreads - 1) / opts.ScanThreads
-	for w := 0; w < opts.ScanThreads; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				if t.rows[i] == nil {
-					continue // tombstone
-				}
-				vals := make([]storage.Value, t.schema.NumCols())
-				for c := range vals {
-					vals[c] = t.DecodeValue(c, t.rows[i][c])
-				}
-				decoded[i] = vals
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-
 	// The replica shares the host dictionaries (as tray shards do): a bound
 	// plan carries the replica's dictionaries and literal codes, and the row
 	// engine runs that same plan over host rows when a query falls back.
@@ -510,23 +432,17 @@ func (db *Database) Load(table string, opts LoadOptions) (*storage.Table, error)
 		PartitionKey: opts.PartitionKey,
 		ChunkRows:    opts.ChunkRows,
 		TryRLE:       opts.TryRLE,
-		SharedDicts:  t.dicts,
+		SharedDicts:  t.Dicts(),
 	})
-	var tombs []int
-	for i, vals := range decoded {
-		if vals == nil {
-			tombs = append(tombs, i)
-			continue
-		}
-		if err := b.Append(vals); err != nil {
-			return nil, err
-		}
+	live, tombs := t.liveRows()
+	if err := b.AppendEncoded(live, opts.ScanThreads); err != nil {
+		return nil, err
 	}
 	rapid, err := b.Build()
 	if err != nil {
 		return nil, err
 	}
-	t.rapid, t.loadedRows, t.loadTombs = rapid, n, tombs
+	t.rapid, t.loadedRows, t.loadTombs = rapid, len(t.rows), tombs
 	db.checkpointLagGauge().Add(-int64(len(t.journal)))
 	t.journal = nil
 	return rapid, nil
@@ -561,17 +477,11 @@ func (db *Database) Checkpoint(table string) error {
 			e := t.journal[end]
 			switch {
 			case e.insert != nil:
-				vals := make([]storage.Value, t.schema.NumCols())
-				for c, enc := range e.insert {
-					vals[c] = t.DecodeValue(c, enc)
-				}
-				uu.Inserts = append(uu.Inserts, vals)
+				uu.Inserts = append(uu.Inserts, e.insert)
 			case e.delRow >= 0:
 				uu.Deletes = append(uu.Deletes, t.rowRef(e.delRow))
 			case e.updRow >= 0:
-				uu.Patches = append(uu.Patches, storage.CellPatch{
-					Ref: t.rowRef(e.updRow), Col: e.updCol, Val: t.DecodeValue(e.updCol, e.updVal),
-				})
+				uu.Patches = append(uu.Patches, storage.CellPatch{Ref: t.rowRef(e.updRow), Col: e.updCol, Val: e.updVal})
 			}
 			end++
 		}

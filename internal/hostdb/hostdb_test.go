@@ -74,7 +74,7 @@ func TestLoadBuildsReplica(t *testing.T) {
 		t.Fatal("replica missing or wrong size")
 	}
 	// Replica decodes to the same values.
-	v := rt.DecodeValue(3, rt.Partition(0).Chunk(0).Col(3).Data().Get(4))
+	v := rt.Meta(3).Decode(rt.Partition(0).Chunk(0).Col(3).Data().Get(4))
 	if v.Str != "green" { // row 4: 4%3 = 1 -> green
 		t.Fatalf("replica tag = %s", v.Str)
 	}
@@ -109,6 +109,51 @@ func TestJournalAndCheckpoint(t *testing.T) {
 	snap := tbl.Rapid().Snapshot(storage.LatestSCN)
 	if snap.TotalRows() != 100 { // +1 insert -1 delete
 		t.Fatalf("replica rows = %d", snap.TotalRows())
+	}
+}
+
+// TestJournaledInsertIsNotTheLiveRow: the unit a checkpoint stamps with an
+// insert's SCN carries the values inserted at that SCN, whatever Update has
+// since written into the live host row — the journal owns its copy of the
+// row, and so does the replica's unit log after the checkpoint.
+func TestJournaledInsertIsNotTheLiveRow(t *testing.T) {
+	db := newTestDB(t, 10)
+	loadAll(t, db)
+	tbl, _ := db.Table("events")
+	insSCN, err := db.Insert("events", [][]storage.Value{{
+		storage.IntValue(1000), storage.IntValue(20), storage.DecString("9.99"), storage.StrValue("red"),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grpAt := func(scn uint64) int64 {
+		t.Helper()
+		views := tbl.Rapid().Snapshot(scn).Chunks()
+		delta := views[len(views)-1]
+		if delta.Rows != 1 || delta.Data(0).Get(0) != 1000 {
+			t.Fatalf("snapshot at %d has no inserted row 1000", scn)
+		}
+		return delta.Data(1).Get(0)
+	}
+	updSCN, err := db.Update("events", 10, 1, storage.IntValue(99))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint("events"); err != nil {
+		t.Fatal(err)
+	}
+	if got := grpAt(insSCN); got != 20 {
+		t.Fatalf("replica at the insert's SCN reads grp = %d, want the inserted 20", got)
+	}
+	if got := grpAt(updSCN); got != 99 {
+		t.Fatalf("replica at the update's SCN reads grp = %d, want 99", got)
+	}
+	// After the checkpoint the log's row is not the host's either.
+	if _, err := db.Update("events", 10, 1, storage.IntValue(7)); err != nil {
+		t.Fatal(err)
+	}
+	if got := grpAt(updSCN); got != 99 {
+		t.Fatalf("a host update before its checkpoint changed the replica: grp = %d", got)
 	}
 }
 

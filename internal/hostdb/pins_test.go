@@ -1,7 +1,6 @@
 package hostdb_test
 
 import (
-	"math"
 	"testing"
 
 	"rapid/internal/hostdb"
@@ -12,9 +11,8 @@ import (
 // TestRapidBillPins: what an offloaded ModeDPU run of TPC-H Q18 (SF 0.002,
 // seed 42) bills, captured at commit be404d6 — before the bill was read
 // through qef.Usage — by running this query there and printing the result.
-// Integers must match exactly; seconds and EnergyNJ to 1e-9 relative,
-// because the bus-lane float sums are taken in unit-completion order
-// (ROADMAP item 2).
+// Everything must match exactly, the float seconds and joules too: the bill
+// is per-core sums reduced in core order (qef.Context.Usage).
 func TestRapidBillPins(t *testing.T) {
 	db := hostdb.New()
 	defer db.Close()
@@ -39,7 +37,7 @@ func TestRapidBillPins(t *testing.T) {
 		{"Energy.TotalJoules", res.Energy.TotalJoules(), 0.0004392713224127907},
 		{"EnergyNJ", float64(res.EnergyNJ), 439271},
 	} {
-		if math.Abs(c.got-c.want) > 1e-9*c.want {
+		if c.got != c.want {
 			t.Errorf("%s = %v, parent returned %v", c.what, c.got, c.want)
 		}
 	}

@@ -1,8 +1,6 @@
 package ops
 
 import (
-	"fmt"
-
 	"rapid/internal/bits"
 	"rapid/internal/coltypes"
 	"rapid/internal/dpu"
@@ -17,25 +15,15 @@ import (
 type Expr interface {
 	// Eval computes the expression densely for all t.N rows.
 	Eval(tc *qef.TaskCtx, t *qef.Tile) []int64
-	// String renders the expression for plan display.
-	String() string
 }
 
 // ColRef reads tile column Idx, widening to 64 bits.
 type ColRef struct {
-	Idx  int
-	Name string
+	Idx int
 }
 
 func (e *ColRef) Eval(tc *qef.TaskCtx, t *qef.Tile) []int64 {
 	return primitives.WidenToI64(core(tc), t.Cols[e.Idx], scratch(tc, t.N))
-}
-
-func (e *ColRef) String() string {
-	if e.Name != "" {
-		return e.Name
-	}
-	return fmt.Sprintf("$%d", e.Idx)
 }
 
 // ConstExpr is a 64-bit constant (already scaled by the compiler).
@@ -52,8 +40,6 @@ func (e *ConstExpr) Eval(tc *qef.TaskCtx, t *qef.Tile) []int64 {
 	return out
 }
 
-func (e *ConstExpr) String() string { return fmt.Sprintf("%d", e.Val) }
-
 // ArithOp is a binary arithmetic operator.
 type ArithOp int
 
@@ -63,20 +49,6 @@ const (
 	OpMul
 	OpDiv
 )
-
-func (op ArithOp) String() string {
-	switch op {
-	case OpAdd:
-		return "+"
-	case OpSub:
-		return "-"
-	case OpMul:
-		return "*"
-	case OpDiv:
-		return "/"
-	}
-	return "?"
-}
 
 // BinExpr applies an arithmetic operator element-wise.
 type BinExpr struct {
@@ -124,10 +96,6 @@ func (e *BinExpr) Eval(tc *qef.TaskCtx, t *qef.Tile) []int64 {
 	return out
 }
 
-func (e *BinExpr) String() string {
-	return fmt.Sprintf("(%s %s %s)", e.L, e.Op, e.R)
-}
-
 // CaseExpr is CASE WHEN cond THEN a ELSE b END, evaluated branch-free: both
 // arms are computed and blended by the condition bit-vector (the DPU way —
 // no data-dependent branches in primitives).
@@ -151,10 +119,6 @@ func (e *CaseExpr) Eval(tc *qef.TaskCtx, t *qef.Tile) []int64 {
 	}
 	charge1(tc, t.N)
 	return out
-}
-
-func (e *CaseExpr) String() string {
-	return fmt.Sprintf("CASE WHEN %s THEN %s ELSE %s END", e.Cond, e.Then, e.Else)
 }
 
 func core(tc *qef.TaskCtx) *dpu.Core {

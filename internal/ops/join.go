@@ -103,8 +103,7 @@ func HashJoin(ctx *qef.Context, build, probe *Relation, spec JoinSpec) (*Relatio
 	for p := 0; p < bp.NumPartitions(); p++ {
 		buildRows := bp.Rows(p)
 		probeRows := pp.Rows(p)
-		if probeRows == 0 && (spec.Type == InnerJoin || spec.Type == SemiJoin ||
-			spec.Type == AntiJoin || spec.Type == LeftOuterJoin) {
+		if probeRows == 0 {
 			continue
 		}
 		// Flow-join heavy-hitter handling (§6.4): a build partition far

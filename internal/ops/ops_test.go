@@ -115,9 +115,6 @@ func TestExprEval(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if e := (&BinExpr{Op: OpAdd, L: &ColRef{Idx: 0, Name: "x"}, R: &ConstExpr{Val: 1}}); e.String() != "(x + 1)" {
-			t.Fatalf("String = %s", e.String())
-		}
 	})
 }
 

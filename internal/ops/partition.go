@@ -361,12 +361,12 @@ func swPartitionOne(tc *qef.TaskCtx, cols []coltypes.Data, hv []uint32, fanout i
 	}
 	bufN := make([]int, fanout)
 	flush := func(p int) {
-		tc.AddTransfer(tc.Ctx.DMS.StreamWrite(bufN[p] * colBytes))
+		tc.AddTransfer(tc.DMS.StreamWrite(bufN[p] * colBytes))
 		bufN[p] = 0
 	}
 	for lo := 0; lo < len(hv); lo += tileRows {
 		hi := min(lo+tileRows, len(hv))
-		tc.AddTransfer(tc.Ctx.DMS.Read(cols, lo, hi, tile))
+		tc.AddTransfer(tc.DMS.Read(cols, lo, hi, tile))
 		m := primitives.ComputePartitionMap(tc.Core, hv[lo:hi], fanout, shift)
 		primitives.ChargeSwPartitionGather(tc.Core, (hi-lo)*len(cols))
 		for p := 0; p < fanout; p++ {

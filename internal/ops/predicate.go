@@ -1,9 +1,7 @@
 package ops
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 	"sync"
 
 	"rapid/internal/bits"
@@ -20,7 +18,6 @@ import (
 type Predicate interface {
 	Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.Vector, int)
 	EstSelectivity() float64
-	String() string
 }
 
 // predScratchBytes returns an upper bound on the tile-lifetime pool bytes
@@ -63,11 +60,10 @@ func evalPredDense(tc *qef.TaskCtx, p Predicate, t *qef.Tile) *bits.Vector {
 
 // ConstCmp compares a column against a constant.
 type ConstCmp struct {
-	Col  int
-	Op   primitives.CmpOp
-	Val  int64
-	Sel  float64 // estimated selectivity
-	Name string  // column name for display
+	Col int
+	Op  primitives.CmpOp
+	Val int64
+	Sel float64 // estimated selectivity
 }
 
 func (p *ConstCmp) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.Vector, int) {
@@ -83,16 +79,11 @@ func (p *ConstCmp) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.
 
 func (p *ConstCmp) EstSelectivity() float64 { return selOrDefault(p.Sel) }
 
-func (p *ConstCmp) String() string {
-	return fmt.Sprintf("%s %s %d", colName(p.Name, p.Col), cmpSymbol(p.Op), p.Val)
-}
-
 // Between tests lo <= col <= hi.
 type Between struct {
 	Col    int
 	Lo, Hi int64
 	Sel    float64
-	Name   string
 }
 
 func (p *Between) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.Vector, int) {
@@ -103,17 +94,12 @@ func (p *Between) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.V
 
 func (p *Between) EstSelectivity() float64 { return selOrDefault(p.Sel) }
 
-func (p *Between) String() string {
-	return fmt.Sprintf("%s BETWEEN %d AND %d", colName(p.Name, p.Col), p.Lo, p.Hi)
-}
-
 // InSet tests dictionary-code membership (string equality, IN lists, LIKE
 // prefix and string ranges all compile to this).
 type InSet struct {
-	Col  int
-	Set  *bits.Vector
-	Sel  float64
-	Name string
+	Col int
+	Set *bits.Vector
+	Sel float64
 }
 
 func (p *InSet) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.Vector, int) {
@@ -123,10 +109,6 @@ func (p *InSet) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.Vec
 }
 
 func (p *InSet) EstSelectivity() float64 { return selOrDefault(p.Sel) }
-
-func (p *InSet) String() string {
-	return fmt.Sprintf("%s IN <set:%d>", colName(p.Name, p.Col), p.Set.Count())
-}
 
 // ColCmp compares two columns of the tile.
 type ColCmp struct {
@@ -142,10 +124,6 @@ func (p *ColCmp) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.Ve
 }
 
 func (p *ColCmp) EstSelectivity() float64 { return selOrDefault(p.Sel) }
-
-func (p *ColCmp) String() string {
-	return fmt.Sprintf("$%d %s $%d", p.A, cmpSymbol(p.Op), p.B)
-}
 
 // ExprCmp compares a computed expression against a constant (e.g.
 // l_extendedprice * l_discount > c). More expensive than ConstCmp; the
@@ -170,10 +148,6 @@ func (p *ExprCmp) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.V
 }
 
 func (p *ExprCmp) EstSelectivity() float64 { return selOrDefault(p.Sel) }
-
-func (p *ExprCmp) String() string {
-	return fmt.Sprintf("%s %s %d", p.E, cmpSymbol(p.Op), p.Val)
-}
 
 // And is a conjunction evaluated most-selective-first (the §5.4 predicate
 // reordering applies inside conjunctions as well). The ordering is computed
@@ -215,8 +189,6 @@ func (p *And) EstSelectivity() float64 {
 	return s
 }
 
-func (p *And) String() string { return joinPreds(p.Preds, " AND ") }
-
 // Or is a disjunction: the union of the branch results.
 type Or struct {
 	Preds []Predicate
@@ -239,8 +211,6 @@ func (p *Or) EstSelectivity() float64 {
 	return 1 - miss
 }
 
-func (p *Or) String() string { return joinPreds(p.Preds, " OR ") }
-
 // Not negates a predicate over the candidate rows.
 type Not struct {
 	P Predicate
@@ -259,8 +229,6 @@ func (p *Not) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.Vecto
 
 func (p *Not) EstSelectivity() float64 { return 1 - p.P.EstSelectivity() }
 
-func (p *Not) String() string { return fmt.Sprintf("NOT (%s)", p.P) }
-
 // TruePred matches every candidate row (used by degenerate rewrites).
 type TruePred struct{}
 
@@ -275,44 +243,10 @@ func (TruePred) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.Vec
 }
 
 func (TruePred) EstSelectivity() float64 { return 1.0 }
-func (TruePred) String() string          { return "TRUE" }
 
 func selOrDefault(s float64) float64 {
 	if s <= 0 || s > 1 {
 		return 0.5
 	}
 	return s
-}
-
-func colName(name string, idx int) string {
-	if name != "" {
-		return name
-	}
-	return fmt.Sprintf("$%d", idx)
-}
-
-func cmpSymbol(op primitives.CmpOp) string {
-	switch op {
-	case primitives.EQ:
-		return "="
-	case primitives.NE:
-		return "<>"
-	case primitives.LT:
-		return "<"
-	case primitives.LE:
-		return "<="
-	case primitives.GT:
-		return ">"
-	case primitives.GE:
-		return ">="
-	}
-	return "?"
-}
-
-func joinPreds(ps []Predicate, sep string) string {
-	parts := make([]string, len(ps))
-	for i, p := range ps {
-		parts[i] = p.String()
-	}
-	return "(" + strings.Join(parts, sep) + ")"
 }

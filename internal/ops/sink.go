@@ -186,7 +186,7 @@ func (s *CollectSink) Produce(tc *qef.TaskCtx, t *qef.Tile) error {
 	if tc.Core != nil {
 		// Bill the DRAM materialization through the DMS model. WriteTiming
 		// uses Write's exact formula without throwaway destination buffers.
-		tc.AddTransfer(tc.Ctx.DMS.WriteTiming(ncols, n, 8))
+		tc.AddTransfer(tc.DMS.WriteTiming(ncols, n, 8))
 	}
 	// A unit's next tile extends its run unless a new block began (fill 0).
 	if last := len(core.runs) - 1; last >= 0 && core.runs[last].seq == tc.Seq && core.runs[last].start+core.runs[last].n == core.fill {

@@ -31,7 +31,7 @@ func compileExpr(e plan.Expr, cols []colInfo) (ops.Expr, error) {
 		if ex.Idx < 0 || ex.Idx >= len(cols) {
 			return nil, fmt.Errorf("qcomp: column index %d out of schema", ex.Idx)
 		}
-		return &ops.ColRef{Idx: ex.Idx, Name: ex.Name}, nil
+		return &ops.ColRef{Idx: ex.Idx}, nil
 	case *plan.Const:
 		if ex.T.Kind == coltypes.KindString {
 			return nil, fmt.Errorf("qcomp: string constant %q in arithmetic context", ex.Str)
@@ -200,8 +200,7 @@ func compileCmp(c *plan.Cmp, cols []colInfo) (ops.Predicate, error) {
 		if val, ok := rescaleConst(rc, scaleOf(ci.field.Type)); ok {
 			return &ops.ConstCmp{
 				Col: lc.Idx, Op: op, Val: val,
-				Sel:  cmpSelectivity(op, val, ci.stats),
-				Name: lc.Name,
+				Sel: cmpSelectivity(op, val, ci.stats),
 			}, nil
 		}
 	}
@@ -261,7 +260,7 @@ func compileStringCmp(op primitives.CmpOp, lc *plan.ColRef, rc *plan.Const, ci c
 		if op == primitives.NE {
 			sel = 1 - sel
 		}
-		return &ops.ConstCmp{Col: lc.Idx, Op: op, Val: int64(code), Sel: sel, Name: lc.Name}, nil
+		return &ops.ConstCmp{Col: lc.Idx, Op: op, Val: int64(code), Sel: sel}, nil
 	default:
 		var sym string
 		switch op {
@@ -279,7 +278,7 @@ func compileStringCmp(op primitives.CmpOp, lc *plan.ColRef, rc *plan.Const, ci c
 			return nil, fmt.Errorf("qcomp: string comparison on %s: %w", lc.Name, err)
 		}
 		sel := float64(set.Count()) / float64(maxInt(dict.Len(), 1))
-		return &ops.InSet{Col: lc.Idx, Set: set.Bitmap(), Sel: sel, Name: lc.Name}, nil
+		return &ops.InSet{Col: lc.Idx, Set: set.Bitmap(), Sel: sel}, nil
 	}
 }
 
@@ -302,8 +301,7 @@ func compileBetween(b *plan.BetweenPred, cols []colInfo) (ops.Predicate, error) 
 	}
 	return &ops.Between{
 		Col: lc.Idx, Lo: lo, Hi: hi,
-		Sel:  rangeSelectivity(lo, hi, ci.stats),
-		Name: lc.Name,
+		Sel: rangeSelectivity(lo, hi, ci.stats),
 	}, nil
 }
 
@@ -325,7 +323,7 @@ func compileIn(in *plan.InPred, cols []colInfo) (ops.Predicate, error) {
 			}
 		}
 		sel := float64(set.Count()) / float64(maxInt(dict.Len(), 1))
-		return &ops.InSet{Col: lc.Idx, Set: set.Bitmap(), Sel: sel, Name: lc.Name}, nil
+		return &ops.InSet{Col: lc.Idx, Set: set.Bitmap(), Sel: sel}, nil
 	}
 	// Numeric IN: OR of equalities.
 	var sub []ops.Predicate
@@ -337,8 +335,7 @@ func compileIn(in *plan.InPred, cols []colInfo) (ops.Predicate, error) {
 		}
 		sub = append(sub, &ops.ConstCmp{
 			Col: lc.Idx, Op: primitives.EQ, Val: val,
-			Sel:  cmpSelectivity(primitives.EQ, val, ci.stats),
-			Name: lc.Name,
+			Sel: cmpSelectivity(primitives.EQ, val, ci.stats),
 		})
 	}
 	if len(sub) == 0 {
@@ -369,7 +366,7 @@ func compileLike(l *plan.LikePred, cols []colInfo) (ops.Predicate, error) {
 		set = dict.MatchCodes(func(s string) bool { return s == l.Pattern })
 	}
 	sel := float64(set.Count()) / float64(maxInt(dict.Len(), 1))
-	var pred ops.Predicate = &ops.InSet{Col: lc.Idx, Set: set.Bitmap(), Sel: sel, Name: lc.Name}
+	var pred ops.Predicate = &ops.InSet{Col: lc.Idx, Set: set.Bitmap(), Sel: sel}
 	if l.Negate {
 		pred = &ops.Not{P: pred}
 	}

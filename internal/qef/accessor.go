@@ -102,7 +102,7 @@ func (a *Accessor) Sequential(cols []coltypes.Data, tileRows int, fn func(*Tile)
 		for i := range bufs {
 			views[i] = bufs[i].Slice(0, n)
 		}
-		t := a.tc.Ctx.DMS.Read(cols, lo, hi, views)
+		t := a.tc.DMS.Read(cols, lo, hi, views)
 		a.tc.AddTransfer(t)
 		tile = Tile{Cols: views, N: n}
 		if err := fn(&tile); err != nil {

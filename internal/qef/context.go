@@ -64,7 +64,10 @@ type Executor interface {
 type Context struct {
 	Mode Mode
 	SoC  *dpu.SoC
-	DMS  *dms.Engine
+	// DMS is the orchestrator's engine, for operations issued between
+	// batches (the hardware-partitioning hash pass). Work units use their
+	// core's own, TaskCtx.DMS.
+	DMS *dms.Engine
 
 	// Prof, when non-nil, receives per-operator attribution of every
 	// cycle and DMS transfer executed through this context.
@@ -106,15 +109,21 @@ type Context struct {
 	// wg.Wait establish the happens-before edges), so no lock is needed.
 	activeSpan *obs.OpSpan
 
-	mu      sync.Mutex
-	simTime []float64 // per-core simulated elapsed seconds (ModeDPU)
-	// Global DDR bus occupancy: the DMS serializes all cores' DRAM
-	// transfers on the memory interface, one lane per direction.
-	busRead  float64
-	busWrite float64
-	// dmemHigh is the largest DMEM high-water mark any dpCore reported at the
-	// end of a work unit (ModeDPU).
-	dmemHigh int
+	// bills holds what each virtual core's units have billed. Nothing here
+	// is locked: a core's units run in index order on one strand, so every
+	// entry has one writer at a time, and its float sums are taken in unit
+	// order — the bill is the same on every run, at any worker count.
+	bills []coreBill
+}
+
+// coreBill is the ledger of one virtual core.
+type coreBill struct {
+	sim float64 // simulated busy seconds: Σ max(compute, transfer) per unit (ModeDPU)
+	// This core's share of the DDR bus occupancy: the DMS serializes all
+	// cores' DRAM transfers on the memory interface, one lane per direction.
+	busRead, busWrite float64
+	dmemHigh          int // largest DMEM high-water mark at the end of a unit (ModeDPU)
+	dms               dms.Engine
 }
 
 // NewContext builds an execution context. In ModeDPU the SoC is the paper's
@@ -127,11 +136,14 @@ func NewContext(mode Mode) *Context {
 func NewContextWith(mode Mode, cfg dpu.Config) *Context {
 	soc := dpu.MustNew(cfg)
 	ctx := &Context{
-		Mode:    mode,
-		SoC:     soc,
-		DMS:     dms.NewEngine(dms.DefaultModel()),
-		simTime: make([]float64, cfg.NumCores),
-		pools:   make([]*mem.TilePool, cfg.NumCores),
+		Mode:  mode,
+		SoC:   soc,
+		DMS:   dms.NewEngine(dms.DefaultModel()),
+		bills: make([]coreBill, cfg.NumCores),
+		pools: make([]*mem.TilePool, cfg.NumCores),
+	}
+	for i := range ctx.bills {
+		ctx.bills[i].dms = *ctx.DMS // same model, its own empty ledger
 	}
 	if mode == ModeDPU {
 		ctx.workers = cfg.NumCores
@@ -179,12 +191,9 @@ func (c *Context) Err() error {
 func (c *Context) Reset() {
 	c.SoC.Reset()
 	c.DMS.ResetTotals()
-	c.mu.Lock()
-	for i := range c.simTime {
-		c.simTime[i] = 0
+	for i := range c.bills {
+		c.bills[i] = coreBill{dms: *c.DMS}
 	}
-	c.busRead, c.busWrite, c.dmemHigh = 0, 0, 0
-	c.mu.Unlock()
 	c.tilesPruned.Store(0)
 }
 
@@ -195,17 +204,6 @@ func (c *Context) AddTilesPruned(n int64) { c.tilesPruned.Add(n) }
 // attribute to (nil when profiling is off). Task sources use it to record
 // orchestrator-side per-scan accounting such as tile totals.
 func (c *Context) ActiveSpan() *obs.OpSpan { return c.activeSpan }
-
-// billUnit records, at the end of a work unit, the simulated elapsed seconds
-// it took on its dpCore and that core's DMEM high-water mark.
-func (c *Context) billUnit(core int, sec float64, dmemHigh int) {
-	c.mu.Lock()
-	c.simTime[core] += sec
-	if dmemHigh > c.dmemHigh {
-		c.dmemHigh = dmemHigh
-	}
-	c.mu.Unlock()
-}
 
 // SimElapsed returns the simulated elapsed time of everything executed so
 // far (see Usage.SimElapsed).
@@ -242,6 +240,7 @@ type TaskCtx struct {
 	CoreID int
 	Core   *dpu.Core // nil in ModeX86
 	DMEM   *mem.DMEM
+	DMS    *dms.Engine // this core's DMS engine and ledger
 
 	// Seq is the position of the running work unit in its task source's
 	// scan order, set by the source (ops.TableScan / ops.RelationScan) at the
@@ -419,13 +418,11 @@ func (tc *TaskCtx) SpanTileChunk() {
 func (tc *TaskCtx) AddTransfer(t dms.Timing) {
 	tc.transferSec += t.Seconds
 	tc.span.AddTransfer(tc.CoreID, t.Write, t.Bytes, t.Seconds)
-	tc.Ctx.mu.Lock()
-	if t.Write {
-		tc.Ctx.busWrite += t.Seconds
+	if b := &tc.Ctx.bills[tc.CoreID]; t.Write {
+		b.busWrite += t.Seconds
 	} else {
-		tc.Ctx.busRead += t.Seconds
+		b.busRead += t.Seconds
 	}
-	tc.Ctx.mu.Unlock()
 }
 
 // TransferSeconds returns the accumulated transfer time.
@@ -498,7 +495,7 @@ func (c *Context) RunParallel(units []WorkUnit) error {
 // scratch pool: the shared scheduler creates one per (query, virtual core)
 // and attaches a worker-owned pool via BindPool at each dispatch.
 func (c *Context) NewTaskCtx(w int) *TaskCtx {
-	tc := &TaskCtx{Ctx: c, CoreID: w}
+	tc := &TaskCtx{Ctx: c, CoreID: w, DMS: &c.bills[w].dms}
 	if c.Mode == ModeDPU {
 		tc.Core = c.SoC.Core(w)
 		tc.DMEM = tc.Core.DMEM()
@@ -560,7 +557,9 @@ func (c *Context) RunUnit(tc *TaskCtx, u WorkUnit) error {
 		} else {
 			elapsed = transfer
 		}
-		c.billUnit(tc.CoreID, elapsed, tc.DMEM.HighWater())
+		b := &c.bills[tc.CoreID]
+		b.sim += elapsed
+		b.dmemHigh = max(b.dmemHigh, tc.DMEM.HighWater())
 	}
 	if err != nil {
 		return fmt.Errorf("qef: work unit on core %d: %w", tc.CoreID, err)

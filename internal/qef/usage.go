@@ -23,20 +23,26 @@ type Usage struct {
 	TilesPruned       int64
 }
 
-// Usage snapshots the context's counters. It may be called while work units
-// run; the snapshot is then a moving one, exact again at the next unit
-// boundary.
+// Usage reads the context's counters out, reducing the per-core ledgers in
+// core order: for the same plan over the same snapshot it is the same value,
+// bit for bit, on every run. It is read between batches — by the goroutine
+// that issues RunParallel and RunSerial, as every caller does — never while
+// work units run: the ledgers are not locked.
 func (c *Context) Usage() Usage {
-	cores := c.SoC.Cores()
-	u := Usage{CoreCycles: make([]int64, len(cores)), TilesPruned: c.tilesPruned.Load()}
-	for i, co := range cores {
-		u.CoreCycles[i] = int64(co.Cycles())
-	}
+	n := len(c.bills)
+	u := Usage{CoreCycles: make([]int64, n), CoreSeconds: make([]float64, n), TilesPruned: c.tilesPruned.Load()}
 	u.Read, u.Write = c.DMS.TotalsByDir()
-	c.mu.Lock()
-	u.CoreSeconds = append([]float64(nil), c.simTime...)
-	u.BusRead, u.BusWrite, u.DMEMHighWater = c.busRead, c.busWrite, c.dmemHigh
-	c.mu.Unlock()
+	for i := range c.bills {
+		b := &c.bills[i]
+		rd, wr := b.dms.TotalsByDir()
+		u.Read.Add(rd)
+		u.Write.Add(wr)
+		u.CoreCycles[i] = int64(c.SoC.Core(i).Cycles())
+		u.CoreSeconds[i] = b.sim
+		u.BusRead += b.busRead
+		u.BusWrite += b.busWrite
+		u.DMEMHighWater = max(u.DMEMHighWater, b.dmemHigh)
+	}
 	return u
 }
 

@@ -3,7 +3,6 @@ package qef
 import (
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -20,14 +19,14 @@ func billingUnit(seed int64) WorkUnit {
 		rng := rand.New(rand.NewSource(seed))
 		tc.Core.Charge(dpu.Cycles(rng.Intn(5000)))
 		for i := rng.Intn(4); i > 0; i-- {
-			tc.AddTransfer(tc.Ctx.DMS.StreamWrite(rng.Intn(4096)))
+			tc.AddTransfer(tc.DMS.StreamWrite(rng.Intn(4096)))
 		}
 		for i := rng.Intn(4); i > 0; i-- {
-			tc.AddTransfer(tc.Ctx.DMS.WriteTiming(1+rng.Intn(3), rng.Intn(256), 8))
+			tc.AddTransfer(tc.DMS.WriteTiming(1+rng.Intn(3), rng.Intn(256), 8))
 		}
 		for i := rng.Intn(3); i > 0; i-- {
 			n := rng.Intn(64)
-			tc.AddTransfer(tc.Ctx.DMS.Read(billingCols, 0, n, []coltypes.Data{tc.DataScratch(coltypes.W4, n)}))
+			tc.AddTransfer(tc.DMS.Read(billingCols, 0, n, []coltypes.Data{tc.DataScratch(coltypes.W4, n)}))
 		}
 		tc.NoOverlap = rng.Intn(4) == 0
 		return tc.DMEM.Alloc(1 + rng.Intn(8192))
@@ -107,41 +106,6 @@ func TestUsageDeltasTelescope(t *testing.T) {
 			prev.DMEMHighWater > 0 && prev.DMEMHighWater <= smallCfg().DMEMBytes
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestUsageWhileWorkersRun reads the bill from another goroutine while all
-// 32 dpCores execute units; the race detector is the assertion.
-func TestUsageWhileWorkersRun(t *testing.T) {
-	ctx := NewContext(ModeDPU)
-	units := make([]WorkUnit, 512)
-	for i := range units {
-		units[i] = billingUnit(int64(i))
-	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		var last int64
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if cy := ctx.Usage().Cycles(); cy < last {
-				t.Errorf("cycles went backwards: %d after %d", cy, last)
-			} else {
-				last = cy
-			}
-		}
-	}()
-	err := ctx.RunParallel(units)
-	close(stop)
-	wg.Wait()
-	if err != nil {
 		t.Fatal(err)
 	}
 }

@@ -79,33 +79,45 @@ func (d *dmlDriver) pickRow(ti int, inserted bool) (int, bool) {
 	return wanted[d.g.intn(len(wanted))], true
 }
 
+// insert appends n generated rows to table ti.
+func (d *dmlDriver) insert(ti, n int) error {
+	tb := d.r.Sc.Tables[ti]
+	rows := make([][]storage.Value, n)
+	var txt []string
+	for i := range rows {
+		rows[i] = make([]storage.Value, len(tb.Cols))
+		for c := range tb.Cols {
+			rows[i][c] = d.g.genValue(&tb.Cols[c])
+			txt = append(txt, renderValue(tb.Cols[c], rows[i][c]))
+		}
+		d.live[ti] = append(d.live[ti], true)
+	}
+	return d.both(fmt.Sprintf("Insert(%s, %d rows: %s)", tb.Name, len(rows), strings.Join(txt, ", ")),
+		func(db *hostdb.Database) error { _, err := db.Insert(tb.Name, rows); return err })
+}
+
+// update writes a generated value into a generated column of host row h.
+func (d *dmlDriver) update(ti, h int) error {
+	tb := d.r.Sc.Tables[ti]
+	col := d.g.intn(len(tb.Cols))
+	val := d.g.genValue(&tb.Cols[col])
+	return d.both(fmt.Sprintf("Update(%s, row %d, %s = %s)", tb.Name, h, tb.Cols[col].Name, renderValue(tb.Cols[col], val)),
+		func(db *hostdb.Database) error { _, err := db.Update(tb.Name, h, col, val); return err })
+}
+
 // step applies one generated operation to one generated table.
 func (d *dmlDriver) step() error {
 	ti := d.g.intn(len(d.r.Sc.Tables))
 	tb := d.r.Sc.Tables[ti]
 	switch p := d.g.rng.Float64(); {
-	case p < 0.20: // insert
-		rows := make([][]storage.Value, 1+d.g.intn(3))
-		var txt []string
-		for i := range rows {
-			rows[i] = make([]storage.Value, len(tb.Cols))
-			for c := range tb.Cols {
-				rows[i][c] = d.g.genValue(&tb.Cols[c])
-				txt = append(txt, renderValue(tb.Cols[c], rows[i][c]))
-			}
-			d.live[ti] = append(d.live[ti], true)
-		}
-		return d.both(fmt.Sprintf("Insert(%s, %d rows: %s)", tb.Name, len(rows), strings.Join(txt, ", ")),
-			func(db *hostdb.Database) error { _, err := db.Insert(tb.Name, rows); return err })
+	case p < 0.20:
+		return d.insert(ti, 1+d.g.intn(3))
 	case p < 0.65: // update: a loaded row, or a row inserted since the last Load
 		h, ok := d.pickRow(ti, p >= 0.45)
 		if !ok {
 			return nil
 		}
-		col := d.g.intn(len(tb.Cols))
-		val := d.g.genValue(&tb.Cols[col])
-		return d.both(fmt.Sprintf("Update(%s, row %d, %s = %s)", tb.Name, h, tb.Cols[col].Name, renderValue(tb.Cols[col], val)),
-			func(db *hostdb.Database) error { _, err := db.Update(tb.Name, h, col, val); return err })
+		return d.update(ti, h)
 	case p < 0.80: // delete, of either kind of row
 		h, ok := d.pickRow(ti, d.g.chance(0.5))
 		if !ok {
@@ -223,6 +235,29 @@ func TestDMLDifferential(t *testing.T) {
 			}
 			overtake := func() error { return steps(2 + g.intn(4)) }
 			if m := d.checkOldPlan(g.NextQuery().SQL(), overtake); m != nil {
+				t.Fatalf("%s", d.fail(m))
+			}
+			// The same with a journaled insert under the plan: every table
+			// gets a row that is still in the journal when the plan is bound
+			// and is updated before its checkpoint. The unit carrying the
+			// insert's SCN must hold the row as inserted, not as it is now.
+			for ti := range r.Sc.Tables {
+				if err := d.insert(ti, 1); err != nil {
+					t.Fatalf("%s", d.fail(r.mismatch("dml", "", err.Error())))
+				}
+			}
+			overwrite := func() error {
+				for ti := range r.Sc.Tables {
+					h := len(d.live[ti]) - 1
+					for i := 0; i < 3; i++ { // most columns of a 1–4 column row
+						if err := d.update(ti, h); err != nil {
+							return err
+						}
+					}
+				}
+				return d.checkpointAll()
+			}
+			if m := d.checkOldPlan(g.NextQuery().SQL(), overwrite); m != nil {
 				t.Fatalf("%s", d.fail(m))
 			}
 			for i := 0; i < queriesPerRound && checked < n; i++ {

@@ -2,6 +2,8 @@ package storage
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"rapid/internal/coltypes"
 	"rapid/internal/encoding"
@@ -37,94 +39,112 @@ func (o *BuildOptions) normalize() {
 }
 
 // TableBuilder accumulates rows and produces an immutable base Table. The
-// two-phase design mirrors the LOAD path of §4.4: scan threads buffer
-// records, then the encoded columnar layout is built in one pass with the
-// final widths, scales and statistics.
+// two-phase design mirrors the LOAD path of §4.4: scan threads move records
+// into per-column buffers, then the encoded columnar layout is built in one
+// pass with the final widths and statistics.
 type TableBuilder struct {
 	name   string
 	schema *Schema
 	meta   []ColumnMeta
 	opts   BuildOptions
 
-	cols       [][]int64 // buffered encoded values, per column
-	exceptions []map[int]encoding.Decimal
-	stats      *statsBuilder
-	scratch    []int64
+	cols    [][]int64 // buffered encoded values, per column
+	stats   []colStatsBuilder
+	scratch []int64 // the row Append encodes into
 }
 
 // NewTableBuilder creates a builder. Decimal columns use the scale from the
-// schema type; string columns get a fresh dictionary.
+// schema type; string columns get a fresh dictionary unless
+// opts.SharedDicts supplies one.
 func NewTableBuilder(name string, schema *Schema, opts BuildOptions) *TableBuilder {
-	opts.normalize()
-	b := &TableBuilder{
-		name:       name,
-		schema:     schema,
-		opts:       opts,
-		cols:       make([][]int64, schema.NumCols()),
-		exceptions: make([]map[int]encoding.Decimal, schema.NumCols()),
-		stats:      newStatsBuilder(schema.NumCols()),
-		meta:       make([]ColumnMeta, schema.NumCols()),
-		scratch:    make([]int64, schema.NumCols()),
-	}
-	for i := range b.meta {
-		def := schema.Col(i)
-		b.meta[i] = ColumnMeta{Def: def, Scale: def.Type.Scale}
-		if def.Type.Kind == coltypes.KindString {
-			if i < len(opts.SharedDicts) && opts.SharedDicts[i] != nil {
-				b.meta[i].Dict = opts.SharedDicts[i]
-			} else {
-				b.meta[i].Dict = encoding.NewDict()
-			}
-		}
-	}
-	return b
+	return newBuilder(name, schema, Codec(schema, opts.SharedDicts), opts)
 }
 
-// Append adds one row of logical values.
+// newBuilder creates a builder over the given column codecs.
+func newBuilder(name string, schema *Schema, meta []ColumnMeta, opts BuildOptions) *TableBuilder {
+	opts.normalize()
+	return &TableBuilder{
+		name:    name,
+		schema:  schema,
+		meta:    meta,
+		opts:    opts,
+		cols:    make([][]int64, len(meta)),
+		stats:   make([]colStatsBuilder, len(meta)),
+		scratch: make([]int64, len(meta)),
+	}
+}
+
+// Append adds one row of logical values: the codec, then the encoded cells.
+// No load path calls it — host rows arrive encoded — it stays as the logical
+// entry the tests build their tables through and as the reference the
+// encoded path is checked against (TestEncodedPathBuildsTheSameReplica).
 func (b *TableBuilder) Append(row []Value) error {
-	if len(row) != b.schema.NumCols() {
-		return fmt.Errorf("storage: row has %d values, schema has %d columns", len(row), b.schema.NumCols())
+	if err := EncodeRow(b.meta, row, b.scratch); err != nil {
+		return err
 	}
-	for c, v := range row {
-		enc, exc, err := b.encode(c, v)
-		if err != nil {
-			return err
-		}
-		if exc != nil {
-			if b.exceptions[c] == nil {
-				b.exceptions[c] = make(map[int]encoding.Decimal)
-			}
-			b.exceptions[c][len(b.cols[c])] = *exc
-		}
-		b.cols[c] = append(b.cols[c], enc)
-		b.scratch[c] = enc
+	for c, enc := range b.scratch {
+		b.add(c, enc)
 	}
-	b.stats.addRow(b.scratch)
 	return nil
 }
 
-func (b *TableBuilder) encode(c int, v Value) (int64, *encoding.Decimal, error) {
-	m := &b.meta[c]
-	want := m.Def.Type.Kind
-	if v.Kind != want {
-		return 0, nil, fmt.Errorf("storage: column %s expects %v, got %v", m.Def.Name, want, v.Kind)
-	}
-	switch want {
-	case coltypes.KindString:
-		return int64(m.Dict.Add(v.Str)), nil, nil
-	case coltypes.KindDecimal:
-		if u, ok := v.Dec.Rescale(m.Scale); ok {
-			return u, nil, nil
+// add buffers one encoded cell of column c.
+func (b *TableBuilder) add(c int, enc int64) {
+	b.cols[c] = append(b.cols[c], enc)
+	b.stats[c].add(enc)
+}
+
+// AppendEncoded adds rows that are already in the columns' encoding (see
+// Codec) — host rows as the row store holds them. The rows are read, never
+// kept. The work is split over up to threads goroutines (the scan threads of
+// §4.4), none of which allocates per row: first the rows are moved into the
+// column buffers by row range, then each column's statistics, which depend
+// on no other column, are taken by column range.
+func (b *TableBuilder) AppendEncoded(rows [][]int64, threads int) error {
+	for _, row := range rows {
+		if len(row) != len(b.cols) {
+			return fmt.Errorf("storage: row has %d values, schema has %d columns", len(row), len(b.cols))
 		}
-		d := v.Dec
-		approx := int64(0)
-		if diff := int(d.Scale - m.Scale); diff > 0 && diff <= encoding.MaxScale {
-			approx = d.Unscaled / encoding.Pow10(diff)
-		}
-		return approx, &d, nil
-	default:
-		return v.Int, nil, nil
 	}
+	base := b.Rows()
+	for c := range b.cols {
+		b.cols[c] = slices.Grow(b.cols[c], len(rows))[:base+len(rows)]
+	}
+	split(threads, len(rows), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			for c, enc := range rows[i] {
+				b.cols[c][base+i] = enc
+			}
+		}
+	})
+	split(threads, len(b.cols), func(lo, hi int) {
+		for c := lo; c < hi; c++ {
+			st := &b.stats[c]
+			for _, enc := range b.cols[c][base:] {
+				st.add(enc)
+			}
+		}
+	})
+	return nil
+}
+
+// split cuts [0, n) into up to threads contiguous ranges and runs fn on
+// each, one goroutine per range, returning when all are done.
+func split(threads, n int, fn func(lo, hi int)) {
+	if threads <= 1 || n <= 1 {
+		fn(0, n)
+		return
+	}
+	per := (n + threads - 1) / threads
+	var wg sync.WaitGroup
+	for lo := 0; lo < n; lo += per {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(lo, min(lo+per, n))
+		}()
+	}
+	wg.Wait()
 }
 
 // Rows returns the number of buffered rows.
@@ -143,7 +163,7 @@ func (b *TableBuilder) Build() (*Table, error) {
 	if b.schema.NumCols() > 0 {
 		n = len(b.cols[0])
 	}
-	stats := b.stats.build()
+	stats := buildStats(int64(n), b.stats)
 	// Choose physical widths from observed min/max.
 	for c := range b.meta {
 		cs := stats.Cols[c]
@@ -191,15 +211,8 @@ func (b *TableBuilder) Build() (*Table, error) {
 			vecs := make([]*Vector, b.schema.NumCols())
 			for c := range vecs {
 				data := coltypes.New(b.meta[c].Width, len(chunkRows))
-				var exc map[int]encoding.Decimal
 				for j, src := range chunkRows {
 					data.Set(j, b.cols[c][src])
-					if e, ok := b.exceptions[c][int(src)]; ok {
-						if exc == nil {
-							exc = make(map[int]encoding.Decimal)
-						}
-						exc[j] = e
-					}
 				}
 				var v *Vector
 				if b.opts.TryRLE {
@@ -211,7 +224,6 @@ func (b *TableBuilder) Build() (*Table, error) {
 				if v == nil {
 					v = NewVector(data)
 				}
-				v.SetExceptions(exc)
 				vecs[c] = v
 			}
 			parts[p].AppendChunk(NewChunk(vecs))

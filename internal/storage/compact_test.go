@@ -7,7 +7,7 @@ import (
 )
 
 // Compaction edge cases: RLE-compressed tables, string columns (dictionary
-// rebuild), multi-partition layouts and post-compaction updates.
+// kept), multi-partition layouts and post-compaction updates.
 
 func TestCompactWithRLEAndStrings(t *testing.T) {
 	s := MustSchema(
@@ -37,11 +37,17 @@ func TestCompactWithRLEAndStrings(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	flag := func(s string) int64 {
+		enc, err := tbl.Meta(1).Encode(StrValue(s))
+		must(err)
+		return enc
+	}
+	dict := tbl.Meta(1).Dict
 	must(tbl.Tracker().Apply(UpdateUnit{
 		SCN:     1,
-		Inserts: [][]Value{{IntValue(9999), StrValue("dd"), IntValue(8)}},
+		Inserts: [][]int64{{9999, flag("dd"), 8}},
 		Deletes: []RowRef{{Part: 0, Chunk: 2, Row: 10}},
-		Patches: []CellPatch{{Ref: RowRef{0, 0, 0}, Col: 1, Val: StrValue("zz")}},
+		Patches: []CellPatch{{Ref: RowRef{0, 0, 0}, Col: 1, Val: flag("zz")}},
 	}))
 	must(tbl.Compact())
 
@@ -49,12 +55,16 @@ func TestCompactWithRLEAndStrings(t *testing.T) {
 	if snap.TotalRows() != 500 {
 		t.Fatalf("rows after compact = %d", snap.TotalRows())
 	}
-	// Patched string and inserted string survive the dictionary rebuild.
+	// The rebuilt base keeps the dictionary (a replica shares the host's), so
+	// the patched and the inserted string keep their codes.
+	if tbl.Meta(1).Dict != dict {
+		t.Fatal("compaction replaced the string column's dictionary")
+	}
 	foundZZ, foundDD := false, false
 	for _, cv := range snap.Chunks() {
 		d := cv.Data(1)
 		for r := 0; r < cv.Rows; r++ {
-			switch tbl.DecodeValue(1, d.Get(r)).Str {
+			switch tbl.Meta(1).Decode(d.Get(r)).Str {
 			case "zz":
 				foundZZ = true
 			case "dd":
@@ -88,7 +98,7 @@ func TestCompactMultiPartition(t *testing.T) {
 	tbl := b.MustBuild()
 	if err := tbl.Tracker().Apply(UpdateUnit{
 		SCN:     1,
-		Inserts: [][]Value{{IntValue(1000), IntValue(2000)}},
+		Inserts: [][]int64{{1000, 2000}},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +141,7 @@ func TestSnapshotIsolationDuringCompact(t *testing.T) {
 		}
 	}
 	tbl := b.MustBuild()
-	if err := tbl.Tracker().Apply(UpdateUnit{SCN: 1, Inserts: [][]Value{{IntValue(500)}}}); err != nil {
+	if err := tbl.Tracker().Apply(UpdateUnit{SCN: 1, Inserts: [][]int64{{500}}}); err != nil {
 		t.Fatal(err)
 	}
 	before := tbl.Snapshot(LatestSCN) // first read happens after the swap

@@ -21,70 +21,52 @@ type TableStats struct {
 // ndvExactLimit caps the exact distinct-count tracking per column.
 const ndvExactLimit = 1 << 21
 
-// statsBuilder accumulates statistics during load.
-type statsBuilder struct {
-	rows int64
-	cols []colStatsBuilder
-}
-
+// colStatsBuilder accumulates one column's statistics during load; the zero
+// value is ready. Columns are independent, so a load may fill them on
+// different goroutines.
 type colStatsBuilder struct {
 	min, max int64
 	seen     map[int64]struct{}
 	approx   bool
-	any      bool
 }
 
-func newStatsBuilder(numCols int) *statsBuilder {
-	sb := &statsBuilder{cols: make([]colStatsBuilder, numCols)}
-	for i := range sb.cols {
-		sb.cols[i].seen = make(map[int64]struct{})
+func (c *colStatsBuilder) add(v int64) {
+	if c.seen == nil && !c.approx {
+		c.min, c.max, c.seen = v, v, make(map[int64]struct{})
 	}
-	return sb
-}
-
-func (sb *statsBuilder) addRow(encoded []int64) {
-	sb.rows++
-	for i, v := range encoded {
-		c := &sb.cols[i]
-		if !c.any {
-			c.min, c.max, c.any = v, v, true
-		} else {
-			if v < c.min {
-				c.min = v
-			}
-			if v > c.max {
-				c.max = v
-			}
-		}
-		if !c.approx {
-			c.seen[v] = struct{}{}
-			if len(c.seen) > ndvExactLimit {
-				c.approx = true
-				c.seen = nil
-			}
+	if v < c.min {
+		c.min = v
+	}
+	if v > c.max {
+		c.max = v
+	}
+	if !c.approx {
+		c.seen[v] = struct{}{}
+		if len(c.seen) > ndvExactLimit {
+			c.approx = true
+			c.seen = nil
 		}
 	}
 }
 
-func (sb *statsBuilder) build() *TableStats {
-	ts := &TableStats{Rows: sb.rows, Cols: make([]ColStats, len(sb.cols))}
-	for i := range sb.cols {
-		c := &sb.cols[i]
+// buildStats freezes the column builders of a rows-row load. It releases
+// their distinct-value sets, so a kept-around builder does not pin up to
+// ndvExactLimit entries per column.
+func buildStats(rows int64, cols []colStatsBuilder) *TableStats {
+	ts := &TableStats{Rows: rows, Cols: make([]ColStats, len(cols))}
+	for i := range cols {
+		c := &cols[i]
 		cs := ColStats{Min: c.min, Max: c.max}
 		if c.approx {
 			// Conservative estimate: domain-width bounded by row count.
-			cs.NDV = sb.rows
+			cs.NDV = rows
 			if width := c.max - c.min + 1; width > 0 && width < cs.NDV {
 				cs.NDV = width
 			}
-			cs.Exact = false
 		} else {
 			cs.NDV = int64(len(c.seen))
 			cs.Exact = true
 		}
-		// The seen map has served its purpose; release it so a finished (or
-		// kept-around) builder does not pin up to ndvExactLimit entries per
-		// column for its remaining lifetime.
 		c.seen = nil
 		ts.Cols[i] = cs
 	}

@@ -153,7 +153,7 @@ func TestRoundTripValues(t *testing.T) {
 	tbl := buildTestTable(t, 100, BuildOptions{})
 	// Row 5: orderkey=1, quantity=6, price=105.05, date 1995-06-06, flag R.
 	c := tbl.Partition(0).Chunk(0)
-	get := func(col int) Value { return tbl.DecodeValue(col, c.Col(col).Data().Get(5)) }
+	get := func(col int) Value { return tbl.Meta(col).Decode(c.Col(col).Data().Get(5)) }
 	if get(0).Int != 1 || get(1).Int != 6 {
 		t.Fatalf("ints wrong: %v %v", get(0), get(1))
 	}
@@ -241,30 +241,35 @@ func TestAppendErrors(t *testing.T) {
 	}
 }
 
+// TestDSBExceptionAtLoad: a decimal that is not exact at the column's common
+// scale is rejected — by Append and by the codec every other path encodes
+// through — and leaves nothing behind; the replica holds no approximations.
 func TestDSBExceptionAtLoad(t *testing.T) {
 	s := MustSchema(ColumnDef{Name: "d", Type: coltypes.Decimal(2)})
 	b := NewTableBuilder("t", s, BuildOptions{})
 	if err := b.Append([]Value{DecString("1.25")}); err != nil {
 		t.Fatal(err)
 	}
-	// Scale 5 cannot be represented at common scale 2 -> exception.
-	if err := b.Append([]Value{DecString("0.00001")}); err != nil {
+	// Scale 5 cannot be represented at common scale 2.
+	if err := b.Append([]Value{DecString("0.00001")}); err == nil {
+		t.Fatal("a decimal finer than the column scale was accepted")
+	}
+	// A coarser or equal scale is exact and goes through.
+	if err := b.Append([]Value{DecString("3")}); err != nil {
 		t.Fatal(err)
 	}
 	tbl := b.MustBuild()
-	v := tbl.Partition(0).Chunk(0).Col(0)
-	if !v.HasExceptions() {
-		t.Fatal("expected exception value")
+	if tbl.Rows() != 2 {
+		t.Fatalf("rows = %d, want the two exact ones", tbl.Rows())
 	}
-	if _, ok := v.Exception(1); !ok {
-		t.Fatal("row 1 should be the exception")
+	d := tbl.Partition(0).Chunk(0).Col(0).Data()
+	for r, want := range []string{"1.25", "3.00"} {
+		if got := tbl.Meta(0).Decode(d.Get(r)); got.String() != want {
+			t.Fatalf("row %d = %s, want %s", r, got, want)
+		}
 	}
-	if _, ok := v.Exception(0); ok {
-		t.Fatal("row 0 should not be an exception")
-	}
-	// Normal row decodes through the common path.
-	if got := tbl.DecodeValue(0, v.Data().Get(0)); got.String() != "1.25" {
-		t.Fatalf("row 0 = %s", got)
+	if _, err := tbl.Meta(0).Encode(DecString("0.125")); err == nil {
+		t.Fatal("the codec accepted a decimal that does not fit scale 2")
 	}
 }
 

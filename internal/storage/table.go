@@ -18,6 +18,81 @@ type ColumnMeta struct {
 	RLE   bool           // chunks stored RLE-compressed where worthwhile
 }
 
+// Codec returns the per-column encoding of a schema: kind and DSB scale from
+// the column type and, for string columns, dicts[i] or — where dicts has no
+// entry — a fresh dictionary. The fixed-width integers a codec produces are
+// the one interchange format between the host row store, its journal, the
+// replica builders, the update log and the tray's shard maps; Value exists
+// only on the far side of Encode and Decode. Width and RLE are chosen later,
+// by the build that stores the column.
+func Codec(schema *Schema, dicts []*encoding.Dict) []ColumnMeta {
+	meta := make([]ColumnMeta, schema.NumCols())
+	for i := range meta {
+		def := schema.Col(i)
+		meta[i] = ColumnMeta{Def: def, Scale: def.Type.Scale}
+		if def.Type.Kind == coltypes.KindString {
+			if i < len(dicts) && dicts[i] != nil {
+				meta[i].Dict = dicts[i]
+			} else {
+				meta[i].Dict = encoding.NewDict()
+			}
+		}
+	}
+	return meta
+}
+
+// Encode converts a logical value to the column's encoding. A value of the
+// wrong kind and a decimal that is not exact at the column's scale are
+// errors; a new string enters the dictionary.
+func (m ColumnMeta) Encode(v Value) (int64, error) {
+	kind := m.Def.Type.Kind
+	if v.Kind != kind {
+		return 0, fmt.Errorf("storage: column %s expects %v, got %v", m.Def.Name, kind, v.Kind)
+	}
+	switch kind {
+	case coltypes.KindString:
+		return int64(m.Dict.Add(v.Str)), nil
+	case coltypes.KindDecimal:
+		u, ok := v.Dec.Rescale(m.Scale)
+		if !ok {
+			return 0, fmt.Errorf("storage: column %s: decimal %s does not fit scale %d", m.Def.Name, v.Dec, m.Scale)
+		}
+		return u, nil
+	default:
+		return v.Int, nil
+	}
+}
+
+// Decode renders an encoded cell of the column back to a logical value.
+func (m ColumnMeta) Decode(enc int64) Value {
+	switch m.Def.Type.Kind {
+	case coltypes.KindString:
+		return StrValue(m.Dict.Value(int32(enc)))
+	case coltypes.KindDecimal:
+		return DecValue(encoding.Decimal{Unscaled: enc, Scale: m.Scale})
+	case coltypes.KindDate:
+		return Value{Kind: coltypes.KindDate, Int: enc}
+	case coltypes.KindBool:
+		return BoolValue(enc != 0)
+	default:
+		return IntValue(enc)
+	}
+}
+
+// EncodeRow encodes one row of logical values into dst, column by column.
+func EncodeRow(meta []ColumnMeta, vals []Value, dst []int64) error {
+	if len(vals) != len(meta) {
+		return fmt.Errorf("storage: row has %d values, schema has %d columns", len(vals), len(meta))
+	}
+	for c, v := range vals {
+		var err error
+		if dst[c], err = meta[c].Encode(v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Table is a loaded base relation: schema, physical metadata, horizontally
 // partitioned columnar data, statistics and the SCN/update state of §3.3
 // and §4.3. Everything that changes after Build lives in the current
@@ -96,52 +171,6 @@ func (t *Table) BaseSCN() uint64 { return t.cur.Load().baseSCN }
 
 // Tracker returns the update tracker.
 func (t *Table) Tracker() *Tracker { return t.tracker }
-
-// EncodeValue encodes a logical value into the physical representation of
-// column c, returning the encoded integer and, for decimals that do not fit
-// the common scale, the exact exception value.
-func (t *Table) EncodeValue(c int, v Value) (int64, *encoding.Decimal, error) {
-	m := &t.cur.Load().meta[c]
-	want := m.Def.Type.Kind
-	if v.Kind != want {
-		return 0, nil, fmt.Errorf("storage: column %s expects %v, got %v", m.Def.Name, want, v.Kind)
-	}
-	switch want {
-	case coltypes.KindString:
-		return int64(m.Dict.Add(v.Str)), nil, nil
-	case coltypes.KindDecimal:
-		if u, ok := v.Dec.Rescale(m.Scale); ok {
-			return u, nil, nil
-		}
-		d := v.Dec
-		// Best-effort truncation keeps ordering roughly right (§4.2).
-		approx := int64(0)
-		if diff := int(d.Scale - m.Scale); diff > 0 && diff <= encoding.MaxScale {
-			approx = d.Unscaled / encoding.Pow10(diff)
-		}
-		return approx, &d, nil
-	default:
-		return v.Int, nil, nil
-	}
-}
-
-// DecodeValue renders the encoded integer of column c back to a logical
-// value.
-func (t *Table) DecodeValue(c int, enc int64) Value {
-	m := &t.cur.Load().meta[c]
-	switch m.Def.Type.Kind {
-	case coltypes.KindString:
-		return StrValue(m.Dict.Value(int32(enc)))
-	case coltypes.KindDecimal:
-		return DecValue(encoding.Decimal{Unscaled: enc, Scale: m.Scale})
-	case coltypes.KindDate:
-		return Value{Kind: coltypes.KindDate, Int: enc}
-	case coltypes.KindBool:
-		return BoolValue(enc != 0)
-	default:
-		return IntValue(enc)
-	}
-}
 
 // StoredBytes returns the total columnar storage footprint.
 func (t *Table) StoredBytes() int {

@@ -25,35 +25,30 @@ type RowRef struct {
 // DeltaPart is the RowRef.Part of rows inserted by update units.
 const DeltaPart = -1
 
-// CellPatch updates a single cell of a row.
+// CellPatch updates a single cell of a row. Val is in column Col's encoding.
 type CellPatch struct {
 	Ref RowRef
 	Col int
-	Val Value
+	Val int64
 }
 
-// UpdateUnit is one SCN-stamped batch of changes. Within a unit, inserts
-// apply first, then patches, then deletes, so a unit may address the rows it
-// inserts.
+// UpdateUnit is one SCN-stamped batch of changes, its values in the table's
+// column encoding (ColumnMeta.Encode) — journal entries as the host logged
+// them. Within a unit, inserts apply first, then patches, then deletes, so a
+// unit may address the rows it inserts. Apply takes ownership: the unit log
+// keeps the slices it is given, every later snapshot reads them, and the
+// caller must not write to them again.
 type UpdateUnit struct {
 	SCN     uint64
-	Inserts [][]Value
+	Inserts [][]int64
 	Deletes []RowRef
 	Patches []CellPatch
 }
 
-type encPatch struct {
-	ref RowRef
-	col int
-	enc int64
-}
-
+// appliedUU is a unit in the log.
 type appliedUU struct {
-	scn      uint64
-	deletes  []RowRef
-	patches  []encPatch
-	inserts  [][]int64 // encoded rows
-	deltaEnd int       // rows inserted by the log up to and including this unit
+	UpdateUnit
+	deltaEnd int // rows inserted by the log up to and including this unit
 }
 
 // deltaRows returns the number of rows a unit log has inserted.
@@ -87,7 +82,7 @@ func (tr *Tracker) Apply(uu UpdateUnit) error {
 		return fmt.Errorf("storage: UU SCN %d not newer than table SCN %d", uu.SCN, v.snap.scn)
 	}
 	units := v.snap.units
-	a := appliedUU{scn: uu.SCN, deletes: uu.Deletes, deltaEnd: deltaRows(units) + len(uu.Inserts)}
+	a := appliedUU{UpdateUnit: uu, deltaEnd: deltaRows(units) + len(uu.Inserts)}
 	for _, p := range uu.Patches {
 		if err := checkRef(v.snap.parts, a.deltaEnd, p.Ref); err != nil {
 			return err
@@ -95,11 +90,6 @@ func (tr *Tracker) Apply(uu UpdateUnit) error {
 		if p.Col < 0 || p.Col >= t.schema.NumCols() {
 			return fmt.Errorf("storage: patch column %d out of range", p.Col)
 		}
-		enc, _, err := t.EncodeValue(p.Col, p.Val)
-		if err != nil {
-			return err
-		}
-		a.patches = append(a.patches, encPatch{ref: p.Ref, col: p.Col, enc: enc})
 	}
 	for _, d := range uu.Deletes {
 		if err := checkRef(v.snap.parts, a.deltaEnd, d); err != nil {
@@ -110,15 +100,6 @@ func (tr *Tracker) Apply(uu UpdateUnit) error {
 		if len(row) != t.schema.NumCols() {
 			return fmt.Errorf("storage: insert row has %d values, want %d", len(row), t.schema.NumCols())
 		}
-		enc := make([]int64, len(row))
-		for c, val := range row {
-			e, _, err := t.EncodeValue(c, val)
-			if err != nil {
-				return err
-			}
-			enc[c] = e
-		}
-		a.inserts = append(a.inserts, enc)
 	}
 	nv := &version{
 		meta: v.meta, stats: refreshStats(v.stats, a), chunkRows: v.chunkRows, partRows: v.partRows,
@@ -143,7 +124,7 @@ func (tr *Tracker) Apply(uu UpdateUnit) error {
 // under-prune, never produce a wrong result. Compact recomputes exact
 // statistics from scratch.
 func refreshStats(old *TableStats, a appliedUU) *TableStats {
-	if old == nil || len(a.patches) == 0 && len(a.inserts) == 0 && len(a.deletes) == 0 {
+	if old == nil || len(a.Patches) == 0 && len(a.Inserts) == 0 && len(a.Deletes) == 0 {
 		return old
 	}
 	// Copy-on-write: readers of older versions keep theirs.
@@ -162,19 +143,19 @@ func refreshStats(old *TableStats, a appliedUU) *TableStats {
 		}
 		cs.Exact = false
 	}
-	for _, p := range a.patches {
-		widen(p.col, p.enc)
+	for _, p := range a.Patches {
+		widen(p.Col, p.Val)
 	}
-	for _, row := range a.inserts {
+	for _, row := range a.Inserts {
 		for c, v := range row {
 			widen(c, v)
 		}
 	}
-	ns.Rows += int64(len(a.inserts)) - int64(len(a.deletes))
+	ns.Rows += int64(len(a.Inserts)) - int64(len(a.Deletes))
 	if ns.Rows < 0 {
 		ns.Rows = 0
 	}
-	if len(a.deletes) > 0 {
+	if len(a.Deletes) > 0 {
 		for c := range ns.Cols {
 			ns.Cols[c].Exact = false
 		}
@@ -256,10 +237,10 @@ type Snapshot struct {
 func (t *Table) Snapshot(scn uint64) *Snapshot {
 	cur := &t.cur.Load().snap
 	n := len(cur.units)
-	if n == 0 || scn >= cur.units[n-1].scn {
+	if n == 0 || scn >= cur.units[n-1].SCN {
 		return cur
 	}
-	k := sort.Search(n, func(i int) bool { return cur.units[i].scn > scn })
+	k := sort.Search(n, func(i int) bool { return cur.units[i].SCN > scn })
 	return &Snapshot{t: t, scn: scn, parts: cur.parts, units: cur.units[:k]}
 }
 
@@ -352,16 +333,16 @@ func (s *Snapshot) materialise() {
 	inserted := 0
 	for i := range s.units {
 		u := &s.units[i]
-		for _, row := range u.inserts {
+		for _, row := range u.Inserts {
 			for c, enc := range row {
 				views[nbase].overlay[c].Set(inserted, enc)
 			}
 			inserted++
 		}
-		for _, p := range u.patches {
-			view(p.ref).patch(p.ref.Row, p.col, p.enc)
+		for _, p := range u.Patches {
+			view(p.Ref).patch(p.Ref.Row, p.Col, p.Val)
 		}
-		for _, d := range u.deletes {
+		for _, d := range u.Deletes {
 			cv := view(d)
 			if cv.Deleted == nil {
 				cv.Deleted = bits.NewVector(cv.Rows)
@@ -400,31 +381,29 @@ func (cv *ChunkView) patch(row, col int, enc int64) {
 
 // Compact merges every applied update unit into base storage, rebuilding
 // partitions and statistics, and empties the unit log. This is the background
-// reclamation of outdated vectors (§4.3). Rows are renumbered: RowRefs and
+// reclamation of outdated vectors (§4.3). The rebuilt base keeps the
+// version's column codecs — scales and, above all, the dictionaries it shares
+// with the host — and picks widths afresh. Rows are renumbered: RowRefs and
 // BaseRowRef ordinals from before the call no longer address the same rows.
 func (t *Table) Compact() error {
 	t.tracker.mu.Lock()
 	defer t.tracker.mu.Unlock()
 	v := t.cur.Load()
-	b := NewTableBuilder(t.name, t.schema, BuildOptions{
+	meta := make([]ColumnMeta, len(v.meta))
+	for c, m := range v.meta {
+		meta[c] = ColumnMeta{Def: m.Def, Scale: m.Scale, Dict: m.Dict}
+	}
+	b := newBuilder(t.name, t.schema, meta, BuildOptions{
 		Partitions: len(v.snap.parts),
 		ChunkRows:  v.chunkRows,
 	})
-	cols := make([]coltypes.Data, t.schema.NumCols())
 	for _, cv := range v.snap.Chunks() {
-		for c := range cols {
-			cols[c] = cv.Data(c)
-		}
-		for r := 0; r < cv.Rows; r++ {
-			if cv.Deleted != nil && cv.Deleted.Test(r) {
-				continue
-			}
-			row := make([]Value, len(cols))
-			for c := range cols {
-				row[c] = t.DecodeValue(c, cols[c].Get(r))
-			}
-			if err := b.Append(row); err != nil {
-				return err
+		for c := range meta {
+			d := cv.Data(c)
+			for r := 0; r < cv.Rows; r++ {
+				if cv.Deleted == nil || !cv.Deleted.Test(r) {
+					b.add(c, d.Get(r))
+				}
 			}
 		}
 	}

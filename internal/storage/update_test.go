@@ -54,9 +54,9 @@ func TestApplyInsertDeletePatch(t *testing.T) {
 	tbl := simpleTable(t, 10)
 	err := tbl.Tracker().Apply(UpdateUnit{
 		SCN:     5,
-		Inserts: [][]Value{{IntValue(100), IntValue(1000)}},
+		Inserts: [][]int64{{100, 1000}},
 		Deletes: []RowRef{{Part: 0, Chunk: 0, Row: 3}},
-		Patches: []CellPatch{{Ref: RowRef{Part: 0, Chunk: 0, Row: 1}, Col: 1, Val: IntValue(999)}},
+		Patches: []CellPatch{{Ref: RowRef{Part: 0, Chunk: 0, Row: 1}, Col: 1, Val: 999}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -103,11 +103,11 @@ func TestSCNVersioning(t *testing.T) {
 	}
 	base := tbl.Snapshot(LatestSCN)
 	must(tbl.Tracker().Apply(UpdateUnit{SCN: 10, Patches: []CellPatch{
-		{Ref: RowRef{0, 0, 0}, Col: 1, Val: IntValue(111)},
+		{Ref: RowRef{0, 0, 0}, Col: 1, Val: 111},
 	}}))
 	first := tbl.Snapshot(LatestSCN) // not read until a newer version exists
 	must(tbl.Tracker().Apply(UpdateUnit{SCN: 20, Patches: []CellPatch{
-		{Ref: RowRef{0, 0, 0}, Col: 1, Val: IntValue(222)},
+		{Ref: RowRef{0, 0, 0}, Col: 1, Val: 222},
 	}}))
 	// A snapshot taken before an Apply keeps reading its own version.
 	if v := scanCol(base, 1)[0]; v != 0 {
@@ -141,7 +141,7 @@ func TestApplyValidation(t *testing.T) {
 		t.Fatal("bad row should fail")
 	}
 	if err := tbl.Tracker().Apply(UpdateUnit{SCN: 3,
-		Inserts: [][]Value{{IntValue(1)}}}); err == nil {
+		Inserts: [][]int64{{1}}}); err == nil {
 		t.Fatal("short insert should fail")
 	}
 	if err := tbl.Tracker().Apply(UpdateUnit{SCN: 3}); err != nil {
@@ -157,7 +157,7 @@ func TestPatchWidening(t *testing.T) {
 	// must widen the patched copy rather than truncate.
 	tbl := simpleTable(t, 10)
 	if err := tbl.Tracker().Apply(UpdateUnit{SCN: 1, Patches: []CellPatch{
-		{Ref: RowRef{0, 0, 2}, Col: 0, Val: IntValue(1 << 40)},
+		{Ref: RowRef{0, 0, 2}, Col: 0, Val: 1 << 40},
 	}}); err != nil {
 		t.Fatal(err)
 	}
@@ -183,9 +183,9 @@ func TestCompact(t *testing.T) {
 	}
 	must(tbl.Tracker().Apply(UpdateUnit{
 		SCN:     7,
-		Inserts: [][]Value{{IntValue(500), IntValue(5000)}},
+		Inserts: [][]int64{{500, 5000}},
 		Deletes: []RowRef{{0, 0, 0}, {0, 1, 2}},
-		Patches: []CellPatch{{Ref: RowRef{0, 0, 5}, Col: 1, Val: IntValue(777)}},
+		Patches: []CellPatch{{Ref: RowRef{0, 0, 5}, Col: 1, Val: 777}},
 	}))
 	before := scanCol(tbl.Snapshot(LatestSCN), 0)
 	beforeVals := scanCol(tbl.Snapshot(LatestSCN), 1)

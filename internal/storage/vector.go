@@ -14,12 +14,10 @@ const VectorSizeBytes = 16 * 1024
 const DefaultChunkRows = VectorSizeBytes / 4
 
 // Vector is one column of one chunk: a flat fixed-width array, optionally
-// held RLE-compressed, with a DSB exception table for values that do not fit
-// the column's common scale (paper §4.2).
+// held RLE-compressed (paper §4.2).
 type Vector struct {
-	flat       coltypes.Data
-	rle        *encoding.RLE
-	exceptions map[int]encoding.Decimal // row-in-chunk -> exact value
+	flat coltypes.Data
+	rle  *encoding.RLE
 }
 
 // NewVector wraps flat column data.
@@ -56,18 +54,6 @@ func (v *Vector) Data() coltypes.Data {
 	return v.flat
 }
 
-// SetExceptions installs the DSB exception table.
-func (v *Vector) SetExceptions(ex map[int]encoding.Decimal) { v.exceptions = ex }
-
-// Exception returns the exact decimal for a row, if the row is an exception.
-func (v *Vector) Exception(row int) (encoding.Decimal, bool) {
-	d, ok := v.exceptions[row]
-	return d, ok
-}
-
-// HasExceptions reports whether the vector carries any exception values.
-func (v *Vector) HasExceptions() bool { return len(v.exceptions) > 0 }
-
 // StoredBytes returns the storage footprint of the vector.
 func (v *Vector) StoredBytes() int {
 	if v.rle != nil {
@@ -79,8 +65,7 @@ func (v *Vector) StoredBytes() int {
 // Zone is one column's zone-map entry for one chunk (tile): the inclusive
 // encoded min/max over the tile's rows plus the row count. Zones are computed
 // over the same encoded values predicates evaluate against, so a zone check
-// agrees with predicate evaluation by construction (DSB exception values are
-// approximated identically on both paths).
+// agrees with predicate evaluation by construction.
 type Zone struct {
 	Min, Max int64
 	Rows     int

@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -48,9 +49,9 @@ func refViews(tbl *Table, units []UpdateUnit, scn uint64) (views []refView, tota
 				for _, u := range visible {
 					for _, p := range u.Patches {
 						if p.Ref.Part == pi && p.Ref.Chunk == ci && p.Col == c {
-							col[p.Ref.Row] = p.Val.Int
+							col[p.Ref.Row] = p.Val
 							patched[c] = true
-							if p.Val.Int < w.MinInt() || p.Val.Int > w.MaxInt() {
+							if p.Val < w.MinInt() || p.Val > w.MaxInt() {
 								w = coltypes.W8
 							}
 						}
@@ -75,11 +76,7 @@ func refViews(tbl *Table, units []UpdateUnit, scn uint64) (views []refView, tota
 	var delta [][]int64 // [row][col]
 	for _, u := range visible {
 		for _, row := range u.Inserts {
-			enc := make([]int64, ncols)
-			for c, v := range row {
-				enc[c] = v.Int
-			}
-			delta = append(delta, enc)
+			delta = append(delta, slices.Clone(row))
 		}
 	}
 	if len(delta) > 0 {
@@ -87,7 +84,7 @@ func refViews(tbl *Table, units []UpdateUnit, scn uint64) (views []refView, tota
 		for _, u := range visible {
 			for _, p := range u.Patches {
 				if p.Ref.Part == DeltaPart {
-					delta[p.Ref.Row][p.Col] = p.Val.Int
+					delta[p.Ref.Row][p.Col] = p.Val
 				}
 			}
 			for _, d := range u.Deletes {
@@ -171,11 +168,11 @@ func randomUnits(rng *rand.Rand) (*Table, []UpdateUnit) {
 		}
 	}
 	tbl := b.MustBuild()
-	val := func() Value {
+	val := func() int64 {
 		if rng.Intn(4) == 0 {
-			return IntValue(1<<40 + rng.Int63n(9)) // overflows every base width
+			return 1<<40 + rng.Int63n(9) // overflows every base width
 		}
-		return IntValue(rng.Int63n(100))
+		return rng.Int63n(100)
 	}
 	var baseRefs []RowRef
 	for pi := 0; pi < tbl.NumPartitions(); pi++ {
@@ -191,7 +188,7 @@ func randomUnits(rng *rand.Rand) (*Table, []UpdateUnit) {
 		scn += 1 + uint64(rng.Intn(3))
 		u := UpdateUnit{SCN: scn}
 		for i, k := 0, rng.Intn(3); i < k; i++ {
-			u.Inserts = append(u.Inserts, []Value{IntValue(int64(1000 + inserted)), val(), val()})
+			u.Inserts = append(u.Inserts, []int64{int64(1000 + inserted), val(), val()})
 			inserted++
 		}
 		ref := func() (RowRef, bool) {
@@ -261,8 +258,8 @@ func TestReadersSeeUnitLogPrefixes(t *testing.T) {
 	apply := func(i int) error {
 		return tbl.Tracker().Apply(UpdateUnit{
 			SCN:     uint64(i),
-			Patches: []CellPatch{{Ref: RowRef{0, 0, 0}, Col: 1, Val: IntValue(int64(i))}},
-			Inserts: [][]Value{{IntValue(int64(i)), IntValue(int64(i))}},
+			Patches: []CellPatch{{Ref: RowRef{0, 0, 0}, Col: 1, Val: int64(i)}},
+			Inserts: [][]int64{{int64(i), int64(i)}},
 		})
 	}
 	// prefix reports which prefix of the log s shows, or an error if its
@@ -358,7 +355,7 @@ func patchedTable(tb testing.TB, chunks, units int) *Table {
 	tbl := b.MustBuild()
 	for i := 1; i <= units; i++ {
 		if err := tbl.Tracker().Apply(UpdateUnit{SCN: uint64(i), Patches: []CellPatch{
-			{Ref: RowRef{Chunk: i % chunks, Row: i % chunkRows}, Col: 1, Val: IntValue(int64(i % 100))},
+			{Ref: RowRef{Chunk: i % chunks, Row: i % chunkRows}, Col: 1, Val: int64(i % 100)},
 		}}); err != nil {
 			tb.Fatal(err)
 		}

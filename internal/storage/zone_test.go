@@ -46,7 +46,7 @@ func TestChunkViewZoneAfterUpdates(t *testing.T) {
 	// Patch col 1 of a row in chunk 0: that column's zone is invalidated for
 	// the patched chunk only; col 0 and other chunks keep their zones.
 	must(tbl.Tracker().Apply(UpdateUnit{SCN: 1, Patches: []CellPatch{
-		{Ref: RowRef{0, 0, 2}, Col: 1, Val: IntValue(100000)},
+		{Ref: RowRef{0, 0, 2}, Col: 1, Val: 100000},
 	}}))
 	chunks := tbl.Snapshot(LatestSCN).Chunks()
 	if _, ok := chunks[0].Zone(1); ok {
@@ -68,9 +68,7 @@ func TestChunkViewZoneAfterUpdates(t *testing.T) {
 
 	// Inserted rows surface through a delta chunk with no zones (never
 	// prunable).
-	must(tbl.Tracker().Apply(UpdateUnit{SCN: 3, Inserts: [][]Value{
-		{IntValue(500), IntValue(5000)},
-	}}))
+	must(tbl.Tracker().Apply(UpdateUnit{SCN: 3, Inserts: [][]int64{{500, 5000}}}))
 	chunks = tbl.Snapshot(LatestSCN).Chunks()
 	last := chunks[len(chunks)-1]
 	if last.Rows != 1 {
@@ -102,7 +100,7 @@ func TestStatsRefreshAfterUpdate(t *testing.T) {
 
 	// Patch a value past the old maximum: bounds must widen immediately.
 	must(tbl.Tracker().Apply(UpdateUnit{SCN: 1, Patches: []CellPatch{
-		{Ref: RowRef{0, 0, 2}, Col: 1, Val: IntValue(100000)},
+		{Ref: RowRef{0, 0, 2}, Col: 1, Val: 100000},
 	}}))
 	st = tbl.Stats()
 	if st.Cols[1].Max < 100000 {
@@ -119,9 +117,7 @@ func TestStatsRefreshAfterUpdate(t *testing.T) {
 	}
 
 	// Insert below the old minimum: bounds widen down, rows go up.
-	must(tbl.Tracker().Apply(UpdateUnit{SCN: 2, Inserts: [][]Value{
-		{IntValue(-5), IntValue(-7)},
-	}}))
+	must(tbl.Tracker().Apply(UpdateUnit{SCN: 2, Inserts: [][]int64{{-5, -7}}}))
 	st = tbl.Stats()
 	if st.Cols[0].Min > -5 || st.Cols[1].Min > -7 {
 		t.Fatalf("stats stale after insert: mins = %d, %d", st.Cols[0].Min, st.Cols[1].Min)
@@ -143,7 +139,7 @@ func TestStatsRefreshAfterUpdate(t *testing.T) {
 	// Readers holding the old pointer are unaffected (copy-on-write).
 	old := st
 	must(tbl.Tracker().Apply(UpdateUnit{SCN: 4, Patches: []CellPatch{
-		{Ref: RowRef{0, 0, 3}, Col: 0, Val: IntValue(1 << 30)},
+		{Ref: RowRef{0, 0, 3}, Col: 0, Val: 1 << 30},
 	}}))
 	if old.Cols[0].Max != st.Cols[0].Max {
 		t.Fatal("stats must be copy-on-write")
@@ -154,19 +150,20 @@ func TestStatsRefreshAfterUpdate(t *testing.T) {
 // per-column seen maps (up to 2^21 entries each) must be released once the
 // NDV is read out, whether the column stayed exact or tripped the limit.
 func TestStatsBuilderReleasesSeenMaps(t *testing.T) {
-	sb := newStatsBuilder(2)
+	cols := make([]colStatsBuilder, 2)
 	for i := int64(0); i < 100; i++ {
-		sb.addRow([]int64{i, i % 3})
+		cols[0].add(i)
+		cols[1].add(i % 3)
 	}
-	ts := sb.build()
+	ts := buildStats(100, cols)
 	if ts.Cols[0].NDV != 100 || !ts.Cols[0].Exact {
 		t.Fatalf("col0 stats = %+v", ts.Cols[0])
 	}
 	if ts.Cols[1].NDV != 3 {
 		t.Fatalf("col1 NDV = %d", ts.Cols[1].NDV)
 	}
-	for i := range sb.cols {
-		if sb.cols[i].seen != nil {
+	for i := range cols {
+		if cols[i].seen != nil {
 			t.Fatalf("col %d seen map retained after build", i)
 		}
 	}
