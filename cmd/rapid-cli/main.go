@@ -216,19 +216,15 @@ func printJournal(db *hostdb.Database, n int) {
 		fmt.Println("journal empty")
 		return
 	}
-	fmt.Printf("  %-6s %-8s %-6s %-5s %8s %10s %6s %s\n", "id", "outcome", "mode", "nodes", "rows", "wall", "slow", "sql")
+	fmt.Printf("  %-6s %-8s %-6s %-5s %8s %10s %s\n", "id", "outcome", "mode", "nodes", "rows", "wall", "sql")
 	for _, r := range recs {
-		slow := ""
-		if r.Slow {
-			slow = "SLOW"
-		}
-		fmt.Printf("  %-6d %-8s %-6s %-5d %8d %10s %6s %s\n",
+		fmt.Printf("  %-6d %-8s %-6s %-5d %8d %10s %s\n",
 			r.ID, r.Outcome, r.Mode, r.Nodes, r.Rows,
-			time.Duration(r.WallNs).Round(time.Microsecond), slow, oneLine(r.SQL, 40))
+			time.Duration(r.WallNs).Round(time.Microsecond), oneLine(r.SQL, 40))
 	}
-	fmt.Printf("  total=%d ok=%d shed=%d canceled=%d error=%d slow=%d\n",
+	fmt.Printf("  total=%d ok=%d shed=%d canceled=%d error=%d\n",
 		j.Total(), j.OutcomeCount(obs.OutcomeOK), j.OutcomeCount(obs.OutcomeShed),
-		j.OutcomeCount(obs.OutcomeCanceled), j.OutcomeCount(obs.OutcomeError), j.SlowCount())
+		j.OutcomeCount(obs.OutcomeCanceled), j.OutcomeCount(obs.OutcomeError))
 }
 
 func optsFor(engine string) hostdb.QueryOptions {

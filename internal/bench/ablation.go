@@ -16,12 +16,10 @@ import (
 // Ablation studies for the design choices the paper argues for. Each table
 // compares RAPID's choice against the alternative it displaced.
 
-// RunAblationJoinAlgorithm compares the partitioned hash join (§6) against
+// ablationJoinAlgorithm compares the partitioned hash join (§6) against
 // the sort-merge join (§6.5) on the simulated DPU.
-func RunAblationJoinAlgorithm(rows int) *Table {
-	if rows <= 0 {
-		rows = 1 << 18
-	}
+func ablationJoinAlgorithm() *Table {
+	const rows = microRows / 4
 	t := &Table{
 		Title:   "Ablation: hash join vs sort-merge join (simulated DPU)",
 		Headers: []string{"algorithm", "sim ms", "Mrows/s (probe)"},
@@ -58,12 +56,10 @@ func RunAblationJoinAlgorithm(rows int) *Table {
 	return t
 }
 
-// RunAblationPartitionScheme compares the optimized partitioning scheme
+// ablationPartitionScheme compares the optimized partitioning scheme
 // (§5.3) against naive alternatives for a large fan-out target.
-func RunAblationPartitionScheme(rows int) *Table {
-	if rows <= 0 {
-		rows = 1 << 19
-	}
+func ablationPartitionScheme() *Table {
+	const rows = microRows / 2
 	t := &Table{
 		Title:   "Ablation: partition scheme optimization (target 1024 partitions)",
 		Headers: []string{"scheme", "modeled cost ms", "sim ms"},
@@ -97,12 +93,10 @@ func RunAblationPartitionScheme(rows int) *Table {
 	return t
 }
 
-// RunAblationFilterRepr compares the RID-list and bit-vector row
+// ablationFilterRepr compares the RID-list and bit-vector row
 // representations across selectivities (the 1/32 rule of §5.4).
-func RunAblationFilterRepr(rows int) *Table {
-	if rows <= 0 {
-		rows = 1 << 20
-	}
+func ablationFilterRepr() *Table {
+	const rows = microRows
 	t := &Table{
 		Title:   "Ablation: RID list vs bit-vector row representation",
 		Headers: []string{"selectivity", "chosen", "RID bytes", "bitvec bytes", "2nd-pred cycles (RID)", "2nd-pred cycles (BV)"},
@@ -145,9 +139,9 @@ func RunAblationFilterRepr(rows int) *Table {
 	return t
 }
 
-// RunAblationCompactHT compares the bit-packed compact hash table (§6.3)
+// ablationCompactHT compares the bit-packed compact hash table (§6.3)
 // against a plain 32-bit-array layout for DMEM capacity.
-func RunAblationCompactHT() *Table {
+func ablationCompactHT() *Table {
 	t := &Table{
 		Title:   "Ablation: compact (ceil(log2 N)-bit) hash table vs 32-bit arrays",
 		Headers: []string{"partition rows", "compact bytes", "plain32 bytes", "fits 32KiB DMEM (compact/plain)"},
@@ -165,16 +159,6 @@ func RunAblationCompactHT() *Table {
 	}
 	t.AddNote("the compact layout lets partitions 2-3x larger stay DMEM-resident, cutting partitioning rounds")
 	return t
-}
-
-// RunAblations returns every ablation table.
-func RunAblations(rows int) []*Table {
-	return []*Table{
-		RunAblationJoinAlgorithm(rows / 4),
-		RunAblationPartitionScheme(rows / 2),
-		RunAblationFilterRepr(rows),
-		RunAblationCompactHT(),
-	}
 }
 
 func seqI64(n int, f func(int) int64) []int64 {

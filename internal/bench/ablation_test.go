@@ -7,7 +7,7 @@ import (
 )
 
 func TestAblationJoinAlgorithm(t *testing.T) {
-	tbl := RunAblationJoinAlgorithm(1 << 15)
+	tbl := sharedFigures(t).AblationJoin
 	if len(tbl.Rows) != 2 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
@@ -26,7 +26,7 @@ func TestAblationJoinAlgorithm(t *testing.T) {
 }
 
 func TestAblationPartitionScheme(t *testing.T) {
-	tbl := RunAblationPartitionScheme(1 << 17)
+	tbl := sharedFigures(t).AblationScheme
 	if len(tbl.Rows) < 3 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
@@ -55,7 +55,7 @@ func TestAblationPartitionScheme(t *testing.T) {
 }
 
 func TestAblationFilterRepr(t *testing.T) {
-	tbl := RunAblationFilterRepr(1 << 18)
+	tbl := sharedFigures(t).AblationFilterRepr
 	// The representation switch happens at 1/32 = 3.125%.
 	for _, r := range tbl.Rows {
 		sel, err := strconv.ParseFloat(strings.TrimSuffix(r[0], "%"), 64)
@@ -79,7 +79,7 @@ func TestAblationFilterRepr(t *testing.T) {
 }
 
 func TestAblationCompactHT(t *testing.T) {
-	tbl := RunAblationCompactHT()
+	tbl := sharedFigures(t).AblationCompactHT
 	for i := range tbl.Rows {
 		compact := cellF(t, tbl, i, 1)
 		plain := cellF(t, tbl, i, 2)

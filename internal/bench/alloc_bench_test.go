@@ -20,7 +20,7 @@ func tileLoopRelation(rows int) *ops.Relation {
 		}
 		cols[c] = d
 	}
-	return MustBenchRelation(cols)
+	return benchRelation(cols)
 }
 
 func tileLoopChain(sink qef.Operator) func() qef.Operator {

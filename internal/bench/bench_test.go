@@ -3,15 +3,12 @@ package bench
 import (
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
-
-	"rapid/internal/hostdb"
 )
 
-// The bench tests assert the paper's qualitative *shapes*, not absolute
-// numbers: who wins, roughly by how much, where the knees are. See
-// EXPERIMENTS.md for paper-vs-measured values.
+// The bench tests assert the paper's qualitative *shapes* on the one shared
+// figures run: who wins, where the knees are. The numbers the paper states
+// are paper points (TestPaperPoints); the exact values are the golden file.
 
 func cellF(t *testing.T, tbl *Table, row, col int) float64 {
 	t.Helper()
@@ -23,14 +20,17 @@ func cellF(t *testing.T, tbl *Table, row, col int) float64 {
 }
 
 func TestFig8Shape(t *testing.T) {
-	tbl := RunFig8(1 << 20)
-	if len(tbl.Rows) != 5 {
+	tbl := sharedFigures(t).Fig8
+	if len(tbl.Rows) != 6 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
+	// Mild decline with more hash keys; every strategy above HARP's 6 GiB/s.
+	if cellF(t, tbl, 1, 1) < cellF(t, tbl, 3, 1) {
+		t.Fatal("hashing four keys should not be faster than hashing one")
+	}
 	for i := range tbl.Rows {
-		bw := cellF(t, tbl, i, 1)
-		if bw < 8.8 || bw > 10.0 {
-			t.Fatalf("%s: %.2f GiB/s, want ~9.3", tbl.Rows[i][0], bw)
+		if bw := cellF(t, tbl, i, 1); bw <= 6 {
+			t.Fatalf("%s: %.2f GiB/s, not above HARP's 6", tbl.Rows[i][0], bw)
 		}
 	}
 	if !strings.Contains(tbl.String(), "radix") {
@@ -39,14 +39,10 @@ func TestFig8Shape(t *testing.T) {
 }
 
 func TestFig9Shape(t *testing.T) {
-	tbl := RunFig9()
+	tbl := sharedFigures(t).Fig9
 	byKey := map[string]float64{}
 	for i, r := range tbl.Rows {
 		byKey[r[0]+"/"+r[1]+"/"+r[2]] = cellF(t, tbl, i, 3)
-	}
-	// >= 9 GiB/s at 4 cols, 128-row tiles, read.
-	if byKey["4/128/r"] < 9.0 {
-		t.Fatalf("4/128/r = %.2f", byKey["4/128/r"])
 	}
 	// 64-row tiles slower than 128.
 	if byKey["4/64/r"] >= byKey["4/128/r"] {
@@ -62,19 +58,19 @@ func TestFig9Shape(t *testing.T) {
 }
 
 func TestFilterMicroShape(t *testing.T) {
-	tbl := RunFilterMicro(1 << 20)
-	cpr := cellF(t, tbl, 0, 1)
-	if cpr < 1.55 || cpr > 1.75 {
-		t.Fatalf("cycles/tuple = %.3f, want ~1.65", cpr)
+	tbl := sharedFigures(t).Filter
+	if len(tbl.Rows) != 3 {
+		t.Fatalf("rows = %d (the operator run failed?): %v", len(tbl.Rows), tbl.Notes)
 	}
-	rate := cellF(t, tbl, 1, 1)
-	if rate < 455 || rate > 520 {
-		t.Fatalf("rate = %.1f Mtuples/s, want ~482", rate)
+	// "The operator executes close to the memory bandwidth": the 32-core
+	// operator is DMS-bound, between the Fig 9 read rate and the channel peak.
+	if bw := cellF(t, tbl, 2, 1); bw < 9 || bw > 12 {
+		t.Fatalf("operator bandwidth = %.2f GiB/s, want DMS-bound (9..12)", bw)
 	}
 }
 
 func TestFig10Shape(t *testing.T) {
-	tbl := RunFig10(1 << 19)
+	tbl := sharedFigures(t).Fig10
 	get := func(fanout, tile string) float64 {
 		for i, r := range tbl.Rows {
 			if r[0] == fanout && r[1] == tile {
@@ -85,10 +81,6 @@ func TestFig10Shape(t *testing.T) {
 		return 0
 	}
 	r32 := get("32", "256")
-	// ~948 Mrows/s at 32-way in the paper; accept the band 600-1400.
-	if r32 < 600 || r32 > 1400 {
-		t.Fatalf("32-way rate = %.0f Mrows/s, want ~948", r32)
-	}
 	// Flat to 64-way ("without significant performance drop").
 	if r64 := get("64", "256"); r64 < 0.65*r32 {
 		t.Fatalf("64-way dropped too much: %.0f vs %.0f", r64, r32)
@@ -108,7 +100,7 @@ func TestFig10Shape(t *testing.T) {
 }
 
 func TestFig11Shape(t *testing.T) {
-	tbl := RunFig11(1 << 16)
+	tbl := sharedFigures(t).Fig11
 	get := func(tile, buckets string) float64 {
 		for i, r := range tbl.Rows {
 			if r[0] == tile && r[1] == buckets {
@@ -122,19 +114,19 @@ func TestFig11Shape(t *testing.T) {
 	if b1, b2 := get("256", "512"), get("256", "8192"); b1 != b2 {
 		t.Fatalf("buckets impact: %.1f vs %.1f", b1, b2)
 	}
-	// ~46 Mrows/s/core at 256-row tiles.
-	if r := get("256", "2048"); r < 42 || r > 52 {
-		t.Fatalf("256-tile build = %.1f Mrows/s/core, want ~46", r)
-	}
-	// Tile 64 -> 1024 gains ~39%.
-	gain := get("1024", "2048")/get("64", "2048") - 1
-	if gain < 0.30 || gain > 0.50 {
-		t.Fatalf("tile gain = %.0f%%, want ~39%%", gain*100)
+	// Larger tiles are monotonically better.
+	prev := 0.0
+	for _, tile := range []string{"64", "128", "256", "512", "1024"} {
+		r := get(tile, "2048")
+		if r <= prev {
+			t.Fatalf("tile %s: %.1f Mrows/s/core, not above the smaller tile's %.1f", tile, r, prev)
+		}
+		prev = r
 	}
 }
 
 func TestFig12Shape(t *testing.T) {
-	tbl := RunFig12(1 << 16)
+	tbl := sharedFigures(t).Fig12
 	var minDPU, maxDPU = 1e18, 0.0
 	for i, r := range tbl.Rows {
 		_ = r
@@ -146,20 +138,15 @@ func TestFig12Shape(t *testing.T) {
 			maxDPU = v
 		}
 	}
-	// Paper: 0.88-1.35 Brows/s per DPU across the sweep.
-	if minDPU < 0.75 || maxDPU > 1.6 {
-		t.Fatalf("probe range %.2f-%.2f Brows/s, want ~0.88-1.35", minDPU, maxDPU)
-	}
 	if maxDPU/minDPU < 1.15 {
 		t.Fatal("tile size should matter")
 	}
 }
 
 func TestFig13Shape(t *testing.T) {
-	tbl := RunFig13(1 << 16)
-	slowdown := cellF(t, tbl, 1, 3)
-	if slowdown < 1.35 || slowdown > 1.60 {
-		t.Fatalf("row-at-a-time = %.2fx vectorized, want ~1.46", slowdown)
+	tbl := sharedFigures(t).Fig13
+	if slowdown := cellF(t, tbl, 1, 3); slowdown <= 1 {
+		t.Fatalf("row-at-a-time = %.2fx vectorized, must be slower", slowdown)
 	}
 	// Branch misses must drop with vectorization.
 	if cellF(t, tbl, 0, 2) >= cellF(t, tbl, 1, 2) {
@@ -168,97 +155,11 @@ func TestFig13Shape(t *testing.T) {
 }
 
 func TestFig4Shape(t *testing.T) {
-	tbl := RunFig4()
+	tbl := sharedFigures(t).Fig4
 	if len(tbl.Rows) != 1 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
 	if tbl.Rows[0][1] != "1" {
 		t.Fatalf("chosen formation has %s tasks, want 1", tbl.Rows[0][1])
-	}
-}
-
-var (
-	tpchOnce sync.Once
-	tpchDB   *hostdb.Database
-	tpchRuns []QueryRun
-	tpchErr  error
-)
-
-func sharedRuns(t *testing.T) []QueryRun {
-	t.Helper()
-	tpchOnce.Do(func() {
-		tpchDB, tpchErr = SetupTPCH(0.003)
-		if tpchErr != nil {
-			return
-		}
-		tpchRuns, tpchErr = RunQueries(tpchDB, 1)
-	})
-	if tpchErr != nil {
-		t.Fatal(tpchErr)
-	}
-	return tpchRuns
-}
-
-func TestFig16Shape(t *testing.T) {
-	runs := sharedRuns(t)
-	tbl := RunFig16(runs)
-	if len(tbl.Rows) != len(runs) {
-		t.Fatal("row count")
-	}
-	// The vectorized columnar engine must beat the Volcano row engine on
-	// average (the paper's software-only claim).
-	var sum float64
-	wins := 0
-	for _, r := range runs {
-		sum += r.SWSpeedup()
-		if r.SWSpeedup() > 1 {
-			wins++
-		}
-	}
-	avg := sum / float64(len(runs))
-	if avg <= 1.2 {
-		t.Fatalf("average software speedup = %.2f, expected > 1.2", avg)
-	}
-	if wins < len(runs)*2/3 {
-		t.Fatalf("RAPID software wins only %d of %d queries", wins, len(runs))
-	}
-}
-
-func TestFig15Shape(t *testing.T) {
-	runs := sharedRuns(t)
-	tbl := RunFig15(runs)
-	if len(tbl.Rows) != len(runs) {
-		t.Fatal("row count")
-	}
-	var sum float64
-	for _, r := range runs {
-		sum += r.RapidFrac
-	}
-	avg := sum / float64(len(runs))
-	// Paper: 97.57% average. At tiny scale factors the fixed parse/plan
-	// cost weighs more, so accept > 60%.
-	if avg < 0.60 {
-		t.Fatalf("average RAPID fraction = %.2f", avg)
-	}
-}
-
-func TestFig14Shape(t *testing.T) {
-	runs := sharedRuns(t)
-	tbl := RunFig14(runs)
-	if len(tbl.Rows) != len(runs) {
-		t.Fatal("row count")
-	}
-	var sum float64
-	for _, r := range runs {
-		ratio := r.PerfPerWatt()
-		if ratio <= 1 {
-			t.Fatalf("%s: perf/watt ratio %.2f <= 1 — RAPID must win on perf/watt", r.Name, ratio)
-		}
-		sum += ratio
-	}
-	avg := sum / float64(len(runs))
-	// Paper: 10-25x, avg ~15x. Model + measurement noise: accept 4-80x.
-	if avg < 4 || avg > 80 {
-		t.Fatalf("average perf/watt = %.1fx, out of plausible band", avg)
 	}
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 
 	"rapid/internal/bits"
 	"rapid/internal/coltypes"
@@ -27,18 +28,15 @@ func mkCols(rows, cols int) []coltypes.Data {
 	return out
 }
 
-// RunFig8 regenerates Figure 8: hardware-partitioning bandwidth of the DMS
+// fig8 regenerates Figure 8: hardware-partitioning bandwidth of the DMS
 // for every strategy, 32-way over 4x4-byte columns.
-func RunFig8(rows int) *Table {
-	if rows <= 0 {
-		rows = 1 << 21
-	}
+func fig8() *Table {
 	t := &Table{
 		Title:   "Fig 8: Hardware-partitioning performance of DMS (32-way, 4x4B columns)",
 		Headers: []string{"strategy", "GiB/s", "paper"},
 	}
 	eng := dms.NewEngine(dms.DefaultModel())
-	cols := mkCols(rows, 4)
+	cols := mkCols(microRows, 4)
 	bounds := make([]int64, 31)
 	for i := range bounds {
 		bounds[i] = int64((i + 1)) * (1 << 58) / 32 * 16 // spread over the domain
@@ -52,6 +50,7 @@ func RunFig8(rows int) *Table {
 		{"hash-2key", dms.PartitionSpec{Strategy: dms.Hash, Fanout: 32, KeyCols: []int{0, 1}}},
 		{"hash-4key", dms.PartitionSpec{Strategy: dms.Hash, Fanout: 32, KeyCols: []int{0, 1, 2, 3}}},
 		{"range", dms.PartitionSpec{Strategy: dms.Range, Fanout: 32, KeyCols: []int{0}, Bounds: bounds}},
+		{"round-robin", dms.PartitionSpec{Strategy: dms.RoundRobin, Fanout: 32}},
 	}
 	for _, s := range specs {
 		_, tm, err := eng.PartitionIDs(cols, s.spec)
@@ -59,15 +58,17 @@ func RunFig8(rows int) *Table {
 			t.AddRow(s.name, "ERR: "+err.Error(), "")
 			continue
 		}
-		t.AddRow(s.name, f2(tm.BytesPerSec()/gib), "~9.3")
+		bw := tm.BytesPerSec() / gib
+		t.AddRow(s.name, f2(bw), "~9.3")
+		t.AddPoint(s.name+" GiB/s", "~9.3", 8.8, 10.0, bw)
 	}
 	t.AddNote("paper: ~9.3 GiB/s for all strategies; outperforms HARP's 6 GiB/s")
 	return t
 }
 
-// RunFig9 regenerates Figure 9: DMS read / read+write bandwidth over column
+// fig9 regenerates Figure 9: DMS read / read+write bandwidth over column
 // count and tile size.
-func RunFig9() *Table {
+func fig9() *Table {
 	t := &Table{
 		Title:   "Fig 9: Read/write performance with DMS (4B columns)",
 		Headers: []string{"cols", "tile", "mode", "GiB/s"},
@@ -106,7 +107,12 @@ func RunFig9() *Table {
 				if rw {
 					mode = "rw"
 				}
-				t.AddRow(fmt.Sprintf("%d", nc), fmt.Sprintf("%d", tile), mode, f2(tot.BytesPerSec()/gib))
+				bw := tot.BytesPerSec() / gib
+				t.AddRow(fmt.Sprintf("%d", nc), fmt.Sprintf("%d", tile), mode, f2(bw))
+				if nc == 4 && tile == 128 && !rw {
+					// 12.9 GB/s DDR3 channel peak = 12.0 GiB/s.
+					t.AddPoint("4 cols, 128-row tiles, read GiB/s", ">= 9 (75% of DDR3 peak)", 9.0, 12.0, bw)
+				}
 			}
 		}
 	}
@@ -114,11 +120,9 @@ func RunFig9() *Table {
 	return t
 }
 
-// RunFilterMicro regenerates the §7.2 filter micro-benchmark.
-func RunFilterMicro(rows int) *Table {
-	if rows <= 0 {
-		rows = 1 << 21
-	}
+// filterMicro regenerates the §7.2 filter micro-benchmark.
+func filterMicro() *Table {
+	const rows = microRows
 	t := &Table{
 		Title:   "§7.2 Filter operator micro-benchmark",
 		Headers: []string{"metric", "measured", "paper"},
@@ -135,6 +139,8 @@ func RunFilterMicro(rows int) *Table {
 	ratePerCore := soc.Config().FreqHz / cyclesPerRow
 	t.AddRow("cycles/tuple", f3(cyclesPerRow), "1.65")
 	t.AddRow("Mtuples/s/core", f1(ratePerCore/1e6), "482")
+	t.AddPoint("cycles/tuple", "1.65", 1.55, 1.75, cyclesPerRow)
+	t.AddPoint("Mtuples/s/core", "482", 455, 520, ratePerCore/1e6)
 
 	// Operator-level bandwidth: the whole filter operator (scan + predicate
 	// chain) on 32 cores is DMS-bound; compute hides behind the transfers
@@ -148,7 +154,7 @@ func RunFilterMicro(rows int) *Table {
 		}
 		wide[c] = w
 	}
-	rel := MustBenchRelation(wide)
+	rel := benchRelation(wide)
 	sink := &ops.CountSink{}
 	err := ops.RelationScan(ctx, rel, 256, func() qef.Operator {
 		return &ops.FilterOp{
@@ -165,8 +171,8 @@ func RunFilterMicro(rows int) *Table {
 	return t
 }
 
-// MustBenchRelation wraps raw columns as an ops.Relation for benches.
-func MustBenchRelation(cols []coltypes.Data) *ops.Relation {
+// benchRelation wraps raw columns as an ops.Relation for benches.
+func benchRelation(cols []coltypes.Data) *ops.Relation {
 	rc := make([]ops.Col, len(cols))
 	for i, d := range cols {
 		rc[i] = ops.Col{Name: fmt.Sprintf("c%d", i), Type: coltypes.Int(), Data: d}
@@ -174,12 +180,10 @@ func MustBenchRelation(cols []coltypes.Data) *ops.Relation {
 	return ops.MustRelation(rc)
 }
 
-// RunFig10 regenerates Figure 10: software partitioning throughput over
+// fig10 regenerates Figure 10: software partitioning throughput over
 // fan-out and tile size (2x4-byte columns, 32 cores).
-func RunFig10(rows int) *Table {
-	if rows <= 0 {
-		rows = 1 << 21
-	}
+func fig10() *Table {
+	const rows = microRows
 	t := &Table{
 		Title:   "Fig 10: Software partitioning operator performance (2x4B columns, 32 cores)",
 		Headers: []string{"fanout", "tile", "Mrows/s", "GiB/s(in)"},
@@ -202,18 +206,19 @@ func RunFig10(rows int) *Table {
 			sec := ctx.SimElapsed()
 			t.AddRow(fmt.Sprintf("%d", fanout), fmt.Sprintf("%d", tile),
 				f1(float64(rows)/sec/1e6), f2(float64(rows)*8/sec/gib))
+			if fanout == 32 && tile == 256 {
+				t.AddPoint("32-way, 256-row tiles Mrows/s", "~948", 600, 1400, float64(rows)/sec/1e6)
+			}
 		}
 	}
 	t.AddNote("paper: ~948 Mrows/s at 32-way; feasible to 64-way without significant drop; larger tiles better; 7-7.6 GiB/s")
 	return t
 }
 
-// RunFig11 regenerates Figure 11: join build kernel rate vs tile size and
+// fig11 regenerates Figure 11: join build kernel rate vs tile size and
 // hash-buckets size.
-func RunFig11(rows int) *Table {
-	if rows <= 0 {
-		rows = 1 << 17
-	}
+func fig11() *Table {
+	const rows = kernelRows
 	t := &Table{
 		Title:   "Fig 11: Join build operator performance",
 		Headers: []string{"tile", "buckets", "Mrows/s/core", "Brows/s/DPU"},
@@ -224,6 +229,7 @@ func RunFig11(rows int) *Table {
 	}
 	kd := coltypes.FromInt64s(coltypes.W4, keys)
 	hv := primitives.HashColumns(nil, []coltypes.Data{kd}, nil)
+	rateAt := map[int]float64{} // tile -> rows/s/core at 2048 buckets
 	for _, tile := range []int{64, 128, 256, 512, 1024} {
 		for _, buckets := range []int{512, 1024, 2048, 4096, 8192} {
 			soc := dpu.MustNew(dpu.DefaultConfig())
@@ -234,17 +240,20 @@ func RunFig11(rows int) *Table {
 			rate := float64(rows) / sec
 			t.AddRow(fmt.Sprintf("%d", tile), fmt.Sprintf("%d", buckets),
 				f1(rate/1e6), f2(32*rate/1e9))
+			if buckets == 2048 {
+				rateAt[tile] = rate
+			}
 		}
 	}
+	t.AddPoint("256-row tiles Mrows/s/core", "~46", 42, 52, rateAt[256]/1e6)
+	t.AddPoint("tile 64 -> 1024 gain %", "~39", 30, 50, (rateAt[1024]/rateAt[64]-1)*100)
 	t.AddNote("paper: buckets size has no impact (DMEM single-cycle); tile 64->1024 gains ~39%%; ~46 Mrows/s/core at 256; ~1.5 Brows/s/DPU")
 	return t
 }
 
-// RunFig12 regenerates Figure 12: join probe kernel rate at 50% hit ratio.
-func RunFig12(rows int) *Table {
-	if rows <= 0 {
-		rows = 1 << 17
-	}
+// fig12 regenerates Figure 12: join probe kernel rate at 50% hit ratio.
+func fig12() *Table {
+	const rows = kernelRows
 	t := &Table{
 		Title:   "Fig 12: Join probe operator performance (hit ratio 50%)",
 		Headers: []string{"tile", "buckets", "Mrows/s/core", "Brows/s/DPU"},
@@ -261,6 +270,7 @@ func RunFig12(rows int) *Table {
 	}
 	pkd := coltypes.FromInt64s(coltypes.W4, probeKeys)
 	phv := primitives.HashColumns(nil, []coltypes.Data{pkd}, nil)
+	lo, hi := math.Inf(1), 0.0
 	for _, tile := range []int{64, 128, 256, 512, 1024} {
 		for _, buckets := range []int{512, 1024, 2048, 4096, 8192} {
 			soc := dpu.MustNew(dpu.DefaultConfig())
@@ -272,17 +282,18 @@ func RunFig12(rows int) *Table {
 			rate := float64(rows) / sec
 			t.AddRow(fmt.Sprintf("%d", tile), fmt.Sprintf("%d", buckets),
 				f1(rate/1e6), f2(32*rate/1e9))
+			lo, hi = min(lo, 32*rate/1e9), max(hi, 32*rate/1e9)
 		}
 	}
+	t.AddPoint("slowest point Brows/s/DPU", "0.88", 0.75, 1.35, lo)
+	t.AddPoint("fastest point Brows/s/DPU", "1.35", 0.88, 1.6, hi)
 	t.AddNote("paper: buckets size has no impact while DMEM-resident; tile 64->1024 gains up to ~30%%; 0.88-1.35 Brows/s/DPU")
 	return t
 }
 
-// RunFig13 regenerates Figure 13: vectorization gain on the TPC-H Q3 join.
-func RunFig13(rows int) *Table {
-	if rows <= 0 {
-		rows = 1 << 17
-	}
+// fig13 regenerates Figure 13: vectorization gain on the TPC-H Q3 join.
+func fig13() *Table {
+	const rows = kernelRows
 	t := &Table{
 		Title:   "Fig 13: Performance gain in join with vectorization (Q3 join kernel)",
 		Headers: []string{"mode", "cycles/row", "branch misses/row", "elapsed (norm)"},
@@ -315,14 +326,14 @@ func RunFig13(rows int) *Table {
 	n := float64(nb + np)
 	t.AddRow("vectorized", f2(vecCy/n), f3(vecMiss/n), "1.00")
 	t.AddRow("row-at-a-time", f2(scCy/n), f3(scMiss/n), f2(scCy/vecCy))
-	t.AddNote("gain with vectorization: %.0f%% (paper: ~46%%); branch misses drop from %.3f to %.3f per row",
-		(scCy/vecCy-1)*100, scMiss/n, vecMiss/n)
+	t.AddPoint("gain with vectorization %", "~46", 35, 60, (scCy/vecCy-1)*100)
+	t.AddNote("branch misses drop from %.3f to %.3f per row", scMiss/n, vecMiss/n)
 	return t
 }
 
-// RunFig4 regenerates the task-formation example of Figure 4: grouping
+// fig4 regenerates the task-formation example of Figure 4: grouping
 // scan+filter+aggregate into one task minimizes DRAM materialization.
-func RunFig4() *Table {
+func fig4() *Table {
 	t := &Table{
 		Title:   "Fig 4: Task formation example (1M rows, 4B columns, 25% selectivity)",
 		Headers: []string{"formation", "tasks", "tile rows", "materialized bytes", "modeled cost"},

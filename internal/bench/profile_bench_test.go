@@ -70,7 +70,7 @@ func BenchmarkQ1X86ProfileOn(b *testing.B) { benchQ1X86(b, true) }
 // <5% overhead bar is held with the exporter enabled too.
 func BenchmarkQ1X86ProfileOnExporter(b *testing.B) {
 	db, _ := profBenchSetup(b)
-	srv, err := db.ServeTelemetry("127.0.0.1:0")
+	srv, err := db.ServeTelemetryWith("127.0.0.1:0", false)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -37,22 +37,12 @@ func (p PruningRun) SkipRate() float64 {
 	return float64(p.TilesPruned) / float64(p.TilesTotal)
 }
 
-// SetupTPCHClustered builds the TPC-H host database with lineitem
-// clustered on l_shipdate (see tpch.Config.ClusterByShipDate).
-func SetupTPCHClustered(sf float64) (*hostdb.Database, error) {
-	db := hostdb.New()
-	cfg := tpch.Config{ScaleFactor: sf, Seed: 2018, ClusterByShipDate: true}
-	if err := tpch.PopulateHostDB(db, cfg); err != nil {
-		return nil, err
-	}
-	return db, nil
-}
-
-// RunPruning executes the named TPC-H queries with zone-map pruning on and
-// off, checks the runs agree, and reports tile counts and billed cycles.
-func RunPruning(db *hostdb.Database, queries []string) ([]PruningRun, error) {
+// runPruning executes pruningQueries with zone-map pruning on and off on a
+// database whose lineitem is clustered on l_shipdate, checks the runs agree,
+// and reports tile counts and billed cycles.
+func runPruning(db *hostdb.Database) ([]PruningRun, error) {
 	var out []PruningRun
-	for _, qname := range queries {
+	for _, qname := range pruningQueries {
 		q, ok := tpch.QueryByName(qname)
 		if !ok {
 			return nil, fmt.Errorf("unknown query %s", qname)
@@ -93,8 +83,8 @@ func RunPruning(db *hostdb.Database, queries []string) ([]PruningRun, error) {
 	return out, nil
 }
 
-// RunPruningTable renders the pruning experiment as a report table.
-func RunPruningTable(runs []PruningRun) *Table {
+// pruningTable renders the pruning experiment as a report table.
+func pruningTable(runs []PruningRun) *Table {
 	t := &Table{
 		Title:   "Zone-map pruning: shipdate-clustered lineitem, ModeDPU (pruning on vs force-disabled)",
 		Headers: []string{"query", "tiles pruned/total", "skip rate", "Mcycles on", "Mcycles off", "cycles saved"},

@@ -26,10 +26,10 @@ type ScalingRun struct {
 	Rows       int
 }
 
-// RunScaling executes the named TPC-H queries on trays of each node count.
-func RunScaling(db *hostdb.Database, nodeCounts []int, queries []string) ([]ScalingRun, error) {
+// runScaling executes scalingQueries on a tray of each width in trayNodes.
+func runScaling(db *hostdb.Database) ([]ScalingRun, error) {
 	var runs []ScalingRun
-	for _, n := range nodeCounts {
+	for _, n := range trayNodes {
 		tray, err := cluster.New(db, cluster.Config{Nodes: n})
 		if err != nil {
 			return nil, err
@@ -40,7 +40,7 @@ func RunScaling(db *hostdb.Database, nodeCounts []int, queries []string) ([]Scal
 				return nil, fmt.Errorf("load %s on %d nodes: %w", name, n, err)
 			}
 		}
-		for _, qname := range queries {
+		for _, qname := range scalingQueries {
 			q, ok := tpch.QueryByName(qname)
 			if !ok {
 				tray.Close()
@@ -66,30 +66,9 @@ func RunScaling(db *hostdb.Database, nodeCounts []int, queries []string) ([]Scal
 	return runs, nil
 }
 
-// ScalingSpeedup returns sim(1 node)/sim(n nodes) for one query, 0 when the
-// baseline is missing.
-func ScalingSpeedup(runs []ScalingRun, query string, nodes int) float64 {
-	var base, at float64
-	for _, r := range runs {
-		if r.Query != query {
-			continue
-		}
-		switch r.Nodes {
-		case 1:
-			base = r.SimSeconds
-		case nodes:
-			at = r.SimSeconds
-		}
-	}
-	if base == 0 || at == 0 {
-		return 0
-	}
-	return base / at
-}
-
-// RunScalingTable renders the tray scaling experiment: simulated-throughput
+// scalingTable renders the tray scaling experiment: simulated-throughput
 // speedup and energy versus the single-node tray, per query and node count.
-func RunScalingTable(runs []ScalingRun) *Table {
+func scalingTable(runs []ScalingRun) *Table {
 	t := &Table{
 		Title:   "Tray scaling: sharded TPC-H over N SoC nodes (ModeDPU, modeled makespan)",
 		Headers: []string{"query", "nodes", "sim ms", "speedup", "net KB", "net ms", "energy mJ", "perf/W vs 1 node"},

@@ -48,13 +48,6 @@ func (v *Vector) Reuse(n int) {
 	v.ClearAll()
 }
 
-// NewVectorAllSet returns a bit-vector of n bits with every bit set.
-func NewVectorAllSet(n int) *Vector {
-	v := NewVector(n)
-	v.SetAll()
-	return v
-}
-
 // Len returns the number of bits in the vector.
 func (v *Vector) Len() int { return v.n }
 

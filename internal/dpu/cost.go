@@ -12,10 +12,6 @@ package dpu
 // tight primitive loop is effectively free and only data-dependent forward
 // branches miss.
 const (
-	// IssueWidth is the number of instructions retired per cycle when an
-	// ALU op pairs with a load/store op.
-	IssueWidth = 2
-
 	// MulStall is the pipeline stall of the low-power multiplier.
 	MulStall Cycles = 4
 
@@ -23,20 +19,3 @@ const (
 	// mispredicted branch.
 	BranchMissPenalty Cycles = 6
 )
-
-// DualIssue returns the cycles needed to retire aluOps ALU-class and lsuOps
-// load/store-class instructions under the dual-issue pipeline: perfectly
-// paired streams retire at max(alu, lsu) cycles.
-func DualIssue(aluOps, lsuOps int64) Cycles {
-	if aluOps > lsuOps {
-		return Cycles(aluOps)
-	}
-	return Cycles(lsuOps)
-}
-
-// SerialIssue returns the cycles for a run of dependent single-cycle
-// instructions that cannot pair (each waits on the previous result).
-func SerialIssue(ops int64) Cycles { return Cycles(ops) }
-
-// MulCycles returns the cost of n multiplications including stalls.
-func MulCycles(n int64) Cycles { return Cycles(n) * MulStall }

@@ -68,36 +68,24 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// NumMacros returns the macro count.
-func (c Config) NumMacros() int { return c.NumCores / c.CoresPerMacro }
-
 // Seconds converts a cycle count to seconds at the configured clock.
 func (c Config) Seconds(cy Cycles) float64 { return float64(cy) / c.FreqHz }
 
-// CyclesPerSecond returns the clock rate as Cycles.
-func (c Config) CyclesPerSecond() float64 { return c.FreqHz }
-
-// Core is one dpCore: an ID, its macro, its private DMEM and a cycle
-// counter. A Core is owned by a single goroutine at a time (the actor model
+// Core is one dpCore: an ID, its private DMEM and a cycle counter. A Core is owned by a single goroutine at a time (the actor model
 // of the QEF guarantees this), but the counters are atomic so that
 // cross-core observers — qef.Context.Usage snapshotting a running query, the
 // bench harness reading makespans mid-run — always see consistent values.
 type Core struct {
-	id    int
-	macro int
-	dmem  *mem.DMEM
+	id   int
+	dmem *mem.DMEM
 
 	cycles atomic.Int64
-	// Pipeline statistics for the vectorization experiments (Fig 13).
+	// Pipeline statistic for the vectorization experiment (Fig 13).
 	branchMisses atomic.Int64
-	instructions atomic.Int64
 }
 
 // ID returns the core index within the SoC.
 func (co *Core) ID() int { return co.id }
-
-// Macro returns the macro index the core belongs to.
-func (co *Core) Macro() int { return co.macro }
 
 // DMEM returns the core's scratchpad allocator.
 func (co *Core) DMEM() *mem.DMEM { return co.dmem }
@@ -116,24 +104,16 @@ func (co *Core) ChargeBranchMiss(n int64) {
 	co.cycles.Add(n * int64(BranchMissPenalty))
 }
 
-// CountInstructions adds to the retired-instruction counter (statistics
-// only; cycle cost is charged separately).
-func (co *Core) CountInstructions(n int64) { co.instructions.Add(n) }
-
 // Cycles returns the core's accumulated cycle count.
 func (co *Core) Cycles() Cycles { return Cycles(co.cycles.Load()) }
 
 // BranchMisses returns the core's accumulated branch misprediction count.
 func (co *Core) BranchMisses() int64 { return co.branchMisses.Load() }
 
-// Instructions returns the retired-instruction count.
-func (co *Core) Instructions() int64 { return co.instructions.Load() }
-
 // Reset zeroes the counters and the DMEM allocator.
 func (co *Core) Reset() {
 	co.cycles.Store(0)
 	co.branchMisses.Store(0)
-	co.instructions.Store(0)
 	co.dmem.Reset()
 }
 
@@ -152,9 +132,8 @@ func New(cfg Config) (*SoC, error) {
 	s.cores = make([]*Core, cfg.NumCores)
 	for i := range s.cores {
 		s.cores[i] = &Core{
-			id:    i,
-			macro: i / cfg.CoresPerMacro,
-			dmem:  mem.NewDMEMWithCapacity(cfg.DMEMBytes),
+			id:   i,
+			dmem: mem.NewDMEMWithCapacity(cfg.DMEMBytes),
 		}
 	}
 	return s, nil
@@ -178,41 +157,11 @@ func (s *SoC) Core(i int) *Core { return s.cores[i] }
 // Cores returns all cores.
 func (s *SoC) Cores() []*Core { return s.cores }
 
-// MaxCoreCycles returns the makespan across cores: with all cores running
-// in parallel, elapsed time is determined by the busiest core.
-func (s *SoC) MaxCoreCycles() Cycles {
-	var m Cycles
-	for _, co := range s.cores {
-		if c := Cycles(co.cycles.Load()); c > m {
-			m = c
-		}
-	}
-	return m
-}
-
 // TotalCycles returns the sum of cycles over all cores (total work).
 func (s *SoC) TotalCycles() Cycles {
 	var t Cycles
 	for _, co := range s.cores {
 		t += Cycles(co.cycles.Load())
-	}
-	return t
-}
-
-// TotalBranchMisses sums branch mispredictions over all cores.
-func (s *SoC) TotalBranchMisses() int64 {
-	var t int64
-	for _, co := range s.cores {
-		t += co.branchMisses.Load()
-	}
-	return t
-}
-
-// TotalInstructions sums retired instructions over all cores.
-func (s *SoC) TotalInstructions() int64 {
-	var t int64
-	for _, co := range s.cores {
-		t += co.instructions.Load()
 	}
 	return t
 }

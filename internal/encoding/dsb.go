@@ -218,12 +218,6 @@ func normalizeScale(d Decimal) int8 {
 	return s
 }
 
-// EncodeDSB encodes vals at their minimal common scale.
-func EncodeDSB(vals []Decimal) *DSBVector {
-	scale := ChooseScale(vals)
-	return EncodeDSBAt(vals, scale)
-}
-
 // EncodeDSBAt encodes vals at a fixed scale, routing unrepresentable values
 // to the exception table.
 func EncodeDSBAt(vals []Decimal, scale int8) *DSBVector {
@@ -256,6 +250,3 @@ func (v *DSBVector) Decode(i int) Decimal {
 
 // Len returns the row count.
 func (v *DSBVector) Len() int { return len(v.Values) }
-
-// HasExceptions reports whether any row needed the exception path.
-func (v *DSBVector) HasExceptions() bool { return len(v.Exceptions) > 0 }

@@ -69,15 +69,6 @@ func (r *RLE) SizeBytes() int {
 	return len(r.Values)*r.Width.Bytes() + len(r.Lengths)*4
 }
 
-// CompressionRatio returns decoded/encoded size; > 1 means RLE pays off.
-func (r *RLE) CompressionRatio() float64 {
-	enc := r.SizeBytes()
-	if enc == 0 {
-		return 1
-	}
-	return float64(r.n*r.Width.Bytes()) / float64(enc)
-}
-
 // WorthRLE reports whether RLE should be kept for this vector: the encoding
 // selection heuristic keeps the layer only when it actually compresses.
 func WorthRLE(d coltypes.Data) (*RLE, bool) {

@@ -137,16 +137,11 @@ func (db *Database) Close() {
 	db.sched.Close()
 }
 
-// ServeTelemetry starts an opt-in HTTP exporter for this database's
+// ServeTelemetryWith starts an opt-in HTTP exporter for this database's
 // observability surface on addr: Prometheus text on /metrics, the live
 // active-query table plus recent journal records on /debug/queries,
-// liveness on /healthz. Close the returned server to stop it.
-func (db *Database) ServeTelemetry(addr string) (*obs.TelemetryServer, error) {
-	return db.ServeTelemetryWith(addr, false)
-}
-
-// ServeTelemetryWith is ServeTelemetry with the Go runtime profiles
-// (/debug/pprof/*) optionally exposed alongside.
+// liveness on /healthz and, with enablePprof, the Go runtime profiles on
+// /debug/pprof/*. Close the returned server to stop it.
 func (db *Database) ServeTelemetryWith(addr string, enablePprof bool) (*obs.TelemetryServer, error) {
 	return obs.ServeTelemetryWith(addr, obs.TelemetryConfig{
 		Registry:    db.metrics,

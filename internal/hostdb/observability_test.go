@@ -95,8 +95,8 @@ func TestJournalStormReconciles(t *testing.T) {
 	if sum != j.Total() {
 		t.Errorf("outcome counters sum to %d, Total is %d", sum, j.Total())
 	}
-	if j.Len() > j.Cap() {
-		t.Errorf("journal Len %d exceeds ring capacity %d", j.Len(), j.Cap())
+	if j.Len() > obs.DefJournalCapacity {
+		t.Errorf("journal Len %d exceeds ring capacity %d", j.Len(), obs.DefJournalCapacity)
 	}
 
 	// Reconciliation with the engine counters: one hostdb_queries_total tick

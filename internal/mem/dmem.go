@@ -41,12 +41,9 @@ type DMEM struct {
 	marks    []int // stack of Mark offsets for scoped release
 }
 
-// NewDMEM returns a DMEM allocator with the standard 32 KiB capacity.
-func NewDMEM() *DMEM { return NewDMEMWithCapacity(DMEMSize) }
-
-// NewDMEMWithCapacity returns a DMEM allocator with a custom capacity.
-// Tests and the DMEM-pressure failure-injection experiments shrink it to
-// force the overflow paths.
+// NewDMEMWithCapacity returns a DMEM allocator of the given capacity
+// (DMEMSize on the default SoC). Tests and the DMEM-pressure
+// failure-injection experiments shrink it to force the overflow paths.
 func NewDMEMWithCapacity(capacity int) *DMEM {
 	if capacity < 0 {
 		panic("mem: negative DMEM capacity")
@@ -72,39 +69,13 @@ func (d *DMEM) Alloc(n int) error {
 	return nil
 }
 
-// MustAlloc reserves n bytes and panics on exhaustion. Used by code paths
-// the compiler has already proven to fit.
-func (d *DMEM) MustAlloc(n int) {
-	if err := d.Alloc(n); err != nil {
-		panic(err)
-	}
-}
-
-// TryAllocBytes reserves and returns an n-byte buffer, or an error when the
-// scratchpad cannot hold it.
-func (d *DMEM) TryAllocBytes(n int) ([]byte, error) {
-	if err := d.Alloc(n); err != nil {
-		return nil, err
-	}
-	return make([]byte, n), nil
-}
-
-// Capacity returns the total scratchpad size.
-func (d *DMEM) Capacity() int { return d.capacity }
-
-// Used returns the currently reserved byte count.
-func (d *DMEM) Used() int { return d.used }
-
-// HighWater returns the maximum reserved byte count since creation. Unlike
-// Used it survives Reset (tasks reset DMEM between work units), so a query
+// HighWater returns the maximum reserved byte count since creation. It
+// survives Reset (tasks reset DMEM between work units), so a query
 // that owns the core can read its true scratchpad footprint afterwards.
 func (d *DMEM) HighWater() int { return d.high }
 
 // Free returns the available byte count.
 func (d *DMEM) Free() int { return d.capacity - d.used }
-
-// Fits reports whether an allocation of n bytes would succeed.
-func (d *DMEM) Fits(n int) bool { return d.used+align(n) <= d.capacity }
 
 // Mark pushes the current allocation offset. Paired with Release it gives
 // operators scoped scratch space (a task resets DMEM between partitions).
@@ -123,30 +94,4 @@ func (d *DMEM) Release() {
 func (d *DMEM) Reset() {
 	d.used = 0
 	d.marks = d.marks[:0]
-}
-
-// AllocDMEM reserves space for a []T of length n in d and returns the slice.
-// It is the typed convenience used by operators for vector buffers.
-func AllocDMEM[T any](d *DMEM, n int) ([]T, error) {
-	var zero T
-	size := n * int(sizeOf(zero))
-	if err := d.Alloc(size); err != nil {
-		return nil, err
-	}
-	return make([]T, n), nil
-}
-
-func sizeOf(v any) uintptr {
-	switch v.(type) {
-	case int8, uint8, bool:
-		return 1
-	case int16, uint16:
-		return 2
-	case int32, uint32, float32:
-		return 4
-	case int64, uint64, float64, int, uint:
-		return 8
-	default:
-		panic(fmt.Sprintf("mem: unsupported DMEM element type %T", v))
-	}
 }

@@ -6,9 +6,9 @@ import (
 )
 
 func TestDMEMCapacity(t *testing.T) {
-	d := NewDMEM()
-	if d.Capacity() != 32*1024 {
-		t.Fatalf("Capacity = %d, want 32768", d.Capacity())
+	d := NewDMEMWithCapacity(DMEMSize)
+	if d.Free() != 32*1024 {
+		t.Fatalf("Free = %d, want 32768", d.Free())
 	}
 	if err := d.Alloc(32 * 1024); err != nil {
 		t.Fatalf("full alloc failed: %v", err)
@@ -28,66 +28,60 @@ func TestDMEMAlignment(t *testing.T) {
 	if err := d.Alloc(1); err != nil {
 		t.Fatal(err)
 	}
-	if d.Used() != 8 {
-		t.Fatalf("Used = %d, want 8 (aligned)", d.Used())
+	if d.Free() != 64-8 {
+		t.Fatalf("Free = %d, want 56 (1 byte aligned to 8)", d.Free())
 	}
 	if err := d.Alloc(9); err != nil {
 		t.Fatal(err)
 	}
-	if d.Used() != 24 {
-		t.Fatalf("Used = %d, want 24", d.Used())
+	if d.Free() != 64-24 {
+		t.Fatalf("Free = %d, want 40", d.Free())
 	}
-	if !d.Fits(40) || d.Fits(41) {
-		t.Fatalf("Fits boundary wrong: free=%d", d.Free())
+	// 41 bytes align to 48 and do not fit the 40 left; 40 do.
+	if err := d.Alloc(41); err == nil {
+		t.Fatal("41 bytes fit in 40 free")
+	}
+	if err := d.Alloc(40); err != nil || d.Free() != 0 {
+		t.Fatalf("40 bytes in 40 free: %v, free=%d", err, d.Free())
 	}
 }
 
 func TestDMEMMarkRelease(t *testing.T) {
 	d := NewDMEMWithCapacity(1024)
-	d.MustAlloc(100)
+	used := func() int { return 1024 - d.Free() }
+	alloc := func(n int) {
+		t.Helper()
+		if err := d.Alloc(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	alloc(100)
 	d.Mark()
-	d.MustAlloc(200)
+	alloc(200)
 	d.Mark()
-	d.MustAlloc(300)
+	alloc(300)
 	d.Release()
-	if d.Used() != align(100)+align(200) {
-		t.Fatalf("Used after inner Release = %d", d.Used())
+	if used() != align(100)+align(200) {
+		t.Fatalf("used after inner Release = %d", used())
 	}
 	d.Release()
-	if d.Used() != align(100) {
-		t.Fatalf("Used after outer Release = %d", d.Used())
+	if used() != align(100) {
+		t.Fatalf("used after outer Release = %d", used())
 	}
 	mustPanicMem(t, func() { d.Release() })
 	d.Reset()
-	if d.Used() != 0 {
+	if used() != 0 {
 		t.Fatal("Reset failed")
 	}
-}
-
-func TestDMEMTypedAlloc(t *testing.T) {
-	d := NewDMEMWithCapacity(100)
-	s, err := AllocDMEM[int32](d, 10)
-	if err != nil || len(s) != 10 {
-		t.Fatalf("AllocDMEM int32: %v len=%d", err, len(s))
-	}
-	if d.Used() != 40 {
-		t.Fatalf("Used = %d, want 40", d.Used())
-	}
-	if _, err := AllocDMEM[int64](d, 10); err == nil {
-		t.Fatal("expected exhaustion for 80 bytes in 60 free")
-	}
-	b, err := d.TryAllocBytes(16)
-	if err != nil || len(b) != 16 {
-		t.Fatalf("TryAllocBytes: %v", err)
+	if d.HighWater() != align(100)+align(200)+align(300) {
+		t.Fatalf("HighWater = %d, must survive Release and Reset", d.HighWater())
 	}
 }
 
 func TestDMEMPanics(t *testing.T) {
 	mustPanicMem(t, func() { NewDMEMWithCapacity(-1) })
-	d := NewDMEM()
+	d := NewDMEMWithCapacity(DMEMSize)
 	mustPanicMem(t, func() { d.Alloc(-5) })
-	small := NewDMEMWithCapacity(8)
-	mustPanicMem(t, func() { small.MustAlloc(16) })
 }
 
 func mustPanicMem(t *testing.T, fn func()) {

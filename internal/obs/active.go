@@ -108,19 +108,6 @@ func (h ActiveHandle) SetPhase(phase string) {
 	h.set.mu.Unlock()
 }
 
-// SetNodes updates the query's node fan-out (the tray knows it only after
-// planning). Inert on the zero handle.
-func (h ActiveHandle) SetNodes(n int) {
-	if h.set == nil {
-		return
-	}
-	h.set.mu.Lock()
-	if sl := &h.set.slots[h.slot]; sl.inUse && sl.id == h.id {
-		sl.nodes = n
-	}
-	h.set.mu.Unlock()
-}
-
 // ID returns the registered QueryID (0 for the zero handle).
 func (h ActiveHandle) ID() uint64 { return h.id }
 

@@ -32,9 +32,6 @@ type SpanEnergy struct {
 // ActivityFJ returns the span's total activity energy in femtojoules.
 func (e SpanEnergy) ActivityFJ() int64 { return e.CoreFJ + e.DMSReadFJ + e.DMSWriteFJ }
 
-// Joules returns the span's total activity energy in joules.
-func (e SpanEnergy) Joules() float64 { return fjJoules(e.ActivityFJ()) }
-
 // EnergyReport prices a finalized profile under an energy model.
 type EnergyReport struct {
 	Model power.EnergyModel

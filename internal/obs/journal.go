@@ -3,9 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"sync"
-	"time"
 )
 
 // Query journal: a bounded in-memory ring of structured completion records,
@@ -41,13 +39,13 @@ func (o QueryOutcome) String() string {
 	}
 }
 
-// MarshalJSON renders the outcome as its string form in JSONL exports.
+// MarshalJSON renders the outcome as its string form (/debug/queries).
 func (o QueryOutcome) MarshalJSON() ([]byte, error) {
 	return json.Marshal(o.String())
 }
 
-// UnmarshalJSON parses the string form back, so /debug/queries and JSONL
-// consumers can round-trip records.
+// UnmarshalJSON parses the string form back, so /debug/queries consumers can
+// round-trip records.
 func (o *QueryOutcome) UnmarshalJSON(data []byte) error {
 	var s string
 	if err := json.Unmarshal(data, &s); err != nil {
@@ -84,15 +82,14 @@ type QueryRecord struct {
 	Outcome     QueryOutcome `json:"outcome"`
 	Error       string       `json:"error,omitempty"`
 	Rows        int64        `json:"rows"`
-	Cycles      int64        `json:"cycles"`            // total dpCore cycles (DPU offloads)
-	EnergyNJ    int64        `json:"energy_nj"`         // activity+idle nanojoules (DPU offloads)
-	NetBytes    int64        `json:"net_bytes"`         // exchange bytes moved (tray queries)
-	QueueWaitNs int64        `json:"queue_wait_ns"`     // admission queue wait
-	WallNs      int64        `json:"wall_ns"`           // end-to-end wall time
-	DMEMHighNow int64        `json:"dmem_high_water"`   // max per-core DMEM bytes reserved
-	Cache       string       `json:"cache,omitempty"`   // result-cache interaction: hit|miss|stale|bypass ("" = no cache)
-	Slow        bool         `json:"slow"`              // WallNs exceeded the slow threshold
-	Start       int64        `json:"start_unix_nanos"`  // completion records carry issue time
+	Cycles      int64        `json:"cycles"`           // total dpCore cycles (DPU offloads)
+	EnergyNJ    int64        `json:"energy_nj"`        // activity+idle nanojoules (DPU offloads)
+	NetBytes    int64        `json:"net_bytes"`        // exchange bytes moved (tray queries)
+	QueueWaitNs int64        `json:"queue_wait_ns"`    // admission queue wait
+	WallNs      int64        `json:"wall_ns"`          // end-to-end wall time
+	DMEMHighNow int64        `json:"dmem_high_water"`  // max per-core DMEM bytes reserved
+	Cache       string       `json:"cache,omitempty"`  // result-cache interaction: hit|miss|stale|bypass ("" = no cache)
+	Start       int64        `json:"start_unix_nanos"` // completion records carry issue time
 }
 
 // Journal is the bounded completion ring plus cumulative counters. All
@@ -103,8 +100,6 @@ type Journal struct {
 	next      int           // next write index
 	total     int64         // records ever written (>= len when wrapped)
 	byOutcome [numOutcomes]int64
-	slow      int64
-	slowNs    int64 // slow-query threshold; 0 disables
 }
 
 // DefJournalCapacity is the default ring size.
@@ -119,30 +114,9 @@ func NewJournal(capacity int) *Journal {
 	return &Journal{ring: make([]QueryRecord, capacity)}
 }
 
-// SetSlowThreshold marks records whose wall time meets or exceeds d as slow
-// (d <= 0 disables). Applies to records written after the call.
-func (j *Journal) SetSlowThreshold(d time.Duration) {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	j.slowNs = int64(d)
-	j.mu.Unlock()
-}
-
-// SlowThreshold returns the current slow-query threshold.
-func (j *Journal) SlowThreshold() time.Duration {
-	if j == nil {
-		return 0
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return time.Duration(j.slowNs)
-}
-
 // Record appends rec to the ring, evicting the oldest entry once full, and
-// bumps the cumulative counters. It truncates SQL, stamps the Slow flag and
-// is allocation-free. Nil-safe.
+// bumps the cumulative counters. It truncates SQL and is allocation-free.
+// Nil-safe.
 func (j *Journal) Record(rec QueryRecord) {
 	if j == nil {
 		return
@@ -154,7 +128,6 @@ func (j *Journal) Record(rec QueryRecord) {
 		rec.Outcome = OutcomeError
 	}
 	j.mu.Lock()
-	rec.Slow = j.slowNs > 0 && rec.WallNs >= j.slowNs
 	j.ring[j.next] = rec
 	j.next++
 	if j.next == len(j.ring) {
@@ -162,9 +135,6 @@ func (j *Journal) Record(rec QueryRecord) {
 	}
 	j.total++
 	j.byOutcome[rec.Outcome]++
-	if rec.Slow {
-		j.slow++
-	}
 	j.mu.Unlock()
 }
 
@@ -188,16 +158,6 @@ func (j *Journal) OutcomeCount(o QueryOutcome) int64 {
 	return j.byOutcome[o]
 }
 
-// SlowCount returns the cumulative count of slow-flagged records.
-func (j *Journal) SlowCount() int64 {
-	if j == nil {
-		return 0
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.slow
-}
-
 // Len returns the number of records currently held (min(total, capacity)).
 func (j *Journal) Len() int {
 	if j == nil {
@@ -211,14 +171,6 @@ func (j *Journal) Len() int {
 func (j *Journal) lenLocked() int {
 	if j.total < int64(len(j.ring)) {
 		return int(j.total)
-	}
-	return len(j.ring)
-}
-
-// Cap returns the ring capacity.
-func (j *Journal) Cap() int {
-	if j == nil {
-		return 0
 	}
 	return len(j.ring)
 }
@@ -249,18 +201,6 @@ func (j *Journal) Tail(n int) []QueryRecord {
 		recs = recs[len(recs)-n:]
 	}
 	return recs
-}
-
-// WriteJSONL exports the held records as one JSON object per line, oldest
-// first.
-func (j *Journal) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w) // Encode appends '\n' per record
-	for _, rec := range j.Records() {
-		if err := enc.Encode(rec); err != nil {
-			return fmt.Errorf("obs: journal export: %w", err)
-		}
-	}
-	return nil
 }
 
 // Fingerprint hashes SQL with whitespace runs collapsed and letters lowered

@@ -312,9 +312,6 @@ func (p *Profile) MarkAdapted() {
 	}
 }
 
-// Adapted reports whether the plan adapted at runtime.
-func (p *Profile) Adapted() bool { return p != nil && p.adapted }
-
 // Finalize freezes the whole-query totals into the profile.
 func (p *Profile) Finalize(t Totals) {
 	if p == nil {

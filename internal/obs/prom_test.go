@@ -156,7 +156,7 @@ func TestSanitizeMetricName(t *testing.T) {
 func TestTelemetryServer(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("hostdb_queries_total").Add(7)
-	srv, err := ServeTelemetry("127.0.0.1:0", r)
+	srv, err := ServeTelemetryWith("127.0.0.1:0", TelemetryConfig{Registry: r})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -141,44 +141,6 @@ func (h *Histogram) View() HistView {
 	return v
 }
 
-// Quantile estimates the q-quantile (0 <= q <= 1) from the bucketed counts
-// by linear interpolation within the bucket that crosses the target rank.
-// The overflow bucket reports its lower bound (the largest finite bound).
-// Returns 0 on an empty histogram.
-func (v HistView) Quantile(q float64) float64 {
-	if v.Count == 0 || len(v.Counts) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(v.Count)
-	var cum float64
-	for i, c := range v.Counts {
-		if c == 0 {
-			continue
-		}
-		next := cum + float64(c)
-		if next >= rank {
-			if i >= len(v.Bounds) { // overflow bucket: no upper bound
-				return v.Bounds[len(v.Bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = v.Bounds[i-1]
-			}
-			hi := v.Bounds[i]
-			frac := (rank - cum) / float64(c)
-			return lo + (hi-lo)*frac
-		}
-		cum = next
-	}
-	return v.Bounds[len(v.Bounds)-1]
-}
-
 // ExpBuckets returns n histogram bounds starting at start and growing by
 // factor: start, start*factor, ... — the standard shape for cycle, byte and
 // energy distributions that span many orders of magnitude.

@@ -34,15 +34,9 @@ type TelemetryConfig struct {
 	EnablePprof bool
 }
 
-// ServeTelemetry starts a metrics-only telemetry server for reg on addr
-// (host:port; port 0 picks a free port — use Addr to discover it). The
+// ServeTelemetryWith starts a telemetry server with the configured surface on
+// addr (host:port; port 0 picks a free port — use Addr to discover it). The
 // server runs in a background goroutine until Close.
-func ServeTelemetry(addr string, reg *Registry) (*TelemetryServer, error) {
-	return ServeTelemetryWith(addr, TelemetryConfig{Registry: reg})
-}
-
-// ServeTelemetryWith starts a telemetry server with the full configured
-// surface.
 func ServeTelemetryWith(addr string, cfg TelemetryConfig) (*TelemetryServer, error) {
 	if cfg.Registry == nil {
 		return nil, fmt.Errorf("obs: telemetry needs a registry")
@@ -88,7 +82,6 @@ type QueriesSnapshot struct {
 		Shed     int64 `json:"shed"`
 		Canceled int64 `json:"canceled"`
 		Error    int64 `json:"error"`
-		Slow     int64 `json:"slow"`
 	} `json:"journal"`
 	Recent []QueryRecord `json:"recent"` // newest-last tail of the journal
 }
@@ -111,7 +104,6 @@ func (t *TelemetryServer) handleQueries(w http.ResponseWriter, _ *http.Request) 
 	snap.Journal.Shed = t.cfg.Journal.OutcomeCount(OutcomeShed)
 	snap.Journal.Canceled = t.cfg.Journal.OutcomeCount(OutcomeCanceled)
 	snap.Journal.Error = t.cfg.Journal.OutcomeCount(OutcomeError)
-	snap.Journal.Slow = t.cfg.Journal.SlowCount()
 	body, err := json.MarshalIndent(&snap, "", "  ")
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)

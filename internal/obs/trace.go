@@ -137,10 +137,3 @@ func (b *TraceBuilder) JSON() ([]byte, error) {
 	}
 	return buf.Bytes(), nil
 }
-
-// ChromeTrace renders this single profile as a standalone trace.
-func (p *Profile) ChromeTrace(name string) ([]byte, error) {
-	b := NewTraceBuilder()
-	b.AddQuery(name, p)
-	return b.JSON()
-}

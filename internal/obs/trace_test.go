@@ -17,9 +17,17 @@ func decodeTrace(t *testing.T, raw []byte) []map[string]any {
 	return doc.TraceEvents
 }
 
+// chromeTrace renders one profile as a standalone trace, the way
+// `rapid-cli -trace` does for each query.
+func chromeTrace(name string, p *Profile) ([]byte, error) {
+	b := NewTraceBuilder()
+	b.AddQuery(name, p)
+	return b.JSON()
+}
+
 func TestChromeTraceDPU(t *testing.T) {
 	p := goldenProfile("dpu")
-	raw, err := p.ChromeTrace("q1")
+	raw, err := chromeTrace("q1", p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +101,7 @@ func TestChromeTraceDPU(t *testing.T) {
 
 func TestChromeTraceX86UsesWallTime(t *testing.T) {
 	p := goldenProfile("x86")
-	raw, err := p.ChromeTrace("qx")
+	raw, err := chromeTrace("qx", p)
 	if err != nil {
 		t.Fatal(err)
 	}

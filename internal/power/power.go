@@ -12,9 +12,6 @@ type Model struct {
 // DPU is one RAPID DPU SoC: 5.8 W provisioned at 40 nm (paper §2).
 func DPU() Model { return Model{Name: "RAPID DPU", Watts: 5.8} }
 
-// DPUCore is one dpCore's dynamic power at 800 MHz.
-func DPUCore() Model { return Model{Name: "dpCore", Watts: 0.051} }
-
 // XeonE5 is one Intel E5-2699 socket (145 W TDP).
 func XeonE5() Model { return Model{Name: "Xeon E5-2699", Watts: 145} }
 
@@ -31,26 +28,10 @@ func SystemXServer() Model {
 // 3.4x hardware.
 const RapidNodeDPUs = 28
 
-// RapidNode is the DPU tray compared against one System X server.
-func RapidNode() Model {
-	return Model{Name: "RAPID node (28 DPUs)", Watts: RapidNodeDPUs * DPU().Watts}
-}
-
 // ChipPowerRatio returns SystemXServer / DPU provisioned power (~50x): the
 // factor converting the per-chip speed ratio into Fig 14's
 // performance/watt.
 func ChipPowerRatio() float64 { return SystemXServer().Watts / DPU().Watts }
-
-// PowerRatio returns SystemXServer / RapidNode provisioned power.
-func PowerRatio() float64 { return SystemXServer().Watts / RapidNode().Watts }
-
-// PerfPerWatt converts a throughput (or 1/latency) into performance/watt.
-func PerfPerWatt(perf float64, m Model) float64 {
-	if m.Watts <= 0 {
-		return 0
-	}
-	return perf / m.Watts
-}
 
 // PerfPerWattRatio compares two (time, power) pairs: how much more work per
 // joule the first configuration delivers.

@@ -114,9 +114,6 @@ func filterConstBV[T coltypes.Elem](core *dpu.Core, in []T, op CmpOp, cval int64
 		}
 	}
 	charge(core, FilterCost(len(in)))
-	if core != nil {
-		core.CountInstructions(int64(2 * len(in)))
-	}
 	return hits
 }
 
@@ -148,9 +145,6 @@ func filterConstBVMasked[T coltypes.Elem](core *dpu.Core, in []T, op CmpOp, cval
 	}
 	words := (inBV.Len() + 63) / 64
 	charge(core, FilterCost(candidates)+costFilterPerWord*float64(words))
-	if core != nil {
-		core.CountInstructions(int64(2*candidates) + int64(words))
-	}
 	return hits
 }
 

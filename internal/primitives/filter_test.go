@@ -204,7 +204,8 @@ func TestDegenerateConstants(t *testing.T) {
 		t.Fatal("x >= -1000 over W1 should be all")
 	}
 	// Masked and RID variants agree.
-	in := bits.NewVectorAllSet(3)
+	in := bits.NewVector(3)
+	in.SetAll()
 	bv5 := bits.NewVector(3)
 	if hits := FilterConstBVMasked(core, d, NE, 1000, in, bv5); hits != 3 {
 		t.Fatal("masked degenerate NE wrong")

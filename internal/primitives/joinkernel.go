@@ -88,9 +88,6 @@ func (ht *CompactHT) SizeBytes() int { return ht.buckets.SizeBytes() + ht.link.S
 // Rows returns the number of build rows inserted (DMEM + overflow).
 func (ht *CompactHT) Rows() int { return ht.rows + len(ht.ovRows) }
 
-// OverflowRows returns the number of rows that spilled to DRAM.
-func (ht *CompactHT) OverflowRows() int { return len(ht.ovRows) }
-
 // Build inserts all rows of the partition: hv are the (hardware-computed)
 // hash values, keys the join-key column, keys2 an optional second key
 // column. tileRows is the tile size the rows arrive in (cost model only;
@@ -141,9 +138,6 @@ func (ht *CompactHT) Build(core *dpu.Core, hv []uint32, keys, keys2 []int64, til
 		ht.ovRows = append(ht.ovRows, int32(i))
 	}
 	charge(core, JoinBuildCost(n, tileRows))
-	if core != nil {
-		core.CountInstructions(int64(6 * n))
-	}
 }
 
 // Match is one join result: build-side row id and probe-side row id.
@@ -208,9 +202,6 @@ func (ht *CompactHT) Probe(core *dpu.Core, hv []uint32, keys, keys2 []int64, til
 	// Overflow traversals pay DRAM latency instead of single-cycle DMEM.
 	if len(ht.ovRows) > 0 {
 		charge(core, 20*float64(n)*float64(len(ht.ovRows))/float64(ht.Rows()+1))
-	}
-	if core != nil {
-		core.CountInstructions(int64(8 * n))
 	}
 	return out
 }

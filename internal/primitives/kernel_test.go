@@ -147,7 +147,7 @@ func TestComputePartitionMap(t *testing.T) {
 	seen := make([]bool, n)
 	total := 0
 	for p := 0; p < 16; p++ {
-		for _, r := range m.Partition(p) {
+		for _, r := range m.RowIdx[m.Offsets[p]:m.Offsets[p+1]] {
 			if seen[r] {
 				t.Fatalf("row %d twice", r)
 			}
@@ -208,7 +208,7 @@ func TestSwPartitionAll(t *testing.T) {
 		parts[p] = make([]coltypes.Data, len(cols))
 		for c, col := range cols {
 			parts[p][c] = col.NewSame(m.Rows(p))
-			coltypes.Gather(parts[p][c], col, m.Partition(p))
+			coltypes.Gather(parts[p][c], col, m.RowIdx[m.Offsets[p]:m.Offsets[p+1]])
 			ChargeSwPartitionGather(core, m.Rows(p))
 		}
 	}
@@ -236,8 +236,8 @@ func TestCompactHTBuildProbe(t *testing.T) {
 	hv := HashColumns(core, []coltypes.Data{bk}, nil)
 	ht := NewCompactHT(len(buildKeys), 4)
 	ht.Build(core, hv, buildKeys, nil, 256)
-	if ht.Rows() != 8 || ht.OverflowRows() != 0 {
-		t.Fatalf("rows=%d overflow=%d", ht.Rows(), ht.OverflowRows())
+	if ht.Rows() != 8 || len(ht.ovRows) != 0 {
+		t.Fatalf("rows=%d overflow=%d", ht.Rows(), len(ht.ovRows))
 	}
 	// Probe: key 10 matches rows 0,4,7; key 99 matches none.
 	probeKeys := []int64{10, 99, 20}
@@ -305,8 +305,8 @@ func TestCompactHTOverflow(t *testing.T) {
 	hv := HashColumns(core, []coltypes.Data{bk}, nil)
 	ht := NewCompactHT(8, 4)
 	ht.Build(core, hv, buildKeys, nil, 256)
-	if ht.OverflowRows() != 12 {
-		t.Fatalf("overflow = %d", ht.OverflowRows())
+	if len(ht.ovRows) != 12 || ht.Rows() != n {
+		t.Fatalf("overflow = %d of %d rows, want 12 of %d", len(ht.ovRows), ht.Rows(), n)
 	}
 	probeKeys := []int64{3}
 	pk := coltypes.FromInt64s(coltypes.W4, probeKeys)

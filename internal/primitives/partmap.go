@@ -23,11 +23,6 @@ type PartitionMap struct {
 // Rows returns the row count of partition p.
 func (m *PartitionMap) Rows(p int) int { return int(m.Offsets[p+1] - m.Offsets[p]) }
 
-// Partition returns the row indices of partition p.
-func (m *PartitionMap) Partition(p int) []uint32 {
-	return m.RowIdx[m.Offsets[p]:m.Offsets[p+1]]
-}
-
 // Fanout returns the partition count.
 func (m *PartitionMap) Fanout() int { return len(m.Offsets) - 1 }
 
@@ -66,9 +61,6 @@ func ComputePartitionMap(core *dpu.Core, hv []uint32, fanout int, shift uint) *P
 		fill[p]++
 	}
 	charge(core, PartitionMapCost(n, fanout))
-	if core != nil {
-		core.CountInstructions(int64(4 * n))
-	}
 	return m
 }
 
@@ -79,9 +71,6 @@ func ComputePartitionMap(core *dpu.Core, hv []uint32, fanout int, shift uint) *P
 // through here.
 func ChargeSwPartitionGather(core *dpu.Core, n int) {
 	charge(core, costSwPartGatherPerRow*float64(n))
-	if core != nil {
-		core.CountInstructions(int64(2 * n))
-	}
 }
 
 // GatherRows gathers arbitrary rows of a DMEM-resident column (single-cycle

@@ -1,6 +1,7 @@
 package qgen
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -106,28 +107,21 @@ func TestConcurrentQueriesSharedRegistry(t *testing.T) {
 		}
 	}
 
-	// Telemetry endpoint stays curl-able (valid exposition, no duplicate
-	// TYPE lines) while the query storm runs.
-	srv, err := db.ServeTelemetry("127.0.0.1:0")
+	// Telemetry endpoints stay curl-able while the query storm runs: a valid
+	// exposition with no duplicate TYPE lines on /metrics, the active table
+	// and the journal tallies on /debug/queries.
+	srv, err := db.ServeTelemetryWith("127.0.0.1:0", false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 	scrape := func() error {
-		resp, err := http.Get(srv.URL())
+		body, contentType, err := httpGet(srv.URL())
 		if err != nil {
 			return err
 		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			return err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("metrics status %d", resp.StatusCode)
-		}
-		if ct := resp.Header.Get("Content-Type"); ct != obs.PrometheusContentType {
-			return fmt.Errorf("metrics content type %q", ct)
+		if contentType != obs.PrometheusContentType {
+			return fmt.Errorf("metrics content type %q", contentType)
 		}
 		seen := map[string]bool{}
 		for _, line := range strings.Split(string(body), "\n") {
@@ -143,10 +137,12 @@ func TestConcurrentQueriesSharedRegistry(t *testing.T) {
 			}
 			seen[fields[2]] = true
 		}
-		if !seen["hostdb_queries_total"] {
-			return fmt.Errorf("exposition missing hostdb_queries_total:\n%s", body)
+		for _, name := range []string{"hostdb_queries_total", "sched_queue_wait_seconds"} {
+			if !seen[name] {
+				return fmt.Errorf("exposition missing %s:\n%s", name, body)
+			}
 		}
-		return nil
+		return scrapeQueries("http://"+srv.Addr()+"/debug/queries", false)
 	}
 
 	const workers = 8
@@ -204,8 +200,12 @@ func TestConcurrentQueriesSharedRegistry(t *testing.T) {
 	wg.Wait()
 	close(scrapeStop)
 	<-scrapeDone
-	// One final scrape after the storm: counters at rest must still serve.
+	// One final scrape after the storm: counters at rest must still serve,
+	// and with nothing in flight the journal tallies add up.
 	if err := scrape(); err != nil {
+		t.Error(err)
+	}
+	if err := scrapeQueries("http://"+srv.Addr()+"/debug/queries", true); err != nil {
 		t.Error(err)
 	}
 	close(errCh)
@@ -235,4 +235,50 @@ func TestConcurrentQueriesSharedRegistry(t *testing.T) {
 	if lag := snap["hostdb_checkpoint_lag_entries"]; lag != 0 {
 		t.Errorf("checkpoint lag gauge = %d after CheckpointAll, want 0", lag)
 	}
+}
+
+// httpGet returns the body and content type of a 200 response.
+func httpGet(url string) (body []byte, contentType string, err error) {
+	resp, err := http.Get(url)
+	if err != nil {
+		return nil, "", err
+	}
+	defer resp.Body.Close()
+	if body, err = io.ReadAll(resp.Body); err != nil {
+		return nil, "", err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return nil, "", fmt.Errorf("%s: status %d", url, resp.StatusCode)
+	}
+	return body, resp.Header.Get("Content-Type"), nil
+}
+
+// scrapeQueries fetches /debug/queries and checks the body is the documented
+// snapshot: an "active" table, "journal" tallies and a bounded "recent" tail
+// that parse back into obs.QueriesSnapshot. atRest additionally requires an
+// empty active table and outcome tallies that sum to the total (mid-storm the
+// tallies are read one lock at a time, so only the shape is checked).
+func scrapeQueries(url string, atRest bool) error {
+	body, _, err := httpGet(url)
+	if err != nil {
+		return err
+	}
+	for _, key := range []string{`"active"`, `"journal"`, `"recent"`} {
+		if !strings.Contains(string(body), key) {
+			return fmt.Errorf("/debug/queries missing %s:\n%s", key, body)
+		}
+	}
+	var snap obs.QueriesSnapshot
+	if err := json.Unmarshal(body, &snap); err != nil {
+		return fmt.Errorf("/debug/queries does not parse: %w\n%s", err, body)
+	}
+	j := snap.Journal
+	if j.Total == 0 || len(snap.Recent) == 0 || len(snap.Recent) > 32 {
+		return fmt.Errorf("/debug/queries: total %d with %d recent records", j.Total, len(snap.Recent))
+	}
+	if atRest && (len(snap.Active) != 0 || j.OK+j.Shed+j.Canceled+j.Error != j.Total) {
+		return fmt.Errorf("/debug/queries at rest: %d active, ok %d + shed %d + canceled %d + error %d != total %d",
+			len(snap.Active), j.OK, j.Shed, j.Canceled, j.Error, j.Total)
+	}
+	return nil
 }

@@ -62,12 +62,3 @@ func (s *Schema) ColIndex(name string) int {
 	}
 	return -1
 }
-
-// ColNames returns the column names in order.
-func (s *Schema) ColNames() []string {
-	names := make([]string, len(s.cols))
-	for i, c := range s.cols {
-		names[i] = c.Name
-	}
-	return names
-}

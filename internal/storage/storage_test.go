@@ -47,8 +47,8 @@ func TestSchema(t *testing.T) {
 	if s.Col(0).Name != "l_orderkey" {
 		t.Fatal("Col wrong")
 	}
-	if len(s.ColNames()) != 5 || s.ColNames()[4] != "l_returnflag" {
-		t.Fatal("ColNames wrong")
+	if s.NumCols() != 5 || s.Col(4).Name != "l_returnflag" {
+		t.Fatal("column order wrong")
 	}
 	if _, err := NewSchema(ColumnDef{Name: "a"}, ColumnDef{Name: "a"}); err == nil {
 		t.Fatal("duplicate columns should fail")

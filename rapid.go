@@ -242,8 +242,8 @@ func (db *DB) Metrics() *obs.Registry { return db.host.Metrics() }
 
 // QueryJournal returns the query journal: a bounded ring of per-query
 // completion records (fingerprint, mode, nodes, rows, cycles, energy,
-// queue wait, outcome) with cumulative outcome counters, a slow-query
-// threshold and JSONL export. Tray queries journal here too.
+// queue wait, outcome) with cumulative outcome counters. Tray queries journal
+// here too.
 func (db *DB) QueryJournal() *obs.Journal { return db.host.QueryJournal() }
 
 // ActiveQueries returns a snapshot of the queries in flight right now —
