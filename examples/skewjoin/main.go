@@ -52,7 +52,6 @@ func main() {
 		Scheme:       ops.PartScheme{Rounds: []int{32, 4}},
 		EstPartRows:  nBuild / 128, // deliberately optimistic: zipf breaks it
 		SkewFactor:   3,
-		Vectorized:   true,
 	}
 	fmt.Printf("joining %d skewed build rows x %d probe rows (zipf 1.3, scheme %s)...\n",
 		nBuild, nProbe, spec.Scheme)
@@ -68,7 +67,7 @@ func main() {
 	ref, err := ops.HashJoin(ctx2, build, probe, ops.JoinSpec{
 		Type: ops.InnerJoin, BuildKeys: []int{0}, ProbeKeys: []int{0},
 		BuildPayload: []int{1}, ProbePayload: []int{0},
-		Scheme: ops.PartScheme{Rounds: []int{32}}, Vectorized: true,
+		Scheme: ops.PartScheme{Rounds: []int{32}},
 	})
 	if err != nil {
 		log.Fatal(err)

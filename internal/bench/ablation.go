@@ -32,7 +32,7 @@ func ablationJoinAlgorithm() *Table {
 		seqI64(np, func(i int) int64 { return int64(i % (2 * nb)) }))
 	spec := ops.JoinSpec{
 		Type: ops.InnerJoin, BuildKeys: []int{0}, ProbeKeys: []int{0},
-		ProbePayload: []int{0}, BuildPayload: []int{1}, Vectorized: true,
+		ProbePayload: []int{0}, BuildPayload: []int{1},
 		Scheme: ops.PartScheme{Rounds: []int{32}},
 	}
 	run := func(name string, fn func(ctx *qef.Context) error) {

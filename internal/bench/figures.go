@@ -94,15 +94,6 @@ func (f *Figures) Tables() []*Table {
 	}
 }
 
-// Points returns every paper point of every table.
-func (f *Figures) Points() []PaperPoint {
-	var out []PaperPoint
-	for _, t := range f.Tables() {
-		out = append(out, t.Points...)
-	}
-	return out
-}
-
 // String renders the run: the text of testdata/figures.golden and of
 // `rapid-bench`.
 func (f *Figures) String() string {

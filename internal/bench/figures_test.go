@@ -133,14 +133,17 @@ func lineDiff(want, got string) string {
 // golden file; this is the check that a reviewed golden diff did not walk a
 // figure away from the paper.
 func TestPaperPoints(t *testing.T) {
-	points := sharedFigures(t).Points()
-	if len(points) < 10 {
-		t.Fatalf("only %d paper points", len(points))
-	}
-	for _, p := range points {
-		if !p.InBand() {
-			t.Errorf("%s", p)
+	points := 0
+	for _, tb := range sharedFigures(t).Tables() {
+		for _, p := range tb.Points {
+			points++
+			if !p.InBand() {
+				t.Errorf("%s", p)
+			}
 		}
+	}
+	if points < 10 {
+		t.Fatalf("only %d paper points", points)
 	}
 }
 

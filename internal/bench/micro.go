@@ -136,7 +136,7 @@ func filterMicro() *Table {
 	bv := bits.NewVector(rows)
 	primitives.FilterConstBV(core, d, primitives.LT, 500, bv)
 	cyclesPerRow := float64(core.Cycles()) / float64(rows)
-	ratePerCore := soc.Config().FreqHz / cyclesPerRow
+	ratePerCore := dpu.FreqHz / cyclesPerRow
 	t.AddRow("cycles/tuple", f3(cyclesPerRow), "1.65")
 	t.AddRow("Mtuples/s/core", f1(ratePerCore/1e6), "482")
 	t.AddPoint("cycles/tuple", "1.65", 1.55, 1.75, cyclesPerRow)
@@ -236,7 +236,7 @@ func fig11() *Table {
 			core := soc.Core(0)
 			ht := primitives.NewCompactHT(rows, buckets)
 			ht.Build(core, hv, keys, nil, tile)
-			sec := soc.Config().Seconds(core.Cycles())
+			sec := core.Cycles().Seconds()
 			rate := float64(rows) / sec
 			t.AddRow(fmt.Sprintf("%d", tile), fmt.Sprintf("%d", buckets),
 				f1(rate/1e6), f2(32*rate/1e9))
@@ -278,7 +278,7 @@ func fig12() *Table {
 			ht := primitives.NewCompactHT(rows, buckets)
 			ht.Build(nil, bhv, buildKeys, nil, tile)
 			ht.Probe(core, phv, probeKeys, nil, tile, nil)
-			sec := soc.Config().Seconds(core.Cycles())
+			sec := core.Cycles().Seconds()
 			rate := float64(rows) / sec
 			t.AddRow(fmt.Sprintf("%d", tile), fmt.Sprintf("%d", buckets),
 				f1(rate/1e6), f2(32*rate/1e9))

@@ -61,12 +61,6 @@ func (v *Vector) Set(i int) {
 	v.words[i/wordBits] |= 1 << uint(i%wordBits)
 }
 
-// Clear clears bit i.
-func (v *Vector) Clear(i int) {
-	v.boundsCheck(i)
-	v.words[i/wordBits] &^= 1 << uint(i%wordBits)
-}
-
 // Test reports whether bit i is set.
 func (v *Vector) Test(i int) bool {
 	v.boundsCheck(i)
@@ -111,16 +105,8 @@ func (v *Vector) Count() int {
 	return c
 }
 
-// And stores the bitwise AND of a and b into v. All three must have the
-// same length; v may alias a or b.
-func (v *Vector) And(a, b *Vector) {
-	v.checkSameLen(a, b)
-	for i := range v.words {
-		v.words[i] = a.words[i] & b.words[i]
-	}
-}
-
-// Or stores the bitwise OR of a and b into v.
+// Or stores the bitwise OR of a and b into v. All three must have the same
+// length; v may alias a or b.
 func (v *Vector) Or(a, b *Vector) {
 	v.checkSameLen(a, b)
 	for i := range v.words {
@@ -159,13 +145,6 @@ func (v *Vector) CopyFrom(a *Vector) {
 		panic("bits: length mismatch")
 	}
 	copy(v.words, a.words)
-}
-
-// Clone returns a deep copy of v.
-func (v *Vector) Clone() *Vector {
-	c := NewVector(v.n)
-	copy(c.words, v.words)
-	return c
 }
 
 // ForEach calls fn for every set bit, in increasing order.

@@ -47,9 +47,6 @@ func WidthFor(n int) uint {
 // Len returns the number of elements.
 func (p *PackedArray) Len() int { return p.n }
 
-// Width returns the per-element width in bits.
-func (p *PackedArray) Width() uint { return p.width }
-
 // MaxValue returns the largest storable value (2^width - 1).
 func (p *PackedArray) MaxValue() uint64 {
 	if p.width == 64 {
@@ -109,19 +106,9 @@ func (p *PackedArray) Fill(v uint64) {
 	}
 }
 
-// Reset zeroes the array.
-func (p *PackedArray) Reset() {
-	for i := range p.words {
-		p.words[i] = 0
-	}
-}
-
-// SizeBytes returns the storage footprint in bytes. This is the quantity the
-// join kernel budgets against DMEM capacity.
-func (p *PackedArray) SizeBytes() int { return len(p.words) * 8 }
-
-// PackedSizeBytes returns the footprint of an n-element array of the given
-// width without allocating it.
+// PackedSizeBytes returns the footprint in bytes of an n-element array of the
+// given width without allocating it. This is the quantity the join kernel
+// budgets against DMEM capacity.
 func PackedSizeBytes(n int, width uint) int {
 	totalBits := uint64(n) * uint64(width)
 	return int((totalBits + wordBits - 1) / wordBits * 8)

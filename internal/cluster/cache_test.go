@@ -204,7 +204,7 @@ func TestTrayCacheHitBypassesNodeAdmission(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	adm, err := tray.NodeScheduler(0).Admit(context.Background(), sched.Request{Cores: 1, QueryID: 999})
+	adm, err := tray.NodeScheduler(0).Admit(context.Background(), sched.Request{Cores: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

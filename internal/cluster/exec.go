@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"rapid/internal/coltypes"
+	"rapid/internal/dpu"
 	"rapid/internal/hostdb"
 	"rapid/internal/obs"
 	"rapid/internal/ops"
@@ -189,11 +190,6 @@ func (t *Tray) QueryCtx(goCtx context.Context, sql string, opts QueryOptions) (*
 // in cache.go.
 type engine struct{ t *Tray }
 
-func (engine) Analyzed(opts QueryOptions) QueryOptions {
-	opts.Analyze = true
-	return opts
-}
-
 func (engine) Label(opts QueryOptions) string { return opts.Mode.String() }
 
 func (e engine) Nodes() int { return e.t.NumNodes() }
@@ -247,7 +243,7 @@ func (t *Tray) execute(goCtx context.Context, bound plan.Node, opts QueryOptions
 	qctx, cancel := context.WithCancel(goCtx)
 	defer cancel()
 	q := &query{
-		reg: t.reg, link: t.link, mode: opts.Mode,
+		reg: t.reg, link: DefaultLinkModel(), mode: opts.Mode,
 		outer: goCtx, goCtx: qctx, cancel: cancel,
 		analyze: opts.Analyze,
 		traceOn: opts.Trace,
@@ -268,7 +264,7 @@ func (t *Tray) execute(goCtx context.Context, bound plan.Node, opts QueryOptions
 		ctx := qef.NewContext(opts.Mode)
 		ctx.Metrics = t.reg
 		ctx.NoPrune = opts.DisablePruning
-		adm, aerr := t.nodes[i].sched.Admit(goCtx, sched.Request{Cores: ctx.Workers(), QueryID: h.ID()})
+		adm, aerr := t.nodes[i].sched.Admit(goCtx, sched.Request{Cores: ctx.Workers()})
 		if aerr != nil {
 			return nil, nil, aerr
 		}
@@ -488,7 +484,7 @@ func (q *query) runFragment(ctx *qef.Context, compiled *qcomp.Compiled) (*ops.Re
 		rel, err := compiled.Execute(ctx)
 		return rel, nil, err
 	}
-	prof := obs.NewProfile(q.mode.String(), ctx.SoC.Config().NumCores, ctx.SoC.Config().FreqHz, compiled.SpanDefs())
+	prof := obs.NewProfile(q.mode.String(), ctx.SoC.Config().NumCores, dpu.FreqHz, compiled.SpanDefs())
 	before, start := ctx.Usage(), time.Now()
 	ctx.Prof = prof
 	rel, err := compiled.Execute(ctx)

@@ -5,6 +5,12 @@ import (
 	"strings"
 )
 
+// Analyzed is the option an EXPLAIN ANALYZE statement sets.
+func (engine) Analyzed(opts QueryOptions) QueryOptions {
+	opts.Analyze = true
+	return opts
+}
+
 // renderAnalyze renders the distributed EXPLAIN ANALYZE report: the
 // execution-order trace (node-local fragments, exchanges, coordinator
 // operators), one span per exchange with its row/byte/tile/link-time

@@ -38,20 +38,6 @@ func DefaultLinkModel() LinkModel {
 	}
 }
 
-func (m LinkModel) withDefaults() LinkModel {
-	d := DefaultLinkModel()
-	if m.BytesPerSec <= 0 {
-		m.BytesPerSec = d.BytesPerSec
-	}
-	if m.MessageLatencySec <= 0 {
-		m.MessageLatencySec = d.MessageLatencySec
-	}
-	if m.TileRows <= 0 {
-		m.TileRows = d.TileRows
-	}
-	return m
-}
-
 // TransferSeconds prices moving one stream of rows*rowBytes over a link:
 // one message latency per tile plus the serialized byte time.
 func (m LinkModel) TransferSeconds(rows, rowBytes int) float64 {

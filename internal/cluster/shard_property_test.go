@@ -1,4 +1,4 @@
-package cluster_test
+package cluster
 
 import (
 	"fmt"
@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"rapid/internal/cluster"
 	"rapid/internal/coltypes"
 	"rapid/internal/hostdb"
 	"rapid/internal/storage"
@@ -15,17 +14,13 @@ import (
 // shardRows reads every row of a shard back as logical int64 tuples.
 func shardRows(st *storage.Table) [][]int64 {
 	var out [][]int64
-	for p := 0; p < st.NumPartitions(); p++ {
-		part := st.Partition(p)
-		for ci := 0; ci < part.NumChunks(); ci++ {
-			ch := part.Chunk(ci)
-			for r := 0; r < ch.Rows(); r++ {
-				row := make([]int64, ch.NumCols())
-				for c := 0; c < ch.NumCols(); c++ {
-					row[c] = ch.Col(c).Data().Get(r)
-				}
-				out = append(out, row)
+	for _, cv := range st.Snapshot(storage.LatestSCN).Chunks() {
+		for r := 0; r < cv.Rows; r++ {
+			row := make([]int64, st.Schema().NumCols())
+			for c := range row {
+				row[c] = cv.Data(c).Get(r)
 			}
+			out = append(out, row)
 		}
 	}
 	return out
@@ -55,20 +50,21 @@ func sameTupleBags(a, b []string) bool {
 // checkShardMap verifies the completeness invariant for one loaded table:
 // every host row lives on exactly one node (the one its key routes to), and
 // nothing else does.
-func checkShardMap(t *testing.T, tray *cluster.Tray, want [][]int64) bool {
+func checkShardMap(t *testing.T, tray *Tray, want [][]int64) bool {
 	t.Helper()
-	sm := tray.ShardMapOf("pt")
-	if sm == nil {
+	tt := tray.tables["pt"]
+	if tt == nil {
 		t.Log("no shard map after load")
 		return false
 	}
+	sm := tt.shard
 	if err := sm.Validate(); err != nil {
 		t.Logf("invalid shard map: %v", err)
 		return false
 	}
 	var all [][]int64
 	for i := 0; i < tray.NumNodes(); i++ {
-		rows := shardRows(tray.Shard("pt", i))
+		rows := shardRows(tt.shards[i])
 		for _, r := range rows {
 			if owner := sm.NodeFor(r[sm.Key]); owner != i {
 				t.Logf("row %v on node %d but NodeFor(%d) = %d", r, i, r[sm.Key], owner)
@@ -129,13 +125,13 @@ func TestShardMapCompletenessProperty(t *testing.T) {
 			return false
 		}
 
-		tray, err := cluster.New(db, cluster.Config{Nodes: n})
+		tray, err := New(db, Config{Nodes: n})
 		if err != nil {
 			t.Log(err)
 			return false
 		}
 		defer tray.Close()
-		spec := &cluster.ShardSpec{Policy: storage.HashSharded, Key: 0}
+		spec := &ShardSpec{Policy: storage.HashSharded, Key: 0}
 		if useRange {
 			spec.Policy = storage.RangeSharded
 			// Equal-width int16 split points: strictly ascending, len n-1.
@@ -242,7 +238,7 @@ func TestTrayLoadPlacesEncodedRows(t *testing.T) {
 	}
 
 	const nodes = 4
-	specs := map[string]*cluster.ShardSpec{
+	specs := map[string]*ShardSpec{
 		"auto":           nil, // more than ReplicateMaxRows rows: hash on column 0
 		"hash(string)":   {Policy: storage.HashSharded, Key: 0},
 		"hash(decimal)":  {Policy: storage.HashSharded, Key: 1},
@@ -251,17 +247,18 @@ func TestTrayLoadPlacesEncodedRows(t *testing.T) {
 		"replicated":     {Policy: storage.Replicated},
 	}
 	for name, spec := range specs {
-		tray, err := cluster.New(db, cluster.Config{Nodes: nodes})
+		tray, err := New(db, Config{Nodes: nodes})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := tray.Load("pt", spec); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		sm := tray.ShardMapOf("pt")
+		tt := tray.tables["pt"]
+		sm := tt.shard
 		var all [][]int64
 		for i := 0; i < nodes; i++ {
-			got := shardRows(tray.Shard("pt", i))
+			got := shardRows(tt.shards[i])
 			for _, r := range got {
 				if deleted[r[2]] {
 					t.Fatalf("%s: deleted row %v on node %d", name, r, i)

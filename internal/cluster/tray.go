@@ -18,8 +18,6 @@ type Config struct {
 	// it are replicated to every node, larger ones hash-sharded on column
 	// 0. Default 64; negative disables replication (everything shards).
 	ReplicateMaxRows int
-	// Link overrides the interconnect model (zero fields take defaults).
-	Link LinkModel
 	// Sched configures each node's shared-SoC scheduler (every node gets
 	// its own pool; the Metrics field is overridden with the tray registry).
 	Sched sched.Config
@@ -57,7 +55,6 @@ type trayTable struct {
 type Tray struct {
 	host *hostdb.Database
 	reg  *obs.Registry
-	link LinkModel
 	cfg  Config
 
 	nodes []*node
@@ -83,7 +80,6 @@ func New(host *hostdb.Database, cfg Config) (*Tray, error) {
 	t := &Tray{
 		host:   host,
 		reg:    reg,
-		link:   cfg.Link.withDefaults(),
 		cfg:    cfg,
 		tables: make(map[string]*trayTable),
 	}
@@ -113,14 +109,8 @@ func (t *Tray) describeMetrics() {
 // NumNodes returns the tray width.
 func (t *Tray) NumNodes() int { return len(t.nodes) }
 
-// Host returns the backing host database.
-func (t *Tray) Host() *hostdb.Database { return t.host }
-
 // Metrics returns the tray's telemetry registry.
 func (t *Tray) Metrics() *obs.Registry { return t.reg }
-
-// Link returns the effective interconnect model.
-func (t *Tray) Link() LinkModel { return t.link }
 
 // NodeScheduler exposes node i's scheduler (tests occupy admission slots
 // through it).
@@ -209,27 +199,6 @@ func (t *Tray) loadLocked(table string, spec *ShardSpec) error {
 		tt.shards[i] = st
 	}
 	t.tables[table] = tt
-	return nil
-}
-
-// ShardMapOf returns the shard map of a loaded table (nil if not loaded).
-func (t *Tray) ShardMapOf(table string) *storage.ShardMap {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if tt, ok := t.tables[table]; ok {
-		return tt.shard
-	}
-	return nil
-}
-
-// Shard returns node i's shard replica of a loaded table (tests and the
-// property battery inspect placement through it).
-func (t *Tray) Shard(table string, i int) *storage.Table {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if tt, ok := t.tables[table]; ok {
-		return tt.shards[i]
-	}
 	return nil
 }
 

@@ -55,10 +55,6 @@ func (d Data) CopyFrom(dstOff int, src Data) {
 	copy(d.Slice(dstOff, d.n).bytes(), src.bytes())
 }
 
-// Zero clears every element of d. Pooled buffers are recycled with Zero
-// instead of being reallocated.
-func Zero(d Data) { clear(d.bytes()) }
-
 // Gather copies src[rids[i]] into dst[i] for every i. (In Gather and Scatter
 // the 8-byte case is the switch's default, so that the zero Data panics in
 // the I64 accessor.) dst and src must have

@@ -76,7 +76,7 @@ func TestDataAgainstSliceModel(t *testing.T) {
 				return false
 			}
 			n = d.Len()
-			switch op := rng.Intn(8); {
+			switch op := rng.Intn(7); {
 			case op == 0 && n > 0: // Set / Get
 				i, v := rng.Intn(n), value()
 				d.Set(i, v)
@@ -140,12 +140,7 @@ func TestDataAgainstSliceModel(t *testing.T) {
 					model[rids[i]] = truncate(w, v)
 				}
 				Scatter(d, src, rids)
-			case op == 6: // Zero clears the view and nothing outside it
-				lo := rng.Intn(n + 1)
-				hi := lo + rng.Intn(n-lo+1)
-				Zero(d.Slice(lo, hi))
-				clear(model[lo:hi])
-			case op == 7: // the typed accessor shares storage with d
+			case op == 6: // the typed accessor shares storage with d
 				if n > 0 {
 					i, v := rng.Intn(n), value()
 					switch w {
@@ -183,7 +178,6 @@ func TestOfWrapsWithoutCopy(t *testing.T) {
 		if empty.Len() != 0 || empty.SizeBytes() != 0 || empty.Slice(0, 0).Len() != 0 {
 			t.Fatal("empty Data is not empty")
 		}
-		Zero(empty)
 		empty.CopyFrom(0, empty.NewSame(0))
 		Gather(empty, empty, nil)
 	}
@@ -197,7 +191,6 @@ func TestZeroData(t *testing.T) {
 	if v := z.Slice(0, 0); v != z {
 		t.Fatal("empty view of the zero Data is not the zero Data")
 	}
-	Zero(z)
 	z.CopyFrom(0, z)
 	mustPanic(t, "zero Data Get", func() { z.Get(0) })
 	mustPanic(t, "zero Data Set", func() { z.Set(0, 1) })

@@ -127,7 +127,7 @@ func (d Data) Slice(lo, hi int) Data {
 	return d
 }
 
-// bytes returns d's storage as bytes, for width-independent copy and clear.
+// bytes returns d's storage as bytes, for width-independent copy.
 func (d Data) bytes() []byte { return unsafe.Slice((*byte)(d.p), d.n*int(d.w)) }
 
 // widthError is the panic value of a typed accessor asked for the wrong

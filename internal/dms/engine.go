@@ -29,9 +29,6 @@ type Engine struct {
 // NewEngine creates a DMS with the given timing model.
 func NewEngine(model Model) *Engine { return &Engine{model: model} }
 
-// Model returns the engine's timing model.
-func (e *Engine) Model() Model { return e.model }
-
 // Totals returns the cumulative timing over all operations (both
 // directions merged).
 func (e *Engine) Totals() Timing {

@@ -19,8 +19,8 @@ const (
 	Hash
 	// Range matches each key against up to 32 pre-programmed range bounds.
 	Range
-	// RoundRobin cycles targets; with SkewTargets it replicates frequent
-	// ranges across multiple cores (the skew mitigation of §5.4).
+	// RoundRobin cycles targets whatever the key, so a frequent value ends
+	// up evenly on every core (the skew mitigation of §5.4).
 	RoundRobin
 )
 
@@ -54,15 +54,6 @@ type PartitionSpec struct {
 	// to partition p where p is the first bound with key < Bounds[p], and
 	// to the last partition otherwise. len(Bounds) == Fanout-1.
 	Bounds []int64
-	// SkewRanges optionally assigns a frequent key range [Lo, Hi] to a set
-	// of targets that receive its rows round-robin (RoundRobin strategy).
-	SkewRanges []SkewRange
-}
-
-// SkewRange replicates a frequent key range over multiple target cores.
-type SkewRange struct {
-	Lo, Hi  int64 // inclusive key range on KeyCols[0]
-	Targets []int // dpCore targets receiving the range round-robin
 }
 
 // Validate checks the spec against the hardware limits.
@@ -96,16 +87,6 @@ func (s PartitionSpec) Validate(numCols int) error {
 			return fmt.Errorf("dms: range bounds must be sorted")
 		}
 	case RoundRobin:
-		for _, r := range s.SkewRanges {
-			if len(r.Targets) == 0 {
-				return fmt.Errorf("dms: skew range with no targets")
-			}
-			for _, t := range r.Targets {
-				if t < 0 || t >= s.Fanout {
-					return fmt.Errorf("dms: skew target %d out of fan-out %d", t, s.Fanout)
-				}
-			}
-		}
 	default:
 		return fmt.Errorf("dms: unknown strategy %d", s.Strategy)
 	}
@@ -147,25 +128,8 @@ func (e *Engine) PartitionIDs(cols []coltypes.Data, spec PartitionSpec) ([]uint8
 			ids[i] = uint8(rangeBucket(spec.Bounds, key.Get(i)))
 		}
 	case RoundRobin:
-		rrCounters := make([]int, len(spec.SkewRanges))
-		next := 0
-		for i := 0; i < n; i++ {
-			assigned := false
-			if len(spec.KeyCols) > 0 {
-				v := cols[spec.KeyCols[0]].Get(i)
-				for ri, r := range spec.SkewRanges {
-					if v >= r.Lo && v <= r.Hi {
-						ids[i] = uint8(r.Targets[rrCounters[ri]%len(r.Targets)])
-						rrCounters[ri]++
-						assigned = true
-						break
-					}
-				}
-			}
-			if !assigned {
-				ids[i] = uint8(next % spec.Fanout)
-				next++
-			}
+		for i := range ids {
+			ids[i] = uint8(i % spec.Fanout)
 		}
 	}
 	t := e.model.partitionTime(n, len(cols), widthOf(cols), spec.Strategy, len(spec.KeyCols))

@@ -1,6 +1,11 @@
 // Package dpu models the RAPID Data Processing Unit (paper §2): a 5.8 W SoC
 // with 32 simple in-order dpCores at 800 MHz, organized as 4 macros of 8
-// cores, each core owning a 32 KiB DMEM scratchpad.
+// cores, each core owning a 32 KiB DMEM scratchpad. The rest of the paper's
+// SoC is not modelled as state: 16 KiB L1D and 8 KiB L1I per core and 256 KiB
+// of shared L2 per macro are folded into the calibrated per-row constants of
+// primitives/cost.go, and the power figures (51 mW dynamic per core at
+// 800 MHz, 5.8 W provisioned for the SoC including DMS, ATE and uncore) are
+// the constants of internal/power.
 //
 // Go cannot execute the dpCore ISA, so the model is *functional plus
 // analytical*: operator primitives run as ordinary Go code producing correct
@@ -19,38 +24,24 @@ import (
 	"rapid/internal/mem"
 )
 
+// FreqHz is the dpCore clock (800 MHz).
+const FreqHz = 800e6
+
 // Cycles counts dpCore clock cycles.
 type Cycles int64
 
-// Config describes a DPU SoC. The defaults match the paper.
-type Config struct {
-	NumCores      int     // total dpCores (32)
-	CoresPerMacro int     // dpCores per macro (8)
-	FreqHz        float64 // core clock (800 MHz)
-	DMEMBytes     int     // scratchpad per core (32 KiB)
-	L1DBytes      int     // L1 data cache per core (16 KiB)
-	L1IBytes      int     // L1 instruction cache per core (8 KiB)
-	L2Bytes       int     // shared L2 per macro (256 KiB)
+// Seconds converts a cycle count to seconds at the dpCore clock.
+func (cy Cycles) Seconds() float64 { return float64(cy) / FreqHz }
 
-	// Power model (paper §2: 51 mW dynamic per core at 800 MHz, 5.8 W
-	// provisioned for the whole SoC including DMS, ATE and uncore).
-	CoreDynamicPowerW float64
-	ProvisionedPowerW float64
+// Config sizes a DPU SoC. The defaults match the paper.
+type Config struct {
+	NumCores  int // total dpCores (32)
+	DMEMBytes int // scratchpad per core (32 KiB)
 }
 
 // DefaultConfig returns the paper's DPU configuration.
 func DefaultConfig() Config {
-	return Config{
-		NumCores:          32,
-		CoresPerMacro:     8,
-		FreqHz:            800e6,
-		DMEMBytes:         32 * 1024,
-		L1DBytes:          16 * 1024,
-		L1IBytes:          8 * 1024,
-		L2Bytes:           256 * 1024,
-		CoreDynamicPowerW: 0.051,
-		ProvisionedPowerW: 5.8,
-	}
+	return Config{NumCores: 32, DMEMBytes: 32 * 1024}
 }
 
 // Validate checks internal consistency of the configuration.
@@ -58,34 +49,24 @@ func (c Config) Validate() error {
 	switch {
 	case c.NumCores <= 0:
 		return fmt.Errorf("dpu: NumCores must be positive, got %d", c.NumCores)
-	case c.CoresPerMacro <= 0 || c.NumCores%c.CoresPerMacro != 0:
-		return fmt.Errorf("dpu: %d cores not divisible into macros of %d", c.NumCores, c.CoresPerMacro)
-	case c.FreqHz <= 0:
-		return fmt.Errorf("dpu: FreqHz must be positive")
 	case c.DMEMBytes <= 0:
 		return fmt.Errorf("dpu: DMEMBytes must be positive")
 	}
 	return nil
 }
 
-// Seconds converts a cycle count to seconds at the configured clock.
-func (c Config) Seconds(cy Cycles) float64 { return float64(cy) / c.FreqHz }
-
-// Core is one dpCore: an ID, its private DMEM and a cycle counter. A Core is owned by a single goroutine at a time (the actor model
+// Core is one dpCore: its private DMEM and a cycle counter. A Core is owned
+// by a single goroutine at a time (the actor model
 // of the QEF guarantees this), but the counters are atomic so that
 // cross-core observers — qef.Context.Usage snapshotting a running query, the
 // bench harness reading makespans mid-run — always see consistent values.
 type Core struct {
-	id   int
 	dmem *mem.DMEM
 
 	cycles atomic.Int64
 	// Pipeline statistic for the vectorization experiment (Fig 13).
 	branchMisses atomic.Int64
 }
-
-// ID returns the core index within the SoC.
-func (co *Core) ID() int { return co.id }
 
 // DMEM returns the core's scratchpad allocator.
 func (co *Core) DMEM() *mem.DMEM { return co.dmem }
@@ -131,10 +112,7 @@ func New(cfg Config) (*SoC, error) {
 	s := &SoC{cfg: cfg}
 	s.cores = make([]*Core, cfg.NumCores)
 	for i := range s.cores {
-		s.cores[i] = &Core{
-			id:   i,
-			dmem: mem.NewDMEMWithCapacity(cfg.DMEMBytes),
-		}
+		s.cores[i] = &Core{dmem: mem.NewDMEMWithCapacity(cfg.DMEMBytes)}
 	}
 	return s, nil
 }
@@ -153,9 +131,6 @@ func (s *SoC) Config() Config { return s.cfg }
 
 // Core returns core i.
 func (s *SoC) Core(i int) *Core { return s.cores[i] }
-
-// Cores returns all cores.
-func (s *SoC) Cores() []*Core { return s.cores }
 
 // TotalCycles returns the sum of cycles over all cores (total work).
 func (s *SoC) TotalCycles() Cycles {

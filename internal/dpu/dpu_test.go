@@ -7,24 +7,19 @@ func TestDefaultConfig(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.NumCores != 32 || cfg.CoresPerMacro != 8 {
-		t.Fatalf("cores/per macro = %d/%d", cfg.NumCores, cfg.CoresPerMacro)
-	}
-	if cfg.FreqHz != 800e6 {
-		t.Fatalf("FreqHz = %v", cfg.FreqHz)
+	if cfg.NumCores != 32 || cfg.DMEMBytes != 32*1024 {
+		t.Fatalf("cores/DMEM = %d/%d", cfg.NumCores, cfg.DMEMBytes)
 	}
 	// 800M cycles == 1 second.
-	if got := cfg.Seconds(800e6); got != 1.0 {
+	if got := Cycles(800e6).Seconds(); got != 1.0 {
 		t.Fatalf("Seconds(800M) = %v", got)
 	}
 }
 
 func TestConfigValidate(t *testing.T) {
 	bad := []Config{
-		{NumCores: 0, CoresPerMacro: 8, FreqHz: 1, DMEMBytes: 1},
-		{NumCores: 30, CoresPerMacro: 8, FreqHz: 1, DMEMBytes: 1},
-		{NumCores: 32, CoresPerMacro: 8, FreqHz: 0, DMEMBytes: 1},
-		{NumCores: 32, CoresPerMacro: 8, FreqHz: 1, DMEMBytes: 0},
+		{NumCores: 0, DMEMBytes: 1},
+		{NumCores: 32, DMEMBytes: 0},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -38,13 +33,8 @@ func TestConfigValidate(t *testing.T) {
 
 func TestSoCTopology(t *testing.T) {
 	s := MustNew(DefaultConfig())
-	if len(s.Cores()) != 32 {
-		t.Fatalf("len(Cores) = %d", len(s.Cores()))
-	}
-	for i, co := range s.Cores() {
-		if co.ID() != i {
-			t.Fatalf("core %d has ID %d", i, co.ID())
-		}
+	for i := 0; i < s.Config().NumCores; i++ {
+		co := s.Core(i)
 		if co.DMEM().Free() != 32*1024 {
 			t.Fatalf("core %d DMEM = %d", i, co.DMEM().Free())
 		}
@@ -85,9 +75,8 @@ func TestChargePanicsOnNegative(t *testing.T) {
 // The headline filter number of §7.2: 482 M tuples/s at 800 MHz is
 // 1.65 cycles/tuple. Check the clock arithmetic that every figure relies on.
 func TestFilterRateArithmetic(t *testing.T) {
-	cfg := DefaultConfig()
 	cyclesPerTuple := 1.65
-	rate := cfg.FreqHz / cyclesPerTuple
+	rate := FreqHz / cyclesPerTuple
 	if rate < 480e6 || rate > 490e6 {
 		t.Fatalf("1.65 cycles/tuple at 800MHz = %.0f tuples/s, want ~484M", rate)
 	}

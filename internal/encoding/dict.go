@@ -66,15 +66,6 @@ func (d *Dict) Value(c int32) string {
 // Len returns the number of distinct strings.
 func (d *Dict) Len() int { return len(d.byCode) }
 
-// SizeBytes approximates the dictionary memory footprint.
-func (d *Dict) SizeBytes() int {
-	n := 0
-	for _, s := range d.byCode {
-		n += len(s) + 4
-	}
-	return n
-}
-
 // sortedCodes returns the codes in string order, rebuilding the view under
 // the lock if new strings were interned since. Rebuilds allocate a fresh
 // slice, so the returned snapshot is immutable and callers iterate it without
@@ -100,14 +91,6 @@ func (d *Dict) sortedCodes() []int32 {
 // Filter primitives test membership with single-cycle bit probes.
 type CodeSet struct {
 	bm *bits.Vector
-}
-
-// Contains reports whether code c is in the set.
-func (cs *CodeSet) Contains(c int32) bool {
-	if c < 0 || int(c) >= cs.bm.Len() {
-		return false
-	}
-	return cs.bm.Test(int(c))
 }
 
 // Count returns the number of codes in the set.

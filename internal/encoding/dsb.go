@@ -155,8 +155,9 @@ func Pow10(n int) int64 {
 }
 
 // Rescale returns the unscaled value of d at the target scale, and false if
-// the rescale would overflow int64 or lose digits (an exception value in the
-// paper's terms).
+// the rescale would overflow int64 or lose digits. A column is stored at one
+// fixed scale (storage.ColumnMeta), so a value that does not rescale exactly
+// is an error at the codec, not an entry in a per-vector exception table.
 func (d Decimal) Rescale(target int8) (int64, bool) {
 	switch {
 	case target == d.Scale:
@@ -184,69 +185,3 @@ func (d Decimal) Rescale(target int8) (int64, bool) {
 		return d.Unscaled / f, true
 	}
 }
-
-// DSBVector is a DSB-encoded column vector: a common scale, the scaled
-// binary values, and an exception table for the corner cases that cannot be
-// represented at the common scale (paper §4.2).
-type DSBVector struct {
-	Scale      int8
-	Values     []int64
-	Exceptions map[int]Decimal // row -> exact value; Values[row] holds a best-effort approximation
-}
-
-// ChooseScale returns the minimum common scale that represents every value
-// without a decimal point — exactly the paper's rule. Values whose scale
-// exceeds MaxScale are left to the exception path.
-func ChooseScale(vals []Decimal) int8 {
-	var s int8
-	for _, v := range vals {
-		// Normalize: drop trailing zeros so 1.50 needs scale 1, not 2.
-		vs := normalizeScale(v)
-		if vs > s {
-			s = vs
-		}
-	}
-	return s
-}
-
-func normalizeScale(d Decimal) int8 {
-	s, u := d.Scale, d.Unscaled
-	for s > 0 && u%10 == 0 {
-		u /= 10
-		s--
-	}
-	return s
-}
-
-// EncodeDSBAt encodes vals at a fixed scale, routing unrepresentable values
-// to the exception table.
-func EncodeDSBAt(vals []Decimal, scale int8) *DSBVector {
-	v := &DSBVector{Scale: scale, Values: make([]int64, len(vals))}
-	for i, d := range vals {
-		if u, ok := d.Rescale(scale); ok {
-			v.Values[i] = u
-			continue
-		}
-		if v.Exceptions == nil {
-			v.Exceptions = make(map[int]Decimal)
-		}
-		v.Exceptions[i] = d
-		// Best-effort truncated value so that scans without exception
-		// handling still see something ordered correctly.
-		if d.Scale > scale {
-			v.Values[i] = d.Unscaled / pow10[int(d.Scale-scale)]
-		}
-	}
-	return v
-}
-
-// Decode returns the exact decimal at row i.
-func (v *DSBVector) Decode(i int) Decimal {
-	if d, ok := v.Exceptions[i]; ok {
-		return d
-	}
-	return Decimal{Unscaled: v.Values[i], Scale: v.Scale}
-}
-
-// Len returns the row count.
-func (v *DSBVector) Len() int { return len(v.Values) }

@@ -44,9 +44,6 @@ func EncodeRLE(d coltypes.Data) *RLE {
 // Len returns the decoded row count.
 func (r *RLE) Len() int { return r.n }
 
-// Runs returns the number of runs.
-func (r *RLE) Runs() int { return len(r.Values) }
-
 // Decode expands the runs into a fresh flat vector.
 func (r *RLE) Decode() coltypes.Data {
 	d := coltypes.New(r.Width, r.n)

@@ -6,10 +6,10 @@
 //
 // We use the Castagnoli polynomial: it is the CRC32 variant implemented in
 // hardware on commodity CPUs, matching the "hardware hash engine" role it
-// plays here. Fixed-width values are folded with inline slicing-by-8/-4
-// tables derived from the standard library's Castagnoli table, so the result
-// is bit-identical to crc32.Update while the per-value cost is eight (four)
-// L1 table loads instead of a call into hash/crc32 through a byte slice.
+// plays here. Values are folded with inline slicing-by-8 tables derived from
+// the standard library's Castagnoli table, so the result is bit-identical to
+// crc32.Update while the per-value cost is eight L1 table loads instead of a
+// call into hash/crc32 through a byte slice.
 package hashcrc
 
 import "hash/crc32"
@@ -37,17 +37,6 @@ func Hash64(acc uint32, v uint64) uint32 {
 	lo, hi := ^acc^uint32(v), uint32(v>>32)
 	return ^(slice8[7][lo&0xff] ^ slice8[6][lo>>8&0xff] ^ slice8[5][lo>>16&0xff] ^ slice8[4][lo>>24] ^
 		slice8[3][hi&0xff] ^ slice8[2][hi>>8&0xff] ^ slice8[1][hi>>16&0xff] ^ slice8[0][hi>>24])
-}
-
-// Hash32 folds a 4-byte value (little-endian) into the accumulator.
-func Hash32(acc uint32, v uint32) uint32 {
-	c := ^acc ^ v
-	return ^(slice8[3][c&0xff] ^ slice8[2][c>>8&0xff] ^ slice8[1][c>>16&0xff] ^ slice8[0][c>>24])
-}
-
-// HashBytes folds arbitrary bytes into the accumulator (dictionary keys).
-func HashBytes(acc uint32, b []byte) uint32 {
-	return crc32.Update(acc, castagnoli, b)
 }
 
 // Finalize mixes the accumulator so that low bits depend on all input bits;

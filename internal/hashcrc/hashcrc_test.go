@@ -25,18 +25,6 @@ func TestChaining(t *testing.T) {
 	if ab == ba {
 		t.Fatal("chained hash should be order sensitive")
 	}
-	if Hash32(Seed, 7) == Hash64(Seed, 7) {
-		t.Fatal("width should be part of the hash domain")
-	}
-}
-
-func TestHashBytes(t *testing.T) {
-	if HashBytes(Seed, []byte("alpha")) == HashBytes(Seed, []byte("alphb")) {
-		t.Fatal("byte hash collision on near keys")
-	}
-	if HashBytes(Seed, nil) != Seed {
-		t.Fatal("empty update should be identity")
-	}
 }
 
 // The radix partitioning stage uses the low bits of the finalized hash; a
@@ -95,9 +83,6 @@ func TestMatchesStdlibCRC32C(t *testing.T) {
 		t.Helper()
 		if got, want := Hash64(acc, v), crc32.Update(acc, castagnoli, le(v, 8)); got != want {
 			t.Fatalf("Hash64(%#x, %#x) = %#x, want %#x", acc, v, got, want)
-		}
-		if got, want := Hash32(acc, uint32(v)), crc32.Update(acc, castagnoli, le(v&0xffffffff, 4)); got != want {
-			t.Fatalf("Hash32(%#x, %#x) = %#x, want %#x", acc, uint32(v), got, want)
 		}
 	}
 	// Width boundaries of every physical column width, both signs.

@@ -201,7 +201,7 @@ func TestCacheHitBypassesSchedulerAdmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Occupy the only slot directly.
-	adm, err := db.Scheduler().Admit(context.Background(), sched.Request{Cores: 1, QueryID: 999})
+	adm, err := db.Scheduler().Admit(context.Background(), sched.Request{Cores: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

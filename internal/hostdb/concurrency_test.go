@@ -362,7 +362,7 @@ func TestQueueWaitSurfaced(t *testing.T) {
 	time.Sleep(5 * time.Millisecond) // accrue measurable wait
 	hold.Release()
 	<-done
-	if db.Metrics().Histogram("sched_queue_wait_seconds").Count() < 2 {
+	if db.Metrics().Histogram("sched_queue_wait_seconds").View().Count < 2 {
 		t.Error("sched_queue_wait_seconds histogram missing observations")
 	}
 }

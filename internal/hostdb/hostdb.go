@@ -245,9 +245,6 @@ func (db *Database) Table(name string) (*HostTable, error) {
 	return nil, fmt.Errorf("hostdb: no table %q", name)
 }
 
-// Name returns the table name.
-func (t *HostTable) Name() string { return t.name }
-
 // Schema returns the table schema.
 func (t *HostTable) Schema() *storage.Schema { return t.schema }
 

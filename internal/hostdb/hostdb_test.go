@@ -74,9 +74,9 @@ func TestLoadBuildsReplica(t *testing.T) {
 		t.Fatal("replica missing or wrong size")
 	}
 	// Replica decodes to the same values.
-	v := rt.Meta(3).Decode(rt.Partition(0).Chunk(0).Col(3).Data().Get(4))
-	if v.Str != "green" { // row 4: 4%3 = 1 -> green
-		t.Fatalf("replica tag = %s", v.Str)
+	code := rt.Snapshot(storage.LatestSCN).Chunks()[0].Data(3).Get(4)
+	if tag := rt.Meta(3).Dict.Value(int32(code)); tag != "green" { // row 4: 4%3 = 1 -> green
+		t.Fatalf("replica tag = %s", tag)
 	}
 }
 

@@ -12,6 +12,8 @@ import (
 	"rapid/internal/obs"
 	"rapid/internal/plan"
 	"rapid/internal/qcache"
+	"rapid/internal/qef"
+	"rapid/internal/sched"
 	"rapid/internal/storage"
 )
 
@@ -219,7 +221,7 @@ func TestDriverVersionMoveVoidsPublish(t *testing.T) {
 // (a') A valid result the admission policy rejects is still shared with the
 // flight's followers, but never becomes resident.
 func TestDriverAdmissionRejectStillShares(t *testing.T) {
-	e, cache := newFake(t, qcache.Config{MaxEntryBytes: 1})
+	e, cache := newFake(t, qcache.Config{MaxResultBytes: 8})
 	leader, follower, lerr, ferr := leaderAndFollower(t, e, func() error { return nil })
 	if lerr != nil || ferr != nil {
 		t.Fatal(lerr, ferr)
@@ -281,6 +283,64 @@ func TestDriverExpiredContextNeverExecutes(t *testing.T) {
 	recs := e.db.QueryJournal().Records()
 	if len(recs) != 1 || recs[0].Outcome != obs.OutcomeCanceled || recs[0].Mode != "fake" {
 		t.Fatalf("journal = %+v, want one canceled record", recs)
+	}
+}
+
+// (c') A ForceOffload query that is shed or canceled before it executes is
+// journaled under the RAPID mode it was forced onto — what the active-query
+// table showed while it waited — not as a host query.
+func TestFailedOffloadJournalsRequestedMode(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		mode     qef.Mode
+		deadline time.Duration // 0: a filler takes the one queue slot and the query is shed
+		outcome  obs.QueryOutcome
+		wantErr  error
+	}{
+		{"shed", qef.ModeX86, 0, obs.OutcomeShed, sched.ErrOverloaded},
+		{"canceled", qef.ModeDPU, 20 * time.Millisecond, obs.OutcomeCanceled, context.DeadlineExceeded},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := NewWithConfig(obs.NewRegistry(), sched.Config{MaxConcurrent: 1, MaxQueued: 1})
+			seedTestDB(t, db, 100)
+			defer db.Close()
+			// Hold the only slot: the query waits out its deadline in the
+			// queue, or finds the queue full too.
+			hold, err := db.Scheduler().Admit(context.Background(), sched.Request{Cores: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer hold.Release()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			if tc.deadline > 0 {
+				ctx, cancel = context.WithTimeout(ctx, tc.deadline)
+				defer cancel()
+			} else {
+				filled := make(chan struct{})
+				go func() {
+					defer close(filled)
+					if a, err := db.Scheduler().Admit(ctx, sched.Request{Cores: 1}); err == nil {
+						a.Release()
+					}
+				}()
+				defer func() { cancel(); <-filled }()
+				for deadline := time.Now().Add(5 * time.Second); db.Metrics().Gauge("sched_queue_depth").Value() != 1; {
+					if time.Now().After(deadline) {
+						t.Fatal("filler never queued")
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}
+			opts := QueryOptions{Mode: ForceOffload, RapidMode: tc.mode, FailOnInadmissible: true}
+			if _, err := db.QueryCtx(ctx, "SELECT COUNT(*) FROM events", opts); !errors.Is(err, tc.wantErr) {
+				t.Fatalf("err = %v, want %v", err, tc.wantErr)
+			}
+			recs := db.QueryJournal().Records()
+			if len(recs) != 1 || recs[0].Outcome != tc.outcome || recs[0].Mode != tc.mode.String() {
+				t.Fatalf("journal = %+v, want one %v record in mode %s", recs, tc.outcome, tc.mode)
+			}
+		})
 	}
 }
 

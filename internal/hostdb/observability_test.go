@@ -106,7 +106,7 @@ func TestJournalStormReconciles(t *testing.T) {
 	if got := vals["hostdb_queries_total"]; got != j.Total() {
 		t.Errorf("hostdb_queries_total = %d, journal Total = %d", got, j.Total())
 	}
-	if got := int64(db.Metrics().Histogram("hostdb_query_seconds").Count()); got != j.Total() {
+	if got := db.Metrics().Histogram("hostdb_query_seconds").View().Count; got != j.Total() {
 		t.Errorf("hostdb_query_seconds count = %d, journal Total = %d", got, j.Total())
 	}
 	if got := vals["sched_rejected_total"]; got != shed {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"rapid/internal/coltypes"
+	"rapid/internal/dpu"
 	"rapid/internal/obs"
 	"rapid/internal/ops"
 	"rapid/internal/plan"
@@ -186,7 +187,8 @@ func (db *Database) Lookup(name string) (*storage.Table, error) {
 }
 
 // Finish feeds the hostdb_* query counters and labels the journal record
-// with the engine that actually ran.
+// with the engine that actually ran — for a failed ForceOffload query the
+// one it was forced onto, as the active-query table showed it.
 func (e hostEngine) Finish(id uint64, res *QueryResult, err error, opts QueryOptions, wall time.Duration) obs.QueryRecord {
 	m := e.db.metrics
 	m.Histogram("hostdb_query_seconds").Observe(wall.Seconds())
@@ -194,6 +196,9 @@ func (e hostEngine) Finish(id uint64, res *QueryResult, err error, opts QueryOpt
 	rec := obs.QueryRecord{Mode: "host"}
 	if err != nil {
 		m.Counter("hostdb_queries_failed").Inc()
+		if opts.Mode == ForceOffload {
+			rec.Mode = opts.RapidMode.String()
+		}
 		return rec
 	}
 	if res.Offloaded {
@@ -323,7 +328,7 @@ func (db *Database) runRapid(goCtx context.Context, node plan.Node, opts QueryOp
 	ctx.Metrics = db.metrics
 	ctx.NoPrune = opts.DisablePruning
 	h.SetPhase("queued")
-	adm, err := db.sched.Admit(goCtx, sched.Request{Cores: ctx.Workers(), QueryID: h.ID()})
+	adm, err := db.sched.Admit(goCtx, sched.Request{Cores: ctx.Workers()})
 	if err != nil {
 		return err
 	}
@@ -333,7 +338,7 @@ func (db *Database) runRapid(goCtx context.Context, node plan.Node, opts QueryOp
 	ctx.Exec = adm
 	var prof *obs.Profile
 	if opts.Profile {
-		prof = obs.NewProfile(opts.RapidMode.String(), ctx.SoC.Config().NumCores, ctx.SoC.Config().FreqHz, compiled.SpanDefs())
+		prof = obs.NewProfile(opts.RapidMode.String(), ctx.SoC.Config().NumCores, dpu.FreqHz, compiled.SpanDefs())
 		ctx.Prof = prof
 	}
 	start := time.Now()

@@ -105,7 +105,7 @@ func TestQueryEnergyAndTelemetryCounters(t *testing.T) {
 			t.Errorf("%s = %d, want > 0", name, vals[name])
 		}
 	}
-	if h := db.Metrics().Histogram("hostdb_query_seconds"); h.Count() == 0 {
+	if h := db.Metrics().Histogram("hostdb_query_seconds"); h.View().Count == 0 {
 		t.Error("hostdb_query_seconds histogram saw no observations")
 	}
 

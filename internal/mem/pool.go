@@ -25,7 +25,7 @@ import (
 // covers them; holding one past that point aliases a future take. The pool
 // is not safe for concurrent use: like DMEM, each core owns exactly one.
 //
-// DataBytesInUse/HighWater track the bytes of data buffers outstanding
+// HighWater tracks the bytes of data buffers outstanding
 // (slice headers and Tile structs are excluded); the DMEMSize conformance
 // tests compare the per-tile high-water mark against each operator's
 // declared budget, making the declarations load-bearing.
@@ -199,18 +199,18 @@ func (p *TilePool) Data(w coltypes.Width, n int) coltypes.Data {
 	return coltypes.Of(p.I64(n))
 }
 
-// DataBytesInUse returns the bytes of data buffers currently taken (headers
-// excluded) — the pool-side analogue of DMEM.Used.
-func (p *TilePool) DataBytesInUse() int { return p.dataBytes }
-
-// HighWater returns the maximum DataBytesInUse observed since the last
+// HighWater returns the most bytes of data buffers taken at once (headers
+// excluded — the pool-side analogue of DMEM.Used) since the last
 // MarkHighWater.
 func (p *TilePool) HighWater() int { return p.highWater }
 
-// MarkHighWater restarts high-water tracking from the current usage. The
-// DMEMSize conformance tests call it before driving one tile through an
-// operator.
-func (p *TilePool) MarkHighWater() { p.highWater = p.dataBytes }
+// MarkHighWater restarts high-water tracking from the current usage and
+// returns it. The DMEMSize conformance tests call it before driving one tile
+// through an operator.
+func (p *TilePool) MarkHighWater() int {
+	p.highWater = p.dataBytes
+	return p.dataBytes
+}
 
 // Grows returns the number of backing-array allocations the pool has
 // performed. A steady-state tile loop must stop growing after the first few

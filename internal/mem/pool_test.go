@@ -23,12 +23,12 @@ func TestTilePoolTakeAndReset(t *testing.T) {
 		}
 		b[i] = -7
 	}
-	if p.DataBytesInUse() != 8*150 {
-		t.Fatalf("DataBytesInUse = %d, want %d", p.DataBytesInUse(), 8*150)
+	if p.dataBytes != 8*150 {
+		t.Fatalf("dataBytes = %d, want %d", p.dataBytes, 8*150)
 	}
 	p.Reset()
-	if p.DataBytesInUse() != 0 {
-		t.Fatalf("DataBytesInUse after Reset = %d", p.DataBytesInUse())
+	if p.dataBytes != 0 {
+		t.Fatalf("dataBytes after Reset = %d", p.dataBytes)
 	}
 	// Recycled takes are zeroed even though the backing memory was dirty.
 	c := p.I64(150)
@@ -46,26 +46,26 @@ func TestTilePoolMarkReleaseResetTile(t *testing.T) {
 	p.Mark()
 	p.I64(20)
 	p.U32(30)
-	inner := p.DataBytesInUse()
+	inner := p.dataBytes
 	if inner != 8*10+8*20+4*30 {
-		t.Fatalf("DataBytesInUse = %d", inner)
+		t.Fatalf("dataBytes = %d", inner)
 	}
 	p.ResetTile() // rolls back to the mark, keeping the unit take
-	if p.DataBytesInUse() != 8*10 {
-		t.Fatalf("after ResetTile DataBytesInUse = %d, want %d", p.DataBytesInUse(), 8*10)
+	if p.dataBytes != 8*10 {
+		t.Fatalf("after ResetTile dataBytes = %d, want %d", p.dataBytes, 8*10)
 	}
 	if unit[0] != 42 {
 		t.Fatal("unit-lifetime buffer clobbered by ResetTile")
 	}
 	p.I64(5)
 	p.Release() // closes the mark scope
-	if p.DataBytesInUse() != 8*10 {
-		t.Fatalf("after Release DataBytesInUse = %d, want %d", p.DataBytesInUse(), 8*10)
+	if p.dataBytes != 8*10 {
+		t.Fatalf("after Release dataBytes = %d, want %d", p.dataBytes, 8*10)
 	}
 	// Without marks, ResetTile behaves like Reset.
 	p.ResetTile()
-	if p.DataBytesInUse() != 0 {
-		t.Fatalf("markless ResetTile DataBytesInUse = %d", p.DataBytesInUse())
+	if p.dataBytes != 0 {
+		t.Fatalf("markless ResetTile dataBytes = %d", p.dataBytes)
 	}
 }
 
@@ -127,8 +127,8 @@ func TestTilePoolDataSlabReuse(t *testing.T) {
 			t.Fatalf("short take not zeroed at %d", i)
 		}
 	}
-	if got := p.DataBytesInUse(); got != (256+100)*8 {
-		t.Fatalf("DataBytesInUse = %d, want %d", got, (256+100)*8)
+	if got := p.dataBytes; got != (256+100)*8 {
+		t.Fatalf("dataBytes = %d, want %d", got, (256+100)*8)
 	}
 }
 

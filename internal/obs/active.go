@@ -108,9 +108,6 @@ func (h ActiveHandle) SetPhase(phase string) {
 	h.set.mu.Unlock()
 }
 
-// ID returns the registered QueryID (0 for the zero handle).
-func (h ActiveHandle) ID() uint64 { return h.id }
-
 // Elapsed returns the time since registration (0 for the zero handle or
 // after Done).
 func (h ActiveHandle) Elapsed() time.Duration {

@@ -75,15 +75,15 @@ func (p *Profile) Energy(m power.EnergyModel) EnergyReport {
 	}
 	rep.Spans = make([]SpanEnergy, len(p.Defs))
 	for i, d := range p.Defs {
-		s := p.spans[i]
-		core, rd, wr := m.ActivityFJ(s.Cycles(), s.ReadBytes(), s.WriteBytes())
+		c := p.spans[i].fold()
+		core, rd, wr := m.ActivityFJ(c.cycles, c.readBytes, c.writeBytes)
 		rep.Spans[i] = SpanEnergy{ID: d.ID, Name: d.Name, CoreFJ: core, DMSReadFJ: rd, DMSWriteFJ: wr}
+		if i == 0 {
+			rep.RowsOut = c.rowsOut
+		}
 	}
 	rep.Query = m.Activity(p.TotalCycles(), p.totals.DMSReadBytes, p.totals.DMSWriteBytes, p.totals.SimSeconds)
 	rep.ProvisionedJ = m.ProvisionedJoules(p.totals.SimSeconds)
-	if len(p.spans) > 0 {
-		rep.RowsOut = p.spans[0].RowsOut()
-	}
 	return rep
 }
 

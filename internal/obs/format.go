@@ -39,7 +39,7 @@ func (p *Profile) Format() string {
 	rows := make([][]string, 0, len(p.Defs)+2)
 	rows = append(rows, []string{"operator", "cycles", "rd_bytes", "wr_bytes", "energy_uj", "rows_in", "rows_out", "tiles_in", "tiles_out", "wall_ms"})
 	for i, d := range p.Defs {
-		s := p.spans[i]
+		c := p.spans[i].fold()
 		name := strings.Repeat("  ", depth[i]) + d.Name
 		if d.Detail != "" {
 			name += " " + d.Detail
@@ -50,15 +50,15 @@ func (p *Profile) Format() string {
 		}
 		rows = append(rows, []string{
 			name,
-			fmt.Sprintf("%d", s.Cycles()),
-			fmt.Sprintf("%d", s.ReadBytes()),
-			fmt.Sprintf("%d", s.WriteBytes()),
+			fmt.Sprintf("%d", c.cycles),
+			fmt.Sprintf("%d", c.readBytes),
+			fmt.Sprintf("%d", c.writeBytes),
 			cell,
-			fmt.Sprintf("%d", s.RowsIn()),
-			fmt.Sprintf("%d", s.RowsOut()),
-			fmt.Sprintf("%d", s.TilesIn()),
-			fmt.Sprintf("%d", s.TilesOut()),
-			fmt.Sprintf("%.3f", float64(s.WallNs())/1e6),
+			fmt.Sprintf("%d", c.rowsIn),
+			fmt.Sprintf("%d", c.rowsOut),
+			fmt.Sprintf("%d", c.tilesIn),
+			fmt.Sprintf("%d", c.tilesOut),
+			fmt.Sprintf("%.3f", float64(c.wallNs)/1e6),
 		})
 	}
 	totalEnergy := "-"
@@ -111,10 +111,9 @@ func (p *Profile) Format() string {
 	if p.totals.QueueWaitSeconds > 0 {
 		fmt.Fprintf(&b, "queue_wait %.3fms (shared-SoC admission)\n", p.totals.QueueWaitSeconds*1e3)
 	}
-	if tot := p.TilesTotal(); tot > 0 {
-		pruned := p.TilesPruned()
+	if tot, pruned, scanned := p.tiles(); tot > 0 {
 		fmt.Fprintf(&b, "tiles_pruned %d/%d (%.1f%%) via zone maps, %d scanned\n",
-			pruned, tot, 100*float64(pruned)/float64(tot), p.TilesScanned())
+			pruned, tot, 100*float64(pruned)/float64(tot), scanned)
 	}
 	if p.cacheNote != "" {
 		fmt.Fprintf(&b, "cache: %s\n", p.cacheNote)

@@ -123,7 +123,7 @@ func TestNilSafety(t *testing.T) {
 	r.Gauge("y").Add(2)
 	r.Histogram("z").Observe(1)
 	r.Describe("x", "help")
-	if r.Snapshot() != nil || r.Values() != nil || r.Counter("x").Value() != 0 || r.Histogram("z").Count() != 0 {
+	if r.Snapshot() != nil || r.Values() != nil || r.Counter("x").Value() != 0 || r.Histogram("z").View().Count != 0 {
 		t.Error("nil registry must be inert")
 	}
 }
@@ -152,9 +152,8 @@ func TestRegistryConcurrent(t *testing.T) {
 	if got := r.Gauge("g").Value(); got != 5 {
 		t.Fatalf("gauge after Set = %d", got)
 	}
-	names := r.Names()
-	if len(names) != 2 || names[0] != "c" || names[1] != "g" {
-		t.Fatalf("names = %v", names)
+	if snap := r.Snapshot(); len(snap) != 2 || snap[0].Name != "c" || snap[1].Name != "g" {
+		t.Fatalf("snapshot = %v", snap)
 	}
 }
 
@@ -173,7 +172,7 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	v := h.View()
-	if v.Count != 8000 || h.Count() != 8000 {
+	if v.Count != 8000 {
 		t.Fatalf("count = %d, want 8000", v.Count)
 	}
 	var total int64

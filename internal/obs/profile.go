@@ -44,48 +44,50 @@ type SpanDef struct {
 	Conserves bool `json:"conserves,omitempty"`
 }
 
-// OpSpan accumulates one operator's measurements. Storage is per core so
-// concurrent work units never contend: core w writes only slot w, and the
-// orchestrator (which runs strictly between parallel phases) uses slot 0.
-// All methods are nil-receiver safe so call sites need no profiling checks.
-type OpSpan struct {
-	cycles     []int64
-	wallNs     []int64
-	readBytes  []int64
-	writeBytes []int64
-	readSec    []float64
-	writeSec   []float64
-	rowsIn     []int64
-	rowsOut    []int64
-	tilesIn    []int64
-	tilesOut   []int64
+// spanCounters is everything one operator measures. An OpSpan holds one per
+// core; their sum (fold) is the row every renderer — Summary, Format, Energy
+// and both trace layouts — reads.
+type spanCounters struct {
+	cycles, wallNs        int64
+	readBytes, writeBytes int64
+	readSec, writeSec     float64
+	rowsIn, rowsOut       int64
+	tilesIn, tilesOut     int64
 
 	// Zone-map scan accounting, in storage-chunk granularity (the accessor
 	// may sub-tile a chunk under DMEM degradation, so chunks — not accessor
 	// tiles — are the stable unit). chunksTotal/chunksPruned are written by
 	// the orchestrator (slot 0); chunksScanned is ticked per work unit on its
 	// core. Invariant: pruned + scanned == total per span.
-	chunksTotal   []int64
-	chunksPruned  []int64
-	chunksScanned []int64
+	chunksTotal, chunksPruned, chunksScanned int64
 }
 
-func newOpSpan(cores int) *OpSpan {
-	return &OpSpan{
-		cycles:        make([]int64, cores),
-		wallNs:        make([]int64, cores),
-		readBytes:     make([]int64, cores),
-		writeBytes:    make([]int64, cores),
-		readSec:       make([]float64, cores),
-		writeSec:      make([]float64, cores),
-		rowsIn:        make([]int64, cores),
-		rowsOut:       make([]int64, cores),
-		tilesIn:       make([]int64, cores),
-		tilesOut:      make([]int64, cores),
-		chunksTotal:   make([]int64, cores),
-		chunksPruned:  make([]int64, cores),
-		chunksScanned: make([]int64, cores),
+// OpSpan accumulates one operator's measurements. Storage is per core so
+// concurrent work units never contend: core w writes only slot w, and the
+// orchestrator (which runs strictly between parallel phases) uses slot 0.
+// All methods are nil-receiver safe so call sites need no profiling checks.
+type OpSpan struct{ perCore []spanCounters }
+
+// fold sums the span over its cores, in core order.
+func (s *OpSpan) fold() spanCounters {
+	var t spanCounters
+	for i := range s.perCore {
+		c := &s.perCore[i]
+		t.cycles += c.cycles
+		t.wallNs += c.wallNs
+		t.readBytes += c.readBytes
+		t.writeBytes += c.writeBytes
+		t.readSec += c.readSec
+		t.writeSec += c.writeSec
+		t.rowsIn += c.rowsIn
+		t.rowsOut += c.rowsOut
+		t.tilesIn += c.tilesIn
+		t.tilesOut += c.tilesOut
+		t.chunksTotal += c.chunksTotal
+		t.chunksPruned += c.chunksPruned
+		t.chunksScanned += c.chunksScanned
 	}
+	return t
 }
 
 // AddCycles attributes a dpCore cycle delta measured on the given core.
@@ -93,7 +95,7 @@ func (s *OpSpan) AddCycles(core int, cy int64) {
 	if s == nil {
 		return
 	}
-	s.cycles[core] += cy
+	s.perCore[core].cycles += cy
 }
 
 // AddWallNs attributes native wall time (ModeX86) measured on a worker.
@@ -101,7 +103,7 @@ func (s *OpSpan) AddWallNs(core int, ns int64) {
 	if s == nil {
 		return
 	}
-	s.wallNs[core] += ns
+	s.perCore[core].wallNs += ns
 }
 
 // AddTransfer attributes one DMS operation.
@@ -109,12 +111,13 @@ func (s *OpSpan) AddTransfer(core int, write bool, bytes int64, sec float64) {
 	if s == nil {
 		return
 	}
+	c := &s.perCore[core]
 	if write {
-		s.writeBytes[core] += bytes
-		s.writeSec[core] += sec
+		c.writeBytes += bytes
+		c.writeSec += sec
 	} else {
-		s.readBytes[core] += bytes
-		s.readSec[core] += sec
+		c.readBytes += bytes
+		c.readSec += sec
 	}
 }
 
@@ -123,8 +126,8 @@ func (s *OpSpan) TickIn(core int, rows int64) {
 	if s == nil {
 		return
 	}
-	s.rowsIn[core] += rows
-	s.tilesIn[core]++
+	s.perCore[core].rowsIn += rows
+	s.perCore[core].tilesIn++
 }
 
 // TickOut counts one tile of rows leaving the operator.
@@ -132,8 +135,8 @@ func (s *OpSpan) TickOut(core int, rows int64) {
 	if s == nil {
 		return
 	}
-	s.rowsOut[core] += rows
-	s.tilesOut[core]++
+	s.perCore[core].rowsOut += rows
+	s.perCore[core].tilesOut++
 }
 
 // AddTilesTotal records the scan's total chunk (zone-map tile) count,
@@ -142,7 +145,7 @@ func (s *OpSpan) AddTilesTotal(n int64) {
 	if s == nil {
 		return
 	}
-	s.chunksTotal[0] += n
+	s.perCore[0].chunksTotal += n
 }
 
 // AddTilesPruned records chunks skipped by zone-map pruning,
@@ -151,7 +154,7 @@ func (s *OpSpan) AddTilesPruned(n int64) {
 	if s == nil {
 		return
 	}
-	s.chunksPruned[0] += n
+	s.perCore[0].chunksPruned += n
 }
 
 // TickTileScanned counts one chunk actually scanned, on its core.
@@ -159,7 +162,7 @@ func (s *OpSpan) TickTileScanned(core int) {
 	if s == nil {
 		return
 	}
-	s.chunksScanned[core]++
+	s.perCore[core].chunksScanned++
 }
 
 // AddRowsIn counts materialized input rows (orchestrator-side, no tile).
@@ -167,7 +170,7 @@ func (s *OpSpan) AddRowsIn(rows int64) {
 	if s == nil {
 		return
 	}
-	s.rowsIn[0] += rows
+	s.perCore[0].rowsIn += rows
 }
 
 // AddRowsOut counts materialized output rows (orchestrator-side, no tile).
@@ -175,7 +178,7 @@ func (s *OpSpan) AddRowsOut(rows int64) {
 	if s == nil {
 		return
 	}
-	s.rowsOut[0] += rows
+	s.perCore[0].rowsOut += rows
 }
 
 func sum64(v []int64) int64 {
@@ -185,54 +188,6 @@ func sum64(v []int64) int64 {
 	}
 	return t
 }
-
-func sumF(v []float64) float64 {
-	var t float64
-	for _, x := range v {
-		t += x
-	}
-	return t
-}
-
-// Cycles returns the span's total attributed cycles.
-func (s *OpSpan) Cycles() int64 { return sum64(s.cycles) }
-
-// WallNs returns the span's total attributed native nanoseconds.
-func (s *OpSpan) WallNs() int64 { return sum64(s.wallNs) }
-
-// ReadBytes returns total DMS read bytes attributed to the span.
-func (s *OpSpan) ReadBytes() int64 { return sum64(s.readBytes) }
-
-// WriteBytes returns total DMS write bytes attributed to the span.
-func (s *OpSpan) WriteBytes() int64 { return sum64(s.writeBytes) }
-
-// ReadSeconds returns total DMS read seconds attributed to the span.
-func (s *OpSpan) ReadSeconds() float64 { return sumF(s.readSec) }
-
-// WriteSeconds returns total DMS write seconds attributed to the span.
-func (s *OpSpan) WriteSeconds() float64 { return sumF(s.writeSec) }
-
-// RowsIn returns total input rows.
-func (s *OpSpan) RowsIn() int64 { return sum64(s.rowsIn) }
-
-// RowsOut returns total output rows.
-func (s *OpSpan) RowsOut() int64 { return sum64(s.rowsOut) }
-
-// TilesIn returns total input tiles.
-func (s *OpSpan) TilesIn() int64 { return sum64(s.tilesIn) }
-
-// TilesOut returns total output tiles.
-func (s *OpSpan) TilesOut() int64 { return sum64(s.tilesOut) }
-
-// TilesTotal returns the span's total scannable chunks (zero for non-scan
-// spans).
-func (s *OpSpan) TilesTotal() int64 { return sum64(s.chunksTotal) }
-
-// TilesPruned returns chunks the span skipped via zone maps.
-func (s *OpSpan) TilesPruned() int64 { return sum64(s.chunksPruned) }
-
-// TilesScanned returns chunks the span actually scanned.
-func (s *OpSpan) TilesScanned() int64 { return sum64(s.chunksScanned) }
 
 // Totals are the whole-query counters frozen into a profile after
 // execution; CheckInvariants reconciles the spans against them.
@@ -291,7 +246,7 @@ func NewProfile(mode string, cores int, freqHz float64, defs []SpanDef) *Profile
 	p := &Profile{Mode: mode, Cores: cores, FreqHz: freqHz, Defs: defs}
 	p.spans = make([]*OpSpan, len(defs))
 	for i := range p.spans {
-		p.spans[i] = newOpSpan(cores)
+		p.spans[i] = &OpSpan{perCore: make([]spanCounters, cores)}
 	}
 	return p
 }
@@ -327,40 +282,31 @@ func (p *Profile) Totals() Totals { return p.totals }
 // TotalCycles returns the whole-query cycle total (sum over cores).
 func (p *Profile) TotalCycles() int64 { return sum64(p.totals.CoreCycles) }
 
+// tiles returns the query-wide chunk counts over all spans: scannable,
+// zone-pruned, scanned.
+func (p *Profile) tiles() (total, pruned, scanned int64) {
+	if p == nil {
+		return
+	}
+	for _, s := range p.spans {
+		c := s.fold()
+		total += c.chunksTotal
+		pruned += c.chunksPruned
+		scanned += c.chunksScanned
+	}
+	return
+}
+
 // TilesTotal returns the query-wide scannable chunk count over all spans.
 func (p *Profile) TilesTotal() int64 {
-	if p == nil {
-		return 0
-	}
-	var n int64
-	for _, s := range p.spans {
-		n += s.TilesTotal()
-	}
-	return n
+	total, _, _ := p.tiles()
+	return total
 }
 
 // TilesPruned returns the query-wide zone-pruned chunk count over all spans.
 func (p *Profile) TilesPruned() int64 {
-	if p == nil {
-		return 0
-	}
-	var n int64
-	for _, s := range p.spans {
-		n += s.TilesPruned()
-	}
-	return n
-}
-
-// TilesScanned returns the query-wide scanned chunk count over all spans.
-func (p *Profile) TilesScanned() int64 {
-	if p == nil {
-		return 0
-	}
-	var n int64
-	for _, s := range p.spans {
-		n += s.TilesScanned()
-	}
-	return n
+	_, pruned, _ := p.tiles()
+	return pruned
 }
 
 // CheckInvariants verifies that the per-operator decomposition exactly
@@ -389,7 +335,7 @@ func (p *Profile) CheckInvariants() error {
 	for core := 0; core < p.Cores; core++ {
 		var spanSum int64
 		for _, s := range p.spans {
-			spanSum += s.cycles[core]
+			spanSum += s.perCore[core].cycles
 		}
 		var want int64
 		if core < len(p.totals.CoreCycles) {
@@ -400,13 +346,16 @@ func (p *Profile) CheckInvariants() error {
 		}
 	}
 	// 2. Per-direction DMS byte conservation (exact integer equality).
+	folds := make([]spanCounters, len(p.spans))
 	var rdB, wrB int64
 	var rdS, wrS float64
-	for _, s := range p.spans {
-		rdB += s.ReadBytes()
-		wrB += s.WriteBytes()
-		rdS += s.ReadSeconds()
-		wrS += s.WriteSeconds()
+	for i, s := range p.spans {
+		c := s.fold()
+		folds[i] = c
+		rdB += c.readBytes
+		wrB += c.writeBytes
+		rdS += c.readSec
+		wrS += c.writeSec
 	}
 	if rdB != p.totals.DMSReadBytes {
 		return fmt.Errorf("obs: span DMS read bytes sum to %d, engine total is %d", rdB, p.totals.DMSReadBytes)
@@ -439,32 +388,28 @@ func (p *Profile) CheckInvariants() error {
 			children := 0
 			for _, c := range p.Defs {
 				if c.Parent == d.ID {
-					childOut += p.spans[c.ID].RowsOut()
+					childOut += folds[c.ID].rowsOut
 					children++
 				}
 			}
 			if children == 0 {
 				continue
 			}
-			if in := p.spans[d.ID].RowsIn(); in != childOut {
+			if in := folds[d.ID].rowsIn; in != childOut {
 				return fmt.Errorf("obs: operator %d (%s) rows-in %d != children rows-out %d", d.ID, d.Name, in, childOut)
 			}
 		}
 	}
 	// 5. Zone-map pruning accounting: pruned + scanned == total per span.
 	if !p.adapted {
-		for i, s := range p.spans {
-			total := s.TilesTotal()
-			if total == 0 && s.TilesPruned() == 0 && s.TilesScanned() == 0 {
-				continue
-			}
-			if got := s.TilesPruned() + s.TilesScanned(); got != total {
+		for i, c := range folds {
+			if c.chunksPruned+c.chunksScanned != c.chunksTotal {
 				name := ""
 				if i < len(p.Defs) {
 					name = p.Defs[i].Name
 				}
 				return fmt.Errorf("obs: operator %d (%s) pruned %d + scanned %d != total tiles %d",
-					i, name, s.TilesPruned(), s.TilesScanned(), total)
+					i, name, c.chunksPruned, c.chunksScanned, c.chunksTotal)
 			}
 		}
 	}
@@ -553,10 +498,8 @@ func (p *Profile) Summary() Summary {
 		TotalCycles:      p.TotalCycles(),
 		DMSReadBytes:     p.totals.DMSReadBytes,
 		DMSWriteBytes:    p.totals.DMSWriteBytes,
-		TilesTotal:       p.TilesTotal(),
-		TilesPruned:      p.TilesPruned(),
-		TilesScanned:     p.TilesScanned(),
 	}
+	out.TilesTotal, out.TilesPruned, out.TilesScanned = p.tiles()
 	var rep EnergyReport
 	if p.isDPU() {
 		rep = p.Energy(defaultEnergyModel())
@@ -571,15 +514,15 @@ func (p *Profile) Summary() Summary {
 		}
 	}
 	for i, d := range p.Defs {
-		s := p.spans[i]
+		c := p.spans[i].fold()
 		ss := SpanSummary{
 			ID: d.ID, Parent: d.Parent, Name: d.Name, Detail: d.Detail, Kind: d.Kind,
-			Cycles: s.Cycles(), WallMs: float64(s.WallNs()) / 1e6,
-			ReadBytes: s.ReadBytes(), WriteBytes: s.WriteBytes(),
-			ReadSeconds: s.ReadSeconds(), WriteSeconds: s.WriteSeconds(),
-			RowsIn: s.RowsIn(), RowsOut: s.RowsOut(),
-			TilesIn: s.TilesIn(), TilesOut: s.TilesOut(),
-			TilesTotal: s.TilesTotal(), TilesPruned: s.TilesPruned(), TilesScanned: s.TilesScanned(),
+			Cycles: c.cycles, WallMs: float64(c.wallNs) / 1e6,
+			ReadBytes: c.readBytes, WriteBytes: c.writeBytes,
+			ReadSeconds: c.readSec, WriteSeconds: c.writeSec,
+			RowsIn: c.rowsIn, RowsOut: c.rowsOut,
+			TilesIn: c.tilesIn, TilesOut: c.tilesOut,
+			TilesTotal: c.chunksTotal, TilesPruned: c.chunksPruned, TilesScanned: c.chunksScanned,
 		}
 		if out.Energy != nil {
 			ss.EnergyUJ = fjJoules(rep.Spans[i].ActivityFJ()) * 1e6

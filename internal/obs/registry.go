@@ -96,14 +96,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 {
 	if h == nil {
@@ -342,14 +334,4 @@ func (r *Registry) Values() map[string]int64 {
 		}
 	}
 	return out
-}
-
-// Names returns the sorted metric names currently registered.
-func (r *Registry) Names() []string {
-	snap := r.Snapshot()
-	names := make([]string, 0, len(snap))
-	for _, m := range snap {
-		names = append(names, m.Name)
-	}
-	return names
 }

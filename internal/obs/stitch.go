@@ -19,7 +19,7 @@ import "fmt"
 // trace-side mirror of the cluster's ExchangeStats (kept separate so obs
 // does not import the cluster package).
 type ExchangeSpan struct {
-	Kind    string  // "shuffle", "broadcast", "gather"
+	Kind    string // "shuffle", "broadcast", "gather"
 	Label   string
 	Seconds float64 // modeled serialized link time
 
@@ -134,59 +134,19 @@ func (b *TraceBuilder) AddDistributedQuery(name, mode string, nodes int, steps [
 // per-core duration (cores within a node run in parallel); its args carry
 // the node totals.
 func (b *TraceBuilder) layFragment(pid, tid int, p *Profile, at float64) float64 {
-	var rep EnergyReport
-	if p.isDPU() {
-		rep = p.Energy(defaultEnergyModel())
-	}
 	cur := at
 	// Reverse def order: producers before consumers (see AddQuery).
 	for i := len(p.Defs) - 1; i >= 0; i-- {
-		d := p.Defs[i]
 		s := p.spans[i]
 		var durSec float64
-		var cycles, rowsIn, rowsOut, rb, wb int64
-		for core := 0; core < p.Cores; core++ {
-			var cd float64
-			if p.isDPU() {
-				cd = float64(s.cycles[core]) / p.FreqHz
-				if dms := s.readSec[core] + s.writeSec[core]; dms > cd {
-					cd = dms
-				}
-			} else {
-				cd = float64(s.wallNs[core]) / 1e9
-			}
-			if cd > durSec {
-				durSec = cd
-			}
-			cycles += s.cycles[core]
-			rowsIn += s.rowsIn[core]
-			rowsOut += s.rowsOut[core]
-			rb += s.readBytes[core]
-			wb += s.writeBytes[core]
+		for _, c := range s.perCore {
+			durSec = max(durSec, p.coreSeconds(c))
 		}
-		if durSec == 0 && rowsIn == 0 && rowsOut == 0 {
+		c := s.fold()
+		if durSec == 0 && c.rowsIn == 0 && c.rowsOut == 0 {
 			continue
 		}
-		args := map[string]any{
-			"cycles":          cycles,
-			"rows_in":         rowsIn,
-			"rows_out":        rowsOut,
-			"dms_read_bytes":  rb,
-			"dms_write_bytes": wb,
-		}
-		if d.Detail != "" {
-			args["detail"] = d.Detail
-		}
-		if p.isDPU() {
-			cfj, rfj, wfj := rep.Model.ActivityFJ(cycles, rb, wb)
-			args["energy_uj"] = fjJoules(cfj+rfj+wfj) * 1e6
-		}
-		dur := durSec * 1e6
-		b.events = append(b.events, traceEvent{
-			Name: d.Name, Cat: string(d.Kind), Ph: "X",
-			Pid: pid, Tid: tid, TsUS: cur * 1e6, DurUS: &dur,
-			Args: args,
-		})
+		b.events = append(b.events, p.spanEvent(p.Defs[i], c, pid, tid, cur*1e6, durSec))
 		cur += durSec
 	}
 	return cur

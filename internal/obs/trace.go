@@ -46,6 +46,41 @@ func meta(name string, pid, tid int, key, val string) traceEvent {
 	return traceEvent{Name: name, Ph: "M", Pid: pid, Tid: tid, Args: map[string]any{key: val}}
 }
 
+// coreSeconds is how long counters measured on one core kept it busy: on
+// the DPU the longer of compute and DMS time (double buffering overlaps
+// them), natively the wall time.
+func (p *Profile) coreSeconds(c spanCounters) float64 {
+	if !p.isDPU() {
+		return float64(c.wallNs) / 1e9
+	}
+	return max(float64(c.cycles)/p.FreqHz, c.readSec+c.writeSec)
+}
+
+// spanEvent is operator d's complete ("X") event for counters c — one
+// core's, or a node's fold — with the counters and activity energy in args.
+func (p *Profile) spanEvent(d SpanDef, c spanCounters, pid, tid int, tsUS, durSec float64) traceEvent {
+	args := map[string]any{
+		"cycles":          c.cycles,
+		"rows_in":         c.rowsIn,
+		"rows_out":        c.rowsOut,
+		"dms_read_bytes":  c.readBytes,
+		"dms_write_bytes": c.writeBytes,
+	}
+	if d.Detail != "" {
+		args["detail"] = d.Detail
+	}
+	if p.isDPU() {
+		cfj, rfj, wfj := defaultEnergyModel().ActivityFJ(c.cycles, c.readBytes, c.writeBytes)
+		args["energy_uj"] = fjJoules(cfj+rfj+wfj) * 1e6
+	}
+	dur := durSec * 1e6
+	return traceEvent{
+		Name: d.Name, Cat: string(d.Kind), Ph: "X",
+		Pid: pid, Tid: tid, TsUS: tsUS, DurUS: &dur,
+		Args: args,
+	}
+}
+
 // AddQuery renders one profile as a new process in the trace. A nil or
 // empty profile adds nothing.
 func (b *TraceBuilder) AddQuery(name string, p *Profile) {
@@ -57,54 +92,19 @@ func (b *TraceBuilder) AddQuery(name string, p *Profile) {
 	label := fmt.Sprintf("%s (%s)", name, p.Mode)
 	b.events = append(b.events, meta("process_name", pid, 0, "name", label))
 
-	var rep EnergyReport
-	if p.isDPU() {
-		rep = p.Energy(defaultEnergyModel())
-	}
-
 	// Per-core cursor: each core's spans are laid end to end. Iterate defs
 	// in reverse so producers (sources) come before their consumers — the
 	// compiler emits consumer-before-producer.
 	cursor := make([]float64, p.Cores)
 	coresUsed := make([]bool, p.Cores)
 	for i := len(p.Defs) - 1; i >= 0; i-- {
-		d := p.Defs[i]
-		s := p.spans[i]
-		for core := 0; core < p.Cores; core++ {
-			var durSec float64
-			if p.isDPU() {
-				durSec = float64(s.cycles[core]) / p.FreqHz
-				if dms := s.readSec[core] + s.writeSec[core]; dms > durSec {
-					durSec = dms
-				}
-			} else {
-				durSec = float64(s.wallNs[core]) / 1e9
-			}
-			active := durSec > 0 || s.rowsIn[core] != 0 || s.rowsOut[core] != 0
-			if !active {
+		for core, c := range p.spans[i].perCore {
+			durSec := p.coreSeconds(c)
+			if durSec == 0 && c.rowsIn == 0 && c.rowsOut == 0 {
 				continue
 			}
 			coresUsed[core] = true
-			args := map[string]any{
-				"cycles":          s.cycles[core],
-				"rows_in":         s.rowsIn[core],
-				"rows_out":        s.rowsOut[core],
-				"dms_read_bytes":  s.readBytes[core],
-				"dms_write_bytes": s.writeBytes[core],
-			}
-			if d.Detail != "" {
-				args["detail"] = d.Detail
-			}
-			if p.isDPU() {
-				cfj, rfj, wfj := rep.Model.ActivityFJ(s.cycles[core], s.readBytes[core], s.writeBytes[core])
-				args["energy_uj"] = fjJoules(cfj+rfj+wfj) * 1e6
-			}
-			dur := durSec * 1e6
-			b.events = append(b.events, traceEvent{
-				Name: d.Name, Cat: string(d.Kind), Ph: "X",
-				Pid: pid, Tid: core, TsUS: cursor[core], DurUS: &dur,
-				Args: args,
-			})
+			b.events = append(b.events, p.spanEvent(p.Defs[i], c, pid, core, cursor[core], durSec))
 			cursor[core] += durSec * 1e6
 		}
 	}

@@ -115,7 +115,7 @@ func (a *ScalarAggOp) Open(tc *qef.TaskCtx) error {
 }
 
 func (a *ScalarAggOp) Produce(tc *qef.TaskCtx, t *qef.Tile) error {
-	primitives.ChargeTileOverhead(core(tc))
+	primitives.ChargeTileOverhead(tc.Core)
 	for i, spec := range a.Specs {
 		if spec.Kind == AggCountStar {
 			a.local[i].Count += int64(t.QualifyingRows())
@@ -124,17 +124,17 @@ func (a *ScalarAggOp) Produce(tc *qef.TaskCtx, t *qef.Tile) error {
 		vals := spec.Expr.Eval(tc, t)
 		if t.RIDs != nil {
 			// RID selection: gather the qualifying subset, then fold it.
-			sub := scratch(tc, len(t.RIDs))
+			sub := tc.I64Scratch(len(t.RIDs))
 			for j, r := range t.RIDs {
 				sub[j] = vals[r]
 			}
-			if c := core(tc); c != nil {
+			if c := tc.Core; c != nil {
 				c.Charge(dpu.Cycles(len(t.RIDs)))
 			}
-			primitives.Aggregate(core(tc), sub, nil, &a.local[i])
+			primitives.Aggregate(tc.Core, sub, nil, &a.local[i])
 			continue
 		}
-		primitives.Aggregate(core(tc), vals, t.Sel, &a.local[i])
+		primitives.Aggregate(tc.Core, vals, t.Sel, &a.local[i])
 	}
 	return nil
 }

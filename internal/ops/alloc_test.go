@@ -62,8 +62,7 @@ func observedPoolBytes(t *testing.T, mode qef.Mode, op qef.Operator, tile *qef.T
 		}
 		tc.ResetScratch()
 		p := tc.Pool()
-		base := p.DataBytesInUse()
-		p.MarkHighWater()
+		base := p.MarkHighWater()
 		if err := op.Produce(tc, tile); err != nil {
 			return err
 		}

@@ -28,7 +28,7 @@ func TestHashJoinEmptyInputs(t *testing.T) {
 			return JoinSpec{
 				Type: typ, BuildKeys: []int{0}, ProbeKeys: []int{0},
 				BuildPayload: []int{1}, ProbePayload: []int{0, 1},
-				Scheme: PartScheme{Rounds: []int{4}}, Vectorized: true,
+				Scheme: PartScheme{Rounds: []int{4}},
 			}
 		}
 		cases := []struct {

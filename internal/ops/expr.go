@@ -1,8 +1,6 @@
 package ops
 
 import (
-	"rapid/internal/bits"
-	"rapid/internal/coltypes"
 	"rapid/internal/dpu"
 	"rapid/internal/primitives"
 	"rapid/internal/qef"
@@ -23,7 +21,7 @@ type ColRef struct {
 }
 
 func (e *ColRef) Eval(tc *qef.TaskCtx, t *qef.Tile) []int64 {
-	return primitives.WidenToI64(core(tc), t.Cols[e.Idx], scratch(tc, t.N))
+	return primitives.WidenToI64(tc.Core, t.Cols[e.Idx], tc.I64Scratch(t.N))
 }
 
 // ConstExpr is a 64-bit constant (already scaled by the compiler).
@@ -32,7 +30,7 @@ type ConstExpr struct {
 }
 
 func (e *ConstExpr) Eval(tc *qef.TaskCtx, t *qef.Tile) []int64 {
-	out := scratch(tc, t.N)
+	out := tc.I64Scratch(t.N)
 	for i := range out {
 		out[i] = e.Val
 	}
@@ -61,28 +59,28 @@ func (e *BinExpr) Eval(tc *qef.TaskCtx, t *qef.Tile) []int64 {
 	// Constant fast paths use the *Const primitives (cheaper than
 	// materializing a constant vector).
 	if c, ok := e.R.(*ConstExpr); ok {
-		out := scratch(tc, len(l))
+		out := tc.I64Scratch(len(l))
 		switch e.Op {
 		case OpAdd:
-			primitives.AddConst(core(tc), l, c.Val, out)
+			primitives.AddConst(tc.Core, l, c.Val, out)
 		case OpSub:
-			primitives.AddConst(core(tc), l, -c.Val, out)
+			primitives.AddConst(tc.Core, l, -c.Val, out)
 		case OpMul:
-			primitives.MulConst(core(tc), l, c.Val, out)
+			primitives.MulConst(tc.Core, l, c.Val, out)
 		case OpDiv:
-			primitives.DivConst(core(tc), l, c.Val, out)
+			primitives.DivConst(tc.Core, l, c.Val, out)
 		}
 		return out
 	}
 	r := e.R.Eval(tc, t)
-	out := scratch(tc, len(l))
+	out := tc.I64Scratch(len(l))
 	switch e.Op {
 	case OpAdd:
-		primitives.AddCol(core(tc), l, r, out)
+		primitives.AddCol(tc.Core, l, r, out)
 	case OpSub:
-		primitives.SubCol(core(tc), l, r, out)
+		primitives.SubCol(tc.Core, l, r, out)
 	case OpMul:
-		primitives.MulCol(core(tc), l, r, out)
+		primitives.MulCol(tc.Core, l, r, out)
 	case OpDiv:
 		for i := range l {
 			if r[i] == 0 {
@@ -109,7 +107,7 @@ func (e *CaseExpr) Eval(tc *qef.TaskCtx, t *qef.Tile) []int64 {
 	cond := evalPredDense(tc, e.Cond, t)
 	a := e.Then.Eval(tc, t)
 	b := e.Else.Eval(tc, t)
-	out := scratch(tc, t.N)
+	out := tc.I64Scratch(t.N)
 	for i := range out {
 		if cond.Test(i) {
 			out[i] = a[i]
@@ -119,77 +117,6 @@ func (e *CaseExpr) Eval(tc *qef.TaskCtx, t *qef.Tile) []int64 {
 	}
 	charge1(tc, t.N)
 	return out
-}
-
-func core(tc *qef.TaskCtx) *dpu.Core {
-	if tc == nil {
-		return nil
-	}
-	return tc.Core
-}
-
-// scratch returns a tile-lifetime buffer (per-task pool when available).
-func scratch(tc *qef.TaskCtx, n int) []int64 {
-	if tc == nil {
-		return make([]int64, n)
-	}
-	return tc.I64Scratch(n)
-}
-
-// bvScratch returns a cleared tile-lifetime bit-vector.
-func bvScratch(tc *qef.TaskCtx, n int) *bits.Vector {
-	if tc == nil {
-		return bits.NewVector(n)
-	}
-	return tc.BVScratch(n)
-}
-
-// ridScratch returns an empty tile-lifetime RID buffer of capacity n.
-func ridScratch(tc *qef.TaskCtx, n int) []uint32 {
-	if tc == nil {
-		return make([]uint32, 0, n)
-	}
-	return tc.RIDScratch(n)
-}
-
-// u32Scratch returns a zeroed tile-lifetime uint32 buffer of length n.
-func u32Scratch(tc *qef.TaskCtx, n int) []uint32 {
-	if tc == nil {
-		return make([]uint32, n)
-	}
-	return tc.U32Scratch(n)
-}
-
-// colScratch returns a zeroed tile-lifetime column-header slice.
-func colScratch(tc *qef.TaskCtx, n int) []coltypes.Data {
-	if tc == nil {
-		return make([]coltypes.Data, n)
-	}
-	return tc.ColScratch(n)
-}
-
-// rowScratch returns a zeroed tile-lifetime [][]int64 header slice.
-func rowScratch(tc *qef.TaskCtx, n int) [][]int64 {
-	if tc == nil {
-		return make([][]int64, n)
-	}
-	return tc.RowScratch(n)
-}
-
-// dataScratch returns a zeroed tile-lifetime column buffer.
-func dataScratch(tc *qef.TaskCtx, w coltypes.Width, n int) coltypes.Data {
-	if tc == nil {
-		return coltypes.New(w, n)
-	}
-	return tc.DataScratch(w, n)
-}
-
-// tileScratch returns a recycled tile-lifetime Tile over cols.
-func tileScratch(tc *qef.TaskCtx, cols []coltypes.Data, n int) *qef.Tile {
-	if tc == nil {
-		return qef.NewTile(cols, n)
-	}
-	return tc.TileScratch(cols, n)
 }
 
 // exprScratchBytes returns an upper bound on the tile-lifetime pool bytes
@@ -219,13 +146,13 @@ func exprScratchBytes(e Expr, tileRows int) int {
 }
 
 func charge1(tc *qef.TaskCtx, n int) {
-	if c := core(tc); c != nil {
-		c.Charge(dpu.Cycles(n))
+	if tc.Core != nil {
+		tc.Core.Charge(dpu.Cycles(n))
 	}
 }
 
 func charge4(tc *qef.TaskCtx, n int) {
-	if c := core(tc); c != nil {
-		c.Charge(dpu.Cycles(4 * n))
+	if tc.Core != nil {
+		tc.Core.Charge(dpu.Cycles(4 * n))
 	}
 }

@@ -46,11 +46,11 @@ func (f *FilterOp) Open(tc *qef.TaskCtx) error {
 
 // Produce evaluates the predicate chain on one tile.
 func (f *FilterOp) Produce(tc *qef.TaskCtx, t *qef.Tile) error {
-	primitives.ChargeTileOverhead(core(tc))
+	primitives.ChargeTileOverhead(tc.Core)
 	cur := t.Sel
 	if t.RIDs != nil {
 		// Upstream handed a RID list; convert once.
-		cur = bvScratch(tc, t.N)
+		cur = tc.BVScratch(t.N)
 		cur.FromRIDs(t.RIDs)
 		t.RIDs = nil
 	}
@@ -66,7 +66,7 @@ func (f *FilterOp) Produce(tc *qef.TaskCtx, t *qef.Tile) error {
 	if cur != nil {
 		// Representation choice (§5.4): RID list below 1/32 density.
 		if bits.ChooseRIDs(hits, t.N) {
-			t.RIDs = cur.ToRIDs(ridScratch(tc, hits))
+			t.RIDs = cur.ToRIDs(tc.RIDScratch(hits))
 			t.Sel = nil
 		} else {
 			t.Sel = cur
@@ -112,14 +112,14 @@ func (m *MaterializeOp) Produce(tc *qef.TaskCtx, t *qef.Tile) error {
 	if t.Dense() {
 		return m.Next.Produce(tc, t)
 	}
-	rids := t.AppendSelRIDs(ridScratch(tc, t.QualifyingRows()))
-	out := colScratch(tc, len(t.Cols))
+	rids := t.AppendSelRIDs(tc.RIDScratch(t.QualifyingRows()))
+	out := tc.ColScratch(len(t.Cols))
 	for i, c := range t.Cols {
-		dst := dataScratch(tc, c.Width(), len(rids))
-		primitives.GatherRows(core(tc), c, rids, dst)
+		dst := tc.DataScratch(c.Width(), len(rids))
+		primitives.GatherRows(tc.Core, c, rids, dst)
 		out[i] = dst
 	}
-	return m.Next.Produce(tc, tileScratch(tc, out, len(rids)))
+	return m.Next.Produce(tc, tc.TileScratch(out, len(rids)))
 }
 
 func (m *MaterializeOp) Close(tc *qef.TaskCtx) error { return m.Next.Close(tc) }
@@ -149,14 +149,14 @@ func (p *ProjectOp) DMEMSize(tileRows int) int {
 func (p *ProjectOp) Open(tc *qef.TaskCtx) error { return p.Next.Open(tc) }
 
 func (p *ProjectOp) Produce(tc *qef.TaskCtx, t *qef.Tile) error {
-	out := colScratch(tc, len(p.Keep)+len(p.Exprs))
+	out := tc.ColScratch(len(p.Keep) + len(p.Exprs))
 	for i, k := range p.Keep {
 		out[i] = t.Cols[k]
 	}
 	for i, e := range p.Exprs {
 		out[len(p.Keep)+i] = coltypes.Of(e.Eval(tc, t))
 	}
-	nt := tileScratch(tc, out, t.N)
+	nt := tc.TileScratch(out, t.N)
 	nt.Sel = t.Sel
 	nt.RIDs = t.RIDs
 	return p.Next.Produce(tc, nt)

@@ -147,16 +147,16 @@ func (g *GroupByOp) Open(tc *qef.TaskCtx) error {
 }
 
 func (g *GroupByOp) Produce(tc *qef.TaskCtx, t *qef.Tile) error {
-	primitives.ChargeTileOverhead(core(tc))
+	primitives.ChargeTileOverhead(tc.Core)
 	// Hash the group key columns (hardware CRC32 engine provides this in
 	// the on-the-fly partitioning path).
-	keyData := colScratch(tc, len(g.GroupCols))
+	keyData := tc.ColScratch(len(g.GroupCols))
 	for i, c := range g.GroupCols {
 		keyData[i] = t.Cols[c]
 	}
-	hv := primitives.HashColumns(core(tc), keyData, ridScratch(tc, t.N))
-	gids := ridScratch(tc, t.N)
-	rows := ridScratch(tc, t.N)
+	hv := primitives.HashColumns(tc.Core, keyData, tc.RIDScratch(t.N))
+	gids := tc.RIDScratch(t.N)
+	rows := tc.RIDScratch(t.N)
 	var overflow error
 	t.ForEachRow(func(i int) {
 		if overflow != nil {
@@ -176,25 +176,25 @@ func (g *GroupByOp) Produce(tc *qef.TaskCtx, t *qef.Tile) error {
 	if overflow != nil {
 		return overflow
 	}
-	if c := core(tc); c != nil {
+	if c := tc.Core; c != nil {
 		c.Charge(dpu.Cycles(3 * len(rows))) // table probe loop
 	}
 	dense := t.Dense()
 	for s, spec := range g.Specs {
 		if spec.Kind == AggCountStar {
-			g.aggs[s].AccumulateCounts(core(tc), gids)
+			g.aggs[s].AccumulateCounts(tc.Core, gids)
 			continue
 		}
 		vals := spec.Expr.Eval(tc, t)
 		if dense {
-			g.aggs[s].Accumulate(core(tc), gids, vals)
+			g.aggs[s].Accumulate(tc.Core, gids, vals)
 			continue
 		}
-		sub := scratch(tc, len(rows))
+		sub := tc.I64Scratch(len(rows))
 		for j, r := range rows {
 			sub[j] = vals[r]
 		}
-		g.aggs[s].Accumulate(core(tc), gids, sub)
+		g.aggs[s].Accumulate(tc.Core, gids, sub)
 	}
 	return nil
 }
@@ -231,7 +231,7 @@ func (m *GroupMerger) merge(tc *qef.TaskCtx, table *GroupTable, aggs []*primitiv
 	if table == nil {
 		return
 	}
-	if c := core(tc); c != nil && table.n > 0 {
+	if c := tc.Core; c != nil && table.n > 0 {
 		// ATE transfer of the local groups to the merge core.
 		c.Charge(dpu.Cycles(10 * table.n))
 	}
@@ -267,13 +267,6 @@ func (m *GroupMerger) merge(tc *qef.TaskCtx, table *GroupTable, aggs []*primitiv
 			m.accs[s][row].Merge(st)
 		}
 	}
-}
-
-// NumGroups returns the merged group count.
-func (m *GroupMerger) NumGroups() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.keys)
 }
 
 // Relation materializes the merged result: group key columns first, then

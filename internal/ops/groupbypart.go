@@ -90,17 +90,17 @@ func groupOnePartition(tc *qef.TaskCtx, unit int, cols []coltypes.Data, hv []uin
 		}
 		gids[i] = uint32(gid)
 	}
-	if c := core(tc); c != nil {
+	if c := tc.Core; c != nil {
 		c.Charge(dpu.Cycles(3 * n))
 	}
 	for s, spec := range specs {
 		if spec.Kind == AggCountStar {
-			aggs[s].AccumulateCounts(core(tc), gids)
+			aggs[s].AccumulateCounts(tc.Core, gids)
 			continue
 		}
 		tile := qef.NewTile(cols, n)
 		vals := spec.Expr.Eval(tc, tile)
-		aggs[s].Accumulate(core(tc), gids, vals)
+		aggs[s].Accumulate(tc.Core, gids, vals)
 	}
 	out.add(tc, unit, table, aggs)
 	return nil

@@ -46,8 +46,7 @@ type JoinSpec struct {
 	BuildPayload []int
 	ProbePayload []int
 
-	Scheme   PartScheme // partitioning scheme from the optimizer
-	TileRows int        // operator tile size
+	Scheme PartScheme // partitioning scheme from the optimizer
 
 	// EstPartRows is the optimizer's estimate of build rows per partition
 	// (the DMEM capacity). Underestimates trigger the §6.4 resilience.
@@ -56,15 +55,9 @@ type JoinSpec struct {
 	// skew" and get re-partitioned dynamically; below that the hash table
 	// overflows gracefully ("small skew").
 	SkewFactor float64
-	// Vectorized false charges the row-at-a-time dispatch penalty (the
-	// Fig 13 ablation).
-	Vectorized bool
 }
 
 func (s *JoinSpec) normalize(buildRows int) {
-	if s.TileRows <= 0 {
-		s.TileRows = qef.DefaultTileRows
-	}
 	if s.SkewFactor <= 1 {
 		s.SkewFactor = 4
 	}
@@ -86,11 +79,11 @@ func HashJoin(ctx *qef.Context, build, probe *Relation, spec JoinSpec) (*Relatio
 	}
 	spec.normalize(build.Rows())
 
-	bp, err := PartitionByHash(ctx, build.Datas(), spec.BuildKeys, spec.Scheme, spec.TileRows)
+	bp, err := PartitionByHash(ctx, build.Datas(), spec.BuildKeys, spec.Scheme, qef.DefaultTileRows)
 	if err != nil {
 		return nil, err
 	}
-	pp, err := PartitionByHash(ctx, probe.Datas(), spec.ProbeKeys, spec.Scheme, spec.TileRows)
+	pp, err := PartitionByHash(ctx, probe.Datas(), spec.ProbeKeys, spec.Scheme, qef.DefaultTileRows)
 	if err != nil {
 		return nil, err
 	}
@@ -172,7 +165,7 @@ func joinPair(tc *qef.TaskCtx, bp, pp *PartitionedRel, p, plo, phi int, spec *Jo
 		if err != nil {
 			return err
 		}
-		probeCols := colScratch(tc, len(pp.Cols[p]))
+		probeCols := tc.ColScratch(len(pp.Cols[p]))
 		for c := range probeCols {
 			probeCols[c] = pp.Cols[p][c].Slice(plo, phi)
 		}
@@ -187,7 +180,7 @@ func joinPair(tc *qef.TaskCtx, bp, pp *PartitionedRel, p, plo, phi int, spec *Jo
 		}
 		return nil
 	}
-	probeCols := colScratch(tc, len(pp.Cols[p]))
+	probeCols := tc.ColScratch(len(pp.Cols[p]))
 	for c := range probeCols {
 		probeCols[c] = pp.Cols[p][c].Slice(plo, phi)
 	}
@@ -213,19 +206,14 @@ func joinPairData(tc *qef.TaskCtx, buildCols []coltypes.Data, bhv []uint32, prob
 	// match bit-vectors, sink staging) dies with this partition pair. The
 	// skew path runs several pairs per unit, so without this the takes
 	// would accumulate across pairs.
-	if tc != nil {
-		tc.MarkScratch()
-		defer tc.ReleaseScratch()
-	}
-	if !spec.Vectorized {
-		primitives.ChargeScalarDispatch(core(tc), nb+np)
-	}
+	tc.MarkScratch()
+	defer tc.ReleaseScratch()
 	// Bucket index bits come from the top of the hash — disjoint from the
 	// low bits consumed by partitioning.
 	nBuckets := primitives.BucketsFor(nb)
 	bucketShift := uint(32 - mathbits.Len(uint(nBuckets-1)))
 	shiftHv := func(hv []uint32) []uint32 {
-		out := u32Scratch(tc, len(hv))
+		out := tc.U32Scratch(len(hv))
 		for i, h := range hv {
 			out[i] = h >> bucketShift
 		}
@@ -234,15 +222,15 @@ func joinPairData(tc *qef.TaskCtx, buildCols []coltypes.Data, bhv []uint32, prob
 	sbhv := shiftHv(bhv)
 	sphv := shiftHv(phv)
 
-	buildKeys := primitives.WidenToI64(core(tc), buildCols[spec.BuildKeys[0]], scratch(tc, nb))
+	buildKeys := primitives.WidenToI64(tc.Core, buildCols[spec.BuildKeys[0]], tc.I64Scratch(nb))
 	var buildKeys2 []int64
 	if len(spec.BuildKeys) == 2 {
-		buildKeys2 = primitives.WidenToI64(core(tc), buildCols[spec.BuildKeys[1]], scratch(tc, nb))
+		buildKeys2 = primitives.WidenToI64(tc.Core, buildCols[spec.BuildKeys[1]], tc.I64Scratch(nb))
 	}
-	probeKeys := primitives.WidenToI64(core(tc), probeCols[spec.ProbeKeys[0]], scratch(tc, np))
+	probeKeys := primitives.WidenToI64(tc.Core, probeCols[spec.ProbeKeys[0]], tc.I64Scratch(np))
 	var probeKeys2 []int64
 	if len(spec.ProbeKeys) == 2 {
-		probeKeys2 = primitives.WidenToI64(core(tc), probeCols[spec.ProbeKeys[1]], scratch(tc, np))
+		probeKeys2 = primitives.WidenToI64(tc.Core, probeCols[spec.ProbeKeys[1]], tc.I64Scratch(np))
 	}
 
 	// DMEM capacity: the optimizer's estimate, clamped to what actually
@@ -262,28 +250,28 @@ func joinPairData(tc *qef.TaskCtx, buildCols []coltypes.Data, bhv []uint32, prob
 		return err
 	}
 	ht := primitives.NewCompactHT(capacity, nBuckets)
-	ht.Build(core(tc), sbhv, buildKeys, buildKeys2, spec.TileRows)
+	ht.Build(tc.Core, sbhv, buildKeys, buildKeys2, qef.DefaultTileRows)
 
 	switch spec.Type {
 	case InnerJoin:
-		matches := ht.Probe(core(tc), sphv, probeKeys, probeKeys2, spec.TileRows, make([]primitives.Match, 0, np))
+		matches := ht.Probe(tc.Core, sphv, probeKeys, probeKeys2, qef.DefaultTileRows, make([]primitives.Match, 0, np))
 		sink.emitMatches(tc, unit, buildCols, probeCols, matches)
 	case SemiJoin, AntiJoin:
-		exists := bvScratch(tc, np)
-		ht.ProbeExists(core(tc), sphv, probeKeys, probeKeys2, spec.TileRows, exists)
+		exists := tc.BVScratch(np)
+		ht.ProbeExists(tc.Core, sphv, probeKeys, probeKeys2, qef.DefaultTileRows, exists)
 		if spec.Type == AntiJoin {
-			neg := bvScratch(tc, np)
+			neg := tc.BVScratch(np)
 			neg.Not(exists)
 			exists = neg
 		}
 		sink.emitProbeOnly(tc, unit, probeCols, exists, np)
 	case LeftOuterJoin:
-		matches := ht.Probe(core(tc), sphv, probeKeys, probeKeys2, spec.TileRows, make([]primitives.Match, 0, np))
-		matched := bvScratch(tc, np)
+		matches := ht.Probe(tc.Core, sphv, probeKeys, probeKeys2, qef.DefaultTileRows, make([]primitives.Match, 0, np))
+		matched := tc.BVScratch(np)
 		for _, m := range matches {
 			matched.Set(int(m.ProbeRow))
 		}
-		unmatched := bvScratch(tc, np)
+		unmatched := tc.BVScratch(np)
 		unmatched.Not(matched)
 		sink.emitOuter(tc, unit, probeCols, buildCols, unmatched, np, matches)
 	}
@@ -316,8 +304,8 @@ func (s *joinSink) emitMatches(tc *qef.TaskCtx, unit int, buildCols, probeCols [
 		return
 	}
 	rows := s.out.chunk(tc, unit, len(matches))
-	probeRIDs := u32Scratch(tc, len(matches))
-	buildRIDs := u32Scratch(tc, len(matches))
+	probeRIDs := tc.U32Scratch(len(matches))
+	buildRIDs := tc.U32Scratch(len(matches))
 	for i, m := range matches {
 		probeRIDs[i] = m.ProbeRow
 		buildRIDs[i] = m.BuildRow
@@ -331,7 +319,7 @@ func (s *joinSink) emitMatches(tc *qef.TaskCtx, unit int, buildCols, probeCols [
 		widenGather(rows[ci], buildCols[bc], buildRIDs)
 		ci++
 	}
-	if c := core(tc); c != nil {
+	if c := tc.Core; c != nil {
 		c.Charge(dpu.Cycles(2 * len(matches) * ci))
 	}
 }
@@ -345,7 +333,7 @@ func (s *joinSink) emitProbeOnly(tc *qef.TaskCtx, unit int, probeCols []coltypes
 	var rids []uint32
 	if sel != nil {
 		n = sel.Count()
-		rids = sel.ToRIDs(ridScratch(tc, n))
+		rids = sel.ToRIDs(tc.RIDScratch(n))
 	}
 	if n == 0 {
 		return
@@ -358,7 +346,7 @@ func (s *joinSink) emitProbeOnly(tc *qef.TaskCtx, unit int, probeCols []coltypes
 			widenGather(rows[ci], probeCols[pc], rids)
 		}
 	}
-	if c := core(tc); c != nil {
+	if c := tc.Core; c != nil {
 		c.Charge(dpu.Cycles(2 * n))
 	}
 }

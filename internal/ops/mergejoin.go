@@ -153,7 +153,7 @@ func mergeJoinPair(tc *qef.TaskCtx, buildCols, probeCols []coltypes.Data, spec *
 			bi, pi = bEnd, pEnd
 		}
 	}
-	if c := core(tc); c != nil {
+	if c := tc.Core; c != nil {
 		// Merge scan: ~2 cycles per visited row plus emission.
 		c.Charge(dpu.Cycles(2*(nb+np) + 2*len(matches)))
 	}

@@ -45,7 +45,7 @@ func TestSortMergeMatchesHashJoin(t *testing.T) {
 		probe := intRel([]string{"k"}, pk)
 		spec := JoinSpec{
 			Type: InnerJoin, BuildKeys: []int{0}, ProbeKeys: []int{0},
-			ProbePayload: []int{0}, BuildPayload: []int{0}, Vectorized: true,
+			ProbePayload: []int{0}, BuildPayload: []int{0},
 			Scheme: PartScheme{Rounds: []int{4}},
 		}
 		hj, err := HashJoin(ctx, build, probe, spec)

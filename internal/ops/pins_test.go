@@ -180,7 +180,7 @@ func TestHashJoinCyclePins(t *testing.T) {
 		out, err := HashJoin(ctx, build, probe, JoinSpec{
 			Type: jt, BuildKeys: []int{0}, ProbeKeys: []int{0},
 			BuildPayload: []int{1}, ProbePayload: []int{0, 1},
-			Scheme: PartScheme{Rounds: []int{16, 4}}, Vectorized: true,
+			Scheme: PartScheme{Rounds: []int{16, 4}},
 		})
 		if err != nil {
 			t.Fatalf("%v: %v", jt, err)

@@ -67,12 +67,12 @@ type ConstCmp struct {
 }
 
 func (p *ConstCmp) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.Vector, int) {
-	out := bvScratch(tc, t.N)
+	out := tc.BVScratch(t.N)
 	var hits int
 	if inBV == nil {
-		hits = primitives.FilterConstBV(core(tc), t.Cols[p.Col], p.Op, p.Val, out)
+		hits = primitives.FilterConstBV(tc.Core, t.Cols[p.Col], p.Op, p.Val, out)
 	} else {
-		hits = primitives.FilterConstBVMasked(core(tc), t.Cols[p.Col], p.Op, p.Val, inBV, out)
+		hits = primitives.FilterConstBVMasked(tc.Core, t.Cols[p.Col], p.Op, p.Val, inBV, out)
 	}
 	return out, hits
 }
@@ -87,8 +87,8 @@ type Between struct {
 }
 
 func (p *Between) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.Vector, int) {
-	out := bvScratch(tc, t.N)
-	hits := primitives.FilterBetweenBV(core(tc), t.Cols[p.Col], p.Lo, p.Hi, inBV, out)
+	out := tc.BVScratch(t.N)
+	hits := primitives.FilterBetweenBV(tc.Core, t.Cols[p.Col], p.Lo, p.Hi, inBV, out)
 	return out, hits
 }
 
@@ -103,8 +103,8 @@ type InSet struct {
 }
 
 func (p *InSet) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.Vector, int) {
-	out := bvScratch(tc, t.N)
-	hits := primitives.FilterInSetBV(core(tc), t.Cols[p.Col], p.Set, inBV, out)
+	out := tc.BVScratch(t.N)
+	hits := primitives.FilterInSetBV(tc.Core, t.Cols[p.Col], p.Set, inBV, out)
 	return out, hits
 }
 
@@ -118,8 +118,8 @@ type ColCmp struct {
 }
 
 func (p *ColCmp) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.Vector, int) {
-	out := bvScratch(tc, t.N)
-	hits := primitives.FilterColColBV(core(tc), t.Cols[p.A], t.Cols[p.B], p.Op, inBV, out)
+	out := tc.BVScratch(t.N)
+	hits := primitives.FilterColColBV(tc.Core, t.Cols[p.A], t.Cols[p.B], p.Op, inBV, out)
 	return out, hits
 }
 
@@ -137,12 +137,12 @@ type ExprCmp struct {
 
 func (p *ExprCmp) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.Vector, int) {
 	d := coltypes.Of(p.E.Eval(tc, t))
-	out := bvScratch(tc, t.N)
+	out := tc.BVScratch(t.N)
 	var hits int
 	if inBV == nil {
-		hits = primitives.FilterConstBV(core(tc), d, p.Op, p.Val, out)
+		hits = primitives.FilterConstBV(tc.Core, d, p.Op, p.Val, out)
 	} else {
-		hits = primitives.FilterConstBVMasked(core(tc), d, p.Op, p.Val, inBV, out)
+		hits = primitives.FilterConstBVMasked(tc.Core, d, p.Op, p.Val, inBV, out)
 	}
 	return out, hits
 }
@@ -195,7 +195,7 @@ type Or struct {
 }
 
 func (p *Or) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.Vector, int) {
-	acc := bvScratch(tc, t.N)
+	acc := tc.BVScratch(t.N)
 	for _, sub := range p.Preds {
 		bv, _ := sub.Eval(tc, t, inBV)
 		acc.Or(acc, bv)
@@ -218,7 +218,7 @@ type Not struct {
 
 func (p *Not) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.Vector, int) {
 	bv, _ := p.P.Eval(tc, t, inBV)
-	out := bvScratch(tc, t.N)
+	out := tc.BVScratch(t.N)
 	if inBV == nil {
 		out.Not(bv)
 	} else {
@@ -233,7 +233,7 @@ func (p *Not) EstSelectivity() float64 { return 1 - p.P.EstSelectivity() }
 type TruePred struct{}
 
 func (TruePred) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.Vector, int) {
-	out := bvScratch(tc, t.N)
+	out := tc.BVScratch(t.N)
 	if inBV == nil {
 		out.SetAll()
 		return out, t.N

@@ -65,16 +65,6 @@ func (r *Relation) Rows() int {
 // NumCols returns the column count.
 func (r *Relation) NumCols() int { return len(r.Cols) }
 
-// ColIndex returns the index of the named column or -1.
-func (r *Relation) ColIndex(name string) int {
-	for i, c := range r.Cols {
-		if c.Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // Datas returns the raw column data slices in order.
 func (r *Relation) Datas() []coltypes.Data {
 	out := make([]coltypes.Data, len(r.Cols))

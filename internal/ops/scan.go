@@ -43,7 +43,7 @@ func TableScan(ctx *qef.Context, snap *storage.Snapshot, cols []int, tileRows in
 			if err != nil {
 				return err
 			}
-			data := colScratch(tc, len(cols))
+			data := tc.ColScratch(len(cols))
 			for i, c := range cols {
 				data[i] = cv.Data(c)
 			}
@@ -52,7 +52,7 @@ func TableScan(ctx *qef.Context, snap *storage.Snapshot, cols []int, tileRows in
 			return ra.Sequential(data, tileRows, func(t *qef.Tile) error {
 				tc.ResetScratch()
 				if cv.Deleted != nil {
-					if sel := bvScratch(tc, t.N); liveSel(sel, cv.Deleted, base) {
+					if sel := tc.BVScratch(t.N); liveSel(sel, cv.Deleted, base) {
 						t.Sel = sel
 					}
 				}
@@ -136,7 +136,7 @@ func RelationScan(ctx *qef.Context, rel *Relation, tileRows int, chainFor func()
 			if err != nil {
 				return err
 			}
-			span := colScratch(tc, len(data))
+			span := tc.ColScratch(len(data))
 			for i, d := range data {
 				span[i] = d.Slice(lo, hi)
 			}

@@ -127,7 +127,7 @@ func SetOp(ctx *qef.Context, a, b *Relation, kind SetOpKind) (*Relation, error) 
 			// pass that partitioned B billed its bytes, and bytes whose rows
 			// cost no core time would put activity energy above what the
 			// unit's makespan provisions (an empty A against a full B did).
-			if c := core(tc); c != nil {
+			if c := tc.Core; c != nil {
 				c.Charge(dpu.Cycles(10 * (touched + 1)))
 			}
 			results[p] = out

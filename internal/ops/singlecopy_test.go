@@ -99,17 +99,23 @@ func TestSplitPartitionSerialEqualsChunkParallel(t *testing.T) {
 func TestUnitSlotsConcatenateInUnitOrder(t *testing.T) {
 	u := unitSlots{ncols: 2}
 	u.units(4)
-	emit := func(unit int, vals ...int64) {
-		cols := u.chunk(nil, unit, len(vals))
-		for i, v := range vals {
-			cols[0][i], cols[1][i] = v, -v
+	err := qef.NewContext(qef.ModeX86).RunSerial(func(tc *qef.TaskCtx) error {
+		emit := func(unit int, vals ...int64) {
+			cols := u.chunk(tc, unit, len(vals))
+			for i, v := range vals {
+				cols[0][i], cols[1][i] = v, -v
+			}
 		}
+		emit(3, 30, 31)
+		emit(2, 20)
+		emit(0, 1, 2)
+		emit(2, 21, 22) // unit 1 emits nothing
+		emit(0, 3)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	emit(3, 30, 31)
-	emit(2, 20)
-	emit(0, 1, 2)
-	emit(2, 21, 22) // unit 1 emits nothing
-	emit(0, 3)
 	got := u.columns()
 	want := []int64{1, 2, 3, 20, 21, 22, 30, 31}
 	if !reflect.DeepEqual(got[0], want) {
@@ -266,7 +272,7 @@ func BenchmarkHashJoinLineitemOrders(b *testing.B) {
 	spec := JoinSpec{
 		Type: InnerJoin, BuildKeys: []int{0}, ProbeKeys: []int{0},
 		BuildPayload: []int{0, 1}, ProbePayload: []int{1, 2},
-		Scheme: PartScheme{Rounds: []int{8, 16}}, Vectorized: true,
+		Scheme: PartScheme{Rounds: []int{8, 16}},
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

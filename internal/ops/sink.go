@@ -49,7 +49,7 @@ func (u *unitSlots) units(n int) { u.byUnit = make([][][]int64, n) }
 func (u *unitSlots) chunk(tc *qef.TaskCtx, unit, rows int) [][]int64 {
 	flat := make([]int64, u.ncols*rows)
 	u.byUnit[unit] = append(u.byUnit[unit], flat)
-	cols := rowScratch(tc, u.ncols)
+	cols := tc.RowScratch(u.ncols)
 	for c := range cols {
 		cols[c] = flat[c*rows : (c+1)*rows]
 	}
@@ -169,7 +169,7 @@ func (s *CollectSink) Produce(tc *qef.TaskCtx, t *qef.Tile) error {
 	}
 	var rids []uint32
 	if !t.Dense() {
-		rids = t.AppendSelRIDs(ridScratch(tc, n))
+		rids = t.AppendSelRIDs(tc.RIDScratch(n))
 	}
 	for c, vec := range core.blk {
 		dst := vec[core.fill : core.fill+n]

@@ -165,7 +165,7 @@ func radixSortRIDs(tc *qef.TaskCtx, rids []uint32, key []uint64) {
 		}
 		copy(rids, tmp)
 	}
-	if c := core(tc); c != nil {
+	if c := tc.Core; c != nil {
 		// ~3 cycles/row per pass (read, bucket update, store).
 		c.Charge(dpu.Cycles(3 * n * (passes + 1)))
 	}

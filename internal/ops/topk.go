@@ -80,7 +80,7 @@ func TopK(ctx *qef.Context, rel *Relation, keys []SortKey, k int) (*Relation, er
 				cand = cand[:k]
 			}
 			locals[w] = cand
-			if c := core(tc); c != nil {
+			if c := tc.Core; c != nil {
 				c.Charge(dpu.Cycles(2 * (hi - lo)))
 			}
 			return nil

@@ -128,7 +128,7 @@ func Window(ctx *qef.Context, rel *Relation, spec WindowSpec) (*Relation, error)
 			}
 			start = end
 		}
-		if c := core(tc); c != nil {
+		if c := tc.Core; c != nil {
 			c.Charge(dpu.Cycles(3 * n))
 		}
 		return nil

@@ -69,14 +69,6 @@ func (b Breakdown) ActivityJoules() float64 { return float64(b.ActivityFJ()) / F
 // TotalJoules returns activity plus idle energy.
 func (b Breakdown) TotalJoules() float64 { return b.ActivityJoules() + b.IdleJ }
 
-// Add accumulates another breakdown into b.
-func (b *Breakdown) Add(o Breakdown) {
-	b.CoreFJ += o.CoreFJ
-	b.DMSReadFJ += o.DMSReadFJ
-	b.DMSWriteFJ += o.DMSWriteFJ
-	b.IdleJ += o.IdleJ
-}
-
 // ActivityFJ prices raw activity counters in femtojoules.
 func (m EnergyModel) ActivityFJ(cycles, readBytes, writeBytes int64) (coreFJ, readFJ, writeFJ int64) {
 	return cycles * m.CoreFJPerCycle, readBytes * m.DMSReadFJPerByte, writeBytes * m.DMSWriteFJPerByte

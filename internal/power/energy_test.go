@@ -53,12 +53,6 @@ func TestBreakdownArithmetic(t *testing.T) {
 	if math.Abs(b.TotalJoules()-(b.ActivityJoules()+b.IdleJ)) > 1e-18 {
 		t.Fatal("total joules")
 	}
-	var acc Breakdown
-	acc.Add(b)
-	acc.Add(b)
-	if acc.ActivityFJ() != 2*b.ActivityFJ() || acc.IdleJ != 2*b.IdleJ {
-		t.Fatal("Add")
-	}
 }
 
 func TestPerfPerWattFromEnergyReducesToProvisioned(t *testing.T) {

@@ -173,9 +173,6 @@ func NewGroupedAgg(n int) *GroupedAgg {
 	return g
 }
 
-// SizeBytes returns the DMEM footprint of the accumulators.
-func (g *GroupedAgg) SizeBytes() int { return 4 * 8 * len(g.Sums) }
-
 // Accumulate folds vals into the accumulators selected by gids.
 func (g *GroupedAgg) Accumulate(core *dpu.Core, gids []uint32, vals []int64) {
 	for i, gid := range gids {

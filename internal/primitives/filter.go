@@ -38,25 +38,6 @@ func (op CmpOp) String() string {
 	return fmt.Sprintf("CmpOp(%d)", int(op))
 }
 
-// Negate returns the complementary operator.
-func (op CmpOp) Negate() CmpOp {
-	switch op {
-	case EQ:
-		return NE
-	case NE:
-		return EQ
-	case LT:
-		return GE
-	case LE:
-		return GT
-	case GT:
-		return LE
-	case GE:
-		return LT
-	}
-	panic("primitives: bad CmpOp")
-}
-
 // Swap returns the operator with operand order reversed (a op b == b Swap(op) a).
 func (op CmpOp) Swap() CmpOp {
 	switch op {

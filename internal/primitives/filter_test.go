@@ -39,12 +39,8 @@ func TestCmpOps(t *testing.T) {
 		}
 	}
 	for _, op := range []CmpOp{EQ, NE, LT, LE, GT, GE} {
-		neg := op.Negate()
 		for a := int64(-2); a <= 2; a++ {
 			for b := int64(-2); b <= 2; b++ {
-				if cmp(op, a, b) == cmp(neg, a, b) {
-					t.Fatalf("%v and its negation agree on (%d,%d)", op, a, b)
-				}
 				if cmp(op, a, b) != cmp(op.Swap(), b, a) {
 					t.Fatalf("%v swap wrong on (%d,%d)", op, a, b)
 				}

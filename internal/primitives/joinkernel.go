@@ -82,9 +82,6 @@ func NewCompactHT(capacity, nBuckets int) *CompactHT {
 	return ht
 }
 
-// SizeBytes returns the table's DMEM footprint.
-func (ht *CompactHT) SizeBytes() int { return ht.buckets.SizeBytes() + ht.link.SizeBytes() }
-
 // Rows returns the number of build rows inserted (DMEM + overflow).
 func (ht *CompactHT) Rows() int { return ht.rows + len(ht.ovRows) }
 

@@ -23,12 +23,6 @@ type PartitionMap struct {
 // Rows returns the row count of partition p.
 func (m *PartitionMap) Rows(p int) int { return int(m.Offsets[p+1] - m.Offsets[p]) }
 
-// Fanout returns the partition count.
-func (m *PartitionMap) Fanout() int { return len(m.Offsets) - 1 }
-
-// SizeBytes returns the DMEM footprint of the map.
-func (m *PartitionMap) SizeBytes() int { return len(m.RowIdx)*4 + len(m.Offsets)*4 }
-
 // ComputePartitionMap is Listing 2: from hardware-computed hash values,
 // derive each row's partition (radix bits of the hash shifted by `shift`),
 // histogram the tile, prefix-sum, and emit the partition-ordered row map.

@@ -94,8 +94,7 @@ type Plan struct {
 
 // Config sizes the cache. Zero values select the defaults.
 type Config struct {
-	MaxResultBytes int64 // result-tier byte budget (default 64 MiB)
-	MaxEntryBytes  int64 // per-entry admission cap (default budget/8)
+	MaxResultBytes int64 // result-tier byte budget (default 64 MiB); one entry may take an eighth of it
 	MinCostNs      int64 // only cache results whose execution took >= this
 	PlanEntries    int   // plan-tier entry capacity (default 256)
 	Metrics        *obs.Registry
@@ -137,9 +136,6 @@ func New(cfg Config) *Cache {
 	if cfg.MaxResultBytes <= 0 {
 		cfg.MaxResultBytes = defaultMaxResultBytes
 	}
-	if cfg.MaxEntryBytes <= 0 {
-		cfg.MaxEntryBytes = cfg.MaxResultBytes / 8
-	}
 	if cfg.PlanEntries <= 0 {
 		cfg.PlanEntries = defaultPlanEntries
 	}
@@ -149,7 +145,7 @@ func New(cfg Config) *Cache {
 	}
 	c := &Cache{
 		maxBytes:     cfg.MaxResultBytes,
-		maxEntry:     cfg.MaxEntryBytes,
+		maxEntry:     cfg.MaxResultBytes / 8,
 		minCostNs:    cfg.MinCostNs,
 		planCapacity: cfg.PlanEntries,
 		results:      make(map[Key]*list.Element),

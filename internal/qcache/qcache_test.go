@@ -60,24 +60,24 @@ func TestEpochAloneInvalidates(t *testing.T) {
 }
 
 func TestLRUByteBudgetEviction(t *testing.T) {
-	c := New(Config{MaxResultBytes: 1000, MaxEntryBytes: 1000})
+	c := New(Config{MaxResultBytes: 2400}) // 300-byte entries are at the per-entry cap
 	cur := fixedVersions(Version{Name: "t"})
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 9; i++ {
 		c.PutResult(Key{Template: uint64(i)}, &Result{Bytes: 300, Versions: []Version{{Name: "t"}}})
 	}
-	// 4*300 > 1000: oldest (template 0) must be gone.
+	// 9*300 > 2400: oldest (template 0) must be gone.
 	if _, st := c.GetResult(Key{Template: 0}, cur); st != Miss {
 		t.Fatal("oldest entry should be evicted")
 	}
-	if _, st := c.GetResult(Key{Template: 3}, cur); st != Hit {
+	if _, st := c.GetResult(Key{Template: 8}, cur); st != Hit {
 		t.Fatal("newest entry should survive")
 	}
-	if s := c.Stats(); s.Evictions != 1 || s.ResidentBytes != 900 || s.ResidentEntries != 3 {
+	if s := c.Stats(); s.Evictions != 1 || s.ResidentBytes != 2400 || s.ResidentEntries != 8 {
 		t.Fatalf("stats = %+v", s)
 	}
 	// Touch template 1, then overflow: template 2 (now LRU) goes first.
 	c.GetResult(Key{Template: 1}, cur)
-	c.PutResult(Key{Template: 4}, &Result{Bytes: 300, Versions: []Version{{Name: "t"}}})
+	c.PutResult(Key{Template: 9}, &Result{Bytes: 300, Versions: []Version{{Name: "t"}}})
 	if _, st := c.GetResult(Key{Template: 1}, cur); st != Hit {
 		t.Fatal("recently used entry must survive eviction")
 	}
@@ -87,7 +87,7 @@ func TestLRUByteBudgetEviction(t *testing.T) {
 }
 
 func TestAdmissionPolicy(t *testing.T) {
-	c := New(Config{MaxResultBytes: 1000, MaxEntryBytes: 100, MinCostNs: 50})
+	c := New(Config{MaxResultBytes: 800, MinCostNs: 50}) // per-entry cap 100
 	if c.PutResult(Key{Template: 1}, &Result{Bytes: 101, WallNs: 100}) {
 		t.Fatal("oversized result must be rejected")
 	}

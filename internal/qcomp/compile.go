@@ -3,7 +3,6 @@ package qcomp
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	"rapid/internal/coltypes"
 	"rapid/internal/obs"
@@ -43,28 +42,14 @@ func (c *Compiled) Execute(ctx *qef.Context) (*ops.Relation, error) {
 	return c.root.execute(ctx)
 }
 
-// Explain renders the physical plan.
-func (c *Compiled) Explain() string {
-	var sb strings.Builder
-	c.root.explain(&sb, 0)
-	return sb.String()
-}
-
 // physNode is a physical operator tree node.
 type physNode interface {
 	execute(ctx *qef.Context) (*ops.Relation, error)
 	fields() []plan.Field
 	estRows() int64
-	explain(sb *strings.Builder, depth int)
 	// annotate registers the node's operator span(s) under parent and
 	// returns the span ID representing the node's output.
 	annotate(reg *spanReg, parent int) int
-}
-
-func indent(sb *strings.Builder, depth int) {
-	for i := 0; i < depth; i++ {
-		sb.WriteString("  ")
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -142,32 +127,6 @@ func (p *pipelineNode) estRows() int64 {
 		return 1
 	}
 	return p.est
-}
-
-func (p *pipelineNode) explain(sb *strings.Builder, depth int) {
-	indent(sb, depth)
-	if p.snap != nil {
-		fmt.Fprintf(sb, "Pipeline[scan %s", p.snap.Table().Name())
-	} else {
-		sb.WriteString("Pipeline[relation")
-	}
-	for _, s := range p.steps {
-		if s.kind == stepFilter {
-			fmt.Fprintf(sb, " -> filter(%d preds)", len(s.preds))
-		} else {
-			fmt.Fprintf(sb, " -> project(%d exprs)", len(s.exprs)+len(s.keep))
-		}
-	}
-	switch p.terminal {
-	case termScalarAgg:
-		fmt.Fprintf(sb, " -> agg(%d)", len(p.aggSpecs))
-	case termGroupBy:
-		fmt.Fprintf(sb, " -> groupby(keys=%d, aggs=%d, maxGroups=%d)", len(p.groupCols), len(p.aggSpecs), p.maxGroups)
-	}
-	sb.WriteString("]\n")
-	if p.input != nil {
-		p.input.explain(sb, depth+1)
-	}
 }
 
 // prunePredicate returns the conjunction of filter predicates that apply

@@ -1,7 +1,6 @@
 package qcomp
 
 import (
-	"strings"
 	"testing"
 
 	"rapid/internal/coltypes"
@@ -146,27 +145,27 @@ func TestCompileSetOpAndWindowNodes(t *testing.T) {
 	if relW.NumCols() != 2 || relW.Rows() != 500 {
 		t.Fatalf("window shape %dx%d", relW.Rows(), relW.NumCols())
 	}
-	// Explain covers every node type's explain method.
+	// The span tree names every node type.
 	c, err := Compile(&plan.Limit{Input: &plan.Sort{Input: u, Keys: []plan.SortItem{{Col: 0}}}, K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(c.Explain(), "TopK") {
-		t.Fatal("explain")
+	if !hasSpan(c, "TopK") {
+		t.Fatalf("no TopK span: %v", c.SpanDefs())
 	}
 	cw, err := Compile(w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(cw.Explain(), "Window") {
-		t.Fatal("window explain")
+	if !hasSpan(cw, "Window") {
+		t.Fatalf("no Window span: %v", cw.SpanDefs())
 	}
 	cu, err := Compile(u)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(cu.Explain(), "SetOp") {
-		t.Fatal("setop explain")
+	if !hasSpan(cu, "SetOp") {
+		t.Fatalf("no SetOp span: %v", cu.SpanDefs())
 	}
 }
 

@@ -2,7 +2,6 @@ package qcomp
 
 import (
 	"fmt"
-	"strings"
 
 	"rapid/internal/coltypes"
 	"rapid/internal/dpu"
@@ -26,12 +25,6 @@ type groupPartNode struct {
 
 func (g *groupPartNode) fields() []plan.Field { return g.out }
 func (g *groupPartNode) estRows() int64       { return g.ndv }
-
-func (g *groupPartNode) explain(sb *strings.Builder, depth int) {
-	indent(sb, depth)
-	fmt.Fprintf(sb, "GroupByPartitioned(keys=%d, aggs=%d, ndv~%d)\n", len(g.groupCols), len(g.specs), g.ndv)
-	g.input.explain(sb, depth+1)
-}
 
 func (g *groupPartNode) execute(ctx *qef.Context) (*ops.Relation, error) {
 	rel, err := g.input.execute(ctx)
@@ -114,13 +107,6 @@ func compileJoin(j *plan.Join, in map[plan.Node]*ops.Relation) (physNode, error)
 func (n *joinNode) fields() []plan.Field { return n.out }
 func (n *joinNode) estRows() int64       { return n.est }
 
-func (n *joinNode) explain(sb *strings.Builder, depth int) {
-	indent(sb, depth)
-	fmt.Fprintf(sb, "HashJoin(type=%v, scheme=%s, swapped=%v)\n", n.typ, n.scheme, n.swapped)
-	n.left.explain(sb, depth+1)
-	n.right.explain(sb, depth+1)
-}
-
 func (n *joinNode) execute(ctx *qef.Context) (*ops.Relation, error) {
 	leftRel, err := n.left.execute(ctx)
 	if err != nil {
@@ -139,11 +125,10 @@ func (n *joinNode) execute(ctx *qef.Context) (*ops.Relation, error) {
 		bk, pk = n.lk, n.rk
 	}
 	spec := ops.JoinSpec{
-		Type:       joinType(n.typ),
-		BuildKeys:  bk,
-		ProbeKeys:  pk,
-		Scheme:     n.scheme,
-		Vectorized: true,
+		Type:      joinType(n.typ),
+		BuildKeys: bk,
+		ProbeKeys: pk,
+		Scheme:    n.scheme,
 	}
 	// Payload: all columns of each side (the logical schema).
 	switch n.typ {
@@ -213,12 +198,6 @@ type sortNode struct {
 
 func (n *sortNode) fields() []plan.Field { return n.input.fields() }
 func (n *sortNode) estRows() int64       { return n.input.estRows() }
-func (n *sortNode) explain(sb *strings.Builder, depth int) {
-	indent(sb, depth)
-	fmt.Fprintf(sb, "Sort(%v)\n", n.keys)
-	n.input.explain(sb, depth+1)
-}
-
 func (n *sortNode) execute(ctx *qef.Context) (*ops.Relation, error) {
 	rel, err := n.input.execute(ctx)
 	if err != nil {
@@ -291,12 +270,6 @@ func (n *topkNode) estRows() int64 {
 	}
 	return e
 }
-func (n *topkNode) explain(sb *strings.Builder, depth int) {
-	indent(sb, depth)
-	fmt.Fprintf(sb, "TopK(k=%d, %v)\n", n.k, n.keys)
-	n.input.explain(sb, depth+1)
-}
-
 func (n *topkNode) execute(ctx *qef.Context) (*ops.Relation, error) {
 	rel, err := n.input.execute(ctx)
 	if err != nil {
@@ -324,12 +297,6 @@ type limitNode struct {
 
 func (n *limitNode) fields() []plan.Field { return n.input.fields() }
 func (n *limitNode) estRows() int64       { return int64(n.k) }
-func (n *limitNode) explain(sb *strings.Builder, depth int) {
-	indent(sb, depth)
-	fmt.Fprintf(sb, "Limit(%d)\n", n.k)
-	n.input.explain(sb, depth+1)
-}
-
 func (n *limitNode) execute(ctx *qef.Context) (*ops.Relation, error) {
 	rel, err := n.input.execute(ctx)
 	if err != nil {
@@ -353,13 +320,6 @@ type setopNode struct {
 
 func (n *setopNode) fields() []plan.Field { return n.left.fields() }
 func (n *setopNode) estRows() int64       { return n.left.estRows() + n.right.estRows() }
-func (n *setopNode) explain(sb *strings.Builder, depth int) {
-	indent(sb, depth)
-	fmt.Fprintf(sb, "SetOp(%d)\n", n.kind)
-	n.left.explain(sb, depth+1)
-	n.right.explain(sb, depth+1)
-}
-
 func (n *setopNode) execute(ctx *qef.Context) (*ops.Relation, error) {
 	l, err := n.left.execute(ctx)
 	if err != nil {
@@ -396,12 +356,6 @@ type windowNode struct {
 
 func (n *windowNode) fields() []plan.Field { return n.spec.Schema() }
 func (n *windowNode) estRows() int64       { return n.input.estRows() }
-func (n *windowNode) explain(sb *strings.Builder, depth int) {
-	indent(sb, depth)
-	fmt.Fprintf(sb, "Window(f=%d)\n", n.spec.Func)
-	n.input.explain(sb, depth+1)
-}
-
 func (n *windowNode) execute(ctx *qef.Context) (*ops.Relation, error) {
 	rel, err := n.input.execute(ctx)
 	if err != nil {

@@ -73,6 +73,17 @@ func run(t *testing.T, ctx *qef.Context, n plan.Node) *ops.Relation {
 	return rel
 }
 
+// hasSpan reports whether the compiled plan has an operator span of that
+// exact name — how plan-shape tests read the physical plan.
+func hasSpan(c *Compiled, name string) bool {
+	for _, d := range c.SpanDefs() {
+		if d.Name == name {
+			return true
+		}
+	}
+	return false
+}
+
 func colRefOf(n plan.Node, name string) *plan.ColRef {
 	for i, f := range n.Schema() {
 		if f.Name == name {
@@ -224,7 +235,7 @@ func TestChooseTileRowsRespectsDMEM(t *testing.T) {
 func TestCompileFilterProject(t *testing.T) {
 	tbl := ordersTable(t, 10000)
 	scan := plan.NewScan(tbl, storage.LatestSCN, nil)
-	date0 := storage.MustParseDate("1995-06-01").Days()
+	date0 := storage.DateValue(1995, 6, 1).Days()
 	f := &plan.Filter{
 		Input: scan,
 		Pred: &plan.AndPred{Preds: []plan.Pred{
@@ -318,8 +329,8 @@ func TestCompileGroupByStrategies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(cLow.Explain(), "groupby") {
-		t.Fatalf("low NDV should stay in-pipeline:\n%s", cLow.Explain())
+	if !hasSpan(cLow, "GroupBy") || hasSpan(cLow, "GroupByPartitioned") {
+		t.Fatalf("low NDV should stay in-pipeline: %v", cLow.SpanDefs())
 	}
 	ctx := qef.NewContext(qef.ModeX86)
 	rel, err := cLow.Execute(ctx)
@@ -346,8 +357,8 @@ func TestCompileGroupByStrategies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(cHigh.Explain(), "GroupByPartitioned") {
-		t.Fatalf("high NDV should partition:\n%s", cHigh.Explain())
+	if !hasSpan(cHigh, "GroupByPartitioned") {
+		t.Fatalf("high NDV should partition: %v", cHigh.SpanDefs())
 	}
 	rel2, err := cHigh.Execute(ctx)
 	if err != nil {
@@ -400,8 +411,8 @@ func TestCompileTopKAndSort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(c.Explain(), "TopK") {
-		t.Fatalf("Sort+Limit should fuse to TopK:\n%s", c.Explain())
+	if !hasSpan(c, "TopK") {
+		t.Fatalf("Sort+Limit should fuse to TopK: %v", c.SpanDefs())
 	}
 	ctx := qef.NewContext(qef.ModeX86)
 	rel, err := c.Execute(ctx)

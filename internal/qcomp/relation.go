@@ -2,7 +2,6 @@ package qcomp
 
 import (
 	"fmt"
-	"strings"
 
 	"rapid/internal/obs"
 	"rapid/internal/ops"
@@ -35,11 +34,6 @@ func (n *relationNode) execute(ctx *qef.Context) (*ops.Relation, error) {
 
 func (n *relationNode) fields() []plan.Field { return n.fs }
 func (n *relationNode) estRows() int64       { return int64(n.rel.Rows()) }
-
-func (n *relationNode) explain(sb *strings.Builder, depth int) {
-	indent(sb, depth)
-	fmt.Fprintf(sb, "Relation[rows=%d]\n", n.rel.Rows())
-}
 
 func (n *relationNode) annotate(reg *spanReg, parent int) int {
 	n.opID = reg.add(parent, "Relation", fmt.Sprintf("(rows=%d)", n.rel.Rows()), obs.KindSource, false)

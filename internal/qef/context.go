@@ -252,9 +252,6 @@ type TaskCtx struct {
 	Seq int
 
 	transferSec float64
-	// NoOverlap disables compute/transfer overlap accounting for the
-	// current task (e.g. Fig 10 disables output double buffering).
-	NoOverlap bool
 
 	// Interval profiler state: every cycle (ModeDPU) or nanosecond
 	// (ModeX86) between a unit's start and end is attributed to exactly one
@@ -425,9 +422,6 @@ func (tc *TaskCtx) AddTransfer(t dms.Timing) {
 	}
 }
 
-// TransferSeconds returns the accumulated transfer time.
-func (tc *TaskCtx) TransferSeconds() float64 { return tc.transferSec }
-
 // WorkUnit is one schedulable piece of a task: typically "process this
 // chunk" or "join this partition pair". It runs pinned to a core.
 type WorkUnit func(tc *TaskCtx) error
@@ -437,8 +431,8 @@ type WorkUnit func(tc *TaskCtx) error
 // they meet only at work-unit boundaries). Units are assigned round-robin,
 // matching the compiler's static task scheduling: simulated load balance
 // must not depend on how fast the Go host happens to run each goroutine.
-// Per unit, the simulated elapsed time is max(compute, transfer) honoring
-// double-buffered overlap, or their sum when the unit disabled overlap.
+// Per unit, the simulated elapsed time is max(compute, transfer): double
+// buffering overlaps the two.
 //
 // Error handling is deterministic: a failure at unit index f cancels all
 // units with a higher index that have not yet started (on every worker,
@@ -524,7 +518,6 @@ func (c *Context) RunUnit(tc *TaskCtx, u WorkUnit) error {
 	}
 	c.CountMetric("qef_work_units_total", 1)
 	tc.transferSec = 0
-	tc.NoOverlap = false
 	tc.DMEM.Reset()
 	tc.pool.Reset()
 	tc.tileOff = 0
@@ -547,18 +540,10 @@ func (c *Context) RunUnit(tc *TaskCtx, u WorkUnit) error {
 		c.CountMetric("qef_pool_grows_total", d)
 	}
 	if tc.Core != nil {
-		compute := c.SoC.Config().Seconds(tc.Core.Cycles() - beforeCycles)
-		transfer := tc.transferSec
-		var elapsed float64
-		if tc.NoOverlap {
-			elapsed = compute + transfer
-		} else if compute > transfer {
-			elapsed = compute
-		} else {
-			elapsed = transfer
-		}
+		// Double buffering overlaps a unit's compute with its transfers.
+		compute := (tc.Core.Cycles() - beforeCycles).Seconds()
 		b := &c.bills[tc.CoreID]
-		b.sim += elapsed
+		b.sim += max(compute, tc.transferSec)
 		b.dmemHigh = max(b.dmemHigh, tc.DMEM.HighWater())
 	}
 	if err != nil {

@@ -19,15 +19,3 @@ type Operator interface {
 	// Close flushes state at end of data (close).
 	Close(tc *TaskCtx) error
 }
-
-// Chain opens all operators, streams tiles from source through the chain
-// head, and closes in order. It is the execution of one task instance.
-func Chain(tc *TaskCtx, head Operator, source func(emit func(*Tile) error) error) error {
-	if err := head.Open(tc); err != nil {
-		return err
-	}
-	if err := source(func(t *Tile) error { return head.Produce(tc, t) }); err != nil {
-		return err
-	}
-	return head.Close(tc)
-}

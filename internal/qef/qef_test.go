@@ -101,17 +101,6 @@ func TestOverlapAccounting(t *testing.T) {
 	if e := ctx2.SimElapsed(); e < 0.49 || e > 0.51 {
 		t.Fatalf("transfer-bound elapsed = %g, want ~0.5", e)
 	}
-	// NoOverlap sums both.
-	ctx3 := NewContext(ModeDPU)
-	_ = ctx3.RunSerial(func(tc *TaskCtx) error {
-		tc.NoOverlap = true
-		tc.Core.Charge(80e6)
-		tc.AddTransfer(timing(0.5))
-		return nil
-	})
-	if e := ctx3.SimElapsed(); e < 0.59 || e > 0.61 {
-		t.Fatalf("no-overlap elapsed = %g, want ~0.6", e)
-	}
 }
 
 func TestTileSelection(t *testing.T) {
@@ -251,43 +240,6 @@ func TestAccessorDegradesTileUnderPressure(t *testing.T) {
 	}
 	if seen != rows {
 		t.Fatalf("streamed %d rows, want %d", seen, rows)
-	}
-}
-
-// Operator plumbing: a trivial chain summing tile values.
-type sumOp struct {
-	total          int64
-	opened, closed bool
-}
-
-func (s *sumOp) DMEMSize(int) int { return 64 }
-func (s *sumOp) Open(tc *TaskCtx) error {
-	s.opened = true
-	return nil
-}
-func (s *sumOp) Produce(tc *TaskCtx, t *Tile) error {
-	t.ForEachRow(func(i int) { s.total += t.Cols[0].Get(i) })
-	return nil
-}
-func (s *sumOp) Close(tc *TaskCtx) error {
-	s.closed = true
-	return nil
-}
-
-func TestChain(t *testing.T) {
-	ctx := NewContext(ModeX86)
-	op := &sumOp{}
-	err := ctx.RunSerial(func(tc *TaskCtx) error {
-		return Chain(tc, op, func(emit func(*Tile) error) error {
-			cols := []coltypes.Data{coltypes.FromInt64s(coltypes.W8, []int64{1, 2, 3})}
-			return emit(NewTile(cols, 3))
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !op.opened || !op.closed || op.total != 6 {
-		t.Fatalf("chain state: %+v", op)
 	}
 }
 

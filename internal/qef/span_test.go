@@ -23,7 +23,6 @@ func (nopOp) Close(*TaskCtx) error          { return nil }
 func smallCfg() dpu.Config {
 	cfg := dpu.DefaultConfig()
 	cfg.NumCores = 4
-	cfg.CoresPerMacro = 2
 	return cfg
 }
 
@@ -33,7 +32,7 @@ func profiledCtx(mode Mode) *Context {
 		{ID: 0, Parent: -1, Name: "sink"},
 		{ID: 1, Parent: 0, Name: "source"},
 	}
-	ctx.Prof = obs.NewProfile(mode.String(), cfg(ctx), ctx.SoC.Config().FreqHz, defs)
+	ctx.Prof = obs.NewProfile(mode.String(), cfg(ctx), dpu.FreqHz, defs)
 	return ctx
 }
 

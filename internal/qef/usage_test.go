@@ -28,7 +28,6 @@ func billingUnit(seed int64) WorkUnit {
 			n := rng.Intn(64)
 			tc.AddTransfer(tc.DMS.Read(billingCols, 0, n, []coltypes.Data{tc.DataScratch(coltypes.W4, n)}))
 		}
-		tc.NoOverlap = rng.Intn(4) == 0
 		return tc.DMEM.Alloc(1 + rng.Intn(8192))
 	}
 }

@@ -37,9 +37,6 @@ func New(seed int64) *Generator {
 	return &Generator{seed: seed, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Scenario returns the current scenario (nil before NewScenario).
-func (g *Generator) Scenario() *Scenario { return g.sc }
-
 func (g *Generator) intn(n int) int {
 	if n <= 0 {
 		return 0

@@ -12,7 +12,7 @@
 //     accounting, and fast-fail backpressure — Admit returns ErrOverloaded
 //     the moment the queue is full instead of queuing unboundedly.
 //   - Fair dispatch: each query's work units are split into per-virtual-core
-//     strands, and scheduler workers drain strands weighted-round-robin at
+//     strands, and scheduler workers drain strands round-robin at
 //     WORK-UNIT granularity — after every unit the worker may switch to
 //     another query, so a large scan cannot starve point queries.
 //   - Determinism: unit i of a batch still executes on virtual core
@@ -22,7 +22,7 @@
 //     profile accounting are therefore identical to serial execution.
 //   - Pool ownership: a worker borrows a mem.TilePool from the scheduler for
 //     the length of one work unit, most recently returned first. Pooling
-//     survives across queries (bounded by PoolRetainBytes so one huge query
+//     survives across queries (bounded by poolRetainBytes so one huge query
 //     cannot pin its arenas), and only as many pools as units ever ran at
 //     once are in use — k concurrent strands keep k pools warm instead of
 //     ratcheting up one per worker in whatever order the workers woke.
@@ -50,6 +50,10 @@ var ErrOverloaded = errors.New("sched: overloaded, admission queue full")
 // ErrClosed is returned for operations on a closed scheduler.
 var ErrClosed = errors.New("sched: scheduler closed")
 
+// poolRetainBytes caps the tile-buffer arena bytes a scheduler worker keeps
+// alive between work units.
+const poolRetainBytes = 16 << 20
+
 // Config tunes a scheduler instance (one per database).
 type Config struct {
 	// Workers is the number of shared virtual dpCores (worker goroutines).
@@ -68,10 +72,6 @@ type Config struct {
 	// MaxConcurrent full SoCs, i.e. non-binding; configure it lower to
 	// serialize memory-hungry queries.
 	DMEMBudgetBytes int64
-	// PoolRetainBytes caps the tile-buffer arena bytes a scheduler worker
-	// keeps alive between work units. Default 16 MiB; negative disables
-	// trimming.
-	PoolRetainBytes int
 	// Metrics receives the scheduler counters/gauges (sched_*). Nil means
 	// no metrics.
 	Metrics *obs.Registry
@@ -90,28 +90,15 @@ func (c Config) withDefaults() Config {
 	if c.DMEMBudgetBytes <= 0 {
 		c.DMEMBudgetBytes = int64(c.MaxConcurrent) * int64(c.Workers) * int64(dpu.DefaultConfig().DMEMBytes)
 	}
-	if c.PoolRetainBytes == 0 {
-		c.PoolRetainBytes = 16 << 20
-	}
 	return c
 }
 
 // Request describes one query's resource demand at admission time.
 type Request struct {
-	// QueryID is the fleet-wide query identifier (obs.ActiveSet allocated),
-	// carried through admission so scheduler-side records and the query
-	// journal reconcile by ID. Zero means unidentified.
-	QueryID uint64
 	// Cores is the number of virtual cores the query's context will use.
-	// Zero means the full shared SoC.
+	// Zero means the full shared SoC. While admitted the query reserves
+	// Cores × 32 KiB of scratchpad (its virtual cores' DMEMs).
 	Cores int
-	// DMEMBytes is the scratchpad reservation; zero derives Cores × 32 KiB.
-	// Demands above the scheduler's total budget are clamped to it, so an
-	// oversized query runs alone instead of never.
-	DMEMBytes int64
-	// Weight is the round-robin weight: a weight-w query is served up to w
-	// consecutive work units per scheduling turn. Zero means 1.
-	Weight int
 }
 
 // Scheduler multiplexes concurrent queries over one shared pool of virtual
@@ -161,8 +148,6 @@ type waiter struct {
 
 // query is the dispatch-side state of one admitted query.
 type query struct {
-	weight   int
-	served   int // units served in the current round-robin turn
 	runnable []*strand
 	inActive bool
 
@@ -224,32 +209,27 @@ func New(cfg Config) *Scheduler {
 	return s
 }
 
-// Config returns the scheduler's effective (defaulted) configuration.
-func (s *Scheduler) Config() Config { return s.cfg }
-
 func (s *Scheduler) normalize(req Request) Request {
 	if req.Cores <= 0 || req.Cores > s.cfg.Workers {
 		req.Cores = s.cfg.Workers
 	}
-	if req.DMEMBytes <= 0 {
-		req.DMEMBytes = int64(req.Cores) * int64(dpu.DefaultConfig().DMEMBytes)
-	}
-	if req.DMEMBytes > s.cfg.DMEMBudgetBytes {
-		req.DMEMBytes = s.cfg.DMEMBudgetBytes
-	}
-	if req.Weight <= 0 {
-		req.Weight = 1
-	}
 	return req
 }
 
+// reservation is the scratchpad a normalized request holds while admitted.
+// A demand above the scheduler's total budget is clamped to it, so an
+// oversized query runs alone instead of never.
+func (s *Scheduler) reservation(req Request) int64 {
+	return min(int64(req.Cores)*int64(dpu.DefaultConfig().DMEMBytes), s.cfg.DMEMBudgetBytes)
+}
+
 func (s *Scheduler) canAdmitLocked(req Request) bool {
-	return s.running < s.cfg.MaxConcurrent && s.dmemUsed+req.DMEMBytes <= s.cfg.DMEMBudgetBytes
+	return s.running < s.cfg.MaxConcurrent && s.dmemUsed+s.reservation(req) <= s.cfg.DMEMBudgetBytes
 }
 
 func (s *Scheduler) admitLocked(req Request) {
 	s.running++
-	s.dmemUsed += req.DMEMBytes
+	s.dmemUsed += s.reservation(req)
 	s.activeGauge.Set(int64(s.running))
 	if !s.started {
 		s.started = true
@@ -322,14 +302,14 @@ func (s *Scheduler) Admit(ctx context.Context, req Request) (*Admission, error) 
 }
 
 func (s *Scheduler) newAdmission(req Request, wait time.Duration) *Admission {
-	return &Admission{s: s, req: req, wait: wait, q: &query{weight: req.Weight}}
+	return &Admission{s: s, req: req, wait: wait, q: &query{}}
 }
 
 // releaseLocked returns a query's reservation and dispatches eligible
 // waiters in FIFO order.
 func (s *Scheduler) releaseLocked(req Request) {
 	s.running--
-	s.dmemUsed -= req.DMEMBytes
+	s.dmemUsed -= s.reservation(req)
 	s.activeGauge.Set(int64(s.running))
 	for len(s.waiting) > 0 {
 		w := s.waiting[0]
@@ -377,10 +357,6 @@ type Admission struct {
 
 // QueueWait returns how long the query waited in the admission queue.
 func (a *Admission) QueueWait() time.Duration { return a.wait }
-
-// QueryID returns the fleet-wide query identifier the request carried
-// (zero when the caller did not assign one).
-func (a *Admission) QueryID() uint64 { return a.req.QueryID }
 
 // Release returns the query's reservation, unblocking queued admissions.
 // Call it exactly once, after the last RunUnits call has returned.
@@ -451,8 +427,7 @@ func (a *Admission) RunUnits(qc *qef.Context, units []qef.WorkUnit) error {
 	return nil
 }
 
-// pickLocked selects the next strand weighted-round-robin across active
-// queries. Caller holds s.mu and has checked s.runnable > 0.
+// pickLocked selects the next strand round-robin across active queries. Caller holds s.mu and has checked s.runnable > 0.
 func (s *Scheduler) pickLocked() *strand {
 	for {
 		if s.cursor >= len(s.active) {
@@ -463,7 +438,6 @@ func (s *Scheduler) pickLocked() *strand {
 			// Drained (its strands are executing or finished): drop from the
 			// ring; a later requeue re-adds it.
 			q.inActive = false
-			q.served = 0
 			s.active = append(s.active[:s.cursor], s.active[s.cursor+1:]...)
 			continue
 		}
@@ -476,11 +450,7 @@ func (s *Scheduler) pickLocked() *strand {
 		q.runnable[n] = nil
 		q.runnable = q.runnable[:n]
 		s.runnable--
-		q.served++
-		if q.served >= q.weight {
-			q.served = 0
-			s.cursor++
-		}
+		s.cursor++
 		return st
 	}
 }
@@ -564,9 +534,7 @@ func (s *Scheduler) worker() {
 		tc.BindPool(pool)
 		err := b.qc.RunUnit(tc, b.units[idx])
 		s.unitsTotal.Inc()
-		if s.cfg.PoolRetainBytes >= 0 {
-			pool.TrimTo(s.cfg.PoolRetainBytes)
-		}
+		pool.TrimTo(poolRetainBytes)
 
 		s.mu.Lock()
 		s.pools = append(s.pools, pool)

@@ -32,7 +32,6 @@ func newTestSched(t *testing.T, cfg Config) (*Scheduler, *obs.Registry) {
 func oneCoreCtx() *qef.Context {
 	cfg := dpu.DefaultConfig()
 	cfg.NumCores = 1
-	cfg.CoresPerMacro = 1
 	return qef.NewContextWith(qef.ModeX86, cfg)
 }
 
@@ -333,8 +332,8 @@ func TestDPUAccountingMatchesSerial(t *testing.T) {
 	if got, want := qc.SimElapsed(), base.SimElapsed(); got != want {
 		t.Errorf("scheduled SimElapsed = %g, serial = %g", got, want)
 	}
-	for i, co := range qc.SoC.Cores() {
-		if got, want := co.Cycles(), base.SoC.Core(i).Cycles(); got != want {
+	for i := 0; i < qc.SoC.Config().NumCores; i++ {
+		if got, want := qc.SoC.Core(i).Cycles(), base.SoC.Core(i).Cycles(); got != want {
 			t.Errorf("core %d cycles = %d, serial = %d", i, got, want)
 		}
 	}
@@ -488,86 +487,6 @@ func TestRoundRobinInterleavesQueries(t *testing.T) {
 	}
 }
 
-// TestWeightedRoundRobin: a weight-2 query receives two consecutive units
-// per turn against a weight-1 query.
-func TestWeightedRoundRobin(t *testing.T) {
-	s, _ := newTestSched(t, Config{Workers: 1, MaxConcurrent: 2})
-
-	type ev struct{ q, idx int }
-	var mu sync.Mutex
-	var order []ev
-
-	qcA, qcB := oneCoreCtx(), oneCoreCtx()
-	admA, err := s.Admit(context.Background(), Request{Cores: 1, Weight: 1})
-	if err != nil {
-		t.Fatalf("Admit A: %v", err)
-	}
-	defer admA.Release()
-	admB, err := s.Admit(context.Background(), Request{Cores: 1, Weight: 2})
-	if err != nil {
-		t.Fatalf("Admit B: %v", err)
-	}
-	defer admB.Release()
-	qcA.Exec, qcB.Exec = admA, admB
-
-	gate := make(chan struct{})
-	aStarted := make(chan struct{})
-	unitsA := make([]qef.WorkUnit, 3)
-	for i := range unitsA {
-		i := i
-		unitsA[i] = func(tc *qef.TaskCtx) error {
-			if i == 0 {
-				close(aStarted)
-				<-gate
-			}
-			mu.Lock()
-			order = append(order, ev{0, i})
-			mu.Unlock()
-			return nil
-		}
-	}
-	unitsB := make([]qef.WorkUnit, 4)
-	for i := range unitsB {
-		i := i
-		unitsB[i] = func(tc *qef.TaskCtx) error {
-			mu.Lock()
-			order = append(order, ev{1, i})
-			mu.Unlock()
-			return nil
-		}
-	}
-
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		if err := qcA.RunParallel(unitsA); err != nil {
-			t.Errorf("A: %v", err)
-		}
-	}()
-	<-aStarted
-	go func() {
-		defer wg.Done()
-		if err := qcB.RunParallel(unitsB); err != nil {
-			t.Errorf("B: %v", err)
-		}
-	}()
-	waitRunnable(t, s, 1)
-	close(gate)
-	wg.Wait()
-
-	// A0 was already running (its turn), then B gets 2, A 1, B 2, A 1.
-	want := []ev{{0, 0}, {1, 0}, {1, 1}, {0, 1}, {1, 2}, {1, 3}, {0, 2}}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want weighted round-robin %v", order, want)
-		}
-	}
-}
-
 // TestConcurrentStress fires many concurrent queries' batches through one
 // scheduler and checks every unit runs exactly once. Run with -race.
 func TestConcurrentStress(t *testing.T) {
@@ -618,7 +537,7 @@ func stressOnce(t *testing.T, seed int64) {
 		go func(j job) {
 			defer wg.Done()
 			qc := qef.NewContext(qef.ModeDPU)
-			a, err := s.Admit(context.Background(), Request{Weight: 1 + (j.failAt+2)%2})
+			a, err := s.Admit(context.Background(), Request{})
 			if err != nil {
 				t.Errorf("Admit: %v", err)
 				return

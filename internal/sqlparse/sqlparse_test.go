@@ -76,7 +76,7 @@ func TestParseDateInterval(t *testing.T) {
 	flattenAnd(stmt.Where, &conj)
 	c2 := conj[1].(*CmpPred)
 	d := c2.R.(*DateLit)
-	want := storage.MustParseDate("1995-01-01").Days()
+	want := storage.DateValue(1995, 1, 1).Days()
 	if d.Days != want {
 		t.Fatalf("interval fold = %d, want %d", d.Days, want)
 	}
@@ -310,8 +310,8 @@ func TestBindExpressionRevenue(t *testing.T) {
 	var want int64
 	for i := 0; i < 4000; i++ {
 		d := storage.DateValue(1994, 1+(i%12), 1+(i%28)).Days()
-		lo := storage.MustParseDate("1994-06-01").Days()
-		hi := storage.MustParseDate("1994-07-01").Days()
+		lo := storage.DateValue(1994, 6, 1).Days()
+		hi := storage.DateValue(1994, 7, 1).Days()
 		if d >= lo && d < hi {
 			price := int64(1+i%50)*100 + int64(i%100)
 			want += price * int64(i%10+1)

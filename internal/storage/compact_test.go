@@ -27,7 +27,7 @@ func TestCompactWithRLEAndStrings(t *testing.T) {
 		}
 	}
 	tbl := b.MustBuild()
-	if !tbl.Partition(0).Chunk(0).Col(2).Compressed() {
+	if tbl.Partition(0).Chunk(0).Col(2).rle == nil {
 		t.Fatal("constant column should be RLE before compaction")
 	}
 
@@ -64,7 +64,7 @@ func TestCompactWithRLEAndStrings(t *testing.T) {
 	for _, cv := range snap.Chunks() {
 		d := cv.Data(1)
 		for r := 0; r < cv.Rows; r++ {
-			switch tbl.Meta(1).Decode(d.Get(r)).Str {
+			switch dict.Value(int32(d.Get(r))) {
 			case "zz":
 				foundZZ = true
 			case "dd":
@@ -161,7 +161,7 @@ func TestSnapshotIsolationDuringCompact(t *testing.T) {
 	if before.TotalRows() != 101 || len(old) != 8 || old[7].Rows != 1 || old[7].Data(0).Get(0) != 500 {
 		t.Fatalf("pre-compaction snapshot reads %d rows in %d chunks after the swap", before.TotalRows(), len(old))
 	}
-	if tbl.BaseSCN() != 1 || tbl.SCN() != 1 {
-		t.Fatalf("SCNs: base=%d curr=%d", tbl.BaseSCN(), tbl.SCN())
+	if scn := tbl.cur.Load().snap.scn; scn != 1 {
+		t.Fatalf("SCN after compaction = %d", scn)
 	}
 }

@@ -200,11 +200,11 @@ func sameBase(t *testing.T, what string, sc *encodedScenario, a, b *Table, share
 			if ca.Rows() != cb.Rows() {
 				t.Fatalf("%s: chunk %d/%d rows %d vs %d", what, p, ci, ca.Rows(), cb.Rows())
 			}
-			for c := 0; c < ca.NumCols(); c++ {
+			for c := 0; c < a.Schema().NumCols(); c++ {
 				va, vb := ca.Col(c), cb.Col(c)
 				za, oka := ca.Zone(c)
 				zb, okb := cb.Zone(c)
-				if va.Width() != vb.Width() || va.Compressed() != vb.Compressed() ||
+				if va.Data().Width() != vb.Data().Width() || (va.rle != nil) != (vb.rle != nil) ||
 					va.StoredBytes() != vb.StoredBytes() || za != zb || oka != okb {
 					t.Fatalf("%s: chunk %d/%d column %d layout differs", what, p, ci, c)
 				}
@@ -212,7 +212,7 @@ func sameBase(t *testing.T, what string, sc *encodedScenario, a, b *Table, share
 				for r := 0; r < ca.Rows(); r++ {
 					// Compare what a reader sees: fresh dictionaries assign
 					// the same codes, so the cells are equal as integers too.
-					if da.Get(r) != db.Get(r) || !a.Meta(c).Decode(da.Get(r)).Equal(b.Meta(c).Decode(db.Get(r))) {
+					if da.Get(r) != db.Get(r) || cell(a, c, da.Get(r)) != cell(b, c, db.Get(r)) {
 						t.Fatalf("%s: cell %d/%d/%d column %d: %d vs %d", what, p, ci, r, c, da.Get(r), db.Get(r))
 					}
 				}
@@ -285,6 +285,16 @@ func encodeUnit(t *testing.T, tbl *Table, lu *logicalUnit) UpdateUnit {
 	return uu
 }
 
+// cell is what a reader makes of an encoded cell: the string behind a
+// dictionary code, the integer itself otherwise (two tables of one schema
+// store a decimal at one scale).
+func cell(t *Table, col int, enc int64) any {
+	if d := t.Meta(col).Dict; d != nil {
+		return d.Value(int32(enc))
+	}
+	return enc
+}
+
 // sameViews compares what a reader of the newest version sees.
 func sameViews(t *testing.T, what string, a, b *Table) {
 	t.Helper()
@@ -311,7 +321,7 @@ func sameViews(t *testing.T, what string, a, b *Table) {
 				if va[i].Deleted != nil && va[i].Deleted.Test(r) != vb[i].Deleted.Test(r) {
 					t.Fatalf("%s: view %d row %d deleted on one side", what, i, r)
 				}
-				if !a.Meta(c).Decode(da.Get(r)).Equal(b.Meta(c).Decode(db.Get(r))) {
+				if cell(a, c, da.Get(r)) != cell(b, c, db.Get(r)) {
 					t.Fatalf("%s: view %d row %d column %d: %d vs %d", what, i, r, c, da.Get(r), db.Get(r))
 				}
 			}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rapid/internal/coltypes"
+	"rapid/internal/encoding"
 )
 
 func lineitemSchema() *Schema {
@@ -75,8 +76,7 @@ func TestValues(t *testing.T) {
 	if DateToString(d.Days()) != "1995-03-15" {
 		t.Fatalf("date round trip: %s", DateToString(d.Days()))
 	}
-	p := MustParseDate("1998-12-01")
-	if DateToString(p.Days()) != "1998-12-01" {
+	if p, err := ParseDate("1998-12-01"); err != nil || DateToString(p.Days()) != "1998-12-01" {
 		t.Fatal("ParseDate round trip")
 	}
 	if _, err := ParseDate("12/01/1998"); err == nil {
@@ -153,18 +153,18 @@ func TestRoundTripValues(t *testing.T) {
 	tbl := buildTestTable(t, 100, BuildOptions{})
 	// Row 5: orderkey=1, quantity=6, price=105.05, date 1995-06-06, flag R.
 	c := tbl.Partition(0).Chunk(0)
-	get := func(col int) Value { return tbl.Meta(col).Decode(c.Col(col).Data().Get(5)) }
-	if get(0).Int != 1 || get(1).Int != 6 {
+	get := func(col int) int64 { return c.Col(col).Data().Get(5) }
+	if get(0) != 1 || get(1) != 6 {
 		t.Fatalf("ints wrong: %v %v", get(0), get(1))
 	}
-	if get(2).String() != "105.05" {
-		t.Fatalf("price = %s", get(2))
+	if price := (encoding.Decimal{Unscaled: get(2), Scale: tbl.Meta(2).Scale}); price.String() != "105.05" {
+		t.Fatalf("price = %s", price)
 	}
-	if get(3).String() != "1995-06-06" {
-		t.Fatalf("date = %s", get(3))
+	if DateToString(get(3)) != "1995-06-06" {
+		t.Fatalf("date = %s", DateToString(get(3)))
 	}
-	if get(4).Str != "R" {
-		t.Fatalf("flag = %s", get(4))
+	if flag := tbl.Meta(4).Dict.Value(int32(get(4))); flag != "R" {
+		t.Fatalf("flag = %s", flag)
 	}
 }
 
@@ -211,10 +211,10 @@ func TestRLEBuild(t *testing.T) {
 	}
 	tbl := b.MustBuild()
 	cChunk := tbl.Partition(0).Chunk(0)
-	if !cChunk.Col(0).Compressed() {
+	if cChunk.Col(0).rle == nil {
 		t.Fatal("constant column should be RLE")
 	}
-	if cChunk.Col(1).Compressed() {
+	if cChunk.Col(1).rle != nil {
 		t.Fatal("random column should not be RLE")
 	}
 	// Decode must reproduce the data.
@@ -264,7 +264,7 @@ func TestDSBExceptionAtLoad(t *testing.T) {
 	}
 	d := tbl.Partition(0).Chunk(0).Col(0).Data()
 	for r, want := range []string{"1.25", "3.00"} {
-		if got := tbl.Meta(0).Decode(d.Get(r)); got.String() != want {
+		if got := (encoding.Decimal{Unscaled: d.Get(r), Scale: tbl.Meta(0).Scale}); got.String() != want {
 			t.Fatalf("row %d = %s, want %s", r, got, want)
 		}
 	}

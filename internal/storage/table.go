@@ -63,22 +63,6 @@ func (m ColumnMeta) Encode(v Value) (int64, error) {
 	}
 }
 
-// Decode renders an encoded cell of the column back to a logical value.
-func (m ColumnMeta) Decode(enc int64) Value {
-	switch m.Def.Type.Kind {
-	case coltypes.KindString:
-		return StrValue(m.Dict.Value(int32(enc)))
-	case coltypes.KindDecimal:
-		return DecValue(encoding.Decimal{Unscaled: enc, Scale: m.Scale})
-	case coltypes.KindDate:
-		return Value{Kind: coltypes.KindDate, Int: enc}
-	case coltypes.KindBool:
-		return BoolValue(enc != 0)
-	default:
-		return IntValue(enc)
-	}
-}
-
 // EncodeRow encodes one row of logical values into dst, column by column.
 func EncodeRow(meta []ColumnMeta, vals []Value, dst []int64) error {
 	if len(vals) != len(meta) {
@@ -125,7 +109,6 @@ type version struct {
 	stats     *TableStats
 	chunkRows int       // rows per full chunk
 	partRows  [][]int32 // hash-partitioned builds: per partition, the append ordinals it holds, ascending
-	baseSCN   uint64    // SCN up to which changes are merged into base data
 	snap      Snapshot  // its scn is that of the newest applied update unit
 }
 
@@ -160,14 +143,6 @@ func (t *Table) Rows() int {
 	}
 	return n
 }
-
-// SCN returns the newest change SCN applied to this table in RAPID. A query
-// is admissible only if every journal entry up to the query's SCN has been
-// propagated (paper §3.3); the host database compares against this value.
-func (t *Table) SCN() uint64 { return t.cur.Load().snap.scn }
-
-// BaseSCN returns the SCN merged into base storage.
-func (t *Table) BaseSCN() uint64 { return t.cur.Load().baseSCN }
 
 // Tracker returns the update tracker.
 func (t *Table) Tracker() *Tracker { return t.tracker }

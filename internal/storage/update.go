@@ -103,8 +103,7 @@ func (tr *Tracker) Apply(uu UpdateUnit) error {
 	}
 	nv := &version{
 		meta: v.meta, stats: refreshStats(v.stats, a), chunkRows: v.chunkRows, partRows: v.partRows,
-		baseSCN: v.baseSCN,
-		snap:    Snapshot{t: t, scn: uu.SCN, parts: v.snap.parts, units: append(units, a)},
+		snap: Snapshot{t: t, scn: uu.SCN, parts: v.snap.parts, units: append(units, a)},
 	}
 	// Epoch bump must precede version publication: a cache validator that
 	// reads the epoch after its computation can then never pair pre-mutation
@@ -246,9 +245,6 @@ func (t *Table) Snapshot(scn uint64) *Snapshot {
 
 // Table returns the snapshot's table.
 func (s *Snapshot) Table() *Table { return s.t }
-
-// SCN returns the snapshot SCN.
-func (s *Snapshot) SCN() uint64 { return s.scn }
 
 // ChunkView is a readable chunk of a snapshot. Deleted, when non-nil, marks
 // rows that must be skipped. Views are shared by every reader of the
@@ -417,8 +413,7 @@ func (t *Table) Compact() error {
 	t.epoch.Add(1)
 	t.cur.Store(&version{
 		meta: nv.meta, stats: nv.stats, chunkRows: nv.chunkRows, partRows: nv.partRows,
-		baseSCN: v.snap.scn,
-		snap:    Snapshot{t: t, scn: v.snap.scn, parts: nv.snap.parts},
+		snap: Snapshot{t: t, scn: v.snap.scn, parts: nv.snap.parts},
 	})
 	return nil
 }

@@ -45,7 +45,7 @@ func TestSnapshotNoUpdates(t *testing.T) {
 	if s.TotalRows() != 20 {
 		t.Fatalf("TotalRows = %d", s.TotalRows())
 	}
-	if tbl.SCN() != 0 || tbl.BaseSCN() != 0 {
+	if tbl.cur.Load().snap.scn != 0 {
 		t.Fatal("fresh table should be at SCN 0")
 	}
 }
@@ -61,8 +61,8 @@ func TestApplyInsertDeletePatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tbl.SCN() != 5 {
-		t.Fatalf("SCN = %d", tbl.SCN())
+	if scn := tbl.cur.Load().snap.scn; scn != 5 {
+		t.Fatalf("SCN = %d", scn)
 	}
 	s := tbl.Snapshot(LatestSCN)
 	ids := scanCol(s, 0)
@@ -193,8 +193,8 @@ func TestCompact(t *testing.T) {
 	if tbl.Tracker().PendingUnits() != 0 {
 		t.Fatal("compact should clear units")
 	}
-	if tbl.BaseSCN() != 7 {
-		t.Fatalf("BaseSCN = %d", tbl.BaseSCN())
+	if scn := tbl.cur.Load().snap.scn; scn != 7 {
+		t.Fatalf("SCN after compaction = %d", scn)
 	}
 	after := scanCol(tbl.Snapshot(LatestSCN), 0)
 	afterVals := scanCol(tbl.Snapshot(LatestSCN), 1)

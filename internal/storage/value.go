@@ -57,15 +57,6 @@ func ParseDate(s string) (Value, error) {
 	return Value{Kind: coltypes.KindDate, Int: int64(t.Sub(epoch).Hours() / 24)}, nil
 }
 
-// MustParseDate parses or panics.
-func MustParseDate(s string) Value {
-	v, err := ParseDate(s)
-	if err != nil {
-		panic(err)
-	}
-	return v
-}
-
 // DateToString renders a day number as "YYYY-MM-DD".
 func DateToString(days int64) string {
 	return epoch.AddDate(0, 0, int(days)).Format("2006-01-02")

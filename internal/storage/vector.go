@@ -34,17 +34,6 @@ func (v *Vector) Len() int {
 	return v.flat.Len()
 }
 
-// Width returns the physical element width.
-func (v *Vector) Width() coltypes.Width {
-	if v.rle != nil {
-		return v.rle.Width
-	}
-	return v.flat.Width()
-}
-
-// Compressed reports whether the vector is stored RLE.
-func (v *Vector) Compressed() bool { return v.rle != nil }
-
 // Data returns the decoded flat data. For RLE vectors this decodes into a
 // fresh buffer each call (scans decode into DMEM on the DPU).
 func (v *Vector) Data() coltypes.Data {
@@ -70,9 +59,6 @@ type Zone struct {
 	Min, Max int64
 	Rows     int
 }
-
-// Contains reports whether v lies inside the zone's encoded range.
-func (z Zone) Contains(v int64) bool { return v >= z.Min && v <= z.Max }
 
 // Chunk is a horizontal slice of a partition: one Vector per table column,
 // with a per-column zone map computed at build time.
@@ -127,9 +113,6 @@ func (c *Chunk) Zone(col int) (Zone, bool) {
 
 // Rows returns the chunk row count.
 func (c *Chunk) Rows() int { return c.rows }
-
-// NumCols returns the column count.
-func (c *Chunk) NumCols() int { return len(c.cols) }
 
 // Col returns column i of the chunk.
 func (c *Chunk) Col(i int) *Vector { return c.cols[i] }

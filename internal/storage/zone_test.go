@@ -27,9 +27,6 @@ func TestChunkZonesAtBuild(t *testing.T) {
 	if !ok || z.Min != 16 || z.Max != 19 || z.Rows != 4 {
 		t.Fatalf("chunk2 id zone = %+v ok=%v", z, ok)
 	}
-	if !z.Contains(17) || z.Contains(3) {
-		t.Fatal("Zone.Contains")
-	}
 	if _, ok := chunks[0].Zone(9); ok {
 		t.Fatal("out-of-range column must report no zone")
 	}
@@ -112,7 +109,7 @@ func TestStatsRefreshAfterUpdate(t *testing.T) {
 	// Pruning correctness: a table-wide zone built from the refreshed stats
 	// must admit the patched value.
 	z := Zone{Min: st.Cols[1].Min, Max: st.Cols[1].Max, Rows: int(st.Rows)}
-	if !z.Contains(100000) {
+	if z.Min > 100000 || z.Max < 100000 {
 		t.Fatal("refreshed stats zone rejects the patched value")
 	}
 

@@ -231,8 +231,8 @@ func TestQ6ReferenceValue(t *testing.T) {
 	}
 	// Independent reference evaluation straight over the generated data.
 	d := Generate(Config{ScaleFactor: 0.002, Seed: 42})
-	lo := storage.MustParseDate("1994-01-01").Days()
-	hi := storage.MustParseDate("1995-01-01").Days()
+	lo := storage.DateValue(1994, 1, 1).Days()
+	hi := storage.DateValue(1995, 1, 1).Days()
 	var want int64
 	for _, row := range d.Tables["lineitem"] {
 		ship := row[10].Int
