@@ -340,9 +340,9 @@ func fig4() *Table {
 	}
 	mk := func() []qcomp.OpReq {
 		return []qcomp.OpReq{
-			{Name: "scan", DMEMSize: func(r int) int { return 2 * r * 8 }, OutBytesPerRow: 8, Selectivity: 1},
-			{Name: "filter", DMEMSize: (&ops.FilterOp{}).DMEMSize, OutBytesPerRow: 8, Selectivity: 0.25},
-			{Name: "aggregate", DMEMSize: func(r int) int { return r*8 + 64 }, OutBytesPerRow: 16, Selectivity: 1e-6},
+			{DMEMSize: func(r int) int { return 2 * r * 8 }, OutBytesPerRow: 8, Selectivity: 1},
+			{DMEMSize: (&ops.FilterOp{}).DMEMSize, OutBytesPerRow: 8, Selectivity: 0.25},
+			{DMEMSize: func(r int) int { return r*8 + 64 }, OutBytesPerRow: 16, Selectivity: 1e-6},
 		}
 	}
 	best, err := qcomp.FormTasks(mk(), 1_000_000)

@@ -21,7 +21,6 @@ type PruningRun struct {
 	Query       string
 	TilesTotal  int64
 	TilesPruned int64
-	Rows        int
 	// CyclesOn/CyclesOff are the billed dpCore cycles with pruning enabled
 	// and force-disabled; skipped tiles are unbilled, so On < Off whenever
 	// anything was pruned.
@@ -75,7 +74,6 @@ func runPruning(db *hostdb.Database) ([]PruningRun, error) {
 			Query:       qname,
 			TilesTotal:  on.Profile.TilesTotal(),
 			TilesPruned: on.Profile.TilesPruned(),
-			Rows:        on.Rel.Rows(),
 			CyclesOn:    on.Cycles,
 			CyclesOff:   off.Cycles,
 		})

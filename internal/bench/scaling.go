@@ -23,7 +23,6 @@ type ScalingRun struct {
 	EnergyJ    float64
 	NetBytes   int64
 	NetSeconds float64
-	Rows       int
 }
 
 // runScaling executes scalingQueries on a tray of each width in trayNodes.
@@ -58,7 +57,6 @@ func runScaling(db *hostdb.Database) ([]ScalingRun, error) {
 				EnergyJ:    res.Energy.TotalJoules(),
 				NetBytes:   res.NetBytes,
 				NetSeconds: res.NetSeconds,
-				Rows:       res.Rel.Rows(),
 			})
 		}
 		tray.Close()

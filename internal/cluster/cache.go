@@ -35,7 +35,7 @@ func (e engine) PlanScope() string { return fmt.Sprintf("tray%d", e.Nodes()) }
 
 // Version returns a table's version-vector entry as the tray sees it:
 // the host-level mutation SCN alone. Shard replicas reload exactly when the
-// host MutationSCN passes their load SCN (shardFor), so an unchanged MutSCN
+// host MutationSCN passes their load SCN (shardsLocked), so an unchanged MutSCN
 // means unchanged shard contents; host-replica checkpoint epochs never
 // affect tray answers and are deliberately excluded.
 func (e engine) Version(name string) (qcache.Version, bool) {

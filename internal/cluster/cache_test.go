@@ -273,3 +273,48 @@ func TestTrayJournalFingerprintGroups(t *testing.T) {
 		t.Fatalf("journal cache fields = %q, %q, want miss, miss", a.Cache, b.Cache)
 	}
 }
+
+// TestPlanCacheHitClassifiesAgainstTheFreshShardMap: a plan-cache skeleton's
+// Scans still point at the shard replicas of the bind that produced it. dims
+// is hash-sharded when the skeleton is cached and explicitly re-loaded
+// replicated afterwards (no host mutation, so the skeleton stays valid); the
+// next execution of the skeleton must plan against the new load — the join
+// is co-located with no exchange — not against the layout the stale pointers
+// carry, under which every node would ship its full copy of dims.
+func TestPlanCacheHitClassifiesAgainstTheFreshShardMap(t *testing.T) {
+	_, tray, cache := cacheTray(t)
+	const sql = `SELECT g, SUM(w), COUNT(*) FROM facts, dims WHERE g = dg GROUP BY g`
+	moves := func(res *cluster.Result) (n int) {
+		for _, ex := range res.Exchanges {
+			if ex.Kind != cluster.Gather {
+				n++
+			}
+		}
+		return n
+	}
+
+	sharded, err := tray.Query(sql, cluster.QueryOptions{Mode: qef.ModeX86})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if moves(sharded) == 0 {
+		t.Fatalf("facts ⋈ dims ran without an exchange while dims was hash-sharded: %+v", sharded.Exchanges)
+	}
+
+	if err := tray.Load("dims", &cluster.ShardSpec{Policy: storage.Replicated}); err != nil {
+		t.Fatal(err)
+	}
+	preplan := cache.Stats().PlanHits
+	// Another mode: a result-cache miss over the same plan skeleton.
+	repl, err := tray.Query(sql, cluster.QueryOptions{Mode: qef.ModeDPU})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cache.Stats().PlanHits; repl.Cache != "miss" || got != preplan+1 {
+		t.Fatalf("second run: cache %q, plan hits %d; want a result miss on a plan hit (%d)", repl.Cache, got, preplan+1)
+	}
+	if n := moves(repl); n != 0 {
+		t.Errorf("join against the replicated dims still moved data in %d exchanges: %+v", n, repl.Exchanges)
+	}
+	sameBags(t, "dims sharded vs replicated", sharded.Rel, repl.Rel)
+}

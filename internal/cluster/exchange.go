@@ -391,8 +391,8 @@ func firstNonNil(parts []*ops.Relation) *ops.Relation {
 func exchangeSpan(st ExchangeStats) *obs.ExchangeSpan {
 	sp := &obs.ExchangeSpan{
 		Kind: st.Kind.String(), Label: st.Label, Seconds: st.Seconds,
-		RowsIn: st.RowsIn, RowsOut: st.RowsOut,
-		MovedRows: st.MovedRows, MovedBytes: st.MovedBytes, Tiles: st.Tiles,
+		RowsOut:   st.RowsOut,
+		MovedRows: st.MovedRows, MovedBytes: st.MovedBytes,
 		PerSourceRows: st.PerSourceRows,
 		MovedMatrix:   st.MovedMatrix,
 	}

@@ -138,6 +138,10 @@ type query struct {
 	nctx  []*qef.Context
 	coord *qef.Context
 
+	// shards is every referenced table's shard set, resolved once for the
+	// whole query (Tray.resolve): bind reads node i's shard from it.
+	shards map[string][]*storage.Table
+
 	stats      []ExchangeStats
 	netSeconds float64
 	netBytes   int64
@@ -168,9 +172,9 @@ func (t *Tray) Query(sql string, opts QueryOptions) (*Result, error) {
 	return t.QueryCtx(context.Background(), sql, opts)
 }
 
-// QueryCtx plans the query once at the coordinator, rewrites the plan into
-// N lockstep per-node copies over the shard replicas, admits the query on
-// every node's scheduler (all-or-nothing, in node order — ordered
+// QueryCtx plans the query once at the coordinator — one tree, bound to a
+// node's shard replicas only where a fragment of it is compiled — admits the
+// query on every node's scheduler (all-or-nothing, in node order — ordered
 // acquisition keeps concurrent tray queries deadlock-free), executes
 // maximal node-local fragments in parallel with exchanges in between, and
 // merges at the coordinator. Canceling goCtx (or any node failing) cancels
@@ -195,8 +199,17 @@ func (engine) Label(opts QueryOptions) string { return opts.Mode.String() }
 func (e engine) Nodes() int { return e.t.NumNodes() }
 
 // Lookup binds once against node 0's shards — one join order for all nodes
-// even when per-shard statistics differ; Execute rewrites the plan per node.
-func (e engine) Lookup(name string) (*storage.Table, error) { return e.t.shardFor(0, name) }
+// even when per-shard statistics differ; Execute re-targets the plan at the
+// shard set it resolves.
+func (e engine) Lookup(name string) (*storage.Table, error) {
+	e.t.mu.Lock()
+	defer e.t.mu.Unlock()
+	shards, err := e.t.shardsLocked(name)
+	if err != nil {
+		return nil, err
+	}
+	return shards[0], nil
+}
 
 func (e engine) Execute(goCtx context.Context, bound plan.Node, opts QueryOptions, h obs.ActiveHandle) (*Result, error) {
 	res, _, err := e.t.execute(goCtx, bound, opts, h)
@@ -226,18 +239,12 @@ func (e engine) Finish(id uint64, res *Result, err error, opts QueryOptions, wal
 
 // execute runs a coordinator-bound plan across the tray and bills it. The
 // finished per-execution state is returned beside the result so in-package
-// tests can reconcile the billing with the contexts it was read from. A
-// plan-cache skeleton's Scan leaves may still point at bind-time shard
-// replicas; rewriteForNode re-resolves every Scan by table name, so only
-// names flow into execution — stale pointers can't.
+// tests can reconcile the billing with the contexts it was read from.
 func (t *Tray) execute(goCtx context.Context, bound plan.Node, opts QueryOptions, h obs.ActiveHandle) (*Result, *query, error) {
 	n := t.NumNodes()
-	plans := make([]plan.Node, n)
-	for i := 0; i < n; i++ {
-		var err error
-		if plans[i], err = t.rewriteForNode(bound, i); err != nil {
-			return nil, nil, err
-		}
+	tree, shards, err := t.resolve(bound)
+	if err != nil {
+		return nil, nil, err
 	}
 
 	qctx, cancel := context.WithCancel(goCtx)
@@ -248,6 +255,7 @@ func (t *Tray) execute(goCtx context.Context, bound plan.Node, opts QueryOptions
 		analyze: opts.Analyze,
 		traceOn: opts.Trace,
 		noPrune: opts.DisablePruning,
+		shards:  shards,
 	}
 
 	// Per-node admission: each node's scheduler enforces its own
@@ -279,7 +287,7 @@ func (t *Tray) execute(goCtx context.Context, bound plan.Node, opts QueryOptions
 	q.coord.NoPrune = opts.DisablePruning
 	q.coord.SetGoContext(qctx)
 
-	rel, err := q.exec(plans)
+	rel, err := q.exec(tree)
 	if err != nil {
 		if cerr := goCtx.Err(); cerr != nil {
 			return nil, nil, cerr
@@ -344,30 +352,26 @@ func (t *Tray) execute(goCtx context.Context, bound plan.Node, opts QueryOptions
 	return res, q, nil
 }
 
-// exec runs lockstep plan trees and returns the combined (coordinator-side)
-// result. The largest subtrees classify accepts run per node, with the
-// exchanges their joins need; an aggregation over one distributes as whole
-// groups or as partials; everything else merges at the coordinator.
-func (q *query) exec(nodes []plan.Node) (*ops.Relation, error) {
+// exec runs a plan tree and returns the combined (coordinator-side) result.
+// The largest subtrees classify accepts run per node, with the exchanges
+// their joins need; an aggregation over one distributes as whole groups or as
+// partials; everything else merges at the coordinator.
+func (q *query) exec(n plan.Node) (*ops.Relation, error) {
 	if err := q.goCtx.Err(); err != nil {
 		return nil, err
 	}
-	switch n0 := nodes[0].(type) {
+	switch n := n.(type) {
 	case *plan.GroupBy:
-		if _, ok, err := classify(n0.Input); err != nil {
-			return nil, err
-		} else if ok {
-			rec, err := q.localize(childAt(nodes, 0))
+		if _, ok := classify(n.Input); ok {
+			rec, err := q.localize(n.Input)
 			if err != nil {
 				return nil, err
 			}
-			return q.distributedGroupBy(nodes, rec)
+			return q.distributedGroupBy(n, rec)
 		}
 	case *plan.Scan, *plan.Filter, *plan.Project, *plan.Join:
-		if _, ok, err := classify(n0); err != nil {
-			return nil, err
-		} else if ok {
-			rec, err := q.localize(nodes)
+		if _, ok := classify(n); ok {
+			rec, err := q.localize(n)
 			if err != nil {
 				return nil, err
 			}
@@ -383,26 +387,22 @@ func (q *query) exec(nodes []plan.Node) (*ops.Relation, error) {
 			return q.gather(parts, "result")
 		}
 	}
-	return q.coordFragment(nodes)
+	return q.coordFragment(n)
 }
 
 // coordFragment executes one operator at the coordinator over the
 // (recursively distributed) results of its children.
-func (q *query) coordFragment(nodes []plan.Node) (*ops.Relation, error) {
-	n0 := nodes[0]
-	kids := n0.Children()
-	var inputs map[plan.Node]*ops.Relation
-	if len(kids) > 0 {
-		inputs = make(map[plan.Node]*ops.Relation, len(kids))
-		for k := range kids {
-			rel, err := q.exec(childAt(nodes, k))
-			if err != nil {
-				return nil, err
-			}
-			inputs[kids[k]] = rel
+func (q *query) coordFragment(n plan.Node) (*ops.Relation, error) {
+	kids := n.Children()
+	inputs := make(map[plan.Node]*ops.Relation, len(kids))
+	for _, kid := range kids {
+		rel, err := q.exec(kid)
+		if err != nil {
+			return nil, err
 		}
+		inputs[kid] = rel
 	}
-	compiled, err := qcomp.CompileWithInputs(n0, inputs)
+	compiled, err := qcomp.CompileWithInputs(n, inputs)
 	if err != nil {
 		return nil, err
 	}
@@ -411,9 +411,9 @@ func (q *query) coordFragment(nodes []plan.Node) (*ops.Relation, error) {
 		return nil, err
 	}
 	if prof != nil {
-		q.trace = append(q.trace, obs.DistStep{Label: "coordinator " + opName(n0), Coord: prof})
+		q.trace = append(q.trace, obs.DistStep{Label: "coordinator " + opName(n), Coord: prof})
 	}
-	q.step("coordinator %s rows=%d", opName(n0), rel.Rows())
+	q.step("coordinator %s rows=%d", opName(n), rel.Rows())
 	return rel, nil
 }
 
@@ -426,18 +426,13 @@ func (q *query) coordFragment(nodes []plan.Node) (*ops.Relation, error) {
 // with their 0 sentinel), gathered and folded at the coordinator with the
 // same finalization arithmetic as the single-node engine — distributed
 // answers stay bit-identical.
-func (q *query) distributedGroupBy(nodes []plan.Node, rec *recipe) (*ops.Relation, error) {
-	g0 := nodes[0].(*plan.GroupBy)
-	_, whole := groupLayout(g0, rec.layout)
-	trees := make([]plan.Node, len(nodes))
-	for i := range trees {
-		gi := nodes[i].(*plan.GroupBy)
-		aggs := gi.Aggs
-		if !whole {
-			aggs = partialAggs(gi)
-		}
-		trees[i] = &plan.GroupBy{Input: rec.trees[i], Keys: gi.Keys, Aggs: aggs}
+func (q *query) distributedGroupBy(g *plan.GroupBy, rec *recipe) (*ops.Relation, error) {
+	_, whole := groupLayout(g, rec.layout)
+	aggs := g.Aggs
+	if !whole {
+		aggs = partialAggs(g)
 	}
+	tree := &plan.GroupBy{Input: rec.tree, Keys: g.Keys, Aggs: aggs}
 	label, result := "partial group-by", "partials"
 	switch {
 	case rec.repl:
@@ -448,7 +443,7 @@ func (q *query) distributedGroupBy(nodes []plan.Node, rec *recipe) (*ops.Relatio
 	// prunable=false: an aggregation over an empty input still yields
 	// identity rows (scalar aggregates), so skipping the fragment would
 	// change the answer. A replicated input needs one execution, one copy.
-	parts, err := q.runNodes(trees, rec.leaves, label, rec.repl, false)
+	parts, err := q.runNodes(tree, label, rec.repl, false)
 	if err != nil {
 		return nil, err
 	}
@@ -459,7 +454,7 @@ func (q *query) distributedGroupBy(nodes []plan.Node, rec *recipe) (*ops.Relatio
 	if err != nil || whole {
 		return gathered, err
 	}
-	out, err := q.mergePartials(g0, gathered)
+	out, err := q.mergePartials(g, gathered)
 	if err != nil {
 		return nil, err
 	}
@@ -467,13 +462,13 @@ func (q *query) distributedGroupBy(nodes []plan.Node, rec *recipe) (*ops.Relatio
 	return out, nil
 }
 
-// materialize executes a recipe's per-node trees, returning one relation
+// materialize executes a recipe's tree on the nodes, returning one relation
 // per node (only node 0 when only0 — replicated fragments need a single
 // execution).
 func (q *query) materialize(rec *recipe, only0 bool, label string) ([]*ops.Relation, error) {
 	// Materialized fragments merge with union semantics, so a fragment the
 	// shard zones prove empty can be replaced by an empty relation.
-	return q.runNodes(rec.trees, rec.leaves, label, only0, true)
+	return q.runNodes(rec.tree, label, only0, true)
 }
 
 // runFragment executes one compiled fragment on ctx. A node context
@@ -496,31 +491,39 @@ func (q *query) runFragment(ctx *qef.Context, compiled *qcomp.Compiled) (*ops.Re
 	return rel, prof, nil
 }
 
-// runNodes compiles and executes one plan tree per node concurrently, each
-// on its own node context (its scheduler's worker pool in ModeDPU). The
-// first failing node cancels the shared query context, stopping the others
-// at their next tile or work-unit boundary.
+// runNodes binds a plan tree to every node — the one place a plan becomes
+// per-node, because compilation reads the shard's own statistics (build
+// sides, partition schemes) and is part of each node's bill — then compiles
+// and executes the copies concurrently, each on its own node context (its
+// scheduler's worker pool in ModeDPU). The first failing node cancels the
+// shared query context, stopping the others at their next tile or work-unit
+// boundary.
 //
 // When prunable (union-semantics fragments only), the coordinator first
 // consults each shard's zone summary: a fragment the summary proves empty is
 // never compiled, admitted or executed — its node contributes a zero-row
 // relation with the fragment's schema and burns no cycles, DMS traffic or
 // energy.
-func (q *query) runNodes(trees []plan.Node, leaves []map[plan.Node]*ops.Relation, label string, only0, prunable bool) ([]*ops.Relation, error) {
-	n := len(trees)
+func (q *query) runNodes(tree plan.Node, label string, only0, prunable bool) ([]*ops.Relation, error) {
+	n := q.nodes()
 	count := n
 	if only0 {
 		count = 1
 	}
+	trees := make([]plan.Node, count)
+	leaves := make([]map[plan.Node]*ops.Relation, count)
+	for i := range trees {
+		var err error
+		if trees[i], leaves[i], err = q.bind(tree, i); err != nil {
+			return nil, err
+		}
+	}
 	res := make([]*ops.Relation, n)
 	errs := make([]error, count)
-	var skip []bool
 	if prunable && !q.noPrune {
-		skip = make([]bool, count)
 		pruned := 0
 		for i := 0; i < count; i++ {
 			if qcomp.ShardZonePruned(trees[i]) {
-				skip[i] = true
 				res[i] = emptyRelation(trees[i].Schema())
 				pruned++
 			}
@@ -537,7 +540,7 @@ func (q *query) runNodes(trees []plan.Node, leaves []map[plan.Node]*ops.Relation
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < count; i++ {
-		if skip != nil && skip[i] {
+		if res[i] != nil { // pruned
 			continue
 		}
 		wg.Add(1)

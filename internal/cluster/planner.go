@@ -10,123 +10,50 @@ import (
 	"rapid/internal/storage"
 )
 
-// The distributed planner works on N lockstep plan trees — nodes[i] is node
-// i's structurally-identical copy of the query plan, differing only in
-// which shard its Scan leaves read (rewriteForNode). A fragment is node-local
-// when every node can execute its copy over its own shards and the union of
-// the per-node results equals the global result. Planning a subtree is two
-// steps: classify decides, without running anything, whether it is
-// node-local; localize then builds its per-node recipe bottom-up, splicing
-// in exchange outputs as materialized relation leaves (relLeaf) where a join
-// is not co-located and choosing the side to move by bytes — the tray's
-// version of the paper's "maximally push work to where the data lives".
+// The distributed planner works on one plan tree — the coordinator-bound
+// plan, every node's copy of which differs only in which shard its Scan
+// leaves read and which share of an exchange output its relLeaf leaves carry.
+// The tree is bound to a node only where it is compiled (bind). A fragment is
+// node-local when every node can execute the tree over its own shards and the
+// union of the per-node results equals the global result. Planning a subtree
+// is two steps: classify decides, without running anything, whether it is
+// node-local; localize then builds its recipe bottom-up, splicing in exchange
+// outputs as materialized relation leaves (relLeaf) where a join is not
+// co-located and choosing the side to move by bytes — the tray's version of
+// the paper's "maximally push work to where the data lives".
 
-// relLeaf is a plan leaf over an exchange output; CompileWithInputs maps it
-// to a qcomp relation node.
+// relLeaf is a plan leaf over an exchange output (placed): parts[i] is node
+// i's share, which bind hands to CompileWithInputs as the leaf's relation on
+// node i.
 type relLeaf struct {
-	rel *ops.Relation
-	fs  []plan.Field
-}
-
-func newRelLeaf(rel *ops.Relation) *relLeaf {
-	fs := make([]plan.Field, len(rel.Cols))
-	for i, c := range rel.Cols {
-		fs[i] = plan.Field{Name: c.Name, Type: c.Type, Dict: c.Dict}
-	}
-	return &relLeaf{rel: rel, fs: fs}
+	parts []*ops.Relation
+	fs    []plan.Field
 }
 
 func (r *relLeaf) Schema() []plan.Field  { return r.fs }
 func (r *relLeaf) Children() []plan.Node { return nil }
-func (r *relLeaf) String() string        { return fmt.Sprintf("Exchange[rows=%d]", r.rel.Rows()) }
+func (r *relLeaf) String() string        { return fmt.Sprintf("Exchange[%d cols]", len(r.fs)) }
 
-// rewriteForNode derives node i's lockstep plan from the coordinator-bound
-// tree: Scans are re-targeted at node i's shard replica, everything else is
-// shallow-copied with the same (immutable) expressions. Binding once and
-// rewriting — instead of binding per node — keeps the join order identical
-// on every node even when shard statistics differ.
-func (t *Tray) rewriteForNode(n plan.Node, nodeID int) (plan.Node, error) {
-	switch node := n.(type) {
-	case *plan.Scan:
-		shard, err := t.shardFor(nodeID, node.Table.Name())
-		if err != nil {
-			return nil, err
+// bind is node i's copy of a planned tree: every Scan reads node i's shard of
+// the set the query resolved, and every relLeaf compiles to its share
+// parts[i] (the inputs returned for CompileWithInputs). Nothing above the
+// leaves differs between nodes, and the operators' expressions are shared.
+func (q *query) bind(tree plan.Node, i int) (plan.Node, map[plan.Node]*ops.Relation, error) {
+	var inputs map[plan.Node]*ops.Relation
+	bound, err := plan.MapLeaves(tree, func(l plan.Node) (plan.Node, error) {
+		switch l := l.(type) {
+		case *plan.Scan:
+			return plan.NewScan(q.shards[l.Table.Name()][i], l.SCN, l.Cols), nil
+		case *relLeaf:
+			if inputs == nil {
+				inputs = make(map[plan.Node]*ops.Relation)
+			}
+			inputs[l] = l.parts[i]
+			return l, nil
 		}
-		return plan.NewScan(shard, node.SCN, append([]int(nil), node.Cols...)), nil
-	case *plan.Filter:
-		in, err := t.rewriteForNode(node.Input, nodeID)
-		if err != nil {
-			return nil, err
-		}
-		return &plan.Filter{Input: in, Pred: node.Pred}, nil
-	case *plan.Project:
-		in, err := t.rewriteForNode(node.Input, nodeID)
-		if err != nil {
-			return nil, err
-		}
-		return &plan.Project{Input: in, Exprs: node.Exprs, Names: node.Names}, nil
-	case *plan.Join:
-		l, err := t.rewriteForNode(node.Left, nodeID)
-		if err != nil {
-			return nil, err
-		}
-		r, err := t.rewriteForNode(node.Right, nodeID)
-		if err != nil {
-			return nil, err
-		}
-		return &plan.Join{Type: node.Type, Left: l, Right: r, LeftKeys: node.LeftKeys, RightKeys: node.RightKeys}, nil
-	case *plan.GroupBy:
-		in, err := t.rewriteForNode(node.Input, nodeID)
-		if err != nil {
-			return nil, err
-		}
-		return &plan.GroupBy{Input: in, Keys: node.Keys, Aggs: node.Aggs}, nil
-	case *plan.Sort:
-		in, err := t.rewriteForNode(node.Input, nodeID)
-		if err != nil {
-			return nil, err
-		}
-		return &plan.Sort{Input: in, Keys: node.Keys}, nil
-	case *plan.Limit:
-		in, err := t.rewriteForNode(node.Input, nodeID)
-		if err != nil {
-			return nil, err
-		}
-		return &plan.Limit{Input: in, K: node.K}, nil
-	case *plan.SetOp:
-		l, err := t.rewriteForNode(node.Left, nodeID)
-		if err != nil {
-			return nil, err
-		}
-		r, err := t.rewriteForNode(node.Right, nodeID)
-		if err != nil {
-			return nil, err
-		}
-		return &plan.SetOp{Kind: node.Kind, Left: l, Right: r}, nil
-	case *plan.Window:
-		in, err := t.rewriteForNode(node.Input, nodeID)
-		if err != nil {
-			return nil, err
-		}
-		return &plan.Window{Input: in, Func: node.Func, PartitionBy: node.PartitionBy,
-			OrderBy: node.OrderBy, ValueCol: node.ValueCol, Name: node.Name}, nil
-	}
-	return nil, fmt.Errorf("cluster: cannot distribute plan node %T", n)
-}
-
-// withInput is a copy of one of the single-input operators localize carries
-// over an exchange — a Filter, Project or GroupBy — over another input,
-// sharing its (immutable) expressions.
-func withInput(n, in plan.Node) plan.Node {
-	switch n := n.(type) {
-	case *plan.Filter:
-		return &plan.Filter{Input: in, Pred: n.Pred}
-	case *plan.Project:
-		return &plan.Project{Input: in, Exprs: n.Exprs, Names: n.Names}
-	case *plan.GroupBy:
-		return &plan.GroupBy{Input: in, Keys: n.Keys, Aggs: n.Aggs}
-	}
-	panic(fmt.Sprintf("cluster: withInput of %T", n))
+		return nil, fmt.Errorf("cluster: cannot distribute plan leaf %T", l)
+	})
+	return bound, inputs, err
 }
 
 // layout is how the combined output of a node-local subtree is spread over
@@ -154,20 +81,19 @@ func (l layout) shifted(nLeft int) layout {
 	return out
 }
 
-func scanLayout(s *plan.Scan) (layout, error) {
+// scanLayout reads a Scan's layout off its shard's map; every Scan the
+// planner sees reads a tray shard (Tray.resolve), and Load gives each one.
+func scanLayout(s *plan.Scan) layout {
 	sm := s.Table.ShardMap()
-	if sm == nil {
-		return layout{}, fmt.Errorf("cluster: table %q carries no shard map", s.Table.Name())
-	}
 	if sm.Policy == storage.Replicated {
-		return layout{repl: true}, nil
+		return layout{repl: true}
 	}
 	for ci, c := range s.Cols {
 		if c == sm.Key {
-			return layout{cols: []int{ci}, part: sm}, nil
+			return layout{cols: []int{ci}, part: sm}
 		}
 	}
-	return layout{}, nil
+	return layout{}
 }
 
 // projectLayout keeps the partition columns the projection passes through
@@ -248,147 +174,100 @@ func colocated(j *plan.Join, l, r layout) (layout, bool) {
 // localises too, but which side moves is decided by bytes at execution
 // (colocate), so its layout is unknown here; a group-by is local only when a
 // partition column known at this point is among its keys.
-func classify(n plan.Node) (layout, bool, error) {
+func classify(n plan.Node) (layout, bool) {
 	switch n := n.(type) {
 	case *plan.Scan:
-		lay, err := scanLayout(n)
-		return lay, err == nil, err
+		return scanLayout(n), true
 	case *plan.Filter:
 		return classify(n.Input)
 	case *plan.Project:
-		in, ok, err := classify(n.Input)
-		return projectLayout(n, in), ok, err
+		in, ok := classify(n.Input)
+		return projectLayout(n, in), ok
 	case *plan.GroupBy:
-		in, ok, err := classify(n.Input)
-		if !ok || err != nil {
-			return layout{}, false, err
+		if in, ok := classify(n.Input); ok {
+			return groupLayout(n, in)
 		}
-		out, ok := groupLayout(n, in)
-		return out, ok, nil
 	case *plan.Join:
-		l, ok, err := classify(n.Left)
-		if !ok || err != nil {
-			return layout{}, false, err
+		l, lok := classify(n.Left)
+		r, rok := classify(n.Right)
+		if lok && rok {
+			// A join colocated rejects still localises, after an exchange whose
+			// moving side is not chosen yet: nothing is known about its output
+			// (colocated returns the zero layout).
+			out, _ := colocated(n, l, r)
+			return out, true
 		}
-		r, ok, err := classify(n.Right)
-		if !ok || err != nil {
-			return layout{}, false, err
-		}
-		// A join colocated rejects still localises, after an exchange whose
-		// moving side is not chosen yet: nothing is known about its output.
-		out, ok := colocated(n, l, r)
-		if !ok {
-			out = layout{}
-		}
-		return out, true, nil
 	}
-	return layout{}, false, nil
+	return layout{}, false
 }
 
-// recipe is a node-local execution plan for one subtree: per-node trees to
-// compile (possibly with relLeaf exchange inputs) plus the layout of the
-// combined output.
+// recipe is a node-local execution plan for one subtree: the tree every node
+// compiles its copy of (possibly with relLeaf exchange inputs) plus the
+// layout of the combined output.
 type recipe struct {
 	layout
-	trees  []plan.Node
-	leaves []map[plan.Node]*ops.Relation
-}
-
-func childAt(nodes []plan.Node, k int) []plan.Node {
-	out := make([]plan.Node, len(nodes))
-	for i, n := range nodes {
-		out[i] = n.Children()[k]
-	}
-	return out
-}
-
-func mergeLeaves(a, b []map[plan.Node]*ops.Relation) []map[plan.Node]*ops.Relation {
-	out := make([]map[plan.Node]*ops.Relation, len(a))
-	for i := range a {
-		m := make(map[plan.Node]*ops.Relation, len(a[i])+len(b[i]))
-		for k, v := range a[i] {
-			m[k] = v
-		}
-		for k, v := range b[i] {
-			m[k] = v
-		}
-		out[i] = m
-	}
-	return out
+	tree plan.Node
 }
 
 // localize builds the recipe of a subtree classify accepted, executing the
 // exchanges its joins need on the way up — each exactly once, since the
 // subtree is known to localise before the first one runs.
-func (q *query) localize(nodes []plan.Node) (*recipe, error) {
-	switch n0 := nodes[0].(type) {
+func (q *query) localize(n plan.Node) (*recipe, error) {
+	switch n := n.(type) {
 	case *plan.Scan:
-		lay, err := scanLayout(n0)
-		if err != nil {
-			return nil, err
-		}
-		return &recipe{layout: lay, trees: append([]plan.Node(nil), nodes...),
-			leaves: make([]map[plan.Node]*ops.Relation, len(nodes))}, nil
+		return &recipe{layout: scanLayout(n), tree: n}, nil
 
 	case *plan.Join:
-		l, err := q.localize(childAt(nodes, 0))
+		l, err := q.localize(n.Left)
 		if err != nil {
 			return nil, err
 		}
-		r, err := q.localize(childAt(nodes, 1))
+		r, err := q.localize(n.Right)
 		if err != nil {
 			return nil, err
 		}
-		lay, ok := colocated(n0, l.layout, r.layout)
+		lay, ok := colocated(n, l.layout, r.layout)
 		if !ok {
-			if l, r, err = q.colocate(n0, l, r); err != nil {
+			if l, r, err = q.colocate(n, l, r); err != nil {
 				return nil, err
 			}
-			if lay, ok = colocated(n0, l.layout, r.layout); !ok {
+			if lay, ok = colocated(n, l.layout, r.layout); !ok {
 				return nil, fmt.Errorf("cluster: join sides not co-located after their exchange")
 			}
 		}
-		rec := &recipe{layout: lay, trees: make([]plan.Node, len(nodes)), leaves: mergeLeaves(l.leaves, r.leaves)}
-		for i := range rec.trees {
-			ji := nodes[i].(*plan.Join)
-			rec.trees[i] = &plan.Join{Type: ji.Type, Left: l.trees[i], Right: r.trees[i],
-				LeftKeys: ji.LeftKeys, RightKeys: ji.RightKeys}
-		}
-		return rec, nil
+		tree, err := plan.WithChildren(n, l.tree, r.tree)
+		return &recipe{layout: lay, tree: tree}, err
 
 	case *plan.Filter, *plan.Project, *plan.GroupBy:
-		child, err := q.localize(childAt(nodes, 0))
+		child, err := q.localize(n.Children()[0])
 		if err != nil {
 			return nil, err
 		}
-		rec := &recipe{layout: child.layout, trees: make([]plan.Node, len(nodes)), leaves: child.leaves}
-		switch n0 := n0.(type) {
+		lay := child.layout
+		switch n := n.(type) {
 		case *plan.Project:
-			rec.layout = projectLayout(n0, child.layout)
+			lay = projectLayout(n, child.layout)
 		case *plan.GroupBy:
 			var ok bool
-			if rec.layout, ok = groupLayout(n0, child.layout); !ok {
+			if lay, ok = groupLayout(n, child.layout); !ok {
 				return nil, fmt.Errorf("cluster: group-by classified node-local has no partition column among its keys")
 			}
 		}
-		for i := range rec.trees {
-			rec.trees[i] = withInput(nodes[i], child.trees[i])
-		}
-		return rec, nil
+		tree, err := plan.WithChildren(n, child.tree)
+		return &recipe{layout: lay, tree: tree}, err
 	}
-	return nil, fmt.Errorf("cluster: cannot localize plan node %T", nodes[0])
+	return nil, fmt.Errorf("cluster: cannot localize plan node %T", n)
 }
 
 // placed wraps per-node relations (exchange outputs, or a side materialised
-// in place) as a recipe of relLeaf trees spread as lay.
+// in place) as a recipe of one relLeaf spread as lay. Every share carries the
+// exchange's one column metadata.
 func placed(parts []*ops.Relation, lay layout) *recipe {
-	rec := &recipe{layout: lay, trees: make([]plan.Node, len(parts)), leaves: make([]map[plan.Node]*ops.Relation, len(parts))}
-	for i, rel := range parts {
-		leaf := newRelLeaf(rel)
-		rec.trees[i] = leaf
-		rec.leaves[i] = map[plan.Node]*ops.Relation{leaf: rel}
+	fs := make([]plan.Field, len(parts[0].Cols))
+	for i, c := range parts[0].Cols {
+		fs[i] = plan.Field{Name: c.Name, Type: c.Type, Dict: c.Dict}
 	}
-	return rec
+	return &recipe{layout: lay, tree: &relLeaf{parts: parts, fs: fs}}
 }
 
 // routed is a shuffle's output as a recipe: partitioned by part on keyCol.
@@ -426,25 +305,31 @@ func alignedKey(rec *recipe, keys []int) int {
 }
 
 // treeBytes estimates the wire size of a side that is still a tree, over
-// all nodes: qcomp.Estimate's output rows per shard tree at the 8-byte wire
-// width. Estimate counts an exchange output spliced into the tree as one
+// all nodes: qcomp.Estimate's output rows of each node's copy — shard
+// statistics differ, so the copies are bound to be estimated — at the 8-byte
+// wire width. Estimate counts an exchange output spliced into the tree as one
 // row; the largest one below is the better floor.
-func treeBytes(rec *recipe) int64 {
-	var b int64
-	for _, t := range rec.trees {
-		rows := max(qcomp.Estimate(t).OutputRows, leafRows(t))
-		b += rows * 8 * int64(len(t.Schema()))
+func (q *query) treeBytes(rec *recipe) (int64, error) {
+	var rows int64
+	for i := range q.nctx {
+		t, _, err := q.bind(rec.tree, i)
+		if err != nil {
+			return 0, err
+		}
+		rows += max(qcomp.Estimate(t).OutputRows, leafRows(rec.tree, i))
 	}
-	return b
+	return rows * 8 * int64(len(rec.tree.Schema())), nil
 }
 
-func leafRows(n plan.Node) int64 {
+// leafRows is the size of the largest share node i holds of an exchange
+// output below n.
+func leafRows(n plan.Node, i int) int64 {
 	if leaf, ok := n.(*relLeaf); ok {
-		return int64(leaf.rel.Rows())
+		return int64(leaf.parts[i].Rows())
 	}
 	var rows int64
 	for _, c := range n.Children() {
-		rows = max(rows, leafRows(c))
+		rows = max(rows, leafRows(c, i))
 	}
 	return rows
 }
@@ -554,17 +439,23 @@ func (q *query) align(mov, fix *recipe, movKey int, mayBroadcast bool, shuffleLa
 		return nil, nil, err
 	}
 	shuffleCost := rt.crossing * int64(exchangeRowBytes(parts[0]))
-	if fanout := int64(q.nodes() - 1); mayBroadcast && treeBytes(fix)*fanout < shuffleCost {
-		fparts, err := q.materialize(fix, false, "broadcast input")
+	if fanout := int64(q.nodes() - 1); mayBroadcast {
+		est, err := q.treeBytes(fix)
 		if err != nil {
 			return nil, nil, err
 		}
-		// The estimate only decided to look: the exact size decides.
-		if partsBytes(fparts)*fanout < shuffleCost {
-			fix, err = q.broadcasted(fparts, broadcastLabel)
-			return placed(parts, mov.layout), fix, err
+		if est*fanout < shuffleCost {
+			fparts, err := q.materialize(fix, false, "broadcast input")
+			if err != nil {
+				return nil, nil, err
+			}
+			// The estimate only decided to look: the exact size decides.
+			if partsBytes(fparts)*fanout < shuffleCost {
+				fix, err = q.broadcasted(fparts, broadcastLabel)
+				return placed(parts, mov.layout), fix, err
+			}
+			fix = placed(fparts, fix.layout)
 		}
-		fix = placed(fparts, fix.layout)
 	}
 	mov, err = q.routed(parts, rt, movKey, fix.part, fmt.Sprintf("%s to %s", shuffleLabel, fix.part.Policy))
 	return mov, fix, err

@@ -8,6 +8,7 @@ import (
 
 	"rapid/internal/hostdb"
 	"rapid/internal/obs"
+	"rapid/internal/ops"
 	"rapid/internal/plan"
 	"rapid/internal/qef"
 	"rapid/internal/sqlparse"
@@ -147,25 +148,23 @@ func tpchTray(t *testing.T) *Tray {
 	return tray
 }
 
-// lockstep binds sql at the tray's coordinator and rewrites it per node, the
-// way execute does.
-func lockstep(t *testing.T, tray *Tray, sql string) (plan.Node, []plan.Node) {
+// planned binds sql at the tray's coordinator and resolves it the way execute
+// does: the bound plan, the one tree the planner works on, and a query
+// carrying the resolved shard sets for bind.
+func planned(t *testing.T, tray *Tray, sql string) (bound, tree plan.Node, q *query) {
 	t.Helper()
 	stmt, err := sqlparse.Parse(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bound, err := sqlparse.Bind(stmt, engine{tray}, tray.host.CurrentSCN())
+	if bound, err = sqlparse.Bind(stmt, engine{tray}, tray.host.CurrentSCN()); err != nil {
+		t.Fatal(err)
+	}
+	tree, shards, err := tray.resolve(bound)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plans := make([]plan.Node, tray.NumNodes())
-	for i := range plans {
-		if plans[i], err = tray.rewriteForNode(bound, i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return bound, plans
+	return bound, tree, &query{shards: shards}
 }
 
 // find returns the first node of the tree (pre-order) that match accepts.
@@ -193,22 +192,22 @@ func TestClassifyRunsNothing(t *testing.T) {
 	const sql = `SELECT COUNT(*) FROM lineitem, part
 WHERE l_partkey = p_partkey AND p_size < 20
   AND l_suppkey IN (SELECT ps_suppkey FROM partsupp GROUP BY ps_suppkey HAVING SUM(ps_availqty) > 20000)`
-	bound, plans := lockstep(t, tray, sql)
+	bound, tree, _ := planned(t, tray, sql)
 	semi := func(n plan.Node) bool {
 		j, ok := n.(*plan.Join)
 		return ok && j.Type == plan.SemiJoin
 	}
-	if find(plans[0], semi) == nil {
+	if find(tree, semi) == nil {
 		t.Fatalf("no semi-join in the plan:\n%s", plan.Format(bound))
 	}
 
 	exchanges := tray.Metrics().Counter("rapid_net_exchanges_total")
 	before := exchanges.Value()
-	if _, ok, err := classify(find(plans[0], semi)); err != nil || ok {
-		t.Fatalf("classify(semi-join over a non-local sub-query) = %v, %v; want not node-local", ok, err)
+	if _, ok := classify(find(tree, semi)); ok {
+		t.Fatal("classify(semi-join over a non-local sub-query) says node-local")
 	}
-	if _, ok, err := classify(find(plans[0], semi).Children()[0]); err != nil || !ok {
-		t.Fatalf("classify(left side) = %v, %v; want node-local", ok, err)
+	if _, ok := classify(find(tree, semi).Children()[0]); !ok {
+		t.Fatal("classify(left side) says not node-local")
 	}
 	if d := exchanges.Value() - before; d != 0 {
 		t.Fatalf("classification executed %d exchanges", d)
@@ -227,7 +226,7 @@ WHERE l_partkey = p_partkey AND p_size < 20
 	fragments := make([]int64, len(q.nctx))
 	for _, st := range res.Trace {
 		if st.Exchange != nil {
-			seen[fmt.Sprintf("exchange %s %s rows=%d", st.Exchange.Kind, st.Label, st.Exchange.RowsIn)]++
+			seen[fmt.Sprintf("exchange %s %s rows=%d", st.Exchange.Kind, st.Label, st.Exchange.RowsOut)]++
 		}
 		if st.NodeProfiles != nil {
 			seen["fragment "+st.Label]++
@@ -269,17 +268,140 @@ GROUP BY n_nationkey HAVING COUNT(*) > 0`,
 		`SELECT n_nationkey, COUNT(*) FROM nation WHERE n_nationkey NOT IN (SELECT c_nationkey FROM customer)
 GROUP BY n_nationkey HAVING COUNT(*) > 0`,
 	} {
-		bound, plans := lockstep(t, tray, sql)
-		join := find(plans[0], func(n plan.Node) bool { _, ok := n.(*plan.Join); return ok })
-		group := find(plans[0], func(n plan.Node) bool { _, ok := n.(*plan.GroupBy); return ok })
+		bound, tree, _ := planned(t, tray, sql)
+		join := find(tree, func(n plan.Node) bool { _, ok := n.(*plan.Join); return ok })
+		group := find(tree, func(n plan.Node) bool { _, ok := n.(*plan.GroupBy); return ok })
 		if join == nil || group == nil || join.(*plan.Join).Type == plan.InnerJoin {
 			t.Fatalf("no outer/semi/anti join under a group-by in the plan:\n%s", plan.Format(bound))
 		}
-		if lay, ok, err := classify(join); err != nil || !ok || !reflect.DeepEqual(lay, layout{}) {
-			t.Errorf("classify(%s) = %+v, %v, %v; want node-local with the zero layout", join, lay, ok, err)
+		if lay, ok := classify(join); !ok || !reflect.DeepEqual(lay, layout{}) {
+			t.Errorf("classify(%s) = %+v, %v; want node-local with the zero layout", join, lay, ok)
 		}
-		if _, ok, err := classify(group); err != nil || ok {
-			t.Errorf("classify(group-by over %s) = %v, %v; want not node-local", join, ok, err)
+		if _, ok := classify(group); ok {
+			t.Errorf("classify(group-by over %s) says node-local", join)
 		}
+	}
+}
+
+// scans collects the Scan leaves of a tree, left to right.
+func scans(n plan.Node) []*plan.Scan {
+	var out []*plan.Scan
+	plan.MapLeaves(n, func(l plan.Node) (plan.Node, error) {
+		if s, ok := l.(*plan.Scan); ok {
+			out = append(out, s)
+		}
+		return l, nil
+	})
+	return out
+}
+
+// TestEveryNodeBindsTheResolvedShardSet: a query resolves each table's shard
+// set once, and a reload landing while it runs cannot reach it. nation starts
+// replicated; an insert pushes it past ReplicateMaxRows, so the next query's
+// resolution reloads it hash-sharded — but the query resolved before the
+// insert still binds both Scans of its self-join, on every node, to the one
+// load it resolved. (Resolving per node and per Scan, as the tray did, bound
+// node 0 to a full replica and the nodes after the reload to hash shards: rows
+// duplicated under a layout read from node 0.)
+func TestEveryNodeBindsTheResolvedShardSet(t *testing.T) {
+	tray := tpchTray(t)
+	const sql = `SELECT COUNT(*) FROM nation n1, nation n2 WHERE n1.n_regionkey = n2.n_regionkey`
+	_, tree, q := planned(t, tray, sql)
+	resolved := q.shards["nation"]
+	if got := resolved[0].ShardMap().Policy; got != storage.Replicated {
+		t.Fatalf("nation starts %v, want replicated", got)
+	}
+
+	var rows [][]storage.Value
+	for k := int64(100); k < 180; k++ {
+		rows = append(rows, []storage.Value{storage.IntValue(k), storage.StrValue("ATLANTIS"), storage.IntValue(k % 5)})
+	}
+	if _, err := tray.host.Insert("nation", rows); err != nil {
+		t.Fatal(err)
+	}
+	_, _, later := planned(t, tray, sql)
+	if got := later.shards["nation"][0].ShardMap().Policy; got != storage.HashSharded {
+		t.Fatalf("the reload left nation %v; the test needs it to flip to hash-sharded", got)
+	}
+
+	for i := 0; i < tray.NumNodes(); i++ {
+		bound, _, err := q.bind(tree, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaves := scans(bound)
+		if len(leaves) != 2 {
+			t.Fatalf("node %d: %d scans in the self-join, want 2", i, len(leaves))
+		}
+		for _, s := range leaves {
+			if s.Table != resolved[i] || s.Table.ShardMap() != resolved[0].ShardMap() {
+				t.Errorf("node %d scans a %v shard of %d rows from another load than the one resolved",
+					i, s.Table.ShardMap().Policy, s.Table.Rows())
+			}
+		}
+	}
+}
+
+// TestBoundTreeDiffersOnlyAtItsLeaves: over every TPC-H plan, node i's copy
+// of the planned tree has the same operators, sharing their expressions, over
+// Scans of node i's shards; an exchange leaf stays the one leaf, its share for
+// node i handed to the compiler beside the tree.
+func TestBoundTreeDiffersOnlyAtItsLeaves(t *testing.T) {
+	tray := tpchTray(t)
+	var above func(name string, a, b plan.Node)
+	above = func(name string, a, b plan.Node) {
+		ak, bk := a.Children(), b.Children()
+		if reflect.TypeOf(a) != reflect.TypeOf(b) || len(ak) != len(bk) {
+			t.Fatalf("%s: %s bound as %s", name, a, b)
+		}
+		if len(ak) == 0 {
+			return
+		}
+		// Over the planned node's children the bound operator is the planned
+		// one: nothing but its inputs was touched.
+		if back, err := plan.WithChildren(b, ak...); err != nil || !reflect.DeepEqual(back, a) {
+			t.Errorf("%s: %s differs from the planned %s above the leaves (err %v)", name, b, a, err)
+		}
+		for k := range ak {
+			above(name, ak[k], bk[k])
+		}
+	}
+	for _, tq := range tpch.Queries() {
+		_, tree, q := planned(t, tray, tq.SQL)
+		for i := 0; i < tray.NumNodes(); i++ {
+			bound, inputs, err := q.bind(tree, i)
+			if err != nil {
+				t.Fatalf("%s: %v", tq.Name, err)
+			}
+			if len(inputs) != 0 {
+				t.Errorf("%s: a tree without exchange leaves bound %d inputs", tq.Name, len(inputs))
+			}
+			above(tq.Name, tree, bound)
+			want := scans(tree)
+			for k, s := range scans(bound) {
+				p := want[k]
+				if s.Table != q.shards[p.Table.Name()][i] || s.SCN != p.SCN || !reflect.DeepEqual(s.Cols, p.Cols) {
+					t.Errorf("%s: node %d: %s is not the planned scan over node %d's shard", tq.Name, i, s, i)
+				}
+			}
+		}
+	}
+
+	_, tree, q := planned(t, tray, `SELECT l_orderkey FROM lineitem WHERE l_quantity < 5`)
+	parts := make([]*ops.Relation, tray.NumNodes())
+	for i := range parts {
+		parts[i] = emptyRelation(tree.Schema())
+	}
+	leaf := placed(parts, layout{}).tree
+	join := &plan.Join{Left: tree, Right: leaf, LeftKeys: []int{0}, RightKeys: []int{0}}
+	for i := range parts {
+		bound, inputs, err := q.bind(join, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bound.Children()[1] != leaf || len(inputs) != 1 || inputs[leaf] != parts[i] {
+			t.Errorf("node %d: the exchange leaf was not bound to its share", i)
+		}
+		above("join over an exchange", join, bound)
 	}
 }

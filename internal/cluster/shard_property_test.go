@@ -57,7 +57,7 @@ func checkShardMap(t *testing.T, tray *Tray, want [][]int64) bool {
 		t.Log("no shard map after load")
 		return false
 	}
-	sm := tt.shard
+	sm := tt.shards[0].ShardMap()
 	if err := sm.Validate(); err != nil {
 		t.Logf("invalid shard map: %v", err)
 		return false
@@ -255,7 +255,7 @@ func TestTrayLoadPlacesEncodedRows(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		tt := tray.tables["pt"]
-		sm := tt.shard
+		sm := tt.shards[0].ShardMap()
 		var all [][]int64
 		for i := 0; i < nodes; i++ {
 			got := shardRows(tt.shards[i])

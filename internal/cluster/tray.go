@@ -6,6 +6,7 @@ import (
 
 	"rapid/internal/hostdb"
 	"rapid/internal/obs"
+	"rapid/internal/plan"
 	"rapid/internal/sched"
 	"rapid/internal/storage"
 )
@@ -36,13 +37,11 @@ type ShardSpec struct {
 // node is one tray member: a full SoC with its own scheduler/worker pool.
 // Its table shards live in the tray's shared state (trayTable.shards[id]).
 type node struct {
-	id    int
 	sched *sched.Scheduler
 }
 
 // trayTable is the tray-side state of one loaded logical table.
 type trayTable struct {
-	shard   *storage.ShardMap
 	spec    *ShardSpec // nil = auto; re-applied on reload
 	shards  []*storage.Table
 	loadSCN uint64 // host SCN the shards were built at
@@ -61,8 +60,6 @@ type Tray struct {
 
 	mu     sync.Mutex
 	tables map[string]*trayTable
-
-	closed bool
 }
 
 // New builds a tray of cfg.Nodes full SoC nodes over the host database.
@@ -86,7 +83,7 @@ func New(host *hostdb.Database, cfg Config) (*Tray, error) {
 	for i := 0; i < cfg.Nodes; i++ {
 		sc := cfg.Sched
 		sc.Metrics = reg
-		t.nodes = append(t.nodes, &node{id: i, sched: sched.New(sc)})
+		t.nodes = append(t.nodes, &node{sched: sched.New(sc)})
 	}
 	t.describeMetrics()
 	return t, nil
@@ -119,9 +116,6 @@ func (t *Tray) NodeScheduler(i int) *sched.Scheduler { return t.nodes[i].sched }
 // Close stops every node's worker pool. In-flight queries fail with
 // sched.ErrClosed.
 func (t *Tray) Close() {
-	t.mu.Lock()
-	t.closed = true
-	t.mu.Unlock()
 	for _, n := range t.nodes {
 		n.sched.Close()
 	}
@@ -189,7 +183,7 @@ func (t *Tray) loadLocked(table string, spec *ShardSpec) error {
 	if err != nil {
 		return err
 	}
-	tt := &trayTable{shard: sm, spec: spec, loadSCN: loadSCN, shards: make([]*storage.Table, n)}
+	tt := &trayTable{spec: spec, loadSCN: loadSCN, shards: make([]*storage.Table, n)}
 	for i, b := range builders {
 		st, err := b.Build()
 		if err != nil {
@@ -202,17 +196,16 @@ func (t *Tray) loadLocked(table string, spec *ShardSpec) error {
 	return nil
 }
 
-// shardFor resolves node i's current shard of a table, transparently
-// re-loading all shards when host mutations made them stale — the tray
-// analog of the single-node SCN admissibility rule (§3.3): instead of
-// falling back, the tray refreshes its replicas before binding.
-func (t *Tray) shardFor(nodeID int, table string) (*storage.Table, error) {
+// shardsLocked returns a table's current shard set (shards[i] is node i's),
+// transparently re-loading all of it when host mutations made it stale — the
+// tray analog of the single-node SCN admissibility rule (§3.3): instead of
+// falling back, the tray refreshes its replicas before binding. The caller
+// holds t.mu.
+func (t *Tray) shardsLocked(table string) ([]*storage.Table, error) {
 	ht, err := t.host.Table(table)
 	if err != nil {
 		return nil, err
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	tt, ok := t.tables[table]
 	if !ok {
 		return nil, fmt.Errorf("cluster: table %q not loaded on the tray (run Load first)", table)
@@ -223,5 +216,35 @@ func (t *Tray) shardFor(nodeID int, table string) (*storage.Table, error) {
 		}
 		tt = t.tables[table]
 	}
-	return tt.shards[nodeID], nil
+	return tt.shards, nil
+}
+
+// resolve fixes what one query reads: under one hold of t.mu every table the
+// bound plan references is resolved to its shard set exactly once, and the
+// plan is returned re-targeted at those shards (its Scans at node 0's, which
+// carry the set's ShardMap). Every node is bound from the returned sets
+// (query.bind), so all Scans of a table — on every node, on both sides of a
+// self-join — read one load, whatever reloads meanwhile. Of a plan-cache
+// skeleton's Scans, which may point at bind-time replicas, only the table
+// names are read.
+func (t *Tray) resolve(bound plan.Node) (plan.Node, map[string][]*storage.Table, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	sets := make(map[string][]*storage.Table)
+	tree, err := plan.MapLeaves(bound, func(l plan.Node) (plan.Node, error) {
+		s, ok := l.(*plan.Scan)
+		if !ok {
+			return nil, fmt.Errorf("cluster: cannot distribute plan leaf %T", l)
+		}
+		name := s.Table.Name()
+		if _, ok := sets[name]; !ok {
+			shards, err := t.shardsLocked(name)
+			if err != nil {
+				return nil, err
+			}
+			sets[name] = shards
+		}
+		return plan.NewScan(sets[name][0], s.SCN, s.Cols), nil
+	})
+	return tree, sets, err
 }

@@ -79,20 +79,16 @@ func (db *Database) QueryCache() *qcache.Cache {
 	return db.qcache
 }
 
-// New creates an empty database with its own metrics registry.
+// New creates an empty database with its own metrics registry and a
+// default-configured scheduler.
 func New() *Database {
-	return NewWithMetrics(nil)
+	return NewWithConfig(nil, sched.Config{})
 }
 
-// NewWithMetrics creates an empty database sharing the given metrics
-// registry (nil allocates a fresh one) and a default-configured scheduler.
-func NewWithMetrics(reg *obs.Registry) *Database {
-	return NewWithConfig(reg, sched.Config{})
-}
-
-// NewWithConfig creates an empty database with an explicit shared-SoC
-// scheduler configuration. The scheduler's metrics land in the database's
-// registry unless the config carries its own.
+// NewWithConfig creates an empty database sharing the given metrics registry
+// (nil allocates a fresh one) with an explicit shared-SoC scheduler
+// configuration. The scheduler's metrics land in the database's registry
+// unless the config carries its own.
 func NewWithConfig(reg *obs.Registry, cfg sched.Config) *Database {
 	if reg == nil {
 		reg = obs.NewRegistry()

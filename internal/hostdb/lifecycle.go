@@ -263,7 +263,6 @@ func captureVersions(version func(string) (qcache.Version, bool), tables []strin
 func NewCacheEntry(payload any, rel *ops.Relation, cycles, energyNJ int64) *qcache.Result {
 	e := &qcache.Result{Payload: payload, Bytes: 64, CyclesSaved: cycles, EnergySavedNJ: energyNJ}
 	if rel != nil {
-		e.Rows = rel.Rows()
 		// Column payloads at physical width plus a small per-column overhead.
 		for _, c := range rel.Cols {
 			e.Bytes += 64 + int64(c.Data.SizeBytes())

@@ -286,25 +286,17 @@ func (e hostEngine) Execute(ctx context.Context, node plan.Node, opts QueryOptio
 // the SCN the plan reads at.
 func (db *Database) admissible(node plan.Node) (ok bool, scn uint64) {
 	ok = true
-	walkScans(node, func(s *plan.Scan) {
-		scn = s.SCN
-		if t, err := db.Table(s.Table.Name()); err == nil {
-			if t.PendingJournal() > 0 {
+	// The leaf function returns its argument: a visit, nothing is rebuilt.
+	plan.MapLeaves(node, func(l plan.Node) (plan.Node, error) {
+		if s, isScan := l.(*plan.Scan); isScan {
+			scn = s.SCN
+			if t, err := db.Table(s.Table.Name()); err == nil && t.PendingJournal() > 0 {
 				ok = false
 			}
 		}
+		return l, nil
 	})
 	return ok, scn
-}
-
-func walkScans(n plan.Node, fn func(*plan.Scan)) {
-	if s, ok := n.(*plan.Scan); ok {
-		fn(s)
-		return
-	}
-	for _, c := range n.Children() {
-		walkScans(c, fn)
-	}
 }
 
 // runRapid is the RAPID operator (§3.1): it serializes the fragment plan to

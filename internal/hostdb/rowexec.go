@@ -47,7 +47,7 @@ func (db *Database) BuildIterator(n plan.Node) (Iterator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &projectIter{in: in, exprs: node.Exprs, fields: node.Input.Schema()}, nil
+		return &projectIter{in: in, exprs: node.Exprs}, nil
 	case *plan.Join:
 		l, err := db.BuildIterator(node.Left)
 		if err != nil {
@@ -67,7 +67,7 @@ func (db *Database) BuildIterator(n plan.Node) (Iterator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &groupIter{in: in, keys: node.Keys, aggs: node.Aggs, fields: node.Input.Schema()}, nil
+		return &groupIter{in: in, keys: node.Keys, aggs: node.Aggs}, nil
 	case *plan.Sort:
 		in, err := db.BuildIterator(node.Input)
 		if err != nil {
@@ -410,9 +410,8 @@ func (f *filterIter) Fetch() ([]int64, bool, error) {
 }
 
 type projectIter struct {
-	in     Iterator
-	exprs  []plan.Expr
-	fields []plan.Field
+	in    Iterator
+	exprs []plan.Expr
 }
 
 func (p *projectIter) Allocate()    { p.in.Allocate() }
@@ -443,7 +442,6 @@ type joinIter struct {
 
 	table   map[string][][]int64
 	pending [][]int64
-	started bool
 }
 
 func (j *joinIter) Allocate() {
@@ -465,7 +463,6 @@ func (j *joinIter) Start() error {
 		k := joinKey(r, j.rk)
 		j.table[k] = append(j.table[k], r)
 	}
-	j.started = true
 	return nil
 }
 
@@ -530,10 +527,9 @@ func (j *joinIter) Release() {
 // --- group by --------------------------------------------------------------------
 
 type groupIter struct {
-	in     Iterator
-	keys   []plan.Expr
-	aggs   []plan.AggExpr
-	fields []plan.Field
+	in   Iterator
+	keys []plan.Expr
+	aggs []plan.AggExpr
 
 	out [][]int64
 	pos int

@@ -22,8 +22,6 @@ func fjJoules(fj int64) float64 { return float64(fj) / power.FJPerJoule }
 
 // SpanEnergy is one operator's priced activity.
 type SpanEnergy struct {
-	ID         int
-	Name       string
 	CoreFJ     int64
 	DMSReadFJ  int64
 	DMSWriteFJ int64
@@ -34,7 +32,6 @@ func (e SpanEnergy) ActivityFJ() int64 { return e.CoreFJ + e.DMSReadFJ + e.DMSWr
 
 // EnergyReport prices a finalized profile under an energy model.
 type EnergyReport struct {
-	Model power.EnergyModel
 	// Spans holds per-operator activity energy, index-aligned with the
 	// profile's Defs.
 	Spans []SpanEnergy
@@ -69,15 +66,15 @@ func (r EnergyReport) JoulesPerRow() float64 {
 // profile; only DPU-mode profiles carry non-zero activity (ModeX86 runs
 // with the cycle and DMS accounting off).
 func (p *Profile) Energy(m power.EnergyModel) EnergyReport {
-	rep := EnergyReport{Model: m}
+	var rep EnergyReport
 	if p == nil {
 		return rep
 	}
 	rep.Spans = make([]SpanEnergy, len(p.Defs))
-	for i, d := range p.Defs {
+	for i := range p.Defs {
 		c := p.spans[i].fold()
 		core, rd, wr := m.ActivityFJ(c.cycles, c.readBytes, c.writeBytes)
-		rep.Spans[i] = SpanEnergy{ID: d.ID, Name: d.Name, CoreFJ: core, DMSReadFJ: rd, DMSWriteFJ: wr}
+		rep.Spans[i] = SpanEnergy{CoreFJ: core, DMSReadFJ: rd, DMSWriteFJ: wr}
 		if i == 0 {
 			rep.RowsOut = c.rowsOut
 		}

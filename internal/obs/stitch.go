@@ -23,8 +23,8 @@ type ExchangeSpan struct {
 	Label   string
 	Seconds float64 // modeled serialized link time
 
-	RowsIn, RowsOut              int64
-	MovedRows, MovedBytes, Tiles int64 // cross-node traffic only
+	RowsOut               int64
+	MovedRows, MovedBytes int64 // cross-node traffic only
 
 	// PerSourceRows is rows entering per source node; PerDestRows rows
 	// delivered per destination node (nil for gather — the destination is

@@ -57,7 +57,6 @@ type ScalarAggOp struct {
 type ScalarAggResult struct {
 	mu     sync.Mutex
 	states []primitives.AggState
-	inited bool
 }
 
 // NewScalarAggResult allocates the shared result for n specs.
@@ -66,7 +65,6 @@ func NewScalarAggResult(n int) *ScalarAggResult {
 	for i := range r.states {
 		r.states[i] = primitives.NewAggState()
 	}
-	r.inited = true
 	return r
 }
 

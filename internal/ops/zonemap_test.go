@@ -19,7 +19,7 @@ func zonesOf(m map[int]storage.Zone) func(int) (storage.Zone, bool) {
 }
 
 func TestZoneRejectConstCmp(t *testing.T) {
-	z := zonesOf(map[int]storage.Zone{0: {Min: 10, Max: 20, Rows: 4}})
+	z := zonesOf(map[int]storage.Zone{0: {Min: 10, Max: 20}})
 	cases := []struct {
 		op   primitives.CmpOp
 		val  int64
@@ -40,7 +40,7 @@ func TestZoneRejectConstCmp(t *testing.T) {
 		}
 	}
 	// Single-point zone: NE can reject.
-	pt := zonesOf(map[int]storage.Zone{0: {Min: 7, Max: 7, Rows: 1}})
+	pt := zonesOf(map[int]storage.Zone{0: {Min: 7, Max: 7}})
 	if !ZoneReject(&ConstCmp{Col: 0, Op: primitives.NE, Val: 7}, pt) {
 		t.Error("NE over single-point zone must reject")
 	}
@@ -51,7 +51,7 @@ func TestZoneRejectConstCmp(t *testing.T) {
 }
 
 func TestZoneRejectBetweenAndInSet(t *testing.T) {
-	z := zonesOf(map[int]storage.Zone{0: {Min: 10, Max: 20, Rows: 4}})
+	z := zonesOf(map[int]storage.Zone{0: {Min: 10, Max: 20}})
 	if !ZoneReject(&Between{Col: 0, Lo: 21, Hi: 30}, z) ||
 		!ZoneReject(&Between{Col: 0, Lo: 0, Hi: 9}, z) {
 		t.Error("disjoint BETWEEN must reject")

@@ -18,7 +18,6 @@ import (
 
 // CompactHT is the DMEM-resident compact hash table.
 type CompactHT struct {
-	nBuckets int
 	mask     uint32
 	sentinel uint64
 
@@ -71,7 +70,6 @@ func NewCompactHT(capacity, nBuckets int) *CompactHT {
 	}
 	w := bits.WidthFor(capacity + 1) // +1 for the end-of-chain sentinel
 	ht := &CompactHT{
-		nBuckets: nBuckets,
 		mask:     uint32(nBuckets - 1),
 		sentinel: uint64(capacity),
 		buckets:  bits.NewPackedArray(nBuckets, w),

@@ -74,7 +74,6 @@ type Result struct {
 	Payload       any
 	Bytes         int64
 	Versions      []Version
-	Rows          int
 	CyclesSaved   int64
 	EnergySavedNJ int64
 	WallNs        int64 // wall time of the producing execution

@@ -215,7 +215,6 @@ func (p *pipelineNode) opReqs() []OpReq {
 	}
 	scanRowBytes := 8 * scanned
 	reqs := []OpReq{{
-		Name:           "scan",
 		DMEMSize:       func(rows int) int { return 2 * rows * scanRowBytes },
 		OutBytesPerRow: rowBytes,
 		Selectivity:    1,
@@ -230,7 +229,6 @@ func (p *pipelineNode) opReqs() []OpReq {
 				sel *= pr.EstSelectivity()
 			}
 			reqs = append(reqs, OpReq{
-				Name:           "filter",
 				DMEMSize:       f.DMEMSize,
 				OutBytesPerRow: rowBytes,
 				Selectivity:    sel,
@@ -241,14 +239,12 @@ func (p *pipelineNode) opReqs() []OpReq {
 			// column at once).
 			m := &ops.MaterializeOp{RowBytes: 8 * inCols[i]}
 			reqs = append(reqs, OpReq{
-				Name:           "materialize",
 				DMEMSize:       m.DMEMSize,
 				OutBytesPerRow: 8 * inCols[i],
 				Selectivity:    1,
 			})
 			pr := &ops.ProjectOp{Exprs: s.exprs, Keep: s.keep}
 			reqs = append(reqs, OpReq{
-				Name:           "project",
 				DMEMSize:       pr.DMEMSize,
 				OutBytesPerRow: (len(s.exprs) + len(s.keep)) * 8,
 				Selectivity:    1,
@@ -259,7 +255,6 @@ func (p *pipelineNode) opReqs() []OpReq {
 	case termCollect:
 		nOut := len(p.cols)
 		reqs = append(reqs, OpReq{
-			Name: "collect",
 			// One widened 8-byte staging vector per output column
 			// (CollectSink.DMEMSize).
 			DMEMSize:       func(rows int) int { return nOut * 8 * rows },
@@ -268,10 +263,10 @@ func (p *pipelineNode) opReqs() []OpReq {
 		})
 	case termScalarAgg:
 		a := &ops.ScalarAggOp{Specs: p.aggSpecs}
-		reqs = append(reqs, OpReq{Name: "agg", DMEMSize: a.DMEMSize, OutBytesPerRow: 8, Selectivity: 0})
+		reqs = append(reqs, OpReq{DMEMSize: a.DMEMSize, OutBytesPerRow: 8, Selectivity: 0})
 	case termGroupBy:
 		g := &ops.GroupByOp{GroupCols: p.groupCols, Specs: p.aggSpecs, MaxGroups: p.maxGroups}
-		reqs = append(reqs, OpReq{Name: "groupby", DMEMSize: g.DMEMSize, OutBytesPerRow: 8, Selectivity: 0})
+		reqs = append(reqs, OpReq{DMEMSize: g.DMEMSize, OutBytesPerRow: 8, Selectivity: 0})
 	}
 	return reqs
 }

@@ -167,19 +167,16 @@ func TestTaskFormationFig4(t *testing.T) {
 	mkOps := func() []OpReq {
 		return []OpReq{
 			{
-				Name:           "scan",
 				DMEMSize:       func(rows int) int { return 2 * rows * 8 }, // 2 cols x 4B, double buffered
 				OutBytesPerRow: 8,
 				Selectivity:    1,
 			},
 			{
-				Name:           "filter",
 				DMEMSize:       (&ops.FilterOp{}).DMEMSize,
 				OutBytesPerRow: 8,
 				Selectivity:    0.25,
 			},
 			{
-				Name:           "aggregate",
 				DMEMSize:       func(rows int) int { return rows*8 + 64 },
 				OutBytesPerRow: 16,
 				Selectivity:    1e-6,
@@ -213,7 +210,6 @@ func TestTaskFormationFig4(t *testing.T) {
 func TestChooseTileRowsRespectsDMEM(t *testing.T) {
 	// A hungry operator set: tile rows shrink to fit.
 	hungry := []OpReq{{
-		Name:     "wide",
 		DMEMSize: func(rows int) int { return rows * 400 },
 	}}
 	rows := ChooseTileRows(hungry)
@@ -224,7 +220,7 @@ func TestChooseTileRowsRespectsDMEM(t *testing.T) {
 		t.Fatalf("tile rows %d below hardware minimum", rows)
 	}
 	// A light pipeline gets large tiles.
-	light := []OpReq{{Name: "l", DMEMSize: func(rows int) int { return rows * 4 }}}
+	light := []OpReq{{DMEMSize: func(rows int) int { return rows * 4 }}}
 	if ChooseTileRows(light) < 1024 {
 		t.Fatal("light pipeline should get large tiles")
 	}

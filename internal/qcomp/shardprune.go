@@ -48,7 +48,7 @@ func ShardZonePruned(root plan.Node) bool {
 			return storage.Zone{}, false
 		}
 		cs := stats.Cols[tc]
-		return storage.Zone{Min: cs.Min, Max: cs.Max, Rows: int(stats.Rows)}, true
+		return storage.Zone{Min: cs.Min, Max: cs.Max}, true
 	}
 	for _, p := range preds {
 		compiled, err := compilePred(p, cols)

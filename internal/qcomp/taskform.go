@@ -16,7 +16,6 @@ import (
 
 // OpReq describes one pipeline operator to the task former.
 type OpReq struct {
-	Name string
 	// DMEMSize returns the operator's DMEM need at a tile size (state +
 	// input/output vectors), mirroring op_dmem_size.
 	DMEMSize func(tileRows int) int

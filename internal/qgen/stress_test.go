@@ -15,6 +15,7 @@ import (
 	"rapid/internal/obs"
 	"rapid/internal/power"
 	"rapid/internal/qef"
+	"rapid/internal/sched"
 	"rapid/internal/storage"
 	"rapid/internal/tpch"
 )
@@ -25,7 +26,7 @@ import (
 // `go test -race`; the assertions also pin the registry totals.
 func TestConcurrentQueriesSharedRegistry(t *testing.T) {
 	reg := obs.NewRegistry()
-	db := hostdb.NewWithMetrics(reg)
+	db := hostdb.NewWithConfig(reg, sched.Config{})
 	if err := tpch.PopulateHostDB(db, tpch.Config{ScaleFactor: 0.002, Seed: 7}); err != nil {
 		t.Fatal(err)
 	}

@@ -110,9 +110,8 @@ type Scheduler struct {
 	cond   *sync.Cond
 	closed bool
 
-	started  bool
-	wg       sync.WaitGroup
-	stopPool chan struct{}
+	started bool
+	wg      sync.WaitGroup
 
 	// Admission state.
 	running  int
@@ -187,7 +186,7 @@ type strand struct {
 // and are stopped by Close.
 func New(cfg Config) *Scheduler {
 	cfg = cfg.withDefaults()
-	s := &Scheduler{cfg: cfg, stopPool: make(chan struct{})}
+	s := &Scheduler{cfg: cfg}
 	s.cond = sync.NewCond(&s.mu)
 	m := cfg.Metrics
 	m.Describe("sched_admitted_total", "Queries admitted to the shared-SoC scheduler.")

@@ -5,33 +5,25 @@ import "strings"
 // Literal normalization for the query cache (DESIGN.md §10) and the query
 // journal. Normalize lexes a statement and replaces every number and string
 // literal with a `?` placeholder, yielding a canonical template (keywords
-// upper-cased, identifiers lower-cased, single-space separated) plus the
-// extracted parameter vector in occurrence order. Two invocations of the
-// same dashboard query that differ only in whitespace, letter case or
+// upper-cased, identifiers lower-cased, single-space separated) plus a
+// fingerprint of the extracted literals in occurrence order. Two invocations
+// of the same dashboard query that differ only in whitespace, letter case or
 // literal values therefore share a TemplateFP, while the (TemplateFP,
 // ParamsFP) pair still distinguishes distinct literal bindings — exactly
 // the two keying granularities the plan cache and result cache need.
 
-// ParamKind says which literal class a parameter replaced.
-type ParamKind uint8
-
+// The literal class a parameter replaced, hashed before its text: the number
+// 5 and the string '5' are different parameters.
 const (
-	ParamNumber ParamKind = iota
-	ParamString
+	paramNumber = iota
+	paramString
 )
-
-// Param is one extracted literal, in template occurrence order.
-type Param struct {
-	Kind ParamKind
-	Text string // number spelling or decoded string body
-}
 
 // Normalized is the canonical form of one SQL statement.
 type Normalized struct {
-	Template   string  // literal-free canonical rendering
-	Params     []Param // literals in occurrence order
-	TemplateFP uint64  // FNV-1a over Template
-	ParamsFP   uint64  // FNV-1a over the parameter vector (kind + text)
+	Template   string // literal-free canonical rendering
+	TemplateFP uint64 // FNV-1a over Template
+	ParamsFP   uint64 // FNV-1a over the literals in occurrence order (class + text)
 }
 
 const (
@@ -58,7 +50,6 @@ func Normalize(sql string) (Normalized, error) {
 	}
 	var sb strings.Builder
 	sb.Grow(len(sql))
-	var params []Param
 	ph := uint64(fnvOffset64)
 	for _, t := range toks {
 		if t.kind == tokEOF {
@@ -70,21 +61,19 @@ func Normalize(sql string) (Normalized, error) {
 		switch t.kind {
 		case tokNumber:
 			sb.WriteByte('?')
-			params = append(params, Param{Kind: ParamNumber, Text: t.text})
-			ph = fnvByte(ph, byte(ParamNumber))
+			ph = fnvByte(ph, paramNumber)
 			ph = fnvString(ph, t.text)
 			ph = fnvByte(ph, 0)
 		case tokString:
 			sb.WriteByte('?')
-			params = append(params, Param{Kind: ParamString, Text: t.text})
-			ph = fnvByte(ph, byte(ParamString))
+			ph = fnvByte(ph, paramString)
 			ph = fnvString(ph, t.text)
 			ph = fnvByte(ph, 0)
 		default:
 			sb.WriteString(t.text)
 		}
 	}
-	n := Normalized{Template: sb.String(), Params: params, ParamsFP: ph}
+	n := Normalized{Template: sb.String(), ParamsFP: ph}
 	n.TemplateFP = fnvString(fnvOffset64, n.Template)
 	return n, nil
 }

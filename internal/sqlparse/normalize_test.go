@@ -12,15 +12,6 @@ func TestNormalizeGroupsLiteralVariants(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Normalize(base): %v", err)
 	}
-	if len(nb.Params) != 2 {
-		t.Fatalf("want 2 params, got %v", nb.Params)
-	}
-	if nb.Params[0] != (Param{Kind: ParamNumber, Text: "24"}) {
-		t.Errorf("param 0 = %+v", nb.Params[0])
-	}
-	if nb.Params[1] != (Param{Kind: ParamString, Text: "1994-01-01"}) {
-		t.Errorf("param 1 = %+v", nb.Params[1])
-	}
 	for _, v := range variants {
 		nv, err := Normalize(v)
 		if err != nil {

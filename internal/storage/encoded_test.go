@@ -307,7 +307,7 @@ func sameViews(t *testing.T, what string, a, b *Table) {
 		t.Fatalf("%s: %d rows in %d views vs %d in %d", what, sa.TotalRows(), len(va), sb.TotalRows(), len(vb))
 	}
 	for i := range va {
-		if va[i].Rows != vb[i].Rows || va[i].Part != vb[i].Part || (va[i].Deleted == nil) != (vb[i].Deleted == nil) {
+		if va[i].Rows != vb[i].Rows || (va[i].Deleted == nil) != (vb[i].Deleted == nil) {
 			t.Fatalf("%s: view %d shape differs", what, i)
 		}
 		for c := 0; c < a.Schema().NumCols(); c++ {

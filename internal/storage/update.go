@@ -251,7 +251,6 @@ func (s *Snapshot) Table() *Table { return s.t }
 // snapshot and must not be modified.
 type ChunkView struct {
 	Rows    int
-	Part    int
 	Deleted *bits.Vector
 	chunk   *Chunk          // base chunk; nil for the delta chunk
 	overlay []coltypes.Data // per column: the patched copy or delta column; zero where the base column stands
@@ -305,9 +304,9 @@ func (s *Snapshot) materialise() {
 		nbase += len(p.chunks)
 	}
 	views := make([]ChunkView, 0, nbase+1)
-	for pi, p := range s.parts {
+	for _, p := range s.parts {
 		for _, ch := range p.chunks {
-			views = append(views, ChunkView{Rows: ch.rows, Part: pi, chunk: ch})
+			views = append(views, ChunkView{Rows: ch.rows, chunk: ch})
 			s.rows += ch.rows
 		}
 	}

@@ -52,12 +52,11 @@ func (v *Vector) StoredBytes() int {
 }
 
 // Zone is one column's zone-map entry for one chunk (tile): the inclusive
-// encoded min/max over the tile's rows plus the row count. Zones are computed
+// encoded min/max over the tile's rows. Zones are computed
 // over the same encoded values predicates evaluate against, so a zone check
 // agrees with predicate evaluation by construction.
 type Zone struct {
 	Min, Max int64
-	Rows     int
 }
 
 // Chunk is a horizontal slice of a partition: one Vector per table column,
@@ -83,7 +82,7 @@ func NewChunk(cols []*Vector) *Chunk {
 	}
 	zones := make([]Zone, len(cols))
 	for i, c := range cols {
-		z := Zone{Rows: rows}
+		var z Zone
 		if rows > 0 {
 			d := c.Data()
 			z.Min, z.Max = d.Get(0), d.Get(0)

@@ -13,7 +13,6 @@ import (
 
 // refView is what the reference below computes for one chunk of a snapshot.
 type refView struct {
-	part    int
 	cells   [][]int64 // [col][row]
 	width   []coltypes.Width
 	zones   []Zone
@@ -37,7 +36,7 @@ func refViews(tbl *Table, units []UpdateUnit, scn uint64) (views []refView, tota
 		part := tbl.Partition(pi)
 		for ci := 0; ci < part.NumChunks(); ci++ {
 			chunk := part.Chunk(ci)
-			rv := refView{part: pi, deleted: make([]bool, chunk.Rows())}
+			rv := refView{deleted: make([]bool, chunk.Rows())}
 			patched := make([]bool, ncols)
 			for c := 0; c < ncols; c++ {
 				base := chunk.Col(c).Data()
@@ -124,8 +123,8 @@ func sameAsRef(s *Snapshot, ref []refView, total int) error {
 	}
 	for i := range got {
 		cv, rv := &got[i], &ref[i]
-		if cv.Rows != len(rv.deleted) || cv.Part != rv.part {
-			return fmt.Errorf("view %d: rows/part %d/%d, reference %d/%d", i, cv.Rows, cv.Part, len(rv.deleted), rv.part)
+		if cv.Rows != len(rv.deleted) {
+			return fmt.Errorf("view %d: %d rows, reference %d", i, cv.Rows, len(rv.deleted))
 		}
 		for r, want := range rv.deleted {
 			if have := cv.Deleted != nil && cv.Deleted.Test(r); have != want {

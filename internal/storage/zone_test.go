@@ -15,7 +15,7 @@ func TestChunkZonesAtBuild(t *testing.T) {
 	}
 	// First chunk holds id 0..7, val 0..70.
 	z, ok := chunks[0].Zone(0)
-	if !ok || z.Min != 0 || z.Max != 7 || z.Rows != 8 {
+	if !ok || z.Min != 0 || z.Max != 7 {
 		t.Fatalf("chunk0 id zone = %+v ok=%v", z, ok)
 	}
 	z, ok = chunks[0].Zone(1)
@@ -24,7 +24,7 @@ func TestChunkZonesAtBuild(t *testing.T) {
 	}
 	// Last (short) chunk holds id 16..19.
 	z, ok = chunks[2].Zone(0)
-	if !ok || z.Min != 16 || z.Max != 19 || z.Rows != 4 {
+	if !ok || z.Min != 16 || z.Max != 19 {
 		t.Fatalf("chunk2 id zone = %+v ok=%v", z, ok)
 	}
 	if _, ok := chunks[0].Zone(9); ok {
@@ -108,7 +108,7 @@ func TestStatsRefreshAfterUpdate(t *testing.T) {
 	}
 	// Pruning correctness: a table-wide zone built from the refreshed stats
 	// must admit the patched value.
-	z := Zone{Min: st.Cols[1].Min, Max: st.Cols[1].Max, Rows: int(st.Rows)}
+	z := Zone{Min: st.Cols[1].Min, Max: st.Cols[1].Max}
 	if z.Min > 100000 || z.Max < 100000 {
 		t.Fatal("refreshed stats zone rejects the patched value")
 	}

@@ -160,7 +160,6 @@ func Schemas() map[string]*storage.Schema {
 // Data is the fully generated dataset, as logical rows per table.
 type Data struct {
 	Tables map[string][][]storage.Value
-	Config Config
 }
 
 // Generate produces the dataset.
@@ -169,7 +168,7 @@ func Generate(cfg Config) *Data {
 		cfg.ScaleFactor = 0.01
 	}
 	nSupp, nCust, nPart, nOrders := cfg.counts()
-	d := &Data{Tables: map[string][][]storage.Value{}, Config: cfg}
+	d := &Data{Tables: map[string][][]storage.Value{}}
 
 	// region, nation
 	for i, r := range regions {

@@ -10,8 +10,6 @@ package tpch
 type Query struct {
 	Name string
 	SQL  string
-	// Note records any deviation from official TPC-H text.
-	Note string
 }
 
 // Queries returns the benchmark set, keyed stable by name.
@@ -60,7 +58,7 @@ WHERE o_orderdate >= DATE '1993-07-01'
   AND o_orderkey IN (SELECT l_orderkey FROM lineitem WHERE l_commitdate < l_receiptdate)
 GROUP BY o_orderpriority
 ORDER BY o_orderpriority`,
-			Note: "EXISTS rewritten as IN (semi-join), equivalent per TPC-H semantics",
+			// Deviation: EXISTS rewritten as IN (semi-join), equivalent per TPC-H semantics.
 		},
 		{
 			Name: "Q5",
@@ -123,7 +121,7 @@ WHERE o_orderkey = l_orderkey
   AND l_receiptdate < DATE '1994-01-01' + INTERVAL '1' YEAR
 GROUP BY l_shipmode
 ORDER BY l_shipmode`,
-			Note: "nested CASE replaces the OR inside CASE of the official text",
+			// Deviation: nested CASE replaces the OR inside CASE of the official text.
 		},
 		{
 			Name: "Q14",
@@ -147,7 +145,7 @@ WHERE o_orderkey IN (
 GROUP BY c_name, c_custkey, o_orderkey, o_orderdate, o_totalprice
 ORDER BY o_totalprice DESC, o_orderdate
 LIMIT 100`,
-			Note: "quantity threshold lowered from 300 to 212 to keep a non-empty result at small scale factors (orders average 4 lineitems here)",
+			// Deviation: quantity threshold lowered from 300 to 212 to keep a non-empty result at small scale factors (orders average 4 lineitems here).
 		},
 		{
 			Name: "Q19",
@@ -160,7 +158,7 @@ WHERE l_partkey = p_partkey
     OR (p_brand = 'Brand#34' AND l_quantity BETWEEN 20 AND 30 AND p_size BETWEEN 1 AND 15))
   AND l_shipmode IN ('AIR', 'REG AIR')
   AND l_shipinstruct = 'DELIVER IN PERSON'`,
-			Note: "container predicate dropped (same shape, broader match at small scale)",
+			// Deviation: container predicate dropped (same shape, broader match at small scale).
 		},
 		{
 			Name: "Q21lite",
@@ -176,7 +174,7 @@ WHERE s_suppkey = l_suppkey
 GROUP BY s_name
 ORDER BY numwait DESC, s_name
 LIMIT 100`,
-			Note: "simplified Q21: the two correlated EXISTS/NOT EXISTS subqueries are dropped (unsupported); keeps the join/filter/group shape",
+			// Deviation: simplified Q21: the two correlated EXISTS/NOT EXISTS subqueries are dropped (unsupported); keeps the join/filter/group shape.
 		},
 	}
 }

@@ -11,7 +11,12 @@
 //     declaring the struct sets — by a composite-literal key, an unkeyed
 //     literal, an assignment, ++/-- or & through a selector. The declaring
 //     file does not count because that is where defaults are filled in. A
-//     struct none of whose fields is set is reported once, by its own name.
+//     struct none of whose fields is set is reported once, by its own name;
+//  3. every field of a struct declared at package level that non-test code
+//     only ever writes: nothing is stored that nothing reads. Exempt by
+//     construction are the fields of a struct carrying a json tag
+//     (encoding/json reads them by reflection) and of a struct type used as
+//     a map key (the map reads the whole value).
 //
 // Uses are resolved objects, not names, so a same-named method of another
 // type hides nothing. Not reported: a method whose name is a method of an
@@ -21,7 +26,8 @@
 // by alias (public API); and the harness packages named below.
 //
 // A gate: exit status 1 when something is found that kept below does not
-// name, or when a kept name is wired or gone. The list may shrink, not grow.
+// name, or when a kept name is wired or gone. The list may shrink; it grows
+// only by a field that a test of live behaviour reads (rule 3).
 // Before it judges the module the tool runs the same census over a small
 // in-memory module whose answer is known (selfTest) and refuses to go on if
 // that answer is wrong.
@@ -29,7 +35,9 @@
 // Known blind spot: reflection. A method reached only through reflect (a
 // template calling it by name, say) has no use the type checker can see, and
 // would be reported though it is live. Nothing under internal/ is called that
-// way today; encoding/json only reads fields, which rule 2 does not look at.
+// way today. A struct read whole (printed with %v, compared with ==) reads its
+// fields where rule 3 cannot see it: such a field would be reported though it
+// is live.
 // The interface exception errs the other way: implementations of an interface
 // method that nothing calls, and functions that only call each other, are
 // not found.
@@ -47,6 +55,7 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 )
@@ -60,6 +69,12 @@ var kept = map[string]string{
 	// Option structs only tests build: every production caller takes the default.
 	"dpu.Config":        "tests shrink the SoC (1 and 4 cores, a few KiB of DMEM) to pin scheduling order and drive the DMEM-pressure paths",
 	"cluster.ShardSpec": "tests place rows by range and by a chosen hash key to reach shard pruning and the placement properties; Load(table, nil) auto-shards",
+
+	// Fields only a test reads (rule 3), each the one place a live behaviour shows.
+	"hostdb.QueryResult.TilesPruned": "the zone-pruning tests and the host pins count the tiles one query skipped; rapid.Result carries no pruning field to copy it into",
+	"obs.Totals.DMSDescriptors":      "TestTrayBillsDMSDescriptors reconciles each context's traced fragments with the descriptors the whole query billed",
+	"storage.ColStats.Exact":         "storage tests assert that NDV is exact after a build and turns inexact when an update unit widens the statistics",
+	"storage.ColumnMeta.RLE":         "TestEncodedPathBuildsTheSameReplica compares the RLE choice of the encoded and the row-at-a-time build",
 
 	// Read-only observers through which a test of live behaviour looks.
 	"storage.Table.NumPartitions":  "storage layout tests count the hash partitions a build produced",
@@ -194,6 +209,7 @@ func (l *loader) survey() []finding {
 		fields       = map[*types.Var]string{} // candidates of rule 2 -> declaring file
 		structOf     = map[*types.Var]string{} // field -> label of its option struct
 		numFields    = map[string]int{}        // option struct label -> settable fields
+		stored       = map[*types.Var]bool{}   // candidates of rule 3
 		labels       = map[types.Object]string{}
 		public       = l.publicTypes()
 	)
@@ -239,7 +255,7 @@ func (l *loader) survey() []finding {
 				case *ast.GenDecl:
 					for _, s := range d.Specs {
 						ts, ok := s.(*ast.TypeSpec)
-						if !ok || !ts.Name.IsExported() || !isOptionName(ts.Name.Name) {
+						if !ok {
 							continue
 						}
 						st, ok := l.info.Defs[ts.Name].Type().Underlying().(*types.Struct)
@@ -247,10 +263,19 @@ func (l *loader) survey() []finding {
 							continue
 						}
 						label := pkg + "." + ts.Name.Name
+						option := ts.Name.IsExported() && isOptionName(ts.Name.Name)
+						reflected := jsonTagged(st)
 						for i := 0; i < st.NumFields(); i++ {
-							if fd := st.Field(i); !fd.Embedded() && fd.Name() != "_" {
+							fd := st.Field(i)
+							if fd.Embedded() || fd.Name() == "_" {
+								continue
+							}
+							labels[fd] = label + "." + fd.Name()
+							if !reflected {
+								stored[fd] = true
+							}
+							if option {
 								fields[fd], structOf[fd] = file(ts.Pos()), label
-								labels[fd] = label + "." + fd.Name()
 								numFields[label]++
 							}
 						}
@@ -275,8 +300,15 @@ func (l *loader) survey() []finding {
 		}
 	}
 
-	// Rule 2: a set outside the declaring file wires the field.
-	set := func(e ast.Expr) {
+	// Rules 2 and 3 share one walk over every place a field is set. Rule 2: a
+	// set outside the declaring file wires an option field. Rule 3: a field is
+	// stored for nothing when every resolved use of it is a write — a
+	// composite-literal key, or the selector on the left of an assignment
+	// (compound ones included: += reads only to write back) or under ++/--;
+	// any other use, & included, reads it, and a struct used as a map key is
+	// read as a whole by the map.
+	writes := map[*ast.Ident]bool{}
+	set := func(e ast.Expr, write bool) {
 		var id *ast.Ident
 		switch e := ast.Unparen(e).(type) {
 		case *ast.SelectorExpr:
@@ -287,6 +319,7 @@ func (l *loader) survey() []finding {
 			return
 		}
 		if fd, ok := l.info.Uses[id].(*types.Var); ok && fd.IsField() {
+			writes[id] = write
 			if fields[fd.Origin()] != file(id.Pos()) {
 				delete(fields, fd.Origin())
 			}
@@ -303,30 +336,46 @@ func (l *loader) survey() []finding {
 					}
 					for i, el := range n.Elts {
 						if kv, ok := el.(*ast.KeyValueExpr); ok {
-							set(kv.Key)
+							set(kv.Key, true)
 						} else if fd := st.Field(i).Origin(); fields[fd] != file(n.Pos()) {
 							delete(fields, fd)
 						}
 					}
 				case *ast.AssignStmt:
 					for _, lhs := range n.Lhs {
-						set(lhs)
+						set(lhs, true)
 					}
 				case *ast.IncDecStmt:
-					set(n.X)
+					set(n.X, true)
 				case *ast.UnaryExpr:
 					if n.Op == token.AND {
-						set(n.X)
+						set(n.X, false)
+					}
+				case *ast.MapType:
+					if st, ok := l.info.Types[n.Key].Type.Underlying().(*types.Struct); ok {
+						for i := 0; i < st.NumFields(); i++ {
+							delete(stored, st.Field(i).Origin())
+						}
 					}
 				}
 				return true
 			})
 		}
 	}
+	for id, obj := range l.info.Uses {
+		if fd, ok := obj.(*types.Var); ok && fd.IsField() && !writes[id] {
+			delete(stored, fd.Origin())
+		}
+	}
 
 	var out []finding
 	for fn := range funcs {
 		out = append(out, finding{labels[fn], l.fset.Position(fn.Pos()).String()})
+	}
+	for fd := range stored {
+		if _, unset := fields[fd]; !unset { // rule 2 reports it already
+			out = append(out, finding{labels[fd], l.fset.Position(fd.Pos()).String()})
+		}
 	}
 	// An option struct none of whose fields is set is one finding, not one
 	// per field: the struct is what only tests build.
@@ -345,6 +394,17 @@ func (l *loader) survey() []finding {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].label < out[j].label })
 	return out
+}
+
+// jsonTagged reports whether any field of the struct carries a json tag:
+// encoding/json reads such a struct by reflection, where no use is visible.
+func jsonTagged(st *types.Struct) bool {
+	for i := 0; i < st.NumFields(); i++ {
+		if _, ok := reflect.StructTag(st.Tag(i)).Lookup("json"); ok {
+			return true
+		}
+	}
+	return false
 }
 
 func isOptionName(name string) bool {
@@ -384,9 +444,11 @@ func (l *loader) publicTypes() map[*types.TypeName]bool {
 }
 
 // selfTest runs the census over a tiny in-memory module before the real one:
-// a test-only method hidden (by name) behind a wired method of another type
-// and an option field nothing sets must be reported; an interface method
-// nobody calls directly and a field set from another file must not.
+// a test-only method hidden (by name) behind a wired method of another type,
+// an option field nothing sets and a field that is written (by a literal key,
+// an assignment and +=) but never read must be reported; an interface method
+// nobody calls directly, a field set from another file, a written-never-read
+// field of a JSON-tagged struct and of a map-key struct must not.
 func selfTest() error {
 	l := newLoader("", "m", nil)
 	parse := func(name, src string) *ast.File {
@@ -400,9 +462,12 @@ func selfTest() error {
 		parse("a.go", `package a
 type Options struct{ Set, Unset int }
 type Shaper interface{ Area() int }
-type Sq struct{ o Options }
-func New(o Options) *Sq { return &Sq{o: o} }
-func (s *Sq) Area() int { return s.o.Set + s.o.Unset }
+type Sq struct{ o Options; stale, side int }
+type Wire struct{ Sent int "json:\"sent\"" }
+type Key struct{ a int }
+var seen = map[Key]Wire{}
+func New(o Options) *Sq { seen[Key{a: 1}] = Wire{Sent: 1}; return &Sq{o: o, stale: 1, side: 2} }
+func (s *Sq) Area() int { s.stale = 2; s.stale += s.side; return s.o.Set + s.o.Unset }
 func (s *Sq) Reset()    { s.Reset() }
 type Ring struct{}
 func (Ring) Reset() {}`),
@@ -420,7 +485,7 @@ func main() { a.Use() }`)}); err != nil {
 	for _, f := range l.survey() {
 		got = append(got, f.label)
 	}
-	if want := "a.Options.Unset a.Sq.Reset"; strings.Join(got, " ") != want {
+	if want := "a.Options.Unset a.Sq.Reset a.Sq.stale"; strings.Join(got, " ") != want {
 		return fmt.Errorf("self-test: census reported %q, want %q", got, want)
 	}
 	return nil
@@ -479,7 +544,7 @@ func main() {
 
 	found := map[string]bool{}
 	fail := 0
-	fmt.Println("### Under internal/, reached only by tests (functions, methods, option fields)")
+	fmt.Println("### Under internal/, reached only by tests (functions, methods, option fields, fields never read)")
 	fmt.Println()
 	for _, f := range l.survey() {
 		found[f.label] = true
