@@ -174,6 +174,33 @@ func TestShardedEverythingIdentity(t *testing.T) {
 	}
 }
 
+// TestEveryTrayMetricCarriesHelpAndTheSlabsDrain: the tray's registry after a
+// TPC-H pass on both lanes — four node schedulers, four slabs adding up in
+// one gauge — has help text on every name, and Close empties every slab.
+func TestEveryTrayMetricCarriesHelpAndTheSlabsDrain(t *testing.T) {
+	tray := newTray(t, tpchHost(t), cluster.Config{Nodes: 4})
+	for _, mode := range []qef.Mode{qef.ModeX86, qef.ModeDPU} {
+		for _, q := range tpch.Queries() {
+			if _, err := tray.Query(q.SQL, cluster.QueryOptions{Mode: mode}); err != nil {
+				t.Fatalf("%s: %v", q.Name, err)
+			}
+		}
+	}
+	for _, m := range tray.Metrics().Snapshot() {
+		if m.Help == "" {
+			t.Errorf("metric %s has no help text", m.Name)
+		}
+	}
+	v := tray.Metrics().Values()
+	if v["mem_slab_leases_total"] == 0 || v["mem_slab_retained_bytes"] <= 0 {
+		t.Errorf("slabs: %d leases, %d bytes retained", v["mem_slab_leases_total"], v["mem_slab_retained_bytes"])
+	}
+	tray.Close()
+	if got := tray.Metrics().Values()["mem_slab_retained_bytes"]; got != 0 {
+		t.Errorf("%d slab bytes retained after Close", got)
+	}
+}
+
 // TestNetAccountingReconciles checks the exchange accounting invariant: the
 // per-exchange stats, the Result totals, the rapid_net_* counters and the
 // energy decomposition must all describe the same bytes.

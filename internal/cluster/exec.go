@@ -278,7 +278,7 @@ func (t *Tray) execute(goCtx context.Context, bound plan.Node, opts QueryOptions
 		}
 		adms = append(adms, adm)
 		ctx.SetGoContext(qctx)
-		ctx.Exec = adm
+		ctx.Exec, ctx.Slab = adm, adm.Slab()
 		q.nctx = append(q.nctx, ctx)
 	}
 	h.SetPhase("executing")

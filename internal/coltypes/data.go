@@ -17,6 +17,22 @@ func New(w Width, n int) Data {
 	panic(fmt.Sprintf("coltypes: invalid width %d", w))
 }
 
+// OfWords returns a Data of width w and n elements laid over words, without
+// copying or clearing them: the view of a leased buffer (see WordsAs).
+func OfWords(words []int64, w Width, n int) Data {
+	switch w {
+	case W1:
+		return Of(WordsAs[int8](words, n))
+	case W2:
+		return Of(WordsAs[int16](words, n))
+	case W4:
+		return Of(WordsAs[int32](words, n))
+	case W8:
+		return Of(WordsAs[int64](words, n))
+	}
+	panic(fmt.Sprintf("coltypes: invalid width %d", w))
+}
+
 // FromInt64s builds storage of width w from 64-bit values (truncating).
 func FromInt64s(w Width, vals []int64) Data {
 	d := New(w, len(vals))

@@ -266,3 +266,41 @@ func TestSliceDoesNotAllocate(t *testing.T) {
 	}
 	_ = sink
 }
+
+// TestWordsViewsShareStorageAndCheckBounds: WordsAs and OfWords lay elements
+// of any width over a word buffer without copying or clearing it, up to
+// exactly the bytes it has.
+func TestWordsViewsShareStorageAndCheckBounds(t *testing.T) {
+	words := []int64{-1, -1, -1}
+	u := WordsAs[uint32](words, 6)
+	if len(u) != 6 || u[5] != 0xFFFFFFFF {
+		t.Fatalf("uint32 view %v", u)
+	}
+	u[2] = 7
+	if words[1] != -1<<32|7 {
+		t.Fatalf("write through the view did not reach the words: %#x", words[1])
+	}
+	type pair struct{ BuildRow, ProbeRow uint32 }
+	if m := WordsAs[pair](words, 3)[:0]; cap(m) != 3 {
+		t.Fatalf("pair view cap %d", cap(m))
+	}
+	for _, w := range []Width{W1, W2, W4, W8} {
+		n := 24 / w.Bytes()
+		d := OfWords(words, w, n)
+		if d.Len() != n || d.Width() != w || d.Get(n-1) != -1 {
+			t.Fatalf("width %d: %d elements, last %d", w, d.Len(), d.Get(n-1))
+		}
+		d.Set(0, 5)
+		if words[0]&0xFF != 5 {
+			t.Fatalf("width %d: Set did not reach the words", w)
+		}
+		words[0] = -1
+		mustPanic(t, "OfWords past the words", func() { OfWords(words, w, n+1) })
+	}
+	mustPanic(t, "WordsAs past the words", func() { WordsAs[uint32](words, 7) })
+	mustPanic(t, "negative length", func() { WordsAs[int8](words, -1) })
+	mustPanic(t, "width 3", func() { OfWords(words, 3, 1) })
+	if v := WordsAs[int64](nil, 0); len(v) != 0 {
+		t.Fatal("empty view of no words")
+	}
+}

@@ -6,9 +6,10 @@ import (
 )
 
 // This file holds all of the package's — and the repository's — unsafe
-// code: the representation of Data and the four operations that look
-// through its pointer (Of, the typed accessors, Get, Set, Slice, bytes). Everything else in the
-// tree, including the rest of this package, goes through them.
+// code: the representation of Data, the operations that look through its
+// pointer (Of, the typed accessors, Get, Set, Slice, bytes) and WordsAs, the
+// typed view of a leased word buffer. Everything else in the tree, including
+// the rest of this package, goes through them.
 
 // Elem constrains the physical element types of column storage.
 type Elem interface {
@@ -36,6 +37,24 @@ type Data struct {
 func Of[T Elem](s []T) Data {
 	var z T
 	return Data{p: unsafe.Pointer(unsafe.SliceData(s)), n: len(s), w: Width(unsafe.Sizeof(z))}
+}
+
+// Plain constrains what a buffer of leased words (mem.Slab) may be viewed
+// as: fixed-size elements that hold no pointer — the words are allocated
+// pointer-free, so the collector would never see one stored through a view —
+// and need no more than word alignment.
+type Plain interface {
+	Elem | ~uint32 | ~struct{ BuildRow, ProbeRow uint32 }
+}
+
+// WordsAs returns n elements of type T laid over words, sharing their
+// storage. It panics when words is too short to hold them.
+func WordsAs[T Plain](words []int64, n int) []T {
+	var z T
+	if size := int(unsafe.Sizeof(z)); n < 0 || n*size > 8*len(words) {
+		panic(boundsError{lo: 0, hi: n, n: 8 * len(words) / size})
+	}
+	return unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(words))), n)
 }
 
 // The typed accessors return d's elements as a slice sharing d's storage;

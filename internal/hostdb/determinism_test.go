@@ -57,3 +57,38 @@ func TestRepeatedRunsBillIdentically(t *testing.T) {
 		db.Close()
 	}
 }
+
+// TestEveryMetricCarriesHelpAndTheSlabDrains: after one TPC-H pass on both
+// lanes every metric name in the database's registry — the slab's three and
+// qef_pool_grows_total included — renders with help text, the slab was leased
+// from and holds returned buffers within its bound, and Close leaves it empty.
+func TestEveryMetricCarriesHelpAndTheSlabDrains(t *testing.T) {
+	db := hostdb.New()
+	if err := tpch.PopulateHostDB(db, tpch.Config{ScaleFactor: 0.005, Seed: 42}); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []qef.Mode{qef.ModeX86, qef.ModeDPU} {
+		for _, q := range tpch.Queries() {
+			if _, err := db.Query(q.SQL, hostdb.QueryOptions{Mode: hostdb.ForceOffload, RapidMode: mode, NoCache: true}); err != nil {
+				t.Fatalf("%s: %v", q.Name, err)
+			}
+		}
+	}
+	for _, m := range db.Metrics().Snapshot() {
+		if m.Help == "" {
+			t.Errorf("metric %s has no help text", m.Name)
+		}
+	}
+	v := db.Metrics().Values()
+	if _, ok := v["qef_pool_grows_total"]; !ok {
+		t.Error("the pass never grew a tile pool: qef_pool_grows_total is not covered")
+	}
+	leases, misses, retained := v["mem_slab_leases_total"], v["mem_slab_misses_total"], v["mem_slab_retained_bytes"]
+	if leases == 0 || misses == 0 || misses >= leases || retained <= 0 || retained > 96<<20 {
+		t.Errorf("slab: %d leases, %d misses, %d bytes retained", leases, misses, retained)
+	}
+	db.Close()
+	if got := db.Metrics().Values()["mem_slab_retained_bytes"]; got != 0 {
+		t.Errorf("%d slab bytes retained after Close", got)
+	}
+}

@@ -327,7 +327,7 @@ func (db *Database) runRapid(goCtx context.Context, node plan.Node, opts QueryOp
 	defer adm.Release()
 	h.SetPhase("executing")
 	ctx.SetGoContext(goCtx)
-	ctx.Exec = adm
+	ctx.Exec, ctx.Slab = adm, adm.Slab()
 	var prof *obs.Profile
 	if opts.Profile {
 		prof = obs.NewProfile(opts.RapidMode.String(), ctx.SoC.Config().NumCores, dpu.FreqHz, compiled.SpanDefs())

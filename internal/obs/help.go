@@ -24,10 +24,11 @@ var defaultHelp = map[string]string{
 
 	"qef_work_units_total":           "Work units executed on the dpCore pool.",
 	"qef_tile_degradations":          "Tile-size degradations forced by DMEM pressure.",
+	"qef_pool_grows_total":           "Backing-array allocations by tile pools inside work units (steady state: none).",
 	"qcomp_group_overflow_fallbacks": "Group-by overflow fallbacks to the partitioned plan (§5.4).",
 
-	"rapid_query_cycles":              "Per-query dpCore cycle distribution (bucket sums reconcile with rapid_dpcore_cycles_total).",
-	"rapid_query_energy_nanojoules":   "Per-query energy distribution, nanojoules (sums reconcile with the activity+idle energy counters).",
-	"rapid_query_net_bytes":           "Per-query exchange bytes moved across the tray interconnect (sums reconcile with rapid_net_bytes_total).",
-	"cluster_query_seconds":           "End-to-end distributed query latency, seconds.",
+	"rapid_query_cycles":            "Per-query dpCore cycle distribution (bucket sums reconcile with rapid_dpcore_cycles_total).",
+	"rapid_query_energy_nanojoules": "Per-query energy distribution, nanojoules (sums reconcile with the activity+idle energy counters).",
+	"rapid_query_net_bytes":         "Per-query exchange bytes moved across the tray interconnect (sums reconcile with rapid_net_bytes_total).",
+	"cluster_query_seconds":         "End-to-end distributed query latency, seconds.",
 }

@@ -18,6 +18,7 @@ func GroupByPartitioned(ctx *qef.Context, rel *Relation, groupCols []int, specs 
 	if err != nil {
 		return nil, err
 	}
+	defer parts.Release() // after RunParallel; the collector holds copies
 	if maxGroupsPerPart <= 0 {
 		maxGroupsPerPart = 4096
 	}
@@ -32,7 +33,7 @@ func GroupByPartitioned(ctx *qef.Context, rel *Relation, groupCols []int, specs 
 			return groupOnePartition(tc, p, parts.Cols[p], parts.Hashes[p], parts.Bits, groupCols, specs, maxGroupsPerPart, out)
 		})
 	}
-	out.slots.units(len(units))
+	out.slots.units(ctx.Slab, len(units))
 	if err := ctx.RunParallel(units); err != nil {
 		return nil, err
 	}
@@ -108,10 +109,11 @@ func groupOnePartition(tc *qef.TaskCtx, unit int, cols []coltypes.Data, hv []uin
 
 func regroupSplit(tc *qef.TaskCtx, unit int, cols []coltypes.Data, hv []uint32, usedBits uint, groupCols []int, specs []AggSpec, maxGroups int, out *groupCollector) error {
 	const sub = 4
-	split, err := splitPartition(nil, cols, hv, sub, usedBits)
+	split, err := splitPartition(nil, tc.Ctx.Slab, cols, hv, sub, usedBits)
 	if err != nil {
 		return err
 	}
+	defer split.Release() // the recursion below stays inside this unit
 	for p := 0; p < sub; p++ {
 		if split.Rows(p) == len(hv) {
 			// All rows share the same hash bits (e.g. a single huge group
@@ -139,6 +141,8 @@ func (g *groupCollector) add(tc *qef.TaskCtx, unit int, table *GroupTable, aggs 
 	if n == 0 {
 		return
 	}
+	// The un-zeroed chunk is overwritten in full: the table holds exactly n
+	// keys per column, and every aggregate array has at least n entries.
 	rows := g.slots.chunk(tc, unit, n)
 	for k := 0; k < g.nKeys; k++ {
 		copy(rows[k], table.keyCols[k])

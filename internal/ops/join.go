@@ -79,14 +79,19 @@ func HashJoin(ctx *qef.Context, build, probe *Relation, spec JoinSpec) (*Relatio
 	}
 	spec.normalize(build.Rows())
 
+	// Both partitionings are dead once the pairs have been joined (the
+	// deferred Releases run after RunParallel has returned): the sink holds
+	// widened copies, never views of bp or pp.
 	bp, err := PartitionByHash(ctx, build.Datas(), spec.BuildKeys, spec.Scheme, qef.DefaultTileRows)
 	if err != nil {
 		return nil, err
 	}
+	defer bp.Release()
 	pp, err := PartitionByHash(ctx, probe.Datas(), spec.ProbeKeys, spec.Scheme, qef.DefaultTileRows)
 	if err != nil {
 		return nil, err
 	}
+	defer pp.Release()
 	if bp.NumPartitions() != pp.NumPartitions() {
 		return nil, fmt.Errorf("ops: partition count mismatch %d vs %d", bp.NumPartitions(), pp.NumPartitions())
 	}
@@ -123,7 +128,7 @@ func HashJoin(ctx *qef.Context, build, probe *Relation, spec JoinSpec) (*Relatio
 			return joinPair(tc, bp, pp, p, 0, pp.Rows(p), &spec, sink, unit)
 		})
 	}
-	sink.out.units(len(units))
+	sink.out.units(ctx.Slab, len(units))
 	if err := ctx.RunParallel(units); err != nil {
 		return nil, err
 	}
@@ -161,18 +166,21 @@ func joinPair(tc *qef.TaskCtx, bp, pp *PartitionedRel, p, plo, phi int, spec *Jo
 		!singleKeyPartition(bp, p, spec.BuildKeys) {
 		sub := 4
 		subShift := bp.Bits
-		sbp, err := splitPartition(nil, bp.Cols[p], bp.Hashes[p], sub, subShift)
+		// The re-split lives and dies inside this unit.
+		sbp, err := splitPartition(nil, tc.Ctx.Slab, bp.Cols[p], bp.Hashes[p], sub, subShift)
 		if err != nil {
 			return err
 		}
+		defer sbp.Release()
 		probeCols := tc.ColScratch(len(pp.Cols[p]))
 		for c := range probeCols {
 			probeCols[c] = pp.Cols[p][c].Slice(plo, phi)
 		}
-		spp, err := splitPartition(nil, probeCols, pp.Hashes[p][plo:phi], sub, subShift)
+		spp, err := splitPartition(nil, tc.Ctx.Slab, probeCols, pp.Hashes[p][plo:phi], sub, subShift)
 		if err != nil {
 			return err
 		}
+		defer spp.Release()
 		for sp := 0; sp < sub; sp++ {
 			if err := joinPairData(tc, sbp.Cols[sp], sbp.Hashes[sp], spp.Cols[sp], spp.Hashes[sp], spec, sink, unit); err != nil {
 				return err
@@ -253,9 +261,6 @@ func joinPairData(tc *qef.TaskCtx, buildCols []coltypes.Data, bhv []uint32, prob
 	ht.Build(tc.Core, sbhv, buildKeys, buildKeys2, qef.DefaultTileRows)
 
 	switch spec.Type {
-	case InnerJoin:
-		matches := ht.Probe(tc.Core, sphv, probeKeys, probeKeys2, qef.DefaultTileRows, make([]primitives.Match, 0, np))
-		sink.emitMatches(tc, unit, buildCols, probeCols, matches)
 	case SemiJoin, AntiJoin:
 		exists := tc.BVScratch(np)
 		ht.ProbeExists(tc.Core, sphv, probeKeys, probeKeys2, qef.DefaultTileRows, exists)
@@ -265,8 +270,18 @@ func joinPairData(tc *qef.TaskCtx, buildCols []coltypes.Data, bhv []uint32, prob
 			exists = neg
 		}
 		sink.emitProbeOnly(tc, unit, probeCols, exists, np)
-	case LeftOuterJoin:
-		matches := ht.Probe(tc.Core, sphv, probeKeys, probeKeys2, qef.DefaultTileRows, make([]primitives.Match, 0, np))
+	case InnerJoin, LeftOuterJoin:
+		// The match list is leased at one match per probe row; a many-to-many
+		// pair outgrows it onto the heap by append, and the lease goes back.
+		slab := tc.Ctx.Slab
+		matchWords := slab.Lease(np)
+		defer slab.Return(matchWords)
+		matches := ht.Probe(tc.Core, sphv, probeKeys, probeKeys2, qef.DefaultTileRows,
+			coltypes.WordsAs[primitives.Match](matchWords, np)[:0])
+		if spec.Type == InnerJoin {
+			sink.emitMatches(tc, unit, buildCols, probeCols, matches)
+			break
+		}
 		matched := tc.BVScratch(np)
 		for _, m := range matches {
 			matched.Set(int(m.ProbeRow))
@@ -303,6 +318,7 @@ func (s *joinSink) emitMatches(tc *qef.TaskCtx, unit int, buildCols, probeCols [
 	if len(matches) == 0 {
 		return
 	}
+	// Every column of the un-zeroed chunk is gathered in full below.
 	rows := s.out.chunk(tc, unit, len(matches))
 	probeRIDs := tc.U32Scratch(len(matches))
 	buildRIDs := tc.U32Scratch(len(matches))
@@ -345,6 +361,11 @@ func (s *joinSink) emitProbeOnly(tc *qef.TaskCtx, unit int, probeCols []coltypes
 		} else {
 			widenGather(rows[ci], probeCols[pc], rids)
 		}
+	}
+	// The zero build payload of an unmatched left-outer row is written, not
+	// assumed: the chunk is leased un-zeroed.
+	for _, col := range rows[len(s.spec.ProbePayload):] {
+		clear(col)
 	}
 	if c := tc.Core; c != nil {
 		c.Charge(dpu.Cycles(2 * n))

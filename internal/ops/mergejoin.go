@@ -44,7 +44,7 @@ func SortMergeJoin(ctx *qef.Context, build, probe *Relation, spec JoinSpec) (*Re
 			return mergeJoinPair(tc, bParts[p], pParts[p], &spec, sink, p)
 		})
 	}
-	sink.out.units(len(units))
+	sink.out.units(ctx.Slab, len(units))
 	if err := ctx.RunParallel(units); err != nil {
 		return nil, err
 	}

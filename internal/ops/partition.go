@@ -6,6 +6,7 @@ import (
 
 	"rapid/internal/coltypes"
 	"rapid/internal/dms"
+	"rapid/internal/mem"
 	"rapid/internal/primitives"
 	"rapid/internal/qef"
 )
@@ -61,6 +62,24 @@ type PartitionedRel struct {
 	Hashes [][]uint32
 	// Bits is the number of low hash bits consumed by the partitioning.
 	Bits uint
+
+	// leased are the word buffers Cols and Hashes are carved from, on lease
+	// from slab until Release.
+	slab   *mem.Slab
+	leased [][]int64
+}
+
+// Release returns the partitions' buffers to the slab and empties p. The
+// operator that partitioned calls it once the batch of work units reading p
+// has returned (RunParallel waits for every unit, on error and cancellation
+// too), or inside the one unit that made p; nothing taken from p — a column,
+// a hash vector, a slice of either — may be used afterwards. Without it the
+// buffers are merely collected.
+func (p *PartitionedRel) Release() {
+	for _, words := range p.leased {
+		p.slab.Return(words)
+	}
+	*p = PartitionedRel{}
 }
 
 // NumPartitions returns the partition count.
@@ -136,6 +155,7 @@ func PartitionByHash(ctx *qef.Context, cols []coltypes.Data, keyCols []int, sche
 	}
 	// Hardware hash: the DMS computes CRC32 over the key columns.
 	var hv []uint32
+	var hvWords []int64
 	if ctx.Mode == qef.ModeDPU {
 		var ht dms.Timing
 		hv, ht = ctx.DMS.HashVector(cols, keyCols)
@@ -144,34 +164,41 @@ func PartitionByHash(ctx *qef.Context, cols []coltypes.Data, keyCols []int, sche
 		// the profile reconciles with the engine's transfer totals.
 		ctx.AccountSpanTransfer(ht)
 	} else if len(cols) > 0 {
-		hv = make([]uint32, cols[0].Len())
+		// Leased un-zeroed: the first key's pass seeds every accumulator.
+		hv, hvWords = ctx.Slab.U32(cols[0].Len())
+		if len(keyCols) == 0 {
+			clear(hv) // no key, no pass: one hash for every row, as before
+		}
 		err := forChunks(ctx, len(hv), func(_, lo, hi int) {
-			keys := make([]coltypes.Data, len(keyCols))
 			for i, k := range keyCols {
-				keys[i] = cols[k].Slice(lo, hi)
+				primitives.HashColumn(nil, cols[k].Slice(lo, hi), hv[lo:hi], i == 0)
 			}
-			primitives.HashColumns(nil, keys, hv[lo:hi])
+			primitives.HashFinalize(nil, hv[lo:hi])
 		})
 		if err != nil {
 			return nil, err
 		}
 	}
-	cur := &PartitionedRel{Cols: [][]coltypes.Data{cols}, Hashes: [][]uint32{hv}}
 	if len(scheme.Rounds) == 0 {
-		return cur, nil
+		return &PartitionedRel{
+			Cols: [][]coltypes.Data{cols}, Hashes: [][]uint32{hv},
+			slab: ctx.Slab, leased: [][]int64{hvWords},
+		}, nil
 	}
 	// Round 0: hardware partitioning by the low hash bits. The DMS does
 	// this during the transfer; it is billed inside HashVector's
 	// partition-time model, and the dpCores stay idle.
 	hw := scheme.Rounds[0]
-	cur, err := splitPartition(ctx, cols, hv, hw, 0)
+	cur, err := splitPartition(ctx, ctx.Slab, cols, hv, hw, 0)
+	ctx.Slab.Return(hvWords) // the hashes travel on in cur.Hashes
 	if err != nil {
 		return nil, err
 	}
 	shift := cur.Bits
-	// Software rounds.
+	// Software rounds; a round's input is dead once the round has run.
 	for _, fanout := range scheme.Rounds[1:] {
 		next, err := swPartitionRound(ctx, cur, fanout, shift, tileRows)
+		cur.Release()
 		if err != nil {
 			return nil, err
 		}
@@ -190,7 +217,8 @@ func PartitionByHash(ctx *qef.Context, cols []coltypes.Data, keyCols []int, sche
 // their input order inside a partition. A non-nil ModeX86 ctx runs histogram
 // and scatter chunk-parallel (see forChunks); the per-chunk write cursors
 // come from one serial prefix sum, so the result is the same stable split.
-func splitPartition(ctx *qef.Context, cols []coltypes.Data, hv []uint32, fanout int, shift uint) (*PartitionedRel, error) {
+// The output is on lease from slab until the caller Releases it.
+func splitPartition(ctx *qef.Context, slab *mem.Slab, cols []coltypes.Data, hv []uint32, fanout int, shift uint) (*PartitionedRel, error) {
 	if err := checkCols(cols); err != nil {
 		return nil, err
 	}
@@ -217,13 +245,24 @@ func splitPartition(ctx *qef.Context, cols []coltypes.Data, hv []uint32, fanout 
 	}
 	bounds[fanout] = sum
 
-	outHv := make([]uint32, n)
+	// Leased un-zeroed: the cursors are a permutation of [0, n), so the
+	// scatter below writes every element of outHv and of each output column,
+	// and every pos[i] is written before it is read.
+	out := &PartitionedRel{
+		Cols:   make([][]coltypes.Data, fanout),
+		Hashes: make([][]uint32, fanout),
+		Bits:   shift + uint(mathbits.Len(uint(fanout-1))),
+		slab:   slab,
+		leased: make([][]int64, 1+len(cols)),
+	}
+	var outHv []uint32
+	outHv, out.leased[0] = slab.U32(n)
 	outCols := make([]coltypes.Data, len(cols))
 	for c, col := range cols {
-		outCols[c] = col.NewSame(n)
+		outCols[c], out.leased[1+c] = slab.Data(col.Width(), n)
 	}
-	pos := make([]uint32, n)
-	if err := forChunks(ctx, n, func(chunk, lo, hi int) {
+	pos, posWords := slab.U32(n)
+	err := forChunks(ctx, n, func(chunk, lo, hi int) {
 		next, cpos := cursor[chunk*fanout:(chunk+1)*fanout], pos[lo:hi]
 		for i, h := range hv[lo:hi] {
 			p := (h >> shift) & mask
@@ -234,15 +273,13 @@ func splitPartition(ctx *qef.Context, cols []coltypes.Data, hv []uint32, fanout 
 		for c, col := range cols {
 			coltypes.Scatter(outCols[c], col.Slice(lo, hi), cpos)
 		}
-	}); err != nil {
+	})
+	slab.Return(posWords)
+	if err != nil {
+		out.Release()
 		return nil, err
 	}
 
-	out := &PartitionedRel{
-		Cols:   make([][]coltypes.Data, fanout),
-		Hashes: make([][]uint32, fanout),
-		Bits:   shift + uint(mathbits.Len(uint(fanout-1))),
-	}
 	carved := make([]coltypes.Data, fanout*len(cols))
 	for p := 0; p < fanout; p++ {
 		lo, hi := int(bounds[p]), int(bounds[p+1])
@@ -270,20 +307,26 @@ func swPartitionRound(ctx *qef.Context, in *PartitionedRel, fanout int, shift ui
 	out := &PartitionedRel{
 		Cols:   make([][]coltypes.Data, nIn*fanout),
 		Hashes: make([][]uint32, nIn*fanout),
+		slab:   ctx.Slab,
 	}
+	kids := make([]*PartitionedRel, nIn)
 	units := make([]qef.WorkUnit, 0, nIn)
 	for pi := 0; pi < nIn; pi++ {
-		units = append(units, func(tc *qef.TaskCtx) error {
-			children, err := swPartitionOne(tc, in.Cols[pi], in.Hashes[pi], fanout, shift, tileRows)
-			if err != nil || children == nil {
-				return err
-			}
-			copy(out.Cols[pi*fanout:], children.Cols)
-			copy(out.Hashes[pi*fanout:], children.Hashes)
-			return nil
+		units = append(units, func(tc *qef.TaskCtx) (err error) {
+			kids[pi], err = swPartitionOne(tc, in.Cols[pi], in.Hashes[pi], fanout, shift, tileRows)
+			return err
 		})
 	}
-	if err := ctx.RunParallel(units); err != nil {
+	err := ctx.RunParallel(units)
+	for pi, children := range kids {
+		if children != nil {
+			copy(out.Cols[pi*fanout:], children.Cols)
+			copy(out.Hashes[pi*fanout:], children.Hashes)
+			out.leased = append(out.leased, children.leased...)
+		}
+	}
+	if err != nil {
+		out.Release()
 		return nil, err
 	}
 	// Children of empty input partitions.
@@ -346,7 +389,7 @@ func swPartitionOne(tc *qef.TaskCtx, cols []coltypes.Data, hv []uint32, fanout i
 		return nil, err
 	}
 
-	children, err := splitPartition(nil, cols, hv, fanout, shift)
+	children, err := splitPartition(nil, tc.Ctx.Slab, cols, hv, fanout, shift)
 	if err != nil || tc.Core == nil {
 		return children, err
 	}

@@ -25,7 +25,7 @@ func fakeCols() ([]coltypes.Data, []uint32) {
 // re-split path comes back as a query error, never a Scatter panic.
 func TestSplitPartitionUnknownDataIsError(t *testing.T) {
 	cols, hv := fakeCols()
-	if _, err := splitPartition(nil, cols, hv, 4, 0); err == nil || !strings.Contains(err.Error(), "unsupported data") {
+	if _, err := splitPartition(nil, nil, cols, hv, 4, 0); err == nil || !strings.Contains(err.Error(), "unsupported data") {
 		t.Fatalf("err = %v, want an unsupported-data error", err)
 	}
 	for _, mode := range []qef.Mode{qef.ModeX86, qef.ModeDPU} {

@@ -45,14 +45,18 @@ func SetOp(ctx *qef.Context, a, b *Relation, kind SetOpKind) (*Relation, error) 
 	if kind == SetUnionAll {
 		return concatRelations(a, b)
 	}
+	// Both partitionings are released once the units have returned: what a
+	// unit keeps of them (rowSet keys, appended output values) is a copy.
 	allA, err := PartitionByHash(ctx, a.Datas(), allCols(a), PartScheme{Rounds: []int{16}}, qef.DefaultTileRows)
 	if err != nil {
 		return nil, err
 	}
+	defer allA.Release()
 	allB, err := PartitionByHash(ctx, b.Datas(), allCols(b), PartScheme{Rounds: []int{16}}, qef.DefaultTileRows)
 	if err != nil {
 		return nil, err
 	}
+	defer allB.Release()
 	nc := a.NumCols()
 	results := make([][][]int64, allA.NumPartitions())
 	units := make([]qef.WorkUnit, 0, allA.NumPartitions())

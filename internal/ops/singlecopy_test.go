@@ -59,12 +59,12 @@ func TestSplitPartitionSerialEqualsChunkParallel(t *testing.T) {
 				cols[1].Set(i, rng.Int63())
 				cols[2].Set(i, int64(i))
 			}
-			serial, err := splitPartition(nil, cols, hv, fanout, shift)
+			serial, err := splitPartition(nil, nil, cols, hv, fanout, shift)
 			if err != nil {
 				t.Error(err)
 				return false
 			}
-			parallel, err := splitPartition(ctx, cols, hv, fanout, shift)
+			parallel, err := splitPartition(ctx, nil, cols, hv, fanout, shift)
 			if err != nil {
 				t.Error(err)
 				return false
@@ -98,7 +98,7 @@ func TestSplitPartitionSerialEqualsChunkParallel(t *testing.T) {
 // and one emitting twice — still come out in unit order, chunk order within.
 func TestUnitSlotsConcatenateInUnitOrder(t *testing.T) {
 	u := unitSlots{ncols: 2}
-	u.units(4)
+	u.units(nil, 4)
 	err := qef.NewContext(qef.ModeX86).RunSerial(func(tc *qef.TaskCtx) error {
 		emit := func(unit int, vals ...int64) {
 			cols := u.chunk(tc, unit, len(vals))
@@ -207,45 +207,55 @@ func lineitemLike(n, orders int) *Relation {
 // function of columns, fan-out and the 16 Ki-row chunk count — not of the
 // tile size, and not of the row count beyond one unit per chunk.
 func TestPartitionByHashAllocsAreRowIndependent(t *testing.T) {
-	withProcs(t, 2, func() {
-		scheme := PartScheme{Rounds: []int{8, 16}}
-		measure := func(n, tileRows int) float64 {
-			cols := lineitemLike(n, n/4+1).Datas()
-			ctx := qef.NewContext(qef.ModeX86)
-			return testing.AllocsPerRun(5, func() {
-				if _, err := PartitionByHash(ctx, cols, []int{0}, scheme, tileRows); err != nil {
-					t.Fatal(err)
-				}
-			})
-		}
-		small, large := measure(50_000, 256), measure(300_000, 256)
-		// The runtime's own bookkeeping (goroutine start, parking) moves the
-		// count by an object or two between runs; a tile-loop dependence
-		// would move it by thousands.
-		near := func(a, b float64) bool { return a-b <= 8 && b-a <= 8 }
-		if a, b := measure(300_000, 64), measure(300_000, 1024); !near(a, large) || !near(b, large) {
-			t.Errorf("allocs depend on the tile size: %v at 64, %v at 256, %v at 1024 rows/tile", a, large, b)
-		}
-		// 3 columns + hash vector, 128 final partitions, 8 + 8·16 carved
-		// headers per column: a few hundred objects, whatever the row count.
-		const perChunk = 12 // three chunked passes, a closure and headers each
-		chunks := func(n int) float64 { return float64((n + partChunkRows - 1) / partChunkRows) }
-		if budget := 1200 + perChunk*chunks(300_000); large > budget {
-			t.Errorf("300k rows: %v allocs, budget %v", large, budget)
-		}
-		if grow := large - small; grow > 8+perChunk*(chunks(300_000)-chunks(50_000)) {
-			t.Errorf("allocs grow with rows beyond the chunk units: %v at 50k rows, %v at 300k", small, large)
-		}
-	})
+	// Exactly two workers: a batch allocates per core it starts (task context,
+	// DMEM, goroutine), and the budget below counts two.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	scheme := PartScheme{Rounds: []int{8, 16}}
+	measure := func(n, tileRows int) float64 {
+		cols := lineitemLike(n, n/4+1).Datas()
+		ctx := qef.NewContext(qef.ModeX86)
+		return testing.AllocsPerRun(5, func() {
+			if _, err := PartitionByHash(ctx, cols, []int{0}, scheme, tileRows); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := measure(50_000, 256), measure(300_000, 256)
+	// The runtime's own bookkeeping (goroutine start, parking) moves the
+	// count by an object or two between runs; a tile-loop dependence
+	// would move it by thousands.
+	near := func(a, b float64) bool { return a-b <= 8 && b-a <= 8 }
+	if a, b := measure(300_000, 64), measure(300_000, 1024); !near(a, large) || !near(b, large) {
+		t.Errorf("allocs depend on the tile size: %v at 64, %v at 256, %v at 1024 rows/tile", a, large, b)
+	}
+	// Re-derived for the leased path, on the heap (a context with no slab,
+	// where every lease is one object — the upper bound). A split is 8
+	// headers (cursor, bounds, the PartitionedRel with its Cols, Hashes and
+	// lease list, the column views, the carved headers) and 5 buffers (hash
+	// vector, 3 columns, position vector); 8x16 is 9 splits, round 0 and one
+	// per first-round partition. The second round adds its 8 units, and each
+	// of the four batches its error slots and two cores' task contexts:
+	// 120 covers those. A 16 Ki-row chunk costs one closure in each of the
+	// three chunked passes and nothing else (the per-chunk key slice is gone).
+	const perSplit, splits, batches, perChunk = 8 + 5, 1 + 8, 120, 3
+	chunks := func(n int) float64 { return float64((n + partChunkRows - 1) / partChunkRows) }
+	if budget := perSplit*splits + batches + perChunk*chunks(300_000); large > budget {
+		t.Errorf("300k rows: %v allocs, budget %v", large, budget)
+	}
+	if grow := large - small; grow > 8+perChunk*(chunks(300_000)-chunks(50_000)) {
+		t.Errorf("allocs grow with rows beyond the chunk units: %v at 50k rows, %v at 300k", small, large)
+	}
 }
 
 var benchSink int
 
 // BenchmarkPartitionByHash: the 8x16 scheme of a SF 0.05 lineitem-sized
-// input (300 k rows × 3 columns) on the host lane.
+// input (300 k rows × 3 columns) on the host lane, leasing from a slab as a
+// scheduled query does.
 func BenchmarkPartitionByHash(b *testing.B) {
 	cols := lineitemLike(300_000, 75_000).Datas()
 	ctx := qef.NewContext(qef.ModeX86)
+	ctx.Slab = mem.NewSlab(64<<20, nil)
 	scheme := PartScheme{Rounds: []int{8, 16}}
 	b.ReportAllocs()
 	b.SetBytes(300_000 * 3 * 8)
@@ -256,6 +266,7 @@ func BenchmarkPartitionByHash(b *testing.B) {
 			b.Fatal(err)
 		}
 		benchSink += parts.NumPartitions()
+		parts.Release()
 	}
 }
 
@@ -269,6 +280,7 @@ func BenchmarkHashJoinLineitemOrders(b *testing.B) {
 		seq(orders, func(i int) int64 { return int64(i) * 7 }))
 	probe := lineitemLike(300_000, orders)
 	ctx := qef.NewContext(qef.ModeX86)
+	ctx.Slab = mem.NewSlab(64<<20, nil)
 	spec := JoinSpec{
 		Type: InnerJoin, BuildKeys: []int{0}, ProbeKeys: []int{0},
 		BuildPayload: []int{0, 1}, ProbePayload: []int{1, 2},

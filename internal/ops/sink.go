@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"rapid/internal/coltypes"
+	"rapid/internal/mem"
 	"rapid/internal/primitives"
 	"rapid/internal/qef"
 )
@@ -34,20 +35,25 @@ func widenGatherOf[T coltypes.Elem](dst []int64, src []T, rids []uint32) {
 // unit writes exact-size, column-major chunks into the slot of its own index,
 // and columns() lays the slots out in unit order — so the result does not
 // depend on which unit finished first, each output column is allocated once
-// at its final size, and nothing grows by append on the way.
+// at its final size, and nothing grows by append on the way. The chunks are
+// staging on lease from the slab; columns() copies them to the heap.
 type unitSlots struct {
 	ncols  int
+	slab   *mem.Slab
 	byUnit [][][]int64 // [unit][chunk] -> ncols vectors of rows values, flat
 }
 
-// units sizes the collector for a batch of n work units; call it once the
-// batch is built and before it runs.
-func (u *unitSlots) units(n int) { u.byUnit = make([][][]int64, n) }
+// units sizes the collector for a batch of n work units leasing from slab;
+// call it once the batch is built and before it runs.
+func (u *unitSlots) units(slab *mem.Slab, n int) {
+	u.slab, u.byUnit = slab, make([][][]int64, n)
+}
 
 // chunk reserves rows output rows in the unit's slot and returns one vector
-// per column to fill (the header slice is tile-lifetime scratch).
+// per column (the header slice is tile-lifetime scratch). The vectors are
+// NOT zeroed: the unit writes every element of every one.
 func (u *unitSlots) chunk(tc *qef.TaskCtx, unit, rows int) [][]int64 {
-	flat := make([]int64, u.ncols*rows)
+	flat := u.slab.Lease(u.ncols * rows)
 	u.byUnit[unit] = append(u.byUnit[unit], flat)
 	cols := tc.RowScratch(u.ncols)
 	for c := range cols {
@@ -56,7 +62,8 @@ func (u *unitSlots) chunk(tc *qef.TaskCtx, unit, rows int) [][]int64 {
 	return cols
 }
 
-// columns concatenates all chunks in unit order.
+// columns concatenates all chunks in unit order into heap columns and returns
+// the chunks to the slab. Call it once, after the batch has returned.
 func (u *unitSlots) columns() [][]int64 {
 	if u.ncols == 0 {
 		return nil
@@ -79,8 +86,10 @@ func (u *unitSlots) columns() [][]int64 {
 				copy(cols[c][at:], flat[c*rows:(c+1)*rows])
 			}
 			at += rows
+			u.slab.Return(flat)
 		}
 	}
+	u.byUnit = nil
 	return cols
 }
 
@@ -97,11 +106,12 @@ type CollectSink struct {
 
 	mu    sync.Mutex // guards creating cores in Open
 	cores []collectCore
+	slab  *mem.Slab // leases the blocks; set with cores
 }
 
 // Result blocks start at collectBlockRows and double up to
 // collectBlockMaxRows: a full block is kept, never copied into a larger one,
-// and the zeroed-but-unused tail of the last block stays bounded.
+// and the unused tail of the last block stays bounded.
 const (
 	collectBlockRows    = 4 << 10
 	collectBlockMaxRows = 64 << 10
@@ -110,10 +120,11 @@ const (
 // collectCore is one core's share of the result: the block being filled and
 // the runs of consecutive rows each scan unit contributed.
 type collectCore struct {
-	blk          [][]int64 // current block, one full-capacity vector per column
-	fill, blocks int       // rows used in blk; blocks allocated so far
-	runs         []collectRun
-	rows         int
+	blk    [][]int64 // current block, one full-capacity vector per column
+	fill   int       // rows used in blk
+	leased [][]int64 // every block so far, as leased
+	runs   []collectRun
+	rows   int
 }
 
 // collectRun is n rows of one unit at blk[c][start:start+n].
@@ -138,7 +149,7 @@ func (s *CollectSink) Open(tc *qef.TaskCtx) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.cores == nil {
-		s.cores = make([]collectCore, tc.Ctx.Workers())
+		s.cores, s.slab = make([]collectCore, tc.Ctx.Workers()), tc.Ctx.Slab
 	}
 	return nil
 }
@@ -159,13 +170,15 @@ func (s *CollectSink) Produce(tc *qef.TaskCtx, t *qef.Tile) error {
 			size = min(2*len(core.blk[0]), collectBlockMaxRows)
 		}
 		size = max(size, n)
-		flat := make([]int64, ncols*size)
+		// Leased un-zeroed: only rows a run covers are ever read, and each
+		// run is widened in full below before it is recorded.
+		flat := s.slab.Lease(ncols * size)
+		core.leased = append(core.leased, flat)
 		core.blk = make([][]int64, ncols)
 		for c := range core.blk {
 			core.blk[c] = flat[c*size : (c+1)*size]
 		}
 		core.fill = 0
-		core.blocks++
 	}
 	var rids []uint32
 	if !t.Dense() {
@@ -212,9 +225,10 @@ func (s *CollectSink) Rows() int {
 }
 
 // Relation materializes the collected result in scan order. When everything
-// landed in one block of one core, that block is the result; otherwise the
-// cores' runs are merged by Seq into columns allocated once at the final
-// size.
+// landed in one block of one core, that block is the result — it leaves with
+// the relation and is never returned to the slab; otherwise the cores' runs
+// are merged by Seq into heap columns allocated once at the final size and
+// the blocks go back. Call it once.
 func (s *CollectSink) Relation() *Relation {
 	var runs []collectRun
 	blocks := 0
@@ -223,7 +237,7 @@ func (s *CollectSink) Relation() *Relation {
 		// runs are already sorted; a unit runs on one core, so Seq values
 		// never tie across cores.
 		runs = append(runs, s.cores[i].runs...)
-		blocks += s.cores[i].blocks
+		blocks += len(s.cores[i].leased)
 	}
 	bufs := make([][]int64, len(s.OutCols))
 	switch {
@@ -240,6 +254,13 @@ func (s *CollectSink) Relation() *Relation {
 			for _, r := range runs {
 				bufs[c] = append(bufs[c], r.blk[c][r.start:r.start+r.n]...)
 			}
+		}
+		for i := range s.cores {
+			core := &s.cores[i]
+			for _, flat := range core.leased {
+				s.slab.Return(flat)
+			}
+			core.blk, core.leased, core.runs = nil, nil, nil
 		}
 	}
 	cols := make([]Col, len(s.OutCols))

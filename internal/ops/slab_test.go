@@ -1,0 +1,219 @@
+package ops
+
+import (
+	"runtime"
+	"testing"
+
+	"rapid/internal/mem"
+	"rapid/internal/qef"
+)
+
+// dirtySlab returns a slab whose every retained buffer is full of garbage, in
+// the sizes a join over a few hundred thousand rows leases: what a query
+// finds when another ran before it.
+func dirtySlab(t testing.TB) *mem.Slab {
+	t.Helper()
+	s := mem.NewSlab(256<<20, nil)
+	var out [][]int64
+	for words := 8; words <= 1<<20; words += words / 8 {
+		for k := 0; k < 3; k++ {
+			b := s.Lease(words)
+			for i := range b {
+				b[i] = -0x0BAD_0BAD_0BAD
+			}
+			out = append(out, b)
+		}
+	}
+	for _, b := range out {
+		s.Return(b)
+	}
+	return s
+}
+
+// TestLeftOuterZeroPayloadOnDirtySlab: the zero build payload of an unmatched
+// LEFT JOIN row is the operator's to write. Staging used to come zeroed from
+// make and emitProbeOnly filled in the probe columns only; on recycled memory
+// that returned whatever the buffer held before (qgen seed 4000013).
+func TestLeftOuterZeroPayloadOnDirtySlab(t *testing.T) {
+	const probeRows, buildRows = 150_000, 20_000 // probe keys 0..149999, build keys 0..19999: 130 k unmatched
+	build := intRel([]string{"bk", "bv"},
+		seq(buildRows, func(i int) int64 { return int64(i) }),
+		seq(buildRows, func(i int) int64 { return int64(i) + 7 }))
+	probe := intRel([]string{"pk", "pv"},
+		seq(probeRows, func(i int) int64 { return int64(i) }),
+		seq(probeRows, func(i int) int64 { return int64(i) * 3 }))
+	spec := JoinSpec{
+		Type: LeftOuterJoin, BuildKeys: []int{0}, ProbeKeys: []int{0},
+		BuildPayload: []int{0, 1}, ProbePayload: []int{0, 1},
+		Scheme: PartScheme{Rounds: []int{8, 4}},
+	}
+	bothModes(t, func(t *testing.T, ctx *qef.Context) {
+		ctx.Slab = dirtySlab(t)
+		for round := 0; round < 2; round++ { // the second round leases what the first returned
+			out, err := HashJoin(ctx, build, probe, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.Rows() != probeRows {
+				t.Fatalf("%d rows, want %d", out.Rows(), probeRows)
+			}
+			pk, pv := out.Cols[0].Data.I64(), out.Cols[1].Data.I64()
+			bk, bv := out.Cols[2].Data.I64(), out.Cols[3].Data.I64()
+			unmatched := 0
+			for i, k := range pk {
+				wantK, wantV := k, k+7
+				if k >= buildRows {
+					wantK, wantV = 0, 0
+					unmatched++
+				}
+				if pv[i] != 3*k || bk[i] != wantK || bv[i] != wantV {
+					t.Fatalf("round %d row %d: (%d, %d | %d, %d), want (%d, %d | %d, %d)",
+						round, i, k, pv[i], bk[i], bv[i], k, 3*k, wantK, wantV)
+				}
+			}
+			if unmatched != probeRows-buildRows {
+				t.Fatalf("%d unmatched rows, want %d", unmatched, probeRows-buildRows)
+			}
+		}
+	})
+}
+
+// TestOperatorsAgreeOnDirtySlab: every operator that leases — all four join
+// types, the partitioned group-by with its runtime re-split, the set
+// operations and a multi-block CollectSink — returns on a slab full of
+// garbage exactly what it returns on the zeroed heap.
+func TestOperatorsAgreeOnDirtySlab(t *testing.T) {
+	const n = 40_000
+	build := intRel([]string{"bk", "bv"},
+		seq(n/4, func(i int) int64 { return int64(i * 2) }),
+		seq(n/4, func(i int) int64 { return int64(i) }))
+	probe := lineitemLike(n, n/2)
+	run := func(ctx *qef.Context) []*Relation {
+		var out []*Relation
+		keep := func(rel *Relation, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, rel)
+		}
+		for _, jt := range []JoinType{InnerJoin, SemiJoin, AntiJoin, LeftOuterJoin} {
+			spec := JoinSpec{
+				Type: jt, BuildKeys: []int{0}, ProbeKeys: []int{0}, ProbePayload: []int{0, 2},
+				Scheme: PartScheme{Rounds: []int{4, 4}},
+				// An estimate far too low: the skew path re-splits inside the unit.
+				EstPartRows: 16,
+			}
+			if jt == InnerJoin || jt == LeftOuterJoin {
+				spec.BuildPayload = []int{1}
+			}
+			keep(HashJoin(ctx, build, probe, spec))
+		}
+		keep(GroupByPartitioned(ctx, probe, []int{0},
+			[]AggSpec{{Kind: AggSum, Expr: &ColRef{Idx: 1}}, {Kind: AggCountStar}},
+			PartScheme{Rounds: []int{4}}, 64)) // 64 groups per table: regroupSplit runs
+		keys := func(r *Relation) *Relation { return MustRelation(r.Cols[:1]) }
+		for _, kind := range []SetOpKind{SetUnion, SetIntersect, SetMinus} {
+			keep(SetOp(ctx, keys(probe), keys(build), kind))
+		}
+		sink := NewCollectSink(probe.Cols)
+		if err := RelationScan(ctx, probe, 256, func() qef.Operator { return sink }); err != nil {
+			t.Fatal(err)
+		}
+		return append(out, sink.Relation())
+	}
+	for _, mode := range []qef.Mode{qef.ModeX86, qef.ModeDPU} {
+		want := run(qef.NewContext(mode))
+		ctx := qef.NewContext(mode)
+		ctx.Slab = dirtySlab(t)
+		for round := 0; round < 2; round++ {
+			for i, got := range run(ctx) {
+				if got.Rows() != want[i].Rows() || got.NumCols() != want[i].NumCols() {
+					t.Fatalf("%s round %d result %d: %d x %d, want %d x %d", mode, round, i,
+						got.Rows(), got.NumCols(), want[i].Rows(), want[i].NumCols())
+				}
+				for c := range got.Cols {
+					g, w := got.Cols[c].Data, want[i].Cols[c].Data
+					for r := 0; r < g.Len(); r++ {
+						if g.Get(r) != w.Get(r) {
+							t.Fatalf("%s round %d result %d column %d row %d: %d, want %d",
+								mode, round, i, c, r, g.Get(r), w.Get(r))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestOperatorBytesAreRowIndependent is the bytes gate beside the object-count
+// gate above: with a warm slab, what PartitionByHash allocates does not grow
+// with the row count at all, and what HashJoin allocates grows by its output
+// columns and little else — partition buffers, hash vectors, sink staging and
+// match lists are recycled, not made, zeroed and collected.
+func TestOperatorBytesAreRowIndependent(t *testing.T) {
+	withProcs(t, 2, func() {
+		scheme := PartScheme{Rounds: []int{8, 16}}
+		bytesPerRun := func(fn func()) float64 {
+			fn() // warm: pools grow and the slab fills here
+			fn()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			const runs = 4
+			for i := 0; i < runs; i++ {
+				fn()
+			}
+			runtime.ReadMemStats(&after)
+			return float64(after.TotalAlloc-before.TotalAlloc) / runs
+		}
+		partition := func(n int) float64 {
+			cols := lineitemLike(n, n/4+1).Datas()
+			ctx := qef.NewContext(qef.ModeX86)
+			ctx.Slab = mem.NewSlab(64<<20, nil)
+			return bytesPerRun(func() {
+				parts, err := PartitionByHash(ctx, cols, []int{0}, scheme, qef.DefaultTileRows)
+				if err != nil {
+					t.Fatal(err)
+				}
+				parts.Release()
+			})
+		}
+		join := func(n int) (bytes, outBytes float64) {
+			orders := n / 4
+			build := intRel([]string{"o_orderkey", "o_totalprice"},
+				seq(orders, func(i int) int64 { return int64(i) }),
+				seq(orders, func(i int) int64 { return int64(i) * 7 }))
+			probe := lineitemLike(n, orders)
+			ctx := qef.NewContext(qef.ModeX86)
+			ctx.Slab = mem.NewSlab(64<<20, nil)
+			spec := JoinSpec{
+				Type: InnerJoin, BuildKeys: []int{0}, ProbeKeys: []int{0},
+				BuildPayload: []int{0, 1}, ProbePayload: []int{1, 2},
+				Scheme: scheme,
+			}
+			return bytesPerRun(func() {
+				out, err := HashJoin(ctx, build, probe, spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				outBytes = float64(8 * out.Rows() * out.NumCols())
+			}), outBytes
+		}
+		const small, large = 50_000, 300_000
+		// 128 partitions x 3 columns of headers, the cursors and one closure per
+		// 16 Ki-row chunk: tens of KB, against 8.4 MB of rows at 300 k.
+		ps, pl := partition(small), partition(large)
+		if pl > 256<<10 || pl-ps > 64<<10 {
+			t.Errorf("PartitionByHash allocates %.0f B at %d rows, %.0f B at %d: partition buffers are not recycled", ps, small, pl, large)
+		}
+		// Beyond its output a join allocates the compact hash tables (a few
+		// bits per build row) and headers; a tenth of the output covers them.
+		js, outS := join(small)
+		jl, outL := join(large)
+		if extra, budget := (jl-outL)-(js-outS), 0.1*(outL-outS); extra > budget {
+			t.Errorf("HashJoin allocates %.0f B (output %.0f) at %d rows, %.0f B (output %.0f) at %d: %.0f B of growth beyond the output, budget %.0f",
+				js, outS, small, jl, outL, large, extra, budget)
+		}
+		t.Logf("PartitionByHash %.0f / %.0f B; HashJoin %.0f / %.0f B of which output %.0f / %.0f", ps, pl, js, jl, outS, outL)
+	})
+}

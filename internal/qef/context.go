@@ -80,6 +80,12 @@ type Context struct {
 	// RunSerial) on a shared scheduler instead of context-owned goroutines.
 	Exec Executor
 
+	// Slab leases the operator-lifetime buffers (partition buffers, sink
+	// staging, match lists — see mem.Slab for the rules). Set beside Exec, from
+	// the scheduler that owns it; nil in a context with no scheduler, which
+	// leases from the heap through the same calls.
+	Slab *mem.Slab
+
 	// NoPrune disables zone-map scan pruning for this query (the metamorphic
 	// test lanes compare pruned vs unpruned runs; EXPLAIN-level debugging uses
 	// it too). Set once before execution.

@@ -25,7 +25,10 @@
 //     survives across queries (bounded by poolRetainBytes so one huge query
 //     cannot pin its arenas), and only as many pools as units ever ran at
 //     once are in use — k concurrent strands keep k pools warm instead of
-//     ratcheting up one per worker in whatever order the workers woke.
+//     ratcheting up one per worker in whatever order the workers woke. The
+//     scheduler also owns the mem.Slab that the admitted queries lease their
+//     operator-lifetime buffers from (Admission.Slab), bounded by
+//     slabRetainBytes and dropped at Close.
 package sched
 
 import (
@@ -53,6 +56,12 @@ var ErrClosed = errors.New("sched: scheduler closed")
 // poolRetainBytes caps the tile-buffer arena bytes a scheduler worker keeps
 // alive between work units.
 const poolRetainBytes = 16 << 20
+
+// slabRetainBytes caps the operator-lifetime buffers the scheduler's slab
+// keeps between leases. Measured, not guessed: the free lists of a join_heavy
+// pass plateau at 82 MB, and this is the smallest cap of the sensitivity
+// table in EXPERIMENTS.md (Fig 16) at which the pass stops evicting.
+const slabRetainBytes = 96 << 20
 
 // Config tunes a scheduler instance (one per database).
 type Config struct {
@@ -124,6 +133,8 @@ type Scheduler struct {
 	runnable int // total runnable strands (cond-wait predicate)
 	// pools not lent to a running unit, last returned on top.
 	pools []*mem.TilePool
+	// slab recycles the admitted queries' operator-lifetime buffers.
+	slab *mem.Slab
 
 	// Metrics (never nil; obs handles a nil registry receiver but keeping
 	// concrete handles avoids name lookups on the hot path).
@@ -197,6 +208,10 @@ func New(cfg Config) *Scheduler {
 	m.Describe("sched_queue_depth", "Admission requests currently waiting.")
 	m.Describe("sched_active_queries", "Queries currently holding an execution slot.")
 	m.Describe("sched_queue_wait_seconds", "Admission queue wait per query.")
+	m.Describe("mem_slab_leases_total", "Operator-lifetime buffers leased from the scheduler's slab.")
+	m.Describe("mem_slab_misses_total", "Slab leases served by a fresh heap allocation (no retained buffer of that size).")
+	m.Describe("mem_slab_retained_bytes", "Bytes of returned buffers the slab holds for reuse (bounded by slabRetainBytes).")
+	s.slab = mem.NewSlab(slabRetainBytes, m)
 	s.admitted = m.Counter("sched_admitted_total")
 	s.rejected = m.Counter("sched_rejected_total")
 	s.canceled = m.Counter("sched_canceled_while_queued_total")
@@ -341,6 +356,7 @@ func (s *Scheduler) Close() {
 	s.mu.Unlock()
 	s.cond.Broadcast()
 	s.wg.Wait()
+	s.slab.Close()
 }
 
 // Admission is one admitted query's handle: it carries the reservation and
@@ -353,6 +369,9 @@ type Admission struct {
 	q        *query
 	released bool
 }
+
+// Slab returns the scheduler's slab, for the query's qef.Context.
+func (a *Admission) Slab() *mem.Slab { return a.s.slab }
 
 // QueueWait returns how long the query waited in the admission queue.
 func (a *Admission) QueueWait() time.Duration { return a.wait }
