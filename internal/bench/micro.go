@@ -215,6 +215,12 @@ func fig10() *Table {
 	return t
 }
 
+// newHT returns a one-key compact hash table for n build rows, all of them
+// DMEM-resident, over freshly made storage.
+func newHT(n, buckets int) primitives.CompactHT {
+	return primitives.NewCompactHT(n, buckets, make([]uint32, buckets+1), make([]uint32, n), make([]int64, n), nil)
+}
+
 // fig11 regenerates Figure 11: join build kernel rate vs tile size and
 // hash-buckets size.
 func fig11() *Table {
@@ -234,7 +240,7 @@ func fig11() *Table {
 		for _, buckets := range []int{512, 1024, 2048, 4096, 8192} {
 			soc := dpu.MustNew(dpu.DefaultConfig())
 			core := soc.Core(0)
-			ht := primitives.NewCompactHT(rows, buckets)
+			ht := newHT(rows, buckets)
 			ht.Build(core, hv, keys, nil, tile)
 			sec := core.Cycles().Seconds()
 			rate := float64(rows) / sec
@@ -275,7 +281,7 @@ func fig12() *Table {
 		for _, buckets := range []int{512, 1024, 2048, 4096, 8192} {
 			soc := dpu.MustNew(dpu.DefaultConfig())
 			core := soc.Core(0)
-			ht := primitives.NewCompactHT(rows, buckets)
+			ht := newHT(rows, buckets)
 			ht.Build(nil, bhv, buildKeys, nil, tile)
 			ht.Probe(core, phv, probeKeys, nil, tile, nil)
 			sec := core.Cycles().Seconds()
@@ -313,7 +319,7 @@ func fig13() *Table {
 	run := func(scalar bool) (cycles float64, misses float64) {
 		soc := dpu.MustNew(dpu.DefaultConfig())
 		core := soc.Core(0)
-		ht := primitives.NewCompactHT(nb, primitives.BucketsFor(nb))
+		ht := newHT(nb, primitives.BucketsFor(nb))
 		ht.Build(core, bhv, buildKeys, nil, 256)
 		ht.Probe(core, phv, probeKeys, nil, 256, nil)
 		if scalar {

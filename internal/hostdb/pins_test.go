@@ -42,3 +42,27 @@ func TestRapidBillPins(t *testing.T) {
 		}
 	}
 }
+
+// TestUnbilledExistsOverflow records a known gap in the bill without fixing
+// it: a semi/anti join probes with ProbeExists, which charges no DRAM latency
+// for build rows beyond the DMEM hash-table capacity, while the inner and
+// outer join probe charges it. The test logs which TPC-H statements leave
+// overflow rows unbilled this way at SF 0.05, the benchmark's scale; closing
+// the gap moves their sim_ms and the pins above.
+func TestUnbilledExistsOverflow(t *testing.T) {
+	db := hostdb.New()
+	defer db.Close()
+	if err := tpch.PopulateHostDB(db, tpch.Config{ScaleFactor: 0.05, Seed: 42}); err != nil {
+		t.Fatal(err)
+	}
+	const counter = "ops_exists_overflow_rows_total"
+	for _, q := range tpch.Queries() {
+		before := db.Metrics().Values()[counter]
+		if _, err := db.Query(q.SQL, hostdb.QueryOptions{Mode: hostdb.ForceOffload, RapidMode: qef.ModeDPU, NoCache: true}); err != nil {
+			t.Fatalf("%s: %v", q.Name, err)
+		}
+		if ov := db.Metrics().Values()[counter] - before; ov > 0 {
+			t.Logf("%s: %d semi/anti build rows overflowed, their probes unbilled", q.Name, ov)
+		}
+	}
+}

@@ -26,6 +26,7 @@ var defaultHelp = map[string]string{
 	"qef_tile_degradations":          "Tile-size degradations forced by DMEM pressure.",
 	"qef_pool_grows_total":           "Backing-array allocations by tile pools inside work units (steady state: none).",
 	"qcomp_group_overflow_fallbacks": "Group-by overflow fallbacks to the partitioned plan (§5.4).",
+	"ops_exists_overflow_rows_total": "Semi/anti-join build rows beyond the DMEM hash-table capacity (§6.4); their probes are not billed DRAM latency.",
 
 	"rapid_query_cycles":            "Per-query dpCore cycle distribution (bucket sums reconcile with rapid_dpcore_cycles_total).",
 	"rapid_query_energy_nanojoules": "Per-query energy distribution, nanojoules (sums reconcile with the activity+idle energy counters).",

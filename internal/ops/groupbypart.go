@@ -73,15 +73,19 @@ func groupOnePartition(tc *qef.TaskCtx, unit int, cols []coltypes.Data, hv []uin
 	for i := range aggs {
 		aggs[i] = primitives.NewGroupedAgg(cap)
 	}
-	keyData := make([]coltypes.Data, len(groupCols))
-	for i, g := range groupCols {
-		keyData[i] = cols[g]
+	// Pool scope: the widened keys and group ids die with this partition; a
+	// re-split runs several partitions inside one unit.
+	tc.MarkScratch()
+	defer tc.ReleaseScratch()
+	keys := tc.RowScratch(len(groupCols))
+	for k, g := range groupCols {
+		keys[k] = primitives.WidenToI64(nil, cols[g], tc.I64Scratch(n))
 	}
-	keyBuf := make([]int64, len(groupCols))
-	gids := make([]uint32, n)
+	keyBuf := tc.I64Scratch(len(groupCols))
+	gids := tc.U32Scratch(n)
 	for i := 0; i < n; i++ {
-		for k, d := range keyData {
-			keyBuf[k] = d.Get(i)
+		for k, col := range keys {
+			keyBuf[k] = col[i]
 		}
 		gid := table.FindOrAdd(hv[i], keyBuf)
 		if gid < 0 {

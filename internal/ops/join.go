@@ -2,7 +2,6 @@ package ops
 
 import (
 	"fmt"
-	mathbits "math/bits"
 
 	"rapid/internal/bits"
 	"rapid/internal/coltypes"
@@ -210,26 +209,13 @@ func joinPairData(tc *qef.TaskCtx, buildCols []coltypes.Data, bhv []uint32, prob
 		}
 		return nil
 	}
-	// Pool scope: everything taken below (shifted hashes, widened keys,
+	// Pool scope: everything taken below (widened keys, the hash table,
 	// match bit-vectors, sink staging) dies with this partition pair. The
 	// skew path runs several pairs per unit, so without this the takes
 	// would accumulate across pairs.
 	tc.MarkScratch()
 	defer tc.ReleaseScratch()
-	// Bucket index bits come from the top of the hash — disjoint from the
-	// low bits consumed by partitioning.
 	nBuckets := primitives.BucketsFor(nb)
-	bucketShift := uint(32 - mathbits.Len(uint(nBuckets-1)))
-	shiftHv := func(hv []uint32) []uint32 {
-		out := tc.U32Scratch(len(hv))
-		for i, h := range hv {
-			out[i] = h >> bucketShift
-		}
-		return out
-	}
-	sbhv := shiftHv(bhv)
-	sphv := shiftHv(phv)
-
 	buildKeys := primitives.WidenToI64(tc.Core, buildCols[spec.BuildKeys[0]], tc.I64Scratch(nb))
 	var buildKeys2 []int64
 	if len(spec.BuildKeys) == 2 {
@@ -257,13 +243,23 @@ func joinPairData(tc *qef.TaskCtx, buildCols []coltypes.Data, bhv []uint32, prob
 	if err := tc.DMEM.Alloc(primitives.HTSizeBytes(capacity, nBuckets)); err != nil {
 		return err
 	}
-	ht := primitives.NewCompactHT(capacity, nBuckets)
-	ht.Build(tc.Core, sbhv, buildKeys, buildKeys2, qef.DefaultTileRows)
+	var tableKeys2 []int64
+	if buildKeys2 != nil {
+		tableKeys2 = tc.I64Scratch(nb)
+	}
+	ht := primitives.NewCompactHT(capacity, nBuckets,
+		tc.U32Scratch(nBuckets+1), tc.U32Scratch(nb), tc.I64Scratch(nb), tableKeys2)
+	ht.Build(tc.Core, bhv, buildKeys, buildKeys2, qef.DefaultTileRows)
 
 	switch spec.Type {
 	case SemiJoin, AntiJoin:
+		// ProbeExists bills no DRAM latency for rows beyond the capacity
+		// (Probe does); the counter shows how much goes unbilled.
+		if ov := nb - capacity; ov > 0 {
+			tc.Ctx.CountMetric("ops_exists_overflow_rows_total", int64(ov))
+		}
 		exists := tc.BVScratch(np)
-		ht.ProbeExists(tc.Core, sphv, probeKeys, probeKeys2, qef.DefaultTileRows, exists)
+		ht.ProbeExists(tc.Core, phv, probeKeys, probeKeys2, qef.DefaultTileRows, exists)
 		if spec.Type == AntiJoin {
 			neg := tc.BVScratch(np)
 			neg.Not(exists)
@@ -276,7 +272,7 @@ func joinPairData(tc *qef.TaskCtx, buildCols []coltypes.Data, bhv []uint32, prob
 		slab := tc.Ctx.Slab
 		matchWords := slab.Lease(np)
 		defer slab.Return(matchWords)
-		matches := ht.Probe(tc.Core, sphv, probeKeys, probeKeys2, qef.DefaultTileRows,
+		matches := ht.Probe(tc.Core, phv, probeKeys, probeKeys2, qef.DefaultTileRows,
 			coltypes.WordsAs[primitives.Match](matchWords, np)[:0])
 		if spec.Type == InnerJoin {
 			sink.emitMatches(tc, unit, buildCols, probeCols, matches)

@@ -130,7 +130,7 @@ func TestOverflowStatsReported(t *testing.T) {
 	for i := range keys {
 		keys[i] = int64(i)
 	}
-	ht := primitives.NewCompactHT(100, 64)
+	ht := primitives.NewCompactHT(100, 64, make([]uint32, 65), make([]uint32, n), make([]int64, n), nil)
 	hv := make([]uint32, n)
 	for i := range hv {
 		hv[i] = uint32(i * 2654435761)

@@ -146,11 +146,46 @@ func TestOperatorsAgreeOnDirtySlab(t *testing.T) {
 	}
 }
 
+// TestHashJoinAllocsPerPartition: what a warm join allocates per extra
+// partition pair is its share of the partitioning and the work unit — not the
+// hash table, which is laid out in task scratch.
+func TestHashJoinAllocsPerPartition(t *testing.T) {
+	// Exactly two workers, as in TestPartitionByHashAllocsAreRowIndependent.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const orders = 25_000
+	build := intRel([]string{"o_orderkey", "o_totalprice"},
+		seq(orders, func(i int) int64 { return int64(i) }),
+		seq(orders, func(i int) int64 { return int64(i) * 7 }))
+	probe := lineitemLike(100_000, orders)
+	measure := func(scheme PartScheme) float64 {
+		ctx := qef.NewContext(qef.ModeX86)
+		ctx.Slab = mem.NewSlab(64<<20, nil)
+		spec := JoinSpec{
+			Type: InnerJoin, BuildKeys: []int{0}, ProbeKeys: []int{0},
+			BuildPayload: []int{0, 1}, ProbePayload: []int{1, 2},
+			Scheme: scheme,
+		}
+		join := func() {
+			if _, err := HashJoin(ctx, build, probe, spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		join() // warm: pools grow and the slab fills here
+		return testing.AllocsPerRun(5, join)
+	}
+	few, many := measure(PartScheme{Rounds: []int{8, 8}}), measure(PartScheme{Rounds: []int{8, 32}})
+	const extra = 8*32 - 8*8
+	if per := (many - few) / extra; per > 4 {
+		t.Errorf("HashJoin allocates %v objects at 8x8, %v at 8x32: %.1f per extra partition, budget 4", few, many, per)
+	}
+	t.Logf("HashJoin %v objects at 8x8, %v at 8x32", few, many)
+}
+
 // TestOperatorBytesAreRowIndependent is the bytes gate beside the object-count
-// gate above: with a warm slab, what PartitionByHash allocates does not grow
+// gates above: with a warm slab, what PartitionByHash allocates does not grow
 // with the row count at all, and what HashJoin allocates grows by its output
-// columns and little else — partition buffers, hash vectors, sink staging and
-// match lists are recycled, not made, zeroed and collected.
+// columns and little else — partition buffers, hash vectors, hash tables, sink
+// staging and match lists are recycled, not made, zeroed and collected.
 func TestOperatorBytesAreRowIndependent(t *testing.T) {
 	withProcs(t, 2, func() {
 		scheme := PartScheme{Rounds: []int{8, 16}}
@@ -206,11 +241,12 @@ func TestOperatorBytesAreRowIndependent(t *testing.T) {
 		if pl > 256<<10 || pl-ps > 64<<10 {
 			t.Errorf("PartitionByHash allocates %.0f B at %d rows, %.0f B at %d: partition buffers are not recycled", ps, small, pl, large)
 		}
-		// Beyond its output a join allocates the compact hash tables (a few
-		// bits per build row) and headers; a tenth of the output covers them.
+		// Beyond its output a join allocates headers and work units, as many
+		// at 300 k rows as at 50 k; the compact hash tables are laid out in
+		// task scratch. A hundredth of the output covers what noise is left.
 		js, outS := join(small)
 		jl, outL := join(large)
-		if extra, budget := (jl-outL)-(js-outS), 0.1*(outL-outS); extra > budget {
+		if extra, budget := (jl-outL)-(js-outS), 0.01*(outL-outS); extra > budget {
 			t.Errorf("HashJoin allocates %.0f B (output %.0f) at %d rows, %.0f B (output %.0f) at %d: %.0f B of growth beyond the output, budget %.0f",
 				js, outS, small, jl, outL, large, extra, budget)
 		}

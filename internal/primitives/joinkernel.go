@@ -2,39 +2,44 @@ package primitives
 
 import (
 	"fmt"
+	mathbits "math/bits"
 
 	"rapid/internal/bits"
 	"rapid/internal/dpu"
 )
 
-// The hash-join kernel of paper §6.3: a compact, pointer-free hash table
-// over a DMEM-resident partition. The bucket-chained layout is mimicked with
-// two bit-packed integer arrays sized at ceil(log2 N) bits per element —
-// `hash-buckets` holds the row id of the last tuple seen per bucket and
-// `link` chains earlier tuples with the same hash backwards. The §6.4
-// "small skew" resilience is built in: when the DMEM budget is exhausted,
-// build rows overflow gracefully to DRAM-side arrays (Fig 7b) and probes
-// traverse both regions.
+// The hash-join kernel of paper §6.3 over one DMEM-resident partition.
+//
+// Billed layout — what the join declares against DMEM and what the cycle
+// model charges: the paper's compact, pointer-free bucket chain, two integer
+// arrays packed at ceil(log2 N) bits per element. `hash-buckets` holds the
+// row id of the last tuple seen per bucket and `link` chains earlier tuples
+// with the same hash backwards (HTSizeBytes). The §6.4 "small skew"
+// resilience is part of it: build rows beyond the DMEM capacity overflow
+// gracefully to DRAM (Fig 7b), and every probe of an overflowed table pays
+// DRAM latency for them.
+//
+// Functional layout — what the Go code walks: the same buckets, sorted. Build
+// counts the rows per bucket, prefix-sums the counts into bucket offsets and
+// places every row id and its key(s) in its bucket's contiguous range,
+// newest row first; a probe compares keys sequentially over one range
+// instead of following a chain of dependent loads. The chain also visits a
+// bucket newest first (overflow rows are the newest), so the match order is
+// the chained table's: probe rows ascending, and within one probe row build
+// rows descending. The table lives in storage the caller provides — task
+// scratch on the join path — so building one allocates nothing.
 
-// CompactHT is the DMEM-resident compact hash table.
+// CompactHT is the compact hash table: bucket-sorted over caller storage,
+// billed as the bit-packed chained layout.
 type CompactHT struct {
-	mask     uint32
-	sentinel uint64
+	shift    uint // bucket = hash >> shift: the top bits, disjoint from partitioning's
+	capacity int  // build rows the DMEM budget holds; the rest are billed as DRAM overflow
+	n        int  // build rows inserted
 
-	buckets *bits.PackedArray // nBuckets entries of width bits
-	link    *bits.PackedArray // capacity entries of width bits
-
-	keys  []int64 // build keys (DMEM partition column, widened)
-	keys2 []int64 // optional second key column
-	rows  int     // rows inserted into the DMEM region
-
-	// DRAM overflow region (small-skew resilience, §6.4).
-	capacity       int
-	ovBuckets      map[uint32]int32 // bucket -> last overflow row (DRAM hash-buckets version)
-	ovLink         []int32          // chain among overflow rows; -1 ends
-	ovToDmemChain  []int32          // continuation from overflow chain into the DMEM region; -2 = none
-	ovKeys, ovKey2 []int64
-	ovRows         []int32 // original row ids of overflow rows
+	start []uint32 // bucket b holds entries [start[b], start[b+1])
+	rows  []uint32 // build row id per entry, newest first within a bucket
+	keys  []int64  // join key per entry
+	keys2 []int64  // second join key per entry; nil for a one-key join
 }
 
 // BucketsFor returns the hash-table bucket count for n build rows: a power
@@ -55,82 +60,75 @@ func BucketsFor(n int) int {
 // capacity and bucket count — what the join operator declares as its
 // op_dmem_size.
 func HTSizeBytes(capacity, nBuckets int) int {
-	w := bits.WidthFor(capacity + 1)
+	w := bits.WidthFor(capacity + 1) // +1 for the end-of-chain sentinel
 	return bits.PackedSizeBytes(nBuckets, w) + bits.PackedSizeBytes(capacity, w)
 }
 
-// NewCompactHT builds an empty table for up to capacity DMEM rows and the
-// given bucket count (power of two).
-func NewCompactHT(capacity, nBuckets int) *CompactHT {
+// NewCompactHT returns an empty table of nBuckets buckets (a power of two),
+// billed for up to capacity DMEM rows, over the caller's storage: start
+// holds nBuckets+1 offsets, rows and keys one entry per build row, and keys2
+// one entry per build row for a two-key join (nil for a one-key join).
+func NewCompactHT(capacity, nBuckets int, start, rows []uint32, keys, keys2 []int64) CompactHT {
 	if nBuckets <= 0 || nBuckets&(nBuckets-1) != 0 {
 		panic(fmt.Sprintf("primitives: bucket count %d must be a power of two", nBuckets))
 	}
 	if capacity < 0 {
 		panic("primitives: negative capacity")
 	}
-	w := bits.WidthFor(capacity + 1) // +1 for the end-of-chain sentinel
-	ht := &CompactHT{
-		mask:     uint32(nBuckets - 1),
-		sentinel: uint64(capacity),
-		buckets:  bits.NewPackedArray(nBuckets, w),
-		link:     bits.NewPackedArray(capacity, w),
-		capacity: capacity,
+	if len(start) < nBuckets+1 {
+		panic(fmt.Sprintf("primitives: %d bucket offsets for %d buckets", len(start), nBuckets))
 	}
-	ht.buckets.Fill(ht.sentinel)
-	return ht
+	return CompactHT{
+		shift:    uint(32 - mathbits.Len(uint(nBuckets-1))),
+		capacity: capacity,
+		start:    start[:nBuckets+1],
+		rows:     rows,
+		keys:     keys,
+		keys2:    keys2,
+	}
 }
 
 // Rows returns the number of build rows inserted (DMEM + overflow).
-func (ht *CompactHT) Rows() int { return ht.rows + len(ht.ovRows) }
+func (ht *CompactHT) Rows() int { return ht.n }
 
 // Build inserts all rows of the partition: hv are the (hardware-computed)
-// hash values, keys the join-key column, keys2 an optional second key
-// column. tileRows is the tile size the rows arrive in (cost model only;
-// larger tiles amortize the per-tile overhead, Fig 11). Rows beyond the
-// DMEM capacity overflow to DRAM. Vectorized: one tight loop, no branches
-// besides the capacity check.
+// hash values, keys the join-key column, keys2 the second key column of a
+// two-key join (nil otherwise). The bucket index is the top bits of the
+// hash. tileRows is the tile size the rows arrive in (cost model only;
+// larger tiles amortize the per-tile overhead, Fig 11).
 func (ht *CompactHT) Build(core *dpu.Core, hv []uint32, keys, keys2 []int64, tileRows int) {
 	n := len(hv)
-	if len(keys) != n || (keys2 != nil && len(keys2) != n) {
+	if len(keys) != n || (keys2 != nil && len(keys2) != n) || (keys2 == nil) != (ht.keys2 == nil) {
 		panic("primitives: build input length mismatch")
 	}
-	ht.keys = keys
-	ht.keys2 = keys2
-	for i := 0; i < n; i++ {
-		b := hv[i] & ht.mask
-		if ht.rows < ht.capacity {
-			row := ht.rows
-			ht.link.Set(row, ht.buckets.Get(int(b)))
-			ht.buckets.Set(int(b), uint64(row))
-			ht.rows++
-			continue
+	if len(ht.rows) < n || len(ht.keys) < n || (keys2 != nil && len(ht.keys2) < n) {
+		panic(fmt.Sprintf("primitives: table storage too small for %d build rows", n))
+	}
+	ht.n = n
+	start := ht.start
+	clear(start)
+	for _, h := range hv {
+		start[h>>ht.shift]++
+	}
+	// Inclusive prefix sum: start[b] is one past the last entry of bucket b.
+	sum := uint32(0)
+	for b := range start[:len(start)-1] {
+		sum += start[b]
+		start[b] = sum
+	}
+	start[len(start)-1] = sum
+	// Rows placed in ascending order, each bucket filled from its end
+	// backwards: the bucket ends newest first and start[b] at its first entry.
+	for i, h := range hv {
+		b := h >> ht.shift
+		start[b]--
+		ht.rows[start[b]] = uint32(i)
+		ht.keys[start[b]] = keys[i]
+	}
+	if keys2 != nil {
+		for j, r := range ht.rows[:n] {
+			ht.keys2[j] = keys2[r]
 		}
-		// Graceful overflow to DRAM (§6.4 small skew).
-		ov := int32(len(ht.ovRows))
-		if ht.ovBuckets == nil {
-			ht.ovBuckets = make(map[uint32]int32)
-		}
-		prev, seen := ht.ovBuckets[b]
-		if seen {
-			ht.ovLink = append(ht.ovLink, prev)
-			ht.ovToDmemChain = append(ht.ovToDmemChain, -2)
-		} else {
-			// First overflow in this bucket: remember where the DMEM
-			// chain begins so probes continue into it.
-			ht.ovLink = append(ht.ovLink, -1)
-			dm := ht.buckets.Get(int(b))
-			if dm == ht.sentinel {
-				ht.ovToDmemChain = append(ht.ovToDmemChain, -2)
-			} else {
-				ht.ovToDmemChain = append(ht.ovToDmemChain, int32(dm))
-			}
-		}
-		ht.ovBuckets[b] = ov
-		ht.ovKeys = append(ht.ovKeys, keys[i])
-		if keys2 != nil {
-			ht.ovKey2 = append(ht.ovKey2, keys2[i])
-		}
-		ht.ovRows = append(ht.ovRows, int32(i))
 	}
 	charge(core, JoinBuildCost(n, tileRows))
 }
@@ -141,114 +139,77 @@ type Match struct {
 	ProbeRow uint32
 }
 
-// Probe scans the probe rows: for each, walk the bucket chain and emit a
-// match per equal key. tileRows feeds the cost model. Results append to out.
+// Probe scans the probe rows: for each, compare its key against every entry
+// of its bucket and emit a match per equal key. tileRows feeds the cost
+// model. Results append to out.
 func (ht *CompactHT) Probe(core *dpu.Core, hv []uint32, keys, keys2 []int64, tileRows int, out []Match) []Match {
 	n := len(hv)
-	hits := 0
-	overflowed := len(ht.ovRows) > 0
-	for i := 0; i < n; i++ {
-		b := hv[i] & ht.mask
-		k := keys[i]
-		// DRAM overflow chain first (newest rows), then the DMEM chain. A
-		// table that never overflowed skips the overflow-map lookup.
-		dmStart := int64(-1)
-		ov, ok := int32(0), false
-		if overflowed {
-			ov, ok = ht.ovBuckets[b]
-		}
-		if ok {
-			for cur := ov; cur >= 0; {
-				if ht.ovKeys[cur] == k && (keys2 == nil || ht.ovKey2[cur] == keys2[i]) {
-					out = append(out, Match{BuildRow: uint32(ht.ovRows[cur]), ProbeRow: uint32(i)})
-					hits++
+	first := len(out)
+	if keys2 == nil {
+		for i, h := range hv {
+			lo, hi := ht.start[h>>ht.shift], ht.start[h>>ht.shift+1]
+			k := keys[i]
+			for j, bk := range ht.keys[lo:hi] {
+				if bk == k {
+					out = append(out, Match{BuildRow: ht.rows[lo+uint32(j)], ProbeRow: uint32(i)})
 				}
-				next := ht.ovLink[cur]
-				if next < 0 {
-					if cont := ht.ovToDmemChain[cur]; cont >= 0 {
-						dmStart = int64(cont)
-					}
-					break
-				}
-				cur = next
-			}
-		} else {
-			if first := ht.buckets.Get(int(b)); first != ht.sentinel {
-				dmStart = int64(first)
 			}
 		}
-		for cur := dmStart; cur >= 0; {
-			if ht.keys[cur] == k && (keys2 == nil || ht.keys2[cur] == keys2[i]) {
-				out = append(out, Match{BuildRow: uint32(cur), ProbeRow: uint32(i)})
-				hits++
+	} else {
+		for i, h := range hv {
+			lo, hi := ht.start[h>>ht.shift], ht.start[h>>ht.shift+1]
+			k, k2 := keys[i], keys2[i]
+			bk2 := ht.keys2[lo:hi]
+			for j, bk := range ht.keys[lo:hi] {
+				if bk == k && bk2[j] == k2 {
+					out = append(out, Match{BuildRow: ht.rows[lo+uint32(j)], ProbeRow: uint32(i)})
+				}
 			}
-			next := ht.link.Get(int(cur))
-			if next == ht.sentinel {
-				break
-			}
-			cur = int64(next)
 		}
 	}
+	hits := len(out) - first
 	ratio := 0.0
 	if n > 0 {
 		ratio = float64(hits) / float64(n)
 	}
 	charge(core, JoinProbeCost(n, tileRows, ratio))
 	// Overflow traversals pay DRAM latency instead of single-cycle DMEM.
-	if len(ht.ovRows) > 0 {
-		charge(core, 20*float64(n)*float64(len(ht.ovRows))/float64(ht.Rows()+1))
+	if ov := ht.n - ht.capacity; ov > 0 {
+		charge(core, 20*float64(n)*float64(ov)/float64(ht.Rows()+1))
 	}
 	return out
 }
 
-// ProbeExists marks probe rows having at least one match (semi/anti joins).
+// ProbeExists marks probe rows having at least one match (semi/anti joins)
+// and returns how many it marked. It charges no DRAM latency for an
+// overflowed table, unlike Probe.
 func (ht *CompactHT) ProbeExists(core *dpu.Core, hv []uint32, keys, keys2 []int64, tileRows int, out *bits.Vector) int {
 	n := len(hv)
 	hits := 0
-	overflowed := len(ht.ovRows) > 0
-	for i := 0; i < n; i++ {
-		b := hv[i] & ht.mask
-		k := keys[i]
-		found := false
-		dmStart := int64(-1)
-		ov, ok := int32(0), false
-		if overflowed {
-			ov, ok = ht.ovBuckets[b]
-		}
-		if ok {
-			for cur := ov; cur >= 0 && !found; {
-				if ht.ovKeys[cur] == k && (keys2 == nil || ht.ovKey2[cur] == keys2[i]) {
-					found = true
+	if keys2 == nil {
+		for i, h := range hv {
+			lo, hi := ht.start[h>>ht.shift], ht.start[h>>ht.shift+1]
+			k := keys[i]
+			for _, bk := range ht.keys[lo:hi] {
+				if bk == k {
+					out.Set(i)
+					hits++
 					break
 				}
-				next := ht.ovLink[cur]
-				if next < 0 {
-					if cont := ht.ovToDmemChain[cur]; cont >= 0 {
-						dmStart = int64(cont)
-					}
+			}
+		}
+	} else {
+		for i, h := range hv {
+			lo, hi := ht.start[h>>ht.shift], ht.start[h>>ht.shift+1]
+			k, k2 := keys[i], keys2[i]
+			bk2 := ht.keys2[lo:hi]
+			for j, bk := range ht.keys[lo:hi] {
+				if bk == k && bk2[j] == k2 {
+					out.Set(i)
+					hits++
 					break
 				}
-				cur = next
 			}
-		} else {
-			if first := ht.buckets.Get(int(b)); first != ht.sentinel {
-				dmStart = int64(first)
-			}
-		}
-		for cur := dmStart; cur >= 0 && !found; {
-			if ht.keys[cur] == k && (keys2 == nil || ht.keys2[cur] == keys2[i]) {
-				found = true
-				break
-			}
-			next := ht.link.Get(int(cur))
-			if next == ht.sentinel {
-				break
-			}
-			cur = int64(next)
-		}
-		if found {
-			out.Set(i)
-			hits++
 		}
 	}
 	ratio := 0.0

@@ -1,13 +1,15 @@
 package primitives
 
 import (
+	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"rapid/internal/bits"
 	"rapid/internal/coltypes"
+	"rapid/internal/dpu"
 )
 
 func TestWidenToI64(t *testing.T) {
@@ -222,33 +224,35 @@ func TestSwPartitionAll(t *testing.T) {
 	}
 }
 
+// newTestHT returns a compact table for n build rows over freshly made
+// storage, with second-key storage when twoKeys.
+func newTestHT(capacity, nBuckets, n int, twoKeys bool) CompactHT {
+	var keys2 []int64
+	if twoKeys {
+		keys2 = make([]int64, n)
+	}
+	return NewCompactHT(capacity, nBuckets, make([]uint32, nBuckets+1), make([]uint32, n), make([]int64, n), keys2)
+}
+
 func TestCompactHTBuildProbe(t *testing.T) {
 	core := testCore(t)
 	// Build over 8 tuples like the paper's Figure 6 example.
 	buildKeys := []int64{10, 20, 30, 40, 10, 20, 50, 10}
 	bk := coltypes.FromInt64s(coltypes.W4, buildKeys)
 	hv := HashColumns(core, []coltypes.Data{bk}, nil)
-	ht := NewCompactHT(len(buildKeys), 4)
+	ht := newTestHT(len(buildKeys), 4, len(buildKeys), false)
 	ht.Build(core, hv, buildKeys, nil, 256)
-	if ht.Rows() != 8 || len(ht.ovRows) != 0 {
-		t.Fatalf("rows=%d overflow=%d", ht.Rows(), len(ht.ovRows))
+	if ht.Rows() != 8 {
+		t.Fatalf("rows=%d", ht.Rows())
 	}
-	// Probe: key 10 matches rows 0,4,7; key 99 matches none.
+	// Probe: key 10 matches rows 7, 4, 0 (newest first); key 99 none.
 	probeKeys := []int64{10, 99, 20}
 	pk := coltypes.FromInt64s(coltypes.W4, probeKeys)
 	phv := HashColumns(core, []coltypes.Data{pk}, nil)
 	matches := ht.Probe(core, phv, probeKeys, nil, 256, nil)
-	want := map[[2]uint32]bool{
-		{0, 0}: true, {4, 0}: true, {7, 0}: true,
-		{1, 2}: true, {5, 2}: true,
-	}
-	if len(matches) != len(want) {
-		t.Fatalf("matches = %v", matches)
-	}
-	for _, m := range matches {
-		if !want[[2]uint32{m.BuildRow, m.ProbeRow}] {
-			t.Fatalf("unexpected match %+v", m)
-		}
+	want := []Match{{7, 0}, {4, 0}, {0, 0}, {5, 2}, {1, 2}}
+	if !slices.Equal(matches, want) {
+		t.Fatalf("matches = %v, want %v", matches, want)
 	}
 }
 
@@ -283,33 +287,36 @@ func TestBucketsFor(t *testing.T) {
 }
 
 func TestCompactHTOverflow(t *testing.T) {
-	core := testCore(t)
 	// Capacity 8 but 20 build rows: 12 overflow to DRAM; all matches must
-	// still be found (the §6.4 graceful degradation).
+	// still be found (the §6.4 graceful degradation), and the probe pays DRAM
+	// latency for the 12 rows on top of what a DMEM-resident table costs.
 	n := 20
 	buildKeys := make([]int64, n)
 	for i := range buildKeys {
 		buildKeys[i] = int64(i % 10)
 	}
 	bk := coltypes.FromInt64s(coltypes.W4, buildKeys)
-	hv := HashColumns(core, []coltypes.Data{bk}, nil)
-	ht := NewCompactHT(8, 4)
-	ht.Build(core, hv, buildKeys, nil, 256)
-	if len(ht.ovRows) != 12 || ht.Rows() != n {
-		t.Fatalf("overflow = %d of %d rows, want 12 of %d", len(ht.ovRows), ht.Rows(), n)
-	}
+	hv := HashColumns(nil, []coltypes.Data{bk}, nil)
 	probeKeys := []int64{3}
 	pk := coltypes.FromInt64s(coltypes.W4, probeKeys)
-	phv := HashColumns(core, []coltypes.Data{pk}, nil)
-	matches := ht.Probe(core, phv, probeKeys, nil, 256, nil)
-	// Key 3 occurs at rows 3 and 13.
-	if len(matches) != 2 {
-		t.Fatalf("matches = %v", matches)
+	phv := HashColumns(nil, []coltypes.Data{pk}, nil)
+	probe := func(capacity int) ([]Match, dpu.Cycles) {
+		ht := newTestHT(capacity, 4, n, false)
+		ht.Build(nil, hv, buildKeys, nil, 256)
+		if ht.Rows() != n {
+			t.Fatalf("capacity %d: rows = %d, want %d", capacity, ht.Rows(), n)
+		}
+		core := testCore(t)
+		return ht.Probe(core, phv, probeKeys, nil, 256, nil), core.Cycles()
 	}
-	got := []int{int(matches[0].BuildRow), int(matches[1].BuildRow)}
-	sort.Ints(got)
-	if got[0] != 3 || got[1] != 13 {
-		t.Fatalf("matched rows %v, want [3 13]", got)
+	matches, overflowed := probe(8)
+	// Key 3 occurs at rows 13 and 3.
+	if want := []Match{{13, 0}, {3, 0}}; !slices.Equal(matches, want) {
+		t.Fatalf("matches = %v, want %v", matches, want)
+	}
+	_, resident := probe(n)
+	if got, want := overflowed-resident, dpu.Cycles(20*1*12/float64(n+1)); got != want {
+		t.Fatalf("overflow costs %d cycles more than a resident table, want %d", got, want)
 	}
 }
 
@@ -318,7 +325,7 @@ func TestCompactHTSecondKey(t *testing.T) {
 	buildK2 := []int64{10, 20, 10}
 	bk := coltypes.FromInt64s(coltypes.W4, buildK1)
 	hv := HashColumns(nil, []coltypes.Data{bk}, nil)
-	ht := NewCompactHT(3, 4)
+	ht := newTestHT(3, 4, 3, true)
 	ht.Build(nil, hv, buildK1, buildK2, 256)
 	probeK1 := []int64{1}
 	probeK2 := []int64{20}
@@ -334,7 +341,7 @@ func TestProbeExists(t *testing.T) {
 	buildKeys := []int64{1, 2, 3}
 	bk := coltypes.FromInt64s(coltypes.W4, buildKeys)
 	hv := HashColumns(nil, []coltypes.Data{bk}, nil)
-	ht := NewCompactHT(3, 4)
+	ht := newTestHT(3, 4, 3, false)
 	ht.Build(nil, hv, buildKeys, nil, 256)
 	probeKeys := []int64{2, 9, 3, 9}
 	pk := coltypes.FromInt64s(coltypes.W4, probeKeys)
@@ -364,7 +371,7 @@ func TestCompactHTEquivalence(t *testing.T) {
 		}
 		bk := coltypes.FromInt64s(coltypes.W8, buildKeys)
 		pk := coltypes.FromInt64s(coltypes.W8, probeKeys)
-		ht := NewCompactHT(capacity, BucketsFor(nb))
+		ht := newTestHT(capacity, BucketsFor(nb), nb, false)
 		ht.Build(nil, HashColumns(nil, []coltypes.Data{bk}, nil), buildKeys, nil, 256)
 		matches := ht.Probe(nil, HashColumns(nil, []coltypes.Data{pk}, nil), probeKeys, nil, 256, nil)
 		got := map[[2]uint32]int{}
@@ -386,6 +393,259 @@ func TestCompactHTEquivalence(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// chainedHT is the reference the compact table is held to: the bucket-chained
+// layout of paper §6.3 — `hash-buckets` holds the last DMEM row per bucket,
+// `link` chains earlier rows of the bucket backwards — with its §6.4 DRAM
+// overflow region, where rows beyond the capacity go to a map-indexed chain
+// that continues into the DMEM chain. Plain slices stand in for bit-packed
+// arrays, which changes nothing it computes. It picks a bucket by the low hash
+// bits where the compact table takes the top bits: the match order may not
+// depend on which bits pick a bucket.
+type chainedHT struct {
+	mask     uint32
+	capacity int
+	buckets  []int32 // last DMEM row per bucket; -1 = empty
+	link     []int32 // previous DMEM row of the same bucket; -1 ends
+	keys     []int64
+	keys2    []int64
+	rows     int // rows in the DMEM region
+
+	ovBuckets      map[uint32]int32 // bucket -> last overflow row
+	ovLink         []int32          // chain among overflow rows; -1 ends
+	ovToDmemChain  []int32          // where a bucket's overflow chain continues in DMEM; -1 = nowhere
+	ovKeys, ovKey2 []int64
+	ovRows         []int32 // build row ids of the overflow rows
+}
+
+func newChainedHT(capacity, nBuckets int) *chainedHT {
+	ht := &chainedHT{
+		mask:      uint32(nBuckets - 1),
+		capacity:  capacity,
+		buckets:   make([]int32, nBuckets),
+		link:      make([]int32, capacity),
+		ovBuckets: map[uint32]int32{},
+	}
+	for b := range ht.buckets {
+		ht.buckets[b] = -1
+	}
+	return ht
+}
+
+func (ht *chainedHT) build(core *dpu.Core, hv []uint32, keys, keys2 []int64, tileRows int) {
+	ht.keys, ht.keys2 = keys, keys2
+	for i, h := range hv {
+		b := h & ht.mask
+		if ht.rows < ht.capacity {
+			ht.link[ht.rows] = ht.buckets[b]
+			ht.buckets[b] = int32(ht.rows)
+			ht.rows++
+			continue
+		}
+		if prev, seen := ht.ovBuckets[b]; seen {
+			ht.ovLink = append(ht.ovLink, prev)
+			ht.ovToDmemChain = append(ht.ovToDmemChain, -1)
+		} else {
+			ht.ovLink = append(ht.ovLink, -1)
+			ht.ovToDmemChain = append(ht.ovToDmemChain, ht.buckets[b])
+		}
+		ht.ovBuckets[b] = int32(len(ht.ovRows))
+		ht.ovKeys = append(ht.ovKeys, keys[i])
+		if keys2 != nil {
+			ht.ovKey2 = append(ht.ovKey2, keys2[i])
+		}
+		ht.ovRows = append(ht.ovRows, int32(i))
+	}
+	charge(core, JoinBuildCost(len(hv), tileRows))
+}
+
+// walk visits the build rows of hash h's bucket newest first — the overflow
+// chain, then the DMEM chain it continues into — and calls emit for each
+// whose keys equal (k, k2), until emit returns false.
+func (ht *chainedHT) walk(h uint32, k, k2 int64, emit func(row uint32) bool) {
+	b := h & ht.mask
+	dm := ht.buckets[b]
+	if ov, ok := ht.ovBuckets[b]; ok {
+		for cur := ov; cur >= 0; cur = ht.ovLink[cur] {
+			if ht.ovKeys[cur] == k && (ht.keys2 == nil || ht.ovKey2[cur] == k2) && !emit(uint32(ht.ovRows[cur])) {
+				return
+			}
+			if ht.ovLink[cur] < 0 {
+				dm = ht.ovToDmemChain[cur]
+			}
+		}
+	}
+	for cur := dm; cur >= 0; cur = ht.link[cur] {
+		if ht.keys[cur] == k && (ht.keys2 == nil || ht.keys2[cur] == k2) && !emit(uint32(cur)) {
+			return
+		}
+	}
+}
+
+func (ht *chainedHT) probe(core *dpu.Core, hv []uint32, keys, keys2 []int64, tileRows int) []Match {
+	var out []Match
+	for i, h := range hv {
+		var k2 int64
+		if keys2 != nil {
+			k2 = keys2[i]
+		}
+		ht.walk(h, keys[i], k2, func(row uint32) bool {
+			out = append(out, Match{BuildRow: row, ProbeRow: uint32(i)})
+			return true
+		})
+	}
+	n := len(hv)
+	ratio := 0.0
+	if n > 0 {
+		ratio = float64(len(out)) / float64(n)
+	}
+	charge(core, JoinProbeCost(n, tileRows, ratio))
+	if len(ht.ovRows) > 0 {
+		charge(core, 20*float64(n)*float64(len(ht.ovRows))/float64(ht.rows+len(ht.ovRows)+1))
+	}
+	return out
+}
+
+func (ht *chainedHT) probeExists(core *dpu.Core, hv []uint32, keys, keys2 []int64, tileRows int, out *bits.Vector) int {
+	hits := 0
+	for i, h := range hv {
+		var k2 int64
+		if keys2 != nil {
+			k2 = keys2[i]
+		}
+		ht.walk(h, keys[i], k2, func(uint32) bool {
+			out.Set(i)
+			hits++
+			return false
+		})
+	}
+	n := len(hv)
+	ratio := 0.0
+	if n > 0 {
+		ratio = float64(hits) / float64(n)
+	}
+	charge(core, JoinProbeCost(n, tileRows, ratio))
+	return hits
+}
+
+// TestCompactHTMatchesChainedReference is the compact table's contract: over
+// random partitions — duplicate-heavy keys, a capacity below the row count,
+// two keys, an empty build, one row — it emits the chained reference's
+// matches element by element and in order, marks the same probe rows
+// existing, and bills the same cycles to the bit.
+func TestCompactHTMatchesChainedReference(t *testing.T) {
+	for seed := int64(0); seed < 400; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		nb := []int{0, 1, rng.Intn(64) + 2, rng.Intn(600) + 2}[seed%4]
+		np := rng.Intn(400) + 1
+		domain := []int64{1, 3, 40, 1 << 40}[rng.Intn(4)] // duplicate-heavy to unique
+		twoKeys := rng.Intn(2) == 0
+		capacity := nb
+		if rng.Intn(2) == 0 {
+			capacity = rng.Intn(nb + 1) // overflows unless it draws nb
+		}
+		nBuckets := BucketsFor(nb)
+		keyCols := func(n int) (hv []uint32, k1, k2 []int64) {
+			k1 = make([]int64, n)
+			cols := []coltypes.Data{coltypes.Of(k1)}
+			if twoKeys {
+				k2 = make([]int64, n)
+				cols = append(cols, coltypes.Of(k2))
+			}
+			for i := range k1 {
+				k1[i] = rng.Int63n(domain)
+				if twoKeys {
+					k2[i] = rng.Int63n(2)
+				}
+			}
+			return HashColumns(nil, cols, nil), k1, k2
+		}
+		bhv, bk1, bk2 := keyCols(nb)
+		phv, pk1, pk2 := keyCols(np)
+
+		refCore, core := testCore(t), testCore(t)
+		ref := newChainedHT(capacity, nBuckets)
+		ref.build(refCore, bhv, bk1, bk2, 256)
+		ht := newTestHT(capacity, nBuckets, nb, twoKeys)
+		ht.Build(core, bhv, bk1, bk2, 256)
+		want := ref.probe(refCore, phv, pk1, pk2, 256)
+		got := ht.Probe(core, phv, pk1, pk2, 256, nil)
+		what := fmt.Sprintf("seed %d (%d build rows, capacity %d, %d probe rows, key domain %d, two keys %v)",
+			seed, nb, capacity, np, domain, twoKeys)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: %d matches, want the reference's %d in its order", what, len(got), len(want))
+		}
+		if core.Cycles() != refCore.Cycles() {
+			t.Fatalf("%s: Build + Probe bills %d cycles, reference %d", what, core.Cycles(), refCore.Cycles())
+		}
+		wantBV, gotBV := bits.NewVector(np), bits.NewVector(np)
+		wantHits := ref.probeExists(refCore, phv, pk1, pk2, 256, wantBV)
+		gotHits := ht.ProbeExists(core, phv, pk1, pk2, 256, gotBV)
+		if gotHits != wantHits || gotBV.String() != wantBV.String() {
+			t.Fatalf("%s: ProbeExists marks %d rows (%s), reference %d (%s)", what, gotHits, gotBV, wantHits, wantBV)
+		}
+		if core.Cycles() != refCore.Cycles() {
+			t.Fatalf("%s: ProbeExists bills %d cycles, reference %d", what, core.Cycles(), refCore.Cycles())
+		}
+	}
+}
+
+// benchJoinPartition is one DMEM-sized partition pair as in Fig 12: 4 Ki
+// build rows with distinct keys and 4 Ki probe rows of which half hit, with
+// a second key column that always matches when twoKeys.
+func benchJoinPartition(twoKeys bool) (bhv, phv []uint32, bk1, bk2, pk1, pk2 []int64) {
+	const rows = 4096
+	bk1, pk1 = make([]int64, rows), make([]int64, rows)
+	for i := range bk1 {
+		bk1[i], pk1[i] = int64(i), int64(2*i)
+	}
+	bcols, pcols := []coltypes.Data{coltypes.Of(bk1)}, []coltypes.Data{coltypes.Of(pk1)}
+	if twoKeys {
+		bk2, pk2 = make([]int64, rows), make([]int64, rows)
+		for i := range bk2 {
+			bk2[i], pk2[i] = int64(i%7), int64(2*i%7)
+		}
+		bcols, pcols = append(bcols, coltypes.Of(bk2)), append(pcols, coltypes.Of(pk2))
+	}
+	return HashColumns(nil, bcols, nil), HashColumns(nil, pcols, nil), bk1, bk2, pk1, pk2
+}
+
+func BenchmarkCompactHTBuild(b *testing.B) {
+	for _, keys := range []int{1, 2} {
+		b.Run(fmt.Sprintf("keys=%d", keys), func(b *testing.B) {
+			bhv, _, bk1, bk2, _, _ := benchJoinPartition(keys == 2)
+			n := len(bhv)
+			ht := newTestHT(n, BucketsFor(n), n, keys == 2)
+			b.ReportAllocs()
+			b.SetBytes(int64(n) * 8 * int64(keys))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ht.Build(nil, bhv, bk1, bk2, 256)
+			}
+		})
+	}
+}
+
+func BenchmarkCompactHTProbe(b *testing.B) {
+	for _, keys := range []int{1, 2} {
+		b.Run(fmt.Sprintf("keys=%d", keys), func(b *testing.B) {
+			bhv, phv, bk1, bk2, pk1, pk2 := benchJoinPartition(keys == 2)
+			n := len(bhv)
+			ht := newTestHT(n, BucketsFor(n), n, keys == 2)
+			ht.Build(nil, bhv, bk1, bk2, 256)
+			out := make([]Match, 0, len(phv))
+			b.ReportAllocs()
+			b.SetBytes(int64(len(phv)) * 8 * int64(keys))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				out = ht.Probe(nil, phv, pk1, pk2, 256, out[:0])
+			}
+			if len(out) != len(phv)/2 {
+				b.Fatalf("%d matches, want %d", len(out), len(phv)/2)
+			}
+		})
 	}
 }
 
