@@ -12,6 +12,7 @@ import (
 
 	"rapid/internal/coltypes"
 	"rapid/internal/ops"
+	"rapid/internal/plan"
 	"rapid/internal/qef"
 )
 
@@ -44,7 +45,7 @@ func main() {
 
 	ctx := qef.NewContext(qef.ModeDPU)
 	spec := ops.JoinSpec{
-		Type:         ops.InnerJoin,
+		Type:         plan.InnerJoin,
 		BuildKeys:    []int{0},
 		ProbeKeys:    []int{0},
 		BuildPayload: []int{1},
@@ -65,7 +66,7 @@ func main() {
 	// handling pressure.
 	ctx2 := qef.NewContext(qef.ModeX86)
 	ref, err := ops.HashJoin(ctx2, build, probe, ops.JoinSpec{
-		Type: ops.InnerJoin, BuildKeys: []int{0}, ProbeKeys: []int{0},
+		Type: plan.InnerJoin, BuildKeys: []int{0}, ProbeKeys: []int{0},
 		BuildPayload: []int{1}, ProbePayload: []int{0},
 		Scheme: ops.PartScheme{Rounds: []int{32}},
 	})

@@ -8,6 +8,7 @@ import (
 	"rapid/internal/dpu"
 	"rapid/internal/mem"
 	"rapid/internal/ops"
+	"rapid/internal/plan"
 	"rapid/internal/primitives"
 	"rapid/internal/qcomp"
 	"rapid/internal/qef"
@@ -31,7 +32,7 @@ func ablationJoinAlgorithm() *Table {
 	probe := benchIntRel([]string{"k"},
 		seqI64(np, func(i int) int64 { return int64(i % (2 * nb)) }))
 	spec := ops.JoinSpec{
-		Type: ops.InnerJoin, BuildKeys: []int{0}, ProbeKeys: []int{0},
+		Type: plan.InnerJoin, BuildKeys: []int{0}, ProbeKeys: []int{0},
 		ProbePayload: []int{0}, BuildPayload: []int{1},
 		Scheme: ops.PartScheme{Rounds: []int{32}},
 	}
@@ -119,13 +120,13 @@ func ablationFilterRepr() *Table {
 		}
 		// Cost of evaluating a SECOND predicate under each representation.
 		socR := dpu.MustNew(dpu.DefaultConfig())
-		rids := primitives.FilterConstRIDs(nil, d, primitives.LT, threshold, nil, nil)
-		primitives.FilterConstRIDs(socR.Core(0), d, primitives.GE, 0, rids, nil)
+		rids := primitives.FilterConstRIDs(nil, d, plan.LT, threshold, nil, nil)
+		primitives.FilterConstRIDs(socR.Core(0), d, plan.GE, 0, rids, nil)
 		socB := dpu.MustNew(dpu.DefaultConfig())
 		bv := bits.NewVector(rows)
-		primitives.FilterConstBV(nil, d, primitives.LT, threshold, bv)
+		primitives.FilterConstBV(nil, d, plan.LT, threshold, bv)
 		out := bits.NewVector(rows)
-		primitives.FilterConstBVMasked(socB.Core(0), d, primitives.GE, 0, bv, out)
+		primitives.FilterConstBVMasked(socB.Core(0), d, plan.GE, 0, bv, out)
 		t.AddRow(
 			fmt.Sprintf("%.3f%%", selPct),
 			chosen,

@@ -5,7 +5,7 @@ import (
 
 	"rapid/internal/coltypes"
 	"rapid/internal/ops"
-	"rapid/internal/primitives"
+	"rapid/internal/plan"
 	"rapid/internal/qef"
 )
 
@@ -26,11 +26,11 @@ func tileLoopRelation(rows int) *ops.Relation {
 func tileLoopChain(sink qef.Operator) func() qef.Operator {
 	return func() qef.Operator {
 		return &ops.FilterOp{
-			Preds: []ops.Predicate{&ops.ConstCmp{Col: 0, Op: primitives.LT, Val: 500, Sel: 0.5}},
+			Preds: []ops.Predicate{&ops.ConstCmp{Col: 0, Op: plan.LT, Val: 500, Sel: 0.5}},
 			Next: &ops.MaterializeOp{
 				RowBytes: 3 * 4, // three W4 input columns
 				Next: &ops.ProjectOp{
-					Exprs: []ops.Expr{&ops.BinExpr{Op: ops.OpMul, L: &ops.ColRef{Idx: 1}, R: &ops.ConstExpr{Val: 3}}},
+					Exprs: []ops.Expr{&ops.BinExpr{Op: plan.Mul, L: &ops.ColRef{Idx: 1}, R: &ops.ConstExpr{Val: 3}}},
 					Keep:  []int{0},
 					Next:  sink,
 				},

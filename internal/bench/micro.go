@@ -10,6 +10,7 @@ import (
 	"rapid/internal/dpu"
 	"rapid/internal/mem"
 	"rapid/internal/ops"
+	"rapid/internal/plan"
 	"rapid/internal/primitives"
 	"rapid/internal/qcomp"
 	"rapid/internal/qef"
@@ -134,7 +135,7 @@ func filterMicro() *Table {
 		d.Set(i, int64(i%1000))
 	}
 	bv := bits.NewVector(rows)
-	primitives.FilterConstBV(core, d, primitives.LT, 500, bv)
+	primitives.FilterConstBV(core, d, plan.LT, 500, bv)
 	cyclesPerRow := float64(core.Cycles()) / float64(rows)
 	ratePerCore := dpu.FreqHz / cyclesPerRow
 	t.AddRow("cycles/tuple", f3(cyclesPerRow), "1.65")
@@ -158,7 +159,7 @@ func filterMicro() *Table {
 	sink := &ops.CountSink{}
 	err := ops.RelationScan(ctx, rel, 256, func() qef.Operator {
 		return &ops.FilterOp{
-			Preds: []ops.Predicate{&ops.ConstCmp{Col: 0, Op: primitives.LT, Val: 500, Sel: 0.5}},
+			Preds: []ops.Predicate{&ops.ConstCmp{Col: 0, Op: plan.LT, Val: 500, Sel: 0.5}},
 			Next:  sink,
 		}
 	})

@@ -286,7 +286,7 @@ func TestPlanCacheHitClassifiesAgainstTheFreshShardMap(t *testing.T) {
 	const sql = `SELECT g, SUM(w), COUNT(*) FROM facts, dims WHERE g = dg GROUP BY g`
 	moves := func(res *cluster.Result) (n int) {
 		for _, ex := range res.Exchanges {
-			if ex.Kind != cluster.Gather {
+			if ex.Kind != "gather" {
 				n++
 			}
 		}

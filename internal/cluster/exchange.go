@@ -1,74 +1,12 @@
 package cluster
 
 import (
-	"fmt"
-
 	"rapid/internal/coltypes"
 	"rapid/internal/obs"
 	"rapid/internal/ops"
 	"rapid/internal/primitives"
 	"rapid/internal/storage"
 )
-
-// ExchangeKind classifies an exchange operator.
-type ExchangeKind int
-
-const (
-	// Shuffle re-partitions per-node relations by a key column: every row
-	// moves to the node its key hashes (or range-routes) to (route, deliver).
-	Shuffle ExchangeKind = iota
-	// Broadcast replicates every node's rows to all other nodes, producing
-	// one full copy per node.
-	Broadcast
-	// Gather concentrates per-node relations at the coordinator.
-	Gather
-)
-
-func (k ExchangeKind) String() string {
-	switch k {
-	case Shuffle:
-		return "shuffle"
-	case Broadcast:
-		return "broadcast"
-	case Gather:
-		return "gather"
-	}
-	return fmt.Sprintf("ExchangeKind(%d)", int(k))
-}
-
-// ExchangeStats is the accounting record of one executed exchange — the
-// source of the net_* counters and the conservation invariants (rows in ==
-// rows out for shuffle/gather; rows out == rows in × N for broadcast; moved
-// bytes == moved rows × 8 × cols, since exchanges ship the widened 8-byte
-// tile format).
-type ExchangeStats struct {
-	Kind  ExchangeKind
-	Label string
-	// RowsIn is the total rows entering across all source nodes; RowsOut
-	// the total rows delivered across all destinations.
-	RowsIn, RowsOut int64
-	// MovedRows/MovedBytes count only rows crossing the interconnect
-	// (destination != source); co-located deliveries are free.
-	MovedRows, MovedBytes int64
-	// Tiles is the number of link messages (per source→destination stream,
-	// LinkModel.TileRows rows each).
-	Tiles int64
-	// Seconds is the modeled serialized link time of the exchange.
-	Seconds float64
-	// PerNodeRows is rows delivered per destination (Shuffle/Broadcast) or
-	// contributed per source (Gather).
-	PerNodeRows []int64
-	// PerSourceRows is rows contributed per source node (all kinds). For
-	// Gather it aliases PerNodeRows' meaning.
-	PerSourceRows []int64
-	// MovedMatrix[src][dst] counts rows that crossed the interconnect per
-	// source→destination stream (co-located deliveries excluded, so the
-	// diagonal is zero). Nil for Gather, where every row flows to the
-	// coordinator: PerSourceRows is the per-stream breakdown there. The
-	// matrix total equals MovedRows exactly — trace flow events are built
-	// from it.
-	MovedMatrix [][]int64
-}
 
 // exchangeRowBytes is the wire width: exchanges ship tiles in the widened
 // 8-byte-per-column format the engine's tile loops use.
@@ -168,48 +106,29 @@ func (q *query) route(parts []*ops.Relation, keyCol int, part *storage.ShardMap)
 func (q *query) deliver(parts []*ops.Relation, rt *routes, label string) ([]*ops.Relation, error) {
 	n := q.nodes()
 	proto := firstNonNil(parts)
-	st := ExchangeStats{
-		Kind: Shuffle, Label: label,
-		PerNodeRows:   make([]int64, n),
-		PerSourceRows: make([]int64, n),
-		MovedMatrix:   make([][]int64, n),
-	}
-	for src, rel := range parts {
-		st.MovedMatrix[src] = make([]int64, n)
-		if rel != nil {
-			st.RowsIn += int64(rel.Rows())
-			st.PerSourceRows[src] = int64(rel.Rows())
-		}
-	}
 
 	// Lay the streams out destination by destination, source by source;
 	// rt.streams turns into each stream's write cursor.
+	streams := newMatrix(n, n)
 	bounds := make([]int, n+1)
 	total := 0
 	for d := 0; d < n; d++ {
 		for s := 0; s < n; s++ {
 			rows := rt.streams[s][d]
+			streams[s][d] = int64(rows)
 			rt.streams[s][d] = total
 			total += rows
-			if s != d {
-				st.MovedMatrix[s][d] = int64(rows)
-			}
 		}
 		bounds[d+1] = total
-		st.PerNodeRows[d] = int64(total - bounds[d])
 	}
-	st.RowsOut = int64(total)
+	// Link time: every cross-node stream, source-major.
 	rowBytes := exchangeRowBytes(proto)
-	for s := 0; s < n; s++ {
-		for d := 0; d < n; d++ {
-			moved := st.MovedMatrix[s][d]
-			if moved == 0 {
-				continue
+	var seconds float64
+	for s, row := range streams {
+		for d, rows := range row {
+			if d != s {
+				seconds += q.link.TransferSeconds(int(rows), rowBytes)
 			}
-			st.MovedRows += moved
-			st.MovedBytes += moved * int64(rowBytes)
-			st.Tiles += q.link.Tiles(int(moved))
-			st.Seconds += q.link.TransferSeconds(int(moved), rowBytes)
 		}
 	}
 
@@ -241,7 +160,7 @@ func (q *query) deliver(parts []*ops.Relation, rt *routes, label string) ([]*ops
 	for d := range res {
 		res[d] = columnsRelation(proto, bufs, bounds[d], bounds[d+1])
 	}
-	q.record(st)
+	q.record(&obs.ExchangeSpan{Kind: "shuffle", Label: label, Streams: streams, Seconds: seconds}, parts)
 	return res, nil
 }
 
@@ -284,76 +203,40 @@ func (q *query) broadcast(parts []*ops.Relation, label string) (*ops.Relation, e
 	if err != nil {
 		return nil, err
 	}
-	st := ExchangeStats{
-		Kind: Broadcast, Label: label,
-		PerNodeRows:   make([]int64, n),
-		PerSourceRows: make([]int64, n),
-		MovedMatrix:   make([][]int64, n),
-	}
-	for s := range st.MovedMatrix {
-		st.MovedMatrix[s] = make([]int64, n)
-	}
+	// Every source streams its rows to every node, itself included; the
+	// link carries each source's N-1 copies.
 	rowBytes := exchangeRowBytes(out)
+	streams := newMatrix(n, n)
+	var seconds float64
 	for src, rel := range parts {
-		if rel == nil {
-			continue
+		rows := rowsOf(rel)
+		for d := range streams[src] {
+			streams[src][d] = int64(rows)
 		}
-		rows := rel.Rows()
-		st.RowsIn += int64(rows)
-		st.PerSourceRows[src] += int64(rows)
-		for d := 0; d < n; d++ {
-			if d != src {
-				st.MovedMatrix[src][d] += int64(rows)
-			}
-		}
-		if rows > 0 && n > 1 {
-			moved := int64(rows) * int64(n-1)
-			st.MovedRows += moved
-			st.MovedBytes += moved * int64(rowBytes)
-			st.Tiles += q.link.Tiles(rows) * int64(n-1)
-			st.Seconds += q.link.TransferSeconds(rows, rowBytes) * float64(n-1)
-		}
+		seconds += q.link.TransferSeconds(rows, rowBytes) * float64(n-1)
 	}
-	for d := 0; d < n; d++ {
-		st.PerNodeRows[d] = int64(out.Rows())
-	}
-	st.RowsOut = int64(out.Rows()) * int64(n)
-	q.record(st)
+	q.record(&obs.ExchangeSpan{Kind: "broadcast", Label: label, Streams: streams, Seconds: seconds}, parts)
 	return out, nil
 }
 
 // gather concentrates per-node relations at the coordinator, concatenated
 // in node order. Every row crosses the link (the coordinator is the host,
-// not a tray node).
+// not a tray node): each source's one stream goes to destination N.
 func (q *query) gather(parts []*ops.Relation, label string) (*ops.Relation, error) {
 	n := q.nodes()
 	out, err := q.concat(parts)
 	if err != nil {
 		return nil, err
 	}
-	st := ExchangeStats{
-		Kind: Gather, Label: label,
-		PerNodeRows:   make([]int64, n),
-		PerSourceRows: make([]int64, n),
-	}
 	rowBytes := exchangeRowBytes(out)
+	streams := newMatrix(n, n+1)
+	var seconds float64
 	for src, rel := range parts {
-		if rel == nil {
-			continue
-		}
-		rows := rel.Rows()
-		st.RowsIn += int64(rows)
-		st.PerNodeRows[src] = int64(rows)
-		st.PerSourceRows[src] = int64(rows)
-		if rows > 0 {
-			st.MovedRows += int64(rows)
-			st.MovedBytes += int64(rows) * int64(rowBytes)
-			st.Tiles += q.link.Tiles(rows)
-			st.Seconds += q.link.TransferSeconds(rows, rowBytes)
-		}
+		rows := rowsOf(rel)
+		streams[src][n] = int64(rows)
+		seconds += q.link.TransferSeconds(rows, rowBytes)
 	}
-	st.RowsOut = int64(out.Rows())
-	q.record(st)
+	q.record(&obs.ExchangeSpan{Kind: "gather", Label: label, Streams: streams, Seconds: seconds}, parts)
 	return out, nil
 }
 
@@ -385,48 +268,66 @@ func firstNonNil(parts []*ops.Relation) *ops.Relation {
 	return &ops.Relation{}
 }
 
-// exchangeSpan converts an ExchangeStats into its obs-side trace record
-// (obs stays cluster-agnostic; the slices are shared, not copied — stats
-// are immutable once recorded).
-func exchangeSpan(st ExchangeStats) *obs.ExchangeSpan {
-	sp := &obs.ExchangeSpan{
-		Kind: st.Kind.String(), Label: st.Label, Seconds: st.Seconds,
-		RowsOut:   st.RowsOut,
-		MovedRows: st.MovedRows, MovedBytes: st.MovedBytes,
-		PerSourceRows: st.PerSourceRows,
-		MovedMatrix:   st.MovedMatrix,
+// newMatrix allocates a sources × destinations stream matrix.
+func newMatrix(sources, dests int) [][]int64 {
+	m := make([][]int64, sources)
+	for s := range m {
+		m[s] = make([]int64, dests)
 	}
-	if st.Kind != Gather {
-		sp.PerDestRows = st.PerNodeRows
-	}
-	return sp
+	return m
 }
 
-// record accumulates an executed exchange into the query's trace and the
-// tray-wide net_* telemetry.
-func (q *query) record(st ExchangeStats) {
-	q.stats = append(q.stats, st)
-	if q.traceOn {
-		q.trace = append(q.trace, obs.DistStep{Label: st.Label, Exchange: exchangeSpan(st)})
+// rowsOf is rel's row count; a nil input is an empty shard.
+func rowsOf(rel *ops.Relation) int {
+	if rel == nil {
+		return 0
 	}
-	q.step("exchange %s %s moved_rows=%d bytes=%d", st.Kind, st.Label, st.MovedRows, st.MovedBytes)
-	q.netSeconds += st.Seconds
-	q.netBytes += st.MovedBytes
-	q.netRows += st.MovedRows
-	q.netTiles += st.Tiles
+	return rel.Rows()
+}
+
+// derive fills every count of an exchange record from its stream matrix: in
+// is the rows entering from each source and rowBytes the wire width. Only
+// cross-node streams (destination != source) move rows, bytes and tiles.
+func (m LinkModel) derive(ex *obs.ExchangeSpan, in []int64, rowBytes int) {
+	for _, rows := range in {
+		ex.RowsIn += rows
+	}
+	ex.PerSourceRows = make([]int64, len(ex.Streams))
+	ex.PerDestRows = make([]int64, len(ex.Streams[0]))
+	for s, row := range ex.Streams {
+		for d, rows := range row {
+			ex.PerSourceRows[s] += rows
+			ex.PerDestRows[d] += rows
+			ex.RowsOut += rows
+			if d != s {
+				ex.MovedRows += rows
+				ex.Tiles += m.Tiles(int(rows))
+			}
+		}
+	}
+	ex.MovedBytes = ex.MovedRows * int64(rowBytes)
+}
+
+// record derives an executed exchange's counts from its inputs and stream
+// matrix, and adds it to the query's exchanges, its trace and the tray-wide
+// net_* telemetry.
+func (q *query) record(ex *obs.ExchangeSpan, parts []*ops.Relation) {
+	in := make([]int64, len(parts))
+	for s, rel := range parts {
+		in[s] = int64(rowsOf(rel))
+	}
+	q.link.derive(ex, in, exchangeRowBytes(firstNonNil(parts)))
+	q.exchanges = append(q.exchanges, ex)
+	if q.traceOn {
+		q.trace = append(q.trace, obs.DistStep{Label: ex.Label, Exchange: ex})
+	}
+	q.step("exchange %s %s moved_rows=%d bytes=%d", ex.Kind, ex.Label, ex.MovedRows, ex.MovedBytes)
 	m := q.reg
 	m.Counter("rapid_net_exchanges_total").Inc()
-	switch st.Kind {
-	case Shuffle:
-		m.Counter("rapid_net_shuffles_total").Inc()
-	case Broadcast:
-		m.Counter("rapid_net_broadcasts_total").Inc()
-	case Gather:
-		m.Counter("rapid_net_gathers_total").Inc()
-	}
-	m.Counter("rapid_net_rows_total").Add(st.MovedRows)
-	m.Counter("rapid_net_bytes_total").Add(st.MovedBytes)
-	m.Counter("rapid_net_tiles_total").Add(st.Tiles)
-	m.Counter("rapid_net_microseconds_total").Add(int64(st.Seconds * 1e6))
-	m.Counter("rapid_net_energy_nanojoules_total").Add(q.link.EnergyFJ(st.MovedBytes) / 1e6)
+	m.Counter("rapid_net_" + ex.Kind + "s_total").Inc() // shuffles, broadcasts, gathers
+	m.Counter("rapid_net_rows_total").Add(ex.MovedRows)
+	m.Counter("rapid_net_bytes_total").Add(ex.MovedBytes)
+	m.Counter("rapid_net_tiles_total").Add(ex.Tiles)
+	m.Counter("rapid_net_microseconds_total").Add(int64(ex.Seconds * 1e6))
+	m.Counter("rapid_net_energy_nanojoules_total").Add(q.link.EnergyFJ(ex.MovedBytes) / 1e6)
 }

@@ -72,14 +72,90 @@ func bagsEqual(a, b []string) bool {
 	return true
 }
 
-// TestExchangeConservationProperty is the testing/quick battery for the
-// exchange operators: for random inputs and node counts, shuffle, broadcast
-// and gather must conserve rows and values (rows in == rows out for
-// shuffle/gather, rows out == union × N for broadcast), bill moved bytes as
-// exactly moved rows × the 8-byte wire width, route every shuffled row to
-// NodeFor(key), and reconcile all of it against the rapid_net_* counters.
+// TestExchangeConservationProperty is the testing/quick battery for exchange
+// accounting. Every count of an exchange record comes from one derivation
+// over its stream matrix, so the conservation laws are checked there, over
+// random matrices and source rows: rows out are the streams' sum, moved rows
+// the cross-node streams', moved bytes moved rows × the wire width, tiles the
+// cross-node streams' tiles, flows sum to the moved rows, and the per-source
+// and per-destination rows are the matrix's row and column sums. Per kind,
+// for random inputs on 1..8 nodes, shuffle, broadcast and gather then need
+// only conserve the value multiset (shuffle routing every row to
+// NodeFor(key)), build the stream matrix their kind implies, price their
+// link seconds as they always have, and reconcile with the rapid_net_*
+// counters.
 func TestExchangeConservationProperty(t *testing.T) {
-	prop := func(keys []int16, width uint8) bool {
+	link := DefaultLinkModel()
+	derivation := func(cells, in []uint16, nodes, cols uint8, toCoord bool) bool {
+		n := 1 + int(nodes)%8
+		dests := n
+		if toCoord {
+			dests = n + 1
+		}
+		streams := newMatrix(n, dests)
+		for i := range streams {
+			for d := range streams[i] {
+				if k := i*dests + d; k < len(cells) {
+					streams[i][d] = int64(cells[k])
+				}
+			}
+		}
+		rowsIn := make([]int64, n)
+		var sumIn int64
+		for i := range rowsIn {
+			if i < len(in) {
+				rowsIn[i] = int64(in[i])
+				sumIn += rowsIn[i]
+			}
+		}
+		rowBytes := 8 * (1 + int(cols)%6)
+		ex := &obs.ExchangeSpan{Streams: streams}
+		link.derive(ex, rowsIn, rowBytes)
+
+		var out, moved, tiles int64
+		for s, row := range streams {
+			var rowSum int64
+			for d, rows := range row {
+				rowSum += rows
+				out += rows
+				if d != s {
+					moved += rows
+					tiles += link.Tiles(int(rows))
+				}
+			}
+			if ex.PerSourceRows[s] != rowSum {
+				t.Logf("PerSourceRows[%d] = %d, row sum %d", s, ex.PerSourceRows[s], rowSum)
+				return false
+			}
+		}
+		for d := 0; d < dests; d++ {
+			var colSum int64
+			for s := range streams {
+				colSum += streams[s][d]
+			}
+			if ex.PerDestRows[d] != colSum {
+				t.Logf("PerDestRows[%d] = %d, column sum %d", d, ex.PerDestRows[d], colSum)
+				return false
+			}
+		}
+		var flowed int64
+		for _, f := range ex.Flows() {
+			flowed += f.Rows
+		}
+		if ex.RowsIn != sumIn || ex.RowsOut != out || ex.MovedRows != moved || flowed != moved ||
+			ex.MovedBytes != moved*int64(rowBytes) || ex.Tiles != tiles || len(ex.PerDestRows) != dests {
+			t.Logf("derived in=%d out=%d moved=%d bytes=%d tiles=%d flows=%d, want %d %d %d %d %d %d",
+				ex.RowsIn, ex.RowsOut, ex.MovedRows, ex.MovedBytes, ex.Tiles, flowed,
+				sumIn, out, moved, moved*int64(rowBytes), tiles, moved)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(derivation, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+
+	exchanges := func(keys []int16, width uint8) bool {
 		n := 1 + int(width)%8 // 1..8 nodes
 		// Deal rows round-robin into per-node inputs; nodes left with no
 		// rows get a nil input (the executor's empty-shard representation).
@@ -90,30 +166,34 @@ func TestExchangeConservationProperty(t *testing.T) {
 			vs[i%n] = append(vs[i%n], int64(i))
 		}
 		parts := make([]*ops.Relation, n)
-		totalRows := int64(0)
 		for i := 0; i < n; i++ {
-			if len(ks[i]) == 0 {
-				continue
+			if len(ks[i]) > 0 {
+				parts[i] = pairRelation(ks[i], vs[i])
 			}
-			parts[i] = pairRelation(ks[i], vs[i])
-			totalRows += int64(len(ks[i]))
 		}
 		inBag := pairBag(parts...)
 		const rowBytes = 2 * 8
-
 		q := propQuery(n)
 		sm := &storage.ShardMap{Policy: storage.HashSharded, Nodes: n}
+		// check compares the last record with the matrix its kind implies
+		// and the link seconds priced the way that kind prices them.
+		check := func(kind string, streams [][]int64, seconds float64) bool {
+			ex := q.exchanges[len(q.exchanges)-1]
+			if ex.Kind != kind || fmt.Sprint(ex.Streams) != fmt.Sprint(streams) || ex.Seconds != seconds {
+				t.Logf("%s: streams %v, %g s; want %s %v, %g s", ex.Kind, ex.Streams, ex.Seconds, kind, streams, seconds)
+				return false
+			}
+			return true
+		}
 
-		// Shuffle: conservation, routing, byte billing.
+		// Shuffle: every row on NodeFor(key); cross-node streams priced one
+		// by one, source-major.
 		outs, err := q.shuffle(parts, 0, sm, "prop")
 		if err != nil {
 			t.Log(err)
 			return false
 		}
-		sh := q.stats[len(q.stats)-1]
-		var outRows int64
 		for d, rel := range outs {
-			outRows += int64(rel.Rows())
 			for r := 0; r < rel.Rows(); r++ {
 				if sm.NodeFor(rel.Cols[0].Data.Get(r)) != d {
 					t.Logf("shuffle delivered key %d to node %d", rel.Cols[0].Data.Get(r), d)
@@ -121,81 +201,84 @@ func TestExchangeConservationProperty(t *testing.T) {
 				}
 			}
 		}
-		if sh.RowsIn != totalRows || sh.RowsOut != totalRows || outRows != totalRows {
-			t.Logf("shuffle rows in=%d out=%d delivered=%d want %d", sh.RowsIn, sh.RowsOut, outRows, totalRows)
-			return false
-		}
 		if !bagsEqual(inBag, pairBag(outs...)) {
 			t.Log("shuffle did not conserve the value multiset")
 			return false
 		}
-		if sh.MovedBytes != sh.MovedRows*rowBytes {
-			t.Logf("shuffle moved %d bytes for %d rows", sh.MovedBytes, sh.MovedRows)
+		shuffled := newMatrix(n, n)
+		for s := range ks {
+			for _, k := range ks[s] {
+				shuffled[s][sm.NodeFor(k)]++
+			}
+		}
+		var seconds float64
+		for s, row := range shuffled {
+			for d, rows := range row {
+				if d != s {
+					seconds += q.link.TransferSeconds(int(rows), rowBytes)
+				}
+			}
+		}
+		if !check("shuffle", shuffled, seconds) {
 			return false
 		}
 
-		// Broadcast: every node receives the full union.
+		// Broadcast: every source streams its rows to every node; each
+		// source's N-1 link copies priced together.
 		bcast, err := q.broadcast(parts, "prop")
 		if err != nil {
 			t.Log(err)
-			return false
-		}
-		bc := q.stats[len(q.stats)-1]
-		if bc.RowsIn != totalRows || int64(bcast.Rows()) != totalRows {
-			t.Logf("broadcast union %d rows, want %d", bcast.Rows(), totalRows)
-			return false
-		}
-		if bc.RowsOut != totalRows*int64(n) || bc.MovedRows != totalRows*int64(n-1) {
-			t.Logf("broadcast out=%d moved=%d for %d rows on %d nodes", bc.RowsOut, bc.MovedRows, totalRows, n)
 			return false
 		}
 		if !bagsEqual(inBag, pairBag(bcast)) {
 			t.Log("broadcast did not conserve the value multiset")
 			return false
 		}
-		if bc.MovedBytes != bc.MovedRows*rowBytes {
-			t.Logf("broadcast moved %d bytes for %d rows", bc.MovedBytes, bc.MovedRows)
+		broadcasted := newMatrix(n, n)
+		seconds = 0
+		for s := range ks {
+			for d := range broadcasted[s] {
+				broadcasted[s][d] = int64(len(ks[s]))
+			}
+			seconds += q.link.TransferSeconds(len(ks[s]), rowBytes) * float64(n-1)
+		}
+		if !check("broadcast", broadcasted, seconds) {
 			return false
 		}
 
-		// Gather: the coordinator sees exactly the union, every row billed.
+		// Gather: the coordinator (destination N) receives exactly the
+		// union, one stream per source.
 		gathered, err := q.gather(parts, "prop")
 		if err != nil {
 			t.Log(err)
-			return false
-		}
-		ga := q.stats[len(q.stats)-1]
-		if ga.RowsIn != totalRows || ga.RowsOut != totalRows || ga.MovedRows != totalRows {
-			t.Logf("gather in=%d out=%d moved=%d want %d", ga.RowsIn, ga.RowsOut, ga.MovedRows, totalRows)
 			return false
 		}
 		if !bagsEqual(inBag, pairBag(gathered)) {
 			t.Log("gather did not conserve the value multiset")
 			return false
 		}
-		if ga.MovedBytes != ga.MovedRows*rowBytes {
-			t.Logf("gather moved %d bytes for %d rows", ga.MovedBytes, ga.MovedRows)
+		toCoord := newMatrix(n, n+1)
+		seconds = 0
+		for s := range ks {
+			toCoord[s][n] = int64(len(ks[s]))
+			seconds += q.link.TransferSeconds(len(ks[s]), rowBytes)
+		}
+		if !check("gather", toCoord, seconds) {
 			return false
 		}
 
-		// All three exchanges must reconcile with the net_* counters and the
-		// query's running totals.
+		// All three records reconcile with the net_* counters.
 		var rows, bytes, tiles int64
-		for _, st := range q.stats {
-			rows += st.MovedRows
-			bytes += st.MovedBytes
-			tiles += st.Tiles
-		}
-		if q.netRows != rows || q.netBytes != bytes || q.netTiles != tiles {
-			t.Logf("query totals (%d, %d, %d) != stat sums (%d, %d, %d)",
-				q.netRows, q.netBytes, q.netTiles, rows, bytes, tiles)
-			return false
+		for _, ex := range q.exchanges {
+			rows += ex.MovedRows
+			bytes += ex.MovedBytes
+			tiles += ex.Tiles
 		}
 		counter := func(name string) int64 { return q.reg.Counter(name).Value() }
 		if counter("rapid_net_rows_total") != rows ||
 			counter("rapid_net_bytes_total") != bytes ||
 			counter("rapid_net_tiles_total") != tiles {
-			t.Logf("net counters (%d, %d, %d) != stat sums (%d, %d, %d)",
+			t.Logf("net counters (%d, %d, %d) != record sums (%d, %d, %d)",
 				counter("rapid_net_rows_total"), counter("rapid_net_bytes_total"),
 				counter("rapid_net_tiles_total"), rows, bytes, tiles)
 			return false
@@ -209,7 +292,7 @@ func TestExchangeConservationProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(exchanges, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -226,11 +309,11 @@ func refAppendRow(dst [][]int64, rel *ops.Relation, r int) {
 	}
 }
 
-func refShuffle(parts []*ops.Relation, keyCol int, sm *storage.ShardMap, n int) (outs [][][]int64, moved [][]int64) {
+func refShuffle(parts []*ops.Relation, keyCol int, sm *storage.ShardMap, n int) (outs [][][]int64, streams [][]int64) {
 	proto := firstNonNil(parts)
-	outs, moved = make([][][]int64, n), make([][]int64, n)
+	outs, streams = make([][][]int64, n), make([][]int64, n)
 	for d := range outs {
-		outs[d], moved[d] = refColumns(proto), make([]int64, n)
+		outs[d], streams[d] = refColumns(proto), make([]int64, n)
 	}
 	for src, rel := range parts {
 		if rel == nil {
@@ -239,12 +322,10 @@ func refShuffle(parts []*ops.Relation, keyCol int, sm *storage.ShardMap, n int) 
 		for r := 0; r < rel.Rows(); r++ {
 			d := sm.NodeFor(rel.Cols[keyCol].Data.Get(r))
 			refAppendRow(outs[d], rel, r)
-			if d != src {
-				moved[src][d]++
-			}
+			streams[src][d]++
 		}
 	}
-	return outs, moved
+	return outs, streams
 }
 
 func refConcat(parts []*ops.Relation) [][]int64 {
@@ -363,32 +444,22 @@ func TestExchangeKernelsMatchReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantOuts, wantMoved := refShuffle(parts, 0, sm, n)
-		st := q.stats[len(q.stats)-1]
-		var matrixTotal, rowsIn int64
+		wantOuts, wantStreams := refShuffle(parts, 0, sm, n)
+		ex := q.exchanges[len(q.exchanges)-1]
 		for d := range outs {
 			sameRows(t, what(fmt.Sprintf("shuffle to node %d", d)), outs[d], proto, wantOuts[d])
-			if st.PerNodeRows[d] != int64(outs[d].Rows()) {
-				t.Fatalf("%s: PerNodeRows[%d] = %d, delivered %d", what("shuffle"), d, st.PerNodeRows[d], outs[d].Rows())
+			if ex.PerDestRows[d] != int64(outs[d].Rows()) {
+				t.Fatalf("%s: PerDestRows[%d] = %d, delivered %d", what("shuffle"), d, ex.PerDestRows[d], outs[d].Rows())
 			}
 			for s := range outs {
-				if st.MovedMatrix[s][d] != wantMoved[s][d] {
-					t.Fatalf("%s: MovedMatrix[%d][%d] = %d, want %d", what("shuffle"), s, d, st.MovedMatrix[s][d], wantMoved[s][d])
-				}
-				matrixTotal += st.MovedMatrix[s][d]
-			}
-		}
-		for src, rel := range parts {
-			if rel != nil {
-				rowsIn += int64(rel.Rows())
-				if st.PerSourceRows[src] != int64(rel.Rows()) {
-					t.Fatalf("%s: PerSourceRows[%d] = %d, want %d", what("shuffle"), src, st.PerSourceRows[src], rel.Rows())
+				if ex.Streams[s][d] != wantStreams[s][d] {
+					t.Fatalf("%s: Streams[%d][%d] = %d, want %d", what("shuffle"), s, d, ex.Streams[s][d], wantStreams[s][d])
 				}
 			}
 		}
-		if matrixTotal != st.MovedRows || st.RowsIn != rowsIn || st.RowsOut != rowsIn {
-			t.Fatalf("%s: MovedMatrix total %d, MovedRows %d; rows in %d out %d, want %d",
-				what("shuffle"), matrixTotal, st.MovedRows, st.RowsIn, st.RowsOut, rowsIn)
+		var rowsIn int64
+		for _, rel := range parts {
+			rowsIn += int64(rowsOf(rel))
 		}
 
 		union := refConcat(parts)
@@ -397,15 +468,8 @@ func TestExchangeKernelsMatchReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameRows(t, what("broadcast"), full, proto, union)
-		st = q.stats[len(q.stats)-1]
-		matrixTotal = 0
-		for s := range st.MovedMatrix {
-			for _, rows := range st.MovedMatrix[s] {
-				matrixTotal += rows
-			}
-		}
-		if matrixTotal != st.MovedRows || st.MovedRows != rowsIn*int64(n-1) {
-			t.Fatalf("%s: MovedMatrix total %d, MovedRows %d, want %d", what("broadcast"), matrixTotal, st.MovedRows, rowsIn*int64(n-1))
+		if ex = q.exchanges[len(q.exchanges)-1]; ex.MovedRows != rowsIn*int64(n-1) {
+			t.Fatalf("%s: MovedRows %d, want %d", what("broadcast"), ex.MovedRows, rowsIn*int64(n-1))
 		}
 
 		gathered, err := q.gather(parts, "ref")
@@ -413,8 +477,8 @@ func TestExchangeKernelsMatchReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameRows(t, what("gather"), gathered, proto, union)
-		if st = q.stats[len(q.stats)-1]; st.MovedRows != rowsIn || st.MovedMatrix != nil {
-			t.Fatalf("%s: MovedRows %d (want %d), MovedMatrix %v (want none)", what("gather"), st.MovedRows, rowsIn, st.MovedMatrix)
+		if ex = q.exchanges[len(q.exchanges)-1]; ex.MovedRows != rowsIn || ex.PerDestRows[n] != rowsIn {
+			t.Fatalf("%s: MovedRows %d, to the coordinator %d, want %d", what("gather"), ex.MovedRows, ex.PerDestRows[n], rowsIn)
 		}
 
 		for node := 0; node < n; node++ {
@@ -486,7 +550,7 @@ func TestExchangeCancelledMidway(t *testing.T) {
 					t.Fatalf("%s cancelled at check %d returned a partial result", name, at)
 				}
 			}
-			if len(q.stats) != 0 || q.netBytes != 0 || q.reg.Counter("rapid_net_exchanges_total").Value() != 0 {
+			if len(q.exchanges) != 0 || q.reg.Counter("rapid_net_exchanges_total").Value() != 0 {
 				t.Fatalf("%s cancelled at check %d still recorded an exchange", name, at)
 			}
 		}

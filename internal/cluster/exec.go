@@ -83,7 +83,7 @@ type Result struct {
 	NetSeconds      float64
 
 	NetRows, NetBytes, NetTiles int64
-	Exchanges                   []ExchangeStats
+	Exchanges                   []*obs.ExchangeSpan
 	PerNode                     []NodeStats
 	QueueWait                   time.Duration // max admission wait across nodes
 	Energy                      TrayEnergy
@@ -142,13 +142,9 @@ type query struct {
 	// whole query (Tray.resolve): bind reads node i's shard from it.
 	shards map[string][]*storage.Table
 
-	stats      []ExchangeStats
-	netSeconds float64
-	netBytes   int64
-	netRows    int64
-	netTiles   int64
-	analyze    bool     // QueryOptions.Analyze: record steps
-	steps      []string // execution-order trace for EXPLAIN ANALYZE
+	exchanges []*obs.ExchangeSpan
+	analyze   bool     // QueryOptions.Analyze: record steps
+	steps     []string // execution-order trace for EXPLAIN ANALYZE
 
 	traceOn bool           // record fragment profiles + exchange spans
 	trace   []obs.DistStep // stitched-trace steps, in execution order
@@ -297,10 +293,15 @@ func (t *Tray) execute(goCtx context.Context, bound plan.Node, opts QueryOptions
 
 	res := &Result{
 		Rel: rel, Nodes: n,
-		NetSeconds: q.netSeconds, NetRows: q.netRows, NetBytes: q.netBytes, NetTiles: q.netTiles,
-		Exchanges:    q.stats,
+		Exchanges:    q.exchanges,
 		Explain:      plan.Format(bound),
 		ShardsPruned: q.shardsPruned,
+	}
+	for _, ex := range q.exchanges {
+		res.NetSeconds += ex.Seconds
+		res.NetRows += ex.MovedRows
+		res.NetBytes += ex.MovedBytes
+		res.NetTiles += ex.Tiles
 	}
 	// Totals run over every node context and then the coordinator's; the
 	// per-node breakdown, makespan and queue wait over the nodes only.
@@ -336,14 +337,13 @@ func (t *Tray) execute(goCtx context.Context, bound plan.Node, opts QueryOptions
 	core, rdFJ, wrFJ := em.ActivityFJ(res.TotalCycles, totRd, totWr)
 	res.Energy = TrayEnergy{
 		ActivityFJ: core + rdFJ + wrFJ,
-		NetFJ:      power.LinkEnergyFJ(q.netBytes),
+		NetFJ:      power.LinkEnergyFJ(res.NetBytes),
 		IdleJ:      float64(n) * em.UncoreIdleWatts * res.SimSeconds,
 	}
-	actNJ := res.Energy.ActivityFJ / 1e6
-	idleNJ := int64(res.Energy.IdleJ * 1e9)
+	actNJ, idleNJ := power.NanoJoules(res.Energy.ActivityFJ, res.Energy.IdleJ)
 	res.EnergyNJ = actNJ + idleNJ
 	hostdb.RecordRapidExecution(t.reg, res.TotalCycles, totRd, totWr, descriptors, int64(res.SimSeconds*1e6), actNJ, idleNJ)
-	t.reg.Histogram("rapid_query_net_bytes", obs.DefBytesBuckets...).Observe(float64(q.netBytes))
+	t.reg.Histogram("rapid_query_net_bytes", obs.DefBytesBuckets...).Observe(float64(res.NetBytes))
 
 	if opts.Analyze {
 		res.Analyze = q.renderAnalyze(res)

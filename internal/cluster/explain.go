@@ -30,7 +30,7 @@ func (q *query) renderAnalyze(res *Result) string {
 	}
 	for _, st := range res.Exchanges {
 		fmt.Fprintf(&b, "  %-9s %-28s rows_in=%-7d rows_out=%-7d moved_rows=%-7d bytes=%-9d tiles=%-4d link_us=%.2f\n",
-			st.Kind.String(), st.Label, st.RowsIn, st.RowsOut, st.MovedRows, st.MovedBytes, st.Tiles, st.Seconds*1e6)
+			st.Kind, st.Label, st.RowsIn, st.RowsOut, st.MovedRows, st.MovedBytes, st.Tiles, st.Seconds*1e6)
 	}
 	b.WriteString("Per-node:\n")
 	for i, ns := range res.PerNode {

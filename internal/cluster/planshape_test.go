@@ -70,7 +70,7 @@ func TestExchangesRunOnceAndMoveNoMoreThanBefore(t *testing.T) {
 					t.Errorf("%d nodes Q18: %s %q carries %d rows — the lineitem ⋈ orders output (%d rows) still crosses the link:\n%s",
 						nodes, ex.Kind, ex.Label, ex.RowsIn, lineitem.Rows(), res.Analyze)
 				}
-				if ex.Kind == cluster.Shuffle {
+				if ex.Kind == "shuffle" {
 					t.Errorf("%d nodes Q18: shuffle %q; customer is the side to move, by broadcast", nodes, ex.Label)
 				}
 			}
@@ -142,9 +142,9 @@ WHERE o_custkey = c_custkey AND c_acctbal > -2000 AND o_orderdate < DATE '1993-0
 	var shuffled int64
 	for _, ex := range res.Exchanges {
 		switch ex.Kind {
-		case cluster.Broadcast:
+		case "broadcast":
 			t.Errorf("broadcast %q of %d bytes:\n%s", ex.Label, ex.MovedBytes, res.Analyze)
-		case cluster.Shuffle:
+		case "shuffle":
 			shuffled += ex.MovedBytes
 		}
 	}

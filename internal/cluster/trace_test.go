@@ -17,7 +17,7 @@ import (
 // on must produce one Chrome-trace process with a coordinator lane plus one
 // lane per node, fragment profiles that pass the accounting invariants and
 // reconcile with the tray's per-node counters, and flow events that match
-// the exchange statistics exactly.
+// the exchange records exactly.
 func TestDistributedTraceGoldenStructure(t *testing.T) {
 	const nodes = 4
 	db := tpchHost(t)
@@ -34,7 +34,7 @@ func TestDistributedTraceGoldenStructure(t *testing.T) {
 	}
 
 	// Step shape: exactly one of NodeProfiles / Coord / Exchange per step,
-	// and the exchange steps mirror res.Exchanges one-to-one in order.
+	// and the exchange steps are res.Exchanges' records, one-to-one in order.
 	var exSpans []*obs.ExchangeSpan
 	var coordCycles, nodeCycles int64
 	perNode := make([]int64, nodes)
@@ -78,17 +78,15 @@ func TestDistributedTraceGoldenStructure(t *testing.T) {
 	}
 	var wantFlows int
 	for i, sp := range exSpans {
-		st := res.Exchanges[i]
-		if sp.Kind != st.Kind.String() || sp.MovedRows != st.MovedRows || sp.MovedBytes != st.MovedBytes {
-			t.Fatalf("exchange %d: span %s/%d/%d vs stats %s/%d/%d",
-				i, sp.Kind, sp.MovedRows, sp.MovedBytes, st.Kind, st.MovedRows, st.MovedBytes)
+		if sp != res.Exchanges[i] {
+			t.Fatalf("exchange step %d (%s %s) is not the record res.Exchanges[%d]", i, sp.Kind, sp.Label, i)
 		}
 		var rows int64
 		for _, f := range sp.Flows() {
 			rows += f.Rows
 		}
-		if rows != st.MovedRows {
-			t.Fatalf("exchange %d (%s): flow rows sum to %d, MovedRows is %d", i, sp.Kind, rows, st.MovedRows)
+		if rows != sp.MovedRows {
+			t.Fatalf("exchange %d (%s): flow rows sum to %d, MovedRows is %d", i, sp.Kind, rows, sp.MovedRows)
 		}
 		wantFlows += len(sp.Flows())
 	}

@@ -352,8 +352,7 @@ func (db *Database) runRapid(goCtx context.Context, node plan.Node, opts QueryOp
 	if opts.RapidMode == qef.ModeDPU {
 		res.Energy = power.DefaultEnergyModel().Activity(res.Cycles, u.Read.Bytes, u.Write.Bytes, res.RapidSimSeconds)
 		res.HasEnergy = true
-		actNJ := int64(res.Energy.ActivityJoules() * 1e9)
-		idleNJ := int64(res.Energy.IdleJ * 1e9)
+		actNJ, idleNJ := power.NanoJoules(res.Energy.ActivityFJ(), res.Energy.IdleJ)
 		res.EnergyNJ = actNJ + idleNJ
 		RecordRapidExecution(db.metrics, res.Cycles, u.Read.Bytes, u.Write.Bytes, u.Descriptors(),
 			int64(res.RapidSimSeconds*1e6), actNJ, idleNJ)

@@ -15,26 +15,25 @@ import "fmt"
 // gathers read as arrows between lanes. Like the single-query export, lane
 // lengths and proportions are exact while start offsets are synthetic.
 
-// ExchangeSpan is the engine-neutral record of one executed exchange, the
-// trace-side mirror of the cluster's ExchangeStats (kept separate so obs
-// does not import the cluster package).
+// ExchangeSpan is the one record of an executed exchange: the tray lists it
+// in its result, prints it in EXPLAIN ANALYZE and lays it out here. An
+// exchange states its kind, stream matrix and link time; the cluster derives
+// every count from the matrix (obs does not import the cluster package).
 type ExchangeSpan struct {
 	Kind    string // "shuffle", "broadcast", "gather"
 	Label   string
 	Seconds float64 // modeled serialized link time
 
-	RowsOut               int64
-	MovedRows, MovedBytes int64 // cross-node traffic only
+	// Streams[src][dst] is the rows of each source→destination stream,
+	// co-located deliveries included. Destination len(Streams) is the
+	// coordinator, where a gather's streams go.
+	Streams [][]int64
 
-	// PerSourceRows is rows entering per source node; PerDestRows rows
-	// delivered per destination node (nil for gather — the destination is
-	// the coordinator, delivered rows are RowsOut).
-	PerSourceRows []int64
-	PerDestRows   []int64
-	// MovedMatrix[src][dst] is the cross-node rows of each stream — one
-	// flow event per non-zero entry. Nil for gather, where every source's
-	// full contribution flows to the coordinator (PerSourceRows).
-	MovedMatrix [][]int64
+	RowsIn, RowsOut       int64 // rows entering from the sources; Σ Streams
+	MovedRows, MovedBytes int64 // cross-node streams only
+	Tiles                 int64 // link messages of the cross-node streams
+	// PerSourceRows and PerDestRows are Streams' row and column sums.
+	PerSourceRows, PerDestRows []int64
 }
 
 // FlowEdge is one cross-node data stream of an exchange. Dst == -1 means
@@ -48,17 +47,12 @@ type FlowEdge struct {
 // to MovedRows exactly — the contract the golden-structure test pins.
 func (e *ExchangeSpan) Flows() []FlowEdge {
 	var out []FlowEdge
-	if e.MovedMatrix == nil {
-		for s, rows := range e.PerSourceRows {
-			if rows > 0 {
-				out = append(out, FlowEdge{Src: s, Dst: -1, Rows: rows})
-			}
-		}
-		return out
-	}
-	for s, row := range e.MovedMatrix {
+	for s, row := range e.Streams {
 		for d, rows := range row {
-			if rows > 0 {
+			if rows > 0 && d != s {
+				if d == len(e.Streams) {
+					d = -1
+				}
 				out = append(out, FlowEdge{Src: s, Dst: d, Rows: rows})
 			}
 		}
@@ -184,25 +178,20 @@ func (b *TraceBuilder) layExchange(pid, nodes int, cursor []float64, ex *Exchang
 			Args: map[string]any{"rows": rows},
 		})
 	}
-	if gather {
+	for d, rows := range ex.PerDestRows {
+		tid := d + 1
+		if d == len(ex.Streams) {
+			tid = 0 // the coordinator
+		}
+		if rows == 0 || tid > nodes {
+			continue
+		}
 		dur := half * 1e6
 		b.events = append(b.events, traceEvent{
 			Name: name + " recv", Cat: "exchange", Ph: "X",
-			Pid: pid, Tid: 0, TsUS: recvTs * 1e6, DurUS: &dur,
-			Args: map[string]any{"rows": ex.RowsOut},
+			Pid: pid, Tid: tid, TsUS: recvTs * 1e6, DurUS: &dur,
+			Args: map[string]any{"rows": rows},
 		})
-	} else {
-		for d, rows := range ex.PerDestRows {
-			if rows == 0 || d >= nodes {
-				continue
-			}
-			dur := half * 1e6
-			b.events = append(b.events, traceEvent{
-				Name: name + " recv", Cat: "exchange", Ph: "X",
-				Pid: pid, Tid: d + 1, TsUS: recvTs * 1e6, DurUS: &dur,
-				Args: map[string]any{"rows": rows},
-			})
-		}
 	}
 
 	// One flow per cross-node stream; anchored inside the send/recv slices.

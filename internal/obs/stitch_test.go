@@ -3,13 +3,9 @@ package obs
 import "testing"
 
 func TestExchangeSpanFlows(t *testing.T) {
-	// Shuffle/broadcast: one flow per non-zero MovedMatrix entry; the rows
-	// sum to MovedRows exactly.
-	sh := &ExchangeSpan{
-		Kind: "shuffle", MovedRows: 7,
-		PerSourceRows: []int64{5, 4},
-		MovedMatrix:   [][]int64{{0, 3}, {4, 0}},
-	}
+	// Shuffle/broadcast: one flow per non-zero cross-node stream (the
+	// co-located one is none); the rows sum to MovedRows exactly.
+	sh := &ExchangeSpan{Kind: "shuffle", MovedRows: 7, Streams: [][]int64{{2, 3}, {4, 0}}}
 	flows := sh.Flows()
 	if len(flows) != 2 {
 		t.Fatalf("shuffle flows = %d, want 2", len(flows))
@@ -28,9 +24,9 @@ func TestExchangeSpanFlows(t *testing.T) {
 		t.Fatalf("flow rows sum to %d, MovedRows is %d", sum, sh.MovedRows)
 	}
 
-	// Gather: nil matrix, every contributing source flows to the
-	// coordinator (Dst -1).
-	g := &ExchangeSpan{Kind: "gather", MovedRows: 9, PerSourceRows: []int64{4, 0, 5}}
+	// Gather: every contributing source flows to the coordinator, the
+	// destination past the nodes (Dst -1).
+	g := &ExchangeSpan{Kind: "gather", MovedRows: 9, Streams: [][]int64{{0, 0, 0, 4}, {0, 0, 0, 0}, {0, 0, 0, 5}}}
 	gf := g.Flows()
 	if len(gf) != 2 {
 		t.Fatalf("gather flows = %d, want 2 (node 1 contributed nothing)", len(gf))
@@ -65,11 +61,12 @@ func TestAddDistributedQueryStructure(t *testing.T) {
 		{Label: "shuffle", Exchange: &ExchangeSpan{
 			Kind: "shuffle", Label: "k", Seconds: 1e-3, MovedRows: 3,
 			PerSourceRows: []int64{2, 1}, PerDestRows: []int64{1, 2},
-			MovedMatrix: [][]int64{{0, 2}, {1, 0}},
+			Streams: [][]int64{{0, 2}, {1, 0}},
 		}},
 		{Label: "gather", Exchange: &ExchangeSpan{
 			Kind: "gather", Label: "result", Seconds: 2e-3, MovedRows: 5,
-			RowsOut: 5, PerSourceRows: []int64{3, 2},
+			RowsOut: 5, PerSourceRows: []int64{3, 2}, PerDestRows: []int64{0, 0, 5},
+			Streams: [][]int64{{0, 0, 3}, {0, 0, 2}},
 		}},
 		{Label: "merge", Coord: fragProfile(4000)},
 	}

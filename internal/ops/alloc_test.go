@@ -5,7 +5,7 @@ import (
 
 	"rapid/internal/bits"
 	"rapid/internal/coltypes"
-	"rapid/internal/primitives"
+	"rapid/internal/plan"
 	"rapid/internal/qef"
 )
 
@@ -77,14 +77,14 @@ func observedPoolBytes(t *testing.T, mode qef.Mode, op qef.Operator, tile *qef.T
 
 func TestDMEMSizeIsUpperBoundOnPoolUse(t *testing.T) {
 	richPred := &And{Preds: []Predicate{
-		&ConstCmp{Col: 0, Op: primitives.LT, Val: 90, Sel: 0.9},
+		&ConstCmp{Col: 0, Op: plan.LT, Val: 90, Sel: 0.9},
 		&Or{Preds: []Predicate{
 			&Between{Col: 1, Lo: 5, Hi: 95, Sel: 0.9},
-			&Not{P: &ColCmp{A: 0, B: 2, Op: primitives.EQ, Sel: 0.1}},
+			&Not{P: &ColCmp{A: 0, B: 2, Op: plan.EQ, Sel: 0.1}},
 		}},
 		&ExprCmp{
-			E:   &BinExpr{Op: OpMul, L: &ColRef{Idx: 1}, R: &ConstExpr{Val: 3}},
-			Op:  primitives.GT,
+			E:   &BinExpr{Op: plan.Mul, L: &ColRef{Idx: 1}, R: &ConstExpr{Val: 3}},
+			Op:  plan.GT,
 			Val: 10,
 			Sel: 0.8,
 		},
@@ -112,11 +112,11 @@ func TestDMEMSizeIsUpperBoundOnPoolUse(t *testing.T) {
 		{"project", func() qef.Operator {
 			return &ProjectOp{
 				Exprs: []Expr{
-					&BinExpr{Op: OpAdd,
-						L: &BinExpr{Op: OpMul, L: &ColRef{Idx: 0}, R: &ColRef{Idx: 1}},
+					&BinExpr{Op: plan.Add,
+						L: &BinExpr{Op: plan.Mul, L: &ColRef{Idx: 0}, R: &ColRef{Idx: 1}},
 						R: &ConstExpr{Val: 7}},
 					&CaseExpr{
-						Cond: &ConstCmp{Col: 2, Op: primitives.GT, Val: 50, Sel: 0.5},
+						Cond: &ConstCmp{Col: 2, Op: plan.GT, Val: 50, Sel: 0.5},
 						Then: &ColRef{Idx: 0},
 						Else: &ConstExpr{Val: 0},
 					},
@@ -128,7 +128,7 @@ func TestDMEMSizeIsUpperBoundOnPoolUse(t *testing.T) {
 		{"scalaragg/rids", func() qef.Operator {
 			return &ScalarAggOp{
 				Specs: []AggSpec{
-					{Kind: AggSum, Expr: &BinExpr{Op: OpMul, L: &ColRef{Idx: 0}, R: &ColRef{Idx: 1}}},
+					{Kind: AggSum, Expr: &BinExpr{Op: plan.Mul, L: &ColRef{Idx: 0}, R: &ColRef{Idx: 1}}},
 					{Kind: AggMax, Expr: &ColRef{Idx: 2}},
 					{Kind: AggCountStar},
 				},
@@ -149,7 +149,7 @@ func TestDMEMSizeIsUpperBoundOnPoolUse(t *testing.T) {
 		{"groupby/sel", func() qef.Operator {
 			return &GroupByOp{
 				GroupCols: []int{0},
-				Specs:     []AggSpec{{Kind: AggMin, Expr: &BinExpr{Op: OpSub, L: &ColRef{Idx: 1}, R: &ConstExpr{Val: 1}}}},
+				Specs:     []AggSpec{{Kind: AggMin, Expr: &BinExpr{Op: plan.Sub, L: &ColRef{Idx: 1}, R: &ConstExpr{Val: 1}}}},
 				MaxGroups: 512,
 				Merger:    NewGroupMerger(1, nil),
 			}
@@ -181,11 +181,11 @@ func TestDMEMSizeIsUpperBoundOnPoolUse(t *testing.T) {
 func allocChain(sink qef.Operator) func() qef.Operator {
 	return func() qef.Operator {
 		return &FilterOp{
-			Preds: []Predicate{&ConstCmp{Col: 0, Op: primitives.LT, Val: 500, Sel: 0.5}},
+			Preds: []Predicate{&ConstCmp{Col: 0, Op: plan.LT, Val: 500, Sel: 0.5}},
 			Next: &MaterializeOp{
 				RowBytes: 3 * 4,
 				Next: &ProjectOp{
-					Exprs: []Expr{&BinExpr{Op: OpMul, L: &ColRef{Idx: 1}, R: &ConstExpr{Val: 3}}},
+					Exprs: []Expr{&BinExpr{Op: plan.Mul, L: &ColRef{Idx: 1}, R: &ConstExpr{Val: 3}}},
 					Keep:  []int{0},
 					Next:  sink,
 				},

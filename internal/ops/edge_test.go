@@ -3,6 +3,7 @@ package ops
 import (
 	"testing"
 
+	"rapid/internal/plan"
 	"rapid/internal/power"
 	"rapid/internal/qef"
 )
@@ -24,7 +25,7 @@ func TestHashJoinEmptyInputs(t *testing.T) {
 	bothModes(t, func(t *testing.T, ctx *qef.Context) {
 		probe := intRel([]string{"pk", "pv"}, []int64{1, 2, 3}, []int64{10, 20, 30})
 		build := intRel([]string{"bk", "bv"}, []int64{2, 5}, []int64{200, 500})
-		spec := func(typ JoinType) JoinSpec {
+		spec := func(typ plan.JoinType) JoinSpec {
 			return JoinSpec{
 				Type: typ, BuildKeys: []int{0}, ProbeKeys: []int{0},
 				BuildPayload: []int{1}, ProbePayload: []int{0, 1},
@@ -34,20 +35,20 @@ func TestHashJoinEmptyInputs(t *testing.T) {
 		cases := []struct {
 			name         string
 			build, probe *Relation
-			typ          JoinType
+			typ          plan.JoinType
 			rows         int
 		}{
-			{"inner/empty-build", emptyRel("bk", "bv"), probe, InnerJoin, 0},
-			{"inner/empty-probe", build, emptyRel("pk", "pv"), InnerJoin, 0},
-			{"inner/both-empty", emptyRel("bk", "bv"), emptyRel("pk", "pv"), InnerJoin, 0},
-			{"semi/empty-build", emptyRel("bk", "bv"), probe, SemiJoin, 0},
-			{"anti/empty-build", emptyRel("bk", "bv"), probe, AntiJoin, 3},
-			{"outer/empty-build", emptyRel("bk", "bv"), probe, LeftOuterJoin, 3},
-			{"outer/empty-probe", build, emptyRel("pk", "pv"), LeftOuterJoin, 0},
+			{"inner/empty-build", emptyRel("bk", "bv"), probe, plan.InnerJoin, 0},
+			{"inner/empty-probe", build, emptyRel("pk", "pv"), plan.InnerJoin, 0},
+			{"inner/both-empty", emptyRel("bk", "bv"), emptyRel("pk", "pv"), plan.InnerJoin, 0},
+			{"semi/empty-build", emptyRel("bk", "bv"), probe, plan.SemiJoin, 0},
+			{"anti/empty-build", emptyRel("bk", "bv"), probe, plan.AntiJoin, 3},
+			{"outer/empty-build", emptyRel("bk", "bv"), probe, plan.LeftOuterJoin, 3},
+			{"outer/empty-probe", build, emptyRel("pk", "pv"), plan.LeftOuterJoin, 0},
 		}
 		for _, tc := range cases {
 			sp := spec(tc.typ)
-			if tc.typ == SemiJoin || tc.typ == AntiJoin {
+			if tc.typ == plan.SemiJoin || tc.typ == plan.AntiJoin {
 				sp.BuildPayload = nil
 			}
 			out, err := HashJoin(ctx, tc.build, tc.probe, sp)
@@ -59,7 +60,7 @@ func TestHashJoinEmptyInputs(t *testing.T) {
 			}
 		}
 		// Left-outer against an empty build pads the build payload with 0.
-		out, err := HashJoin(ctx, emptyRel("bk", "bv"), probe, spec(LeftOuterJoin))
+		out, err := HashJoin(ctx, emptyRel("bk", "bv"), probe, spec(plan.LeftOuterJoin))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,15 +76,15 @@ func TestRelationOpsOnEmptyInput(t *testing.T) {
 	bothModes(t, func(t *testing.T, ctx *qef.Context) {
 		empty := emptyRel("a", "b")
 
-		sorted, err := SortRelation(ctx, empty, []SortKey{{Col: 0}})
+		sorted, err := SortRelation(ctx, empty, []plan.SortItem{{Col: 0}})
 		if err != nil || sorted.Rows() != 0 {
 			t.Fatalf("sort empty: rows=%d err=%v", sorted.Rows(), err)
 		}
-		top, err := TopK(ctx, empty, []SortKey{{Col: 1, Desc: true}}, 5)
+		top, err := TopK(ctx, empty, []plan.SortItem{{Col: 1, Desc: true}}, 5)
 		if err != nil || top.Rows() != 0 {
 			t.Fatalf("topk empty: rows=%d err=%v", top.Rows(), err)
 		}
-		win, err := Window(ctx, empty, WindowSpec{Func: WinRowNumber, PartitionBy: []int{0}, OrderBy: []SortKey{{Col: 1}}})
+		win, err := Window(ctx, empty, WindowSpec{Func: plan.RowNumber, PartitionBy: []int{0}, OrderBy: []plan.SortItem{{Col: 1}}})
 		if err != nil || win.Rows() != 0 {
 			t.Fatalf("window empty: rows=%d err=%v", win.Rows(), err)
 		}
@@ -96,7 +97,7 @@ func TestRelationOpsOnEmptyInput(t *testing.T) {
 		if err != nil || grp.Rows() != 0 {
 			t.Fatalf("group empty: rows=%d err=%v", grp.Rows(), err)
 		}
-		for _, kind := range []SetOpKind{SetUnion, SetUnionAll, SetIntersect, SetMinus} {
+		for _, kind := range []plan.SetOpKind{plan.Union, plan.UnionAll, plan.Intersect, plan.Minus} {
 			out, err := SetOp(ctx, empty, emptyRel("a", "b"), kind)
 			if err != nil || out.Rows() != 0 {
 				t.Fatalf("%v on empty: rows=%d err=%v", kind, out.Rows(), err)
@@ -104,11 +105,11 @@ func TestRelationOpsOnEmptyInput(t *testing.T) {
 		}
 		// One side empty: UNION keeps the non-empty side's distinct rows.
 		some := intRel([]string{"a", "b"}, []int64{1, 1, 2}, []int64{5, 5, 6})
-		u, err := SetOp(ctx, some, emptyRel("a", "b"), SetUnion)
+		u, err := SetOp(ctx, some, emptyRel("a", "b"), plan.Union)
 		if err != nil || u.Rows() != 2 {
 			t.Fatalf("union with empty: rows=%d err=%v", u.Rows(), err)
 		}
-		m, err := SetOp(ctx, emptyRel("a", "b"), some, SetMinus)
+		m, err := SetOp(ctx, emptyRel("a", "b"), some, plan.Minus)
 		if err != nil || m.Rows() != 0 {
 			t.Fatalf("minus from empty: rows=%d err=%v", m.Rows(), err)
 		}
@@ -128,7 +129,7 @@ func TestSetOpEnergyWithinProvisionedBound(t *testing.T) {
 		full[i] = int64(i)
 	}
 	m := power.DefaultEnergyModel()
-	for _, kind := range []SetOpKind{SetUnion, SetIntersect, SetMinus} {
+	for _, kind := range []plan.SetOpKind{plan.Union, plan.Intersect, plan.Minus} {
 		for _, sides := range [][2]*Relation{
 			{emptyRel("k"), intRel([]string{"k"}, full)},
 			{intRel([]string{"k"}, full), emptyRel("k")},
@@ -155,13 +156,13 @@ func TestSetOpsDuplicateKeys(t *testing.T) {
 		a := intRel([]string{"v"}, []int64{1, 1, 2, 3, 3, 3})
 		b := intRel([]string{"v"}, []int64{2, 2, 4})
 		cases := []struct {
-			kind SetOpKind
+			kind plan.SetOpKind
 			rows int
 		}{
-			{SetUnion, 4},     // {1,2,3,4}
-			{SetUnionAll, 9},  // bag concat
-			{SetIntersect, 1}, // {2}
-			{SetMinus, 2},     // {1,3}
+			{plan.Union, 4},     // {1,2,3,4}
+			{plan.UnionAll, 9},  // bag concat
+			{plan.Intersect, 1}, // {2}
+			{plan.Minus, 2},     // {1,3}
 		}
 		for _, tc := range cases {
 			out, err := SetOp(ctx, a, b, tc.kind)
@@ -174,8 +175,8 @@ func TestSetOpsDuplicateKeys(t *testing.T) {
 		}
 		// Identical inputs: INTERSECT and UNION both yield the distinct set,
 		// MINUS empties.
-		i2, _ := SetOp(ctx, a, a, SetIntersect)
-		m2, _ := SetOp(ctx, a, a, SetMinus)
+		i2, _ := SetOp(ctx, a, a, plan.Intersect)
+		m2, _ := SetOp(ctx, a, a, plan.Minus)
 		if i2.Rows() != 3 || m2.Rows() != 0 {
 			t.Fatalf("self setops: intersect=%d minus=%d", i2.Rows(), m2.Rows())
 		}
@@ -188,7 +189,7 @@ func TestTopKLimitZeroAndTies(t *testing.T) {
 			[]int64{5, 5, 5, 5, 1, 1, 9},
 			[]int64{0, 1, 2, 3, 4, 5, 6})
 
-		zero, err := TopK(ctx, rel, []SortKey{{Col: 0}}, 0)
+		zero, err := TopK(ctx, rel, []plan.SortItem{{Col: 0}}, 0)
 		if err != nil || zero.Rows() != 0 {
 			t.Fatalf("k=0: rows=%d err=%v", zero.Rows(), err)
 		}
@@ -198,7 +199,7 @@ func TestTopKLimitZeroAndTies(t *testing.T) {
 
 		// k cuts through a tie group (four 5s, cut at 3): exactly k rows
 		// come back and they are the smallest keys.
-		top, err := TopK(ctx, rel, []SortKey{{Col: 0}}, 3)
+		top, err := TopK(ctx, rel, []plan.SortItem{{Col: 0}}, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +214,7 @@ func TestTopKLimitZeroAndTies(t *testing.T) {
 		}
 
 		// k beyond the row count degrades to a full sort.
-		all, err := TopK(ctx, rel, []SortKey{{Col: 0, Desc: true}}, 100)
+		all, err := TopK(ctx, rel, []plan.SortItem{{Col: 0, Desc: true}}, 100)
 		if err != nil || all.Rows() != rel.Rows() {
 			t.Fatalf("k>n: rows=%d err=%v", all.Rows(), err)
 		}

@@ -2,6 +2,7 @@ package ops
 
 import (
 	"rapid/internal/dpu"
+	"rapid/internal/plan"
 	"rapid/internal/primitives"
 	"rapid/internal/qef"
 )
@@ -38,19 +39,9 @@ func (e *ConstExpr) Eval(tc *qef.TaskCtx, t *qef.Tile) []int64 {
 	return out
 }
 
-// ArithOp is a binary arithmetic operator.
-type ArithOp int
-
-const (
-	OpAdd ArithOp = iota
-	OpSub
-	OpMul
-	OpDiv
-)
-
 // BinExpr applies an arithmetic operator element-wise.
 type BinExpr struct {
-	Op   ArithOp
+	Op   plan.ArithOp
 	L, R Expr
 }
 
@@ -61,13 +52,13 @@ func (e *BinExpr) Eval(tc *qef.TaskCtx, t *qef.Tile) []int64 {
 	if c, ok := e.R.(*ConstExpr); ok {
 		out := tc.I64Scratch(len(l))
 		switch e.Op {
-		case OpAdd:
+		case plan.Add:
 			primitives.AddConst(tc.Core, l, c.Val, out)
-		case OpSub:
+		case plan.Sub:
 			primitives.AddConst(tc.Core, l, -c.Val, out)
-		case OpMul:
+		case plan.Mul:
 			primitives.MulConst(tc.Core, l, c.Val, out)
-		case OpDiv:
+		case plan.Div:
 			primitives.DivConst(tc.Core, l, c.Val, out)
 		}
 		return out
@@ -75,13 +66,13 @@ func (e *BinExpr) Eval(tc *qef.TaskCtx, t *qef.Tile) []int64 {
 	r := e.R.Eval(tc, t)
 	out := tc.I64Scratch(len(l))
 	switch e.Op {
-	case OpAdd:
+	case plan.Add:
 		primitives.AddCol(tc.Core, l, r, out)
-	case OpSub:
+	case plan.Sub:
 		primitives.SubCol(tc.Core, l, r, out)
-	case OpMul:
+	case plan.Mul:
 		primitives.MulCol(tc.Core, l, r, out)
-	case OpDiv:
+	case plan.Div:
 		for i := range l {
 			if r[i] == 0 {
 				out[i] = 0

@@ -6,38 +6,15 @@ import (
 	"rapid/internal/bits"
 	"rapid/internal/coltypes"
 	"rapid/internal/dpu"
+	"rapid/internal/plan"
 	"rapid/internal/primitives"
 	"rapid/internal/qef"
 )
 
-// JoinType selects the join semantics (§6.5).
-type JoinType int
-
-const (
-	InnerJoin     JoinType = iota
-	SemiJoin               // probe rows with at least one build match
-	AntiJoin               // probe rows with no build match
-	LeftOuterJoin          // all probe rows; unmatched get zero build payload
-)
-
-func (t JoinType) String() string {
-	switch t {
-	case InnerJoin:
-		return "inner"
-	case SemiJoin:
-		return "semi"
-	case AntiJoin:
-		return "anti"
-	case LeftOuterJoin:
-		return "left-outer"
-	}
-	return fmt.Sprintf("JoinType(%d)", int(t))
-}
-
 // JoinSpec configures a hash join. The build side should be the smaller
 // relation (the driving relation of §6.1).
 type JoinSpec struct {
-	Type      JoinType
+	Type      plan.JoinType
 	BuildKeys []int // key column indices in the build relation (1 or 2)
 	ProbeKeys []int // matching key columns in the probe relation
 	// BuildPayload / ProbePayload are the columns each side contributes to
@@ -200,8 +177,8 @@ func joinPairData(tc *qef.TaskCtx, buildCols []coltypes.Data, bhv []uint32, prob
 	if nb == 0 {
 		// Anti and left-outer joins still emit probe rows: every probe row
 		// is unmatched, so take the dense path (nil selection).
-		if spec.Type == AntiJoin || spec.Type == LeftOuterJoin {
-			if spec.Type == AntiJoin {
+		if spec.Type == plan.AntiJoin || spec.Type == plan.LeftOuterJoin {
+			if spec.Type == plan.AntiJoin {
 				sink.emitProbeOnly(tc, unit, probeCols, nil, np)
 			} else {
 				sink.emitOuter(tc, unit, probeCols, nil, nil, np, nil)
@@ -252,7 +229,7 @@ func joinPairData(tc *qef.TaskCtx, buildCols []coltypes.Data, bhv []uint32, prob
 	ht.Build(tc.Core, bhv, buildKeys, buildKeys2, qef.DefaultTileRows)
 
 	switch spec.Type {
-	case SemiJoin, AntiJoin:
+	case plan.SemiJoin, plan.AntiJoin:
 		// ProbeExists bills no DRAM latency for rows beyond the capacity
 		// (Probe does); the counter shows how much goes unbilled.
 		if ov := nb - capacity; ov > 0 {
@@ -260,13 +237,13 @@ func joinPairData(tc *qef.TaskCtx, buildCols []coltypes.Data, bhv []uint32, prob
 		}
 		exists := tc.BVScratch(np)
 		ht.ProbeExists(tc.Core, phv, probeKeys, probeKeys2, qef.DefaultTileRows, exists)
-		if spec.Type == AntiJoin {
+		if spec.Type == plan.AntiJoin {
 			neg := tc.BVScratch(np)
 			neg.Not(exists)
 			exists = neg
 		}
 		sink.emitProbeOnly(tc, unit, probeCols, exists, np)
-	case InnerJoin, LeftOuterJoin:
+	case plan.InnerJoin, plan.LeftOuterJoin:
 		// The match list is leased at one match per probe row; a many-to-many
 		// pair outgrows it onto the heap by append, and the lease goes back.
 		slab := tc.Ctx.Slab
@@ -274,7 +251,7 @@ func joinPairData(tc *qef.TaskCtx, buildCols []coltypes.Data, bhv []uint32, prob
 		defer slab.Return(matchWords)
 		matches := ht.Probe(tc.Core, phv, probeKeys, probeKeys2, qef.DefaultTileRows,
 			coltypes.WordsAs[primitives.Match](matchWords, np)[:0])
-		if spec.Type == InnerJoin {
+		if spec.Type == plan.InnerJoin {
 			sink.emitMatches(tc, unit, buildCols, probeCols, matches)
 			break
 		}

@@ -6,6 +6,7 @@ import (
 
 	"rapid/internal/coltypes"
 	"rapid/internal/dpu"
+	"rapid/internal/plan"
 	"rapid/internal/primitives"
 	"rapid/internal/qef"
 )
@@ -20,7 +21,7 @@ import (
 // sort-vs-hash analysis of Balkesen et al.); this operator exists for the
 // comparison and for inputs that arrive pre-sorted downstream.
 func SortMergeJoin(ctx *qef.Context, build, probe *Relation, spec JoinSpec) (*Relation, error) {
-	if spec.Type != InnerJoin {
+	if spec.Type != plan.InnerJoin {
 		return nil, fmt.Errorf("ops: sort-merge join supports inner joins only")
 	}
 	if len(spec.BuildKeys) != 1 || len(spec.ProbeKeys) != 1 {

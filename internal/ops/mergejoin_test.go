@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"rapid/internal/plan"
 	"rapid/internal/qef"
 )
 
@@ -12,7 +13,7 @@ func TestSortMergeJoinBasic(t *testing.T) {
 		build := intRel([]string{"k", "bv"}, []int64{5, 1, 3, 1}, []int64{50, 10, 30, 11})
 		probe := intRel([]string{"k", "pv"}, []int64{1, 2, 3, 1}, []int64{100, 200, 300, 101})
 		out, err := SortMergeJoin(ctx, build, probe, JoinSpec{
-			Type: InnerJoin, BuildKeys: []int{0}, ProbeKeys: []int{0},
+			Type: plan.InnerJoin, BuildKeys: []int{0}, ProbeKeys: []int{0},
 			ProbePayload: []int{0, 1}, BuildPayload: []int{1},
 		})
 		if err != nil {
@@ -44,7 +45,7 @@ func TestSortMergeMatchesHashJoin(t *testing.T) {
 		build := intRel([]string{"k"}, bk)
 		probe := intRel([]string{"k"}, pk)
 		spec := JoinSpec{
-			Type: InnerJoin, BuildKeys: []int{0}, ProbeKeys: []int{0},
+			Type: plan.InnerJoin, BuildKeys: []int{0}, ProbeKeys: []int{0},
 			ProbePayload: []int{0}, BuildPayload: []int{0},
 			Scheme: PartScheme{Rounds: []int{4}},
 		}
@@ -65,10 +66,10 @@ func TestSortMergeMatchesHashJoin(t *testing.T) {
 func TestSortMergeJoinErrors(t *testing.T) {
 	ctx := qef.NewContext(qef.ModeX86)
 	r := intRel([]string{"k"}, []int64{1})
-	if _, err := SortMergeJoin(ctx, r, r, JoinSpec{Type: SemiJoin, BuildKeys: []int{0}, ProbeKeys: []int{0}}); err == nil {
+	if _, err := SortMergeJoin(ctx, r, r, JoinSpec{Type: plan.SemiJoin, BuildKeys: []int{0}, ProbeKeys: []int{0}}); err == nil {
 		t.Fatal("semi join unsupported")
 	}
-	if _, err := SortMergeJoin(ctx, r, r, JoinSpec{Type: InnerJoin, BuildKeys: []int{0, 0}, ProbeKeys: []int{0, 0}}); err == nil {
+	if _, err := SortMergeJoin(ctx, r, r, JoinSpec{Type: plan.InnerJoin, BuildKeys: []int{0, 0}, ProbeKeys: []int{0, 0}}); err == nil {
 		t.Fatal("composite key unsupported")
 	}
 }
@@ -78,7 +79,7 @@ func TestSortMergeJoinEmptySides(t *testing.T) {
 	empty := intRel([]string{"k"}, []int64{})
 	full := intRel([]string{"k"}, []int64{1, 2, 3})
 	out, err := SortMergeJoin(ctx, empty, full, JoinSpec{
-		Type: InnerJoin, BuildKeys: []int{0}, ProbeKeys: []int{0}, ProbePayload: []int{0},
+		Type: plan.InnerJoin, BuildKeys: []int{0}, ProbeKeys: []int{0}, ProbePayload: []int{0},
 	})
 	if err != nil || out.Rows() != 0 {
 		t.Fatalf("empty build: %v rows=%d", err, out.Rows())

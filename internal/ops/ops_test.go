@@ -7,7 +7,7 @@ import (
 
 	"rapid/internal/bits"
 	"rapid/internal/coltypes"
-	"rapid/internal/primitives"
+	"rapid/internal/plan"
 	"rapid/internal/qef"
 	"rapid/internal/storage"
 )
@@ -81,8 +81,8 @@ func TestExprEval(t *testing.T) {
 		tile := qef.NewTile(cols, 3)
 		err := ctx.RunSerial(func(tc *qef.TaskCtx) error {
 			// (a + b) * 2
-			e := &BinExpr{Op: OpMul,
-				L: &BinExpr{Op: OpAdd, L: &ColRef{Idx: 0}, R: &ColRef{Idx: 1}},
+			e := &BinExpr{Op: plan.Mul,
+				L: &BinExpr{Op: plan.Add, L: &ColRef{Idx: 0}, R: &ColRef{Idx: 1}},
 				R: &ConstExpr{Val: 2}}
 			got := e.Eval(tc, tile)
 			want := []int64{22, 44, 66}
@@ -93,7 +93,7 @@ func TestExprEval(t *testing.T) {
 			}
 			// CASE WHEN a >= 2 THEN b ELSE 0 END
 			ce := &CaseExpr{
-				Cond: &ConstCmp{Col: 0, Op: primitives.GE, Val: 2},
+				Cond: &ConstCmp{Col: 0, Op: plan.GE, Val: 2},
 				Then: &ColRef{Idx: 1},
 				Else: &ConstExpr{Val: 0},
 			}
@@ -102,7 +102,7 @@ func TestExprEval(t *testing.T) {
 				t.Errorf("case = %v", cg)
 			}
 			// Div by zero column yields 0.
-			de := &BinExpr{Op: OpDiv, L: &ColRef{Idx: 1}, R: &BinExpr{Op: OpSub, L: &ColRef{Idx: 0}, R: &ColRef{Idx: 0}}}
+			de := &BinExpr{Op: plan.Div, L: &ColRef{Idx: 1}, R: &BinExpr{Op: plan.Sub, L: &ColRef{Idx: 0}, R: &ColRef{Idx: 0}}}
 			dg := de.Eval(tc, tile)
 			if dg[0] != 0 {
 				t.Errorf("div0 = %v", dg)
@@ -145,8 +145,8 @@ func TestScanFilterCollect(t *testing.T) {
 		chain := func() qef.Operator {
 			return &FilterOp{
 				Preds: []Predicate{
-					&ConstCmp{Col: 1, Op: primitives.LT, Val: 10, Sel: 0.1},
-					&ConstCmp{Col: 0, Op: primitives.GE, Val: 1000, Sel: 0.8},
+					&ConstCmp{Col: 1, Op: plan.LT, Val: 10, Sel: 0.1},
+					&ConstCmp{Col: 0, Op: plan.GE, Val: 1000, Sel: 0.8},
 				},
 				Next: sink,
 			}
@@ -225,7 +225,7 @@ func TestFilterRIDSwitch(t *testing.T) {
 	probe := &reprProbe{}
 	chain := func() qef.Operator {
 		return &FilterOp{
-			Preds: []Predicate{&ConstCmp{Col: 0, Op: primitives.EQ, Val: 77, Sel: 0.0002}},
+			Preds: []Predicate{&ConstCmp{Col: 0, Op: plan.EQ, Val: 77, Sel: 0.0002}},
 			Next:  probe,
 		}
 	}
@@ -266,10 +266,10 @@ func TestMaterializeAndProject(t *testing.T) {
 		sink := NewCollectSink([]Col{{Name: "expr", Type: coltypes.Int()}})
 		chain := func() qef.Operator {
 			return &FilterOp{
-				Preds: []Predicate{&ConstCmp{Col: 1, Op: primitives.LT, Val: 50, Sel: 0.5}},
+				Preds: []Predicate{&ConstCmp{Col: 1, Op: plan.LT, Val: 50, Sel: 0.5}},
 				Next: &MaterializeOp{
 					Next: &ProjectOp{
-						Exprs: []Expr{&BinExpr{Op: OpMul, L: &ColRef{Idx: 1}, R: &ConstExpr{Val: 3}}},
+						Exprs: []Expr{&BinExpr{Op: plan.Mul, L: &ColRef{Idx: 1}, R: &ConstExpr{Val: 3}}},
 						Next:  sink,
 					},
 				},
@@ -302,7 +302,7 @@ func TestScalarAgg(t *testing.T) {
 		}
 		chain := func() qef.Operator {
 			return &FilterOp{
-				Preds: []Predicate{&ConstCmp{Col: 1, Op: primitives.LT, Val: 10, Sel: 0.1}},
+				Preds: []Predicate{&ConstCmp{Col: 1, Op: plan.LT, Val: 10, Sel: 0.1}},
 				Next:  &ScalarAggOp{Specs: specs, Result: res},
 			}
 		}
@@ -504,7 +504,7 @@ func TestHashJoinInner(t *testing.T) {
 		build := intRel([]string{"bk", "bv"}, bk, seq(nb, func(i int) int64 { return int64(i * 10) }))
 		probe := intRel([]string{"pk", "pv"}, pk, seq(np, func(i int) int64 { return int64(i) }))
 		out, err := HashJoin(ctx, build, probe, JoinSpec{
-			Type:         InnerJoin,
+			Type:         plan.InnerJoin,
 			BuildKeys:    []int{0},
 			ProbeKeys:    []int{0},
 			BuildPayload: []int{0, 1},
@@ -539,7 +539,7 @@ func TestHashJoinSemiAnti(t *testing.T) {
 	probe := intRel([]string{"k", "v"}, seq(10, func(i int) int64 { return int64(i) }),
 		seq(10, func(i int) int64 { return int64(100 + i) }))
 	semi, err := HashJoin(ctx, build, probe, JoinSpec{
-		Type: SemiJoin, BuildKeys: []int{0}, ProbeKeys: []int{0},
+		Type: plan.SemiJoin, BuildKeys: []int{0}, ProbeKeys: []int{0},
 		ProbePayload: []int{0, 1}, Scheme: PartScheme{Rounds: []int{4}},
 	})
 	if err != nil {
@@ -549,7 +549,7 @@ func TestHashJoinSemiAnti(t *testing.T) {
 		t.Fatalf("semi rows = %d", semi.Rows())
 	}
 	anti, err := HashJoin(ctx, build, probe, JoinSpec{
-		Type: AntiJoin, BuildKeys: []int{0}, ProbeKeys: []int{0},
+		Type: plan.AntiJoin, BuildKeys: []int{0}, ProbeKeys: []int{0},
 		ProbePayload: []int{0, 1}, Scheme: PartScheme{Rounds: []int{4}},
 	})
 	if err != nil {
@@ -576,7 +576,7 @@ func TestHashJoinLeftOuter(t *testing.T) {
 	build := intRel([]string{"k", "bv"}, []int64{1, 3}, []int64{111, 333})
 	probe := intRel([]string{"k"}, []int64{1, 2, 3, 4})
 	out, err := HashJoin(ctx, build, probe, JoinSpec{
-		Type: LeftOuterJoin, BuildKeys: []int{0}, ProbeKeys: []int{0},
+		Type: plan.LeftOuterJoin, BuildKeys: []int{0}, ProbeKeys: []int{0},
 		ProbePayload: []int{0}, BuildPayload: []int{1},
 		Scheme: PartScheme{Rounds: []int{2}},
 	})
@@ -600,7 +600,7 @@ func TestHashJoinCompositeKey(t *testing.T) {
 	build := intRel([]string{"a", "b", "v"}, []int64{1, 1, 2}, []int64{10, 20, 10}, []int64{7, 8, 9})
 	probe := intRel([]string{"a", "b"}, []int64{1, 2, 1}, []int64{20, 10, 99})
 	out, err := HashJoin(ctx, build, probe, JoinSpec{
-		Type: InnerJoin, BuildKeys: []int{0, 1}, ProbeKeys: []int{0, 1},
+		Type: plan.InnerJoin, BuildKeys: []int{0, 1}, ProbeKeys: []int{0, 1},
 		ProbePayload: []int{0, 1}, BuildPayload: []int{2},
 		Scheme: PartScheme{Rounds: []int{2}},
 	})
@@ -624,7 +624,7 @@ func TestHashJoinSmallSkewOverflow(t *testing.T) {
 	build := intRel([]string{"k"}, seq(nb, func(i int) int64 { return int64(i) }))
 	probe := intRel([]string{"k"}, seq(nb, func(i int) int64 { return int64(i) }))
 	out, err := HashJoin(ctx, build, probe, JoinSpec{
-		Type: InnerJoin, BuildKeys: []int{0}, ProbeKeys: []int{0},
+		Type: plan.InnerJoin, BuildKeys: []int{0}, ProbeKeys: []int{0},
 		ProbePayload: []int{0},
 		Scheme:       PartScheme{Rounds: []int{2}},
 		EstPartRows:  nb / 2 / 3, // 3x underestimate: overflow, not re-partition
@@ -646,7 +646,7 @@ func TestHashJoinLargeSkewRepartition(t *testing.T) {
 	build := intRel([]string{"k"}, seq(nb, func(i int) int64 { return int64(i) }))
 	probe := intRel([]string{"k"}, seq(nb, func(i int) int64 { return int64(nb - 1 - i) }))
 	out, err := HashJoin(ctx, build, probe, JoinSpec{
-		Type: InnerJoin, BuildKeys: []int{0}, ProbeKeys: []int{0},
+		Type: plan.InnerJoin, BuildKeys: []int{0}, ProbeKeys: []int{0},
 		ProbePayload: []int{0},
 		Scheme:       PartScheme{Rounds: []int{2}},
 		EstPartRows:  100, // every partition looks skewed
@@ -676,7 +676,7 @@ func TestHashJoinHeavyHitter(t *testing.T) {
 	})
 	probe := intRel([]string{"k"}, pk)
 	out, err := HashJoin(ctx, build, probe, JoinSpec{
-		Type: InnerJoin, BuildKeys: []int{0}, ProbeKeys: []int{0},
+		Type: plan.InnerJoin, BuildKeys: []int{0}, ProbeKeys: []int{0},
 		ProbePayload: []int{0}, BuildPayload: []int{1},
 		Scheme:      PartScheme{Rounds: []int{4}},
 		EstPartRows: 100,
@@ -702,7 +702,7 @@ func TestHashJoinEquivalenceRandom(t *testing.T) {
 		build := intRel([]string{"k"}, bk)
 		probe := intRel([]string{"k"}, pk)
 		out, err := HashJoin(ctx, build, probe, JoinSpec{
-			Type: InnerJoin, BuildKeys: []int{0}, ProbeKeys: []int{0},
+			Type: plan.InnerJoin, BuildKeys: []int{0}, ProbeKeys: []int{0},
 			ProbePayload: []int{0}, BuildPayload: []int{0},
 			Scheme: PartScheme{Rounds: []int{4, 2}},
 		})
@@ -722,7 +722,7 @@ func TestSortRelation(t *testing.T) {
 		a := seq(n, func(int) int64 { return int64(rng.Intn(100) - 50) })
 		b := seq(n, func(int) int64 { return int64(rng.Intn(1000)) })
 		rel := intRel([]string{"a", "b"}, a, b)
-		sorted, err := SortRelation(ctx, rel, []SortKey{{Col: 0}, {Col: 1, Desc: true}})
+		sorted, err := SortRelation(ctx, rel, []plan.SortItem{{Col: 0}, {Col: 1, Desc: true}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -749,7 +749,7 @@ func TestTopK(t *testing.T) {
 		n := 50000
 		v := seq(n, func(int) int64 { return int64(rng.Intn(1000000)) })
 		rel := intRel([]string{"v"}, v)
-		top, err := TopK(ctx, rel, []SortKey{{Col: 0, Desc: true}}, 10)
+		top, err := TopK(ctx, rel, []plan.SortItem{{Col: 0, Desc: true}}, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -767,7 +767,7 @@ func TestTopK(t *testing.T) {
 	// k >= n falls back to full sort.
 	ctx := qef.NewContext(qef.ModeX86)
 	small := intRel([]string{"v"}, []int64{3, 1, 2})
-	top, err := TopK(ctx, small, []SortKey{{Col: 0}}, 10)
+	top, err := TopK(ctx, small, []plan.SortItem{{Col: 0}}, 10)
 	if err != nil || top.Rows() != 3 || top.Cols[0].Data.Get(0) != 1 {
 		t.Fatalf("small topk: %v", err)
 	}
@@ -779,7 +779,7 @@ func TestWindowFunctions(t *testing.T) {
 		[]int64{1, 1, 1, 2, 2},
 		[]int64{10, 20, 20, 5, 6},
 		[]int64{100, 200, 300, 10, 20})
-	rn, err := Window(ctx, rel, WindowSpec{Func: WinRowNumber, PartitionBy: []int{0}, OrderBy: []SortKey{{Col: 1}}})
+	rn, err := Window(ctx, rel, WindowSpec{Func: plan.RowNumber, PartitionBy: []int{0}, OrderBy: []plan.SortItem{{Col: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -787,22 +787,22 @@ func TestWindowFunctions(t *testing.T) {
 	if col.Get(0) != 1 || col.Get(1) != 2 || col.Get(2) != 3 || col.Get(3) != 1 || col.Get(4) != 2 {
 		t.Fatalf("row_number = %v", coltypes.ToInt64s(col))
 	}
-	rk, _ := Window(ctx, rel, WindowSpec{Func: WinRank, PartitionBy: []int{0}, OrderBy: []SortKey{{Col: 1}}})
+	rk, _ := Window(ctx, rel, WindowSpec{Func: plan.Rank, PartitionBy: []int{0}, OrderBy: []plan.SortItem{{Col: 1}}})
 	rc := rk.Cols[3].Data
 	if rc.Get(0) != 1 || rc.Get(1) != 2 || rc.Get(2) != 2 {
 		t.Fatalf("rank = %v", coltypes.ToInt64s(rc))
 	}
-	dr, _ := Window(ctx, rel, WindowSpec{Func: WinDenseRank, PartitionBy: []int{0}, OrderBy: []SortKey{{Col: 1}}})
+	dr, _ := Window(ctx, rel, WindowSpec{Func: plan.DenseRank, PartitionBy: []int{0}, OrderBy: []plan.SortItem{{Col: 1}}})
 	dc := dr.Cols[3].Data
 	if dc.Get(2) != 2 {
 		t.Fatalf("dense_rank = %v", coltypes.ToInt64s(dc))
 	}
-	cs, _ := Window(ctx, rel, WindowSpec{Func: WinCumSum, PartitionBy: []int{0}, OrderBy: []SortKey{{Col: 1}}, ValueCol: 2})
+	cs, _ := Window(ctx, rel, WindowSpec{Func: plan.CumSum, PartitionBy: []int{0}, OrderBy: []plan.SortItem{{Col: 1}}, ValueCol: 2})
 	cc := cs.Cols[3].Data
 	if cc.Get(0) != 100 || cc.Get(2) != 600 || cc.Get(4) != 30 {
 		t.Fatalf("cumsum = %v", coltypes.ToInt64s(cc))
 	}
-	ws, _ := Window(ctx, rel, WindowSpec{Func: WinSum, PartitionBy: []int{0}, ValueCol: 2})
+	ws, _ := Window(ctx, rel, WindowSpec{Func: plan.WinTotalSum, PartitionBy: []int{0}, ValueCol: 2})
 	wc := ws.Cols[3].Data
 	if wc.Get(0) != 600 || wc.Get(4) != 30 {
 		t.Fatalf("winsum = %v", coltypes.ToInt64s(wc))
@@ -813,7 +813,7 @@ func TestSetOps(t *testing.T) {
 	bothModes(t, func(t *testing.T, ctx *qef.Context) {
 		a := intRel([]string{"x"}, []int64{1, 2, 3, 3, 4})
 		b := intRel([]string{"x"}, []int64{3, 4, 5})
-		check := func(kind SetOpKind, want []int64) {
+		check := func(kind plan.SetOpKind, want []int64) {
 			t.Helper()
 			got, err := SetOp(ctx, a, b, kind)
 			if err != nil {
@@ -830,15 +830,15 @@ func TestSetOps(t *testing.T) {
 				}
 			}
 		}
-		check(SetUnion, []int64{1, 2, 3, 4, 5})
-		check(SetIntersect, []int64{3, 4})
-		check(SetMinus, []int64{1, 2})
-		check(SetUnionAll, []int64{1, 2, 3, 3, 3, 4, 4, 5})
+		check(plan.Union, []int64{1, 2, 3, 4, 5})
+		check(plan.Intersect, []int64{3, 4})
+		check(plan.Minus, []int64{1, 2})
+		check(plan.UnionAll, []int64{1, 2, 3, 3, 3, 4, 4, 5})
 	})
 	// Arity mismatch.
 	ctx := qef.NewContext(qef.ModeX86)
 	if _, err := SetOp(ctx, intRel([]string{"x"}, []int64{1}),
-		intRel([]string{"x", "y"}, []int64{1}, []int64{2}), SetUnion); err == nil {
+		intRel([]string{"x", "y"}, []int64{1}, []int64{2}), plan.Union); err == nil {
 		t.Fatal("arity mismatch should fail")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"rapid/internal/coltypes"
+	"rapid/internal/plan"
 	"rapid/internal/qef"
 )
 
@@ -157,15 +158,15 @@ func TestPartitionByHashPins(t *testing.T) {
 // joinPins: total dpCore cycles and the output bag signature of one HashJoin
 // per join type (ModeDPU, 16x4 scheme so hardware and software rounds both
 // run).
-var joinPins = map[JoinType]struct {
+var joinPins = map[plan.JoinType]struct {
 	rows   int
 	cycles int64
 	bag    uint64
 }{
-	InnerJoin:     {9945, 817959, 0x204d74e3be516f8d},
-	SemiJoin:      {9945, 760814, 0x158466e3abfdccc3},
-	AntiJoin:      {10055, 761034, 0x71adafa9fd24220f},
-	LeftOuterJoin: {20000, 838069, 0x91fb248dbb75919c},
+	plan.InnerJoin:     {9945, 817959, 0x204d74e3be516f8d},
+	plan.SemiJoin:      {9945, 760814, 0x158466e3abfdccc3},
+	plan.AntiJoin:      {10055, 761034, 0x71adafa9fd24220f},
+	plan.LeftOuterJoin: {20000, 838069, 0x91fb248dbb75919c},
 }
 
 func TestHashJoinCyclePins(t *testing.T) {
@@ -175,7 +176,7 @@ func TestHashJoinCyclePins(t *testing.T) {
 	pk := seq(np, func(i int) int64 { return int64(rng.Intn(2 * nb)) })
 	build := intRel([]string{"bk", "bv"}, bk, seq(nb, func(i int) int64 { return int64(i * 10) }))
 	probe := intRel([]string{"pk", "pv"}, pk, seq(np, func(i int) int64 { return int64(i) }))
-	for _, jt := range []JoinType{InnerJoin, SemiJoin, AntiJoin, LeftOuterJoin} {
+	for _, jt := range []plan.JoinType{plan.InnerJoin, plan.SemiJoin, plan.AntiJoin, plan.LeftOuterJoin} {
 		ctx := qef.NewContext(qef.ModeDPU)
 		out, err := HashJoin(ctx, build, probe, JoinSpec{
 			Type: jt, BuildKeys: []int{0}, ProbeKeys: []int{0},
@@ -201,7 +202,7 @@ func TestHashJoinCyclePins(t *testing.T) {
 	}
 }
 
-func joinTypeIdent(jt JoinType) string {
-	return map[JoinType]string{InnerJoin: "InnerJoin", SemiJoin: "SemiJoin",
-		AntiJoin: "AntiJoin", LeftOuterJoin: "LeftOuterJoin"}[jt]
+func joinTypeIdent(jt plan.JoinType) string {
+	return map[plan.JoinType]string{plan.InnerJoin: "InnerJoin", plan.SemiJoin: "SemiJoin",
+		plan.AntiJoin: "AntiJoin", plan.LeftOuterJoin: "LeftOuterJoin"}[jt]
 }

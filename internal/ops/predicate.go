@@ -6,6 +6,7 @@ import (
 
 	"rapid/internal/bits"
 	"rapid/internal/coltypes"
+	"rapid/internal/plan"
 	"rapid/internal/primitives"
 	"rapid/internal/qef"
 )
@@ -61,7 +62,7 @@ func evalPredDense(tc *qef.TaskCtx, p Predicate, t *qef.Tile) *bits.Vector {
 // ConstCmp compares a column against a constant.
 type ConstCmp struct {
 	Col int
-	Op  primitives.CmpOp
+	Op  plan.CmpOp
 	Val int64
 	Sel float64 // estimated selectivity
 }
@@ -113,7 +114,7 @@ func (p *InSet) EstSelectivity() float64 { return selOrDefault(p.Sel) }
 // ColCmp compares two columns of the tile.
 type ColCmp struct {
 	A, B int
-	Op   primitives.CmpOp
+	Op   plan.CmpOp
 	Sel  float64
 }
 
@@ -130,7 +131,7 @@ func (p *ColCmp) EstSelectivity() float64 { return selOrDefault(p.Sel) }
 // compiler orders it late.
 type ExprCmp struct {
 	E   Expr
-	Op  primitives.CmpOp
+	Op  plan.CmpOp
 	Val int64
 	Sel float64
 }

@@ -5,6 +5,7 @@ import (
 
 	"rapid/internal/coltypes"
 	"rapid/internal/dpu"
+	"rapid/internal/plan"
 	"rapid/internal/primitives"
 	"rapid/internal/qef"
 )
@@ -29,7 +30,7 @@ func TestJoinUnderDMEMPressure(t *testing.T) {
 			seq(n, func(i int) int64 { return int64(i * 2) }))
 		probe := intRel([]string{"k"}, seq(n, func(i int) int64 { return int64(i) }))
 		out, err := HashJoin(ctx, build, probe, JoinSpec{
-			Type: InnerJoin, BuildKeys: []int{0}, ProbeKeys: []int{0},
+			Type: plan.InnerJoin, BuildKeys: []int{0}, ProbeKeys: []int{0},
 			ProbePayload: []int{0}, BuildPayload: []int{1},
 			Scheme: PartScheme{Rounds: []int{8}},
 		})
@@ -43,7 +44,7 @@ func TestJoinUnderDMEMPressure(t *testing.T) {
 		// DRAM traffic (slower than the comfortable configuration).
 		comfortable := qef.NewContext(qef.ModeDPU)
 		_, err = HashJoin(comfortable, build, probe, JoinSpec{
-			Type: InnerJoin, BuildKeys: []int{0}, ProbeKeys: []int{0},
+			Type: plan.InnerJoin, BuildKeys: []int{0}, ProbeKeys: []int{0},
 			ProbePayload: []int{0}, BuildPayload: []int{1},
 			Scheme: PartScheme{Rounds: []int{8}},
 		})

@@ -5,6 +5,7 @@ import (
 
 	"rapid/internal/coltypes"
 	"rapid/internal/dpu"
+	"rapid/internal/plan"
 	"rapid/internal/qef"
 )
 
@@ -13,36 +14,12 @@ import (
 // on all columns via a hash set; the work is hash-partitioned across cores
 // so each core owns a disjoint key space.
 
-// SetOpKind selects the operation.
-type SetOpKind int
-
-const (
-	SetUnion SetOpKind = iota
-	SetUnionAll
-	SetIntersect
-	SetMinus
-)
-
-func (k SetOpKind) String() string {
-	switch k {
-	case SetUnion:
-		return "UNION"
-	case SetUnionAll:
-		return "UNION ALL"
-	case SetIntersect:
-		return "INTERSECT"
-	case SetMinus:
-		return "MINUS"
-	}
-	return fmt.Sprintf("SetOpKind(%d)", int(k))
-}
-
 // SetOp computes `a kind b`. Column metadata comes from a.
-func SetOp(ctx *qef.Context, a, b *Relation, kind SetOpKind) (*Relation, error) {
+func SetOp(ctx *qef.Context, a, b *Relation, kind plan.SetOpKind) (*Relation, error) {
 	if a.NumCols() != b.NumCols() {
 		return nil, fmt.Errorf("ops: set operation arity mismatch: %d vs %d", a.NumCols(), b.NumCols())
 	}
-	if kind == SetUnionAll {
+	if kind == plan.UnionAll {
 		return concatRelations(a, b)
 	}
 	// Both partitionings are released once the units have returned: what a
@@ -86,11 +63,11 @@ func SetOp(ctx *qef.Context, a, b *Relation, kind SetOpKind) (*Relation, error) 
 				_, inB := seenB[ks]
 				keep := false
 				switch kind {
-				case SetUnion:
+				case plan.Union:
 					keep = true
-				case SetIntersect:
+				case plan.Intersect:
 					keep = inB
-				case SetMinus:
+				case plan.Minus:
 					keep = !inB
 				}
 				if !keep {
@@ -106,7 +83,7 @@ func SetOp(ctx *qef.Context, a, b *Relation, kind SetOpKind) (*Relation, error) 
 				nb = allB.Cols[p][0].Len()
 			}
 			touched := na + nb // set build over B, probe with A
-			if kind == SetUnion {
+			if kind == plan.Union {
 				// Rows only in B.
 				touched += nb
 				for i := 0; i < nb; i++ {

@@ -9,6 +9,7 @@ import (
 
 	"rapid/internal/coltypes"
 	"rapid/internal/mem"
+	"rapid/internal/plan"
 	"rapid/internal/qef"
 )
 
@@ -282,7 +283,7 @@ func BenchmarkHashJoinLineitemOrders(b *testing.B) {
 	ctx := qef.NewContext(qef.ModeX86)
 	ctx.Slab = mem.NewSlab(64<<20, nil)
 	spec := JoinSpec{
-		Type: InnerJoin, BuildKeys: []int{0}, ProbeKeys: []int{0},
+		Type: plan.InnerJoin, BuildKeys: []int{0}, ProbeKeys: []int{0},
 		BuildPayload: []int{0, 1}, ProbePayload: []int{1, 2},
 		Scheme: PartScheme{Rounds: []int{8, 16}},
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rapid/internal/mem"
+	"rapid/internal/plan"
 	"rapid/internal/qef"
 )
 
@@ -43,7 +44,7 @@ func TestLeftOuterZeroPayloadOnDirtySlab(t *testing.T) {
 		seq(probeRows, func(i int) int64 { return int64(i) }),
 		seq(probeRows, func(i int) int64 { return int64(i) * 3 }))
 	spec := JoinSpec{
-		Type: LeftOuterJoin, BuildKeys: []int{0}, ProbeKeys: []int{0},
+		Type: plan.LeftOuterJoin, BuildKeys: []int{0}, ProbeKeys: []int{0},
 		BuildPayload: []int{0, 1}, ProbePayload: []int{0, 1},
 		Scheme: PartScheme{Rounds: []int{8, 4}},
 	}
@@ -97,14 +98,14 @@ func TestOperatorsAgreeOnDirtySlab(t *testing.T) {
 			}
 			out = append(out, rel)
 		}
-		for _, jt := range []JoinType{InnerJoin, SemiJoin, AntiJoin, LeftOuterJoin} {
+		for _, jt := range []plan.JoinType{plan.InnerJoin, plan.SemiJoin, plan.AntiJoin, plan.LeftOuterJoin} {
 			spec := JoinSpec{
 				Type: jt, BuildKeys: []int{0}, ProbeKeys: []int{0}, ProbePayload: []int{0, 2},
 				Scheme: PartScheme{Rounds: []int{4, 4}},
 				// An estimate far too low: the skew path re-splits inside the unit.
 				EstPartRows: 16,
 			}
-			if jt == InnerJoin || jt == LeftOuterJoin {
+			if jt == plan.InnerJoin || jt == plan.LeftOuterJoin {
 				spec.BuildPayload = []int{1}
 			}
 			keep(HashJoin(ctx, build, probe, spec))
@@ -113,7 +114,7 @@ func TestOperatorsAgreeOnDirtySlab(t *testing.T) {
 			[]AggSpec{{Kind: AggSum, Expr: &ColRef{Idx: 1}}, {Kind: AggCountStar}},
 			PartScheme{Rounds: []int{4}}, 64)) // 64 groups per table: regroupSplit runs
 		keys := func(r *Relation) *Relation { return MustRelation(r.Cols[:1]) }
-		for _, kind := range []SetOpKind{SetUnion, SetIntersect, SetMinus} {
+		for _, kind := range []plan.SetOpKind{plan.Union, plan.Intersect, plan.Minus} {
 			keep(SetOp(ctx, keys(probe), keys(build), kind))
 		}
 		sink := NewCollectSink(probe.Cols)
@@ -161,7 +162,7 @@ func TestHashJoinAllocsPerPartition(t *testing.T) {
 		ctx := qef.NewContext(qef.ModeX86)
 		ctx.Slab = mem.NewSlab(64<<20, nil)
 		spec := JoinSpec{
-			Type: InnerJoin, BuildKeys: []int{0}, ProbeKeys: []int{0},
+			Type: plan.InnerJoin, BuildKeys: []int{0}, ProbeKeys: []int{0},
 			BuildPayload: []int{0, 1}, ProbePayload: []int{1, 2},
 			Scheme: scheme,
 		}
@@ -222,7 +223,7 @@ func TestOperatorBytesAreRowIndependent(t *testing.T) {
 			ctx := qef.NewContext(qef.ModeX86)
 			ctx.Slab = mem.NewSlab(64<<20, nil)
 			spec := JoinSpec{
-				Type: InnerJoin, BuildKeys: []int{0}, ProbeKeys: []int{0},
+				Type: plan.InnerJoin, BuildKeys: []int{0}, ProbeKeys: []int{0},
 				BuildPayload: []int{0, 1}, ProbePayload: []int{1, 2},
 				Scheme: scheme,
 			}

@@ -5,6 +5,7 @@ import (
 
 	"rapid/internal/coltypes"
 	"rapid/internal/dpu"
+	"rapid/internal/plan"
 	"rapid/internal/qef"
 )
 
@@ -13,12 +14,6 @@ import (
 // partitions the rows on the leading key so every dpCore sorts an
 // independent range with LSD radix sort, and the ranges concatenate into
 // the total order.
-
-// SortKey is one ORDER BY term.
-type SortKey struct {
-	Col  int
-	Desc bool
-}
 
 // orderKey transforms a signed value into a uint64 whose unsigned order
 // matches the requested order (bias the sign bit; complement for DESC).
@@ -31,7 +26,7 @@ func orderKey(v int64, desc bool) uint64 {
 }
 
 // SortRelation returns rel's rows reordered by the sort keys.
-func SortRelation(ctx *qef.Context, rel *Relation, keys []SortKey) (*Relation, error) {
+func SortRelation(ctx *qef.Context, rel *Relation, keys []plan.SortItem) (*Relation, error) {
 	n := rel.Rows()
 	if n == 0 || len(keys) == 0 {
 		return rel, nil

@@ -5,13 +5,14 @@ import (
 
 	"rapid/internal/coltypes"
 	"rapid/internal/dpu"
+	"rapid/internal/plan"
 	"rapid/internal/qef"
 )
 
 // TopK is RAPID's vectorized top-k operator (§5.4): each dpCore keeps a
 // bounded candidate set for its row span, pruning tiles against the current
 // k-th threshold, and a final merge sorts the few surviving candidates.
-func TopK(ctx *qef.Context, rel *Relation, keys []SortKey, k int) (*Relation, error) {
+func TopK(ctx *qef.Context, rel *Relation, keys []plan.SortItem, k int) (*Relation, error) {
 	n := rel.Rows()
 	if k <= 0 {
 		out := make([]Col, len(rel.Cols))

@@ -1,10 +1,9 @@
 package ops
 
 import (
-	"fmt"
-
 	"rapid/internal/coltypes"
 	"rapid/internal/dpu"
+	"rapid/internal/plan"
 	"rapid/internal/qef"
 )
 
@@ -13,48 +12,21 @@ import (
 // computes the function per partition. Partition boundaries are detected on
 // the sorted key columns.
 
-// WindowFunc selects the window function.
-type WindowFunc int
-
-const (
-	WinRowNumber WindowFunc = iota
-	WinRank
-	WinDenseRank
-	WinCumSum // running SUM(value) within the partition
-	WinSum    // partition-total SUM(value) on every row
-)
-
-func (f WindowFunc) String() string {
-	switch f {
-	case WinRowNumber:
-		return "ROW_NUMBER"
-	case WinRank:
-		return "RANK"
-	case WinDenseRank:
-		return "DENSE_RANK"
-	case WinCumSum:
-		return "CUM_SUM"
-	case WinSum:
-		return "SUM"
-	}
-	return fmt.Sprintf("WindowFunc(%d)", int(f))
-}
-
 // WindowSpec configures one window computation.
 type WindowSpec struct {
-	Func        WindowFunc
+	Func        plan.WindowFunc
 	PartitionBy []int
-	OrderBy     []SortKey
-	ValueCol    int // WinCumSum / WinSum input
+	OrderBy     []plan.SortItem
+	ValueCol    int // CumSum / WinTotalSum input
 	Name        string
 }
 
 // Window returns rel sorted by (PartitionBy, OrderBy) with the window
 // column appended.
 func Window(ctx *qef.Context, rel *Relation, spec WindowSpec) (*Relation, error) {
-	keys := make([]SortKey, 0, len(spec.PartitionBy)+len(spec.OrderBy))
+	keys := make([]plan.SortItem, 0, len(spec.PartitionBy)+len(spec.OrderBy))
 	for _, p := range spec.PartitionBy {
-		keys = append(keys, SortKey{Col: p})
+		keys = append(keys, plan.SortItem{Col: p})
 	}
 	keys = append(keys, spec.OrderBy...)
 	sorted, err := SortRelation(ctx, rel, keys)
@@ -81,7 +53,7 @@ func Window(ctx *qef.Context, rel *Relation, spec WindowSpec) (*Relation, error)
 			return true
 		}
 		var valCol coltypes.Data
-		if spec.Func == WinCumSum || spec.Func == WinSum {
+		if spec.Func == plan.CumSum || spec.Func == plan.WinTotalSum {
 			valCol = sorted.Cols[spec.ValueCol].Data
 		}
 		start := 0
@@ -91,11 +63,11 @@ func Window(ctx *qef.Context, rel *Relation, spec WindowSpec) (*Relation, error)
 				end++
 			}
 			switch spec.Func {
-			case WinRowNumber:
+			case plan.RowNumber:
 				for i := start; i < end; i++ {
 					out[i] = int64(i - start + 1)
 				}
-			case WinRank:
+			case plan.Rank:
 				rank := int64(1)
 				for i := start; i < end; i++ {
 					if i > start && !sameOrder(i-1, i) {
@@ -103,7 +75,7 @@ func Window(ctx *qef.Context, rel *Relation, spec WindowSpec) (*Relation, error)
 					}
 					out[i] = rank
 				}
-			case WinDenseRank:
+			case plan.DenseRank:
 				rank := int64(1)
 				for i := start; i < end; i++ {
 					if i > start && !sameOrder(i-1, i) {
@@ -111,13 +83,13 @@ func Window(ctx *qef.Context, rel *Relation, spec WindowSpec) (*Relation, error)
 					}
 					out[i] = rank
 				}
-			case WinCumSum:
+			case plan.CumSum:
 				var sum int64
 				for i := start; i < end; i++ {
 					sum += valCol.Get(i)
 					out[i] = sum
 				}
-			case WinSum:
+			case plan.WinTotalSum:
 				var sum int64
 				for i := start; i < end; i++ {
 					sum += valCol.Get(i)
@@ -136,12 +108,8 @@ func Window(ctx *qef.Context, rel *Relation, spec WindowSpec) (*Relation, error)
 	if err != nil {
 		return nil, err
 	}
-	name := spec.Name
-	if name == "" {
-		name = spec.Func.String()
-	}
 	cols := append(append([]Col(nil), sorted.Cols...), Col{
-		Name: name,
+		Name: spec.Name,
 		Type: coltypes.Int(),
 		Data: coltypes.Of(out),
 	})

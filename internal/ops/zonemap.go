@@ -1,7 +1,7 @@
 package ops
 
 import (
-	"rapid/internal/primitives"
+	"rapid/internal/plan"
 	"rapid/internal/storage"
 )
 
@@ -50,17 +50,17 @@ func ZoneReject(p Predicate, zone func(col int) (storage.Zone, bool)) bool {
 			return false
 		}
 		switch p.Op {
-		case primitives.LT:
+		case plan.LT:
 			return za.Min >= zb.Max
-		case primitives.LE:
+		case plan.LE:
 			return za.Min > zb.Max
-		case primitives.GT:
+		case plan.GT:
 			return za.Max <= zb.Min
-		case primitives.GE:
+		case plan.GE:
 			return za.Max < zb.Min
-		case primitives.EQ:
+		case plan.EQ:
 			return za.Max < zb.Min || za.Min > zb.Max
-		case primitives.NE:
+		case plan.NE:
 			return za.Min == za.Max && zb.Min == zb.Max && za.Min == zb.Min
 		}
 		return false
@@ -96,19 +96,19 @@ func ZoneReject(p Predicate, zone func(col int) (storage.Zone, bool)) bool {
 }
 
 // cmpRangeEmpty reports whether {v in [min, max] : v op val} is empty.
-func cmpRangeEmpty(min, max int64, op primitives.CmpOp, val int64) bool {
+func cmpRangeEmpty(min, max int64, op plan.CmpOp, val int64) bool {
 	switch op {
-	case primitives.EQ:
+	case plan.EQ:
 		return val < min || val > max
-	case primitives.NE:
+	case plan.NE:
 		return min == max && min == val
-	case primitives.LT:
+	case plan.LT:
 		return min >= val
-	case primitives.LE:
+	case plan.LE:
 		return min > val
-	case primitives.GT:
+	case plan.GT:
 		return max <= val
-	case primitives.GE:
+	case plan.GE:
 		return max < val
 	}
 	return false

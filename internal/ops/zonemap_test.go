@@ -5,7 +5,7 @@ import (
 
 	"rapid/internal/bits"
 	"rapid/internal/coltypes"
-	"rapid/internal/primitives"
+	"rapid/internal/plan"
 	"rapid/internal/qef"
 	"rapid/internal/storage"
 )
@@ -21,17 +21,17 @@ func zonesOf(m map[int]storage.Zone) func(int) (storage.Zone, bool) {
 func TestZoneRejectConstCmp(t *testing.T) {
 	z := zonesOf(map[int]storage.Zone{0: {Min: 10, Max: 20}})
 	cases := []struct {
-		op   primitives.CmpOp
+		op   plan.CmpOp
 		val  int64
 		want bool
 	}{
-		{primitives.EQ, 15, false}, {primitives.EQ, 9, true}, {primitives.EQ, 21, true},
-		{primitives.EQ, 10, false}, {primitives.EQ, 20, false},
-		{primitives.LT, 10, true}, {primitives.LT, 11, false},
-		{primitives.LE, 9, true}, {primitives.LE, 10, false},
-		{primitives.GT, 20, true}, {primitives.GT, 19, false},
-		{primitives.GE, 21, true}, {primitives.GE, 20, false},
-		{primitives.NE, 15, false},
+		{plan.EQ, 15, false}, {plan.EQ, 9, true}, {plan.EQ, 21, true},
+		{plan.EQ, 10, false}, {plan.EQ, 20, false},
+		{plan.LT, 10, true}, {plan.LT, 11, false},
+		{plan.LE, 9, true}, {plan.LE, 10, false},
+		{plan.GT, 20, true}, {plan.GT, 19, false},
+		{plan.GE, 21, true}, {plan.GE, 20, false},
+		{plan.NE, 15, false},
 	}
 	for _, c := range cases {
 		got := ZoneReject(&ConstCmp{Col: 0, Op: c.op, Val: c.val}, z)
@@ -41,11 +41,11 @@ func TestZoneRejectConstCmp(t *testing.T) {
 	}
 	// Single-point zone: NE can reject.
 	pt := zonesOf(map[int]storage.Zone{0: {Min: 7, Max: 7}})
-	if !ZoneReject(&ConstCmp{Col: 0, Op: primitives.NE, Val: 7}, pt) {
+	if !ZoneReject(&ConstCmp{Col: 0, Op: plan.NE, Val: 7}, pt) {
 		t.Error("NE over single-point zone must reject")
 	}
 	// Missing zone never rejects.
-	if ZoneReject(&ConstCmp{Col: 1, Op: primitives.EQ, Val: 0}, z) {
+	if ZoneReject(&ConstCmp{Col: 1, Op: plan.EQ, Val: 0}, z) {
 		t.Error("missing zone must not reject")
 	}
 }
@@ -85,18 +85,18 @@ func TestZoneRejectColCmpAndBoolean(t *testing.T) {
 		1: {Min: 10, Max: 20},
 		2: {Min: 30, Max: 40},
 	})
-	if !ZoneReject(&ColCmp{A: 1, B: 0, Op: primitives.LT}, z) { // min(a)=10 >= max(b)=10
+	if !ZoneReject(&ColCmp{A: 1, B: 0, Op: plan.LT}, z) { // min(a)=10 >= max(b)=10
 		t.Error("a<b with min(a)>=max(b) must reject")
 	}
-	if ZoneReject(&ColCmp{A: 0, B: 1, Op: primitives.LE}, z) {
+	if ZoneReject(&ColCmp{A: 0, B: 1, Op: plan.LE}, z) {
 		t.Error("overlapping a<=b must not reject")
 	}
-	if !ZoneReject(&ColCmp{A: 0, B: 2, Op: primitives.EQ}, z) {
+	if !ZoneReject(&ColCmp{A: 0, B: 2, Op: plan.EQ}, z) {
 		t.Error("disjoint a=b must reject")
 	}
 
-	rejecting := &ConstCmp{Col: 0, Op: primitives.GT, Val: 99}
-	passing := &ConstCmp{Col: 0, Op: primitives.GE, Val: 0}
+	rejecting := &ConstCmp{Col: 0, Op: plan.GT, Val: 99}
+	passing := &ConstCmp{Col: 0, Op: plan.GE, Val: 0}
 	if !ZoneReject(&And{Preds: []Predicate{passing, rejecting}}, z) {
 		t.Error("AND rejects when any conjunct rejects")
 	}
@@ -124,7 +124,7 @@ func TestZoneRejectColCmpAndBoolean(t *testing.T) {
 // creation, so a pruned tile never touches DMEM admission either.
 func TestPrunedTilesAreUnbilled(t *testing.T) {
 	tbl := buildTestTable(t, 5000) // k = 0..4999, clustered; ChunkRows 512
-	pred := &ConstCmp{Col: 0, Op: primitives.GE, Val: 4500, Sel: 0.1}
+	pred := &ConstCmp{Col: 0, Op: plan.GE, Val: 4500, Sel: 0.1}
 
 	run := func(prune Predicate, noPrune bool) (*Relation, int64, int64, *qef.Context) {
 		ctx := qef.NewContext(qef.ModeDPU)

@@ -149,6 +149,22 @@ func (op CmpOp) String() string {
 	return [...]string{"=", "<>", "<", "<=", ">", ">="}[op]
 }
 
+// Swap returns the operator with operand order reversed (a op b == b Swap(op) a).
+func (op CmpOp) Swap() CmpOp {
+	switch op {
+	case LT:
+		return GT
+	case LE:
+		return GE
+	case GT:
+		return LT
+	case GE:
+		return LE
+	default:
+		return op
+	}
+}
+
 // Pred is a boolean predicate.
 type Pred interface {
 	String() string

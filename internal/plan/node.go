@@ -80,14 +80,14 @@ func (n *Project) Schema() []Field {
 func (n *Project) Children() []Node { return []Node{n.Input} }
 func (n *Project) String() string   { return fmt.Sprintf("Project(%d exprs)", len(n.Exprs)) }
 
-// JoinType mirrors ops.JoinType at the logical level.
+// JoinType selects the join semantics (§6.5).
 type JoinType int
 
 const (
-	InnerJoin JoinType = iota
-	SemiJoin
-	AntiJoin
-	LeftOuterJoin
+	InnerJoin     JoinType = iota
+	SemiJoin               // probe rows with at least one build match
+	AntiJoin               // probe rows with no build match
+	LeftOuterJoin          // all probe rows; unmatched get zero build payload
 )
 
 // Join is an equi-join. Left is the probe/outer side, Right the build side
@@ -113,7 +113,7 @@ func (n *Join) String() string {
 	return fmt.Sprintf("Join(type=%d, keys=%v=%v)", n.Type, n.LeftKeys, n.RightKeys)
 }
 
-// AggKind mirrors ops.AggKind plus AVG (lowered by the compilers).
+// AggKind is the SQL aggregate; compilers lower it to ops.AggKind, AVG as SUM/COUNT.
 type AggKind int
 
 const (
@@ -213,7 +213,7 @@ func (n *Limit) Schema() []Field  { return n.Input.Schema() }
 func (n *Limit) Children() []Node { return []Node{n.Input} }
 func (n *Limit) String() string   { return fmt.Sprintf("Limit(%d)", n.K) }
 
-// SetOpKind mirrors ops.SetOpKind.
+// SetOpKind selects a set operation (§5.4).
 type SetOpKind int
 
 const (
@@ -233,15 +233,15 @@ func (n *SetOp) Schema() []Field  { return n.Left.Schema() }
 func (n *SetOp) Children() []Node { return []Node{n.Left, n.Right} }
 func (n *SetOp) String() string   { return fmt.Sprintf("SetOp(%d)", n.Kind) }
 
-// WindowFunc mirrors ops.WindowFunc.
+// WindowFunc selects a window function (§5.4).
 type WindowFunc int
 
 const (
 	RowNumber WindowFunc = iota
 	Rank
 	DenseRank
-	CumSum
-	WinTotalSum
+	CumSum      // running SUM(value) within the partition
+	WinTotalSum // partition-total SUM(value) on every row
 )
 
 // Window appends a window-function column.

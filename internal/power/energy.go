@@ -69,6 +69,14 @@ func (b Breakdown) ActivityJoules() float64 { return float64(b.ActivityFJ()) / F
 // TotalJoules returns activity plus idle energy.
 func (b Breakdown) TotalJoules() float64 { return b.ActivityJoules() + b.IdleJ }
 
+// NanoJoules converts an interval's activity femtojoules and idle joules to
+// the integer nanojoules the energy counters and journal add, the same way
+// for every engine. Activity divides exactly: a round trip through float
+// joules can floor one nanojoule low.
+func NanoJoules(activityFJ int64, idleJ float64) (activityNJ, idleNJ int64) {
+	return activityFJ / 1e6, int64(idleJ * 1e9)
+}
+
 // ActivityFJ prices raw activity counters in femtojoules.
 func (m EnergyModel) ActivityFJ(cycles, readBytes, writeBytes int64) (coreFJ, readFJ, writeFJ int64) {
 	return cycles * m.CoreFJPerCycle, readBytes * m.DMSReadFJPerByte, writeBytes * m.DMSWriteFJPerByte

@@ -53,6 +53,11 @@ func TestBreakdownArithmetic(t *testing.T) {
 	if math.Abs(b.TotalJoules()-(b.ActivityJoules()+b.IdleJ)) > 1e-18 {
 		t.Fatal("total joules")
 	}
+	// 61,149,000,000 fJ is 61,149 nJ exactly; through float joules it
+	// floors to 61,148.
+	if act, idle := NanoJoules(61_149_000_000, 2e-6); act != 61_149 || idle != 2000 {
+		t.Fatalf("NanoJoules = %d, %d; want 61149, 2000", act, idle)
+	}
 }
 
 func TestPerfPerWattFromEnergyReducesToProvisioned(t *testing.T) {

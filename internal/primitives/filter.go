@@ -1,72 +1,25 @@
 package primitives
 
 import (
-	"fmt"
-
 	"rapid/internal/bits"
 	"rapid/internal/coltypes"
 	"rapid/internal/dpu"
+	"rapid/internal/plan"
 )
 
-// CmpOp is a comparison operator of the FILT instruction family.
-type CmpOp int
-
-const (
-	EQ CmpOp = iota
-	NE
-	LT
-	LE
-	GT
-	GE
-)
-
-func (op CmpOp) String() string {
+func cmp[T coltypes.Elem](op plan.CmpOp, a, b T) bool {
 	switch op {
-	case EQ:
-		return "EQ"
-	case NE:
-		return "NE"
-	case LT:
-		return "LT"
-	case LE:
-		return "LE"
-	case GT:
-		return "GT"
-	case GE:
-		return "GE"
-	}
-	return fmt.Sprintf("CmpOp(%d)", int(op))
-}
-
-// Swap returns the operator with operand order reversed (a op b == b Swap(op) a).
-func (op CmpOp) Swap() CmpOp {
-	switch op {
-	case LT:
-		return GT
-	case LE:
-		return GE
-	case GT:
-		return LT
-	case GE:
-		return LE
-	default:
-		return op
-	}
-}
-
-func cmp[T coltypes.Elem](op CmpOp, a, b T) bool {
-	switch op {
-	case EQ:
+	case plan.EQ:
 		return a == b
-	case NE:
+	case plan.NE:
 		return a != b
-	case LT:
+	case plan.LT:
 		return a < b
-	case LE:
+	case plan.LE:
 		return a <= b
-	case GT:
+	case plan.GT:
 		return a > b
-	case GE:
+	case plan.GE:
 		return a >= b
 	}
 	panic("primitives: bad CmpOp")
@@ -76,7 +29,7 @@ func cmp[T coltypes.Elem](op CmpOp, a, b T) bool {
 // cval` for every row and set the output bit-vector. Returns the hit count.
 // A constant outside T's domain makes the predicate uniformly true or false
 // and is resolved without billing (as in all three constant kernels).
-func filterConstBV[T coltypes.Elem](core *dpu.Core, in []T, op CmpOp, cval int64, out *bits.Vector) int {
+func filterConstBV[T coltypes.Elem](core *dpu.Core, in []T, op plan.CmpOp, cval int64, out *bits.Vector) int {
 	c, ok := constFit[T](cval)
 	if !ok {
 		if !degenerateTrue(op, cval) {
@@ -103,7 +56,7 @@ func filterConstBV[T coltypes.Elem](core *dpu.Core, in []T, op CmpOp, cval int64
 // surviving rows to out. Per-value cost scales with the candidate count,
 // but every bit-vector word must still be loaded and scanned — the reason
 // RID lists win below 1/32 density (§5.4).
-func filterConstBVMasked[T coltypes.Elem](core *dpu.Core, in []T, op CmpOp, cval int64, inBV, out *bits.Vector) int {
+func filterConstBVMasked[T coltypes.Elem](core *dpu.Core, in []T, op plan.CmpOp, cval int64, inBV, out *bits.Vector) int {
 	c, ok := constFit[T](cval)
 	hits := 0
 	if !ok {
@@ -132,7 +85,7 @@ func filterConstBVMasked[T coltypes.Elem](core *dpu.Core, in []T, op CmpOp, cval
 // filterConstRIDs is the RID-list kernel chosen when fewer than 1/32 of the
 // rows are expected to qualify (§5.4): scan the candidate RIDs (nil = all
 // rows) and append survivors to out.
-func filterConstRIDs[T coltypes.Elem](core *dpu.Core, in []T, op CmpOp, cval int64, inRIDs []uint32, out []uint32) []uint32 {
+func filterConstRIDs[T coltypes.Elem](core *dpu.Core, in []T, op plan.CmpOp, cval int64, inRIDs []uint32, out []uint32) []uint32 {
 	c, ok := constFit[T](cval)
 	if !ok {
 		if !degenerateTrue(op, cval) {
@@ -190,7 +143,7 @@ func filterBetweenBV[T coltypes.Elem](core *dpu.Core, in []T, lo, hi T, inBV, ou
 }
 
 // filterColColBV evaluates a[i] op b[i] on rows of inBV (nil = all).
-func filterColColBV[T coltypes.Elem](core *dpu.Core, a, b []T, op CmpOp, inBV, out *bits.Vector) int {
+func filterColColBV[T coltypes.Elem](core *dpu.Core, a, b []T, op plan.CmpOp, inBV, out *bits.Vector) int {
 	hits := 0
 	if inBV == nil {
 		for i := range a {
@@ -250,7 +203,7 @@ func filterInSet[T coltypes.Elem](core *dpu.Core, in []T, set *bits.Vector, inBV
 // kernel is each switch's default, so a zero Data panics in its I64 accessor.
 
 // FilterConstBV evaluates `d op cval` densely into out, returning hits.
-func FilterConstBV(core *dpu.Core, d coltypes.Data, op CmpOp, cval int64, out *bits.Vector) int {
+func FilterConstBV(core *dpu.Core, d coltypes.Data, op plan.CmpOp, cval int64, out *bits.Vector) int {
 	switch d.Width() {
 	case coltypes.W1:
 		return filterConstBV(core, d.I8(), op, cval, out)
@@ -263,7 +216,7 @@ func FilterConstBV(core *dpu.Core, d coltypes.Data, op CmpOp, cval int64, out *b
 }
 
 // FilterConstBVMasked evaluates `d op cval` on rows of inBV into out.
-func FilterConstBVMasked(core *dpu.Core, d coltypes.Data, op CmpOp, cval int64, inBV, out *bits.Vector) int {
+func FilterConstBVMasked(core *dpu.Core, d coltypes.Data, op plan.CmpOp, cval int64, inBV, out *bits.Vector) int {
 	switch d.Width() {
 	case coltypes.W1:
 		return filterConstBVMasked(core, d.I8(), op, cval, inBV, out)
@@ -277,7 +230,7 @@ func FilterConstBVMasked(core *dpu.Core, d coltypes.Data, op CmpOp, cval int64, 
 
 // FilterConstRIDs evaluates `d op cval` over candidate RIDs (nil = dense
 // scan) appending hits to out.
-func FilterConstRIDs(core *dpu.Core, d coltypes.Data, op CmpOp, cval int64, inRIDs []uint32, out []uint32) []uint32 {
+func FilterConstRIDs(core *dpu.Core, d coltypes.Data, op plan.CmpOp, cval int64, inRIDs []uint32, out []uint32) []uint32 {
 	switch d.Width() {
 	case coltypes.W1:
 		return filterConstRIDs(core, d.I8(), op, cval, inRIDs, out)
@@ -316,7 +269,7 @@ func FilterBetweenBV(core *dpu.Core, d coltypes.Data, lo, hi int64, inBV, out *b
 
 // FilterColColBV evaluates a[i] op b[i]; a and b may have different widths
 // (widened comparison).
-func FilterColColBV(core *dpu.Core, a, b coltypes.Data, op CmpOp, inBV, out *bits.Vector) int {
+func FilterColColBV(core *dpu.Core, a, b coltypes.Data, op plan.CmpOp, inBV, out *bits.Vector) int {
 	if a.Width() == b.Width() {
 		switch a.Width() {
 		case coltypes.W1:
@@ -358,14 +311,14 @@ func constFit[T coltypes.Elem](v int64) (T, bool) {
 // degenerateTrue reports whether `x op cval` holds for every x of a column
 // whose (signed) physical domain does not contain cval: cval is then above
 // the domain when positive and below it when negative.
-func degenerateTrue(op CmpOp, cval int64) bool {
+func degenerateTrue(op plan.CmpOp, cval int64) bool {
 	above := cval > 0
 	switch op {
-	case NE:
+	case plan.NE:
 		return true
-	case LT, LE:
+	case plan.LT, plan.LE:
 		return above
-	case GT, GE:
+	case plan.GT, plan.GE:
 		return !above
 	}
 	return false

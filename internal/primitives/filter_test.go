@@ -8,6 +8,7 @@ import (
 	"rapid/internal/bits"
 	"rapid/internal/coltypes"
 	"rapid/internal/dpu"
+	"rapid/internal/plan"
 )
 
 func testCore(t testing.TB) *dpu.Core {
@@ -21,24 +22,24 @@ func col(w coltypes.Width, vals ...int64) coltypes.Data {
 
 func TestCmpOps(t *testing.T) {
 	type c struct {
-		op   CmpOp
+		op   plan.CmpOp
 		a, b int64
 		want bool
 	}
 	cases := []c{
-		{EQ, 5, 5, true}, {EQ, 5, 6, false},
-		{NE, 5, 6, true}, {NE, 5, 5, false},
-		{LT, 4, 5, true}, {LT, 5, 5, false},
-		{LE, 5, 5, true}, {LE, 6, 5, false},
-		{GT, 6, 5, true}, {GT, 5, 5, false},
-		{GE, 5, 5, true}, {GE, 4, 5, false},
+		{plan.EQ, 5, 5, true}, {plan.EQ, 5, 6, false},
+		{plan.NE, 5, 6, true}, {plan.NE, 5, 5, false},
+		{plan.LT, 4, 5, true}, {plan.LT, 5, 5, false},
+		{plan.LE, 5, 5, true}, {plan.LE, 6, 5, false},
+		{plan.GT, 6, 5, true}, {plan.GT, 5, 5, false},
+		{plan.GE, 5, 5, true}, {plan.GE, 4, 5, false},
 	}
 	for _, tc := range cases {
 		if got := cmp(tc.op, tc.a, tc.b); got != tc.want {
 			t.Errorf("%d %v %d = %v", tc.a, tc.op, tc.b, got)
 		}
 	}
-	for _, op := range []CmpOp{EQ, NE, LT, LE, GT, GE} {
+	for _, op := range []plan.CmpOp{plan.EQ, plan.NE, plan.LT, plan.LE, plan.GT, plan.GE} {
 		for a := int64(-2); a <= 2; a++ {
 			for b := int64(-2); b <= 2; b++ {
 				if cmp(op, a, b) != cmp(op.Swap(), b, a) {
@@ -47,9 +48,6 @@ func TestCmpOps(t *testing.T) {
 			}
 		}
 	}
-	if EQ.String() != "EQ" || CmpOp(99).String() == "" {
-		t.Fatal("String")
-	}
 }
 
 func TestFilterConstBVAllWidths(t *testing.T) {
@@ -57,7 +55,7 @@ func TestFilterConstBVAllWidths(t *testing.T) {
 	for _, w := range []coltypes.Width{coltypes.W1, coltypes.W2, coltypes.W4, coltypes.W8} {
 		d := col(w, 1, 5, 3, 5, 7, 5, 0)
 		bv := bits.NewVector(d.Len())
-		hits := FilterConstBV(core, d, EQ, 5, bv)
+		hits := FilterConstBV(core, d, plan.EQ, 5, bv)
 		if hits != 3 || bv.Count() != 3 {
 			t.Fatalf("w%d: hits=%d count=%d", w, hits, bv.Count())
 		}
@@ -77,9 +75,9 @@ func TestFilterConstBVMaskedChain(t *testing.T) {
 	a := col(coltypes.W4, 10, 20, 30, 40, 50, 60)
 	b := col(coltypes.W4, 1, 1, 2, 2, 1, 2)
 	bv1 := bits.NewVector(6)
-	FilterConstBV(core, a, GT, 25, bv1) // rows 2,3,4,5
+	FilterConstBV(core, a, plan.GT, 25, bv1) // rows 2,3,4,5
 	bv2 := bits.NewVector(6)
-	hits := FilterConstBVMasked(core, b, EQ, 2, bv1, bv2) // rows 2,3,5
+	hits := FilterConstBVMasked(core, b, plan.EQ, 2, bv1, bv2) // rows 2,3,5
 	if hits != 3 || !bv2.Test(2) || !bv2.Test(3) || !bv2.Test(5) {
 		t.Fatalf("chain wrong: hits=%d %s", hits, bv2)
 	}
@@ -94,7 +92,7 @@ func TestFilterConstBVMaskedChain(t *testing.T) {
 	sparse := bits.NewVector(100000)
 	sparse.Set(5)
 	out := bits.NewVector(100000)
-	FilterConstBVMasked(c1, big, EQ, 0, sparse, out)
+	FilterConstBVMasked(c1, big, plan.EQ, 0, sparse, out)
 	words := int64((100000 + 63) / 64)
 	if cy := int64(c1.Cycles()); cy < 3*words || cy > 4*words+100 {
 		t.Fatalf("masked filter on 1 candidate charged %d cycles, want ~%d (word scan)", cy, 3*words)
@@ -107,13 +105,13 @@ func TestFilterConstBVMaskedChain(t *testing.T) {
 func TestFilterConstRIDs(t *testing.T) {
 	core := testCore(t)
 	d := col(coltypes.W2, 5, 1, 5, 2, 5)
-	rids := FilterConstRIDs(core, d, EQ, 5, nil, nil)
+	rids := FilterConstRIDs(core, d, plan.EQ, 5, nil, nil)
 	if len(rids) != 3 || rids[0] != 0 || rids[1] != 2 || rids[2] != 4 {
 		t.Fatalf("dense RIDs = %v", rids)
 	}
 	// Chained through a candidate list.
 	d2 := col(coltypes.W2, 9, 9, 7, 9, 7)
-	rids2 := FilterConstRIDs(core, d2, EQ, 7, rids, nil)
+	rids2 := FilterConstRIDs(core, d2, plan.EQ, 7, rids, nil)
 	if len(rids2) != 2 || rids2[0] != 2 || rids2[1] != 4 {
 		t.Fatalf("chained RIDs = %v", rids2)
 	}
@@ -153,13 +151,13 @@ func TestFilterColCol(t *testing.T) {
 	a := col(coltypes.W4, 1, 5, 3, 7)
 	b := col(coltypes.W4, 2, 4, 3, 9)
 	bv := bits.NewVector(4)
-	if hits := FilterColColBV(core, a, b, LT, nil, bv); hits != 2 || !bv.Test(0) || !bv.Test(3) {
+	if hits := FilterColColBV(core, a, b, plan.LT, nil, bv); hits != 2 || !bv.Test(0) || !bv.Test(3) {
 		t.Fatalf("colcol LT: %d %s", hits, bv)
 	}
 	// Mixed widths widen.
 	c := col(coltypes.W8, 2, 4, 3, 9)
 	bv2 := bits.NewVector(4)
-	if hits := FilterColColBV(core, a, c, EQ, nil, bv2); hits != 1 || !bv2.Test(2) {
+	if hits := FilterColColBV(core, a, c, plan.EQ, nil, bv2); hits != 1 || !bv2.Test(2) {
 		t.Fatalf("mixed width colcol: %d %s", hits, bv2)
 	}
 }
@@ -184,29 +182,29 @@ func TestDegenerateConstants(t *testing.T) {
 	core := testCore(t)
 	d := col(coltypes.W1, 1, 2, 3) // domain [-128,127]
 	bv := bits.NewVector(3)
-	if hits := FilterConstBV(core, d, LT, 1000, bv); hits != 3 {
+	if hits := FilterConstBV(core, d, plan.LT, 1000, bv); hits != 3 {
 		t.Fatalf("x < 1000 over W1 should be all: %d", hits)
 	}
 	bv2 := bits.NewVector(3)
-	if hits := FilterConstBV(core, d, GT, 1000, bv2); hits != 0 {
+	if hits := FilterConstBV(core, d, plan.GT, 1000, bv2); hits != 0 {
 		t.Fatalf("x > 1000 over W1 should be none: %d", hits)
 	}
 	bv3 := bits.NewVector(3)
-	if hits := FilterConstBV(core, d, EQ, -1000, bv3); hits != 0 {
+	if hits := FilterConstBV(core, d, plan.EQ, -1000, bv3); hits != 0 {
 		t.Fatal("x == -1000 over W1 should be none")
 	}
 	bv4 := bits.NewVector(3)
-	if hits := FilterConstBV(core, d, GE, -1000, bv4); hits != 3 {
+	if hits := FilterConstBV(core, d, plan.GE, -1000, bv4); hits != 3 {
 		t.Fatal("x >= -1000 over W1 should be all")
 	}
 	// Masked and RID variants agree.
 	in := bits.NewVector(3)
 	in.SetAll()
 	bv5 := bits.NewVector(3)
-	if hits := FilterConstBVMasked(core, d, NE, 1000, in, bv5); hits != 3 {
+	if hits := FilterConstBVMasked(core, d, plan.NE, 1000, in, bv5); hits != 3 {
 		t.Fatal("masked degenerate NE wrong")
 	}
-	if rids := FilterConstRIDs(core, d, LE, 1000, nil, nil); len(rids) != 3 {
+	if rids := FilterConstRIDs(core, d, plan.LE, 1000, nil, nil); len(rids) != 3 {
 		t.Fatal("RID degenerate LE wrong")
 	}
 }
@@ -215,7 +213,7 @@ func TestDegenerateConstants(t *testing.T) {
 func TestFilterVariantsAgree(t *testing.T) {
 	f := func(seed int64, opRaw uint8, cval int16) bool {
 		rng := rand.New(rand.NewSource(seed))
-		op := CmpOp(int(opRaw) % 6)
+		op := plan.CmpOp(int(opRaw) % 6)
 		n := rng.Intn(300) + 1
 		d := coltypes.New(coltypes.W2, n)
 		for i := 0; i < n; i++ {
@@ -250,7 +248,7 @@ func TestFilterRateCalibration(t *testing.T) {
 	const n = 1 << 20
 	d := coltypes.New(coltypes.W4, n)
 	bv := bits.NewVector(n)
-	FilterConstBV(core, d, EQ, 1, bv)
+	FilterConstBV(core, d, plan.EQ, 1, bv)
 	cyclesPerRow := float64(core.Cycles()) / n
 	if cyclesPerRow < 1.55 || cyclesPerRow > 1.75 {
 		t.Fatalf("filter = %.3f cycles/row, want ~1.65", cyclesPerRow)

@@ -13,7 +13,6 @@ import (
 	"rapid/internal/encoding"
 	"rapid/internal/ops"
 	"rapid/internal/plan"
-	"rapid/internal/primitives"
 	"rapid/internal/storage"
 )
 
@@ -68,9 +67,9 @@ func compileScaled(e plan.Expr, target int8, cols []colInfo) (ops.Expr, error) {
 	case s == target:
 		return ce, nil
 	case s < target:
-		return &ops.BinExpr{Op: ops.OpMul, L: ce, R: &ops.ConstExpr{Val: encoding.Pow10(int(target - s))}}, nil
+		return &ops.BinExpr{Op: plan.Mul, L: ce, R: &ops.ConstExpr{Val: encoding.Pow10(int(target - s))}}, nil
 	default:
-		return &ops.BinExpr{Op: ops.OpDiv, L: ce, R: &ops.ConstExpr{Val: encoding.Pow10(int(s - target))}}, nil
+		return &ops.BinExpr{Op: plan.Div, L: ce, R: &ops.ConstExpr{Val: encoding.Pow10(int(s - target))}}, nil
 	}
 }
 
@@ -89,11 +88,7 @@ func compileArith(a *plan.Arith, cols []colInfo) (ops.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		op := ops.OpAdd
-		if a.Op == plan.Sub {
-			op = ops.OpSub
-		}
-		return &ops.BinExpr{Op: op, L: l, R: r}, nil
+		return &ops.BinExpr{Op: a.Op, L: l, R: r}, nil
 	case plan.Mul:
 		l, err := compileExpr(a.L, cols)
 		if err != nil {
@@ -103,7 +98,7 @@ func compileArith(a *plan.Arith, cols []colInfo) (ops.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &ops.BinExpr{Op: ops.OpMul, L: l, R: r}, nil
+		return &ops.BinExpr{Op: plan.Mul, L: l, R: r}, nil
 	case plan.Div:
 		// Result scale is DivScale: value = L*10^(DivScale - ls + rs) / R.
 		l, err := compileExpr(a.L, cols)
@@ -118,11 +113,11 @@ func compileArith(a *plan.Arith, cols []colInfo) (ops.Expr, error) {
 		adj := int(plan.DivScale) - int(ls) + int(rs)
 		num := l
 		if adj > 0 {
-			num = &ops.BinExpr{Op: ops.OpMul, L: l, R: &ops.ConstExpr{Val: encoding.Pow10(adj)}}
+			num = &ops.BinExpr{Op: plan.Mul, L: l, R: &ops.ConstExpr{Val: encoding.Pow10(adj)}}
 		} else if adj < 0 {
-			num = &ops.BinExpr{Op: ops.OpDiv, L: l, R: &ops.ConstExpr{Val: encoding.Pow10(-adj)}}
+			num = &ops.BinExpr{Op: plan.Div, L: l, R: &ops.ConstExpr{Val: encoding.Pow10(-adj)}}
 		}
-		return &ops.BinExpr{Op: ops.OpDiv, L: num, R: r}, nil
+		return &ops.BinExpr{Op: plan.Div, L: num, R: r}, nil
 	}
 	return nil, fmt.Errorf("qcomp: unsupported arithmetic op %v", a.Op)
 }
@@ -178,7 +173,7 @@ func compilePred(p plan.Pred, cols []colInfo) (ops.Predicate, error) {
 }
 
 func compileCmp(c *plan.Cmp, cols []colInfo) (ops.Predicate, error) {
-	op := cmpOp(c.Op)
+	op := c.Op
 	// Normalize const to the right.
 	l, r := c.L, c.R
 	if _, isConst := l.(*plan.Const); isConst {
@@ -239,17 +234,17 @@ func compileCmp(c *plan.Cmp, cols []colInfo) (ops.Predicate, error) {
 	if err != nil {
 		return nil, err
 	}
-	diff := &ops.BinExpr{Op: ops.OpSub, L: le, R: re}
+	diff := &ops.BinExpr{Op: plan.Sub, L: le, R: re}
 	return &ops.ExprCmp{E: diff, Op: op, Val: 0, Sel: 0.3}, nil
 }
 
-func compileStringCmp(op primitives.CmpOp, lc *plan.ColRef, rc *plan.Const, ci colInfo) (ops.Predicate, error) {
+func compileStringCmp(op plan.CmpOp, lc *plan.ColRef, rc *plan.Const, ci colInfo) (ops.Predicate, error) {
 	dict := ci.field.Dict
 	if dict == nil {
 		return nil, fmt.Errorf("qcomp: string column %s has no dictionary", lc.Name)
 	}
 	switch op {
-	case primitives.EQ, primitives.NE:
+	case plan.EQ, plan.NE:
 		code := dict.Code(rc.Str)
 		if code < 0 {
 			// Unknown string: EQ matches nothing, NE matches everything.
@@ -257,23 +252,12 @@ func compileStringCmp(op primitives.CmpOp, lc *plan.ColRef, rc *plan.Const, ci c
 			code = int32(dict.Len()) + 1
 		}
 		sel := 1.0 / float64(maxInt(dict.Len(), 1))
-		if op == primitives.NE {
+		if op == plan.NE {
 			sel = 1 - sel
 		}
 		return &ops.ConstCmp{Col: lc.Idx, Op: op, Val: int64(code), Sel: sel}, nil
 	default:
-		var sym string
-		switch op {
-		case primitives.LT:
-			sym = "<"
-		case primitives.LE:
-			sym = "<="
-		case primitives.GT:
-			sym = ">"
-		case primitives.GE:
-			sym = ">="
-		}
-		set, err := dict.CompareCodes(sym, rc.Str)
+		set, err := dict.CompareCodes(op.String(), rc.Str)
 		if err != nil {
 			return nil, fmt.Errorf("qcomp: string comparison on %s: %w", lc.Name, err)
 		}
@@ -334,8 +318,8 @@ func compileIn(in *plan.InPred, cols []colInfo) (ops.Predicate, error) {
 			continue
 		}
 		sub = append(sub, &ops.ConstCmp{
-			Col: lc.Idx, Op: primitives.EQ, Val: val,
-			Sel: cmpSelectivity(primitives.EQ, val, ci.stats),
+			Col: lc.Idx, Op: plan.EQ, Val: val,
+			Sel: cmpSelectivity(plan.EQ, val, ci.stats),
 		})
 	}
 	if len(sub) == 0 {
@@ -380,46 +364,28 @@ func rescaleConst(c *plan.Const, target int8) (int64, bool) {
 	return d.Rescale(target)
 }
 
-func cmpOp(op plan.CmpOp) primitives.CmpOp {
-	switch op {
-	case plan.EQ:
-		return primitives.EQ
-	case plan.NE:
-		return primitives.NE
-	case plan.LT:
-		return primitives.LT
-	case plan.LE:
-		return primitives.LE
-	case plan.GT:
-		return primitives.GT
-	case plan.GE:
-		return primitives.GE
-	}
-	panic("qcomp: bad CmpOp")
-}
-
 // cmpSelectivity estimates predicate selectivity from column statistics
 // assuming a uniform value distribution.
-func cmpSelectivity(op primitives.CmpOp, val int64, st *storage.ColStats) float64 {
+func cmpSelectivity(op plan.CmpOp, val int64, st *storage.ColStats) float64 {
 	if st == nil || st.Max < st.Min {
 		return 0.3
 	}
 	width := float64(st.Max-st.Min) + 1
 	switch op {
-	case primitives.EQ:
+	case plan.EQ:
 		if st.NDV > 0 {
 			return 1 / float64(st.NDV)
 		}
 		return 1 / width
-	case primitives.NE:
+	case plan.NE:
 		if st.NDV > 0 {
 			return 1 - 1/float64(st.NDV)
 		}
 		return 1 - 1/width
-	case primitives.LT, primitives.LE:
+	case plan.LT, plan.LE:
 		f := (float64(val) - float64(st.Min)) / width
 		return clamp01(f)
-	case primitives.GT, primitives.GE:
+	case plan.GT, plan.GE:
 		f := (float64(st.Max) - float64(val)) / width
 		return clamp01(f)
 	}

@@ -125,7 +125,7 @@ func (n *joinNode) execute(ctx *qef.Context) (*ops.Relation, error) {
 		bk, pk = n.lk, n.rk
 	}
 	spec := ops.JoinSpec{
-		Type:      joinType(n.typ),
+		Type:      n.typ,
 		BuildKeys: bk,
 		ProbeKeys: pk,
 		Scheme:    n.scheme,
@@ -166,19 +166,6 @@ func (n *joinNode) execute(ctx *qef.Context) (*ops.Relation, error) {
 	return out, nil
 }
 
-func joinType(t plan.JoinType) ops.JoinType {
-	switch t {
-	case plan.SemiJoin:
-		return ops.SemiJoin
-	case plan.AntiJoin:
-		return ops.AntiJoin
-	case plan.LeftOuterJoin:
-		return ops.LeftOuterJoin
-	default:
-		return ops.InnerJoin
-	}
-}
-
 func allIdx(n int) []int {
 	out := make([]int, n)
 	for i := range out {
@@ -206,7 +193,7 @@ func (n *sortNode) execute(ctx *qef.Context) (*ops.Relation, error) {
 	sp := ctx.Prof.Span(n.opID)
 	sp.AddRowsIn(int64(rel.Rows()))
 	nCols := rel.NumCols()
-	ranked, keys := rankColumns(rel, sortKeys(n.keys, rel))
+	ranked, keys := rankColumns(rel, n.keys)
 	prev := ctx.SetActiveSpan(sp)
 	out, err := ops.SortRelation(ctx, ranked, keys)
 	ctx.SetActiveSpan(prev)
@@ -217,22 +204,13 @@ func (n *sortNode) execute(ctx *qef.Context) (*ops.Relation, error) {
 	return ops.MustRelation(out.Cols[:nCols]), nil
 }
 
-// sortKeys translates plan sort items, using dictionary rank order for
-// string columns (codes are insertion-ordered, not lexicographic).
-func sortKeys(items []plan.SortItem, rel *ops.Relation) []ops.SortKey {
-	keys := make([]ops.SortKey, len(items))
-	for i, it := range items {
-		keys[i] = ops.SortKey{Col: it.Col, Desc: it.Desc}
-	}
-	return keys
-}
-
 // rankColumns replaces dictionary-coded sort columns by their rank so that
-// ORDER BY sorts lexicographically. Returns a relation view with substitute
-// columns appended and remapped keys.
-func rankColumns(rel *ops.Relation, keys []ops.SortKey) (*ops.Relation, []ops.SortKey) {
+// ORDER BY sorts lexicographically (codes are insertion-ordered, not
+// lexicographic). Returns a relation view with substitute columns appended
+// and remapped keys.
+func rankColumns(rel *ops.Relation, keys []plan.SortItem) (*ops.Relation, []plan.SortItem) {
 	out := rel
-	mapped := append([]ops.SortKey(nil), keys...)
+	mapped := append([]plan.SortItem(nil), keys...)
 	for i, k := range keys {
 		c := rel.Cols[k.Col]
 		if c.Type.Kind != coltypes.KindString || c.Dict == nil {
@@ -278,7 +256,7 @@ func (n *topkNode) execute(ctx *qef.Context) (*ops.Relation, error) {
 	sp := ctx.Prof.Span(n.opID)
 	sp.AddRowsIn(int64(rel.Rows()))
 	nCols := rel.NumCols()
-	ranked, keys := rankColumns(rel, sortKeys(n.keys, rel))
+	ranked, keys := rankColumns(rel, n.keys)
 	prev := ctx.SetActiveSpan(sp)
 	out, err := ops.TopK(ctx, ranked, keys, n.k)
 	ctx.SetActiveSpan(prev)
@@ -331,12 +309,8 @@ func (n *setopNode) execute(ctx *qef.Context) (*ops.Relation, error) {
 	}
 	sp := ctx.Prof.Span(n.opID)
 	sp.AddRowsIn(int64(l.Rows() + r.Rows()))
-	kind := map[plan.SetOpKind]ops.SetOpKind{
-		plan.Union: ops.SetUnion, plan.UnionAll: ops.SetUnionAll,
-		plan.Intersect: ops.SetIntersect, plan.Minus: ops.SetMinus,
-	}[n.kind]
 	prev := ctx.SetActiveSpan(sp)
-	out, err := ops.SetOp(ctx, l, r, kind)
+	out, err := ops.SetOp(ctx, l, r, n.kind)
 	ctx.SetActiveSpan(prev)
 	if err != nil {
 		return nil, err
@@ -361,22 +335,13 @@ func (n *windowNode) execute(ctx *qef.Context) (*ops.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	fn := map[plan.WindowFunc]ops.WindowFunc{
-		plan.RowNumber: ops.WinRowNumber, plan.Rank: ops.WinRank,
-		plan.DenseRank: ops.WinDenseRank, plan.CumSum: ops.WinCumSum,
-		plan.WinTotalSum: ops.WinSum,
-	}[n.spec.Func]
-	ob := make([]ops.SortKey, len(n.spec.OrderBy))
-	for i, o := range n.spec.OrderBy {
-		ob[i] = ops.SortKey{Col: o.Col, Desc: o.Desc}
-	}
 	sp := ctx.Prof.Span(n.opID)
 	sp.AddRowsIn(int64(rel.Rows()))
 	prev := ctx.SetActiveSpan(sp)
 	out, err := ops.Window(ctx, rel, ops.WindowSpec{
-		Func:        fn,
+		Func:        n.spec.Func,
 		PartitionBy: n.spec.PartitionBy,
-		OrderBy:     ob,
+		OrderBy:     n.spec.OrderBy,
 		ValueCol:    n.spec.ValueCol,
 		Name:        n.spec.Name,
 	})

@@ -26,11 +26,17 @@
 // by alias (public API); and the harness packages named below.
 //
 // A gate: exit status 1 when something is found that kept below does not
-// name, or when a kept name is wired or gone. The list may shrink; it grows
+// name, when a kept name is wired or gone, or when a mirrored enum is found. The list may shrink; it grows
 // only by a field that a test of live behaviour reads (rule 3).
 // Before it judges the module the tool runs the same census over a small
 // in-memory module whose answer is known (selfTest) and refuses to go on if
 // that answer is wrong.
+//
+// A second section lists mirrored enums: every function of type func(A) B
+// and every map[A]B composite literal where A and B are defined integer types
+// of two different packages under internal/ with the same number of
+// constants. Such a translation copies one vocabulary into another; the
+// package that uses the other type should use the first one directly.
 //
 // Known blind spot: reflection. A method reached only through reflect (a
 // template calling it by name, say) has no use the type checker can see, and
@@ -396,6 +402,63 @@ func (l *loader) survey() []finding {
 	return out
 }
 
+// mirrors lists the translations between mirrored enums: functions of type
+// func(A) B and map[A]B literals, A and B defined integer types of two
+// different packages under internal/ declaring as many constants each.
+func (l *loader) mirrors() []finding {
+	consts := map[*types.TypeName]int{}
+	for _, p := range l.pkgs {
+		for _, name := range p.Scope().Names() {
+			if c, ok := p.Scope().Lookup(name).(*types.Const); ok {
+				if n, ok := c.Type().(*types.Named); ok {
+					consts[n.Obj()]++
+				}
+			}
+		}
+	}
+	enum := func(t types.Type) *types.TypeName {
+		n, ok := t.(*types.Named)
+		if !ok || consts[n.Obj()] == 0 || !strings.Contains(n.Obj().Pkg().Path()+"/", "/internal/") {
+			return nil
+		}
+		if b, ok := n.Underlying().(*types.Basic); !ok || b.Info()&types.IsInteger == 0 {
+			return nil
+		}
+		return n.Obj()
+	}
+	mirrored := func(from, to types.Type) bool {
+		a, b := enum(from), enum(to)
+		return a != nil && b != nil && a.Pkg() != b.Pkg() && consts[a] == consts[b]
+	}
+	qualify := func(p *types.Package) string { return p.Name() }
+	var out []finding
+	for path, files := range l.files {
+		pkg := l.pkgs[path].Name()
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					fn, ok := l.info.Defs[n.Name].(*types.Func)
+					if !ok {
+						break
+					}
+					sig := fn.Type().(*types.Signature)
+					if sig.Params().Len() == 1 && sig.Results().Len() == 1 && mirrored(sig.Params().At(0).Type(), sig.Results().At(0).Type()) {
+						out = append(out, finding{pkg + "." + n.Name.Name, l.fset.Position(n.Pos()).String()})
+					}
+				case *ast.CompositeLit:
+					if m, ok := l.info.Types[n].Type.(*types.Map); ok && mirrored(m.Key(), m.Elem()) {
+						out = append(out, finding{types.TypeString(m, qualify) + " literal", l.fset.Position(n.Pos()).String()})
+					}
+				}
+				return true
+			})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].label < out[j].label })
+	return out
+}
+
 // jsonTagged reports whether any field of the struct carries a json tag:
 // encoding/json reads such a struct by reflection, where no use is visible.
 func jsonTagged(st *types.Struct) bool {
@@ -448,7 +511,8 @@ func (l *loader) publicTypes() map[*types.TypeName]bool {
 // an option field nothing sets and a field that is written (by a literal key,
 // an assignment and +=) but never read must be reported; an interface method
 // nobody calls directly, a field set from another file, a written-never-read
-// field of a JSON-tagged struct and of a map-key struct must not.
+// field of a JSON-tagged struct and of a map-key struct must not. Then it
+// checks the mirrored-enum section over two more packages.
 func selfTest() error {
 	l := newLoader("", "m", nil)
 	parse := func(name, src string) *ast.File {
@@ -487,6 +551,34 @@ func main() { a.Use() }`)}); err != nil {
 	}
 	if want := "a.Options.Unset a.Sq.Reset a.Sq.stale"; strings.Join(got, " ") != want {
 		return fmt.Errorf("self-test: census reported %q, want %q", got, want)
+	}
+
+	// Mirrored enums: a translation between two three-constant types of
+	// different packages is reported, as a function and as a map literal;
+	// one from six constants to five is not.
+	if _, err := l.check("m/internal/p", []*ast.File{parse("p.go", `package p
+type Kind int
+const (A Kind = iota; B; C)
+type Agg int
+const (Sum Agg = iota; Min; Max; Count; Star; Avg)`)}); err != nil {
+		return err
+	}
+	if _, err := l.check("m/internal/q", []*ast.File{parse("q.go", `package q
+import "m/internal/p"
+type Kind int
+const (A Kind = iota; B; C)
+type Agg int
+const (Sum Agg = iota; Min; Max; Count; Star)
+func kind(k p.Kind) Kind { return map[p.Kind]Kind{p.A: A, p.B: B, p.C: C}[k] }
+func agg(a p.Agg) Agg { return map[p.Agg]Agg{p.Sum: Sum}[a] }`)}); err != nil {
+		return err
+	}
+	got = got[:0]
+	for _, f := range l.mirrors() {
+		got = append(got, f.label)
+	}
+	if want := "map[p.Kind]q.Kind literal q.kind"; strings.Join(got, " ") != want {
+		return fmt.Errorf("self-test: mirrored enums %q, want %q", got, want)
 	}
 	return nil
 }
@@ -554,6 +646,17 @@ func main() {
 		}
 	}
 	if fail == 0 {
+		fmt.Println("none")
+	}
+	fmt.Println()
+	fmt.Println("### Mirrored enums: func(A) B and map[A]B between internal integer types with as many constants")
+	fmt.Println()
+	mirrors := l.mirrors()
+	for _, f := range mirrors {
+		fmt.Printf("- `%s` (%s)\n", f.label, f.pos)
+		fail = 1
+	}
+	if len(mirrors) == 0 {
 		fmt.Println("none")
 	}
 	fmt.Println()
