@@ -38,10 +38,6 @@ func fig8() *Table {
 	}
 	eng := dms.NewEngine(dms.DefaultModel())
 	cols := mkCols(microRows, 4)
-	bounds := make([]int64, 31)
-	for i := range bounds {
-		bounds[i] = int64((i + 1)) * (1 << 58) / 32 * 16 // spread over the domain
-	}
 	specs := []struct {
 		name string
 		spec dms.PartitionSpec
@@ -50,11 +46,11 @@ func fig8() *Table {
 		{"hash-1key", dms.PartitionSpec{Strategy: dms.Hash, Fanout: 32, KeyCols: []int{0}}},
 		{"hash-2key", dms.PartitionSpec{Strategy: dms.Hash, Fanout: 32, KeyCols: []int{0, 1}}},
 		{"hash-4key", dms.PartitionSpec{Strategy: dms.Hash, Fanout: 32, KeyCols: []int{0, 1, 2, 3}}},
-		{"range", dms.PartitionSpec{Strategy: dms.Range, Fanout: 32, KeyCols: []int{0}, Bounds: bounds}},
+		{"range", dms.PartitionSpec{Strategy: dms.Range, Fanout: 32, KeyCols: []int{0}}},
 		{"round-robin", dms.PartitionSpec{Strategy: dms.RoundRobin, Fanout: 32}},
 	}
 	for _, s := range specs {
-		_, tm, err := eng.PartitionIDs(cols, s.spec)
+		tm, err := eng.PartitionTiming(cols, s.spec)
 		if err != nil {
 			t.AddRow(s.name, "ERR: "+err.Error(), "")
 			continue
@@ -78,29 +74,14 @@ func fig9() *Table {
 	const totalRows = 1 << 18
 	for _, nc := range []int{2, 4, 8, 16, 32} {
 		src := mkCols(totalRows, nc)
-		dstDram := make([]coltypes.Data, nc)
-		for c := range dstDram {
-			dstDram[c] = coltypes.New(coltypes.W4, totalRows)
-		}
 		for _, tile := range []int{64, 128, 256} {
 			for _, rw := range []bool{false, true} {
 				eng.ResetTotals()
-				bufs := make([]coltypes.Data, nc)
-				for c := range bufs {
-					bufs[c] = coltypes.New(coltypes.W4, tile)
-				}
 				for lo := 0; lo < totalRows; lo += tile {
-					hi := lo + tile
-					if hi > totalRows {
-						hi = totalRows
-					}
-					views := make([]coltypes.Data, nc)
-					for c := range views {
-						views[c] = bufs[c].Slice(0, hi-lo)
-					}
-					eng.Read(src, lo, hi, views)
+					hi := min(lo+tile, totalRows)
+					eng.Read(src, lo, hi)
 					if rw {
-						eng.Write(dstDram, lo, views, hi-lo)
+						eng.WriteTiming(nc, hi-lo, coltypes.W4.Bytes())
 					}
 				}
 				tot := eng.Totals()

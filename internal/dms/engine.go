@@ -1,16 +1,13 @@
 package dms
 
-import (
-	"fmt"
+import "rapid/internal/coltypes"
 
-	"rapid/internal/coltypes"
-)
-
-// Engine is the DMS: it executes data-movement operations between DRAM
-// columns and DMEM-resident buffers, accounting both the functional effect
-// (data really moves) and the modeled time. Per-operation Timing values are
-// returned to the caller so tasks can overlap transfer time with compute
-// time. The engine also keeps its own totals: an independent ledger that
+// Engine is the DMS: it prices the data-movement operations between DRAM
+// columns and DMEM-resident buffers. It moves no data — operators read their
+// tiles as views of the DRAM columns — and bills what the hardware transfer
+// would cost. Per-operation Timing values are returned to the caller so tasks
+// can overlap transfer time with compute time. The engine also keeps its own
+// totals: an independent ledger that
 // obs.Profile.CheckInvariants reconciles the per-span attributions against,
 // which is what catches an operation whose Timing never reached
 // qef.TaskCtx.AddTransfer.
@@ -53,59 +50,28 @@ func (e *Engine) account(t Timing) {
 	}
 }
 
-// Read transfers rows [lo, hi) of each source column (DRAM) into the
-// corresponding destination buffer (DMEM). Destination buffers must be at
-// least hi-lo long; widths must match. This is the sequential access
-// pattern of the relation accessor.
-func (e *Engine) Read(src []coltypes.Data, lo, hi int, dst []coltypes.Data) Timing {
+// Read bills the transfer of rows [lo, hi) of each source column (DRAM) into
+// DMEM: one descriptor per column. This is the sequential access pattern of
+// the relation accessor.
+func (e *Engine) Read(src []coltypes.Data, lo, hi int) Timing {
 	rows := hi - lo
 	if rows < 0 {
 		panic("dms: negative row range")
 	}
-	if len(src) != len(dst) {
-		panic("dms: column count mismatch")
-	}
 	var t Timing
-	for i, s := range src {
-		if s.Width() != dst[i].Width() {
-			panic(fmt.Sprintf("dms: width mismatch on column %d", i))
-		}
-		dst[i].CopyFrom(0, s.Slice(lo, hi))
+	for _, s := range src {
 		bytes := rows * s.Width().Bytes()
 		t.Seconds += e.model.chunkTime(bytes, len(src))
 		t.Bytes += int64(bytes)
 		t.Descriptors++
 	}
-	e.account(t)
-	return t
-}
-
-// Write transfers `rows` rows from DMEM buffers back to DRAM columns at
-// offset `at`.
-func (e *Engine) Write(dst []coltypes.Data, at int, src []coltypes.Data, rows int) Timing {
-	if len(src) != len(dst) {
-		panic("dms: column count mismatch")
-	}
-	var t Timing
-	for i, s := range src {
-		dst[i].CopyFrom(at, s.Slice(0, rows))
-		bytes := rows * s.Width().Bytes()
-		t.Seconds += e.model.chunkTime(bytes, len(src))
-		t.Bytes += int64(bytes)
-		t.Descriptors++
-	}
-	t.Seconds += e.model.WriteTurnaroundNs * 1e-9
-	t.Write = true
 	e.account(t)
 	return t
 }
 
 // WriteTiming bills a DMEM→DRAM columnar write of `rows` rows across ncols
-// columns of widthBytes-wide elements without moving any data. The timing
-// formula is identical to Write's, so callers whose functional effect
-// happens elsewhere (e.g. the collect sink's host-side result append) can
-// account the materialization without building throwaway destination
-// buffers.
+// columns of widthBytes-wide elements: one descriptor per column plus the bus
+// turnaround of the write burst.
 func (e *Engine) WriteTiming(ncols, rows, widthBytes int) Timing {
 	var t Timing
 	for i := 0; i < ncols; i++ {

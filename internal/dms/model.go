@@ -3,8 +3,10 @@
 // dpCores' DMEM scratchpads, and that partitions rows on the fly
 // (hash-radix, range, round-robin) without involving the dpCores.
 //
-// The engine is functional — descriptors really move and partition column
-// data — and timing comes from a calibrated analytical model (this file).
+// The engine is a timing model only: it prices each transfer, hash pass and
+// partitioning pass from a calibrated analytical model (this file), and the
+// functional path moves the bytes — operators read tiles as views of the DRAM
+// columns, and the hash vector comes from the primitives' CRC32 kernel.
 // The calibration targets are the paper's own measurements: ~9.3 GiB/s for
 // 32-way hardware partitioning of 4x4-byte columns (Fig 8) and >= 9 GiB/s
 // (~75 % of DDR3 peak) for double-buffered reads at 128-row tiles (Fig 9),

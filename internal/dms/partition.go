@@ -2,13 +2,12 @@ package dms
 
 import (
 	"fmt"
-	"sort"
 
 	"rapid/internal/coltypes"
-	"rapid/internal/hashcrc"
 )
 
 // Strategy selects one of the DMS hardware partitioning modes (paper §5.4).
+// Operators partition by Hash only; all four are priced for Fig 8.
 type Strategy int
 
 const (
@@ -50,10 +49,6 @@ type PartitionSpec struct {
 	// KeyCols are indices of the key columns (1..4 for Hash; exactly 1 for
 	// Radix and Range; ignored by RoundRobin).
 	KeyCols []int
-	// Bounds are the Range strategy's pre-programmed upper bounds: row goes
-	// to partition p where p is the first bound with key < Bounds[p], and
-	// to the last partition otherwise. len(Bounds) == Fanout-1.
-	Bounds []int64
 }
 
 // Validate checks the spec against the hardware limits.
@@ -80,12 +75,6 @@ func (s PartitionSpec) Validate(numCols int) error {
 		if len(s.KeyCols) != 1 {
 			return fmt.Errorf("dms: range partitioning takes exactly 1 key column")
 		}
-		if len(s.Bounds) != s.Fanout-1 {
-			return fmt.Errorf("dms: range partitioning needs %d bounds, got %d", s.Fanout-1, len(s.Bounds))
-		}
-		if !sort.SliceIsSorted(s.Bounds, func(i, j int) bool { return s.Bounds[i] < s.Bounds[j] }) {
-			return fmt.Errorf("dms: range bounds must be sorted")
-		}
 	case RoundRobin:
 	default:
 		return fmt.Errorf("dms: unknown strategy %d", s.Strategy)
@@ -98,90 +87,33 @@ func (s PartitionSpec) Validate(numCols int) error {
 	return nil
 }
 
-// PartitionIDs computes the target partition of every row (the CID vector
-// the hardware stages in CID memory) without moving data.
-func (e *Engine) PartitionIDs(cols []coltypes.Data, spec PartitionSpec) ([]uint8, Timing, error) {
+// PartitionTiming bills a hardware partitioning pass over cols as spec
+// programs it: the CID vector the hardware stages in CID memory for every
+// row.
+func (e *Engine) PartitionTiming(cols []coltypes.Data, spec PartitionSpec) (Timing, error) {
 	if err := spec.Validate(len(cols)); err != nil {
-		return nil, Timing{}, err
+		return Timing{}, err
 	}
 	if len(cols) == 0 {
-		return nil, Timing{}, nil
+		return Timing{}, nil
 	}
-	n := cols[0].Len()
-	ids := make([]uint8, n)
-	switch spec.Strategy {
-	case Radix:
-		key := cols[spec.KeyCols[0]]
-		mask := int64(spec.Fanout - 1)
-		for i := 0; i < n; i++ {
-			ids[i] = uint8(key.Get(i) & mask)
-		}
-	case Hash:
-		mask := uint32(spec.Fanout - 1)
-		hv := e.hashRows(cols, spec.KeyCols)
-		for i, h := range hv {
-			ids[i] = uint8(h & mask)
-		}
-	case Range:
-		key := cols[spec.KeyCols[0]]
-		for i := 0; i < n; i++ {
-			ids[i] = uint8(rangeBucket(spec.Bounds, key.Get(i)))
-		}
-	case RoundRobin:
-		for i := range ids {
-			ids[i] = uint8(i % spec.Fanout)
-		}
-	}
-	t := e.model.partitionTime(n, len(cols), widthOf(cols), spec.Strategy, len(spec.KeyCols))
+	t := e.model.partitionTime(cols[0].Len(), len(cols), widthOf(cols), spec.Strategy, len(spec.KeyCols))
 	e.account(t)
-	return ids, t, nil
+	return t, nil
 }
 
-// HashVector computes the CRC32 hash of the key columns for every row — the
-// "vector of CRC32 hash values computed in hardware" that feeds the software
-// partitioning pipeline of Listing 2.
-func (e *Engine) HashVector(cols []coltypes.Data, keyCols []int) ([]uint32, Timing) {
-	hv := e.hashRows(cols, keyCols)
-	n := len(hv)
-	var w coltypes.Width = coltypes.W4
+// HashTiming bills the DMS hash engine's CRC32 pass over the key columns of
+// cols — the "vector of CRC32 hash values computed in hardware" that feeds the
+// software partitioning pipeline of Listing 2. The vector itself is the one
+// primitives.HashColumn computes, in either mode.
+func (e *Engine) HashTiming(cols []coltypes.Data, keyCols []int) Timing {
+	n := 0
 	if len(cols) > 0 {
-		w = widthOf(cols)
+		n = cols[0].Len()
 	}
-	t := e.model.partitionTime(n, len(keyCols), w, Hash, len(keyCols))
+	t := e.model.partitionTime(n, len(keyCols), widthOf(cols), Hash, len(keyCols))
 	e.account(t)
-	return hv, t
-}
-
-func (e *Engine) hashRows(cols []coltypes.Data, keyCols []int) []uint32 {
-	if len(cols) == 0 {
-		return nil
-	}
-	n := cols[0].Len()
-	hv := make([]uint32, n)
-	for i := 0; i < n; i++ {
-		acc := hashcrc.Seed
-		for _, k := range keyCols {
-			acc = hashcrc.Hash64(acc, uint64(cols[k].Get(i)))
-		}
-		hv[i] = hashcrc.Finalize(acc)
-	}
-	return hv
-}
-
-// rangeBucket returns the index of the first bound greater than v, i.e. the
-// partition whose half-open range contains v; v beyond the last bound lands
-// in the final partition.
-func rangeBucket(bounds []int64, v int64) int {
-	lo, hi := 0, len(bounds)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if v < bounds[mid] {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
+	return t
 }
 
 // widthOf returns the dominant (first) column width for the timing model.

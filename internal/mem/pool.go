@@ -16,7 +16,7 @@ import (
 //
 //   - Reset frees everything — called by the QEF at work-unit boundaries.
 //   - Mark/Release give task sources a scope for unit-lifetime buffers
-//     (e.g. the accessor's double buffers, which live across tiles).
+//     (e.g. the accessor's tile view headers, which live across tiles).
 //   - ResetTile rolls back to the innermost Mark (or to empty when none is
 //     active) — called by task sources at every tile boundary, recycling all
 //     tile-lifetime buffers without touching unit-lifetime ones.

@@ -153,18 +153,12 @@ func PartitionByHash(ctx *qef.Context, cols []coltypes.Data, keyCols []int, sche
 	if err := checkCols(cols); err != nil {
 		return nil, err
 	}
-	// Hardware hash: the DMS computes CRC32 over the key columns.
+	// The hash vector: CRC32 over the key columns, the values the DMS hash
+	// engine delivers. Leased un-zeroed: the first key's pass seeds every
+	// accumulator.
 	var hv []uint32
 	var hvWords []int64
-	if ctx.Mode == qef.ModeDPU {
-		var ht dms.Timing
-		hv, ht = ctx.DMS.HashVector(cols, keyCols)
-		// The hash pass runs on the DMS from the orchestrator, outside any
-		// work unit; attribute its bytes/time to the active operator span so
-		// the profile reconciles with the engine's transfer totals.
-		ctx.AccountSpanTransfer(ht)
-	} else if len(cols) > 0 {
-		// Leased un-zeroed: the first key's pass seeds every accumulator.
+	if len(cols) > 0 {
 		hv, hvWords = ctx.Slab.U32(cols[0].Len())
 		if len(keyCols) == 0 {
 			clear(hv) // no key, no pass: one hash for every row, as before
@@ -179,6 +173,12 @@ func PartitionByHash(ctx *qef.Context, cols []coltypes.Data, keyCols []int, sche
 			return nil, err
 		}
 	}
+	if ctx.Mode == qef.ModeDPU {
+		// The hash pass runs on the DMS from the orchestrator, outside any
+		// work unit; attribute its bytes/time to the active operator span so
+		// the profile reconciles with the engine's transfer totals.
+		ctx.AccountSpanTransfer(ctx.DMS.HashTiming(cols, keyCols))
+	}
 	if len(scheme.Rounds) == 0 {
 		return &PartitionedRel{
 			Cols: [][]coltypes.Data{cols}, Hashes: [][]uint32{hv},
@@ -186,7 +186,7 @@ func PartitionByHash(ctx *qef.Context, cols []coltypes.Data, keyCols []int, sche
 		}, nil
 	}
 	// Round 0: hardware partitioning by the low hash bits. The DMS does
-	// this during the transfer; it is billed inside HashVector's
+	// this during the transfer; it is billed inside HashTiming's
 	// partition-time model, and the dpCores stay idle.
 	hw := scheme.Rounds[0]
 	cur, err := splitPartition(ctx, ctx.Slab, cols, hv, hw, 0)
@@ -398,22 +398,18 @@ func swPartitionOne(tc *qef.TaskCtx, cols []coltypes.Data, hv []uint32, fanout i
 	// the partition map and the per-column gather; per modeled DMEM buffer
 	// one contiguous DMS flush each time it fills, and once at the end.
 	colBytes := rowBytes - 4
-	tile := make([]coltypes.Data, len(cols))
-	for c := range cols {
-		tile[c] = cols[c].NewSame(tileRows)
-	}
-	bufN := make([]int, fanout)
+	bufN, counts := make([]int, fanout), make([]int, fanout)
 	flush := func(p int) {
 		tc.AddTransfer(tc.DMS.StreamWrite(bufN[p] * colBytes))
 		bufN[p] = 0
 	}
 	for lo := 0; lo < len(hv); lo += tileRows {
 		hi := min(lo+tileRows, len(hv))
-		tc.AddTransfer(tc.DMS.Read(cols, lo, hi, tile))
-		m := primitives.ComputePartitionMap(tc.Core, hv[lo:hi], fanout, shift)
+		tc.AddTransfer(tc.DMS.Read(cols, lo, hi))
+		primitives.ComputePartitionMap(tc.Core, hv[lo:hi], shift, counts)
 		primitives.ChargeSwPartitionGather(tc.Core, (hi-lo)*len(cols))
 		for p := 0; p < fanout; p++ {
-			for rows := m.Rows(p); rows > 0; {
+			for rows := counts[p]; rows > 0; {
 				take := min(rows, bufRows-bufN[p])
 				bufN[p] += take
 				rows -= take

@@ -31,7 +31,7 @@ func TableScan(ctx *qef.Context, snap *storage.Snapshot, cols []int, tileRows in
 	pruned := int64(0)
 	for i := range chunks {
 		cv := &chunks[i]
-		if prune != nil && !ctx.NoPrune && ZoneReject(prune, tileZone(cv, cols)) {
+		if prune != nil && !ctx.NoPrune && ZoneReject(prune, TileZone(cv, cols)) {
 			pruned++
 			continue
 		}
@@ -98,9 +98,11 @@ func liveSel(sel, deleted *bits.Vector, base int) bool {
 	return true
 }
 
-// tileZone adapts a ChunkView's zone maps to the scanned tile layout: the
+// TileZone adapts a ChunkView's zone maps to the scanned tile layout: the
 // predicate's column indices address positions in cols, not table columns.
-func tileZone(cv *storage.ChunkView, cols []int) func(int) (storage.Zone, bool) {
+// It is the zone ZoneReject judges a chunk by, at scan time and when the
+// compiler estimates the rows that survive pruning.
+func TileZone(cv *storage.ChunkView, cols []int) func(int) (storage.Zone, bool) {
 	return func(c int) (storage.Zone, bool) {
 		if c < 0 || c >= len(cols) {
 			return storage.Zone{}, false

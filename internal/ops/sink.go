@@ -197,8 +197,7 @@ func (s *CollectSink) Produce(tc *qef.TaskCtx, t *qef.Tile) error {
 		primitives.WidenToI64(nil, col, dst)
 	}
 	if tc.Core != nil {
-		// Bill the DRAM materialization through the DMS model. WriteTiming
-		// uses Write's exact formula without throwaway destination buffers.
+		// Bill the DRAM materialization through the DMS model.
 		tc.AddTransfer(tc.DMS.WriteTiming(ncols, n, 8))
 	}
 	// A unit's next tile extends its run unless a new block began (fill 0).

@@ -2,6 +2,7 @@ package ops
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"rapid/internal/mem"
@@ -190,17 +191,22 @@ func TestHashJoinAllocsPerPartition(t *testing.T) {
 func TestOperatorBytesAreRowIndependent(t *testing.T) {
 	withProcs(t, 2, func() {
 		scheme := PartScheme{Rounds: []int{8, 16}}
+		// The median of several warm runs, each its own TotalAlloc delta: a
+		// run that meets a GC (emptied sync.Pools regrow) or a goroutine
+		// stack growth is an outlier, not a trend.
 		bytesPerRun := func(fn func()) float64 {
 			fn() // warm: pools grow and the slab fills here
 			fn()
+			var runs [9]float64
 			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			const runs = 4
-			for i := 0; i < runs; i++ {
+			for i := range runs {
+				runtime.ReadMemStats(&before)
 				fn()
+				runtime.ReadMemStats(&after)
+				runs[i] = float64(after.TotalAlloc - before.TotalAlloc)
 			}
-			runtime.ReadMemStats(&after)
-			return float64(after.TotalAlloc-before.TotalAlloc) / runs
+			slices.Sort(runs[:])
+			return runs[len(runs)/2]
 		}
 		partition := func(n int) float64 {
 			cols := lineitemLike(n, n/4+1).Datas()

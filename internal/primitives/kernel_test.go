@@ -138,28 +138,22 @@ func TestComputePartitionMap(t *testing.T) {
 		keys.Set(i, int64(rng.Intn(1000)))
 	}
 	hv := HashColumns(core, []coltypes.Data{keys}, nil)
-	m := ComputePartitionMap(core, hv, 16, 0)
-	if len(m.Offsets) != 16+1 {
-		t.Fatal("fanout")
+	before := core.Cycles()
+	counts := make([]int, 16)
+	counts[3] = -7 // a reused buffer: the counts start from zero
+	ComputePartitionMap(core, hv, 0, counts)
+	if got, want := core.Cycles()-before, dpu.Cycles(PartitionMapCost(n, 16)); got != want {
+		t.Fatalf("charged %d cycles, want the full map's %d", got, want)
 	}
-	// Completeness: every row appears exactly once.
-	seen := make([]bool, n)
-	total := 0
-	for p := 0; p < 16; p++ {
-		for _, r := range m.RowIdx[m.Offsets[p]:m.Offsets[p+1]] {
-			if seen[r] {
-				t.Fatalf("row %d twice", r)
-			}
-			seen[r] = true
-			total++
-			// Row's hash must map to partition p.
-			if int(hv[r]&15) != p {
-				t.Fatalf("row %d in wrong partition", r)
-			}
+	// Every row is counted once, in the partition its hash maps to.
+	want := make([]int, 16)
+	for _, h := range hv {
+		want[h&15]++
+	}
+	for p := range want {
+		if counts[p] != want[p] {
+			t.Fatalf("partition %d: %d rows, want %d", p, counts[p], want[p])
 		}
-	}
-	if total != n {
-		t.Fatalf("total = %d", total)
 	}
 }
 
@@ -167,14 +161,15 @@ func TestComputePartitionMapShift(t *testing.T) {
 	// Shifted radix bits select a disjoint bit range — the mechanism behind
 	// multi-round partitioning.
 	hv := []uint32{0b0000, 0b0100, 0b1000, 0b1100}
-	m0 := ComputePartitionMap(nil, hv, 4, 0)
-	if m0.Rows(0) != 4 {
+	counts := make([]int, 4)
+	ComputePartitionMap(nil, hv, 0, counts)
+	if counts[0] != 4 {
 		t.Fatal("shift 0 should put all in partition 0")
 	}
-	m2 := ComputePartitionMap(nil, hv, 4, 2)
+	ComputePartitionMap(nil, hv, 2, counts)
 	for p := 0; p < 4; p++ {
-		if m2.Rows(p) != 1 {
-			t.Fatalf("shift 2 partition %d rows = %d", p, m2.Rows(p))
+		if counts[p] != 1 {
+			t.Fatalf("shift 2 partition %d rows = %d", p, counts[p])
 		}
 	}
 	defer func() {
@@ -182,7 +177,7 @@ func TestComputePartitionMapShift(t *testing.T) {
 			t.Fatal("non-power-of-two fanout should panic")
 		}
 	}()
-	ComputePartitionMap(nil, hv, 3, 0)
+	ComputePartitionMap(nil, hv, 0, make([]int, 3))
 }
 
 func TestSwPartitionAll(t *testing.T) {
@@ -195,17 +190,25 @@ func TestSwPartitionAll(t *testing.T) {
 		val.Set(i, int64(i*100))
 	}
 	hv := HashColumns(core, []coltypes.Data{key}, nil)
-	m := ComputePartitionMap(core, hv, 8, 0)
+	counts := make([]int, 8)
+	ComputePartitionMap(core, hv, 0, counts)
 	// Every partition of every column: the full software partitioning step
-	// over one tile.
+	// over one tile, each partition's rows gathered in input order.
+	rowsOf := make([][]uint32, len(counts))
+	for i, h := range hv {
+		rowsOf[h&7] = append(rowsOf[h&7], uint32(i))
+	}
 	cols := []coltypes.Data{key, val}
-	parts := make([][]coltypes.Data, len(m.Offsets)-1)
+	parts := make([][]coltypes.Data, len(counts))
 	for p := range parts {
+		if len(rowsOf[p]) != counts[p] {
+			t.Fatalf("partition %d: map counts %d rows, the hashes put %d there", p, counts[p], len(rowsOf[p]))
+		}
 		parts[p] = make([]coltypes.Data, len(cols))
 		for c, col := range cols {
-			parts[p][c] = col.NewSame(m.Rows(p))
-			coltypes.Gather(parts[p][c], col, m.RowIdx[m.Offsets[p]:m.Offsets[p+1]])
-			ChargeSwPartitionGather(core, m.Rows(p))
+			parts[p][c] = col.NewSame(counts[p])
+			coltypes.Gather(parts[p][c], col, rowsOf[p])
+			ChargeSwPartitionGather(core, counts[p])
 		}
 	}
 	total := 0

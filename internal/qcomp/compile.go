@@ -167,13 +167,7 @@ func (p *pipelineNode) zoneSurvivingRows() (int64, bool) {
 	chunks := p.snap.Chunks()
 	for i := range chunks {
 		cv := &chunks[i]
-		zone := func(c int) (storage.Zone, bool) {
-			if c < 0 || c >= len(p.scanCols) {
-				return storage.Zone{}, false
-			}
-			return cv.Zone(p.scanCols[c])
-		}
-		if ops.ZoneReject(prune, zone) {
+		if ops.ZoneReject(prune, ops.TileZone(cv, p.scanCols)) {
 			continue
 		}
 		n := int64(cv.Rows)
@@ -344,47 +338,34 @@ func (p *pipelineNode) execute(ctx *qef.Context) (*ops.Relation, error) {
 		return head
 	}
 
-	var err error
-	prevSpan := ctx.SetActiveSpan(srcSpan)
-	if p.snap != nil {
-		err = ops.TableScan(ctx, p.snap, p.scanCols, tileRows, p.prunePredicate(), chainFor)
-	} else {
-		err = ops.RelationScan(ctx, inputRel, tileRows, chainFor)
-	}
-	ctx.SetActiveSpan(prevSpan)
-	if err != nil {
-		if p.terminal == termGroupBy && errors.Is(err, ops.ErrGroupOverflow) {
-			return p.executeGroupPartFallback(ctx)
+	out, err := underSpan(ctx, srcSpan, termSpan, 0, func() (*ops.Relation, error) {
+		var err error
+		if p.snap != nil {
+			err = ops.TableScan(ctx, p.snap, p.scanCols, tileRows, p.prunePredicate(), chainFor)
+		} else {
+			err = ops.RelationScan(ctx, inputRel, tileRows, chainFor)
 		}
-		return nil, err
-	}
-
-	switch p.terminal {
-	case termCollect:
-		rel := sink.Relation()
-		termSpan.AddRowsOut(int64(rel.Rows()))
-		return rel, nil
-	case termScalarAgg:
-		rel, err := p.finalizeScalar(aggRes)
 		if err != nil {
 			return nil, err
 		}
-		termSpan.AddRowsOut(int64(rel.Rows()))
-		return rel, nil
-	default:
-		keyCols := make([]ops.Col, len(p.groupCols))
-		for i, g := range p.groupCols {
-			c := p.cols[g]
-			keyCols[i] = ops.Col{Name: c.field.Name, Type: c.field.Type, Dict: c.field.Dict}
+		switch p.terminal {
+		case termCollect:
+			return sink.Relation(), nil
+		case termScalarAgg:
+			return p.finalizeScalar(aggRes)
+		default:
+			keyCols := make([]ops.Col, len(p.groupCols))
+			for i, g := range p.groupCols {
+				c := p.cols[g]
+				keyCols[i] = ops.Col{Name: c.field.Name, Type: c.field.Type, Dict: c.field.Dict}
+			}
+			return p.finalizeGrouped(merger.Relation(keyCols, nil), len(p.groupCols))
 		}
-		raw := merger.Relation(keyCols, nil)
-		rel, err := p.finalizeGrouped(raw, len(p.groupCols))
-		if err != nil {
-			return nil, err
-		}
-		termSpan.AddRowsOut(int64(rel.Rows()))
-		return rel, nil
+	})
+	if p.terminal == termGroupBy && errors.Is(err, ops.ErrGroupOverflow) {
+		return p.executeGroupPartFallback(ctx)
 	}
+	return out, err
 }
 
 // executeGroupPartFallback is the §5.4 runtime adaptation: the statistics

@@ -5,10 +5,29 @@ import (
 
 	"rapid/internal/coltypes"
 	"rapid/internal/dpu"
+	"rapid/internal/obs"
 	"rapid/internal/ops"
 	"rapid/internal/plan"
 	"rapid/internal/qef"
 )
+
+// underSpan is the profiling bracket of every physNode: rowsIn materialised
+// input rows count in on sp, run executes with sp as the active span (the
+// work units it starts and the DMS passes it issues bill to sp), the previous
+// span comes back, and the rows run returns count out on outSp — sp itself,
+// except for a pipeline, whose scan runs under its source span and whose rows
+// leave through its terminal.
+func underSpan(ctx *qef.Context, sp, outSp *obs.OpSpan, rowsIn int, run func() (*ops.Relation, error)) (*ops.Relation, error) {
+	sp.AddRowsIn(int64(rowsIn))
+	prev := ctx.SetActiveSpan(sp)
+	out, err := run()
+	ctx.SetActiveSpan(prev)
+	if err != nil {
+		return nil, err
+	}
+	outSp.AddRowsOut(int64(out.Rows()))
+	return out, nil
+}
 
 // ---------------------------------------------------------------------------
 // Partitioned (high NDV) group-by.
@@ -32,26 +51,20 @@ func (g *groupPartNode) execute(ctx *qef.Context) (*ops.Relation, error) {
 		return nil, err
 	}
 	sp := ctx.Prof.Span(g.opID)
-	sp.AddRowsIn(int64(rel.Rows()))
-	// Scheme: enough partitions that each partition's group table fits the
-	// DMEM (the §5.4 pre-partitioning of high-NDV group-by).
-	groupBytes := int64(len(g.groupCols)*8 + len(g.specs)*32)
-	target := RequiredPartitions(g.ndv*groupBytes, ctx.SoC.Config())
-	scheme := OptimizeScheme(target, g.ndv*groupBytes)
-	maxGroups := int(g.ndv)/scheme.Fanout() + 64
-	prev := ctx.SetActiveSpan(sp)
-	raw, err := ops.GroupByPartitioned(ctx, rel, g.groupCols, g.specs, scheme, maxGroups*2)
-	ctx.SetActiveSpan(prev)
-	if err != nil {
-		return nil, err
-	}
-	p := &pipelineNode{finals: g.finals, outFields: g.out}
-	out, err := p.finalizeGrouped(raw, len(g.groupCols))
-	if err != nil {
-		return nil, err
-	}
-	sp.AddRowsOut(int64(out.Rows()))
-	return out, nil
+	return underSpan(ctx, sp, sp, rel.Rows(), func() (*ops.Relation, error) {
+		// Scheme: enough partitions that each partition's group table fits
+		// the DMEM (the §5.4 pre-partitioning of high-NDV group-by).
+		groupBytes := int64(len(g.groupCols)*8 + len(g.specs)*32)
+		target := RequiredPartitions(g.ndv*groupBytes, ctx.SoC.Config())
+		scheme := OptimizeScheme(target, g.ndv*groupBytes)
+		maxGroups := int(g.ndv)/scheme.Fanout() + 64
+		raw, err := ops.GroupByPartitioned(ctx, rel, g.groupCols, g.specs, scheme, maxGroups*2)
+		if err != nil {
+			return nil, err
+		}
+		p := &pipelineNode{finals: g.finals, outFields: g.out}
+		return p.finalizeGrouped(raw, len(g.groupCols))
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -116,8 +129,6 @@ func (n *joinNode) execute(ctx *qef.Context) (*ops.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	sp := ctx.Prof.Span(n.opID)
-	sp.AddRowsIn(int64(leftRel.Rows() + rightRel.Rows()))
 	build, probe := rightRel, leftRel
 	bk, pk := n.rk, n.lk
 	if n.swapped {
@@ -138,13 +149,13 @@ func (n *joinNode) execute(ctx *qef.Context) (*ops.Relation, error) {
 		spec.ProbePayload = allIdx(probe.NumCols())
 		spec.BuildPayload = allIdx(build.NumCols())
 	}
-	prev := ctx.SetActiveSpan(sp)
-	out, err := ops.HashJoin(ctx, build, probe, spec)
-	ctx.SetActiveSpan(prev)
+	sp := ctx.Prof.Span(n.opID)
+	out, err := underSpan(ctx, sp, sp, leftRel.Rows()+rightRel.Rows(), func() (*ops.Relation, error) {
+		return ops.HashJoin(ctx, build, probe, spec)
+	})
 	if err != nil {
 		return nil, err
 	}
-	sp.AddRowsOut(int64(out.Rows()))
 	// Output order: left columns then right columns. The sink emits probe
 	// then build; reorder when the build side was the left input.
 	if n.swapped && n.typ == plan.InnerJoin {
@@ -191,17 +202,14 @@ func (n *sortNode) execute(ctx *qef.Context) (*ops.Relation, error) {
 		return nil, err
 	}
 	sp := ctx.Prof.Span(n.opID)
-	sp.AddRowsIn(int64(rel.Rows()))
-	nCols := rel.NumCols()
-	ranked, keys := rankColumns(rel, n.keys)
-	prev := ctx.SetActiveSpan(sp)
-	out, err := ops.SortRelation(ctx, ranked, keys)
-	ctx.SetActiveSpan(prev)
-	if err != nil {
-		return nil, err
-	}
-	sp.AddRowsOut(int64(out.Rows()))
-	return ops.MustRelation(out.Cols[:nCols]), nil
+	return underSpan(ctx, sp, sp, rel.Rows(), func() (*ops.Relation, error) {
+		ranked, keys := rankColumns(rel, n.keys)
+		out, err := ops.SortRelation(ctx, ranked, keys)
+		if err != nil {
+			return nil, err
+		}
+		return ops.MustRelation(out.Cols[:rel.NumCols()]), nil
+	})
 }
 
 // rankColumns replaces dictionary-coded sort columns by their rank so that
@@ -254,17 +262,14 @@ func (n *topkNode) execute(ctx *qef.Context) (*ops.Relation, error) {
 		return nil, err
 	}
 	sp := ctx.Prof.Span(n.opID)
-	sp.AddRowsIn(int64(rel.Rows()))
-	nCols := rel.NumCols()
-	ranked, keys := rankColumns(rel, n.keys)
-	prev := ctx.SetActiveSpan(sp)
-	out, err := ops.TopK(ctx, ranked, keys, n.k)
-	ctx.SetActiveSpan(prev)
-	if err != nil {
-		return nil, err
-	}
-	sp.AddRowsOut(int64(out.Rows()))
-	return ops.MustRelation(out.Cols[:nCols]), nil
+	return underSpan(ctx, sp, sp, rel.Rows(), func() (*ops.Relation, error) {
+		ranked, keys := rankColumns(rel, n.keys)
+		out, err := ops.TopK(ctx, ranked, keys, n.k)
+		if err != nil {
+			return nil, err
+		}
+		return ops.MustRelation(out.Cols[:rel.NumCols()]), nil
+	})
 }
 
 type limitNode struct {
@@ -281,10 +286,7 @@ func (n *limitNode) execute(ctx *qef.Context) (*ops.Relation, error) {
 		return nil, err
 	}
 	sp := ctx.Prof.Span(n.opID)
-	sp.AddRowsIn(int64(rel.Rows()))
-	out := ops.Limit(rel, n.k)
-	sp.AddRowsOut(int64(out.Rows()))
-	return out, nil
+	return underSpan(ctx, sp, sp, rel.Rows(), func() (*ops.Relation, error) { return ops.Limit(rel, n.k), nil })
 }
 
 // ---------------------------------------------------------------------------
@@ -308,15 +310,7 @@ func (n *setopNode) execute(ctx *qef.Context) (*ops.Relation, error) {
 		return nil, err
 	}
 	sp := ctx.Prof.Span(n.opID)
-	sp.AddRowsIn(int64(l.Rows() + r.Rows()))
-	prev := ctx.SetActiveSpan(sp)
-	out, err := ops.SetOp(ctx, l, r, n.kind)
-	ctx.SetActiveSpan(prev)
-	if err != nil {
-		return nil, err
-	}
-	sp.AddRowsOut(int64(out.Rows()))
-	return out, nil
+	return underSpan(ctx, sp, sp, l.Rows()+r.Rows(), func() (*ops.Relation, error) { return ops.SetOp(ctx, l, r, n.kind) })
 }
 
 // ---------------------------------------------------------------------------
@@ -336,19 +330,13 @@ func (n *windowNode) execute(ctx *qef.Context) (*ops.Relation, error) {
 		return nil, err
 	}
 	sp := ctx.Prof.Span(n.opID)
-	sp.AddRowsIn(int64(rel.Rows()))
-	prev := ctx.SetActiveSpan(sp)
-	out, err := ops.Window(ctx, rel, ops.WindowSpec{
-		Func:        n.spec.Func,
-		PartitionBy: n.spec.PartitionBy,
-		OrderBy:     n.spec.OrderBy,
-		ValueCol:    n.spec.ValueCol,
-		Name:        n.spec.Name,
+	return underSpan(ctx, sp, sp, rel.Rows(), func() (*ops.Relation, error) {
+		return ops.Window(ctx, rel, ops.WindowSpec{
+			Func:        n.spec.Func,
+			PartitionBy: n.spec.PartitionBy,
+			OrderBy:     n.spec.OrderBy,
+			ValueCol:    n.spec.ValueCol,
+			Name:        n.spec.Name,
+		})
 	})
-	ctx.SetActiveSpan(prev)
-	if err != nil {
-		return nil, err
-	}
-	sp.AddRowsOut(int64(out.Rows()))
-	return out, nil
 }

@@ -6,9 +6,11 @@ import "rapid/internal/coltypes"
 // sequential scan of DRAM columns and the RA issues the DMS reads,
 // double-buffers the transfers and hands the operator DMEM-resident tiles.
 //
-// In ModeX86 the RA degenerates to zero-copy slice views: the same operator
-// code runs without the DPU memory hierarchy, which is exactly the paper's
-// software-only configuration.
+// In both modes a tile is a zero-copy view of the DRAM columns: operators
+// never write into a tile they receive, so the view is what the DMEM buffer
+// would hold. ModeDPU adds the billed model — the double buffers' DMEM
+// admission and a DMS read per tile; ModeX86, the paper's software-only
+// configuration, has no DPU memory hierarchy to bill.
 type Accessor struct {
 	tc *TaskCtx
 }
@@ -18,7 +20,7 @@ func NewAccessor(tc *TaskCtx) *Accessor { return &Accessor{tc: tc} }
 
 // Sequential streams rows [0, rows) of the given DRAM columns in tiles of
 // tileRows, invoking fn per tile. The DMEM cost is double buffering for
-// every column (allocated once, reused across tiles).
+// every column (admitted once, reused across tiles).
 func (a *Accessor) Sequential(cols []coltypes.Data, tileRows int, fn func(*Tile) error) error {
 	rows := 0
 	if len(cols) > 0 {
@@ -27,65 +29,40 @@ func (a *Accessor) Sequential(cols []coltypes.Data, tileRows int, fn func(*Tile)
 	if tileRows < MinTileRows {
 		tileRows = MinTileRows
 	}
-	if a.tc.Core == nil {
-		// ModeX86: zero-copy views. The view headers are unit-lifetime pool
-		// buffers; the inner MarkScratch makes them the floor that the
-		// callback's ResetScratch rolls back to. The source tile is a local
-		// reused value so it survives that per-tile reset.
-		a.tc.MarkScratch()
-		defer a.tc.ReleaseScratch()
-		views := a.tc.ColScratch(len(cols))
-		a.tc.MarkScratch()
-		defer a.tc.ReleaseScratch()
-		var tile Tile
-		for lo := 0; lo < rows; lo += tileRows {
-			if err := a.tc.Canceled(); err != nil {
-				return err
-			}
-			hi := lo + tileRows
-			if hi > rows {
-				hi = rows
-			}
-			for i, c := range cols {
-				views[i] = c.Slice(lo, hi)
-			}
-			tile = Tile{Cols: views, N: hi - lo}
-			if err := fn(&tile); err != nil {
+	dpu := a.tc.Core != nil
+	if dpu {
+		// Admit the double buffers in DMEM. Wide rows shrink the tile until
+		// every column's double buffer fits the scratchpad (§6.4 resilience:
+		// degrade the vector size, don't abort); only a tile below the
+		// minimum propagates exhaustion.
+		a.tc.DMEM.Mark()
+		defer a.tc.DMEM.Release()
+		rowBytes := 0
+		for _, c := range cols {
+			rowBytes += c.Width().Bytes()
+		}
+		degraded := false
+		for tileRows > MinTileRows && 2*tileRows*rowBytes > a.tc.DMEM.Free() {
+			tileRows /= 2
+			degraded = true
+		}
+		if tileRows < MinTileRows {
+			tileRows = MinTileRows
+		}
+		if degraded {
+			a.tc.Ctx.CountMetric("qef_tile_degradations", 1)
+		}
+		for _, c := range cols {
+			if err := a.tc.DMEM.Alloc(2 * tileRows * c.Width().Bytes()); err != nil {
 				return err
 			}
 		}
-		return nil
 	}
-	// ModeDPU: allocate double buffers in DMEM and run the DMS loop. Wide
-	// rows shrink the tile until every column's double buffer fits the
-	// scratchpad (§6.4 resilience: degrade the vector size, don't abort);
-	// only a tile below the minimum propagates exhaustion.
-	a.tc.DMEM.Mark()
-	defer a.tc.DMEM.Release()
-	rowBytes := 0
-	for _, c := range cols {
-		rowBytes += c.Width().Bytes()
-	}
-	degraded := false
-	for tileRows > MinTileRows && 2*tileRows*rowBytes > a.tc.DMEM.Free() {
-		tileRows /= 2
-		degraded = true
-	}
-	if tileRows < MinTileRows {
-		tileRows = MinTileRows
-	}
-	if degraded {
-		a.tc.Ctx.CountMetric("qef_tile_degradations", 1)
-	}
+	// The view headers are unit-lifetime pool buffers; the inner MarkScratch
+	// makes them the floor that the callback's ResetScratch rolls back to.
+	// The tile is a local reused value so it survives that per-tile reset.
 	a.tc.MarkScratch()
 	defer a.tc.ReleaseScratch()
-	bufs := a.tc.ColScratch(len(cols))
-	for i, c := range cols {
-		if err := a.tc.DMEM.Alloc(2 * tileRows * c.Width().Bytes()); err != nil {
-			return err
-		}
-		bufs[i] = a.tc.DataScratch(c.Width(), tileRows)
-	}
 	views := a.tc.ColScratch(len(cols))
 	a.tc.MarkScratch()
 	defer a.tc.ReleaseScratch()
@@ -94,17 +71,14 @@ func (a *Accessor) Sequential(cols []coltypes.Data, tileRows int, fn func(*Tile)
 		if err := a.tc.Canceled(); err != nil {
 			return err
 		}
-		hi := lo + tileRows
-		if hi > rows {
-			hi = rows
+		hi := min(lo+tileRows, rows)
+		for i, c := range cols {
+			views[i] = c.Slice(lo, hi)
 		}
-		n := hi - lo
-		for i := range bufs {
-			views[i] = bufs[i].Slice(0, n)
+		if dpu {
+			a.tc.AddTransfer(a.tc.DMS.Read(cols, lo, hi))
 		}
-		t := a.tc.DMS.Read(cols, lo, hi, views)
-		a.tc.AddTransfer(t)
-		tile = Tile{Cols: views, N: n}
+		tile = Tile{Cols: views, N: hi - lo}
 		if err := fn(&tile); err != nil {
 			return err
 		}

@@ -338,8 +338,8 @@ func (tc *TaskCtx) TileScratch(cols []coltypes.Data, n int) *Tile {
 
 // MarkScratch opens a unit-lifetime scratch scope: buffers taken after it
 // survive ResetScratch and are freed by the matching ReleaseScratch. Task
-// sources bracket their across-tile buffers (e.g. the accessor's double
-// buffers) with it.
+// sources bracket their across-tile buffers (e.g. the accessor's tile view
+// headers) with it.
 func (tc *TaskCtx) MarkScratch() { tc.pool.Mark() }
 
 // ReleaseScratch closes the innermost MarkScratch scope.

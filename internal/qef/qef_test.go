@@ -175,6 +175,40 @@ func TestAccessorSequentialBothModes(t *testing.T) {
 	}
 }
 
+// TestAccessorTilesAreViewsInBothModes: a ModeDPU tile column aliases its
+// DRAM source exactly as a ModeX86 one does — the DMS read is billed, not
+// performed — and the bill is one read per tile.
+func TestAccessorTilesAreViewsInBothModes(t *testing.T) {
+	for _, mode := range []Mode{ModeDPU, ModeX86} {
+		ctx := NewContext(mode)
+		col := coltypes.New(coltypes.W4, 1000)
+		src := col.I32()
+		lo := 0
+		err := ctx.RunSerial(func(tc *TaskCtx) error {
+			return NewAccessor(tc).Sequential([]coltypes.Data{col}, 256, func(t *Tile) error {
+				if &t.Cols[0].I32()[0] != &src[lo] {
+					return errors.New("tile column is a copy of its source, not a view")
+				}
+				lo += t.N
+				return nil
+			})
+		})
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if lo != col.Len() {
+			t.Fatalf("%v: streamed %d rows, want %d", mode, lo, col.Len())
+		}
+		want := dms.Timing{}
+		if mode == ModeDPU {
+			want = dms.Timing{Bytes: 4000, Descriptors: 4} // four 256-row tiles of W4
+		}
+		if got := ctx.Usage().Read; got.Bytes != want.Bytes || got.Descriptors != want.Descriptors {
+			t.Fatalf("%v: billed %+v, want %d B in %d descriptors", mode, got, want.Bytes, want.Descriptors)
+		}
+	}
+}
+
 func TestAccessorSequentialEnforcesMinTile(t *testing.T) {
 	ctx := NewContext(ModeX86)
 	col := coltypes.New(coltypes.W4, 200)

@@ -26,7 +26,7 @@ func billingUnit(seed int64) WorkUnit {
 		}
 		for i := rng.Intn(3); i > 0; i-- {
 			n := rng.Intn(64)
-			tc.AddTransfer(tc.DMS.Read(billingCols, 0, n, []coltypes.Data{tc.DataScratch(coltypes.W4, n)}))
+			tc.AddTransfer(tc.DMS.Read(billingCols, 0, n))
 		}
 		return tc.DMEM.Alloc(1 + rng.Intn(8192))
 	}
