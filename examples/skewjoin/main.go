@@ -18,10 +18,12 @@ import (
 
 func intRel(name string, cols map[string][]int64, order []string) *ops.Relation {
 	rc := make([]ops.Col, 0, len(cols))
+	data := make([]coltypes.Data, 0, len(cols))
 	for _, n := range order {
-		rc = append(rc, ops.Col{Name: n, Type: coltypes.Int(), Data: coltypes.Of(cols[n])})
+		rc = append(rc, ops.Col{Name: n, Type: coltypes.Int()})
+		data = append(data, coltypes.Of(cols[n]))
 	}
-	return ops.MustRelation(rc)
+	return ops.MustRelation(rc, data)
 }
 
 func main() {

@@ -83,7 +83,7 @@ func ablationPartitionScheme() *Table {
 			continue
 		}
 		ctx := qef.NewContext(qef.ModeDPU)
-		_, err := ops.PartitionByHash(ctx, cols, []int{0}, c.scheme, 256)
+		_, err := ops.PartitionByHash(ctx, [][]coltypes.Data{cols}, []int{0}, c.scheme, 256)
 		if err != nil {
 			t.AddRow(c.name, "ERR", err.Error())
 			continue
@@ -172,8 +172,10 @@ func seqI64(n int, f func(int) int64) []int64 {
 
 func benchIntRel(names []string, cols ...[]int64) *ops.Relation {
 	rc := make([]ops.Col, len(cols))
+	data := make([]coltypes.Data, len(cols))
 	for i := range cols {
-		rc[i] = ops.Col{Name: names[i], Type: coltypes.Int(), Data: coltypes.Of(cols[i])}
+		rc[i] = ops.Col{Name: names[i], Type: coltypes.Int()}
+		data[i] = coltypes.Of(cols[i])
 	}
-	return ops.MustRelation(rc)
+	return ops.MustRelation(rc, data)
 }

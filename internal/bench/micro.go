@@ -156,10 +156,10 @@ func filterMicro() *Table {
 // benchRelation wraps raw columns as an ops.Relation for benches.
 func benchRelation(cols []coltypes.Data) *ops.Relation {
 	rc := make([]ops.Col, len(cols))
-	for i, d := range cols {
-		rc[i] = ops.Col{Name: fmt.Sprintf("c%d", i), Type: coltypes.Int(), Data: d}
+	for i := range cols {
+		rc[i] = ops.Col{Name: fmt.Sprintf("c%d", i), Type: coltypes.Int()}
 	}
-	return ops.MustRelation(rc)
+	return ops.MustRelation(rc, cols)
 }
 
 // fig10 regenerates Figure 10: software partitioning throughput over
@@ -175,13 +175,13 @@ func fig10() *Table {
 		for _, tile := range []int{64, 128, 256, 512} {
 			ctx := qef.NewContext(qef.ModeDPU)
 			// Stage: hardware 32-way split feeds the cores.
-			base, err := ops.PartitionByHash(ctx, cols, []int{0}, ops.PartScheme{Rounds: []int{32}}, tile)
+			base, err := ops.PartitionByHash(ctx, [][]coltypes.Data{cols}, []int{0}, ops.PartScheme{Rounds: []int{32}}, tile)
 			if err != nil {
 				t.AddRow(fmt.Sprintf("%d", fanout), fmt.Sprintf("%d", tile), "ERR", err.Error())
 				continue
 			}
 			ctx.Reset() // isolate the software round
-			if _, err := ops.SWPartitionRound(ctx, base, fanout, 5, tile); err != nil {
+			if err := ops.SWPartitionRound(ctx, base, fanout, 5, tile); err != nil {
 				t.AddRow(fmt.Sprintf("%d", fanout), fmt.Sprintf("%d", tile), "ERR", err.Error())
 				continue
 			}

@@ -30,11 +30,11 @@ func exchangeColumns(proto *ops.Relation, rows int) [][]int64 {
 // columnsRelation wraps rows [lo, hi) of exchange output columns as a
 // relation with proto's column metadata.
 func columnsRelation(proto *ops.Relation, bufs [][]int64, lo, hi int) *ops.Relation {
-	cols := make([]ops.Col, len(bufs))
-	for c, pc := range proto.Cols {
-		cols[c] = ops.Col{Name: pc.Name, Type: pc.Type, Dict: pc.Dict, Data: coltypes.Of(bufs[c][lo:hi:hi])}
+	data := make([]coltypes.Data, len(bufs))
+	for c := range data {
+		data[c] = coltypes.Of(bufs[c][lo:hi:hi])
 	}
-	return ops.MustRelation(cols)
+	return ops.MustRelation(proto.Cols, data)
 }
 
 // widened returns d's values as 8-byte integers: d's own storage when it is
@@ -54,6 +54,31 @@ func (q *query) tiles(rows int, fn func(lo, hi int)) error {
 			return err
 		}
 		fn(lo, min(lo+q.link.TileRows, rows))
+	}
+	return nil
+}
+
+// chunkTiles calls fn for every tile of rel chunk by chunk — the wire copy
+// reads a node relation where its rows lie, with no flatten before it: cols
+// is the tile's columns (reused across calls), at the index in rel of its
+// first row.
+func (q *query) chunkTiles(rel *ops.Relation, fn func(cols []coltypes.Data, at int)) error {
+	if rel.NumCols() == 0 {
+		return nil
+	}
+	tile := make([]coltypes.Data, rel.NumCols())
+	at := 0
+	for _, ch := range rel.Chunks {
+		err := q.tiles(ch[0].Len(), func(lo, hi int) {
+			for c, d := range ch {
+				tile[c] = d.Slice(lo, hi)
+			}
+			fn(tile, at+lo)
+		})
+		if err != nil {
+			return err
+		}
+		at += ch[0].Len()
 	}
 	return nil
 }
@@ -82,11 +107,10 @@ func (q *query) route(parts []*ops.Relation, keyCol int, part *storage.ShardMap)
 		}
 		dest, count := make([]uint32, rel.Rows()), rt.streams[src]
 		rt.dest[src] = dest
-		key := rel.Cols[keyCol].Data
-		err := q.tiles(rel.Rows(), func(lo, hi int) {
-			for i, k := range widened(key.Slice(lo, hi), scratch) {
+		err := q.chunkTiles(rel, func(cols []coltypes.Data, at int) {
+			for i, k := range widened(cols[keyCol], scratch) {
 				d := part.NodeFor(k)
-				dest[lo+i] = uint32(d)
+				dest[at+i] = uint32(d)
 				count[d]++
 			}
 		})
@@ -139,15 +163,15 @@ func (q *query) deliver(parts []*ops.Relation, rt *routes, label string) ([]*ops
 			continue
 		}
 		dest, cursor := rt.dest[src], rt.streams[src]
-		err := q.tiles(rel.Rows(), func(lo, hi int) {
-			at := dest[lo:hi]
+		err := q.chunkTiles(rel, func(cols []coltypes.Data, lo int) {
+			at := dest[lo : lo+cols[0].Len()]
 			for i, d := range at {
 				at[i] = uint32(cursor[d])
 				cursor[d]++
 			}
-			for c, col := range rel.Cols {
+			for c, col := range cols {
 				out := bufs[c]
-				for i, v := range widened(col.Data.Slice(lo, hi), scratch) {
+				for i, v := range widened(col, scratch) {
 					out[at[i]] = v
 				}
 			}
@@ -181,9 +205,9 @@ func (q *query) concat(parts []*ops.Relation) (*ops.Relation, error) {
 		if rel == nil {
 			continue
 		}
-		err := q.tiles(rel.Rows(), func(lo, hi int) {
-			for c, col := range rel.Cols {
-				primitives.WidenToI64(nil, col.Data.Slice(lo, hi), bufs[c][off+lo:off+hi])
+		err := q.chunkTiles(rel, func(cols []coltypes.Data, lo int) {
+			for c, col := range cols {
+				primitives.WidenToI64(nil, col, bufs[c][off+lo:off+lo+col.Len()])
 			}
 		})
 		if err != nil {
@@ -244,14 +268,15 @@ func (q *query) gather(parts []*ops.Relation, label string) (*ops.Relation, erro
 // "virtual repartition" of an already-replicated relation: no bytes cross
 // the link because every node holds the full copy and keeps its share.
 func sliceModulo(rel *ops.Relation, node, n int) *ops.Relation {
+	rel = rel.Flat()
 	rows := 0
 	if rel.Rows() > node {
 		rows = (rel.Rows() - node + n - 1) / n
 	}
 	bufs := exchangeColumns(rel, rows)
 	scratch := make([]int64, rel.Rows())
-	for c, col := range rel.Cols {
-		src := widened(col.Data, scratch)
+	for c := range rel.Cols {
+		src := widened(rel.Col(c), scratch)
 		for i := range bufs[c] {
 			bufs[c][i] = src[node+i*n]
 		}

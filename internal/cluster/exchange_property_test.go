@@ -39,10 +39,8 @@ func (q *query) shuffle(parts []*ops.Relation, keyCol int, part *storage.ShardMa
 
 // pairRelation builds a two-column (key, payload) relation.
 func pairRelation(ks, vs []int64) *ops.Relation {
-	return ops.MustRelation([]ops.Col{
-		{Name: "k", Type: coltypes.Int(), Data: coltypes.Of(ks)},
-		{Name: "v", Type: coltypes.Int(), Data: coltypes.Of(vs)},
-	})
+	return ops.MustRelation([]ops.Col{{Name: "k", Type: coltypes.Int()}, {Name: "v", Type: coltypes.Int()}},
+		[]coltypes.Data{coltypes.Of(ks), coltypes.Of(vs)})
 }
 
 // pairBag renders a set of relations as one sorted (key, payload) multiset.
@@ -53,7 +51,7 @@ func pairBag(rels ...*ops.Relation) []string {
 			continue
 		}
 		for r := 0; r < rel.Rows(); r++ {
-			out = append(out, fmt.Sprintf("%d|%d", rel.Cols[0].Data.Get(r), rel.Cols[1].Data.Get(r)))
+			out = append(out, fmt.Sprintf("%d|%d", rel.Col(0).Get(r), rel.Col(1).Get(r)))
 		}
 	}
 	sort.Strings(out)
@@ -195,8 +193,8 @@ func TestExchangeConservationProperty(t *testing.T) {
 		}
 		for d, rel := range outs {
 			for r := 0; r < rel.Rows(); r++ {
-				if sm.NodeFor(rel.Cols[0].Data.Get(r)) != d {
-					t.Logf("shuffle delivered key %d to node %d", rel.Cols[0].Data.Get(r), d)
+				if sm.NodeFor(rel.Col(0).Get(r)) != d {
+					t.Logf("shuffle delivered key %d to node %d", rel.Col(0).Get(r), d)
 					return false
 				}
 			}
@@ -305,7 +303,7 @@ func refColumns(proto *ops.Relation) [][]int64 { return make([][]int64, proto.Nu
 
 func refAppendRow(dst [][]int64, rel *ops.Relation, r int) {
 	for c := range rel.Cols {
-		dst[c] = append(dst[c], rel.Cols[c].Data.Get(r))
+		dst[c] = append(dst[c], rel.Col(c).Get(r))
 	}
 }
 
@@ -320,7 +318,7 @@ func refShuffle(parts []*ops.Relation, keyCol int, sm *storage.ShardMap, n int) 
 			continue
 		}
 		for r := 0; r < rel.Rows(); r++ {
-			d := sm.NodeFor(rel.Cols[keyCol].Data.Get(r))
+			d := sm.NodeFor(rel.Col(keyCol).Get(r))
 			refAppendRow(outs[d], rel, r)
 			streams[src][d]++
 		}
@@ -357,14 +355,15 @@ func sameRows(t *testing.T, what string, got *ops.Relation, proto *ops.Relation,
 		t.Fatalf("%s: %d columns, want %d", what, got.NumCols(), len(want))
 	}
 	for c, col := range got.Cols {
-		if col.Data.Width() != coltypes.W8 || col.Name != proto.Cols[c].Name || col.Type != proto.Cols[c].Type {
+		data := got.Col(c)
+		if data.Width() != coltypes.W8 || col.Name != proto.Cols[c].Name || col.Type != proto.Cols[c].Type {
 			t.Fatalf("%s: column %d is %q %v width %d, want %q %v width 8",
-				what, c, col.Name, col.Type, col.Data.Width(), proto.Cols[c].Name, proto.Cols[c].Type)
+				what, c, col.Name, col.Type, data.Width(), proto.Cols[c].Name, proto.Cols[c].Type)
 		}
-		if col.Data.Len() != len(want[c]) {
-			t.Fatalf("%s: column %d has %d rows, want %d", what, c, col.Data.Len(), len(want[c]))
+		if data.Len() != len(want[c]) {
+			t.Fatalf("%s: column %d has %d rows, want %d", what, c, data.Len(), len(want[c]))
 		}
-		for r, v := range col.Data.I64() {
+		for r, v := range data.I64() {
 			if v != want[c][r] {
 				t.Fatalf("%s: row %d column %d = %d, want %d", what, r, c, v, want[c][r])
 			}
@@ -394,7 +393,7 @@ func randomParts(rng *rand.Rand, n, maxRows int) []*ops.Relation {
 			return out
 		}
 		widths := []coltypes.Width{coltypes.W1, coltypes.W2, coltypes.W4, coltypes.W8}
-		cols := make([]ops.Col, 4)
+		cols, data := make([]ops.Col, 4), make([]coltypes.Data, 4)
 		for c := range cols {
 			w := widths[(c+i)%4]
 			lo, hi := w.MinInt(), w.MaxInt()
@@ -404,9 +403,10 @@ func randomParts(rng *rand.Rand, n, maxRows int) []*ops.Relation {
 			if c == 0 {
 				lo, hi = max(lo, -100), min(hi, 100) // repeating keys, both signs
 			}
-			cols[c] = ops.Col{Name: fmt.Sprintf("c%d", c), Type: coltypes.Int(), Data: coltypes.FromInt64s(w, vals(lo, hi))}
+			cols[c] = ops.Col{Name: fmt.Sprintf("c%d", c), Type: coltypes.Int()}
+			data[c] = coltypes.FromInt64s(w, vals(lo, hi))
 		}
-		parts[i] = ops.MustRelation(cols)
+		parts[i] = ops.MustRelation(cols, data)
 	}
 	return parts
 }

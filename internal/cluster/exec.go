@@ -277,6 +277,13 @@ func (t *Tray) execute(goCtx context.Context, bound plan.Node, opts QueryOptions
 		ctx.Exec, ctx.Slab = adm, adm.Slab()
 		q.nctx = append(q.nctx, ctx)
 	}
+	// Node relations are read only by the exchanges that copy them onto the
+	// wire, so their chunks go back once the query is done.
+	defer func() {
+		for _, ctx := range q.nctx {
+			ctx.Release()
+		}
+	}()
 	h.SetPhase("executing")
 	q.coord = qef.NewContext(opts.Mode)
 	q.coord.Metrics = t.reg
@@ -292,7 +299,8 @@ func (t *Tray) execute(goCtx context.Context, bound plan.Node, opts QueryOptions
 	}
 
 	res := &Result{
-		Rel: rel, Nodes: n,
+		Rel: rel.Flat(), Nodes: n, // the coordinator's chunks are on the heap
+
 		Exchanges:    q.exchanges,
 		Explain:      plan.Format(bound),
 		ShardsPruned: q.shardsPruned,
@@ -606,10 +614,12 @@ func (q *query) pickError(errs []error) error {
 // fragment that matched nothing.
 func emptyRelation(fields []plan.Field) *ops.Relation {
 	cols := make([]ops.Col, len(fields))
+	data := make([]coltypes.Data, len(fields))
 	for i, f := range fields {
-		cols[i] = ops.Col{Name: f.Name, Type: f.Type, Dict: f.Dict, Data: coltypes.Of([]int64{})}
+		cols[i] = ops.Col{Name: f.Name, Type: f.Type, Dict: f.Dict}
+		data[i] = coltypes.Of([]int64{})
 	}
-	return &ops.Relation{Cols: cols}
+	return ops.MustRelation(cols, data)
 }
 
 func opName(n plan.Node) string {

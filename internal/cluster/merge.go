@@ -102,17 +102,17 @@ func (q *query) mergePartials(g *plan.GroupBy, gathered *ops.Relation) (*ops.Rel
 	fold := func(accs []pacc, r int) {
 		alive := true
 		if prows >= 0 {
-			alive = gathered.Cols[prows].Data.Get(r) > 0
+			alive = gathered.Col(prows).Get(r) > 0
 		}
 		for j, l := range lay {
-			v := gathered.Cols[l.col].Data.Get(r)
+			v := gathered.Col(l.col).Get(r)
 			switch l.kind {
 			case plan.Sum, plan.Count, plan.CountStar:
 				accs[j].a += v
 				accs[j].seen = true
 			case plan.Avg:
 				accs[j].a += v
-				accs[j].b += gathered.Cols[l.cnt].Data.Get(r)
+				accs[j].b += gathered.Col(l.cnt).Get(r)
 				accs[j].seen = true
 			case plan.Min:
 				if alive && (!accs[j].seen || v < accs[j].a) {
@@ -139,7 +139,7 @@ func (q *query) mergePartials(g *plan.GroupBy, gathered *ops.Relation) (*ops.Rel
 		for r := 0; r < rows; r++ {
 			keybuf = keybuf[:0]
 			for k := 0; k < nk; k++ {
-				v := uint64(gathered.Cols[k].Data.Get(r))
+				v := uint64(gathered.Col(k).Get(r))
 				keybuf = append(keybuf,
 					byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
 					byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
@@ -148,7 +148,7 @@ func (q *query) mergePartials(g *plan.GroupBy, gathered *ops.Relation) (*ops.Rel
 			if !ok {
 				gr = &mgroup{keys: make([]int64, nk), accs: make([]pacc, len(lay))}
 				for k := 0; k < nk; k++ {
-					gr.keys[k] = gathered.Cols[k].Data.Get(r)
+					gr.keys[k] = gathered.Col(k).Get(r)
 				}
 				index[string(keybuf)] = gr
 				order = append(order, gr)
@@ -159,13 +159,15 @@ func (q *query) mergePartials(g *plan.GroupBy, gathered *ops.Relation) (*ops.Rel
 
 	n := len(order)
 	cols := make([]ops.Col, 0, nk+len(lay))
+	data := make([]coltypes.Data, 0, nk+len(lay))
 	for k := 0; k < nk; k++ {
 		vals := make([]int64, n)
 		for i, gr := range order {
 			vals[i] = gr.keys[k]
 		}
 		f := outFields[k]
-		cols = append(cols, ops.Col{Name: f.Name, Type: f.Type, Dict: f.Dict, Data: coltypes.Of(vals)})
+		cols = append(cols, ops.Col{Name: f.Name, Type: f.Type, Dict: f.Dict})
+		data = append(data, coltypes.Of(vals))
 	}
 	for j, l := range lay {
 		vals := make([]int64, n)
@@ -185,7 +187,8 @@ func (q *query) mergePartials(g *plan.GroupBy, gathered *ops.Relation) (*ops.Rel
 			}
 		}
 		f := outFields[nk+j]
-		cols = append(cols, ops.Col{Name: f.Name, Type: f.Type, Dict: f.Dict, Data: coltypes.Of(vals)})
+		cols = append(cols, ops.Col{Name: f.Name, Type: f.Type, Dict: f.Dict})
+		data = append(data, coltypes.Of(vals))
 	}
-	return ops.NewRelation(cols)
+	return ops.NewRelation(cols, data)
 }

@@ -129,7 +129,7 @@ func TestShardZonePruningSparesAggregations(t *testing.T) {
 	if res.Rel.Rows() != 1 {
 		t.Fatalf("scalar aggregate rows = %d, want 1", res.Rel.Rows())
 	}
-	if got := res.Rel.Cols[0].Data.Get(0); got != 0 {
+	if got := res.Rel.Col(0).Get(0); got != 0 {
 		t.Fatalf("COUNT(*) = %d, want 0", got)
 	}
 }

@@ -51,7 +51,7 @@ func TestTimingsMatchTheCapturedModel(t *testing.T) {
 				line("read", e.Read(cols, 0, rows))
 				line("write", e.WriteTiming(nc, rows, w.Bytes()))
 				line("stream", e.StreamWrite(rows*nc*w.Bytes()))
-				line("hashvector", e.HashTiming(cols, keys))
+				line("hashvector", e.HashTiming(rows, cols, keys))
 				for _, spec := range []PartitionSpec{
 					{Strategy: Radix, Fanout: 32, KeyCols: []int{0}},
 					{Strategy: Hash, Fanout: 32, KeyCols: keys},

@@ -103,14 +103,11 @@ func (e *Engine) PartitionTiming(cols []coltypes.Data, spec PartitionSpec) (Timi
 }
 
 // HashTiming bills the DMS hash engine's CRC32 pass over the key columns of
-// cols — the "vector of CRC32 hash values computed in hardware" that feeds the
-// software partitioning pipeline of Listing 2. The vector itself is the one
-// primitives.HashColumn computes, in either mode.
-func (e *Engine) HashTiming(cols []coltypes.Data, keyCols []int) Timing {
-	n := 0
-	if len(cols) > 0 {
-		n = cols[0].Len()
-	}
+// n rows of columns as wide as cols — the "vector of CRC32 hash values
+// computed in hardware" that feeds the software partitioning pipeline of
+// Listing 2. The vector itself is the one primitives.HashColumn computes, in
+// either mode.
+func (e *Engine) HashTiming(n int, cols []coltypes.Data, keyCols []int) Timing {
 	t := e.model.partitionTime(n, len(keyCols), widthOf(cols), Hash, len(keyCols))
 	e.account(t)
 	return t

@@ -95,8 +95,8 @@ func TestPlanCacheServesTemplateAcrossLiterals(t *testing.T) {
 	}
 	// Plan cache keys include the parameter vector (literals are bound into
 	// the plan), so b re-binds; its template still normalizes identically.
-	if a.Rel.Cols[0].Data.Get(0) != 100 || b.Rel.Cols[0].Data.Get(0) != 200 {
-		t.Fatalf("wrong answers: %d / %d", a.Rel.Cols[0].Data.Get(0), b.Rel.Cols[0].Data.Get(0))
+	if a.Rel.Col(0).Get(0) != 100 || b.Rel.Col(0).Get(0) != 200 {
+		t.Fatalf("wrong answers: %d / %d", a.Rel.Col(0).Get(0), b.Rel.Col(0).Get(0))
 	}
 	// Exact repeat of a: result hit.
 	if r := run("SELECT COUNT(*) FROM events WHERE id < 100"); r.Cache != "hit" {
@@ -114,8 +114,8 @@ func TestCacheInvalidatedByDMLAndCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.Cache != "miss" || first.Rel.Cols[0].Data.Get(0) != 1000 {
-		t.Fatalf("cold: cache=%q rows=%d", first.Cache, first.Rel.Cols[0].Data.Get(0))
+	if first.Cache != "miss" || first.Rel.Col(0).Get(0) != 1000 {
+		t.Fatalf("cold: cache=%q rows=%d", first.Cache, first.Rel.Col(0).Get(0))
 	}
 	if r, _ := db.Query(sql, opts); r.Cache != "hit" {
 		t.Fatalf("warm: %q", r.Cache)
@@ -135,7 +135,7 @@ func TestCacheInvalidatedByDMLAndCheckpoint(t *testing.T) {
 	if after.Cache != "stale" {
 		t.Fatalf("post-DML cache = %q, want stale", after.Cache)
 	}
-	if got := after.Rel.Cols[0].Data.Get(0); got != 1001 {
+	if got := after.Rel.Col(0).Get(0); got != 1001 {
 		t.Fatalf("post-DML count = %d, want 1001", got)
 	}
 	if !after.FellBack {
@@ -144,7 +144,7 @@ func TestCacheInvalidatedByDMLAndCheckpoint(t *testing.T) {
 	// Fallback results are never cached: the next run misses again (the
 	// stale entry was evicted, nothing replaced it).
 	again, _ := db.Query(sql, opts)
-	if again.Cache != "miss" || again.Rel.Cols[0].Data.Get(0) != 1001 {
+	if again.Cache != "miss" || again.Rel.Col(0).Get(0) != 1001 {
 		t.Fatalf("fallback must not be cached: cache=%q", again.Cache)
 	}
 	// Checkpoint propagates the journal (replica epoch bumps); the query
@@ -157,7 +157,7 @@ func TestCacheInvalidatedByDMLAndCheckpoint(t *testing.T) {
 	if warm1.Cache != "miss" || !warm1.Offloaded {
 		t.Fatalf("post-checkpoint: cache=%q offloaded=%v", warm1.Cache, warm1.Offloaded)
 	}
-	if warm2.Cache != "hit" || warm2.Rel.Cols[0].Data.Get(0) != 1001 {
+	if warm2.Cache != "hit" || warm2.Rel.Col(0).Get(0) != 1001 {
 		t.Fatalf("post-checkpoint warm: cache=%q", warm2.Cache)
 	}
 }
@@ -266,7 +266,7 @@ func TestSingleflightStormExecutesOncePerEpoch(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				r, err := db.Query("SELECT COUNT(*) FROM events WHERE grp < 7", opts)
-				if err != nil || r.Rel.Cols[0].Data.Get(0) != wantRows {
+				if err != nil || r.Rel.Col(0).Get(0) != wantRows {
 					failures.Add(1)
 				}
 			}()
@@ -349,7 +349,7 @@ func TestNoStaleHitUnderConcurrentDML(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				got := r.Rel.Cols[0].Data.Get(0)
+				got := r.Rel.Col(0).Get(0)
 				// Monotonicity: a read issued when `low` was already
 				// published must never see fewer rows (a stale hit would).
 				if got < floor {
@@ -376,7 +376,7 @@ func TestNoStaleHitUnderConcurrentDML(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := r.Rel.Cols[0].Data.Get(0); got < int64(1000+gen+1) {
+		if got := r.Rel.Col(0).Get(0); got < int64(1000+gen+1) {
 			t.Fatalf("gen %d: post-publication read returned %d (cache=%s)", gen, got, r.Cache)
 		}
 	}

@@ -136,10 +136,10 @@ func TestDifferentialRandomPlans(t *testing.T) {
 				// Compare as multisets of (a, e) pairs.
 				count := map[[2]int64]int{}
 				for i := 0; i < rel.Rows(); i++ {
-					count[[2]int64{rel.Cols[0].Data.Get(i), rel.Cols[1].Data.Get(i)}]++
+					count[[2]int64{rel.Get(i, 0), rel.Get(i, 1)}]++
 				}
 				for i := 0; i < hostRel.Rows(); i++ {
-					count[[2]int64{hostRel.Cols[0].Data.Get(i), hostRel.Cols[1].Data.Get(i)}]--
+					count[[2]int64{hostRel.Get(i, 0), hostRel.Get(i, 1)}]--
 				}
 				for k, c := range count {
 					if c != 0 {
@@ -187,11 +187,11 @@ func TestDifferentialRandomAggregates(t *testing.T) {
 		}
 		want := map[int64]int64{}
 		for i := 0; i < hostRel.Rows(); i++ {
-			want[hostRel.Cols[0].Data.Get(i)] = hostRel.Cols[1].Data.Get(i)
+			want[hostRel.Get(i, 0)] = hostRel.Get(i, 1)
 		}
 		for i := 0; i < rel.Rows(); i++ {
-			k := rel.Cols[0].Data.Get(i)
-			if got := rel.Cols[1].Data.Get(i); got != want[k] {
+			k := rel.Get(i, 0)
+			if got := rel.Get(i, 1); got != want[k] {
 				t.Fatalf("trial %d (%v): group %d: %d vs host %d", trial, agg.Kind, k, got, want[k])
 			}
 		}

@@ -191,9 +191,9 @@ func TestQueryOffloadAndResults(t *testing.T) {
 	}
 	for i := 0; i < res.Rel.Rows(); i++ {
 		for c := 0; c < res.Rel.NumCols(); c++ {
-			if res.Rel.Cols[c].Data.Get(i) != host.Rel.Cols[c].Data.Get(i) {
+			if res.Rel.Col(c).Get(i) != host.Rel.Col(c).Get(i) {
 				t.Fatalf("row %d col %d: rapid %d vs host %d", i, c,
-					res.Rel.Cols[c].Data.Get(i), host.Rel.Cols[c].Data.Get(i))
+					res.Rel.Col(c).Get(i), host.Rel.Col(c).Get(i))
 			}
 		}
 	}
@@ -233,8 +233,8 @@ func TestAdmissibilityFallback(t *testing.T) {
 		t.Fatalf("expected fallback: %+v", res)
 	}
 	// Host result includes the new row (host is source of truth).
-	if res.Rel.Cols[0].Data.Get(0) != 1001 {
-		t.Fatalf("count = %d", res.Rel.Cols[0].Data.Get(0))
+	if res.Rel.Col(0).Get(0) != 1001 {
+		t.Fatalf("count = %d", res.Rel.Col(0).Get(0))
 	}
 	// FailOnInadmissible surfaces the error instead.
 	if _, err := db.Query(`SELECT COUNT(*) FROM events`,
@@ -250,8 +250,8 @@ func TestAdmissibilityFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res2.Offloaded || res2.Rel.Cols[0].Data.Get(0) != 1001 {
-		t.Fatalf("post-checkpoint: offloaded=%v count=%d", res2.Offloaded, res2.Rel.Cols[0].Data.Get(0))
+	if !res2.Offloaded || res2.Rel.Col(0).Get(0) != 1001 {
+		t.Fatalf("post-checkpoint: offloaded=%v count=%d", res2.Offloaded, res2.Rel.Col(0).Get(0))
 	}
 }
 
@@ -264,7 +264,7 @@ func TestRapidFailureFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.FellBack || res.Rel.Cols[0].Data.Get(0) != 500 {
+	if !res.FellBack || res.Rel.Col(0).Get(0) != 500 {
 		t.Fatalf("failure fallback broken: %+v", res)
 	}
 }
@@ -308,7 +308,7 @@ func TestVolcanoEngineDirect(t *testing.T) {
 	if res.Rel.Rows() != 2 {
 		t.Fatalf("rows = %d", res.Rel.Rows())
 	}
-	if res.Rel.Cols[1].Data.Get(0) < res.Rel.Cols[1].Data.Get(1) {
+	if res.Rel.Col(1).Get(0) < res.Rel.Col(1).Get(1) {
 		t.Fatal("not sorted desc")
 	}
 	// String rendering through the host path keeps dictionaries.

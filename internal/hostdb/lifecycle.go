@@ -264,8 +264,8 @@ func NewCacheEntry(payload any, rel *ops.Relation, cycles, energyNJ int64) *qcac
 	e := &qcache.Result{Payload: payload, Bytes: 64, CyclesSaved: cycles, EnergySavedNJ: energyNJ}
 	if rel != nil {
 		// Column payloads at physical width plus a small per-column overhead.
-		for _, c := range rel.Cols {
-			e.Bytes += 64 + int64(c.Data.SizeBytes())
+		for c := range rel.Cols {
+			e.Bytes += 64 + int64(rel.Col(c).SizeBytes())
 		}
 	}
 	return e

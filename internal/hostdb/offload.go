@@ -328,6 +328,7 @@ func (db *Database) runRapid(goCtx context.Context, node plan.Node, opts QueryOp
 	h.SetPhase("executing")
 	ctx.SetGoContext(goCtx)
 	ctx.Exec, ctx.Slab = adm, adm.Slab()
+	defer ctx.Release() // after the result is Flattened below, before adm.Release
 	var prof *obs.Profile
 	if opts.Profile {
 		prof = obs.NewProfile(opts.RapidMode.String(), ctx.SoC.Config().NumCores, dpu.FreqHz, compiled.SpanDefs())
@@ -340,7 +341,7 @@ func (db *Database) runRapid(goCtx context.Context, node plan.Node, opts QueryOp
 	if err != nil {
 		return err
 	}
-	res.Rel, res.RapidWall, res.Profile = rel, wall, prof
+	res.Rel, res.RapidWall, res.Profile = rel.Flatten(), wall, prof
 	u := ctx.Usage()
 	res.RapidSimSeconds = u.SimElapsed()
 	res.TilesPruned, res.DMEMHighWater = u.TilesPruned, u.DMEMHighWater
@@ -373,20 +374,16 @@ func (db *Database) runHost(ctx context.Context, node plan.Node) (*ops.Relation,
 	}
 	fields := node.Schema()
 	cols := make([]ops.Col, len(fields))
-	data := make([][]int64, len(fields))
-	for _, r := range rows {
-		for c := range fields {
-			data[c] = append(data[c], r[c])
-		}
-	}
+	data := make([]coltypes.Data, len(fields))
 	for c, f := range fields {
-		col := data[c]
-		if col == nil {
-			col = []int64{}
+		vals := make([]int64, len(rows))
+		for i, r := range rows {
+			vals[i] = r[c]
 		}
-		cols[c] = ops.Col{Name: f.Name, Type: f.Type, Dict: f.Dict, Data: coltypes.Of(col)}
+		cols[c] = ops.Col{Name: f.Name, Type: f.Type, Dict: f.Dict}
+		data[c] = coltypes.Of(vals)
 	}
-	return ops.NewRelation(cols)
+	return ops.NewRelation(cols, data)
 }
 
 // StartBackgroundCheckpointer launches the periodic journal propagation

@@ -81,7 +81,7 @@ func TestPruningAfterUpdatePastMax(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Rel.Rows() != 1 || res.Rel.Cols[0].Data.Get(0) != 1_000_000 {
+		if res.Rel.Rows() != 1 || res.Rel.Col(0).Get(0) != 1_000_000 {
 			t.Fatalf("disablePruning=%v: updated row lost (rows=%d)", opts.DisablePruning, res.Rel.Rows())
 		}
 	}

@@ -2,6 +2,7 @@ package ops
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"rapid/internal/dpu"
@@ -34,6 +35,37 @@ func (k AggKind) String() string {
 		return "COUNT(*)"
 	}
 	return fmt.Sprintf("AggKind(%d)", int(k))
+}
+
+// newAcc sets acc, a per-group accumulator of the kind, to the identity of
+// its fold and returns it.
+func (k AggKind) newAcc(acc []int64) []int64 {
+	v := int64(0)
+	switch k {
+	case AggMin:
+		v = math.MaxInt64
+	case AggMax:
+		v = math.MinInt64
+	}
+	for i := range acc {
+		acc[i] = v
+	}
+	return acc
+}
+
+// accumulate folds a tile's rows — their group ids and values — into acc, a
+// per-group accumulator of the kind; COUNT(*) reads no values.
+func (k AggKind) accumulate(core *dpu.Core, acc []int64, gids []uint32, vals []int64) {
+	switch k {
+	case AggSum:
+		primitives.GroupedSums(core, acc, gids, vals)
+	case AggMin:
+		primitives.GroupedMins(core, acc, gids, vals)
+	case AggMax:
+		primitives.GroupedMaxs(core, acc, gids, vals)
+	default:
+		primitives.GroupedCounts(core, acc, gids, k == AggCountStar)
+	}
 }
 
 // AggSpec is one aggregate output: a function over an input expression
@@ -91,8 +123,7 @@ func (r *ScalarAggResult) Value(i int, kind AggKind) int64 {
 }
 
 // DMEMSize: per-spec accumulator state, each computed expression's scratch,
-// and the RID-gather staging vector. The old flat tileRows*8 undercounted
-// multi-expression aggregate lists.
+// and the RID-gather staging vector.
 func (a *ScalarAggOp) DMEMSize(tileRows int) int {
 	total := len(a.Specs) * 32
 	for _, spec := range a.Specs {

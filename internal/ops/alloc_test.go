@@ -31,7 +31,7 @@ func confTile(n int) *qef.Tile {
 		}
 		cols[c] = d
 	}
-	return qef.NewTile(cols, n)
+	return &qef.Tile{Cols: cols, N: n}
 }
 
 func withSel(t *qef.Tile) *qef.Tile {
@@ -195,15 +195,15 @@ func allocChain(sink qef.Operator) func() qef.Operator {
 }
 
 func allocRelation(rows int) *Relation {
-	cols := make([]Col, 3)
+	cols, data := make([]Col, 3), make([]coltypes.Data, 3)
 	for c := range cols {
 		d := coltypes.New(coltypes.W4, rows)
 		for i := 0; i < rows; i++ {
 			d.Set(i, int64((i*2654435761+c)%1000))
 		}
-		cols[c] = Col{Name: string(rune('a' + c)), Type: coltypes.Int(), Data: d}
+		cols[c], data[c] = Col{Name: string(rune('a' + c)), Type: coltypes.Int()}, d
 	}
-	return MustRelation(cols)
+	return MustRelation(cols, data)
 }
 
 // testTileLoopAllocs asserts the steady-state allocation slope of the tile

@@ -65,7 +65,7 @@ func TestHashJoinEmptyInputs(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < out.Rows(); i++ {
-			if pad := out.Cols[2].Data.Get(i); pad != 0 {
+			if pad := out.Get(i, 2); pad != 0 {
 				t.Fatalf("row %d: padding = %d, want 0", i, pad)
 			}
 		}
@@ -208,7 +208,7 @@ func TestTopKLimitZeroAndTies(t *testing.T) {
 		}
 		want := []int64{1, 1, 5}
 		for i, w := range want {
-			if got := top.Cols[0].Data.Get(i); got != w {
+			if got := top.Get(i, 0); got != w {
 				t.Fatalf("row %d key = %d, want %d", i, got, w)
 			}
 		}
@@ -218,8 +218,8 @@ func TestTopKLimitZeroAndTies(t *testing.T) {
 		if err != nil || all.Rows() != rel.Rows() {
 			t.Fatalf("k>n: rows=%d err=%v", all.Rows(), err)
 		}
-		if all.Cols[0].Data.Get(0) != 9 {
-			t.Fatalf("k>n: first key = %d, want 9", all.Cols[0].Data.Get(0))
+		if all.Get(0, 0) != 9 {
+			t.Fatalf("k>n: first key = %d, want 9", all.Get(0, 0))
 		}
 
 		// Limit is a plain prefix.
@@ -255,14 +255,14 @@ func TestGroupByConstantKey(t *testing.T) {
 		if out.Rows() != 1 {
 			t.Fatalf("groups = %d, want 1", out.Rows())
 		}
-		if k := out.Cols[0].Data.Get(0); k != 7 {
+		if k := out.Get(0, 0); k != 7 {
 			t.Fatalf("key = %d", k)
 		}
 		wantSum := int64(n) * int64(n-1) / 2
-		if s := out.Cols[1].Data.Get(0); s != wantSum {
+		if s := out.Get(0, 1); s != wantSum {
 			t.Fatalf("sum = %d, want %d", s, wantSum)
 		}
-		if c := out.Cols[2].Data.Get(0); c != int64(n) {
+		if c := out.Get(0, 2); c != int64(n) {
 			t.Fatalf("count = %d, want %d", c, n)
 		}
 	})

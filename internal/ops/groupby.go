@@ -16,12 +16,12 @@ import (
 // group id. Like the join kernel it is pointer-free and sized against the
 // 32 KiB scratchpad.
 type GroupTable struct {
-	mask    uint32
-	slots   []int32 // gid+1; 0 = empty
-	keyCols [][]int64
-	hashes  []uint32 // per-gid hash for fast reject
-	n       int
-	cap     int
+	mask   uint32
+	slots  []uint32 // gid+1; 0 = empty
+	keys   []int64  // key k of group gid at keys[k*cap+gid]
+	hashes []uint32 // per-gid hash for fast reject
+	n      int
+	cap    int
 }
 
 // GroupTableSizeBytes returns the DMEM footprint for maxGroups groups with
@@ -34,24 +34,22 @@ func GroupTableSizeBytes(maxGroups, nKeys int) int {
 // NewGroupTable builds a table for up to maxGroups groups of nKeys key
 // columns.
 func NewGroupTable(maxGroups, nKeys int) *GroupTable {
+	t := newGroupTable(maxGroups, make([]uint32, nextPow2(2*maxGroups)+maxGroups), make([]int64, nKeys*maxGroups))
+	return &t
+}
+
+// newGroupTable lays a table for up to maxGroups groups out in u32 (slots,
+// then hashes; zeroed) and keys — heap or task scratch.
+func newGroupTable(maxGroups int, u32 []uint32, keys []int64) GroupTable {
 	slots := nextPow2(2 * maxGroups)
-	g := &GroupTable{
-		mask:    uint32(slots - 1),
-		slots:   make([]int32, slots),
-		keyCols: make([][]int64, nKeys),
-		cap:     maxGroups,
-	}
-	for i := range g.keyCols {
-		g.keyCols[i] = make([]int64, 0, maxGroups)
-	}
-	return g
+	return GroupTable{mask: uint32(slots - 1), slots: u32[:slots], hashes: u32[slots:], keys: keys, cap: maxGroups}
 }
 
 // NumGroups returns the number of distinct groups seen.
 func (g *GroupTable) NumGroups() int { return g.n }
 
 // Key returns key column k of group gid.
-func (g *GroupTable) Key(k int, gid int) int64 { return g.keyCols[k][gid] }
+func (g *GroupTable) Key(k int, gid int) int64 { return g.keys[k*g.cap+gid] }
 
 // FindOrAdd returns the dense group id of the key tuple, adding it when
 // new. Returns -1 when the table is full (the caller re-partitions, the
@@ -66,18 +64,18 @@ func (g *GroupTable) FindOrAdd(h uint32, key []int64) int {
 			}
 			gid := g.n
 			g.n++
-			g.slots[slot] = int32(gid + 1)
-			g.hashes = append(g.hashes, h)
-			for k := range g.keyCols {
-				g.keyCols[k] = append(g.keyCols[k], key[k])
+			g.slots[slot] = uint32(gid + 1)
+			g.hashes[gid] = h
+			for k, v := range key {
+				g.keys[k*g.cap+gid] = v
 			}
 			return gid
 		}
 		gid := int(s - 1)
 		if g.hashes[gid] == h {
 			match := true
-			for k := range g.keyCols {
-				if g.keyCols[k][gid] != key[k] {
+			for k, v := range key {
+				if g.keys[k*g.cap+gid] != v {
 					match = false
 					break
 				}
@@ -114,16 +112,15 @@ type GroupByOp struct {
 	Merger    *GroupMerger
 
 	table  *GroupTable
-	aggs   []*primitives.GroupedAgg
+	aggs   [][]int64 // one per-group accumulator per spec
 	keyBuf []int64
 }
 
-// DMEMSize: the group table and per-spec accumulator arrays (unit lifetime)
-// plus the per-tile hash/gid/row vectors and each aggregate expression's
-// scratch. Per-tile scratch comes from the task pool, so this stays an
-// upper bound on observed pool usage (operator instances persist across
-// work units while the pool resets — cross-tile caches must not be
-// pool-backed, which is why the old cached hv/gids/rows fields are gone).
+// DMEMSize: the group table and per-spec accumulators (unit lifetime) — 32
+// bytes a group and spec, as when each kept sum, min, max and count: the
+// compiler picks the strategy by this size — plus the per-tile hash/gid/row
+// vectors and each aggregate expression's scratch. Per-tile scratch comes
+// from the task pool, so this stays an upper bound on observed pool usage.
 func (g *GroupByOp) DMEMSize(tileRows int) int {
 	total := GroupTableSizeBytes(g.MaxGroups, len(g.GroupCols)) +
 		len(g.Specs)*4*8*g.MaxGroups + 12*tileRows
@@ -138,9 +135,9 @@ func (g *GroupByOp) DMEMSize(tileRows int) int {
 
 func (g *GroupByOp) Open(tc *qef.TaskCtx) error {
 	g.table = NewGroupTable(g.MaxGroups, len(g.GroupCols))
-	g.aggs = make([]*primitives.GroupedAgg, len(g.Specs))
-	for i := range g.aggs {
-		g.aggs[i] = primitives.NewGroupedAgg(g.MaxGroups)
+	g.aggs = make([][]int64, len(g.Specs))
+	for i, spec := range g.Specs {
+		g.aggs[i] = spec.Kind.newAcc(make([]int64, g.MaxGroups))
 	}
 	g.keyBuf = make([]int64, len(g.GroupCols))
 	return nil
@@ -181,20 +178,18 @@ func (g *GroupByOp) Produce(tc *qef.TaskCtx, t *qef.Tile) error {
 	}
 	dense := t.Dense()
 	for s, spec := range g.Specs {
-		if spec.Kind == AggCountStar {
-			g.aggs[s].AccumulateCounts(tc.Core, gids)
-			continue
+		var vals []int64
+		if spec.Kind != AggCountStar {
+			vals = spec.Expr.Eval(tc, t)
 		}
-		vals := spec.Expr.Eval(tc, t)
-		if dense {
-			g.aggs[s].Accumulate(tc.Core, gids, vals)
-			continue
+		if spec.Kind != AggCountStar && !dense {
+			sub := tc.I64Scratch(len(rows))
+			for j, r := range rows {
+				sub[j] = vals[r]
+			}
+			vals = sub
 		}
-		sub := tc.I64Scratch(len(rows))
-		for j, r := range rows {
-			sub[j] = vals[r]
-		}
-		g.aggs[s].Accumulate(tc.Core, gids, sub)
+		spec.Kind.accumulate(tc.Core, g.aggs[s], gids, vals)
 	}
 	return nil
 }
@@ -213,7 +208,7 @@ type GroupMerger struct {
 	mu    sync.Mutex
 	keys  map[string]int // serialized key -> row
 	kcols [][]int64
-	accs  [][]primitives.AggState // [spec][row]
+	accs  [][]int64 // [spec][row]
 }
 
 // NewGroupMerger builds a merger for nKeys group columns and the specs.
@@ -223,11 +218,11 @@ func NewGroupMerger(nKeys int, specs []AggSpec) *GroupMerger {
 		Specs: specs,
 		keys:  make(map[string]int),
 		kcols: make([][]int64, nKeys),
-		accs:  make([][]primitives.AggState, len(specs)),
+		accs:  make([][]int64, len(specs)),
 	}
 }
 
-func (m *GroupMerger) merge(tc *qef.TaskCtx, table *GroupTable, aggs []*primitives.GroupedAgg, specs []AggSpec) {
+func (m *GroupMerger) merge(tc *qef.TaskCtx, table *GroupTable, aggs [][]int64, specs []AggSpec) {
 	if table == nil {
 		return
 	}
@@ -253,18 +248,21 @@ func (m *GroupMerger) merge(tc *qef.TaskCtx, table *GroupTable, aggs []*primitiv
 			for k := 0; k < m.NKeys; k++ {
 				m.kcols[k] = append(m.kcols[k], table.Key(k, gid))
 			}
-			for s := range m.accs {
-				m.accs[s] = append(m.accs[s], primitives.NewAggState())
+			for s := range specs {
+				m.accs[s] = append(m.accs[s], aggs[s][gid])
 			}
+			continue
 		}
-		for s := range specs {
-			st := primitives.AggState{
-				Sum:   aggs[s].Sums[gid],
-				Min:   aggs[s].Mins[gid],
-				Max:   aggs[s].Maxs[gid],
-				Count: aggs[s].Counts[gid],
+		for s, spec := range specs {
+			acc, v := &m.accs[s][row], aggs[s][gid]
+			switch spec.Kind {
+			case AggMin:
+				*acc = min(*acc, v)
+			case AggMax:
+				*acc = max(*acc, v)
+			default: // sums and counts add up
+				*acc += v
 			}
-			m.accs[s][row].Merge(st)
 		}
 	}
 }
@@ -290,36 +288,26 @@ func (m *GroupMerger) Relation(keyCols []Col, outNames []string) *Relation {
 		}
 		return false
 	})
-	cols := make([]Col, 0, m.NKeys+len(m.Specs))
+	cols := append(make([]Col, 0, m.NKeys+len(m.Specs)), keyCols[:m.NKeys]...)
+	data := make([]coltypes.Data, 0, cap(cols))
 	for k := 0; k < m.NKeys; k++ {
 		vals := make([]int64, n)
 		for i, row := range order {
 			vals[i] = m.kcols[k][row]
 		}
-		c := keyCols[k]
-		c.Data = coltypes.Of(vals)
-		cols = append(cols, c)
+		data = append(data, coltypes.Of(vals))
 	}
 	for s, spec := range m.Specs {
 		vals := make([]int64, n)
 		for i, row := range order {
-			st := m.accs[s][row]
-			switch spec.Kind {
-			case AggSum:
-				vals[i] = st.Sum
-			case AggMin:
-				vals[i] = st.Min
-			case AggMax:
-				vals[i] = st.Max
-			default:
-				vals[i] = st.Count
-			}
+			vals[i] = m.accs[s][row]
 		}
 		name := spec.Name
 		if name == "" && s < len(outNames) {
 			name = outNames[s]
 		}
-		cols = append(cols, Col{Name: name, Type: coltypes.Int(), Data: coltypes.Of(vals)})
+		cols = append(cols, Col{Name: name, Type: coltypes.Int()})
+		data = append(data, coltypes.Of(vals))
 	}
-	return MustRelation(cols)
+	return MustRelation(cols, data)
 }

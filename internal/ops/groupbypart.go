@@ -14,7 +14,7 @@ import (
 // disjoint groups. If a partition holds more groups than estimated, it is
 // re-partitioned at runtime.
 func GroupByPartitioned(ctx *qef.Context, rel *Relation, groupCols []int, specs []AggSpec, scheme PartScheme, maxGroupsPerPart int) (*Relation, error) {
-	parts, err := PartitionByHash(ctx, rel.Datas(), groupCols, scheme, qef.DefaultTileRows)
+	parts, err := PartitionByHash(ctx, rel.Chunks, groupCols, scheme, qef.DefaultTileRows)
 	if err != nil {
 		return nil, err
 	}
@@ -33,19 +33,18 @@ func GroupByPartitioned(ctx *qef.Context, rel *Relation, groupCols []int, specs 
 			return groupOnePartition(tc, p, parts.Cols[p], parts.Hashes[p], parts.Bits, groupCols, specs, maxGroupsPerPart, out)
 		})
 	}
-	out.slots.units(ctx.Slab, len(units))
+	out.slots.units(ctx, len(units))
 	if err := ctx.RunParallel(units); err != nil {
 		return nil, err
 	}
-	keyCols := make([]Col, len(groupCols))
-	outNames := make([]string, len(specs))
-	for i, g := range groupCols {
-		keyCols[i] = rel.Cols[g]
+	cols := make([]Col, 0, len(groupCols)+len(specs))
+	for _, g := range groupCols {
+		cols = append(cols, rel.Cols[g])
 	}
-	for i, s := range specs {
-		outNames[i] = s.Name
+	for _, s := range specs {
+		cols = append(cols, Col{Name: s.Name, Type: coltypes.Int()})
 	}
-	return out.relation(keyCols, outNames), nil
+	return MustRelation(cols, out.slots.chunks()...), nil
 }
 
 // groupOnePartition aggregates one partition as work unit `unit`,
@@ -58,25 +57,19 @@ func groupOnePartition(tc *qef.TaskCtx, unit int, cols []coltypes.Data, hv []uin
 	}
 	tc.DMEM.Mark()
 	defer tc.DMEM.Release()
-	cap := maxGroups
-	if n < cap {
-		cap = n
-	}
+	cap := min(maxGroups, n)
 	if err := tc.DMEM.Alloc(GroupTableSizeBytes(cap, len(groupCols))); err != nil {
 		// The table itself cannot fit: re-partition immediately.
 		tc.DMEM.Release()
 		tc.DMEM.Mark()
 		return regroupSplit(tc, unit, cols, hv, usedBits, groupCols, specs, maxGroups, out)
 	}
-	table := NewGroupTable(cap, len(groupCols))
-	aggs := make([]*primitives.GroupedAgg, len(specs))
-	for i := range aggs {
-		aggs[i] = primitives.NewGroupedAgg(cap)
-	}
-	// Pool scope: the widened keys and group ids die with this partition; a
-	// re-split runs several partitions inside one unit.
+	// Pool scope: the table, the accumulators, the widened keys and group ids
+	// die with this partition; a re-split runs several partitions inside one
+	// unit.
 	tc.MarkScratch()
 	defer tc.ReleaseScratch()
+	table := newGroupTable(cap, tc.U32Scratch(nextPow2(2*cap)+cap), tc.I64Scratch(len(groupCols)*cap))
 	keys := tc.RowScratch(len(groupCols))
 	for k, g := range groupCols {
 		keys[k] = primitives.WidenToI64(nil, cols[g], tc.I64Scratch(n))
@@ -98,22 +91,23 @@ func groupOnePartition(tc *qef.TaskCtx, unit int, cols []coltypes.Data, hv []uin
 	if c := tc.Core; c != nil {
 		c.Charge(dpu.Cycles(3 * n))
 	}
+	// One accumulator array per spec, the one it reads.
+	accs := tc.RowScratch(len(specs))
 	for s, spec := range specs {
-		if spec.Kind == AggCountStar {
-			aggs[s].AccumulateCounts(tc.Core, gids)
-			continue
+		accs[s] = spec.Kind.newAcc(tc.I64Scratch(cap))
+		var vals []int64
+		if spec.Kind != AggCountStar {
+			vals = spec.Expr.Eval(tc, tc.TileScratch(cols, n))
 		}
-		tile := qef.NewTile(cols, n)
-		vals := spec.Expr.Eval(tc, tile)
-		aggs[s].Accumulate(tc.Core, gids, vals)
+		spec.Kind.accumulate(tc.Core, accs[s], gids, vals)
 	}
-	out.add(tc, unit, table, aggs)
+	out.add(tc, unit, &table, accs)
 	return nil
 }
 
 func regroupSplit(tc *qef.TaskCtx, unit int, cols []coltypes.Data, hv []uint32, usedBits uint, groupCols []int, specs []AggSpec, maxGroups int, out *groupCollector) error {
 	const sub = 4
-	split, err := splitPartition(nil, tc.Ctx.Slab, cols, hv, sub, usedBits)
+	split, err := splitPartition(nil, tc.Ctx.Slab, [][]coltypes.Data{cols}, hv, []int{sub}, usedBits)
 	if err != nil {
 		return err
 	}
@@ -132,53 +126,26 @@ func regroupSplit(tc *qef.TaskCtx, unit int, cols []coltypes.Data, hv []uint32, 
 }
 
 // groupCollector accumulates finished partitions' groups. Groups are
-// disjoint across partitions, so this is a concatenation — in partition
-// (work unit) order, see unitSlots.
+// disjoint across partitions, so the partitions' chunks are the result — in
+// partition (work unit) order, see unitSlots.
 type groupCollector struct {
 	nKeys int
 	specs []AggSpec
 	slots unitSlots // key columns, then one value column per spec
 }
 
-func (g *groupCollector) add(tc *qef.TaskCtx, unit int, table *GroupTable, aggs []*primitives.GroupedAgg) {
+func (g *groupCollector) add(tc *qef.TaskCtx, unit int, table *GroupTable, accs [][]int64) {
 	n := table.NumGroups()
 	if n == 0 {
 		return
 	}
 	// The un-zeroed chunk is overwritten in full: the table holds exactly n
-	// keys per column, and every aggregate array has at least n entries.
+	// keys per column, and every accumulator array has at least n entries.
 	rows := g.slots.chunk(tc, unit, n)
 	for k := 0; k < g.nKeys; k++ {
-		copy(rows[k], table.keyCols[k])
+		copy(rows[k], table.keys[k*table.cap:])
 	}
-	for s, spec := range g.specs {
-		vals := aggs[s].Counts
-		switch spec.Kind {
-		case AggSum:
-			vals = aggs[s].Sums
-		case AggMin:
-			vals = aggs[s].Mins
-		case AggMax:
-			vals = aggs[s].Maxs
-		}
-		copy(rows[g.nKeys+s], vals)
+	for s := range g.specs {
+		copy(rows[g.nKeys+s], accs[s])
 	}
-}
-
-func (g *groupCollector) relation(keyCols []Col, outNames []string) *Relation {
-	data := g.slots.columns()
-	cols := make([]Col, 0, len(data))
-	for k := 0; k < g.nKeys; k++ {
-		c := keyCols[k]
-		c.Data = coltypes.Of(data[k])
-		cols = append(cols, c)
-	}
-	for s, spec := range g.specs {
-		name := spec.Name
-		if name == "" && s < len(outNames) {
-			name = outNames[s]
-		}
-		cols = append(cols, Col{Name: name, Type: coltypes.Int(), Data: coltypes.Of(data[g.nKeys+s])})
-	}
-	return MustRelation(cols)
 }

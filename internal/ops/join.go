@@ -58,12 +58,12 @@ func HashJoin(ctx *qef.Context, build, probe *Relation, spec JoinSpec) (*Relatio
 	// Both partitionings are dead once the pairs have been joined (the
 	// deferred Releases run after RunParallel has returned): the sink holds
 	// widened copies, never views of bp or pp.
-	bp, err := PartitionByHash(ctx, build.Datas(), spec.BuildKeys, spec.Scheme, qef.DefaultTileRows)
+	bp, err := PartitionByHash(ctx, build.Chunks, spec.BuildKeys, spec.Scheme, qef.DefaultTileRows)
 	if err != nil {
 		return nil, err
 	}
 	defer bp.Release()
-	pp, err := PartitionByHash(ctx, probe.Datas(), spec.ProbeKeys, spec.Scheme, qef.DefaultTileRows)
+	pp, err := PartitionByHash(ctx, probe.Chunks, spec.ProbeKeys, spec.Scheme, qef.DefaultTileRows)
 	if err != nil {
 		return nil, err
 	}
@@ -104,7 +104,7 @@ func HashJoin(ctx *qef.Context, build, probe *Relation, spec JoinSpec) (*Relatio
 			return joinPair(tc, bp, pp, p, 0, pp.Rows(p), &spec, sink, unit)
 		})
 	}
-	sink.out.units(ctx.Slab, len(units))
+	sink.out.units(ctx, len(units))
 	if err := ctx.RunParallel(units); err != nil {
 		return nil, err
 	}
@@ -143,7 +143,7 @@ func joinPair(tc *qef.TaskCtx, bp, pp *PartitionedRel, p, plo, phi int, spec *Jo
 		sub := 4
 		subShift := bp.Bits
 		// The re-split lives and dies inside this unit.
-		sbp, err := splitPartition(nil, tc.Ctx.Slab, bp.Cols[p], bp.Hashes[p], sub, subShift)
+		sbp, err := splitPartition(nil, tc.Ctx.Slab, [][]coltypes.Data{bp.Cols[p]}, bp.Hashes[p], []int{sub}, subShift)
 		if err != nil {
 			return err
 		}
@@ -152,7 +152,7 @@ func joinPair(tc *qef.TaskCtx, bp, pp *PartitionedRel, p, plo, phi int, spec *Jo
 		for c := range probeCols {
 			probeCols[c] = pp.Cols[p][c].Slice(plo, phi)
 		}
-		spp, err := splitPartition(nil, tc.Ctx.Slab, probeCols, pp.Hashes[p][plo:phi], sub, subShift)
+		spp, err := splitPartition(nil, tc.Ctx.Slab, [][]coltypes.Data{probeCols}, pp.Hashes[p][plo:phi], []int{sub}, subShift)
 		if err != nil {
 			return err
 		}
@@ -266,8 +266,8 @@ func joinPairData(tc *qef.TaskCtx, buildCols []coltypes.Data, bhv []uint32, prob
 	return nil
 }
 
-// joinSink accumulates join output rows: one slot per join work unit,
-// concatenated in unit order (see unitSlots).
+// joinSink accumulates join output rows: one slot per join work unit, whose
+// chunks are the output relation in unit order (see unitSlots).
 type joinSink struct {
 	spec  *JoinSpec
 	build *Relation
@@ -353,20 +353,14 @@ func (s *joinSink) emitOuter(tc *qef.TaskCtx, unit int, probeCols, buildCols []c
 	s.emitProbeOnly(tc, unit, probeCols, unmatched, total)
 }
 
-// relation materializes the join output with column metadata from the
-// payload sources.
+// relation returns the join output, described by the payload sources.
 func (s *joinSink) relation() *Relation {
-	data := s.out.columns()
-	out := make([]Col, 0, len(data))
+	cols := make([]Col, 0, s.out.ncols)
 	for _, pc := range s.spec.ProbePayload {
-		c := s.probe.Cols[pc]
-		c.Data = coltypes.Of(data[len(out)])
-		out = append(out, c)
+		cols = append(cols, s.probe.Cols[pc])
 	}
 	for _, bc := range s.spec.BuildPayload {
-		c := s.build.Cols[bc]
-		c.Data = coltypes.Of(data[len(out)])
-		out = append(out, c)
+		cols = append(cols, s.build.Cols[bc])
 	}
-	return MustRelation(out)
+	return MustRelation(cols, s.out.chunks()...)
 }

@@ -28,15 +28,15 @@ func SortMergeJoin(ctx *qef.Context, build, probe *Relation, spec JoinSpec) (*Re
 		return nil, fmt.Errorf("ops: sort-merge join takes exactly one key pair")
 	}
 	spec.normalize(build.Rows())
-
-	bKey := build.Cols[spec.BuildKeys[0]].Data
-	pKey := probe.Cols[spec.ProbeKeys[0]].Data
+	build, probe = build.Flat(), probe.Flat()
+	bKey := build.Col(spec.BuildKeys[0])
+	pKey := probe.Col(spec.ProbeKeys[0])
 
 	// Shared range bounds from a sample of both sides.
 	ranges := ctx.Workers()
 	bounds := sharedBounds(bKey, pKey, ranges)
-	bParts := rangeSplit(build.Datas(), bKey, bounds)
-	pParts := rangeSplit(probe.Datas(), pKey, bounds)
+	bParts := rangeSplit(build.Chunks[0], bKey, bounds)
+	pParts := rangeSplit(probe.Chunks[0], pKey, bounds)
 
 	sink := newJoinSink(build, probe, spec)
 	units := make([]qef.WorkUnit, 0, len(bounds)+1)
@@ -45,7 +45,7 @@ func SortMergeJoin(ctx *qef.Context, build, probe *Relation, spec JoinSpec) (*Re
 			return mergeJoinPair(tc, bParts[p], pParts[p], &spec, sink, p)
 		})
 	}
-	sink.out.units(ctx.Slab, len(units))
+	sink.out.units(ctx, len(units))
 	if err := ctx.RunParallel(units); err != nil {
 		return nil, err
 	}

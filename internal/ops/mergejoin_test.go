@@ -24,8 +24,8 @@ func TestSortMergeJoinBasic(t *testing.T) {
 			t.Fatalf("rows = %d, want 5", out.Rows())
 		}
 		for i := 0; i < out.Rows(); i++ {
-			k := out.Cols[0].Data.Get(i)
-			bv := out.Cols[2].Data.Get(i)
+			k := out.Get(i, 0)
+			bv := out.Get(i, 2)
 			if k == 3 && bv != 30 {
 				t.Fatal("payload misaligned")
 			}

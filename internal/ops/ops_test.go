@@ -14,10 +14,12 @@ import (
 
 func intRel(names []string, cols ...[]int64) *Relation {
 	rc := make([]Col, len(cols))
+	data := make([]coltypes.Data, len(cols))
 	for i := range cols {
-		rc[i] = Col{Name: names[i], Type: coltypes.Int(), Data: coltypes.Of(cols[i])}
+		rc[i] = Col{Name: names[i], Type: coltypes.Int()}
+		data[i] = coltypes.Of(cols[i])
 	}
-	return MustRelation(rc)
+	return MustRelation(rc, data)
 }
 
 func seq(n int, f func(i int) int64) []int64 {
@@ -41,26 +43,21 @@ func TestRelationBasics(t *testing.T) {
 	if r.Rows() != 3 || r.NumCols() != 2 {
 		t.Fatal("shape")
 	}
-	if len(r.Datas()) != 2 {
-		t.Fatal("Datas")
+	if len(r.Chunks) != 1 || len(r.Chunks[0]) != 2 {
+		t.Fatal("Chunks")
 	}
 	if r.Render(1, 0) != "2" {
 		t.Fatal("Render int")
 	}
-	if _, err := NewRelation([]Col{
-		{Name: "a", Data: coltypes.Of([]int64{1})},
-		{Name: "b", Data: coltypes.Of([]int64{1, 2})},
-	}); err == nil {
+	if _, err := NewRelation([]Col{{Name: "a"}, {Name: "b"}},
+		[]coltypes.Data{coltypes.Of([]int64{1}), coltypes.Of([]int64{1, 2})}); err == nil {
 		t.Fatal("ragged relation should fail")
 	}
 }
 
 func TestRenderTypes(t *testing.T) {
-	r := MustRelation([]Col{
-		{Name: "d", Type: coltypes.Decimal(2), Data: coltypes.Of([]int64{12345})},
-		{Name: "dt", Type: coltypes.Date(), Data: coltypes.Of([]int64{storage.DateValue(1995, 3, 15).Days()})},
-		{Name: "b", Type: coltypes.Bool(), Data: coltypes.Of([]int64{1})},
-	})
+	r := MustRelation([]Col{{Name: "d", Type: coltypes.Decimal(2)}, {Name: "dt", Type: coltypes.Date()}, {Name: "b", Type: coltypes.Bool()}},
+		[]coltypes.Data{coltypes.Of([]int64{12345}), coltypes.Of([]int64{storage.DateValue(1995, 3, 15).Days()}), coltypes.Of([]int64{1})})
 	if r.Render(0, 0) != "123.45" {
 		t.Fatalf("decimal render = %s", r.Render(0, 0))
 	}
@@ -78,7 +75,7 @@ func TestExprEval(t *testing.T) {
 			coltypes.FromInt64s(coltypes.W4, []int64{1, 2, 3}),
 			coltypes.FromInt64s(coltypes.W8, []int64{10, 20, 30}),
 		}
-		tile := qef.NewTile(cols, 3)
+		tile := &qef.Tile{Cols: cols, N: 3}
 		err := ctx.RunSerial(func(tc *qef.TaskCtx) error {
 			// (a + b) * 2
 			e := &BinExpr{Op: plan.Mul,
@@ -161,8 +158,8 @@ func TestScanFilterCollect(t *testing.T) {
 			t.Fatalf("rows = %d, want 400", rel.Rows())
 		}
 		for i := 0; i < rel.Rows(); i++ {
-			k := rel.Cols[0].Data.Get(i)
-			v := rel.Cols[1].Data.Get(i)
+			k := rel.Get(i, 0)
+			v := rel.Get(i, 1)
 			if v != k%100 || v >= 10 || k < 1000 {
 				t.Fatalf("bad row k=%d v=%d", k, v)
 			}
@@ -283,7 +280,7 @@ func TestMaterializeAndProject(t *testing.T) {
 			t.Fatalf("rows = %d", rel.Rows())
 		}
 		for i := 0; i < rel.Rows(); i++ {
-			v := rel.Cols[0].Data.Get(i)
+			v := rel.Get(i, 0)
 			if v%3 != 0 || v >= 150 {
 				t.Fatalf("expr value %d", v)
 			}
@@ -354,11 +351,11 @@ func TestGroupByLowNDV(t *testing.T) {
 			wantCnt[g]++
 		}
 		for i := 0; i < rel.Rows(); i++ {
-			g := rel.Cols[0].Data.Get(i)
-			if rel.Cols[1].Data.Get(i) != wantSum[g] {
-				t.Fatalf("group %d sum = %d, want %d", g, rel.Cols[1].Data.Get(i), wantSum[g])
+			g := rel.Get(i, 0)
+			if rel.Get(i, 1) != wantSum[g] {
+				t.Fatalf("group %d sum = %d, want %d", g, rel.Get(i, 1), wantSum[g])
 			}
-			if rel.Cols[2].Data.Get(i) != wantCnt[g] {
+			if rel.Get(i, 2) != wantCnt[g] {
 				t.Fatalf("group %d count wrong", g)
 			}
 		}
@@ -397,8 +394,8 @@ func TestGroupByPartitionedHighNDV(t *testing.T) {
 			want[int64(i%3000)] += int64(i)
 		}
 		for i := 0; i < got.Rows(); i++ {
-			g := got.Cols[0].Data.Get(i)
-			if got.Cols[1].Data.Get(i) != want[g] {
+			g := got.Get(i, 0)
+			if got.Get(i, 1) != want[g] {
 				t.Fatalf("group %d sum wrong", g)
 			}
 		}
@@ -432,7 +429,7 @@ func TestPartitionByHashCompleteness(t *testing.T) {
 			{Rounds: []int{8, 4}},
 			{Rounds: []int{32, 8, 4}},
 		} {
-			pr, err := PartitionByHash(ctx, cols, []int{0}, scheme, 256)
+			pr, err := PartitionByHash(ctx, [][]coltypes.Data{cols}, []int{0}, scheme, 256)
 			if err != nil {
 				t.Fatalf("%s: %v", scheme, err)
 			}
@@ -526,7 +523,7 @@ func TestHashJoinInner(t *testing.T) {
 		}
 		// Validate payload alignment: bv must be 10*bk.
 		for i := 0; i < out.Rows(); i++ {
-			if out.Cols[2].Data.Get(i) != 10*out.Cols[1].Data.Get(i) {
+			if out.Get(i, 2) != 10*out.Get(i, 1) {
 				t.Fatal("payload misaligned")
 			}
 		}
@@ -561,10 +558,10 @@ func TestHashJoinSemiAnti(t *testing.T) {
 	// Semi + anti partition the probe side.
 	got := map[int64]bool{}
 	for i := 0; i < semi.Rows(); i++ {
-		got[semi.Cols[0].Data.Get(i)] = true
+		got[semi.Get(i, 0)] = true
 	}
 	for i := 0; i < anti.Rows(); i++ {
-		k := anti.Cols[0].Data.Get(i)
+		k := anti.Get(i, 0)
 		if got[k] {
 			t.Fatalf("key %d in both semi and anti", k)
 		}
@@ -588,7 +585,7 @@ func TestHashJoinLeftOuter(t *testing.T) {
 	}
 	vals := map[int64]int64{}
 	for i := 0; i < 4; i++ {
-		vals[out.Cols[0].Data.Get(i)] = out.Cols[1].Data.Get(i)
+		vals[out.Get(i, 0)] = out.Get(i, 1)
 	}
 	if vals[1] != 111 || vals[3] != 333 || vals[2] != 0 || vals[4] != 0 {
 		t.Fatalf("outer vals = %v", vals)
@@ -610,7 +607,7 @@ func TestHashJoinCompositeKey(t *testing.T) {
 	if out.Rows() != 2 {
 		t.Fatalf("rows = %d", out.Rows())
 	}
-	sum := out.Cols[2].Data.Get(0) + out.Cols[2].Data.Get(1)
+	sum := out.Get(0, 2) + out.Get(1, 2)
 	if sum != 8+9 {
 		t.Fatalf("matched payloads sum = %d", sum)
 	}
@@ -730,12 +727,12 @@ func TestSortRelation(t *testing.T) {
 			t.Fatal("row count changed")
 		}
 		for i := 1; i < n; i++ {
-			pa, ca := sorted.Cols[0].Data.Get(i-1), sorted.Cols[0].Data.Get(i)
+			pa, ca := sorted.Get(i-1, 0), sorted.Get(i, 0)
 			if pa > ca {
 				t.Fatalf("a not ascending at %d", i)
 			}
 			if pa == ca {
-				if sorted.Cols[1].Data.Get(i-1) < sorted.Cols[1].Data.Get(i) {
+				if sorted.Get(i-1, 1) < sorted.Get(i, 1) {
 					t.Fatalf("b not descending within a at %d", i)
 				}
 			}
@@ -759,8 +756,8 @@ func TestTopK(t *testing.T) {
 		ref := append([]int64(nil), v...)
 		sort.Slice(ref, func(i, j int) bool { return ref[i] > ref[j] })
 		for i := 0; i < 10; i++ {
-			if top.Cols[0].Data.Get(i) != ref[i] {
-				t.Fatalf("top[%d] = %d, want %d", i, top.Cols[0].Data.Get(i), ref[i])
+			if top.Get(i, 0) != ref[i] {
+				t.Fatalf("top[%d] = %d, want %d", i, top.Get(i, 0), ref[i])
 			}
 		}
 	})
@@ -768,7 +765,7 @@ func TestTopK(t *testing.T) {
 	ctx := qef.NewContext(qef.ModeX86)
 	small := intRel([]string{"v"}, []int64{3, 1, 2})
 	top, err := TopK(ctx, small, []plan.SortItem{{Col: 0}}, 10)
-	if err != nil || top.Rows() != 3 || top.Cols[0].Data.Get(0) != 1 {
+	if err != nil || top.Rows() != 3 || top.Get(0, 0) != 1 {
 		t.Fatalf("small topk: %v", err)
 	}
 }
@@ -783,27 +780,27 @@ func TestWindowFunctions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := rn.Cols[3].Data
+	col := rn.Flat().Col(3)
 	if col.Get(0) != 1 || col.Get(1) != 2 || col.Get(2) != 3 || col.Get(3) != 1 || col.Get(4) != 2 {
 		t.Fatalf("row_number = %v", coltypes.ToInt64s(col))
 	}
 	rk, _ := Window(ctx, rel, WindowSpec{Func: plan.Rank, PartitionBy: []int{0}, OrderBy: []plan.SortItem{{Col: 1}}})
-	rc := rk.Cols[3].Data
+	rc := rk.Flat().Col(3)
 	if rc.Get(0) != 1 || rc.Get(1) != 2 || rc.Get(2) != 2 {
 		t.Fatalf("rank = %v", coltypes.ToInt64s(rc))
 	}
 	dr, _ := Window(ctx, rel, WindowSpec{Func: plan.DenseRank, PartitionBy: []int{0}, OrderBy: []plan.SortItem{{Col: 1}}})
-	dc := dr.Cols[3].Data
+	dc := dr.Flat().Col(3)
 	if dc.Get(2) != 2 {
 		t.Fatalf("dense_rank = %v", coltypes.ToInt64s(dc))
 	}
 	cs, _ := Window(ctx, rel, WindowSpec{Func: plan.CumSum, PartitionBy: []int{0}, OrderBy: []plan.SortItem{{Col: 1}}, ValueCol: 2})
-	cc := cs.Cols[3].Data
+	cc := cs.Flat().Col(3)
 	if cc.Get(0) != 100 || cc.Get(2) != 600 || cc.Get(4) != 30 {
 		t.Fatalf("cumsum = %v", coltypes.ToInt64s(cc))
 	}
 	ws, _ := Window(ctx, rel, WindowSpec{Func: plan.WinTotalSum, PartitionBy: []int{0}, ValueCol: 2})
-	wc := ws.Cols[3].Data
+	wc := ws.Flat().Col(3)
 	if wc.Get(0) != 600 || wc.Get(4) != 30 {
 		t.Fatalf("winsum = %v", coltypes.ToInt64s(wc))
 	}
@@ -819,7 +816,7 @@ func TestSetOps(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			vals := coltypes.ToInt64s(got.Cols[0].Data)
+			vals := coltypes.ToInt64s(got.Flat().Col(0))
 			sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
 			if len(vals) != len(want) {
 				t.Fatalf("%v: got %v, want %v", kind, vals, want)

@@ -101,73 +101,114 @@ const partChunkRows = 16 << 10
 
 // checkCols rejects a column that was never given storage (the zero Data)
 // as a query error: a fuzzed plan must not reach a Scatter panic.
-func checkCols(cols []coltypes.Data) error {
-	for i, c := range cols {
-		if !c.Width().Valid() {
-			return fmt.Errorf("ops: column %d: unsupported data width %d", i, c.Width())
+func checkCols(chunks [][]coltypes.Data) error {
+	for _, ch := range chunks {
+		for i, c := range ch {
+			if !c.Width().Valid() {
+				return fmt.Errorf("ops: column %d: unsupported data width %d", i, c.Width())
+			}
 		}
 	}
 	return nil
 }
 
-// numChunks returns how many pieces forChunks cuts n rows into: with a
-// ModeX86 context, partChunkRows pieces; with a nil context (the caller is
-// already inside a work unit) or in ModeDPU — where these passes model DMS
-// hardware and must bill nothing new — one.
-func numChunks(ctx *qef.Context, n int) int {
-	if ctx == nil || ctx.Mode == qef.ModeDPU || n <= partChunkRows {
-		return 1
+// numRows returns the rows of a chunk list; chunks without columns have none.
+func numRows(chunks [][]coltypes.Data) (n int) {
+	for _, ch := range chunks {
+		if len(ch) > 0 {
+			n += ch[0].Len()
+		}
 	}
-	return (n + partChunkRows - 1) / partChunkRows
+	return n
 }
 
-// forChunks runs fn over [0, n) in numChunks pieces: a single piece inline,
-// several as work units on all cores.
-func forChunks(ctx *qef.Context, n int, fn func(chunk, lo, hi int)) error {
-	chunks := numChunks(ctx, n)
-	if chunks == 1 {
+// eachSegment calls fn for every chunk overlapping rows [lo, hi) of the list,
+// with the chunk's rows [a, b) in the range, the first of them row at.
+func eachSegment(chunks [][]coltypes.Data, lo, hi int, fn func(chunk []coltypes.Data, a, b, at int)) {
+	start := 0
+	for _, ch := range chunks {
+		if a, b := max(lo-start, 0), min(hi-start, ch[0].Len()); a < b {
+			fn(ch, a, b, start+a)
+		}
+		if start += ch[0].Len(); start >= hi {
+			return
+		}
+	}
+}
+
+// pieceRows returns the rows per piece forChunks cuts n rows into for a pass
+// keeping fanout counters per piece: with a ModeX86 context, partChunkRows —
+// fewer, larger pieces where a wide split would otherwise keep more than 64 Ki
+// counters (256 KiB), but never fewer than one per worker; with a nil context
+// (the caller is already inside a work unit) or in ModeDPU — where these
+// passes model DMS hardware and must bill nothing new — all n.
+func pieceRows(ctx *qef.Context, n, fanout int) int {
+	if ctx == nil || ctx.Mode == qef.ModeDPU || n <= partChunkRows {
+		return max(n, 1)
+	}
+	pieces := min((n+partChunkRows-1)/partChunkRows, max(1<<16/fanout, ctx.Workers()))
+	return (n + pieces - 1) / pieces
+}
+
+// forChunks runs fn over [0, n) in pieces of rows rows (see pieceRows): a
+// single piece inline, several as work units on all cores. The pieces cut a
+// relation's rows, not its chunks (eachSegment walks those): many small
+// chunks cost no more units than one, and one large chunk is still spread
+// over the cores.
+func forChunks(ctx *qef.Context, n, rows int, fn func(chunk, lo, hi int)) error {
+	if n <= rows {
 		if n > 0 {
 			fn(0, 0, n)
 		}
 		return nil
 	}
-	units := make([]qef.WorkUnit, chunks)
+	units := make([]qef.WorkUnit, (n+rows-1)/rows)
 	for chunk := range units {
-		lo := chunk * partChunkRows
+		lo := chunk * rows
 		units[chunk] = func(*qef.TaskCtx) error {
-			fn(chunk, lo, min(lo+partChunkRows, n))
+			fn(chunk, lo, min(lo+rows, n))
 			return nil
 		}
 	}
 	return ctx.RunParallel(units)
 }
 
-// PartitionByHash partitions cols by the CRC32 hash of keyCols according to
-// the scheme. Round 0 uses the DMS hash engine (no dpCore cycles); later
-// rounds run the software partitioning operator on all cores with
-// DMEM-resident per-partition buffers flushed to DRAM as they fill (§5.3).
-func PartitionByHash(ctx *qef.Context, cols []coltypes.Data, keyCols []int, scheme PartScheme, tileRows int) (*PartitionedRel, error) {
+// PartitionByHash partitions the rows of a relation's chunks by the CRC32
+// hash of keyCols according to the scheme. Round 0 uses the DMS hash engine
+// (no dpCore cycles); later rounds run the software partitioning operator on
+// all cores with DMEM-resident per-partition buffers flushed to DRAM as they
+// fill (§5.3). The data moves in one split for all rounds; each software
+// round's DMEM admission and billing replay round by round.
+func PartitionByHash(ctx *qef.Context, chunks [][]coltypes.Data, keyCols []int, scheme PartScheme, tileRows int) (*PartitionedRel, error) {
 	if err := scheme.Validate(); err != nil {
 		return nil, err
 	}
-	if err := checkCols(cols); err != nil {
+	if err := checkCols(chunks); err != nil {
 		return nil, err
 	}
+	var cols []coltypes.Data // the first chunk: the widths
+	if len(chunks) > 0 {
+		cols = chunks[0]
+	}
+	n := numRows(chunks)
 	// The hash vector: CRC32 over the key columns, the values the DMS hash
 	// engine delivers. Leased un-zeroed: the first key's pass seeds every
 	// accumulator.
 	var hv []uint32
 	var hvWords []int64
 	if len(cols) > 0 {
-		hv, hvWords = ctx.Slab.U32(cols[0].Len())
+		hv, hvWords = ctx.Slab.U32(n)
 		if len(keyCols) == 0 {
 			clear(hv) // no key, no pass: one hash for every row, as before
 		}
-		err := forChunks(ctx, len(hv), func(_, lo, hi int) {
-			for i, k := range keyCols {
-				primitives.HashColumn(nil, cols[k].Slice(lo, hi), hv[lo:hi], i == 0)
-			}
-			primitives.HashFinalize(nil, hv[lo:hi])
+		err := forChunks(ctx, n, pieceRows(ctx, n, 1), func(_, lo, hi int) {
+			eachSegment(chunks, lo, hi, func(ch []coltypes.Data, a, b, at int) {
+				h := hv[at : at+b-a]
+				for i, k := range keyCols {
+					primitives.HashColumn(nil, ch[k].Slice(a, b), h, i == 0)
+				}
+				primitives.HashFinalize(nil, h)
+			})
 		})
 		if err != nil {
 			return nil, err
@@ -177,60 +218,85 @@ func PartitionByHash(ctx *qef.Context, cols []coltypes.Data, keyCols []int, sche
 		// The hash pass runs on the DMS from the orchestrator, outside any
 		// work unit; attribute its bytes/time to the active operator span so
 		// the profile reconciles with the engine's transfer totals.
-		ctx.AccountSpanTransfer(ctx.DMS.HashTiming(cols, keyCols))
+		ctx.AccountSpanTransfer(ctx.DMS.HashTiming(n, cols, keyCols))
 	}
-	if len(scheme.Rounds) == 0 {
-		return &PartitionedRel{
-			Cols: [][]coltypes.Data{cols}, Hashes: [][]uint32{hv},
-			slab: ctx.Slab, leased: [][]int64{hvWords},
-		}, nil
+	if len(scheme.Rounds) == 0 && len(chunks) <= 1 {
+		return &PartitionedRel{Cols: [][]coltypes.Data{cols}, Hashes: [][]uint32{hv}, slab: ctx.Slab, leased: [][]int64{hvWords}}, nil
 	}
-	// Round 0: hardware partitioning by the low hash bits. The DMS does
-	// this during the transfer; it is billed inside HashTiming's
-	// partition-time model, and the dpCores stay idle.
-	hw := scheme.Rounds[0]
-	cur, err := splitPartition(ctx, ctx.Slab, cols, hv, hw, 0)
-	ctx.Slab.Return(hvWords) // the hashes travel on in cur.Hashes
+	defer ctx.Slab.Return(hvWords) // the hashes travel on in out.Hashes
+	rounds := scheme.Rounds
+	if len(rounds) == 0 {
+		rounds = []int{1} // several chunks, one partition: the split concatenates
+	}
+	// Round 0 is billed inside HashTiming's partition-time model.
+	out, err := splitPartition(ctx, ctx.Slab, chunks, hv, rounds, 0)
 	if err != nil {
 		return nil, err
 	}
-	shift := cur.Bits
-	// Software rounds; a round's input is dead once the round has run.
-	for _, fanout := range scheme.Rounds[1:] {
-		next, err := swPartitionRound(ctx, cur, fanout, shift, tileRows)
-		cur.Release()
-		if err != nil {
+	for r, shift := 1, roundBits(rounds[0]); r < len(rounds); r++ {
+		if err := swPartitionRound(ctx, out, hv, cols, rounds[:r], rounds[r], shift, tileRows); err != nil {
+			out.Release()
 			return nil, err
 		}
-		cur = next
-		shift += uint(mathbits.Len(uint(fanout - 1)))
+		shift += roundBits(rounds[r])
 	}
-	cur.Bits = shift
-	return cur, nil
+	return out, nil
 }
 
-// splitPartition routes rows by hash bits [shift, shift+log2 fanout) — the
-// functional effect of the hardware round, of a skew re-split and of the
-// software operator. Histogram, prefix sum, one position vector, then one
-// scatter per column into a single buffer the partitions are carved from:
-// every output column is allocated once and every row copied once. Rows keep
-// their input order inside a partition. A non-nil ModeX86 ctx runs histogram
-// and scatter chunk-parallel (see forChunks); the per-chunk write cursors
-// come from one serial prefix sum, so the result is the same stable split.
-// The output is on lease from slab until the caller Releases it.
-func splitPartition(ctx *qef.Context, slab *mem.Slab, cols []coltypes.Data, hv []uint32, fanout int, shift uint) (*PartitionedRel, error) {
-	if err := checkCols(cols); err != nil {
+// roundBits is the number of hash bits a round of the given fan-out consumes.
+func roundBits(fanout int) uint { return uint(mathbits.Len(uint(fanout - 1))) }
+
+// partitionsOf is the partition count of a list of rounds.
+func partitionsOf(rounds []int) int { return PartScheme{Rounds: rounds}.Fanout() }
+
+// splitPartition routes rows by hash bits from shift on into the partitions
+// of the given rounds: round r takes the next log2 rounds[r] bits, and child c
+// of its partition p is slot p·rounds[r]+c — the hardware round with the
+// software rounds after it, a skew re-split, a group re-split. Each round is
+// a stable split, so one stable split keyed by the final slot lays out what
+// the rounds would one after the other: histogram, prefix sum, one position
+// vector, one scatter per column into a buffer the partitions are carved
+// from; every row moves once, in input order within its partition. chunks
+// may be nil (a split of the hashes only). A non-nil ModeX86 ctx runs
+// histogram and scatter chunk-parallel (see pieceRows), with per-piece
+// cursors from one serial prefix sum. The output is on lease from slab until
+// the caller Releases it.
+func splitPartition(ctx *qef.Context, slab *mem.Slab, chunks [][]coltypes.Data, hv []uint32, rounds []int, shift uint) (*PartitionedRel, error) {
+	if err := checkCols(chunks); err != nil {
 		return nil, err
+	}
+	fanout := partitionsOf(rounds)
+	bits := roundBits(fanout)
+	// slotOf[v] is the slot of hash bits [shift, shift+bits) = v: each
+	// round's digit, earlier rounds' the more significant.
+	slotOf := make([]uint32, fanout)
+	for v := range slotOf {
+		from, to := uint(0), bits
+		for _, f := range rounds {
+			to -= roundBits(f)
+			slotOf[v] |= uint32(v) >> from & uint32(f-1) << to
+			from += roundBits(f)
+		}
 	}
 	mask := uint32(fanout - 1)
 	n := len(hv)
-	// cursor[chunk*fanout+p]: first the chunk's row count for partition p,
-	// after the prefix sum the position of its next row.
-	cursor := make([]uint32, numChunks(ctx, n)*fanout)
-	if err := forChunks(ctx, n, func(chunk, lo, hi int) {
-		cnt := cursor[chunk*fanout : (chunk+1)*fanout]
-		for _, h := range hv[lo:hi] {
-			cnt[(h>>shift)&mask]++
+	var cols []coltypes.Data
+	if len(chunks) > 0 {
+		cols = chunks[0]
+	}
+	// cursor[chunk*fanout+p]: the piece's row count for partition p, after
+	// the prefix sum the position of its next row. pos: each row's slot, then
+	// its position; leased un-zeroed, the histogram writes it in full.
+	rows := pieceRows(ctx, n, fanout)
+	cursor := make([]uint32, (n+rows-1)/rows*fanout)
+	pos, posWords := slab.U32(n)
+	defer slab.Return(posWords)
+	if err := forChunks(ctx, n, rows, func(chunk, lo, hi int) {
+		cnt, cpos := cursor[chunk*fanout:(chunk+1)*fanout], pos[lo:hi]
+		for i, h := range hv[lo:hi] {
+			slot := slotOf[h>>shift&mask]
+			cpos[i] = slot
+			cnt[slot]++
 		}
 	}); err != nil {
 		return nil, err
@@ -246,12 +312,11 @@ func splitPartition(ctx *qef.Context, slab *mem.Slab, cols []coltypes.Data, hv [
 	bounds[fanout] = sum
 
 	// Leased un-zeroed: the cursors are a permutation of [0, n), so the
-	// scatter below writes every element of outHv and of each output column,
-	// and every pos[i] is written before it is read.
+	// scatter below writes every element of outHv and of each output column.
 	out := &PartitionedRel{
 		Cols:   make([][]coltypes.Data, fanout),
 		Hashes: make([][]uint32, fanout),
-		Bits:   shift + uint(mathbits.Len(uint(fanout-1))),
+		Bits:   shift + bits,
 		slab:   slab,
 		leased: make([][]int64, 1+len(cols)),
 	}
@@ -261,20 +326,20 @@ func splitPartition(ctx *qef.Context, slab *mem.Slab, cols []coltypes.Data, hv [
 	for c, col := range cols {
 		outCols[c], out.leased[1+c] = slab.Data(col.Width(), n)
 	}
-	pos, posWords := slab.U32(n)
-	err := forChunks(ctx, n, func(chunk, lo, hi int) {
+	err := forChunks(ctx, n, rows, func(chunk, lo, hi int) {
 		next, cpos := cursor[chunk*fanout:(chunk+1)*fanout], pos[lo:hi]
 		for i, h := range hv[lo:hi] {
-			p := (h >> shift) & mask
+			p := cpos[i]
 			cpos[i] = next[p]
 			outHv[next[p]] = h
 			next[p]++
 		}
-		for c, col := range cols {
-			coltypes.Scatter(outCols[c], col.Slice(lo, hi), cpos)
-		}
+		eachSegment(chunks, lo, hi, func(ch []coltypes.Data, a, b, at int) {
+			for c, col := range ch {
+				coltypes.Scatter(outCols[c], col.Slice(a, b), pos[at:at+b-a])
+			}
+		})
 	})
-	slab.Return(posWords)
 	if err != nil {
 		out.Release()
 		return nil, err
@@ -292,63 +357,54 @@ func splitPartition(ctx *qef.Context, slab *mem.Slab, cols []coltypes.Data, hv [
 	return out, nil
 }
 
-// SWPartitionRound runs one software partitioning round over an existing
-// partitioned relation — exported for the Fig 10 micro-benchmark, which
-// sweeps fan-out and tile size over the software operator in isolation.
-func SWPartitionRound(ctx *qef.Context, in *PartitionedRel, fanout int, shift uint, tileRows int) (*PartitionedRel, error) {
-	return swPartitionRound(ctx, in, fanout, shift, tileRows)
+// SWPartitionRound replays one software partitioning round over the
+// partitions of in — for the Fig 10 micro-benchmark, which sweeps fan-out and
+// tile size over the software operator in isolation.
+func SWPartitionRound(ctx *qef.Context, in *PartitionedRel, fanout int, shift uint, tileRows int) error {
+	return swPartitionRound(ctx, in, nil, in.Cols[0], nil, fanout, shift, tileRows)
 }
 
-// swPartitionRound applies one software partitioning round to every current
-// partition in parallel, one work unit per input partition; child c of input
-// partition pi lands in slot pi*fanout+c.
-func swPartitionRound(ctx *qef.Context, in *PartitionedRel, fanout int, shift uint, tileRows int) (*PartitionedRel, error) {
-	nIn := in.NumPartitions()
-	out := &PartitionedRel{
-		Cols:   make([][]coltypes.Data, nIn*fanout),
-		Hashes: make([][]uint32, nIn*fanout),
-		slab:   ctx.Slab,
-	}
-	kids := make([]*PartitionedRel, nIn)
-	units := make([]qef.WorkUnit, 0, nIn)
-	for pi := 0; pi < nIn; pi++ {
-		units = append(units, func(tc *qef.TaskCtx) (err error) {
-			kids[pi], err = swPartitionOne(tc, in.Cols[pi], in.Hashes[pi], fanout, shift, tileRows)
-			return err
-		})
-	}
-	err := ctx.RunParallel(units)
-	for pi, children := range kids {
-		if children != nil {
-			copy(out.Cols[pi*fanout:], children.Cols)
-			copy(out.Hashes[pi*fanout:], children.Hashes)
-			out.leased = append(out.leased, children.leased...)
+// swPartitionRound replays the software round after rounds prior — fan-out
+// fanout from hash bit shift — over out, the split by all rounds: one work
+// unit per input partition, the rows of one prefix slot of prior, or with no
+// prior rounds each partition of out. On a dpCore a partition streams its
+// hashes in the round's input order, a hash-only split of hv by prior.
+func swPartitionRound(ctx *qef.Context, out *PartitionedRel, hv []uint32, cols []coltypes.Data, prior []int, fanout int, shift uint, tileRows int) error {
+	nIn, hashes := out.NumPartitions(), out.Hashes
+	if len(prior) > 0 {
+		nIn, hashes = partitionsOf(prior), make([][]uint32, partitionsOf(prior))
+		if ctx.Mode == qef.ModeDPU {
+			pre, err := splitPartition(ctx, ctx.Slab, nil, hv, prior, 0)
+			if err != nil {
+				return err
+			}
+			defer pre.Release()
+			hashes = pre.Hashes
 		}
 	}
-	if err != nil {
-		out.Release()
-		return nil, err
-	}
-	// Children of empty input partitions.
-	for slot := range out.Cols {
-		if out.Cols[slot] == nil {
-			out.Cols[slot] = emptyLike(in.Cols[0])
+	rest := out.NumPartitions() / nIn
+	units := make([]qef.WorkUnit, nIn)
+	for pi := range units {
+		rows := 0
+		for slot := pi * rest; slot < (pi+1)*rest; slot++ {
+			rows += out.Rows(slot)
+		}
+		units[pi] = func(tc *qef.TaskCtx) error {
+			return swPartitionOne(tc, cols, rows, hashes[pi], fanout, shift, tileRows)
 		}
 	}
-	return out, nil
+	return ctx.RunParallel(units)
 }
 
 // swPartitionOne is the software partitioning operator over one input
-// partition (nil result for an empty one). The operator the paper describes
-// streams tiles, computes the partition map (Listing 2), gathers each
-// partition's rows into DMEM-local buffers (Listing 3) and flushes a buffer
-// to DRAM whenever it fills. Functionally that is a stable split, so the data
-// moves through splitPartition — child sizes are known from the hash vector —
-// while the DMEM admission and, on a dpCore, the tile loop's billing are
-// replayed exactly as the streaming operator incurs them.
-func swPartitionOne(tc *qef.TaskCtx, cols []coltypes.Data, hv []uint32, fanout int, shift uint, tileRows int) (*PartitionedRel, error) {
-	if len(hv) == 0 {
-		return nil, nil
+// partition of rows rows: the paper's operator streams tiles, computes the
+// partition map (Listing 2) and gathers rows into DMEM buffers (Listing 3)
+// flushed to DRAM as they fill. The rows have moved (splitPartition); its
+// DMEM admission and, on a dpCore, the tile loop's billing over hv (the
+// hashes in input order) replay exactly as the operator incurs them.
+func swPartitionOne(tc *qef.TaskCtx, cols []coltypes.Data, rows int, hv []uint32, fanout int, shift uint, tileRows int) error {
+	if rows == 0 {
+		return nil
 	}
 	rowBytes := 4 // hash
 	for _, c := range cols {
@@ -372,13 +428,13 @@ func swPartitionOne(tc *qef.TaskCtx, cols []coltypes.Data, hv []uint32, fanout i
 	}
 	bufRows := outBudget / (fanout * rowBytes)
 	if bufRows < 1 {
-		return nil, fmt.Errorf("ops: fan-out %d leaves no DMEM for partition buffers", fanout)
+		return fmt.Errorf("ops: fan-out %d leaves no DMEM for partition buffers", fanout)
 	}
 	if bufRows > 4096 {
 		bufRows = 4096
 	}
 	if err := tc.DMEM.Alloc(fanout * bufRows * rowBytes); err != nil {
-		return nil, err
+		return err
 	}
 	for tileRows > qef.MinTileRows && 2*tileRows*rowBytes+tileRows*4+(fanout+1)*4 > tc.DMEM.Free() {
 		tileRows /= 2
@@ -386,12 +442,10 @@ func swPartitionOne(tc *qef.TaskCtx, cols []coltypes.Data, hv []uint32, fanout i
 	inBytes := 2 * tileRows * rowBytes
 	mapBytes := tileRows*4 + (fanout+1)*4
 	if err := tc.DMEM.Alloc(inBytes + mapBytes); err != nil {
-		return nil, err
+		return err
 	}
-
-	children, err := splitPartition(nil, tc.Ctx.Slab, cols, hv, fanout, shift)
-	if err != nil || tc.Core == nil {
-		return children, err
+	if tc.Core == nil {
+		return nil
 	}
 
 	// Billing replay of the streaming operator: per tile the input transfer,
@@ -403,8 +457,8 @@ func swPartitionOne(tc *qef.TaskCtx, cols []coltypes.Data, hv []uint32, fanout i
 		tc.AddTransfer(tc.DMS.StreamWrite(bufN[p] * colBytes))
 		bufN[p] = 0
 	}
-	for lo := 0; lo < len(hv); lo += tileRows {
-		hi := min(lo+tileRows, len(hv))
+	for lo := 0; lo < rows; lo += tileRows {
+		hi := min(lo+tileRows, rows)
 		tc.AddTransfer(tc.DMS.Read(cols, lo, hi))
 		primitives.ComputePartitionMap(tc.Core, hv[lo:hi], shift, counts)
 		primitives.ChargeSwPartitionGather(tc.Core, (hi-lo)*len(cols))
@@ -424,13 +478,5 @@ func swPartitionOne(tc *qef.TaskCtx, cols []coltypes.Data, hv []uint32, fanout i
 			flush(p)
 		}
 	}
-	return children, nil
-}
-
-func emptyLike(cols []coltypes.Data) []coltypes.Data {
-	out := make([]coltypes.Data, len(cols))
-	for i, c := range cols {
-		out[i] = c.NewSame(0)
-	}
-	return out
+	return nil
 }

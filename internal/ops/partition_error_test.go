@@ -25,26 +25,24 @@ func fakeCols() ([]coltypes.Data, []uint32) {
 // re-split path comes back as a query error, never a Scatter panic.
 func TestSplitPartitionUnknownDataIsError(t *testing.T) {
 	cols, hv := fakeCols()
-	if _, err := splitPartition(nil, nil, cols, hv, 4, 0); err == nil || !strings.Contains(err.Error(), "unsupported data") {
+	if _, err := splitPartition(nil, nil, [][]coltypes.Data{cols}, hv, []int{4}, 0); err == nil || !strings.Contains(err.Error(), "unsupported data") {
 		t.Fatalf("err = %v, want an unsupported-data error", err)
 	}
 	for _, mode := range []qef.Mode{qef.ModeX86, qef.ModeDPU} {
-		_, err := PartitionByHash(qef.NewContext(mode), cols, []int{0}, PartScheme{Rounds: []int{4}}, 64)
+		_, err := PartitionByHash(qef.NewContext(mode), [][]coltypes.Data{cols}, []int{0}, PartScheme{Rounds: []int{4}}, 64)
 		if err == nil || !strings.Contains(err.Error(), "unsupported data") {
 			t.Fatalf("%v: err = %v, want an unsupported-data error", mode, err)
 		}
 	}
 }
 
-// TestSWPartitionUnknownDataIsError: the same for the software operator, on
-// both lanes, surfacing through the qef run like any other unit failure.
+// TestSWPartitionUnknownDataIsError: the same for a scheme with software
+// rounds, on both lanes: the one split that serves every round rejects it
+// before any round replays.
 func TestSWPartitionUnknownDataIsError(t *testing.T) {
-	cols, hv := fakeCols()
+	cols, _ := fakeCols()
 	for _, mode := range []qef.Mode{qef.ModeX86, qef.ModeDPU} {
-		err := qef.NewContext(mode).RunSerial(func(tc *qef.TaskCtx) error {
-			_, err := swPartitionOne(tc, cols, hv, 4, 0, 64)
-			return err
-		})
+		_, err := PartitionByHash(qef.NewContext(mode), [][]coltypes.Data{cols}, []int{0}, PartScheme{Rounds: []int{4, 8}}, 64)
 		if err == nil || !strings.Contains(err.Error(), "unsupported data") {
 			t.Fatalf("%v: err = %v, want an unsupported-data error", mode, err)
 		}

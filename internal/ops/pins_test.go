@@ -132,7 +132,7 @@ func TestPartitionByHashPins(t *testing.T) {
 		for _, scheme := range []string{"32", "8x16", "8x8x4"} {
 			for _, width := range []int{1, 4, 8} {
 				ctx := qef.NewContext(qef.ModeDPU)
-				parts, err := PartitionByHash(ctx, pinCols(n, width), []int{0}, pinScheme(scheme), qef.DefaultTileRows)
+				parts, err := PartitionByHash(ctx, [][]coltypes.Data{pinCols(n, width)}, []int{0}, pinScheme(scheme), qef.DefaultTileRows)
 				if err != nil {
 					t.Fatalf("n=%d %s w=%d: %v", n, scheme, width, err)
 				}
@@ -190,8 +190,8 @@ func TestHashJoinCyclePins(t *testing.T) {
 		var bag uint64
 		for i := 0; i < out.Rows(); i++ {
 			h := uint64(14695981039346656037)
-			for _, c := range out.Cols {
-				h = (h ^ uint64(c.Data.Get(i))) * 1099511628211
+			for c := range out.Cols {
+				h = (h ^ uint64(out.Get(i, c))) * 1099511628211
 			}
 			bag += h
 		}

@@ -66,7 +66,7 @@ func TestPartitionUnderDMEMPressure(t *testing.T) {
 	data := intRel([]string{"k", "v"},
 		seq(n, func(i int) int64 { return int64(i * 7) }),
 		seq(n, func(i int) int64 { return int64(i) }))
-	pr, err := PartitionByHash(ctx, data.Datas(), []int{0}, PartScheme{Rounds: []int{8, 8}}, 512)
+	pr, err := PartitionByHash(ctx, data.Chunks, []int{0}, PartScheme{Rounds: []int{8, 8}}, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestGroupByUnderDMEMPressure(t *testing.T) {
 		want[int64(i%5000)] += int64(i)
 	}
 	for i := 0; i < out.Rows(); i++ {
-		if out.Cols[1].Data.Get(i) != want[out.Cols[0].Data.Get(i)] {
+		if out.Get(i, 1) != want[out.Get(i, 0)] {
 			t.Fatal("wrong sum under pressure")
 		}
 	}
@@ -110,11 +110,11 @@ func TestScanFailsCleanlyWhenTileCannotFit(t *testing.T) {
 	// 2 KiB scratchpad: the accessor must return an error, not corrupt
 	// data or panic.
 	ctx := tinyDMEMContext(t, 2*1024)
-	cols := make([]Col, 40)
+	cols, data := make([]Col, 40), make([]coltypes.Data, 40)
 	for i := range cols {
-		cols[i] = Col{Name: "c", Data: coltypes.Of(seq(1000, func(j int) int64 { return int64(j) }))}
+		cols[i], data[i] = Col{Name: "c"}, coltypes.Of(seq(1000, func(j int) int64 { return int64(j) }))
 	}
-	rel := MustRelation(cols)
+	rel := MustRelation(cols, data)
 	sink := &CountSink{}
 	err := RelationScan(ctx, rel, 64, func() qef.Operator { return sink })
 	if err == nil {

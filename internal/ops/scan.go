@@ -2,6 +2,7 @@ package ops
 
 import (
 	"rapid/internal/bits"
+	"rapid/internal/coltypes"
 	"rapid/internal/qef"
 	"rapid/internal/storage"
 )
@@ -49,8 +50,7 @@ func TableScan(ctx *qef.Context, snap *storage.Snapshot, cols []int, tileRows in
 			}
 			ra := qef.NewAccessor(tc)
 			base := 0
-			return ra.Sequential(data, tileRows, func(t *qef.Tile) error {
-				tc.ResetScratch()
+			return ra.Sequential([][]coltypes.Data{data}, tileRows, func(t *qef.Tile) error {
 				if cv.Deleted != nil {
 					if sel := tc.BVScratch(t.N); liveSel(sel, cv.Deleted, base) {
 						t.Sel = sel
@@ -112,7 +112,7 @@ func TileZone(cv *storage.ChunkView, cols []int) func(int) (storage.Zone, bool) 
 }
 
 // RelationScan streams a materialized relation through chains, splitting
-// rows into per-core spans of whole tiles.
+// rows into per-core spans of whole tiles, cut at row offsets, not chunks.
 func RelationScan(ctx *qef.Context, rel *Relation, tileRows int, chainFor func() qef.Operator) error {
 	rows := rel.Rows()
 	if tileRows < qef.MinTileRows {
@@ -125,12 +125,15 @@ func RelationScan(ctx *qef.Context, rel *Relation, tileRows int, chainFor func()
 	}
 	var units []qef.WorkUnit
 	chains := make([]qef.Operator, ctx.Workers())
-	data := rel.Datas()
 	for lo := 0; lo < rows; lo += spanRows {
-		hi := lo + spanRows
-		if hi > rows {
-			hi = rows
-		}
+		var span [][]coltypes.Data
+		eachSegment(rel.Chunks, lo, min(lo+spanRows, rows), func(ch []coltypes.Data, a, b, _ int) {
+			piece := make([]coltypes.Data, len(ch))
+			for i, d := range ch {
+				piece[i] = d.Slice(a, b)
+			}
+			span = append(span, piece)
+		})
 		seq := len(units)
 		units = append(units, func(tc *qef.TaskCtx) error {
 			tc.Seq = seq
@@ -138,13 +141,8 @@ func RelationScan(ctx *qef.Context, rel *Relation, tileRows int, chainFor func()
 			if err != nil {
 				return err
 			}
-			span := tc.ColScratch(len(data))
-			for i, d := range data {
-				span[i] = d.Slice(lo, hi)
-			}
 			ra := qef.NewAccessor(tc)
 			return ra.Sequential(span, tileRows, func(t *qef.Tile) error {
-				tc.ResetScratch()
 				return emitTo(tc, head, t)
 			})
 		})

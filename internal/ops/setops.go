@@ -6,6 +6,7 @@ import (
 	"rapid/internal/coltypes"
 	"rapid/internal/dpu"
 	"rapid/internal/plan"
+	"rapid/internal/primitives"
 	"rapid/internal/qef"
 )
 
@@ -24,12 +25,12 @@ func SetOp(ctx *qef.Context, a, b *Relation, kind plan.SetOpKind) (*Relation, er
 	}
 	// Both partitionings are released once the units have returned: what a
 	// unit keeps of them (rowSet keys, appended output values) is a copy.
-	allA, err := PartitionByHash(ctx, a.Datas(), allCols(a), PartScheme{Rounds: []int{16}}, qef.DefaultTileRows)
+	allA, err := PartitionByHash(ctx, a.Chunks, allCols(a), PartScheme{Rounds: []int{16}}, qef.DefaultTileRows)
 	if err != nil {
 		return nil, err
 	}
 	defer allA.Release()
-	allB, err := PartitionByHash(ctx, b.Datas(), allCols(b), PartScheme{Rounds: []int{16}}, qef.DefaultTileRows)
+	allB, err := PartitionByHash(ctx, b.Chunks, allCols(b), PartScheme{Rounds: []int{16}}, qef.DefaultTileRows)
 	if err != nil {
 		return nil, err
 	}
@@ -118,18 +119,18 @@ func SetOp(ctx *qef.Context, a, b *Relation, kind plan.SetOpKind) (*Relation, er
 	if err := ctx.RunParallel(units); err != nil {
 		return nil, err
 	}
-	cols := make([]Col, nc)
-	for c := 0; c < nc; c++ {
-		var vals []int64
-		for p := range results {
-			if results[p] != nil {
-				vals = append(vals, results[p][c]...)
+	// Each partition's rows are a chunk of the result, in partition order.
+	chunks := make([][]coltypes.Data, 0, len(results))
+	for _, out := range results {
+		if nc > 0 && len(out[0]) > 0 {
+			chunk := make([]coltypes.Data, nc)
+			for c, vals := range out {
+				chunk[c] = coltypes.Of(vals)
 			}
+			chunks = append(chunks, chunk)
 		}
-		cols[c] = a.Cols[c]
-		cols[c].Data = coltypes.Of(vals)
 	}
-	return MustRelation(cols), nil
+	return MustRelation(a.Cols, chunks...), nil
 }
 
 func allCols(r *Relation) []int {
@@ -160,26 +161,22 @@ func rowSet(cols []coltypes.Data, nc int) map[string]struct{} {
 	return set
 }
 
+// concatRelations is UNION ALL: b's chunks after a's. A column whose two
+// sides differ in width is widened to W8 on both; the rest is shared.
 func concatRelations(a, b *Relation) (*Relation, error) {
-	cols := make([]Col, a.NumCols())
-	for c := range cols {
-		cols[c] = a.Cols[c]
-		ad, bd := a.Cols[c].Data, b.Cols[c].Data
-		if ad.Width() != bd.Width() {
-			wide := coltypes.New(coltypes.W8, ad.Len()+bd.Len())
-			for i := 0; i < ad.Len(); i++ {
-				wide.Set(i, ad.Get(i))
-			}
-			for i := 0; i < bd.Len(); i++ {
-				wide.Set(ad.Len()+i, bd.Get(i))
-			}
-			cols[c].Data = wide
+	chunks := make([][]coltypes.Data, 0, len(a.Chunks)+len(b.Chunks))
+	for _, ch := range append(append([][]coltypes.Data(nil), a.Chunks...), b.Chunks...) {
+		chunks = append(chunks, append([]coltypes.Data(nil), ch...))
+	}
+	for c := range a.Cols {
+		if a.Chunks[0][c].Width() == b.Chunks[0][c].Width() {
 			continue
 		}
-		dst := ad.NewSame(ad.Len() + bd.Len())
-		dst.CopyFrom(0, ad)
-		dst.CopyFrom(ad.Len(), bd)
-		cols[c].Data = dst
+		for _, ch := range chunks {
+			if ch[c].Width() != coltypes.W8 {
+				ch[c] = coltypes.Of(primitives.WidenToI64(nil, ch[c], nil))
+			}
+		}
 	}
-	return NewRelation(cols)
+	return NewRelation(a.Cols, chunks...)
 }

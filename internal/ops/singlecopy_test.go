@@ -10,6 +10,7 @@ import (
 	"rapid/internal/coltypes"
 	"rapid/internal/mem"
 	"rapid/internal/plan"
+	"rapid/internal/primitives"
 	"rapid/internal/qef"
 )
 
@@ -25,82 +26,159 @@ func withProcs(t testing.TB, n int, fn func()) {
 }
 
 // partitionValues widens a partitioned relation to plain values, so that
-// DeepEqual compares contents and not the Data views' backing pointers.
+// DeepEqual compares contents and not the Data views' backing pointers (an
+// empty partition compares as empty, whatever its header).
 func partitionValues(p *PartitionedRel) any {
 	cols := make([][][]int64, len(p.Cols))
+	hashes := make([][]uint32, len(p.Hashes))
 	for i, part := range p.Cols {
 		for _, c := range part {
 			cols[i] = append(cols[i], coltypes.ToInt64s(c))
 		}
+		hashes[i] = append([]uint32{}, p.Hashes[i]...)
 	}
-	return []any{cols, p.Hashes, p.Bits}
+	return []any{cols, hashes, p.Bits}
 }
 
-// TestSplitPartitionSerialEqualsChunkParallel: the chunk-parallel split of
-// the ModeX86 top-level round is the same stable split as the serial one the
-// work units use, for row counts straddling the chunk size and every
-// power-of-two fan-out the hardware round allows.
-func TestSplitPartitionSerialEqualsChunkParallel(t *testing.T) {
-	withProcs(t, 4, func() {
-		ctx := qef.NewContext(qef.ModeX86)
-		if ctx.Workers() < 2 {
-			t.Fatal("need a multi-worker context")
+// refSplitRound is one round of the round-by-round reference split: a stable
+// counting split of flat columns by hash bits [shift, shift+log2 fanout).
+func refSplitRound(cols []coltypes.Data, hv []uint32, fanout int, shift uint) ([][]coltypes.Data, [][]uint32) {
+	outCols, outHv := make([][]coltypes.Data, fanout), make([][]uint32, fanout)
+	for p := range outCols {
+		var rids []uint32
+		for i, h := range hv {
+			if int(h>>shift)&(fanout-1) == p {
+				rids = append(rids, uint32(i))
+				outHv[p] = append(outHv[p], h)
+			}
 		}
-		offsets := []int{-1, 0, 1, partChunkRows - 1, partChunkRows, partChunkRows + 1, 2*partChunkRows + 17}
+		for _, c := range cols {
+			d := c.NewSame(len(rids))
+			coltypes.Gather(d, c, rids)
+			outCols[p] = append(outCols[p], d)
+		}
+	}
+	return outCols, outHv
+}
+
+// refPartition is the round-by-round reference of PartitionByHash: the hash
+// pass, round 0 over the concatenated chunks, then every software round over
+// every partition, child c of partition p in slot p*fanout+c, each round's
+// DMEM admission and dpCore billing replayed over its input partitions in
+// slot order.
+func refPartition(ctx *qef.Context, chunks [][]coltypes.Data, keyCols []int, scheme PartScheme, tileRows int) (*PartitionedRel, error) {
+	flat := MustRelation(make([]Col, len(chunks[0])), chunks...).Flatten().Chunks[0]
+	hv := make([]uint32, flat[0].Len())
+	for i, k := range keyCols {
+		primitives.HashColumn(nil, flat[k], hv, i == 0)
+	}
+	primitives.HashFinalize(nil, hv)
+	if ctx.Mode == qef.ModeDPU {
+		ctx.AccountSpanTransfer(ctx.DMS.HashTiming(len(hv), flat, keyCols))
+	}
+	cols, hashes := refSplitRound(flat, hv, scheme.Rounds[0], 0)
+	shift := roundBits(scheme.Rounds[0])
+	for _, fanout := range scheme.Rounds[1:] {
+		in := &PartitionedRel{Cols: cols, Hashes: hashes}
+		if err := swPartitionRound(ctx, in, nil, flat, nil, fanout, shift, tileRows); err != nil {
+			return nil, err
+		}
+		var nextCols [][]coltypes.Data
+		var nextHv [][]uint32
+		for p := range cols {
+			c, h := refSplitRound(cols[p], hashes[p], fanout, shift)
+			nextCols, nextHv = append(nextCols, c...), append(nextHv, h...)
+		}
+		cols, hashes, shift = nextCols, nextHv, shift+roundBits(fanout)
+	}
+	return &PartitionedRel{Cols: cols, Hashes: hashes, Bits: shift}, nil
+}
+
+// TestOnePassSplitEqualsRoundByRound: the one stable split PartitionByHash
+// makes for all rounds lays out columns, hashes and bits exactly as the
+// round-by-round split did, and the ModeDPU replay of every software round
+// bills the same cycles, bytes and seconds — for random schemes (1–3 rounds,
+// fan-outs 1–64, the hardware round at most 32), W1–W8 columns, chunked
+// inputs and row counts at the piece boundaries of the parallel passes: one
+// piece short of full, exactly one and two full pieces, a last piece of 1 row.
+func TestOnePassSplitEqualsRoundByRound(t *testing.T) {
+	withProcs(t, 4, func() {
+		sizes := []int{1, 63, partChunkRows - 1, partChunkRows, partChunkRows + 1, 2*partChunkRows - 1, 2 * partChunkRows, 2*partChunkRows + 1}
+		widths := []coltypes.Width{coltypes.W1, coltypes.W2, coltypes.W4, coltypes.W8}
+		check := func(seed int64, n int, scheme PartScheme) bool {
+			rng := rand.New(rand.NewSource(seed))
+			cols := make([]coltypes.Data, 1+rng.Intn(4))
+			for c := range cols {
+				cols[c] = coltypes.New(widths[rng.Intn(len(widths))], n)
+				for i := 0; i < n; i++ {
+					cols[c].Set(i, rng.Int63n(1<<20)-1<<19)
+				}
+			}
+			var chunks [][]coltypes.Data
+			for lo := 0; lo < n; {
+				hi := min(n, lo+1+rng.Intn(n/3+1))
+				chunk := make([]coltypes.Data, len(cols))
+				for c, d := range cols {
+					chunk[c] = d.Slice(lo, hi)
+				}
+				chunks, lo = append(chunks, chunk), hi
+			}
+			for _, mode := range []qef.Mode{qef.ModeX86, qef.ModeDPU} {
+				got, want := qef.NewContext(mode), qef.NewContext(mode)
+				one, err := PartitionByHash(got, chunks, []int{0}, scheme, 256)
+				ref, rerr := refPartition(want, chunks, []int{0}, scheme, 256)
+				if (err == nil) != (rerr == nil) {
+					t.Errorf("seed %d %s %s: error %v, reference %v", seed, mode, scheme, err, rerr)
+					return false
+				}
+				if err != nil {
+					continue
+				}
+				if !reflect.DeepEqual(partitionValues(one), partitionValues(ref)) {
+					t.Errorf("seed %d %s: n=%d %d chunks %s: one-pass and round-by-round split differ", seed, mode, n, len(chunks), scheme)
+					return false
+				}
+				gu, wu := got.Usage(), want.Usage()
+				if gu.Cycles() != wu.Cycles() || gu.Read != wu.Read || gu.Write != wu.Write || gu.SimElapsed() != wu.SimElapsed() {
+					t.Errorf("seed %d %s %s: bill %d cy %+v %+v %v s, reference %d cy %+v %+v %v s", seed, mode, scheme,
+						gu.Cycles(), gu.Read, gu.Write, gu.SimElapsed(), wu.Cycles(), wu.Read, wu.Write, wu.SimElapsed())
+					return false
+				}
+			}
+			return true
+		}
 		prop := func(seed int64) bool {
 			rng := rand.New(rand.NewSource(seed))
-			n := partChunkRows + offsets[rng.Intn(len(offsets))]
-			fanout := 1 << rng.Intn(6)
-			shift := uint(rng.Intn(20))
-			hv := make([]uint32, n)
-			cols := []coltypes.Data{coltypes.New(coltypes.W1, n), coltypes.New(coltypes.W4, n), coltypes.New(coltypes.W8, n)}
-			for i := range hv {
-				hv[i] = rng.Uint32()
-				cols[0].Set(i, rng.Int63())
-				cols[1].Set(i, rng.Int63())
-				cols[2].Set(i, int64(i))
-			}
-			serial, err := splitPartition(nil, nil, cols, hv, fanout, shift)
-			if err != nil {
-				t.Error(err)
-				return false
-			}
-			parallel, err := splitPartition(ctx, nil, cols, hv, fanout, shift)
-			if err != nil {
-				t.Error(err)
-				return false
-			}
-			if !reflect.DeepEqual(partitionValues(serial), partitionValues(parallel)) {
-				t.Errorf("seed %d: n=%d fanout=%d shift=%d: serial and chunk-parallel split differ", seed, n, fanout, shift)
-				return false
-			}
-			// Stable and complete: the row ids of a partition ascend, and
-			// every row lands in the partition its hash bits name.
-			rows := 0
-			for p := range serial.Cols {
-				ids := serial.Cols[p][2].I64()
-				for i, id := range ids {
-					if (i > 0 && id <= ids[i-1]) || int(hv[id]>>shift)&(fanout-1) != p {
-						t.Errorf("seed %d: partition %d row %d misplaced", seed, p, i)
-						return false
-					}
+			for _, n := range sizes {
+				scheme := PartScheme{Rounds: []int{1 << rng.Intn(6)}}
+				for r := rng.Intn(3); r > 0; r-- {
+					scheme.Rounds = append(scheme.Rounds, 1<<rng.Intn(7))
 				}
-				rows += len(ids)
+				if !check(rng.Int63(), n, scheme) {
+					return false
+				}
 			}
-			return rows == n
+			return true
 		}
-		if err := quick.Check(prop, &quick.Config{MaxCount: 24}); err != nil {
+		if err := quick.Check(prop, &quick.Config{MaxCount: 6}); err != nil {
 			t.Fatal(err)
+		}
+		// The widest scheme the planner picks, over more pieces than workers:
+		// the split cuts fewer, larger pieces to bound its cursor.
+		if !check(1, 5*partChunkRows+1, PartScheme{Rounds: []int{32, 64, 64}}) {
+			t.Fatal("capped split differs from the round-by-round split")
 		}
 	})
 }
 
-// TestUnitSlotsConcatenateInUnitOrder: units finishing in reverse order —
-// and one emitting twice — still come out in unit order, chunk order within.
-func TestUnitSlotsConcatenateInUnitOrder(t *testing.T) {
+// TestUnitSlotsListChunksInUnitOrder: units finishing in reverse order — and
+// one emitting twice — still list their chunks in unit order, chunk order
+// within, each chunk's columns intact.
+func TestUnitSlotsListChunksInUnitOrder(t *testing.T) {
 	u := unitSlots{ncols: 2}
-	u.units(nil, 4)
-	err := qef.NewContext(qef.ModeX86).RunSerial(func(tc *qef.TaskCtx) error {
+	ctx := qef.NewContext(qef.ModeX86)
+	u.units(ctx, 4)
+	err := ctx.RunSerial(func(tc *qef.TaskCtx) error {
 		emit := func(unit int, vals ...int64) {
 			cols := u.chunk(tc, unit, len(vals))
 			for i, v := range vals {
@@ -117,17 +195,19 @@ func TestUnitSlotsConcatenateInUnitOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := u.columns()
-	want := []int64{1, 2, 3, 20, 21, 22, 30, 31}
-	if !reflect.DeepEqual(got[0], want) {
-		t.Fatalf("column 0 = %v, want %v", got[0], want)
-	}
-	for i, v := range got[1] {
-		if v != -want[i] {
-			t.Fatalf("column 1 torn at %d: %v", i, got[1])
+	var got [][]int64
+	for _, ch := range u.chunks() {
+		got = append(got, ch[0].I64())
+		for i, v := range ch[1].I64() {
+			if v != -ch[0].I64()[i] {
+				t.Fatalf("chunk %v torn: %v", ch[0].I64(), ch[1].I64())
+			}
 		}
 	}
-	if empty := (&unitSlots{ncols: 1}).columns(); len(empty) != 1 || len(empty[0]) != 0 {
+	if want := [][]int64{{1, 2}, {3}, {20}, {21, 22}, {30, 31}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("chunks %v, want %v", got, want)
+	}
+	if empty := (&unitSlots{ncols: 1}).chunks(); len(empty) != 0 {
 		t.Fatalf("no units: %v", empty)
 	}
 }
@@ -148,7 +228,7 @@ func TestCollectSinkEmitsRunsInSeqOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		tc.Seq = seq
-		if err := sink.Produce(tc, qef.NewTile([]coltypes.Data{coltypes.Of(vals)}, len(vals))); err != nil {
+		if err := sink.Produce(tc, &qef.Tile{Cols: []coltypes.Data{coltypes.Of(vals)}, N: len(vals)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -157,12 +237,13 @@ func TestCollectSinkEmitsRunsInSeqOrder(t *testing.T) {
 	feed(1, 3, 31, 32) // second tile of unit 3
 	feed(0, 0, 1, 2)
 	feed(0, 2, 20)
-	got := sink.Relation().Cols[0].Data.I64()
+	rel := sink.Relation()
+	got := rel.Flatten().Col(0).I64()
 	if want := []int64{1, 2, 10, 11, 20, 30, 31, 32}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("rows = %v, want %v", got, want)
 	}
-	if sink.Rows() != 8 {
-		t.Fatalf("Rows() = %d", sink.Rows())
+	if len(rel.Chunks) != 4 { // one run, one chunk, per unit
+		t.Fatalf("%d chunks, want 4", len(rel.Chunks))
 	}
 }
 
@@ -181,7 +262,7 @@ func TestCollectIsScanOrderAtAnyWorkerCount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := sink.Relation().Cols[0].Data.I64()
+		got := sink.Relation().Flatten().Col(0).I64()
 		if len(got) != n {
 			t.Fatalf("procs %d: %d rows, want %d", procs, len(got), n)
 		}
@@ -205,69 +286,80 @@ func lineitemLike(n, orders int) *Relation {
 
 // TestPartitionByHashAllocsAreRowIndependent is the allocation gate of the
 // single-copy path on the host lane: what PartitionByHash allocates is a
-// function of columns, fan-out and the 16 Ki-row chunk count — not of the
-// tile size, and not of the row count beyond one unit per chunk.
+// function of columns, fan-out and the piece count of its parallel passes —
+// not of the tile size, and not of the row count beyond one unit per piece —
+// at the join_heavy scheme, a wider one and the widest three-round one.
 func TestPartitionByHashAllocsAreRowIndependent(t *testing.T) {
 	// Exactly two workers: a batch allocates per core it starts (task context,
 	// DMEM, goroutine), and the budget below counts two.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	scheme := PartScheme{Rounds: []int{8, 16}}
-	measure := func(n, tileRows int) float64 {
-		cols := lineitemLike(n, n/4+1).Datas()
+	for _, scheme := range []PartScheme{{Rounds: []int{8, 16}}, {Rounds: []int{16, 32}}, {Rounds: []int{32, 64, 64}}} {
 		ctx := qef.NewContext(qef.ModeX86)
-		return testing.AllocsPerRun(5, func() {
-			if _, err := PartitionByHash(ctx, cols, []int{0}, scheme, tileRows); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	small, large := measure(50_000, 256), measure(300_000, 256)
-	// The runtime's own bookkeeping (goroutine start, parking) moves the
-	// count by an object or two between runs; a tile-loop dependence
-	// would move it by thousands.
-	near := func(a, b float64) bool { return a-b <= 8 && b-a <= 8 }
-	if a, b := measure(300_000, 64), measure(300_000, 1024); !near(a, large) || !near(b, large) {
-		t.Errorf("allocs depend on the tile size: %v at 64, %v at 256, %v at 1024 rows/tile", a, large, b)
-	}
-	// Re-derived for the leased path, on the heap (a context with no slab,
-	// where every lease is one object — the upper bound). A split is 8
-	// headers (cursor, bounds, the PartitionedRel with its Cols, Hashes and
-	// lease list, the column views, the carved headers) and 5 buffers (hash
-	// vector, 3 columns, position vector); 8x16 is 9 splits, round 0 and one
-	// per first-round partition. The second round adds its 8 units, and each
-	// of the four batches its error slots and two cores' task contexts:
-	// 120 covers those. A 16 Ki-row chunk costs one closure in each of the
-	// three chunked passes and nothing else (the per-chunk key slice is gone).
-	const perSplit, splits, batches, perChunk = 8 + 5, 1 + 8, 120, 3
-	chunks := func(n int) float64 { return float64((n + partChunkRows - 1) / partChunkRows) }
-	if budget := perSplit*splits + batches + perChunk*chunks(300_000); large > budget {
-		t.Errorf("300k rows: %v allocs, budget %v", large, budget)
-	}
-	if grow := large - small; grow > 8+perChunk*(chunks(300_000)-chunks(50_000)) {
-		t.Errorf("allocs grow with rows beyond the chunk units: %v at 50k rows, %v at 300k", small, large)
+		measure := func(n, tileRows int) float64 {
+			cols := lineitemLike(n, n/4+1).Chunks
+			return testing.AllocsPerRun(5, func() {
+				if _, err := PartitionByHash(ctx, cols, []int{0}, scheme, tileRows); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		small, large := measure(50_000, 256), measure(300_000, 256)
+		// The runtime's own bookkeeping (goroutine start, parking) moves the
+		// count by an object or two between runs; a tile-loop dependence
+		// would move it by thousands.
+		near := func(a, b float64) bool { return a-b <= 8 && b-a <= 8 }
+		if a, b := measure(300_000, 64), measure(300_000, 1024); !near(a, large) || !near(b, large) {
+			t.Errorf("%s: allocs depend on the tile size: %v at 64, %v at 256, %v at 1024 rows/tile", scheme, a, large, b)
+		}
+		// On the heap (a context with no slab, where every lease is one object
+		// — the upper bound). The one split is 9 headers (cursor, bounds,
+		// digits, the PartitionedRel with its Cols, Hashes and lease list, the
+		// column views, the carved headers) and 6 buffers (hash vector,
+		// position vector, output hashes, 3 columns). Each software round's
+		// replay adds one unit per input partition and the input sizes, and
+		// each batch — the three chunked passes and one per software round —
+		// its error slots and two cores' task contexts: 18 a batch covers all
+		// but the units. A piece costs one closure in each chunked pass: the
+		// hash pass, and the split's histogram and scatter.
+		const perSplit, perBatch = 9 + 6, 18
+		batches, units := 3+len(scheme.Rounds)-1, 0
+		for r := 1; r < len(scheme.Rounds); r++ {
+			units += partitionsOf(scheme.Rounds[:r])
+		}
+		pieces := func(n, fanout int) float64 { rows := pieceRows(ctx, n, fanout); return float64((n + rows - 1) / rows) }
+		perRows := func(n int) float64 { return pieces(n, 1) + 2*pieces(n, scheme.Fanout()) }
+		if budget := float64(perSplit+perBatch*batches+units) + perRows(300_000); large > budget {
+			t.Errorf("%s: 300k rows: %v allocs, budget %v", scheme, large, budget)
+		}
+		if grow := large - small; grow > 8+perRows(300_000)-perRows(50_000) {
+			t.Errorf("%s: allocs grow with rows beyond the piece units: %v at 50k rows, %v at 300k", scheme, small, large)
+		}
+		t.Logf("%s: %v allocs at 50k rows, %v at 300k", scheme, small, large)
 	}
 }
 
 var benchSink int
 
-// BenchmarkPartitionByHash: the 8x16 scheme of a SF 0.05 lineitem-sized
-// input (300 k rows × 3 columns) on the host lane, leasing from a slab as a
-// scheduled query does.
+// BenchmarkPartitionByHash: the 8x16 and 16x32 schemes of a SF 0.05
+// lineitem-sized input (300 k rows × 3 columns) on the host lane, leasing
+// from a slab as a scheduled query does.
 func BenchmarkPartitionByHash(b *testing.B) {
-	cols := lineitemLike(300_000, 75_000).Datas()
-	ctx := qef.NewContext(qef.ModeX86)
-	ctx.Slab = mem.NewSlab(64<<20, nil)
-	scheme := PartScheme{Rounds: []int{8, 16}}
-	b.ReportAllocs()
-	b.SetBytes(300_000 * 3 * 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		parts, err := PartitionByHash(ctx, cols, []int{0}, scheme, qef.DefaultTileRows)
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchSink += parts.NumPartitions()
-		parts.Release()
+	cols := lineitemLike(300_000, 75_000).Chunks
+	for _, scheme := range []PartScheme{{Rounds: []int{8, 16}}, {Rounds: []int{16, 32}}} {
+		b.Run(scheme.String(), func(b *testing.B) {
+			ctx := qef.NewContext(qef.ModeX86)
+			ctx.Slab = mem.NewSlab(64<<20, nil)
+			b.ReportAllocs()
+			b.SetBytes(300_000 * 3 * 8)
+			for i := 0; i < b.N; i++ {
+				parts, err := PartitionByHash(ctx, cols, []int{0}, scheme, qef.DefaultTileRows)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink += parts.NumPartitions()
+				parts.Release()
+			}
+		})
 	}
 }
 
@@ -295,5 +387,27 @@ func BenchmarkHashJoinLineitemOrders(b *testing.B) {
 			b.Fatal(err)
 		}
 		benchSink += out.Rows()
+		ctx.Release()
+	}
+}
+
+// BenchmarkGroupByPartitioned: lineitem (300 k rows) grouped by its 75 k
+// order keys with a SUM and a COUNT(*) — the high-NDV group-by of Q18.
+func BenchmarkGroupByPartitioned(b *testing.B) {
+	const groups = 75_000
+	rel := lineitemLike(300_000, groups)
+	ctx := qef.NewContext(qef.ModeX86)
+	ctx.Slab = mem.NewSlab(64<<20, nil)
+	specs := []AggSpec{{Kind: AggSum, Expr: &ColRef{Idx: 1}}, {Kind: AggCountStar}}
+	scheme := PartScheme{Rounds: []int{8, 16}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := GroupByPartitioned(ctx, rel, []int{0}, specs, scheme, 2*groups/scheme.Fanout()+64)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink += out.Rows()
+		ctx.Release()
 	}
 }

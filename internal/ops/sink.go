@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"rapid/internal/coltypes"
-	"rapid/internal/mem"
 	"rapid/internal/primitives"
 	"rapid/internal/qef"
 )
@@ -32,28 +31,26 @@ func widenGatherOf[T coltypes.Elem](dst []int64, src []T, rids []uint32) {
 }
 
 // unitSlots collects the output of a batch of work units without a lock: a
-// unit writes exact-size, column-major chunks into the slot of its own index,
-// and columns() lays the slots out in unit order — so the result does not
-// depend on which unit finished first, each output column is allocated once
-// at its final size, and nothing grows by append on the way. The chunks are
-// staging on lease from the slab; columns() copies them to the heap.
+// unit writes exact-size, column-major chunks, leased for the query, into the
+// slot of its own index, and chunks() lists the slots in unit order — so the
+// result does not depend on which unit finished first.
 type unitSlots struct {
 	ncols  int
-	slab   *mem.Slab
+	ctx    *qef.Context
 	byUnit [][][]int64 // [unit][chunk] -> ncols vectors of rows values, flat
 }
 
-// units sizes the collector for a batch of n work units leasing from slab;
-// call it once the batch is built and before it runs.
-func (u *unitSlots) units(slab *mem.Slab, n int) {
-	u.slab, u.byUnit = slab, make([][][]int64, n)
+// units sizes the collector for a batch of n work units of ctx; call it once
+// the batch is built and before it runs.
+func (u *unitSlots) units(ctx *qef.Context, n int) {
+	u.ctx, u.byUnit = ctx, make([][][]int64, n)
 }
 
 // chunk reserves rows output rows in the unit's slot and returns one vector
 // per column (the header slice is tile-lifetime scratch). The vectors are
 // NOT zeroed: the unit writes every element of every one.
 func (u *unitSlots) chunk(tc *qef.TaskCtx, unit, rows int) [][]int64 {
-	flat := u.slab.Lease(u.ncols * rows)
+	flat := u.ctx.Lease(u.ncols * rows)
 	u.byUnit[unit] = append(u.byUnit[unit], flat)
 	cols := tc.RowScratch(u.ncols)
 	for c := range cols {
@@ -62,51 +59,37 @@ func (u *unitSlots) chunk(tc *qef.TaskCtx, unit, rows int) [][]int64 {
 	return cols
 }
 
-// columns concatenates all chunks in unit order into heap columns and returns
-// the chunks to the slab. Call it once, after the batch has returned.
-func (u *unitSlots) columns() [][]int64 {
-	if u.ncols == 0 {
-		return nil
-	}
-	total := 0
+// chunks returns every unit's chunks in unit order. Call it once, after the
+// batch has returned.
+func (u *unitSlots) chunks() (out [][]coltypes.Data) {
+	var datas []coltypes.Data // grows by doubling; a chunk keeps the array it was cut from
 	for _, slot := range u.byUnit {
 		for _, flat := range slot {
-			total += len(flat) / u.ncols
-		}
-	}
-	cols := make([][]int64, u.ncols)
-	for c := range cols {
-		cols[c] = make([]int64, total)
-	}
-	at := 0
-	for _, slot := range u.byUnit {
-		for _, flat := range slot {
-			rows := len(flat) / u.ncols
-			for c := range cols {
-				copy(cols[c][at:], flat[c*rows:(c+1)*rows])
+			for c := 0; c < u.ncols; c++ {
+				rows := len(flat) / u.ncols
+				datas = append(datas, coltypes.Of(flat[c*rows:(c+1)*rows]))
 			}
-			at += rows
-			u.slab.Return(flat)
+			out = append(out, datas[len(datas)-u.ncols:])
 		}
 	}
-	u.byUnit = nil
-	return cols
+	return out
 }
 
 // CollectSink terminates a task: tiles are materialized (selection applied)
 // into a DRAM result buffer — the materialization at a task boundary of
 // §5.2. One sink is shared by all parallel chain instances, but each core
 // widens its tiles straight into blocks of its own and only notes which scan
-// unit (TaskCtx.Seq) the rows came from; Relation() emits the runs in Seq
-// order. The result is therefore in scan order whatever the worker count or
-// the order units happened to finish in, and the tile path takes no lock.
+// unit (TaskCtx.Seq) the rows came from; Relation() lists the runs in Seq
+// order as its chunks. The result is therefore in scan order whatever the
+// worker count or the order units happened to finish in, and the tile path
+// takes no lock.
 type CollectSink struct {
 	// OutCols describes the result columns (names/types for the Relation).
 	OutCols []Col
 
 	mu    sync.Mutex // guards creating cores in Open
 	cores []collectCore
-	slab  *mem.Slab // leases the blocks; set with cores
+	ctx   *qef.Context // leases the blocks for the query; set with cores
 }
 
 // Result blocks start at collectBlockRows and double up to
@@ -120,11 +103,9 @@ const (
 // collectCore is one core's share of the result: the block being filled and
 // the runs of consecutive rows each scan unit contributed.
 type collectCore struct {
-	blk    [][]int64 // current block, one full-capacity vector per column
-	fill   int       // rows used in blk
-	leased [][]int64 // every block so far, as leased
-	runs   []collectRun
-	rows   int
+	blk  [][]int64 // current block, one full-capacity vector per column
+	fill int       // rows used in blk
+	runs []collectRun
 }
 
 // collectRun is n rows of one unit at blk[c][start:start+n].
@@ -149,7 +130,7 @@ func (s *CollectSink) Open(tc *qef.TaskCtx) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.cores == nil {
-		s.cores, s.slab = make([]collectCore, tc.Ctx.Workers()), tc.Ctx.Slab
+		s.cores, s.ctx = make([]collectCore, tc.Ctx.Workers()), tc.Ctx
 	}
 	return nil
 }
@@ -172,8 +153,7 @@ func (s *CollectSink) Produce(tc *qef.TaskCtx, t *qef.Tile) error {
 		size = max(size, n)
 		// Leased un-zeroed: only rows a run covers are ever read, and each
 		// run is widened in full below before it is recorded.
-		flat := s.slab.Lease(ncols * size)
-		core.leased = append(core.leased, flat)
+		flat := s.ctx.Lease(ncols * size)
 		core.blk = make([][]int64, ncols)
 		for c := range core.blk {
 			core.blk[c] = flat[c*size : (c+1)*size]
@@ -207,67 +187,30 @@ func (s *CollectSink) Produce(tc *qef.TaskCtx, t *qef.Tile) error {
 		core.runs = append(core.runs, collectRun{seq: tc.Seq, start: core.fill, n: n, blk: core.blk})
 	}
 	core.fill += n
-	core.rows += n
 	return nil
 }
 
 func (s *CollectSink) Close(tc *qef.TaskCtx) error { return nil }
 
-// Rows returns the number of collected rows. Like Relation it must only be
-// called once the scan feeding the sink has returned.
-func (s *CollectSink) Rows() int {
-	rows := 0
-	for i := range s.cores {
-		rows += s.cores[i].rows
-	}
-	return rows
-}
-
-// Relation materializes the collected result in scan order. When everything
-// landed in one block of one core, that block is the result — it leaves with
-// the relation and is never returned to the slab; otherwise the cores' runs
-// are merged by Seq into heap columns allocated once at the final size and
-// the blocks go back. Call it once.
+// Relation returns the collected result in scan order: the cores' runs,
+// merged by Seq, are its chunks. Call it once.
 func (s *CollectSink) Relation() *Relation {
 	var runs []collectRun
-	blocks := 0
 	for i := range s.cores {
 		// Units of one core run in ascending index order, so each core's
 		// runs are already sorted; a unit runs on one core, so Seq values
 		// never tie across cores.
 		runs = append(runs, s.cores[i].runs...)
-		blocks += len(s.cores[i].leased)
 	}
-	bufs := make([][]int64, len(s.OutCols))
-	switch {
-	case blocks == 1:
-		first, last := runs[0], runs[len(runs)-1]
-		for c := range bufs {
-			bufs[c] = first.blk[c][first.start : last.start+last.n : last.start+last.n]
-		}
-	case blocks > 1:
-		sort.SliceStable(runs, func(i, j int) bool { return runs[i].seq < runs[j].seq })
-		total := s.Rows()
-		for c := range bufs {
-			bufs[c] = make([]int64, 0, total)
-			for _, r := range runs {
-				bufs[c] = append(bufs[c], r.blk[c][r.start:r.start+r.n]...)
-			}
-		}
-		for i := range s.cores {
-			core := &s.cores[i]
-			for _, flat := range core.leased {
-				s.slab.Return(flat)
-			}
-			core.blk, core.leased, core.runs = nil, nil, nil
+	sort.SliceStable(runs, func(i, j int) bool { return runs[i].seq < runs[j].seq })
+	chunks := make([][]coltypes.Data, len(runs))
+	for k, r := range runs {
+		chunks[k] = make([]coltypes.Data, len(s.OutCols))
+		for c := range chunks[k] {
+			chunks[k][c] = coltypes.Of(r.blk[c][r.start : r.start+r.n])
 		}
 	}
-	cols := make([]Col, len(s.OutCols))
-	for i, c := range s.OutCols {
-		cols[i] = c
-		cols[i].Data = coltypes.Of(bufs[i])
-	}
-	return MustRelation(cols)
+	return MustRelation(s.OutCols, chunks...)
 }
 
 // CountSink counts qualifying rows without materializing them (used by

@@ -59,8 +59,8 @@ func TestLeftOuterZeroPayloadOnDirtySlab(t *testing.T) {
 			if out.Rows() != probeRows {
 				t.Fatalf("%d rows, want %d", out.Rows(), probeRows)
 			}
-			pk, pv := out.Cols[0].Data.I64(), out.Cols[1].Data.I64()
-			bk, bv := out.Cols[2].Data.I64(), out.Cols[3].Data.I64()
+			pk, pv := out.Flat().Col(0).I64(), out.Flat().Col(1).I64()
+			bk, bv := out.Flat().Col(2).I64(), out.Flat().Col(3).I64()
 			unmatched := 0
 			for i, k := range pk {
 				wantK, wantV := k, k+7
@@ -114,7 +114,7 @@ func TestOperatorsAgreeOnDirtySlab(t *testing.T) {
 		keep(GroupByPartitioned(ctx, probe, []int{0},
 			[]AggSpec{{Kind: AggSum, Expr: &ColRef{Idx: 1}}, {Kind: AggCountStar}},
 			PartScheme{Rounds: []int{4}}, 64)) // 64 groups per table: regroupSplit runs
-		keys := func(r *Relation) *Relation { return MustRelation(r.Cols[:1]) }
+		keys := func(r *Relation) *Relation { return r.Project([]int{0}) }
 		for _, kind := range []plan.SetOpKind{plan.Union, plan.Intersect, plan.Minus} {
 			keep(SetOp(ctx, keys(probe), keys(build), kind))
 		}
@@ -135,7 +135,7 @@ func TestOperatorsAgreeOnDirtySlab(t *testing.T) {
 						got.Rows(), got.NumCols(), want[i].Rows(), want[i].NumCols())
 				}
 				for c := range got.Cols {
-					g, w := got.Cols[c].Data, want[i].Cols[c].Data
+					g, w := got.Flat().Col(c), want[i].Flat().Col(c)
 					for r := 0; r < g.Len(); r++ {
 						if g.Get(r) != w.Get(r) {
 							t.Fatalf("%s round %d result %d column %d row %d: %d, want %d",
@@ -150,7 +150,8 @@ func TestOperatorsAgreeOnDirtySlab(t *testing.T) {
 
 // TestHashJoinAllocsPerPartition: what a warm join allocates per extra
 // partition pair is its share of the partitioning and the work unit — not the
-// hash table, which is laid out in task scratch.
+// hash table, which is laid out in task scratch, and not its output chunks,
+// which are leased and go back when the query releases its context.
 func TestHashJoinAllocsPerPartition(t *testing.T) {
 	// Exactly two workers, as in TestPartitionByHashAllocsAreRowIndependent.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
@@ -171,6 +172,7 @@ func TestHashJoinAllocsPerPartition(t *testing.T) {
 			if _, err := HashJoin(ctx, build, probe, spec); err != nil {
 				t.Fatal(err)
 			}
+			ctx.Release()
 		}
 		join() // warm: pools grow and the slab fills here
 		return testing.AllocsPerRun(5, join)
@@ -183,11 +185,42 @@ func TestHashJoinAllocsPerPartition(t *testing.T) {
 	t.Logf("HashJoin %v objects at 8x8, %v at 8x32", few, many)
 }
 
+// TestGroupByPartitionedAllocsPerPartition: what a warm partitioned group-by
+// allocates per extra partition is its share of the partitioning and the work
+// unit — not the group table and accumulators, which are laid out in task
+// scratch, and not its output chunks, which the query releases.
+func TestGroupByPartitionedAllocsPerPartition(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2)) // as TestHashJoinAllocsPerPartition
+	const groups = 25_000
+	rel := lineitemLike(100_000, groups)
+	specs := []AggSpec{{Kind: AggSum, Expr: &ColRef{Idx: 1}}, {Kind: AggMin, Expr: &ColRef{Idx: 2}}, {Kind: AggCountStar}}
+	measure := func(scheme PartScheme) float64 {
+		ctx := qef.NewContext(qef.ModeX86)
+		ctx.Slab = mem.NewSlab(64<<20, nil)
+		group := func() {
+			out, err := GroupByPartitioned(ctx, rel, []int{0}, specs, scheme, 2*groups/scheme.Fanout()+64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			benchSink += out.Rows()
+			ctx.Release()
+		}
+		group() // warm: pools grow and the slab fills here
+		return testing.AllocsPerRun(5, group)
+	}
+	few, many := measure(PartScheme{Rounds: []int{8, 8}}), measure(PartScheme{Rounds: []int{8, 32}})
+	const extra = 8*32 - 8*8
+	if per := (many - few) / extra; per > 4 {
+		t.Errorf("GroupByPartitioned allocates %v objects at 8x8, %v at 8x32: %.1f per extra partition, budget 4", few, many, per)
+	}
+	t.Logf("GroupByPartitioned %v objects at 8x8, %v at 8x32", few, many)
+}
+
 // TestOperatorBytesAreRowIndependent is the bytes gate beside the object-count
-// gates above: with a warm slab, what PartitionByHash allocates does not grow
-// with the row count at all, and what HashJoin allocates grows by its output
-// columns and little else — partition buffers, hash vectors, hash tables, sink
-// staging and match lists are recycled, not made, zeroed and collected.
+// gates above: with a warm slab, what PartitionByHash and HashJoin allocate
+// does not grow with the row count — partition buffers, hash vectors, hash
+// tables, match lists and the output chunks, which the query returns when it
+// releases its context, are recycled, not made, zeroed and collected.
 func TestOperatorBytesAreRowIndependent(t *testing.T) {
 	withProcs(t, 2, func() {
 		scheme := PartScheme{Rounds: []int{8, 16}}
@@ -208,19 +241,19 @@ func TestOperatorBytesAreRowIndependent(t *testing.T) {
 			slices.Sort(runs[:])
 			return runs[len(runs)/2]
 		}
-		partition := func(n int) float64 {
-			cols := lineitemLike(n, n/4+1).Datas()
+		partition := func(n int, s PartScheme) float64 {
+			cols := lineitemLike(n, n/4+1).Chunks
 			ctx := qef.NewContext(qef.ModeX86)
 			ctx.Slab = mem.NewSlab(64<<20, nil)
 			return bytesPerRun(func() {
-				parts, err := PartitionByHash(ctx, cols, []int{0}, scheme, qef.DefaultTileRows)
+				parts, err := PartitionByHash(ctx, cols, []int{0}, s, qef.DefaultTileRows)
 				if err != nil {
 					t.Fatal(err)
 				}
 				parts.Release()
 			})
 		}
-		join := func(n int) (bytes, outBytes float64) {
+		join := func(n int) float64 {
 			orders := n / 4
 			build := intRel([]string{"o_orderkey", "o_totalprice"},
 				seq(orders, func(i int) int64 { return int64(i) }),
@@ -234,29 +267,33 @@ func TestOperatorBytesAreRowIndependent(t *testing.T) {
 				Scheme: scheme,
 			}
 			return bytesPerRun(func() {
-				out, err := HashJoin(ctx, build, probe, spec)
-				if err != nil {
+				if _, err := HashJoin(ctx, build, probe, spec); err != nil {
 					t.Fatal(err)
 				}
-				outBytes = float64(8 * out.Rows() * out.NumCols())
-			}), outBytes
+				ctx.Release()
+			})
 		}
 		const small, large = 50_000, 300_000
-		// 128 partitions x 3 columns of headers, the cursors and one closure per
-		// 16 Ki-row chunk: tens of KB, against 8.4 MB of rows at 300 k.
-		ps, pl := partition(small), partition(large)
-		if pl > 256<<10 || pl-ps > 64<<10 {
-			t.Errorf("PartitionByHash allocates %.0f B at %d rows, %.0f B at %d: partition buffers are not recycled", ps, small, pl, large)
+		// Per partition its column and hash headers, slot, bound and replay
+		// unit, and a cursor row per piece — the pieces bounded by
+		// splitCursorMax or the workers, not by the rows: at 8x16 tens of KB
+		// against 8.4 MB of rows at 300 k. The three-round scheme is the
+		// widest the planner picks.
+		for _, s := range []PartScheme{scheme, {Rounds: []int{16, 32}}, {Rounds: []int{32, 64, 64}}} {
+			ps, pl := partition(small, s), partition(large, s)
+			if budget := float64(256<<10 + 256*s.Fanout()); pl > budget || pl-ps > 64<<10 {
+				t.Errorf("%s: PartitionByHash allocates %.0f B at %d rows, %.0f B at %d (budget %.0f): partition buffers are not recycled, or the cursor grows with the rows",
+					s, ps, small, pl, large, budget)
+			}
+			t.Logf("%s: PartitionByHash %.0f / %.0f B", s, ps, pl)
 		}
-		// Beyond its output a join allocates headers and work units, as many
-		// at 300 k rows as at 50 k; the compact hash tables are laid out in
-		// task scratch. A hundredth of the output covers what noise is left.
-		js, outS := join(small)
-		jl, outL := join(large)
-		if extra, budget := (jl-outL)-(js-outS), 0.01*(outL-outS); extra > budget {
-			t.Errorf("HashJoin allocates %.0f B (output %.0f) at %d rows, %.0f B (output %.0f) at %d: %.0f B of growth beyond the output, budget %.0f",
-				js, outS, small, jl, outL, large, extra, budget)
+		// A join allocates headers and work units, as many at 300 k rows as at
+		// 50 k; the compact hash tables are laid out in task scratch and its
+		// 9.6 MB of output at 300 k rows is leased.
+		js, jl := join(small), join(large)
+		if jl > 512<<10 || jl-js > 64<<10 {
+			t.Errorf("HashJoin allocates %.0f B at %d rows, %.0f B at %d: output chunks or staging are not recycled", js, small, jl, large)
 		}
-		t.Logf("PartitionByHash %.0f / %.0f B; HashJoin %.0f / %.0f B of which output %.0f / %.0f", ps, pl, js, jl, outS, outL)
+		t.Logf("HashJoin %.0f / %.0f B", js, jl)
 	})
 }

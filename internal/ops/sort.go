@@ -3,7 +3,6 @@ package ops
 import (
 	"sort"
 
-	"rapid/internal/coltypes"
 	"rapid/internal/dpu"
 	"rapid/internal/plan"
 	"rapid/internal/qef"
@@ -31,10 +30,11 @@ func SortRelation(ctx *qef.Context, rel *Relation, keys []plan.SortItem) (*Relat
 	if n == 0 || len(keys) == 0 {
 		return rel, nil
 	}
+	rel = rel.Flat()
 	// Transformed key vectors.
 	tkeys := make([][]uint64, len(keys))
 	for k, sk := range keys {
-		col := rel.Cols[sk.Col].Data
+		col := rel.Col(sk.Col)
 		tk := make([]uint64, n)
 		for i := 0; i < n; i++ {
 			tk[i] = orderKey(col.Get(i), sk.Desc)
@@ -87,14 +87,7 @@ func SortRelation(ctx *qef.Context, rel *Relation, keys []plan.SortItem) (*Relat
 	for r := 0; r < ranges; r++ {
 		order = append(order, rids[r]...)
 	}
-	out := make([]Col, len(rel.Cols))
-	for c, rc := range rel.Cols {
-		dst := rc.Data.NewSame(n)
-		coltypes.Gather(dst, rc.Data, order)
-		out[c] = rc
-		out[c].Data = dst
-	}
-	return MustRelation(out), nil
+	return rel.gather(order), nil
 }
 
 // sampleBounds picks ranges-1 splitters from a sample of the keys.

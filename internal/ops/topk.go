@@ -15,19 +15,15 @@ import (
 func TopK(ctx *qef.Context, rel *Relation, keys []plan.SortItem, k int) (*Relation, error) {
 	n := rel.Rows()
 	if k <= 0 {
-		out := make([]Col, len(rel.Cols))
-		for c, rc := range rel.Cols {
-			out[c] = rc
-			out[c].Data = rc.Data.Slice(0, 0)
-		}
-		return MustRelation(out), nil
+		return Limit(rel, 0), nil
 	}
 	if n <= k {
 		return SortRelation(ctx, rel, keys)
 	}
+	rel = rel.Flat()
 	tkeys := make([][]uint64, len(keys))
 	for i, sk := range keys {
-		col := rel.Cols[sk.Col].Data
+		col := rel.Col(sk.Col)
 		tk := make([]uint64, n)
 		for r := 0; r < n; r++ {
 			tk[r] = orderKey(col.Get(r), sk.Desc)
@@ -99,26 +95,25 @@ func TopK(ctx *qef.Context, rel *Relation, keys []plan.SortItem, k int) (*Relati
 	if len(all) > k {
 		all = all[:k]
 	}
-	out := make([]Col, len(rel.Cols))
-	for c, rc := range rel.Cols {
-		dst := rc.Data.NewSame(len(all))
-		coltypes.Gather(dst, rc.Data, all)
-		out[c] = rc
-		out[c].Data = dst
-	}
-	return MustRelation(out), nil
+	return rel.gather(all), nil
 }
 
 // Limit returns the first k rows (no ordering).
 func Limit(rel *Relation, k int) *Relation {
-	n := rel.Rows()
-	if k >= n {
+	if k >= rel.Rows() {
 		return rel
 	}
-	out := make([]Col, len(rel.Cols))
-	for c, rc := range rel.Cols {
-		out[c] = rc
-		out[c].Data = rc.Data.Slice(0, k)
+	var chunks [][]coltypes.Data
+	for _, ch := range rel.Chunks {
+		take := min(k, ch[0].Len())
+		piece := make([]coltypes.Data, len(ch))
+		for c, d := range ch {
+			piece[c] = d.Slice(0, take)
+		}
+		chunks = append(chunks, piece)
+		if k -= take; k == 0 {
+			break
+		}
 	}
-	return MustRelation(out)
+	return MustRelation(rel.Cols, chunks...)
 }

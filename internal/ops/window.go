@@ -33,12 +33,13 @@ func Window(ctx *qef.Context, rel *Relation, spec WindowSpec) (*Relation, error)
 	if err != nil {
 		return nil, err
 	}
+	sorted = sorted.Flat()
 	n := sorted.Rows()
 	out := make([]int64, n)
 	err = ctx.RunSerial(func(tc *qef.TaskCtx) error {
 		samePartition := func(i, j int) bool {
 			for _, p := range spec.PartitionBy {
-				if sorted.Cols[p].Data.Get(i) != sorted.Cols[p].Data.Get(j) {
+				if sorted.Col(p).Get(i) != sorted.Col(p).Get(j) {
 					return false
 				}
 			}
@@ -46,7 +47,7 @@ func Window(ctx *qef.Context, rel *Relation, spec WindowSpec) (*Relation, error)
 		}
 		sameOrder := func(i, j int) bool {
 			for _, sk := range spec.OrderBy {
-				if sorted.Cols[sk.Col].Data.Get(i) != sorted.Cols[sk.Col].Data.Get(j) {
+				if sorted.Col(sk.Col).Get(i) != sorted.Col(sk.Col).Get(j) {
 					return false
 				}
 			}
@@ -54,7 +55,7 @@ func Window(ctx *qef.Context, rel *Relation, spec WindowSpec) (*Relation, error)
 		}
 		var valCol coltypes.Data
 		if spec.Func == plan.CumSum || spec.Func == plan.WinTotalSum {
-			valCol = sorted.Cols[spec.ValueCol].Data
+			valCol = sorted.Col(spec.ValueCol)
 		}
 		start := 0
 		for start < n {
@@ -108,10 +109,6 @@ func Window(ctx *qef.Context, rel *Relation, spec WindowSpec) (*Relation, error)
 	if err != nil {
 		return nil, err
 	}
-	cols := append(append([]Col(nil), sorted.Cols...), Col{
-		Name: spec.Name,
-		Type: coltypes.Int(),
-		Data: coltypes.Of(out),
-	})
-	return MustRelation(cols), nil
+	cols := append(append([]Col(nil), sorted.Cols...), Col{Name: spec.Name, Type: coltypes.Int()})
+	return MustRelation(cols, append(append([]coltypes.Data(nil), sorted.Chunks[0]...), coltypes.Of(out))), nil
 }

@@ -149,50 +149,40 @@ func Aggregate(core *dpu.Core, vals []int64, sel *bits.Vector, st *AggState) {
 	charge(core, costAggPerRow*float64(n))
 }
 
-// GroupedAgg maintains per-group accumulators indexed by dense group IDs —
-// the DMEM-resident aggregation table of the group-by operator.
-type GroupedAgg struct {
-	Sums   []int64
-	Mins   []int64
-	Maxs   []int64
-	Counts []int64
-}
-
-// NewGroupedAgg allocates accumulators for n groups.
-func NewGroupedAgg(n int) *GroupedAgg {
-	g := &GroupedAgg{
-		Sums:   make([]int64, n),
-		Mins:   make([]int64, n),
-		Maxs:   make([]int64, n),
-		Counts: make([]int64, n),
-	}
-	for i := range g.Mins {
-		g.Mins[i] = math.MaxInt64
-		g.Maxs[i] = math.MinInt64
-	}
-	return g
-}
-
-// Accumulate folds vals into the accumulators selected by gids.
-func (g *GroupedAgg) Accumulate(core *dpu.Core, gids []uint32, vals []int64) {
+// GroupedSums, GroupedMins, GroupedMaxs and GroupedCounts fold a tile of rows
+// into a per-group accumulator indexed by dense group IDs — the DMEM-resident
+// aggregation table of the group-by operator, one array per aggregate. The
+// caller sets acc to the fold's identity once (0; math.MaxInt64 for min,
+// math.MinInt64 for max); each call adds its rows to what acc holds.
+// GroupedCounts with star is the COUNT(*) fast path, billed at half.
+func GroupedSums(core *dpu.Core, acc []int64, gids []uint32, vals []int64) {
 	for i, gid := range gids {
-		v := vals[i]
-		g.Sums[gid] += v
-		g.Counts[gid]++
-		if v < g.Mins[gid] {
-			g.Mins[gid] = v
-		}
-		if v > g.Maxs[gid] {
-			g.Maxs[gid] = v
-		}
+		acc[gid] += vals[i]
 	}
 	charge(core, costGroupedAggPerRow*float64(len(gids)))
 }
 
-// AccumulateCounts folds only row counts (COUNT(*) fast path).
-func (g *GroupedAgg) AccumulateCounts(core *dpu.Core, gids []uint32) {
-	for _, gid := range gids {
-		g.Counts[gid]++
+func GroupedMins(core *dpu.Core, acc []int64, gids []uint32, vals []int64) {
+	for i, gid := range gids {
+		acc[gid] = min(acc[gid], vals[i])
 	}
-	charge(core, 0.5*costGroupedAggPerRow*float64(len(gids)))
+	charge(core, costGroupedAggPerRow*float64(len(gids)))
+}
+
+func GroupedMaxs(core *dpu.Core, acc []int64, gids []uint32, vals []int64) {
+	for i, gid := range gids {
+		acc[gid] = max(acc[gid], vals[i])
+	}
+	charge(core, costGroupedAggPerRow*float64(len(gids)))
+}
+
+func GroupedCounts(core *dpu.Core, acc []int64, gids []uint32, star bool) {
+	for _, gid := range gids {
+		acc[gid]++
+	}
+	cost := costGroupedAggPerRow
+	if star {
+		cost *= 0.5
+	}
+	charge(core, cost*float64(len(gids)))
 }

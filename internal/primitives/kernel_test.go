@@ -2,6 +2,7 @@ package primitives
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -90,19 +91,26 @@ func TestAggregate(t *testing.T) {
 
 func TestGroupedAgg(t *testing.T) {
 	core := testCore(t)
-	g := NewGroupedAgg(3)
 	gids := []uint32{0, 1, 0, 2, 1}
 	vals := []int64{10, 20, 30, 40, 50}
-	g.Accumulate(core, gids, vals)
-	if g.Sums[0] != 40 || g.Sums[1] != 70 || g.Sums[2] != 40 {
-		t.Fatalf("sums = %v", g.Sums)
-	}
-	if g.Counts[0] != 2 || g.Mins[1] != 20 || g.Maxs[1] != 50 {
-		t.Fatal("counts/min/max wrong")
-	}
-	g.AccumulateCounts(core, gids)
-	if g.Counts[0] != 4 {
-		t.Fatal("AccumulateCounts")
+	sums, counts := make([]int64, 3), make([]int64, 3)
+	mins := []int64{math.MaxInt64, math.MaxInt64, math.MaxInt64}
+	maxs := []int64{math.MinInt64, math.MinInt64, math.MinInt64}
+	// Two tiles: each call adds to what the accumulator holds.
+	for tile := 1; tile <= 2; tile++ {
+		GroupedSums(core, sums, gids, vals)
+		GroupedMins(core, mins, gids, vals)
+		GroupedMaxs(core, maxs, gids, vals)
+		GroupedCounts(core, counts, gids, tile == 2)
+		if want := []int64{40 * int64(tile), 70 * int64(tile), 40 * int64(tile)}; !slices.Equal(sums, want) {
+			t.Fatalf("tile %d: sums = %v, want %v", tile, sums, want)
+		}
+		if want := []int64{2 * int64(tile), 2 * int64(tile), int64(tile)}; !slices.Equal(counts, want) {
+			t.Fatalf("tile %d: counts = %v, want %v", tile, counts, want)
+		}
+		if !slices.Equal(mins, []int64{10, 20, 40}) || !slices.Equal(maxs, []int64{30, 50, 40}) {
+			t.Fatalf("tile %d: mins = %v, maxs = %v", tile, mins, maxs)
+		}
 	}
 }
 

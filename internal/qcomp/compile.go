@@ -401,6 +401,7 @@ func (p *pipelineNode) executeGroupPartFallback(ctx *qef.Context) (*ops.Relation
 // finalizeScalar maps lowered agg states to the requested output columns.
 func (p *pipelineNode) finalizeScalar(res *ops.ScalarAggResult) (*ops.Relation, error) {
 	cols := make([]ops.Col, len(p.finals))
+	data := make([]coltypes.Data, len(p.finals))
 	for i, f := range p.finals {
 		var v int64
 		switch f.kind {
@@ -426,43 +427,41 @@ func (p *pipelineNode) finalizeScalar(res *ops.ScalarAggResult) (*ops.Relation, 
 			v = res.Value(f.specIdx, ops.AggCount)
 		}
 		fld := p.outFields[i]
-		cols[i] = ops.Col{Name: fld.Name, Type: fld.Type, Data: coltypes.Of([]int64{v})}
+		cols[i] = ops.Col{Name: fld.Name, Type: fld.Type}
+		data[i] = coltypes.Of([]int64{v})
 	}
-	return ops.NewRelation(cols)
+	return ops.NewRelation(cols, data)
 }
 
 // finalizeGrouped maps lowered agg columns of the raw grouped relation
-// (keys first, then one column per lowered spec) to the requested outputs.
+// (keys first, then one column per lowered spec) to the requested outputs,
+// chunk by chunk: keys and plain aggregates pass through, averages are
+// computed.
 func (p *pipelineNode) finalizeGrouped(raw *ops.Relation, nKeys int) (*ops.Relation, error) {
-	n := raw.Rows()
-	cols := make([]ops.Col, 0, nKeys+len(p.finals))
-	for k := 0; k < nKeys; k++ {
-		c := raw.Cols[k]
-		fld := p.outFields[k]
-		c.Name, c.Type, c.Dict = fld.Name, fld.Type, fld.Dict
-		cols = append(cols, c)
+	cols := make([]ops.Col, nKeys+len(p.finals))
+	for i, fld := range p.outFields[:len(cols)] {
+		cols[i] = ops.Col{Name: fld.Name, Type: fld.Type, Dict: fld.Dict}
 	}
-	for i, f := range p.finals {
-		fld := p.outFields[nKeys+i]
-		vals := make([]int64, n)
-		switch f.kind {
-		case plan.Avg:
-			sums := raw.Cols[nKeys+f.specIdx].Data
-			cnts := raw.Cols[nKeys+f.cntIdx].Data
-			for r := 0; r < n; r++ {
+	chunks := make([][]coltypes.Data, len(raw.Chunks))
+	for k, ch := range raw.Chunks {
+		out := append(make([]coltypes.Data, 0, len(cols)), ch[:nKeys]...)
+		for _, f := range p.finals {
+			if f.kind != plan.Avg {
+				out = append(out, ch[nKeys+f.specIdx])
+				continue
+			}
+			sums, cnts := ch[nKeys+f.specIdx], ch[nKeys+f.cntIdx]
+			vals := make([]int64, sums.Len())
+			for r := range vals {
 				if c := cnts.Get(r); c != 0 {
 					vals[r] = sums.Get(r) * 100 / c
 				}
 			}
-		default:
-			src := raw.Cols[nKeys+f.specIdx].Data
-			for r := 0; r < n; r++ {
-				vals[r] = src.Get(r)
-			}
+			out = append(out, coltypes.Of(vals))
 		}
-		cols = append(cols, ops.Col{Name: fld.Name, Type: fld.Type, Data: coltypes.Of(vals)})
+		chunks[k] = out
 	}
-	return ops.NewRelation(cols)
+	return ops.NewRelation(cols, chunks...)
 }
 
 // ---------------------------------------------------------------------------

@@ -52,21 +52,21 @@ func TestCompileArithmeticShapes(t *testing.T) {
 		t.Fatalf("rows = %d", rel.Rows())
 	}
 	// Spot-check the scale bookkeeping on row 0: o_custkey=0, o_total=10.00.
-	if got := rel.Cols[0].Data.Get(0); got != 1000 { // 0 + 10.00 at scale 2
+	if got := rel.Get(0, 0); got != 1000 { // 0 + 10.00 at scale 2
 		t.Fatalf("add = %d", got)
 	}
-	if got := rel.Cols[2].Data.Get(0); got != 1000*1000 { // 10.00^2 at scale 4
+	if got := rel.Get(0, 2); got != 1000*1000 { // 10.00^2 at scale 4
 		t.Fatalf("mul = %d", got)
 	}
 	if rel.Cols[2].Type.Scale != 4 || rel.Cols[3].Type.Scale != plan.DivScale {
 		t.Fatal("scale metadata wrong")
 	}
 	// Div: 10.00 / 1 at DivScale = 100000.
-	if got := rel.Cols[3].Data.Get(0); got != 100000 {
+	if got := rel.Get(0, 3); got != 100000 {
 		t.Fatalf("div = %d", got)
 	}
 	// Case: 10.00 <= 500 -> 0.
-	if got := rel.Cols[4].Data.Get(0); got != 0 {
+	if got := rel.Get(0, 4); got != 0 {
 		t.Fatalf("case = %d", got)
 	}
 }

@@ -161,10 +161,11 @@ func (n *joinNode) execute(ctx *qef.Context) (*ops.Relation, error) {
 	if n.swapped && n.typ == plan.InnerJoin {
 		nl := leftRel.NumCols()
 		np := probe.NumCols()
-		cols := make([]ops.Col, 0, out.NumCols())
-		cols = append(cols, out.Cols[np:np+nl]...) // left (= build) side
-		cols = append(cols, out.Cols[:np]...)      // right (= probe) side
-		out = ops.MustRelation(cols)
+		order := make([]int, 0, out.NumCols())
+		for i := range nl {
+			order = append(order, np+i) // left (= build) side
+		}
+		out = out.Project(append(order, allIdx(np)...)) // then right (= probe) side
 	}
 	// Restore field metadata.
 	for i := range out.Cols {
@@ -208,7 +209,7 @@ func (n *sortNode) execute(ctx *qef.Context) (*ops.Relation, error) {
 		if err != nil {
 			return nil, err
 		}
-		return ops.MustRelation(out.Cols[:rel.NumCols()]), nil
+		return out.Project(allIdx(rel.NumCols())), nil
 	})
 }
 
@@ -224,19 +225,20 @@ func rankColumns(rel *ops.Relation, keys []plan.SortItem) (*ops.Relation, []plan
 		if c.Type.Kind != coltypes.KindString || c.Dict == nil {
 			continue
 		}
+		out = out.Flat()
 		rank := c.Dict.SortRank()
-		data := coltypes.New(coltypes.W4, c.Data.Len())
-		for r := 0; r < c.Data.Len(); r++ {
-			code := c.Data.Get(r)
+		codes := out.Col(k.Col)
+		data := coltypes.New(coltypes.W4, codes.Len())
+		for r := 0; r < codes.Len(); r++ {
+			code := codes.Get(r)
 			if code >= 0 && code < int64(len(rank)) {
 				data.Set(r, int64(rank[code]))
 			}
 		}
-		cols := append(append([]ops.Col(nil), out.Cols...), ops.Col{
-			Name: c.Name + "#rank", Type: coltypes.Int(), Data: data,
-		})
-		out = ops.MustRelation(cols)
-		mapped[i].Col = len(cols) - 1
+		out = ops.MustRelation(
+			append(append([]ops.Col(nil), out.Cols...), ops.Col{Name: c.Name + "#rank", Type: coltypes.Int()}),
+			append(append([]coltypes.Data(nil), out.Chunks[0]...), data))
+		mapped[i].Col = out.NumCols() - 1
 	}
 	return out, mapped
 }
@@ -268,7 +270,7 @@ func (n *topkNode) execute(ctx *qef.Context) (*ops.Relation, error) {
 		if err != nil {
 			return nil, err
 		}
-		return ops.MustRelation(out.Cols[:rel.NumCols()]), nil
+		return out.Project(allIdx(rel.NumCols())), nil
 	})
 }
 

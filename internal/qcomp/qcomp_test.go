@@ -296,18 +296,18 @@ func TestCompileScalarAggWithAvg(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		wantSum += int64(i % 200)
 	}
-	if got := rel.Cols[0].Data.Get(0); got != wantSum {
+	if got := rel.Get(0, 0); got != wantSum {
 		t.Fatalf("sum = %d, want %d", got, wantSum)
 	}
 	// AVG carries two extra scale digits.
 	wantAvg := wantSum * 100 / 5000
-	if got := rel.Cols[1].Data.Get(0); got != wantAvg {
+	if got := rel.Get(0, 1); got != wantAvg {
 		t.Fatalf("avg = %d, want %d", got, wantAvg)
 	}
 	if rel.Cols[1].Type.Scale != 2 {
 		t.Fatalf("avg scale = %d", rel.Cols[1].Type.Scale)
 	}
-	if got := rel.Cols[2].Data.Get(0); got != 5000 {
+	if got := rel.Get(0, 2); got != 5000 {
 		t.Fatalf("count = %d", got)
 	}
 }
@@ -338,7 +338,7 @@ func TestCompileGroupByStrategies(t *testing.T) {
 	}
 	var total int64
 	for i := 0; i < 3; i++ {
-		total += rel.Cols[1].Data.Get(i)
+		total += rel.Get(i, 1)
 	}
 	if total != 20000 {
 		t.Fatalf("counts sum to %d", total)
@@ -385,7 +385,7 @@ func TestCompileJoin(t *testing.T) {
 		}
 		// Join correctness: o_custkey == c_custkey on every row.
 		for i := 0; i < rel.Rows(); i++ {
-			if rel.Cols[1].Data.Get(i) != rel.Cols[5].Data.Get(i) {
+			if rel.Get(i, 1) != rel.Get(i, 5) {
 				t.Fatal("key mismatch in join output")
 			}
 		}
@@ -419,7 +419,7 @@ func TestCompileTopKAndSort(t *testing.T) {
 		t.Fatalf("rows = %d", rel.Rows())
 	}
 	for i := 1; i < 5; i++ {
-		if rel.Cols[2].Data.Get(i-1) < rel.Cols[2].Data.Get(i) {
+		if rel.Get(i-1, 2) < rel.Get(i, 2) {
 			t.Fatal("not descending")
 		}
 	}

@@ -18,13 +18,23 @@ type Accessor struct {
 // NewAccessor returns an accessor bound to a task context.
 func NewAccessor(tc *TaskCtx) *Accessor { return &Accessor{tc: tc} }
 
-// Sequential streams rows [0, rows) of the given DRAM columns in tiles of
-// tileRows, invoking fn per tile. The DMEM cost is double buffering for
-// every column (admitted once, reused across tiles).
-func (a *Accessor) Sequential(cols []coltypes.Data, tileRows int, fn func(*Tile) error) error {
+// Sequential streams the rows of the given DRAM chunks — equal-width column
+// sets, read one after the other — in tiles of tileRows, invoking fn per tile
+// after resetting the tile scratch. The DMEM cost is double buffering for
+// every column (admitted once, reused across tiles). A tile is a view of the
+// chunk it lies in; the rare tile that straddles a chunk boundary is gathered
+// into tile scratch, which is what its DMEM buffer would hold, so the tiles
+// and their bill are those of the same rows in one chunk.
+func (a *Accessor) Sequential(chunks [][]coltypes.Data, tileRows int, fn func(*Tile) error) error {
+	if len(chunks) == 0 {
+		return nil
+	}
+	cols := chunks[0]
 	rows := 0
-	if len(cols) > 0 {
-		rows = cols[0].Len()
+	for _, ch := range chunks {
+		if len(ch) > 0 {
+			rows += ch[0].Len()
+		}
 	}
 	if tileRows < MinTileRows {
 		tileRows = MinTileRows
@@ -59,7 +69,7 @@ func (a *Accessor) Sequential(cols []coltypes.Data, tileRows int, fn func(*Tile)
 		}
 	}
 	// The view headers are unit-lifetime pool buffers; the inner MarkScratch
-	// makes them the floor that the callback's ResetScratch rolls back to.
+	// makes them the floor that the per-tile ResetScratch rolls back to.
 	// The tile is a local reused value so it survives that per-tile reset.
 	a.tc.MarkScratch()
 	defer a.tc.ReleaseScratch()
@@ -67,18 +77,40 @@ func (a *Accessor) Sequential(cols []coltypes.Data, tileRows int, fn func(*Tile)
 	a.tc.MarkScratch()
 	defer a.tc.ReleaseScratch()
 	var tile Tile
+	k, off := 0, 0 // the chunk the next tile starts in, and the row inside it
 	for lo := 0; lo < rows; lo += tileRows {
 		if err := a.tc.Canceled(); err != nil {
 			return err
 		}
-		hi := min(lo+tileRows, rows)
-		for i, c := range cols {
-			views[i] = c.Slice(lo, hi)
+		a.tc.ResetScratch()
+		n := min(tileRows, rows-lo)
+		for off == chunks[k][0].Len() {
+			k, off = k+1, 0
+		}
+		if off+n <= chunks[k][0].Len() {
+			for i, c := range chunks[k] {
+				views[i] = c.Slice(off, off+n)
+			}
+			off += n
+		} else {
+			for i, c := range cols {
+				views[i] = a.tc.DataScratch(c.Width(), n)
+			}
+			for at := 0; at < n; {
+				for off == chunks[k][0].Len() {
+					k, off = k+1, 0
+				}
+				take := min(n-at, chunks[k][0].Len()-off)
+				for i, c := range chunks[k] {
+					views[i].CopyFrom(at, c.Slice(off, off+take))
+				}
+				at, off = at+take, off+take
+			}
 		}
 		if dpu {
-			a.tc.AddTransfer(a.tc.DMS.Read(cols, lo, hi))
+			a.tc.AddTransfer(a.tc.DMS.Read(views, 0, n))
 		}
-		tile = Tile{Cols: views, N: hi - lo}
+		tile = Tile{Cols: views, N: n}
 		if err := fn(&tile); err != nil {
 			return err
 		}

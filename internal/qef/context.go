@@ -86,6 +86,10 @@ type Context struct {
 	// leases from the heap through the same calls.
 	Slab *mem.Slab
 
+	// held are the buffers leased through Lease, returned by Release.
+	heldMu sync.Mutex
+	held   [][]int64
+
 	// NoPrune disables zone-map scan pruning for this query (the metamorphic
 	// test lanes compare pruned vs unpruned runs; EXPLAIN-level debugging uses
 	// it too). Set once before execution.
@@ -231,6 +235,34 @@ func (c *Context) SetActiveSpan(s *obs.OpSpan) *obs.OpSpan {
 // occupancy, matching the pre-profiling accounting.
 func (c *Context) AccountSpanTransfer(t dms.Timing) {
 	c.activeSpan.AddTransfer(0, t.Write, t.Bytes, t.Seconds)
+}
+
+// Lease leases an UN-ZEROED buffer from the slab for the rest of the query —
+// the chunks of the relations its operators pass on (see ops.Relation), the
+// fourth lifetime beside tile, work unit and operator. It goes back to the
+// slab when the query calls Release. Safe for concurrent use by work units.
+func (c *Context) Lease(words int) []int64 {
+	buf := c.Slab.Lease(words)
+	if c.Slab != nil {
+		c.heldMu.Lock()
+		c.held = append(c.held, buf)
+		c.heldMu.Unlock()
+	}
+	return buf
+}
+
+// Release returns every buffer leased through Lease to the slab. The query
+// calls it once it is done with its relations — after the result has been
+// Flattened, or the exchange has copied them onto the wire — and after every
+// batch has returned; nothing leased may be read afterwards.
+func (c *Context) Release() {
+	c.heldMu.Lock()
+	held := c.held
+	c.held = nil
+	c.heldMu.Unlock()
+	for _, buf := range held {
+		c.Slab.Return(buf)
+	}
 }
 
 // CountMetric bumps a named engine counter if a registry is attached.

@@ -27,11 +27,6 @@ type Tile struct {
 	RIDs []uint32
 }
 
-// NewTile builds a tile over the given columns.
-func NewTile(cols []coltypes.Data, n int) *Tile {
-	return &Tile{Cols: cols, N: n}
-}
-
 // QualifyingRows returns the number of rows passing the selection state.
 func (t *Tile) QualifyingRows() int {
 	switch {

@@ -431,8 +431,8 @@ func (r *Runner) Check(q *Query) *Mismatch {
 func checkSorted(rel *ops.Relation, keys []SortChk) error {
 	for row := 1; row < rel.Rows(); row++ {
 		for _, k := range keys {
-			a := rel.Cols[k.Pos].Data.Get(row - 1)
-			b := rel.Cols[k.Pos].Data.Get(row)
+			a := rel.Get(row-1, k.Pos)
+			b := rel.Get(row, k.Pos)
 			if k.Desc {
 				a, b = b, a
 			}
@@ -563,7 +563,7 @@ func sameRelation(a, b *ops.Relation) string {
 	}
 	for c := range a.Cols {
 		for i := 0; i < a.Rows(); i++ {
-			if x, y := a.Cols[c].Data.Get(i), b.Cols[c].Data.Get(i); x != y {
+			if x, y := a.Get(i, c), b.Get(i, c); x != y {
 				return fmt.Sprintf("row %d column %d: %d vs %d", i, c, x, y)
 			}
 		}

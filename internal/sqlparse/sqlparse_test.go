@@ -264,12 +264,12 @@ func TestBindAggregateAvgHaving(t *testing.T) {
 	if rel.Rows() != 40 {
 		t.Fatalf("rows = %d", rel.Rows())
 	}
-	if rel.Cols[1].Data.Get(0) != 100 {
-		t.Fatalf("count = %d", rel.Cols[1].Data.Get(0))
+	if rel.Col(1).Get(0) != 100 {
+		t.Fatalf("count = %d", rel.Col(1).Get(0))
 	}
 	// ORDER BY: categories ascending.
 	for i := 1; i < 40; i++ {
-		if rel.Cols[0].Data.Get(i-1) >= rel.Cols[0].Data.Get(i) {
+		if rel.Col(0).Get(i-1) >= rel.Col(0).Get(i) {
 			t.Fatal("not sorted")
 		}
 	}
@@ -317,7 +317,7 @@ func TestBindExpressionRevenue(t *testing.T) {
 			want += price * int64(i%10+1)
 		}
 	}
-	if got := rel.Cols[0].Data.Get(0); got != want {
+	if got := rel.Col(0).Get(0); got != want {
 		t.Fatalf("rev = %d, want %d", got, want)
 	}
 	// SUM of scale-2 values keeps scale 2.
@@ -348,8 +348,8 @@ func TestBindCaseAggregate(t *testing.T) {
 	rel := execSQL(t, cat, `
 		SELECT SUM(CASE WHEN i_mode = 'MAIL' THEN 1 ELSE 0 END) AS mails, COUNT(*) AS n
 		FROM item`)
-	if rel.Cols[0].Data.Get(0) != 1000 || rel.Cols[1].Data.Get(0) != 4000 {
-		t.Fatalf("case agg = %d/%d", rel.Cols[0].Data.Get(0), rel.Cols[1].Data.Get(0))
+	if rel.Col(0).Get(0) != 1000 || rel.Col(1).Get(0) != 4000 {
+		t.Fatalf("case agg = %d/%d", rel.Col(0).Get(0), rel.Col(1).Get(0))
 	}
 }
 
@@ -442,8 +442,8 @@ func TestBindHavingOverAggregateExpr(t *testing.T) {
 		t.Fatalf("rows = %d, want 20", rel.Rows())
 	}
 	// First passing category is 5 with sum 600.
-	if rel.Cols[0].Data.Get(0) != 5 || rel.Cols[1].Data.Get(0) != 600 {
-		t.Fatalf("first group: cat=%d sum=%d", rel.Cols[0].Data.Get(0), rel.Cols[1].Data.Get(0))
+	if rel.Col(0).Get(0) != 5 || rel.Col(1).Get(0) != 600 {
+		t.Fatalf("first group: cat=%d sum=%d", rel.Col(0).Get(0), rel.Col(1).Get(0))
 	}
 }
 
@@ -456,7 +456,7 @@ func TestBindPostAggArithmetic(t *testing.T) {
 		t.Fatal("scalar")
 	}
 	// avg qty = 5.5, x100 = 550; result scale is DivScale (4).
-	if got := rel.Cols[0].Data.Get(0); got != 550*10000 {
+	if got := rel.Col(0).Get(0); got != 550*10000 {
 		t.Fatalf("ratio = %d", got)
 	}
 }

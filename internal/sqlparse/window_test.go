@@ -41,12 +41,12 @@ func TestWindowEndToEnd(t *testing.T) {
 	maxPrice := map[int64]int64{}
 	rnOne := map[int64]int64{}
 	for i := 0; i < rel.Rows(); i++ {
-		qty := rel.Cols[1].Data.Get(i)
-		price := rel.Cols[2].Data.Get(i)
+		qty := rel.Col(1).Get(i)
+		price := rel.Col(2).Get(i)
 		if price > maxPrice[qty] {
 			maxPrice[qty] = price
 		}
-		if rel.Cols[3].Data.Get(i) == 1 {
+		if rel.Col(3).Get(i) == 1 {
 			rnOne[qty] = price
 		}
 	}
@@ -65,12 +65,12 @@ func TestWindowTotalSum(t *testing.T) {
 	// Per category, the window total must equal the sum of qty.
 	sums := map[int64]int64{}
 	for i := 0; i < rel.Rows(); i++ {
-		sums[rel.Cols[0].Data.Get(i)] += rel.Cols[1].Data.Get(i)
+		sums[rel.Col(0).Get(i)] += rel.Col(1).Get(i)
 	}
 	for i := 0; i < rel.Rows(); i++ {
-		c := rel.Cols[0].Data.Get(i)
-		if rel.Cols[2].Data.Get(i) != sums[c] {
-			t.Fatalf("cat %d: window total %d, want %d", c, rel.Cols[2].Data.Get(i), sums[c])
+		c := rel.Col(0).Get(i)
+		if rel.Col(2).Get(i) != sums[c] {
+			t.Fatalf("cat %d: window total %d, want %d", c, rel.Col(2).Get(i), sums[c])
 		}
 	}
 }
@@ -83,7 +83,7 @@ func TestWindowCumSum(t *testing.T) {
 	// Running sum must be nondecreasing in id order within the single
 	// category (qty >= 1 always).
 	for i := 1; i < rel.Rows(); i++ {
-		if rel.Cols[1].Data.Get(i) <= rel.Cols[1].Data.Get(i-1) {
+		if rel.Col(1).Get(i) <= rel.Col(1).Get(i-1) {
 			t.Fatalf("running sum not increasing at row %d", i)
 		}
 	}

@@ -216,7 +216,7 @@ func TestQ1Shape(t *testing.T) {
 	// avg_qty between 1 and 50 at scale 2 (100..5000).
 	avgIdx := 6
 	for i := 0; i < res.Rel.Rows(); i++ {
-		v := res.Rel.Cols[avgIdx].Data.Get(i)
+		v := res.Rel.Col(avgIdx).Get(i)
 		if v < 100 || v > 5000 {
 			t.Fatalf("avg_qty out of range: %d", v)
 		}
@@ -243,7 +243,7 @@ func TestQ6ReferenceValue(t *testing.T) {
 			want += price * disc         // scale 4
 		}
 	}
-	if got := res.Rel.Cols[0].Data.Get(0); got != want {
+	if got := res.Rel.Col(0).Get(0); got != want {
 		t.Fatalf("Q6 revenue = %d, want %d", got, want)
 	}
 }

@@ -440,7 +440,7 @@ func (r *Result) ColumnNames() []string {
 func (r *Result) Get(row, col int) string { return r.r.Rel.Render(row, col) }
 
 // GetInt returns the raw encoded integer of cell (row, col).
-func (r *Result) GetInt(row, col int) int64 { return r.r.Rel.Cols[col].Data.Get(row) }
+func (r *Result) GetInt(row, col int) int64 { return r.r.Rel.Get(row, col) }
 
 // Offloaded reports whether the query ran on RAPID.
 func (r *Result) Offloaded() bool { return r.r.Offloaded }
