@@ -2,6 +2,7 @@ package sqlparse
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -33,19 +34,97 @@ type binder struct {
 
 // tableScope tracks one FROM table during binding.
 type tableScope struct {
-	alias   string
-	table   *storage.Table
-	colIdxs []int // table columns included in the scan
-	node    plan.Node
-	rows    int64
+	alias string
+	table *storage.Table
+	node  plan.Node
+	rows  int64
 }
 
-// scope is the evolving output schema during join construction: for every
-// position, the originating alias and column name.
+// scopeCol is one position of a row scope: the originating alias and column
+// name, and the field it carries.
 type scopeCol struct {
 	alias string
 	name  string
 	field plan.Field
+}
+
+// ref is a reference to the scope column at position idx.
+func (c *scopeCol) ref(idx int) *plan.ColRef {
+	return &plan.ColRef{Idx: idx, Name: c.name, T: c.field.Type, Dict: c.field.Dict}
+}
+
+// resolver is a scope's meaning for the two leaves whose binding depends on
+// where an expression sits: a column reference and a function call. The one
+// expression binder (bindExpr, bindPred) takes it. Below a GROUP BY
+// (rowScope) a column is an input position and a call is an error; above it
+// (groupScope) a column is a group key and a call its aggregate; above the
+// window columns (windowScope) a window call is its column.
+type resolver interface {
+	column(*ColName) (plan.Expr, error)
+	call(*FuncExpr) (plan.Expr, error)
+}
+
+// rowScope is the evolving row schema during join construction, position by
+// position.
+type rowScope []scopeCol
+
+func (s rowScope) column(c *ColName) (plan.Expr, error) {
+	idx, sc, err := s.lookup(c)
+	if err != nil {
+		return nil, err
+	}
+	return sc.ref(idx), nil
+}
+
+func (rowScope) call(f *FuncExpr) (plan.Expr, error) {
+	return nil, fmt.Errorf("sqlparse: aggregate %s outside aggregation context", f.Name)
+}
+
+// groupScope is the output of a GROUP BY: its keys, then its aggregates.
+type groupScope struct {
+	in     rowScope          // the GROUP BY's input
+	keyOf  map[string]int    // "alias.name", and ".name" when grouped unqualified -> key position
+	aggPos map[*FuncExpr]int // collected aggregate call -> output position
+	out    []plan.Field
+}
+
+func (g *groupScope) column(c *ColName) (plan.Expr, error) {
+	_, sc, err := g.in.lookup(c)
+	if err != nil {
+		return nil, err
+	}
+	k, ok := g.keyOf[sc.alias+"."+sc.name]
+	if !ok {
+		k, ok = g.keyOf["."+sc.name]
+	}
+	if !ok {
+		return nil, fmt.Errorf("sqlparse: column %s not in GROUP BY", sc.name)
+	}
+	return &plan.ColRef{Idx: k, Name: sc.name, T: g.out[k].Type, Dict: g.out[k].Dict}, nil
+}
+
+func (g *groupScope) call(f *FuncExpr) (plan.Expr, error) {
+	pos, ok := g.aggPos[f]
+	if !ok {
+		return nil, fmt.Errorf("sqlparse: aggregate not collected")
+	}
+	return &plan.ColRef{Idx: pos, Name: g.out[pos].Name, T: g.out[pos].Type}, nil
+}
+
+// windowScope is a row scope extended by the columns its plan.Window nodes
+// appended: a top-level window call resolves to its column.
+type windowScope struct {
+	rowScope
+	at  map[*FuncExpr]int // window call -> appended column position
+	out []plan.Field
+}
+
+func (w windowScope) call(f *FuncExpr) (plan.Expr, error) {
+	idx, ok := w.at[f]
+	if !ok {
+		return w.rowScope.call(f)
+	}
+	return &plan.ColRef{Idx: idx, Name: strings.ToLower(f.Name), T: w.out[idx].Type}, nil
 }
 
 func (b *binder) bindSelect(stmt *SelectStmt) (plan.Node, error) {
@@ -91,12 +170,12 @@ func (b *binder) bindSelect(stmt *SelectStmt) (plan.Node, error) {
 		}
 	}
 
-	classify := func(p AstPred, fromJoinOn string, joinAlias string) error {
+	classify := func(p AstPred, fromJoinOn string) {
 		if in, ok := p.(*InP); ok && in.Sub != nil {
 			semis = append(semis, in)
-			return nil
+			return
 		}
-		aliases := b.predAliases(p, scopes)
+		aliases := predAliases(p, scopes)
 		switch len(aliases) {
 		case 0:
 			residual = append(residual, p) // constant predicate
@@ -116,41 +195,35 @@ func (b *binder) bindSelect(stmt *SelectStmt) (plan.Node, error) {
 				lcol, lok := cp.L.(*ColName)
 				rcol, rok := cp.R.(*ColName)
 				if lok && rok {
-					la, lc := b.resolveAlias(lcol, scopes)
-					ra, rc := b.resolveAlias(rcol, scopes)
+					la, lc := resolveAlias(lcol, scopes)
+					ra, rc := resolveAlias(rcol, scopes)
 					if la != "" && ra != "" && la != ra {
 						edges = append(edges, joinEdge{la: la, ra: ra, lc: lc, rc: rc, leftKind: fromJoinOn})
-						return nil
+						return
 					}
 				}
 			}
-			residual = append(residual, p)
+			fallthrough
 		default:
 			residual = append(residual, p)
 		}
-		return nil
 	}
 	for _, c := range conjuncts {
-		if err := classify(c, "", ""); err != nil {
-			return nil, err
-		}
+		classify(c, "")
 	}
 	for _, j := range stmt.Joins {
 		var onConj []AstPred
 		flattenAnd(j.On, &onConj)
 		for _, c := range onConj {
-			if err := classify(c, j.Kind, j.Table.Alias); err != nil {
-				return nil, err
-			}
+			classify(c, j.Kind)
 		}
 	}
 
 	// Per-table filters.
-	for alias, preds := range perTable {
-		sc := scopeOf(scopes, alias)
+	for _, sc := range scopes {
 		cols := scopeColsOf(sc)
-		for _, p := range preds {
-			bp, err := b.bindPred(p, cols)
+		for _, p := range perTable[sc.alias] {
+			bp, err := bindPred(p, cols)
 			if err != nil {
 				return nil, err
 			}
@@ -179,7 +252,7 @@ func (b *binder) bindSelect(stmt *SelectStmt) (plan.Node, error) {
 		if !ok {
 			return nil, fmt.Errorf("sqlparse: IN subquery needs a column on the left")
 		}
-		idx, _, err := lookupCol(curCols, col)
+		idx, _, err := curCols.lookup(col)
 		if err != nil {
 			return nil, err
 		}
@@ -192,7 +265,7 @@ func (b *binder) bindSelect(stmt *SelectStmt) (plan.Node, error) {
 
 	// Residual predicates.
 	for _, p := range residual {
-		bp, err := b.bindPred(p, curCols)
+		bp, err := bindPred(p, curCols)
 		if err != nil {
 			return nil, err
 		}
@@ -203,43 +276,30 @@ func (b *binder) bindSelect(stmt *SelectStmt) (plan.Node, error) {
 	hasAgg := stmt.GroupBy != nil || stmt.Having != nil
 	hasWindow := false
 	for _, item := range stmt.Select {
-		if item.Star {
-			continue
-		}
-		if containsAgg(item.Expr) {
-			hasAgg = true
-		}
-		if containsWindow(item.Expr) {
-			hasWindow = true
-		}
+		agg, win := calls(item.Expr)
+		hasAgg = hasAgg || agg
+		hasWindow = hasWindow || win
 	}
 	if hasAgg && hasWindow {
 		return nil, fmt.Errorf("sqlparse: window functions cannot be combined with aggregation")
 	}
 
 	var outNode plan.Node
-	var outNames []string
 	switch {
 	case hasWindow:
-		outNode, outNames, err = b.bindWindows(stmt, cur, curCols)
-		if err != nil {
-			return nil, err
-		}
+		outNode, err = bindWindows(stmt, cur, curCols)
 	case hasAgg:
-		outNode, outNames, err = b.bindAggregate(stmt, cur, curCols)
-		if err != nil {
-			return nil, err
-		}
+		outNode, err = bindAggregate(stmt, cur, curCols)
 	default:
-		outNode, outNames, err = b.bindProjection(stmt, cur, curCols)
-		if err != nil {
-			return nil, err
-		}
+		outNode, err = project(stmt.Select, cur, curCols)
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	// ORDER BY over the output schema.
 	if len(stmt.OrderBy) > 0 {
-		items, err := b.bindOrderBy(stmt.OrderBy, outNode, outNames)
+		items, err := bindOrderBy(stmt.OrderBy, outNode)
 		if err != nil {
 			return nil, err
 		}
@@ -257,16 +317,17 @@ func (b *binder) resolveTables(stmt *SelectStmt) ([]*tableScope, error) {
 	for _, j := range stmt.Joins {
 		refs = append(refs, j.Table)
 	}
-	// Referenced columns by alias (or unqualified).
-	used := map[string]map[string]bool{}
-	addCol := func(c *ColName) {
-		key := c.Table
-		if used[key] == nil {
-			used[key] = map[string]bool{}
+	// Referenced columns, as written (qualified or not); SELECT * needs all.
+	used := map[ColName]bool{}
+	walkStmt(stmt, func(n any) {
+		if c, ok := n.(*ColName); ok {
+			used[*c] = true
 		}
-		used[key][c.Name] = true
+	})
+	star := false
+	for _, item := range stmt.Select {
+		star = star || item.Star
 	}
-	walkStmtCols(stmt, addCol)
 
 	scopes := make([]*tableScope, 0, len(refs))
 	seen := map[string]bool{}
@@ -279,61 +340,19 @@ func (b *binder) resolveTables(stmt *SelectStmt) ([]*tableScope, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Prune: include columns referenced by alias, plus unqualified
-		// names that exist in this table.
+		// Prune to the columns referenced by alias, by table name or
+		// unqualified, in table order; nil (nothing referenced, or SELECT *)
+		// scans everything.
 		var cols []int
-		include := func(name string) {
-			idx := tbl.Schema().ColIndex(name)
-			if idx < 0 {
-				return
+		for i := 0; !star && i < tbl.Schema().NumCols(); i++ {
+			name := tbl.Schema().Col(i).Name
+			if used[ColName{Table: r.Alias, Name: name}] || used[ColName{Table: r.Name, Name: name}] ||
+				used[ColName{Name: name}] {
+				cols = append(cols, i)
 			}
-			for _, c := range cols {
-				if c == idx {
-					return
-				}
-			}
-			cols = append(cols, idx)
-		}
-		for name := range used[r.Alias] {
-			include(name)
-		}
-		if r.Alias != r.Name {
-			for name := range used[r.Name] {
-				include(name)
-			}
-		}
-		for name := range used[""] {
-			include(name)
-		}
-		if len(cols) == 0 {
-			// SELECT * or nothing referenced: scan everything.
-			cols = nil
 		}
 		scan := plan.NewScan(tbl, b.scn, cols)
-		sc := &tableScope{alias: r.Alias, table: tbl, node: scan, rows: int64(tbl.Rows())}
-		if cols == nil {
-			sc.colIdxs = make([]int, tbl.Schema().NumCols())
-			for i := range sc.colIdxs {
-				sc.colIdxs[i] = i
-			}
-		} else {
-			sc.colIdxs = cols
-		}
-		scopes = append(scopes, sc)
-	}
-	// SELECT * support requires all columns.
-	for _, item := range stmt.Select {
-		if item.Star {
-			for _, sc := range scopes {
-				all := make([]int, sc.table.Schema().NumCols())
-				for i := range all {
-					all[i] = i
-				}
-				sc.colIdxs = all
-				sc.node = plan.NewScan(sc.table, b.scn, nil)
-			}
-			break
-		}
+		scopes = append(scopes, &tableScope{alias: r.Alias, table: tbl, node: scan, rows: int64(tbl.Rows())})
 	}
 	return scopes, nil
 }
@@ -347,9 +366,9 @@ func scopeOf(scopes []*tableScope, alias string) *tableScope {
 	return nil
 }
 
-func scopeColsOf(sc *tableScope) []scopeCol {
+func scopeColsOf(sc *tableScope) rowScope {
 	fs := sc.node.Schema()
-	cols := make([]scopeCol, len(fs))
+	cols := make(rowScope, len(fs))
 	for i, f := range fs {
 		cols[i] = scopeCol{alias: sc.alias, name: f.Name, field: f}
 	}
@@ -364,7 +383,7 @@ type joinEdge struct {
 }
 
 // buildJoinTree folds the tables into a left-deep join tree.
-func (b *binder) buildJoinTree(stmt *SelectStmt, scopes []*tableScope, edges []joinEdge) (plan.Node, []scopeCol, error) {
+func (b *binder) buildJoinTree(stmt *SelectStmt, scopes []*tableScope, edges []joinEdge) (plan.Node, rowScope, error) {
 	if len(scopes) == 1 {
 		return scopes[0].node, scopeColsOf(scopes[0]), nil
 	}
@@ -462,11 +481,11 @@ func (b *binder) buildJoinTree(stmt *SelectStmt, scopes []*tableScope, edges []j
 			if e.leftKind == "LEFT" {
 				kind = plan.LeftOuterJoin
 			}
-			li, _, err := lookupCol(curCols, &ColName{Table: curAlias, Name: curCol})
+			li, _, err := curCols.lookup(&ColName{Table: curAlias, Name: curCol})
 			if err != nil {
 				return nil, nil, err
 			}
-			ri, _, err := lookupCol(nextCols, &ColName{Table: bestAlias, Name: nextCol})
+			ri, _, err := nextCols.lookup(&ColName{Table: bestAlias, Name: nextCol})
 			if err != nil {
 				return nil, nil, err
 			}
@@ -484,59 +503,70 @@ func (b *binder) buildJoinTree(stmt *SelectStmt, scopes []*tableScope, edges []j
 	return cur, curCols, nil
 }
 
-// bindProjection builds the non-aggregate SELECT output.
-func (b *binder) bindProjection(stmt *SelectStmt, input plan.Node, cols []scopeCol) (plan.Node, []string, error) {
+// project binds the SELECT list through r into the output projection; a star
+// expands to every column of a row scope.
+func project(items []SelectItem, input plan.Node, r resolver) (plan.Node, error) {
 	var exprs []plan.Expr
 	var names []string
-	for _, item := range stmt.Select {
+	for _, item := range items {
 		if item.Star {
-			for i, c := range cols {
-				exprs = append(exprs, &plan.ColRef{Idx: i, Name: c.name, T: c.field.Type, Dict: c.field.Dict})
-				names = append(names, c.name)
+			cols, ok := r.(rowScope)
+			if !ok {
+				return nil, fmt.Errorf("sqlparse: SELECT * with aggregate or window functions")
+			}
+			for i := range cols {
+				exprs = append(exprs, cols[i].ref(i))
+				names = append(names, cols[i].name)
 			}
 			continue
 		}
-		e, err := b.bindExpr(item.Expr, cols)
+		e, err := bindExpr(item.Expr, r)
 		if err != nil {
-			return nil, nil, err
-		}
-		name := item.As
-		if name == "" {
-			if c, ok := item.Expr.(*ColName); ok {
-				name = c.Name
-			} else {
-				name = e.String()
-			}
+			return nil, err
 		}
 		exprs = append(exprs, e)
-		names = append(names, name)
+		names = append(names, outName(item, e))
 	}
-	return &plan.Project{Input: input, Exprs: exprs, Names: names}, names, nil
+	return &plan.Project{Input: input, Exprs: exprs, Names: names}, nil
+}
+
+// outName is a SELECT item's output column name: its alias, else the
+// column's name, the call's lower-cased name, or the bound expression e.
+func outName(item SelectItem, e plan.Expr) string {
+	if item.As != "" {
+		return item.As
+	}
+	switch ex := item.Expr.(type) {
+	case *ColName:
+		return ex.Name
+	case *FuncExpr:
+		return strings.ToLower(ex.Name)
+	}
+	return e.String()
 }
 
 // bindWindows lowers windowed SELECT items: each OVER call appends one
 // plan.Window column to the input, and a final projection selects the
 // output order. Window arguments, PARTITION BY and ORDER BY must be plain
 // columns.
-func (b *binder) bindWindows(stmt *SelectStmt, input plan.Node, cols []scopeCol) (plan.Node, []string, error) {
+func bindWindows(stmt *SelectStmt, input plan.Node, cols rowScope) (plan.Node, error) {
 	cur := input
-	baseCols := len(cols)
 	winIdx := map[*FuncExpr]int{} // window call -> appended column index
-	next := baseCols
+	next := len(cols)
 
 	colIdx := func(e AstExpr) (int, error) {
 		cn, ok := e.(*ColName)
 		if !ok {
 			return 0, fmt.Errorf("sqlparse: window clauses support plain columns only")
 		}
-		idx, _, err := lookupCol(cols, cn)
+		idx, _, err := cols.lookup(cn)
 		return idx, err
 	}
 	for _, item := range stmt.Select {
 		f, ok := item.Expr.(*FuncExpr)
 		if !ok || f.Over == nil {
-			if containsWindow(item.Expr) {
-				return nil, nil, fmt.Errorf("sqlparse: window calls must be top-level SELECT items")
+			if _, nested := calls(item.Expr); nested {
+				return nil, fmt.Errorf("sqlparse: window calls must be top-level SELECT items")
 			}
 			continue
 		}
@@ -556,23 +586,23 @@ func (b *binder) bindWindows(stmt *SelectStmt, input plan.Node, cols []scopeCol)
 			}
 			vc, err := colIdx(f.Arg)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			w.ValueCol = vc
 		default:
-			return nil, nil, fmt.Errorf("sqlparse: unsupported window function %s", f.Name)
+			return nil, fmt.Errorf("sqlparse: unsupported window function %s", f.Name)
 		}
 		for _, p := range f.Over.PartitionBy {
 			idx, err := colIdx(p)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			w.PartitionBy = append(w.PartitionBy, idx)
 		}
 		for _, o := range f.Over.OrderBy {
 			idx, err := colIdx(o.Expr)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			w.OrderBy = append(w.OrderBy, plan.SortItem{Col: idx, Desc: o.Desc})
 		}
@@ -582,226 +612,88 @@ func (b *binder) bindWindows(stmt *SelectStmt, input plan.Node, cols []scopeCol)
 	}
 
 	// Final projection in SELECT order.
-	schema := cur.Schema()
-	var exprs []plan.Expr
-	var names []string
-	for _, item := range stmt.Select {
-		if item.Star {
-			return nil, nil, fmt.Errorf("sqlparse: SELECT * with window functions")
-		}
-		name := item.As
-		if f, ok := item.Expr.(*FuncExpr); ok && f.Over != nil {
-			idx := winIdx[f]
-			if name == "" {
-				name = strings.ToLower(f.Name)
-			}
-			exprs = append(exprs, &plan.ColRef{Idx: idx, Name: name, T: schema[idx].Type})
-			names = append(names, name)
-			continue
-		}
-		e, err := b.bindExpr(item.Expr, cols)
-		if err != nil {
-			return nil, nil, err
-		}
-		if name == "" {
-			if c, ok := item.Expr.(*ColName); ok {
-				name = c.Name
-			} else {
-				name = e.String()
-			}
-		}
-		exprs = append(exprs, e)
-		names = append(names, name)
-	}
-	return &plan.Project{Input: cur, Exprs: exprs, Names: names}, names, nil
+	return project(stmt.Select, cur, windowScope{rowScope: cols, at: winIdx, out: cur.Schema()})
 }
 
 // bindAggregate builds GroupBy + post-projection (+ HAVING).
-func (b *binder) bindAggregate(stmt *SelectStmt, input plan.Node, cols []scopeCol) (plan.Node, []string, error) {
+func bindAggregate(stmt *SelectStmt, input plan.Node, cols rowScope) (plan.Node, error) {
+	g := &groupScope{in: cols, keyOf: map[string]int{}, aggPos: map[*FuncExpr]int{}}
 	// Group keys.
 	var keys []plan.Expr
-	keyOf := map[string]int{} // "alias.name" -> key index
-	for _, g := range stmt.GroupBy {
-		cn, ok := g.(*ColName)
+	for _, e := range stmt.GroupBy {
+		cn, ok := e.(*ColName)
 		if !ok {
-			return nil, nil, fmt.Errorf("sqlparse: GROUP BY supports plain columns only")
+			return nil, fmt.Errorf("sqlparse: GROUP BY supports plain columns only")
 		}
-		idx, sc, err := lookupCol(cols, cn)
+		idx, sc, err := cols.lookup(cn)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		keyOf[sc.alias+"."+sc.name] = len(keys)
+		g.keyOf[sc.alias+"."+sc.name] = len(keys)
 		if cn.Table == "" {
-			keyOf["."+sc.name] = len(keys)
+			g.keyOf["."+sc.name] = len(keys)
 		}
-		keys = append(keys, &plan.ColRef{Idx: idx, Name: sc.name, T: sc.field.Type, Dict: sc.field.Dict})
+		keys = append(keys, sc.ref(idx))
 	}
 
-	// Collect aggregates from SELECT, HAVING and ORDER BY.
+	// Collect the aggregate calls of SELECT and HAVING, arguments bound
+	// against the input.
 	var aggs []plan.AggExpr
-	aggIdx := map[*FuncExpr]int{}
-	addAgg := func(f *FuncExpr) error {
-		if _, done := aggIdx[f]; done {
-			return nil
+	var err error
+	collect := func(n any) {
+		f, ok := n.(*FuncExpr)
+		if !ok || err != nil {
+			return
 		}
-		var arg plan.Expr
-		kind := map[string]plan.AggKind{
-			"SUM": plan.Sum, "AVG": plan.Avg, "MIN": plan.Min, "MAX": plan.Max, "COUNT": plan.Count,
-		}[f.Name]
+		if f.Over != nil {
+			err = fmt.Errorf("sqlparse: window functions cannot be combined with aggregation")
+			return
+		}
+		agg := plan.AggExpr{Kind: aggKinds[f.Name], Name: fmt.Sprintf("agg%d", len(aggs))}
 		if f.Star {
-			kind = plan.CountStar
-		} else {
-			var err error
-			arg, err = b.bindExpr(f.Arg, cols)
-			if err != nil {
-				return err
-			}
+			agg.Kind = plan.CountStar
+		} else if agg.Arg, err = bindExpr(f.Arg, cols); err != nil {
+			return
 		}
-		aggIdx[f] = len(aggs)
-		aggs = append(aggs, plan.AggExpr{Kind: kind, Arg: arg, Name: fmt.Sprintf("agg%d", len(aggs))})
-		return nil
-	}
-	var collect func(e AstExpr) error
-	collect = func(e AstExpr) error {
-		switch ex := e.(type) {
-		case *FuncExpr:
-			return addAgg(ex)
-		case *BinExpr:
-			if err := collect(ex.L); err != nil {
-				return err
-			}
-			return collect(ex.R)
-		case *CaseExpr:
-			if err := collect(ex.Then); err != nil {
-				return err
-			}
-			return collect(ex.Else)
-		}
-		return nil
+		g.aggPos[f] = len(keys) + len(aggs)
+		aggs = append(aggs, agg)
 	}
 	for _, item := range stmt.Select {
-		if item.Star {
-			return nil, nil, fmt.Errorf("sqlparse: SELECT * with aggregates")
-		}
-		if err := collect(item.Expr); err != nil {
-			return nil, nil, err
-		}
+		walkExpr(item.Expr, collect)
 	}
-	collectPredAggs(stmt.Having, func(f *FuncExpr) { _ = addAgg(f) })
-	for _, o := range stmt.OrderBy {
-		if err := collect(o.Expr); err != nil {
-			return nil, nil, err
-		}
+	walkPred(stmt.Having, collect)
+	if err != nil {
+		return nil, err
 	}
 
 	gb := &plan.GroupBy{Input: input, Keys: keys, Aggs: aggs}
-	gbSchema := gb.Schema()
-	// Post-agg scope: keys then aggs.
-	postCols := make([]scopeCol, len(gbSchema))
-	for i, f := range gbSchema {
-		postCols[i] = scopeCol{alias: "", name: f.Name, field: f}
-	}
-
-	// Bind a SELECT/HAVING expression against the post-agg schema: group
-	// key columns resolve to key positions, aggregates to agg positions.
-	var bindPost func(e AstExpr) (plan.Expr, error)
-	bindPost = func(e AstExpr) (plan.Expr, error) {
-		switch ex := e.(type) {
-		case *FuncExpr:
-			i, ok := aggIdx[ex]
-			if !ok {
-				return nil, fmt.Errorf("sqlparse: aggregate not collected")
-			}
-			pos := len(keys) + i
-			return &plan.ColRef{Idx: pos, Name: gbSchema[pos].Name, T: gbSchema[pos].Type}, nil
-		case *ColName:
-			idx, sc, err := lookupCol(cols, ex)
-			if err != nil {
-				return nil, err
-			}
-			_ = idx
-			k, ok := keyOf[sc.alias+"."+sc.name]
-			if !ok {
-				k, ok = keyOf["."+sc.name]
-			}
-			if !ok {
-				return nil, fmt.Errorf("sqlparse: column %s not in GROUP BY", sc.name)
-			}
-			return &plan.ColRef{Idx: k, Name: sc.name, T: gbSchema[k].Type, Dict: gbSchema[k].Dict}, nil
-		case *NumLit:
-			return bindNum(ex)
-		case *DateLit:
-			return &plan.Const{T: coltypes.Date(), Val: ex.Days}, nil
-		case *BinExpr:
-			l, err := bindPost(ex.L)
-			if err != nil {
-				return nil, err
-			}
-			r, err := bindPost(ex.R)
-			if err != nil {
-				return nil, err
-			}
-			return plan.NewArith(arithOp(ex.Op), l, r)
-		case *CaseExpr:
-			return nil, fmt.Errorf("sqlparse: CASE over aggregates unsupported")
-		}
-		return nil, fmt.Errorf("sqlparse: unsupported post-aggregate expression %T", e)
-	}
-
+	g.out = gb.Schema()
 	var node plan.Node = gb
 	// HAVING.
 	if stmt.Having != nil {
-		hp, err := b.bindPredWith(stmt.Having, postCols, bindPost)
+		hp, err := bindPred(stmt.Having, g)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		node = &plan.Filter{Input: node, Pred: hp}
 	}
-	// Output projection in SELECT order.
-	var exprs []plan.Expr
-	var names []string
-	for _, item := range stmt.Select {
-		e, err := bindPost(item.Expr)
-		if err != nil {
-			return nil, nil, err
-		}
-		name := item.As
-		if name == "" {
-			if c, ok := item.Expr.(*ColName); ok {
-				name = c.Name
-			} else if f, ok := item.Expr.(*FuncExpr); ok {
-				name = strings.ToLower(f.Name)
-			} else {
-				name = e.String()
-			}
-		}
-		exprs = append(exprs, e)
-		names = append(names, name)
-	}
-	return &plan.Project{Input: node, Exprs: exprs, Names: names}, names, nil
+	return project(stmt.Select, node, g)
 }
 
-func (b *binder) bindOrderBy(items []OrderItem, node plan.Node, outNames []string) ([]plan.SortItem, error) {
+var aggKinds = map[string]plan.AggKind{
+	"SUM": plan.Sum, "AVG": plan.Avg, "MIN": plan.Min, "MAX": plan.Max, "COUNT": plan.Count,
+}
+
+// bindOrderBy resolves ORDER BY terms to output columns, by name or by
+// 1-based position.
+func bindOrderBy(items []OrderItem, node plan.Node) ([]plan.SortItem, error) {
 	schema := node.Schema()
 	out := make([]plan.SortItem, len(items))
 	for i, it := range items {
 		idx := -1
 		switch e := it.Expr.(type) {
 		case *ColName:
-			for j, n := range outNames {
-				if n == e.Name {
-					idx = j
-					break
-				}
-			}
-			if idx < 0 {
-				for j, f := range schema {
-					if f.Name == e.Name {
-						idx = j
-						break
-					}
-				}
-			}
+			idx = slices.IndexFunc(schema, func(f plan.Field) bool { return f.Name == e.Name })
 		case *NumLit:
 			p, err := strconv.Atoi(e.Text)
 			if err == nil && p >= 1 && p <= len(schema) {
@@ -818,14 +710,14 @@ func (b *binder) bindOrderBy(items []OrderItem, node plan.Node, outNames []strin
 
 // --- expression/predicate binding -------------------------------------------
 
-func (b *binder) bindExpr(e AstExpr, cols []scopeCol) (plan.Expr, error) {
+// bindExpr is the one expression binder: r resolves the column references
+// and function calls, everything else binds the same in every scope.
+func bindExpr(e AstExpr, r resolver) (plan.Expr, error) {
 	switch ex := e.(type) {
 	case *ColName:
-		idx, sc, err := lookupCol(cols, ex)
-		if err != nil {
-			return nil, err
-		}
-		return &plan.ColRef{Idx: idx, Name: sc.name, T: sc.field.Type, Dict: sc.field.Dict}, nil
+		return r.column(ex)
+	case *FuncExpr:
+		return r.call(ex)
 	case *NumLit:
 		return bindNum(ex)
 	case *StrLit:
@@ -833,31 +725,29 @@ func (b *binder) bindExpr(e AstExpr, cols []scopeCol) (plan.Expr, error) {
 	case *DateLit:
 		return &plan.Const{T: coltypes.Date(), Val: ex.Days}, nil
 	case *BinExpr:
-		l, err := b.bindExpr(ex.L, cols)
+		l, err := bindExpr(ex.L, r)
 		if err != nil {
 			return nil, err
 		}
-		r, err := b.bindExpr(ex.R, cols)
+		right, err := bindExpr(ex.R, r)
 		if err != nil {
 			return nil, err
 		}
-		return plan.NewArith(arithOp(ex.Op), l, r)
+		return plan.NewArith(arithOp(ex.Op), l, right)
 	case *CaseExpr:
-		cond, err := b.bindPred(ex.Cond, cols)
+		cond, err := bindPred(ex.Cond, r)
 		if err != nil {
 			return nil, err
 		}
-		thenE, err := b.bindExpr(ex.Then, cols)
+		thenE, err := bindExpr(ex.Then, r)
 		if err != nil {
 			return nil, err
 		}
-		elseE, err := b.bindExpr(ex.Else, cols)
+		elseE, err := bindExpr(ex.Else, r)
 		if err != nil {
 			return nil, err
 		}
 		return plan.NewCase(cond, thenE, elseE)
-	case *FuncExpr:
-		return nil, fmt.Errorf("sqlparse: aggregate %s outside aggregation context", ex.Name)
 	}
 	return nil, fmt.Errorf("sqlparse: unsupported expression %T", e)
 }
@@ -874,34 +764,28 @@ func bindNum(n *NumLit) (plan.Expr, error) {
 	return &plan.Const{T: t, Val: d.Unscaled}, nil
 }
 
-func (b *binder) bindPred(p AstPred, cols []scopeCol) (plan.Pred, error) {
-	return b.bindPredWith(p, cols, func(e AstExpr) (plan.Expr, error) {
-		return b.bindExpr(e, cols)
-	})
-}
-
-func (b *binder) bindPredWith(p AstPred, cols []scopeCol, bindE func(AstExpr) (plan.Expr, error)) (plan.Pred, error) {
+func bindPred(p AstPred, r resolver) (plan.Pred, error) {
 	switch pr := p.(type) {
 	case *CmpPred:
-		l, err := bindE(pr.L)
+		l, err := bindExpr(pr.L, r)
 		if err != nil {
 			return nil, err
 		}
-		r, err := bindE(pr.R)
+		right, err := bindExpr(pr.R, r)
 		if err != nil {
 			return nil, err
 		}
-		return &plan.Cmp{Op: cmpOpOf(pr.Op), L: l, R: r}, nil
+		return &plan.Cmp{Op: cmpOpOf(pr.Op), L: l, R: right}, nil
 	case *BetweenP:
-		e, err := bindE(pr.E)
+		e, err := bindExpr(pr.E, r)
 		if err != nil {
 			return nil, err
 		}
-		lo, err := bindE(pr.Lo)
+		lo, err := bindExpr(pr.Lo, r)
 		if err != nil {
 			return nil, err
 		}
-		hi, err := bindE(pr.Hi)
+		hi, err := bindExpr(pr.Hi, r)
 		if err != nil {
 			return nil, err
 		}
@@ -910,13 +794,13 @@ func (b *binder) bindPredWith(p AstPred, cols []scopeCol, bindE func(AstExpr) (p
 		if pr.Sub != nil {
 			return nil, fmt.Errorf("sqlparse: IN subquery in unsupported position")
 		}
-		e, err := bindE(pr.E)
+		e, err := bindExpr(pr.E, r)
 		if err != nil {
 			return nil, err
 		}
 		var list []*plan.Const
 		for _, item := range pr.List {
-			be, err := bindE(item)
+			be, err := bindExpr(item, r)
 			if err != nil {
 				return nil, err
 			}
@@ -932,7 +816,7 @@ func (b *binder) bindPredWith(p AstPred, cols []scopeCol, bindE func(AstExpr) (p
 		}
 		return out, nil
 	case *LikeP:
-		e, err := bindE(pr.E)
+		e, err := bindExpr(pr.E, r)
 		if err != nil {
 			return nil, err
 		}
@@ -943,7 +827,7 @@ func (b *binder) bindPredWith(p AstPred, cols []scopeCol, bindE func(AstExpr) (p
 		// expressions are total), so IS NULL is constant false and
 		// IS NOT NULL constant true. Still bind the operand so invalid
 		// column references are rejected.
-		if _, err := bindE(pr.E); err != nil {
+		if _, err := bindExpr(pr.E, r); err != nil {
 			return nil, err
 		}
 		op := plan.NE // IS NULL: never true
@@ -955,7 +839,7 @@ func (b *binder) bindPredWith(p AstPred, cols []scopeCol, bindE func(AstExpr) (p
 	case *AndP:
 		out := &plan.AndPred{}
 		for _, s := range pr.Preds {
-			bs, err := b.bindPredWith(s, cols, bindE)
+			bs, err := bindPred(s, r)
 			if err != nil {
 				return nil, err
 			}
@@ -965,7 +849,7 @@ func (b *binder) bindPredWith(p AstPred, cols []scopeCol, bindE func(AstExpr) (p
 	case *OrP:
 		out := &plan.OrPred{}
 		for _, s := range pr.Preds {
-			bs, err := b.bindPredWith(s, cols, bindE)
+			bs, err := bindPred(s, r)
 			if err != nil {
 				return nil, err
 			}
@@ -973,7 +857,7 @@ func (b *binder) bindPredWith(p AstPred, cols []scopeCol, bindE func(AstExpr) (p
 		}
 		return out, nil
 	case *NotP:
-		inner, err := b.bindPredWith(pr.P, cols, bindE)
+		inner, err := bindPred(pr.P, r)
 		if err != nil {
 			return nil, err
 		}
@@ -1014,110 +898,23 @@ func flattenAnd(p AstPred, out *[]AstPred) {
 	*out = append(*out, p)
 }
 
-// predAliases returns the distinct table aliases a predicate references.
-func (b *binder) predAliases(p AstPred, scopes []*tableScope) []string {
-	set := map[string]bool{}
-	var walkE func(e AstExpr)
-	walkE = func(e AstExpr) {
-		switch ex := e.(type) {
-		case *ColName:
-			if a, _ := b.resolveAlias(ex, scopes); a != "" {
-				set[a] = true
-			}
-		case *BinExpr:
-			walkE(ex.L)
-			walkE(ex.R)
-		case *CaseExpr:
-			walkE(ex.Then)
-			walkE(ex.Else)
-			walkP(ex.Cond, walkE)
-		}
-	}
-	walkP(p, walkE)
-	out := make([]string, 0, len(set))
-	for a := range set {
-		out = append(out, a)
-	}
-	return out
-}
-
-func walkP(p AstPred, walkE func(AstExpr)) {
-	switch pr := p.(type) {
-	case *CmpPred:
-		walkE(pr.L)
-		walkE(pr.R)
-	case *BetweenP:
-		walkE(pr.E)
-		walkE(pr.Lo)
-		walkE(pr.Hi)
-	case *InP:
-		walkE(pr.E)
-		for _, i := range pr.List {
-			walkE(i)
-		}
-	case *LikeP:
-		walkE(pr.E)
-	case *IsNullP:
-		walkE(pr.E)
-	case *AndP:
-		for _, s := range pr.Preds {
-			walkP(s, walkE)
-		}
-	case *OrP:
-		for _, s := range pr.Preds {
-			walkP(s, walkE)
-		}
-	case *NotP:
-		walkP(pr.P, walkE)
-	}
-}
-
-func collectPredAggs(p AstPred, add func(*FuncExpr)) {
-	if p == nil {
-		return
-	}
-	walkP(p, func(e AstExpr) {
-		var walk func(AstExpr)
-		walk = func(e AstExpr) {
-			switch ex := e.(type) {
-			case *FuncExpr:
-				add(ex)
-			case *BinExpr:
-				walk(ex.L)
-				walk(ex.R)
+// predAliases returns the distinct table aliases a predicate references, in
+// order of first reference.
+func predAliases(p AstPred, scopes []*tableScope) []string {
+	var out []string
+	walkPred(p, func(n any) {
+		if c, ok := n.(*ColName); ok {
+			if a, _ := resolveAlias(c, scopes); a != "" && !slices.Contains(out, a) {
+				out = append(out, a)
 			}
 		}
-		walk(e)
 	})
-}
-
-func containsAgg(e AstExpr) bool {
-	switch ex := e.(type) {
-	case *FuncExpr:
-		return ex.Over == nil // windowed calls are not aggregates
-	case *BinExpr:
-		return containsAgg(ex.L) || containsAgg(ex.R)
-	case *CaseExpr:
-		return containsAgg(ex.Then) || containsAgg(ex.Else)
-	}
-	return false
-}
-
-func containsWindow(e AstExpr) bool {
-	switch ex := e.(type) {
-	case *FuncExpr:
-		return ex.Over != nil
-	case *BinExpr:
-		return containsWindow(ex.L) || containsWindow(ex.R)
-	case *CaseExpr:
-		return containsWindow(ex.Then) || containsWindow(ex.Else)
-	}
-	return false
+	return out
 }
 
 // resolveAlias maps a column name to its table alias (empty if unknown or
 // ambiguous).
-func (b *binder) resolveAlias(c *ColName, scopes []*tableScope) (alias, col string) {
+func resolveAlias(c *ColName, scopes []*tableScope) (alias, col string) {
 	if c.Table != "" {
 		if sc := scopeOf(scopes, c.Table); sc != nil {
 			return c.Table, c.Name
@@ -1142,11 +939,11 @@ func (b *binder) resolveAlias(c *ColName, scopes []*tableScope) (alias, col stri
 	return found, c.Name
 }
 
-// lookupCol resolves a column name against a combined scope.
-func lookupCol(cols []scopeCol, c *ColName) (int, *scopeCol, error) {
+// lookup resolves a column name against the scope.
+func (s rowScope) lookup(c *ColName) (int, *scopeCol, error) {
 	idx := -1
-	for i := range cols {
-		sc := &cols[i]
+	for i := range s {
+		sc := &s[i]
 		if sc.name != c.Name {
 			continue
 		}
@@ -1161,7 +958,7 @@ func lookupCol(cols []scopeCol, c *ColName) (int, *scopeCol, error) {
 	if idx < 0 {
 		return 0, nil, fmt.Errorf("sqlparse: unknown column %q", c.Name)
 	}
-	return idx, &cols[idx], nil
+	return idx, &s[idx], nil
 }
 
 func arithOp(op string) plan.ArithOp {

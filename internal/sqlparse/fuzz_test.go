@@ -1,11 +1,50 @@
 package sqlparse
 
-import "testing"
+import (
+	"testing"
 
-// FuzzParser feeds arbitrary strings to the parser: it must never panic or
-// loop, and a successful parse must be deterministic. The seed corpus covers
-// every statement class the generator emits plus the truncation shapes that
-// historically crashed the token cursor at EOF.
+	"rapid/internal/coltypes"
+	"rapid/internal/storage"
+)
+
+// fuzzCatalog holds the tables and columns the fuzz seeds name, a few rows
+// each.
+func fuzzCatalog(t testing.TB) mapCatalog {
+	t.Helper()
+	i, d, s := coltypes.Int(), coltypes.Date(), coltypes.String()
+	defs := map[string][]storage.ColumnDef{
+		"t":  {{Name: "a", Type: i}, {Name: "b", Type: i}, {Name: "k", Type: i}, {Name: "x", Type: i}, {Name: "d", Type: d}, {Name: "s", Type: s}},
+		"t1": {{Name: "k1", Type: i}, {Name: "a1", Type: i}, {Name: "a", Type: i}},
+		"t2": {{Name: "k2", Type: i}, {Name: "b", Type: i}},
+		"u":  {{Name: "b", Type: i}, {Name: "y", Type: i}},
+	}
+	cat := mapCatalog{}
+	for name, cols := range defs {
+		tb := storage.NewTableBuilder(name, storage.MustSchema(cols...), storage.BuildOptions{})
+		for r := 0; r < 4; r++ {
+			row := make([]storage.Value, len(cols))
+			for c, def := range cols {
+				switch def.Type.Kind {
+				case coltypes.KindDate:
+					row[c] = storage.DateValue(2021, 5, 10+r)
+				case coltypes.KindString:
+					row[c] = storage.StrValue([]string{"a", "b", "xy", "x"}[r])
+				default:
+					row[c] = storage.IntValue(int64(r))
+				}
+			}
+			must(t, tb.Append(row))
+		}
+		cat[name] = tb.MustBuild()
+	}
+	return cat
+}
+
+// FuzzParser feeds arbitrary strings to the parser and binds every statement
+// it accepts against fuzzCatalog: neither may panic or loop, and a successful
+// parse must be deterministic. The seed corpus covers every statement class
+// the generator emits, the binder's aggregate, HAVING and window paths, plus
+// the truncation shapes that historically crashed the token cursor at EOF.
 func FuzzParser(f *testing.F) {
 	for _, s := range []string{
 		"SELECT a FROM t",
@@ -20,6 +59,9 @@ func FuzzParser(f *testing.F) {
 		"SELECT CASE WHEN a > 1 THEN 2 ELSE 3 END FROM t",
 		"SELECT a FROM t WHERE x IN (SELECT y FROM u)",
 		"SELECT -1.5 * (a + 2) / 3 FROM t",
+		"SELECT k, CASE WHEN SUM(a) > 1 THEN 1 ELSE 0 END FROM t GROUP BY k",
+		"SELECT k, SUM(a) FROM t GROUP BY k HAVING CASE WHEN COUNT(*) > 1 THEN SUM(b) ELSE 0 END > 2 AND MAX(x) < 5",
+		"SELECT a, SUM(b) OVER (PARTITION BY k ORDER BY a) FROM t ORDER BY a",
 		// Truncation class: inputs that end mid-clause must error, not panic.
 		"SELECT INTERVAL '3'",
 		"SELECT a FROM t WHERE",
@@ -34,6 +76,7 @@ func FuzzParser(f *testing.F) {
 	} {
 		f.Add(s)
 	}
+	cat := fuzzCatalog(f)
 	f.Fuzz(func(t *testing.T, src string) {
 		stmt, err := Parse(src)
 		if err != nil {
@@ -46,6 +89,7 @@ func FuzzParser(f *testing.F) {
 		if err2 != nil || stmt2 == nil {
 			t.Fatalf("parse not deterministic for %q: first ok, second err=%v", src, err2)
 		}
+		_, _ = Bind(stmt, cat, storage.LatestSCN)
 	})
 }
 

@@ -1,6 +1,9 @@
 package sqlparse
 
-import "strings"
+import (
+	"slices"
+	"strings"
+)
 
 // Literal normalization for the query cache (DESIGN.md §10) and the query
 // journal. Normalize lexes a statement and replaces every number and string
@@ -79,61 +82,33 @@ func Normalize(sql string) (Normalized, error) {
 }
 
 // StmtTables lists every base table name a parsed statement touches (FROM
-// items, JOIN sides, IN-subquery FROM items), deduplicated in first-use
-// order. The cache uses it to capture per-table version vectors before the
-// statement is bound.
+// items, JOIN sides, IN-subquery FROM items), deduplicated: each block's FROM
+// and JOIN tables, then those of the IN subqueries it holds, then its set
+// operation's right side. The cache uses it to capture per-table version
+// vectors before the statement is bound.
 func StmtTables(stmt *SelectStmt) []string {
-	seen := make(map[string]bool, 4)
 	var out []string
 	add := func(name string) {
-		if name != "" && !seen[name] {
-			seen[name] = true
+		if name != "" && !slices.Contains(out, name) {
 			out = append(out, name)
 		}
 	}
-	var walkStmt func(*SelectStmt)
-	walkPred := func(p AstPred) {
-		walkPreds(p, func(pr AstPred) {
-			if in, ok := pr.(*InP); ok && in.Sub != nil {
-				walkStmt(in.Sub)
+	var visit func(*SelectStmt)
+	visit = func(s *SelectStmt) {
+		for ; s != nil; s = s.SetRight {
+			for _, f := range s.From {
+				add(f.Name)
 			}
-		})
+			for _, j := range s.Joins {
+				add(j.Table.Name)
+			}
+			walkStmt(s, func(n any) {
+				if in, ok := n.(*InP); ok && in.Sub != nil {
+					visit(in.Sub)
+				}
+			})
+		}
 	}
-	walkStmt = func(s *SelectStmt) {
-		if s == nil {
-			return
-		}
-		for _, f := range s.From {
-			add(f.Name)
-		}
-		for _, j := range s.Joins {
-			add(j.Table.Name)
-			walkPred(j.On)
-		}
-		walkPred(s.Where)
-		walkPred(s.Having)
-		walkStmt(s.SetRight)
-	}
-	walkStmt(stmt)
+	visit(stmt)
 	return out
-}
-
-// walkPreds visits p and every nested predicate.
-func walkPreds(p AstPred, visit func(AstPred)) {
-	if p == nil {
-		return
-	}
-	visit(p)
-	switch pr := p.(type) {
-	case *AndP:
-		for _, s := range pr.Preds {
-			walkPreds(s, visit)
-		}
-	case *OrP:
-		for _, s := range pr.Preds {
-			walkPreds(s, visit)
-		}
-	case *NotP:
-		walkPreds(pr.P, visit)
-	}
 }

@@ -391,6 +391,34 @@ func TestBindErrors(t *testing.T) {
 			t.Errorf("Bind(%q) should fail", sql)
 		}
 	}
+	// A HAVING aggregate's argument binds against the input like a SELECT
+	// one, and its error is the statement's.
+	sql := `SELECT i_cat, SUM(i_qty) FROM item GROUP BY i_cat HAVING SUM(nope) > 1`
+	stmt, err := Parse(sql)
+	must(t, err)
+	if _, err := Bind(stmt, cat, storage.LatestSCN); err == nil || !strings.Contains(err.Error(), `unknown column "nope"`) {
+		t.Errorf("Bind(%q) = %v, want the unknown column", sql, err)
+	}
+}
+
+// TestBindScanColumnsInTableOrder binds one statement repeatedly: its scan
+// reads the referenced columns in ascending table order, never in the order
+// of a map walk.
+func TestBindScanColumnsInTableOrder(t *testing.T) {
+	cat := testCatalog(t)
+	stmt, err := Parse(`SELECT i_id, i_qty, i_mode, i_cat FROM item WHERE i_qty > 3`)
+	must(t, err)
+	want := []int{0, 1, 3, 5} // i_id, i_cat, i_qty, i_mode
+	for run := 0; run < 50; run++ {
+		node, err := Bind(stmt, cat, storage.LatestSCN)
+		must(t, err)
+		for node.Children() != nil {
+			node = node.Children()[0]
+		}
+		if got := node.(*plan.Scan).Cols; fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("run %d: Scan.Cols = %v, want %v", run, got, want)
+		}
+	}
 }
 
 func TestBindAliases(t *testing.T) {
@@ -444,6 +472,58 @@ func TestBindHavingOverAggregateExpr(t *testing.T) {
 	// First passing category is 5 with sum 600.
 	if rel.Col(0).Get(0) != 5 || rel.Col(1).Get(0) != 600 {
 		t.Fatalf("first group: cat=%d sum=%d", rel.Col(0).Get(0), rel.Col(1).Get(0))
+	}
+}
+
+// TestBindCaseOverAggregates: above a GROUP BY, a CASE binds through the
+// same binder as below it, so its condition and branches may hold
+// aggregates, in SELECT and in HAVING, grouped or not.
+func TestBindCaseOverAggregates(t *testing.T) {
+	cat := testCatalog(t)
+	// Category c has 100 rows, all with qty c%10+1: SUM = 100*(c%10+1).
+	rel := execSQL(t, cat, `
+		SELECT i_cat, CASE WHEN SUM(i_qty) > 500 THEN 1 ELSE 0 END AS big
+		FROM item GROUP BY i_cat ORDER BY i_cat`)
+	if rel.Rows() != 40 {
+		t.Fatalf("rows = %d, want 40", rel.Rows())
+	}
+	for i := 0; i < 40; i++ {
+		want := int64(0)
+		if 100*(i%10+1) > 500 {
+			want = 1
+		}
+		if cat, big := rel.Get(i, 0), rel.Get(i, 1); cat != int64(i) || big != want {
+			t.Fatalf("row %d: cat=%d big=%d, want cat=%d big=%d", i, cat, big, i, want)
+		}
+	}
+	rel = execSQL(t, cat, `
+		SELECT i_cat, SUM(i_qty) FROM item GROUP BY i_cat
+		HAVING CASE WHEN SUM(i_qty) > 500 THEN 1 ELSE 0 END = 1 ORDER BY i_cat`)
+	if rel.Rows() != 20 || rel.Get(0, 0) != 5 || rel.Get(0, 1) != 600 {
+		t.Fatalf("HAVING CASE: %d rows, first cat=%d sum=%d; want 20 rows from cat 5, sum 600",
+			rel.Rows(), rel.Get(0, 0), rel.Get(0, 1))
+	}
+	rel = execSQL(t, cat, `SELECT CASE WHEN COUNT(*) > 3999 THEN 1 ELSE 0 END FROM item`)
+	if rel.Rows() != 1 || rel.Get(0, 0) != 1 {
+		t.Fatalf("scalar CASE over COUNT(*): %d rows, value %d", rel.Rows(), rel.Get(0, 0))
+	}
+	// A string literal binds above a GROUP BY as below it: compared with a
+	// grouped dictionary column it filters, and as a projected value it
+	// fails at compile time in both places.
+	rel = execSQL(t, cat, `SELECT i_mode, COUNT(*) FROM item GROUP BY i_mode HAVING i_mode = 'MAIL'`)
+	if rel.Rows() != 1 || rel.Render(0, 0) != "MAIL" || rel.Get(0, 1) != 1000 {
+		t.Fatalf("HAVING on a string key: %d rows", rel.Rows())
+	}
+	for _, sql := range []string{`SELECT 'x' FROM item`, `SELECT i_cat, 'x' FROM item GROUP BY i_cat`} {
+		stmt, err := Parse(sql)
+		must(t, err)
+		node, err := Bind(stmt, cat, storage.LatestSCN)
+		if err != nil {
+			t.Fatalf("Bind(%q): %v", sql, err)
+		}
+		if _, err := qcomp.Compile(node); err == nil {
+			t.Errorf("Compile(%q) should fail on the projected string literal", sql)
+		}
 	}
 }
 

@@ -96,6 +96,7 @@ func TestWindowErrors(t *testing.T) {
 		`SELECT 1 + row_number() OVER (PARTITION BY i_cat) FROM item`,       // nested window
 		`SELECT rank() OVER (PARTITION BY i_qty + 1) FROM item`,             // expr partition key
 		`SELECT AVG(i_qty) OVER (PARTITION BY i_cat) FROM item`,             // unsupported window fn
+		`SELECT COUNT(*) FROM item HAVING SUM(i_qty) OVER () > 1`,           // window in HAVING
 	}
 	for _, sql := range bad {
 		stmt, err := Parse(sql)
