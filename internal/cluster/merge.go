@@ -71,24 +71,11 @@ func partialLayout(g *plan.GroupBy) (lay []aggLayout, prows int) {
 	return lay, prows
 }
 
-// pacc is one aggregate's fold state: a is the running value (SUM partial
-// for AVG), b the running count (AVG), seen whether any non-empty partial
-// contributed (scalar MIN/MAX).
-type pacc struct {
-	a, b int64
-	seen bool
-}
-
-type mgroup struct {
-	keys []int64
-	accs []pacc
-}
-
 // mergePartials folds the gathered per-node partial rows into the final
-// relation, using g's original (coordinator-bound) schema for the output
-// column metadata. Group output order is first-appearance order in the
-// gathered relation (node order, then each node's partial order) — a bag
-// identical to the single-node result.
+// relation through an ops.GroupMerger, using g's original
+// (coordinator-bound) schema for the output column metadata. Groups come out
+// in the merger's ascending key order, as the single-node low-NDV group-by
+// returns them.
 func (q *query) mergePartials(g *plan.GroupBy, gathered *ops.Relation) (*ops.Relation, error) {
 	lay, prows := partialLayout(g)
 	nk := len(g.Keys)
@@ -97,98 +84,70 @@ func (q *query) mergePartials(g *plan.GroupBy, gathered *ops.Relation) (*ops.Rel
 		return nil, fmt.Errorf("cluster: group-by schema mismatch: %d fields for %d keys + %d aggs",
 			len(outFields), nk, len(g.Aggs))
 	}
-	rows := gathered.Rows()
-
-	fold := func(accs []pacc, r int) {
-		alive := true
-		if prows >= 0 {
-			alive = gathered.Col(prows).Get(r) > 0
-		}
-		for j, l := range lay {
-			v := gathered.Col(l.col).Get(r)
-			switch l.kind {
-			case plan.Sum, plan.Count, plan.CountStar:
-				accs[j].a += v
-				accs[j].seen = true
-			case plan.Avg:
-				accs[j].a += v
-				accs[j].b += gathered.Col(l.cnt).Get(r)
-				accs[j].seen = true
-			case plan.Min:
-				if alive && (!accs[j].seen || v < accs[j].a) {
-					accs[j].a, accs[j].seen = v, true
-				}
-			case plan.Max:
-				if alive && (!accs[j].seen || v > accs[j].a) {
-					accs[j].a, accs[j].seen = v, true
-				}
-			}
+	partials := gathered.Flat().Chunks[0]
+	if prows >= 0 {
+		partials = aliveRows(partials, partials[prows])
+	}
+	// MIN and MAX partials keep their extreme; every other partial (SUM,
+	// COUNT, AVG's sum and count, __prows) adds.
+	specs := make([]ops.AggSpec, len(partials)-nk)
+	for _, l := range lay {
+		switch l.kind {
+		case plan.Min:
+			specs[l.col-nk].Kind = ops.AggMin
+		case plan.Max:
+			specs[l.col-nk].Kind = ops.AggMax
 		}
 	}
-
-	var order []*mgroup
-	if nk == 0 {
-		gr := &mgroup{accs: make([]pacc, len(lay))}
-		order = append(order, gr)
-		for r := 0; r < rows; r++ {
-			fold(gr.accs, r)
-		}
-	} else {
-		index := make(map[string]*mgroup, rows)
-		keybuf := make([]byte, 0, nk*8)
-		for r := 0; r < rows; r++ {
-			keybuf = keybuf[:0]
-			for k := 0; k < nk; k++ {
-				v := uint64(gathered.Col(k).Get(r))
-				keybuf = append(keybuf,
-					byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-					byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-			}
-			gr, ok := index[string(keybuf)]
-			if !ok {
-				gr = &mgroup{keys: make([]int64, nk), accs: make([]pacc, len(lay))}
-				for k := 0; k < nk; k++ {
-					gr.keys[k] = gathered.Col(k).Get(r)
-				}
-				index[string(keybuf)] = gr
-				order = append(order, gr)
-			}
-			fold(gr.accs, r)
-		}
+	cols := make([]ops.Col, len(outFields))
+	for i, f := range outFields {
+		cols[i] = ops.Col{Name: f.Name, Type: f.Type, Dict: f.Dict}
 	}
-
-	n := len(order)
-	cols := make([]ops.Col, 0, nk+len(lay))
-	data := make([]coltypes.Data, 0, nk+len(lay))
+	m := ops.NewGroupMerger(nk, specs)
+	m.Fold(partials[:nk], partials[nk:])
+	merged := m.Relation(cols, nil)
+	data := make([]coltypes.Data, 0, len(cols))
 	for k := 0; k < nk; k++ {
-		vals := make([]int64, n)
-		for i, gr := range order {
-			vals[i] = gr.keys[k]
-		}
-		f := outFields[k]
-		cols = append(cols, ops.Col{Name: f.Name, Type: f.Type, Dict: f.Dict})
-		data = append(data, coltypes.Of(vals))
+		data = append(data, merged.Col(k))
 	}
-	for j, l := range lay {
-		vals := make([]int64, n)
-		for i, gr := range order {
-			acc := gr.accs[j]
-			switch l.kind {
-			case plan.Avg:
-				if acc.b != 0 {
-					vals[i] = acc.a * 100 / acc.b
+	for _, l := range lay {
+		d := merged.Col(l.col)
+		if l.kind == plan.Avg {
+			cnt := merged.Col(l.cnt)
+			vals := make([]int64, d.Len())
+			for i := range vals {
+				if c := cnt.Get(i); c != 0 {
+					vals[i] = d.Get(i) * 100 / c
 				}
-			case plan.Min, plan.Max:
-				if acc.seen {
-					vals[i] = acc.a
-				}
-			default:
-				vals[i] = acc.a
 			}
+			d = coltypes.Of(vals)
 		}
-		f := outFields[nk+j]
-		cols = append(cols, ops.Col{Name: f.Name, Type: f.Type, Dict: f.Dict})
-		data = append(data, coltypes.Of(vals))
+		data = append(data, d)
 	}
 	return ops.NewRelation(cols, data)
+}
+
+// aliveRows keeps the scalar partial rows of the nodes that fed their
+// aggregation a row (__prows > 0): an empty node's MIN/MAX partials hold the
+// 0 empty-input sentinel, which must not be folded in. When no node fed a
+// row, the first partial row — all identities — is the answer.
+func aliveRows(partials []coltypes.Data, prows coltypes.Data) []coltypes.Data {
+	var keep []int
+	for r := 0; r < prows.Len(); r++ {
+		if prows.Get(r) > 0 {
+			keep = append(keep, r)
+		}
+	}
+	if len(keep) == 0 && prows.Len() > 0 {
+		keep = []int{0}
+	}
+	out := make([]coltypes.Data, len(partials))
+	for c, d := range partials {
+		vals := make([]int64, len(keep))
+		for i, r := range keep {
+			vals[i] = d.Get(r)
+		}
+		out[c] = coltypes.Of(vals)
+	}
+	return out
 }

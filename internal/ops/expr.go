@@ -48,8 +48,9 @@ type BinExpr struct {
 func (e *BinExpr) Eval(tc *qef.TaskCtx, t *qef.Tile) []int64 {
 	l := e.L.Eval(tc, t)
 	// Constant fast paths use the *Const primitives (cheaper than
-	// materializing a constant vector).
-	if c, ok := e.R.(*ConstExpr); ok {
+	// materializing a constant vector). A zero divisor takes the vector
+	// path, whose x/0 is 0 like the row engine's.
+	if c, ok := e.R.(*ConstExpr); ok && (e.Op != plan.Div || c.Val != 0) {
 		out := tc.I64Scratch(len(l))
 		switch e.Op {
 		case plan.Add:

@@ -51,6 +51,9 @@ func (g *GroupTable) NumGroups() int { return g.n }
 // Key returns key column k of group gid.
 func (g *GroupTable) Key(k int, gid int) int64 { return g.keys[k*g.cap+gid] }
 
+// keyCol returns key column k of every group, by group id.
+func (g *GroupTable) keyCol(k int) []int64 { return g.keys[k*g.cap : k*g.cap+g.n] }
+
 // FindOrAdd returns the dense group id of the key tuple, adding it when
 // new. Returns -1 when the table is full (the caller re-partitions, the
 // runtime adaptation of §5.4).
@@ -196,19 +199,34 @@ func (g *GroupByOp) Produce(tc *qef.TaskCtx, t *qef.Tile) error {
 
 func (g *GroupByOp) Close(tc *qef.TaskCtx) error {
 	// Merge operator: ship local groups to the shared merger over ATE.
-	g.Merger.merge(tc, g.table, g.aggs, g.Specs)
+	if g.table == nil {
+		return nil
+	}
+	n := g.table.NumGroups()
+	if c := tc.Core; c != nil && n > 0 {
+		c.Charge(dpu.Cycles(10 * n))
+	}
+	keys := make([]coltypes.Data, len(g.GroupCols))
+	for k := range keys {
+		keys[k] = coltypes.Of(g.table.keyCol(k))
+	}
+	vals := make([]coltypes.Data, len(g.aggs))
+	for s, acc := range g.aggs {
+		vals[s] = coltypes.Of(acc[:n])
+	}
+	g.Merger.Fold(keys, vals)
 	return nil
 }
 
-// GroupMerger combines per-core group tables into the final grouped result.
+// GroupMerger combines partial group rows — per-core group tables, or the
+// tray's per-node partials — into the final grouped result.
 type GroupMerger struct {
 	NKeys int
 	Specs []AggSpec
 
 	mu    sync.Mutex
-	keys  map[string]int // serialized key -> row
-	kcols [][]int64
-	accs  [][]int64 // [spec][row]
+	table *GroupTable
+	accs  [][]int64 // [spec][gid]
 }
 
 // NewGroupMerger builds a merger for nKeys group columns and the specs.
@@ -216,45 +234,45 @@ func NewGroupMerger(nKeys int, specs []AggSpec) *GroupMerger {
 	return &GroupMerger{
 		NKeys: nKeys,
 		Specs: specs,
-		keys:  make(map[string]int),
-		kcols: make([][]int64, nKeys),
+		table: NewGroupTable(0, nKeys),
 		accs:  make([][]int64, len(specs)),
 	}
 }
 
-func (m *GroupMerger) merge(tc *qef.TaskCtx, table *GroupTable, aggs [][]int64, specs []AggSpec) {
-	if table == nil {
-		return
+// Fold merges rows into the groups: row i has key column k's value in
+// keys[k] and spec s's partial value in vals[s]. A new key starts its group
+// with the row's partials; a known one folds them in: MIN keeps the smaller,
+// MAX the larger, every other kind adds.
+func (m *GroupMerger) Fold(keys, vals []coltypes.Data) {
+	var n int
+	switch {
+	case len(keys) > 0:
+		n = keys[0].Len()
+	case len(vals) > 0:
+		n = vals[0].Len()
 	}
-	if c := tc.Core; c != nil && table.n > 0 {
-		// ATE transfer of the local groups to the merge core.
-		c.Charge(dpu.Cycles(10 * table.n))
-	}
+	hv := primitives.HashColumns(nil, keys, nil) // nil with no keys: one group
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	keyBuf := make([]byte, 0, m.NKeys*8)
-	for gid := 0; gid < table.n; gid++ {
-		keyBuf = keyBuf[:0]
-		for k := 0; k < m.NKeys; k++ {
-			v := table.Key(k, gid)
-			for b := 0; b < 8; b++ {
-				keyBuf = append(keyBuf, byte(v>>(8*b)))
-			}
+	m.reserve(n)
+	key := make([]int64, m.NKeys)
+	for i := 0; i < n; i++ {
+		var h uint32
+		if hv != nil {
+			h = hv[i]
 		}
-		row, ok := m.keys[string(keyBuf)]
-		if !ok {
-			row = len(m.keys)
-			m.keys[string(keyBuf)] = row
-			for k := 0; k < m.NKeys; k++ {
-				m.kcols[k] = append(m.kcols[k], table.Key(k, gid))
-			}
-			for s := range specs {
-				m.accs[s] = append(m.accs[s], aggs[s][gid])
-			}
-			continue
+		for k, d := range keys {
+			key[k] = d.Get(i)
 		}
-		for s, spec := range specs {
-			acc, v := &m.accs[s][row], aggs[s][gid]
+		before := m.table.NumGroups()
+		gid := m.table.FindOrAdd(h, key)
+		for s, spec := range m.Specs {
+			v := vals[s].Get(i)
+			if gid == before {
+				m.accs[s] = append(m.accs[s], v)
+				continue
+			}
+			acc := &m.accs[s][gid]
 			switch spec.Kind {
 			case AggMin:
 				*acc = min(*acc, v)
@@ -267,6 +285,23 @@ func (m *GroupMerger) merge(tc *qef.TaskCtx, table *GroupTable, aggs [][]int64, 
 	}
 }
 
+// reserve re-lays the table for n more groups, every group keeping its id.
+func (m *GroupMerger) reserve(n int) {
+	t := m.table
+	if t.n+n <= t.cap {
+		return
+	}
+	grown := NewGroupTable(max(t.n+n, 2*t.cap), m.NKeys)
+	key := make([]int64, m.NKeys)
+	for gid := 0; gid < t.n; gid++ {
+		for k := range key {
+			key[k] = t.Key(k, gid)
+		}
+		grown.FindOrAdd(t.hashes[gid], key)
+	}
+	m.table = grown
+}
+
 // Relation materializes the merged result: group key columns first, then
 // one column per agg spec, rows in ascending key order. Per-core tables merge
 // in whatever order the cores closed, and which groups a core saw depends on
@@ -275,14 +310,14 @@ func (m *GroupMerger) merge(tc *qef.TaskCtx, table *GroupTable, aggs [][]int64, 
 func (m *GroupMerger) Relation(keyCols []Col, outNames []string) *Relation {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	n := len(m.keys)
+	n := m.table.NumGroups()
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
 	sort.Slice(order, func(a, b int) bool {
-		for _, kc := range m.kcols {
-			if x, y := kc[order[a]], kc[order[b]]; x != y {
+		for k := 0; k < m.NKeys; k++ {
+			if x, y := m.table.Key(k, order[a]), m.table.Key(k, order[b]); x != y {
 				return x < y
 			}
 		}
@@ -292,15 +327,15 @@ func (m *GroupMerger) Relation(keyCols []Col, outNames []string) *Relation {
 	data := make([]coltypes.Data, 0, cap(cols))
 	for k := 0; k < m.NKeys; k++ {
 		vals := make([]int64, n)
-		for i, row := range order {
-			vals[i] = m.kcols[k][row]
+		for i, gid := range order {
+			vals[i] = m.table.Key(k, gid)
 		}
 		data = append(data, coltypes.Of(vals))
 	}
 	for s, spec := range m.Specs {
 		vals := make([]int64, n)
-		for i, row := range order {
-			vals[i] = m.accs[s][row]
+		for i, gid := range order {
+			vals[i] = m.accs[s][gid]
 		}
 		name := spec.Name
 		if name == "" && s < len(outNames) {

@@ -12,8 +12,8 @@ import (
 
 // Set operations (§5.4): MINUS, INTERSECT and UNION over relations of equal
 // arity, with SQL set semantics (duplicates eliminated). Rows are compared
-// on all columns via a hash set; the work is hash-partitioned across cores
-// so each core owns a disjoint key space.
+// on all columns through a GroupTable; the work is hash-partitioned across
+// cores so each core owns a disjoint key space.
 
 // SetOp computes `a kind b`. Column metadata comes from a.
 func SetOp(ctx *qef.Context, a, b *Relation, kind plan.SetOpKind) (*Relation, error) {
@@ -24,7 +24,7 @@ func SetOp(ctx *qef.Context, a, b *Relation, kind plan.SetOpKind) (*Relation, er
 		return concatRelations(a, b)
 	}
 	// Both partitionings are released once the units have returned: what a
-	// unit keeps of them (rowSet keys, appended output values) is a copy.
+	// unit keeps of them (its table's keys) is a copy.
 	allA, err := PartitionByHash(ctx, a.Chunks, allCols(a), PartScheme{Rounds: []int{16}}, qef.DefaultTileRows)
 	if err != nil {
 		return nil, err
@@ -36,73 +36,47 @@ func SetOp(ctx *qef.Context, a, b *Relation, kind plan.SetOpKind) (*Relation, er
 	}
 	defer allB.Release()
 	nc := a.NumCols()
-	results := make([][][]int64, allA.NumPartitions())
+	results := make([][]coltypes.Data, allA.NumPartitions())
 	units := make([]qef.WorkUnit, 0, allA.NumPartitions())
 	for p := 0; p < allA.NumPartitions(); p++ {
 		p := p
 		units = append(units, func(tc *qef.TaskCtx) error {
-			seenB := rowSet(allB.Cols[p], nc)
-			out := make([][]int64, nc)
-			emitted := map[string]struct{}{}
-			key := make([]byte, 0, nc*8)
-			na := 0
-			if nc > 0 {
-				na = allA.Cols[p][0].Len()
+			na, nb := allA.Rows(p), allB.Rows(p)
+			// One table of the partition's distinct rows, keyed by the hashes
+			// the partitioning computed. B's rows go in first, so an A row is
+			// in B exactly when its group id is below inB.
+			table := NewGroupTable(na+nb, nc)
+			key := make([]int64, nc)
+			find := func(part *PartitionedRel, i int) int {
+				for c := range key {
+					key[c] = part.Cols[p][c].Get(i)
+				}
+				return table.FindOrAdd(part.Hashes[p][i], key)
+			}
+			for i := 0; i < nb; i++ {
+				find(allB, i)
+			}
+			inB := table.NumGroups()
+			emitted := make([]bool, na+nb)
+			var emit []int // group ids of the output rows, in output order
+			keep := func(gid int) {
+				if !emitted[gid] {
+					emitted[gid] = true
+					emit = append(emit, gid)
+				}
 			}
 			for i := 0; i < na; i++ {
-				key = key[:0]
-				for c := 0; c < nc; c++ {
-					v := allA.Cols[p][c].Get(i)
-					for b := 0; b < 8; b++ {
-						key = append(key, byte(v>>(8*b)))
-					}
+				gid := find(allA, i)
+				if kind == plan.Union || (gid < inB) == (kind == plan.Intersect) {
+					keep(gid)
 				}
-				ks := string(key)
-				if _, dup := emitted[ks]; dup {
-					continue
-				}
-				_, inB := seenB[ks]
-				keep := false
-				switch kind {
-				case plan.Union:
-					keep = true
-				case plan.Intersect:
-					keep = inB
-				case plan.Minus:
-					keep = !inB
-				}
-				if !keep {
-					continue
-				}
-				emitted[ks] = struct{}{}
-				for c := 0; c < nc; c++ {
-					out[c] = append(out[c], allA.Cols[p][c].Get(i))
-				}
-			}
-			nb := 0
-			if nc > 0 {
-				nb = allB.Cols[p][0].Len()
 			}
 			touched := na + nb // set build over B, probe with A
 			if kind == plan.Union {
-				// Rows only in B.
+				// Rows only in B, in B's order: its groups are the first ids.
 				touched += nb
-				for i := 0; i < nb; i++ {
-					key = key[:0]
-					for c := 0; c < nc; c++ {
-						v := allB.Cols[p][c].Get(i)
-						for b := 0; b < 8; b++ {
-							key = append(key, byte(v>>(8*b)))
-						}
-					}
-					ks := string(key)
-					if _, dup := emitted[ks]; dup {
-						continue
-					}
-					emitted[ks] = struct{}{}
-					for c := 0; c < nc; c++ {
-						out[c] = append(out[c], allB.Cols[p][c].Get(i))
-					}
+				for gid := 0; gid < inB; gid++ {
+					keep(gid)
 				}
 			}
 			// Every row a unit touches is billed, B's as well as A's: the DMS
@@ -112,6 +86,14 @@ func SetOp(ctx *qef.Context, a, b *Relation, kind plan.SetOpKind) (*Relation, er
 			if c := tc.Core; c != nil {
 				c.Charge(dpu.Cycles(10 * (touched + 1)))
 			}
+			out := make([]coltypes.Data, nc)
+			for c := range out {
+				vals := make([]int64, len(emit))
+				for j, gid := range emit {
+					vals[j] = table.Key(c, gid)
+				}
+				out[c] = coltypes.Of(vals)
+			}
 			results[p] = out
 			return nil
 		})
@@ -120,17 +102,7 @@ func SetOp(ctx *qef.Context, a, b *Relation, kind plan.SetOpKind) (*Relation, er
 		return nil, err
 	}
 	// Each partition's rows are a chunk of the result, in partition order.
-	chunks := make([][]coltypes.Data, 0, len(results))
-	for _, out := range results {
-		if nc > 0 && len(out[0]) > 0 {
-			chunk := make([]coltypes.Data, nc)
-			for c, vals := range out {
-				chunk[c] = coltypes.Of(vals)
-			}
-			chunks = append(chunks, chunk)
-		}
-	}
-	return MustRelation(a.Cols, chunks...), nil
+	return MustRelation(a.Cols, results...), nil
 }
 
 func allCols(r *Relation) []int {
@@ -139,26 +111,6 @@ func allCols(r *Relation) []int {
 		out[i] = i
 	}
 	return out
-}
-
-func rowSet(cols []coltypes.Data, nc int) map[string]struct{} {
-	set := map[string]struct{}{}
-	if nc == 0 || len(cols) == 0 {
-		return set
-	}
-	n := cols[0].Len()
-	key := make([]byte, 0, nc*8)
-	for i := 0; i < n; i++ {
-		key = key[:0]
-		for c := 0; c < nc; c++ {
-			v := cols[c].Get(i)
-			for b := 0; b < 8; b++ {
-				key = append(key, byte(v>>(8*b)))
-			}
-		}
-		set[string(key)] = struct{}{}
-	}
-	return set
 }
 
 // concatRelations is UNION ALL: b's chunks after a's. A column whose two

@@ -654,6 +654,11 @@ func bindAggregate(stmt *SelectStmt, input plan.Node, cols rowScope) (plan.Node,
 			agg.Kind = plan.CountStar
 		} else if agg.Arg, err = bindExpr(f.Arg, cols); err != nil {
 			return
+		} else if agg.Kind != plan.Count && agg.Arg.Type().Kind == coltypes.KindString {
+			// A string column holds dictionary codes: summing or ordering
+			// them would answer in codes, not strings.
+			err = fmt.Errorf("sqlparse: %s over a string argument is not supported", f.Name)
+			return
 		}
 		g.aggPos[f] = len(keys) + len(aggs)
 		aggs = append(aggs, agg)

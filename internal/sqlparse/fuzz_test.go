@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"rapid/internal/coltypes"
+	"rapid/internal/qcomp"
+	"rapid/internal/qef"
 	"rapid/internal/storage"
 )
 
@@ -40,9 +42,10 @@ func fuzzCatalog(t testing.TB) mapCatalog {
 	return cat
 }
 
-// FuzzParser feeds arbitrary strings to the parser and binds every statement
-// it accepts against fuzzCatalog: neither may panic or loop, and a successful
-// parse must be deterministic. The seed corpus covers every statement class
+// FuzzParser feeds arbitrary strings to the parser, binds every statement it
+// accepts against fuzzCatalog, and compiles and executes every plan that
+// binds: no stage may panic or loop, and a successful parse must be
+// deterministic. The seed corpus covers every statement class
 // the generator emits, the binder's aggregate, HAVING and window paths, plus
 // the truncation shapes that historically crashed the token cursor at EOF.
 func FuzzParser(f *testing.F) {
@@ -62,6 +65,7 @@ func FuzzParser(f *testing.F) {
 		"SELECT k, CASE WHEN SUM(a) > 1 THEN 1 ELSE 0 END FROM t GROUP BY k",
 		"SELECT k, SUM(a) FROM t GROUP BY k HAVING CASE WHEN COUNT(*) > 1 THEN SUM(b) ELSE 0 END > 2 AND MAX(x) < 5",
 		"SELECT a, SUM(b) OVER (PARTITION BY k ORDER BY a) FROM t ORDER BY a",
+		"SELECT a / 0, (a * 0) / 0 FROM t",
 		// Truncation class: inputs that end mid-clause must error, not panic.
 		"SELECT INTERVAL '3'",
 		"SELECT a FROM t WHERE",
@@ -89,7 +93,15 @@ func FuzzParser(f *testing.F) {
 		if err2 != nil || stmt2 == nil {
 			t.Fatalf("parse not deterministic for %q: first ok, second err=%v", src, err2)
 		}
-		_, _ = Bind(stmt, cat, storage.LatestSCN)
+		node, err := Bind(stmt, cat, storage.LatestSCN)
+		if err != nil {
+			return
+		}
+		compiled, err := qcomp.Compile(node)
+		if err != nil {
+			return
+		}
+		_, _ = compiled.Execute(qef.NewContext(qef.ModeX86))
 	})
 }
 

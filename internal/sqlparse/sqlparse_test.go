@@ -401,6 +401,30 @@ func TestBindErrors(t *testing.T) {
 	}
 }
 
+// TestBindAggregateOverString rejects SUM, AVG, MIN and MAX over a string
+// column, naming the function: the column holds dictionary codes, so the
+// answer would be a code. COUNT of a string column still binds.
+func TestBindAggregateOverString(t *testing.T) {
+	cat := testCatalog(t)
+	for _, fn := range []string{"SUM", "AVG", "MIN", "MAX"} {
+		for _, sql := range []string{
+			`SELECT ` + fn + `(i_mode) FROM item`,
+			`SELECT i_cat, ` + fn + `(i_mode) FROM item GROUP BY i_cat`,
+			`SELECT i_cat FROM item GROUP BY i_cat HAVING ` + fn + `(i_mode) > 0`,
+		} {
+			stmt, err := Parse(sql)
+			must(t, err)
+			if _, err := Bind(stmt, cat, storage.LatestSCN); err == nil || !strings.Contains(err.Error(), fn+" over a string") {
+				t.Errorf("Bind(%q) = %v, want an error naming %s over a string", sql, err, fn)
+			}
+		}
+	}
+	rel := execSQL(t, cat, `SELECT COUNT(i_mode) FROM item`)
+	if got := rel.Get(0, 0); got != 4000 {
+		t.Fatalf("COUNT(i_mode) = %d, want 4000", got)
+	}
+}
+
 // TestBindScanColumnsInTableOrder binds one statement repeatedly: its scan
 // reads the referenced columns in ascending table order, never in the order
 // of a map walk.

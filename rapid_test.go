@@ -470,3 +470,50 @@ func TestDMLOnMissingRowOrColumn(t *testing.T) {
 		t.Fatalf("COUNT(*) host %d, RAPID %d", h, r)
 	}
 }
+
+// TestAggregateOverStringIsABindError: SUM, AVG, MIN and MAX over a string
+// column fail to bind, with an error naming the function, on the host, both
+// RAPID modes and a tray; COUNT of the column answers on each.
+func TestAggregateOverStringIsABindError(t *testing.T) {
+	open := func(nodes int) *DB {
+		db := OpenWith(Config{Nodes: nodes})
+		if err := db.CreateTable("t", IntCol("id"), StringCol("s")); err != nil {
+			t.Fatal(err)
+		}
+		var rows [][]Value
+		for i, s := range []string{"zeta", "alpha", "mid"} {
+			rows = append(rows, []Value{Int(int64(i)), String(s)})
+		}
+		if err := db.Insert("t", rows); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Load("t"); err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	single, tray := open(0), open(2)
+	defer single.Close()
+	defer tray.Close()
+	for _, tc := range []struct {
+		name   string
+		db     *DB
+		engine Engine
+	}{
+		{"host", single, EngineHost},
+		{"x86", single, EngineRapidX86},
+		{"dpu", single, EngineRapidDPU},
+		{"tray", tray, EngineRapidX86},
+	} {
+		for _, fn := range []string{"SUM", "AVG", "MIN", "MAX"} {
+			res, err := tc.db.QueryWith(`SELECT `+fn+`(s) FROM t`, Options{Engine: tc.engine})
+			if err == nil || !strings.Contains(err.Error(), fn+" over a string") {
+				t.Errorf("%s: %s(s) = %v, %v; want an error naming %s over a string", tc.name, fn, res, err, fn)
+			}
+		}
+		res, err := tc.db.QueryWith(`SELECT COUNT(s) FROM t`, Options{Engine: tc.engine})
+		if err != nil || res.Get(0, 0) != "3" || res.Offloaded() != (tc.engine != EngineHost) {
+			t.Errorf("%s: COUNT(s) = %v, %v; want 3, offloaded off the host", tc.name, res, err)
+		}
+	}
+}
