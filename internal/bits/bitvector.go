@@ -31,20 +31,15 @@ func NewVector(n int) *Vector {
 	return &Vector{words: make([]uint64, (n+wordBits-1)/wordBits), n: n}
 }
 
-// Reuse resizes v to n bits and clears it, growing the word storage only
-// when n exceeds the current capacity. It lets pooled vectors be recycled
-// across tiles without reallocating (the DPU reuses the same DMEM region).
-func (v *Vector) Reuse(n int) {
+// Over makes v an n-bit vector stored in words, which must hold at least
+// VectorSizeBytes(n)/8 of them, and clears it. v shares the words with the
+// caller: the tile pool lays its vectors over scratch it recycles, as the DPU
+// keeps them in DMEM.
+func (v *Vector) Over(words []uint64, n int) {
 	if n < 0 {
 		panic("bits: negative vector length")
 	}
-	words := (n + wordBits - 1) / wordBits
-	if words > cap(v.words) {
-		v.words = make([]uint64, words)
-	} else {
-		v.words = v.words[:words]
-	}
-	v.n = n
+	v.words, v.n = words[:(n+wordBits-1)/wordBits], n
 	v.ClearAll()
 }
 
@@ -220,9 +215,6 @@ func (v *Vector) String() string {
 	}
 	return sb.String()
 }
-
-// SizeBytes returns the DMEM footprint of the vector in bytes.
-func (v *Vector) SizeBytes() int { return len(v.words) * 8 }
 
 // VectorSizeBytes returns the DMEM footprint of an n-bit vector without
 // allocating it. Used by operator DMEM sizing (op_dmem_size).

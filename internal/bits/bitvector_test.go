@@ -167,9 +167,22 @@ func TestVectorSizeBytes(t *testing.T) {
 	if got := VectorSizeBytes(65); got != 16 {
 		t.Fatalf("VectorSizeBytes(65) = %d", got)
 	}
-	if got := NewVector(1024).SizeBytes(); got != 128 {
-		t.Fatalf("SizeBytes(1024) = %d", got)
+}
+
+// TestVectorOver: a vector laid over dirty caller words comes back cleared,
+// n bits long, and stores its bits in those words.
+func TestVectorOver(t *testing.T) {
+	words := []uint64{^uint64(0), ^uint64(0), 7}
+	var v Vector
+	v.Over(words, 70)
+	if v.Len() != 70 || v.Count() != 0 || len(v.Words()) != 2 {
+		t.Fatalf("Over(70): len %d count %d words %d", v.Len(), v.Count(), len(v.Words()))
 	}
+	v.Set(65)
+	if words[1] != 2 || words[2] != 7 {
+		t.Fatalf("Over does not share the caller's words: %v", words)
+	}
+	mustPanic(t, func() { v.Over(words, 3*64+1) })
 }
 
 func TestVectorPanics(t *testing.T) {

@@ -8,7 +8,7 @@ import (
 // This file holds all of the package's — and the repository's — unsafe
 // code: the representation of Data, the operations that look through its
 // pointer (Of, the typed accessors, Get, Set, Slice, bytes) and WordsAs, the
-// typed view of a leased word buffer. Everything else in the tree, including
+// typed view of a word buffer. Everything else in the tree, including
 // the rest of this package, goes through them.
 
 // Elem constrains the physical element types of column storage.
@@ -39,12 +39,12 @@ func Of[T Elem](s []T) Data {
 	return Data{p: unsafe.Pointer(unsafe.SliceData(s)), n: len(s), w: Width(unsafe.Sizeof(z))}
 }
 
-// Plain constrains what a buffer of leased words (mem.Slab) may be viewed
-// as: fixed-size elements that hold no pointer — the words are allocated
-// pointer-free, so the collector would never see one stored through a view —
-// and need no more than word alignment.
+// Plain constrains what a buffer of words (a mem.Slab lease, mem.TilePool
+// scratch) may be viewed as: fixed-size elements that hold no pointer — the
+// words are allocated pointer-free, so the collector would never see one
+// stored through a view — and need no more than word alignment.
 type Plain interface {
-	Elem | ~uint32 | ~struct{ BuildRow, ProbeRow uint32 }
+	Elem | ~uint32 | ~uint64 | ~struct{ BuildRow, ProbeRow uint32 }
 }
 
 // WordsAs returns n elements of type T laid over words, sharing their

@@ -7,10 +7,20 @@ import (
 
 // TilePool is the per-core pool of reusable host buffers backing the QEF
 // scratch API. On the DPU every operator runs out of the 32 KiB DMEM
-// scratchpad and never allocates mid-query; the Go engine mirrors that
-// discipline by serving all tile-lifetime buffers (expression accumulators,
-// bit-vectors, RID lists, gathered column vectors) from this pool instead of
-// the Go heap, so the steady-state tile loop is allocation-free.
+// scratchpad — one untyped region, bump-allocated and never cleared — and
+// never allocates mid-query; the Go engine mirrors that discipline by serving
+// all tile-lifetime buffers (expression accumulators, bit-vectors, RID lists,
+// gathered column vectors) from this pool instead of the Go heap, so the
+// steady-state tile loop is allocation-free.
+//
+// Data buffers of every width, and the words of every bit-vector, are views
+// over one pointer-free word region, like a Slab lease. A data buffer is NOT
+// zeroed: it holds whatever an earlier take wrote (the slab's poison pattern
+// in race builds), and the taker writes every element it later reads — a
+// site that reads first clears what it took and says so. Only what holds
+// pointers lives apart — the two header arenas ([]coltypes.Data, [][]int64)
+// and the bit-vector structs — and header slices and bit-vectors are handed
+// out cleared.
 //
 // Lifetime model, mirroring DMEM's Mark/Release scoping:
 //
@@ -25,102 +35,72 @@ import (
 // covers them; holding one past that point aliases a future take. The pool
 // is not safe for concurrent use: like DMEM, each core owns exactly one.
 //
-// HighWater tracks the bytes of data buffers outstanding
+// HighWater tracks the bytes of data buffers outstanding, as asked for
 // (slice headers and Tile structs are excluded); the DMEMSize conformance
 // tests compare the per-tile high-water mark against each operator's
 // declared budget, making the declarations load-bearing.
 type TilePool struct {
-	i8   poolArena[int8]
-	i16  poolArena[int16]
-	i32  poolArena[int32]
-	i64  poolArena[int64]
-	u32  poolArena[uint32]
-	hdrs poolArena[coltypes.Data]
-	rows poolArena[[]int64]
+	region []int64
+	hdrs   []coltypes.Data
+	rows   [][]int64
+	vecs   []*bits.Vector // recycled by position: the k-th BV of a scope reuses the k-th struct
 
-	bv bvArena
-
+	at    poolMark // the next take of each kind
 	marks []poolMark
 
-	dataBytes int // data-buffer bytes currently taken
 	highWater int
 	grows     int64
+}
+
+// poolMark is a position in the pool: one offset per arena, and the data
+// bytes taken up to it.
+type poolMark struct {
+	region, hdrs, rows, vecs int
+	dataBytes                int
 }
 
 // NewTilePool returns an empty pool.
 func NewTilePool() *TilePool { return &TilePool{} }
 
-// minArenaElems is the smallest backing array a typed arena allocates, in
-// elements. Matches the old I64Scratch minimum of 16 K elements scaled down
-// per width so transient growth stops after the first tiles.
+// minArenaElems is the smallest backing array an arena allocates, in
+// elements: the region's first array is 32 KiB, one DMEM, so transient
+// growth stops after the first tiles.
 const minArenaElems = 1 << 12
 
-// poolArena is a typed bump arena. Growth abandons the old backing array
-// (outstanding slices stay valid against it) and continues bumping in a
-// larger one, so offsets recorded in marks remain meaningful.
-type poolArena[T any] struct {
-	buf []T
-	off int
-}
-
-func take[T any](p *TilePool, a *poolArena[T], n int) []T {
-	if a.off+n > len(a.buf) {
-		grow := 2 * (a.off + n)
-		if grow < minArenaElems {
-			grow = minArenaElems
-		}
-		a.buf = make([]T, grow)
+// bump returns the n elements of *buf at *off and moves *off past them.
+// Growth abandons the old backing array (outstanding slices stay valid
+// against it) and continues bumping in a larger one, so offsets recorded in
+// marks remain meaningful.
+func bump[T any](p *TilePool, buf *[]T, off *int, n int) []T {
+	if *off+n > len(*buf) {
+		*buf = make([]T, max(2*(*off+n), minArenaElems))
 		p.grows++
 	}
-	s := a.buf[a.off : a.off+n : a.off+n]
-	a.off += n
-	var zero T
-	for i := range s {
-		s[i] = zero
-	}
+	s := (*buf)[*off : *off+n : *off+n]
+	*off += n
 	return s
 }
 
-// bvArena recycles bit-vectors by position: the k-th take of a scope reuses
-// the k-th vector of the previous scope via Vector.Reuse.
-type bvArena struct {
-	vecs []*bits.Vector
-	idx  int
-}
-
-type poolMark struct {
-	i8, i16, i32, i64, u32, hdrs, rows int
-	bv                                 int
-	dataBytes                          int
-}
-
-func (p *TilePool) snapshot() poolMark {
-	return poolMark{
-		i8: p.i8.off, i16: p.i16.off, i32: p.i32.off, i64: p.i64.off,
-		u32: p.u32.off, hdrs: p.hdrs.off, rows: p.rows.off,
-		bv:        p.bv.idx,
-		dataBytes: p.dataBytes,
-	}
-}
-
-func (p *TilePool) restore(m poolMark) {
-	p.i8.off, p.i16.off, p.i32.off, p.i64.off = m.i8, m.i16, m.i32, m.i64
-	p.u32.off, p.hdrs.off, p.rows.off = m.u32, m.hdrs, m.rows
-	p.bv.idx = m.bv
-	p.dataBytes = m.dataBytes
+// take returns the un-zeroed words holding bytes of data.
+func (p *TilePool) take(bytes int) []int64 {
+	s := bump(p, &p.region, &p.at.region, (bytes+7)/8)
+	poison(s)
+	p.at.dataBytes += bytes
+	p.highWater = max(p.highWater, p.at.dataBytes)
+	return s
 }
 
 // Mark opens a scope; buffers taken after it are freed by the matching
 // Release. Task sources bracket their unit-lifetime buffers with Mark so
 // ResetTile (which rolls back to the innermost open Mark) spares them.
-func (p *TilePool) Mark() { p.marks = append(p.marks, p.snapshot()) }
+func (p *TilePool) Mark() { p.marks = append(p.marks, p.at) }
 
 // Release closes the innermost Mark scope.
 func (p *TilePool) Release() {
 	if len(p.marks) == 0 {
 		panic("mem: TilePool Release without Mark")
 	}
-	p.restore(p.marks[len(p.marks)-1])
+	p.at = p.marks[len(p.marks)-1]
 	p.marks = p.marks[:len(p.marks)-1]
 }
 
@@ -128,75 +108,58 @@ func (p *TilePool) Release() {
 // innermost Mark (or since Reset when no Mark is open).
 func (p *TilePool) ResetTile() {
 	if len(p.marks) > 0 {
-		p.restore(p.marks[len(p.marks)-1])
+		p.at = p.marks[len(p.marks)-1]
 		return
 	}
-	p.restore(poolMark{})
+	p.at = poolMark{}
 }
 
 // Reset frees everything, including open Mark scopes. Called by the QEF at
 // work-unit boundaries (the analogue of DMEM.Reset).
 func (p *TilePool) Reset() {
-	p.restore(poolMark{})
+	p.at = poolMark{}
 	p.marks = p.marks[:0]
 }
 
-func (p *TilePool) noteData(bytes int) {
-	p.dataBytes += bytes
-	if p.dataBytes > p.highWater {
-		p.highWater = p.dataBytes
-	}
+// I64 returns an un-zeroed tile-lifetime []int64 of length n.
+func (p *TilePool) I64(n int) []int64 { return p.take(8 * n) }
+
+// U32 returns an un-zeroed tile-lifetime []uint32 of length n (RID lists,
+// group ids, hash values).
+func (p *TilePool) U32(n int) []uint32 { return coltypes.WordsAs[uint32](p.take(4*n), n) }
+
+// Data returns an un-zeroed tile-lifetime column buffer of the given width
+// and length.
+func (p *TilePool) Data(w coltypes.Width, n int) coltypes.Data {
+	return coltypes.OfWords(p.take(n*w.Bytes()), w, n)
 }
-
-// I8 returns a zeroed tile-lifetime []int8 of length n.
-func (p *TilePool) I8(n int) []int8 { p.noteData(n); return take(p, &p.i8, n) }
-
-// I16 returns a zeroed tile-lifetime []int16 of length n.
-func (p *TilePool) I16(n int) []int16 { p.noteData(2 * n); return take(p, &p.i16, n) }
-
-// I32 returns a zeroed tile-lifetime []int32 of length n.
-func (p *TilePool) I32(n int) []int32 { p.noteData(4 * n); return take(p, &p.i32, n) }
-
-// I64 returns a zeroed tile-lifetime []int64 of length n.
-func (p *TilePool) I64(n int) []int64 { p.noteData(8 * n); return take(p, &p.i64, n) }
-
-// U32 returns a zeroed tile-lifetime []uint32 of length n (RID lists, group
-// ids, hash values).
-func (p *TilePool) U32(n int) []uint32 { p.noteData(4 * n); return take(p, &p.u32, n) }
 
 // Headers returns a zeroed []coltypes.Data header slice of length n. Header
 // bytes are not counted against the DMEM-correspondence usage.
-func (p *TilePool) Headers(n int) []coltypes.Data { return take(p, &p.hdrs, n) }
-
-// RowHeaders returns a zeroed [][]int64 header slice of length n.
-func (p *TilePool) RowHeaders(n int) [][]int64 { return take(p, &p.rows, n) }
-
-// BV returns a cleared n-bit vector.
-func (p *TilePool) BV(n int) *bits.Vector {
-	a := &p.bv
-	if a.idx == len(a.vecs) {
-		a.vecs = append(a.vecs, bits.NewVector(n))
-		p.grows++
-	}
-	v := a.vecs[a.idx]
-	a.idx++
-	v.Reuse(n)
-	p.noteData(v.SizeBytes())
-	return v
+func (p *TilePool) Headers(n int) []coltypes.Data {
+	s := bump(p, &p.hdrs, &p.at.hdrs, n)
+	clear(s)
+	return s
 }
 
-// Data returns a zeroed coltypes.Data buffer of the given width and length:
-// a view over the typed arena of that width.
-func (p *TilePool) Data(w coltypes.Width, n int) coltypes.Data {
-	switch w {
-	case coltypes.W1:
-		return coltypes.Of(p.I8(n))
-	case coltypes.W2:
-		return coltypes.Of(p.I16(n))
-	case coltypes.W4:
-		return coltypes.Of(p.I32(n))
+// RowHeaders returns a zeroed [][]int64 header slice of length n.
+func (p *TilePool) RowHeaders(n int) [][]int64 {
+	s := bump(p, &p.rows, &p.at.rows, n)
+	clear(s)
+	return s
+}
+
+// BV returns a cleared n-bit vector over words of the region.
+func (p *TilePool) BV(n int) *bits.Vector {
+	words := p.take(bits.VectorSizeBytes(n))
+	if p.at.vecs == len(p.vecs) {
+		p.vecs = append(p.vecs, new(bits.Vector))
+		p.grows++
 	}
-	return coltypes.Of(p.I64(n))
+	v := p.vecs[p.at.vecs]
+	p.at.vecs++
+	v.Over(coltypes.WordsAs[uint64](words, len(words)), n)
+	return v
 }
 
 // HighWater returns the most bytes of data buffers taken at once (headers
@@ -208,8 +171,8 @@ func (p *TilePool) HighWater() int { return p.highWater }
 // returns it. The DMEMSize conformance tests call it before driving one tile
 // through an operator.
 func (p *TilePool) MarkHighWater() int {
-	p.highWater = p.dataBytes
-	return p.dataBytes
+	p.highWater = p.at.dataBytes
+	return p.at.dataBytes
 }
 
 // Grows returns the number of backing-array allocations the pool has
@@ -225,17 +188,11 @@ const (
 )
 
 // RetainedBytes returns the bytes of backing storage the pool keeps alive
-// for reuse (typed and header arenas, bit-vectors), independent of how much
-// is currently taken. With pools owned by long-lived scheduler
-// workers this is the cross-query memory footprint of pooling.
+// for reuse (the region and the header arenas), independent of how much is
+// currently taken. With pools owned by long-lived scheduler workers this is
+// the cross-query memory footprint of pooling.
 func (p *TilePool) RetainedBytes() int {
-	total := len(p.i8.buf) + 2*len(p.i16.buf) + 4*len(p.i32.buf) +
-		8*len(p.i64.buf) + 4*len(p.u32.buf) +
-		dataHeaderBytes*len(p.hdrs.buf) + sliceHeaderBytes*len(p.rows.buf)
-	for _, v := range p.bv.vecs {
-		total += v.SizeBytes()
-	}
-	return total
+	return 8*len(p.region) + dataHeaderBytes*len(p.hdrs) + sliceHeaderBytes*len(p.rows)
 }
 
 // TrimTo bounds the pool's retained storage: when RetainedBytes exceeds

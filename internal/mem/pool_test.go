@@ -7,35 +7,31 @@ import (
 	"rapid/internal/coltypes"
 )
 
+// TestTilePoolTakeAndReset: takes are laid end to end in the region, and
+// after Reset the next take reuses the same storage.
 func TestTilePoolTakeAndReset(t *testing.T) {
 	p := NewTilePool()
 	a := p.I64(100)
-	if len(a) != 100 {
-		t.Fatalf("len = %d, want 100", len(a))
+	if len(a) != 100 || cap(a) != 100 {
+		t.Fatalf("len %d cap %d, want 100", len(a), cap(a))
 	}
 	for i := range a {
 		a[i] = int64(i) + 1
 	}
 	b := p.I64(50)
-	for i := range b {
-		if b[i] != 0 {
-			t.Fatalf("second take not zeroed at %d: %d", i, b[i])
-		}
-		b[i] = -7
+	if &b[0] != &p.region[100] {
+		t.Fatal("second take does not follow the first in the region")
 	}
-	if p.dataBytes != 8*150 {
-		t.Fatalf("dataBytes = %d, want %d", p.dataBytes, 8*150)
+	if p.at.dataBytes != 8*150 {
+		t.Fatalf("dataBytes = %d, want %d", p.at.dataBytes, 8*150)
 	}
 	p.Reset()
-	if p.dataBytes != 0 {
-		t.Fatalf("dataBytes after Reset = %d", p.dataBytes)
+	if p.at.dataBytes != 0 {
+		t.Fatalf("dataBytes after Reset = %d", p.at.dataBytes)
 	}
-	// Recycled takes are zeroed even though the backing memory was dirty.
 	c := p.I64(150)
-	for i := range c {
-		if c[i] != 0 {
-			t.Fatalf("recycled take not zeroed at %d: %d", i, c[i])
-		}
+	if &c[0] != &a[0] {
+		t.Fatal("take after Reset did not reuse the region")
 	}
 }
 
@@ -46,26 +42,26 @@ func TestTilePoolMarkReleaseResetTile(t *testing.T) {
 	p.Mark()
 	p.I64(20)
 	p.U32(30)
-	inner := p.dataBytes
+	inner := p.at.dataBytes
 	if inner != 8*10+8*20+4*30 {
 		t.Fatalf("dataBytes = %d", inner)
 	}
 	p.ResetTile() // rolls back to the mark, keeping the unit take
-	if p.dataBytes != 8*10 {
-		t.Fatalf("after ResetTile dataBytes = %d, want %d", p.dataBytes, 8*10)
+	if p.at.dataBytes != 8*10 {
+		t.Fatalf("after ResetTile dataBytes = %d, want %d", p.at.dataBytes, 8*10)
 	}
 	if unit[0] != 42 {
 		t.Fatal("unit-lifetime buffer clobbered by ResetTile")
 	}
 	p.I64(5)
 	p.Release() // closes the mark scope
-	if p.dataBytes != 8*10 {
-		t.Fatalf("after Release dataBytes = %d, want %d", p.dataBytes, 8*10)
+	if p.at.dataBytes != 8*10 {
+		t.Fatalf("after Release dataBytes = %d, want %d", p.at.dataBytes, 8*10)
 	}
 	// Without marks, ResetTile behaves like Reset.
 	p.ResetTile()
-	if p.dataBytes != 0 {
-		t.Fatalf("markless ResetTile dataBytes = %d", p.dataBytes)
+	if p.at.dataBytes != 0 {
+		t.Fatalf("markless ResetTile dataBytes = %d", p.at.dataBytes)
 	}
 }
 
@@ -83,7 +79,6 @@ func TestTilePoolSteadyStateNoGrows(t *testing.T) {
 	warm := func() {
 		p.Reset()
 		p.I64(256)
-		p.I32(256)
 		p.U32(256)
 		p.BV(256)
 		p.Data(coltypes.W4, 256)
@@ -101,34 +96,59 @@ func TestTilePoolSteadyStateNoGrows(t *testing.T) {
 	}
 }
 
+// TestTilePoolDataSlabReuse: a Data take of any width is a view over the
+// region, counted at the bytes it asked for, and a take after Reset reuses the
+// same storage.
 func TestTilePoolDataSlabReuse(t *testing.T) {
 	p := NewTilePool()
 	d := p.Data(coltypes.W8, 256)
 	if d.Len() != 256 || d.Width() != coltypes.W8 {
 		t.Fatalf("Data(W8, 256) = len %d width %d", d.Len(), d.Width())
 	}
-	d.Set(3, 99)
 	p.Reset()
 	d2 := p.Data(coltypes.W8, 256)
 	if &d2.I64()[0] != &d.I64()[0] {
-		t.Fatal("Data take after Reset did not reuse the arena storage")
+		t.Fatal("Data take after Reset did not reuse the region")
 	}
-	if d2.Get(3) != 0 {
-		t.Fatal("recycled Data buffer not zeroed")
+	// Narrower widths round up to whole words in the region but count the
+	// bytes asked for.
+	d3 := p.Data(coltypes.W2, 5)
+	if d3.Len() != 5 || d3.Width() != coltypes.W2 {
+		t.Fatalf("Data(W2, 5) = len %d width %d", d3.Len(), d3.Width())
 	}
-	// Data is a view over the typed arena of its width: a short take bumps
-	// the same arena the I64 takes use, and comes back zeroed.
-	d3 := p.Data(coltypes.W8, 100)
-	if d3.Len() != 100 {
-		t.Fatalf("short take len = %d", d3.Len())
+	if &d3.I16()[0] != (*int16)(unsafe.Pointer(&p.region[256])) {
+		t.Fatal("W2 take is not laid over the region after the W8 one")
 	}
-	for i := 0; i < 100; i++ {
-		if d3.Get(i) != 0 {
-			t.Fatalf("short take not zeroed at %d", i)
+	if p.at.region != 256+2 {
+		t.Fatalf("region offset = %d words, want %d", p.at.region, 256+2)
+	}
+	if got := p.at.dataBytes; got != 256*8+5*2 {
+		t.Fatalf("dataBytes = %d, want %d", got, 256*8+5*2)
+	}
+}
+
+// TestTilePoolHeadersAndBVAreCleared: the pointerful header takes and the
+// bit-vectors come back cleared over storage an earlier take dirtied.
+func TestTilePoolHeadersAndBVAreCleared(t *testing.T) {
+	p := NewTilePool()
+	h, r := p.Headers(8), p.RowHeaders(8)
+	for i := range h {
+		h[i], r[i] = coltypes.Of([]int64{1}), []int64{1}
+	}
+	fill := p.I64(64)
+	for i := range fill {
+		fill[i] = -1
+	}
+	p.Reset()
+	h, r = p.Headers(8), p.RowHeaders(8)
+	for i := range h {
+		if h[i].Len() != 0 || r[i] != nil {
+			t.Fatalf("header take %d not cleared", i)
 		}
 	}
-	if got := p.dataBytes; got != (256+100)*8 {
-		t.Fatalf("dataBytes = %d, want %d", got, (256+100)*8)
+	v := p.BV(64 * 64)
+	if v.Count() != 0 || &v.Words()[0] != (*uint64)(unsafe.Pointer(&fill[0])) {
+		t.Fatalf("BV over the dirtied region: count %d", v.Count())
 	}
 }
 
@@ -193,9 +213,9 @@ func TestTilePoolRetainedBytesAndTrimTo(t *testing.T) {
 	if got := p.RetainedBytes(); got != 0 {
 		t.Fatalf("fresh pool retains %d bytes, want 0", got)
 	}
-	p.I64(1024)   // 8 KiB arena
-	p.I32(1024)   // 4 KiB arena
-	p.BV(1 << 12) // bit-vector backing
+	p.I64(1024)               // 8 KiB
+	p.Data(coltypes.W4, 1024) // 4 KiB
+	p.BV(1 << 12)             // 512 B of bit-vector words
 	p.Reset()
 	retained := p.RetainedBytes()
 	if retained < 12*1024 {

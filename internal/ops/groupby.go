@@ -39,9 +39,12 @@ func NewGroupTable(maxGroups, nKeys int) *GroupTable {
 }
 
 // newGroupTable lays a table for up to maxGroups groups out in u32 (slots,
-// then hashes; zeroed) and keys — heap or task scratch.
+// then hashes) and keys — heap or un-zeroed task scratch.
 func newGroupTable(maxGroups int, u32 []uint32, keys []int64) GroupTable {
 	slots := nextPow2(2 * maxGroups)
+	// Read before written: FindOrAdd takes a 0 slot for an empty one. Hashes
+	// and keys are written when their group is added.
+	clear(u32[:slots])
 	return GroupTable{mask: uint32(slots - 1), slots: u32[:slots], hashes: u32[slots:], keys: keys, cap: maxGroups}
 }
 

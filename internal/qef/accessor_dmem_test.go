@@ -1,10 +1,15 @@
 package qef
 
-import "testing"
+import (
+	"testing"
+
+	"rapid/internal/coltypes"
+)
 
 // TestScratchLifetimes exercises the pool lifetime model through the TaskCtx
 // API: unit-lifetime takes survive ResetScratch, tile-lifetime takes are
-// recycled, and recycled buffers come back zeroed.
+// recycled, and recycled header slices come back cleared (data buffers come
+// back as they stand: scratch is un-zeroed).
 func TestScratchLifetimes(t *testing.T) {
 	ctx := NewContext(ModeX86)
 	err := ctx.RunSerial(func(tc *TaskCtx) error {
@@ -14,18 +19,20 @@ func TestScratchLifetimes(t *testing.T) {
 		tc.MarkScratch() // tile floor
 
 		a := tc.I64Scratch(16)
-		a[5] = 99
-		tile1 := tc.TileScratch(tc.ColScratch(2), 16)
+		hdrs := tc.ColScratch(2)
+		hdrs[0] = coltypes.Of(a)
+		tile1 := tc.TileScratch(hdrs, 16)
 		tc.ResetScratch()
 
 		b := tc.I64Scratch(16)
 		if &a[0] != &b[0] {
 			t.Error("tile-lifetime buffer not recycled by ResetScratch")
 		}
-		if b[5] != 0 {
-			t.Error("recycled scratch not zeroed")
+		hdrs2 := tc.ColScratch(2)
+		if &hdrs2[0] != &hdrs[0] || hdrs2[0].Len() != 0 {
+			t.Error("recycled header scratch not cleared")
 		}
-		tile2 := tc.TileScratch(tc.ColScratch(2), 32)
+		tile2 := tc.TileScratch(hdrs2, 32)
 		if tile1 != tile2 {
 			t.Error("Tile struct not recycled by ResetScratch")
 		}

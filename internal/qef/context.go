@@ -313,44 +313,47 @@ type TaskCtx struct {
 	tileOff int
 }
 
-// I64Scratch returns an n-element scratch buffer valid until the next
-// ResetScratch. Contents are zeroed.
+// The scratch takes below are served by the task's pool. Data buffers —
+// I64Scratch, U32Scratch, RIDScratch and DataScratch — are NOT zeroed: they
+// hold whatever an earlier take wrote (a poison pattern in race builds), so
+// the taker writes every element it later reads, and a site that reads first
+// clears what it took and says why. Headers and bit-vectors come back
+// cleared. All are valid until the next ResetScratch.
+
+// I64Scratch returns an un-zeroed n-element scratch buffer.
 func (tc *TaskCtx) I64Scratch(n int) []int64 {
 	return tc.pool.I64(n)
 }
 
-// U32Scratch returns a zeroed n-element uint32 scratch buffer (hash values,
-// group ids) valid until the next ResetScratch.
+// U32Scratch returns an un-zeroed n-element uint32 scratch buffer (hash
+// values, group ids).
 func (tc *TaskCtx) U32Scratch(n int) []uint32 {
 	return tc.pool.U32(n)
 }
 
 // RIDScratch returns an empty RID buffer with capacity n, for append-style
-// fills (bit-vector → RID conversion), valid until the next ResetScratch.
+// fills (bit-vector → RID conversion).
 func (tc *TaskCtx) RIDScratch(n int) []uint32 {
 	return tc.pool.U32(n)[:0]
 }
 
-// BVScratch returns a cleared n-bit vector valid until the next
-// ResetScratch.
+// BVScratch returns a cleared n-bit vector.
 func (tc *TaskCtx) BVScratch(n int) *bits.Vector {
 	return tc.pool.BV(n)
 }
 
-// DataScratch returns a zeroed column buffer of the given width and length
-// valid until the next ResetScratch.
+// DataScratch returns an un-zeroed column buffer of the given width and
+// length.
 func (tc *TaskCtx) DataScratch(w coltypes.Width, n int) coltypes.Data {
 	return tc.pool.Data(w, n)
 }
 
-// ColScratch returns a zeroed []coltypes.Data header slice of length n
-// valid until the next ResetScratch.
+// ColScratch returns a zeroed []coltypes.Data header slice of length n.
 func (tc *TaskCtx) ColScratch(n int) []coltypes.Data {
 	return tc.pool.Headers(n)
 }
 
-// RowScratch returns a zeroed [][]int64 header slice of length n valid
-// until the next ResetScratch.
+// RowScratch returns a zeroed [][]int64 header slice of length n.
 func (tc *TaskCtx) RowScratch(n int) [][]int64 {
 	return tc.pool.RowHeaders(n)
 }
