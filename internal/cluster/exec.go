@@ -429,16 +429,14 @@ func (q *query) coordFragment(n plan.Node) (*ops.Relation, error) {
 // complete on one node (groupLayout: a partition column among the keys, or a
 // replicated input) the node-local aggregation is final and the groups are
 // only gathered — one copy of them when replicated. Otherwise it takes two
-// phases: exact per-node partials (AVG lowered to SUM+COUNT, scalar
-// aggregates carrying a __prows count so empty shards can't poison MIN/MAX
-// with their 0 sentinel), gathered and folded at the coordinator with the
-// same finalization arithmetic as the single-node engine — distributed
-// answers stay bit-identical.
+// phases: the nodes compute qcomp.PartialAggs, and the coordinator folds the
+// gathered partials with qcomp.MergePartials, the single SoC's merge and
+// finalization — distributed answers stay bit-identical.
 func (q *query) distributedGroupBy(g *plan.GroupBy, rec *recipe) (*ops.Relation, error) {
 	_, whole := groupLayout(g, rec.layout)
 	aggs := g.Aggs
 	if !whole {
-		aggs = partialAggs(g)
+		aggs = qcomp.PartialAggs(g)
 	}
 	tree := &plan.GroupBy{Input: rec.tree, Keys: g.Keys, Aggs: aggs}
 	label, result := "partial group-by", "partials"
@@ -462,7 +460,7 @@ func (q *query) distributedGroupBy(g *plan.GroupBy, rec *recipe) (*ops.Relation,
 	if err != nil || whole {
 		return gathered, err
 	}
-	out, err := q.mergePartials(g, gathered)
+	out, err := qcomp.MergePartials(g, gathered)
 	if err != nil {
 		return nil, err
 	}

@@ -3,8 +3,8 @@ package ops
 import (
 	"fmt"
 	"math"
-	"sync"
 
+	"rapid/internal/coltypes"
 	"rapid/internal/dpu"
 	"rapid/internal/primitives"
 	"rapid/internal/qef"
@@ -77,49 +77,14 @@ type AggSpec struct {
 }
 
 // ScalarAggOp computes ungrouped aggregates: each core accumulates locally
-// and merges into the shared result at Close (the merge-operator pattern).
+// and, at Close, folds its states into the shared zero-key merger (the
+// merge-operator pattern). A core that aggregated no row folds nothing, so
+// its MIN and MAX identities never reach the merged group.
 type ScalarAggOp struct {
 	Specs  []AggSpec
-	Result *ScalarAggResult
+	Merger *GroupMerger
 
 	local []primitives.AggState
-}
-
-// ScalarAggResult is the shared, merged aggregate state.
-type ScalarAggResult struct {
-	mu     sync.Mutex
-	states []primitives.AggState
-}
-
-// NewScalarAggResult allocates the shared result for n specs.
-func NewScalarAggResult(n int) *ScalarAggResult {
-	r := &ScalarAggResult{states: make([]primitives.AggState, n)}
-	for i := range r.states {
-		r.states[i] = primitives.NewAggState()
-	}
-	return r
-}
-
-// State returns the merged state of spec i.
-func (r *ScalarAggResult) State(i int) primitives.AggState {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.states[i]
-}
-
-// Value returns the final value of spec i under the given kind.
-func (r *ScalarAggResult) Value(i int, kind AggKind) int64 {
-	st := r.State(i)
-	switch kind {
-	case AggSum:
-		return st.Sum
-	case AggMin:
-		return st.Min
-	case AggMax:
-		return st.Max
-	default:
-		return st.Count
-	}
 }
 
 // DMEMSize: per-spec accumulator state, each computed expression's scratch,
@@ -169,10 +134,23 @@ func (a *ScalarAggOp) Produce(tc *qef.TaskCtx, t *qef.Tile) error {
 }
 
 func (a *ScalarAggOp) Close(tc *qef.TaskCtx) error {
-	a.Result.mu.Lock()
-	defer a.Result.mu.Unlock()
-	for i := range a.Specs {
-		a.Result.states[i].Merge(a.local[i])
+	// Every spec's state counts the rows the core aggregated.
+	if len(a.local) == 0 || a.local[0].Count == 0 {
+		return nil
 	}
+	row, vals := make([]int64, len(a.Specs)), make([]coltypes.Data, len(a.Specs))
+	for i, spec := range a.Specs {
+		row[i] = a.local[i].Count
+		switch spec.Kind {
+		case AggSum:
+			row[i] = a.local[i].Sum
+		case AggMin:
+			row[i] = a.local[i].Min
+		case AggMax:
+			row[i] = a.local[i].Max
+		}
+		vals[i] = coltypes.Of(row[i : i+1])
+	}
+	a.Merger.Fold(nil, vals)
 	return nil
 }

@@ -132,7 +132,7 @@ func TestDMEMSizeIsUpperBoundOnPoolUse(t *testing.T) {
 					{Kind: AggMax, Expr: &ColRef{Idx: 2}},
 					{Kind: AggCountStar},
 				},
-				Result: NewScalarAggResult(3),
+				Merger: NewGroupMerger(0, nil),
 			}
 		}, func() *qef.Tile { return withRIDs(confTile(confTileRows)) }},
 		{"groupby/dense", func() qef.Operator {

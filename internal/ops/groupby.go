@@ -221,8 +221,9 @@ func (g *GroupByOp) Close(tc *qef.TaskCtx) error {
 	return nil
 }
 
-// GroupMerger combines partial group rows — per-core group tables, or the
-// tray's per-node partials — into the final grouped result.
+// GroupMerger combines partial group rows — per-core group tables, per-core
+// scalar states (zero keys: one group), or the tray's per-node partials —
+// into the final grouped result.
 type GroupMerger struct {
 	NKeys int
 	Specs []AggSpec

@@ -291,29 +291,33 @@ func TestMaterializeAndProject(t *testing.T) {
 func TestScalarAgg(t *testing.T) {
 	bothModes(t, func(t *testing.T, ctx *qef.Context) {
 		tbl := buildTestTable(t, 3000)
-		res := NewScalarAggResult(3)
 		specs := []AggSpec{
 			{Kind: AggSum, Expr: &ColRef{Idx: 1}},
 			{Kind: AggMax, Expr: &ColRef{Idx: 0}},
 			{Kind: AggCountStar},
 		}
+		merger := NewGroupMerger(0, specs)
 		chain := func() qef.Operator {
 			return &FilterOp{
 				Preds: []Predicate{&ConstCmp{Col: 1, Op: plan.LT, Val: 10, Sel: 0.1}},
-				Next:  &ScalarAggOp{Specs: specs, Result: res},
+				Next:  &ScalarAggOp{Specs: specs, Merger: merger},
 			}
 		}
 		if err := TableScan(ctx, tbl.Snapshot(storage.LatestSCN), []int{0, 1}, 256, nil, chain); err != nil {
 			t.Fatal(err)
 		}
+		res := merger.Relation(nil, nil)
+		if res.Rows() != 1 {
+			t.Fatalf("merged groups = %d, want 1", res.Rows())
+		}
 		// v<10: 30 full hundreds -> 300 rows, sum v = 30*(0..9)=30*45=1350.
-		if got := res.Value(0, AggSum); got != 1350 {
+		if got := res.Get(0, 0); got != 1350 {
 			t.Fatalf("sum = %d", got)
 		}
-		if got := res.Value(2, AggCountStar); got != 300 {
+		if got := res.Get(0, 2); got != 300 {
 			t.Fatalf("count = %d", got)
 		}
-		if got := res.Value(1, AggMax); got != 2909 {
+		if got := res.Get(0, 1); got != 2909 {
 			t.Fatalf("max = %d", got) // largest k with k%100<10 below 3000
 		}
 	})

@@ -1,6 +1,7 @@
 package ops
 
 import (
+	"fmt"
 	"runtime"
 	"slices"
 	"testing"
@@ -221,66 +222,24 @@ func TestGroupByPartitionedAllocsPerPartition(t *testing.T) {
 // does not grow with the row count — partition buffers, hash vectors, hash
 // tables, match lists and the output chunks, which the query returns when it
 // releases its context, are recycled, not made, zeroed and collected.
+//
+// The budgets are sized for exactly two workers and run there. At any other
+// worker count a split cuts more pieces as the rows grow, up to the workers,
+// each with fanout 4-byte cursor counters; the run at the ambient count
+// allows that growth and no more.
 func TestOperatorBytesAreRowIndependent(t *testing.T) {
-	withProcs(t, 2, func() {
-		scheme := PartScheme{Rounds: []int{8, 16}}
-		// The median of several warm runs, each its own TotalAlloc delta: a
-		// run that meets a GC (emptied sync.Pools regrow) or a goroutine
-		// stack growth is an outlier, not a trend.
-		bytesPerRun := func(fn func()) float64 {
-			fn() // warm: pools grow and the slab fills here
-			fn()
-			var runs [9]float64
-			var before, after runtime.MemStats
-			for i := range runs {
-				runtime.ReadMemStats(&before)
-				fn()
-				runtime.ReadMemStats(&after)
-				runs[i] = float64(after.TotalAlloc - before.TotalAlloc)
-			}
-			slices.Sort(runs[:])
-			return runs[len(runs)/2]
-		}
-		partition := func(n int, s PartScheme) float64 {
-			cols := lineitemLike(n, n/4+1).Chunks
-			ctx := qef.NewContext(qef.ModeX86)
-			ctx.Slab = mem.NewSlab(64<<20, nil)
-			return bytesPerRun(func() {
-				parts, err := PartitionByHash(ctx, cols, []int{0}, s, qef.DefaultTileRows)
-				if err != nil {
-					t.Fatal(err)
-				}
-				parts.Release()
-			})
-		}
-		join := func(n int) float64 {
-			orders := n / 4
-			build := intRel([]string{"o_orderkey", "o_totalprice"},
-				seq(orders, func(i int) int64 { return int64(i) }),
-				seq(orders, func(i int) int64 { return int64(i) * 7 }))
-			probe := lineitemLike(n, orders)
-			ctx := qef.NewContext(qef.ModeX86)
-			ctx.Slab = mem.NewSlab(64<<20, nil)
-			spec := JoinSpec{
-				Type: plan.InnerJoin, BuildKeys: []int{0}, ProbeKeys: []int{0},
-				BuildPayload: []int{0, 1}, ProbePayload: []int{1, 2},
-				Scheme: scheme,
-			}
-			return bytesPerRun(func() {
-				if _, err := HashJoin(ctx, build, probe, spec); err != nil {
-					t.Fatal(err)
-				}
-				ctx.Release()
-			})
-		}
-		const small, large = 50_000, 300_000
-		// Per partition its column and hash headers, slot, bound and replay
-		// unit, and a cursor row per piece — the pieces bounded by
-		// splitCursorMax or the workers, not by the rows: at 8x16 tens of KB
-		// against 8.4 MB of rows at 300 k. The three-round scheme is the
-		// widest the planner picks.
-		for _, s := range []PartScheme{scheme, {Rounds: []int{16, 32}}, {Rounds: []int{32, 64, 64}}} {
-			ps, pl := partition(small, s), partition(large, s)
+	const small, large = 50_000, 300_000
+	// Per partition its column and hash headers, slot, bound and replay
+	// unit, and a cursor row per piece — the pieces bounded by
+	// splitCursorMax or the workers, not by the rows: at 8x16 tens of KB
+	// against 8.4 MB of rows at 300 k. The three-round scheme is the
+	// widest the planner picks.
+	schemes := []PartScheme{{Rounds: []int{8, 16}}, {Rounds: []int{16, 32}}, {Rounds: []int{32, 64, 64}}}
+	ambient := runtime.GOMAXPROCS(0)
+	t.Run("procs=2", func(t *testing.T) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+		for _, s := range schemes {
+			ps, pl := partitionBytes(t, small, s), partitionBytes(t, large, s)
 			if budget := float64(256<<10 + 256*s.Fanout()); pl > budget || pl-ps > 64<<10 {
 				t.Errorf("%s: PartitionByHash allocates %.0f B at %d rows, %.0f B at %d (budget %.0f): partition buffers are not recycled, or the cursor grows with the rows",
 					s, ps, small, pl, large, budget)
@@ -290,10 +249,82 @@ func TestOperatorBytesAreRowIndependent(t *testing.T) {
 		// A join allocates headers and work units, as many at 300 k rows as at
 		// 50 k; the compact hash tables are laid out in task scratch and its
 		// 9.6 MB of output at 300 k rows is leased.
-		js, jl := join(small), join(large)
+		js, jl := joinBytes(t, small), joinBytes(t, large)
 		if jl > 512<<10 || jl-js > 64<<10 {
 			t.Errorf("HashJoin allocates %.0f B at %d rows, %.0f B at %d: output chunks or staging are not recycled", js, small, jl, large)
 		}
 		t.Logf("HashJoin %.0f / %.0f B", js, jl)
+	})
+	if ambient == 2 {
+		return // the run above is the ambient one
+	}
+	t.Run(fmt.Sprintf("procs=%d", ambient), func(t *testing.T) {
+		ctx := qef.NewContext(qef.ModeX86)
+		pieces := func(n, fanout int) int { rows := pieceRows(ctx, n, fanout); return (n + rows - 1) / rows }
+		for _, s := range schemes {
+			ps, pl := partitionBytes(t, small, s), partitionBytes(t, large, s)
+			cursor := (pieces(large, s.Fanout()) - pieces(small, s.Fanout())) * s.Fanout() * 4
+			if allowed := float64(64<<10 + cursor); pl-ps > allowed {
+				t.Errorf("%s: PartitionByHash allocates %.0f B at %d rows, %.0f B at %d: grows by more than 64 KiB + %d B of extra pieces' cursor",
+					s, ps, small, pl, large, cursor)
+			}
+			t.Logf("%s: PartitionByHash %.0f / %.0f B", s, ps, pl)
+		}
+	})
+}
+
+// bytesPerRun is the median of several warm runs of fn, each its own
+// TotalAlloc delta: a run that meets a GC (emptied sync.Pools regrow) or a
+// goroutine stack growth is an outlier, not a trend.
+func bytesPerRun(fn func()) float64 {
+	fn() // warm: pools grow and the slab fills here
+	fn()
+	var runs [9]float64
+	var before, after runtime.MemStats
+	for i := range runs {
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		runs[i] = float64(after.TotalAlloc - before.TotalAlloc)
+	}
+	slices.Sort(runs[:])
+	return runs[len(runs)/2]
+}
+
+// partitionBytes is what a warm PartitionByHash of n lineitem-like rows
+// allocates under s, with as many workers as GOMAXPROCS allows.
+func partitionBytes(t *testing.T, n int, s PartScheme) float64 {
+	cols := lineitemLike(n, n/4+1).Chunks
+	ctx := qef.NewContext(qef.ModeX86)
+	ctx.Slab = mem.NewSlab(64<<20, nil)
+	return bytesPerRun(func() {
+		parts, err := PartitionByHash(ctx, cols, []int{0}, s, qef.DefaultTileRows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts.Release()
+	})
+}
+
+// joinBytes is what a warm 8x16 HashJoin of n lineitem-like rows against
+// n/4 orders allocates.
+func joinBytes(t *testing.T, n int) float64 {
+	orders := n / 4
+	build := intRel([]string{"o_orderkey", "o_totalprice"},
+		seq(orders, func(i int) int64 { return int64(i) }),
+		seq(orders, func(i int) int64 { return int64(i) * 7 }))
+	probe := lineitemLike(n, orders)
+	ctx := qef.NewContext(qef.ModeX86)
+	ctx.Slab = mem.NewSlab(64<<20, nil)
+	spec := JoinSpec{
+		Type: plan.InnerJoin, BuildKeys: []int{0}, ProbeKeys: []int{0},
+		BuildPayload: []int{0, 1}, ProbePayload: []int{1, 2},
+		Scheme: PartScheme{Rounds: []int{8, 16}},
+	}
+	return bytesPerRun(func() {
+		if _, err := HashJoin(ctx, build, probe, spec); err != nil {
+			t.Fatal(err)
+		}
+		ctx.Release()
 	})
 }

@@ -109,19 +109,6 @@ func NewAggState() AggState {
 	return AggState{Min: math.MaxInt64, Max: math.MinInt64}
 }
 
-// Merge combines two accumulators (the merge operator after low-NDV
-// group-by, §5.4).
-func (a *AggState) Merge(o AggState) {
-	a.Sum += o.Sum
-	a.Count += o.Count
-	if o.Min < a.Min {
-		a.Min = o.Min
-	}
-	if o.Max > a.Max {
-		a.Max = o.Max
-	}
-}
-
 // Aggregate folds vals (rows of sel when non-nil) into st.
 func Aggregate(core *dpu.Core, vals []int64, sel *bits.Vector, st *AggState) {
 	update := func(v int64) {

@@ -83,9 +83,10 @@ func TestAggregate(t *testing.T) {
 	if st2.Sum != 17 || st2.Count != 2 || st2.Min != 5 {
 		t.Fatalf("masked agg = %+v", st2)
 	}
-	st.Merge(st2)
+	// A second call folds into what the state holds.
+	Aggregate(core, vals, sel, &st)
 	if st.Sum != 38 || st.Count != 6 || st.Min != -3 || st.Max != 12 {
-		t.Fatalf("merge = %+v", st)
+		t.Fatalf("two-call agg = %+v", st)
 	}
 }
 

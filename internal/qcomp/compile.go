@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"rapid/internal/coltypes"
 	"rapid/internal/obs"
 	"rapid/internal/ops"
 	"rapid/internal/plan"
@@ -99,13 +98,6 @@ type pipelineNode struct {
 	srcID   int
 	stepIDs []int
 	termID  int
-}
-
-// finalSpec maps lowered agg outputs to requested columns (AVG lowering).
-type finalSpec struct {
-	kind    plan.AggKind
-	specIdx int // primary spec column (after keys)
-	cntIdx  int // count spec column for AVG
 }
 
 func (p *pipelineNode) fields() []plan.Field {
@@ -279,7 +271,6 @@ func (p *pipelineNode) execute(ctx *qef.Context) (*ops.Relation, error) {
 
 	// Shared terminal state.
 	var sink *ops.CollectSink
-	var aggRes *ops.ScalarAggResult
 	var merger *ops.GroupMerger
 	switch p.terminal {
 	case termCollect:
@@ -288,9 +279,7 @@ func (p *pipelineNode) execute(ctx *qef.Context) (*ops.Relation, error) {
 			outCols[i] = ops.Col{Name: c.field.Name, Type: c.field.Type, Dict: c.field.Dict}
 		}
 		sink = ops.NewCollectSink(outCols)
-	case termScalarAgg:
-		aggRes = ops.NewScalarAggResult(len(p.aggSpecs))
-	case termGroupBy:
+	default: // scalar aggregates merge as the one group of zero keys
 		merger = ops.NewGroupMerger(len(p.groupCols), p.aggSpecs)
 	}
 
@@ -314,7 +303,7 @@ func (p *pipelineNode) execute(ctx *qef.Context) (*ops.Relation, error) {
 		case termCollect:
 			term = sink
 		case termScalarAgg:
-			term = &ops.ScalarAggOp{Specs: p.aggSpecs, Result: aggRes}
+			term = &ops.ScalarAggOp{Specs: p.aggSpecs, Merger: merger}
 		case termGroupBy:
 			term = &ops.GroupByOp{GroupCols: p.groupCols, Specs: p.aggSpecs, MaxGroups: p.maxGroups, Merger: merger}
 		}
@@ -348,19 +337,10 @@ func (p *pipelineNode) execute(ctx *qef.Context) (*ops.Relation, error) {
 		if err != nil {
 			return nil, err
 		}
-		switch p.terminal {
-		case termCollect:
+		if p.terminal == termCollect {
 			return sink.Relation(), nil
-		case termScalarAgg:
-			return p.finalizeScalar(aggRes)
-		default:
-			keyCols := make([]ops.Col, len(p.groupCols))
-			for i, g := range p.groupCols {
-				c := p.cols[g]
-				keyCols[i] = ops.Col{Name: c.field.Name, Type: c.field.Type, Dict: c.field.Dict}
-			}
-			return p.finalizeGrouped(merger.Relation(keyCols, nil), len(p.groupCols))
 		}
+		return finalize(merger.Relation(make([]ops.Col, len(p.groupCols)), nil), len(p.groupCols), p.finals, p.outFields)
 	})
 	if p.terminal == termGroupBy && errors.Is(err, ops.ErrGroupOverflow) {
 		return p.executeGroupPartFallback(ctx)
@@ -396,72 +376,6 @@ func (p *pipelineNode) executeGroupPartFallback(ctx *qef.Context) (*ops.Relation
 		opID: p.termID,
 	}
 	return gp.execute(ctx)
-}
-
-// finalizeScalar maps lowered agg states to the requested output columns.
-func (p *pipelineNode) finalizeScalar(res *ops.ScalarAggResult) (*ops.Relation, error) {
-	cols := make([]ops.Col, len(p.finals))
-	data := make([]coltypes.Data, len(p.finals))
-	for i, f := range p.finals {
-		var v int64
-		switch f.kind {
-		case plan.Avg:
-			sum := res.Value(f.specIdx, ops.AggSum)
-			cnt := res.Value(f.cntIdx, ops.AggCountStar)
-			if cnt != 0 {
-				v = sum * 100 / cnt
-			}
-		case plan.Sum:
-			v = res.Value(f.specIdx, ops.AggSum)
-		case plan.Min:
-			// Over zero rows the state still holds the +Inf/-Inf identity
-			// sentinels; emit 0 like the row interpreter's empty-input row.
-			if res.State(f.specIdx).Count != 0 {
-				v = res.Value(f.specIdx, ops.AggMin)
-			}
-		case plan.Max:
-			if res.State(f.specIdx).Count != 0 {
-				v = res.Value(f.specIdx, ops.AggMax)
-			}
-		default:
-			v = res.Value(f.specIdx, ops.AggCount)
-		}
-		fld := p.outFields[i]
-		cols[i] = ops.Col{Name: fld.Name, Type: fld.Type}
-		data[i] = coltypes.Of([]int64{v})
-	}
-	return ops.NewRelation(cols, data)
-}
-
-// finalizeGrouped maps lowered agg columns of the raw grouped relation
-// (keys first, then one column per lowered spec) to the requested outputs,
-// chunk by chunk: keys and plain aggregates pass through, averages are
-// computed.
-func (p *pipelineNode) finalizeGrouped(raw *ops.Relation, nKeys int) (*ops.Relation, error) {
-	cols := make([]ops.Col, nKeys+len(p.finals))
-	for i, fld := range p.outFields[:len(cols)] {
-		cols[i] = ops.Col{Name: fld.Name, Type: fld.Type, Dict: fld.Dict}
-	}
-	chunks := make([][]coltypes.Data, len(raw.Chunks))
-	for k, ch := range raw.Chunks {
-		out := append(make([]coltypes.Data, 0, len(cols)), ch[:nKeys]...)
-		for _, f := range p.finals {
-			if f.kind != plan.Avg {
-				out = append(out, ch[nKeys+f.specIdx])
-				continue
-			}
-			sums, cnts := ch[nKeys+f.specIdx], ch[nKeys+f.cntIdx]
-			vals := make([]int64, sums.Len())
-			for r := range vals {
-				if c := cnts.Get(r); c != 0 {
-					vals[r] = sums.Get(r) * 100 / c
-				}
-			}
-			out = append(out, coltypes.Of(vals))
-		}
-		chunks[k] = out
-	}
-	return ops.NewRelation(cols, chunks...)
 }
 
 // ---------------------------------------------------------------------------
@@ -676,34 +590,15 @@ func compileGroupBy(g *plan.GroupBy, in map[plan.Node]*ops.Relation) (physNode, 
 		groupCols[i] = cr.Idx
 	}
 
-	// Lower AVG into SUM + COUNT.
-	var specs []ops.AggSpec
-	var finals []finalSpec
-	for _, a := range g.Aggs {
-		switch a.Kind {
-		case plan.Avg:
-			sumE, err := compileExpr(a.Arg, p.cols)
-			if err != nil {
-				return nil, err
-			}
-			finals = append(finals, finalSpec{kind: plan.Avg, specIdx: len(specs), cntIdx: len(specs) + 1})
-			specs = append(specs,
-				ops.AggSpec{Kind: ops.AggSum, Expr: sumE, Name: a.Name + "_sum"},
-				ops.AggSpec{Kind: ops.AggCountStar, Name: a.Name + "_cnt"})
-		case plan.CountStar:
-			finals = append(finals, finalSpec{kind: plan.CountStar, specIdx: len(specs)})
-			specs = append(specs, ops.AggSpec{Kind: ops.AggCountStar, Name: a.Name})
-		default:
-			argE, err := compileExpr(a.Arg, p.cols)
-			if err != nil {
-				return nil, err
-			}
-			kind := map[plan.AggKind]ops.AggKind{
-				plan.Sum: ops.AggSum, plan.Min: ops.AggMin,
-				plan.Max: ops.AggMax, plan.Count: ops.AggCount,
-			}[a.Kind]
-			finals = append(finals, finalSpec{kind: a.Kind, specIdx: len(specs)})
-			specs = append(specs, ops.AggSpec{Kind: kind, Expr: argE, Name: a.Name})
+	lowered, finals := lowerAggs(g.Aggs)
+	specs := make([]ops.AggSpec, len(lowered))
+	for i, a := range lowered {
+		specs[i] = ops.AggSpec{Kind: aggKind(a.Kind), Name: a.Name}
+		if a.Kind == plan.CountStar {
+			continue
+		}
+		if specs[i].Expr, err = compileExpr(a.Arg, p.cols); err != nil {
+			return nil, err
 		}
 	}
 

@@ -20,13 +20,15 @@ type CostEstimate struct {
 }
 
 const (
-	dpuFreqHz        = 800e6
 	dmsBytesPerSec   = 9.5 * (1 << 30)
-	dpuCores         = 32
 	resultLinkBps    = 3.0 * (1 << 30) // RDMA result return (§3.2)
 	hostRowFixedSec  = 120e-9          // System X per-row iterator cost
 	hostJoinProbeSec = 250e-9
 )
+
+// dpuCores is the default SoC's dpCore count, which the estimates spread
+// compute over.
+var dpuCores = float64(dpu.DefaultConfig().NumCores)
 
 // Estimate models a logical plan's execution time on RAPID.
 func Estimate(n plan.Node) CostEstimate {
@@ -47,7 +49,7 @@ func Estimate(n plan.Node) CostEstimate {
 		in := Estimate(node.Input)
 		// Filter compute overlaps the scan transfer; the filter runs at
 		// ~1.65 cycles/row/core over 32 cores.
-		compute := primitives.FilterCost(int(in.OutputRows)) / dpuFreqHz / dpuCores
+		compute := primitives.FilterCost(int(in.OutputRows)) / dpu.FreqHz / dpuCores
 		sec := in.Seconds
 		if compute > sec {
 			sec = compute
@@ -59,7 +61,7 @@ func Estimate(n plan.Node) CostEstimate {
 		return CostEstimate{Seconds: sec, OutputRows: out, OutputCols: in.OutputCols}
 	case *plan.Project:
 		in := Estimate(node.Input)
-		compute := 3 * float64(in.OutputRows) / dpuFreqHz / dpuCores
+		compute := 3 * float64(in.OutputRows) / dpu.FreqHz / dpuCores
 		return CostEstimate{Seconds: in.Seconds + compute, OutputRows: in.OutputRows, OutputCols: len(node.Exprs)}
 	case *plan.Join:
 		l := Estimate(node.Left)
@@ -71,7 +73,7 @@ func Estimate(n plan.Node) CostEstimate {
 		scheme := OptimizeScheme(RequiredPartitions(build*16, dpu.DefaultConfig()), build*16)
 		partSec := SchemeCost(scheme, (l.OutputRows+r.OutputRows)*16)
 		kernel := (primitives.JoinBuildCost(int(build), 256) +
-			primitives.JoinProbeCost(int(probe), 256, 0.5)) / dpuFreqHz / dpuCores
+			primitives.JoinProbeCost(int(probe), 256, 0.5)) / dpu.FreqHz / dpuCores
 		return CostEstimate{
 			Seconds:    l.Seconds + r.Seconds + partSec + kernel,
 			OutputRows: probe,
@@ -79,7 +81,7 @@ func Estimate(n plan.Node) CostEstimate {
 		}
 	case *plan.GroupBy:
 		in := Estimate(node.Input)
-		compute := 6 * float64(in.OutputRows) / dpuFreqHz / dpuCores
+		compute := 6 * float64(in.OutputRows) / dpu.FreqHz / dpuCores
 		out := int64(1)
 		if len(node.Keys) > 0 {
 			out = in.OutputRows / 10
@@ -90,7 +92,7 @@ func Estimate(n plan.Node) CostEstimate {
 		return CostEstimate{Seconds: in.Seconds + compute, OutputRows: out, OutputCols: len(node.Keys) + len(node.Aggs)}
 	case *plan.Sort:
 		in := Estimate(node.Input)
-		compute := 24 * float64(in.OutputRows) / dpuFreqHz / dpuCores
+		compute := 24 * float64(in.OutputRows) / dpu.FreqHz / dpuCores
 		return CostEstimate{Seconds: in.Seconds + compute, OutputRows: in.OutputRows, OutputCols: in.OutputCols}
 	case *plan.Limit:
 		in := Estimate(node.Input)
@@ -105,7 +107,7 @@ func Estimate(n plan.Node) CostEstimate {
 		return CostEstimate{Seconds: l.Seconds + r.Seconds, OutputRows: l.OutputRows + r.OutputRows, OutputCols: l.OutputCols}
 	case *plan.Window:
 		in := Estimate(node.Input)
-		compute := 30 * float64(in.OutputRows) / dpuFreqHz / dpuCores
+		compute := 30 * float64(in.OutputRows) / dpu.FreqHz / dpuCores
 		return CostEstimate{Seconds: in.Seconds + compute, OutputRows: in.OutputRows, OutputCols: in.OutputCols + 1}
 	}
 	return CostEstimate{Seconds: 0, OutputRows: 1, OutputCols: 1}

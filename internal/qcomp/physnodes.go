@@ -62,8 +62,7 @@ func (g *groupPartNode) execute(ctx *qef.Context) (*ops.Relation, error) {
 		if err != nil {
 			return nil, err
 		}
-		p := &pipelineNode{finals: g.finals, outFields: g.out}
-		return p.finalizeGrouped(raw, len(g.groupCols))
+		return finalize(raw, len(g.groupCols), g.finals, g.out)
 	})
 }
 

@@ -153,7 +153,6 @@ func packPairs(opsList []OpReq, budget int, inputRows int64) (Formation, bool) {
 // boundaries (write + re-read) at DMS bandwidth, plus a per-tile control
 // overhead that larger vectors amortize.
 func costFormation(tasks []Task, inputRows int64) Formation {
-	const dmsBytesPerSec = 9.5 * (1 << 30)
 	const tileOverheadSec = 40e-9 // per tile per operator
 
 	f := Formation{Tasks: tasks}
