@@ -1,7 +1,7 @@
 // rapid-fuzz is the standalone soak driver for the qgen differential and
 // metamorphic harness: it generates seeded random schemas, data and SQL,
 // executes every query on the hostdb row interpreter, RAPID ModeX86, RAPID
-// ModeDPU and an alternate partitioned/RLE layout, and stops (or keeps
+// ModeDPU and an alternate small-chunk/RLE layout, and stops (or keeps
 // counting with -keep-going) on the first mismatch, printing a replayable
 // minimized reproducer.
 //

@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"flag"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -255,5 +256,77 @@ func TestNetAccountingReconciles(t *testing.T) {
 	if got := res.NodeSimSeconds + res.NetSeconds + res.CoordSimSeconds; got != res.SimSeconds {
 		t.Fatalf("makespan %v != node %v + net %v + coord %v",
 			res.SimSeconds, res.NodeSimSeconds, res.NetSeconds, res.CoordSimSeconds)
+	}
+}
+
+// TestModeX86TrayBillsNoDPUEnergy: a ModeX86 tray query runs on no dpCore,
+// so, like a ModeX86 offload on the host, it leaves every series
+// hostdb.RecordRapidExecution feeds unchanged and journals zero energy. Its
+// interconnect is still priced. The same statement in ModeDPU moves them all.
+func TestModeX86TrayBillsNoDPUEnergy(t *testing.T) {
+	db := tpchHost(t)
+	reg := obs.NewRegistry()
+	tray := newTray(t, db, cluster.Config{Nodes: 4, Metrics: reg})
+	counters := []string{
+		"rapid_dpcore_cycles_total", "rapid_dms_read_bytes_total", "rapid_dms_write_bytes_total",
+		"rapid_dms_descriptors_total", "rapid_sim_microseconds_total",
+		"rapid_activity_energy_nanojoules_total", "rapid_idle_energy_nanojoules_total",
+	}
+	histograms := []string{"rapid_query_cycles", "rapid_query_energy_nanojoules"}
+	// billed reads every series as one value: a counter's total, a
+	// histogram's observation count.
+	billed := func() map[string]int64 {
+		out := map[string]int64{}
+		for _, m := range reg.Snapshot() {
+			if slices.Contains(counters, m.Name) {
+				out[m.Name] = m.Value
+			}
+			if slices.Contains(histograms, m.Name) {
+				out[m.Name] = m.Hist.Count
+			}
+		}
+		return out
+	}
+	journaled := func(id uint64) obs.QueryRecord {
+		for _, rec := range db.QueryJournal().Records() {
+			if rec.ID == id {
+				return rec
+			}
+		}
+		t.Fatalf("query %d is not in the journal", id)
+		return obs.QueryRecord{}
+	}
+	q, _ := tpch.QueryByName("Q14")
+	res, err := tray.Query(q.SQL, cluster.QueryOptions{Mode: qef.ModeX86, NoCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, v := range billed() {
+		if v != 0 {
+			t.Errorf("ModeX86 tray query moved %s to %d", name, v)
+		}
+	}
+	if res.EnergyNJ != 0 || res.Energy.ActivityFJ != 0 || res.Energy.IdleJ != 0 {
+		t.Errorf("ModeX86 tray energy: %d nJ, %+v", res.EnergyNJ, res.Energy)
+	}
+	if rec := journaled(res.QueryID); rec.EnergyNJ != 0 {
+		t.Errorf("journal record of a ModeX86 tray query carries %d nJ", rec.EnergyNJ)
+	}
+	if res.NetBytes == 0 || res.Energy.NetFJ != power.LinkEnergyFJ(res.NetBytes) {
+		t.Errorf("link not priced: %d bytes, %d fJ", res.NetBytes, res.Energy.NetFJ)
+	}
+
+	dpu, err := tray.Query(q.SQL, cluster.QueryOptions{Mode: qef.ModeDPU, NoCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := billed()
+	for _, name := range append(counters, histograms...) {
+		if got[name] <= 0 {
+			t.Errorf("ModeDPU tray query left %s at %d", name, got[name])
+		}
+	}
+	if rec := journaled(dpu.QueryID); rec.EnergyNJ != dpu.EnergyNJ || dpu.EnergyNJ <= 0 {
+		t.Errorf("ModeDPU journal energy %d nJ, result %d nJ", rec.EnergyNJ, dpu.EnergyNJ)
 	}
 }

@@ -53,7 +53,8 @@ type NodeStats struct {
 
 // TrayEnergy is the energy decomposition of one distributed query:
 // per-node + coordinator activity, interconnect transfer energy, and the
-// idle floor of all N uncore domains over the query makespan.
+// idle floor of all N uncore domains over the query makespan. A ModeX86
+// query runs on no dpCore: only its NetFJ is priced.
 type TrayEnergy struct {
 	ActivityFJ int64 // dpCore cycles + DMS bytes, all nodes + coordinator
 	NetFJ      int64 // power.LinkEnergyFJ over every exchanged byte
@@ -92,7 +93,8 @@ type Result struct {
 	// (the exact integer added to rapid_dpcore_cycles_total).
 	TotalCycles int64
 	// EnergyNJ is activity+idle energy in nanojoules — the exact integers
-	// added to the energy counters, so journal sums reconcile with them.
+	// added to the energy counters, so journal sums reconcile with them
+	// (ModeDPU only; zero otherwise).
 	EnergyNJ int64
 	// DMEMHighWater is the max DMEM bytes reserved on any dpCore of any
 	// node during the query (ModeDPU only).
@@ -341,16 +343,19 @@ func (t *Tray) execute(goCtx context.Context, bound plan.Node, opts QueryOptions
 	}
 	res.SimSeconds = res.NodeSimSeconds + res.NetSeconds + res.CoordSimSeconds
 
-	em := power.DefaultEnergyModel()
-	core, rdFJ, wrFJ := em.ActivityFJ(res.TotalCycles, totRd, totWr)
-	res.Energy = TrayEnergy{
-		ActivityFJ: core + rdFJ + wrFJ,
-		NetFJ:      power.LinkEnergyFJ(res.NetBytes),
-		IdleJ:      float64(n) * em.UncoreIdleWatts * res.SimSeconds,
+	// The link is priced in every mode. dpCore activity and the uncore idle
+	// floor are a DPU execution's bill: a ModeX86 tray, like a ModeX86
+	// offload on the host, bills neither.
+	res.Energy.NetFJ = power.LinkEnergyFJ(res.NetBytes)
+	if opts.Mode == qef.ModeDPU {
+		em := power.DefaultEnergyModel()
+		core, rdFJ, wrFJ := em.ActivityFJ(res.TotalCycles, totRd, totWr)
+		res.Energy.ActivityFJ = core + rdFJ + wrFJ
+		res.Energy.IdleJ = float64(n) * em.UncoreIdleWatts * res.SimSeconds
+		actNJ, idleNJ := power.NanoJoules(res.Energy.ActivityFJ, res.Energy.IdleJ)
+		res.EnergyNJ = actNJ + idleNJ
+		hostdb.RecordRapidExecution(t.reg, res.TotalCycles, totRd, totWr, descriptors, int64(res.SimSeconds*1e6), actNJ, idleNJ)
 	}
-	actNJ, idleNJ := power.NanoJoules(res.Energy.ActivityFJ, res.Energy.IdleJ)
-	res.EnergyNJ = actNJ + idleNJ
-	hostdb.RecordRapidExecution(t.reg, res.TotalCycles, totRd, totWr, descriptors, int64(res.SimSeconds*1e6), actNJ, idleNJ)
 	t.reg.Histogram("rapid_query_net_bytes", obs.DefBytesBuckets...).Observe(float64(res.NetBytes))
 
 	if opts.Analyze {

@@ -169,11 +169,9 @@ type HostTable struct {
 
 	rapid *storage.Table // loaded replica; nil until LOAD
 
-	// What Load recorded so rowRef can map a host row index to a replica row
-	// without any per-row state: the host row count at Load, and the indices
-	// of the tombstones Load skipped (ascending).
-	loadedRows int
-	loadTombs  []int
+	// The indices of the tombstones Load skipped (ascending): all rowOrd
+	// needs to map a host row index to a replica row ordinal.
+	loadTombs []int
 }
 
 // ErrNoSuchRow and ErrNoSuchColumn are the causes of the errors Update and
@@ -389,10 +387,8 @@ func (db *Database) Delete(table string, row int) (uint64, error) {
 
 // LoadOptions tunes the LOAD command.
 type LoadOptions struct {
-	Partitions   int
-	PartitionKey int
-	ChunkRows    int
-	TryRLE       bool
+	ChunkRows int
+	TryRLE    bool
 	// ScanThreads is the degree of parallelism of the load scan (§4.4).
 	ScanThreads int
 }
@@ -416,11 +412,9 @@ func (db *Database) Load(table string, opts LoadOptions) (*storage.Table, error)
 	// plan carries the replica's dictionaries and literal codes, and the row
 	// engine runs that same plan over host rows when a query falls back.
 	b := storage.NewTableBuilder(t.name, t.schema, storage.BuildOptions{
-		Partitions:   opts.Partitions,
-		PartitionKey: opts.PartitionKey,
-		ChunkRows:    opts.ChunkRows,
-		TryRLE:       opts.TryRLE,
-		SharedDicts:  t.Dicts(),
+		ChunkRows:   opts.ChunkRows,
+		TryRLE:      opts.TryRLE,
+		SharedDicts: t.Dicts(),
 	})
 	live, tombs := t.liveRows()
 	if err := b.AppendEncoded(live, opts.ScanThreads); err != nil {
@@ -430,7 +424,7 @@ func (db *Database) Load(table string, opts LoadOptions) (*storage.Table, error)
 	if err != nil {
 		return nil, err
 	}
-	t.rapid, t.loadedRows, t.loadTombs = rapid, len(t.rows), tombs
+	t.rapid, t.loadTombs = rapid, tombs
 	db.checkpointLagGauge().Add(-int64(len(t.journal)))
 	t.journal = nil
 	return rapid, nil
@@ -444,7 +438,10 @@ func (t *HostTable) PendingJournal() int {
 }
 
 // Checkpoint propagates all pending journal entries to the RAPID replica as
-// one SCN-stamped update unit — the query checkpointing of §3.3.
+// SCN-stamped update units, one per SCN — the query checkpointing of §3.3.
+// When a unit fails, the entries of the units before it, which the replica
+// already holds, leave the journal; the failed unit and those after it stay,
+// and the next checkpoint resumes with them.
 func (db *Database) Checkpoint(table string) error {
 	t, err := db.Table(table)
 	if err != nil {
@@ -467,13 +464,15 @@ func (db *Database) Checkpoint(table string) error {
 			case e.insert != nil:
 				uu.Inserts = append(uu.Inserts, e.insert)
 			case e.delRow >= 0:
-				uu.Deletes = append(uu.Deletes, t.rowRef(e.delRow))
+				uu.Deletes = append(uu.Deletes, t.rowOrd(e.delRow))
 			case e.updRow >= 0:
-				uu.Patches = append(uu.Patches, storage.CellPatch{Ref: t.rowRef(e.updRow), Col: e.updCol, Val: e.updVal})
+				uu.Patches = append(uu.Patches, storage.CellPatch{Row: t.rowOrd(e.updRow), Col: e.updCol, Val: e.updVal})
 			}
 			end++
 		}
 		if err := t.rapid.Tracker().Apply(uu); err != nil {
+			db.checkpointLagGauge().Add(-int64(start))
+			t.journal = t.journal[start:]
 			return fmt.Errorf("hostdb: checkpoint %s: %w", table, err)
 		}
 		start = end
@@ -484,15 +483,13 @@ func (db *Database) Checkpoint(table string) error {
 	return nil
 }
 
-// rowRef maps a host row index to its replica row (t.mu held). Rows appended
-// since Load are the replica's inserted rows, in the same order; a loaded
-// row's build ordinal is its index less the tombstones Load skipped below it.
-// A reference the replica does not hold fails the checkpoint in Apply.
-func (t *HostTable) rowRef(hostRow int) storage.RowRef {
-	if hostRow >= t.loadedRows {
-		return storage.RowRef{Part: storage.DeltaPart, Row: hostRow - t.loadedRows}
-	}
-	return t.rapid.BaseRowRef(hostRow - sort.SearchInts(t.loadTombs, hostRow))
+// rowOrd maps a host row index to its replica row ordinal (t.mu held): the
+// index less the tombstones Load skipped below it. Load built the live rows
+// in host order, and every tombstone it skipped lies below the rows appended
+// since, which the replica holds after its base rows in the same order. An
+// ordinal the replica does not hold fails the checkpoint in Apply.
+func (t *HostTable) rowOrd(hostRow int) int {
+	return hostRow - sort.SearchInts(t.loadTombs, hostRow)
 }
 
 // CheckpointAll checkpoints every loaded table.

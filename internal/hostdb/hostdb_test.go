@@ -402,15 +402,15 @@ func TestWindowAgreesAcrossEngines(t *testing.T) {
 	}
 }
 
-// TestCheckpointAddressesEveryLayout: whatever layout Load built — one
-// partition, chunks dealt round-robin, rows routed by key hash — and however
-// many tombstones it skipped, every journaled update and delete lands on the
-// replica row of the host row it names, inserted rows included.
+// TestCheckpointAddressesEveryLayout: whatever layout Load built — default
+// chunks, 7-row chunks, RLE — and however many tombstones it skipped, every
+// journaled update and delete lands on the replica row of the host row it
+// names, inserted rows included.
 func TestCheckpointAddressesEveryLayout(t *testing.T) {
 	for name, opts := range map[string]LoadOptions{
-		"single":     {ChunkRows: 16},
-		"roundrobin": {Partitions: 3, PartitionKey: -1, ChunkRows: 16},
-		"hash":       {Partitions: 4, PartitionKey: 1, ChunkRows: 16, TryRLE: true},
+		"single": {}, // the default layout: one chunk holds all 300 rows
+		"chunk7": {ChunkRows: 7},
+		"rle":    {ChunkRows: 16, TryRLE: true},
 	} {
 		t.Run(name, func(t *testing.T) {
 			db := newTestDB(t, 300)
@@ -476,14 +476,50 @@ func TestCheckpointRejectsUnaddressableRow(t *testing.T) {
 	db := newTestDB(t, 50)
 	defer db.Close()
 	loadAll(t, db)
-	if _, err := db.Update("events", 49, 0, storage.IntValue(1)); err != nil {
+	if _, err := db.Update("events", 1, 0, storage.IntValue(1)); err != nil {
 		t.Fatal(err)
 	}
 	ht, _ := db.Table("events")
 	ht.mu.Lock()
-	ht.loadedRows = 40 // host row 49 now reads as the 10th insert since Load, of none
+	ht.loadTombs = []int{-3, -2, -1} // host row 1 now reads as ordinal -2
 	ht.mu.Unlock()
 	if err := db.Checkpoint("events"); err == nil || ht.PendingJournal() != 1 {
 		t.Fatalf("checkpoint of an unaddressable row: err %v, %d entries still pending", err, ht.PendingJournal())
+	}
+}
+
+// TestCheckpointFailureKeepsOnlyUnappliedEntries: when one update unit of a
+// checkpoint fails, the units applied before it leave the journal and the
+// lag gauge, and once the cause is gone a retry applies the rest.
+func TestCheckpointFailureKeepsOnlyUnappliedEntries(t *testing.T) {
+	db := newTestDB(t, 50)
+	defer db.Close()
+	loadAll(t, db)
+	lag := func() int64 { return db.Metrics().Values()["hostdb_checkpoint_lag_entries"] }
+	if _, err := db.Update("events", 40, 0, storage.IntValue(-40)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Update("events", 1, 0, storage.IntValue(-1)); err != nil {
+		t.Fatal(err)
+	}
+	ht, _ := db.Table("events")
+	ht.mu.Lock()
+	ht.loadTombs = []int{-3, -2, -1} // host row 40 reads as ordinal 37, host row 1 as -2
+	ht.mu.Unlock()
+	if err := db.Checkpoint("events"); err == nil || ht.PendingJournal() != 1 || lag() != 1 {
+		t.Fatalf("failed checkpoint: err %v, %d entries pending, lag gauge %d; want an error, 1 and 1", err, ht.PendingJournal(), lag())
+	}
+	ht.mu.Lock()
+	ht.loadTombs = nil
+	ht.mu.Unlock()
+	if err := db.Checkpoint("events"); err != nil || ht.PendingJournal() != 0 || lag() != 0 {
+		t.Fatalf("retry after repair: err %v, %d entries pending, lag gauge %d", err, ht.PendingJournal(), lag())
+	}
+	res, err := db.Query(`SELECT id FROM events WHERE id < 0`, QueryOptions{Mode: ForceOffload, RapidMode: qef.ModeX86, FailOnInadmissible: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rel.Rows() != 2 {
+		t.Fatalf("replica holds %d patched ids, want 2 (ordinals 37 and 1)", res.Rel.Rows())
 	}
 }

@@ -172,7 +172,7 @@ func TestScanSeesDeletes(t *testing.T) {
 	tbl := buildTestTable(t, 1000)
 	if err := tbl.Tracker().Apply(storage.UpdateUnit{
 		SCN:     1,
-		Deletes: []storage.RowRef{{Part: 0, Chunk: 0, Row: 5}, {Part: 0, Chunk: 1, Row: 0}},
+		Deletes: []int{5, 512}, // row 5 of chunk 0 and row 0 of chunk 1
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,7 @@
 // seeded random schemas, data and SQL query strings, then executes each
 // query on the three engines — the hostdb row interpreter, RAPID ModeX86 and
 // RAPID ModeDPU — plus a second database loaded with a different physical
-// layout (partitioned, small chunks, RLE), and asserts bag-equality of the
+// layout (small chunks, RLE), and asserts bag-equality of the
 // rendered results. On top of the differential check it runs metamorphic
 // checks: TLP-style predicate partitioning (Q ≡ Q WHERE p ⊎ Q WHERE NOT p ⊎
 // Q WHERE p IS NULL), tautology/contradiction injection, and the

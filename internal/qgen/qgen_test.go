@@ -16,7 +16,7 @@ const queriesPerScenario = 20
 
 // TestDifferentialSQL is the tentpole check: every generated query must
 // produce the same result bag on the hostdb row interpreter, RAPID ModeX86,
-// RAPID ModeDPU and an alternate partitioned/RLE physical layout. Short mode
+// RAPID ModeDPU and an alternate small-chunk/RLE physical layout. Short mode
 // runs the default 200 queries; raise with -qgen.n for soak runs.
 func TestDifferentialSQL(t *testing.T) {
 	n := *flagN

@@ -27,8 +27,8 @@ type engineSpec struct {
 
 // engines: the hostdb row interpreter is the oracle; both RAPID modes run on
 // the primary layout, and ModeX86 additionally runs on a database loaded
-// with different qcomp/storage knobs (partitioned, tiny chunks, RLE) so
-// physical-plan equivalence is checked on every query.
+// with a different storage layout (tiny chunks, RLE) so physical-plan
+// equivalence is checked on every query.
 // Every RAPID lane runs with profiling on, so the soak also checks the
 // per-operator accounting invariants (cycle, DMS-byte and row conservation)
 // on each generated query.
@@ -36,7 +36,7 @@ var engines = []engineSpec{
 	{name: "host", opts: hostdb.QueryOptions{Mode: hostdb.ForceHost}},
 	{name: "x86", opts: hostdb.QueryOptions{Mode: hostdb.ForceOffload, RapidMode: qef.ModeX86, FailOnInadmissible: true, Profile: true}},
 	{name: "dpu", opts: hostdb.QueryOptions{Mode: hostdb.ForceOffload, RapidMode: qef.ModeDPU, FailOnInadmissible: true, Profile: true}},
-	{name: "x86/partitioned", alt: true, opts: hostdb.QueryOptions{Mode: hostdb.ForceOffload, RapidMode: qef.ModeX86, FailOnInadmissible: true, Profile: true}},
+	{name: "x86/alt-layout", alt: true, opts: hostdb.QueryOptions{Mode: hostdb.ForceOffload, RapidMode: qef.ModeX86, FailOnInadmissible: true, Profile: true}},
 }
 
 // profErr folds a profile-invariant violation into an engine error. The
@@ -74,9 +74,10 @@ type Runner struct {
 	Rejected int
 }
 
-// altLoad is the alternate layout: hash partitioning on the join key, small
-// chunks and RLE enabled. The primary loads with the defaults.
-var altLoad = hostdb.LoadOptions{Partitions: 4, PartitionKey: 0, ChunkRows: 7, TryRLE: true}
+// altLoad is the alternate layout: small chunks and RLE enabled. The primary
+// loads with the defaults. A scan order that differs from the host's row
+// order is the distributed lanes' part: they hash-shard every table.
+var altLoad = hostdb.LoadOptions{ChunkRows: 7, TryRLE: true}
 
 // loadOpts returns the layout db's tables are loaded (and reloaded) with.
 func (r *Runner) loadOpts(db *hostdb.Database) hostdb.LoadOptions {

@@ -11,11 +11,6 @@ import (
 
 // BuildOptions tunes the physical layout produced by a TableBuilder.
 type BuildOptions struct {
-	// Partitions is the number of horizontal partitions (default 1).
-	Partitions int
-	// PartitionKey is the column hashed to route rows to partitions; -1
-	// (default with Partitions == 1) assigns chunks round-robin.
-	PartitionKey int
 	// ChunkRows is the rows-per-chunk target (default DefaultChunkRows,
 	// which makes 4-byte vectors exactly the 16 KiB sweet spot).
 	ChunkRows int
@@ -30,9 +25,6 @@ type BuildOptions struct {
 }
 
 func (o *BuildOptions) normalize() {
-	if o.Partitions <= 0 {
-		o.Partitions = 1
-	}
 	if o.ChunkRows <= 0 {
 		o.ChunkRows = DefaultChunkRows
 	}
@@ -156,8 +148,9 @@ func (b *TableBuilder) Rows() int {
 }
 
 // Build finalizes the table: widths are chosen from the observed domains,
-// rows are routed to partitions, chunk vectors are cut at the 16 KiB sweet
-// spot, and RLE is applied where it pays.
+// the rows are cut into chunks in append order — every chunk but the last
+// holds exactly ChunkRows rows, the invariant row ordinals are resolved by —
+// and RLE is applied where it pays.
 func (b *TableBuilder) Build() (*Table, error) {
 	n := 0
 	if b.schema.NumCols() > 0 {
@@ -174,71 +167,34 @@ func (b *TableBuilder) Build() (*Table, error) {
 		b.meta[c].Width = coltypes.WidthFor(cs.Min, cs.Max)
 	}
 
-	// Route rows to partitions.
-	rowPart := make([]int, n)
-	switch {
-	case b.opts.Partitions == 1:
-		// all zero
-	case b.opts.PartitionKey >= 0:
-		key := b.cols[b.opts.PartitionKey]
-		p := b.opts.Partitions
-		for i, k := range key {
-			rowPart[i] = int(uint64(k) % uint64(p))
-		}
-	default:
-		p := b.opts.Partitions
-		for i := range rowPart {
-			rowPart[i] = (i / b.opts.ChunkRows) % p
-		}
-	}
-
-	parts := make([]*Partition, b.opts.Partitions)
-	for i := range parts {
-		parts[i] = &Partition{}
-	}
-	// Per-partition row index lists, order-preserving.
-	perPart := make([][]int32, b.opts.Partitions)
-	for i := 0; i < n; i++ {
-		perPart[rowPart[i]] = append(perPart[rowPart[i]], int32(i))
-	}
-	for p, rows := range perPart {
-		for lo := 0; lo < len(rows); lo += b.opts.ChunkRows {
-			hi := lo + b.opts.ChunkRows
-			if hi > len(rows) {
-				hi = len(rows)
+	cr := b.opts.ChunkRows
+	chunks := make([]*Chunk, 0, (n+cr-1)/cr)
+	for lo := 0; lo < n; lo += cr {
+		hi := min(lo+cr, n)
+		vecs := make([]*Vector, b.schema.NumCols())
+		for c := range vecs {
+			data := coltypes.New(b.meta[c].Width, hi-lo)
+			for j, enc := range b.cols[c][lo:hi] {
+				data.Set(j, enc)
 			}
-			chunkRows := rows[lo:hi]
-			vecs := make([]*Vector, b.schema.NumCols())
-			for c := range vecs {
-				data := coltypes.New(b.meta[c].Width, len(chunkRows))
-				for j, src := range chunkRows {
-					data.Set(j, b.cols[c][src])
+			var v *Vector
+			if b.opts.TryRLE {
+				if r, ok := encoding.WorthRLE(data); ok {
+					v = NewRLEVector(r)
+					b.meta[c].RLE = true
 				}
-				var v *Vector
-				if b.opts.TryRLE {
-					if r, ok := encoding.WorthRLE(data); ok {
-						v = NewRLEVector(r)
-						b.meta[c].RLE = true
-					}
-				}
-				if v == nil {
-					v = NewVector(data)
-				}
-				vecs[c] = v
 			}
-			parts[p].AppendChunk(NewChunk(vecs))
+			if v == nil {
+				v = NewVector(data)
+			}
+			vecs[c] = v
 		}
+		chunks = append(chunks, NewChunk(vecs))
 	}
 
 	t := &Table{name: b.name, schema: b.schema}
 	t.tracker = NewTracker(t)
-	v := &version{meta: b.meta, stats: stats, chunkRows: b.opts.ChunkRows, snap: Snapshot{t: t, parts: parts}}
-	if b.opts.Partitions > 1 && b.opts.PartitionKey >= 0 {
-		// Hash routing is the one layout BaseRowRef cannot invert by
-		// arithmetic; keep which append ordinals each partition received.
-		v.partRows = perPart
-	}
-	t.cur.Store(v)
+	t.cur.Store(&version{meta: b.meta, stats: stats, snap: Snapshot{t: t, chunks: chunks, chunkRows: cr}})
 	return t, nil
 }
 

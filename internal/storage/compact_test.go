@@ -1,13 +1,14 @@
 package storage
 
 import (
+	"slices"
 	"testing"
 
 	"rapid/internal/coltypes"
 )
 
 // Compaction edge cases: RLE-compressed tables, string columns (dictionary
-// kept), multi-partition layouts and post-compaction updates.
+// kept), renumbering and post-compaction updates.
 
 func TestCompactWithRLEAndStrings(t *testing.T) {
 	s := MustSchema(
@@ -27,7 +28,7 @@ func TestCompactWithRLEAndStrings(t *testing.T) {
 		}
 	}
 	tbl := b.MustBuild()
-	if tbl.Partition(0).Chunk(0).Col(2).rle == nil {
+	if baseChunks(tbl)[0].Col(2).rle == nil {
 		t.Fatal("constant column should be RLE before compaction")
 	}
 
@@ -46,8 +47,8 @@ func TestCompactWithRLEAndStrings(t *testing.T) {
 	must(tbl.Tracker().Apply(UpdateUnit{
 		SCN:     1,
 		Inserts: [][]int64{{9999, flag("dd"), 8}},
-		Deletes: []RowRef{{Part: 0, Chunk: 2, Row: 10}},
-		Patches: []CellPatch{{Ref: RowRef{0, 0, 0}, Col: 1, Val: flag("zz")}},
+		Deletes: []int{2*64 + 10},
+		Patches: []CellPatch{{Row: 0, Col: 1, Val: flag("zz")}},
 	}))
 	must(tbl.Compact())
 
@@ -76,7 +77,7 @@ func TestCompactWithRLEAndStrings(t *testing.T) {
 		t.Fatalf("strings lost in compaction: zz=%v dd=%v", foundZZ, foundDD)
 	}
 	// Post-compaction updates keep working (SCN continues past baseSCN).
-	if err := tbl.Tracker().Apply(UpdateUnit{SCN: 2, Deletes: []RowRef{{0, 0, 1}}}); err != nil {
+	if err := tbl.Tracker().Apply(UpdateUnit{SCN: 2, Deletes: []int{1}}); err != nil {
 		t.Fatal(err)
 	}
 	if tbl.Snapshot(LatestSCN).TotalRows() != 499 {
@@ -84,54 +85,62 @@ func TestCompactWithRLEAndStrings(t *testing.T) {
 	}
 }
 
-func TestCompactMultiPartition(t *testing.T) {
+// TestCompactRenumbersToLiveRank: after Compact a row's ordinal is its rank
+// among the live rows — the surviving base rows in build order, then the
+// surviving inserts — and update units address the rows by that rank.
+func TestCompactRenumbersToLiveRank(t *testing.T) {
 	s := MustSchema(
 		ColumnDef{Name: "k", Type: coltypes.Int()},
 		ColumnDef{Name: "v", Type: coltypes.Int()},
 	)
-	b := NewTableBuilder("t", s, BuildOptions{Partitions: 4, PartitionKey: 0, ChunkRows: 32})
+	b := NewTableBuilder("t", s, BuildOptions{ChunkRows: 32})
 	for i := 0; i < 400; i++ {
 		if err := b.Append([]Value{IntValue(int64(i)), IntValue(int64(i * 2))}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	tbl := b.MustBuild()
-	if err := tbl.Tracker().Apply(UpdateUnit{
-		SCN:     1,
-		Inserts: [][]int64{{1000, 2000}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if tbl.NumPartitions() != 4 {
-		t.Fatalf("partitions after compact = %d", tbl.NumPartitions())
-	}
-	snap := tbl.Snapshot(LatestSCN)
-	if snap.TotalRows() != 401 {
-		t.Fatalf("rows = %d", snap.TotalRows())
-	}
-	// Every (k, v) pair preserved.
-	sum := int64(0)
-	for _, cv := range snap.Chunks() {
-		k, v := cv.Data(0), cv.Data(1)
-		for r := 0; r < cv.Rows; r++ {
-			if v.Get(r) != 2*k.Get(r) {
-				t.Fatalf("pair broken: k=%d v=%d", k.Get(r), v.Get(r))
-			}
-			sum += k.Get(r)
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
-	want := int64(399*400/2 + 1000)
-	if sum != want {
-		t.Fatalf("key sum = %d, want %d", sum, want)
+	deleted := []int{0, 31, 32, 399, 401}
+	must(tbl.Tracker().Apply(UpdateUnit{SCN: 1, Inserts: [][]int64{{1000, 2000}, {1001, 2002}, {1002, 2004}}, Deletes: deleted}))
+	var live []int64 // keys in rank order: ordinals 400–402 are the inserts
+	for ord := 0; ord < 403; ord++ {
+		if !slices.Contains(deleted, ord) {
+			live = append(live, int64(ord+600*(ord/400)))
+		}
+	}
+	must(tbl.Compact())
+	patches := make([]CellPatch, len(live))
+	for r := range live {
+		patches[r] = CellPatch{Row: r, Col: 1, Val: int64(r)}
+	}
+	must(tbl.Tracker().Apply(UpdateUnit{SCN: 2, Patches: patches}))
+	if err := tbl.Tracker().Apply(UpdateUnit{SCN: 3, Deletes: []int{len(live)}}); err == nil {
+		t.Fatal("an ordinal past the live rows was accepted after Compact")
+	}
+	r := 0
+	for _, cv := range tbl.Snapshot(LatestSCN).Chunks() {
+		k, v := cv.Data(0), cv.Data(1)
+		for i := 0; i < cv.Rows; i++ {
+			if k.Get(i) != live[r] || v.Get(i) != int64(r) {
+				t.Fatalf("row %d holds (k=%d, v=%d), want (k=%d, v=%d)", r, k.Get(i), v.Get(i), live[r], r)
+			}
+			r++
+		}
+	}
+	if r != len(live) {
+		t.Fatalf("%d rows after compaction, want %d", r, len(live))
 	}
 }
 
 func TestSnapshotIsolationDuringCompact(t *testing.T) {
 	// A snapshot taken before compaction still reads its own version after
-	// (it holds the base partitions and the unit-log prefix it was cut from;
+	// (it holds the base chunks and the unit-log prefix it was cut from;
 	// Compact publishes a new version beside it).
 	s := MustSchema(ColumnDef{Name: "v", Type: coltypes.Int()})
 	b := NewTableBuilder("t", s, BuildOptions{ChunkRows: 16})

@@ -38,13 +38,7 @@ func newEncodedScenario(rng *rand.Rand) *encodedScenario {
 		sc.shared[c] = ty.Kind == coltypes.KindString && rng.Intn(2) == 0
 	}
 	sc.schema = MustSchema(defs...)
-	sc.opts = BuildOptions{ChunkRows: 1 + rng.Intn(40), TryRLE: rng.Intn(2) == 0, Partitions: 1, PartitionKey: -1}
-	if rng.Intn(2) == 0 {
-		sc.opts.Partitions = 3
-		if rng.Intn(2) == 0 {
-			sc.opts.PartitionKey = rng.Intn(ncols)
-		}
-	}
+	sc.opts = BuildOptions{ChunkRows: 1 + rng.Intn(40), TryRLE: rng.Intn(2) == 0}
 	nrows := 0
 	if rng.Intn(8) != 0 {
 		nrows = rng.Intn(400)
@@ -97,7 +91,7 @@ func (sc *encodedScenario) dicts(shared []*encoding.Dict) []*encoding.Dict {
 // TestEncodedPathBuildsTheSameReplica: a table built by handing the builder
 // rows already encoded (what hostdb.Load and Tray.Load do) equals the one
 // built through Append([]Value), the logical reference: cell for cell, and in
-// widths, RLE, chunking, zone maps, statistics, BaseRowRef and dictionaries.
+// widths, RLE, chunking, zone maps, statistics and dictionaries.
 // Then one update unit — inserts, patches, deletes, a patch of an inserted
 // row — reads the same through both.
 func TestEncodedPathBuildsTheSameReplica(t *testing.T) {
@@ -140,7 +134,7 @@ func TestEncodedPathBuildsTheSameReplica(t *testing.T) {
 		what := fmt.Sprintf("seed %d (%d rows, %+v)", seed, len(rows), sc.opts)
 		sameBase(t, what, sc, a, b, shared)
 
-		uu := randomUnit(rng, sc, a)
+		uu := randomUnit(rng, sc)
 		for _, tbl := range []*Table{a, b} {
 			if err := tbl.Tracker().Apply(encodeUnit(t, tbl, uu)); err != nil {
 				t.Fatalf("%s: %v", what, err)
@@ -186,42 +180,30 @@ func sameBase(t *testing.T, what string, sc *encodedScenario, a, b *Table, share
 			}
 		}
 	}
-	if a.NumPartitions() != b.NumPartitions() || a.StoredBytes() != b.StoredBytes() {
-		t.Fatalf("%s: %d partitions / %d bytes vs %d / %d", what,
-			a.NumPartitions(), a.StoredBytes(), b.NumPartitions(), b.StoredBytes())
+	ca, cb := baseChunks(a), baseChunks(b)
+	if len(ca) != len(cb) || a.StoredBytes() != b.StoredBytes() {
+		t.Fatalf("%s: %d chunks / %d bytes vs %d / %d", what, len(ca), a.StoredBytes(), len(cb), b.StoredBytes())
 	}
-	for p := 0; p < a.NumPartitions(); p++ {
-		pa, pb := a.Partition(p), b.Partition(p)
-		if pa.NumChunks() != pb.NumChunks() {
-			t.Fatalf("%s: partition %d has %d vs %d chunks", what, p, pa.NumChunks(), pb.NumChunks())
+	for ci := range ca {
+		if ca[ci].rows != cb[ci].rows {
+			t.Fatalf("%s: chunk %d rows %d vs %d", what, ci, ca[ci].rows, cb[ci].rows)
 		}
-		for ci := 0; ci < pa.NumChunks(); ci++ {
-			ca, cb := pa.Chunk(ci), pb.Chunk(ci)
-			if ca.Rows() != cb.Rows() {
-				t.Fatalf("%s: chunk %d/%d rows %d vs %d", what, p, ci, ca.Rows(), cb.Rows())
+		for c := 0; c < a.Schema().NumCols(); c++ {
+			va, vb := ca[ci].Col(c), cb[ci].Col(c)
+			za, oka := ca[ci].Zone(c)
+			zb, okb := cb[ci].Zone(c)
+			if va.Data().Width() != vb.Data().Width() || (va.rle != nil) != (vb.rle != nil) ||
+				va.StoredBytes() != vb.StoredBytes() || za != zb || oka != okb {
+				t.Fatalf("%s: chunk %d column %d layout differs", what, ci, c)
 			}
-			for c := 0; c < a.Schema().NumCols(); c++ {
-				va, vb := ca.Col(c), cb.Col(c)
-				za, oka := ca.Zone(c)
-				zb, okb := cb.Zone(c)
-				if va.Data().Width() != vb.Data().Width() || (va.rle != nil) != (vb.rle != nil) ||
-					va.StoredBytes() != vb.StoredBytes() || za != zb || oka != okb {
-					t.Fatalf("%s: chunk %d/%d column %d layout differs", what, p, ci, c)
-				}
-				da, db := va.Data(), vb.Data()
-				for r := 0; r < ca.Rows(); r++ {
-					// Compare what a reader sees: fresh dictionaries assign
-					// the same codes, so the cells are equal as integers too.
-					if da.Get(r) != db.Get(r) || cell(a, c, da.Get(r)) != cell(b, c, db.Get(r)) {
-						t.Fatalf("%s: cell %d/%d/%d column %d: %d vs %d", what, p, ci, r, c, da.Get(r), db.Get(r))
-					}
+			da, db := va.Data(), vb.Data()
+			for r := 0; r < ca[ci].rows; r++ {
+				// Compare what a reader sees: fresh dictionaries assign
+				// the same codes, so the cells are equal as integers too.
+				if da.Get(r) != db.Get(r) || cell(a, c, da.Get(r)) != cell(b, c, db.Get(r)) {
+					t.Fatalf("%s: cell %d/%d column %d: %d vs %d", what, ci, r, c, da.Get(r), db.Get(r))
 				}
 			}
-		}
-	}
-	for ord := 0; ord <= len(sc.rows)+1; ord++ { // past the end too
-		if a.BaseRowRef(ord) != b.BaseRowRef(ord) {
-			t.Fatalf("%s: BaseRowRef(%d) = %+v vs %+v", what, ord, a.BaseRowRef(ord), b.BaseRowRef(ord))
 		}
 	}
 }
@@ -230,16 +212,16 @@ func sameBase(t *testing.T, what string, sc *encodedScenario, a, b *Table, share
 type logicalUnit struct {
 	inserts [][]Value
 	patches []logicalPatch
-	deletes []RowRef
+	deletes []int
 }
 
 type logicalPatch struct {
-	ref RowRef
+	row int
 	col int
 	val Value
 }
 
-func randomUnit(rng *rand.Rand, sc *encodedScenario, tbl *Table) *logicalUnit {
+func randomUnit(rng *rand.Rand, sc *encodedScenario) *logicalUnit {
 	span := make([]int64, sc.schema.NumCols())
 	for c := range span {
 		span[c] = 1 << 33 // wider than any base width
@@ -248,9 +230,9 @@ func randomUnit(rng *rand.Rand, sc *encodedScenario, tbl *Table) *logicalUnit {
 	for i, n := 0, 1+rng.Intn(3); i < n; i++ {
 		uu.inserts = append(uu.inserts, sc.randomRow(rng, span))
 	}
-	refs := []RowRef{{Part: DeltaPart, Row: rng.Intn(len(uu.inserts))}} // a row this unit inserts
+	refs := []int{len(sc.rows) + rng.Intn(len(uu.inserts))} // a row this unit inserts
 	for i := 0; i < 4 && len(sc.rows) > 0; i++ {
-		refs = append(refs, tbl.BaseRowRef(rng.Intn(len(sc.rows))))
+		refs = append(refs, rng.Intn(len(sc.rows)))
 	}
 	for _, ref := range refs {
 		col := rng.Intn(sc.schema.NumCols())
@@ -280,7 +262,7 @@ func encodeUnit(t *testing.T, tbl *Table, lu *logicalUnit) UpdateUnit {
 		if err != nil {
 			t.Fatal(err)
 		}
-		uu.Patches = append(uu.Patches, CellPatch{Ref: p.ref, Col: p.col, Val: enc})
+		uu.Patches = append(uu.Patches, CellPatch{Row: p.row, Col: p.col, Val: enc})
 	}
 	return uu
 }

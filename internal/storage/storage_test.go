@@ -18,6 +18,9 @@ func lineitemSchema() *Schema {
 	)
 }
 
+// baseChunks returns the current version's base chunks, in build order.
+func baseChunks(tbl *Table) []*Chunk { return tbl.cur.Load().snap.chunks }
+
 func buildTestTable(t *testing.T, rows int, opts BuildOptions) *Table {
 	t.Helper()
 	b := NewTableBuilder("lineitem", lineitemSchema(), opts)
@@ -101,15 +104,16 @@ func TestBuildLayout(t *testing.T) {
 	if tbl.Rows() != 10000 {
 		t.Fatalf("Rows = %d", tbl.Rows())
 	}
-	if tbl.NumPartitions() != 1 {
-		t.Fatalf("partitions = %d", tbl.NumPartitions())
+	// Every chunk but the last holds exactly ChunkRows rows: the invariant
+	// a row ordinal is resolved by (ord / ChunkRows, ord % ChunkRows).
+	chunks := baseChunks(tbl)
+	if len(chunks) != 10 { // ceil(10000/1024) = 10
+		t.Fatalf("chunks = %d", len(chunks))
 	}
-	p := tbl.Partition(0)
-	if p.NumChunks() != 10 { // ceil(10000/1024) = 10
-		t.Fatalf("chunks = %d", p.NumChunks())
-	}
-	if p.Chunk(0).Rows() != 1024 || p.Chunk(9).Rows() != 10000-9*1024 {
-		t.Fatalf("chunk sizes: %d, %d", p.Chunk(0).Rows(), p.Chunk(9).Rows())
+	for i, c := range chunks {
+		if want := min(1024, 10000-i*1024); c.rows != want {
+			t.Fatalf("chunk %d holds %d rows, want %d", i, c.rows, want)
+		}
 	}
 	// Width selection: quantity 1..50 fits W1; orderkey up to 2500 needs W2;
 	// extendedprice scaled by 100 up to ~99999 needs W4.
@@ -128,7 +132,7 @@ func TestBuildLayout(t *testing.T) {
 	}
 	// 16 KiB vector check: a 4-byte column of a full 4096-row chunk.
 	tbl2 := buildTestTable(t, 4096, BuildOptions{})
-	if got := tbl2.Partition(0).Chunk(0).Col(2).StoredBytes(); got != VectorSizeBytes {
+	if got := baseChunks(tbl2)[0].Col(2).StoredBytes(); got != VectorSizeBytes {
 		t.Fatalf("vector bytes = %d, want %d", got, VectorSizeBytes)
 	}
 }
@@ -152,7 +156,7 @@ func TestBuildStats(t *testing.T) {
 func TestRoundTripValues(t *testing.T) {
 	tbl := buildTestTable(t, 100, BuildOptions{})
 	// Row 5: orderkey=1, quantity=6, price=105.05, date 1995-06-06, flag R.
-	c := tbl.Partition(0).Chunk(0)
+	c := baseChunks(tbl)[0]
 	get := func(col int) int64 { return c.Col(col).Data().Get(5) }
 	if get(0) != 1 || get(1) != 6 {
 		t.Fatalf("ints wrong: %v %v", get(0), get(1))
@@ -168,36 +172,6 @@ func TestRoundTripValues(t *testing.T) {
 	}
 }
 
-func TestHashPartitionedBuild(t *testing.T) {
-	tbl := buildTestTable(t, 8000, BuildOptions{Partitions: 4, PartitionKey: 0, ChunkRows: 512})
-	if tbl.NumPartitions() != 4 {
-		t.Fatalf("partitions = %d", tbl.NumPartitions())
-	}
-	total := 0
-	for p := 0; p < 4; p++ {
-		rows := tbl.Partition(p).Rows()
-		total += rows
-		if rows == 0 {
-			t.Fatalf("partition %d empty", p)
-		}
-	}
-	if total != 8000 {
-		t.Fatalf("total rows = %d", total)
-	}
-	// Same key must land in the same partition: orderkey i/4 groups of 4.
-	for p := 0; p < 4; p++ {
-		part := tbl.Partition(p)
-		for ci := 0; ci < part.NumChunks(); ci++ {
-			data := part.Chunk(ci).Col(0).Data()
-			for r := 0; r < data.Len(); r++ {
-				if int(uint64(data.Get(r))%4) != p {
-					t.Fatalf("key %d found in partition %d", data.Get(r), p)
-				}
-			}
-		}
-	}
-}
-
 func TestRLEBuild(t *testing.T) {
 	s := MustSchema(
 		ColumnDef{Name: "constant", Type: coltypes.Int()},
@@ -210,7 +184,7 @@ func TestRLEBuild(t *testing.T) {
 		}
 	}
 	tbl := b.MustBuild()
-	cChunk := tbl.Partition(0).Chunk(0)
+	cChunk := baseChunks(tbl)[0]
 	if cChunk.Col(0).rle == nil {
 		t.Fatal("constant column should be RLE")
 	}
@@ -262,7 +236,7 @@ func TestDSBExceptionAtLoad(t *testing.T) {
 	if tbl.Rows() != 2 {
 		t.Fatalf("rows = %d, want the two exact ones", tbl.Rows())
 	}
-	d := tbl.Partition(0).Chunk(0).Col(0).Data()
+	d := baseChunks(tbl)[0].Col(0).Data()
 	for r, want := range []string{"1.25", "3.00"} {
 		if got := (encoding.Decimal{Unscaled: d.Get(r), Scale: tbl.Meta(0).Scale}); got.String() != want {
 			t.Fatalf("row %d = %s, want %s", r, got, want)

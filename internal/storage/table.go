@@ -77,8 +77,8 @@ func EncodeRow(meta []ColumnMeta, vals []Value, dst []int64) error {
 	return nil
 }
 
-// Table is a loaded base relation: schema, physical metadata, horizontally
-// partitioned columnar data, statistics and the SCN/update state of §3.3
+// Table is a loaded base relation: schema, physical metadata, columnar data
+// in chunks, statistics and the SCN/update state of §3.3
 // and §4.3. Everything that changes after Build lives in the current
 // version.
 type Table struct {
@@ -101,15 +101,13 @@ type Table struct {
 	epoch atomic.Uint64
 }
 
-// version is one immutable state of a table: base storage with its metadata,
-// layout and statistics, the visible prefix of the unit log, and the one
-// read view every query at this version shares.
+// version is one immutable state of a table: base storage with its metadata
+// and statistics, the visible prefix of the unit log, and the one read view
+// every query at this version shares.
 type version struct {
-	meta      []ColumnMeta
-	stats     *TableStats
-	chunkRows int       // rows per full chunk
-	partRows  [][]int32 // hash-partitioned builds: per partition, the append ordinals it holds, ascending
-	snap      Snapshot  // its scn is that of the newest applied update unit
+	meta  []ColumnMeta
+	stats *TableStats
+	snap  Snapshot // its scn is that of the newest applied update unit
 }
 
 // DataEpoch returns the table's visible-data generation counter. Lock-free;
@@ -129,20 +127,8 @@ func (t *Table) Meta(i int) ColumnMeta { return t.cur.Load().meta[i] }
 // immutable: every version carries its own (see refreshStats).
 func (t *Table) Stats() *TableStats { return t.cur.Load().stats }
 
-// NumPartitions returns the partition count.
-func (t *Table) NumPartitions() int { return len(t.cur.Load().snap.parts) }
-
-// Partition returns partition i.
-func (t *Table) Partition(i int) *Partition { return t.cur.Load().snap.parts[i] }
-
 // Rows returns the base row count (excluding unmerged update units).
-func (t *Table) Rows() int {
-	n := 0
-	for _, p := range t.cur.Load().snap.parts {
-		n += p.Rows()
-	}
-	return n
-}
+func (t *Table) Rows() int { return t.cur.Load().snap.baseRows() }
 
 // Tracker returns the update tracker.
 func (t *Table) Tracker() *Tracker { return t.tracker }
@@ -150,11 +136,9 @@ func (t *Table) Tracker() *Tracker { return t.tracker }
 // StoredBytes returns the total columnar storage footprint.
 func (t *Table) StoredBytes() int {
 	n := 0
-	for _, p := range t.cur.Load().snap.parts {
-		for _, ch := range p.chunks {
-			for _, v := range ch.cols {
-				n += v.StoredBytes()
-			}
+	for _, ch := range t.cur.Load().snap.chunks {
+		for _, v := range ch.cols {
+			n += v.StoredBytes()
 		}
 	}
 	return n

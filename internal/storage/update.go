@@ -15,33 +15,25 @@ import (
 // concurrently. Accumulated units are merged into base storage by Compact
 // (the garbage-collection of outdated vectors the paper mentions).
 
-// RowRef addresses one row of a table version: a base row by partition,
-// chunk and row-in-chunk, or, with Part == DeltaPart, the Row-th row the unit
-// log has inserted (in log order; Chunk unused).
-type RowRef struct {
-	Part, Chunk, Row int
-}
-
-// DeltaPart is the RowRef.Part of rows inserted by update units.
-const DeltaPart = -1
-
 // CellPatch updates a single cell of a row. Val is in column Col's encoding.
 type CellPatch struct {
-	Ref RowRef
+	Row int
 	Col int
 	Val int64
 }
 
 // UpdateUnit is one SCN-stamped batch of changes, its values in the table's
 // column encoding (ColumnMeta.Encode) — journal entries as the host logged
-// them. Within a unit, inserts apply first, then patches, then deletes, so a
-// unit may address the rows it inserts. Apply takes ownership: the unit log
-// keeps the slices it is given, every later snapshot reads them, and the
-// caller must not write to them again.
+// them. A row is addressed by one ordinal: the base rows in build order, then
+// the rows the unit log has inserted, in log order. Within a unit, inserts
+// apply first, then patches, then deletes, so a unit may address the rows it
+// inserts. Apply takes ownership: the unit log keeps the slices it is given,
+// every later snapshot reads them, and the caller must not write to them
+// again.
 type UpdateUnit struct {
 	SCN     uint64
 	Inserts [][]int64
-	Deletes []RowRef
+	Deletes []int
 	Patches []CellPatch
 }
 
@@ -83,8 +75,9 @@ func (tr *Tracker) Apply(uu UpdateUnit) error {
 	}
 	units := v.snap.units
 	a := appliedUU{UpdateUnit: uu, deltaEnd: deltaRows(units) + len(uu.Inserts)}
+	rows := v.snap.baseRows() + a.deltaEnd
 	for _, p := range uu.Patches {
-		if err := checkRef(v.snap.parts, a.deltaEnd, p.Ref); err != nil {
+		if err := checkRow(p.Row, rows); err != nil {
 			return err
 		}
 		if p.Col < 0 || p.Col >= t.schema.NumCols() {
@@ -92,7 +85,7 @@ func (tr *Tracker) Apply(uu UpdateUnit) error {
 		}
 	}
 	for _, d := range uu.Deletes {
-		if err := checkRef(v.snap.parts, a.deltaEnd, d); err != nil {
+		if err := checkRow(d, rows); err != nil {
 			return err
 		}
 	}
@@ -102,8 +95,8 @@ func (tr *Tracker) Apply(uu UpdateUnit) error {
 		}
 	}
 	nv := &version{
-		meta: v.meta, stats: refreshStats(v.stats, a), chunkRows: v.chunkRows, partRows: v.partRows,
-		snap: Snapshot{t: t, scn: uu.SCN, parts: v.snap.parts, units: append(units, a)},
+		meta: v.meta, stats: refreshStats(v.stats, a),
+		snap: Snapshot{t: t, scn: uu.SCN, chunks: v.snap.chunks, chunkRows: v.snap.chunkRows, units: append(units, a)},
 	}
 	// Epoch bump must precede version publication: a cache validator that
 	// reads the epoch after its computation can then never pair pre-mutation
@@ -167,45 +160,13 @@ func refreshStats(old *TableStats, a appliedUU) *TableStats {
 	return ns
 }
 
-// checkRef validates r against base storage and a log of deltaRows inserts.
-func checkRef(parts []*Partition, deltaRows int, r RowRef) error {
-	if r.Part == DeltaPart {
-		if r.Row < 0 || r.Row >= deltaRows {
-			return fmt.Errorf("storage: inserted row %d out of range", r.Row)
-		}
-		return nil
-	}
-	if r.Part < 0 || r.Part >= len(parts) {
-		return fmt.Errorf("storage: partition %d out of range", r.Part)
-	}
-	p := parts[r.Part]
-	if r.Chunk < 0 || r.Chunk >= p.NumChunks() {
-		return fmt.Errorf("storage: chunk %d out of range", r.Chunk)
-	}
-	if r.Row < 0 || r.Row >= p.Chunk(r.Chunk).Rows() {
-		return fmt.Errorf("storage: row %d out of range", r.Row)
+// checkRow validates the ordinal of a row a unit patches or deletes against
+// the rows of the version it applies to.
+func checkRow(row, rows int) error {
+	if row < 0 || row >= rows {
+		return fmt.Errorf("storage: row %d out of range (%d rows)", row, rows)
 	}
 	return nil
-}
-
-// BaseRowRef returns the base position of the ord-th row appended to the
-// builder (or, after Compact, the ord-th live row it re-appended). An ord the
-// build never saw yields a reference Apply rejects.
-func (t *Table) BaseRowRef(ord int) RowRef {
-	v := t.cur.Load()
-	np := len(v.snap.parts)
-	if v.partRows == nil {
-		// One partition, or whole chunks dealt round-robin in append order.
-		g := ord / v.chunkRows
-		return RowRef{Part: g % np, Chunk: g / np, Row: ord % v.chunkRows}
-	}
-	for p, rows := range v.partRows {
-		i := sort.Search(len(rows), func(i int) bool { return int(rows[i]) >= ord })
-		if i < len(rows) && int(rows[i]) == ord {
-			return RowRef{Part: p, Chunk: i / v.chunkRows, Row: i % v.chunkRows}
-		}
-	}
-	return RowRef{Part: np}
 }
 
 // PendingUnits returns the number of unmerged update units.
@@ -220,10 +181,11 @@ const LatestSCN = ^uint64(0)
 // data for as long as anyone keeps it, whatever Apply and Compact publish
 // meanwhile. The views are built once, by the first reader.
 type Snapshot struct {
-	t     *Table
-	scn   uint64
-	parts []*Partition
-	units []appliedUU
+	t         *Table
+	scn       uint64
+	chunks    []*Chunk // base storage, in build order
+	chunkRows int      // rows of every base chunk but the last
+	units     []appliedUU
 
 	once  sync.Once
 	views []ChunkView
@@ -240,7 +202,15 @@ func (t *Table) Snapshot(scn uint64) *Snapshot {
 		return cur
 	}
 	k := sort.Search(n, func(i int) bool { return cur.units[i].SCN > scn })
-	return &Snapshot{t: t, scn: scn, parts: cur.parts, units: cur.units[:k]}
+	return &Snapshot{t: t, scn: scn, chunks: cur.chunks, chunkRows: cur.chunkRows, units: cur.units[:k]}
+}
+
+// baseRows returns the number of rows in base storage.
+func (s *Snapshot) baseRows() int {
+	if len(s.chunks) == 0 {
+		return 0
+	}
+	return (len(s.chunks)-1)*s.chunkRows + s.chunks[len(s.chunks)-1].rows
 }
 
 // Table returns the snapshot's table.
@@ -297,18 +267,11 @@ func (s *Snapshot) TotalRows() int {
 // (chunk, column).
 func (s *Snapshot) materialise() {
 	ncols := s.t.schema.NumCols()
-	partOff := make([]int, len(s.parts))
-	nbase := 0
-	for pi, p := range s.parts {
-		partOff[pi] = nbase
-		nbase += len(p.chunks)
-	}
+	nbase := len(s.chunks)
 	views := make([]ChunkView, 0, nbase+1)
-	for _, p := range s.parts {
-		for _, ch := range p.chunks {
-			views = append(views, ChunkView{Rows: ch.rows, chunk: ch})
-			s.rows += ch.rows
-		}
+	for _, ch := range s.chunks {
+		views = append(views, ChunkView{Rows: ch.rows, chunk: ch})
+		s.rows += ch.rows
 	}
 	if n := deltaRows(s.units); n > 0 {
 		// Delta rows may exceed the base width; store wide.
@@ -319,11 +282,13 @@ func (s *Snapshot) materialise() {
 		views = append(views, ChunkView{Rows: n, overlay: cols})
 		s.rows += n
 	}
-	view := func(r RowRef) *ChunkView {
-		if r.Part == DeltaPart {
-			return &views[nbase]
+	// view resolves a row ordinal to its view and row in the view.
+	baseRows := s.baseRows()
+	view := func(ord int) (*ChunkView, int) {
+		if ord >= baseRows {
+			return &views[nbase], ord - baseRows
 		}
-		return &views[partOff[r.Part]+r.Chunk]
+		return &views[ord/s.chunkRows], ord % s.chunkRows
 	}
 	inserted := 0
 	for i := range s.units {
@@ -335,15 +300,16 @@ func (s *Snapshot) materialise() {
 			inserted++
 		}
 		for _, p := range u.Patches {
-			view(p.Ref).patch(p.Ref.Row, p.Col, p.Val)
+			cv, r := view(p.Row)
+			cv.patch(r, p.Col, p.Val)
 		}
 		for _, d := range u.Deletes {
-			cv := view(d)
+			cv, r := view(d)
 			if cv.Deleted == nil {
 				cv.Deleted = bits.NewVector(cv.Rows)
 			}
-			if !cv.Deleted.Test(d.Row) {
-				cv.Deleted.Set(d.Row)
+			if !cv.Deleted.Test(r) {
+				cv.Deleted.Set(r)
 				s.rows--
 			}
 		}
@@ -375,11 +341,12 @@ func (cv *ChunkView) patch(row, col int, enc int64) {
 }
 
 // Compact merges every applied update unit into base storage, rebuilding
-// partitions and statistics, and empties the unit log. This is the background
+// chunks and statistics, and empties the unit log. This is the background
 // reclamation of outdated vectors (§4.3). The rebuilt base keeps the
 // version's column codecs — scales and, above all, the dictionaries it shares
-// with the host — and picks widths afresh. Rows are renumbered: RowRefs and
-// BaseRowRef ordinals from before the call no longer address the same rows.
+// with the host — and picks widths afresh. Rows are renumbered: after the
+// call a row's ordinal is its rank among the live rows, so ordinals from
+// before it no longer address the same rows.
 func (t *Table) Compact() error {
 	t.tracker.mu.Lock()
 	defer t.tracker.mu.Unlock()
@@ -388,10 +355,7 @@ func (t *Table) Compact() error {
 	for c, m := range v.meta {
 		meta[c] = ColumnMeta{Def: m.Def, Scale: m.Scale, Dict: m.Dict}
 	}
-	b := newBuilder(t.name, t.schema, meta, BuildOptions{
-		Partitions: len(v.snap.parts),
-		ChunkRows:  v.chunkRows,
-	})
+	b := newBuilder(t.name, t.schema, meta, BuildOptions{ChunkRows: v.snap.chunkRows})
 	for _, cv := range v.snap.Chunks() {
 		for c := range meta {
 			d := cv.Data(c)
@@ -411,8 +375,8 @@ func (t *Table) Compact() error {
 	// becomes visible so validators never certify mid-compaction reads.
 	t.epoch.Add(1)
 	t.cur.Store(&version{
-		meta: nv.meta, stats: nv.stats, chunkRows: nv.chunkRows, partRows: nv.partRows,
-		snap: Snapshot{t: t, scn: v.snap.scn, parts: nv.snap.parts},
+		meta: nv.meta, stats: nv.stats,
+		snap: Snapshot{t: t, scn: v.snap.scn, chunks: nv.snap.chunks, chunkRows: nv.snap.chunkRows},
 	})
 	return nil
 }

@@ -55,8 +55,8 @@ func TestApplyInsertDeletePatch(t *testing.T) {
 	err := tbl.Tracker().Apply(UpdateUnit{
 		SCN:     5,
 		Inserts: [][]int64{{100, 1000}},
-		Deletes: []RowRef{{Part: 0, Chunk: 0, Row: 3}},
-		Patches: []CellPatch{{Ref: RowRef{Part: 0, Chunk: 0, Row: 1}, Col: 1, Val: 999}},
+		Deletes: []int{3},
+		Patches: []CellPatch{{Row: 1, Col: 1, Val: 999}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -103,11 +103,11 @@ func TestSCNVersioning(t *testing.T) {
 	}
 	base := tbl.Snapshot(LatestSCN)
 	must(tbl.Tracker().Apply(UpdateUnit{SCN: 10, Patches: []CellPatch{
-		{Ref: RowRef{0, 0, 0}, Col: 1, Val: 111},
+		{Row: 0, Col: 1, Val: 111},
 	}}))
 	first := tbl.Snapshot(LatestSCN) // not read until a newer version exists
 	must(tbl.Tracker().Apply(UpdateUnit{SCN: 20, Patches: []CellPatch{
-		{Ref: RowRef{0, 0, 0}, Col: 1, Val: 222},
+		{Row: 0, Col: 1, Val: 222},
 	}}))
 	// A snapshot taken before an Apply keeps reading its own version.
 	if v := scanCol(base, 1)[0]; v != 0 {
@@ -132,19 +132,23 @@ func TestSCNVersioning(t *testing.T) {
 
 func TestApplyValidation(t *testing.T) {
 	tbl := simpleTable(t, 4)
-	if err := tbl.Tracker().Apply(UpdateUnit{SCN: 3,
-		Deletes: []RowRef{{Part: 9, Chunk: 0, Row: 0}}}); err == nil {
-		t.Fatal("bad partition should fail")
+	for _, row := range []int{-1, 4, 99} { // 4 base rows, no inserts
+		if err := tbl.Tracker().Apply(UpdateUnit{SCN: 3, Deletes: []int{row}}); err == nil {
+			t.Fatalf("delete of row %d should fail", row)
+		}
+		if err := tbl.Tracker().Apply(UpdateUnit{SCN: 3, Patches: []CellPatch{{Row: row, Col: 0}}}); err == nil {
+			t.Fatalf("patch of row %d should fail", row)
+		}
 	}
-	if err := tbl.Tracker().Apply(UpdateUnit{SCN: 3,
-		Deletes: []RowRef{{Part: 0, Chunk: 0, Row: 99}}}); err == nil {
-		t.Fatal("bad row should fail")
+	if err := tbl.Tracker().Apply(UpdateUnit{SCN: 3, Patches: []CellPatch{{Row: 0, Col: 2}}}); err == nil {
+		t.Fatal("patch of column 2 should fail")
 	}
 	if err := tbl.Tracker().Apply(UpdateUnit{SCN: 3,
 		Inserts: [][]int64{{1}}}); err == nil {
 		t.Fatal("short insert should fail")
 	}
-	if err := tbl.Tracker().Apply(UpdateUnit{SCN: 3}); err != nil {
+	// Row 4 is the first row the unit log inserts: a unit may address it.
+	if err := tbl.Tracker().Apply(UpdateUnit{SCN: 3, Inserts: [][]int64{{4, 40}}, Deletes: []int{4}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tbl.Tracker().Apply(UpdateUnit{SCN: 3}); err == nil {
@@ -157,7 +161,7 @@ func TestPatchWidening(t *testing.T) {
 	// must widen the patched copy rather than truncate.
 	tbl := simpleTable(t, 10)
 	if err := tbl.Tracker().Apply(UpdateUnit{SCN: 1, Patches: []CellPatch{
-		{Ref: RowRef{0, 0, 2}, Col: 0, Val: 1 << 40},
+		{Row: 2, Col: 0, Val: 1 << 40},
 	}}); err != nil {
 		t.Fatal(err)
 	}
@@ -184,8 +188,8 @@ func TestCompact(t *testing.T) {
 	must(tbl.Tracker().Apply(UpdateUnit{
 		SCN:     7,
 		Inserts: [][]int64{{500, 5000}},
-		Deletes: []RowRef{{0, 0, 0}, {0, 1, 2}},
-		Patches: []CellPatch{{Ref: RowRef{0, 0, 5}, Col: 1, Val: 777}},
+		Deletes: []int{0, 10},
+		Patches: []CellPatch{{Row: 5, Col: 1, Val: 777}},
 	}))
 	before := scanCol(tbl.Snapshot(LatestSCN), 0)
 	beforeVals := scanCol(tbl.Snapshot(LatestSCN), 1)

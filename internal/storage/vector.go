@@ -59,7 +59,7 @@ type Zone struct {
 	Min, Max int64
 }
 
-// Chunk is a horizontal slice of a partition: one Vector per table column,
+// Chunk is a horizontal slice of a table: one Vector per table column,
 // with a per-column zone map computed at build time.
 type Chunk struct {
 	rows  int
@@ -110,31 +110,5 @@ func (c *Chunk) Zone(col int) (Zone, bool) {
 	return c.zones[col], true
 }
 
-// Rows returns the chunk row count.
-func (c *Chunk) Rows() int { return c.rows }
-
 // Col returns column i of the chunk.
 func (c *Chunk) Col(i int) *Vector { return c.cols[i] }
-
-// Partition is a horizontal partition of a table: an ordered list of chunks.
-type Partition struct {
-	chunks []*Chunk
-}
-
-// NumChunks returns the chunk count.
-func (p *Partition) NumChunks() int { return len(p.chunks) }
-
-// Chunk returns chunk i.
-func (p *Partition) Chunk(i int) *Chunk { return p.chunks[i] }
-
-// Rows returns the partition row count.
-func (p *Partition) Rows() int {
-	n := 0
-	for _, c := range p.chunks {
-		n += c.rows
-	}
-	return n
-}
-
-// AppendChunk adds a chunk to the partition.
-func (p *Partition) AppendChunk(c *Chunk) { p.chunks = append(p.chunks, c) }

@@ -24,6 +24,8 @@ type refView struct {
 // every chunk it walks every unit visible at scn (the pre-index
 // implementation, O(chunks × units)), then builds the delta chunk from the
 // visible inserts and applies the units' delta patches and deletes in order.
+// It places a row ordinal by counting the rows of the chunks before it, not
+// by the chunk-size arithmetic the snapshot uses.
 func refViews(tbl *Table, units []UpdateUnit, scn uint64) (views []refView, total int) {
 	ncols := tbl.Schema().NumCols()
 	var visible []UpdateUnit
@@ -32,45 +34,44 @@ func refViews(tbl *Table, units []UpdateUnit, scn uint64) (views []refView, tota
 			visible = append(visible, u)
 		}
 	}
-	for pi := 0; pi < tbl.NumPartitions(); pi++ {
-		part := tbl.Partition(pi)
-		for ci := 0; ci < part.NumChunks(); ci++ {
-			chunk := part.Chunk(ci)
-			rv := refView{deleted: make([]bool, chunk.Rows())}
-			patched := make([]bool, ncols)
-			for c := 0; c < ncols; c++ {
-				base := chunk.Col(c).Data()
-				col := make([]int64, base.Len())
-				for r := range col {
-					col[r] = base.Get(r)
-				}
-				w := base.Width()
-				for _, u := range visible {
-					for _, p := range u.Patches {
-						if p.Ref.Part == pi && p.Ref.Chunk == ci && p.Col == c {
-							col[p.Ref.Row] = p.Val
-							patched[c] = true
-							if p.Val < w.MinInt() || p.Val > w.MaxInt() {
-								w = coltypes.W8
-							}
+	start := 0 // ordinal of the chunk's first row
+	for _, chunk := range baseChunks(tbl) {
+		end := start + chunk.rows
+		rv := refView{deleted: make([]bool, chunk.rows)}
+		patched := make([]bool, ncols)
+		for c := 0; c < ncols; c++ {
+			base := chunk.Col(c).Data()
+			col := make([]int64, base.Len())
+			for r := range col {
+				col[r] = base.Get(r)
+			}
+			w := base.Width()
+			for _, u := range visible {
+				for _, p := range u.Patches {
+					if p.Row >= start && p.Row < end && p.Col == c {
+						col[p.Row-start] = p.Val
+						patched[c] = true
+						if p.Val < w.MinInt() || p.Val > w.MaxInt() {
+							w = coltypes.W8
 						}
 					}
 				}
-				z, ok := chunk.Zone(c)
-				rv.cells = append(rv.cells, col)
-				rv.width = append(rv.width, w)
-				rv.zones = append(rv.zones, z)
-				rv.zoneOK = append(rv.zoneOK, ok && !patched[c])
 			}
-			for _, u := range visible {
-				for _, d := range u.Deletes {
-					if d.Part == pi && d.Chunk == ci {
-						rv.deleted[d.Row] = true
-					}
+			z, ok := chunk.Zone(c)
+			rv.cells = append(rv.cells, col)
+			rv.width = append(rv.width, w)
+			rv.zones = append(rv.zones, z)
+			rv.zoneOK = append(rv.zoneOK, ok && !patched[c])
+		}
+		for _, u := range visible {
+			for _, d := range u.Deletes {
+				if d >= start && d < end {
+					rv.deleted[d-start] = true
 				}
 			}
-			views = append(views, rv)
 		}
+		views = append(views, rv)
+		start = end
 	}
 	var delta [][]int64 // [row][col]
 	for _, u := range visible {
@@ -82,13 +83,13 @@ func refViews(tbl *Table, units []UpdateUnit, scn uint64) (views []refView, tota
 		rv := refView{deleted: make([]bool, len(delta)), zoneOK: make([]bool, ncols), zones: make([]Zone, ncols)}
 		for _, u := range visible {
 			for _, p := range u.Patches {
-				if p.Ref.Part == DeltaPart {
-					delta[p.Ref.Row][p.Col] = p.Val
+				if p.Row >= start {
+					delta[p.Row-start][p.Col] = p.Val
 				}
 			}
 			for _, d := range u.Deletes {
-				if d.Part == DeltaPart {
-					rv.deleted[d.Row] = true
+				if d >= start {
+					rv.deleted[d-start] = true
 				}
 			}
 		}
@@ -150,16 +151,16 @@ func sameAsRef(s *Snapshot, ref []refView, total int) error {
 	return nil
 }
 
-// randomUnits builds a table of 1–4 partitions (round-robin or hashed) and a
-// random unit sequence over it: base patches (some overflowing the column
-// width), base deletes, inserts, and patches and deletes of inserted rows.
+// randomUnits builds a table of 1–10-row chunks and a random unit sequence
+// over it: base patches (some overflowing the column width), base deletes,
+// inserts, and patches and deletes of inserted rows.
 func randomUnits(rng *rand.Rand) (*Table, []UpdateUnit) {
 	s := MustSchema(
 		ColumnDef{Name: "k", Type: coltypes.Int()},
 		ColumnDef{Name: "a", Type: coltypes.Int()},
 		ColumnDef{Name: "b", Type: coltypes.Int()},
 	)
-	opts := BuildOptions{Partitions: 1 + rng.Intn(4), PartitionKey: rng.Intn(2) - 1, ChunkRows: 3 + rng.Intn(6)}
+	opts := BuildOptions{ChunkRows: 1 + rng.Intn(10)}
 	b := NewTableBuilder("t", s, opts)
 	for i, n := 0, rng.Intn(60); i < n; i++ {
 		if err := b.Append([]Value{IntValue(int64(i)), IntValue(rng.Int63n(100)), IntValue(rng.Int63n(1000))}); err != nil {
@@ -173,14 +174,7 @@ func randomUnits(rng *rand.Rand) (*Table, []UpdateUnit) {
 		}
 		return rng.Int63n(100)
 	}
-	var baseRefs []RowRef
-	for pi := 0; pi < tbl.NumPartitions(); pi++ {
-		for ci := 0; ci < tbl.Partition(pi).NumChunks(); ci++ {
-			for r := 0; r < tbl.Partition(pi).Chunk(ci).Rows(); r++ {
-				baseRefs = append(baseRefs, RowRef{Part: pi, Chunk: ci, Row: r})
-			}
-		}
-	}
+	baseRows := tbl.Rows()
 	var units []UpdateUnit
 	inserted := 0
 	for scn, n := uint64(0), rng.Intn(14); len(units) < n; {
@@ -190,18 +184,18 @@ func randomUnits(rng *rand.Rand) (*Table, []UpdateUnit) {
 			u.Inserts = append(u.Inserts, []int64{int64(1000 + inserted), val(), val()})
 			inserted++
 		}
-		ref := func() (RowRef, bool) {
-			if inserted > 0 && (len(baseRefs) == 0 || rng.Intn(3) == 0) {
-				return RowRef{Part: DeltaPart, Row: rng.Intn(inserted)}, true
+		ref := func() (int, bool) {
+			if inserted > 0 && (baseRows == 0 || rng.Intn(3) == 0) {
+				return baseRows + rng.Intn(inserted), true
 			}
-			if len(baseRefs) == 0 {
-				return RowRef{}, false
+			if baseRows == 0 {
+				return 0, false
 			}
-			return baseRefs[rng.Intn(len(baseRefs))], true
+			return rng.Intn(baseRows), true
 		}
 		for i, k := 0, rng.Intn(4); i < k; i++ {
 			if r, ok := ref(); ok {
-				u.Patches = append(u.Patches, CellPatch{Ref: r, Col: rng.Intn(3), Val: val()})
+				u.Patches = append(u.Patches, CellPatch{Row: r, Col: rng.Intn(3), Val: val()})
 			}
 		}
 		for i, k := 0, rng.Intn(3); i < k; i++ {
@@ -257,7 +251,7 @@ func TestReadersSeeUnitLogPrefixes(t *testing.T) {
 	apply := func(i int) error {
 		return tbl.Tracker().Apply(UpdateUnit{
 			SCN:     uint64(i),
-			Patches: []CellPatch{{Ref: RowRef{0, 0, 0}, Col: 1, Val: int64(i)}},
+			Patches: []CellPatch{{Row: 0, Col: 1, Val: int64(i)}},
 			Inserts: [][]int64{{int64(i), int64(i)}},
 		})
 	}
@@ -354,7 +348,7 @@ func patchedTable(tb testing.TB, chunks, units int) *Table {
 	tbl := b.MustBuild()
 	for i := 1; i <= units; i++ {
 		if err := tbl.Tracker().Apply(UpdateUnit{SCN: uint64(i), Patches: []CellPatch{
-			{Ref: RowRef{Chunk: i % chunks, Row: i % chunkRows}, Col: 1, Val: int64(i % 100)},
+			{Row: i%chunks*chunkRows + i%chunkRows, Col: 1, Val: int64(i % 100)},
 		}}); err != nil {
 			tb.Fatal(err)
 		}
@@ -394,39 +388,5 @@ func BenchmarkSnapshotChunksAfterUnits(b *testing.B) {
 				sinkRows = len(s.Chunks()) + s.TotalRows()
 			}
 		})
-	}
-}
-
-// TestBaseRowRef: for every build layout, the ord-th appended row is found at
-// the position BaseRowRef names.
-func TestBaseRowRef(t *testing.T) {
-	s := MustSchema(ColumnDef{Name: "k", Type: coltypes.Int()}, ColumnDef{Name: "ord", Type: coltypes.Int()})
-	for _, opts := range []BuildOptions{
-		{ChunkRows: 8},
-		{Partitions: 3, PartitionKey: -1, ChunkRows: 8},
-		{Partitions: 4, PartitionKey: 0, ChunkRows: 8},
-	} {
-		b := NewTableBuilder("t", s, opts)
-		const rows = 101
-		for i := 0; i < rows; i++ {
-			if err := b.Append([]Value{IntValue(int64(i * 7 % 13)), IntValue(int64(i))}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		tbl := b.MustBuild()
-		for ord := 0; ord < rows; ord++ {
-			r := tbl.BaseRowRef(ord)
-			if err := checkRef(tbl.cur.Load().snap.parts, 0, r); err != nil {
-				t.Fatalf("%+v: ordinal %d: %v", opts, ord, err)
-			}
-			if got := tbl.Partition(r.Part).Chunk(r.Chunk).Col(1).Data().Get(r.Row); got != int64(ord) {
-				t.Fatalf("%+v: ordinal %d maps to %+v, which holds ordinal %d", opts, ord, r, got)
-			}
-		}
-		for _, ord := range []int{-1, rows, rows + 50} {
-			if err := tbl.Tracker().Apply(UpdateUnit{SCN: 1, Deletes: []RowRef{tbl.BaseRowRef(ord)}}); err == nil {
-				t.Fatalf("%+v: ordinal %d outside the build was accepted", opts, ord)
-			}
-		}
 	}
 }

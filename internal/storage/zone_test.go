@@ -43,7 +43,7 @@ func TestChunkViewZoneAfterUpdates(t *testing.T) {
 	// Patch col 1 of a row in chunk 0: that column's zone is invalidated for
 	// the patched chunk only; col 0 and other chunks keep their zones.
 	must(tbl.Tracker().Apply(UpdateUnit{SCN: 1, Patches: []CellPatch{
-		{Ref: RowRef{0, 0, 2}, Col: 1, Val: 100000},
+		{Row: 2, Col: 1, Val: 100000},
 	}}))
 	chunks := tbl.Snapshot(LatestSCN).Chunks()
 	if _, ok := chunks[0].Zone(1); ok {
@@ -57,7 +57,7 @@ func TestChunkViewZoneAfterUpdates(t *testing.T) {
 	}
 
 	// Deletes keep base zones: a superset zone can only under-prune.
-	must(tbl.Tracker().Apply(UpdateUnit{SCN: 2, Deletes: []RowRef{{Part: 0, Chunk: 1, Row: 0}}}))
+	must(tbl.Tracker().Apply(UpdateUnit{SCN: 2, Deletes: []int{8}}))
 	chunks = tbl.Snapshot(LatestSCN).Chunks()
 	if z, ok := chunks[1].Zone(0); !ok || z.Min != 8 || z.Max != 15 {
 		t.Fatalf("deleted chunk zone = %+v ok=%v", z, ok)
@@ -97,7 +97,7 @@ func TestStatsRefreshAfterUpdate(t *testing.T) {
 
 	// Patch a value past the old maximum: bounds must widen immediately.
 	must(tbl.Tracker().Apply(UpdateUnit{SCN: 1, Patches: []CellPatch{
-		{Ref: RowRef{0, 0, 2}, Col: 1, Val: 100000},
+		{Row: 2, Col: 1, Val: 100000},
 	}}))
 	st = tbl.Stats()
 	if st.Cols[1].Max < 100000 {
@@ -124,7 +124,7 @@ func TestStatsRefreshAfterUpdate(t *testing.T) {
 	}
 
 	// Deletes never narrow bounds (conservative superset), but track rows.
-	must(tbl.Tracker().Apply(UpdateUnit{SCN: 3, Deletes: []RowRef{{Part: 0, Chunk: 0, Row: 2}}}))
+	must(tbl.Tracker().Apply(UpdateUnit{SCN: 3, Deletes: []int{2}}))
 	st = tbl.Stats()
 	if st.Rows != 20 {
 		t.Fatalf("rows = %d, want 20", st.Rows)
@@ -136,7 +136,7 @@ func TestStatsRefreshAfterUpdate(t *testing.T) {
 	// Readers holding the old pointer are unaffected (copy-on-write).
 	old := st
 	must(tbl.Tracker().Apply(UpdateUnit{SCN: 4, Patches: []CellPatch{
-		{Ref: RowRef{0, 0, 3}, Col: 0, Val: 1 << 30},
+		{Row: 3, Col: 0, Val: 1 << 30},
 	}}))
 	if old.Cols[0].Max != st.Cols[0].Max {
 		t.Fatal("stats must be copy-on-write")

@@ -83,9 +83,7 @@ var kept = map[string]string{
 	"storage.ColumnMeta.RLE":         "TestEncodedPathBuildsTheSameReplica compares the RLE choice of the encoded and the row-at-a-time build",
 
 	// Read-only observers through which a test of live behaviour looks.
-	"storage.Table.NumPartitions":  "storage layout tests count the hash partitions a build produced",
-	"storage.Table.Partition":      "storage layout tests (partitioning, chunking, RLE choice, compaction) walk the physical layout; production reads through Snapshot.Chunks",
-	"storage.Chunk.Col":            "the same tests look at one stored vector (encoding chosen, bytes stored)",
+	"storage.Chunk.Col":            "storage layout tests (chunking, RLE choice, compaction) look at one stored vector (encoding chosen, bytes stored); production reads through Snapshot.Chunks",
 	"storage.Tracker.PendingUnits": "hostdb growth_test and update_test measure the unit log that item 3 will bound",
 	"obs.Registry.Values":          "counter and gauge assertions of the sched, hostdb, obs and qgen suites",
 	"dpu.SoC.TotalCycles":          "the join pins of ops/pins_test.go read the SoC's summed cycles through it",
