@@ -492,7 +492,8 @@ func (t *HostTable) rowOrd(hostRow int) int {
 	return hostRow - sort.SearchInts(t.loadTombs, hostRow)
 }
 
-// CheckpointAll checkpoints every loaded table.
+// CheckpointAll checkpoints every loaded table, in name order. A table that
+// fails does not stop the others; the failures come back joined.
 func (db *Database) CheckpointAll() error {
 	db.mu.RLock()
 	names := make([]string, 0, len(db.tables))
@@ -500,10 +501,10 @@ func (db *Database) CheckpointAll() error {
 		names = append(names, n)
 	}
 	db.mu.RUnlock()
+	slices.Sort(names)
+	var errs []error
 	for _, n := range names {
-		if err := db.Checkpoint(n); err != nil {
-			return err
-		}
+		errs = append(errs, db.Checkpoint(n))
 	}
-	return nil
+	return errors.Join(errs...)
 }

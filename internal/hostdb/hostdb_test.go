@@ -488,6 +488,45 @@ func TestCheckpointRejectsUnaddressableRow(t *testing.T) {
 	}
 }
 
+// TestCheckpointAllSurvivesOneFailingTable: a table whose checkpoint fails
+// does not keep CheckpointAll from the other tables, whatever order the
+// tables are visited in, and its failure comes back in the joined error.
+func TestCheckpointAllSurvivesOneFailingTable(t *testing.T) {
+	db := newTestDB(t, 50)
+	defer db.Close()
+	loadAll(t, db)
+	ht, _ := db.Table("events")
+	for _, name := range []string{"other1", "other2"} {
+		if _, err := db.CreateTable(name, ht.Schema()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.Load(name, LoadOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := db.Update("events", 1, 0, storage.IntValue(1)); err != nil {
+		t.Fatal(err)
+	}
+	ht.mu.Lock()
+	ht.loadTombs = []int{-3, -2, -1} // host row 1 now reads as ordinal -2
+	ht.mu.Unlock()
+	other2, _ := db.Table("other2")
+	row := []storage.Value{storage.IntValue(7), storage.IntValue(0), storage.DecString("1.00"), storage.StrValue("red")}
+	for i := 0; i < 20; i++ {
+		if _, err := db.Insert("other2", [][]storage.Value{row}); err != nil {
+			t.Fatal(err)
+		}
+		err := db.CheckpointAll()
+		if other2.PendingJournal() != 0 || ht.PendingJournal() != 1 {
+			t.Fatalf("iteration %d: other2 has %d entries pending, events %d; want 0 and 1", i, other2.PendingJournal(), ht.PendingJournal())
+		}
+		joined, ok := err.(interface{ Unwrap() []error })
+		if !ok || len(joined.Unwrap()) != 1 || !strings.HasPrefix(joined.Unwrap()[0].Error(), "hostdb: checkpoint events: ") {
+			t.Fatalf("iteration %d: CheckpointAll returned %v; want the events failure alone", i, err)
+		}
+	}
+}
+
 // TestCheckpointFailureKeepsOnlyUnappliedEntries: when one update unit of a
 // checkpoint fails, the units applied before it leave the journal and the
 // lag gauge, and once the cause is gone a retry applies the rest.

@@ -5,13 +5,13 @@ import (
 	"rapid/internal/coltypes"
 )
 
-// TilePool is the per-core pool of reusable host buffers backing the QEF
-// scratch API. On the DPU every operator runs out of the 32 KiB DMEM
-// scratchpad — one untyped region, bump-allocated and never cleared — and
-// never allocates mid-query; the Go engine mirrors that discipline by serving
-// all tile-lifetime buffers (expression accumulators, bit-vectors, RID lists,
-// gathered column vectors) from this pool instead of the Go heap, so the
-// steady-state tile loop is allocation-free.
+// TilePool is the per-core pool of reusable host buffers that operators take
+// their tile scratch from (qef.TaskCtx.Pool). On the DPU every operator runs
+// out of the 32 KiB DMEM scratchpad — one untyped region, bump-allocated and
+// never cleared — and never allocates mid-query; the Go engine mirrors that
+// discipline by serving all tile-lifetime buffers (expression accumulators,
+// bit-vectors, RID lists, gathered column vectors) from this pool instead of
+// the Go heap, so the steady-state tile loop is allocation-free.
 //
 // Data buffers of every width, and the words of every bit-vector, are views
 // over one pointer-free word region, like a Slab lease. A data buffer is NOT
@@ -124,8 +124,8 @@ func (p *TilePool) Reset() {
 // I64 returns an un-zeroed tile-lifetime []int64 of length n.
 func (p *TilePool) I64(n int) []int64 { return p.take(8 * n) }
 
-// U32 returns an un-zeroed tile-lifetime []uint32 of length n (RID lists,
-// group ids, hash values).
+// U32 returns an un-zeroed tile-lifetime []uint32 of length n (group ids,
+// hash values); U32(n)[:0] is a RID list for an append-style fill.
 func (p *TilePool) U32(n int) []uint32 { return coltypes.WordsAs[uint32](p.take(4*n), n) }
 
 // Data returns an un-zeroed tile-lifetime column buffer of the given width

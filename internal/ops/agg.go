@@ -118,7 +118,7 @@ func (a *ScalarAggOp) Produce(tc *qef.TaskCtx, t *qef.Tile) error {
 		vals := spec.Expr.Eval(tc, t)
 		if t.RIDs != nil {
 			// RID selection: gather the qualifying subset, then fold it.
-			sub := tc.I64Scratch(len(t.RIDs))
+			sub := tc.Pool.I64(len(t.RIDs))
 			for j, r := range t.RIDs {
 				sub[j] = vals[r]
 			}

@@ -61,7 +61,7 @@ func observedPoolBytes(t *testing.T, mode qef.Mode, op qef.Operator, tile *qef.T
 			return err
 		}
 		tc.ResetScratch()
-		p := tc.Pool()
+		p := tc.Pool
 		base := p.MarkHighWater()
 		if err := op.Produce(tc, tile); err != nil {
 			return err

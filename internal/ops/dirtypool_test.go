@@ -21,7 +21,7 @@ func (e poolExec) RunUnits(c *qef.Context, units []qef.WorkUnit) error {
 		if tcs[v] == nil {
 			tcs[v] = c.NewTaskCtx(v)
 		}
-		tcs[v].BindPool(e.pool)
+		tcs[v].Pool = e.pool
 		if err := c.RunUnit(tcs[v], u); err != nil {
 			return err
 		}

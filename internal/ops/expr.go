@@ -22,7 +22,7 @@ type ColRef struct {
 }
 
 func (e *ColRef) Eval(tc *qef.TaskCtx, t *qef.Tile) []int64 {
-	return primitives.WidenToI64(tc.Core, t.Cols[e.Idx], tc.I64Scratch(t.N))
+	return primitives.WidenToI64(tc.Core, t.Cols[e.Idx], tc.Pool.I64(t.N))
 }
 
 // ConstExpr is a 64-bit constant (already scaled by the compiler).
@@ -31,7 +31,7 @@ type ConstExpr struct {
 }
 
 func (e *ConstExpr) Eval(tc *qef.TaskCtx, t *qef.Tile) []int64 {
-	out := tc.I64Scratch(t.N)
+	out := tc.Pool.I64(t.N)
 	for i := range out {
 		out[i] = e.Val
 	}
@@ -51,7 +51,7 @@ func (e *BinExpr) Eval(tc *qef.TaskCtx, t *qef.Tile) []int64 {
 	// materializing a constant vector). A zero divisor takes the vector
 	// path, whose x/0 is 0 like the row engine's.
 	if c, ok := e.R.(*ConstExpr); ok && (e.Op != plan.Div || c.Val != 0) {
-		out := tc.I64Scratch(len(l))
+		out := tc.Pool.I64(len(l))
 		switch e.Op {
 		case plan.Add:
 			primitives.AddConst(tc.Core, l, c.Val, out)
@@ -65,7 +65,7 @@ func (e *BinExpr) Eval(tc *qef.TaskCtx, t *qef.Tile) []int64 {
 		return out
 	}
 	r := e.R.Eval(tc, t)
-	out := tc.I64Scratch(len(l))
+	out := tc.Pool.I64(len(l))
 	switch e.Op {
 	case plan.Add:
 		primitives.AddCol(tc.Core, l, r, out)
@@ -99,7 +99,7 @@ func (e *CaseExpr) Eval(tc *qef.TaskCtx, t *qef.Tile) []int64 {
 	cond := evalPredDense(tc, e.Cond, t)
 	a := e.Then.Eval(tc, t)
 	b := e.Else.Eval(tc, t)
-	out := tc.I64Scratch(t.N)
+	out := tc.Pool.I64(t.N)
 	for i := range out {
 		if cond.Test(i) {
 			out[i] = a[i]

@@ -50,7 +50,7 @@ func (f *FilterOp) Produce(tc *qef.TaskCtx, t *qef.Tile) error {
 	cur := t.Sel
 	if t.RIDs != nil {
 		// Upstream handed a RID list; convert once.
-		cur = tc.BVScratch(t.N)
+		cur = tc.Pool.BV(t.N)
 		cur.FromRIDs(t.RIDs)
 		t.RIDs = nil
 	}
@@ -66,7 +66,7 @@ func (f *FilterOp) Produce(tc *qef.TaskCtx, t *qef.Tile) error {
 	if cur != nil {
 		// Representation choice (§5.4): RID list below 1/32 density.
 		if bits.ChooseRIDs(hits, t.N) {
-			t.RIDs = cur.ToRIDs(tc.RIDScratch(hits))
+			t.RIDs = cur.ToRIDs(tc.Pool.U32(hits)[:0])
 			t.Sel = nil
 		} else {
 			t.Sel = cur
@@ -112,10 +112,10 @@ func (m *MaterializeOp) Produce(tc *qef.TaskCtx, t *qef.Tile) error {
 	if t.Dense() {
 		return m.Next.Produce(tc, t)
 	}
-	rids := t.AppendSelRIDs(tc.RIDScratch(t.QualifyingRows()))
-	out := tc.ColScratch(len(t.Cols))
+	rids := t.AppendSelRIDs(tc.Pool.U32(t.QualifyingRows())[:0])
+	out := tc.Pool.Headers(len(t.Cols))
 	for i, c := range t.Cols {
-		dst := tc.DataScratch(c.Width(), len(rids))
+		dst := tc.Pool.Data(c.Width(), len(rids))
 		primitives.GatherRows(tc.Core, c, rids, dst)
 		out[i] = dst
 	}
@@ -149,7 +149,7 @@ func (p *ProjectOp) DMEMSize(tileRows int) int {
 func (p *ProjectOp) Open(tc *qef.TaskCtx) error { return p.Next.Open(tc) }
 
 func (p *ProjectOp) Produce(tc *qef.TaskCtx, t *qef.Tile) error {
-	out := tc.ColScratch(len(p.Keep) + len(p.Exprs))
+	out := tc.Pool.Headers(len(p.Keep) + len(p.Exprs))
 	for i, k := range p.Keep {
 		out[i] = t.Cols[k]
 	}

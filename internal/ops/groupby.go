@@ -153,13 +153,13 @@ func (g *GroupByOp) Produce(tc *qef.TaskCtx, t *qef.Tile) error {
 	primitives.ChargeTileOverhead(tc.Core)
 	// Hash the group key columns (hardware CRC32 engine provides this in
 	// the on-the-fly partitioning path).
-	keyData := tc.ColScratch(len(g.GroupCols))
+	keyData := tc.Pool.Headers(len(g.GroupCols))
 	for i, c := range g.GroupCols {
 		keyData[i] = t.Cols[c]
 	}
-	hv := primitives.HashColumns(tc.Core, keyData, tc.RIDScratch(t.N))
-	gids := tc.RIDScratch(t.N)
-	rows := tc.RIDScratch(t.N)
+	hv := primitives.HashColumns(tc.Core, keyData, tc.Pool.U32(t.N)[:0])
+	gids := tc.Pool.U32(t.N)[:0]
+	rows := tc.Pool.U32(t.N)[:0]
 	var overflow error
 	t.ForEachRow(func(i int) {
 		if overflow != nil {
@@ -189,7 +189,7 @@ func (g *GroupByOp) Produce(tc *qef.TaskCtx, t *qef.Tile) error {
 			vals = spec.Expr.Eval(tc, t)
 		}
 		if spec.Kind != AggCountStar && !dense {
-			sub := tc.I64Scratch(len(rows))
+			sub := tc.Pool.I64(len(rows))
 			for j, r := range rows {
 				sub[j] = vals[r]
 			}

@@ -67,15 +67,15 @@ func groupOnePartition(tc *qef.TaskCtx, unit int, cols []coltypes.Data, hv []uin
 	// Pool scope: the table, the accumulators, the widened keys and group ids
 	// die with this partition; a re-split runs several partitions inside one
 	// unit.
-	tc.MarkScratch()
-	defer tc.ReleaseScratch()
-	table := newGroupTable(cap, tc.U32Scratch(nextPow2(2*cap)+cap), tc.I64Scratch(len(groupCols)*cap))
-	keys := tc.RowScratch(len(groupCols))
+	tc.Pool.Mark()
+	defer tc.Pool.Release()
+	table := newGroupTable(cap, tc.Pool.U32(nextPow2(2*cap)+cap), tc.Pool.I64(len(groupCols)*cap))
+	keys := tc.Pool.RowHeaders(len(groupCols))
 	for k, g := range groupCols {
-		keys[k] = primitives.WidenToI64(nil, cols[g], tc.I64Scratch(n))
+		keys[k] = primitives.WidenToI64(nil, cols[g], tc.Pool.I64(n))
 	}
-	keyBuf := tc.I64Scratch(len(groupCols))
-	gids := tc.U32Scratch(n)
+	keyBuf := tc.Pool.I64(len(groupCols))
+	gids := tc.Pool.U32(n)
 	for i := 0; i < n; i++ {
 		for k, col := range keys {
 			keyBuf[k] = col[i]
@@ -92,9 +92,9 @@ func groupOnePartition(tc *qef.TaskCtx, unit int, cols []coltypes.Data, hv []uin
 		c.Charge(dpu.Cycles(3 * n))
 	}
 	// One accumulator array per spec, the one it reads.
-	accs := tc.RowScratch(len(specs))
+	accs := tc.Pool.RowHeaders(len(specs))
 	for s, spec := range specs {
-		accs[s] = spec.Kind.newAcc(tc.I64Scratch(cap))
+		accs[s] = spec.Kind.newAcc(tc.Pool.I64(cap))
 		var vals []int64
 		if spec.Kind != AggCountStar {
 			vals = spec.Expr.Eval(tc, tc.TileScratch(cols, n))

@@ -148,7 +148,7 @@ func joinPair(tc *qef.TaskCtx, bp, pp *PartitionedRel, p, plo, phi int, spec *Jo
 			return err
 		}
 		defer sbp.Release()
-		probeCols := tc.ColScratch(len(pp.Cols[p]))
+		probeCols := tc.Pool.Headers(len(pp.Cols[p]))
 		for c := range probeCols {
 			probeCols[c] = pp.Cols[p][c].Slice(plo, phi)
 		}
@@ -164,7 +164,7 @@ func joinPair(tc *qef.TaskCtx, bp, pp *PartitionedRel, p, plo, phi int, spec *Jo
 		}
 		return nil
 	}
-	probeCols := tc.ColScratch(len(pp.Cols[p]))
+	probeCols := tc.Pool.Headers(len(pp.Cols[p]))
 	for c := range probeCols {
 		probeCols[c] = pp.Cols[p][c].Slice(plo, phi)
 	}
@@ -190,18 +190,18 @@ func joinPairData(tc *qef.TaskCtx, buildCols []coltypes.Data, bhv []uint32, prob
 	// match bit-vectors, sink staging) dies with this partition pair. The
 	// skew path runs several pairs per unit, so without this the takes
 	// would accumulate across pairs.
-	tc.MarkScratch()
-	defer tc.ReleaseScratch()
+	tc.Pool.Mark()
+	defer tc.Pool.Release()
 	nBuckets := primitives.BucketsFor(nb)
-	buildKeys := primitives.WidenToI64(tc.Core, buildCols[spec.BuildKeys[0]], tc.I64Scratch(nb))
+	buildKeys := primitives.WidenToI64(tc.Core, buildCols[spec.BuildKeys[0]], tc.Pool.I64(nb))
 	var buildKeys2 []int64
 	if len(spec.BuildKeys) == 2 {
-		buildKeys2 = primitives.WidenToI64(tc.Core, buildCols[spec.BuildKeys[1]], tc.I64Scratch(nb))
+		buildKeys2 = primitives.WidenToI64(tc.Core, buildCols[spec.BuildKeys[1]], tc.Pool.I64(nb))
 	}
-	probeKeys := primitives.WidenToI64(tc.Core, probeCols[spec.ProbeKeys[0]], tc.I64Scratch(np))
+	probeKeys := primitives.WidenToI64(tc.Core, probeCols[spec.ProbeKeys[0]], tc.Pool.I64(np))
 	var probeKeys2 []int64
 	if len(spec.ProbeKeys) == 2 {
-		probeKeys2 = primitives.WidenToI64(tc.Core, probeCols[spec.ProbeKeys[1]], tc.I64Scratch(np))
+		probeKeys2 = primitives.WidenToI64(tc.Core, probeCols[spec.ProbeKeys[1]], tc.Pool.I64(np))
 	}
 
 	// DMEM capacity: the optimizer's estimate, clamped to what actually
@@ -222,10 +222,10 @@ func joinPairData(tc *qef.TaskCtx, buildCols []coltypes.Data, bhv []uint32, prob
 	}
 	var tableKeys2 []int64
 	if buildKeys2 != nil {
-		tableKeys2 = tc.I64Scratch(nb)
+		tableKeys2 = tc.Pool.I64(nb)
 	}
 	ht := primitives.NewCompactHT(capacity, nBuckets,
-		tc.U32Scratch(nBuckets+1), tc.U32Scratch(nb), tc.I64Scratch(nb), tableKeys2)
+		tc.Pool.U32(nBuckets+1), tc.Pool.U32(nb), tc.Pool.I64(nb), tableKeys2)
 	ht.Build(tc.Core, bhv, buildKeys, buildKeys2, qef.DefaultTileRows)
 
 	switch spec.Type {
@@ -235,10 +235,10 @@ func joinPairData(tc *qef.TaskCtx, buildCols []coltypes.Data, bhv []uint32, prob
 		if ov := nb - capacity; ov > 0 {
 			tc.Ctx.CountMetric("ops_exists_overflow_rows_total", int64(ov))
 		}
-		exists := tc.BVScratch(np)
+		exists := tc.Pool.BV(np)
 		ht.ProbeExists(tc.Core, phv, probeKeys, probeKeys2, qef.DefaultTileRows, exists)
 		if spec.Type == plan.AntiJoin {
-			neg := tc.BVScratch(np)
+			neg := tc.Pool.BV(np)
 			neg.Not(exists)
 			exists = neg
 		}
@@ -255,11 +255,11 @@ func joinPairData(tc *qef.TaskCtx, buildCols []coltypes.Data, bhv []uint32, prob
 			sink.emitMatches(tc, unit, buildCols, probeCols, matches)
 			break
 		}
-		matched := tc.BVScratch(np)
+		matched := tc.Pool.BV(np)
 		for _, m := range matches {
 			matched.Set(int(m.ProbeRow))
 		}
-		unmatched := tc.BVScratch(np)
+		unmatched := tc.Pool.BV(np)
 		unmatched.Not(matched)
 		sink.emitOuter(tc, unit, probeCols, buildCols, unmatched, np, matches)
 	}
@@ -293,8 +293,8 @@ func (s *joinSink) emitMatches(tc *qef.TaskCtx, unit int, buildCols, probeCols [
 	}
 	// Every column of the un-zeroed chunk is gathered in full below.
 	rows := s.out.chunk(tc, unit, len(matches))
-	probeRIDs := tc.U32Scratch(len(matches))
-	buildRIDs := tc.U32Scratch(len(matches))
+	probeRIDs := tc.Pool.U32(len(matches))
+	buildRIDs := tc.Pool.U32(len(matches))
 	for i, m := range matches {
 		probeRIDs[i] = m.ProbeRow
 		buildRIDs[i] = m.BuildRow
@@ -322,7 +322,7 @@ func (s *joinSink) emitProbeOnly(tc *qef.TaskCtx, unit int, probeCols []coltypes
 	var rids []uint32
 	if sel != nil {
 		n = sel.Count()
-		rids = sel.ToRIDs(tc.RIDScratch(n))
+		rids = sel.ToRIDs(tc.Pool.U32(n)[:0])
 	}
 	if n == 0 {
 		return

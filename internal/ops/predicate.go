@@ -68,7 +68,7 @@ type ConstCmp struct {
 }
 
 func (p *ConstCmp) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.Vector, int) {
-	out := tc.BVScratch(t.N)
+	out := tc.Pool.BV(t.N)
 	var hits int
 	if inBV == nil {
 		hits = primitives.FilterConstBV(tc.Core, t.Cols[p.Col], p.Op, p.Val, out)
@@ -88,7 +88,7 @@ type Between struct {
 }
 
 func (p *Between) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.Vector, int) {
-	out := tc.BVScratch(t.N)
+	out := tc.Pool.BV(t.N)
 	hits := primitives.FilterBetweenBV(tc.Core, t.Cols[p.Col], p.Lo, p.Hi, inBV, out)
 	return out, hits
 }
@@ -104,7 +104,7 @@ type InSet struct {
 }
 
 func (p *InSet) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.Vector, int) {
-	out := tc.BVScratch(t.N)
+	out := tc.Pool.BV(t.N)
 	hits := primitives.FilterInSetBV(tc.Core, t.Cols[p.Col], p.Set, inBV, out)
 	return out, hits
 }
@@ -119,7 +119,7 @@ type ColCmp struct {
 }
 
 func (p *ColCmp) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.Vector, int) {
-	out := tc.BVScratch(t.N)
+	out := tc.Pool.BV(t.N)
 	hits := primitives.FilterColColBV(tc.Core, t.Cols[p.A], t.Cols[p.B], p.Op, inBV, out)
 	return out, hits
 }
@@ -138,7 +138,7 @@ type ExprCmp struct {
 
 func (p *ExprCmp) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.Vector, int) {
 	d := coltypes.Of(p.E.Eval(tc, t))
-	out := tc.BVScratch(t.N)
+	out := tc.Pool.BV(t.N)
 	var hits int
 	if inBV == nil {
 		hits = primitives.FilterConstBV(tc.Core, d, p.Op, p.Val, out)
@@ -196,7 +196,7 @@ type Or struct {
 }
 
 func (p *Or) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.Vector, int) {
-	acc := tc.BVScratch(t.N)
+	acc := tc.Pool.BV(t.N)
 	for _, sub := range p.Preds {
 		bv, _ := sub.Eval(tc, t, inBV)
 		acc.Or(acc, bv)
@@ -219,7 +219,7 @@ type Not struct {
 
 func (p *Not) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.Vector, int) {
 	bv, _ := p.P.Eval(tc, t, inBV)
-	out := tc.BVScratch(t.N)
+	out := tc.Pool.BV(t.N)
 	if inBV == nil {
 		out.Not(bv)
 	} else {
@@ -234,7 +234,7 @@ func (p *Not) EstSelectivity() float64 { return 1 - p.P.EstSelectivity() }
 type TruePred struct{}
 
 func (TruePred) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.Vector, int) {
-	out := tc.BVScratch(t.N)
+	out := tc.Pool.BV(t.N)
 	if inBV == nil {
 		out.SetAll()
 		return out, t.N

@@ -44,15 +44,14 @@ func TableScan(ctx *qef.Context, snap *storage.Snapshot, cols []int, tileRows in
 			if err != nil {
 				return err
 			}
-			data := tc.ColScratch(len(cols))
+			data := tc.Pool.Headers(len(cols))
 			for i, c := range cols {
 				data[i] = cv.Data(c)
 			}
-			ra := qef.NewAccessor(tc)
 			base := 0
-			return ra.Sequential([][]coltypes.Data{data}, tileRows, func(t *qef.Tile) error {
+			return qef.Sequential(tc, [][]coltypes.Data{data}, tileRows, func(t *qef.Tile) error {
 				if cv.Deleted != nil {
-					if sel := tc.BVScratch(t.N); liveSel(sel, cv.Deleted, base) {
+					if sel := tc.Pool.BV(t.N); liveSel(sel, cv.Deleted, base) {
 						t.Sel = sel
 					}
 				}
@@ -141,8 +140,7 @@ func RelationScan(ctx *qef.Context, rel *Relation, tileRows int, chainFor func()
 			if err != nil {
 				return err
 			}
-			ra := qef.NewAccessor(tc)
-			return ra.Sequential(span, tileRows, func(t *qef.Tile) error {
+			return qef.Sequential(tc, span, tileRows, func(t *qef.Tile) error {
 				return emitTo(tc, head, t)
 			})
 		})

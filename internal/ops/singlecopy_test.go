@@ -220,7 +220,7 @@ func TestCollectSinkEmitsRunsInSeqOrder(t *testing.T) {
 	sink := NewCollectSink([]Col{{Name: "v", Type: coltypes.Int()}})
 	tcs := []*qef.TaskCtx{ctx.NewTaskCtx(0), ctx.NewTaskCtx(1)}
 	for _, tc := range tcs {
-		tc.BindPool(mem.NewTilePool())
+		tc.Pool = mem.NewTilePool()
 	}
 	feed := func(core, seq int, vals ...int64) {
 		tc := tcs[core]

@@ -52,7 +52,7 @@ func (u *unitSlots) units(ctx *qef.Context, n int) {
 func (u *unitSlots) chunk(tc *qef.TaskCtx, unit, rows int) [][]int64 {
 	flat := u.ctx.Lease(u.ncols * rows)
 	u.byUnit[unit] = append(u.byUnit[unit], flat)
-	cols := tc.RowScratch(u.ncols)
+	cols := tc.Pool.RowHeaders(u.ncols)
 	for c := range cols {
 		cols[c] = flat[c*rows : (c+1)*rows]
 	}
@@ -162,7 +162,7 @@ func (s *CollectSink) Produce(tc *qef.TaskCtx, t *qef.Tile) error {
 	}
 	var rids []uint32
 	if !t.Dense() {
-		rids = t.AppendSelRIDs(tc.RIDScratch(n))
+		rids = t.AppendSelRIDs(tc.Pool.U32(n)[:0])
 	}
 	for c, vec := range core.blk {
 		dst := vec[core.fill : core.fill+n]

@@ -2,30 +2,23 @@ package qef
 
 import "rapid/internal/coltypes"
 
-// Accessor is the relation accessor (RA) of paper §5.1: operators declare a
-// sequential scan of DRAM columns and the RA issues the DMS reads,
+// Sequential is the relation accessor (RA) of paper §5.1: an operator
+// declares a sequential scan of DRAM columns and the RA issues the DMS reads,
 // double-buffers the transfers and hands the operator DMEM-resident tiles.
+// It streams the rows of the given DRAM chunks — equal-width column sets,
+// read one after the other — in tiles of tileRows on tc's core, invoking fn
+// per tile after resetting the tile scratch. The DMEM cost is double
+// buffering for every column (admitted once, reused across tiles).
 //
 // In both modes a tile is a zero-copy view of the DRAM columns: operators
 // never write into a tile they receive, so the view is what the DMEM buffer
-// would hold. ModeDPU adds the billed model — the double buffers' DMEM
-// admission and a DMS read per tile; ModeX86, the paper's software-only
-// configuration, has no DPU memory hierarchy to bill.
-type Accessor struct {
-	tc *TaskCtx
-}
-
-// NewAccessor returns an accessor bound to a task context.
-func NewAccessor(tc *TaskCtx) *Accessor { return &Accessor{tc: tc} }
-
-// Sequential streams the rows of the given DRAM chunks — equal-width column
-// sets, read one after the other — in tiles of tileRows, invoking fn per tile
-// after resetting the tile scratch. The DMEM cost is double buffering for
-// every column (admitted once, reused across tiles). A tile is a view of the
-// chunk it lies in; the rare tile that straddles a chunk boundary is gathered
-// into tile scratch, which is what its DMEM buffer would hold, so the tiles
-// and their bill are those of the same rows in one chunk.
-func (a *Accessor) Sequential(chunks [][]coltypes.Data, tileRows int, fn func(*Tile) error) error {
+// would hold. The rare tile that straddles a chunk boundary is gathered into
+// tile scratch, which is what its DMEM buffer would hold, so the tiles and
+// their bill are those of the same rows in one chunk. ModeDPU adds the billed
+// model — the double buffers' DMEM admission and a DMS read per tile; ModeX86,
+// the paper's software-only configuration, has no DPU memory hierarchy to
+// bill.
+func Sequential(tc *TaskCtx, chunks [][]coltypes.Data, tileRows int, fn func(*Tile) error) error {
 	if len(chunks) == 0 {
 		return nil
 	}
@@ -39,20 +32,20 @@ func (a *Accessor) Sequential(chunks [][]coltypes.Data, tileRows int, fn func(*T
 	if tileRows < MinTileRows {
 		tileRows = MinTileRows
 	}
-	dpu := a.tc.Core != nil
+	dpu := tc.Core != nil
 	if dpu {
 		// Admit the double buffers in DMEM. Wide rows shrink the tile until
 		// every column's double buffer fits the scratchpad (§6.4 resilience:
 		// degrade the vector size, don't abort); only a tile below the
 		// minimum propagates exhaustion.
-		a.tc.DMEM.Mark()
-		defer a.tc.DMEM.Release()
+		tc.DMEM.Mark()
+		defer tc.DMEM.Release()
 		rowBytes := 0
 		for _, c := range cols {
 			rowBytes += c.Width().Bytes()
 		}
 		degraded := false
-		for tileRows > MinTileRows && 2*tileRows*rowBytes > a.tc.DMEM.Free() {
+		for tileRows > MinTileRows && 2*tileRows*rowBytes > tc.DMEM.Free() {
 			tileRows /= 2
 			degraded = true
 		}
@@ -60,29 +53,29 @@ func (a *Accessor) Sequential(chunks [][]coltypes.Data, tileRows int, fn func(*T
 			tileRows = MinTileRows
 		}
 		if degraded {
-			a.tc.Ctx.CountMetric("qef_tile_degradations", 1)
+			tc.Ctx.CountMetric("qef_tile_degradations", 1)
 		}
 		for _, c := range cols {
-			if err := a.tc.DMEM.Alloc(2 * tileRows * c.Width().Bytes()); err != nil {
+			if err := tc.DMEM.Alloc(2 * tileRows * c.Width().Bytes()); err != nil {
 				return err
 			}
 		}
 	}
-	// The view headers are unit-lifetime pool buffers; the inner MarkScratch
-	// makes them the floor that the per-tile ResetScratch rolls back to.
-	// The tile is a local reused value so it survives that per-tile reset.
-	a.tc.MarkScratch()
-	defer a.tc.ReleaseScratch()
-	views := a.tc.ColScratch(len(cols))
-	a.tc.MarkScratch()
-	defer a.tc.ReleaseScratch()
+	// The view headers are unit-lifetime pool buffers; the inner Mark makes
+	// them the floor that the per-tile ResetScratch rolls back to. The tile
+	// is a local reused value so it survives that per-tile reset.
+	tc.Pool.Mark()
+	defer tc.Pool.Release()
+	views := tc.Pool.Headers(len(cols))
+	tc.Pool.Mark()
+	defer tc.Pool.Release()
 	var tile Tile
 	k, off := 0, 0 // the chunk the next tile starts in, and the row inside it
 	for lo := 0; lo < rows; lo += tileRows {
-		if err := a.tc.Canceled(); err != nil {
+		if err := tc.Ctx.Err(); err != nil {
 			return err
 		}
-		a.tc.ResetScratch()
+		tc.ResetScratch()
 		n := min(tileRows, rows-lo)
 		for off == chunks[k][0].Len() {
 			k, off = k+1, 0
@@ -94,7 +87,7 @@ func (a *Accessor) Sequential(chunks [][]coltypes.Data, tileRows int, fn func(*T
 			off += n
 		} else {
 			for i, c := range cols {
-				views[i] = a.tc.DataScratch(c.Width(), n)
+				views[i] = tc.Pool.Data(c.Width(), n)
 			}
 			for at := 0; at < n; {
 				for off == chunks[k][0].Len() {
@@ -108,7 +101,7 @@ func (a *Accessor) Sequential(chunks [][]coltypes.Data, tileRows int, fn func(*T
 			}
 		}
 		if dpu {
-			a.tc.AddTransfer(a.tc.DMS.Read(views, 0, n))
+			tc.AddTransfer(tc.DMS.Read(views, 0, n))
 		}
 		tile = Tile{Cols: views, N: n}
 		if err := fn(&tile); err != nil {

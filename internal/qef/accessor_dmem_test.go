@@ -13,22 +13,22 @@ import (
 func TestScratchLifetimes(t *testing.T) {
 	ctx := NewContext(ModeX86)
 	err := ctx.RunSerial(func(tc *TaskCtx) error {
-		tc.MarkScratch()
-		unit := tc.I64Scratch(8)
+		tc.Pool.Mark()
+		unit := tc.Pool.I64(8)
 		unit[0] = 42
-		tc.MarkScratch() // tile floor
+		tc.Pool.Mark() // tile floor
 
-		a := tc.I64Scratch(16)
-		hdrs := tc.ColScratch(2)
+		a := tc.Pool.I64(16)
+		hdrs := tc.Pool.Headers(2)
 		hdrs[0] = coltypes.Of(a)
 		tile1 := tc.TileScratch(hdrs, 16)
 		tc.ResetScratch()
 
-		b := tc.I64Scratch(16)
+		b := tc.Pool.I64(16)
 		if &a[0] != &b[0] {
 			t.Error("tile-lifetime buffer not recycled by ResetScratch")
 		}
-		hdrs2 := tc.ColScratch(2)
+		hdrs2 := tc.Pool.Headers(2)
 		if &hdrs2[0] != &hdrs[0] || hdrs2[0].Len() != 0 {
 			t.Error("recycled header scratch not cleared")
 		}
@@ -39,8 +39,8 @@ func TestScratchLifetimes(t *testing.T) {
 		if unit[0] != 42 {
 			t.Error("unit-lifetime buffer clobbered by ResetScratch")
 		}
-		tc.ReleaseScratch()
-		tc.ReleaseScratch()
+		tc.Pool.Release()
+		tc.Pool.Release()
 		return nil
 	})
 	if err != nil {

@@ -20,7 +20,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"rapid/internal/bits"
 	"rapid/internal/coltypes"
 	"rapid/internal/dms"
 	"rapid/internal/dpu"
@@ -299,63 +298,16 @@ type TaskCtx struct {
 	markCy int64
 	markT  time.Time
 
-	// pool serves all tile- and unit-lifetime scratch buffers (the DMEM
-	// temporaries on the DPU): expression accumulators, bit-vectors, RID
-	// lists, gathered column buffers and header slices. Reset at tile
-	// boundaries by the task source; buffers must not be retained across
-	// tiles. Bound before the first unit: by the context's own run loops, or
-	// by the shared scheduler via BindPool.
-	pool *mem.TilePool
+	// Pool serves all tile- and unit-lifetime scratch buffers (the DMEM
+	// temporaries on the DPU); mem.TilePool says what a take holds and how
+	// long it lives. Set before every unit: by the context's own run loops,
+	// or by the shared scheduler to the pool of the worker that runs it.
+	Pool *mem.TilePool
 
 	// tiles recycles the Tile structs operators emit downstream, reset
 	// together with the pool at tile boundaries.
 	tiles   []*Tile
 	tileOff int
-}
-
-// The scratch takes below are served by the task's pool. Data buffers —
-// I64Scratch, U32Scratch, RIDScratch and DataScratch — are NOT zeroed: they
-// hold whatever an earlier take wrote (a poison pattern in race builds), so
-// the taker writes every element it later reads, and a site that reads first
-// clears what it took and says why. Headers and bit-vectors come back
-// cleared. All are valid until the next ResetScratch.
-
-// I64Scratch returns an un-zeroed n-element scratch buffer.
-func (tc *TaskCtx) I64Scratch(n int) []int64 {
-	return tc.pool.I64(n)
-}
-
-// U32Scratch returns an un-zeroed n-element uint32 scratch buffer (hash
-// values, group ids).
-func (tc *TaskCtx) U32Scratch(n int) []uint32 {
-	return tc.pool.U32(n)
-}
-
-// RIDScratch returns an empty RID buffer with capacity n, for append-style
-// fills (bit-vector → RID conversion).
-func (tc *TaskCtx) RIDScratch(n int) []uint32 {
-	return tc.pool.U32(n)[:0]
-}
-
-// BVScratch returns a cleared n-bit vector.
-func (tc *TaskCtx) BVScratch(n int) *bits.Vector {
-	return tc.pool.BV(n)
-}
-
-// DataScratch returns an un-zeroed column buffer of the given width and
-// length.
-func (tc *TaskCtx) DataScratch(w coltypes.Width, n int) coltypes.Data {
-	return tc.pool.Data(w, n)
-}
-
-// ColScratch returns a zeroed []coltypes.Data header slice of length n.
-func (tc *TaskCtx) ColScratch(n int) []coltypes.Data {
-	return tc.pool.Headers(n)
-}
-
-// RowScratch returns a zeroed [][]int64 header slice of length n.
-func (tc *TaskCtx) RowScratch(n int) [][]int64 {
-	return tc.pool.RowHeaders(n)
 }
 
 // TileScratch returns a recycled Tile over the given columns, valid until
@@ -371,36 +323,13 @@ func (tc *TaskCtx) TileScratch(cols []coltypes.Data, n int) *Tile {
 	return t
 }
 
-// MarkScratch opens a unit-lifetime scratch scope: buffers taken after it
-// survive ResetScratch and are freed by the matching ReleaseScratch. Task
-// sources bracket their across-tile buffers (e.g. the accessor's tile view
-// headers) with it.
-func (tc *TaskCtx) MarkScratch() { tc.pool.Mark() }
-
-// ReleaseScratch closes the innermost MarkScratch scope.
-func (tc *TaskCtx) ReleaseScratch() { tc.pool.Release() }
-
 // ResetScratch recycles all tile-lifetime scratch buffers (everything taken
-// since the innermost MarkScratch). Called by task sources before emitting
-// each tile.
+// from the pool since its innermost Mark) and the recycled tiles. Called by
+// task sources before emitting each tile.
 func (tc *TaskCtx) ResetScratch() {
-	tc.pool.ResetTile()
+	tc.Pool.ResetTile()
 	tc.tileOff = 0
 }
-
-// Pool exposes the task's buffer pool for the DMEM-conformance tests.
-func (tc *TaskCtx) Pool() *mem.TilePool { return tc.pool }
-
-// BindPool attaches the scratch pool serving this task context. The shared
-// scheduler calls it before every unit dispatch: the pool belongs to the
-// scheduler worker (not the virtual core), so pooled buffers survive across
-// queries while each pool still has exactly one goroutine using it at a
-// time. Scratch never outlives a unit, so rebinding between units is safe.
-func (tc *TaskCtx) BindPool(p *mem.TilePool) { tc.pool = p }
-
-// Canceled returns the owning query's cancellation status (see Context.Err).
-// Task sources call it once per tile.
-func (tc *TaskCtx) Canceled() error { return tc.Ctx.Err() }
 
 // beginSpanClock starts the unit's attribution interval.
 func (tc *TaskCtx) beginSpanClock() {
@@ -526,9 +455,12 @@ func (c *Context) RunParallel(units []WorkUnit) error {
 	return nil
 }
 
-// NewTaskCtx builds the execution state for virtual core w without binding a
-// scratch pool: the shared scheduler creates one per (query, virtual core)
-// and attaches a worker-owned pool via BindPool at each dispatch.
+// NewTaskCtx builds the execution state for virtual core w without a scratch
+// pool: the shared scheduler creates one per (query, virtual core) and sets
+// Pool to a worker-owned pool at each dispatch. The pool belongs to the
+// scheduler worker, not the virtual core, so its buffers survive across
+// queries while each pool still has one goroutine using it at a time;
+// scratch never outlives a unit, so swapping pools between units is safe.
 func (c *Context) NewTaskCtx(w int) *TaskCtx {
 	tc := &TaskCtx{Ctx: c, CoreID: w, DMS: &c.bills[w].dms}
 	if c.Mode == ModeDPU {
@@ -545,7 +477,7 @@ func (c *Context) newTaskCtx(w int) *TaskCtx {
 	if c.pools[w] == nil {
 		c.pools[w] = mem.NewTilePool()
 	}
-	tc.pool = c.pools[w]
+	tc.Pool = c.pools[w]
 	return tc
 }
 
@@ -560,9 +492,9 @@ func (c *Context) RunUnit(tc *TaskCtx, u WorkUnit) error {
 	c.CountMetric("qef_work_units_total", 1)
 	tc.transferSec = 0
 	tc.DMEM.Reset()
-	tc.pool.Reset()
+	tc.Pool.Reset()
 	tc.tileOff = 0
-	growsBefore := tc.pool.Grows()
+	growsBefore := tc.Pool.Grows()
 	profiling := c.Prof != nil
 	if profiling {
 		tc.span = c.activeSpan
@@ -577,7 +509,7 @@ func (c *Context) RunUnit(tc *TaskCtx, u WorkUnit) error {
 		tc.flushSpan()
 		tc.span = nil
 	}
-	if d := tc.pool.Grows() - growsBefore; d > 0 {
+	if d := tc.Pool.Grows() - growsBefore; d > 0 {
 		c.CountMetric("qef_pool_grows_total", d)
 	}
 	if tc.Core != nil {

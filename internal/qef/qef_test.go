@@ -145,8 +145,7 @@ func TestAccessorSequentialBothModes(t *testing.T) {
 		var sum int64
 		var tiles int
 		err := ctx.RunSerial(func(tc *TaskCtx) error {
-			ra := NewAccessor(tc)
-			return ra.Sequential([][]coltypes.Data{{cola, colb}}, 256, func(t *Tile) error {
+			return Sequential(tc, [][]coltypes.Data{{cola, colb}}, 256, func(t *Tile) error {
 				tiles++
 				if t.N > 256 {
 					return errors.New("tile too big")
@@ -185,7 +184,7 @@ func TestAccessorTilesAreViewsInBothModes(t *testing.T) {
 		src := col.I32()
 		lo := 0
 		err := ctx.RunSerial(func(tc *TaskCtx) error {
-			return NewAccessor(tc).Sequential([][]coltypes.Data{{col}}, 256, func(t *Tile) error {
+			return Sequential(tc, [][]coltypes.Data{{col}}, 256, func(t *Tile) error {
 				if &t.Cols[0].I32()[0] != &src[lo] {
 					return errors.New("tile column is a copy of its source, not a view")
 				}
@@ -214,7 +213,7 @@ func TestAccessorSequentialEnforcesMinTile(t *testing.T) {
 	col := coltypes.New(coltypes.W4, 200)
 	tiles := 0
 	_ = ctx.RunSerial(func(tc *TaskCtx) error {
-		return NewAccessor(tc).Sequential([][]coltypes.Data{{col}}, 10, func(t *Tile) error {
+		return Sequential(tc, [][]coltypes.Data{{col}}, 10, func(t *Tile) error {
 			tiles++
 			if t.N > MinTileRows {
 				return errors.New("tile above clamped size")
@@ -238,7 +237,7 @@ func TestAccessorDMEMExhaustion(t *testing.T) {
 		cols[i] = coltypes.New(coltypes.W8, 4096)
 	}
 	err := ctx.RunSerial(func(tc *TaskCtx) error {
-		return NewAccessor(tc).Sequential([][]coltypes.Data{cols}, 2048, func(t *Tile) error { return nil })
+		return Sequential(tc, [][]coltypes.Data{cols}, 2048, func(t *Tile) error { return nil })
 	})
 	if err == nil {
 		t.Fatal("expected DMEM exhaustion")
@@ -258,7 +257,7 @@ func TestAccessorDegradesTileUnderPressure(t *testing.T) {
 	}
 	maxTile, seen := 0, 0
 	err := ctx.RunSerial(func(tc *TaskCtx) error {
-		return NewAccessor(tc).Sequential([][]coltypes.Data{cols}, 2048, func(t *Tile) error {
+		return Sequential(tc, [][]coltypes.Data{cols}, 2048, func(t *Tile) error {
 			if t.N > maxTile {
 				maxTile = t.N
 			}

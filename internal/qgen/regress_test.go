@@ -140,7 +140,7 @@ func TestRegressGroupTableOverflowFallback(t *testing.T) {
 // rows pad the build payload with code 0, which an empty dictionary cannot
 // decode; both rendering the result and evaluating a string predicate over
 // the padded rows in the host row interpreter hit Dict.Value. Out-of-range
-// codes now decode as '' (the NULL-free engine's padding value).
+// codes now decode as the empty string (the NULL-free engine's padding value).
 func TestRegressEmptyBuildSideStringPayload(t *testing.T) {
 	sc := &Scenario{
 		Seed: 0,

@@ -549,7 +549,7 @@ func (s *Scheduler) worker() {
 		}
 		lastQ = b.q
 		tc := b.taskCtx(st.vcore)
-		tc.BindPool(pool)
+		tc.Pool = pool
 		err := b.qc.RunUnit(tc, b.units[idx])
 		s.unitsTotal.Inc()
 		pool.TrimTo(poolRetainBytes)

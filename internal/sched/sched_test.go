@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"rapid/internal/dpu"
+	"rapid/internal/mem"
 	"rapid/internal/obs"
 	"rapid/internal/qef"
 )
@@ -618,5 +619,75 @@ func TestRunUnitsAfterRelease(t *testing.T) {
 	qc.Exec = a
 	if err := qc.RunParallel([]qef.WorkUnit{func(tc *qef.TaskCtx) error { return nil }}); err == nil {
 		t.Fatal("RunUnits after Release succeeded, want error")
+	}
+}
+
+// TestWorkersLendPoolsPerUnit pins the package doc's pool ownership: a
+// worker borrows a TilePool for one unit, most recently returned first; no
+// more pools are in use than units ran at once; and a pool keeps at most
+// poolRetainBytes once returned.
+func TestWorkersLendPoolsPerUnit(t *testing.T) {
+	s, _ := newTestSched(t, Config{Workers: 4})
+	qc := qef.NewContext(qef.ModeDPU) // 32 virtual cores: 16 units are 16 strands
+	a, err := s.Admit(context.Background(), Request{})
+	if err != nil {
+		t.Fatalf("Admit: %v", err)
+	}
+	defer a.Release()
+	qc.Exec = a
+	var mu sync.Mutex
+	seen := map[*mem.TilePool]bool{}
+	record := func(tc *qef.TaskCtx) error {
+		mu.Lock()
+		seen[tc.Pool] = true
+		mu.Unlock()
+		return nil
+	}
+
+	// Every unit waits until a second one has started, so at least two
+	// units run at once and at least two pools come back.
+	var started atomic.Int32
+	units := make([]qef.WorkUnit, 16)
+	for i := range units {
+		units[i] = func(tc *qef.TaskCtx) error {
+			started.Add(1)
+			for started.Load() < 2 {
+				runtime.Gosched()
+			}
+			return record(tc)
+		}
+	}
+	if err := qc.RunParallel(units); err != nil {
+		t.Fatalf("RunParallel: %v", err)
+	}
+	if len(seen) < 2 || len(seen) > 4 {
+		t.Fatalf("16 units on 4 workers, two at once, saw %d pools, want 2 to 4", len(seen))
+	}
+
+	clear(seen)
+	s.mu.Lock()
+	top := s.pools[len(s.pools)-1]
+	s.mu.Unlock()
+	for i := 0; i < 8; i++ {
+		if err := qc.RunSerial(record); err != nil {
+			t.Fatalf("RunSerial: %v", err)
+		}
+	}
+	if len(seen) != 1 || !seen[top] {
+		t.Fatalf("8 one-unit batches saw %d pools, want only the one last returned", len(seen))
+	}
+
+	if err := qc.RunSerial(func(tc *qef.TaskCtx) error {
+		tc.Pool.I64(poolRetainBytes/8 + 1)
+		return nil
+	}); err != nil {
+		t.Fatalf("RunSerial: %v", err)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, p := range s.pools {
+		if got := p.RetainedBytes(); got > poolRetainBytes {
+			t.Errorf("pool %d retains %d bytes after a unit took more than poolRetainBytes, want ≤ %d", i, got, poolRetainBytes)
+		}
 	}
 }

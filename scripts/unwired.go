@@ -97,7 +97,6 @@ var kept = map[string]string{
 	// The instrument of TestDMEMSizeIsUpperBoundOnPoolUse (CI alloc-regression).
 	"mem.TilePool.MarkHighWater": "restarts and returns the pool's usage before one tile is driven through an operator",
 	"mem.TilePool.HighWater":     "the peak that tile reached, compared with the operator's DMEMSize",
-	"qef.TaskCtx.Pool":           "reaches the task's pool from the ops test",
 }
 
 // harness packages are test instruments whose non-test files exist for their
