@@ -26,7 +26,7 @@ func tileLoopRelation(rows int) *ops.Relation {
 func tileLoopChain(sink qef.Operator) func() qef.Operator {
 	return func() qef.Operator {
 		return &ops.FilterOp{
-			Preds: []ops.Predicate{&ops.ConstCmp{Col: 0, Op: plan.LT, Val: 500, Sel: 0.5}},
+			Pred: &ops.ConstCmp{Col: 0, Op: plan.LT, Val: 500},
 			Next: &ops.MaterializeOp{
 				RowBytes: 3 * 4, // three W4 input columns
 				Next: &ops.ProjectOp{

@@ -140,8 +140,8 @@ func filterMicro() *Table {
 	sink := &ops.CountSink{}
 	err := ops.RelationScan(ctx, rel, 256, func() qef.Operator {
 		return &ops.FilterOp{
-			Preds: []ops.Predicate{&ops.ConstCmp{Col: 0, Op: plan.LT, Val: 500, Sel: 0.5}},
-			Next:  sink,
+			Pred: &ops.ConstCmp{Col: 0, Op: plan.LT, Val: 500},
+			Next: sink,
 		}
 	})
 	if err != nil {

@@ -194,13 +194,10 @@ func (j *Journal) Records() []QueryRecord {
 	return out
 }
 
-// Tail returns the newest n records, oldest first.
+// Tail returns the newest n records, oldest first; n ≤ 0 returns none.
 func (j *Journal) Tail(n int) []QueryRecord {
 	recs := j.Records()
-	if n < len(recs) {
-		recs = recs[len(recs)-n:]
-	}
-	return recs
+	return recs[len(recs)-min(max(n, 0), len(recs)):]
 }
 
 // Fingerprint hashes SQL with whitespace runs collapsed and letters lowered

@@ -47,6 +47,21 @@ func TestJournalRingBoundAndCounters(t *testing.T) {
 	}
 }
 
+// TestJournalTailOfNoneOrLess: a count of zero or below asks for no records,
+// and must not slice out of range.
+func TestJournalTailOfNoneOrLess(t *testing.T) {
+	j := NewJournal(4)
+	j.Record(QueryRecord{ID: 1, SQL: "SELECT 1"})
+	for _, n := range []int{-1, 0} {
+		if tail := j.Tail(n); len(tail) != 0 {
+			t.Errorf("Tail(%d) = %+v, want no records", n, tail)
+		}
+	}
+	if tail := j.Tail(5); len(tail) != 1 || tail[0].ID != 1 {
+		t.Errorf("Tail(5) = %+v, want the one record", tail)
+	}
+}
+
 func TestJournalTruncatesSQLAndClampsOutcome(t *testing.T) {
 	j := NewJournal(2)
 	long := strings.Repeat("x", 2*maxJournalSQL)

@@ -77,17 +77,16 @@ func observedPoolBytes(t *testing.T, mode qef.Mode, op qef.Operator, tile *qef.T
 
 func TestDMEMSizeIsUpperBoundOnPoolUse(t *testing.T) {
 	richPred := &And{Preds: []Predicate{
-		&ConstCmp{Col: 0, Op: plan.LT, Val: 90, Sel: 0.9},
-		&Or{Preds: []Predicate{
-			&Between{Col: 1, Lo: 5, Hi: 95, Sel: 0.9},
-			&Not{P: &ColCmp{A: 0, B: 2, Op: plan.EQ, Sel: 0.1}},
-		}},
 		&ExprCmp{
 			E:   &BinExpr{Op: plan.Mul, L: &ColRef{Idx: 1}, R: &ConstExpr{Val: 3}},
 			Op:  plan.GT,
 			Val: 10,
-			Sel: 0.8,
 		},
+		&ConstCmp{Col: 0, Op: plan.LT, Val: 90},
+		&Or{Preds: []Predicate{
+			&Between{Col: 1, Lo: 5, Hi: 95},
+			&Not{P: &ColCmp{A: 0, B: 2, Op: plan.EQ}},
+		}},
 	}}
 	cases := []struct {
 		name string
@@ -95,13 +94,13 @@ func TestDMEMSizeIsUpperBoundOnPoolUse(t *testing.T) {
 		tile func() *qef.Tile
 	}{
 		{"filter/dense", func() qef.Operator {
-			return &FilterOp{Preds: []Predicate{richPred}, Next: &CountSink{}}
+			return &FilterOp{Pred: richPred, Next: &CountSink{}}
 		}, func() *qef.Tile { return confTile(confTileRows) }},
 		{"filter/rids", func() qef.Operator {
-			return &FilterOp{Preds: []Predicate{richPred}, Next: &CountSink{}}
+			return &FilterOp{Pred: richPred, Next: &CountSink{}}
 		}, func() *qef.Tile { return withRIDs(confTile(confTileRows)) }},
 		{"filter/truepred", func() qef.Operator {
-			return &FilterOp{Preds: []Predicate{TruePred{}}, Next: &CountSink{}}
+			return &FilterOp{Pred: TruePred{}, Next: &CountSink{}}
 		}, func() *qef.Tile { return confTile(confTileRows) }},
 		{"materialize/sel", func() qef.Operator {
 			return &MaterializeOp{RowBytes: 4 + 8 + 4, Next: &CountSink{}}
@@ -116,7 +115,7 @@ func TestDMEMSizeIsUpperBoundOnPoolUse(t *testing.T) {
 						L: &BinExpr{Op: plan.Mul, L: &ColRef{Idx: 0}, R: &ColRef{Idx: 1}},
 						R: &ConstExpr{Val: 7}},
 					&CaseExpr{
-						Cond: &ConstCmp{Col: 2, Op: plan.GT, Val: 50, Sel: 0.5},
+						Cond: &ConstCmp{Col: 2, Op: plan.GT, Val: 50},
 						Then: &ColRef{Idx: 0},
 						Else: &ConstExpr{Val: 0},
 					},
@@ -181,7 +180,7 @@ func TestDMEMSizeIsUpperBoundOnPoolUse(t *testing.T) {
 func allocChain(sink qef.Operator) func() qef.Operator {
 	return func() qef.Operator {
 		return &FilterOp{
-			Preds: []Predicate{&ConstCmp{Col: 0, Op: plan.LT, Val: 500, Sel: 0.5}},
+			Pred: &ConstCmp{Col: 0, Op: plan.LT, Val: 500},
 			Next: &MaterializeOp{
 				RowBytes: 3 * 4,
 				Next: &ProjectOp{
@@ -237,3 +236,23 @@ func testTileLoopAllocs(t *testing.T, mode qef.Mode, perTileBudget float64) {
 
 func TestTileLoopAllocsX86(t *testing.T) { testTileLoopAllocs(t, qef.ModeX86, 1) }
 func TestTileLoopAllocsDPU(t *testing.T) { testTileLoopAllocs(t, qef.ModeDPU, 1) }
+
+// TestTileLoopAllocsFixedDPU bounds what one warm scan costs independent of
+// its length: the task contexts, tile structs and operator chains of every
+// virtual core. ModeDPU has 32 virtual cores at any GOMAXPROCS, so the count
+// is exact; 620 leaves a small margin over the 593 measured.
+func TestTileLoopAllocsFixedDPU(t *testing.T) {
+	const budget = 620
+	ctx := qef.NewContext(qef.ModeDPU)
+	rel := allocRelation(1 << 15)
+	scan := func() {
+		sink := &CountSink{}
+		if err := RelationScan(ctx, rel, 256, allocChain(sink)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scan() // warm-up: pools and task contexts reach steady state
+	if got := testing.AllocsPerRun(5, scan); got > budget {
+		t.Errorf("one warm ModeDPU scan: %.0f allocs (budget %d) — the fixed per-scan cost regressed", got, budget)
+	}
+}

@@ -63,7 +63,7 @@ func TestRelationScanStraddlingTiles(t *testing.T) {
 		ctx := qef.NewContext(mode)
 		mu, tiles, sink := &sync.Mutex{}, map[int][]string{}, NewCollectSink(cols)
 		chain := func() qef.Operator { // one instance per core
-			filter := &FilterOp{Preds: []Predicate{&ConstCmp{Col: 1, Op: plan.LT, Val: 70, Sel: 0.7}}, Next: sink}
+			filter := &FilterOp{Pred: &ConstCmp{Col: 1, Op: plan.LT, Val: 70}, Next: sink}
 			return &tileLog{mu: mu, tiles: tiles, next: filter}
 		}
 		if err := RelationScan(ctx, rel, 256, chain); err != nil {

@@ -15,14 +15,10 @@ import (
 type poolExec struct{ pool *mem.TilePool }
 
 func (e poolExec) RunUnits(c *qef.Context, units []qef.WorkUnit) error {
-	tcs := make([]*qef.TaskCtx, c.Workers())
 	for i, u := range units {
-		v := i % len(tcs)
-		if tcs[v] == nil {
-			tcs[v] = c.NewTaskCtx(v)
-		}
-		tcs[v].Pool = e.pool
-		if err := c.RunUnit(tcs[v], u); err != nil {
+		tc := c.TaskCtx(i % c.Workers())
+		tc.Pool = e.pool
+		if err := c.RunUnit(tc, u); err != nil {
 			return err
 		}
 	}

@@ -1,26 +1,22 @@
 package ops
 
 import (
-	"sort"
-
 	"rapid/internal/bits"
 	"rapid/internal/coltypes"
 	"rapid/internal/primitives"
 	"rapid/internal/qef"
 )
 
-// FilterOp is the filter operator of §5.4. Predicates are evaluated
-// most-selective-first; the first predicate scans the tile densely and
-// subsequent predicates see only surviving rows. The result representation
-// switches between a RID list and a bit-vector by the 1/32 density rule,
-// and materialization of payload columns is deferred to the downstream
-// operator (late materialization) — the operator only updates the tile's
-// selection state.
+// FilterOp is the filter operator of §5.4. The compiler hands it one
+// predicate, its conjunctions already ordered most-selective-first: the first
+// member scans the tile densely and later ones see only surviving rows. The
+// result representation switches between a RID list and a bit-vector by the
+// 1/32 density rule, and materialization of payload columns is deferred to
+// the downstream operator (late materialization) — the operator only updates
+// the tile's selection state.
 type FilterOp struct {
-	Preds []Predicate
-	Next  qef.Operator
-
-	ordered []Predicate
+	Pred Predicate
+	Next qef.Operator
 }
 
 // DMEMSize: the predicate tree's scratch (one bit-vector per node plus
@@ -28,23 +24,12 @@ type FilterOp struct {
 // control state. Kept an upper bound on observed pool usage — the
 // conformance tests compare this against the pool high-water mark.
 func (f *FilterOp) DMEMSize(tileRows int) int {
-	total := 0
-	for _, p := range f.Preds {
-		total += predScratchBytes(p, tileRows)
-	}
-	return total + bits.VectorSizeBytes(tileRows) + 4*tileRows + 64
+	return predScratchBytes(f.Pred, tileRows) + bits.VectorSizeBytes(tileRows) + 4*tileRows + 64
 }
 
-// Open sorts predicates by estimated selectivity (predicate reordering).
-func (f *FilterOp) Open(tc *qef.TaskCtx) error {
-	f.ordered = append([]Predicate(nil), f.Preds...)
-	sort.SliceStable(f.ordered, func(i, j int) bool {
-		return f.ordered[i].EstSelectivity() < f.ordered[j].EstSelectivity()
-	})
-	return f.Next.Open(tc)
-}
+func (f *FilterOp) Open(tc *qef.TaskCtx) error { return f.Next.Open(tc) }
 
-// Produce evaluates the predicate chain on one tile.
+// Produce evaluates the predicate on one tile.
 func (f *FilterOp) Produce(tc *qef.TaskCtx, t *qef.Tile) error {
 	primitives.ChargeTileOverhead(tc.Core)
 	cur := t.Sel
@@ -54,15 +39,7 @@ func (f *FilterOp) Produce(tc *qef.TaskCtx, t *qef.Tile) error {
 		cur.FromRIDs(t.RIDs)
 		t.RIDs = nil
 	}
-	hits := t.N
-	for _, p := range f.ordered {
-		var bv *bits.Vector
-		bv, hits = p.Eval(tc, t, cur)
-		cur = bv
-		if hits == 0 {
-			break
-		}
-	}
+	cur, hits := f.Pred.Eval(tc, t, cur)
 	if cur != nil {
 		// Representation choice (§5.4): RID list below 1/32 density.
 		if bits.ChooseRIDs(hits, t.N) {

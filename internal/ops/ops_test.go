@@ -141,10 +141,10 @@ func TestScanFilterCollect(t *testing.T) {
 		})
 		chain := func() qef.Operator {
 			return &FilterOp{
-				Preds: []Predicate{
-					&ConstCmp{Col: 1, Op: plan.LT, Val: 10, Sel: 0.1},
-					&ConstCmp{Col: 0, Op: plan.GE, Val: 1000, Sel: 0.8},
-				},
+				Pred: &And{Preds: []Predicate{
+					&ConstCmp{Col: 1, Op: plan.LT, Val: 10},
+					&ConstCmp{Col: 0, Op: plan.GE, Val: 1000},
+				}},
 				Next: sink,
 			}
 		}
@@ -222,8 +222,8 @@ func TestFilterRIDSwitch(t *testing.T) {
 	probe := &reprProbe{}
 	chain := func() qef.Operator {
 		return &FilterOp{
-			Preds: []Predicate{&ConstCmp{Col: 0, Op: plan.EQ, Val: 77, Sel: 0.0002}},
-			Next:  probe,
+			Pred: &ConstCmp{Col: 0, Op: plan.EQ, Val: 77},
+			Next: probe,
 		}
 	}
 	if err := TableScan(ctx, tbl.Snapshot(storage.LatestSCN), []int{0}, 512, nil, chain); err != nil {
@@ -263,7 +263,7 @@ func TestMaterializeAndProject(t *testing.T) {
 		sink := NewCollectSink([]Col{{Name: "expr", Type: coltypes.Int()}})
 		chain := func() qef.Operator {
 			return &FilterOp{
-				Preds: []Predicate{&ConstCmp{Col: 1, Op: plan.LT, Val: 50, Sel: 0.5}},
+				Pred: &ConstCmp{Col: 1, Op: plan.LT, Val: 50},
 				Next: &MaterializeOp{
 					Next: &ProjectOp{
 						Exprs: []Expr{&BinExpr{Op: plan.Mul, L: &ColRef{Idx: 1}, R: &ConstExpr{Val: 3}}},
@@ -299,8 +299,8 @@ func TestScalarAgg(t *testing.T) {
 		merger := NewGroupMerger(0, specs)
 		chain := func() qef.Operator {
 			return &FilterOp{
-				Preds: []Predicate{&ConstCmp{Col: 1, Op: plan.LT, Val: 10, Sel: 0.1}},
-				Next:  &ScalarAggOp{Specs: specs, Merger: merger},
+				Pred: &ConstCmp{Col: 1, Op: plan.LT, Val: 10},
+				Next: &ScalarAggOp{Specs: specs, Merger: merger},
 			}
 		}
 		if err := TableScan(ctx, tbl.Snapshot(storage.LatestSCN), []int{0, 1}, 256, nil, chain); err != nil {

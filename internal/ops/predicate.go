@@ -1,9 +1,6 @@
 package ops
 
 import (
-	"sort"
-	"sync"
-
 	"rapid/internal/bits"
 	"rapid/internal/coltypes"
 	"rapid/internal/plan"
@@ -14,11 +11,10 @@ import (
 // Predicate is a vectorized boolean condition over a tile. Eval computes the
 // qualifying rows among those set in inBV (nil = all rows) into a
 // tile-lifetime bit-vector (pool scratch — valid until the next
-// ResetScratch); EstSelectivity is the compiler's estimate driving predicate
-// reordering and the RID/bit-vector representation choice (§5.4).
+// ResetScratch). Selectivity estimates stay with the compiler, which orders
+// every conjunction before handing it over (§5.4).
 type Predicate interface {
 	Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.Vector, int)
-	EstSelectivity() float64
 }
 
 // predScratchBytes returns an upper bound on the tile-lifetime pool bytes
@@ -64,7 +60,6 @@ type ConstCmp struct {
 	Col int
 	Op  plan.CmpOp
 	Val int64
-	Sel float64 // estimated selectivity
 }
 
 func (p *ConstCmp) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.Vector, int) {
@@ -78,13 +73,10 @@ func (p *ConstCmp) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.
 	return out, hits
 }
 
-func (p *ConstCmp) EstSelectivity() float64 { return selOrDefault(p.Sel) }
-
 // Between tests lo <= col <= hi.
 type Between struct {
 	Col    int
 	Lo, Hi int64
-	Sel    float64
 }
 
 func (p *Between) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.Vector, int) {
@@ -93,14 +85,11 @@ func (p *Between) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.V
 	return out, hits
 }
 
-func (p *Between) EstSelectivity() float64 { return selOrDefault(p.Sel) }
-
 // InSet tests dictionary-code membership (string equality, IN lists, LIKE
 // prefix and string ranges all compile to this).
 type InSet struct {
 	Col int
 	Set *bits.Vector
-	Sel float64
 }
 
 func (p *InSet) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.Vector, int) {
@@ -109,13 +98,10 @@ func (p *InSet) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.Vec
 	return out, hits
 }
 
-func (p *InSet) EstSelectivity() float64 { return selOrDefault(p.Sel) }
-
 // ColCmp compares two columns of the tile.
 type ColCmp struct {
 	A, B int
 	Op   plan.CmpOp
-	Sel  float64
 }
 
 func (p *ColCmp) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.Vector, int) {
@@ -124,8 +110,6 @@ func (p *ColCmp) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.Ve
 	return out, hits
 }
 
-func (p *ColCmp) EstSelectivity() float64 { return selOrDefault(p.Sel) }
-
 // ExprCmp compares a computed expression against a constant (e.g.
 // l_extendedprice * l_discount > c). More expensive than ConstCmp; the
 // compiler orders it late.
@@ -133,7 +117,6 @@ type ExprCmp struct {
 	E   Expr
 	Op  plan.CmpOp
 	Val int64
-	Sel float64
 }
 
 func (p *ExprCmp) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.Vector, int) {
@@ -148,31 +131,18 @@ func (p *ExprCmp) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.V
 	return out, hits
 }
 
-func (p *ExprCmp) EstSelectivity() float64 { return selOrDefault(p.Sel) }
-
-// And is a conjunction evaluated most-selective-first (the §5.4 predicate
-// reordering applies inside conjunctions as well). The ordering is computed
-// once via sync.Once: predicate instances are shared across per-core chains,
-// so a plain lazily-assigned field would race.
+// And is a conjunction evaluated in list order, each member seeing only the
+// rows its predecessors passed; the compiler lists the members
+// most-selective-first (the §5.4 predicate reordering).
 type And struct {
 	Preds []Predicate
-
-	orderOnce sync.Once
-	ordered   []Predicate
 }
 
 func (p *And) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.Vector, int) {
-	p.orderOnce.Do(func() {
-		p.ordered = append([]Predicate(nil), p.Preds...)
-		sort.SliceStable(p.ordered, func(i, j int) bool {
-			return p.ordered[i].EstSelectivity() < p.ordered[j].EstSelectivity()
-		})
-	})
-	ordered := p.ordered
 	cur := inBV
 	var out *bits.Vector
 	hits := 0
-	for _, sub := range ordered {
+	for _, sub := range p.Preds {
 		out, hits = sub.Eval(tc, t, cur)
 		if hits == 0 {
 			return out, 0
@@ -180,14 +150,6 @@ func (p *And) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.Vecto
 		cur = out
 	}
 	return out, hits
-}
-
-func (p *And) EstSelectivity() float64 {
-	s := 1.0
-	for _, sub := range p.Preds {
-		s *= sub.EstSelectivity()
-	}
-	return s
 }
 
 // Or is a disjunction: the union of the branch results.
@@ -202,14 +164,6 @@ func (p *Or) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.Vector
 		acc.Or(acc, bv)
 	}
 	return acc, acc.Count()
-}
-
-func (p *Or) EstSelectivity() float64 {
-	miss := 1.0
-	for _, sub := range p.Preds {
-		miss *= 1 - sub.EstSelectivity()
-	}
-	return 1 - miss
 }
 
 // Not negates a predicate over the candidate rows.
@@ -228,8 +182,6 @@ func (p *Not) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.Vecto
 	return out, out.Count()
 }
 
-func (p *Not) EstSelectivity() float64 { return 1 - p.P.EstSelectivity() }
-
 // TruePred matches every candidate row (used by degenerate rewrites).
 type TruePred struct{}
 
@@ -241,13 +193,4 @@ func (TruePred) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.Vec
 	}
 	out.CopyFrom(inBV)
 	return out, out.Count()
-}
-
-func (TruePred) EstSelectivity() float64 { return 1.0 }
-
-func selOrDefault(s float64) float64 {
-	if s <= 0 || s > 1 {
-		return 0.5
-	}
-	return s
 }

@@ -218,7 +218,7 @@ func TestUnitSlotsListChunksInUnitOrder(t *testing.T) {
 func TestCollectSinkEmitsRunsInSeqOrder(t *testing.T) {
 	ctx := qef.NewContext(qef.ModeDPU) // 32 virtual cores
 	sink := NewCollectSink([]Col{{Name: "v", Type: coltypes.Int()}})
-	tcs := []*qef.TaskCtx{ctx.NewTaskCtx(0), ctx.NewTaskCtx(1)}
+	tcs := []*qef.TaskCtx{ctx.TaskCtx(0), ctx.TaskCtx(1)}
 	for _, tc := range tcs {
 		tc.Pool = mem.NewTilePool()
 	}

@@ -124,14 +124,14 @@ func TestZoneRejectColCmpAndBoolean(t *testing.T) {
 // creation, so a pruned tile never touches DMEM admission either.
 func TestPrunedTilesAreUnbilled(t *testing.T) {
 	tbl := buildTestTable(t, 5000) // k = 0..4999, clustered; ChunkRows 512
-	pred := &ConstCmp{Col: 0, Op: plan.GE, Val: 4500, Sel: 0.1}
+	pred := &ConstCmp{Col: 0, Op: plan.GE, Val: 4500}
 
 	run := func(prune Predicate, noPrune bool) (*Relation, int64, int64, *qef.Context) {
 		ctx := qef.NewContext(qef.ModeDPU)
 		ctx.NoPrune = noPrune
 		sink := NewCollectSink([]Col{{Name: "k", Type: coltypes.Int()}})
 		chain := func() qef.Operator {
-			return &FilterOp{Preds: []Predicate{pred}, Next: sink}
+			return &FilterOp{Pred: pred, Next: sink}
 		}
 		if err := TableScan(ctx, tbl.Snapshot(storage.LatestSCN), []int{0}, 512, prune, chain); err != nil {
 			t.Fatal(err)

@@ -63,7 +63,8 @@ const (
 
 type pipeStep struct {
 	kind  pipeStepKind
-	preds []ops.Predicate
+	pred  ops.Predicate
+	sel   float64 // pred's selectivity estimate
 	exprs []ops.Expr
 	keep  []int
 }
@@ -135,7 +136,7 @@ func (p *pipelineNode) prunePredicate() ops.Predicate {
 		if s.kind != stepFilter {
 			break
 		}
-		preds = append(preds, s.preds...)
+		preds = append(preds, s.pred)
 	}
 	switch len(preds) {
 	case 0:
@@ -209,15 +210,11 @@ func (p *pipelineNode) opReqs() []OpReq {
 	for i, s := range p.steps {
 		s := s
 		if s.kind == stepFilter {
-			f := &ops.FilterOp{Preds: s.preds}
-			sel := 1.0
-			for _, pr := range s.preds {
-				sel *= pr.EstSelectivity()
-			}
+			f := &ops.FilterOp{Pred: s.pred}
 			reqs = append(reqs, OpReq{
 				DMEMSize:       f.DMEMSize,
 				OutBytesPerRow: rowBytes,
-				Selectivity:    sel,
+				Selectivity:    s.sel,
 			})
 		} else {
 			// The materialization the compiler inserts upstream of the
@@ -320,7 +317,7 @@ func (p *pipelineNode) execute(ctx *qef.Context) (*ops.Relation, error) {
 				// first (late materialization ends here).
 				head = &ops.MaterializeOp{Next: head, RowBytes: 8 * inCols[i]}
 			} else {
-				head = &ops.FilterOp{Preds: s.preds, Next: head}
+				head = &ops.FilterOp{Pred: s.pred, Next: head}
 			}
 			head = qef.WithSpan(head, prof.Span(p.stepIDs[i]), upSpan(i))
 		}
@@ -470,12 +467,12 @@ func compileFilter(f *plan.Filter, in map[plan.Node]*ops.Relation) (physNode, er
 		return nil, err
 	}
 	p := asPipeline(child)
-	pred, err := compilePred(f.Pred, p.cols)
+	pred, sel, err := compilePred(f.Pred, p.cols)
 	if err != nil {
 		return nil, err
 	}
-	p.steps = append(p.steps, pipeStep{kind: stepFilter, preds: []ops.Predicate{pred}})
-	est := int64(float64(p.est) * pred.EstSelectivity())
+	p.steps = append(p.steps, pipeStep{kind: stepFilter, pred: pred, sel: sel})
+	est := int64(float64(p.est) * sel)
 	// Zone maps give a hard upper bound: rows in chunks the conjunction
 	// cannot reject. Take it when it is sharper than the selectivity guess.
 	if zr, ok := p.zoneSurvivingRows(); ok && zr < est {

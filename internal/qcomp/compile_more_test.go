@@ -1,9 +1,13 @@
 package qcomp
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"rapid/internal/coltypes"
+	"rapid/internal/encoding"
+	"rapid/internal/ops"
 	"rapid/internal/plan"
 	"rapid/internal/qef"
 	"rapid/internal/storage"
@@ -206,5 +210,64 @@ func TestCompileOrPredicateSelectivity(t *testing.T) {
 	relNot := run(t, ctx, &plan.Filter{Input: scan, Pred: not})
 	if relOr.Rows()+relNot.Rows() != 3000 {
 		t.Fatalf("OR (%d) + NOT OR (%d) must partition the input", relOr.Rows(), relNot.Rows())
+	}
+}
+
+// TestCompilePredOrdersConjunctsAndCombinesEstimates pins what the compiler
+// hands the filter operator: an AND's members most-selective-first, ties in
+// source order, and the estimates combined in source order — AND multiplies,
+// OR is 1 − Π(1 − s), NOT is 1 − s, and a leaf estimate outside (0, 1]
+// (a LIKE matching no dictionary code) counts as 0.5.
+func TestCompilePredOrdersConjunctsAndCombinesEstimates(t *testing.T) {
+	dict := encoding.NewDict()
+	for _, s := range []string{"a", "b", "c", "d"} {
+		dict.Add(s)
+	}
+	cols := []colInfo{
+		{field: plan.Field{Name: "n", Type: coltypes.Int()}, stats: &storage.ColStats{Min: 0, Max: 99, NDV: 100}},
+		{field: plan.Field{Name: "s", Type: coltypes.String(), Dict: dict}},
+	}
+	n := &plan.ColRef{Idx: 0, Name: "n", T: coltypes.Int()}
+	cmp := func(op plan.CmpOp, v int64) *plan.Cmp {
+		return &plan.Cmp{Op: op, L: n, R: &plan.Const{T: coltypes.Int(), Val: v}}
+	}
+	lt50, gt49, eq7 := cmp(plan.LT, 50), cmp(plan.GT, 49), cmp(plan.EQ, 7) // 0.5, 0.5, 0.01
+	noMatch := &plan.LikePred{E: &plan.ColRef{Idx: 1, Name: "s", T: coltypes.String(), Dict: dict}, Kind: plan.LikePrefix, Pattern: "zz"}
+
+	compile := func(p plan.Pred) (ops.Predicate, float64) {
+		t.Helper()
+		pred, sel, err := compilePred(p, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pred, sel
+	}
+	for _, tc := range []struct {
+		name string
+		p    plan.Pred
+		want float64
+	}{
+		{"empty LIKE", noMatch, 0.5},
+		{"NOT", &plan.NotPred{P: eq7}, 1 - 0.01},
+		{"OR", &plan.OrPred{Preds: []plan.Pred{eq7, lt50}}, 1 - (1-0.01)*(1-0.5)},
+		{"AND", &plan.AndPred{Preds: []plan.Pred{lt50, noMatch, eq7, gt49}}, 0.5 * 0.5 * 0.01 * 0.5},
+	} {
+		if _, sel := compile(tc.p); sel != tc.want {
+			t.Errorf("%s: selectivity %v, want %v", tc.name, sel, tc.want)
+		}
+	}
+
+	and, _ := compile(&plan.AndPred{Preds: []plan.Pred{lt50, noMatch, eq7, gt49}})
+	var got []string
+	for _, m := range and.(*ops.And).Preds {
+		switch m := m.(type) {
+		case *ops.ConstCmp:
+			got = append(got, fmt.Sprintf("n %v %d", m.Op, m.Val))
+		case *ops.InSet:
+			got = append(got, "s LIKE")
+		}
+	}
+	if want := []string{"n = 7", "n < 50", "s LIKE", "n > 49"}; !slices.Equal(got, want) {
+		t.Errorf("conjunct order %q, want %q", got, want)
 	}
 }

@@ -39,7 +39,7 @@ func compileExpr(e plan.Expr, cols []colInfo) (ops.Expr, error) {
 	case *plan.Arith:
 		return compileArith(ex, cols)
 	case *plan.CaseExpr:
-		cond, err := compilePred(ex.Cond, cols)
+		cond, _, err := compilePred(ex.Cond, cols)
 		if err != nil {
 			return nil, err
 		}
@@ -129,10 +129,13 @@ func scaleOf(t coltypes.Type) int8 {
 	return 0
 }
 
-// compilePred lowers a logical predicate to an executable ops.Predicate
-// with a selectivity estimate from statistics — the input to predicate
-// reordering and representation choice (§5.4).
-func compilePred(p plan.Pred, cols []colInfo) (ops.Predicate, error) {
+// compilePred lowers a logical predicate to an executable ops.Predicate and
+// its selectivity estimate from statistics — the input to predicate
+// reordering and representation choice (§5.4). Every conjunction comes back
+// listed most-selective-first (a stable sort, so ties keep source order);
+// estimates combine in source order: AND multiplies, OR is 1 − Π(1 − s),
+// NOT is 1 − s.
+func compilePred(p plan.Pred, cols []colInfo) (ops.Predicate, float64, error) {
 	switch pr := p.(type) {
 	case *plan.Cmp:
 		return compileCmp(pr, cols)
@@ -143,36 +146,65 @@ func compilePred(p plan.Pred, cols []colInfo) (ops.Predicate, error) {
 	case *plan.LikePred:
 		return compileLike(pr, cols)
 	case *plan.AndPred:
-		sub := make([]ops.Predicate, len(pr.Preds))
-		for i, s := range pr.Preds {
-			c, err := compilePred(s, cols)
-			if err != nil {
-				return nil, err
-			}
-			sub[i] = c
-		}
-		return &ops.And{Preds: sub}, nil
-	case *plan.OrPred:
-		sub := make([]ops.Predicate, len(pr.Preds))
-		for i, s := range pr.Preds {
-			c, err := compilePred(s, cols)
-			if err != nil {
-				return nil, err
-			}
-			sub[i] = c
-		}
-		return &ops.Or{Preds: sub}, nil
-	case *plan.NotPred:
-		c, err := compilePred(pr.P, cols)
+		preds, sels, err := compileEach(pr.Preds, cols)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		return &ops.Not{P: c}, nil
+		all := 1.0
+		for _, s := range sels {
+			all *= s
+		}
+		// Most selective first. An insertion sort is stable: ties keep
+		// source order.
+		for i := 1; i < len(sels); i++ {
+			for j := i; j > 0 && sels[j] < sels[j-1]; j-- {
+				sels[j], sels[j-1] = sels[j-1], sels[j]
+				preds[j], preds[j-1] = preds[j-1], preds[j]
+			}
+		}
+		return &ops.And{Preds: preds}, all, nil
+	case *plan.OrPred:
+		preds, sels, err := compileEach(pr.Preds, cols)
+		if err != nil {
+			return nil, 0, err
+		}
+		miss := 1.0
+		for _, s := range sels {
+			miss *= 1 - s
+		}
+		return &ops.Or{Preds: preds}, 1 - miss, nil
+	case *plan.NotPred:
+		c, sel, err := compilePred(pr.P, cols)
+		if err != nil {
+			return nil, 0, err
+		}
+		return &ops.Not{P: c}, 1 - sel, nil
 	}
-	return nil, fmt.Errorf("qcomp: unsupported predicate %T", p)
+	return nil, 0, fmt.Errorf("qcomp: unsupported predicate %T", p)
 }
 
-func compileCmp(c *plan.Cmp, cols []colInfo) (ops.Predicate, error) {
+// compileEach compiles the members of an AND or OR, in source order.
+func compileEach(ps []plan.Pred, cols []colInfo) ([]ops.Predicate, []float64, error) {
+	preds, sels := make([]ops.Predicate, len(ps)), make([]float64, len(ps))
+	for i, p := range ps {
+		var err error
+		if preds[i], sels[i], err = compilePred(p, cols); err != nil {
+			return nil, nil, err
+		}
+	}
+	return preds, sels, nil
+}
+
+// leafSel is the estimate of a leaf predicate: a statistic outside (0, 1] —
+// a LIKE that matches no dictionary code, say — counts as 0.5.
+func leafSel(s float64) float64 {
+	if s <= 0 || s > 1 {
+		return 0.5
+	}
+	return s
+}
+
+func compileCmp(c *plan.Cmp, cols []colInfo) (ops.Predicate, float64, error) {
 	op := c.Op
 	// Normalize const to the right.
 	l, r := c.L, c.R
@@ -193,17 +225,14 @@ func compileCmp(c *plan.Cmp, cols []colInfo) (ops.Predicate, error) {
 			return compileStringCmp(op, lc, rc, ci)
 		}
 		if val, ok := rescaleConst(rc, scaleOf(ci.field.Type)); ok {
-			return &ops.ConstCmp{
-				Col: lc.Idx, Op: op, Val: val,
-				Sel: cmpSelectivity(op, val, ci.stats),
-			}, nil
+			return &ops.ConstCmp{Col: lc.Idx, Op: op, Val: val}, leafSel(cmpSelectivity(op, val, ci.stats)), nil
 		}
 	}
 
 	// Column vs column with equal scales.
 	if lIsCol {
 		if rcol, ok := r.(*plan.ColRef); ok && scaleOf(lc.T) == scaleOf(rcol.T) {
-			return &ops.ColCmp{A: lc.Idx, B: rcol.Idx, Op: op, Sel: 0.3}, nil
+			return &ops.ColCmp{A: lc.Idx, B: rcol.Idx, Op: op}, 0.3, nil
 		}
 	}
 
@@ -218,30 +247,30 @@ func compileCmp(c *plan.Cmp, cols []colInfo) (ops.Predicate, error) {
 	if rIsConst {
 		le, err := compileScaled(l, target, cols)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		val, ok := rescaleConst(rc, target)
 		if !ok {
-			return nil, fmt.Errorf("qcomp: constant %s not representable at scale %d", rc, target)
+			return nil, 0, fmt.Errorf("qcomp: constant %s not representable at scale %d", rc, target)
 		}
-		return &ops.ExprCmp{E: le, Op: op, Val: val, Sel: 0.3}, nil
+		return &ops.ExprCmp{E: le, Op: op, Val: val}, 0.3, nil
 	}
 	le, err := compileScaled(l, target, cols)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	re, err := compileScaled(r, target, cols)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	diff := &ops.BinExpr{Op: plan.Sub, L: le, R: re}
-	return &ops.ExprCmp{E: diff, Op: op, Val: 0, Sel: 0.3}, nil
+	return &ops.ExprCmp{E: diff, Op: op, Val: 0}, 0.3, nil
 }
 
-func compileStringCmp(op plan.CmpOp, lc *plan.ColRef, rc *plan.Const, ci colInfo) (ops.Predicate, error) {
+func compileStringCmp(op plan.CmpOp, lc *plan.ColRef, rc *plan.Const, ci colInfo) (ops.Predicate, float64, error) {
 	dict := ci.field.Dict
 	if dict == nil {
-		return nil, fmt.Errorf("qcomp: string column %s has no dictionary", lc.Name)
+		return nil, 0, fmt.Errorf("qcomp: string column %s has no dictionary", lc.Name)
 	}
 	switch op {
 	case plan.EQ, plan.NE:
@@ -255,18 +284,17 @@ func compileStringCmp(op plan.CmpOp, lc *plan.ColRef, rc *plan.Const, ci colInfo
 		if op == plan.NE {
 			sel = 1 - sel
 		}
-		return &ops.ConstCmp{Col: lc.Idx, Op: op, Val: int64(code), Sel: sel}, nil
+		return &ops.ConstCmp{Col: lc.Idx, Op: op, Val: int64(code)}, leafSel(sel), nil
 	default:
 		set, err := dict.CompareCodes(op.String(), rc.Str)
 		if err != nil {
-			return nil, fmt.Errorf("qcomp: string comparison on %s: %w", lc.Name, err)
+			return nil, 0, fmt.Errorf("qcomp: string comparison on %s: %w", lc.Name, err)
 		}
-		sel := float64(set.Count()) / float64(maxInt(dict.Len(), 1))
-		return &ops.InSet{Col: lc.Idx, Set: set.Bitmap(), Sel: sel}, nil
+		return &ops.InSet{Col: lc.Idx, Set: set.Bitmap()}, leafSel(float64(set.Count()) / float64(maxInt(dict.Len(), 1))), nil
 	}
 }
 
-func compileBetween(b *plan.BetweenPred, cols []colInfo) (ops.Predicate, error) {
+func compileBetween(b *plan.BetweenPred, cols []colInfo) (ops.Predicate, float64, error) {
 	lc, ok := b.E.(*plan.ColRef)
 	loC, okLo := b.Lo.(*plan.Const)
 	hiC, okHi := b.Hi.(*plan.Const)
@@ -281,24 +309,21 @@ func compileBetween(b *plan.BetweenPred, cols []colInfo) (ops.Predicate, error) 
 	lo, ok1 := rescaleConst(loC, s)
 	hi, ok2 := rescaleConst(hiC, s)
 	if !ok1 || !ok2 {
-		return nil, fmt.Errorf("qcomp: BETWEEN bounds not representable at column scale")
+		return nil, 0, fmt.Errorf("qcomp: BETWEEN bounds not representable at column scale")
 	}
-	return &ops.Between{
-		Col: lc.Idx, Lo: lo, Hi: hi,
-		Sel: rangeSelectivity(lo, hi, ci.stats),
-	}, nil
+	return &ops.Between{Col: lc.Idx, Lo: lo, Hi: hi}, leafSel(rangeSelectivity(lo, hi, ci.stats)), nil
 }
 
-func compileIn(in *plan.InPred, cols []colInfo) (ops.Predicate, error) {
+func compileIn(in *plan.InPred, cols []colInfo) (ops.Predicate, float64, error) {
 	lc, ok := in.E.(*plan.ColRef)
 	if !ok {
-		return nil, fmt.Errorf("qcomp: IN over non-column expression")
+		return nil, 0, fmt.Errorf("qcomp: IN over non-column expression")
 	}
 	ci := cols[lc.Idx]
 	if ci.field.Type.Kind == coltypes.KindString {
 		dict := ci.field.Dict
 		if dict == nil {
-			return nil, fmt.Errorf("qcomp: string column %s has no dictionary", lc.Name)
+			return nil, 0, fmt.Errorf("qcomp: string column %s has no dictionary", lc.Name)
 		}
 		set := dict.MatchCodes(func(string) bool { return false }) // empty
 		for _, c := range in.List {
@@ -306,37 +331,35 @@ func compileIn(in *plan.InPred, cols []colInfo) (ops.Predicate, error) {
 				set.Bitmap().Set(int(code))
 			}
 		}
-		sel := float64(set.Count()) / float64(maxInt(dict.Len(), 1))
-		return &ops.InSet{Col: lc.Idx, Set: set.Bitmap(), Sel: sel}, nil
+		return &ops.InSet{Col: lc.Idx, Set: set.Bitmap()}, leafSel(float64(set.Count()) / float64(maxInt(dict.Len(), 1))), nil
 	}
 	// Numeric IN: OR of equalities.
 	var sub []ops.Predicate
+	miss := 1.0
 	s := scaleOf(ci.field.Type)
 	for _, c := range in.List {
 		val, ok := rescaleConst(c, s)
 		if !ok {
 			continue
 		}
-		sub = append(sub, &ops.ConstCmp{
-			Col: lc.Idx, Op: plan.EQ, Val: val,
-			Sel: cmpSelectivity(plan.EQ, val, ci.stats),
-		})
+		sub = append(sub, &ops.ConstCmp{Col: lc.Idx, Op: plan.EQ, Val: val})
+		miss *= 1 - leafSel(cmpSelectivity(plan.EQ, val, ci.stats))
 	}
 	if len(sub) == 0 {
-		return &ops.Not{P: ops.TruePred{}}, nil
+		return &ops.Not{P: ops.TruePred{}}, 0, nil
 	}
-	return &ops.Or{Preds: sub}, nil
+	return &ops.Or{Preds: sub}, 1 - miss, nil
 }
 
-func compileLike(l *plan.LikePred, cols []colInfo) (ops.Predicate, error) {
+func compileLike(l *plan.LikePred, cols []colInfo) (ops.Predicate, float64, error) {
 	lc, ok := l.E.(*plan.ColRef)
 	if !ok {
-		return nil, fmt.Errorf("qcomp: LIKE over non-column expression")
+		return nil, 0, fmt.Errorf("qcomp: LIKE over non-column expression")
 	}
 	ci := cols[lc.Idx]
 	dict := ci.field.Dict
 	if dict == nil {
-		return nil, fmt.Errorf("qcomp: LIKE on non-dictionary column %s", lc.Name)
+		return nil, 0, fmt.Errorf("qcomp: LIKE on non-dictionary column %s", lc.Name)
 	}
 	var set *encoding.CodeSet
 	switch l.Kind {
@@ -349,12 +372,11 @@ func compileLike(l *plan.LikePred, cols []colInfo) (ops.Predicate, error) {
 	case plan.LikeExact:
 		set = dict.MatchCodes(func(s string) bool { return s == l.Pattern })
 	}
-	sel := float64(set.Count()) / float64(maxInt(dict.Len(), 1))
-	var pred ops.Predicate = &ops.InSet{Col: lc.Idx, Set: set.Bitmap(), Sel: sel}
+	pred, sel := &ops.InSet{Col: lc.Idx, Set: set.Bitmap()}, leafSel(float64(set.Count())/float64(maxInt(dict.Len(), 1)))
 	if l.Negate {
-		pred = &ops.Not{P: pred}
+		return &ops.Not{P: pred}, 1 - sel, nil
 	}
-	return pred, nil
+	return pred, sel, nil
 }
 
 // rescaleConst converts a numeric/date constant to the target DSB scale.

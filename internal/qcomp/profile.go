@@ -46,7 +46,7 @@ func (p *pipelineNode) annotate(reg *spanReg, parent int) int {
 	for i := len(p.steps) - 1; i >= 0; i-- {
 		s := p.steps[i]
 		if s.kind == stepFilter {
-			p.stepIDs[i] = reg.add(up, "Filter", fmt.Sprintf("(preds=%d)", len(s.preds)), obs.KindPipeline, true)
+			p.stepIDs[i] = reg.add(up, "Filter", "", obs.KindPipeline, true)
 		} else {
 			p.stepIDs[i] = reg.add(up, "Project", fmt.Sprintf("(exprs=%d)", len(s.exprs)+len(s.keep)), obs.KindPipeline, true)
 		}

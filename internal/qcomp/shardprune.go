@@ -16,7 +16,7 @@ import (
 //
 // The proof is conservative both ways stats can drift: table statistics stay
 // a min/max superset of the live encoded domain across update units (see
-// storage.refreshStatsLocked), so a rejection here can only under-prune,
+// storage.refreshStats), so a rejection here can only under-prune,
 // never drop a live row.
 func ShardZonePruned(root plan.Node) bool {
 	scan, preds := scanFilterChain(root, nil)
@@ -51,7 +51,7 @@ func ShardZonePruned(root plan.Node) bool {
 		return storage.Zone{Min: cs.Min, Max: cs.Max}, true
 	}
 	for _, p := range preds {
-		compiled, err := compilePred(p, cols)
+		compiled, _, err := compilePred(p, cols)
 		if err != nil {
 			return false
 		}

@@ -105,34 +105,19 @@ type Context struct {
 
 	workers int
 
-	// pools holds one TilePool per core, created lazily by the first task
-	// context on that core and reused for the lifetime of the context —
-	// the host-side analogue of each dpCore owning its DMEM. Worker w only
-	// touches pools[w], and the goroutine spawn / wg.Wait pairs of the run
-	// loops order successive uses, so no lock is needed.
-	pools []*mem.TilePool
-
 	// activeSpan is the operator span that work units started from this
 	// context attribute to. It is written only by the orchestrator goroutine
 	// strictly between RunParallel/RunSerial calls (the goroutine spawn and
 	// wg.Wait establish the happens-before edges), so no lock is needed.
 	activeSpan *obs.OpSpan
 
-	// bills holds what each virtual core's units have billed. Nothing here
-	// is locked: a core's units run in index order on one strand, so every
-	// entry has one writer at a time, and its float sums are taken in unit
-	// order — the bill is the same on every run, at any worker count.
-	bills []coreBill
-}
-
-// coreBill is the ledger of one virtual core.
-type coreBill struct {
-	sim float64 // simulated busy seconds: Σ max(compute, transfer) per unit (ModeDPU)
-	// This core's share of the DDR bus occupancy: the DMS serializes all
-	// cores' DRAM transfers on the memory interface, one lane per direction.
-	busRead, busWrite float64
-	dmemHigh          int // largest DMEM high-water mark at the end of a unit (ModeDPU)
-	dms               dms.Engine
+	// cores holds one task context per virtual core, built with the context
+	// and kept for its life — the host-side analogue of each dpCore owning
+	// its DMEM for the whole query. Nothing here is locked: a core's units
+	// run in index order on one strand, so every entry has one user at a
+	// time, and its ledger's float sums are taken in unit order — the bill is
+	// the same on every run, at any worker count.
+	cores []TaskCtx
 }
 
 // NewContext builds an execution context. In ModeDPU the SoC is the paper's
@@ -148,11 +133,15 @@ func NewContextWith(mode Mode, cfg dpu.Config) *Context {
 		Mode:  mode,
 		SoC:   soc,
 		DMS:   dms.NewEngine(dms.DefaultModel()),
-		bills: make([]coreBill, cfg.NumCores),
-		pools: make([]*mem.TilePool, cfg.NumCores),
+		cores: make([]TaskCtx, cfg.NumCores),
 	}
-	for i := range ctx.bills {
-		ctx.bills[i].dms = *ctx.DMS // same model, its own empty ledger
+	for w := range ctx.cores {
+		tc := &ctx.cores[w]
+		*tc = TaskCtx{Ctx: ctx, CoreID: w, DMEM: soc.Core(w).DMEM(), dms: *ctx.DMS} // same model, its own empty ledger
+		tc.DMS = &tc.dms
+		if mode == ModeDPU {
+			tc.Core = soc.Core(w)
+		}
 	}
 	if mode == ModeDPU {
 		ctx.workers = cfg.NumCores
@@ -200,8 +189,9 @@ func (c *Context) Err() error {
 func (c *Context) Reset() {
 	c.SoC.Reset()
 	c.DMS.ResetTotals()
-	for i := range c.bills {
-		c.bills[i] = coreBill{dms: *c.DMS}
+	for w := range c.cores {
+		tc := &c.cores[w]
+		tc.dms, tc.sim, tc.busRead, tc.busWrite, tc.dmemHigh = *c.DMS, 0, 0, 0, 0
 	}
 	c.tilesPruned.Store(0)
 }
@@ -269,9 +259,14 @@ func (c *Context) CountMetric(name string, delta int64) {
 	c.Metrics.Counter(name).Add(delta)
 }
 
+// TaskCtx returns virtual core w's execution state. It belongs to the
+// context: the run loops, and a scheduler running the context's units, hand
+// it to every unit of core w.
+func (c *Context) TaskCtx(w int) *TaskCtx { return &c.cores[w] }
+
 // TaskCtx is the per-core execution state handed to operators: the core
-// (nil in ModeX86), its DMEM, and the transfer-time accumulator that the
-// relation accessor fills.
+// (nil in ModeX86), its DMEM, the transfer-time accumulator that the
+// relation accessor fills, and the core's ledger.
 type TaskCtx struct {
 	Ctx    *Context
 	CoreID int
@@ -300,14 +295,22 @@ type TaskCtx struct {
 
 	// Pool serves all tile- and unit-lifetime scratch buffers (the DMEM
 	// temporaries on the DPU); mem.TilePool says what a take holds and how
-	// long it lives. Set before every unit: by the context's own run loops,
-	// or by the shared scheduler to the pool of the worker that runs it.
+	// long it lives. The context's own run loops create it once and keep it;
+	// a scheduler sets it to its worker's pool for one unit and clears it.
 	Pool *mem.TilePool
 
 	// tiles recycles the Tile structs operators emit downstream, reset
 	// together with the pool at tile boundaries.
 	tiles   []*Tile
 	tileOff int
+
+	// The core's ledger, read out by Context.Usage.
+	dms dms.Engine // DMS points here
+	sim float64    // simulated busy seconds: Σ max(compute, transfer) per unit (ModeDPU)
+	// This core's share of the DDR bus occupancy: the DMS serializes all
+	// cores' DRAM transfers on the memory interface, one lane per direction.
+	busRead, busWrite float64
+	dmemHigh          int // largest DMEM high-water mark at the end of a unit (ModeDPU)
 }
 
 // TileScratch returns a recycled Tile over the given columns, valid until
@@ -385,10 +388,10 @@ func (tc *TaskCtx) SpanTileChunk() {
 func (tc *TaskCtx) AddTransfer(t dms.Timing) {
 	tc.transferSec += t.Seconds
 	tc.span.AddTransfer(tc.CoreID, t.Write, t.Bytes, t.Seconds)
-	if b := &tc.Ctx.bills[tc.CoreID]; t.Write {
-		b.busWrite += t.Seconds
+	if t.Write {
+		tc.busWrite += t.Seconds
 	} else {
-		b.busRead += t.Seconds
+		tc.busRead += t.Seconds
 	}
 }
 
@@ -430,7 +433,7 @@ func (c *Context) RunParallel(units []WorkUnit) error {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			tc := c.newTaskCtx(w)
+			tc := c.ownedTaskCtx(w)
 			for i := w; i < len(units); i += c.workers {
 				if int64(i) > firstFailed.Load() {
 					return
@@ -453,32 +456,6 @@ func (c *Context) RunParallel(units []WorkUnit) error {
 		return errs[f]
 	}
 	return nil
-}
-
-// NewTaskCtx builds the execution state for virtual core w without a scratch
-// pool: the shared scheduler creates one per (query, virtual core) and sets
-// Pool to a worker-owned pool at each dispatch. The pool belongs to the
-// scheduler worker, not the virtual core, so its buffers survive across
-// queries while each pool still has one goroutine using it at a time;
-// scratch never outlives a unit, so swapping pools between units is safe.
-func (c *Context) NewTaskCtx(w int) *TaskCtx {
-	tc := &TaskCtx{Ctx: c, CoreID: w, DMS: &c.bills[w].dms}
-	if c.Mode == ModeDPU {
-		tc.Core = c.SoC.Core(w)
-		tc.DMEM = tc.Core.DMEM()
-	} else {
-		tc.DMEM = mem.NewDMEMWithCapacity(c.SoC.Config().DMEMBytes)
-	}
-	return tc
-}
-
-func (c *Context) newTaskCtx(w int) *TaskCtx {
-	tc := c.NewTaskCtx(w)
-	if c.pools[w] == nil {
-		c.pools[w] = mem.NewTilePool()
-	}
-	tc.Pool = c.pools[w]
-	return tc
 }
 
 // RunUnit executes one work unit on its task context with full per-unit
@@ -515,9 +492,8 @@ func (c *Context) RunUnit(tc *TaskCtx, u WorkUnit) error {
 	if tc.Core != nil {
 		// Double buffering overlaps a unit's compute with its transfers.
 		compute := (tc.Core.Cycles() - beforeCycles).Seconds()
-		b := &c.bills[tc.CoreID]
-		b.sim += max(compute, tc.transferSec)
-		b.dmemHigh = max(b.dmemHigh, tc.DMEM.HighWater())
+		tc.sim += max(compute, tc.transferSec)
+		tc.dmemHigh = max(tc.dmemHigh, tc.DMEM.HighWater())
 	}
 	if err != nil {
 		return fmt.Errorf("qef: work unit on core %d: %w", tc.CoreID, err)
@@ -531,6 +507,15 @@ func (c *Context) RunSerial(u WorkUnit) error {
 	if c.Exec != nil {
 		return c.Exec.RunUnits(c, []WorkUnit{u})
 	}
-	tc := c.newTaskCtx(0)
-	return c.RunUnit(tc, u)
+	return c.RunUnit(c.ownedTaskCtx(0), u)
+}
+
+// ownedTaskCtx returns core w's task context for the context's own run
+// loops, giving it a tile pool on first use.
+func (c *Context) ownedTaskCtx(w int) *TaskCtx {
+	tc := &c.cores[w]
+	if tc.Pool == nil {
+		tc.Pool = mem.NewTilePool()
+	}
+	return tc
 }

@@ -29,11 +29,11 @@ type Usage struct {
 // that issues RunParallel and RunSerial, as every caller does — never while
 // work units run: the ledgers are not locked.
 func (c *Context) Usage() Usage {
-	n := len(c.bills)
+	n := len(c.cores)
 	u := Usage{CoreCycles: make([]int64, n), CoreSeconds: make([]float64, n), TilesPruned: c.tilesPruned.Load()}
 	u.Read, u.Write = c.DMS.TotalsByDir()
-	for i := range c.bills {
-		b := &c.bills[i]
+	for i := range c.cores {
+		b := &c.cores[i]
 		rd, wr := b.dms.TotalsByDir()
 		u.Read.Add(rd)
 		u.Write.Add(wr)

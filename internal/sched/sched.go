@@ -160,13 +160,6 @@ type waiter struct {
 type query struct {
 	runnable []*strand
 	inActive bool
-
-	// Per-virtual-core task contexts, cached for the admission's lifetime so
-	// operator accounting (DMEM, cycle counters) reuses one state per core
-	// exactly like the context-owned run loops. Slot v is only touched by
-	// the worker currently holding strand v (strands are exclusive).
-	qc  *qef.Context
-	tcs []*qef.TaskCtx
 }
 
 // batch is one RunUnits call: a set of work units split into strands.
@@ -423,10 +416,6 @@ func (a *Admission) RunUnits(qc *qef.Context, units []qef.WorkUnit) error {
 		return fmt.Errorf("sched: RunUnits after Release")
 	}
 	q := a.q
-	if q.qc != qc {
-		q.qc = qc
-		q.tcs = make([]*qef.TaskCtx, stride)
-	}
 	for v := 0; v < nstr; v++ {
 		q.runnable = append(q.runnable, &strand{b: b, vcore: v, next: v})
 	}
@@ -505,15 +494,6 @@ func (st *strand) nextIdx() (int, bool) {
 	return idx, true
 }
 
-// taskCtx returns the cached per-(query, virtual core) task context,
-// creating it on first use. Only the worker holding strand v touches slot v.
-func (b *batch) taskCtx(v int) *qef.TaskCtx {
-	if b.q.tcs[v] == nil {
-		b.q.tcs[v] = b.qc.NewTaskCtx(v)
-	}
-	return b.q.tcs[v]
-}
-
 // worker is one shared virtual dpCore: it executes one work unit per
 // scheduling decision, on a TilePool borrowed for that unit.
 func (s *Scheduler) worker() {
@@ -548,9 +528,12 @@ func (s *Scheduler) worker() {
 			s.preempted.Inc()
 		}
 		lastQ = b.q
-		tc := b.taskCtx(st.vcore)
+		// The pool is lent for this unit only: no task context may keep a
+		// pool that another worker holds next.
+		tc := b.qc.TaskCtx(st.vcore)
 		tc.Pool = pool
 		err := b.qc.RunUnit(tc, b.units[idx])
+		tc.Pool = nil
 		s.unitsTotal.Inc()
 		pool.TrimTo(poolRetainBytes)
 

@@ -479,8 +479,19 @@ func (r *Result) CyclesSaved() int64 { return r.r.CyclesSaved }
 // (0 on anything but a hit).
 func (r *Result) EnergySavedNJ() int64 { return r.r.EnergySavedNJ }
 
-// Explain returns the bound logical plan.
-func (r *Result) Explain() string { return r.r.Explain }
+// Explain returns the EXPLAIN ANALYZE report when the statement asked for
+// one — a tray's distributed report, the per-operator profile of a RAPID
+// run on one SoC, or the note saying why there is none — and the bound
+// logical plan otherwise.
+func (r *Result) Explain() string {
+	if r.r.Profile != nil {
+		return r.r.Profile.Format()
+	}
+	if r.r.ProfileNote != "" {
+		return r.r.ProfileNote
+	}
+	return r.r.Explain
+}
 
 // Table renders the whole result as an aligned text table.
 func (r *Result) Table() string {

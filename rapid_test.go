@@ -9,9 +9,11 @@ import (
 	"rapid/internal/hostdb"
 )
 
-func exampleDB(t testing.TB) *DB {
+func exampleDB(t testing.TB) *DB { return exampleDBWith(t, Config{}) }
+
+func exampleDBWith(t testing.TB, cfg Config) *DB {
 	t.Helper()
-	db := Open()
+	db := OpenWith(cfg)
 	err := db.CreateTable("sales",
 		IntCol("id"),
 		StringCol("region"),
@@ -185,6 +187,37 @@ func TestSchemaErrors(t *testing.T) {
 	}
 	if _, err := db.Query("SELECT 1 FROM nowhere"); err == nil {
 		t.Fatal("query on missing table must fail")
+	}
+}
+
+// TestExplainAnalyzeReturnsTheReport: Result.Explain is the EXPLAIN ANALYZE
+// report when the statement asks for one — on one SoC as on a tray — and the
+// bound logical plan otherwise.
+func TestExplainAnalyzeReturnsTheReport(t *testing.T) {
+	const q = `SELECT region, COUNT(*) FROM sales GROUP BY region`
+	db := exampleDB(t)
+	defer db.Close()
+	tray := exampleDBWith(t, Config{Nodes: 2})
+	defer tray.Close()
+	for _, tc := range []struct {
+		name   string
+		db     *DB
+		sql    string
+		engine Engine
+		want   string
+	}{
+		{"dpu profile", db, "EXPLAIN ANALYZE " + q, EngineRapidDPU, "EXPLAIN ANALYZE (dpu"},
+		{"host note", db, "EXPLAIN ANALYZE " + q, EngineHost, "no DPU profile"},
+		{"tray report", tray, "EXPLAIN ANALYZE " + q, EngineRapidDPU, "Distributed Plan"},
+		{"plain plan", db, q, EngineRapidDPU, "Project(2 exprs)\n  GroupBy"},
+	} {
+		res, err := tc.db.QueryWith(tc.sql, Options{Engine: tc.engine, NoCache: true})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := res.Explain(); !strings.HasPrefix(got, tc.want) {
+			t.Errorf("%s: Explain() = %q, want it to start with %q", tc.name, got, tc.want)
+		}
 	}
 }
 
