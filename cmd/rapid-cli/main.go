@@ -293,8 +293,8 @@ func exec(db *hostdb.Database, sql string, opts hostdb.QueryOptions, explainOnly
 	if res.Cache != "" && res.Cache != "hit" {
 		fmt.Printf(" [cache %s]", res.Cache)
 	}
-	if res.RapidSimSeconds > 0 {
-		fmt.Printf(" (simulated DPU time: %.3f ms)", res.RapidSimSeconds*1e3)
+	if res.SimSeconds > 0 {
+		fmt.Printf(" (simulated DPU time: %.3f ms)", res.SimSeconds*1e3)
 	}
 	fmt.Println()
 	if res.Profile != nil {

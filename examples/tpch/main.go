@@ -52,7 +52,7 @@ func main() {
 			log.Fatalf("%s: engines disagree (%d vs %d rows)", q.Name, host.Rel.Rows(), rapidSW.Rel.Rows())
 		}
 		fmt.Printf("%-8s %10d %12.2f %12.2f %8.2fx %9.3f\n",
-			q.Name, host.Rel.Rows(), hostMs, rapidMs, hostMs/rapidMs, dpuRes.RapidSimSeconds*1e3)
+			q.Name, host.Rel.Rows(), hostMs, rapidMs, hostMs/rapidMs, dpuRes.SimSeconds*1e3)
 	}
 
 	fmt.Println("\nsample result (Q1):")

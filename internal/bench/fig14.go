@@ -89,10 +89,10 @@ func runQueries(db *hostdb.Database) ([]QueryRun, error) {
 			Name:         q.Name,
 			Cycles:       res.Cycles,
 			DMSBytes:     totals.DMSReadBytes + totals.DMSWriteBytes,
-			SimDPUSec:    res.RapidSimSeconds,
+			SimDPUSec:    res.SimSeconds,
 			X86ModelSec:  res.X86ModelSeconds,
 			EnergyJ:      res.Energy.TotalJoules(),
-			ProvisionedJ: model.ProvisionedJoules(res.RapidSimSeconds),
+			ProvisionedJ: model.ProvisionedJoules(res.SimSeconds),
 		})
 	}
 	return out, nil

@@ -66,9 +66,8 @@ func (engine) FromCache(r *qcache.Result, opts QueryOptions) *Result {
 // callers already rely on.
 func (engine) CacheEntry(res *Result) *qcache.Result {
 	return hostdb.NewCacheEntry(&Result{
-		Rel: res.Rel, Nodes: res.Nodes, Explain: res.Explain,
-		Cache: "hit", CyclesSaved: res.TotalCycles, EnergySavedNJ: res.EnergyNJ,
-	}, res.Rel, res.TotalCycles, res.EnergyNJ)
+		Rel: res.Rel, Nodes: res.Nodes, Bill: res.Saved(), Explain: res.Explain,
+	}, res.Rel, res.Bill)
 }
 
 // SetCacheStatus records the cache interaction and appends it to the

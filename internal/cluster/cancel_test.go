@@ -10,9 +10,12 @@ import (
 	"time"
 
 	"rapid/internal/cluster"
+	"rapid/internal/coltypes"
 	"rapid/internal/hostdb"
+	"rapid/internal/obs"
 	"rapid/internal/qef"
 	"rapid/internal/sched"
+	"rapid/internal/storage"
 	"rapid/internal/tpch"
 )
 
@@ -212,4 +215,122 @@ func TestTrayConcurrentQueryRace(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+}
+
+// TestTrayCoordinatorIsAdmitted: the coordinator's merge runs in a session
+// on the host database's scheduler, opened after every node's. A tray query
+// waits for a held host slot and reports the wait, and a full host queue
+// sheds it with ErrOverloaded, releasing the node admissions it took and
+// journaling "shed". The nodes run one query at a time too: a coordinator
+// admitted on a node's scheduler would wait on itself.
+func TestTrayCoordinatorIsAdmitted(t *testing.T) {
+	db := hostdb.NewWithConfig(nil, sched.Config{MaxConcurrent: 1, MaxQueued: 1})
+	defer db.Close()
+	schema := storage.MustSchema(
+		storage.ColumnDef{Name: "k", Type: coltypes.Int()},
+		storage.ColumnDef{Name: "g", Type: coltypes.Int()},
+	)
+	if _, err := db.CreateTable("facts", schema); err != nil {
+		t.Fatal(err)
+	}
+	var rows [][]storage.Value
+	for i := 0; i < 500; i++ {
+		rows = append(rows, []storage.Value{storage.IntValue(int64(i)), storage.IntValue(int64(i % 7))})
+	}
+	if _, err := db.Insert("facts", rows); err != nil {
+		t.Fatal(err)
+	}
+	tray, err := cluster.New(db, cluster.Config{Nodes: 2, ReplicateMaxRows: -1, Sched: sched.Config{MaxConcurrent: 1, MaxQueued: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tray.Close()
+	if err := tray.Load("facts", nil); err != nil {
+		t.Fatal(err)
+	}
+	const sql = `SELECT g, COUNT(*) FROM facts GROUP BY g`
+	opts := cluster.QueryOptions{Mode: qef.ModeX86, NoCache: true}
+	host := db.Scheduler()
+
+	t.Run("waits", func(t *testing.T) {
+		hold, err := host.Admit(context.Background(), sched.Request{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		time.AfterFunc(30*time.Millisecond, hold.Release)
+		res, err := tray.Query(sql, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Rel.Rows() != 7 {
+			t.Fatalf("rows = %d, want 7 groups", res.Rel.Rows())
+		}
+		if res.QueueWait < 20*time.Millisecond {
+			t.Fatalf("QueueWait = %v behind a host slot held for 30ms", res.QueueWait)
+		}
+	})
+
+	t.Run("sheds", func(t *testing.T) {
+		hold, err := host.Admit(context.Background(), sched.Request{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer hold.Release()
+		// A waiter takes the host's one queue slot; a probe with a short
+		// deadline confirms it (a probe that wins the slot times out and
+		// frees it again).
+		wctx, wcancel := context.WithCancel(context.Background())
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				adm, err := host.Admit(wctx, sched.Request{})
+				if err == nil {
+					adm.Release()
+					return
+				}
+				if !errors.Is(err, sched.ErrOverloaded) {
+					return // wctx canceled
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+		}()
+		defer func() { wcancel(); wg.Wait() }()
+		for i := 0; ; i++ {
+			pctx, pcancel := context.WithTimeout(context.Background(), time.Millisecond)
+			_, perr := host.Admit(pctx, sched.Request{})
+			pcancel()
+			if errors.Is(perr, sched.ErrOverloaded) {
+				break
+			}
+			if perr == nil {
+				t.Fatal("probe admission succeeded on a held scheduler")
+			}
+			if i > 500 {
+				t.Fatal("host queue slot never filled")
+			}
+			time.Sleep(time.Millisecond)
+		}
+
+		// Every node holds one slot: a shed that kept a node admission
+		// would hang the next attempt, and the probes below.
+		for i := 0; i < 3; i++ {
+			if _, err := tray.Query(sql, opts); !errors.Is(err, sched.ErrOverloaded) {
+				t.Fatalf("attempt %d: err = %v, want sched.ErrOverloaded", i, err)
+			}
+			if recs := db.QueryJournal().Tail(1); len(recs) != 1 || recs[0].Outcome != obs.OutcomeShed || recs[0].Nodes != 2 {
+				t.Fatalf("attempt %d: journal tail = %+v, want a shed 2-node record", i, recs)
+			}
+		}
+		for i := 0; i < tray.NumNodes(); i++ {
+			ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+			adm, err := tray.NodeScheduler(i).Admit(ctx, sched.Request{})
+			cancel()
+			if err != nil {
+				t.Fatalf("node %d still held after the sheds: %v", i, err)
+			}
+			adm.Release()
+		}
+	})
 }

@@ -260,9 +260,9 @@ func TestNetAccountingReconciles(t *testing.T) {
 }
 
 // TestModeX86TrayBillsNoDPUEnergy: a ModeX86 tray query runs on no dpCore,
-// so, like a ModeX86 offload on the host, it leaves every series
-// hostdb.RecordRapidExecution feeds unchanged and journals zero energy. Its
-// interconnect is still priced. The same statement in ModeDPU moves them all.
+// so, like a ModeX86 offload on the host, it leaves every series hostdb.Price
+// feeds unchanged and journals zero energy. Its interconnect is still priced.
+// The same statement in ModeDPU moves them all.
 func TestModeX86TrayBillsNoDPUEnergy(t *testing.T) {
 	db := tpchHost(t)
 	reg := obs.NewRegistry()
@@ -306,7 +306,7 @@ func TestModeX86TrayBillsNoDPUEnergy(t *testing.T) {
 			t.Errorf("ModeX86 tray query moved %s to %d", name, v)
 		}
 	}
-	if res.EnergyNJ != 0 || res.Energy.ActivityFJ != 0 || res.Energy.IdleJ != 0 {
+	if res.EnergyNJ != 0 || res.Energy.ActivityFJ() != 0 || res.Energy.IdleJ != 0 {
 		t.Errorf("ModeX86 tray energy: %d nJ, %+v", res.EnergyNJ, res.Energy)
 	}
 	if rec := journaled(res.QueryID); rec.EnergyNJ != 0 {

@@ -14,10 +14,8 @@ import (
 	"rapid/internal/obs"
 	"rapid/internal/ops"
 	"rapid/internal/plan"
-	"rapid/internal/power"
 	"rapid/internal/qcomp"
 	"rapid/internal/qef"
-	"rapid/internal/sched"
 	"rapid/internal/storage"
 )
 
@@ -51,69 +49,34 @@ type NodeStats struct {
 	SimSeconds    float64
 }
 
-// TrayEnergy is the energy decomposition of one distributed query:
-// per-node + coordinator activity, interconnect transfer energy, and the
-// idle floor of all N uncore domains over the query makespan. A ModeX86
-// query runs on no dpCore: only its NetFJ is priced.
-type TrayEnergy struct {
-	ActivityFJ int64 // dpCore cycles + DMS bytes, all nodes + coordinator
-	NetFJ      int64 // power.LinkEnergyFJ over every exchanged byte
-	IdleJ      float64
-}
-
-// TotalJoules returns the whole-tray energy of the query.
-func (e TrayEnergy) TotalJoules() float64 {
-	return float64(e.ActivityFJ+e.NetFJ)/power.FJPerJoule + e.IdleJ
-}
-
-// Result is the outcome of one distributed query.
+// Result is the outcome of one distributed query. The embedded Bill is
+// the whole tray's: cycles, DMS traffic and energy over every node and the
+// coordinator, the interconnect priced in Energy.NetFJ, the idle floor of
+// all N uncore domains over the makespan, and the longest admission wait.
 type Result struct {
 	Rel   *ops.Relation
 	Nodes int
+	hostdb.Bill
 
 	// QueryID is the fleet-wide identifier the query was journaled under
 	// (shared with the host database's active-query table).
 	QueryID uint64
 
-	// SimSeconds is the modeled distributed makespan: the slowest node's
-	// simulated time, plus the serialized interconnect time, plus the
-	// coordinator's merge time.
-	SimSeconds      float64
-	NodeSimSeconds  float64 // max over nodes
+	NodeSimSeconds  float64 // max over nodes; SimSeconds adds NetSeconds and CoordSimSeconds
 	CoordSimSeconds float64
 	NetSeconds      float64
 
 	NetRows, NetBytes, NetTiles int64
 	Exchanges                   []*obs.ExchangeSpan
 	PerNode                     []NodeStats
-	QueueWait                   time.Duration // max admission wait across nodes
-	Energy                      TrayEnergy
 
-	// TotalCycles is dpCore cycles across all nodes plus the coordinator
-	// (the exact integer added to rapid_dpcore_cycles_total).
+	// TotalCycles is the bill's Cycles under the name benchmark/ reads; it
+	// goes when that reader moves to Cycles (ROADMAP 10(a)).
 	TotalCycles int64
-	// EnergyNJ is activity+idle energy in nanojoules — the exact integers
-	// added to the energy counters, so journal sums reconcile with them
-	// (ModeDPU only; zero otherwise).
-	EnergyNJ int64
-	// DMEMHighWater is the max DMEM bytes reserved on any dpCore of any
-	// node during the query (ModeDPU only).
-	DMEMHighWater int
 
 	// ShardsPruned counts node fragments the coordinator skipped entirely
-	// because the shard's zone summary proved the fragment empty; TilesPruned
-	// sums the tiles zone maps skipped inside the nodes that did run.
+	// because the shard's zone summary proved the fragment empty.
 	ShardsPruned int
-	TilesPruned  int64
-
-	// Cache reports the query's result-cache interaction: "hit", "miss",
-	// "stale" (entry found but invalidated by a version mismatch), "bypass"
-	// (NoCache or uncacheable), or "" when no cache is installed on the
-	// host. Hits carry the producing execution's cost in CyclesSaved /
-	// EnergySavedNJ and bill ~zero cycles, network traffic and energy.
-	Cache         string
-	CyclesSaved   int64
-	EnergySavedNJ int64
 
 	Explain string // logical plan (coordinator binding)
 	Analyze string // distributed EXPLAIN ANALYZE (when requested)
@@ -172,11 +135,12 @@ func (t *Tray) Query(sql string, opts QueryOptions) (*Result, error) {
 
 // QueryCtx plans the query once at the coordinator — one tree, bound to a
 // node's shard replicas only where a fragment of it is compiled — admits the
-// query on every node's scheduler (all-or-nothing, in node order — ordered
-// acquisition keeps concurrent tray queries deadlock-free), executes
-// maximal node-local fragments in parallel with exchanges in between, and
-// merges at the coordinator. Canceling goCtx (or any node failing) cancels
-// every node within one exchange tile / scheduler work unit.
+// query on every node's scheduler and then the coordinator on the host's
+// (all-or-nothing, in that order — ordered acquisition keeps concurrent tray
+// queries deadlock-free), executes maximal node-local fragments in parallel
+// with exchanges in between, and merges at the coordinator. Canceling goCtx
+// (or any node failing) cancels every node within one exchange tile /
+// scheduler work unit.
 //
 // Every query — including sheds, cancellations and failures — is journaled
 // in the host database's query journal under a fleet-wide QueryID, and
@@ -226,12 +190,8 @@ func (e engine) Finish(id uint64, res *Result, err error, opts QueryOptions, wal
 	if res.Rel != nil {
 		rec.Rows = int64(res.Rel.Rows())
 	}
-	rec.Cycles = res.TotalCycles
-	rec.EnergyNJ = res.EnergyNJ
+	res.Stamp(&rec)
 	rec.NetBytes = res.NetBytes
-	rec.QueueWaitNs = int64(res.QueueWait)
-	rec.DMEMHighNow = int64(res.DMEMHighWater)
-	rec.Cache = res.Cache
 	return rec
 }
 
@@ -256,41 +216,34 @@ func (t *Tray) execute(goCtx context.Context, bound plan.Node, opts QueryOptions
 		shards:  shards,
 	}
 
-	// Per-node admission: each node's scheduler enforces its own
-	// concurrency and queue limits; a single overloaded node sheds the
-	// whole query (ErrOverloaded) after releasing what was admitted.
-	h.SetPhase("queued")
-	adms := make([]*sched.Admission, 0, n)
-	defer func() {
-		for _, a := range adms {
-			a.Release()
-		}
-	}()
-	for i := 0; i < n; i++ {
-		ctx := qef.NewContext(opts.Mode)
-		ctx.Metrics = t.reg
-		ctx.NoPrune = opts.DisablePruning
-		adm, aerr := t.nodes[i].sched.Admit(goCtx, sched.Request{Cores: ctx.Workers()})
-		if aerr != nil {
-			return nil, nil, aerr
-		}
-		adms = append(adms, adm)
-		ctx.SetGoContext(qctx)
-		ctx.Exec, ctx.Slab = adm, adm.Slab()
-		q.nctx = append(q.nctx, ctx)
-	}
+	// One session per node and one for the coordinator on the host
+	// database's scheduler, opened in that fixed order: ordered acquisition
+	// keeps concurrent tray queries deadlock-free. Each scheduler enforces
+	// its own concurrency and queue limits; one overloaded scheduler sheds
+	// the whole query (ErrOverloaded) after what was admitted is released.
 	// Node relations are read only by the exchanges that copy them onto the
 	// wire, so their chunks go back once the query is done.
+	h.SetPhase("queued")
+	sessions := make([]*hostdb.Session, 0, n+1)
 	defer func() {
-		for _, ctx := range q.nctx {
-			ctx.Release()
+		for _, s := range sessions {
+			s.Close()
 		}
 	}()
+	for i := 0; i <= n; i++ {
+		sc := t.host.Scheduler()
+		if i < n {
+			sc = t.nodes[i].sched
+		}
+		s, serr := hostdb.OpenSession(qctx, sc, opts.Mode, t.reg, opts.DisablePruning)
+		if serr != nil {
+			return nil, nil, serr
+		}
+		sessions = append(sessions, s)
+		q.nctx = append(q.nctx, s.Ctx)
+	}
+	q.nctx, q.coord = q.nctx[:n], q.nctx[n]
 	h.SetPhase("executing")
-	q.coord = qef.NewContext(opts.Mode)
-	q.coord.Metrics = t.reg
-	q.coord.NoPrune = opts.DisablePruning
-	q.coord.SetGoContext(qctx)
 
 	rel, err := q.exec(tree)
 	if err != nil {
@@ -301,7 +254,7 @@ func (t *Tray) execute(goCtx context.Context, bound plan.Node, opts QueryOptions
 	}
 
 	res := &Result{
-		Rel: rel.Flat(), Nodes: n, // the coordinator's chunks are on the heap
+		Rel: rel.Flatten(), Nodes: n,
 
 		Exchanges:    q.exchanges,
 		Explain:      plan.Format(bound),
@@ -313,49 +266,25 @@ func (t *Tray) execute(goCtx context.Context, bound plan.Node, opts QueryOptions
 		res.NetBytes += ex.MovedBytes
 		res.NetTiles += ex.Tiles
 	}
-	// Totals run over every node context and then the coordinator's; the
-	// per-node breakdown, makespan and queue wait over the nodes only.
-	var totRd, totWr, descriptors int64
-	for i, ctx := range append(q.nctx[:n:n], q.coord) {
-		u := ctx.Usage()
-		cy, sim := u.Cycles(), u.SimElapsed()
-		res.TotalCycles += cy
-		totRd += u.Read.Bytes
-		totWr += u.Write.Bytes
-		descriptors += u.Descriptors()
-		res.TilesPruned += u.TilesPruned
-		if u.DMEMHighWater > res.DMEMHighWater {
-			res.DMEMHighWater = u.DMEMHighWater
-		}
-		if i == n {
+	// The bill and queue wait run over every node session and then the
+	// coordinator's; the per-node breakdown and makespan over the nodes only.
+	usages := make([]qef.Usage, len(sessions))
+	var wait time.Duration
+	for i, s := range sessions {
+		u := s.Ctx.Usage()
+		usages[i], wait = u, max(wait, s.QueueWait())
+		if sim := u.SimElapsed(); i == n {
 			res.CoordSimSeconds = sim
-			break
-		}
-		res.PerNode = append(res.PerNode, NodeStats{
-			Cycles: cy, DMSReadBytes: u.Read.Bytes, DMSWriteBytes: u.Write.Bytes, SimSeconds: sim,
-		})
-		if sim > res.NodeSimSeconds {
-			res.NodeSimSeconds = sim
-		}
-		if w := adms[i].QueueWait(); w > res.QueueWait {
-			res.QueueWait = w
+		} else {
+			res.PerNode = append(res.PerNode, NodeStats{
+				Cycles: u.Cycles(), DMSReadBytes: u.Read.Bytes, DMSWriteBytes: u.Write.Bytes, SimSeconds: sim,
+			})
+			res.NodeSimSeconds = max(res.NodeSimSeconds, sim)
 		}
 	}
-	res.SimSeconds = res.NodeSimSeconds + res.NetSeconds + res.CoordSimSeconds
-
-	// The link is priced in every mode. dpCore activity and the uncore idle
-	// floor are a DPU execution's bill: a ModeX86 tray, like a ModeX86
-	// offload on the host, bills neither.
-	res.Energy.NetFJ = power.LinkEnergyFJ(res.NetBytes)
-	if opts.Mode == qef.ModeDPU {
-		em := power.DefaultEnergyModel()
-		core, rdFJ, wrFJ := em.ActivityFJ(res.TotalCycles, totRd, totWr)
-		res.Energy.ActivityFJ = core + rdFJ + wrFJ
-		res.Energy.IdleJ = float64(n) * em.UncoreIdleWatts * res.SimSeconds
-		actNJ, idleNJ := power.NanoJoules(res.Energy.ActivityFJ, res.Energy.IdleJ)
-		res.EnergyNJ = actNJ + idleNJ
-		hostdb.RecordRapidExecution(t.reg, res.TotalCycles, totRd, totWr, descriptors, int64(res.SimSeconds*1e6), actNJ, idleNJ)
-	}
+	sim := res.NodeSimSeconds + res.NetSeconds + res.CoordSimSeconds
+	res.Bill = hostdb.Price(t.reg, opts.Mode, n, sim, res.NetBytes, usages...)
+	res.QueueWait, res.TotalCycles = wait, res.Cycles
 	t.reg.Histogram("rapid_query_net_bytes", obs.DefBytesBuckets...).Observe(float64(res.NetBytes))
 
 	if opts.Analyze {

@@ -67,9 +67,9 @@ func TestTrayBillPins(t *testing.T) {
 			}
 		}
 		if res.TotalCycles != pin.cycles || res.DMEMHighWater != pin.dmemHighWater || res.TilesPruned != 0 ||
-			res.Energy.ActivityFJ != pin.activityFJ || res.NetBytes != pin.netBytes {
+			res.Energy.ActivityFJ() != pin.activityFJ || res.NetBytes != pin.netBytes {
 			t.Errorf("%s TotalCycles/DMEMHighWater/TilesPruned/ActivityFJ/NetBytes = %d/%d/%d/%d/%d, pinned %d/%d/0/%d/%d", pin.query,
-				res.TotalCycles, res.DMEMHighWater, res.TilesPruned, res.Energy.ActivityFJ, res.NetBytes,
+				res.TotalCycles, res.DMEMHighWater, res.TilesPruned, res.Energy.ActivityFJ(), res.NetBytes,
 				pin.cycles, pin.dmemHighWater, pin.activityFJ, pin.netBytes)
 		}
 		same("SimSeconds", res.SimSeconds, pin.simSeconds)

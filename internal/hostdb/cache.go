@@ -73,15 +73,13 @@ func (hostEngine) CacheEntry(res *QueryResult) *qcache.Result {
 		return nil
 	}
 	return NewCacheEntry(&QueryResult{
-		Rel:           res.Rel,
-		Offloaded:     res.Offloaded,
-		Explain:       res.Explain,
-		EstRapidSec:   res.EstRapidSec,
-		EstHostSec:    res.EstHostSec,
-		Cache:         "hit",
-		CyclesSaved:   res.Cycles,
-		EnergySavedNJ: res.EnergyNJ,
-	}, res.Rel, res.Cycles, res.EnergyNJ)
+		Rel:         res.Rel,
+		Bill:        res.Saved(),
+		Offloaded:   res.Offloaded,
+		Explain:     res.Explain,
+		EstRapidSec: res.EstRapidSec,
+		EstHostSec:  res.EstHostSec,
+	}, res.Rel, res.Bill)
 }
 
 // SetCacheStatus records the cache interaction and surfaces it in EXPLAIN

@@ -122,8 +122,8 @@ func (db *Database) ActiveQueries() []obs.ActiveQuery { return db.active.Snapsho
 // context.Canceled to its caller and journals a "canceled" outcome.
 func (db *Database) CancelQuery(id uint64) bool { return db.active.Cancel(id) }
 
-// Scheduler returns the database's shared-SoC scheduler (never nil), for
-// configuration inspection and tests that need to occupy admission slots.
+// Scheduler returns the database's shared-SoC scheduler (never nil): the
+// tray admits its coordinator on it, and tests occupy its admission slots.
 func (db *Database) Scheduler() *sched.Scheduler { return db.sched }
 
 // Close stops the database's background machinery: the checkpointer and the

@@ -258,10 +258,10 @@ func captureVersions(version func(string) (qcache.Version, bool), tables []strin
 
 // NewCacheEntry wraps a finished execution as a result-cache entry: the
 // engine's payload (whatever its FromCache needs), the relation's resident
-// footprint for the byte budget, and the billed cost a later hit reports as
-// saved. The driver adds the version vector and the execution wall time.
-func NewCacheEntry(payload any, rel *ops.Relation, cycles, energyNJ int64) *qcache.Result {
-	e := &qcache.Result{Payload: payload, Bytes: 64, CyclesSaved: cycles, EnergySavedNJ: energyNJ}
+// footprint for the byte budget, and the cost (its bill) a later hit reports
+// as saved. The driver adds the version vector and the execution wall time.
+func NewCacheEntry(payload any, rel *ops.Relation, bill Bill) *qcache.Result {
+	e := &qcache.Result{Payload: payload, Bytes: 64, CyclesSaved: bill.Cycles, EnergySavedNJ: bill.EnergyNJ}
 	if rel != nil {
 		// Column payloads at physical width plus a small per-column overhead.
 		for c := range rel.Cols {
@@ -321,20 +321,4 @@ func NoFallback(err error) bool {
 		errors.Is(err, context.DeadlineExceeded) ||
 		errors.Is(err, sched.ErrOverloaded) ||
 		errors.Is(err, sched.ErrClosed)
-}
-
-// RecordRapidExecution adds one ModeDPU execution's billed integers to the
-// engine-wide rapid_* counters. The per-query histograms observe the exact
-// integers added to the counters, so histogram sums reconcile with counter
-// totals exactly (both stay below 2^53, where float64 addition is lossless).
-func RecordRapidExecution(m *obs.Registry, cycles, dmsReadBytes, dmsWriteBytes, descriptors, simMicros, activityNJ, idleNJ int64) {
-	m.Counter("rapid_dpcore_cycles_total").Add(cycles)
-	m.Counter("rapid_dms_read_bytes_total").Add(dmsReadBytes)
-	m.Counter("rapid_dms_write_bytes_total").Add(dmsWriteBytes)
-	m.Counter("rapid_dms_descriptors_total").Add(descriptors)
-	m.Counter("rapid_sim_microseconds_total").Add(simMicros)
-	m.Counter("rapid_activity_energy_nanojoules_total").Add(activityNJ)
-	m.Counter("rapid_idle_energy_nanojoules_total").Add(idleNJ)
-	m.Histogram("rapid_query_cycles", obs.DefCycleBuckets...).Observe(float64(cycles))
-	m.Histogram("rapid_query_energy_nanojoules", obs.DefEnergyNJBuckets...).Observe(float64(activityNJ + idleNJ))
 }

@@ -120,7 +120,7 @@ func (e *fakeEngine) Execute(ctx context.Context, bound plan.Node, o fakeOpts, h
 }
 
 func (e *fakeEngine) CacheEntry(res *fakeResult) *qcache.Result {
-	return NewCacheEntry(res, nil, 7, 9)
+	return NewCacheEntry(res, nil, Bill{Cycles: 7, EnergyNJ: 9})
 }
 
 func (e *fakeEngine) FromCache(r *qcache.Result, o fakeOpts) *fakeResult {

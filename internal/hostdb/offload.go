@@ -10,10 +10,8 @@ import (
 	"rapid/internal/obs"
 	"rapid/internal/ops"
 	"rapid/internal/plan"
-	"rapid/internal/power"
 	"rapid/internal/qcomp"
 	"rapid/internal/qef"
-	"rapid/internal/sched"
 	"rapid/internal/storage"
 )
 
@@ -52,9 +50,11 @@ type QueryOptions struct {
 	NoCache bool
 }
 
-// QueryResult is the outcome of one query.
+// QueryResult is the outcome of one query. The embedded Bill is the RAPID
+// execution's cost (zero for host-engine queries, ~zero for cache hits).
 type QueryResult struct {
 	Rel *ops.Relation
+	Bill
 
 	Offloaded bool
 	FellBack  bool
@@ -63,11 +63,9 @@ type QueryResult struct {
 	// execution).
 	RapidWall time.Duration
 	HostWall  time.Duration
-	// RapidSimSeconds is the DPU-simulated execution time (ModeDPU only).
+	// RapidSimSeconds is the bill's SimSeconds under the name benchmark/
+	// reads; it goes when that reader moves to SimSeconds (ROADMAP 10(a)).
 	RapidSimSeconds float64
-	// X86ModelSeconds is the same work modeled on a dual-socket x86 (the
-	// hardware-attribution denominator of §7.4; ModeDPU only).
-	X86ModelSeconds float64
 	// Cost estimates behind the offload decision.
 	EstRapidSec float64
 	EstHostSec  float64
@@ -78,41 +76,9 @@ type QueryResult struct {
 	// ProfileNote explains an absent profile when one was requested (the
 	// query stayed on the host), so EXPLAIN ANALYZE never returns silence.
 	ProfileNote string
-	// Energy is the activity-based energy breakdown of the RAPID execution
-	// (ModeDPU offloads only; zero otherwise — check HasEnergy).
-	Energy    power.Breakdown
-	HasEnergy bool
-	// QueueWait is the time the query spent in the shared-SoC scheduler's
-	// admission queue before RAPID execution began (zero for host-engine
-	// queries and immediate admissions).
-	QueueWait time.Duration
 	// QueryID is the fleet-wide query identifier assigned at issue, the key
 	// into the query journal and the active-query table.
 	QueryID uint64
-	// Cycles is the total dpCore cycle count of the RAPID execution (ModeDPU
-	// offloads; zero otherwise).
-	Cycles int64
-	// EnergyNJ is the total (activity + idle) energy of the RAPID execution
-	// in nanojoules — the same integer fed to the rapid_*_energy counters.
-	EnergyNJ int64
-	// DMEMHighWater is the largest per-core scratchpad reservation the query
-	// reached, bytes (ModeDPU offloads; zero otherwise).
-	DMEMHighWater int
-	// TilesPruned is the number of storage chunks zone-map pruning skipped
-	// during the RAPID execution (zero on the host path or with pruning
-	// disabled).
-	TilesPruned int64
-	// Cache reports this query's result-cache interaction: "hit" (served
-	// without execution, ~zero marginal cycles/energy), "miss", "stale"
-	// (an entry existed but its version vector moved), "bypass" (cache
-	// installed but ineligible: NoCache, unlexable statement), or "" when
-	// no cache is installed.
-	Cache string
-	// CyclesSaved/EnergySavedNJ carry the billed cost of the execution that
-	// produced a cached result — the estimate of what this hit avoided.
-	// Zero on anything but a hit.
-	CyclesSaved   int64
-	EnergySavedNJ int64
 }
 
 // RapidFraction returns the share of elapsed wall time spent in RAPID.
@@ -214,11 +180,7 @@ func (e hostEngine) Finish(id uint64, res *QueryResult, err error, opts QueryOpt
 	if res.Rel != nil {
 		rec.Rows = int64(res.Rel.Rows())
 	}
-	rec.Cycles = res.Cycles
-	rec.EnergyNJ = res.EnergyNJ
-	rec.QueueWaitNs = int64(res.QueueWait)
-	rec.DMEMHighNow = int64(res.DMEMHighWater)
-	rec.Cache = res.Cache
+	res.Stamp(&rec)
 	return rec
 }
 
@@ -301,13 +263,13 @@ func (db *Database) admissible(node plan.Node) (ok bool, scn uint64) {
 
 // runRapid is the RAPID operator (§3.1): it serializes the fragment plan to
 // the RAPID node (here: compiles it), triggers execution, and receives the
-// result relation "over the network" into res. Execution goes through the
-// shared-SoC scheduler: the query is admitted (possibly waiting, bounded by
-// the run queue), its work units are multiplexed over the shared worker pool,
-// and its admission slot is released when execution ends — success, failure
-// or cancellation alike. Every DPU execution feeds the engine-wide telemetry
-// counters and the activity energy model, whether or not per-operator
-// profiling was requested. On error only res.QueueWait is touched.
+// result relation "over the network" into res. Execution runs in a Session on
+// the shared-SoC scheduler: the query is admitted (possibly waiting, bounded
+// by the run queue), its work units are multiplexed over the shared worker
+// pool, and its admission slot is released when execution ends — success,
+// failure or cancellation alike. Every execution is billed by Price, whether
+// or not per-operator profiling was requested. On error only res.QueueWait is
+// touched.
 func (db *Database) runRapid(goCtx context.Context, node plan.Node, opts QueryOptions, h obs.ActiveHandle, res *QueryResult) error {
 	if db.rapidFault != nil {
 		return db.rapidFault
@@ -316,19 +278,14 @@ func (db *Database) runRapid(goCtx context.Context, node plan.Node, opts QueryOp
 	if err != nil {
 		return err
 	}
-	ctx := qef.NewContext(opts.RapidMode)
-	ctx.Metrics = db.metrics
-	ctx.NoPrune = opts.DisablePruning
 	h.SetPhase("queued")
-	adm, err := db.sched.Admit(goCtx, sched.Request{Cores: ctx.Workers()})
+	sess, err := OpenSession(goCtx, db.sched, opts.RapidMode, db.metrics, opts.DisablePruning)
 	if err != nil {
 		return err
 	}
-	defer adm.Release()
+	defer sess.Close() // after the result is Flattened below
 	h.SetPhase("executing")
-	ctx.SetGoContext(goCtx)
-	ctx.Exec, ctx.Slab = adm, adm.Slab()
-	defer ctx.Release() // after the result is Flattened below, before adm.Release
+	ctx := sess.Ctx
 	var prof *obs.Profile
 	if opts.Profile {
 		prof = obs.NewProfile(opts.RapidMode.String(), ctx.SoC.Config().NumCores, dpu.FreqHz, compiled.SpanDefs())
@@ -337,27 +294,18 @@ func (db *Database) runRapid(goCtx context.Context, node plan.Node, opts QueryOp
 	start := time.Now()
 	rel, err := compiled.Execute(ctx)
 	wall := time.Since(start)
-	res.QueueWait = adm.QueueWait()
+	res.QueueWait = sess.QueueWait()
 	if err != nil {
 		return err
 	}
-	res.Rel, res.RapidWall, res.Profile = rel.Flatten(), wall, prof
 	u := ctx.Usage()
-	res.RapidSimSeconds = u.SimElapsed()
-	res.TilesPruned, res.DMEMHighWater = u.TilesPruned, u.DMEMHighWater
 	if prof != nil {
 		prof.Finalize(u.Totals(wall, res.QueueWait))
 	}
-	res.Cycles = u.Cycles()
-	res.X86ModelSeconds = power.X86ModelSeconds(float64(res.Cycles), u.Read.Bytes+u.Write.Bytes)
-	if opts.RapidMode == qef.ModeDPU {
-		res.Energy = power.DefaultEnergyModel().Activity(res.Cycles, u.Read.Bytes, u.Write.Bytes, res.RapidSimSeconds)
-		res.HasEnergy = true
-		actNJ, idleNJ := power.NanoJoules(res.Energy.ActivityFJ(), res.Energy.IdleJ)
-		res.EnergyNJ = actNJ + idleNJ
-		RecordRapidExecution(db.metrics, res.Cycles, u.Read.Bytes, u.Write.Bytes, u.Descriptors(),
-			int64(res.RapidSimSeconds*1e6), actNJ, idleNJ)
-	}
+	bill := Price(db.metrics, opts.RapidMode, 1, u.SimElapsed(), 0, u)
+	bill.QueueWait = res.QueueWait
+	res.Rel, res.RapidWall, res.Profile, res.Bill = rel.Flatten(), wall, prof, bill
+	res.RapidSimSeconds = bill.SimSeconds
 	return nil
 }
 

@@ -39,7 +39,7 @@ import (
 // one query left behind cannot crowd out the sizes in use.
 //
 // A nil *Slab is valid and leases from the heap: a context with no scheduler
-// (tray coordinator, internal/bench, unit tests) runs the same operator code.
+// (internal/bench, unit tests) runs the same operator code.
 // A Slab is safe for concurrent use.
 type Slab struct {
 	mu       sync.Mutex

@@ -50,24 +50,24 @@ func DefaultEnergyModel() EnergyModel {
 }
 
 // Breakdown is the activity energy of one measured interval, split by
-// what consumed it. The activity components are integer femtojoules so
-// decompositions reconcile exactly; the idle component is an analog power
-// × time product.
+// what consumed it. The activity and link components are integer
+// femtojoules so decompositions reconcile exactly; the idle component is an
+// analog power × time product.
 type Breakdown struct {
 	CoreFJ     int64   // dpCore dynamic energy
 	DMSReadFJ  int64   // DDR reads
 	DMSWriteFJ int64   // DDR writes
+	NetFJ      int64   // tray interconnect (LinkEnergyFJ); zero on one SoC
 	IdleJ      float64 // uncore/idle floor over the interval
 }
 
-// ActivityFJ returns the attributable activity energy in femtojoules.
+// ActivityFJ returns the attributable dpCore and DMS energy in femtojoules.
 func (b Breakdown) ActivityFJ() int64 { return b.CoreFJ + b.DMSReadFJ + b.DMSWriteFJ }
 
-// ActivityJoules returns the attributable activity energy in joules.
-func (b Breakdown) ActivityJoules() float64 { return float64(b.ActivityFJ()) / FJPerJoule }
-
-// TotalJoules returns activity plus idle energy.
-func (b Breakdown) TotalJoules() float64 { return b.ActivityJoules() + b.IdleJ }
+// TotalJoules returns activity, link and idle energy.
+func (b Breakdown) TotalJoules() float64 {
+	return float64(b.ActivityFJ()+b.NetFJ)/FJPerJoule + b.IdleJ
+}
 
 // NanoJoules converts an interval's activity femtojoules and idle joules to
 // the integer nanojoules the energy counters and journal add, the same way

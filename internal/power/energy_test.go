@@ -50,8 +50,12 @@ func TestBreakdownArithmetic(t *testing.T) {
 	if math.Abs(b.IdleJ-m.UncoreIdleWatts*2e-6) > 1e-18 {
 		t.Fatal("idle energy")
 	}
-	if math.Abs(b.TotalJoules()-(b.ActivityJoules()+b.IdleJ)) > 1e-18 {
+	if b.TotalJoules() != float64(core+rd+wr)/FJPerJoule+b.IdleJ {
 		t.Fatal("total joules")
+	}
+	b.NetFJ = LinkEnergyFJ(100)
+	if b.TotalJoules() != float64(core+rd+wr+b.NetFJ)/FJPerJoule+b.IdleJ {
+		t.Fatal("total joules with the link priced")
 	}
 	// 61,149,000,000 fJ is 61,149 nJ exactly; through float joules it
 	// floors to 61,148.

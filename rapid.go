@@ -380,16 +380,12 @@ func (db *DB) queryTray(ctx context.Context, sql string, opts Options) (*Result,
 		explain = res.Analyze
 	}
 	return &Result{r: &hostdb.QueryResult{
-		Rel:             res.Rel,
-		QueryID:         res.QueryID,
-		Offloaded:       true,
-		RapidWall:       time.Since(start),
-		RapidSimSeconds: res.SimSeconds,
-		Explain:         explain,
-		QueueWait:       res.QueueWait,
-		Cache:           res.Cache,
-		CyclesSaved:     res.CyclesSaved,
-		EnergySavedNJ:   res.EnergySavedNJ,
+		Rel:       res.Rel,
+		Bill:      res.Bill,
+		QueryID:   res.QueryID,
+		Offloaded: true,
+		RapidWall: time.Since(start),
+		Explain:   explain,
 	}}, nil
 }
 
@@ -454,8 +450,13 @@ func (r *Result) FellBack() bool { return r.r.FellBack }
 func (r *Result) RapidFraction() float64 { return r.r.RapidFraction() }
 
 // SimulatedSeconds returns the DPU-simulated execution time (EngineRapidDPU
-// only; 0 otherwise).
-func (r *Result) SimulatedSeconds() float64 { return r.r.RapidSimSeconds }
+// only; 0 otherwise): one SoC's, or a tray's makespan.
+func (r *Result) SimulatedSeconds() float64 {
+	if !r.r.HasEnergy {
+		return 0
+	}
+	return r.r.SimSeconds
+}
 
 // QueueWait returns the time the query spent in the shared-SoC scheduler's
 // admission queue (zero for host-engine queries and immediate admissions).

@@ -74,6 +74,27 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 }
 
+// TestSimulatedSecondsIsDPUOnly: SimulatedSeconds is the DPU-simulated time
+// of an EngineRapidDPU query on one SoC and on a tray, and 0 for
+// EngineRapidX86 on both; a ModeX86 tray's link time is no DPU time.
+func TestSimulatedSecondsIsDPUOnly(t *testing.T) {
+	const sql = `SELECT region, SUM(amount) FROM sales GROUP BY region`
+	for _, nodes := range []int{0, 2} {
+		db := exampleDBWith(t, Config{Nodes: nodes})
+		for _, engine := range []Engine{EngineRapidDPU, EngineRapidX86} {
+			res, err := db.QueryWith(sql, Options{Engine: engine, NoCache: true})
+			if err != nil {
+				t.Fatalf("nodes %d, engine %d: %v", nodes, engine, err)
+			}
+			sim := res.SimulatedSeconds()
+			if (engine == EngineRapidDPU) != (sim > 0) || sim < 0 {
+				t.Errorf("nodes %d, engine %d: SimulatedSeconds = %g", nodes, engine, sim)
+			}
+		}
+		db.Close()
+	}
+}
+
 func TestPublicAPIValues(t *testing.T) {
 	// Decimals normalize trailing zeros at parse time.
 	if Int(5).String() != "5" || Decimal("1.50").String() != "1.5" {

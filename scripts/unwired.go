@@ -77,10 +77,9 @@ var kept = map[string]string{
 	"cluster.ShardSpec": "tests place rows by range and by a chosen hash key to reach shard pruning and the placement properties; Load(table, nil) auto-shards",
 
 	// Fields only a test reads (rule 3), each the one place a live behaviour shows.
-	"hostdb.QueryResult.TilesPruned": "the zone-pruning tests and the host pins count the tiles one query skipped; rapid.Result carries no pruning field to copy it into",
-	"obs.Totals.DMSDescriptors":      "TestTrayBillsDMSDescriptors reconciles each context's traced fragments with the descriptors the whole query billed",
-	"storage.ColStats.Exact":         "storage tests assert that NDV is exact after a build and turns inexact when an update unit widens the statistics",
-	"storage.ColumnMeta.RLE":         "TestEncodedPathBuildsTheSameReplica compares the RLE choice of the encoded and the row-at-a-time build",
+	"obs.Totals.DMSDescriptors": "TestTrayBillsDMSDescriptors reconciles each context's traced fragments with the descriptors the whole query billed",
+	"storage.ColStats.Exact":    "storage tests assert that NDV is exact after a build and turns inexact when an update unit widens the statistics",
+	"storage.ColumnMeta.RLE":    "TestEncodedPathBuildsTheSameReplica compares the RLE choice of the encoded and the row-at-a-time build",
 
 	// Read-only observers through which a test of live behaviour looks.
 	"storage.Chunk.Col":            "storage layout tests (chunking, RLE choice, compaction) look at one stored vector (encoding chosen, bytes stored); production reads through Snapshot.Chunks",
