@@ -142,18 +142,6 @@ func (v *Vector) CopyFrom(a *Vector) {
 	copy(v.words, a.words)
 }
 
-// ForEach calls fn for every set bit, in increasing order.
-func (v *Vector) ForEach(fn func(i int)) {
-	for wi, w := range v.words {
-		base := wi * wordBits
-		for w != 0 {
-			tz := bits.TrailingZeros64(w)
-			fn(base + tz)
-			w &= w - 1
-		}
-	}
-}
-
 // NextSet returns the index of the first set bit at or after i, or -1 when
 // there is none. This mirrors the BVLD gather scan of Listing 1.
 func (v *Vector) NextSet(i int) int {
@@ -176,9 +164,15 @@ func (v *Vector) NextSet(i int) int {
 	return -1
 }
 
-// ToRIDs appends the offsets of all set bits to dst and returns it.
+// ToRIDs appends the offsets of all set bits to dst, in increasing order,
+// and returns it. It walks a word at a time, one TrailingZeros64 per set bit.
 func (v *Vector) ToRIDs(dst []uint32) []uint32 {
-	v.ForEach(func(i int) { dst = append(dst, uint32(i)) })
+	for wi, w := range v.words {
+		base := uint32(wi * wordBits)
+		for ; w != 0; w &= w - 1 {
+			dst = append(dst, base+uint32(bits.TrailingZeros64(w)))
+		}
+	}
 	return dst
 }
 

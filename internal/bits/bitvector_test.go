@@ -128,9 +128,7 @@ func TestVectorProperties(t *testing.T) {
 				b.Set(i)
 			}
 		}
-		count := 0
-		a.ForEach(func(int) { count++ })
-		if count != a.Count() {
+		if len(a.ToRIDs(nil)) != a.Count() {
 			return false
 		}
 		// De Morgan: NOT(a AND NOT b) == NOT a OR b

@@ -100,11 +100,12 @@ func (e *CaseExpr) Eval(tc *qef.TaskCtx, t *qef.Tile) []int64 {
 	a := e.Then.Eval(tc, t)
 	b := e.Else.Eval(tc, t)
 	out := tc.Pool.I64(t.N)
-	for i := range out {
-		if cond.Test(i) {
-			out[i] = a[i]
-		} else {
-			out[i] = b[i]
+	for wi, w := range cond.Words() {
+		lo := wi * 64
+		for i := lo; i < min(lo+64, len(out)); i++ {
+			m := -int64(w & 1) // all ones where the condition holds
+			out[i] = b[i] ^ (a[i]^b[i])&m
+			w >>= 1
 		}
 	}
 	charge1(tc, t.N)

@@ -158,26 +158,17 @@ func (g *GroupByOp) Produce(tc *qef.TaskCtx, t *qef.Tile) error {
 		keyData[i] = t.Cols[c]
 	}
 	hv := primitives.HashColumns(tc.Core, keyData, tc.Pool.U32(t.N)[:0])
-	gids := tc.Pool.U32(t.N)[:0]
-	rows := tc.Pool.U32(t.N)[:0]
-	var overflow error
-	t.ForEachRow(func(i int) {
-		if overflow != nil {
-			return
-		}
+	rows := t.AppendSelRIDs(tc.Pool.U32(t.N)[:0])
+	gids := tc.Pool.U32(len(rows))
+	for j, r := range rows {
 		for k, d := range keyData {
-			g.keyBuf[k] = d.Get(i)
+			g.keyBuf[k] = d.Get(int(r))
 		}
-		gid := g.table.FindOrAdd(hv[i], g.keyBuf)
+		gid := g.table.FindOrAdd(hv[r], g.keyBuf)
 		if gid < 0 {
-			overflow = ErrGroupOverflow
-			return
+			return ErrGroupOverflow
 		}
-		gids = append(gids, uint32(gid))
-		rows = append(rows, uint32(i))
-	})
-	if overflow != nil {
-		return overflow
+		gids[j] = uint32(gid)
 	}
 	if c := tc.Core; c != nil {
 		c.Charge(dpu.Cycles(3 * len(rows))) // table probe loop

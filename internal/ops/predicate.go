@@ -64,12 +64,7 @@ type ConstCmp struct {
 
 func (p *ConstCmp) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.Vector, int) {
 	out := tc.Pool.BV(t.N)
-	var hits int
-	if inBV == nil {
-		hits = primitives.FilterConstBV(tc.Core, t.Cols[p.Col], p.Op, p.Val, out)
-	} else {
-		hits = primitives.FilterConstBVMasked(tc.Core, t.Cols[p.Col], p.Op, p.Val, inBV, out)
-	}
+	hits := primitives.FilterConstBVMasked(tc.Core, t.Cols[p.Col], p.Op, p.Val, inBV, out)
 	return out, hits
 }
 
@@ -122,12 +117,7 @@ type ExprCmp struct {
 func (p *ExprCmp) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.Vector, int) {
 	d := coltypes.Of(p.E.Eval(tc, t))
 	out := tc.Pool.BV(t.N)
-	var hits int
-	if inBV == nil {
-		hits = primitives.FilterConstBV(tc.Core, d, p.Op, p.Val, out)
-	} else {
-		hits = primitives.FilterConstBVMasked(tc.Core, d, p.Op, p.Val, inBV, out)
-	}
+	hits := primitives.FilterConstBVMasked(tc.Core, d, p.Op, p.Val, inBV, out)
 	return out, hits
 }
 

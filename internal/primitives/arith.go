@@ -2,6 +2,7 @@ package primitives
 
 import (
 	"math"
+	mbits "math/bits"
 
 	"rapid/internal/bits"
 	"rapid/internal/coltypes"
@@ -129,9 +130,12 @@ func Aggregate(core *dpu.Core, vals []int64, sel *bits.Vector, st *AggState) {
 		return
 	}
 	n := 0
-	for i := sel.NextSet(0); i >= 0; i = sel.NextSet(i + 1) {
-		update(vals[i])
-		n++
+	for wi, w := range sel.Words() {
+		base := wi * 64
+		n += mbits.OnesCount64(w)
+		for ; w != 0; w &= w - 1 {
+			update(vals[base+mbits.TrailingZeros64(w)])
+		}
 	}
 	charge(core, costAggPerRow*float64(n))
 }

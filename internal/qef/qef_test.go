@@ -120,10 +120,8 @@ func TestTileSelection(t *testing.T) {
 	if tile.QualifyingRows() != 2 || tile.Dense() {
 		t.Fatal("bv selection")
 	}
-	var visited []int
-	tile.ForEachRow(func(i int) { visited = append(visited, i) })
-	if len(visited) != 2 || visited[0] != 1 || visited[1] != 3 {
-		t.Fatalf("ForEachRow = %v", visited)
+	if rids := tile.AppendSelRIDs(nil); len(rids) != 2 || rids[0] != 1 || rids[1] != 3 {
+		t.Fatalf("bv AppendSelRIDs = %v", rids)
 	}
 	tile.Sel = nil
 	tile.RIDs = []uint32{0, 2}

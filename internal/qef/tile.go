@@ -60,21 +60,5 @@ func (t *Tile) AppendSelRIDs(dst []uint32) []uint32 {
 	}
 }
 
-// ForEachRow invokes fn for every qualifying row offset in order.
-func (t *Tile) ForEachRow(fn func(i int)) {
-	switch {
-	case t.RIDs != nil:
-		for _, r := range t.RIDs {
-			fn(int(r))
-		}
-	case t.Sel != nil:
-		t.Sel.ForEach(fn)
-	default:
-		for i := 0; i < t.N; i++ {
-			fn(i)
-		}
-	}
-}
-
 // Dense reports whether all rows qualify.
 func (t *Tile) Dense() bool { return t.Sel == nil && t.RIDs == nil }
