@@ -42,7 +42,7 @@ func main() {
 	metricsAddr := flag.String("metrics", "", "serve Prometheus metrics on this address (e.g. 127.0.0.1:9090)")
 	pprof := flag.Bool("pprof", false, "expose Go runtime profiles on /debug/pprof/* of the -metrics endpoint")
 	tracePath := flag.String("trace", "", "write profiled queries as Chrome trace-event JSON to this file on exit")
-	cacheOn := flag.Bool("cache", true, "enable the two-tier query cache (\\cache shows stats; \\nocache <sql> bypasses)")
+	cacheOn := flag.Bool("cache", true, "enable the query result cache (\\cache shows stats; \\nocache <sql> bypasses)")
 	flag.Parse()
 
 	fmt.Printf("loading TPC-H at SF %.3f...\n", *sf)
@@ -203,9 +203,8 @@ func printCache(cache *qcache.Cache) {
 	st := cache.Stats()
 	fmt.Printf("  result: hits=%d misses=%d stale=%d shared=%d bypasses=%d rejects=%d\n",
 		st.Hits, st.Misses, st.Stale, st.Shared, st.Bypasses, st.Rejects)
-	fmt.Printf("  plan:   hits=%d misses=%d drops=%d\n", st.PlanHits, st.PlanMisses, st.PlanDrops)
-	fmt.Printf("  space:  %d entries, %d bytes resident (evictions=%d invalidations=%d)\n",
-		st.ResidentEntries, st.ResidentBytes, st.Evictions, st.Invalidations)
+	fmt.Printf("  space:  %d entries, %d bytes resident (evictions=%d)\n",
+		st.ResidentEntries, st.ResidentBytes, st.Evictions)
 }
 
 // printJournal renders the newest n query-journal records, oldest first.

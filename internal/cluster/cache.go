@@ -29,10 +29,6 @@ func (engine) CacheMode(opts QueryOptions) string {
 	return m
 }
 
-// PlanScope is the plan-cache scope for coordinator binds: plans are bound
-// against node shards, so trays of different widths cannot share skeletons.
-func (e engine) PlanScope() string { return fmt.Sprintf("tray%d", e.Nodes()) }
-
 // Version returns a table's version-vector entry as the tray sees it:
 // the host-level mutation SCN alone. Shard replicas reload exactly when the
 // host MutationSCN passes their load SCN (shardsLocked), so an unchanged MutSCN

@@ -37,10 +37,10 @@ const trayCacheSQL = `SELECT g, SUM(v), COUNT(*) FROM facts WHERE g < 7 GROUP BY
 
 // TestTrayCacheHitMissInvalidate walks one distributed query through the
 // cache lifecycle: cold miss (billed), whitespace-variant hot hit (zero
-// cycles, saved cost carried), literal-variant plan-cache reuse, host DML
-// invalidation (stale, fresh answer), and re-warm.
+// cycles, saved cost carried), literal-variant miss, other-mode miss with
+// the same answer, host DML invalidation (stale, fresh answer), and re-warm.
 func TestTrayCacheHitMissInvalidate(t *testing.T) {
-	db, tray, cache := cacheTray(t)
+	db, tray, _ := cacheTray(t)
 	opts := cluster.QueryOptions{Mode: qef.ModeDPU}
 
 	cold, err := tray.Query(trayCacheSQL, opts)
@@ -74,7 +74,7 @@ func TestTrayCacheHitMissInvalidate(t *testing.T) {
 			hot.CyclesSaved, hot.EnergySavedNJ, cold.TotalCycles, cold.EnergyNJ)
 	}
 
-	// A different literal is a different result (and plan) key: miss.
+	// A different literal is a different result key: miss.
 	lit, err := tray.Query(`SELECT g, SUM(v), COUNT(*) FROM facts WHERE g < 5 GROUP BY g`, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -87,18 +87,13 @@ func TestTrayCacheHitMissInvalidate(t *testing.T) {
 	}
 
 	// The same statement under another execution mode misses the result
-	// cache (mode is in the key) but reuses the bound plan skeleton — plan
-	// scope is mode-independent.
-	preplan := cache.Stats().PlanHits
+	// cache (mode is in the key) and computes the same answer.
 	x86, err := tray.Query(trayCacheSQL, cluster.QueryOptions{Mode: qef.ModeX86})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if x86.Cache != "miss" {
 		t.Fatalf("other-mode query Cache = %q, want miss", x86.Cache)
-	}
-	if got := cache.Stats().PlanHits; got != preplan+1 {
-		t.Fatalf("plan hits = %d, want %d (skeleton reuse across modes)", got, preplan+1)
 	}
 	sameBags(t, "dpu vs x86 tray", cold.Rel, x86.Rel)
 
@@ -272,49 +267,4 @@ func TestTrayJournalFingerprintGroups(t *testing.T) {
 	if a.Cache != "miss" || b.Cache != "miss" {
 		t.Fatalf("journal cache fields = %q, %q, want miss, miss", a.Cache, b.Cache)
 	}
-}
-
-// TestPlanCacheHitClassifiesAgainstTheFreshShardMap: a plan-cache skeleton's
-// Scans still point at the shard replicas of the bind that produced it. dims
-// is hash-sharded when the skeleton is cached and explicitly re-loaded
-// replicated afterwards (no host mutation, so the skeleton stays valid); the
-// next execution of the skeleton must plan against the new load — the join
-// is co-located with no exchange — not against the layout the stale pointers
-// carry, under which every node would ship its full copy of dims.
-func TestPlanCacheHitClassifiesAgainstTheFreshShardMap(t *testing.T) {
-	_, tray, cache := cacheTray(t)
-	const sql = `SELECT g, SUM(w), COUNT(*) FROM facts, dims WHERE g = dg GROUP BY g`
-	moves := func(res *cluster.Result) (n int) {
-		for _, ex := range res.Exchanges {
-			if ex.Kind != "gather" {
-				n++
-			}
-		}
-		return n
-	}
-
-	sharded, err := tray.Query(sql, cluster.QueryOptions{Mode: qef.ModeX86})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moves(sharded) == 0 {
-		t.Fatalf("facts ⋈ dims ran without an exchange while dims was hash-sharded: %+v", sharded.Exchanges)
-	}
-
-	if err := tray.Load("dims", &cluster.ShardSpec{Policy: storage.Replicated}); err != nil {
-		t.Fatal(err)
-	}
-	preplan := cache.Stats().PlanHits
-	// Another mode: a result-cache miss over the same plan skeleton.
-	repl, err := tray.Query(sql, cluster.QueryOptions{Mode: qef.ModeDPU})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := cache.Stats().PlanHits; repl.Cache != "miss" || got != preplan+1 {
-		t.Fatalf("second run: cache %q, plan hits %d; want a result miss on a plan hit (%d)", repl.Cache, got, preplan+1)
-	}
-	if n := moves(repl); n != 0 {
-		t.Errorf("join against the replicated dims still moved data in %d exchanges: %+v", n, repl.Exchanges)
-	}
-	sameBags(t, "dims sharded vs replicated", sharded.Rel, repl.Rel)
 }

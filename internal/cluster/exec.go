@@ -161,8 +161,9 @@ func (engine) Label(opts QueryOptions) string { return opts.Mode.String() }
 func (e engine) Nodes() int { return e.t.NumNodes() }
 
 // Lookup binds once against node 0's shards — one join order for all nodes
-// even when per-shard statistics differ; Execute re-targets the plan at the
-// shard set it resolves.
+// even when per-shard statistics differ; Execute re-targets the plan, by
+// table name, at the shard set it resolves, which is a later load than the
+// bind's when a table reloaded in between.
 func (e engine) Lookup(name string) (*storage.Table, error) {
 	e.t.mu.Lock()
 	defer e.t.mu.Unlock()

@@ -224,9 +224,10 @@ func (t *Tray) shardsLocked(table string) ([]*storage.Table, error) {
 // plan is returned re-targeted at those shards (its Scans at node 0's, which
 // carry the set's ShardMap). Every node is bound from the returned sets
 // (query.bind), so all Scans of a table — on every node, on both sides of a
-// self-join — read one load, whatever reloads meanwhile. Of a plan-cache
-// skeleton's Scans, which may point at bind-time replicas, only the table
-// names are read.
+// self-join — read one load, whatever reloads meanwhile. Of the bound plan's
+// Scans, which point at the shards of the load the bind saw, only the table
+// names are read: a plan bound before a reload runs against the current load
+// (TestResolveRetargetsABoundPlanAtTheCurrentLoad).
 func (t *Tray) resolve(bound plan.Node) (plan.Node, map[string][]*storage.Table, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

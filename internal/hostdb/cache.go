@@ -29,10 +29,6 @@ func (e hostEngine) CacheMode(opts QueryOptions) string {
 	return m
 }
 
-// PlanScope is the plan-cache scope for single-host binds; the tray binds
-// against shard catalogs and uses its own scope (see cluster).
-func (hostEngine) PlanScope() string { return "host" }
-
 // Version returns table name's current version-vector entry: the
 // host-level mutation SCN plus the RAPID replica's data epoch (which moves
 // on checkpoint apply and compaction without a new host SCN).

@@ -93,8 +93,8 @@ func TestPlanCacheServesTemplateAcrossLiterals(t *testing.T) {
 	if a.Cache != "miss" || b.Cache != "miss" {
 		t.Fatalf("distinct literals must both miss the result cache: %q %q", a.Cache, b.Cache)
 	}
-	// Plan cache keys include the parameter vector (literals are bound into
-	// the plan), so b re-binds; its template still normalizes identically.
+	// Result-cache keys include the parameter vector, so b executes afresh;
+	// its template still normalizes identically.
 	if a.Rel.Col(0).Get(0) != 100 || b.Rel.Col(0).Get(0) != 200 {
 		t.Fatalf("wrong answers: %d / %d", a.Rel.Col(0).Get(0), b.Rel.Col(0).Get(0))
 	}

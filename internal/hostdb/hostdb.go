@@ -43,7 +43,7 @@ type Database struct {
 	// and work-unit-granular multiplexing across concurrent queries.
 	sched *sched.Scheduler
 
-	// qcache is the two-tier query cache (DESIGN.md §10), nil until
+	// qcache is the query result cache (DESIGN.md §10), nil until
 	// EnableQueryCache. An attached cluster tray shares it, so host and
 	// distributed executions of the same template hit one store.
 	qcache *qcache.Cache
@@ -56,10 +56,10 @@ type Database struct {
 	rapidFault error
 }
 
-// EnableQueryCache installs a two-tier query cache (plan + result) on the
-// database and returns it. Cache metrics land in the database registry
-// unless the config carries its own. Idempotent per database: a second
-// call replaces the cache (dropping all entries).
+// EnableQueryCache installs a query result cache on the database and
+// returns it. Cache metrics land in the database registry unless the config
+// carries its own. Idempotent per database: a second call replaces the cache
+// (dropping all entries).
 func (db *Database) EnableQueryCache(cfg qcache.Config) *qcache.Cache {
 	if cfg.Metrics == nil {
 		cfg.Metrics = db.metrics

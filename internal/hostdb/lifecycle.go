@@ -31,11 +31,9 @@ type Engine[O, R any] interface {
 	Label(opts O) string
 	Nodes() int
 	// CacheMode keys the result cache on everything in opts that can change
-	// the result surface or the error contract; "" opts the query out of both
-	// cache tiers. PlanScope keys the plan cache: bound skeletons are shared
-	// only within one scope.
+	// the result surface or the error contract; "" opts the query out of the
+	// cache.
 	CacheMode(opts O) string
-	PlanScope() string
 	// The engine is the binder's catalog (Lookup); Version is one table's
 	// current version-vector entry (false: unknown table, not cacheable).
 	sqlparse.Catalog
@@ -60,8 +58,8 @@ type Engine[O, R any] interface {
 
 // RunQuery drives one query through its whole lifecycle on engine e:
 //
-//	issue → normalize → result cache → singleflight → plan cache | parse →
-//	bind → e.Execute → publish → journal
+//	issue → normalize → result cache → singleflight → parse → bind →
+//	e.Execute → publish → journal
 //
 // db supplies the fleet-wide state every engine shares: the QueryID
 // authority and active-query table, the query cache, the SCN clock and the
@@ -125,7 +123,7 @@ func runCached[O, R any](ctx context.Context, db *Database, e Engine[O, R], sql 
 		if cache != nil {
 			cache.NoteBypass()
 		}
-		res, _, err := bindAndExecute(ctx, db, e, nil, sql, norm, opts, h)
+		res, _, err := bindAndExecute(ctx, db, e, false, sql, opts, h)
 		if err == nil && cache != nil {
 			e.SetCacheStatus(res, opts, "bypass")
 		}
@@ -168,7 +166,7 @@ func runCached[O, R any](ctx context.Context, db *Database, e Engine[O, R], sql 
 	defer func() { flight.Finish(entry) }()
 
 	execStart := time.Now()
-	res, v0, err := bindAndExecute(ctx, db, e, cache, sql, norm, opts, h)
+	res, v0, err := bindAndExecute(ctx, db, e, true, sql, opts, h)
 	if err != nil {
 		return nil, err
 	}
@@ -186,54 +184,26 @@ func runCached[O, R any](ctx context.Context, db *Database, e Engine[O, R], sql 
 	return res, nil
 }
 
-// bindAndExecute turns the statement into a bound plan — a plan-cache
-// skeleton re-stamped to this query's SCN, or a fresh parse and bind — and
-// hands it to the engine. With a cache it also returns v0, the version vector
+// bindAndExecute parses and binds the statement and hands the bound plan to
+// the engine. With capture set it also returns v0, the version vector
 // captured before binding, for the caller's validate-before-publish; nil v0
 // means the result must not be published.
-func bindAndExecute[O, R any](ctx context.Context, db *Database, e Engine[O, R], cache *qcache.Cache, sql string, norm sqlparse.Normalized, opts O, h obs.ActiveHandle) (*R, []qcache.Version, error) {
+func bindAndExecute[O, R any](ctx context.Context, db *Database, e Engine[O, R], capture bool, sql string, opts O, h obs.ActiveHandle) (*R, []qcache.Version, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
 	h.SetPhase("planning")
-	scn := db.CurrentSCN()
-	var bound plan.Node
-	var v0 []qcache.Version
-	var planKey qcache.PlanKey
-	if cache != nil {
-		planKey = qcache.PlanKey{Template: norm.TemplateFP, Params: norm.ParamsFP, Scope: e.PlanScope()}
-		if pe := cache.GetPlan(planKey, e.Version); pe != nil {
-			// Parse and bind skipped. Only the skeleton's shape and encoded
-			// literals are reused: costing, admissibility, zone pruning and
-			// (on the tray) per-node table resolution all run again in
-			// Execute against the fresh snapshot.
-			if cloned, cerr := plan.CloneAtSCN(pe.Root, scn); cerr == nil {
-				bound, v0 = cloned, pe.Versions
-			}
-		}
+	stmt, err := sqlparse.Parse(sql)
+	if err != nil {
+		return nil, nil, err
 	}
-	if bound == nil {
-		stmt, err := sqlparse.Parse(sql)
-		if err != nil {
-			return nil, nil, err
-		}
-		if cache != nil {
-			v0 = captureVersions(e.Version, sqlparse.StmtTables(stmt))
-		}
-		if bound, err = sqlparse.Bind(stmt, e, scn); err != nil {
-			return nil, nil, err
-		}
-		if v0 != nil {
-			// Same validate-before-publish discipline as results: literals
-			// were encoded against the dictionaries as of v0 (and a tray bind
-			// may itself reload stale shards), so the skeleton is only sound
-			// if nothing moved during binding.
-			if qcache.Validate(v0, e.Version) {
-				cache.PutPlan(planKey, &qcache.Plan{Root: bound, Versions: v0})
-			} else {
-				v0 = nil
-			}
-		}
+	var v0 []qcache.Version
+	if capture {
+		v0 = captureVersions(e.Version, sqlparse.StmtTables(stmt))
+	}
+	bound, err := sqlparse.Bind(stmt, e, db.CurrentSCN())
+	if err != nil {
+		return nil, nil, err
 	}
 	res, err := e.Execute(ctx, bound, opts, h)
 	if err != nil {

@@ -72,7 +72,6 @@ type fakeResult struct {
 func (e *fakeEngine) Analyzed(o fakeOpts) fakeOpts { o.Analyze = true; return o }
 func (e *fakeEngine) Label(fakeOpts) string        { return "fake" }
 func (e *fakeEngine) Nodes() int                   { return 1 }
-func (e *fakeEngine) PlanScope() string            { return "fake" }
 
 func (e *fakeEngine) CacheMode(o fakeOpts) string {
 	if o.NoCache {
@@ -365,36 +364,39 @@ func TestDriverUnlexableSQLBypasses(t *testing.T) {
 	}
 }
 
-// (e) A plan-cache hit skips parse and bind (no catalog lookup), and a moved
-// version vector drops the skeleton so the next query binds afresh.
-func TestDriverPlanCacheSkipsBindUntilVersionMoves(t *testing.T) {
+// (e) Every executed miss parses and binds through the engine's catalog —
+// under another result-cache mode key and after the version vector moves
+// alike — and a result-cache hit binds nothing.
+func TestDriverEveryMissBindsAndHitsDoNot(t *testing.T) {
 	e, cache := newFake(t, qcache.Config{})
-	miss := func(eng Engine[fakeOpts, fakeResult]) {
+	run := func(eng Engine[fakeOpts, fakeResult], what string, wantHit bool) {
 		t.Helper()
-		if r, err := RunQuery(context.Background(), e.db, eng, fakeSQL, fakeOpts{}); err != nil || r.FromCache {
-			t.Fatalf("%+v, %v; want an execution", r, err)
+		before, _ := e.counts()
+		r, err := RunQuery(context.Background(), e.db, eng, fakeSQL, fakeOpts{})
+		if err != nil || r.FromCache != wantHit {
+			t.Fatalf("%s: %+v, %v; want FromCache = %v", what, r, err, wantHit)
+		}
+		after, _ := e.counts()
+		if bound := after > before; bound == wantHit {
+			t.Fatalf("%s: catalog lookups %d → %d; a miss must bind, a hit must not", what, before, after)
 		}
 	}
-	miss(e)
-	bound, _ := e.counts()
-	if bound == 0 {
-		t.Fatal("first query must bind through the catalog")
-	}
-	// Same plan scope, different result-cache mode key: the result misses
-	// but the bound skeleton is reused.
-	miss(otherMode{e})
-	if again, n := e.counts(); again != bound || n != 2 || cache.Stats().PlanHits != 1 {
-		t.Fatalf("lookups %d → %d, executions %d, stats %+v; want a plan-cache hit with no bind", bound, again, n, cache.Stats())
-	}
+	run(e, "cold miss", false)
+	run(e, "hit", true)
+	run(otherMode{e}, "miss under another mode", false)
+	run(otherMode{e}, "hit under another mode", true)
 	e.bump()
-	miss(e)
-	if rebound, _ := e.counts(); rebound == bound || cache.Stats().PlanDrops != 1 || cache.Stats().Stale != 1 {
-		t.Fatalf("lookups %d → %d, stats %+v; want a re-bind, one dropped skeleton, one stale result", bound, rebound, cache.Stats())
+	run(e, "stale after bump", false)
+	if _, n := e.counts(); n != 3 {
+		t.Fatalf("executions = %d, want 3 (one per miss)", n)
+	}
+	if s := cache.Stats(); s.Hits != 2 || s.Stale != 1 {
+		t.Fatalf("stats = %+v, want 2 hits and 1 stale", s)
 	}
 }
 
-// otherMode is fakeEngine under a different result-cache mode key: same plan
-// scope, disjoint result entries.
+// otherMode is fakeEngine under a different result-cache mode key: one
+// catalog, disjoint result entries.
 type otherMode struct{ *fakeEngine }
 
 func (otherMode) CacheMode(fakeOpts) string { return "fake-other" }

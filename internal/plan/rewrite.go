@@ -63,9 +63,9 @@ func MapLeaves(n Node, leaf func(Node) (Node, error)) (Node, error) {
 }
 
 // CloneAtSCN returns a copy of a bound plan tree with every Scan re-stamped
-// to read at the given SCN. The plan cache uses this to serve a cached bound
-// skeleton to a new query without re-parsing or re-binding; the compiler
-// still runs, so costing and zone pruning see the fresh snapshot.
+// to read at the given SCN. No engine path calls it: it is kept only for the
+// benchmark harness's per-layer timing (benchmark/layers.go), which measures
+// re-stamping a bound plan beside parse and bind.
 func CloneAtSCN(n Node, scn uint64) (Node, error) {
 	return MapLeaves(n, func(l Node) (Node, error) {
 		s, ok := l.(*Scan)

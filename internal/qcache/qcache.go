@@ -1,14 +1,11 @@
-// Package qcache is the two-tier query cache of DESIGN.md §10: a plan
-// cache holding bound logical-plan skeletons keyed by the literal-
-// normalized SQL template, and a result cache holding whole query results
-// keyed by (template, parameter vector, execution mode, node count) and
-// validated against per-table version vectors (host mutation SCN + storage
-// data epoch). Entries never expire by time — they are invalidated by
-// version mismatch, evicted by an LRU byte budget, and gated by an
-// admission policy (oversized results are not cached; cheap ones can be
-// skipped via MinCostNs). A singleflight layer collapses concurrent
-// identical misses so a thundering herd of one dashboard query executes
-// once per epoch. The cache itself is engine-agnostic: callers capture
+// Package qcache is the query result cache of DESIGN.md §10: whole query
+// results keyed by (literal-normalized template, parameter vector,
+// execution mode, node count) and validated against per-table version
+// vectors (host mutation SCN + storage data epoch). Entries never expire by
+// time — they are invalidated by version mismatch and evicted by an LRU
+// byte budget, and oversized results are not admitted. A singleflight layer
+// collapses concurrent identical misses so a thundering herd of one
+// dashboard query executes once per epoch. The cache itself is engine-agnostic: callers capture
 // version vectors before execution and re-validate before publishing, so a
 // mutation interleaved with an execution can never produce a stale-keyed
 // entry (see storage.Table.DataEpoch for the ordering contract).
@@ -20,7 +17,6 @@ import (
 	"sync"
 
 	"rapid/internal/obs"
-	"rapid/internal/plan"
 )
 
 // Version is one table's position in the version vector: the host-level
@@ -40,15 +36,6 @@ type Key struct {
 	Params   uint64 // parameter vector fingerprint
 	Mode     string // execution mode discriminator (engine + prune flags)
 	Nodes    int    // tray width (1 = single host)
-}
-
-// PlanKey identifies one plan-cache entry. Params participates because
-// literals are bound into the plan (encoded against dictionaries), so a
-// skeleton is only reusable for the exact parameter vector.
-type PlanKey struct {
-	Template uint64
-	Params   uint64
-	Scope    string // "host" or "tray<N>" — plans bind against different catalogs
 }
 
 // Status classifies one result-cache interaction.
@@ -82,35 +69,19 @@ type Result struct {
 	elem *list.Element
 }
 
-// Plan is one cached bound-plan skeleton.
-type Plan struct {
-	Root     plan.Node
-	Versions []Version
-
-	key  PlanKey
-	elem *list.Element
-}
-
 // Config sizes the cache. Zero values select the defaults.
 type Config struct {
-	MaxResultBytes int64 // result-tier byte budget (default 64 MiB); one entry may take an eighth of it
-	MinCostNs      int64 // only cache results whose execution took >= this
-	PlanEntries    int   // plan-tier entry capacity (default 256)
+	MaxResultBytes int64 // byte budget (default 64 MiB); one entry may take an eighth of it
 	Metrics        *obs.Registry
 }
 
-const (
-	defaultMaxResultBytes = 64 << 20
-	defaultPlanEntries    = 256
-)
+const defaultMaxResultBytes = 64 << 20
 
-// Cache is the shared two-tier query cache. One instance serves a whole
-// host database and every tray built on top of it.
+// Cache is the shared query result cache. One instance serves a whole host
+// database and every tray built on top of it.
 type Cache struct {
-	maxBytes     int64
-	maxEntry     int64
-	minCostNs    int64
-	planCapacity int
+	maxBytes int64
+	maxEntry int64
 
 	mu      sync.Mutex
 	bytes   int64
@@ -118,16 +89,10 @@ type Cache struct {
 	lru     *list.List // of *Result, front = most recent
 	flights map[Key]*Flight
 
-	pmu   sync.Mutex
-	plans map[PlanKey]*list.Element
-	plru  *list.List // of *Plan
-
-	hits, misses, stales, shared    *obs.Counter
-	evictions, invalidations        *obs.Counter
-	bypasses, rejects               *obs.Counter
-	bytesTotal                      *obs.Counter
-	residentBytes, residentEntries  *obs.Gauge
-	planHits, planMisses, planDrops *obs.Counter
+	hits, misses, stales, shared   *obs.Counter
+	evictions, bypasses, rejects   *obs.Counter
+	bytesTotal                     *obs.Counter
+	residentBytes, residentEntries *obs.Gauge
 }
 
 // New builds a cache; reg may be nil (metrics become local-only).
@@ -135,40 +100,28 @@ func New(cfg Config) *Cache {
 	if cfg.MaxResultBytes <= 0 {
 		cfg.MaxResultBytes = defaultMaxResultBytes
 	}
-	if cfg.PlanEntries <= 0 {
-		cfg.PlanEntries = defaultPlanEntries
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	c := &Cache{
-		maxBytes:     cfg.MaxResultBytes,
-		maxEntry:     cfg.MaxResultBytes / 8,
-		minCostNs:    cfg.MinCostNs,
-		planCapacity: cfg.PlanEntries,
-		results:      make(map[Key]*list.Element),
-		lru:          list.New(),
-		flights:      make(map[Key]*Flight),
-		plans:        make(map[PlanKey]*list.Element),
-		plru:         list.New(),
+	return &Cache{
+		maxBytes: cfg.MaxResultBytes,
+		maxEntry: cfg.MaxResultBytes / 8,
+		results:  make(map[Key]*list.Element),
+		lru:      list.New(),
+		flights:  make(map[Key]*Flight),
 
 		hits:            reg.Counter("rapid_cache_hits_total"),
 		misses:          reg.Counter("rapid_cache_misses_total"),
 		stales:          reg.Counter("rapid_cache_stale_total"),
 		shared:          reg.Counter("rapid_cache_singleflight_shared_total"),
 		evictions:       reg.Counter("rapid_cache_evictions_total"),
-		invalidations:   reg.Counter("rapid_cache_invalidations_total"),
 		bypasses:        reg.Counter("rapid_cache_bypass_total"),
 		rejects:         reg.Counter("rapid_cache_admission_rejects_total"),
 		bytesTotal:      reg.Counter("rapid_cache_bytes_total"),
 		residentBytes:   reg.Gauge("rapid_cache_resident_bytes"),
 		residentEntries: reg.Gauge("rapid_cache_resident_entries"),
-		planHits:        reg.Counter("rapid_plan_cache_hits_total"),
-		planMisses:      reg.Counter("rapid_plan_cache_misses_total"),
-		planDrops:       reg.Counter("rapid_plan_cache_invalidations_total"),
 	}
-	return c
 }
 
 // Describe registers help strings for the cache metrics on reg.
@@ -178,15 +131,11 @@ func Describe(reg *obs.Registry) {
 	reg.Describe("rapid_cache_stale_total", "result-cache entries found but invalidated by a version-vector mismatch")
 	reg.Describe("rapid_cache_singleflight_shared_total", "queries served by joining another client's in-flight execution")
 	reg.Describe("rapid_cache_evictions_total", "result-cache entries evicted by the LRU byte budget")
-	reg.Describe("rapid_cache_invalidations_total", "cache entries dropped because a table's version vector moved")
 	reg.Describe("rapid_cache_bypass_total", "queries that skipped the cache (NoCache, non-cacheable shape, or fallback result)")
-	reg.Describe("rapid_cache_admission_rejects_total", "results denied admission (oversized or under MinCostNs)")
+	reg.Describe("rapid_cache_admission_rejects_total", "results denied admission (larger than an eighth of the byte budget)")
 	reg.Describe("rapid_cache_bytes_total", "cumulative bytes admitted into the result cache")
 	reg.Describe("rapid_cache_resident_bytes", "bytes currently resident in the result cache")
 	reg.Describe("rapid_cache_resident_entries", "entries currently resident in the result cache")
-	reg.Describe("rapid_plan_cache_hits_total", "plan-cache hits (parse+bind skipped)")
-	reg.Describe("rapid_plan_cache_misses_total", "plan-cache misses")
-	reg.Describe("rapid_plan_cache_invalidations_total", "plan-cache entries dropped (stale versions or capacity)")
 }
 
 // Validate reports whether every version in the vector still matches what
@@ -202,7 +151,7 @@ func Validate(versions []Version, current func(name string) (Version, bool)) boo
 }
 
 // GetResult looks up k, validating the stored version vector against
-// current. Stale entries are removed and counted as invalidations.
+// current. Stale entries are removed and counted as stale.
 func (c *Cache) GetResult(k Key, current func(name string) (Version, bool)) (*Result, Status) {
 	c.mu.Lock()
 	elem, ok := c.results[k]
@@ -219,7 +168,6 @@ func (c *Cache) GetResult(k Key, current func(name string) (Version, bool)) (*Re
 	if !Validate(r.Versions, current) {
 		c.removeIfPresent(r)
 		c.stales.Inc()
-		c.invalidations.Inc()
 		return nil, Stale
 	}
 	c.mu.Lock()
@@ -232,9 +180,9 @@ func (c *Cache) GetResult(k Key, current func(name string) (Version, bool)) (*Re
 }
 
 // PutResult admits r under k, evicting LRU entries to fit the byte budget.
-// Returns false when the admission policy rejects it.
+// Returns false when r is too large to admit.
 func (c *Cache) PutResult(k Key, r *Result) bool {
-	if r.Bytes > c.maxEntry || (c.minCostNs > 0 && r.WallNs < c.minCostNs) {
+	if r.Bytes > c.maxEntry {
 		c.rejects.Inc()
 		return false
 	}
@@ -278,59 +226,6 @@ func (c *Cache) removeIfPresent(r *Result) {
 
 // NoteBypass records a query that consulted the cache but was ineligible.
 func (c *Cache) NoteBypass() { c.bypasses.Inc() }
-
-// GetPlan looks up a bound-plan skeleton, validating its version vector.
-func (c *Cache) GetPlan(k PlanKey, current func(name string) (Version, bool)) *Plan {
-	c.pmu.Lock()
-	elem, ok := c.plans[k]
-	if !ok {
-		c.pmu.Unlock()
-		c.planMisses.Inc()
-		return nil
-	}
-	p := elem.Value.(*Plan)
-	c.pmu.Unlock()
-	if !Validate(p.Versions, current) {
-		c.pmu.Lock()
-		if p.elem != nil {
-			c.plru.Remove(p.elem)
-			delete(c.plans, p.key)
-			p.elem = nil
-		}
-		c.pmu.Unlock()
-		c.planDrops.Inc()
-		c.planMisses.Inc()
-		return nil
-	}
-	c.pmu.Lock()
-	if p.elem != nil {
-		c.plru.MoveToFront(p.elem)
-	}
-	c.pmu.Unlock()
-	c.planHits.Inc()
-	return p
-}
-
-// PutPlan stores a bound-plan skeleton, evicting the LRU entry at capacity.
-func (c *Cache) PutPlan(k PlanKey, p *Plan) {
-	c.pmu.Lock()
-	defer c.pmu.Unlock()
-	if old, ok := c.plans[k]; ok {
-		c.plru.Remove(old)
-		delete(c.plans, k)
-	}
-	for c.plru.Len() >= c.planCapacity {
-		back := c.plru.Back()
-		bp := back.Value.(*Plan)
-		c.plru.Remove(back)
-		delete(c.plans, bp.key)
-		bp.elem = nil
-		c.planDrops.Inc()
-	}
-	p.key = k
-	p.elem = c.plru.PushFront(p)
-	c.plans[k] = p.elem
-}
 
 // Flight is one in-progress execution of a missed key; followers of the
 // same key wait on it instead of re-executing.
@@ -391,11 +286,12 @@ func (f *Flight) Wait(ctx context.Context) (*Result, bool) {
 // Snapshot is a point-in-time view of the cache counters for tests and the
 // bench report (works without an external registry).
 type Snapshot struct {
-	Hits, Misses, Stale, Shared     int64
-	Evictions, Invalidations        int64
-	Bypasses, Rejects               int64
-	ResidentBytes, ResidentEntries  int64
-	PlanHits, PlanMisses, PlanDrops int64
+	Hits, Misses, Stale, Shared    int64
+	Evictions, Bypasses, Rejects   int64
+	ResidentBytes, ResidentEntries int64
+	// PlanHits is always 0: there is no plan tier. It stays only because
+	// the benchmark harness still reads it.
+	PlanHits int64
 }
 
 // Stats returns the current counter snapshot.
@@ -406,13 +302,9 @@ func (c *Cache) Stats() Snapshot {
 		Stale:           c.stales.Value(),
 		Shared:          c.shared.Value(),
 		Evictions:       c.evictions.Value(),
-		Invalidations:   c.invalidations.Value(),
 		Bypasses:        c.bypasses.Value(),
 		Rejects:         c.rejects.Value(),
 		ResidentBytes:   c.residentBytes.Value(),
 		ResidentEntries: c.residentEntries.Value(),
-		PlanHits:        c.planHits.Value(),
-		PlanMisses:      c.planMisses.Value(),
-		PlanDrops:       c.planDrops.Value(),
 	}
 }

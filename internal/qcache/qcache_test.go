@@ -43,7 +43,7 @@ func TestResultHitMissStale(t *testing.T) {
 		t.Fatalf("stale entry must be removed; got %v", st)
 	}
 	s := c.Stats()
-	if s.Hits != 1 || s.Misses != 2 || s.Stale != 1 || s.Invalidations != 1 {
+	if s.Hits != 1 || s.Misses != 2 || s.Stale != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
 }
@@ -87,45 +87,15 @@ func TestLRUByteBudgetEviction(t *testing.T) {
 }
 
 func TestAdmissionPolicy(t *testing.T) {
-	c := New(Config{MaxResultBytes: 800, MinCostNs: 50}) // per-entry cap 100
-	if c.PutResult(Key{Template: 1}, &Result{Bytes: 101, WallNs: 100}) {
+	c := New(Config{MaxResultBytes: 800}) // per-entry cap 100
+	if c.PutResult(Key{Template: 1}, &Result{Bytes: 101}) {
 		t.Fatal("oversized result must be rejected")
 	}
-	if c.PutResult(Key{Template: 2}, &Result{Bytes: 10, WallNs: 49}) {
-		t.Fatal("too-cheap result must be rejected")
-	}
-	if !c.PutResult(Key{Template: 3}, &Result{Bytes: 100, WallNs: 50}) {
+	if !c.PutResult(Key{Template: 3}, &Result{Bytes: 100}) {
 		t.Fatal("conforming result must be admitted")
 	}
-	if s := c.Stats(); s.Rejects != 2 {
+	if s := c.Stats(); s.Rejects != 1 {
 		t.Fatalf("rejects = %d", s.Rejects)
-	}
-}
-
-func TestPlanCacheValidationAndCapacity(t *testing.T) {
-	c := New(Config{PlanEntries: 2})
-	v := Version{Name: "t", MutSCN: 1, Epoch: 1}
-	pk := PlanKey{Template: 1, Scope: "host"}
-	c.PutPlan(pk, &Plan{Versions: []Version{v}})
-	if p := c.GetPlan(pk, fixedVersions(v)); p == nil {
-		t.Fatal("want plan hit")
-	}
-	if p := c.GetPlan(pk, fixedVersions(Version{Name: "t", MutSCN: 2, Epoch: 1})); p != nil {
-		t.Fatal("stale plan must not be served")
-	}
-	if p := c.GetPlan(pk, fixedVersions(v)); p != nil {
-		t.Fatal("stale plan must be dropped")
-	}
-	// Capacity 2: third insert evicts the LRU plan.
-	c.PutPlan(PlanKey{Template: 10}, &Plan{Versions: []Version{v}})
-	c.PutPlan(PlanKey{Template: 11}, &Plan{Versions: []Version{v}})
-	c.GetPlan(PlanKey{Template: 10}, fixedVersions(v)) // touch 10
-	c.PutPlan(PlanKey{Template: 12}, &Plan{Versions: []Version{v}})
-	if p := c.GetPlan(PlanKey{Template: 11}, fixedVersions(v)); p != nil {
-		t.Fatal("LRU plan should be evicted at capacity")
-	}
-	if p := c.GetPlan(PlanKey{Template: 10}, fixedVersions(v)); p == nil {
-		t.Fatal("recently used plan should survive")
 	}
 }
 

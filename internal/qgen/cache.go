@@ -18,7 +18,7 @@ import (
 // referenced table must invalidate (no stale hit), and the post-DML answer
 // must match an uncached oracle run.
 
-// EnableCache installs the shared two-tier query cache on both databases
+// EnableCache installs the shared query result cache on both databases
 // (the tray lanes share the primary's cache through the host).
 func (r *Runner) EnableCache() {
 	r.primary.EnableQueryCache(qcache.Config{})

@@ -2,7 +2,7 @@ package qgen
 
 import "testing"
 
-// TestMetamorphicCache soaks the two-tier query cache: every generated query
+// TestMetamorphicCache soaks the query result cache: every generated query
 // runs cold, then hot (all lanes must hit with the identical bag), then after
 // a seed-picked single-row DML on each referenced table (no lane may serve a
 // stale hit, and the fresh bags must match an uncached oracle), then re-warm.

@@ -11,9 +11,9 @@ import (
 // upper-cased, identifiers lower-cased, single-space separated) plus a
 // fingerprint of the extracted literals in occurrence order. Two invocations
 // of the same dashboard query that differ only in whitespace, letter case or
-// literal values therefore share a TemplateFP, while the (TemplateFP,
-// ParamsFP) pair still distinguishes distinct literal bindings — exactly
-// the two keying granularities the plan cache and result cache need.
+// literal values therefore share a TemplateFP (the journal's fingerprint),
+// while the (TemplateFP, ParamsFP) pair still distinguishes distinct literal
+// bindings — the result cache's key (qcache.Key.Template and .Params).
 
 // The literal class a parameter replaced, hashed before its text: the number
 // 5 and the string '5' are different parameters.

@@ -144,21 +144,17 @@ type SchedulerConfig struct {
 	DMEMBudgetBytes int64
 }
 
-// CacheConfig tunes the two-tier query cache: a plan cache over
-// literal-normalized SQL templates and an SCN-validated result cache with
-// singleflight collapse, shared by the host engine and the tray. The zero
-// value enables the cache with defaults.
+// CacheConfig tunes the query result cache: whole results keyed by the
+// literal-normalized SQL template and its literals, validated against the
+// SCN of every table read, with singleflight collapse of identical misses,
+// shared by the host engine and the tray. The zero value enables the cache
+// with defaults.
 type CacheConfig struct {
 	// Disable turns the query cache off entirely.
 	Disable bool
 	// MaxResultBytes bounds the resident result-cache payload bytes
 	// (LRU-evicted beyond it). Default 64 MiB.
 	MaxResultBytes int64
-	// MinCostNs is the admission floor: results whose execution took less
-	// wall time than this are not worth the budget. Default 0 (admit all).
-	MinCostNs int64
-	// PlanEntries bounds the plan cache entry count. Default 256.
-	PlanEntries int
 }
 
 // Config tunes a database instance.
@@ -199,11 +195,7 @@ func OpenWith(cfg Config) *DB {
 	}
 	db := &DB{host: hostdb.NewWithConfig(nil, scfg)}
 	if !cfg.Cache.Disable {
-		db.host.EnableQueryCache(qcache.Config{
-			MaxResultBytes: cfg.Cache.MaxResultBytes,
-			MinCostNs:      cfg.Cache.MinCostNs,
-			PlanEntries:    cfg.Cache.PlanEntries,
-		})
+		db.host.EnableQueryCache(qcache.Config{MaxResultBytes: cfg.Cache.MaxResultBytes})
 	}
 	if cfg.Nodes >= 1 {
 		// cluster.New only fails on Nodes < 1, checked above. The tray
@@ -254,8 +246,8 @@ func (db *DB) ActiveQueries() []ActiveQuery { return db.host.ActiveQueries() }
 type CacheStats = qcache.Snapshot
 
 // CacheStats returns the query-cache counters (hits, misses, stale
-// invalidations, singleflight shares, evictions, resident bytes, plan-tier
-// hits). The zero snapshot when the cache is disabled.
+// invalidations, singleflight shares, evictions, resident bytes; PlanHits is
+// always 0). The zero snapshot when the cache is disabled.
 func (db *DB) CacheStats() CacheStats {
 	if c := db.host.QueryCache(); c != nil {
 		return c.Stats()
@@ -366,7 +358,7 @@ func (db *DB) queryTray(ctx context.Context, sql string, opts Options) (*Result,
 	res, err := db.tray.QueryCtx(ctx, sql, cluster.QueryOptions{Mode: rapidMode(opts.Engine), NoCache: opts.NoCache})
 	if err != nil {
 		if opts.Engine == EngineAuto && !hostdb.NoFallback(err) {
-			r, herr := db.host.QueryCtx(ctx, sql, hostdb.QueryOptions{Mode: hostdb.ForceHost})
+			r, herr := db.host.QueryCtx(ctx, sql, hostdb.QueryOptions{Mode: hostdb.ForceHost, NoCache: opts.NoCache})
 			if herr != nil {
 				return nil, herr
 			}

@@ -394,6 +394,35 @@ func TestPublicAPIQueryCache(t *testing.T) {
 	}
 }
 
+// TestTrayFallbackHonoursNoCache: a tray query that falls back to the host
+// row engine — the table is loaded on the host only, so distribution fails —
+// still runs under the caller's NoCache: no lookup, no publish, no hit.
+func TestTrayFallbackHonoursNoCache(t *testing.T) {
+	db := OpenWith(Config{Nodes: 2})
+	defer db.Close()
+	if err := db.CreateTable("t", IntCol("a")); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Insert("t", [][]Value{{Int(1)}, {Int(2)}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.host.Load("t", hostdb.LoadOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		res, err := db.QueryWith(`SELECT COUNT(*) FROM t`, Options{NoCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.FellBack() || res.CacheStatus() != "bypass" {
+			t.Fatalf("query %d: FellBack = %v, CacheStatus = %q; want a bypassing host fallback", i, res.FellBack(), res.CacheStatus())
+		}
+	}
+	if st := db.CacheStats(); st.Hits != 0 || st.Misses != 0 || st.ResidentEntries != 0 {
+		t.Fatalf("NoCache fallbacks reached the cache: %+v", st)
+	}
+}
+
 // hostAndRapid runs sql on the host row engine and on the replica (which must
 // be admissible) and returns both single-value answers.
 func hostAndRapid(t *testing.T, db *DB, sql string) (host, rapid int64) {
