@@ -32,31 +32,42 @@ func TestHashJoinEmptyInputs(t *testing.T) {
 				Scheme: PartScheme{Rounds: []int{4}},
 			}
 		}
+		// An empty output is known before either side is partitioned: no
+		// probe rows, or no build rows for an inner or semi join. Such a join
+		// moves no DMS byte; partitioning the other side anyway billed its
+		// transfer with no core time to bound the energy.
 		cases := []struct {
 			name         string
 			build, probe *Relation
 			typ          plan.JoinType
 			rows         int
+			free         bool
 		}{
-			{"inner/empty-build", emptyRel("bk", "bv"), probe, plan.InnerJoin, 0},
-			{"inner/empty-probe", build, emptyRel("pk", "pv"), plan.InnerJoin, 0},
-			{"inner/both-empty", emptyRel("bk", "bv"), emptyRel("pk", "pv"), plan.InnerJoin, 0},
-			{"semi/empty-build", emptyRel("bk", "bv"), probe, plan.SemiJoin, 0},
-			{"anti/empty-build", emptyRel("bk", "bv"), probe, plan.AntiJoin, 3},
-			{"outer/empty-build", emptyRel("bk", "bv"), probe, plan.LeftOuterJoin, 3},
-			{"outer/empty-probe", build, emptyRel("pk", "pv"), plan.LeftOuterJoin, 0},
+			{"inner/empty-build", emptyRel("bk", "bv"), probe, plan.InnerJoin, 0, true},
+			{"inner/empty-probe", build, emptyRel("pk", "pv"), plan.InnerJoin, 0, true},
+			{"inner/both-empty", emptyRel("bk", "bv"), emptyRel("pk", "pv"), plan.InnerJoin, 0, true},
+			{"semi/empty-build", emptyRel("bk", "bv"), probe, plan.SemiJoin, 0, true},
+			{"semi/empty-probe", build, emptyRel("pk", "pv"), plan.SemiJoin, 0, true},
+			{"anti/empty-build", emptyRel("bk", "bv"), probe, plan.AntiJoin, 3, false},
+			{"anti/empty-probe", build, emptyRel("pk", "pv"), plan.AntiJoin, 0, true},
+			{"outer/empty-build", emptyRel("bk", "bv"), probe, plan.LeftOuterJoin, 3, false},
+			{"outer/empty-probe", build, emptyRel("pk", "pv"), plan.LeftOuterJoin, 0, true},
 		}
 		for _, tc := range cases {
 			sp := spec(tc.typ)
 			if tc.typ == plan.SemiJoin || tc.typ == plan.AntiJoin {
 				sp.BuildPayload = nil
 			}
+			before := ctx.Usage()
 			out, err := HashJoin(ctx, tc.build, tc.probe, sp)
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
 			if out.Rows() != tc.rows {
 				t.Fatalf("%s: rows = %d, want %d", tc.name, out.Rows(), tc.rows)
+			}
+			if u := ctx.Usage().Sub(before); tc.free && (u.Read.Bytes != 0 || u.Write.Bytes != 0) {
+				t.Errorf("%s: moved %d + %d DMS bytes for an empty output", tc.name, u.Read.Bytes, u.Write.Bytes)
 			}
 		}
 		// Left-outer against an empty build pads the build payload with 0.

@@ -54,6 +54,15 @@ func HashJoin(ctx *qef.Context, build, probe *Relation, spec JoinSpec) (*Relatio
 		return nil, fmt.Errorf("ops: join needs 1 or 2 key pairs, got %d/%d", len(spec.BuildKeys), len(spec.ProbeKeys))
 	}
 	spec.normalize(build.Rows())
+	sink := newJoinSink(build, probe, spec)
+	matchOnly := spec.Type == plan.InnerJoin || spec.Type == plan.SemiJoin
+	if probe.Rows() == 0 || (build.Rows() == 0 && matchOnly) {
+		// No join emits a row without a probe row, and an inner or semi
+		// join none without a build row either: neither side is
+		// partitioned for an output that is empty.
+		sink.out.units(ctx, 0)
+		return sink.relation(), nil
+	}
 
 	// Both partitionings are dead once the pairs have been joined (the
 	// deferred Releases run after RunParallel has returned): the sink holds
@@ -72,7 +81,6 @@ func HashJoin(ctx *qef.Context, build, probe *Relation, spec JoinSpec) (*Relatio
 		return nil, fmt.Errorf("ops: partition count mismatch %d vs %d", bp.NumPartitions(), pp.NumPartitions())
 	}
 
-	sink := newJoinSink(build, probe, spec)
 	var units []qef.WorkUnit
 	for p := 0; p < bp.NumPartitions(); p++ {
 		buildRows := bp.Rows(p)

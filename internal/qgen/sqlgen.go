@@ -434,8 +434,11 @@ func (g *Generator) genAgg() *Query {
 	return q
 }
 
-func (g *Generator) genJoin() *Query {
-	ti := g.rng.Perm(len(g.sc.Tables))
+// joinFrom draws a two- or three-table FROM over the tables in the order ti
+// (at least two): an inner join, or sometimes a LEFT JOIN (then with no
+// third table), on the int keys and sometimes a second int pair. It returns
+// the clause and its tables.
+func (g *Generator) joinFrom(ti []int) (string, []*Table) {
 	left, right := g.sc.Tables[ti[0]], g.sc.Tables[ti[1]]
 	kind := "JOIN"
 	if g.chance(0.2) {
@@ -448,14 +451,28 @@ func (g *Generator) genJoin() *Query {
 	}
 	from := fmt.Sprintf("%s %s %s ON %s", left.Name, kind, right.Name, on)
 
-	scope := append(colPtrs(left), colPtrs(right)...)
+	tables := []*Table{left, right}
 	third := len(g.sc.Tables) >= 3 && kind == "JOIN" && g.chance(0.25)
 	if third {
 		t3 := g.sc.Tables[ti[2]]
 		from += fmt.Sprintf(" JOIN %s ON %s = %s", t3.Name, right.Cols[0].Name, t3.Cols[0].Name)
-		scope = append(scope, colPtrs(t3)...)
+		tables = append(tables, t3)
 	}
+	return from, tables
+}
 
+// columnsOf is every column of the tables, in table order.
+func columnsOf(tables []*Table) []*Column {
+	var cols []*Column
+	for _, t := range tables {
+		cols = append(cols, colPtrs(t)...)
+	}
+	return cols
+}
+
+func (g *Generator) genJoin() *Query {
+	from, tables := g.joinFrom(g.rng.Perm(len(g.sc.Tables)))
+	scope := columnsOf(tables)
 	q := &Query{Class: "join", from: from, limit: -1, scope: scope}
 	n := 1 + g.intn(4)
 	var items []outItem
@@ -544,11 +561,27 @@ func (g *Generator) genWindow() *Query {
 	return q
 }
 
+// genSemiJoin draws an IN / NOT IN sub-query over one table, or — half the
+// time — over a FROM drawn the way genJoin draws it, on an int column of any
+// of its tables: the binder places the semi or anti join on that table's
+// input, under the inner joins and above any LEFT JOIN. The sub-query is a
+// key scan, filtered or not, or a grouped int column.
 func (g *Generator) genSemiJoin() *Query {
 	ti := g.rng.Perm(len(g.sc.Tables))
 	outer, inner := g.sc.Tables[ti[0]], g.sc.Tables[ti[1]]
-	cols := colPtrs(outer)
-	q := &Query{Class: "semijoin", from: outer.Name, limit: -1, scope: cols}
+	from, cols := outer.Name, colPtrs(outer)
+	key := outer.Cols[0].Name
+	if g.chance(0.5) {
+		var tables []*Table
+		from, tables = g.joinFrom(ti)
+		cols, inner = columnsOf(tables), g.table()
+		if ints := intCols(cols); g.chance(0.4) {
+			key = ints[g.intn(len(ints))].Name
+		} else {
+			key = tables[g.intn(len(tables))].Cols[0].Name
+		}
+	}
+	q := &Query{Class: "semijoin", from: from, limit: -1, scope: cols}
 
 	n := 1 + g.intn(3)
 	for i := 0; i < n; i++ {
@@ -557,15 +590,23 @@ func (g *Generator) genSemiJoin() *Query {
 	q.NOut = n
 
 	sub := fmt.Sprintf("SELECT %s FROM %s", inner.Cols[0].Name, inner.Name)
-	if g.chance(0.5) {
+	switch ints := intCols(colPtrs(inner)); {
+	case g.chance(0.25):
+		// Grouped on any int column: on a tray, a sub-query grouped off its
+		// shard key is not node-local.
+		c := ints[g.intn(len(ints))].Name
+		sub = fmt.Sprintf("SELECT %s FROM %s GROUP BY %s", c, inner.Name, c)
+		if g.chance(0.5) {
+			sub += " HAVING COUNT(*) > 1"
+		}
+	case g.chance(0.5):
 		sub += " WHERE " + g.predAtom(colPtrs(inner))
 	}
 	not := ""
 	if g.chance(0.3) {
 		not = "NOT "
 	}
-	q.where = append(q.where,
-		fmt.Sprintf("%s %sIN (%s)", outer.Cols[0].Name, not, sub))
+	q.where = append(q.where, fmt.Sprintf("%s %sIN (%s)", key, not, sub))
 	if g.chance(0.4) {
 		q.where = append(q.where, g.predAtom(cols))
 	}

@@ -239,7 +239,7 @@ func (b *binder) bindSelect(stmt *SelectStmt) (plan.Node, error) {
 		return nil, err
 	}
 
-	// Semi-join rewrites for IN subqueries.
+	// Semi-join rewrites for IN subqueries, each placed where its key lives.
 	for _, in := range semis {
 		sub, err := b.bindSelect(in.Sub)
 		if err != nil {
@@ -260,7 +260,7 @@ func (b *binder) bindSelect(stmt *SelectStmt) (plan.Node, error) {
 		if in.Not {
 			typ = plan.AntiJoin
 		}
-		cur = &plan.Join{Type: typ, Left: cur, Right: sub, LeftKeys: []int{idx}, RightKeys: []int{0}}
+		cur = pushSemi(cur, idx, typ, sub)
 	}
 
 	// Residual predicates.
@@ -501,6 +501,26 @@ func (b *binder) buildJoinTree(stmt *SelectStmt, scopes []*tableScope, edges []j
 		remaining--
 	}
 	return cur, curCols, nil
+}
+
+// pushSemi places a semi or anti join (typ) of column col of n's output
+// against sub's only column directly above the input that owns col: down
+// through inner joins, to the side the column comes from. Any other node — a
+// table's scan or filter, an outer, semi or anti join — takes it on top, so
+// nothing moves into the nullable side of a LEFT JOIN. A semi or anti join
+// keeps its left's schema: no column position above it moves.
+func pushSemi(n plan.Node, col int, typ plan.JoinType, sub plan.Node) plan.Node {
+	j, ok := n.(*plan.Join)
+	if !ok || j.Type != plan.InnerJoin {
+		return &plan.Join{Type: typ, Left: n, Right: sub, LeftKeys: []int{col}, RightKeys: []int{0}}
+	}
+	c := *j
+	if nl := len(j.Left.Schema()); col < nl {
+		c.Left = pushSemi(j.Left, col, typ, sub)
+	} else {
+		c.Right = pushSemi(j.Right, col-nl, typ, sub)
+	}
+	return &c
 }
 
 // project binds the SELECT list through r into the output projection; a star
