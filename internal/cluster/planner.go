@@ -380,33 +380,23 @@ func alignedKey(rec *recipe, keys []int) int {
 }
 
 // treeBytes estimates the wire size of a side that is still a tree, over
-// all nodes: qcomp.Estimate's output rows of each node's copy — shard
-// statistics differ, so the copies are bound to be estimated — at the 8-byte
-// wire width. Estimate counts an exchange output spliced into the tree as one
-// row; the largest one below is the better floor.
+// all nodes: the compiler's output rows of each node's copy (shard statistics
+// differ, so each copy is compiled; an exchange output spliced into it counts
+// its exact rows) at the 8-byte wire width.
 func (q *query) treeBytes(rec *recipe) (int64, error) {
 	var rows int64
 	for i := range q.nctx {
-		t, _, err := q.bind(rec.tree, i)
+		t, inputs, err := q.bind(rec.tree, i)
 		if err != nil {
 			return 0, err
 		}
-		rows += max(qcomp.Estimate(t).OutputRows, leafRows(rec.tree, i))
+		c, err := qcomp.CompileWithInputs(t, inputs)
+		if err != nil {
+			return 0, err
+		}
+		rows += c.Estimate().OutputRows
 	}
 	return rows * 8 * int64(len(rec.tree.Schema())), nil
-}
-
-// leafRows is the size of the largest share node i holds of an exchange
-// output below n.
-func leafRows(n plan.Node, i int) int64 {
-	if leaf, ok := n.(*relLeaf); ok {
-		return int64(leaf.parts[i].Rows())
-	}
-	var rows int64
-	for _, c := range n.Children() {
-		rows = max(rows, leafRows(c, i))
-	}
-	return rows
 }
 
 // partsBytes is the exact wire size of a materialised side.

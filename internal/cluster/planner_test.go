@@ -434,3 +434,35 @@ func TestBoundTreeDiffersOnlyAtItsLeaves(t *testing.T) {
 		above("join over an exchange", join, bound)
 	}
 }
+
+// TestTreeBytesPricesASideByTheCompilersRows: align prices a side that is
+// still a tree by the compiler's row estimate of each node's copy. 39 orders
+// pass o_orderkey < 40, 624 B at the 8-byte wire width over the 4 nodes; a
+// fixed 0.3 filter selectivity priced them at 900 rows (14.4 KB). An exchange
+// output counts its exact rows.
+func TestTreeBytesPricesASideByTheCompilersRows(t *testing.T) {
+	tray := tpchTray(t)
+	const sql = `SELECT o_orderkey, o_custkey FROM orders WHERE o_orderkey < 40`
+	_, tree, q := planned(t, tray, sql)
+	q.nctx = make([]*qef.Context, 4)
+	want, err := tray.host.Query(sql, hostdb.QueryOptions{Mode: hostdb.ForceHost})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact := relBytes(want.Rel)
+	got, err := q.treeBytes(&recipe{tree: tree})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got > 2*exact || 2*got < exact {
+		t.Errorf("priced at %d B, exactly %d B: not within 2x", got, exact)
+	}
+
+	parts := make([]*ops.Relation, 4)
+	for i := range parts {
+		parts[i] = sliceModulo(want.Rel, i, len(parts))
+	}
+	if got, err := q.treeBytes(placed(parts, layout{})); err != nil || got != partsBytes(parts) {
+		t.Errorf("exchange output priced at %d B (%v), exactly %d B", got, err, partsBytes(parts))
+	}
+}

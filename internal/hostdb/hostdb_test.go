@@ -215,6 +215,25 @@ func TestCostBasedOffloadDecision(t *testing.T) {
 	}
 }
 
+// TestCostBasedOffloadOverAnEmptyTable: a plan over a loaded, empty table
+// offloads. The cost model's row estimates are floored at one row, so RAPID's
+// per-row terms undercut the host's row-at-a-time ones; priced at 0 rows, both
+// engines would cost 0 s and the tie would keep the query on the host.
+func TestCostBasedOffloadOverAnEmptyTable(t *testing.T) {
+	db := newTestDB(t, 0)
+	loadAll(t, db)
+	res, err := db.Query(`SELECT id, grp FROM events`, QueryOptions{Mode: CostBased, RapidMode: qef.ModeX86})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Offloaded || res.FellBack || res.Rel.Rows() != 0 {
+		t.Fatalf("offloaded %v, fell back %v, %d rows; want an offloaded empty result", res.Offloaded, res.FellBack, res.Rel.Rows())
+	}
+	if !(0 < res.EstRapidSec && res.EstRapidSec < res.EstHostSec) {
+		t.Fatalf("est rapid %.3gs, host %.3gs; want 0 < rapid < host", res.EstRapidSec, res.EstHostSec)
+	}
+}
+
 func TestAdmissibilityFallback(t *testing.T) {
 	db := newTestDB(t, 1000)
 	loadAll(t, db)

@@ -185,11 +185,22 @@ func (e hostEngine) Finish(id uint64, res *QueryResult, err error, opts QueryOpt
 }
 
 // Execute decides offload for a bound plan and runs it on RAPID or on the
-// host row engine.
+// host row engine. The plan is compiled once: the compiler's row estimates
+// price the offload decision, and RAPID runs that compile. A plan the
+// compiler rejects has no RAPID estimate; unless it is forced to the host it
+// takes the RAPID path, whose failure falls back to the host row engine.
 func (e hostEngine) Execute(ctx context.Context, node plan.Node, opts QueryOptions, h obs.ActiveHandle) (*QueryResult, error) {
 	db := e.db
 	res := &QueryResult{Explain: plan.Format(node)}
-	res.EstRapidSec, res.EstHostSec = qcomp.OffloadBenefit(node)
+	// Admissibility (§3.3): every journal entry visible to the query must
+	// already be propagated to RAPID. It is checked before the compile takes
+	// the snapshots RAPID will read, so they hold every entry it saw
+	// propagated. The background checkpointer normally keeps this true.
+	admissible, scn := db.admissible(node)
+	compiled, cerr := qcomp.Compile(node)
+	if cerr == nil {
+		res.EstRapidSec, res.EstHostSec = compiled.OffloadBenefit()
+	}
 
 	offload := false
 	switch opts.Mode {
@@ -200,20 +211,19 @@ func (e hostEngine) Execute(ctx context.Context, node plan.Node, opts QueryOptio
 	case ForceOffload:
 		offload = true
 	default:
-		offload = res.EstRapidSec < res.EstHostSec
+		offload = cerr != nil || res.EstRapidSec < res.EstHostSec
 		if !offload && opts.Profile {
 			res.ProfileNote = fmt.Sprintf("no DPU profile: cost model kept query on host (est rapid %.3gs >= host %.3gs)", res.EstRapidSec, res.EstHostSec)
 		}
 	}
 
 	if offload {
-		// Admissibility (§3.3): every journal entry visible to the query
-		// must already be propagated to RAPID. The background checkpointer
-		// normally keeps this true.
-		admissible, scn := db.admissible(node)
 		switch {
 		case admissible:
-			rerr := db.runRapid(ctx, node, opts, h, res)
+			rerr := cerr
+			if rerr == nil {
+				rerr = db.runRapid(ctx, compiled, opts, h, res)
+			}
 			if rerr == nil {
 				res.Offloaded = true
 				res.HostWall = h.Elapsed() - res.RapidWall
@@ -261,22 +271,18 @@ func (db *Database) admissible(node plan.Node) (ok bool, scn uint64) {
 	return ok, scn
 }
 
-// runRapid is the RAPID operator (§3.1): it serializes the fragment plan to
-// the RAPID node (here: compiles it), triggers execution, and receives the
-// result relation "over the network" into res. Execution runs in a Session on
-// the shared-SoC scheduler: the query is admitted (possibly waiting, bounded
+// runRapid is the RAPID operator (§3.1): it ships the compiled fragment to
+// the RAPID node, triggers execution, and receives the result relation "over
+// the network" into res. Execution runs in a Session on the shared-SoC
+// scheduler: the query is admitted (possibly waiting, bounded
 // by the run queue), its work units are multiplexed over the shared worker
 // pool, and its admission slot is released when execution ends — success,
 // failure or cancellation alike. Every execution is billed by Price, whether
 // or not per-operator profiling was requested. On error only res.QueueWait is
 // touched.
-func (db *Database) runRapid(goCtx context.Context, node plan.Node, opts QueryOptions, h obs.ActiveHandle, res *QueryResult) error {
+func (db *Database) runRapid(goCtx context.Context, compiled *qcomp.Compiled, opts QueryOptions, h obs.ActiveHandle, res *QueryResult) error {
 	if db.rapidFault != nil {
 		return db.rapidFault
-	}
-	compiled, err := qcomp.Compile(node)
-	if err != nil {
-		return err
 	}
 	h.SetPhase("queued")
 	sess, err := OpenSession(goCtx, db.sched, opts.RapidMode, db.metrics, opts.DisablePruning)

@@ -16,6 +16,10 @@ import (
 type Compiled struct {
 	root     physNode
 	spanDefs []obs.SpanDef
+	// plan and rows are what the cost model reads (cost.go): the logical
+	// plan lowered, and the compiler's row estimate of every node of it.
+	plan plan.Node
+	rows map[plan.Node]int64
 }
 
 // Compile lowers a logical plan into a physical QEP.
@@ -27,13 +31,14 @@ func Compile(n plan.Node) (*Compiled, error) { return CompileWithInputs(n, nil) 
 // this to splice exchange outputs (shuffled/broadcast/gathered relations)
 // under residual plan fragments.
 func CompileWithInputs(n plan.Node, inputs map[plan.Node]*ops.Relation) (*Compiled, error) {
-	pn, err := compileNode(n, inputs)
+	lw := &lowering{in: inputs, rows: make(map[plan.Node]int64)}
+	pn, err := lw.node(n)
 	if err != nil {
 		return nil, err
 	}
 	reg := &spanReg{}
 	pn.annotate(reg, -1)
-	return &Compiled{root: pn, spanDefs: reg.defs}, nil
+	return &Compiled{root: pn, spanDefs: reg.defs, plan: n, rows: lw.rows}, nil
 }
 
 // Execute runs the QEP.
@@ -90,7 +95,7 @@ type pipelineNode struct {
 	terminal  terminalKind
 	aggSpecs  []ops.AggSpec
 	groupCols []int
-	maxGroups int
+	groups    int64 // the group count estimate (NDV) of termGroupBy
 	finals    []finalSpec
 	outFields []plan.Field
 
@@ -113,13 +118,19 @@ func (p *pipelineNode) fields() []plan.Field {
 }
 
 func (p *pipelineNode) estRows() int64 {
-	if p.terminal == termGroupBy || p.terminal == termScalarAgg {
-		if p.maxGroups > 0 {
-			return int64(p.maxGroups)
-		}
+	switch p.terminal {
+	case termScalarAgg:
 		return 1
+	case termGroupBy:
+		return p.groups
 	}
 	return p.est
+}
+
+// maxGroups is the low-NDV group table's capacity: four times the group
+// count estimate plus slack, within the collective DMEM bound (§5.4).
+func (p *pipelineNode) maxGroups() int {
+	return min(int(p.groups*4)+64, 4*lowNDVMaxGroups)
 }
 
 // prunePredicate returns the conjunction of filter predicates that apply
@@ -248,7 +259,7 @@ func (p *pipelineNode) opReqs() []OpReq {
 		a := &ops.ScalarAggOp{Specs: p.aggSpecs}
 		reqs = append(reqs, OpReq{DMEMSize: a.DMEMSize, OutBytesPerRow: 8, Selectivity: 0})
 	case termGroupBy:
-		g := &ops.GroupByOp{GroupCols: p.groupCols, Specs: p.aggSpecs, MaxGroups: p.maxGroups}
+		g := &ops.GroupByOp{GroupCols: p.groupCols, Specs: p.aggSpecs, MaxGroups: p.maxGroups()}
 		reqs = append(reqs, OpReq{DMEMSize: g.DMEMSize, OutBytesPerRow: 8, Selectivity: 0})
 	}
 	return reqs
@@ -302,7 +313,7 @@ func (p *pipelineNode) execute(ctx *qef.Context) (*ops.Relation, error) {
 		case termScalarAgg:
 			term = &ops.ScalarAggOp{Specs: p.aggSpecs, Merger: merger}
 		case termGroupBy:
-			term = &ops.GroupByOp{GroupCols: p.groupCols, Specs: p.aggSpecs, MaxGroups: p.maxGroups, Merger: merger}
+			term = &ops.GroupByOp{GroupCols: p.groupCols, Specs: p.aggSpecs, MaxGroups: p.maxGroups(), Merger: merger}
 		}
 		termUp := srcSpan
 		if len(p.steps) > 0 {
@@ -357,7 +368,7 @@ func (p *pipelineNode) executeGroupPartFallback(ctx *qef.Context) (*ops.Relation
 	ctx.CountMetric("qcomp_group_overflow_fallbacks", 1)
 	in := *p
 	in.terminal = termCollect
-	ndv := int64(p.maxGroups) * 4
+	ndv := int64(p.maxGroups()) * 4
 	if p.est > ndv {
 		ndv = p.est
 	}
@@ -378,29 +389,49 @@ func (p *pipelineNode) executeGroupPartFallback(ctx *qef.Context) (*ops.Relation
 // ---------------------------------------------------------------------------
 // Compilation.
 
-func compileNode(n plan.Node, in map[plan.Node]*ops.Relation) (physNode, error) {
-	if rel, ok := in[n]; ok {
+// lowering is one compile of a plan: the materialized relations spliced in
+// for some of its nodes, and the row estimate of every node lowered so far.
+type lowering struct {
+	in   map[plan.Node]*ops.Relation
+	rows map[plan.Node]int64
+}
+
+// node lowers n and records its row estimate as it leaves the lowering: a
+// parent may extend the same pipeline, which changes the pipeline's estimate
+// but not n's. The record is floored at one row, so the cost model prices an
+// empty input at its per-row terms rather than at nothing.
+func (lw *lowering) node(n plan.Node) (physNode, error) {
+	pn, err := lw.lower(n)
+	if err != nil {
+		return nil, err
+	}
+	lw.rows[n] = max(pn.estRows(), 1)
+	return pn, nil
+}
+
+func (lw *lowering) lower(n plan.Node) (physNode, error) {
+	if rel, ok := lw.in[n]; ok {
 		return newRelationNode(rel), nil
 	}
 	switch node := n.(type) {
 	case *plan.Scan:
 		return compileScan(node), nil
 	case *plan.Filter:
-		return compileFilter(node, in)
+		return compileFilter(node, lw)
 	case *plan.Project:
-		return compileProject(node, in)
+		return compileProject(node, lw)
 	case *plan.GroupBy:
-		return compileGroupBy(node, in)
+		return compileGroupBy(node, lw)
 	case *plan.Join:
-		return compileJoin(node, in)
+		return compileJoin(node, lw)
 	case *plan.Sort:
-		child, err := compileNode(node.Input, in)
+		child, err := lw.node(node.Input)
 		if err != nil {
 			return nil, err
 		}
 		return &sortNode{input: child, keys: node.Keys}, nil
 	case *plan.Limit:
-		child, err := compileNode(node.Input, in)
+		child, err := lw.node(node.Input)
 		if err != nil {
 			return nil, err
 		}
@@ -410,17 +441,17 @@ func compileNode(n plan.Node, in map[plan.Node]*ops.Relation) (physNode, error) 
 		}
 		return &limitNode{input: child, k: node.K}, nil
 	case *plan.SetOp:
-		l, err := compileNode(node.Left, in)
+		l, err := lw.node(node.Left)
 		if err != nil {
 			return nil, err
 		}
-		r, err := compileNode(node.Right, in)
+		r, err := lw.node(node.Right)
 		if err != nil {
 			return nil, err
 		}
 		return &setopNode{left: l, right: r, kind: node.Kind}, nil
 	case *plan.Window:
-		child, err := compileNode(node.Input, in)
+		child, err := lw.node(node.Input)
 		if err != nil {
 			return nil, err
 		}
@@ -431,6 +462,11 @@ func compileNode(n plan.Node, in map[plan.Node]*ops.Relation) (physNode, error) 
 
 func compileScan(s *plan.Scan) *pipelineNode {
 	snap := s.Table.Snapshot(s.SCN)
+	return &pipelineNode{snap: snap, scanCols: s.Cols, cols: scanColumns(s), est: int64(snap.TotalRows())}
+}
+
+// scanColumns is a scan's output columns with the table statistics of each.
+func scanColumns(s *plan.Scan) []colInfo {
 	cols := make([]colInfo, len(s.Cols))
 	stats := s.Table.Stats()
 	for i, c := range s.Cols {
@@ -443,7 +479,7 @@ func compileScan(s *plan.Scan) *pipelineNode {
 			cols[i].stats = &cs
 		}
 	}
-	return &pipelineNode{snap: snap, scanCols: s.Cols, cols: cols, est: int64(snap.TotalRows())}
+	return cols
 }
 
 // asPipeline returns the node as an extensible pipeline: either the node
@@ -461,8 +497,8 @@ func asPipeline(pn physNode) *pipelineNode {
 	return &pipelineNode{input: pn, cols: cols, est: pn.estRows()}
 }
 
-func compileFilter(f *plan.Filter, in map[plan.Node]*ops.Relation) (physNode, error) {
-	child, err := compileNode(f.Input, in)
+func compileFilter(f *plan.Filter, lw *lowering) (physNode, error) {
+	child, err := lw.node(f.Input)
 	if err != nil {
 		return nil, err
 	}
@@ -485,8 +521,8 @@ func compileFilter(f *plan.Filter, in map[plan.Node]*ops.Relation) (physNode, er
 	return p, nil
 }
 
-func compileProject(pr *plan.Project, in map[plan.Node]*ops.Relation) (physNode, error) {
-	child, err := compileNode(pr.Input, in)
+func compileProject(pr *plan.Project, lw *lowering) (physNode, error) {
+	child, err := lw.node(pr.Input)
 	if err != nil {
 		return nil, err
 	}
@@ -571,8 +607,8 @@ func compileProject(pr *plan.Project, in map[plan.Node]*ops.Relation) (physNode,
 // 32 dpCores (§5.4).
 const lowNDVMaxGroups = 4096
 
-func compileGroupBy(g *plan.GroupBy, in map[plan.Node]*ops.Relation) (physNode, error) {
-	child, err := compileNode(g.Input, in)
+func compileGroupBy(g *plan.GroupBy, lw *lowering) (physNode, error) {
+	child, err := lw.node(g.Input)
 	if err != nil {
 		return nil, err
 	}
@@ -620,7 +656,6 @@ func compileGroupBy(g *plan.GroupBy, in map[plan.Node]*ops.Relation) (physNode, 
 		p.aggSpecs = specs
 		p.finals = finals
 		p.outFields = outFields
-		p.maxGroups = 1
 		return p, nil
 	}
 	if ndv <= lowNDVMaxGroups {
@@ -629,10 +664,7 @@ func compileGroupBy(g *plan.GroupBy, in map[plan.Node]*ops.Relation) (physNode, 
 		p.aggSpecs = specs
 		p.finals = finals
 		p.outFields = outFields
-		p.maxGroups = int(ndv*4) + 64
-		if p.maxGroups > 4*lowNDVMaxGroups {
-			p.maxGroups = 4 * lowNDVMaxGroups
-		}
+		p.groups = ndv
 		return p, nil
 	}
 	// High NDV: partitioned group-by over the materialized child.

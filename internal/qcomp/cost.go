@@ -1,6 +1,8 @@
 package qcomp
 
 import (
+	"math"
+
 	"rapid/internal/dpu"
 	"rapid/internal/plan"
 	"rapid/internal/primitives"
@@ -30,117 +32,86 @@ const (
 // compute over.
 var dpuCores = float64(dpu.DefaultConfig().NumCores)
 
-// Estimate models a logical plan's execution time on RAPID.
-func Estimate(n plan.Node) CostEstimate {
-	switch node := n.(type) {
-	case *plan.Scan:
-		rows := int64(node.Table.Rows())
-		bytes := int64(0)
-		for _, c := range node.Cols {
-			w := node.Table.Meta(c).Width
-			bytes += rows * int64(w.Bytes())
-		}
-		return CostEstimate{
-			Seconds:    float64(bytes) / dmsBytesPerSec,
-			OutputRows: rows,
-			OutputCols: len(node.Cols),
-		}
-	case *plan.Filter:
-		in := Estimate(node.Input)
-		// Filter compute overlaps the scan transfer; the filter runs at
-		// ~1.65 cycles/row/core over 32 cores.
-		compute := primitives.FilterCost(int(in.OutputRows)) / dpu.FreqHz / dpuCores
-		sec := in.Seconds
-		if compute > sec {
-			sec = compute
-		}
-		out := int64(float64(in.OutputRows) * 0.3)
-		if out < 1 {
-			out = 1
-		}
-		return CostEstimate{Seconds: sec, OutputRows: out, OutputCols: in.OutputCols}
-	case *plan.Project:
-		in := Estimate(node.Input)
-		compute := 3 * float64(in.OutputRows) / dpu.FreqHz / dpuCores
-		return CostEstimate{Seconds: in.Seconds + compute, OutputRows: in.OutputRows, OutputCols: len(node.Exprs)}
-	case *plan.Join:
-		l := Estimate(node.Left)
-		r := Estimate(node.Right)
-		build, probe := r.OutputRows, l.OutputRows
-		if build > probe {
-			build, probe = probe, build
-		}
-		scheme := OptimizeScheme(RequiredPartitions(build*16, dpu.DefaultConfig()), build*16)
-		partSec := SchemeCost(scheme, (l.OutputRows+r.OutputRows)*16)
-		kernel := (primitives.JoinBuildCost(int(build), 256) +
-			primitives.JoinProbeCost(int(probe), 256, 0.5)) / dpu.FreqHz / dpuCores
-		return CostEstimate{
-			Seconds:    l.Seconds + r.Seconds + partSec + kernel,
-			OutputRows: probe,
-			OutputCols: l.OutputCols + r.OutputCols,
-		}
-	case *plan.GroupBy:
-		in := Estimate(node.Input)
-		compute := 6 * float64(in.OutputRows) / dpu.FreqHz / dpuCores
-		out := int64(1)
-		if len(node.Keys) > 0 {
-			out = in.OutputRows / 10
-			if out < 1 {
-				out = 1
-			}
-		}
-		return CostEstimate{Seconds: in.Seconds + compute, OutputRows: out, OutputCols: len(node.Keys) + len(node.Aggs)}
-	case *plan.Sort:
-		in := Estimate(node.Input)
-		compute := 24 * float64(in.OutputRows) / dpu.FreqHz / dpuCores
-		return CostEstimate{Seconds: in.Seconds + compute, OutputRows: in.OutputRows, OutputCols: in.OutputCols}
-	case *plan.Limit:
-		in := Estimate(node.Input)
-		out := int64(node.K)
-		if in.OutputRows < out {
-			out = in.OutputRows
-		}
-		return CostEstimate{Seconds: in.Seconds, OutputRows: out, OutputCols: in.OutputCols}
-	case *plan.SetOp:
-		l := Estimate(node.Left)
-		r := Estimate(node.Right)
-		return CostEstimate{Seconds: l.Seconds + r.Seconds, OutputRows: l.OutputRows + r.OutputRows, OutputCols: l.OutputCols}
-	case *plan.Window:
-		in := Estimate(node.Input)
-		compute := 30 * float64(in.OutputRows) / dpu.FreqHz / dpuCores
-		return CostEstimate{Seconds: in.Seconds + compute, OutputRows: in.OutputRows, OutputCols: in.OutputCols + 1}
+// Estimate models the compiled plan's execution time on RAPID. Every row
+// count it prices is the compiler's estimate of that node (lowering.node).
+// Of a node spliced in as a relation (CompileWithInputs) only the rows are
+// known, so Seconds is the time of a plan compiled whole.
+func (c *Compiled) Estimate() CostEstimate {
+	return CostEstimate{
+		Seconds:    c.seconds(c.plan),
+		OutputRows: c.rows[c.plan],
+		OutputCols: len(c.root.fields()),
 	}
-	return CostEstimate{Seconds: 0, OutputRows: 1, OutputCols: 1}
 }
 
-// OffloadBenefit compares RAPID offload against host-only execution for a
-// fragment: returns (rapidTotalSec, hostSec). The host database offloads
-// when rapidTotal < host (§3.1).
-func OffloadBenefit(n plan.Node) (rapidSec, hostSec float64) {
-	est := Estimate(n)
-	transfer := float64(est.OutputRows*int64(est.OutputCols)*8) / resultLinkBps
-	rapidSec = est.Seconds + transfer
+// seconds is n's modeled RAPID time: its inputs' times plus its own compute
+// over its input rows.
+func (c *Compiled) seconds(n plan.Node) float64 {
+	var sec float64
+	for _, k := range n.Children() {
+		sec += c.seconds(k)
+	}
+	perRow := func(cycles float64, in plan.Node) float64 {
+		return cycles * float64(c.rows[in]) / dpu.FreqHz / dpuCores
+	}
+	switch node := n.(type) {
+	case *plan.Scan:
+		var width int64
+		for _, col := range node.Cols {
+			width += int64(node.Table.Meta(col).Width.Bytes())
+		}
+		return float64(c.rows[n]*width) / dmsBytesPerSec
+	case *plan.Filter:
+		// Filter compute overlaps the scan transfer; the filter runs at
+		// ~1.65 cycles/row/core over 32 cores.
+		return max(sec, primitives.FilterCost(int(c.rows[node.Input]))/dpu.FreqHz/dpuCores)
+	case *plan.Project:
+		return sec + perRow(3, node.Input)
+	case *plan.Join:
+		l, r := c.rows[node.Left], c.rows[node.Right]
+		build, probe := min(l, r), max(l, r)
+		scheme := OptimizeScheme(RequiredPartitions(build*16, dpu.DefaultConfig()), build*16)
+		partSec := SchemeCost(scheme, (l+r)*16)
+		kernel := (primitives.JoinBuildCost(int(build), 256) +
+			primitives.JoinProbeCost(int(probe), 256, 0.5)) / dpu.FreqHz / dpuCores
+		return sec + partSec + kernel
+	case *plan.GroupBy:
+		return sec + perRow(6, node.Input)
+	case *plan.Sort:
+		return sec + perRow(24, node.Input)
+	case *plan.Window:
+		return sec + perRow(30, node.Input)
+	}
+	return sec
+}
 
-	hostSec = hostCost(n)
-	return rapidSec, hostSec
+// OffloadBenefit compares RAPID offload against host-only execution for the
+// compiled fragment: returns (rapidTotalSec, hostSec). The host database
+// offloads when rapidTotal < host (§3.1).
+func (c *Compiled) OffloadBenefit() (rapidSec, hostSec float64) {
+	est := c.Estimate()
+	transfer := float64(est.OutputRows*int64(est.OutputCols)*8) / resultLinkBps
+	return est.Seconds + transfer, c.hostCost(c.plan)
+}
+
+// OffloadBenefit compiles a fragment and prices it (Compiled.OffloadBenefit).
+// A plan the compiler rejects cannot run on RAPID: its RAPID time is +Inf.
+func OffloadBenefit(n plan.Node) (rapidSec, hostSec float64) {
+	c, err := Compile(n)
+	if err != nil {
+		return math.Inf(1), 0
+	}
+	return c.OffloadBenefit()
 }
 
 // hostCost models System X's row-at-a-time execution of the same fragment.
-func hostCost(n plan.Node) float64 {
-	switch node := n.(type) {
-	case *plan.Scan:
-		return float64(node.Table.Rows()) * hostRowFixedSec
-	case *plan.Join:
-		l := hostCost(node.Left)
-		r := hostCost(node.Right)
-		lr := Estimate(node.Left).OutputRows
-		return l + r + float64(lr)*hostJoinProbeSec
-	default:
-		var sum float64
-		for _, c := range n.Children() {
-			sum += hostCost(c)
-		}
-		rows := Estimate(n).OutputRows
-		return sum + float64(rows)*hostRowFixedSec
+func (c *Compiled) hostCost(n plan.Node) float64 {
+	if j, ok := n.(*plan.Join); ok {
+		return c.hostCost(j.Left) + c.hostCost(j.Right) + float64(c.rows[j.Left])*hostJoinProbeSec
 	}
+	var sum float64
+	for _, k := range n.Children() {
+		sum += c.hostCost(k)
+	}
+	return sum + float64(c.rows[n])*hostRowFixedSec
 }

@@ -1,17 +1,28 @@
 package qcomp
 
 import (
+	"math"
 	"testing"
 
 	"rapid/internal/plan"
 	"rapid/internal/storage"
 )
 
+// estimate compiles n and returns the cost model's estimate of it.
+func estimate(t *testing.T, n plan.Node) CostEstimate {
+	t.Helper()
+	c, err := Compile(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c.Estimate()
+}
+
 func TestEstimateMonotonicity(t *testing.T) {
 	small := ordersTable(t, 1000)
 	big := ordersTable(t, 50000)
-	es := Estimate(plan.NewScan(small, storage.LatestSCN, nil))
-	eb := Estimate(plan.NewScan(big, storage.LatestSCN, nil))
+	es := estimate(t, plan.NewScan(small, storage.LatestSCN, nil))
+	eb := estimate(t, plan.NewScan(big, storage.LatestSCN, nil))
 	if eb.Seconds <= es.Seconds {
 		t.Fatal("bigger scan must cost more")
 	}
@@ -23,7 +34,7 @@ func TestEstimateMonotonicity(t *testing.T) {
 	scan := plan.NewScan(big, storage.LatestSCN, nil)
 	f := &plan.Filter{Input: scan, Pred: &plan.Cmp{Op: plan.GT,
 		L: colRefOf(scan, "o_custkey"), R: &plan.Const{Val: 10}}}
-	ef := Estimate(f)
+	ef := estimate(t, f)
 	if ef.OutputRows >= eb.OutputRows {
 		t.Fatal("filter must reduce estimated rows")
 	}
@@ -38,8 +49,8 @@ func TestEstimateJoinAndAggregate(t *testing.T) {
 	so := plan.NewScan(orders, storage.LatestSCN, nil)
 	sc := plan.NewScan(cust, storage.LatestSCN, nil)
 	j := &plan.Join{Type: plan.InnerJoin, Left: so, Right: sc, LeftKeys: []int{1}, RightKeys: []int{0}}
-	ej := Estimate(j)
-	if ej.Seconds <= Estimate(so).Seconds {
+	ej := estimate(t, j)
+	if ej.Seconds <= estimate(t, so).Seconds {
 		t.Fatal("join must cost more than scanning one side")
 	}
 	if ej.OutputCols != len(j.Schema()) {
@@ -47,25 +58,25 @@ func TestEstimateJoinAndAggregate(t *testing.T) {
 	}
 	g := &plan.GroupBy{Input: j, Keys: []plan.Expr{colRefOf(so, "o_custkey")},
 		Aggs: []plan.AggExpr{{Kind: plan.CountStar, Name: "n"}}}
-	eg := Estimate(g)
+	eg := estimate(t, g)
 	if eg.OutputRows >= ej.OutputRows {
 		t.Fatal("group-by must reduce estimated rows")
 	}
 	// Sort, limit, window, setop cover the remaining estimators.
 	s := &plan.Sort{Input: g, Keys: []plan.SortItem{{Col: 0}}}
-	if Estimate(s).Seconds <= eg.Seconds {
+	if estimate(t, s).Seconds <= eg.Seconds {
 		t.Fatal("sort adds cost")
 	}
 	l := &plan.Limit{Input: s, K: 5}
-	if Estimate(l).OutputRows != 5 {
+	if estimate(t, l).OutputRows != 5 {
 		t.Fatal("limit rows")
 	}
 	w := &plan.Window{Input: g, Func: plan.RowNumber}
-	if Estimate(w).OutputCols != eg.OutputCols+1 {
+	if estimate(t, w).OutputCols != eg.OutputCols+1 {
 		t.Fatal("window adds a column")
 	}
 	u := &plan.SetOp{Kind: plan.Union, Left: g, Right: g}
-	if Estimate(u).OutputRows != 2*eg.OutputRows {
+	if estimate(t, u).OutputRows != 2*eg.OutputRows {
 		t.Fatal("union row estimate")
 	}
 }
@@ -91,5 +102,38 @@ func TestOffloadBenefitPrefersRapidForAnalytics(t *testing.T) {
 	if scanAdvantage >= aggAdvantage {
 		t.Fatalf("returning all rows should dilute the offload advantage (%.1f vs %.1f)",
 			scanAdvantage, aggAdvantage)
+	}
+}
+
+// TestEstimateTakesTheCompilersRows pins that the cost model counts rows the
+// way the compiler does — column statistics and zone maps — and has no
+// selectivity of its own: 40 of 20,000 orders survive o_orderkey < 40, and
+// an aggregate yields its group count.
+func TestEstimateTakesTheCompilersRows(t *testing.T) {
+	tbl := ordersTable(t, 20000)
+	scan := plan.NewScan(tbl, storage.LatestSCN, nil)
+	f := &plan.Filter{Input: scan, Pred: &plan.Cmp{Op: plan.LT,
+		L: colRefOf(scan, "o_orderkey"), R: &plan.Const{Val: 40}}}
+	c, err := Compile(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Estimate().OutputRows; got != c.root.estRows() || got < 20 || got > 80 {
+		t.Fatalf("filter rows = %d (compiler %d), want ~40", got, c.root.estRows())
+	}
+	g := &plan.GroupBy{Input: scan, Keys: []plan.Expr{colRefOf(scan, "o_custkey")},
+		Aggs: []plan.AggExpr{{Kind: plan.CountStar, Name: "n"}}}
+	if got := estimate(t, g).OutputRows; got != 200 {
+		t.Fatalf("group-by rows = %d, want the 200 o_custkey values", got)
+	}
+}
+
+// TestOffloadBenefitOfARejectedPlan: a plan the compiler rejects cannot run
+// on RAPID, so it is priced at +Inf there.
+func TestOffloadBenefitOfARejectedPlan(t *testing.T) {
+	scan := plan.NewScan(ordersTable(t, 100), storage.LatestSCN, nil)
+	j := &plan.Join{Type: plan.InnerJoin, Left: scan, Right: scan}
+	if rapidSec, _ := OffloadBenefit(j); !math.IsInf(rapidSec, 1) {
+		t.Fatalf("rapid = %v, want +Inf for a join without keys", rapidSec)
 	}
 }

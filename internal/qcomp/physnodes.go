@@ -81,12 +81,12 @@ type joinNode struct {
 	opID    int
 }
 
-func compileJoin(j *plan.Join, in map[plan.Node]*ops.Relation) (physNode, error) {
-	left, err := compileNode(j.Left, in)
+func compileJoin(j *plan.Join, lw *lowering) (physNode, error) {
+	left, err := lw.node(j.Left)
 	if err != nil {
 		return nil, err
 	}
-	right, err := compileNode(j.Right, in)
+	right, err := lw.node(j.Right)
 	if err != nil {
 		return nil, err
 	}
@@ -250,13 +250,7 @@ type topkNode struct {
 }
 
 func (n *topkNode) fields() []plan.Field { return n.input.fields() }
-func (n *topkNode) estRows() int64 {
-	e := n.input.estRows()
-	if int64(n.k) < e {
-		return int64(n.k)
-	}
-	return e
-}
+func (n *topkNode) estRows() int64       { return min(int64(n.k), n.input.estRows()) }
 func (n *topkNode) execute(ctx *qef.Context) (*ops.Relation, error) {
 	rel, err := n.input.execute(ctx)
 	if err != nil {
@@ -280,7 +274,7 @@ type limitNode struct {
 }
 
 func (n *limitNode) fields() []plan.Field { return n.input.fields() }
-func (n *limitNode) estRows() int64       { return int64(n.k) }
+func (n *limitNode) estRows() int64       { return min(int64(n.k), n.input.estRows()) }
 func (n *limitNode) execute(ctx *qef.Context) (*ops.Relation, error) {
 	rel, err := n.input.execute(ctx)
 	if err != nil {

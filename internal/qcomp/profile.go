@@ -37,7 +37,7 @@ func (p *pipelineNode) annotate(reg *spanReg, parent int) int {
 	case termScalarAgg:
 		p.termID = reg.add(parent, "ScalarAgg", fmt.Sprintf("(aggs=%d)", len(p.aggSpecs)), obs.KindPipeline, true)
 	case termGroupBy:
-		p.termID = reg.add(parent, "GroupBy", fmt.Sprintf("(keys=%d, aggs=%d, maxGroups=%d)", len(p.groupCols), len(p.aggSpecs), p.maxGroups), obs.KindPipeline, true)
+		p.termID = reg.add(parent, "GroupBy", fmt.Sprintf("(keys=%d, aggs=%d, maxGroups=%d)", len(p.groupCols), len(p.aggSpecs), p.maxGroups()), obs.KindPipeline, true)
 	default:
 		p.termID = reg.add(parent, "Collect", "", obs.KindPipeline, true)
 	}

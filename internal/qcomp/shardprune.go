@@ -30,15 +30,7 @@ func ShardZonePruned(root plan.Node) bool {
 	// Unmerged inserts live outside the base stats only until Apply widens
 	// them in — which it does synchronously — so the table-wide zone below
 	// covers the delta chunk too.
-	cols := make([]colInfo, len(scan.Cols))
-	for i, c := range scan.Cols {
-		def := scan.Table.Schema().Col(c)
-		cols[i] = colInfo{field: plan.Field{Name: def.Name, Type: def.Type, Dict: scan.Table.Meta(c).Dict}}
-		if c < len(stats.Cols) {
-			cs := stats.Cols[c]
-			cols[i].stats = &cs
-		}
-	}
+	cols := scanColumns(scan)
 	zone := func(c int) (storage.Zone, bool) {
 		if c < 0 || c >= len(scan.Cols) {
 			return storage.Zone{}, false
