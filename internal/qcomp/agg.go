@@ -1,6 +1,8 @@
 package qcomp
 
 import (
+	"reflect"
+
 	"rapid/internal/coltypes"
 	"rapid/internal/ops"
 	"rapid/internal/plan"
@@ -33,19 +35,31 @@ type finalSpec struct {
 
 // lowerAggs splits the requested aggregates into the states ops computes and
 // the finalSpecs that turn those states back into the requested columns.
+// Each state is computed once: an aggregate whose kind and argument equal an
+// earlier state's (an AVG's SUM beside a SUM of the same argument, the
+// COUNT(*) of every AVG) reads that state.
 func lowerAggs(aggs []plan.AggExpr) ([]plan.AggExpr, []finalSpec) {
 	lowered := make([]plan.AggExpr, 0, len(aggs)+1)
-	finals := make([]finalSpec, len(aggs))
-	for i, a := range aggs {
-		finals[i] = finalSpec{kind: a.Kind, specIdx: len(lowered)}
-		if a.Kind == plan.Avg {
-			finals[i].cntIdx = len(lowered) + 1
-			lowered = append(lowered,
-				plan.AggExpr{Kind: plan.Sum, Arg: a.Arg, Name: a.Name + "__psum"},
-				plan.AggExpr{Kind: plan.CountStar, Name: a.Name + "__pcnt"})
-			continue
+	state := func(a plan.AggExpr) int {
+		for i, s := range lowered {
+			if s.Kind == a.Kind && reflect.DeepEqual(s.Arg, a.Arg) {
+				return i
+			}
 		}
 		lowered = append(lowered, a)
+		return len(lowered) - 1
+	}
+	finals := make([]finalSpec, len(aggs))
+	for i, a := range aggs {
+		if a.Kind != plan.Avg {
+			finals[i] = finalSpec{kind: a.Kind, specIdx: state(a)}
+			continue
+		}
+		finals[i] = finalSpec{
+			kind:    a.Kind,
+			specIdx: state(plan.AggExpr{Kind: plan.Sum, Arg: a.Arg, Name: a.Name + "__psum"}),
+			cntIdx:  state(plan.AggExpr{Kind: plan.CountStar, Name: a.Name + "__pcnt"}),
+		}
 	}
 	return lowered, finals
 }
