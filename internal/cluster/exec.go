@@ -201,9 +201,14 @@ func (e engine) Finish(id uint64, res *Result, err error, opts QueryOptions, wal
 // tests can reconcile the billing with the contexts it was read from.
 func (t *Tray) execute(goCtx context.Context, bound plan.Node, opts QueryOptions, h obs.ActiveHandle) (*Result, *query, error) {
 	n := t.NumNodes()
+	// Live columns run after lift, which reads a lifted semi join's key
+	// among the columns of the joins it climbs.
 	tree, shards, err := t.resolve(bound)
 	if err == nil {
 		tree, err = lift(tree)
+	}
+	if err == nil {
+		tree, err = plan.Live(tree)
 	}
 	if err != nil {
 		return nil, nil, err
@@ -261,7 +266,7 @@ func (t *Tray) execute(goCtx context.Context, bound plan.Node, opts QueryOptions
 		Rel: rel.Flatten(), Nodes: n,
 
 		Exchanges:    q.exchanges,
-		Explain:      plan.Format(bound),
+		Explain:      plan.Format(tree),
 		ShardsPruned: q.shardsPruned,
 	}
 	for _, ex := range q.exchanges {

@@ -14,9 +14,13 @@ import (
 // (qef.Context.Usage).
 //
 // Q12 — a co-partitioned join under a partial aggregation, whose plan the
-// byte rule leaves alone — is the bill at 092e803, before exchanges were
+// byte rule leaves alone — was the bill at 092e803, before exchanges were
 // decided by bytes and moved as columns: neither may move the bill of a plan
-// they do not change.
+// they do not change. It was re-captured when plans became narrowed to their
+// live columns (plan.Live): lineitem's pipeline collects l_orderkey and
+// l_shipmode instead of its five filtered columns and the join outputs two
+// columns instead of seven, 130811 → 130281 cycles; the makespan, bound by
+// the scan's DMS reads, is unchanged.
 //
 // Q5 was re-captured when exchanges became decided by bytes (it was pinned at
 // be404d6 as 833840 cycles, 1426501 nJ, 27696 bytes on the link): its last
@@ -24,7 +28,10 @@ import (
 // partitioning; it now broadcasts customer (300 rows × 2 columns) instead.
 // The link carries 14528 bytes, modeled time and energy drop, and every node
 // spends a few percent more cycles building over all of customer rather than
-// a quarter of it.
+// a quarter of it. It was re-captured again when plans became narrowed to
+// their live columns (plan.Live): each join outputs only what is read above
+// it (22 columns over the five joins instead of 58), and the link carries
+// 9984 bytes; 866192 → 775958 cycles.
 func TestTrayBillPins(t *testing.T) {
 	tray := newTray(t, tpchHost(t), cluster.Config{Nodes: 4})
 	for _, pin := range []struct {
@@ -35,23 +42,23 @@ func TestTrayBillPins(t *testing.T) {
 		perNode                                     []cluster.NodeStats
 	}{
 		{
-			query: "Q12", cycles: 130811, activityFJ: 13116609250, netBytes: 192, energyNJ: 474212, dmemHighWater: 12288,
+			query: "Q12", cycles: 130281, activityFJ: 12998869750, netBytes: 192, energyNJ: 474094, dmemHighWater: 12288,
 			simSeconds: 3.842474302325582e-05, nodeSimSeconds: 2.21971011627907e-05, coordSimSeconds: 7.404186046511628e-08,
 			perNode: []cluster.NodeStats{
-				{Cycles: 34393, DMSReadBytes: 36182, DMSWriteBytes: 12560, SimSeconds: 2.1120851162790702e-05},
-				{Cycles: 27944, DMSReadBytes: 35304, DMSWriteBytes: 12360, SimSeconds: 2.07458511627907e-05},
-				{Cycles: 35028, DMSReadBytes: 37145, DMSWriteBytes: 12560, SimSeconds: 2.21971011627907e-05},
-				{Cycles: 33434, DMSReadBytes: 36031, DMSWriteBytes: 12640, SimSeconds: 2.12058511627907e-05},
+				{Cycles: 34253, DMSReadBytes: 35622, DMSWriteBytes: 12224, SimSeconds: 2.1120851162790702e-05},
+				{Cycles: 27854, DMSReadBytes: 34944, DMSWriteBytes: 12144, SimSeconds: 2.07458511627907e-05},
+				{Cycles: 34888, DMSReadBytes: 36585, DMSWriteBytes: 12224, SimSeconds: 2.21971011627907e-05},
+				{Cycles: 33274, DMSReadBytes: 35391, DMSWriteBytes: 12256, SimSeconds: 2.12058511627907e-05},
 			},
 		},
 		{
-			query: "Q5", cycles: 866192, activityFJ: 72653196000, netBytes: 14528, energyNJ: 1303415, dmemHighWater: 16384,
-			simSeconds: 0.00010256353062015503, nodeSimSeconds: 2.684183875968992e-05, coordSimSeconds: 9.929186046511628e-08,
+			query: "Q5", cycles: 775958, activityFJ: 66403962500, netBytes: 9984, energyNJ: 1236304, dmemHighWater: 16384,
+			simSeconds: 9.749176821705427e-05, nodeSimSeconds: 2.5405276356589148e-05, coordSimSeconds: 9.929186046511628e-08,
 			perNode: []cluster.NodeStats{
-				{Cycles: 209448, DMSReadBytes: 71578, DMSWriteBytes: 100952, SimSeconds: 2.684183875968992e-05},
-				{Cycles: 203111, DMSReadBytes: 68722, DMSWriteBytes: 98776, SimSeconds: 2.50336507751938e-05},
-				{Cycles: 231574, DMSReadBytes: 75810, DMSWriteBytes: 104400, SimSeconds: 2.6287959302325582e-05},
-				{Cycles: 222014, DMSReadBytes: 72266, DMSWriteBytes: 100104, SimSeconds: 2.41529023255814e-05},
+				{Cycles: 189695, DMSReadBytes: 67530, DMSWriteBytes: 100048, SimSeconds: 2.5405276356589148e-05},
+				{Cycles: 187173, DMSReadBytes: 65170, DMSWriteBytes: 97936, SimSeconds: 2.399802829457364e-05},
+				{Cycles: 202993, DMSReadBytes: 71178, DMSWriteBytes: 103488, SimSeconds: 2.4934209302325582e-05},
+				{Cycles: 196052, DMSReadBytes: 67706, DMSWriteBytes: 99152, SimSeconds: 2.1435402325581396e-05},
 			},
 		},
 	} {

@@ -140,7 +140,8 @@ func groupLayout(g *plan.GroupBy, in layout) (layout, bool) {
 //	  partition column of both sides,     carry the key on the right side's
 //	  same partition function             partition columns
 //
-// Everything else needs an exchange first (colocate).
+// Everything else needs an exchange first (colocate). A partition column
+// the join does not output (its Out) drops out of the output's layout.
 func colocated(j *plan.Join, l, r layout) (layout, bool) {
 	inner := j.Type == plan.InnerJoin
 	nLeft := len(j.Left.Schema())
@@ -148,24 +149,42 @@ func colocated(j *plan.Join, l, r layout) (layout, bool) {
 	case l.repl && r.repl:
 		return layout{repl: true}, true
 	case r.repl:
-		return l, true
+		return output(j, l), true
 	case l.repl:
 		// Semi/anti/left-outer probing of a replicated left on every node
 		// would emit each left row once per node.
 		if !inner {
 			return layout{}, false
 		}
-		return r.shifted(nLeft), true
+		return output(j, r.shifted(nLeft)), true
 	}
 	for k := range j.LeftKeys {
 		if l.on(j.LeftKeys[k]) && r.on(j.RightKeys[k]) && l.part.SameFunction(r.part) {
 			if inner {
 				l.cols = append(append([]int(nil), l.cols...), r.shifted(nLeft).cols...)
 			}
-			return l, true
+			return output(j, l), true
 		}
 	}
 	return layout{}, false
+}
+
+// output is l, a layout over the columns of j's left ++ right, as the layout
+// of j's output.
+func output(j *plan.Join, l layout) layout {
+	if j.Out == nil {
+		return l
+	}
+	out := layout{repl: l.repl}
+	for i, c := range j.Out {
+		if l.on(c) {
+			out.cols = append(out.cols, i)
+		}
+	}
+	if len(out.cols) > 0 {
+		out.part = l.part
+	}
+	return out
 }
 
 // classify reports whether a subtree is node-local — every node can run its

@@ -148,10 +148,11 @@ GROUP BY n_regionkey HAVING COUNT(*) > 0`,
 // compiler takes it for selective (0.3) and prices customer's broadcast under
 // the orders shuffle; customer's exact size, known once it is materialised, is
 // over it — so the shuffle runs, and the link carries no more than it would
-// have without the byte rule.
+// have without the byte rule. The statement reads c_acctbal above the join,
+// so that customer ships two live columns.
 func TestBroadcastDecidedByExactBytes(t *testing.T) {
 	tray := newTray(t, tpchHost(t), cluster.Config{Nodes: 4})
-	res, err := tray.Query(`SELECT COUNT(*), SUM(o_totalprice) FROM orders, customer
+	res, err := tray.Query(`SELECT COUNT(*), SUM(o_totalprice), SUM(c_acctbal) FROM orders, customer
 WHERE o_custkey = c_custkey AND c_acctbal + 2000 > 0 AND o_orderdate < DATE '1993-06-01'`,
 		cluster.QueryOptions{Mode: qef.ModeX86, NoCache: true, Analyze: true})
 	if err != nil {

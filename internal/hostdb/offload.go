@@ -185,12 +185,17 @@ func (e hostEngine) Finish(id uint64, res *QueryResult, err error, opts QueryOpt
 }
 
 // Execute decides offload for a bound plan and runs it on RAPID or on the
-// host row engine. The plan is compiled once: the compiler's row estimates
-// price the offload decision, and RAPID runs that compile. A plan the
-// compiler rejects has no RAPID estimate; unless it is forced to the host it
-// takes the RAPID path, whose failure falls back to the host row engine.
+// host row engine, both over the columns plan.Live leaves live. The plan is
+// compiled once: the compiler's row estimates price the offload decision,
+// and RAPID runs that compile. A plan the compiler rejects has no RAPID
+// estimate; unless it is forced to the host it takes the RAPID path, whose
+// failure falls back to the host row engine.
 func (e hostEngine) Execute(ctx context.Context, node plan.Node, opts QueryOptions, h obs.ActiveHandle) (*QueryResult, error) {
 	db := e.db
+	node, err := plan.Live(node)
+	if err != nil {
+		return nil, err
+	}
 	res := &QueryResult{Explain: plan.Format(node)}
 	// Admissibility (§3.3): every journal entry visible to the query must
 	// already be propagated to RAPID. It is checked before the compile takes

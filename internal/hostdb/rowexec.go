@@ -59,7 +59,7 @@ func (db *Database) BuildIterator(n plan.Node) (Iterator, error) {
 		}
 		return &joinIter{
 			typ: node.Type, left: l, right: r,
-			lk: node.LeftKeys, rk: node.RightKeys,
+			lk: node.LeftKeys, rk: node.RightKeys, out: node.Out,
 			rightWidth: len(node.Right.Schema()),
 		}, nil
 	case *plan.GroupBy:
@@ -438,6 +438,7 @@ type joinIter struct {
 	left       Iterator
 	right      Iterator
 	lk, rk     []int
+	out        []int // the plan's Out: the output columns of left ++ right
 	rightWidth int
 
 	table   map[string][][]int64
@@ -492,26 +493,45 @@ func (j *joinIter) Fetch() ([]int64, bool, error) {
 		switch j.typ {
 		case plan.SemiJoin:
 			if len(matches) > 0 {
-				return lrow, true, nil
+				return j.project(lrow, nil), true, nil
 			}
 		case plan.AntiJoin:
 			if len(matches) == 0 {
-				return lrow, true, nil
+				return j.project(lrow, nil), true, nil
 			}
 		case plan.LeftOuterJoin:
 			if len(matches) == 0 {
-				out := append(append([]int64(nil), lrow...), make([]int64, j.rightWidth)...)
-				return out, true, nil
+				return j.project(lrow, make([]int64, j.rightWidth)), true, nil
 			}
 			for _, m := range matches {
-				j.pending = append(j.pending, append(append([]int64(nil), lrow...), m...))
+				j.pending = append(j.pending, j.project(lrow, m))
 			}
 		default:
 			for _, m := range matches {
-				j.pending = append(j.pending, append(append([]int64(nil), lrow...), m...))
+				j.pending = append(j.pending, j.project(lrow, m))
 			}
 		}
 	}
+}
+
+// project is the output row of a left row and its right match (nil for a
+// semi or anti join): the columns of left ++ right that Out lists.
+func (j *joinIter) project(lrow, rrow []int64) []int64 {
+	if j.out == nil {
+		if rrow == nil {
+			return lrow
+		}
+		return append(append([]int64(nil), lrow...), rrow...)
+	}
+	row := make([]int64, len(j.out))
+	for i, c := range j.out {
+		if c < len(lrow) {
+			row[i] = lrow[c]
+		} else {
+			row[i] = rrow[c-len(lrow)]
+		}
+	}
+	return row
 }
 
 func (j *joinIter) Close() {

@@ -92,24 +92,37 @@ const (
 
 // Join is an equi-join. Left is the probe/outer side, Right the build side
 // (the host optimizer has fixed the order; QComp may still swap for size).
-// Keys pair Left and Right columns.
+// Keys pair Left and Right columns. Out lists the columns the join outputs,
+// as positions in Left's columns followed by Right's (a semi or anti join
+// has only Left's); nil outputs all of them. Live sets it to the columns
+// read above the join.
 type Join struct {
 	Type        JoinType
 	Left, Right Node
 	LeftKeys    []int
 	RightKeys   []int
+	Out         []int
 }
 
 func (n *Join) Schema() []Field {
-	switch n.Type {
-	case SemiJoin, AntiJoin:
-		return n.Left.Schema()
-	default:
-		return append(append([]Field(nil), n.Left.Schema()...), n.Right.Schema()...)
+	fs := n.Left.Schema()
+	if n.Type != SemiJoin && n.Type != AntiJoin {
+		fs = append(append([]Field(nil), fs...), n.Right.Schema()...)
 	}
+	if n.Out == nil {
+		return fs
+	}
+	out := make([]Field, len(n.Out))
+	for i, c := range n.Out {
+		out[i] = fs[c]
+	}
+	return out
 }
 func (n *Join) Children() []Node { return []Node{n.Left, n.Right} }
 func (n *Join) String() string {
+	if n.Out != nil {
+		return fmt.Sprintf("Join(type=%d, keys=%v=%v, out=%v)", n.Type, n.LeftKeys, n.RightKeys, n.Out)
+	}
 	return fmt.Sprintf("Join(type=%d, keys=%v=%v)", n.Type, n.LeftKeys, n.RightKeys)
 }
 

@@ -2,6 +2,7 @@ package qcomp
 
 import (
 	"fmt"
+	"slices"
 
 	"rapid/internal/coltypes"
 	"rapid/internal/dpu"
@@ -78,7 +79,12 @@ type joinNode struct {
 	est     int64
 	scheme  ops.PartScheme
 	swapped bool // build is the left input
-	opID    int
+	// lpay and rpay are the columns of each input the join outputs (the
+	// plan's Out, split by side); order, when not nil, puts the sink's
+	// probe-then-build columns back in Out's order.
+	lpay, rpay []int
+	order      []int
+	opID       int
 }
 
 func compileJoin(j *plan.Join, lw *lowering) (physNode, error) {
@@ -103,6 +109,7 @@ func compileJoin(j *plan.Join, lw *lowering) (physNode, error) {
 	if j.Type == plan.InnerJoin && left.estRows() < right.estRows() {
 		n.swapped = true
 	}
+	n.payloads(j.Out, len(left.fields()), len(right.fields()))
 	buildEst := right.estRows()
 	if n.swapped {
 		buildEst = left.estRows()
@@ -116,8 +123,54 @@ func compileJoin(j *plan.Join, lw *lowering) (physNode, error) {
 	return n, nil
 }
 
+// payloads splits the join's output columns out (positions in left ++ right;
+// nil is all of them) into each side's payload, and sets order when the sink,
+// which emits the probe side's payload first, does not emit them in out's
+// order.
+func (n *joinNode) payloads(out []int, nl, nr int) {
+	if out == nil {
+		out = allIdx(nl)
+		if n.typ != plan.SemiJoin && n.typ != plan.AntiJoin {
+			out = allIdx(nl + nr)
+		}
+	}
+	for _, c := range out {
+		if c < nl {
+			n.lpay = append(n.lpay, c)
+		} else {
+			n.rpay = append(n.rpay, c-nl)
+		}
+	}
+	// The sink's order, as positions in left ++ right: probe, then build.
+	probe, build := n.lpay, make([]int, len(n.rpay))
+	for i, c := range n.rpay {
+		build[i] = nl + c
+	}
+	if n.swapped {
+		probe, build = build, probe
+	}
+	emitted := append(append([]int(nil), probe...), build...)
+	if slices.Equal(emitted, out) {
+		return
+	}
+	n.order = make([]int, len(out))
+	for i, c := range out {
+		n.order[i] = slices.Index(emitted, c)
+	}
+}
+
 func (n *joinNode) fields() []plan.Field { return n.out }
 func (n *joinNode) estRows() int64       { return n.est }
+
+// WidthError reports a join whose executed output has a different number of
+// columns than its plan node declares.
+type WidthError struct {
+	Got, Want int
+}
+
+func (e *WidthError) Error() string {
+	return fmt.Sprintf("qcomp: join output has %d columns, its plan declares %d", e.Got, e.Want)
+}
 
 func (n *joinNode) execute(ctx *qef.Context) (*ops.Relation, error) {
 	leftRel, err := n.left.execute(ctx)
@@ -128,25 +181,19 @@ func (n *joinNode) execute(ctx *qef.Context) (*ops.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
+	spec := ops.JoinSpec{
+		Type:         n.typ,
+		BuildKeys:    n.rk,
+		ProbeKeys:    n.lk,
+		BuildPayload: n.rpay,
+		ProbePayload: n.lpay,
+		Scheme:       n.scheme,
+	}
 	build, probe := rightRel, leftRel
-	bk, pk := n.rk, n.lk
 	if n.swapped {
 		build, probe = leftRel, rightRel
-		bk, pk = n.lk, n.rk
-	}
-	spec := ops.JoinSpec{
-		Type:      n.typ,
-		BuildKeys: bk,
-		ProbeKeys: pk,
-		Scheme:    n.scheme,
-	}
-	// Payload: all columns of each side (the logical schema).
-	switch n.typ {
-	case plan.SemiJoin, plan.AntiJoin:
-		spec.ProbePayload = allIdx(probe.NumCols())
-	default:
-		spec.ProbePayload = allIdx(probe.NumCols())
-		spec.BuildPayload = allIdx(build.NumCols())
+		spec.BuildKeys, spec.ProbeKeys = n.lk, n.rk
+		spec.BuildPayload, spec.ProbePayload = n.lpay, n.rpay
 	}
 	sp := ctx.Prof.Span(n.opID)
 	out, err := underSpan(ctx, sp, sp, leftRel.Rows()+rightRel.Rows(), func() (*ops.Relation, error) {
@@ -155,24 +202,15 @@ func (n *joinNode) execute(ctx *qef.Context) (*ops.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Output order: left columns then right columns. The sink emits probe
-	// then build; reorder when the build side was the left input.
-	if n.swapped && n.typ == plan.InnerJoin {
-		nl := leftRel.NumCols()
-		np := probe.NumCols()
-		order := make([]int, 0, out.NumCols())
-		for i := range nl {
-			order = append(order, np+i) // left (= build) side
-		}
-		out = out.Project(append(order, allIdx(np)...)) // then right (= probe) side
+	if n.order != nil {
+		out = out.Project(n.order)
+	}
+	if out.NumCols() != len(n.out) {
+		return nil, &WidthError{Got: out.NumCols(), Want: len(n.out)}
 	}
 	// Restore field metadata.
-	for i := range out.Cols {
-		if i < len(n.out) {
-			out.Cols[i].Name = n.out[i].Name
-			out.Cols[i].Type = n.out[i].Type
-			out.Cols[i].Dict = n.out[i].Dict
-		}
+	for i, f := range n.out {
+		out.Cols[i] = ops.Col{Name: f.Name, Type: f.Type, Dict: f.Dict}
 	}
 	return out, nil
 }
