@@ -201,3 +201,23 @@ func TestPredStrings(t *testing.T) {
 		t.Fatal("string const string")
 	}
 }
+
+// A COUNT(*) straight over a join reads none of its columns; the join still
+// outputs one, its first left key, so that its output has rows to count.
+func TestLiveKeepsAColumnOfAJoinNothingReads(t *testing.T) {
+	tbl := testTable(t)
+	for _, typ := range []JoinType{InnerJoin, SemiJoin, AntiJoin} {
+		j := &Join{Type: typ,
+			Left:     NewScan(tbl, storage.LatestSCN, nil),
+			Right:    NewScan(tbl, storage.LatestSCN, nil),
+			LeftKeys: []int{3}, RightKeys: []int{0}}
+		n, err := Live(&GroupBy{Input: j, Aggs: []AggExpr{{Kind: CountStar, Name: "n"}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := n.(*GroupBy).Input.(*Join)
+		if fs := got.Schema(); len(fs) != 1 || fs[0].Name != "day" {
+			t.Errorf("join type %d outputs %v, want its left key day alone", typ, fs)
+		}
+	}
+}
