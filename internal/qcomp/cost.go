@@ -66,6 +66,9 @@ func (c *Compiled) seconds(n plan.Node) float64 {
 		// ~1.65 cycles/row/core over 32 cores.
 		return max(sec, primitives.FilterCost(int(c.rows[node.Input]))/dpu.FreqHz/dpuCores)
 	case *plan.Project:
+		if endsPipeline(node) {
+			return sec
+		}
 		return sec + perRow(3, node.Input)
 	case *plan.Join:
 		l, r := c.rows[node.Left], c.rows[node.Right]

@@ -137,3 +137,22 @@ func TestOffloadBenefitOfARejectedPlan(t *testing.T) {
 		t.Fatalf("rapid = %v, want +Inf for a join without keys", rapidSec)
 	}
 }
+
+// TestEstimateOfAColumnSelection: a Project of bare columns that ends a
+// filter's pipeline compiles into the sink's column selection
+// (TestBareProjectIsTheSinksSelection), and the estimate prices it at nothing;
+// a computed Project over the same filter costs its per-row term.
+func TestEstimateOfAColumnSelection(t *testing.T) {
+	scan := plan.NewScan(ordersTable(t, 20000), storage.LatestSCN, nil)
+	f := &plan.Filter{Input: scan, Pred: &plan.Cmp{Op: plan.GT,
+		L: colRefOf(scan, "o_custkey"), R: &plan.Const{Val: 10}}}
+	key := colRefOf(scan, "o_orderkey")
+	sel := &plan.Project{Input: f, Exprs: []plan.Expr{key}, Names: []string{"o_orderkey"}}
+	if got, want := estimate(t, sel).Seconds, estimate(t, f).Seconds; got != want {
+		t.Fatalf("selection = %g s, want the filter's %g s", got, want)
+	}
+	sum := &plan.Project{Input: f, Exprs: []plan.Expr{&plan.Arith{Op: plan.Add, L: key, R: key, T: key.T}}, Names: []string{"k2"}}
+	if got, want := estimate(t, sum).Seconds, estimate(t, f).Seconds; got <= want {
+		t.Fatalf("computed project = %g s, want more than the filter's %g s", got, want)
+	}
+}
