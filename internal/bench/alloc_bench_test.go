@@ -30,9 +30,11 @@ func tileLoopChain(sink qef.Operator) func() qef.Operator {
 			Next: &ops.MaterializeOp{
 				RowBytes: 3 * 4, // three W4 input columns
 				Next: &ops.ProjectOp{
-					Exprs: []ops.Expr{&ops.BinExpr{Op: plan.Mul, L: &ops.ColRef{Idx: 1}, R: &ops.ConstExpr{Val: 3}}},
-					Keep:  []int{0},
-					Next:  sink,
+					Cols: []ops.ProjCol{
+						{Keep: 0},
+						{Expr: &ops.BinExpr{Op: plan.Mul, L: &ops.ColRef{Idx: 1}, R: &ops.ConstExpr{Val: 3}}},
+					},
+					Next: sink,
 				},
 			},
 		}

@@ -215,6 +215,29 @@ func TestCostBasedOffloadDecision(t *testing.T) {
 	}
 }
 
+// TestForceHostIsNotPriced: a plan forced to the host is not compiled for
+// RAPID, so it carries no estimates; the same statement under the cost rule
+// is priced.
+func TestForceHostIsNotPriced(t *testing.T) {
+	db := newTestDB(t, 2000)
+	loadAll(t, db)
+	const q = `SELECT grp, SUM(amount) AS total FROM events GROUP BY grp`
+	host, err := db.Query(q, QueryOptions{Mode: ForceHost, NoCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if host.Offloaded || host.EstRapidSec != 0 || host.EstHostSec != 0 {
+		t.Fatalf("ForceHost: offloaded %v, est rapid %gs, host %gs; want neither run nor priced", host.Offloaded, host.EstRapidSec, host.EstHostSec)
+	}
+	priced, err := db.Query(q, QueryOptions{Mode: CostBased, NoCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if priced.EstRapidSec <= 0 || priced.EstHostSec <= 0 {
+		t.Fatalf("CostBased: est rapid %gs, host %gs; want both priced", priced.EstRapidSec, priced.EstHostSec)
+	}
+}
+
 // TestCostBasedOffloadOverAnEmptyTable: a plan over a loaded, empty table
 // offloads. The cost model's row estimates are floored at one row, so RAPID's
 // per-row terms undercut the host's row-at-a-time ones; priced at 0 rows, both

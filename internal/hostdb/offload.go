@@ -66,7 +66,8 @@ type QueryResult struct {
 	// RapidSimSeconds is the bill's SimSeconds under the name benchmark/
 	// reads; it goes when that reader moves to SimSeconds (ROADMAP 10(a)).
 	RapidSimSeconds float64
-	// Cost estimates behind the offload decision.
+	// Cost estimates behind the offload decision; 0 under ForceHost, which
+	// takes none.
 	EstRapidSec float64
 	EstHostSec  float64
 	Explain     string
@@ -201,10 +202,14 @@ func (e hostEngine) Execute(ctx context.Context, node plan.Node, opts QueryOptio
 	// already be propagated to RAPID. It is checked before the compile takes
 	// the snapshots RAPID will read, so they hold every entry it saw
 	// propagated. The background checkpointer normally keeps this true.
+	// A plan forced to the host is neither compiled nor priced.
 	admissible, scn := db.admissible(node)
-	compiled, cerr := qcomp.Compile(node)
-	if cerr == nil {
-		res.EstRapidSec, res.EstHostSec = compiled.OffloadBenefit()
+	var compiled *qcomp.Compiled
+	var cerr error
+	if opts.Mode != ForceHost {
+		if compiled, cerr = qcomp.Compile(node); cerr == nil {
+			res.EstRapidSec, res.EstHostSec = compiled.OffloadBenefit()
+		}
 	}
 
 	offload := false

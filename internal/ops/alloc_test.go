@@ -110,17 +110,17 @@ func TestDMEMSizeIsUpperBoundOnPoolUse(t *testing.T) {
 		}, func() *qef.Tile { return withRIDs(confTile(confTileRows)) }},
 		{"project", func() qef.Operator {
 			return &ProjectOp{
-				Exprs: []Expr{
-					&BinExpr{Op: plan.Add,
+				Cols: []ProjCol{
+					{Expr: &BinExpr{Op: plan.Add,
 						L: &BinExpr{Op: plan.Mul, L: &ColRef{Idx: 0}, R: &ColRef{Idx: 1}},
-						R: &ConstExpr{Val: 7}},
-					&CaseExpr{
+						R: &ConstExpr{Val: 7}}},
+					{Keep: 2},
+					{Expr: &CaseExpr{
 						Cond: &ConstCmp{Col: 2, Op: plan.GT, Val: 50},
 						Then: &ColRef{Idx: 0},
 						Else: &ConstExpr{Val: 0},
-					},
+					}},
 				},
-				Keep: []int{2},
 				Next: &CountSink{},
 			}
 		}, func() *qef.Tile { return confTile(confTileRows) }},
@@ -184,9 +184,11 @@ func allocChain(sink qef.Operator) func() qef.Operator {
 			Next: &MaterializeOp{
 				RowBytes: 3 * 4,
 				Next: &ProjectOp{
-					Exprs: []Expr{&BinExpr{Op: plan.Mul, L: &ColRef{Idx: 1}, R: &ConstExpr{Val: 3}}},
-					Keep:  []int{0},
-					Next:  sink,
+					Cols: []ProjCol{
+						{Keep: 0},
+						{Expr: &BinExpr{Op: plan.Mul, L: &ColRef{Idx: 1}, R: &ConstExpr{Val: 3}}},
+					},
+					Next: sink,
 				},
 			},
 		}

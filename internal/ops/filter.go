@@ -73,8 +73,6 @@ type MaterializeOp struct {
 
 // DMEMSize: the gathered output buffers (RowBytes per row, held
 // simultaneously for the output tile) plus the RID list driving the gather.
-// The old declaration charged one reused 8-byte buffer, which disagreed
-// with Produce holding every gathered column at once.
 func (m *MaterializeOp) DMEMSize(tileRows int) int {
 	rb := m.RowBytes
 	if rb <= 0 {
@@ -101,24 +99,28 @@ func (m *MaterializeOp) Produce(tc *qef.TaskCtx, t *qef.Tile) error {
 
 func (m *MaterializeOp) Close(tc *qef.TaskCtx) error { return m.Next.Close(tc) }
 
-// ProjectOp evaluates expressions into new output columns. Exprs evaluate
-// densely, so the compiler places a MaterializeOp upstream when the
-// selection is sparse.
+// ProjCol is one output column of a ProjectOp: input column Keep passed
+// through unchanged when Expr is nil, else Expr evaluated.
+type ProjCol struct {
+	Keep int
+	Expr Expr
+}
+
+// ProjectOp emits its Cols in order. A kept column is a header move and
+// costs nothing; an evaluated one is computed densely, so the compiler
+// places a MaterializeOp upstream of a ProjectOp that evaluates any.
 type ProjectOp struct {
-	Exprs []Expr
-	// Keep lists input columns passed through unchanged; each entry is an
-	// input column index. Computed columns follow the kept ones.
-	Keep []int
+	Cols []ProjCol
 	Next qef.Operator
 }
 
-// DMEMSize: the full scratch of every expression tree, not just one 8-byte
-// output per expression — the old declaration undercounted nested
-// arithmetic (and assumed 8-byte outputs for free).
+// DMEMSize: the full scratch of every evaluated expression tree.
 func (p *ProjectOp) DMEMSize(tileRows int) int {
 	total := 0
-	for _, e := range p.Exprs {
-		total += exprScratchBytes(e, tileRows)
+	for _, c := range p.Cols {
+		if c.Expr != nil {
+			total += exprScratchBytes(c.Expr, tileRows)
+		}
 	}
 	return total
 }
@@ -126,12 +128,13 @@ func (p *ProjectOp) DMEMSize(tileRows int) int {
 func (p *ProjectOp) Open(tc *qef.TaskCtx) error { return p.Next.Open(tc) }
 
 func (p *ProjectOp) Produce(tc *qef.TaskCtx, t *qef.Tile) error {
-	out := tc.Pool.Headers(len(p.Keep) + len(p.Exprs))
-	for i, k := range p.Keep {
-		out[i] = t.Cols[k]
-	}
-	for i, e := range p.Exprs {
-		out[len(p.Keep)+i] = coltypes.Of(e.Eval(tc, t))
+	out := tc.Pool.Headers(len(p.Cols))
+	for i, c := range p.Cols {
+		if c.Expr == nil {
+			out[i] = t.Cols[c.Keep]
+		} else {
+			out[i] = coltypes.Of(c.Expr.Eval(tc, t))
+		}
 	}
 	nt := tc.TileScratch(out, t.N)
 	nt.Sel = t.Sel

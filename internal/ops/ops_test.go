@@ -266,8 +266,8 @@ func TestMaterializeAndProject(t *testing.T) {
 				Pred: &ConstCmp{Col: 1, Op: plan.LT, Val: 50},
 				Next: &MaterializeOp{
 					Next: &ProjectOp{
-						Exprs: []Expr{&BinExpr{Op: plan.Mul, L: &ColRef{Idx: 1}, R: &ConstExpr{Val: 3}}},
-						Next:  sink,
+						Cols: []ProjCol{{Expr: &BinExpr{Op: plan.Mul, L: &ColRef{Idx: 1}, R: &ConstExpr{Val: 3}}}},
+						Next: sink,
 					},
 				},
 			}

@@ -86,10 +86,6 @@ func (u *unitSlots) chunks() (out [][]coltypes.Data) {
 type CollectSink struct {
 	// OutCols describes the result columns (names/types for the Relation).
 	OutCols []Col
-	// Select lists the tile column each result column is read from; nil
-	// reads the tile's first len(OutCols) columns. Selecting is free: the
-	// sink writes only the columns it collects.
-	Select []int
 
 	mu    sync.Mutex // guards creating cores in Open
 	cores []collectCore
@@ -141,7 +137,7 @@ func (s *CollectSink) Open(tc *qef.TaskCtx) error {
 
 func (s *CollectSink) Produce(tc *qef.TaskCtx, t *qef.Tile) error {
 	ncols := len(s.OutCols)
-	if s.Select == nil && len(t.Cols) < ncols {
+	if len(t.Cols) < ncols {
 		panic("ops: sink received fewer columns than declared")
 	}
 	n := t.QualifyingRows()
@@ -170,11 +166,7 @@ func (s *CollectSink) Produce(tc *qef.TaskCtx, t *qef.Tile) error {
 	}
 	for c, vec := range core.blk {
 		dst := vec[core.fill : core.fill+n]
-		src := c
-		if s.Select != nil {
-			src = s.Select[c]
-		}
-		col := t.Cols[src]
+		col := t.Cols[c]
 		if rids != nil {
 			widenGather(dst, col, rids)
 			continue

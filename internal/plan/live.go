@@ -12,7 +12,7 @@ import "fmt"
 //   - a Filter asks its input for its own predicate's columns as well, and
 //     where such a column dies below a join, a Project of bare column
 //     references ends the filter's pipeline. QComp compiles that Project into
-//     the collecting sink's column selection, which costs nothing.
+//     a header move in the same pipeline, which costs nothing.
 //
 // Every other operator reads all of its input's columns. Expressions over a
 // narrowed input are rebuilt over its new column positions; the root's
@@ -234,7 +234,7 @@ func keepOne(need []bool, src, leftKeys []int) []bool {
 // narrowInput narrows a join's input to the columns set in need. A filter
 // that outputs more (the columns only its predicate reads) gets a Project of
 // bare column references on top: it ends the filter's pipeline, where it is a
-// column selection of the collecting sink.
+// header move, and the sink collects only the columns it keeps.
 func narrowInput(n Node, need []bool) (Node, []int, error) {
 	child, m, err := narrow(n, need)
 	if err != nil {

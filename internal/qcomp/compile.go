@@ -67,11 +67,11 @@ const (
 )
 
 type pipeStep struct {
-	kind  pipeStepKind
-	pred  ops.Predicate
-	sel   float64 // pred's selectivity estimate
-	exprs []ops.Expr
-	keep  []int
+	kind pipeStepKind
+	pred ops.Predicate
+	sel  float64 // pred's selectivity estimate
+	proj []ops.ProjCol
+	eval bool // some output of proj is evaluated, not kept
 }
 
 type terminalKind int
@@ -91,11 +91,6 @@ type pipelineNode struct {
 	cols  []colInfo
 	steps []pipeStep
 	est   int64
-	// collect lists the tile column each of cols is collected from (nil:
-	// the tile's columns as they are). A Project of bare column references
-	// that ends a collecting pipeline compiles into it: the CollectSink
-	// selects the columns, and no step runs for them.
-	collect []int
 
 	terminal  terminalKind
 	aggSpecs  []ops.AggSpec
@@ -190,20 +185,26 @@ func (p *pipelineNode) zoneSurvivingRows() (int64, bool) {
 
 // stepInCols returns the column count entering each pipeline step: the
 // scanned width, narrowed by each projection as the walk proceeds. It sizes
-// the MaterializeOp the compiler inserts upstream of every projection.
+// the MaterializeOp the compiler inserts upstream of a projection that
+// evaluates.
 func (p *pipelineNode) stepInCols() []int {
-	cur := len(p.scanCols)
-	if p.snap == nil && p.input != nil {
-		cur = len(p.input.fields())
-	}
+	cur := p.srcCols()
 	counts := make([]int, len(p.steps))
 	for i, s := range p.steps {
 		counts[i] = cur
 		if s.kind == stepProject {
-			cur = len(s.keep) + len(s.exprs)
+			cur = len(s.proj)
 		}
 	}
 	return counts
+}
+
+// srcCols is the column count the pipeline's source streams.
+func (p *pipelineNode) srcCols() int {
+	if p.snap == nil && p.input != nil {
+		return len(p.input.fields())
+	}
+	return len(p.scanCols)
 }
 
 // opReqs describes the pipeline to the task former for tile sizing.
@@ -212,11 +213,7 @@ func (p *pipelineNode) opReqs() []OpReq {
 	// The scan double-buffers every SOURCE column in DMEM; a projection may
 	// narrow p.cols well below that, so size the scan from what it streams,
 	// not from the pipeline's output width.
-	scanned := len(p.scanCols)
-	if p.snap == nil && p.input != nil {
-		scanned = len(p.input.fields())
-	}
-	scanRowBytes := 8 * scanned
+	scanRowBytes := 8 * p.srcCols()
 	reqs := []OpReq{{
 		DMEMSize:       func(rows int) int { return 2 * rows * scanRowBytes },
 		OutBytesPerRow: rowBytes,
@@ -233,19 +230,21 @@ func (p *pipelineNode) opReqs() []OpReq {
 				Selectivity:    s.sel,
 			})
 		} else {
-			// The materialization the compiler inserts upstream of the
-			// projection claims DMEM too (it holds every gathered input
-			// column at once).
-			m := &ops.MaterializeOp{RowBytes: 8 * inCols[i]}
-			reqs = append(reqs, OpReq{
-				DMEMSize:       m.DMEMSize,
-				OutBytesPerRow: 8 * inCols[i],
-				Selectivity:    1,
-			})
-			pr := &ops.ProjectOp{Exprs: s.exprs, Keep: s.keep}
+			if s.eval {
+				// The materialization the compiler inserts upstream of the
+				// projection claims DMEM too (it holds every gathered input
+				// column at once).
+				m := &ops.MaterializeOp{RowBytes: 8 * inCols[i]}
+				reqs = append(reqs, OpReq{
+					DMEMSize:       m.DMEMSize,
+					OutBytesPerRow: 8 * inCols[i],
+					Selectivity:    1,
+				})
+			}
+			pr := &ops.ProjectOp{Cols: s.proj}
 			reqs = append(reqs, OpReq{
 				DMEMSize:       pr.DMEMSize,
-				OutBytesPerRow: (len(s.exprs) + len(s.keep)) * 8,
+				OutBytesPerRow: len(s.proj) * 8,
 				Selectivity:    1,
 			})
 		}
@@ -292,7 +291,6 @@ func (p *pipelineNode) execute(ctx *qef.Context) (*ops.Relation, error) {
 			outCols[i] = ops.Col{Name: c.field.Name, Type: c.field.Type, Dict: c.field.Dict}
 		}
 		sink = ops.NewCollectSink(outCols)
-		sink.Select = p.collect
 	default: // scalar aggregates merge as the one group of zero keys
 		merger = ops.NewGroupMerger(len(p.groupCols), p.aggSpecs)
 	}
@@ -329,10 +327,12 @@ func (p *pipelineNode) execute(ctx *qef.Context) (*ops.Relation, error) {
 		for i := len(p.steps) - 1; i >= 0; i-- {
 			s := p.steps[i]
 			if s.kind == stepProject {
-				head = &ops.ProjectOp{Exprs: s.exprs, Keep: s.keep, Next: head}
-				// Projection evaluates densely; compact sparse selections
-				// first (late materialization ends here).
-				head = &ops.MaterializeOp{Next: head, RowBytes: 8 * inCols[i]}
+				head = &ops.ProjectOp{Cols: s.proj, Next: head}
+				if s.eval {
+					// Expressions evaluate densely; compact sparse selections
+					// first (late materialization ends here).
+					head = &ops.MaterializeOp{Next: head, RowBytes: 8 * inCols[i]}
+				}
 			} else {
 				head = &ops.FilterOp{Pred: s.pred, Next: head}
 			}
@@ -490,20 +490,8 @@ func scanColumns(s *plan.Scan) []colInfo {
 
 // asPipeline returns the node as an extensible pipeline: either the node
 // itself (when it is a pipeline without terminal aggregation) or a new
-// pipeline reading the node's materialized output. A column selection the
-// pipeline's sink was to make becomes a projection step, so that the steps
-// appended after it read the selected columns.
+// pipeline reading the node's materialized output.
 func asPipeline(pn physNode) *pipelineNode {
-	p := collecting(pn)
-	if p.collect != nil {
-		p.steps = append(p.steps, pipeStep{kind: stepProject, keep: p.collect})
-		p.collect = nil
-	}
-	return p
-}
-
-// collecting is asPipeline without flushing the sink's column selection.
-func collecting(pn physNode) *pipelineNode {
 	if p, ok := pn.(*pipelineNode); ok && p.terminal == termCollect {
 		return p
 	}
@@ -539,130 +527,41 @@ func compileFilter(f *plan.Filter, lw *lowering) (physNode, error) {
 	return p, nil
 }
 
+// compileProject appends a projection step whose outputs are pr's, in plan
+// order: a bare column reference is kept (a header move, billed nothing),
+// and anything else is evaluated.
 func compileProject(pr *plan.Project, lw *lowering) (physNode, error) {
 	child, err := lw.node(pr.Input)
 	if err != nil {
 		return nil, err
 	}
-	if sel, ok := selection(pr, collecting(child)); ok {
-		return sel, nil
-	}
 	p := asPipeline(child)
-	step := pipeStep{kind: stepProject}
-	newCols := make([]colInfo, 0, len(pr.Exprs))
-	// Pure column references become zero-copy keeps; everything else is a
-	// computed expression. Keeps must precede exprs in the output tile
-	// (ops.ProjectOp emits Keep columns first).
-	type outSlot struct {
-		keep int // >= 0: index into keep outputs
-		expr int // >= 0: index into expr outputs
-	}
-	slots := make([]outSlot, len(pr.Exprs))
+	step := pipeStep{kind: stepProject, proj: make([]ops.ProjCol, len(pr.Exprs))}
+	cols := make([]colInfo, len(pr.Exprs))
 	for i, e := range pr.Exprs {
 		name := ""
 		if i < len(pr.Names) {
 			name = pr.Names[i]
 		}
 		if cr, ok := e.(*plan.ColRef); ok {
-			slots[i] = outSlot{keep: len(step.keep), expr: -1}
-			step.keep = append(step.keep, cr.Idx)
-			f := p.cols[cr.Idx].field
+			step.proj[i].Keep, cols[i] = cr.Idx, p.cols[cr.Idx]
 			if name != "" {
-				f.Name = name
+				cols[i].field.Name = name
 			}
-			newCols = append(newCols, colInfo{field: f, stats: p.cols[cr.Idx].stats})
 			continue
 		}
-		ce, err := compileExpr(e, p.cols)
-		if err != nil {
+		if step.proj[i].Expr, err = compileExpr(e, p.cols); err != nil {
 			return nil, err
 		}
-		slots[i] = outSlot{keep: -1, expr: len(step.exprs)}
-		step.exprs = append(step.exprs, ce)
-		fname := name
-		if fname == "" {
-			fname = e.String()
+		step.eval = true
+		if name == "" {
+			name = e.String()
 		}
-		newCols = append(newCols, colInfo{field: plan.Field{Name: fname, Type: e.Type()}})
-	}
-	// Tile layout after ProjectOp: keeps then exprs; remap newCols to that
-	// physical order and remember the logical order for output naming.
-	phys := make([]colInfo, len(newCols))
-	for i, s := range slots {
-		if s.expr < 0 {
-			phys[s.keep] = newCols[i]
-		} else {
-			phys[len(step.keep)+s.expr] = newCols[i]
-		}
-	}
-	// To keep logical order == physical order (parents index by schema
-	// position), require that pure ColRefs precede computed exprs; when
-	// they do not, fall back to compiling every output as an expression.
-	ordered := true
-	for i := 1; i < len(slots); i++ {
-		if slots[i-1].expr >= 0 && slots[i].expr < 0 {
-			ordered = false
-			break
-		}
-	}
-	if !ordered {
-		step.keep = nil
-		step.exprs = step.exprs[:0]
-		phys = phys[:0]
-		for i, e := range pr.Exprs {
-			ce, err := compileExpr(e, p.cols)
-			if err != nil {
-				return nil, err
-			}
-			step.exprs = append(step.exprs, ce)
-			phys = append(phys, newCols[i])
-		}
+		cols[i] = colInfo{field: plan.Field{Name: name, Type: e.Type()}}
 	}
 	p.steps = append(p.steps, step)
-	p.cols = phys
+	p.cols = cols
 	return p, nil
-}
-
-// selection compiles a Project of bare column references over p into the
-// column selection of p's sink, which costs nothing: no step, no span, no
-// per-row charge, and the sink writes only the columns it selects. ok is
-// false when some output is computed.
-func selection(pr *plan.Project, p *pipelineNode) (*pipelineNode, bool) {
-	sel := make([]int, len(pr.Exprs))
-	cols := make([]colInfo, len(pr.Exprs))
-	for i, e := range pr.Exprs {
-		cr, ok := e.(*plan.ColRef)
-		if !ok {
-			return nil, false
-		}
-		sel[i], cols[i] = cr.Idx, p.cols[cr.Idx]
-		if p.collect != nil {
-			sel[i] = p.collect[cr.Idx]
-		}
-		if i < len(pr.Names) && pr.Names[i] != "" {
-			cols[i].field.Name = pr.Names[i]
-		}
-	}
-	p.collect, p.cols = sel, cols
-	return p, true
-}
-
-// endsPipeline reports whether pr compiles into the column selection of the
-// sink its input's pipeline collects into (selection), which costs nothing:
-// pr reads bare columns of a scan, a filter or a projection. (A step that a
-// parent appends to the same pipeline turns the selection into a projection
-// step, asPipeline; plan.Live puts such Projects only under joins.)
-func endsPipeline(pr *plan.Project) bool {
-	for _, e := range pr.Exprs {
-		if _, ok := e.(*plan.ColRef); !ok {
-			return false
-		}
-	}
-	switch pr.Input.(type) {
-	case *plan.Scan, *plan.Filter, *plan.Project:
-		return true
-	}
-	return false
 }
 
 // lowNDVMaxGroups is the largest group count handled by the in-pipeline

@@ -66,7 +66,7 @@ func (c *Compiled) seconds(n plan.Node) float64 {
 		// ~1.65 cycles/row/core over 32 cores.
 		return max(sec, primitives.FilterCost(int(c.rows[node.Input]))/dpu.FreqHz/dpuCores)
 	case *plan.Project:
-		if endsPipeline(node) {
+		if extendsPipeline(node) {
 			return sec
 		}
 		return sec + perRow(3, node.Input)
@@ -86,6 +86,23 @@ func (c *Compiled) seconds(n plan.Node) float64 {
 		return sec + perRow(30, node.Input)
 	}
 	return sec
+}
+
+// extendsPipeline reports whether pr is a header move priced at nothing: it
+// selects bare columns of a scan, a filter or a projection, and so extends
+// that pipeline (compileProject keeps them). Over anything else the
+// selection is a new pass over a materialized relation.
+func extendsPipeline(pr *plan.Project) bool {
+	for _, e := range pr.Exprs {
+		if _, ok := e.(*plan.ColRef); !ok {
+			return false
+		}
+	}
+	switch pr.Input.(type) {
+	case *plan.Scan, *plan.Filter, *plan.Project:
+		return true
+	}
+	return false
 }
 
 // OffloadBenefit compares RAPID offload against host-only execution for the

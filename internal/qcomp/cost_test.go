@@ -1,6 +1,7 @@
 package qcomp
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -138,10 +139,11 @@ func TestOffloadBenefitOfARejectedPlan(t *testing.T) {
 	}
 }
 
-// TestEstimateOfAColumnSelection: a Project of bare columns that ends a
-// filter's pipeline compiles into the sink's column selection
-// (TestBareProjectIsTheSinksSelection), and the estimate prices it at nothing;
-// a computed Project over the same filter costs its per-row term.
+// TestEstimateOfAColumnSelection: a Project of bare columns over a filter
+// extends the filter's pipeline as a header move
+// (TestBareProjectIsTheSinksSelection), and the estimate prices it at
+// nothing, also under a GroupBy, whose bill it leaves unchanged; a computed
+// Project over the same filter costs its per-row term.
 func TestEstimateOfAColumnSelection(t *testing.T) {
 	scan := plan.NewScan(ordersTable(t, 20000), storage.LatestSCN, nil)
 	f := &plan.Filter{Input: scan, Pred: &plan.Cmp{Op: plan.GT,
@@ -155,4 +157,21 @@ func TestEstimateOfAColumnSelection(t *testing.T) {
 	if got, want := estimate(t, sum).Seconds, estimate(t, f).Seconds; got <= want {
 		t.Fatalf("computed project = %g s, want more than the filter's %g s", got, want)
 	}
+
+	grouped := func(in plan.Node) *plan.GroupBy {
+		return &plan.GroupBy{Input: in, Keys: []plan.Expr{colRefOf(in, "o_custkey")},
+			Aggs: []plan.AggExpr{{Kind: plan.Sum, Arg: colRefOf(in, "o_total"), Name: "s"}, {Kind: plan.CountStar, Name: "n"}}}
+	}
+	overFilter := grouped(f)
+	overSel := grouped(&plan.Project{Input: f, Exprs: []plan.Expr{colRefOf(f, "o_total"), colRefOf(f, "o_custkey")},
+		Names: []string{"o_total", "o_custkey"}})
+	if got, want := estimate(t, overSel).Seconds, estimate(t, overFilter).Seconds; got != want {
+		t.Fatalf("group-by over the selection = %g s, over the filter %g s", got, want)
+	}
+	_, got, _, rows := execProfiled(t, overSel)
+	_, want, _, ref := execProfiled(t, overFilter)
+	if len(rows) == 0 || fmt.Sprint(rows) != fmt.Sprint(ref) {
+		t.Fatalf("group-by over the selection answers %d groups, over the filter %d", len(rows), len(ref))
+	}
+	sameBill(t, "the group-by over the selection", got, want)
 }

@@ -48,7 +48,7 @@ func (p *pipelineNode) annotate(reg *spanReg, parent int) int {
 		if s.kind == stepFilter {
 			p.stepIDs[i] = reg.add(up, "Filter", "", obs.KindPipeline, true)
 		} else {
-			p.stepIDs[i] = reg.add(up, "Project", fmt.Sprintf("(exprs=%d)", len(s.exprs)+len(s.keep)), obs.KindPipeline, true)
+			p.stepIDs[i] = reg.add(up, "Project", fmt.Sprintf("(exprs=%d)", len(s.proj)), obs.KindPipeline, true)
 		}
 		up = p.stepIDs[i]
 	}

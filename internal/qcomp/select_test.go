@@ -5,52 +5,82 @@ import (
 	"testing"
 
 	"rapid/internal/coltypes"
+	"rapid/internal/dpu"
+	"rapid/internal/obs"
 	"rapid/internal/plan"
 	"rapid/internal/qef"
 	"rapid/internal/storage"
 )
 
-// TestBareProjectIsTheSinksSelection: a Project of bare column references
-// that ends a collecting pipeline is the CollectSink's column selection. It
-// compiles to no step and no span, bills the cycles of the pipeline without
-// it, reads the same bytes, and writes only the columns it
-// collects.
-func TestBareProjectIsTheSinksSelection(t *testing.T) {
-	tbl := ordersTable(t, 20000)
-	scan := plan.NewScan(tbl, storage.LatestSCN, []int{0, 1, 2, 3})
+// execProfiled compiles n, runs it once in ModeDPU under a profile of its
+// spans, and returns the plan, its usage, the profile and the result rows.
+func execProfiled(t *testing.T, n plan.Node) (*Compiled, qef.Usage, obs.Summary, [][]int64) {
+	t.Helper()
+	c, err := Compile(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := qef.NewContext(qef.ModeDPU)
+	ctx.Prof = obs.NewProfile("dpu", ctx.SoC.Config().NumCores, dpu.FreqHz, c.SpanDefs())
+	rel, err := c.Execute(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]int64, rel.Rows())
+	for r := range rows {
+		for col := range rel.Cols {
+			rows[r] = append(rows[r], rel.Get(r, col))
+		}
+	}
+	return c, ctx.Usage(), ctx.Prof.Summary(), rows
+}
+
+// sameBill fails unless two usages bill the same cycles and DMS bytes.
+func sameBill(t *testing.T, what string, got, want qef.Usage) {
+	t.Helper()
+	if got.Cycles() != want.Cycles() || got.Read.Bytes != want.Read.Bytes || got.Write.Bytes != want.Write.Bytes {
+		t.Errorf("%s bills %d cycles, %d+%d DMS bytes; want %d cycles, %d+%d", what,
+			got.Cycles(), got.Read.Bytes, got.Write.Bytes, want.Cycles(), want.Read.Bytes, want.Write.Bytes)
+	}
+}
+
+// filteredOrders is a 20,000-row orders scan under a filter that keeps part
+// of every tile, so the pipeline's tiles reach a projection sparse.
+func filteredOrders(t *testing.T) (*plan.Scan, *plan.Filter) {
+	scan := plan.NewScan(ordersTable(t, 20000), storage.LatestSCN, []int{0, 1, 2, 3})
 	date0 := storage.DateValue(1995, 6, 1).Days()
-	filtered := &plan.Filter{
+	return scan, &plan.Filter{
 		Input: scan,
 		Pred:  &plan.Cmp{Op: plan.GE, L: colRefOf(scan, "o_date"), R: &plan.Const{T: coltypes.Date(), Val: date0}},
 	}
+}
+
+// TestBareProjectIsTheSinksSelection: a Project of bare column references
+// that ends a collecting pipeline is a header move. Its Project span bills
+// nothing, the pipeline bills the cycles of the pipeline without it and
+// reads the same bytes, and the sink writes only the columns selected.
+func TestBareProjectIsTheSinksSelection(t *testing.T) {
+	scan, filtered := filteredOrders(t)
 	selected := &plan.Project{
 		Input: filtered,
 		Exprs: []plan.Expr{colRefOf(scan, "o_total"), colRefOf(scan, "o_orderkey")},
 		Names: []string{"total", "o_orderkey"},
 	}
-	exec := func(n plan.Node) (*Compiled, qef.Usage, [][]int64) {
-		c, err := Compile(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx := qef.NewContext(qef.ModeDPU)
-		rel, err := c.Execute(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows := make([][]int64, rel.Rows())
-		for r := range rows {
-			for col := range rel.Cols {
-				rows[r] = append(rows[r], rel.Get(r, col))
-			}
-		}
-		return c, ctx.Usage(), rows
-	}
-	_, all, wide := exec(filtered)
-	c, sel, narrow := exec(selected)
+	_, all, _, wide := execProfiled(t, filtered)
+	_, sel, prof, narrow := execProfiled(t, selected)
 
-	if hasSpan(c, "Project") {
-		t.Errorf("the selection compiled to a Project step: %+v", c.SpanDefs())
+	projects := 0
+	for _, op := range prof.Ops {
+		if op.Name != "Project" {
+			continue
+		}
+		projects++
+		if op.Cycles != 0 || op.ReadBytes != 0 || op.WriteBytes != 0 {
+			t.Errorf("the selection's Project span bills %d cycles, %d+%d DMS bytes; want nothing", op.Cycles, op.ReadBytes, op.WriteBytes)
+		}
+	}
+	if projects != 1 {
+		t.Errorf("%d Project spans, want the selection's one: %+v", projects, prof.Ops)
 	}
 	if len(narrow) == 0 || len(narrow) != len(wide) {
 		t.Fatalf("selected %d rows, the pipeline collects %d", len(narrow), len(wide))
@@ -69,6 +99,32 @@ func TestBareProjectIsTheSinksSelection(t *testing.T) {
 	if want := all.Write.Bytes / 2; sel.Write.Bytes != want {
 		t.Errorf("collecting 2 of 4 columns writes %d DMS bytes, want %d (half of %d)", sel.Write.Bytes, want, all.Write.Bytes)
 	}
+}
+
+// TestProjectOutputsInPlanOrder: a Project emits its outputs in plan order,
+// so a computed output before a bare column answers and bills exactly as
+// the same outputs the other way round. The bare column is kept either way,
+// never copied through an expression.
+func TestProjectOutputsInPlanOrder(t *testing.T) {
+	scan, filtered := filteredOrders(t)
+	total, key := colRefOf(scan, "o_total"), colRefOf(scan, "o_orderkey")
+	sum := &plan.Arith{Op: plan.Add, L: total, R: total, T: total.T}
+	sumFirst := &plan.Project{Input: filtered, Exprs: []plan.Expr{sum, key}, Names: []string{"t2", "o_orderkey"}}
+	keyFirst := &plan.Project{Input: filtered, Exprs: []plan.Expr{key, sum}, Names: []string{"o_orderkey", "t2"}}
+	c, got, _, rows := execProfiled(t, sumFirst)
+	_, want, _, ref := execProfiled(t, keyFirst)
+	if fs := c.root.fields(); fs[0].Name != "t2" || fs[1].Name != "o_orderkey" {
+		t.Fatalf("fields %v, want t2, o_orderkey", fs)
+	}
+	if len(rows) == 0 || len(rows) != len(ref) {
+		t.Fatalf("%d rows, the other order %d", len(rows), len(ref))
+	}
+	for r := range ref {
+		if rows[r][0] != ref[r][1] || rows[r][1] != ref[r][0] {
+			t.Fatalf("row %d: %v, the other order %v", r, rows[r], ref[r])
+		}
+	}
+	sameBill(t, "computed then bare", got, want)
 }
 
 // TestJoinOutputsItsOutColumns: a join outputs the columns its Out lists, in
