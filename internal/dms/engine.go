@@ -86,6 +86,19 @@ func (e *Engine) WriteTiming(ncols, rows, widthBytes int) Timing {
 	return t
 }
 
+// StreamRead bills a contiguous DRAM->DMEM buffer load: one descriptor, a
+// single page open and the byte time. Used for buffers an operator reads
+// whole, such as a join filter's bit-vector or a partition's hash vector.
+func (e *Engine) StreamRead(bytes int) Timing {
+	t := Timing{
+		Seconds:     (e.model.DescriptorIssueNs+e.model.PageSwitchBaseNs)*1e-9 + float64(bytes)/e.model.PeakBytesPerSec,
+		Bytes:       int64(bytes),
+		Descriptors: 1,
+	}
+	e.account(t)
+	return t
+}
+
 // StreamWrite bills a contiguous DMEM->DRAM buffer flush: one chained
 // descriptor, a single page open, the bus turnaround and the byte time.
 // Used by the software partitioning operator's local-buffer flushes, where

@@ -22,11 +22,12 @@ var defaultHelp = map[string]string{
 	"rapid_activity_energy_nanojoules_total": "Activity energy (dpCore + DMS) of offloaded queries, nanojoules.",
 	"rapid_idle_energy_nanojoules_total":     "Uncore/idle-floor energy of offloaded queries, nanojoules.",
 
-	"qef_work_units_total":           "Work units executed on the dpCore pool.",
-	"qef_tile_degradations":          "Tile-size degradations forced by DMEM pressure.",
-	"qef_pool_grows_total":           "Backing-array allocations by tile pools inside work units (steady state: none).",
-	"qcomp_group_overflow_fallbacks": "Group-by overflow fallbacks to the partitioned plan (§5.4).",
-	"ops_exists_overflow_rows_total": "Semi/anti-join build rows beyond the DMEM hash-table capacity (§6.4); their probes are not billed DRAM latency.",
+	"qef_work_units_total":               "Work units executed on the dpCore pool.",
+	"qef_tile_degradations":              "Tile-size degradations forced by DMEM pressure.",
+	"qef_pool_grows_total":               "Backing-array allocations by tile pools inside work units (steady state: none).",
+	"qcomp_group_overflow_fallbacks":     "Group-by overflow fallbacks to the partitioned plan (§5.4).",
+	"ops_exists_overflow_rows_total":     "Semi/anti-join build rows beyond the DMEM hash-table capacity (§6.4); their probes are not billed DRAM latency.",
+	"ops_join_filter_dropped_rows_total": "Probe rows a join's bit-vector filter dropped before they were collected, partitioned and probed; EXPLAIN ANALYZE's JoinFilter rows show them per join.",
 
 	"rapid_query_cycles":            "Per-query dpCore cycle distribution (bucket sums reconcile with rapid_dpcore_cycles_total).",
 	"rapid_query_energy_nanojoules": "Per-query energy distribution, nanojoules (sums reconcile with the activity+idle energy counters).",

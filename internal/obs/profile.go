@@ -13,6 +13,7 @@ package obs
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // SpanKind is a coarse operator category, used by the Chrome-trace export
@@ -226,6 +227,10 @@ type Profile struct {
 	// edges are no longer exact. Cycle and byte conservation still hold.
 	adapted bool
 
+	// ownDefs records that Defs is this profile's copy (SetDetail): the
+	// definitions it was made from belong to the compiled plan.
+	ownDefs bool
+
 	finalized bool
 	totals    Totals
 
@@ -238,6 +243,19 @@ type Profile struct {
 // SetCacheNote records the result-cache interaction for Format's `cache:`
 // line. Safe to call after Finalize (display-only state).
 func (p *Profile) SetCacheNote(status string) { p.cacheNote = status }
+
+// SetDetail replaces operator id's display detail for this execution, for an
+// operator configured at execute time (a join filter states its size, or
+// that it stayed off). The orchestrator calls it between parallel phases.
+func (p *Profile) SetDetail(id int, detail string) {
+	if p == nil || id < 0 || id >= len(p.Defs) {
+		return
+	}
+	if !p.ownDefs {
+		p.Defs, p.ownDefs = slices.Clone(p.Defs), true
+	}
+	p.Defs[id].Detail = detail
+}
 
 // NewProfile allocates a profile with one span per definition. Span slot
 // storage is preallocated here — the per-tile execution path only does

@@ -88,11 +88,27 @@ func TestDMEMSizeIsUpperBoundOnPoolUse(t *testing.T) {
 			&Not{P: &ColCmp{A: 0, B: 2, Op: plan.EQ}},
 		}},
 	}}
+	// A join filter over keys 0, 3, 6, ... of the tile's first column.
+	jb, err := NewJoinBuild(intRel([]string{"k"}, seq(40, func(i int) int64 { return int64(3 * i) })),
+		JoinSpec{Type: plan.InnerJoin, BuildKeys: []int{0}, ProbeKeys: []int{0}, Scheme: PartScheme{Rounds: []int{8}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jf, err := jb.Filter(qef.NewContext(qef.ModeDPU), []int{0}, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		op   func() qef.Operator
 		tile func() *qef.Tile
 	}{
+		{"filter/joinfilter", func() qef.Operator {
+			return &FilterOp{Pred: jf, Next: &CountSink{}}
+		}, func() *qef.Tile { return confTile(confTileRows) }},
+		{"filter/joinfilter/rids", func() qef.Operator {
+			return &FilterOp{Pred: &And{Preds: []Predicate{&ConstCmp{Col: 2, Op: plan.LT, Val: 90}, jf}}, Next: &CountSink{}}
+		}, func() *qef.Tile { return withRIDs(confTile(confTileRows)) }},
 		{"filter/dense", func() qef.Operator {
 			return &FilterOp{Pred: richPred, Next: &CountSink{}}
 		}, func() *qef.Tile { return confTile(confTileRows) }},

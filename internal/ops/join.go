@@ -50,28 +50,70 @@ func (s *JoinSpec) normalize(buildRows int) {
 // by key hash, then per partition pair run the compact DMEM join kernel on
 // one dpCore, all pairs in parallel.
 func HashJoin(ctx *qef.Context, build, probe *Relation, spec JoinSpec) (*Relation, error) {
+	b, err := NewJoinBuild(build, spec)
+	if err != nil {
+		return nil, err
+	}
+	return b.Probe(ctx, probe)
+}
+
+// JoinBuild is a hash join's build side, which may be partitioned before its
+// probe side exists: a join filter (JoinFilter) is filled from the
+// partitions' key hashes, and the probe side is then collected through it.
+type JoinBuild struct {
+	rel   *Relation
+	spec  JoinSpec
+	parts *PartitionedRel // nil until Partition
+}
+
+// NewJoinBuild prepares build for a join by spec.
+func NewJoinBuild(build *Relation, spec JoinSpec) (*JoinBuild, error) {
 	if len(spec.BuildKeys) != len(spec.ProbeKeys) || len(spec.BuildKeys) == 0 || len(spec.BuildKeys) > 2 {
 		return nil, fmt.Errorf("ops: join needs 1 or 2 key pairs, got %d/%d", len(spec.BuildKeys), len(spec.ProbeKeys))
 	}
 	spec.normalize(build.Rows())
-	sink := newJoinSink(build, probe, spec)
+	return &JoinBuild{rel: build, spec: spec}, nil
+}
+
+// Partition hash-partitions the build side by the join's scheme, once.
+func (b *JoinBuild) Partition(ctx *qef.Context) error {
+	if b.parts != nil {
+		return nil
+	}
+	bp, err := PartitionByHash(ctx, b.rel.Chunks, b.spec.BuildKeys, b.spec.Scheme, qef.DefaultTileRows)
+	b.parts = bp
+	return err
+}
+
+// Release returns the build side's partitions, if any, to the slab.
+func (b *JoinBuild) Release() {
+	if b.parts != nil {
+		b.parts.Release()
+		b.parts = nil
+	}
+}
+
+// Probe joins probe against the build side, partitioning the build side
+// first unless Partition has. The partitions are released when it returns.
+func (b *JoinBuild) Probe(ctx *qef.Context, probe *Relation) (*Relation, error) {
+	// Both partitionings are dead once the pairs have been joined (the
+	// deferred Releases run after RunParallel has returned): the sink holds
+	// widened copies, never views of bp or pp.
+	defer b.Release()
+	spec := b.spec
+	sink := newJoinSink(b.rel, probe, spec)
 	matchOnly := spec.Type == plan.InnerJoin || spec.Type == plan.SemiJoin
-	if probe.Rows() == 0 || (build.Rows() == 0 && matchOnly) {
+	if probe.Rows() == 0 || (b.rel.Rows() == 0 && matchOnly) {
 		// No join emits a row without a probe row, and an inner or semi
 		// join none without a build row either: neither side is
 		// partitioned for an output that is empty.
 		sink.out.units(ctx, 0)
 		return sink.relation(), nil
 	}
-
-	// Both partitionings are dead once the pairs have been joined (the
-	// deferred Releases run after RunParallel has returned): the sink holds
-	// widened copies, never views of bp or pp.
-	bp, err := PartitionByHash(ctx, build.Chunks, spec.BuildKeys, spec.Scheme, qef.DefaultTileRows)
-	if err != nil {
+	if err := b.Partition(ctx); err != nil {
 		return nil, err
 	}
-	defer bp.Release()
+	bp := b.parts
 	pp, err := PartitionByHash(ctx, probe.Chunks, spec.ProbeKeys, spec.Scheme, qef.DefaultTileRows)
 	if err != nil {
 		return nil, err

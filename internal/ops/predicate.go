@@ -19,7 +19,8 @@ type Predicate interface {
 
 // predScratchBytes returns an upper bound on the tile-lifetime pool bytes
 // one Eval of p takes for a tile of tileRows rows: one result bit-vector per
-// node, plus expression scratch for computed comparisons. Operator DMEMSize
+// node, plus expression scratch for computed comparisons and the vector a
+// join filter keeps resident in DMEM. Operator DMEMSize
 // declarations are built from this so they stay upper bounds on observed
 // pool usage.
 func predScratchBytes(p Predicate, tileRows int) int {
@@ -27,6 +28,9 @@ func predScratchBytes(p Predicate, tileRows int) int {
 	switch p := p.(type) {
 	case *ConstCmp, *Between, *InSet, *ColCmp, TruePred, *TruePred:
 		return bv
+	case *JoinFilter:
+		// The result, and the vector resident beside the tile.
+		return bv + p.ResidentBytes()
 	case *ExprCmp:
 		return bv + exprScratchBytes(p.E, tileRows)
 	case *And:

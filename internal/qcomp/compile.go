@@ -16,10 +16,12 @@ import (
 type Compiled struct {
 	root     physNode
 	spanDefs []obs.SpanDef
-	// plan and rows are what the cost model reads (cost.go): the logical
-	// plan lowered, and the compiler's row estimate of every node of it.
-	plan plan.Node
-	rows map[plan.Node]int64
+	// plan, rows and filtered are what the cost model reads (cost.go): the
+	// logical plan lowered, the compiler's row estimate of every node of it,
+	// and the joins whose probe side has a join filter step.
+	plan     plan.Node
+	rows     map[plan.Node]int64
+	filtered map[*plan.Join]*joinNode
 }
 
 // Compile lowers a logical plan into a physical QEP.
@@ -31,14 +33,14 @@ func Compile(n plan.Node) (*Compiled, error) { return CompileWithInputs(n, nil) 
 // this to splice exchange outputs (shuffled/broadcast/gathered relations)
 // under residual plan fragments.
 func CompileWithInputs(n plan.Node, inputs map[plan.Node]*ops.Relation) (*Compiled, error) {
-	lw := &lowering{in: inputs, rows: make(map[plan.Node]int64)}
+	lw := &lowering{in: inputs, rows: make(map[plan.Node]int64), filtered: make(map[*plan.Join]*joinNode)}
 	pn, err := lw.node(n)
 	if err != nil {
 		return nil, err
 	}
 	reg := &spanReg{}
 	pn.annotate(reg, -1)
-	return &Compiled{root: pn, spanDefs: reg.defs, plan: n, rows: lw.rows}, nil
+	return &Compiled{root: pn, spanDefs: reg.defs, plan: n, rows: lw.rows, filtered: lw.filtered}, nil
 }
 
 // Execute runs the QEP.
@@ -64,6 +66,11 @@ type pipeStepKind int
 const (
 	stepFilter pipeStepKind = iota
 	stepProject
+	// stepJoinFilter tests the rows a join's probe side collects against the
+	// join's bit-vector filter. The join arms it at execute time, once its
+	// build side has run (joinNode.armFilter); unarmed, it passes every row
+	// and bills nothing.
+	stepJoinFilter
 )
 
 type pipeStep struct {
@@ -71,7 +78,8 @@ type pipeStep struct {
 	pred ops.Predicate
 	sel  float64 // pred's selectivity estimate
 	proj []ops.ProjCol
-	eval bool // some output of proj is evaluated, not kept
+	eval bool  // some output of proj is evaluated, not kept
+	keys []int // the probe key columns a stepJoinFilter tests
 }
 
 type terminalKind int
@@ -199,6 +207,18 @@ func (p *pipelineNode) stepInCols() []int {
 	return counts
 }
 
+// srcRows is the row count the pipeline's source streams: a scan's rows in
+// the chunks its filters' zone maps cannot reject, or its input's estimate.
+func (p *pipelineNode) srcRows() int64 {
+	if p.snap == nil {
+		return p.input.estRows()
+	}
+	if zr, ok := p.zoneSurvivingRows(); ok {
+		return zr
+	}
+	return int64(p.snap.TotalRows())
+}
+
 // srcCols is the column count the pipeline's source streams.
 func (p *pipelineNode) srcCols() int {
 	if p.snap == nil && p.input != nil {
@@ -207,8 +227,9 @@ func (p *pipelineNode) srcCols() int {
 	return len(p.scanCols)
 }
 
-// opReqs describes the pipeline to the task former for tile sizing.
-func (p *pipelineNode) opReqs() []OpReq {
+// opReqs describes the pipeline to the task former for tile sizing, with an
+// armed join filter of filterBytes resident bytes (0: not armed).
+func (p *pipelineNode) opReqs(filterBytes int) []OpReq {
 	rowBytes := 8 * len(p.cols)
 	// The scan double-buffers every SOURCE column in DMEM; a projection may
 	// narrow p.cols well below that, so size the scan from what it streams,
@@ -222,14 +243,22 @@ func (p *pipelineNode) opReqs() []OpReq {
 	inCols := p.stepInCols()
 	for i, s := range p.steps {
 		s := s
-		if s.kind == stepFilter {
+		switch {
+		case s.kind == stepFilter:
 			f := &ops.FilterOp{Pred: s.pred}
 			reqs = append(reqs, OpReq{
 				DMEMSize:       f.DMEMSize,
 				OutBytesPerRow: rowBytes,
 				Selectivity:    s.sel,
 			})
-		} else {
+		case s.kind == stepJoinFilter && filterBytes > 0:
+			f := &ops.FilterOp{Pred: &ops.JoinFilter{}}
+			reqs = append(reqs, OpReq{
+				DMEMSize:       func(rows int) int { return f.DMEMSize(rows) + filterBytes },
+				OutBytesPerRow: rowBytes,
+				Selectivity:    1,
+			})
+		case s.kind == stepProject:
 			if s.eval {
 				// The materialization the compiler inserts upstream of the
 				// projection claims DMEM too (it holds every gathered input
@@ -269,8 +298,16 @@ func (p *pipelineNode) opReqs() []OpReq {
 	return reqs
 }
 
-func (p *pipelineNode) execute(ctx *qef.Context) (*ops.Relation, error) {
-	tileRows := ChooseTileRows(p.opReqs())
+func (p *pipelineNode) execute(ctx *qef.Context) (*ops.Relation, error) { return p.run(ctx, nil) }
+
+// run executes the pipeline with jf, when not nil, as the filter its
+// stepJoinFilter tests.
+func (p *pipelineNode) run(ctx *qef.Context, jf *ops.JoinFilter) (*ops.Relation, error) {
+	filterBytes := 0
+	if jf != nil {
+		filterBytes = jf.ResidentBytes()
+	}
+	tileRows := ChooseTileRows(p.opReqs(filterBytes))
 
 	var inputRel *ops.Relation
 	if p.input != nil {
@@ -326,15 +363,22 @@ func (p *pipelineNode) execute(ctx *qef.Context) (*ops.Relation, error) {
 		head := qef.WithSpan(term, termSpan, termUp)
 		for i := len(p.steps) - 1; i >= 0; i-- {
 			s := p.steps[i]
-			if s.kind == stepProject {
+			switch s.kind {
+			case stepProject:
 				head = &ops.ProjectOp{Cols: s.proj, Next: head}
 				if s.eval {
 					// Expressions evaluate densely; compact sparse selections
 					// first (late materialization ends here).
 					head = &ops.MaterializeOp{Next: head, RowBytes: 8 * inCols[i]}
 				}
-			} else {
+			case stepFilter:
 				head = &ops.FilterOp{Pred: s.pred, Next: head}
+			case stepJoinFilter:
+				// Unarmed, the step is its span alone: rows cross it and
+				// nothing runs inside it.
+				if jf != nil {
+					head = &ops.FilterOp{Pred: jf, Next: head}
+				}
 			}
 			head = qef.WithSpan(head, prof.Span(p.stepIDs[i]), upSpan(i))
 		}
@@ -396,10 +440,12 @@ func (p *pipelineNode) executeGroupPartFallback(ctx *qef.Context) (*ops.Relation
 // Compilation.
 
 // lowering is one compile of a plan: the materialized relations spliced in
-// for some of its nodes, and the row estimate of every node lowered so far.
+// for some of its nodes, the row estimate of every node lowered so far, and
+// the joins given a join filter step.
 type lowering struct {
-	in   map[plan.Node]*ops.Relation
-	rows map[plan.Node]int64
+	in       map[plan.Node]*ops.Relation
+	rows     map[plan.Node]int64
+	filtered map[*plan.Join]*joinNode
 }
 
 // node lowers n and records its row estimate as it leaves the lowering: a

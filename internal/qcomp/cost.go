@@ -72,6 +72,20 @@ func (c *Compiled) seconds(n plan.Node) float64 {
 		return sec + perRow(3, node.Input)
 	case *plan.Join:
 		l, r := c.rows[node.Left], c.rows[node.Right]
+		// A join filter the arming rule would arm at these rows fills from
+		// the build rows, tests every probe row and passes its estimated
+		// fraction on to the partitioning and the probe.
+		if jn := c.filtered[node]; jn != nil {
+			nb, np := r, &l
+			if jn.swapped {
+				nb, np = l, &r
+			}
+			if _, pass, arm := jn.filterBits(nb); arm {
+				sec += (primitives.JoinFilterFillCost(int(nb)) +
+					primitives.JoinFilterTestCost(len(jn.lk))*float64(*np)) / dpu.FreqHz / dpuCores
+				*np = int64(pass * float64(*np))
+			}
+		}
 		build, probe := min(l, r), max(l, r)
 		scheme := OptimizeScheme(RequiredPartitions(build*16, dpu.DefaultConfig()), build*16)
 		partSec := SchemeCost(scheme, (l+r)*16)

@@ -45,9 +45,14 @@ func (p *pipelineNode) annotate(reg *spanReg, parent int) int {
 	p.stepIDs = make([]int, len(p.steps))
 	for i := len(p.steps) - 1; i >= 0; i-- {
 		s := p.steps[i]
-		if s.kind == stepFilter {
+		switch s.kind {
+		case stepFilter:
 			p.stepIDs[i] = reg.add(up, "Filter", "", obs.KindPipeline, true)
-		} else {
+		case stepJoinFilter:
+			// The join states at execute time whether it armed the filter
+			// (joinNode.armFilter).
+			p.stepIDs[i] = reg.add(up, "JoinFilter", fmt.Sprintf("(keys=%d)", len(s.keys)), obs.KindPipeline, true)
+		default:
 			p.stepIDs[i] = reg.add(up, "Project", fmt.Sprintf("(exprs=%d)", len(s.proj)), obs.KindPipeline, true)
 		}
 		up = p.stepIDs[i]
