@@ -24,16 +24,17 @@ func tileLoopRelation(rows int) *ops.Relation {
 }
 
 func tileLoopChain(sink qef.Operator) func() qef.Operator {
+	var b ops.ProgramBuilder
+	tripled := b.ArithConst(plan.Mul, b.Col(1), 3)
+	prog := b.Program()
 	return func() qef.Operator {
 		return &ops.FilterOp{
 			Pred: &ops.ConstCmp{Col: 0, Op: plan.LT, Val: 500},
 			Next: &ops.MaterializeOp{
 				RowBytes: 3 * 4, // three W4 input columns
 				Next: &ops.ProjectOp{
-					Cols: []ops.ProjCol{
-						{Keep: 0},
-						{Expr: &ops.BinExpr{Op: plan.Mul, L: &ops.ColRef{Idx: 1}, R: &ops.ConstExpr{Val: 3}}},
-					},
+					Cols: []ops.ProjCol{{Keep: 0}, {Keep: -1, Node: tripled}},
+					Prog: prog,
 					Next: sink,
 				},
 			},

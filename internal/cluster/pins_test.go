@@ -20,7 +20,11 @@ import (
 // live columns (plan.Live): lineitem's pipeline collects l_orderkey and
 // l_shipmode instead of its five filtered columns and the join outputs two
 // columns instead of seven, 130811 → 130281 cycles; the makespan, bound by
-// the scan's DMS reads, is unchanged.
+// the scan's DMS reads, is unchanged. It was re-captured when each operator
+// began evaluating one shared expression program: its two
+// SUM(CASE ... THEN 1 ELSE 0 END) states fill the constants 1 and 0 once per
+// tile instead of twice, 130281 → 130069 cycles, and the busiest node, now
+// bound by its cores, finishes 70 ns sooner.
 //
 // Q5 was re-captured when exchanges became decided by bytes (it was pinned at
 // be404d6 as 833840 cycles, 1426501 nJ, 27696 bytes on the link): its last
@@ -31,7 +35,10 @@ import (
 // a quarter of it. It was re-captured again when plans became narrowed to
 // their live columns (plan.Live): each join outputs only what is read above
 // it (22 columns over the five joins instead of 58), and the link carries
-// 9984 bytes; 866192 → 775958 cycles.
+// 9984 bytes; 866192 → 775958 cycles. It was re-captured once more when each
+// operator began evaluating one shared expression program with constants
+// folded: 1 - l_discount no longer scales its constant 1 to 100 with a
+// multiply on every row, 775958 → 775866 cycles; bytes are unchanged.
 func TestTrayBillPins(t *testing.T) {
 	tray := newTray(t, tpchHost(t), cluster.Config{Nodes: 4})
 	for _, pin := range []struct {
@@ -42,23 +49,23 @@ func TestTrayBillPins(t *testing.T) {
 		perNode                                     []cluster.NodeStats
 	}{
 		{
-			query: "Q12", cycles: 130281, activityFJ: 12998869750, netBytes: 192, energyNJ: 474094, dmemHighWater: 12288,
-			simSeconds: 3.842474302325582e-05, nodeSimSeconds: 2.21971011627907e-05, coordSimSeconds: 7.404186046511628e-08,
+			query: "Q12", cycles: 130069, activityFJ: 12985354750, netBytes: 192, energyNJ: 473241, dmemHighWater: 12288,
+			simSeconds: 3.835474302325582e-05, nodeSimSeconds: 2.21271011627907e-05, coordSimSeconds: 7.404186046511628e-08,
 			perNode: []cluster.NodeStats{
-				{Cycles: 34253, DMSReadBytes: 35622, DMSWriteBytes: 12224, SimSeconds: 2.1120851162790702e-05},
-				{Cycles: 27854, DMSReadBytes: 34944, DMSWriteBytes: 12144, SimSeconds: 2.07458511627907e-05},
-				{Cycles: 34888, DMSReadBytes: 36585, DMSWriteBytes: 12224, SimSeconds: 2.21971011627907e-05},
-				{Cycles: 33274, DMSReadBytes: 35391, DMSWriteBytes: 12256, SimSeconds: 2.12058511627907e-05},
+				{Cycles: 34197, DMSReadBytes: 35622, DMSWriteBytes: 12224, SimSeconds: 2.10508511627907e-05},
+				{Cycles: 27818, DMSReadBytes: 34944, DMSWriteBytes: 12144, SimSeconds: 2.07008511627907e-05},
+				{Cycles: 34832, DMSReadBytes: 36585, DMSWriteBytes: 12224, SimSeconds: 2.21271011627907e-05},
+				{Cycles: 33210, DMSReadBytes: 35391, DMSWriteBytes: 12256, SimSeconds: 2.11258511627907e-05},
 			},
 		},
 		{
-			query: "Q5", cycles: 775958, activityFJ: 66403962500, netBytes: 9984, energyNJ: 1236304, dmemHighWater: 16384,
-			simSeconds: 9.749176821705427e-05, nodeSimSeconds: 2.5405276356589148e-05, coordSimSeconds: 9.929186046511628e-08,
+			query: "Q5", cycles: 775866, activityFJ: 66398097500, netBytes: 9984, energyNJ: 1235819, dmemHighWater: 16384,
+			simSeconds: 9.745176821705426e-05, nodeSimSeconds: 2.5365276356589145e-05, coordSimSeconds: 9.929186046511628e-08,
 			perNode: []cluster.NodeStats{
-				{Cycles: 189695, DMSReadBytes: 67530, DMSWriteBytes: 100048, SimSeconds: 2.5405276356589148e-05},
-				{Cycles: 187173, DMSReadBytes: 65170, DMSWriteBytes: 97936, SimSeconds: 2.399802829457364e-05},
-				{Cycles: 202993, DMSReadBytes: 71178, DMSWriteBytes: 103488, SimSeconds: 2.4934209302325582e-05},
-				{Cycles: 196052, DMSReadBytes: 67706, DMSWriteBytes: 99152, SimSeconds: 2.1435402325581396e-05},
+				{Cycles: 189663, DMSReadBytes: 67530, DMSWriteBytes: 100048, SimSeconds: 2.5365276356589145e-05},
+				{Cycles: 187149, DMSReadBytes: 65170, DMSWriteBytes: 97936, SimSeconds: 2.3968028294573642e-05},
+				{Cycles: 202965, DMSReadBytes: 71178, DMSWriteBytes: 103488, SimSeconds: 2.4899209302325583e-05},
+				{Cycles: 196044, DMSReadBytes: 67706, DMSWriteBytes: 99152, SimSeconds: 2.1425402325581395e-05},
 			},
 		},
 	} {

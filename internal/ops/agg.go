@@ -68,34 +68,41 @@ func (k AggKind) accumulate(core *dpu.Core, acc []int64, gids []uint32, vals []i
 	}
 }
 
-// AggSpec is one aggregate output: a function over an input expression
-// (nil for COUNT(*)).
+// AggSpec is one aggregate output: a function over node Arg of its
+// operator's program (unused by COUNT(*)).
 type AggSpec struct {
 	Kind AggKind
-	Expr Expr
+	Arg  int
 	Name string
 }
 
 // ScalarAggOp computes ungrouped aggregates: each core accumulates locally
 // and, at Close, folds its states into the shared zero-key merger (the
 // merge-operator pattern). A core that aggregated no row folds nothing, so
-// its MIN and MAX identities never reach the merged group.
+// its MIN and MAX identities never reach the merged group. Prog holds the
+// specs' arguments.
 type ScalarAggOp struct {
 	Specs  []AggSpec
+	Prog   *Program
 	Merger *GroupMerger
 
 	local []primitives.AggState
 }
 
-// DMEMSize: per-spec accumulator state, each computed expression's scratch,
-// and the RID-gather staging vector.
+// DMEMSize: per-spec accumulator state, the program's scratch, and each
+// argument-reading spec's RID-gather staging vector.
 func (a *ScalarAggOp) DMEMSize(tileRows int) int {
-	total := len(a.Specs) * 32
-	for _, spec := range a.Specs {
-		if spec.Kind == AggCountStar || spec.Expr == nil {
-			continue
+	return len(a.Specs)*32 + a.Prog.ScratchBytes(tileRows) + gatherBytes(a.Specs, tileRows)
+}
+
+// gatherBytes is the staging vector each spec that reads an argument gathers
+// the selected rows of a tile of tileRows rows into.
+func gatherBytes(specs []AggSpec, tileRows int) int {
+	total := 0
+	for _, spec := range specs {
+		if spec.Kind != AggCountStar {
+			total += 8 * tileRows
 		}
-		total += exprScratchBytes(spec.Expr, tileRows) + 8*tileRows
 	}
 	return total
 }
@@ -110,12 +117,13 @@ func (a *ScalarAggOp) Open(tc *qef.TaskCtx) error {
 
 func (a *ScalarAggOp) Produce(tc *qef.TaskCtx, t *qef.Tile) error {
 	primitives.ChargeTileOverhead(tc.Core)
+	s := a.Prog.Slots(tc)
 	for i, spec := range a.Specs {
 		if spec.Kind == AggCountStar {
 			a.local[i].Count += int64(t.QualifyingRows())
 			continue
 		}
-		vals := spec.Expr.Eval(tc, t)
+		vals := s.Get(tc, t, spec.Arg)
 		if t.RIDs != nil {
 			// RID selection: gather the qualifying subset, then fold it.
 			sub := tc.Pool.I64(len(t.RIDs))

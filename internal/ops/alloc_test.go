@@ -76,11 +76,12 @@ func observedPoolBytes(t *testing.T, mode qef.Mode, op qef.Operator, tile *qef.T
 }
 
 func TestDMEMSizeIsUpperBoundOnPoolUse(t *testing.T) {
+	var fb ProgramBuilder
 	richPred := &And{Preds: []Predicate{
 		&ExprCmp{
-			E:   &BinExpr{Op: plan.Mul, L: &ColRef{Idx: 1}, R: &ConstExpr{Val: 3}},
-			Op:  plan.GT,
-			Val: 10,
+			Node: fb.ArithConst(plan.Mul, fb.Col(1), 3),
+			Op:   plan.GT,
+			Val:  10,
 		},
 		&ConstCmp{Col: 0, Op: plan.LT, Val: 90},
 		&Or{Preds: []Predicate{
@@ -88,6 +89,14 @@ func TestDMEMSizeIsUpperBoundOnPoolUse(t *testing.T) {
 			&Not{P: &ColCmp{A: 0, B: 2, Op: plan.EQ}},
 		}},
 	}}
+	richProg := fb.Program()
+	// Shared subexpressions: a*(1-b) feeds a sum, a product and a CASE arm,
+	// and the CASE's condition compares a node of the same program.
+	var sb ProgramBuilder
+	disc := sb.Arith(plan.Mul, sb.Col(0), sb.Arith(plan.Sub, sb.Const(100), sb.Col(1)))
+	charge := sb.Arith(plan.Mul, disc, sb.ArithConst(plan.Add, sb.Col(2), 100))
+	caseN := sb.Case(&ExprCmp{Node: disc, Op: plan.GT, Val: 500}, disc, sb.Col(1))
+	sharedProg := sb.Program()
 	// A join filter over keys 0, 3, 6, ... of the tile's first column.
 	jb, err := NewJoinBuild(intRel([]string{"k"}, seq(40, func(i int) int64 { return int64(3 * i) })),
 		JoinSpec{Type: plan.InnerJoin, BuildKeys: []int{0}, ProbeKeys: []int{0}, Scheme: PartScheme{Rounds: []int{8}}})
@@ -110,10 +119,10 @@ func TestDMEMSizeIsUpperBoundOnPoolUse(t *testing.T) {
 			return &FilterOp{Pred: &And{Preds: []Predicate{&ConstCmp{Col: 2, Op: plan.LT, Val: 90}, jf}}, Next: &CountSink{}}
 		}, func() *qef.Tile { return withRIDs(confTile(confTileRows)) }},
 		{"filter/dense", func() qef.Operator {
-			return &FilterOp{Pred: richPred, Next: &CountSink{}}
+			return &FilterOp{Pred: richPred, Prog: richProg, Next: &CountSink{}}
 		}, func() *qef.Tile { return confTile(confTileRows) }},
 		{"filter/rids", func() qef.Operator {
-			return &FilterOp{Pred: richPred, Next: &CountSink{}}
+			return &FilterOp{Pred: richPred, Prog: richProg, Next: &CountSink{}}
 		}, func() *qef.Tile { return withRIDs(confTile(confTileRows)) }},
 		{"filter/truepred", func() qef.Operator {
 			return &FilterOp{Pred: TruePred{}, Next: &CountSink{}}
@@ -125,46 +134,68 @@ func TestDMEMSizeIsUpperBoundOnPoolUse(t *testing.T) {
 			return &MaterializeOp{RowBytes: 4 + 8 + 4, Next: &CountSink{}}
 		}, func() *qef.Tile { return withRIDs(confTile(confTileRows)) }},
 		{"project", func() qef.Operator {
+			var b ProgramBuilder
+			sum := b.ArithConst(plan.Add, b.Arith(plan.Mul, b.Col(0), b.Col(1)), 7)
+			caseN := b.Case(&ConstCmp{Col: 2, Op: plan.GT, Val: 50}, b.Col(0), b.Const(0))
 			return &ProjectOp{
-				Cols: []ProjCol{
-					{Expr: &BinExpr{Op: plan.Add,
-						L: &BinExpr{Op: plan.Mul, L: &ColRef{Idx: 0}, R: &ColRef{Idx: 1}},
-						R: &ConstExpr{Val: 7}}},
-					{Keep: 2},
-					{Expr: &CaseExpr{
-						Cond: &ConstCmp{Col: 2, Op: plan.GT, Val: 50},
-						Then: &ColRef{Idx: 0},
-						Else: &ConstExpr{Val: 0},
-					}},
-				},
+				Cols: []ProjCol{{Keep: -1, Node: sum}, {Keep: 2}, {Keep: -1, Node: caseN}},
+				Prog: b.Program(),
+				Next: &CountSink{},
+			}
+		}, func() *qef.Tile { return confTile(confTileRows) }},
+		{"project/sharedexprs", func() qef.Operator {
+			return &ProjectOp{
+				Cols: []ProjCol{{Keep: -1, Node: disc}, {Keep: -1, Node: charge}, {Keep: 1}, {Keep: -1, Node: caseN}, {Keep: -1, Node: disc}},
+				Prog: sharedProg,
 				Next: &CountSink{},
 			}
 		}, func() *qef.Tile { return confTile(confTileRows) }},
 		{"scalaragg/rids", func() qef.Operator {
+			var b ProgramBuilder
 			return &ScalarAggOp{
 				Specs: []AggSpec{
-					{Kind: AggSum, Expr: &BinExpr{Op: plan.Mul, L: &ColRef{Idx: 0}, R: &ColRef{Idx: 1}}},
-					{Kind: AggMax, Expr: &ColRef{Idx: 2}},
+					{Kind: AggSum, Arg: b.Arith(plan.Mul, b.Col(0), b.Col(1))},
+					{Kind: AggMax, Arg: b.Col(2)},
 					{Kind: AggCountStar},
 				},
+				Prog:   b.Program(),
 				Merger: NewGroupMerger(0, nil),
 			}
 		}, func() *qef.Tile { return withRIDs(confTile(confTileRows)) }},
 		{"groupby/dense", func() qef.Operator {
+			var b ProgramBuilder
 			return &GroupByOp{
 				GroupCols: []int{0, 2},
 				Specs: []AggSpec{
-					{Kind: AggSum, Expr: &ColRef{Idx: 1}},
+					{Kind: AggSum, Arg: b.Col(1)},
 					{Kind: AggCountStar},
 				},
+				Prog:      b.Program(),
 				MaxGroups: 512,
 				Merger:    NewGroupMerger(2, nil),
 			}
 		}, func() *qef.Tile { return confTile(confTileRows) }},
 		{"groupby/sel", func() qef.Operator {
+			var b ProgramBuilder
 			return &GroupByOp{
 				GroupCols: []int{0},
-				Specs:     []AggSpec{{Kind: AggMin, Expr: &BinExpr{Op: plan.Sub, L: &ColRef{Idx: 1}, R: &ConstExpr{Val: 1}}}},
+				Specs:     []AggSpec{{Kind: AggMin, Arg: b.ArithConst(plan.Sub, b.Col(1), 1)}},
+				Prog:      b.Program(),
+				MaxGroups: 512,
+				Merger:    NewGroupMerger(1, nil),
+			}
+		}, func() *qef.Tile { return withSel(confTile(confTileRows)) }},
+		{"groupby/sharedexprs", func() qef.Operator {
+			return &GroupByOp{
+				GroupCols: []int{0},
+				Specs: []AggSpec{
+					{Kind: AggSum, Arg: disc},
+					{Kind: AggSum, Arg: charge},
+					{Kind: AggSum, Arg: caseN},
+					{Kind: AggMax, Arg: disc},
+					{Kind: AggCountStar},
+				},
+				Prog:      sharedProg,
 				MaxGroups: 512,
 				Merger:    NewGroupMerger(1, nil),
 			}
@@ -194,16 +225,17 @@ func TestDMEMSizeIsUpperBoundOnPoolUse(t *testing.T) {
 // allocChain is the canonical filter→materialize→project tile loop the
 // ISSUE's regression guard targets.
 func allocChain(sink qef.Operator) func() qef.Operator {
+	var b ProgramBuilder
+	tripled := b.ArithConst(plan.Mul, b.Col(1), 3)
+	prog := b.Program()
 	return func() qef.Operator {
 		return &FilterOp{
 			Pred: &ConstCmp{Col: 0, Op: plan.LT, Val: 500},
 			Next: &MaterializeOp{
 				RowBytes: 3 * 4,
 				Next: &ProjectOp{
-					Cols: []ProjCol{
-						{Keep: 0},
-						{Expr: &BinExpr{Op: plan.Mul, L: &ColRef{Idx: 1}, R: &ConstExpr{Val: 3}}},
-					},
+					Cols: []ProjCol{{Keep: 0}, {Keep: -1, Node: tripled}},
+					Prog: prog,
 					Next: sink,
 				},
 			},

@@ -72,8 +72,8 @@ func TestOperatorsOnDirtyPool(t *testing.T) {
 		seq(n, func(i int) int64 { return int64(i % 7) }),
 		seq(n, func(i int) int64 { return int64(i) - 5000 }))
 	specs := []AggSpec{
-		{Kind: AggSum, Expr: &ColRef{Idx: 2}, Name: "s"},
-		{Kind: AggMin, Expr: &ColRef{Idx: 2}, Name: "mn"},
+		{Kind: AggSum, Arg: 2, Name: "s"},
+		{Kind: AggMin, Arg: 2, Name: "mn"},
 		{Kind: AggCountStar, Name: "c"},
 	}
 	build := intRel([]string{"bk", "bv"},
@@ -95,10 +95,10 @@ func TestOperatorsOnDirtyPool(t *testing.T) {
 		run  func(ctx *qef.Context) (*Relation, error)
 	}{
 		{"GroupByPartitioned", func(ctx *qef.Context) (*Relation, error) {
-			return GroupByPartitioned(ctx, groups, []int{0, 1}, specs, PartScheme{Rounds: []int{16}}, 512)
+			return GroupByPartitioned(ctx, groups, []int{0, 1}, specs, colProg(3), PartScheme{Rounds: []int{16}}, 512)
 		}},
 		{"GroupByPartitioned/resplit", func(ctx *qef.Context) (*Relation, error) {
-			return GroupByPartitioned(ctx, groups, []int{0}, specs, PartScheme{Rounds: []int{4}}, 64)
+			return GroupByPartitioned(ctx, groups, []int{0}, specs, colProg(3), PartScheme{Rounds: []int{4}}, 64)
 		}},
 		{"HashJoin/inner", join(plan.InnerJoin)},
 		{"HashJoin/leftouter", join(plan.LeftOuterJoin)},

@@ -103,7 +103,7 @@ func TestRelationOpsOnEmptyInput(t *testing.T) {
 			t.Fatalf("window empty: cols=%d, want input+1", win.NumCols())
 		}
 		grp, err := GroupByPartitioned(ctx, emptyRel("g", "v"), []int{0},
-			[]AggSpec{{Kind: AggSum, Expr: &ColRef{Idx: 1}, Name: "s"}},
+			[]AggSpec{{Kind: AggSum, Arg: 1, Name: "s"}}, colProg(2),
 			PartScheme{Rounds: []int{4}}, 64)
 		if err != nil || grp.Rows() != 0 {
 			t.Fatalf("group empty: rows=%d err=%v", grp.Rows(), err)
@@ -256,9 +256,9 @@ func TestGroupByConstantKey(t *testing.T) {
 			seq(n, func(i int) int64 { return int64(i) }))
 		out, err := GroupByPartitioned(ctx, rel, []int{0},
 			[]AggSpec{
-				{Kind: AggSum, Expr: &ColRef{Idx: 1}, Name: "s"},
+				{Kind: AggSum, Arg: 1, Name: "s"},
 				{Kind: AggCountStar, Name: "c"},
-			},
+			}, colProg(2),
 			PartScheme{Rounds: []int{16}}, 64)
 		if err != nil {
 			t.Fatal(err)

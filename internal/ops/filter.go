@@ -13,18 +13,20 @@ import (
 // result representation switches between a RID list and a bit-vector by the
 // 1/32 density rule, and materialization of payload columns is deferred to
 // the downstream operator (late materialization) — the operator only updates
-// the tile's selection state.
+// the tile's selection state. Prog holds the operands of the predicate's
+// ExprCmps (nil when it has none).
 type FilterOp struct {
 	Pred Predicate
+	Prog *Program
 	Next qef.Operator
 }
 
-// DMEMSize: the predicate tree's scratch (one bit-vector per node plus
-// expression accumulators), the RID-list conversions on entry and exit, and
+// DMEMSize: the predicate tree's scratch (one bit-vector per node), its
+// program's accumulators, the RID-list conversions on entry and exit, and
 // control state. Kept an upper bound on observed pool usage — the
 // conformance tests compare this against the pool high-water mark.
 func (f *FilterOp) DMEMSize(tileRows int) int {
-	return predScratchBytes(f.Pred, tileRows) + bits.VectorSizeBytes(tileRows) + 4*tileRows + 64
+	return predScratchBytes(f.Pred, tileRows) + f.Prog.ScratchBytes(tileRows) + bits.VectorSizeBytes(tileRows) + 4*tileRows + 64
 }
 
 func (f *FilterOp) Open(tc *qef.TaskCtx) error { return f.Next.Open(tc) }
@@ -39,7 +41,7 @@ func (f *FilterOp) Produce(tc *qef.TaskCtx, t *qef.Tile) error {
 		cur.FromRIDs(t.RIDs)
 		t.RIDs = nil
 	}
-	cur, hits := f.Pred.Eval(tc, t, cur)
+	cur, hits := f.Pred.Eval(tc, t, f.Prog.Slots(tc), cur)
 	if cur != nil {
 		// Representation choice (§5.4): RID list below 1/32 density.
 		if bits.ChooseRIDs(hits, t.N) {
@@ -100,40 +102,35 @@ func (m *MaterializeOp) Produce(tc *qef.TaskCtx, t *qef.Tile) error {
 func (m *MaterializeOp) Close(tc *qef.TaskCtx) error { return m.Next.Close(tc) }
 
 // ProjCol is one output column of a ProjectOp: input column Keep passed
-// through unchanged when Expr is nil, else Expr evaluated.
+// through unchanged, or, when Keep is negative, program node Node.
 type ProjCol struct {
 	Keep int
-	Expr Expr
+	Node int
 }
 
 // ProjectOp emits its Cols in order. A kept column is a header move and
 // costs nothing; an evaluated one is computed densely, so the compiler
-// places a MaterializeOp upstream of a ProjectOp that evaluates any.
+// places a MaterializeOp upstream of a ProjectOp that evaluates any. Prog
+// holds every evaluated output (nil when all are kept).
 type ProjectOp struct {
 	Cols []ProjCol
+	Prog *Program
 	Next qef.Operator
 }
 
-// DMEMSize: the full scratch of every evaluated expression tree.
-func (p *ProjectOp) DMEMSize(tileRows int) int {
-	total := 0
-	for _, c := range p.Cols {
-		if c.Expr != nil {
-			total += exprScratchBytes(c.Expr, tileRows)
-		}
-	}
-	return total
-}
+// DMEMSize: the scratch of the program, one vector per distinct node.
+func (p *ProjectOp) DMEMSize(tileRows int) int { return p.Prog.ScratchBytes(tileRows) }
 
 func (p *ProjectOp) Open(tc *qef.TaskCtx) error { return p.Next.Open(tc) }
 
 func (p *ProjectOp) Produce(tc *qef.TaskCtx, t *qef.Tile) error {
 	out := tc.Pool.Headers(len(p.Cols))
+	s := p.Prog.Slots(tc)
 	for i, c := range p.Cols {
-		if c.Expr == nil {
+		if c.Keep >= 0 {
 			out[i] = t.Cols[c.Keep]
 		} else {
-			out[i] = coltypes.Of(c.Expr.Eval(tc, t))
+			out[i] = coltypes.Of(s.Get(tc, t, c.Node))
 		}
 	}
 	nt := tc.TileScratch(out, t.N)

@@ -114,6 +114,7 @@ var ErrGroupOverflow = fmt.Errorf("ops: group table overflow (NDV above estimate
 type GroupByOp struct {
 	GroupCols []int // tile column indices of the group keys
 	Specs     []AggSpec
+	Prog      *Program // the specs' arguments
 	MaxGroups int
 	Merger    *GroupMerger
 
@@ -125,18 +126,13 @@ type GroupByOp struct {
 // DMEMSize: the group table and per-spec accumulators (unit lifetime) — 32
 // bytes a group and spec, as when each kept sum, min, max and count: the
 // compiler picks the strategy by this size — plus the per-tile hash/gid/row
-// vectors and each aggregate expression's scratch. Per-tile scratch comes
-// from the task pool, so this stays an upper bound on observed pool usage.
+// vectors, the program's scratch and each spec's gather vector. Per-tile
+// scratch comes from the task pool, so this stays an upper bound on
+// observed pool usage.
 func (g *GroupByOp) DMEMSize(tileRows int) int {
-	total := GroupTableSizeBytes(g.MaxGroups, len(g.GroupCols)) +
-		len(g.Specs)*4*8*g.MaxGroups + 12*tileRows
-	for _, spec := range g.Specs {
-		if spec.Kind == AggCountStar || spec.Expr == nil {
-			continue
-		}
-		total += exprScratchBytes(spec.Expr, tileRows) + 8*tileRows
-	}
-	return total
+	return GroupTableSizeBytes(g.MaxGroups, len(g.GroupCols)) +
+		len(g.Specs)*4*8*g.MaxGroups + 12*tileRows +
+		g.Prog.ScratchBytes(tileRows) + gatherBytes(g.Specs, tileRows)
 }
 
 func (g *GroupByOp) Open(tc *qef.TaskCtx) error {
@@ -174,10 +170,11 @@ func (g *GroupByOp) Produce(tc *qef.TaskCtx, t *qef.Tile) error {
 		c.Charge(dpu.Cycles(3 * len(rows))) // table probe loop
 	}
 	dense := t.Dense()
+	slots := g.Prog.Slots(tc)
 	for s, spec := range g.Specs {
 		var vals []int64
 		if spec.Kind != AggCountStar {
-			vals = spec.Expr.Eval(tc, t)
+			vals = slots.Get(tc, t, spec.Arg)
 		}
 		if spec.Kind != AggCountStar && !dense {
 			sub := tc.Pool.I64(len(rows))

@@ -12,8 +12,8 @@ import (
 // partition's hash table fits in DMEM, then every core aggregates its
 // partitions independently — no merge needed because partitions hold
 // disjoint groups. If a partition holds more groups than estimated, it is
-// re-partitioned at runtime.
-func GroupByPartitioned(ctx *qef.Context, rel *Relation, groupCols []int, specs []AggSpec, scheme PartScheme, maxGroupsPerPart int) (*Relation, error) {
+// re-partitioned at runtime. prog holds the specs' arguments.
+func GroupByPartitioned(ctx *qef.Context, rel *Relation, groupCols []int, specs []AggSpec, prog *Program, scheme PartScheme, maxGroupsPerPart int) (*Relation, error) {
 	parts, err := PartitionByHash(ctx, rel.Chunks, groupCols, scheme, qef.DefaultTileRows)
 	if err != nil {
 		return nil, err
@@ -30,7 +30,7 @@ func GroupByPartitioned(ctx *qef.Context, rel *Relation, groupCols []int, specs 
 	units := make([]qef.WorkUnit, 0, parts.NumPartitions())
 	for p := 0; p < parts.NumPartitions(); p++ {
 		units = append(units, func(tc *qef.TaskCtx) error {
-			return groupOnePartition(tc, p, parts.Cols[p], parts.Hashes[p], parts.Bits, groupCols, specs, maxGroupsPerPart, out)
+			return groupOnePartition(tc, p, parts.Cols[p], parts.Hashes[p], parts.Bits, groupCols, specs, prog, maxGroupsPerPart, out)
 		})
 	}
 	out.slots.units(ctx, len(units))
@@ -50,7 +50,7 @@ func GroupByPartitioned(ctx *qef.Context, rel *Relation, groupCols []int, specs 
 // groupOnePartition aggregates one partition as work unit `unit`,
 // re-partitioning on overflow (the runtime adaptation when statistics
 // underestimated the NDV).
-func groupOnePartition(tc *qef.TaskCtx, unit int, cols []coltypes.Data, hv []uint32, usedBits uint, groupCols []int, specs []AggSpec, maxGroups int, out *groupCollector) error {
+func groupOnePartition(tc *qef.TaskCtx, unit int, cols []coltypes.Data, hv []uint32, usedBits uint, groupCols []int, specs []AggSpec, prog *Program, maxGroups int, out *groupCollector) error {
 	n := len(hv)
 	if n == 0 {
 		return nil
@@ -62,7 +62,7 @@ func groupOnePartition(tc *qef.TaskCtx, unit int, cols []coltypes.Data, hv []uin
 		// The table itself cannot fit: re-partition immediately.
 		tc.DMEM.Release()
 		tc.DMEM.Mark()
-		return regroupSplit(tc, unit, cols, hv, usedBits, groupCols, specs, maxGroups, out)
+		return regroupSplit(tc, unit, cols, hv, usedBits, groupCols, specs, prog, maxGroups, out)
 	}
 	// Pool scope: the table, the accumulators, the widened keys and group ids
 	// die with this partition; a re-split runs several partitions inside one
@@ -84,20 +84,22 @@ func groupOnePartition(tc *qef.TaskCtx, unit int, cols []coltypes.Data, hv []uin
 		if gid < 0 {
 			// NDV above estimate: split this partition further and retry
 			// each half with a fresh table.
-			return regroupSplit(tc, unit, cols, hv, usedBits, groupCols, specs, maxGroups, out)
+			return regroupSplit(tc, unit, cols, hv, usedBits, groupCols, specs, prog, maxGroups, out)
 		}
 		gids[i] = uint32(gid)
 	}
 	if c := tc.Core; c != nil {
 		c.Charge(dpu.Cycles(3 * n))
 	}
-	// One accumulator array per spec, the one it reads.
+	// One accumulator array per spec, over the partition's one evaluation
+	// of the program.
 	accs := tc.Pool.RowHeaders(len(specs))
+	part, slots := tc.TileScratch(cols, n), prog.Slots(tc)
 	for s, spec := range specs {
 		accs[s] = spec.Kind.newAcc(tc.Pool.I64(cap))
 		var vals []int64
 		if spec.Kind != AggCountStar {
-			vals = spec.Expr.Eval(tc, tc.TileScratch(cols, n))
+			vals = slots.Get(tc, part, spec.Arg)
 		}
 		spec.Kind.accumulate(tc.Core, accs[s], gids, vals)
 	}
@@ -105,7 +107,7 @@ func groupOnePartition(tc *qef.TaskCtx, unit int, cols []coltypes.Data, hv []uin
 	return nil
 }
 
-func regroupSplit(tc *qef.TaskCtx, unit int, cols []coltypes.Data, hv []uint32, usedBits uint, groupCols []int, specs []AggSpec, maxGroups int, out *groupCollector) error {
+func regroupSplit(tc *qef.TaskCtx, unit int, cols []coltypes.Data, hv []uint32, usedBits uint, groupCols []int, specs []AggSpec, prog *Program, maxGroups int, out *groupCollector) error {
 	const sub = 4
 	split, err := splitPartition(nil, tc.Ctx.Slab, [][]coltypes.Data{cols}, hv, []int{sub}, usedBits)
 	if err != nil {
@@ -116,9 +118,9 @@ func regroupSplit(tc *qef.TaskCtx, unit int, cols []coltypes.Data, hv []uint32, 
 		if split.Rows(p) == len(hv) {
 			// All rows share the same hash bits (e.g. a single huge group
 			// cluster): splitting cannot help; grow the table instead.
-			return groupOnePartition(tc, unit, split.Cols[p], split.Hashes[p], split.Bits, groupCols, specs, maxGroups*4, out)
+			return groupOnePartition(tc, unit, split.Cols[p], split.Hashes[p], split.Bits, groupCols, specs, prog, maxGroups*4, out)
 		}
-		if err := groupOnePartition(tc, unit, split.Cols[p], split.Hashes[p], split.Bits, groupCols, specs, maxGroups, out); err != nil {
+		if err := groupOnePartition(tc, unit, split.Cols[p], split.Hashes[p], split.Bits, groupCols, specs, prog, maxGroups, out); err != nil {
 			return err
 		}
 	}

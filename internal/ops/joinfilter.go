@@ -102,7 +102,7 @@ func (b *JoinBuild) Filter(ctx *qef.Context, probeKeys []int, logBits uint) (*Jo
 
 // Eval tests the key hashes of the candidate rows. A core's first test loads
 // the vector into its DMEM.
-func (f *JoinFilter) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.Vector, int) {
+func (f *JoinFilter) Eval(tc *qef.TaskCtx, t *qef.Tile, _ Slots, inBV *bits.Vector) (*bits.Vector, int) {
 	if !f.loaded[tc.CoreID] {
 		f.loaded[tc.CoreID] = true
 		if tc.Core != nil {

@@ -69,6 +69,16 @@ func TestRenderTypes(t *testing.T) {
 	}
 }
 
+// colProg is the program whose node i widens tile column i, so an AggSpec's
+// Arg names the column it reads.
+func colProg(n int) *Program {
+	var b ProgramBuilder
+	for i := 0; i < n; i++ {
+		b.Col(i)
+	}
+	return b.Program()
+}
+
 func TestExprEval(t *testing.T) {
 	bothModes(t, func(t *testing.T, ctx *qef.Context) {
 		cols := []coltypes.Data{
@@ -77,32 +87,29 @@ func TestExprEval(t *testing.T) {
 		}
 		tile := &qef.Tile{Cols: cols, N: 3}
 		err := ctx.RunSerial(func(tc *qef.TaskCtx) error {
-			// (a + b) * 2
-			e := &BinExpr{Op: plan.Mul,
-				L: &BinExpr{Op: plan.Add, L: &ColRef{Idx: 0}, R: &ColRef{Idx: 1}},
-				R: &ConstExpr{Val: 2}}
-			got := e.Eval(tc, tile)
+			var b ProgramBuilder
+			e := b.ArithConst(plan.Mul, b.Arith(plan.Add, b.Col(0), b.Col(1)), 2)      // (a + b) * 2
+			ce := b.Case(&ConstCmp{Col: 0, Op: plan.GE, Val: 2}, b.Col(1), b.Const(0)) // CASE WHEN a >= 2 THEN b ELSE 0 END
+			de := b.Arith(plan.Div, b.Col(1), b.Arith(plan.Sub, b.Col(0), b.Col(0)))   // b / (a - a)
+			dc := b.ArithConst(plan.Div, b.Col(1), 0)                                  // b / 0
+			s := b.Program().Slots(tc)
+			got := s.Get(tc, tile, e)
 			want := []int64{22, 44, 66}
 			for i := range want {
 				if got[i] != want[i] {
 					t.Errorf("expr[%d] = %d, want %d", i, got[i], want[i])
 				}
 			}
-			// CASE WHEN a >= 2 THEN b ELSE 0 END
-			ce := &CaseExpr{
-				Cond: &ConstCmp{Col: 0, Op: plan.GE, Val: 2},
-				Then: &ColRef{Idx: 1},
-				Else: &ConstExpr{Val: 0},
-			}
-			cg := ce.Eval(tc, tile)
+			cg := s.Get(tc, tile, ce)
 			if cg[0] != 0 || cg[1] != 20 || cg[2] != 30 {
 				t.Errorf("case = %v", cg)
 			}
-			// Div by zero column yields 0.
-			de := &BinExpr{Op: plan.Div, L: &ColRef{Idx: 1}, R: &BinExpr{Op: plan.Sub, L: &ColRef{Idx: 0}, R: &ColRef{Idx: 0}}}
-			dg := de.Eval(tc, tile)
-			if dg[0] != 0 {
+			// Division by a zero column, or by a zero constant, yields 0.
+			if dg := s.Get(tc, tile, de); dg[0] != 0 {
 				t.Errorf("div0 = %v", dg)
+			}
+			if dg := s.Get(tc, tile, dc); dg[0] != 0 || dg[2] != 0 {
+				t.Errorf("div by constant 0 = %v", dg)
 			}
 			return nil
 		})
@@ -266,7 +273,8 @@ func TestMaterializeAndProject(t *testing.T) {
 				Pred: &ConstCmp{Col: 1, Op: plan.LT, Val: 50},
 				Next: &MaterializeOp{
 					Next: &ProjectOp{
-						Cols: []ProjCol{{Expr: &BinExpr{Op: plan.Mul, L: &ColRef{Idx: 1}, R: &ConstExpr{Val: 3}}}},
+						Cols: []ProjCol{{Keep: -1, Node: 1}},
+						Prog: &Program{Nodes: []ExprNode{{Op: ExprCol, Col: 1}, {Op: ExprArithConst, Arith: plan.Mul, L: 0, Val: 3}}},
 						Next: sink,
 					},
 				},
@@ -292,15 +300,15 @@ func TestScalarAgg(t *testing.T) {
 	bothModes(t, func(t *testing.T, ctx *qef.Context) {
 		tbl := buildTestTable(t, 3000)
 		specs := []AggSpec{
-			{Kind: AggSum, Expr: &ColRef{Idx: 1}},
-			{Kind: AggMax, Expr: &ColRef{Idx: 0}},
+			{Kind: AggSum, Arg: 1},
+			{Kind: AggMax, Arg: 0},
 			{Kind: AggCountStar},
 		}
 		merger := NewGroupMerger(0, specs)
 		chain := func() qef.Operator {
 			return &FilterOp{
 				Pred: &ConstCmp{Col: 1, Op: plan.LT, Val: 10},
-				Next: &ScalarAggOp{Specs: specs, Merger: merger},
+				Next: &ScalarAggOp{Specs: specs, Prog: colProg(2), Merger: merger},
 			}
 		}
 		if err := TableScan(ctx, tbl.Snapshot(storage.LatestSCN), []int{0, 1}, 256, nil, chain); err != nil {
@@ -327,7 +335,7 @@ func TestGroupByLowNDV(t *testing.T) {
 	bothModes(t, func(t *testing.T, ctx *qef.Context) {
 		tbl := buildTestTable(t, 7000)
 		specs := []AggSpec{
-			{Kind: AggSum, Expr: &ColRef{Idx: 1}, Name: "sum_v"},
+			{Kind: AggSum, Arg: 1, Name: "sum_v"},
 			{Kind: AggCountStar, Name: "cnt"},
 		}
 		merger := NewGroupMerger(1, specs)
@@ -335,6 +343,7 @@ func TestGroupByLowNDV(t *testing.T) {
 			return &GroupByOp{
 				GroupCols: []int{2},
 				Specs:     specs,
+				Prog:      colProg(2),
 				MaxGroups: 16,
 				Merger:    merger,
 			}
@@ -385,8 +394,8 @@ func TestGroupByPartitionedHighNDV(t *testing.T) {
 		rel := intRel([]string{"g", "v"},
 			seq(n, func(i int) int64 { return int64(i % 3000) }), // 3000 groups
 			seq(n, func(i int) int64 { return int64(i) }))
-		specs := []AggSpec{{Kind: AggSum, Expr: &ColRef{Idx: 1}, Name: "s"}}
-		got, err := GroupByPartitioned(ctx, rel, []int{0}, specs, PartScheme{Rounds: []int{16}}, 512)
+		specs := []AggSpec{{Kind: AggSum, Arg: 1, Name: "s"}}
+		got, err := GroupByPartitioned(ctx, rel, []int{0}, specs, colProg(2), PartScheme{Rounds: []int{16}}, 512)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -411,7 +420,7 @@ func TestGroupByPartitionedRepartitionsOnBadStats(t *testing.T) {
 	ctx := qef.NewContext(qef.ModeX86)
 	n := 8000
 	rel := intRel([]string{"g"}, seq(n, func(i int) int64 { return int64(i % 4000) }))
-	got, err := GroupByPartitioned(ctx, rel, []int{0}, []AggSpec{{Kind: AggCountStar, Name: "c"}},
+	got, err := GroupByPartitioned(ctx, rel, []int{0}, []AggSpec{{Kind: AggCountStar, Name: "c"}}, nil,
 		PartScheme{Rounds: []int{4}}, 64)
 	if err != nil {
 		t.Fatal(err)

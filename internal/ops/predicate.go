@@ -11,28 +11,28 @@ import (
 // Predicate is a vectorized boolean condition over a tile. Eval computes the
 // qualifying rows among those set in inBV (nil = all rows) into a
 // tile-lifetime bit-vector (pool scratch — valid until the next
-// ResetScratch). Selectivity estimates stay with the compiler, which orders
-// every conjunction before handing it over (§5.4).
+// ResetScratch); s is the tile's evaluation of the program of the operator
+// the predicate belongs to, which its ExprCmps read. Selectivity estimates
+// stay with the compiler, which orders every conjunction before handing it
+// over (§5.4).
 type Predicate interface {
-	Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.Vector, int)
+	Eval(tc *qef.TaskCtx, t *qef.Tile, s Slots, inBV *bits.Vector) (*bits.Vector, int)
 }
 
 // predScratchBytes returns an upper bound on the tile-lifetime pool bytes
 // one Eval of p takes for a tile of tileRows rows: one result bit-vector per
-// node, plus expression scratch for computed comparisons and the vector a
-// join filter keeps resident in DMEM. Operator DMEMSize
+// node, plus the vector a join filter keeps resident in DMEM. A computed
+// comparison's operand is its program's scratch (Program.ScratchBytes). Operator DMEMSize
 // declarations are built from this so they stay upper bounds on observed
 // pool usage.
 func predScratchBytes(p Predicate, tileRows int) int {
 	bv := bits.VectorSizeBytes(tileRows)
 	switch p := p.(type) {
-	case *ConstCmp, *Between, *InSet, *ColCmp, TruePred, *TruePred:
+	case *ConstCmp, *Between, *InSet, *ColCmp, *ExprCmp, TruePred, *TruePred:
 		return bv
 	case *JoinFilter:
 		// The result, and the vector resident beside the tile.
 		return bv + p.ResidentBytes()
-	case *ExprCmp:
-		return bv + exprScratchBytes(p.E, tileRows)
 	case *And:
 		total := 0
 		for _, sub := range p.Preds {
@@ -54,8 +54,8 @@ func predScratchBytes(p Predicate, tileRows int) int {
 }
 
 // evalPredDense evaluates p over all rows of the tile.
-func evalPredDense(tc *qef.TaskCtx, p Predicate, t *qef.Tile) *bits.Vector {
-	bv, _ := p.Eval(tc, t, nil)
+func evalPredDense(tc *qef.TaskCtx, p Predicate, t *qef.Tile, s Slots) *bits.Vector {
+	bv, _ := p.Eval(tc, t, s, nil)
 	return bv
 }
 
@@ -66,7 +66,7 @@ type ConstCmp struct {
 	Val int64
 }
 
-func (p *ConstCmp) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.Vector, int) {
+func (p *ConstCmp) Eval(tc *qef.TaskCtx, t *qef.Tile, _ Slots, inBV *bits.Vector) (*bits.Vector, int) {
 	out := tc.Pool.BV(t.N)
 	hits := primitives.FilterConstBVMasked(tc.Core, t.Cols[p.Col], p.Op, p.Val, inBV, out)
 	return out, hits
@@ -78,7 +78,7 @@ type Between struct {
 	Lo, Hi int64
 }
 
-func (p *Between) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.Vector, int) {
+func (p *Between) Eval(tc *qef.TaskCtx, t *qef.Tile, _ Slots, inBV *bits.Vector) (*bits.Vector, int) {
 	out := tc.Pool.BV(t.N)
 	hits := primitives.FilterBetweenBV(tc.Core, t.Cols[p.Col], p.Lo, p.Hi, inBV, out)
 	return out, hits
@@ -91,7 +91,7 @@ type InSet struct {
 	Set *bits.Vector
 }
 
-func (p *InSet) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.Vector, int) {
+func (p *InSet) Eval(tc *qef.TaskCtx, t *qef.Tile, _ Slots, inBV *bits.Vector) (*bits.Vector, int) {
 	out := tc.Pool.BV(t.N)
 	hits := primitives.FilterInSetBV(tc.Core, t.Cols[p.Col], p.Set, inBV, out)
 	return out, hits
@@ -103,23 +103,23 @@ type ColCmp struct {
 	Op   plan.CmpOp
 }
 
-func (p *ColCmp) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.Vector, int) {
+func (p *ColCmp) Eval(tc *qef.TaskCtx, t *qef.Tile, _ Slots, inBV *bits.Vector) (*bits.Vector, int) {
 	out := tc.Pool.BV(t.N)
 	hits := primitives.FilterColColBV(tc.Core, t.Cols[p.A], t.Cols[p.B], p.Op, inBV, out)
 	return out, hits
 }
 
-// ExprCmp compares a computed expression against a constant (e.g.
-// l_extendedprice * l_discount > c). More expensive than ConstCmp; the
-// compiler orders it late.
+// ExprCmp compares a computed expression — node Node of its operator's
+// program — against a constant (e.g. l_extendedprice * l_discount > c).
+// More expensive than ConstCmp; the compiler orders it late.
 type ExprCmp struct {
-	E   Expr
-	Op  plan.CmpOp
-	Val int64
+	Node int
+	Op   plan.CmpOp
+	Val  int64
 }
 
-func (p *ExprCmp) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.Vector, int) {
-	d := coltypes.Of(p.E.Eval(tc, t))
+func (p *ExprCmp) Eval(tc *qef.TaskCtx, t *qef.Tile, s Slots, inBV *bits.Vector) (*bits.Vector, int) {
+	d := coltypes.Of(s.Get(tc, t, p.Node))
 	out := tc.Pool.BV(t.N)
 	hits := primitives.FilterConstBVMasked(tc.Core, d, p.Op, p.Val, inBV, out)
 	return out, hits
@@ -132,12 +132,12 @@ type And struct {
 	Preds []Predicate
 }
 
-func (p *And) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.Vector, int) {
+func (p *And) Eval(tc *qef.TaskCtx, t *qef.Tile, s Slots, inBV *bits.Vector) (*bits.Vector, int) {
 	cur := inBV
 	var out *bits.Vector
 	hits := 0
 	for _, sub := range p.Preds {
-		out, hits = sub.Eval(tc, t, cur)
+		out, hits = sub.Eval(tc, t, s, cur)
 		if hits == 0 {
 			return out, 0
 		}
@@ -151,10 +151,10 @@ type Or struct {
 	Preds []Predicate
 }
 
-func (p *Or) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.Vector, int) {
+func (p *Or) Eval(tc *qef.TaskCtx, t *qef.Tile, s Slots, inBV *bits.Vector) (*bits.Vector, int) {
 	acc := tc.Pool.BV(t.N)
 	for _, sub := range p.Preds {
-		bv, _ := sub.Eval(tc, t, inBV)
+		bv, _ := sub.Eval(tc, t, s, inBV)
 		acc.Or(acc, bv)
 	}
 	return acc, acc.Count()
@@ -165,8 +165,8 @@ type Not struct {
 	P Predicate
 }
 
-func (p *Not) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.Vector, int) {
-	bv, _ := p.P.Eval(tc, t, inBV)
+func (p *Not) Eval(tc *qef.TaskCtx, t *qef.Tile, s Slots, inBV *bits.Vector) (*bits.Vector, int) {
+	bv, _ := p.P.Eval(tc, t, s, inBV)
 	out := tc.Pool.BV(t.N)
 	if inBV == nil {
 		out.Not(bv)
@@ -179,7 +179,7 @@ func (p *Not) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.Vecto
 // TruePred matches every candidate row (used by degenerate rewrites).
 type TruePred struct{}
 
-func (TruePred) Eval(tc *qef.TaskCtx, t *qef.Tile, inBV *bits.Vector) (*bits.Vector, int) {
+func (TruePred) Eval(tc *qef.TaskCtx, t *qef.Tile, _ Slots, inBV *bits.Vector) (*bits.Vector, int) {
 	out := tc.Pool.BV(t.N)
 	if inBV == nil {
 		out.SetAll()

@@ -86,7 +86,7 @@ func TestGroupByUnderDMEMPressure(t *testing.T) {
 		seq(n, func(i int) int64 { return int64(i % 5000) }),
 		seq(n, func(i int) int64 { return int64(i) }))
 	out, err := GroupByPartitioned(ctx, rel, []int{0},
-		[]AggSpec{{Kind: AggSum, Expr: &ColRef{Idx: 1}, Name: "s"}},
+		[]AggSpec{{Kind: AggSum, Arg: 1, Name: "s"}}, colProg(2),
 		PartScheme{Rounds: []int{8}}, 256)
 	if err != nil {
 		t.Fatal(err)

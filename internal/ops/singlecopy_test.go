@@ -398,12 +398,12 @@ func BenchmarkGroupByPartitioned(b *testing.B) {
 	rel := lineitemLike(300_000, groups)
 	ctx := qef.NewContext(qef.ModeX86)
 	ctx.Slab = mem.NewSlab(64<<20, nil)
-	specs := []AggSpec{{Kind: AggSum, Expr: &ColRef{Idx: 1}}, {Kind: AggCountStar}}
+	specs := []AggSpec{{Kind: AggSum, Arg: 1}, {Kind: AggCountStar}}
 	scheme := PartScheme{Rounds: []int{8, 16}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := GroupByPartitioned(ctx, rel, []int{0}, specs, scheme, 2*groups/scheme.Fanout()+64)
+		out, err := GroupByPartitioned(ctx, rel, []int{0}, specs, colProg(2), scheme, 2*groups/scheme.Fanout()+64)
 		if err != nil {
 			b.Fatal(err)
 		}

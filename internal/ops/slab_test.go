@@ -113,7 +113,7 @@ func TestOperatorsAgreeOnDirtySlab(t *testing.T) {
 			keep(HashJoin(ctx, build, probe, spec))
 		}
 		keep(GroupByPartitioned(ctx, probe, []int{0},
-			[]AggSpec{{Kind: AggSum, Expr: &ColRef{Idx: 1}}, {Kind: AggCountStar}},
+			[]AggSpec{{Kind: AggSum, Arg: 1}, {Kind: AggCountStar}}, colProg(2),
 			PartScheme{Rounds: []int{4}}, 64)) // 64 groups per table: regroupSplit runs
 		keys := func(r *Relation) *Relation { return r.Project([]int{0}) }
 		for _, kind := range []plan.SetOpKind{plan.Union, plan.Intersect, plan.Minus} {
@@ -194,12 +194,12 @@ func TestGroupByPartitionedAllocsPerPartition(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2)) // as TestHashJoinAllocsPerPartition
 	const groups = 25_000
 	rel := lineitemLike(100_000, groups)
-	specs := []AggSpec{{Kind: AggSum, Expr: &ColRef{Idx: 1}}, {Kind: AggMin, Expr: &ColRef{Idx: 2}}, {Kind: AggCountStar}}
+	specs := []AggSpec{{Kind: AggSum, Arg: 1}, {Kind: AggMin, Arg: 2}, {Kind: AggCountStar}}
 	measure := func(scheme PartScheme) float64 {
 		ctx := qef.NewContext(qef.ModeX86)
 		ctx.Slab = mem.NewSlab(64<<20, nil)
 		group := func() {
-			out, err := GroupByPartitioned(ctx, rel, []int{0}, specs, scheme, 2*groups/scheme.Fanout()+64)
+			out, err := GroupByPartitioned(ctx, rel, []int{0}, specs, colProg(3), scheme, 2*groups/scheme.Fanout()+64)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -78,8 +78,9 @@ type pipeStep struct {
 	pred ops.Predicate
 	sel  float64 // pred's selectivity estimate
 	proj []ops.ProjCol
-	eval bool  // some output of proj is evaluated, not kept
-	keys []int // the probe key columns a stepJoinFilter tests
+	eval bool         // some output of proj is evaluated, not kept
+	prog *ops.Program // the expressions pred or proj reads
+	keys []int        // the probe key columns a stepJoinFilter tests
 }
 
 type terminalKind int
@@ -102,6 +103,7 @@ type pipelineNode struct {
 
 	terminal  terminalKind
 	aggSpecs  []ops.AggSpec
+	aggProg   *ops.Program // the aggregate arguments
 	groupCols []int
 	groups    int64 // the group count estimate (NDV) of termGroupBy
 	finals    []finalSpec
@@ -245,7 +247,7 @@ func (p *pipelineNode) opReqs(filterBytes int) []OpReq {
 		s := s
 		switch {
 		case s.kind == stepFilter:
-			f := &ops.FilterOp{Pred: s.pred}
+			f := &ops.FilterOp{Pred: s.pred, Prog: s.prog}
 			reqs = append(reqs, OpReq{
 				DMEMSize:       f.DMEMSize,
 				OutBytesPerRow: rowBytes,
@@ -270,7 +272,7 @@ func (p *pipelineNode) opReqs(filterBytes int) []OpReq {
 					Selectivity:    1,
 				})
 			}
-			pr := &ops.ProjectOp{Cols: s.proj}
+			pr := &ops.ProjectOp{Cols: s.proj, Prog: s.prog}
 			reqs = append(reqs, OpReq{
 				DMEMSize:       pr.DMEMSize,
 				OutBytesPerRow: len(s.proj) * 8,
@@ -289,10 +291,10 @@ func (p *pipelineNode) opReqs(filterBytes int) []OpReq {
 			Selectivity:    1,
 		})
 	case termScalarAgg:
-		a := &ops.ScalarAggOp{Specs: p.aggSpecs}
+		a := &ops.ScalarAggOp{Specs: p.aggSpecs, Prog: p.aggProg}
 		reqs = append(reqs, OpReq{DMEMSize: a.DMEMSize, OutBytesPerRow: 8, Selectivity: 0})
 	case termGroupBy:
-		g := &ops.GroupByOp{GroupCols: p.groupCols, Specs: p.aggSpecs, MaxGroups: p.maxGroups()}
+		g := &ops.GroupByOp{GroupCols: p.groupCols, Specs: p.aggSpecs, Prog: p.aggProg, MaxGroups: p.maxGroups()}
 		reqs = append(reqs, OpReq{DMEMSize: g.DMEMSize, OutBytesPerRow: 8, Selectivity: 0})
 	}
 	return reqs
@@ -352,9 +354,9 @@ func (p *pipelineNode) run(ctx *qef.Context, jf *ops.JoinFilter) (*ops.Relation,
 		case termCollect:
 			term = sink
 		case termScalarAgg:
-			term = &ops.ScalarAggOp{Specs: p.aggSpecs, Merger: merger}
+			term = &ops.ScalarAggOp{Specs: p.aggSpecs, Prog: p.aggProg, Merger: merger}
 		case termGroupBy:
-			term = &ops.GroupByOp{GroupCols: p.groupCols, Specs: p.aggSpecs, MaxGroups: p.maxGroups(), Merger: merger}
+			term = &ops.GroupByOp{GroupCols: p.groupCols, Specs: p.aggSpecs, Prog: p.aggProg, MaxGroups: p.maxGroups(), Merger: merger}
 		}
 		termUp := srcSpan
 		if len(p.steps) > 0 {
@@ -365,14 +367,14 @@ func (p *pipelineNode) run(ctx *qef.Context, jf *ops.JoinFilter) (*ops.Relation,
 			s := p.steps[i]
 			switch s.kind {
 			case stepProject:
-				head = &ops.ProjectOp{Cols: s.proj, Next: head}
+				head = &ops.ProjectOp{Cols: s.proj, Prog: s.prog, Next: head}
 				if s.eval {
 					// Expressions evaluate densely; compact sparse selections
 					// first (late materialization ends here).
 					head = &ops.MaterializeOp{Next: head, RowBytes: 8 * inCols[i]}
 				}
 			case stepFilter:
-				head = &ops.FilterOp{Pred: s.pred, Next: head}
+				head = &ops.FilterOp{Pred: s.pred, Prog: s.prog, Next: head}
 			case stepJoinFilter:
 				// Unarmed, the step is its span alone: rows cross it and
 				// nothing runs inside it.
@@ -426,6 +428,7 @@ func (p *pipelineNode) executeGroupPartFallback(ctx *qef.Context) (*ops.Relation
 		input:     &in,
 		groupCols: p.groupCols,
 		specs:     p.aggSpecs,
+		prog:      p.aggProg,
 		finals:    p.finals,
 		out:       p.outFields,
 		ndv:       ndv,
@@ -555,11 +558,12 @@ func compileFilter(f *plan.Filter, lw *lowering) (physNode, error) {
 		return nil, err
 	}
 	p := asPipeline(child)
-	pred, sel, err := compilePred(f.Pred, p.cols)
+	ec := newExprc(p.cols)
+	pred, sel, err := ec.pred(f.Pred)
 	if err != nil {
 		return nil, err
 	}
-	p.steps = append(p.steps, pipeStep{kind: stepFilter, pred: pred, sel: sel})
+	p.steps = append(p.steps, pipeStep{kind: stepFilter, pred: pred, sel: sel, prog: ec.b.Program()})
 	est := int64(float64(p.est) * sel)
 	// Zone maps give a hard upper bound: rows in chunks the conjunction
 	// cannot reject. Take it when it is sharper than the selectivity guess.
@@ -584,6 +588,7 @@ func compileProject(pr *plan.Project, lw *lowering) (physNode, error) {
 	p := asPipeline(child)
 	step := pipeStep{kind: stepProject, proj: make([]ops.ProjCol, len(pr.Exprs))}
 	cols := make([]colInfo, len(pr.Exprs))
+	ec := newExprc(p.cols)
 	for i, e := range pr.Exprs {
 		name := ""
 		if i < len(pr.Names) {
@@ -596,15 +601,18 @@ func compileProject(pr *plan.Project, lw *lowering) (physNode, error) {
 			}
 			continue
 		}
-		if step.proj[i].Expr, err = compileExpr(e, p.cols); err != nil {
+		node, err := ec.node(e)
+		if err != nil {
 			return nil, err
 		}
+		step.proj[i] = ops.ProjCol{Keep: -1, Node: node}
 		step.eval = true
 		if name == "" {
 			name = e.String()
 		}
 		cols[i] = colInfo{field: plan.Field{Name: name, Type: e.Type()}}
 	}
+	step.prog = ec.b.Program()
 	p.steps = append(p.steps, step)
 	p.cols = cols
 	return p, nil
@@ -633,15 +641,17 @@ func compileGroupBy(g *plan.GroupBy, lw *lowering) (physNode, error) {
 
 	lowered, finals := lowerAggs(g.Aggs)
 	specs := make([]ops.AggSpec, len(lowered))
+	ec := newExprc(p.cols)
 	for i, a := range lowered {
 		specs[i] = ops.AggSpec{Kind: aggKind(a.Kind), Name: a.Name}
 		if a.Kind == plan.CountStar {
 			continue
 		}
-		if specs[i].Expr, err = compileExpr(a.Arg, p.cols); err != nil {
+		if specs[i].Arg, err = ec.node(a.Arg); err != nil {
 			return nil, err
 		}
 	}
+	prog := ec.b.Program()
 
 	outFields := (&plan.GroupBy{Input: schemaOnly(p.fields()), Keys: g.Keys, Aggs: g.Aggs}).Schema()
 
@@ -662,6 +672,7 @@ func compileGroupBy(g *plan.GroupBy, lw *lowering) (physNode, error) {
 	if len(groupCols) == 0 {
 		p.terminal = termScalarAgg
 		p.aggSpecs = specs
+		p.aggProg = prog
 		p.finals = finals
 		p.outFields = outFields
 		return p, nil
@@ -670,6 +681,7 @@ func compileGroupBy(g *plan.GroupBy, lw *lowering) (physNode, error) {
 		p.terminal = termGroupBy
 		p.groupCols = groupCols
 		p.aggSpecs = specs
+		p.aggProg = prog
 		p.finals = finals
 		p.outFields = outFields
 		p.groups = ndv
@@ -680,6 +692,7 @@ func compileGroupBy(g *plan.GroupBy, lw *lowering) (physNode, error) {
 		input:     p,
 		groupCols: groupCols,
 		specs:     specs,
+		prog:      prog,
 		finals:    finals,
 		out:       outFields,
 		ndv:       ndv,

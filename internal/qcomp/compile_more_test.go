@@ -73,6 +73,79 @@ func TestCompileArithmeticShapes(t *testing.T) {
 	if got := rel.Get(0, 4); got != 0 {
 		t.Fatalf("case = %d", got)
 	}
+
+	// The compiled program: constants fold, scale-alignment constants
+	// included, with the runtime kernels' integer semantics; a constant
+	// operand of + and * moves right, onto the *Const kernels; a zero
+	// divisor keeps the vector path; and every repeated subexpression is
+	// one node.
+	k := func(typ coltypes.Type, v int64) *plan.Const { return &plan.Const{T: typ, Val: v} }
+	one, oneHalf := k(coltypes.Int(), 1), k(coltypes.Decimal(1), 15)
+	oneMinus := mk(plan.Sub, one, total)
+	disc := mk(plan.Mul, total, oneMinus)
+	shapeCase, err := plan.NewCase(&plan.Cmp{Op: plan.GT, L: total, R: k(coltypes.Int(), 500)}, disc, oneMinus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shapes := []struct {
+		e    plan.Expr
+		want string
+		row1 int64 // o_custkey=1, o_total=11.01
+	}{
+		{oneMinus, "(100 - col2)", 100 - 1101},
+		{disc, "(col2 * (100 - col2))", 1101 * (100 - 1101)},
+		{mk(plan.Mul, total, oneHalf), "(col2 * #15)", 1101 * 15},
+		{mk(plan.Div, custkey, k(coltypes.Int(), 3)), "((col1 * #10000) / #3)", 10000 / 3},
+		{mk(plan.Mul, mk(plan.Add, one, k(coltypes.Int(), 2)), custkey), "(col1 * #3)", 3},
+		{mk(plan.Div, mk(plan.Sub, k(coltypes.Int(), 0), one), k(coltypes.Int(), 3)), "-3333", -10000 / 3},
+		{mk(plan.Div, custkey, k(coltypes.Int(), 0)), "((col1 * #10000) / 0)", 0},
+		{mk(plan.Add, one, total), "(col2 + #100)", 1101 + 100},
+		{shapeCase, "case((col2 * (100 - col2)), ((100 - col2) * #100))", (100 - 1101) * 100},
+		{disc, "(col2 * (100 - col2))", 1101 * (100 - 1101)},
+	}
+	sp := &plan.Project{Input: scan}
+	for _, sh := range shapes {
+		sp.Exprs = append(sp.Exprs, sh.e)
+	}
+	c, err := Compile(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := c.root.(*pipelineNode).steps[0]
+	for i, sh := range shapes {
+		if got := progString(step.prog, step.proj[i].Node); step.proj[i].Keep >= 0 || got != sh.want {
+			t.Errorf("output %d (%s) compiled to %s, want %s", i, sh.e, got, sh.want)
+		}
+	}
+	if step.proj[1].Node != step.proj[len(shapes)-1].Node {
+		t.Error("a repeated expression compiled to two nodes")
+	}
+	if n := len(step.prog.Nodes); n != 15 {
+		t.Errorf("program has %d nodes, want the 15 distinct ones", n)
+	}
+	rel = run(t, ctx, sp)
+	for i, sh := range shapes {
+		if got := rel.Get(1, i); got != sh.row1 {
+			t.Errorf("output %d (%s) = %d on row 1, want %d", i, sh.e, got, sh.row1)
+		}
+	}
+}
+
+// progString renders node i of a program: a constant operand of a *Const
+// kernel prints as #v, a materialized constant as v.
+func progString(p *ops.Program, i int) string {
+	n := p.Nodes[i]
+	switch n.Op {
+	case ops.ExprCol:
+		return fmt.Sprintf("col%d", n.Col)
+	case ops.ExprConst:
+		return fmt.Sprint(n.Val)
+	case ops.ExprArith:
+		return fmt.Sprintf("(%s %s %s)", progString(p, n.L), n.Arith, progString(p, n.R))
+	case ops.ExprArithConst:
+		return fmt.Sprintf("(%s %s #%d)", progString(p, n.L), n.Arith, n.Val)
+	}
+	return fmt.Sprintf("case(%s, %s)", progString(p, n.L), progString(p, n.R))
 }
 
 func TestCompileStringPredicates(t *testing.T) {
@@ -236,7 +309,7 @@ func TestCompilePredOrdersConjunctsAndCombinesEstimates(t *testing.T) {
 
 	compile := func(p plan.Pred) (ops.Predicate, float64) {
 		t.Helper()
-		pred, sel, err := compilePred(p, cols)
+		pred, sel, err := newExprc(cols).pred(p)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -71,27 +71,12 @@ func (c *Compiled) seconds(n plan.Node) float64 {
 		}
 		return sec + perRow(3, node.Input)
 	case *plan.Join:
-		l, r := c.rows[node.Left], c.rows[node.Right]
-		// A join filter the arming rule would arm at these rows fills from
-		// the build rows, tests every probe row and passes its estimated
-		// fraction on to the partitioning and the probe.
-		if jn := c.filtered[node]; jn != nil {
-			nb, np := r, &l
-			if jn.swapped {
-				nb, np = l, &r
-			}
-			if _, pass, arm := jn.filterBits(nb); arm {
-				sec += (primitives.JoinFilterFillCost(int(nb)) +
-					primitives.JoinFilterTestCost(len(jn.lk))*float64(*np)) / dpu.FreqHz / dpuCores
-				*np = int64(pass * float64(*np))
-			}
-		}
-		build, probe := min(l, r), max(l, r)
+		build, probe, filterSec := c.joinRows(node)
 		scheme := OptimizeScheme(RequiredPartitions(build*16, dpu.DefaultConfig()), build*16)
-		partSec := SchemeCost(scheme, (l+r)*16)
+		partSec := SchemeCost(scheme, (build+probe)*16)
 		kernel := (primitives.JoinBuildCost(int(build), 256) +
 			primitives.JoinProbeCost(int(probe), 256, 0.5)) / dpu.FreqHz / dpuCores
-		return sec + partSec + kernel
+		return sec + filterSec + partSec + kernel
 	case *plan.GroupBy:
 		return sec + perRow(6, node.Input)
 	case *plan.Sort:
@@ -100,6 +85,31 @@ func (c *Compiled) seconds(n plan.Node) float64 {
 		return sec + perRow(30, node.Input)
 	}
 	return sec
+}
+
+// joinRows returns the rows join j is priced as building and probing, and
+// the seconds of its join filter. An inner join builds its smaller input;
+// semi, anti and outer joins build their right input, as compileJoin pins
+// them. A join filter the arming rule would arm at these rows fills from the
+// build rows, tests every probe row and passes its estimated fraction on to
+// the partitioning and the probe.
+func (c *Compiled) joinRows(j *plan.Join) (build, probe int64, filterSec float64) {
+	l, r := c.rows[j.Left], c.rows[j.Right]
+	if jn := c.filtered[j]; jn != nil {
+		nb, np := r, &l
+		if jn.swapped {
+			nb, np = l, &r
+		}
+		if _, pass, arm := jn.filterBits(nb); arm {
+			filterSec = (primitives.JoinFilterFillCost(int(nb)) +
+				primitives.JoinFilterTestCost(len(jn.lk))*float64(*np)) / dpu.FreqHz / dpuCores
+			*np = int64(pass * float64(*np))
+		}
+	}
+	if j.Type != plan.InnerJoin {
+		return r, l, filterSec
+	}
+	return min(l, r), max(l, r), filterSec
 }
 
 // extendsPipeline reports whether pr is a header move priced at nothing: it

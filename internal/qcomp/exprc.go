@@ -8,6 +8,7 @@ package qcomp
 
 import (
 	"fmt"
+	"reflect"
 
 	"rapid/internal/coltypes"
 	"rapid/internal/encoding"
@@ -22,104 +23,184 @@ type colInfo struct {
 	stats *storage.ColStats // nil when unknown (post-transform)
 }
 
-// compileExpr lowers a typed logical expression to an executable ops.Expr,
-// inserting scale-alignment arithmetic for DSB operands.
-func compileExpr(e plan.Expr, cols []colInfo) (ops.Expr, error) {
-	switch ex := e.(type) {
-	case *plan.ColRef:
-		if ex.Idx < 0 || ex.Idx >= len(cols) {
-			return nil, fmt.Errorf("qcomp: column index %d out of schema", ex.Idx)
-		}
-		return &ops.ColRef{Idx: ex.Idx}, nil
-	case *plan.Const:
-		if ex.T.Kind == coltypes.KindString {
-			return nil, fmt.Errorf("qcomp: string constant %q in arithmetic context", ex.Str)
-		}
-		return &ops.ConstExpr{Val: ex.Val}, nil
-	case *plan.Arith:
-		return compileArith(ex, cols)
-	case *plan.CaseExpr:
-		cond, _, err := compilePred(ex.Cond, cols)
-		if err != nil {
-			return nil, err
-		}
-		thenE, err := compileScaled(ex.Then, scaleOf(ex.T), cols)
-		if err != nil {
-			return nil, err
-		}
-		elseE, err := compileScaled(ex.Else, scaleOf(ex.T), cols)
-		if err != nil {
-			return nil, err
-		}
-		return &ops.CaseExpr{Cond: cond, Then: thenE, Else: elseE}, nil
-	}
-	return nil, fmt.Errorf("qcomp: unsupported expression %T", e)
+// exprc compiles every expression one operator reads — aggregate arguments,
+// projection outputs, CASE arms, ExprCmp operands — into one shared
+// ops.Program over the tile columns cols. The builder hash-conses the nodes,
+// so an expression that appears twice is one node evaluated once per tile.
+type exprc struct {
+	cols []colInfo
+	b    ops.ProgramBuilder
+	// conds are the CASE conditions compiled so far: an equal condition
+	// reuses its predicate, so equal CASE nodes hash-cons too.
+	conds []caseCond
 }
 
-// compileScaled compiles e and rescales its result to the target scale.
-func compileScaled(e plan.Expr, target int8, cols []colInfo) (ops.Expr, error) {
-	ce, err := compileExpr(e, cols)
+type caseCond struct {
+	p    plan.Pred
+	pred ops.Predicate
+}
+
+func newExprc(cols []colInfo) *exprc { return &exprc{cols: cols} }
+
+// operand is a compiled expression: a program node, or a constant the
+// compiler has not materialized, so that it can fold into its consumer.
+type operand struct {
+	node  int
+	konst bool
+	val   int64
+}
+
+func konst(v int64) operand { return operand{konst: true, val: v} }
+
+// mat returns o's program node, materializing a constant.
+func (c *exprc) mat(o operand) int {
+	if o.konst {
+		return c.b.Const(o.val)
+	}
+	return o.node
+}
+
+// node compiles e to a program node, inserting scale-alignment arithmetic
+// for DSB operands.
+func (c *exprc) node(e plan.Expr) (int, error) {
+	o, err := c.expr(e)
+	if err != nil {
+		return 0, err
+	}
+	return c.mat(o), nil
+}
+
+// expr compiles e, folding constant subexpressions.
+func (c *exprc) expr(e plan.Expr) (operand, error) {
+	switch ex := e.(type) {
+	case *plan.ColRef:
+		if ex.Idx < 0 || ex.Idx >= len(c.cols) {
+			return operand{}, fmt.Errorf("qcomp: column index %d out of schema", ex.Idx)
+		}
+		return operand{node: c.b.Col(ex.Idx)}, nil
+	case *plan.Const:
+		if ex.T.Kind == coltypes.KindString {
+			return operand{}, fmt.Errorf("qcomp: string constant %q in arithmetic context", ex.Str)
+		}
+		return konst(ex.Val), nil
+	case *plan.Arith:
+		return c.arith(ex)
+	case *plan.CaseExpr:
+		cond, err := c.caseCond(ex.Cond)
+		if err != nil {
+			return operand{}, err
+		}
+		thenE, err := c.scaled(ex.Then, scaleOf(ex.T))
+		if err != nil {
+			return operand{}, err
+		}
+		elseE, err := c.scaled(ex.Else, scaleOf(ex.T))
+		if err != nil {
+			return operand{}, err
+		}
+		return operand{node: c.b.Case(cond, c.mat(thenE), c.mat(elseE))}, nil
+	}
+	return operand{}, fmt.Errorf("qcomp: unsupported expression %T", e)
+}
+
+// caseCond compiles a CASE condition, reusing the predicate of an equal
+// condition compiled before.
+func (c *exprc) caseCond(p plan.Pred) (ops.Predicate, error) {
+	for _, cc := range c.conds {
+		if reflect.DeepEqual(cc.p, p) {
+			return cc.pred, nil
+		}
+	}
+	pred, _, err := c.pred(p)
 	if err != nil {
 		return nil, err
 	}
-	s := scaleOf(e.Type())
-	switch {
-	case s == target:
-		return ce, nil
-	case s < target:
-		return &ops.BinExpr{Op: plan.Mul, L: ce, R: &ops.ConstExpr{Val: encoding.Pow10(int(target - s))}}, nil
-	default:
-		return &ops.BinExpr{Op: plan.Div, L: ce, R: &ops.ConstExpr{Val: encoding.Pow10(int(s - target))}}, nil
-	}
+	c.conds = append(c.conds, caseCond{p: p, pred: pred})
+	return pred, nil
 }
 
-func compileArith(a *plan.Arith, cols []colInfo) (ops.Expr, error) {
+// scaled compiles e and rescales its result to the target scale; a constant
+// rescales at compile time.
+func (c *exprc) scaled(e plan.Expr, target int8) (operand, error) {
+	o, err := c.expr(e)
+	if err != nil {
+		return operand{}, err
+	}
+	return c.rescale(o, scaleOf(e.Type()), target), nil
+}
+
+// rescale aligns o from scale s to the target scale.
+func (c *exprc) rescale(o operand, s, target int8) operand {
+	switch {
+	case s < target:
+		return c.apply(plan.Mul, o, konst(encoding.Pow10(int(target-s))))
+	case s > target:
+		return c.apply(plan.Div, o, konst(encoding.Pow10(int(s-target))))
+	}
+	return o
+}
+
+// apply compiles l op r. Two constants fold with the runtime kernels'
+// integer semantics (int64 wrap-around, truncating division); a zero divisor
+// keeps the vector path, whose x/0 is 0 like the row engine's. A constant
+// operand of a commutative op goes right, where the *Const primitives take
+// it without materializing a vector.
+func (c *exprc) apply(op plan.ArithOp, l, r operand) operand {
+	if l.konst && r.konst && (op != plan.Div || r.val != 0) {
+		switch op {
+		case plan.Add:
+			return konst(l.val + r.val)
+		case plan.Sub:
+			return konst(l.val - r.val)
+		case plan.Mul:
+			return konst(l.val * r.val)
+		default:
+			return konst(l.val / r.val)
+		}
+	}
+	if l.konst && !r.konst && (op == plan.Add || op == plan.Mul) {
+		l, r = r, l
+	}
+	if r.konst {
+		return operand{node: c.b.ArithConst(op, c.mat(l), r.val)}
+	}
+	return operand{node: c.b.Arith(op, c.mat(l), r.node)}
+}
+
+func (c *exprc) arith(a *plan.Arith) (operand, error) {
 	switch a.Op {
 	case plan.Add, plan.Sub:
 		target := scaleOf(a.T)
 		if a.T.Kind == coltypes.KindDate {
 			target = 0
 		}
-		l, err := compileScaled(a.L, target, cols)
+		l, err := c.scaled(a.L, target)
 		if err != nil {
-			return nil, err
+			return operand{}, err
 		}
-		r, err := compileScaled(a.R, target, cols)
+		r, err := c.scaled(a.R, target)
 		if err != nil {
-			return nil, err
+			return operand{}, err
 		}
-		return &ops.BinExpr{Op: a.Op, L: l, R: r}, nil
-	case plan.Mul:
-		l, err := compileExpr(a.L, cols)
+		return c.apply(a.Op, l, r), nil
+	case plan.Mul, plan.Div:
+		l, err := c.expr(a.L)
 		if err != nil {
-			return nil, err
+			return operand{}, err
 		}
-		r, err := compileExpr(a.R, cols)
+		r, err := c.expr(a.R)
 		if err != nil {
-			return nil, err
+			return operand{}, err
 		}
-		return &ops.BinExpr{Op: plan.Mul, L: l, R: r}, nil
-	case plan.Div:
+		if a.Op == plan.Mul {
+			return c.apply(plan.Mul, l, r), nil
+		}
 		// Result scale is DivScale: value = L*10^(DivScale - ls + rs) / R.
-		l, err := compileExpr(a.L, cols)
-		if err != nil {
-			return nil, err
-		}
-		r, err := compileExpr(a.R, cols)
-		if err != nil {
-			return nil, err
-		}
 		ls, rs := scaleOf(a.L.Type()), scaleOf(a.R.Type())
-		adj := int(plan.DivScale) - int(ls) + int(rs)
-		num := l
-		if adj > 0 {
-			num = &ops.BinExpr{Op: plan.Mul, L: l, R: &ops.ConstExpr{Val: encoding.Pow10(adj)}}
-		} else if adj < 0 {
-			num = &ops.BinExpr{Op: plan.Div, L: l, R: &ops.ConstExpr{Val: encoding.Pow10(-adj)}}
-		}
-		return &ops.BinExpr{Op: plan.Div, L: num, R: r}, nil
+		num := c.rescale(l, ls, plan.DivScale+rs)
+		return c.apply(plan.Div, num, r), nil
 	}
-	return nil, fmt.Errorf("qcomp: unsupported arithmetic op %v", a.Op)
+	return operand{}, fmt.Errorf("qcomp: unsupported arithmetic op %v", a.Op)
 }
 
 func scaleOf(t coltypes.Type) int8 {
@@ -129,24 +210,24 @@ func scaleOf(t coltypes.Type) int8 {
 	return 0
 }
 
-// compilePred lowers a logical predicate to an executable ops.Predicate and
+// pred lowers a logical predicate to an executable ops.Predicate and
 // its selectivity estimate from statistics — the input to predicate
 // reordering and representation choice (§5.4). Every conjunction comes back
 // listed most-selective-first (a stable sort, so ties keep source order);
 // estimates combine in source order: AND multiplies, OR is 1 − Π(1 − s),
 // NOT is 1 − s.
-func compilePred(p plan.Pred, cols []colInfo) (ops.Predicate, float64, error) {
+func (c *exprc) pred(p plan.Pred) (ops.Predicate, float64, error) {
 	switch pr := p.(type) {
 	case *plan.Cmp:
-		return compileCmp(pr, cols)
+		return c.cmp(pr)
 	case *plan.BetweenPred:
-		return compileBetween(pr, cols)
+		return c.between(pr)
 	case *plan.InPred:
-		return compileIn(pr, cols)
+		return compileIn(pr, c.cols)
 	case *plan.LikePred:
-		return compileLike(pr, cols)
+		return compileLike(pr, c.cols)
 	case *plan.AndPred:
-		preds, sels, err := compileEach(pr.Preds, cols)
+		preds, sels, err := c.each(pr.Preds)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -164,7 +245,7 @@ func compilePred(p plan.Pred, cols []colInfo) (ops.Predicate, float64, error) {
 		}
 		return &ops.And{Preds: preds}, all, nil
 	case *plan.OrPred:
-		preds, sels, err := compileEach(pr.Preds, cols)
+		preds, sels, err := c.each(pr.Preds)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -174,21 +255,21 @@ func compilePred(p plan.Pred, cols []colInfo) (ops.Predicate, float64, error) {
 		}
 		return &ops.Or{Preds: preds}, 1 - miss, nil
 	case *plan.NotPred:
-		c, sel, err := compilePred(pr.P, cols)
+		np, sel, err := c.pred(pr.P)
 		if err != nil {
 			return nil, 0, err
 		}
-		return &ops.Not{P: c}, 1 - sel, nil
+		return &ops.Not{P: np}, 1 - sel, nil
 	}
 	return nil, 0, fmt.Errorf("qcomp: unsupported predicate %T", p)
 }
 
-// compileEach compiles the members of an AND or OR, in source order.
-func compileEach(ps []plan.Pred, cols []colInfo) ([]ops.Predicate, []float64, error) {
+// each compiles the members of an AND or OR, in source order.
+func (c *exprc) each(ps []plan.Pred) ([]ops.Predicate, []float64, error) {
 	preds, sels := make([]ops.Predicate, len(ps)), make([]float64, len(ps))
 	for i, p := range ps {
 		var err error
-		if preds[i], sels[i], err = compilePred(p, cols); err != nil {
+		if preds[i], sels[i], err = c.pred(p); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -204,10 +285,10 @@ func leafSel(s float64) float64 {
 	return s
 }
 
-func compileCmp(c *plan.Cmp, cols []colInfo) (ops.Predicate, float64, error) {
-	op := c.Op
+func (c *exprc) cmp(cmp *plan.Cmp) (ops.Predicate, float64, error) {
+	op := cmp.Op
 	// Normalize const to the right.
-	l, r := c.L, c.R
+	l, r := cmp.L, cmp.R
 	if _, isConst := l.(*plan.Const); isConst {
 		l, r = r, l
 		op = op.Swap()
@@ -219,7 +300,7 @@ func compileCmp(c *plan.Cmp, cols []colInfo) (ops.Predicate, float64, error) {
 	// exactly to the column scale (e.g. integer column vs fractional
 	// literal) falls through to the scale-widening expression path.
 	if lIsCol && rIsConst {
-		ci := cols[lc.Idx]
+		ci := c.cols[lc.Idx]
 		// String comparison binds through the dictionary.
 		if ci.field.Type.Kind == coltypes.KindString {
 			return compileStringCmp(op, lc, rc, ci)
@@ -244,27 +325,22 @@ func compileCmp(c *plan.Cmp, cols []colInfo) (ops.Predicate, float64, error) {
 	if rs > target {
 		target = rs
 	}
+	le, err := c.scaled(l, target)
+	if err != nil {
+		return nil, 0, err
+	}
 	if rIsConst {
-		le, err := compileScaled(l, target, cols)
-		if err != nil {
-			return nil, 0, err
-		}
 		val, ok := rescaleConst(rc, target)
 		if !ok {
 			return nil, 0, fmt.Errorf("qcomp: constant %s not representable at scale %d", rc, target)
 		}
-		return &ops.ExprCmp{E: le, Op: op, Val: val}, 0.3, nil
+		return &ops.ExprCmp{Node: c.mat(le), Op: op, Val: val}, 0.3, nil
 	}
-	le, err := compileScaled(l, target, cols)
+	re, err := c.scaled(r, target)
 	if err != nil {
 		return nil, 0, err
 	}
-	re, err := compileScaled(r, target, cols)
-	if err != nil {
-		return nil, 0, err
-	}
-	diff := &ops.BinExpr{Op: plan.Sub, L: le, R: re}
-	return &ops.ExprCmp{E: diff, Op: op, Val: 0}, 0.3, nil
+	return &ops.ExprCmp{Node: c.mat(c.apply(plan.Sub, le, re)), Op: op, Val: 0}, 0.3, nil
 }
 
 func compileStringCmp(op plan.CmpOp, lc *plan.ColRef, rc *plan.Const, ci colInfo) (ops.Predicate, float64, error) {
@@ -294,7 +370,7 @@ func compileStringCmp(op plan.CmpOp, lc *plan.ColRef, rc *plan.Const, ci colInfo
 	}
 }
 
-func compileBetween(b *plan.BetweenPred, cols []colInfo) (ops.Predicate, float64, error) {
+func (c *exprc) between(b *plan.BetweenPred) (ops.Predicate, float64, error) {
 	lc, ok := b.E.(*plan.ColRef)
 	loC, okLo := b.Lo.(*plan.Const)
 	hiC, okHi := b.Hi.(*plan.Const)
@@ -302,9 +378,9 @@ func compileBetween(b *plan.BetweenPred, cols []colInfo) (ops.Predicate, float64
 		// Lower to two comparisons.
 		lo := &plan.Cmp{Op: plan.GE, L: b.E, R: b.Lo}
 		hi := &plan.Cmp{Op: plan.LE, L: b.E, R: b.Hi}
-		return compilePred(&plan.AndPred{Preds: []plan.Pred{lo, hi}}, cols)
+		return c.pred(&plan.AndPred{Preds: []plan.Pred{lo, hi}})
 	}
-	ci := cols[lc.Idx]
+	ci := c.cols[lc.Idx]
 	s := scaleOf(ci.field.Type)
 	lo, ok1 := rescaleConst(loC, s)
 	hi, ok2 := rescaleConst(hiC, s)

@@ -42,6 +42,7 @@ type groupPartNode struct {
 	input     physNode
 	groupCols []int
 	specs     []ops.AggSpec
+	prog      *ops.Program // the specs' arguments
 	finals    []finalSpec
 	out       []plan.Field
 	ndv       int64
@@ -64,7 +65,7 @@ func (g *groupPartNode) execute(ctx *qef.Context) (*ops.Relation, error) {
 		target := RequiredPartitions(g.ndv*groupBytes, ctx.SoC.Config())
 		scheme := OptimizeScheme(target, g.ndv*groupBytes)
 		maxGroups := int(g.ndv)/scheme.Fanout() + 64
-		raw, err := ops.GroupByPartitioned(ctx, rel, g.groupCols, g.specs, scheme, maxGroups*2)
+		raw, err := ops.GroupByPartitioned(ctx, rel, g.groupCols, g.specs, g.prog, scheme, maxGroups*2)
 		if err != nil {
 			return nil, err
 		}

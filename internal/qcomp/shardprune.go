@@ -43,7 +43,7 @@ func ShardZonePruned(root plan.Node) bool {
 		return storage.Zone{Min: cs.Min, Max: cs.Max}, true
 	}
 	for _, p := range preds {
-		compiled, _, err := compilePred(p, cols)
+		compiled, _, err := newExprc(cols).pred(p)
 		if err != nil {
 			return false
 		}

@@ -1,9 +1,13 @@
 package qgen
 
 import (
+	"fmt"
 	"testing"
 
+	"rapid/internal/cluster"
 	"rapid/internal/coltypes"
+	"rapid/internal/encoding"
+	"rapid/internal/qef"
 	"rapid/internal/storage"
 )
 
@@ -455,4 +459,84 @@ func TestRegressJoinFilter(t *testing.T) {
 			t.Errorf("%s: the SoC's join filters dropped %d rows, want armed = %v", c.sql, dropped, c.armed)
 		}
 	}
+}
+
+// Regression: each operator evaluates one expression program, with
+// repeated subexpressions shared and constants folded at compile time. The
+// statements repeat subexpressions across aggregates, projections, CASE arms
+// and conditions, and filters, and put decimal constants at scale
+// boundaries (1 - x, x * 1.5, x / 3, a zero divisor, constant-only
+// arithmetic over negative values). Each answers as the host does on one SoC
+// (ModeX86 and ModeDPU) and on trays of 1, 2 and 4 nodes in both modes. The
+// u0 groups outnumber the low-NDV group table, so those statements take the
+// partitioned group-by.
+func TestRegressSharedExprs(t *testing.T) {
+	rows := make([][]storage.Value, 6000)
+	dec := func(v int64, scale int8) storage.Value {
+		return storage.DecValue(encoding.Decimal{Unscaled: v, Scale: scale})
+	}
+	for i := range rows {
+		rows[i] = []storage.Value{
+			storage.IntValue(int64(i % 7)),
+			dec(int64(i*37%2000)-700, 2),
+			dec(int64(i%9)-2, 1),
+			storage.IntValue(int64(i%23) - 11),
+			storage.IntValue(int64(i)),
+		}
+	}
+	sc := &Scenario{Tables: []*Table{{
+		Name: "t0",
+		Cols: []Column{
+			{Name: "k0", Kind: KInt, Type: coltypes.Int(), Hi: 7},
+			{Name: "a0", Kind: KDec, Type: coltypes.Decimal(2), Hi: 2000},
+			{Name: "b0", Kind: KDec, Type: coltypes.Decimal(1), Hi: 9},
+			{Name: "c0", Kind: KInt, Type: coltypes.Int(), Hi: 23},
+			{Name: "u0", Kind: KInt, Type: coltypes.Int(), Hi: 6000},
+		},
+		Rows: rows,
+	}}}
+	r, err := NewRunner(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if err := r.EnableTrays([]int{1, 2, 4}); err != nil {
+		t.Fatal(err)
+	}
+	for _, sql := range []string{
+		"SELECT k0, SUM(a0 * (1 - b0)), SUM(a0 * (1 - b0) * (1 + c0)), AVG(b0), SUM(CASE WHEN a0 > 5 THEN a0 * (1 - b0) ELSE b0 END) FROM t0 GROUP BY k0",
+		"SELECT SUM(a0 * (1 - b0)), SUM(a0 * (1 - b0) * (1 + c0)), AVG(b0), MIN(1 - a0), MAX(c0 / 3), SUM(c0 / 3), COUNT(*) FROM t0 WHERE a0 * (1 - b0) > 0",
+		"SELECT a0 * 1.5, a0 * 1.5 + 1, 1 - a0, (1 - a0) * (1 - a0), c0 / 3, a0 / 3, CASE WHEN c0 / 3 > 1 THEN c0 / 3 ELSE 1 - a0 END, u0 FROM t0 WHERE u0 < 500",
+		"SELECT k0, SUM(CASE WHEN a0 * (1 - b0) > 1 THEN a0 * (1 - b0) ELSE 0 END), SUM(CASE WHEN a0 * (1 - b0) > 1 THEN 1 ELSE 0 END), SUM(CASE WHEN b0 < 0 THEN 1 ELSE 0 END) FROM t0 WHERE c0 / 3 < 2 AND a0 * 1.5 > 0 - 5 GROUP BY k0",
+		"SELECT k0, SUM((1 + 2) * c0), SUM(c0 / 0), SUM(10 / 4 + a0), SUM((0 - 1) / 3 * c0), SUM((0 - 7) / 2 + c0 * 0.5) FROM t0 GROUP BY k0",
+		"SELECT u0, SUM(a0 * (1 - b0)), SUM(a0 * (1 - b0) * (1 + c0)), AVG(a0 / 3), SUM(CASE WHEN c0 > 0 THEN 1 - a0 ELSE a0 * 1.5 END) FROM t0 GROUP BY u0",
+		"SELECT u0, k0, a0 * (1 - b0) AS d FROM t0 WHERE a0 * (1 - b0) < 0 - 1 AND a0 * (1 - b0) > 0 - 300",
+	} {
+		if m := r.CheckSQL(sql); m != nil {
+			t.Fatalf("%s", m.Reproducer())
+		}
+		if m := checkTraysDPU(r, sql); m != nil {
+			t.Fatalf("%s", m.Reproducer())
+		}
+	}
+}
+
+// checkTraysDPU compares every tray lane's ModeDPU answer with the host's
+// (CheckSQL runs the trays in ModeX86).
+func checkTraysDPU(r *Runner, sql string) *Mismatch {
+	host, err := r.primary.Query(sql, engines[0].opts)
+	if err != nil {
+		return r.mismatch("differential", sql, fmt.Sprintf("host failed: %v", err))
+	}
+	want := bag(host.Rel)
+	for _, tl := range r.trays {
+		res, err := tl.tray.Query(sql, cluster.QueryOptions{Mode: qef.ModeDPU})
+		if err != nil {
+			return r.mismatch("differential", sql, fmt.Sprintf("tray%d/dpu failed: %v", tl.nodes, err))
+		}
+		if d := diffBags(want, bag(res.Rel)); d != "" {
+			return r.mismatch("differential", sql, fmt.Sprintf("host vs tray%d/dpu: %s", tl.nodes, d))
+		}
+	}
+	return nil
 }
