@@ -7,6 +7,7 @@ import (
 	"rapid/internal/coltypes"
 	"rapid/internal/plan"
 	"rapid/internal/qef"
+	"rapid/internal/storage"
 )
 
 // --- DMEMSize conformance -------------------------------------------------
@@ -50,9 +51,10 @@ func withRIDs(t *qef.Tile) *qef.Tile {
 	return t
 }
 
-// observedPoolBytes runs op.Open + one Produce on a pooled task context and
-// returns the pool high-water mark attributable to the Produce call.
-func observedPoolBytes(t *testing.T, mode qef.Mode, op qef.Operator, tile *qef.Tile) int {
+// observedPoolBytes runs op.Open + one Produce on a pooled task context, as
+// a unit whose chunk has the zone maps zone, and returns the pool high-water
+// mark attributable to the Produce call and the unit's end (EndUnit).
+func observedPoolBytes(t *testing.T, mode qef.Mode, op qef.Operator, tile *qef.Tile, zone func(int) (storage.Zone, bool)) int {
 	t.Helper()
 	ctx := qef.NewContext(mode)
 	used := -1
@@ -61,9 +63,13 @@ func observedPoolBytes(t *testing.T, mode qef.Mode, op qef.Operator, tile *qef.T
 			return err
 		}
 		tc.ResetScratch()
+		tc.Zone = zone
 		p := tc.Pool
 		base := p.MarkHighWater()
 		if err := op.Produce(tc, tile); err != nil {
+			return err
+		}
+		if err := tc.EndUnit(); err != nil {
 			return err
 		}
 		used = p.HighWater() - base
@@ -107,11 +113,36 @@ func TestDMEMSizeIsUpperBoundOnPoolUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A pre-aggregation over the tile's first and third columns, whose zones
+	// (confTile's values are below 100) give 100 slots each.
+	preAgg := func(keys int, slots int) func() qef.Operator {
+		return func() qef.Operator {
+			op := &PreAggOp{
+				Keys:   []PreAggKey{{Col: 0, Scan: 0, Width: coltypes.W1}, {Col: 2, Scan: 2, Width: coltypes.W2}}[:keys],
+				States: []PreAggState{{Kind: AggSum, Col: 1}, {Kind: AggMin, Col: 1}, {Kind: AggCountStar}},
+				Slots:  slots,
+				Next:   &CountSink{},
+			}
+			return op
+		}
+	}
+	// Each runs as a unit whose chunk has these zone maps.
+	zone := zonesOf(map[int]storage.Zone{0: {Min: 0, Max: 99}, 2: {Min: 0, Max: 99}})
+	zoned := map[string]bool{}
+	for _, name := range []string{"preagg/dense", "preagg/sel", "preagg/rids", "preagg/2keys", "preagg/passthrough"} {
+		zoned[name] = true
+	}
 	cases := []struct {
 		name string
 		op   func() qef.Operator
 		tile func() *qef.Tile
 	}{
+		{"preagg/dense", preAgg(1, 100), func() *qef.Tile { return confTile(confTileRows) }},
+		{"preagg/sel", preAgg(1, 100), func() *qef.Tile { return withSel(confTile(confTileRows)) }},
+		{"preagg/rids", preAgg(1, 100), func() *qef.Tile { return withRIDs(confTile(confTileRows)) }},
+		{"preagg/2keys", preAgg(2, 10000), func() *qef.Tile { return withSel(confTile(confTileRows)) }},
+		{"preagg/passthrough", preAgg(1, 99), func() *qef.Tile { return withSel(confTile(confTileRows)) }},
+		{"preagg/nozone", preAgg(2, 10000), func() *qef.Tile { return confTile(confTileRows) }},
 		{"filter/joinfilter", func() qef.Operator {
 			return &FilterOp{Pred: jf, Next: &CountSink{}}
 		}, func() *qef.Tile { return confTile(confTileRows) }},
@@ -211,7 +242,11 @@ func TestDMEMSizeIsUpperBoundOnPoolUse(t *testing.T) {
 		for _, c := range cases {
 			op := c.op()
 			declared := op.DMEMSize(confTileRows)
-			used := observedPoolBytes(t, mode, op, c.tile())
+			var z func(int) (storage.Zone, bool)
+			if zoned[c.name] {
+				z = zone
+			}
+			used := observedPoolBytes(t, mode, op, c.tile(), z)
 			if used > declared {
 				t.Errorf("%s/%s: observed pool use %d bytes exceeds declared DMEMSize %d",
 					mode, c.name, used, declared)

@@ -19,6 +19,10 @@ import (
 // pruned/scanned/total counts land on the active span; the profile asserts
 // pruned+scanned == total.
 //
+// A unit sets TaskCtx.Zone to its chunk's zone maps while it runs, and ends
+// with TaskCtx.EndUnit, which flushes the operators that keep a table per
+// unit (PreAggOp).
+//
 // Each core owns ONE chain instance for the whole scan (operator state such
 // as group tables is per core, merged at Close — the paper's merge-operator
 // pattern); chainFor builds the instances, and the sinks/mergers they end
@@ -48,8 +52,9 @@ func TableScan(ctx *qef.Context, snap *storage.Snapshot, cols []int, tileRows in
 			for i, c := range cols {
 				data[i] = cv.Data(c)
 			}
+			tc.Zone = TileZone(cv, cols)
 			base := 0
-			return qef.Sequential(tc, [][]coltypes.Data{data}, tileRows, func(t *qef.Tile) error {
+			err = qef.Sequential(tc, [][]coltypes.Data{data}, tileRows, func(t *qef.Tile) error {
 				if cv.Deleted != nil {
 					if sel := tc.Pool.BV(t.N); liveSel(sel, cv.Deleted, base) {
 						t.Sel = sel
@@ -58,6 +63,10 @@ func TableScan(ctx *qef.Context, snap *storage.Snapshot, cols []int, tileRows in
 				base += t.N
 				return emitTo(tc, head, t)
 			})
+			if err != nil {
+				return err
+			}
+			return tc.EndUnit()
 		})
 	}
 	if pruned > 0 {

@@ -78,6 +78,10 @@ func (c *Compiled) seconds(n plan.Node) float64 {
 			primitives.JoinProbeCost(int(probe), 256, 0.5)) / dpu.FreqHz / dpuCores
 		return sec + filterSec + partSec + kernel
 	case *plan.GroupBy:
+		if pa := c.preaggs[node]; pa != nil {
+			// The step reads every input row; the group-by its bound.
+			return sec + perRow(pa.rowCycles(), node.Input) + 6*float64(pa.rows)/dpu.FreqHz/dpuCores
+		}
 		return sec + perRow(6, node.Input)
 	case *plan.Sort:
 		return sec + perRow(24, node.Input)

@@ -49,6 +49,19 @@ type groupPartNode struct {
 	opID      int
 }
 
+// scheme is the partitioning that leaves each partition's group table in a
+// dpCore's DMEM: the §5.4 pre-partitioning of high-NDV group-by.
+func (g *groupPartNode) scheme(cfg dpu.Config) ops.PartScheme {
+	groupBytes := int64(len(g.groupCols)*8 + len(g.specs)*32)
+	return OptimizeScheme(RequiredPartitions(g.ndv*groupBytes, cfg), g.ndv*groupBytes)
+}
+
+// swRounds is the number of software rounds after the DMS's that the
+// default SoC partitions the group-by's input in.
+func (g *groupPartNode) swRounds() int {
+	return max(len(g.scheme(dpu.DefaultConfig()).Rounds)-1, 0)
+}
+
 func (g *groupPartNode) fields() []plan.Field { return g.out }
 func (g *groupPartNode) estRows() int64       { return g.ndv }
 
@@ -59,11 +72,7 @@ func (g *groupPartNode) execute(ctx *qef.Context) (*ops.Relation, error) {
 	}
 	sp := ctx.Prof.Span(g.opID)
 	return underSpan(ctx, sp, sp, rel.Rows(), func() (*ops.Relation, error) {
-		// Scheme: enough partitions that each partition's group table fits
-		// the DMEM (the §5.4 pre-partitioning of high-NDV group-by).
-		groupBytes := int64(len(g.groupCols)*8 + len(g.specs)*32)
-		target := RequiredPartitions(g.ndv*groupBytes, ctx.SoC.Config())
-		scheme := OptimizeScheme(target, g.ndv*groupBytes)
+		scheme := g.scheme(ctx.SoC.Config())
 		maxGroups := int(g.ndv)/scheme.Fanout() + 64
 		raw, err := ops.GroupByPartitioned(ctx, rel, g.groupCols, g.specs, g.prog, scheme, maxGroups*2)
 		if err != nil {

@@ -48,6 +48,8 @@ func (p *pipelineNode) annotate(reg *spanReg, parent int) int {
 		switch s.kind {
 		case stepFilter:
 			p.stepIDs[i] = reg.add(up, "Filter", "", obs.KindPipeline, true)
+		case stepPreAgg:
+			p.stepIDs[i] = reg.add(up, "PreAgg", fmt.Sprintf("(keys=%d, slots=%d)", len(s.pre.op.Keys), s.pre.slots), obs.KindPipeline, true)
 		case stepJoinFilter:
 			// The join states at execute time whether it armed the filter
 			// (joinNode.armFilter).

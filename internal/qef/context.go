@@ -25,6 +25,7 @@ import (
 	"rapid/internal/dpu"
 	"rapid/internal/mem"
 	"rapid/internal/obs"
+	"rapid/internal/storage"
 )
 
 // Mode selects the execution configuration.
@@ -283,6 +284,16 @@ type TaskCtx struct {
 	// appear; a unit keeps one Seq for its whole run.
 	Seq int
 
+	// Zone, while a table scan's unit runs, returns the zone map of scanned
+	// column c of the unit's chunk, ok false where none bounds the chunk's
+	// visible values (ops.TileZone). RunUnit clears it: it is nil in any
+	// other unit.
+	Zone func(c int) (storage.Zone, bool)
+
+	// ends are the operators registered for the running unit's end, each with
+	// the span that was current when it registered (AtUnitEnd).
+	ends []unitEnd
+
 	transferSec float64
 
 	// Interval profiler state: every cycle (ModeDPU) or nanosecond
@@ -355,6 +366,35 @@ func (tc *TaskCtx) flushSpan() {
 		tc.span.AddWallNs(tc.CoreID, now.Sub(tc.markT).Nanoseconds())
 		tc.markT = now
 	}
+}
+
+// unitEnd is one AtUnitEnd registration.
+type unitEnd struct {
+	op   UnitEnder
+	span *obs.OpSpan
+}
+
+// AtUnitEnd has op's EndUnit run once the running unit's source has produced
+// its last tile, under the span current now. An operator registers on its
+// first tile of a unit; a unit that fails runs none of its registrations.
+func (tc *TaskCtx) AtUnitEnd(op UnitEnder) {
+	tc.ends = append(tc.ends, unitEnd{op: op, span: tc.span})
+}
+
+// EndUnit runs the unit's AtUnitEnd registrations in order, each under its
+// own span, and forgets them. A table scan (ops.TableScan) calls it after a
+// unit's last tile.
+func (tc *TaskCtx) EndUnit() error {
+	defer func() { tc.ends = tc.ends[:0] }()
+	for _, e := range tc.ends {
+		prev := tc.SwitchSpan(e.span)
+		err := e.op.EndUnit(tc)
+		tc.SwitchSpan(prev)
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // SwitchSpan flushes the interval accumulated so far into the outgoing
@@ -468,6 +508,7 @@ func (c *Context) RunUnit(tc *TaskCtx, u WorkUnit) error {
 	}
 	c.CountMetric("qef_work_units_total", 1)
 	tc.transferSec = 0
+	tc.Zone, tc.ends = nil, tc.ends[:0]
 	tc.DMEM.Reset()
 	tc.Pool.Reset()
 	tc.tileOff = 0

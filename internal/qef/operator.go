@@ -19,3 +19,11 @@ type Operator interface {
 	// Close flushes state at end of data (close).
 	Close(tc *TaskCtx) error
 }
+
+// UnitEnder is an operator that holds state for one work unit of its task
+// source — a scan unit's pre-aggregation table — and emits it downstream once
+// the unit's last tile has passed. It registers itself in the unit with
+// TaskCtx.AtUnitEnd.
+type UnitEnder interface {
+	EndUnit(tc *TaskCtx) error
+}

@@ -7,6 +7,7 @@ import (
 	"rapid/internal/cluster"
 	"rapid/internal/coltypes"
 	"rapid/internal/encoding"
+	"rapid/internal/hostdb"
 	"rapid/internal/qef"
 	"rapid/internal/storage"
 )
@@ -539,4 +540,151 @@ func checkTraysDPU(r *Runner, sql string) *Mismatch {
 		}
 	}
 	return nil
+}
+
+// Regression: a partitioned group-by over a scan whose zone maps bound its
+// keys pre-aggregates each scan unit (ops.PreAggOp) and merges the states.
+// t0 is stored in k0 order, 8 rows a key from -3000 on with every fifth key
+// missing, reloaded on the primary in 512-row chunks so that one key (64
+// slots a chunk) and k0 with c0 (128) both arm; the alternate layout's 7-row
+// chunks arm too. Each
+// statement — HAVING, every aggregate kind, a filter first, two keys in
+// either order — answers as the host does on one SoC (ModeX86 and ModeDPU)
+// and on trays of 1, 2 and 4 nodes in both modes, before and after DML that
+// takes a chunk's key zone away (an update of k0), leaves superset zones
+// (deletes) or adds the insert delta chunk, and read at the pre-DML SCN.
+func TestRegressPreAgg(t *testing.T) {
+	rows := make([][]storage.Value, 48000)
+	for i := range rows {
+		// Every fifth key is missing: its slot stays empty.
+		key := i / 8
+		if key%5 == 0 {
+			key++
+		}
+		rows[i] = []storage.Value{
+			storage.IntValue(int64(key - 3000)),
+			storage.IntValue(int64(i % 2)),
+			storage.IntValue(int64(i*37%2001 - 1000)),
+			storage.IntValue(int64(i % 7)),
+		}
+	}
+	sc := &Scenario{Tables: []*Table{{
+		Name: "t0",
+		Cols: []Column{
+			{Name: "k0", Kind: KInt, Type: coltypes.Int(), Hi: 3000},
+			{Name: "c0", Kind: KInt, Type: coltypes.Int(), Hi: 2},
+			{Name: "a0", Kind: KInt, Type: coltypes.Int(), Hi: 1000},
+			{Name: "b0", Kind: KInt, Type: coltypes.Int(), Hi: 7},
+		},
+		Rows: rows,
+	}}}
+	r, err := NewRunner(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if _, err := r.primary.Load("t0", hostdb.LoadOptions{ChunkRows: 512}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.EnableTrays([]int{1, 2, 4}); err != nil {
+		t.Fatal(err)
+	}
+	// armed: the step arms on the primary. Three states over two keys and
+	// four scanned columns leave 23 slots beside its 256-row tiles, where
+	// its chunks need about 128; five states over three columns leave 63,
+	// which the chunks that start at a missing key fit.
+	stmts := []struct {
+		sql   string
+		armed bool
+	}{
+		{"SELECT k0 FROM t0 GROUP BY k0 HAVING SUM(a0) > 2000", true},
+		{"SELECT k0, MIN(a0) FROM t0 GROUP BY k0", true},
+		{"SELECT k0, MAX(a0) FROM t0 GROUP BY k0 HAVING MAX(a0) < 900", true},
+		{"SELECT k0, COUNT(a0) FROM t0 GROUP BY k0", true},
+		{"SELECT k0, COUNT(*) FROM t0 GROUP BY k0", true},
+		{"SELECT k0, AVG(a0) FROM t0 GROUP BY k0", true},
+		{"SELECT k0, MIN(a0), AVG(a0), COUNT(*) FROM t0 WHERE b0 < 3 GROUP BY k0", true},
+		{"SELECT c0, k0, AVG(a0) FROM t0 WHERE b0 > 4 GROUP BY c0, k0 HAVING COUNT(*) > 0", true},
+		{"SELECT c0, k0 FROM t0 GROUP BY c0, k0", true},
+		{"SELECT k0, SUM(a0), MIN(a0), MAX(a0), COUNT(a0), COUNT(*), AVG(a0) FROM t0 WHERE b0 < 6 GROUP BY k0", true},
+		{"SELECT k0, c0, SUM(a0), COUNT(*), MAX(a0) FROM t0 WHERE b0 <> 2 GROUP BY k0, c0", false},
+	}
+	check := func(when string) {
+		t.Helper()
+		for _, s := range stmts {
+			if m := r.CheckSQL(s.sql); m != nil {
+				t.Fatalf("%s: %s", when, m.Reproducer())
+			}
+			if m := checkTraysDPU(r, s.sql); m != nil {
+				t.Fatalf("%s: %s", when, m.Reproducer())
+			}
+			res, err := r.primary.Query(s.sql, engines[2].opts)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", when, s.sql, err)
+			}
+			armed := false
+			for _, op := range res.Profile.Summary().Ops {
+				armed = armed || op.Name == "PreAgg"
+			}
+			if armed != s.armed {
+				t.Errorf("%s: %s: pre-aggregation on the SoC %v, want %v", when, s.sql, armed, s.armed)
+			}
+		}
+	}
+	check("as loaded")
+
+	d := &dmlDriver{r: r}
+	dml := func(what string, op func(db *hostdb.Database) error) {
+		t.Helper()
+		if err := d.both(what, op); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.checkpointAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// An update of the key takes its chunk's k0 zone away: the chunk passes
+	// through, with a key far outside every other chunk's.
+	dml("update k0", func(db *hostdb.Database) error {
+		if _, err := db.Update("t0", 700, 0, storage.IntValue(99999)); err != nil {
+			return err
+		}
+		_, err := db.Update("t0", 701, 2, storage.IntValue(-5))
+		return err
+	})
+	check("after an update")
+	// Deleted rows keep their chunks' zones, a superset of the live keys.
+	dml("delete", func(db *hostdb.Database) error {
+		for h := 5000; h < 5600; h += 3 {
+			if _, err := db.Delete("t0", h); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	check("after deletes")
+	// Inserted rows land in the delta chunk, which has no zone.
+	dml("insert", func(db *hostdb.Database) error {
+		_, err := db.Insert("t0", [][]storage.Value{
+			{storage.IntValue(-3000), storage.IntValue(1), storage.IntValue(500), storage.IntValue(0)},
+			{storage.IntValue(4000), storage.IntValue(0), storage.IntValue(-7), storage.IntValue(6)},
+		})
+		return err
+	})
+	check("after inserts")
+	// A plan bound before more DML reads its own snapshot.
+	for _, s := range stmts {
+		mutate := func() error {
+			if err := d.both("update k0", func(db *hostdb.Database) error {
+				_, err := db.Update("t0", 30000, 0, storage.IntValue(-4000))
+				return err
+			}); err != nil {
+				return err
+			}
+			return d.checkpointAll()
+		}
+		if m := d.checkOldPlan(s.sql, mutate); m != nil {
+			t.Fatalf("%s", m.Reproducer())
+		}
+	}
 }
