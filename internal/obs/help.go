@@ -27,7 +27,7 @@ var defaultHelp = map[string]string{
 	"qef_pool_grows_total":               "Backing-array allocations by tile pools inside work units (steady state: none).",
 	"qcomp_group_overflow_fallbacks":     "Group-by overflow fallbacks to the partitioned plan (§5.4).",
 	"ops_exists_overflow_rows_total":     "Semi/anti-join build rows beyond the DMEM hash-table capacity (§6.4); their probes are not billed DRAM latency.",
-	"ops_join_filter_dropped_rows_total": "Probe rows a join's bit-vector filter dropped before they were collected, partitioned and probed; EXPLAIN ANALYZE's JoinFilter rows show them per join.",
+	"ops_join_filter_dropped_rows_total": "Rows a join's bit-vector filter dropped in the scan that produces its probe keys, before they were collected, partitioned and joined: its own probe side's rows, and rows deeper in it, build sides of the joins below included; EXPLAIN ANALYZE's JoinFilter rows show them per filter.",
 
 	"rapid_query_cycles":            "Per-query dpCore cycle distribution (bucket sums reconcile with rapid_dpcore_cycles_total).",
 	"rapid_query_energy_nanojoules": "Per-query energy distribution, nanojoules (sums reconcile with the activity+idle energy counters).",

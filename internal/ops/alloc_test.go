@@ -113,6 +113,17 @@ func TestDMEMSizeIsUpperBoundOnPoolUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A second join filter, over the tile's third column, resident in the
+	// same pipeline: each filter is its own FilterOp, as qcomp chains them.
+	jb2, err := NewJoinBuild(intRel([]string{"k"}, seq(30, func(i int) int64 { return int64(2 * i) })),
+		JoinSpec{Type: plan.InnerJoin, BuildKeys: []int{0}, ProbeKeys: []int{0}, Scheme: PartScheme{Rounds: []int{32}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jf2, err := jb2.Filter(qef.NewContext(qef.ModeDPU), []int{2}, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// A pre-aggregation over the tile's first and third columns, whose zones
 	// (confTile's values are below 100) give 100 slots each.
 	preAgg := func(keys int, slots int) func() qef.Operator {
@@ -149,6 +160,10 @@ func TestDMEMSizeIsUpperBoundOnPoolUse(t *testing.T) {
 		{"filter/joinfilter/rids", func() qef.Operator {
 			return &FilterOp{Pred: &And{Preds: []Predicate{&ConstCmp{Col: 2, Op: plan.LT, Val: 90}, jf}}, Next: &CountSink{}}
 		}, func() *qef.Tile { return withRIDs(confTile(confTileRows)) }},
+		{"filter/twofilters", func() qef.Operator {
+			second := &FilterOp{Pred: jf2, Next: &CountSink{}}
+			return chainDMEM{Operator: &FilterOp{Pred: jf, Next: second}, rest: []qef.Operator{second}}
+		}, func() *qef.Tile { return withSel(confTile(confTileRows)) }},
 		{"filter/dense", func() qef.Operator {
 			return &FilterOp{Pred: richPred, Prog: richProg, Next: &CountSink{}}
 		}, func() *qef.Tile { return confTile(confTileRows) }},
@@ -253,6 +268,21 @@ func TestDMEMSizeIsUpperBoundOnPoolUse(t *testing.T) {
 			}
 		}
 	}
+}
+
+// chainDMEM is an operator chain declared as its head plus rest, the
+// operators after the head that claim DMEM of their own.
+type chainDMEM struct {
+	qef.Operator
+	rest []qef.Operator
+}
+
+func (c chainDMEM) DMEMSize(rows int) int {
+	n := c.Operator.DMEMSize(rows)
+	for _, op := range c.rest {
+		n += op.DMEMSize(rows)
+	}
+	return n
 }
 
 // --- Steady-state allocation guards ---------------------------------------

@@ -8,19 +8,22 @@ import (
 	"rapid/internal/qef"
 )
 
-// JoinFilter is a bit-vector join filter: a Predicate that passes a probe row
-// only when the build side may hold its key. Each build row set the bit of
-// its key hash (primitives.JoinFilterBit), so no row of a matching key is
-// ever dropped; a row of another key passes when its bit was set by chance.
-// It is the sibling of InSet, whose bitmap is indexed by dictionary code
-// rather than key hash.
+// JoinFilter is a bit-vector join filter: a Predicate that passes a row only
+// when the build side may hold its key. Each build row set the bit of its key
+// hash (primitives.JoinFilterBit), so no row of a matching key is ever
+// dropped; a row of another key passes when its bit was set by chance. The
+// tested rows are those of a scan that produces the join's probe keys: the
+// probe side's own, or one below it that the join does not partition
+// (qcomp's join filter schedule), since the key hash is the same function of
+// the key's value in either. It is the sibling of InSet, whose bitmap is
+// indexed by dictionary code rather than key hash.
 //
 // The vector lives in DRAM once filled. A core loads it into its DMEM before
-// its first test and keeps it there for the rest of the probe side's scan, as
-// it keeps a group-by table; FilterOp.DMEMSize counts it, so the task former
-// sizes the probe pipeline's tiles with it resident.
+// its first test and keeps it there for the rest of the tested scan, as it
+// keeps a group-by table; the compiler counts it beside the FilterOp's
+// DMEMSize, so the task former sizes that pipeline's tiles with it resident.
 type JoinFilter struct {
-	keys []int // the probe key columns in the tile, in the build keys' order
+	keys []int // the tested key columns in the tile, in the build keys' order
 
 	words    []uint64
 	partBits uint
@@ -48,7 +51,7 @@ func (f *JoinFilter) Dropped() int64 {
 }
 
 // Filter fills a 2^logBits-bit join filter from the build side's key hashes,
-// for probe key columns probeKeys. It partitions the build side first (the
+// to be tested on key columns probeKeys of the tiles that test it. It partitions the build side first (the
 // partitioning the join runs anyway, whose hash engine computes the hashes),
 // so logBits must leave every partition at least one 64-bit word. One work
 // unit per partition reads the partition's hashes, sets their bits in its own

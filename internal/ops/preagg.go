@@ -173,12 +173,13 @@ func (p *PreAggOp) Folds() (folds, stars int) {
 }
 
 // fold folds the tile's selected rows into the table and returns how many
-// it folded.
+// it folded, up to 64 rows at a time (foldBlock).
 func (p *PreAggOp) fold(t *qef.Tile) (int, error) {
+	var rows [64]uint32
 	switch {
 	case t.RIDs != nil:
-		for _, r := range t.RIDs {
-			if err := p.foldRow(t, int(r)); err != nil {
+		for lo := 0; lo < len(t.RIDs); lo += 64 {
+			if err := p.foldBlock(t, t.RIDs[lo:min(lo+64, len(t.RIDs))]); err != nil {
 				return 0, err
 			}
 		}
@@ -186,44 +187,73 @@ func (p *PreAggOp) fold(t *qef.Tile) (int, error) {
 	case t.Sel != nil:
 		n := 0
 		for wi, w := range t.Sel.Words() {
+			k := 0
 			for ; w != 0; w &= w - 1 {
-				if err := p.foldRow(t, wi<<6|mathbits.TrailingZeros64(w)); err != nil {
-					return 0, err
-				}
-				n++
+				rows[k] = uint32(wi<<6 | mathbits.TrailingZeros64(w))
+				k++
 			}
+			if err := p.foldBlock(t, rows[:k]); err != nil {
+				return 0, err
+			}
+			n += k
 		}
 		return n, nil
 	}
-	for r := 0; r < t.N; r++ {
-		if err := p.foldRow(t, r); err != nil {
+	for lo := 0; lo < t.N; lo += 64 {
+		hi := min(lo+64, t.N)
+		for r := lo; r < hi; r++ {
+			rows[r-lo] = uint32(r)
+		}
+		if err := p.foldBlock(t, rows[:hi-lo]); err != nil {
 			return 0, err
 		}
 	}
 	return t.N, nil
 }
 
-func (p *PreAggOp) foldRow(t *qef.Tile, r int) error {
-	slot := int64(0)
+// foldBlock folds the tile's rows (at most 64) into the table: their slots
+// are computed once from the keys, each read through its width's own loop
+// (widenGather), and then each state folds its argument, read the same way,
+// at those slots.
+func (p *PreAggOp) foldBlock(t *qef.Tile, rows []uint32) error {
+	var slots, vals [64]int64
+	sl, v := slots[:len(rows)], vals[:len(rows)]
 	for k, key := range p.Keys {
-		off := t.Cols[key.Col].Get(r) - p.base[k]
-		if uint64(off) >= uint64(p.radix[k]) {
-			return fmt.Errorf("ops: pre-aggregation key %d is outside its chunk's zone", k)
+		widenGather(v, t.Cols[key.Col], rows)
+		base, radix := p.base[k], p.radix[k]
+		for i, x := range v {
+			off := x - base
+			if uint64(off) >= uint64(radix) {
+				return fmt.Errorf("ops: pre-aggregation key %d is outside its chunk's zone", k)
+			}
+			sl[i] = sl[i]*radix + off
 		}
-		slot = slot*p.radix[k] + off
 	}
-	p.occWords[slot>>6] |= 1 << (slot & 63)
+	for _, slot := range sl {
+		p.occWords[slot>>6] |= 1 << (slot & 63)
+	}
 	for s, st := range p.States {
-		acc := &p.table[s*p.Slots+int(slot)]
+		acc := p.table[s*p.Slots : s*p.Slots+p.span]
+		if st.Kind == AggCount || st.Kind == AggCountStar { // the engine has no NULLs
+			for _, slot := range sl {
+				acc[slot]++
+			}
+			continue
+		}
+		widenGather(v, t.Cols[st.Col], rows)
 		switch st.Kind {
 		case AggSum:
-			*acc += t.Cols[st.Col].Get(r)
+			for i, slot := range sl {
+				acc[slot] += v[i]
+			}
 		case AggMin:
-			*acc = min(*acc, t.Cols[st.Col].Get(r))
+			for i, slot := range sl {
+				acc[slot] = min(acc[slot], v[i])
+			}
 		case AggMax:
-			*acc = max(*acc, t.Cols[st.Col].Get(r))
-		default: // COUNT and COUNT(*): the engine has no NULLs
-			*acc++
+			for i, slot := range sl {
+				acc[slot] = max(acc[slot], v[i])
+			}
 		}
 	}
 	return nil

@@ -16,14 +16,15 @@ import (
 type Compiled struct {
 	root     physNode
 	spanDefs []obs.SpanDef
-	// plan, rows, filtered and preaggs are what the cost model reads
+	// plan, rows, preaggs, keep and filterSec are what the cost model reads
 	// (cost.go): the logical plan lowered, the compiler's row estimate of
-	// every node of it, the joins whose probe side has a join filter step,
-	// and the group-bys whose input pre-aggregates.
-	plan     plan.Node
-	rows     map[plan.Node]int64
-	filtered map[*plan.Join]*joinNode
-	preaggs  map[*plan.GroupBy]*preAgg
+	// every node of it, the group-bys whose input pre-aggregates, and the
+	// join filter schedule priced at those estimates (priceFilters).
+	plan      plan.Node
+	rows      map[plan.Node]int64
+	preaggs   map[*plan.GroupBy]*preAgg
+	keep      map[*plan.Join][2]float64
+	filterSec map[*plan.Join]float64
 }
 
 // Compile lowers a logical plan into a physical QEP.
@@ -35,24 +36,28 @@ func Compile(n plan.Node) (*Compiled, error) { return CompileWithInputs(n, nil) 
 // this to splice exchange outputs (shuffled/broadcast/gathered relations)
 // under residual plan fragments.
 func CompileWithInputs(n plan.Node, inputs map[plan.Node]*ops.Relation) (*Compiled, error) {
-	lw := &lowering{in: inputs, rows: make(map[plan.Node]int64), filtered: make(map[*plan.Join]*joinNode), preaggs: make(map[*plan.GroupBy]*preAgg)}
+	lw := &lowering{in: inputs, rows: make(map[plan.Node]int64), preaggs: make(map[*plan.GroupBy]*preAgg)}
 	pn, err := lw.node(n)
 	if err != nil {
 		return nil, err
 	}
+	sched := lw.schedule()
 	reg := &spanReg{}
 	pn.annotate(reg, -1)
-	return &Compiled{root: pn, spanDefs: reg.defs, plan: n, rows: lw.rows, filtered: lw.filtered, preaggs: lw.preaggs}, nil
+	c := &Compiled{root: pn, spanDefs: reg.defs, plan: n, rows: lw.rows, preaggs: lw.preaggs}
+	c.priceFilters(sched)
+	return c, nil
 }
 
 // Execute runs the QEP.
 func (c *Compiled) Execute(ctx *qef.Context) (*ops.Relation, error) {
-	return c.root.execute(ctx)
+	return c.root.execute(ctx, filterSet{})
 }
 
 // physNode is a physical operator tree node.
 type physNode interface {
-	execute(ctx *qef.Context) (*ops.Relation, error)
+	// execute runs the node with fs, the join filters filled so far.
+	execute(ctx *qef.Context, fs filterSet) (*ops.Relation, error)
 	fields() []plan.Field
 	estRows() int64
 	// annotate registers the node's operator span(s) under parent and
@@ -68,9 +73,10 @@ type pipeStepKind int
 const (
 	stepFilter pipeStepKind = iota
 	stepProject
-	// stepJoinFilter tests the rows a join's probe side collects against the
-	// join's bit-vector filter. The join arms it at execute time, once its
-	// build side has run (joinNode.armFilter); unarmed, it passes every row
+	// stepJoinFilter tests the rows the pipeline collects against the
+	// bit-vector filter of a join it feeds, directly or through the joins
+	// between them (joinfilter.go). The join arms it at execute time, once
+	// its build side has run (joinFilter.fill); unarmed, it passes every row
 	// and bills nothing.
 	stepJoinFilter
 	// stepPreAgg pre-aggregates each scan unit for the partitioned group-by
@@ -86,7 +92,7 @@ type pipeStep struct {
 	proj []ops.ProjCol
 	eval bool         // some output of proj is evaluated, not kept
 	prog *ops.Program // the expressions pred or proj reads
-	keys []int        // the probe key columns a stepJoinFilter tests
+	jf   *joinFilter  // a stepJoinFilter's schedule edge
 	pre  *preAgg      // a stepPreAgg's table
 }
 
@@ -242,9 +248,10 @@ func (p *pipelineNode) srcCols() int {
 	return len(p.scanCols)
 }
 
-// opReqs describes the pipeline to the task former for tile sizing, with an
-// armed join filter of filterBytes resident bytes (0: not armed).
-func (p *pipelineNode) opReqs(filterBytes int) []OpReq {
+// opReqs describes the pipeline to the task former for tile sizing, with
+// filterBytes (by step) the resident bytes of each armed join filter; a step
+// past its end, or of 0 bytes, is not armed.
+func (p *pipelineNode) opReqs(filterBytes []int) []OpReq {
 	rowBytes := 8 * len(p.cols)
 	// The scan double-buffers every SOURCE column in DMEM; a projection may
 	// narrow p.cols well below that, so size the scan from what it streams,
@@ -266,10 +273,10 @@ func (p *pipelineNode) opReqs(filterBytes int) []OpReq {
 				OutBytesPerRow: rowBytes,
 				Selectivity:    s.sel,
 			})
-		case s.kind == stepJoinFilter && filterBytes > 0:
-			f := &ops.FilterOp{Pred: &ops.JoinFilter{}}
+		case s.kind == stepJoinFilter && i < len(filterBytes) && filterBytes[i] > 0:
+			f, resident := &ops.FilterOp{Pred: &ops.JoinFilter{}}, filterBytes[i]
 			reqs = append(reqs, OpReq{
-				DMEMSize:       func(rows int) int { return f.DMEMSize(rows) + filterBytes },
+				DMEMSize:       func(rows int) int { return f.DMEMSize(rows) + resident },
 				OutBytesPerRow: rowBytes,
 				Selectivity:    1,
 			})
@@ -319,25 +326,28 @@ func (p *pipelineNode) opReqs(filterBytes int) []OpReq {
 	return reqs
 }
 
-func (p *pipelineNode) execute(ctx *qef.Context) (*ops.Relation, error) { return p.run(ctx, nil) }
-
-// run executes the pipeline with jf, when not nil, as the filter its
-// stepJoinFilter tests.
-func (p *pipelineNode) run(ctx *qef.Context, jf *ops.JoinFilter) (*ops.Relation, error) {
-	filterBytes := 0
-	if jf != nil {
-		filterBytes = jf.ResidentBytes()
-	}
-	tileRows := ChooseTileRows(p.opReqs(filterBytes))
+// execute runs the pipeline. Its join filter steps test the filters fs
+// holds for them, which are resident in DMEM beside the tiles; the rows they
+// drop add to ops_join_filter_dropped_rows_total.
+func (p *pipelineNode) execute(ctx *qef.Context, fs filterSet) (*ops.Relation, error) {
+	jfs, resident := p.armed(fs, nil)
+	tileRows := ChooseTileRows(p.opReqs(resident))
 
 	var inputRel *ops.Relation
 	if p.input != nil {
 		var err error
-		inputRel, err = p.input.execute(ctx)
+		inputRel, err = p.input.execute(ctx, fs)
 		if err != nil {
 			return nil, err
 		}
 	}
+	defer func() {
+		for _, jf := range jfs {
+			if jf != nil {
+				ctx.CountMetric("ops_join_filter_dropped_rows_total", jf.Dropped())
+			}
+		}
+	}()
 
 	// Shared terminal state.
 	var sink *ops.CollectSink
@@ -397,8 +407,8 @@ func (p *pipelineNode) run(ctx *qef.Context, jf *ops.JoinFilter) (*ops.Relation,
 			case stepJoinFilter:
 				// Unarmed, the step is its span alone: rows cross it and
 				// nothing runs inside it.
-				if jf != nil {
-					head = &ops.FilterOp{Pred: jf, Next: head}
+				if jfs != nil && jfs[i] != nil {
+					head = &ops.FilterOp{Pred: jfs[i], Next: head}
 				}
 			case stepPreAgg:
 				op := s.pre.op // each core's chain holds its own table
@@ -426,7 +436,7 @@ func (p *pipelineNode) run(ctx *qef.Context, jf *ops.JoinFilter) (*ops.Relation,
 		return finalize(merger.Relation(make([]ops.Col, len(p.groupCols)), nil), len(p.groupCols), p.finals, p.outFields)
 	})
 	if p.terminal == termGroupBy && errors.Is(err, ops.ErrGroupOverflow) {
-		return p.executeGroupPartFallback(ctx)
+		return p.executeGroupPartFallback(ctx, fs)
 	}
 	return out, err
 }
@@ -435,7 +445,7 @@ func (p *pipelineNode) run(ctx *qef.Context, jf *ops.JoinFilter) (*ops.Relation,
 // underestimated the group count and the low-NDV DMEM table overflowed, so
 // materialize the pipeline input and re-group with the partitioned high-NDV
 // strategy (which re-partitions itself on further overflow).
-func (p *pipelineNode) executeGroupPartFallback(ctx *qef.Context) (*ops.Relation, error) {
+func (p *pipelineNode) executeGroupPartFallback(ctx *qef.Context, fs filterSet) (*ops.Relation, error) {
 	// Row-conservation edges no longer hold after the aborted first
 	// attempt's partial ticks; cycle and byte attribution stay exact
 	// because every work unit still runs under a span.
@@ -459,7 +469,7 @@ func (p *pipelineNode) executeGroupPartFallback(ctx *qef.Context) (*ops.Relation
 		// group-by, re-executed with the partitioned strategy.
 		opID: p.termID,
 	}
-	return gp.execute(ctx)
+	return gp.execute(ctx, fs)
 }
 
 // ---------------------------------------------------------------------------
@@ -467,12 +477,13 @@ func (p *pipelineNode) executeGroupPartFallback(ctx *qef.Context) (*ops.Relation
 
 // lowering is one compile of a plan: the materialized relations spliced in
 // for some of its nodes, the row estimate of every node lowered so far, the
-// joins given a join filter step and the group-bys given a pre-aggregation.
+// joins in the order they were lowered (bottom-up) and the group-bys given a
+// pre-aggregation.
 type lowering struct {
-	in       map[plan.Node]*ops.Relation
-	rows     map[plan.Node]int64
-	filtered map[*plan.Join]*joinNode
-	preaggs  map[*plan.GroupBy]*preAgg
+	in      map[plan.Node]*ops.Relation
+	rows    map[plan.Node]int64
+	joins   []*joinNode
+	preaggs map[*plan.GroupBy]*preAgg
 }
 
 // node lowers n and records its row estimate as it leaves the lowering: a

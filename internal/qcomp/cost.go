@@ -92,28 +92,60 @@ func (c *Compiled) seconds(n plan.Node) float64 {
 }
 
 // joinRows returns the rows join j is priced as building and probing, and
-// the seconds of its join filter. An inner join builds its smaller input;
-// semi, anti and outer joins build their right input, as compileJoin pins
-// them. A join filter the arming rule would arm at these rows fills from the
-// build rows, tests every probe row and passes its estimated fraction on to
-// the partitioning and the probe.
+// the seconds of the join filter it fills. An inner join builds its smaller
+// input; semi, anti and outer joins build their right input, as compileJoin
+// pins them. Each input's rows are the compiler's estimate, less what the
+// scheduled filters tested below it drop (priceFilters).
 func (c *Compiled) joinRows(j *plan.Join) (build, probe int64, filterSec float64) {
-	l, r := c.rows[j.Left], c.rows[j.Right]
-	if jn := c.filtered[j]; jn != nil {
-		nb, np := r, &l
-		if jn.swapped {
-			nb, np = l, &r
-		}
-		if _, pass, arm := jn.filterBits(nb); arm {
-			filterSec = (primitives.JoinFilterFillCost(int(nb)) +
-				primitives.JoinFilterTestCost(len(jn.lk))*float64(*np)) / dpu.FreqHz / dpuCores
-			*np = int64(pass * float64(*np))
-		}
-	}
+	k := c.keepOf(j)
+	l, r := int64(float64(c.rows[j.Left])*k[0]), int64(float64(c.rows[j.Right])*k[1])
 	if j.Type != plan.InnerJoin {
-		return r, l, filterSec
+		return r, l, c.filterSec[j]
 	}
-	return min(l, r), max(l, r), filterSec
+	return min(l, r), max(l, r), c.filterSec[j]
+}
+
+// priceFilters applies the schedule's arming rule at the compiler's row
+// estimates, in the order the joins fill their filters (top-down, so a build
+// side is narrowed by the filters above it before its own is priced). An
+// armed filter fills from its join's build rows, tests every row its host
+// collects, and passes its estimated fraction of them on to each join input
+// between the host and the join (the filter's hops).
+func (c *Compiled) priceFilters(sched []*joinFilter) {
+	c.keep, c.filterSec = make(map[*plan.Join][2]float64), make(map[*plan.Join]float64)
+	resident := make(map[*pipelineNode][]int)
+	for _, f := range sched {
+		j := f.join.logical
+		side, build := 1, j.Right
+		if f.join.swapped {
+			side, build = 0, j.Left
+		}
+		nb := int64(float64(c.rows[build]) * c.keepOf(j)[side])
+		logBits, pass, arm := f.arm(nb, resident[f.host])
+		if !arm {
+			continue
+		}
+		if resident[f.host] == nil {
+			resident[f.host] = make([]int, len(f.host.steps))
+		}
+		resident[f.host][f.step] = 1 << logBits / 8
+		c.filterSec[j] = (primitives.JoinFilterFillCost(int(nb)) +
+			primitives.JoinFilterTestCost(len(f.keys))*float64(max(f.host.est, 1))) / dpu.FreqHz / dpuCores
+		for _, h := range f.hops {
+			k := c.keepOf(h.join.logical)
+			k[h.side] *= pass
+			c.keep[h.join.logical] = k
+		}
+	}
+}
+
+// keepOf is the fraction of each input's estimated rows, left then right,
+// that the filters tested below join j leave it.
+func (c *Compiled) keepOf(j *plan.Join) [2]float64 {
+	if k, ok := c.keep[j]; ok {
+		return k
+	}
+	return [2]float64{1, 1}
 }
 
 // extendsPipeline reports whether pr is a header move priced at nothing: it

@@ -2,6 +2,7 @@ package qcomp_test
 
 import (
 	"slices"
+	"strings"
 	"testing"
 
 	"rapid/internal/hostdb"
@@ -9,16 +10,23 @@ import (
 	"rapid/internal/tpch"
 )
 
-// TestTPCHJoinFilterDecisions pins which TPC-H joins arm their bit-vector
-// filter at SF 0.05, the benchmark's scale, as EXPLAIN ANALYZE names them: a
-// probe side that may take a filter shows a JoinFilter row, "off" or with the
-// filter's size. Armed: Q3's and Q5's lineitem joins, both of Q18's joins and
-// Q21lite's, each partitioned in a software round after the DMS's, whose
-// reads of the dropped rows pay for the filter's. Off: Q4, whose build side
-// holds as many keys as the probe keys have values (pass fraction 1). No
-// step: the joins of Q10, Q12, Q14 and Q19, partitioned in one round, where
-// no dropped row gives back the DMS reads that placing a filter costs. The
-// dropped rows counter adds up what the armed filters dropped.
+// TestTPCHJoinFilterDecisions pins the join filter schedule of the TPC-H
+// statements at SF 0.05, the benchmark's scale, as EXPLAIN ANALYZE names it:
+// each JoinFilter row, under the table its pipeline scans, tests a column
+// against the build key of the join that fills it, "off" or with the filter's
+// size.
+//   - Filters tested below the join that fills them: Q3's orders on
+//     o_custkey (the customer join above lineitem's), Q21lite's supplier on
+//     s_nationkey and lineitem on l_suppkey, Q5's chain region → nation →
+//     supplier → lineitem. Each of those build sides runs first, narrowed by
+//     the filters of the joins above it.
+//   - The one-edge cases, as before the schedule: Q18's two joins armed; Q4
+//     off, whose build side holds as many keys as the probe keys have values.
+//   - No step: Q10, Q12, Q14 and Q19, whose joins partition in one round and
+//     feed no join that a narrowed build would help; Q18's customer join,
+//     whose build side is the whole customer table and passes every orders row.
+//
+// The dropped rows counter adds up what the armed filters dropped.
 func TestTPCHJoinFilterDecisions(t *testing.T) {
 	db := hostdb.New()
 	defer db.Close()
@@ -26,17 +34,19 @@ func TestTPCHJoinFilterDecisions(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string][]string{
-		"Q1":      nil,
-		"Q3":      {"(keys=1, bits=65536)"},
-		"Q4":      {"(keys=1, off)"},
-		"Q5":      {"(keys=1, bits=131072)"},
-		"Q6":      nil,
-		"Q10":     nil,
-		"Q12":     nil,
-		"Q14":     nil,
-		"Q18":     {"(keys=1, bits=32768)", "(keys=1, bits=32768)"},
-		"Q19":     nil,
-		"Q21lite": {"(keys=1, bits=32768)"},
+		"Q1": nil,
+		"Q3": {"lineitem (l_orderkey = o_orderkey, bits=131072)", "orders (o_custkey = c_custkey, bits=16384)"},
+		"Q4": {"orders (o_orderkey = l_orderkey, off)"},
+		"Q5": {"lineitem (l_suppkey = s_suppkey, bits=2048)", "lineitem (l_orderkey = o_orderkey, bits=131072)",
+			"supplier (s_nationkey = n_nationkey, bits=2048)", "nation (n_regionkey = r_regionkey, bits=2048)"},
+		"Q6":  nil,
+		"Q10": nil,
+		"Q12": nil,
+		"Q14": nil,
+		"Q18": {"lineitem (l_orderkey = o_orderkey, bits=32768)", "orders (o_orderkey = l_orderkey, bits=32768)"},
+		"Q19": nil,
+		"Q21lite": {"lineitem (l_suppkey = s_suppkey, bits=2048)", "lineitem (l_orderkey = o_orderkey, bits=32768)",
+			"supplier (s_nationkey = n_nationkey, bits=2048)"},
 	}
 	const counter = "ops_join_filter_dropped_rows_total"
 	for _, q := range tpch.Queries() {
@@ -45,11 +55,21 @@ func TestTPCHJoinFilterDecisions(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", q.Name, err)
 		}
+		ops := res.Profile.Summary().Ops
+		// scanBelow names the table of the first scan under span id.
+		scanBelow := func(id int) string {
+			for _, op := range ops[id+1:] {
+				if name, ok := strings.CutPrefix(op.Name, "Scan("); ok {
+					return strings.TrimSuffix(name, ")")
+				}
+			}
+			return "?"
+		}
 		var got []string
 		var dropped int64
-		for _, op := range res.Profile.Summary().Ops {
+		for _, op := range ops {
 			if op.Name == "JoinFilter" {
-				got = append(got, op.Detail)
+				got = append(got, scanBelow(op.ID)+" "+op.Detail)
 				dropped += op.RowsIn - op.RowsOut
 			}
 		}

@@ -2,18 +2,13 @@ package qcomp
 
 import (
 	"fmt"
-	"math"
-	mathbits "math/bits"
 	"slices"
 
 	"rapid/internal/coltypes"
-	"rapid/internal/dms"
 	"rapid/internal/dpu"
-	"rapid/internal/mem"
 	"rapid/internal/obs"
 	"rapid/internal/ops"
 	"rapid/internal/plan"
-	"rapid/internal/primitives"
 	"rapid/internal/qef"
 )
 
@@ -65,8 +60,8 @@ func (g *groupPartNode) swRounds() int {
 func (g *groupPartNode) fields() []plan.Field { return g.out }
 func (g *groupPartNode) estRows() int64       { return g.ndv }
 
-func (g *groupPartNode) execute(ctx *qef.Context) (*ops.Relation, error) {
-	rel, err := g.input.execute(ctx)
+func (g *groupPartNode) execute(ctx *qef.Context, fs filterSet) (*ops.Relation, error) {
+	rel, err := g.input.execute(ctx, fs)
 	if err != nil {
 		return nil, err
 	}
@@ -96,14 +91,18 @@ type joinNode struct {
 	swapped bool // build is the left input
 	// lpay and rpay are the columns of each input the join outputs (the
 	// plan's Out, split by side); order, when not nil, puts the sink's
-	// probe-then-build columns back in Out's order.
+	// probe-then-build columns back in Out's order; src is each output
+	// column's position in left ++ right.
 	lpay, rpay []int
 	order      []int
+	src        []int
 	opID       int
-	// probeNDV, when not zero, is the distinct count of the probe keys, and
-	// the probe side's pipeline ends in a stepJoinFilter (addFilter); zero
-	// means the join has no filter step.
-	probeNDV float64
+	// logical is the plan node the join lowers, which the cost model prices.
+	logical *plan.Join
+	// filter, when not nil, is the join filter the join fills from its build
+	// side (the schedule's edge, joinfilter.go): the join runs its build side
+	// first, then its probe side, in which the filter's host tests it.
+	filter *joinFilter
 }
 
 func compileJoin(j *plan.Join, lw *lowering) (physNode, error) {
@@ -121,7 +120,7 @@ func compileJoin(j *plan.Join, lw *lowering) (physNode, error) {
 	n := &joinNode{
 		typ: j.Type, left: left, right: right,
 		lk: j.LeftKeys, rk: j.RightKeys,
-		out: j.Schema(),
+		out: j.Schema(), logical: j,
 	}
 	// Build-side choice: the smaller input, except for semi/anti/outer
 	// joins whose semantics pin the build side to the right input.
@@ -139,9 +138,7 @@ func compileJoin(j *plan.Join, lw *lowering) (physNode, error) {
 	buildBytes := buildEst * int64(len(n.rk)*8+16)
 	target := RequiredPartitions(buildBytes, dpu.DefaultConfig())
 	n.scheme = OptimizeScheme(target, buildBytes)
-	if n.addFilter() {
-		lw.filtered[j] = n
-	}
+	lw.joins = append(lw.joins, n)
 	return n, nil
 }
 
@@ -156,6 +153,7 @@ func (n *joinNode) payloads(out []int, nl, nr int) {
 			out = allIdx(nl + nr)
 		}
 	}
+	n.src = out
 	for _, c := range out {
 		if c < nl {
 			n.lpay = append(n.lpay, c)
@@ -181,38 +179,8 @@ func (n *joinNode) payloads(out []int, nl, nr int) {
 	}
 }
 
-// addFilter gives the probe side a join filter step when the join may drop
-// probe rows, partitions them in a software round after the DMS's, the probe
-// side is a pipeline that collects its rows, and the table statistics give
-// its keys' distinct count, which the arming rule needs; it reports whether it
-// did. Anti and outer joins emit the probe rows that match nothing. A join
-// partitioned in one round would never arm the filter: no dropped row gives
-// back the DMS reads it adds (filterBits). A probe side that is already a
-// relation (a tray exchange's output) would take one more pass to filter.
-func (n *joinNode) addFilter() bool {
-	if n.typ != plan.InnerJoin && n.typ != plan.SemiJoin || len(n.scheme.Rounds) < 2 {
-		return false
-	}
-	p, ok := n.probe().(*pipelineNode)
-	if !ok || p.terminal != termCollect {
-		return false
-	}
-	keys := n.probeKeys()
-	ndv := 1.0
-	for _, k := range keys {
-		st := p.cols[k].stats
-		if st == nil || st.NDV <= 0 {
-			return false
-		}
-		ndv *= float64(st.NDV)
-	}
-	p.steps = append(p.steps, pipeStep{kind: stepJoinFilter, keys: keys})
-	n.probeNDV = ndv
-	return true
-}
-
-// build and probe are the join's inputs by role; probeKeys are the probe
-// side's key columns.
+// build and probe are the join's inputs by role; buildKeys and probeKeys are
+// their key columns.
 func (n *joinNode) build() physNode {
 	if n.swapped {
 		return n.left
@@ -227,6 +195,13 @@ func (n *joinNode) probe() physNode {
 	return n.left
 }
 
+func (n *joinNode) buildKeys() []int {
+	if n.swapped {
+		return n.lk
+	}
+	return n.rk
+}
+
 func (n *joinNode) probeKeys() []int {
 	if n.swapped {
 		return n.rk
@@ -234,94 +209,9 @@ func (n *joinNode) probeKeys() []int {
 	return n.lk
 }
 
-// joinFilterMaxLogBits caps a join filter at 2^17 bits, 16 KiB: half of a
-// dpCore's DMEM.
-const joinFilterMaxLogBits = 17
-
-// filterBits is the arming rule of the join filter over nb build rows: the
-// log2 of its bit count m, its estimated pass fraction, and whether to arm it.
-//
-// m is nextPow2(8·nb), at least a word per build partition and at most
-// 2^joinFilterMaxLogBits. Of the probe rows a fraction f = min(1, nb/NDV) is
-// expected to match and the rest to pass by chance at 1 - e^(-nb/m), one
-// hash's false-positive rate. The filter is armed when it pays on the dpCores
-// and on the DMS reads, which bound the statements that scan more than they
-// write:
-//   - cycles: the pass fraction is below primitives.JoinFilterBreakEven;
-//   - reads: the DMS reads it adds — the vector's placement in every core's
-//     DMEM, the fill's read of the build hashes, and the scan descriptors of
-//     the smaller tiles the probe pipeline may need to keep the vector
-//     resident — are at most the reads the software partitioning rounds
-//     (every round after the DMS's first) no longer make of the dropped rows.
-//
-// Where a filter of m bits fails the read test a smaller one is tried, down
-// to a word per partition. The writes need no test: a dropped row saves its
-// collect write, which exceeds the vector's own.
-func (n *joinNode) filterBits(nb int64) (logBits uint, pass float64, arm bool) {
-	p := n.probe().(*pipelineNode)
-	keys := len(n.lk)
-	minLog := uint(mathbits.Len(uint(n.scheme.Fanout()))) + 5 // log2(fanout) + 6
-	maxLog := minLog
-	if nb > 0 {
-		maxLog = max(minLog, uint(mathbits.Len64(uint64(8*nb-1))))
-	}
-	maxLog = min(maxLog, joinFilterMaxLogBits)
-	budget := mem.DMEMSize - dmemReserve
-	tile0 := ChooseTileRows(p.opReqs(0))
-	srcRows, srcCols := float64(p.srcRows()), float64(p.srcCols())
-	dm := dms.DefaultModel()
-	descBytes := (dm.DescriptorIssueNs + dm.PageSwitchBaseNs + dm.PageSwitchPerColNs*srcCols) * 1e-9 * dm.PeakBytesPerSec
-	swRounds := float64(max(len(n.scheme.Rounds)-1, 0))
-	f := min(1, float64(nb)/n.probeNDV)
-	for logBits = maxLog; logBits >= minLog; logBits-- {
-		m := float64(uint64(1) << logBits)
-		pass = f + (1-f)*(1-math.Exp(-float64(nb)/m))
-		if pass >= primitives.JoinFilterBreakEven(keys) {
-			return logBits, pass, false // a smaller filter passes more
-		}
-		tile := maxTileRowsFor(p.opReqs(int(m)/8), budget)
-		if tile == 0 {
-			continue
-		}
-		saved := (1 - pass) * float64(p.est) * 8 * float64(len(p.cols)) * swRounds
-		added := dpuCores*m/8 + 4*float64(nb) + (srcRows/float64(tile)-srcRows/float64(tile0))*srcCols*descBytes
-		if saved >= added {
-			return logBits, pass, true
-		}
-	}
-	return minLog, pass, false
-}
-
-// filteredProbe applies the arming rule to the executed build side and runs
-// the probe side. Armed, the build side is partitioned (under the join's span,
-// as the join would) and the filter filled from the partitions' hashes (under
-// the filter's span) before the probe pipeline runs through it. The EXPLAIN
-// detail of the filter states its size, or that it stayed off.
-func (n *joinNode) filteredProbe(ctx *qef.Context, jb *ops.JoinBuild, nb int) (*ops.Relation, error) {
-	p := n.probe().(*pipelineNode)
-	id := p.stepIDs[len(p.steps)-1]
-	keys := n.probeKeys()
-	logBits, _, arm := n.filterBits(int64(nb))
-	if !arm {
-		ctx.Prof.SetDetail(id, fmt.Sprintf("(keys=%d, off)", len(keys)))
-		return p.execute(ctx)
-	}
-	prev := ctx.SetActiveSpan(ctx.Prof.Span(n.opID))
-	err := jb.Partition(ctx)
-	var jf *ops.JoinFilter
-	if err == nil {
-		ctx.SetActiveSpan(ctx.Prof.Span(id))
-		jf, err = jb.Filter(ctx, keys, logBits)
-	}
-	ctx.SetActiveSpan(prev)
-	if err != nil {
-		return nil, err
-	}
-	ctx.Prof.SetDetail(id, fmt.Sprintf("(keys=%d, bits=%d)", len(keys), jf.Bits()))
-	rel, err := p.run(ctx, jf)
-	ctx.CountMetric("ops_join_filter_dropped_rows_total", jf.Dropped())
-	return rel, err
-}
+// swRounds is the number of software rounds after the DMS's that the join
+// partitions its inputs in.
+func (n *joinNode) swRounds() int { return max(len(n.scheme.Rounds)-1, 0) }
 
 func (n *joinNode) fields() []plan.Field { return n.out }
 func (n *joinNode) estRows() int64       { return n.est }
@@ -336,10 +226,11 @@ func (e *WidthError) Error() string {
 	return fmt.Sprintf("qcomp: join output has %d columns, its plan declares %d", e.Got, e.Want)
 }
 
-// execute runs both inputs and joins them. A join with a filter step runs its
-// build side first, then its probe side through the filter when the build
-// side's rows arm it; any other runs its left input, then its right.
-func (n *joinNode) execute(ctx *qef.Context) (*ops.Relation, error) {
+// execute runs both inputs and joins them. A join that fills a filter runs
+// its build side first, fills the filter when the build side's rows arm it,
+// then runs its probe side, in which the filter is tested; any other runs its
+// left input, then its right.
+func (n *joinNode) execute(ctx *qef.Context, fs filterSet) (*ops.Relation, error) {
 	spec := ops.JoinSpec{
 		Type:         n.typ,
 		BuildKeys:    n.rk,
@@ -354,26 +245,30 @@ func (n *joinNode) execute(ctx *qef.Context) (*ops.Relation, error) {
 	}
 	var build, probe *ops.Relation
 	var err error
-	if n.probeNDV == 0 {
+	if n.filter == nil {
 		first, second := &probe, &build
 		if n.swapped {
 			first, second = second, first
 		}
-		if *first, err = n.left.execute(ctx); err != nil {
+		if *first, err = n.left.execute(ctx, fs); err != nil {
 			return nil, err
 		}
-		if *second, err = n.right.execute(ctx); err != nil {
+		if *second, err = n.right.execute(ctx, fs); err != nil {
 			return nil, err
 		}
-	} else if build, err = n.build().execute(ctx); err != nil {
+	} else if build, err = n.build().execute(ctx, fs); err != nil {
 		return nil, err
 	}
 	jb, err := ops.NewJoinBuild(build, spec)
 	if err != nil {
 		return nil, err
 	}
-	if n.probeNDV != 0 {
-		if probe, err = n.filteredProbe(ctx, jb, build.Rows()); err != nil {
+	if n.filter != nil {
+		err = n.filter.fill(ctx, jb, build.Rows(), fs)
+		if err == nil {
+			probe, err = n.probe().execute(ctx, fs)
+		}
+		if err != nil {
 			jb.Release()
 			return nil, err
 		}
@@ -417,8 +312,8 @@ type sortNode struct {
 
 func (n *sortNode) fields() []plan.Field { return n.input.fields() }
 func (n *sortNode) estRows() int64       { return n.input.estRows() }
-func (n *sortNode) execute(ctx *qef.Context) (*ops.Relation, error) {
-	rel, err := n.input.execute(ctx)
+func (n *sortNode) execute(ctx *qef.Context, fs filterSet) (*ops.Relation, error) {
+	rel, err := n.input.execute(ctx, fs)
 	if err != nil {
 		return nil, err
 	}
@@ -472,8 +367,8 @@ type topkNode struct {
 
 func (n *topkNode) fields() []plan.Field { return n.input.fields() }
 func (n *topkNode) estRows() int64       { return min(int64(n.k), n.input.estRows()) }
-func (n *topkNode) execute(ctx *qef.Context) (*ops.Relation, error) {
-	rel, err := n.input.execute(ctx)
+func (n *topkNode) execute(ctx *qef.Context, fs filterSet) (*ops.Relation, error) {
+	rel, err := n.input.execute(ctx, fs)
 	if err != nil {
 		return nil, err
 	}
@@ -496,8 +391,8 @@ type limitNode struct {
 
 func (n *limitNode) fields() []plan.Field { return n.input.fields() }
 func (n *limitNode) estRows() int64       { return min(int64(n.k), n.input.estRows()) }
-func (n *limitNode) execute(ctx *qef.Context) (*ops.Relation, error) {
-	rel, err := n.input.execute(ctx)
+func (n *limitNode) execute(ctx *qef.Context, fs filterSet) (*ops.Relation, error) {
+	rel, err := n.input.execute(ctx, fs)
 	if err != nil {
 		return nil, err
 	}
@@ -516,12 +411,12 @@ type setopNode struct {
 
 func (n *setopNode) fields() []plan.Field { return n.left.fields() }
 func (n *setopNode) estRows() int64       { return n.left.estRows() + n.right.estRows() }
-func (n *setopNode) execute(ctx *qef.Context) (*ops.Relation, error) {
-	l, err := n.left.execute(ctx)
+func (n *setopNode) execute(ctx *qef.Context, fs filterSet) (*ops.Relation, error) {
+	l, err := n.left.execute(ctx, fs)
 	if err != nil {
 		return nil, err
 	}
-	r, err := n.right.execute(ctx)
+	r, err := n.right.execute(ctx, fs)
 	if err != nil {
 		return nil, err
 	}
@@ -540,8 +435,8 @@ type windowNode struct {
 
 func (n *windowNode) fields() []plan.Field { return n.spec.Schema() }
 func (n *windowNode) estRows() int64       { return n.input.estRows() }
-func (n *windowNode) execute(ctx *qef.Context) (*ops.Relation, error) {
-	rel, err := n.input.execute(ctx)
+func (n *windowNode) execute(ctx *qef.Context, fs filterSet) (*ops.Relation, error) {
+	rel, err := n.input.execute(ctx, fs)
 	if err != nil {
 		return nil, err
 	}

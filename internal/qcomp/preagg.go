@@ -112,7 +112,7 @@ func (p *pipelineNode) addPreAgg(groupCols []int, specs []ops.AggSpec, prog *ops
 	budget := mem.DMEMSize - dmemReserve
 	tile := func(slots int) int {
 		pa.op.Slots = slots
-		return maxTileRowsFor(with.opReqs(0), budget)
+		return maxTileRowsFor(with.opReqs(nil), budget)
 	}
 	tileWith := tile(0)
 	lo, hi := 0, tileWith // tile(lo) == tileWith, or lo is 0
@@ -152,7 +152,7 @@ func (p *pipelineNode) addPreAgg(groupCols []int, specs []ops.AggSpec, prog *ops
 	rho := primitives.PreAggBreakEven(len(groupCols), folds, stars, len(p.cols), swRounds, cyclesPerByte)
 	saved := primitives.PreAggDroppedCost(len(groupCols), folds, stars, len(p.cols), swRounds, cyclesPerByte)
 	srcRows, srcCols := float64(p.srcRows()), float64(p.srcCols())
-	tile0 := ChooseTileRows(p.opReqs(0))
+	tile0 := ChooseTileRows(p.opReqs(nil))
 	descCycles := (dm.DescriptorIssueNs + dm.PageSwitchBaseNs + dm.PageSwitchPerColNs*srcCols) * 1e-9 * dpu.FreqHz * dpuCores * srcCols
 	tileCycles := max(srcRows/float64(tileWith)-srcRows/float64(tile0), 0) * descCycles
 	if float64(pa.rows) > rho*float64(in)-tileCycles/saved {

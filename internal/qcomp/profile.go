@@ -52,8 +52,8 @@ func (p *pipelineNode) annotate(reg *spanReg, parent int) int {
 			p.stepIDs[i] = reg.add(up, "PreAgg", fmt.Sprintf("(keys=%d, slots=%d)", len(s.pre.op.Keys), s.pre.slots), obs.KindPipeline, true)
 		case stepJoinFilter:
 			// The join states at execute time whether it armed the filter
-			// (joinNode.armFilter).
-			p.stepIDs[i] = reg.add(up, "JoinFilter", fmt.Sprintf("(keys=%d)", len(s.keys)), obs.KindPipeline, true)
+			// (joinFilter.fill).
+			p.stepIDs[i] = reg.add(up, "JoinFilter", s.jf.detail(""), obs.KindPipeline, true)
 		default:
 			p.stepIDs[i] = reg.add(up, "Project", fmt.Sprintf("(exprs=%d)", len(s.proj)), obs.KindPipeline, true)
 		}

@@ -27,7 +27,7 @@ func newRelationNode(rel *ops.Relation) *relationNode {
 	return &relationNode{rel: rel, fs: fs}
 }
 
-func (n *relationNode) execute(ctx *qef.Context) (*ops.Relation, error) {
+func (n *relationNode) execute(ctx *qef.Context, _ filterSet) (*ops.Relation, error) {
 	ctx.Prof.Span(n.opID).AddRowsOut(int64(n.rel.Rows()))
 	return n.rel, nil
 }

@@ -2,6 +2,8 @@ package qgen
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"rapid/internal/cluster"
@@ -458,6 +460,115 @@ func TestRegressJoinFilter(t *testing.T) {
 		}
 		if dropped := r.primary.Metrics().Values()[counter] - before; (dropped > 0) != c.armed {
 			t.Errorf("%s: the SoC's join filters dropped %d rows, want armed = %v", c.sql, dropped, c.armed)
+		}
+	}
+}
+
+// Regression: the join filter schedule. Chains of 3 to 5 joins — inner,
+// semi, anti and left outer — over a 60,000-row fact t0, a 100,000-row t1
+// whose keys repeat, and three small dimensions, each filtered by an
+// expression compare the compiler prices at 0.3 of the table while it keeps a
+// tenth, a third, every row or none. The filters of the joins high in a chain
+// are tested in the scans below them (t1 on c1, t2 on n2, t3 on n3, t0 on
+// s0), where the rows reach their join unchanged; none moves into the
+// null-supplying side of a left outer join (whose padded rows, key 0, match
+// the dimensions' key 0) or is filled by an anti join. Each statement answers
+// as the host does on one SoC (ModeX86 and ModeDPU) and on trays of 1, 2 and
+// 4 nodes in both modes; the SoC's EXPLAIN names the scans that tested an
+// armed filter.
+func TestRegressJoinFilterChains(t *testing.T) {
+	t0 := make([][]storage.Value, 120000)
+	for i := range t0 {
+		// k0 holds every key three times, a quarter of them not in t1.
+		t0[i] = []storage.Value{storage.IntValue(int64(i % 40000)), storage.IntValue(int64(i % 500)), storage.IntValue(int64(i % 97))}
+	}
+	t1 := make([][]storage.Value, 100000)
+	for i := range t1 {
+		// k1 holds most keys three times; u1 is even, so t0's odd k0 match
+		// none.
+		t1[i] = []storage.Value{storage.IntValue(int64(i % 30000)), storage.IntValue(int64(i * 7 % 2000)), storage.IntValue(int64(i % 1000)), storage.IntValue(int64(2 * i))}
+	}
+	dim := func(n int, cols func(i int) []int64) [][]storage.Value {
+		rows := make([][]storage.Value, n)
+		for i := range rows {
+			for _, v := range cols(i) {
+				rows[i] = append(rows[i], storage.IntValue(v))
+			}
+		}
+		return rows
+	}
+	intCol := func(name string, hi int64) Column {
+		return Column{Name: name, Kind: KInt, Type: coltypes.Int(), Hi: hi}
+	}
+	sc := &Scenario{Tables: []*Table{
+		{Name: "t0", Cols: []Column{intCol("k0", 40000), intCol("s0", 500), intCol("a0", 97)}, Rows: t0},
+		{Name: "t1", Cols: []Column{intCol("k1", 30000), intCol("c1", 2000), intCol("a1", 1000), intCol("u1", 200000)}, Rows: t1},
+		{Name: "t2", Cols: []Column{intCol("c2", 2000), intCol("n2", 25), intCol("a2", 10)},
+			Rows: dim(2000, func(i int) []int64 { return []int64{int64(i), int64(i % 25), int64(i % 10)} })},
+		{Name: "t3", Cols: []Column{intCol("s3", 500), intCol("n3", 25), intCol("a3", 7)},
+			Rows: dim(500, func(i int) []int64 { return []int64{int64(i), int64(i * 3 % 25), int64(i % 7)} })},
+		{Name: "t4", Cols: []Column{intCol("n4", 25), intCol("r4", 5), intCol("a4", 3)},
+			Rows: dim(25, func(i int) []int64 { return []int64{int64(i), int64(i % 5), int64(i % 3)} })},
+	}}
+	r, err := NewRunner(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if err := r.EnableTrays([]int{1, 2, 4}); err != nil {
+		t.Fatal(err)
+	}
+	// armed names the scans that test an armed filter on the SoC, and the
+	// columns each tests.
+	for _, c := range []struct {
+		sql   string
+		armed []string
+	}{
+		{"SELECT COUNT(*), SUM(a0) FROM t0 JOIN t1 ON (k0 = k1) JOIN t2 ON (c1 = c2) JOIN t4 ON (n2 = n4) WHERE a4 + 0 < 1",
+			[]string{"t1 (c1 = c2)", "t2 (n2 = n4)"}},
+		{"SELECT COUNT(*), SUM(a0) FROM t0 JOIN t1 ON (k0 = k1) JOIN t2 ON (c1 = c2) JOIN t4 ON (n2 = n4) WHERE a4 + 0 < 3", nil},
+		{"SELECT COUNT(*), SUM(a0) FROM t0 JOIN t1 ON (k0 = k1) JOIN t2 ON (c1 = c2) JOIN t4 ON (n2 = n4) WHERE a4 + 0 < 0",
+			[]string{"t0 (k0 = k1)", "t1 (c1 = c2)", "t2 (n2 = n4)"}},
+		{"SELECT COUNT(*), SUM(a1) FROM t0 JOIN t1 ON (k0 = k1) JOIN t3 ON (s0 = s3) JOIN t4 ON (n3 = n4) JOIN t2 ON (c1 = c2 AND n4 = n2) WHERE a4 + 0 < 1", nil},
+		{"SELECT COUNT(*), SUM(a0) FROM t0 JOIN t3 ON (s0 = s3) JOIN t4 ON (n3 = n4) WHERE k0 IN (SELECT k1 FROM t1 WHERE a1 + 0 < 3) AND a4 + 0 < 1",
+			[]string{"t0 (s0 = s3)", "t0 (k0 = k1)", "t3 (n3 = n4)"}},
+		{"SELECT COUNT(*), SUM(a0) FROM t0 JOIN t1 ON (k0 = k1) WHERE c1 IN (SELECT c2 FROM t2 WHERE a2 + 0 < 1) AND s0 IN (SELECT s3 FROM t3 WHERE a3 + 0 < 2)", nil},
+		{"SELECT COUNT(*), SUM(a0) FROM t0 JOIN t1 ON (k0 = k1) JOIN t3 ON (s0 = s3) WHERE k0 NOT IN (SELECT u1 FROM t1 WHERE a1 + 0 < 3) AND a3 + 0 < 1",
+			[]string{"t0 (s0 = s3)"}},
+		{"SELECT COUNT(*), SUM(a0) FROM t0 JOIN t3 ON (s0 = s3) JOIN t4 ON (n3 = n4) WHERE k0 NOT IN (SELECT k1 FROM t1 WHERE a1 + 0 < 500) AND a4 + 0 < 1",
+			[]string{"t0 (s0 = s3)", "t3 (n3 = n4)"}},
+		{"SELECT COUNT(*), SUM(a1) FROM t0 LEFT JOIN t1 ON (k0 = u1) JOIN t2 ON (c1 = c2) JOIN t4 ON (n2 = n4) WHERE a4 + 0 < 1", nil},
+		{"SELECT COUNT(*), SUM(a0) FROM t0 LEFT JOIN t2 ON (k0 = c2) JOIN t3 ON (s0 = s3) JOIN t4 ON (n3 = n4) WHERE a4 + 0 < 1", nil},
+		{"SELECT COUNT(*), SUM(a0) FROM t0 JOIN t1 ON (k0 = k1) JOIN t2 ON (c1 = c2) JOIN t3 ON (s0 = s3) JOIN t4 ON (n3 = n4) WHERE k0 NOT IN (SELECT u1 FROM t1 WHERE a1 + 0 < 1) AND a4 + 0 < 1 AND a2 + 0 < 5",
+			[]string{"t0 (s0 = s3)", "t3 (n3 = n4)", "t1 (c1 = c2)"}},
+	} {
+		if m := r.CheckSQL(c.sql); m != nil {
+			t.Fatalf("%s", m.Reproducer())
+		}
+		if m := checkTraysDPU(r, c.sql); m != nil {
+			t.Fatalf("%s", m.Reproducer())
+		}
+		res, err := r.primary.Query(c.sql, engines[2].opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var armed []string
+		ops := res.Profile.Summary().Ops
+		for i, op := range ops {
+			cols, ok := strings.CutSuffix(op.Detail, ", off)")
+			if op.Name != "JoinFilter" || ok {
+				continue
+			}
+			cols, _, _ = strings.Cut(cols, ", bits=")
+			for _, scan := range ops[i+1:] {
+				if table, ok := strings.CutPrefix(scan.Name, "Scan("); ok {
+					armed = append(armed, strings.TrimSuffix(table, ")")+" "+cols+")")
+					break
+				}
+			}
+		}
+		if !slices.Equal(armed, c.armed) {
+			t.Errorf("%s: armed join filters %q, want %q", c.sql, armed, c.armed)
 		}
 	}
 }
