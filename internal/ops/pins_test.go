@@ -4,12 +4,15 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
+	"rapid/internal/bits"
 	"rapid/internal/coltypes"
 	"rapid/internal/plan"
 	"rapid/internal/qef"
+	"rapid/internal/storage"
 )
 
 // Equivalence pins. The values below were captured at the commit before the
@@ -205,4 +208,230 @@ func TestHashJoinCyclePins(t *testing.T) {
 func joinTypeIdent(jt plan.JoinType) string {
 	return map[plan.JoinType]string{plan.InnerJoin: "InnerJoin", plan.SemiJoin: "SemiJoin",
 		plan.AntiJoin: "AntiJoin", plan.LeftOuterJoin: "LeftOuterJoin"}[jt]
+}
+
+// aggPins: total dpCore cycles and the result bag signature of every
+// aggregator in ModeDPU, captured before the aggregators shared one fold
+// kernel (AggKind.accumulate over a group-id vector). A refactor of the fold
+// may move neither.
+var aggPins = map[string]struct {
+	cycles int64
+	bag    uint64
+}{
+	"groupby/dense":                          {112410, 0x6fb5b940a9c01494},
+	"groupby/rids":                           {50943, 0x8704d4ba8f9ae935},
+	"groupby/sel":                            {86706, 0xe3ac3ac0aaef0234},
+	"merger/keys=0":                          {0, 0x620070e802e0a690},
+	"merger/keys=1":                          {0, 0x5bebe258ba4cb3ed},
+	"merger/keys=2":                          {0, 0xf954c58e536df5e5},
+	"partitioned":                            {97500, 0x35f6e29a13e9a3b2},
+	"partitioned/resplit":                    {97495, 0x35f6e29a13e9a3b2},
+	"preagg/keys=1/slots=1/filtered=false":   {0, 0xd567813e4c4b6419},
+	"preagg/keys=1/slots=1/filtered=true":    {1209, 0x7cae3eaead68deb8},
+	"preagg/keys=1/slots=40/filtered=false":  {7781, 0x539f59dd4e9ac297},
+	"preagg/keys=1/slots=40/filtered=true":   {3900, 0xce0572d8ee764a63},
+	"preagg/keys=2/slots=1/filtered=false":   {0, 0x4fad295c3755e46d},
+	"preagg/keys=2/slots=1/filtered=true":    {1209, 0x978fbeaee9d8b708},
+	"preagg/keys=2/slots=120/filtered=false": {9675, 0x500c55637b04ce64},
+	"preagg/keys=2/slots=120/filtered=true":  {5141, 0x69d741a1165249c6},
+	"scalar/dense":                           {52860, 0x13866b6fd9258c4f},
+	"scalar/rids":                            {31783, 0xd03753e0a32a1537},
+	"scalar/sel":                             {42276, 0x20dac57a375da27b},
+}
+
+// bagSignature is an order-independent signature of rel's rows: the sum of
+// their FNV-1a hashes.
+func bagSignature(rel *Relation) uint64 {
+	var bag uint64
+	for i := 0; i < rel.Rows(); i++ {
+		h := uint64(14695981039346656037)
+		for c := range rel.Cols {
+			h = (h ^ uint64(rel.Get(i, c))) * 1099511628211
+		}
+		bag += h
+	}
+	return bag
+}
+
+// tileShape hands each tile on dense, with a bit-vector keeping two rows in
+// three, or with a RID list keeping one row in five.
+type tileShape struct {
+	shape string
+	Next  qef.Operator
+}
+
+func (s *tileShape) DMEMSize(rows int) int       { return s.Next.DMEMSize(rows) }
+func (s *tileShape) Open(tc *qef.TaskCtx) error  { return s.Next.Open(tc) }
+func (s *tileShape) Close(tc *qef.TaskCtx) error { return s.Next.Close(tc) }
+func (s *tileShape) Produce(tc *qef.TaskCtx, t *qef.Tile) error {
+	shaped := *t
+	switch s.shape {
+	case "sel":
+		shaped.Sel = bits.NewVector(t.N)
+		for i := 0; i < t.N; i++ {
+			if i%3 != 0 {
+				shaped.Sel.Set(i)
+			}
+		}
+	case "rids":
+		for i := 1; i < t.N; i += 5 {
+			shaped.RIDs = append(shaped.RIDs, uint32(i))
+		}
+	}
+	return s.Next.Produce(tc, &shaped)
+}
+
+// aggPinRel is 3000 rows of two keys (7 and 5 values, 1 and 4 bytes wide),
+// a 2-byte argument with negatives and an 8-byte one of large values.
+func aggPinRel() *Relation {
+	const n = 3000
+	k1, k2, v, w := coltypes.New(coltypes.W1, n), coltypes.New(coltypes.W4, n), coltypes.New(coltypes.W2, n), make([]int64, n)
+	for i := 0; i < n; i++ {
+		k1.Set(i, int64(i%7-3))
+		k2.Set(i, int64((i*13)%5)*1000003)
+		v.Set(i, int64((i*37)%1001-500))
+		w[i] = int64((i*7919)%100003) * 1000003
+	}
+	return MustRelation([]Col{{Name: "k1"}, {Name: "k2"}, {Name: "v"}, {Name: "w"}},
+		[]coltypes.Data{k1, k2, v, coltypes.Of(w)})
+}
+
+// aggPinSpecs is one spec of every AggKind over v, plus SUM and MIN of
+// v·k1 and MAX of w.
+func aggPinSpecs() ([]AggSpec, *Program) {
+	var b ProgramBuilder
+	var specs []AggSpec
+	for _, k := range preAggKinds {
+		specs = append(specs, AggSpec{Kind: k, Arg: b.Col(2), Name: k.String()})
+	}
+	prod := b.Arith(plan.Mul, b.Col(2), b.Col(0))
+	specs = append(specs, AggSpec{Kind: AggSum, Arg: prod}, AggSpec{Kind: AggMin, Arg: prod}, AggSpec{Kind: AggMax, Arg: b.Col(3)})
+	return specs, b.Program()
+}
+
+func TestAggregateCyclePins(t *testing.T) {
+	rel := aggPinRel()
+	specs, prog := aggPinSpecs()
+	got := map[string]struct {
+		cycles int64
+		bag    uint64
+	}{}
+	pin := func(name string, ctx *qef.Context, out *Relation) {
+		var cycles int64
+		if ctx != nil {
+			cycles = int64(ctx.SoC.TotalCycles())
+		}
+		got[name] = struct {
+			cycles int64
+			bag    uint64
+		}{cycles, bagSignature(out)}
+	}
+	for _, shape := range []string{"dense", "sel", "rids"} {
+		ctx := qef.NewContext(qef.ModeDPU)
+		merger := NewGroupMerger(0, specs)
+		if err := RelationScan(ctx, rel, 256, func() qef.Operator {
+			return &tileShape{shape: shape, Next: &ScalarAggOp{Specs: specs, Prog: prog, Merger: merger}}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		pin("scalar/"+shape, ctx, merger.Relation(nil, nil))
+
+		ctx = qef.NewContext(qef.ModeDPU)
+		merger = NewGroupMerger(2, specs)
+		if err := RelationScan(ctx, rel, 256, func() qef.Operator {
+			return &tileShape{shape: shape, Next: &GroupByOp{GroupCols: []int{0, 1}, Specs: specs, Prog: prog, MaxGroups: 64, Merger: merger}}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		pin("groupby/"+shape, ctx, merger.Relation(rel.Cols, nil))
+	}
+
+	// The partitioned group-by over (k1, v): 1,001 groups (i mod 1001 sets
+	// both) in 4 partitions of about 250, at a cap above that and at one
+	// below it, which re-splits every partition once.
+	for _, c := range []struct {
+		name string
+		cap  int
+	}{{"partitioned", 512}, {"partitioned/resplit", 128}} {
+		ctx := qef.NewContext(qef.ModeDPU)
+		out, err := GroupByPartitioned(ctx, rel, []int{0, 2}, specs, prog, PartScheme{Rounds: []int{4}}, c.cap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pin(c.name, ctx, out)
+	}
+
+	// The pre-aggregation over preAggTable, dense and filtered (a bit-vector
+	// in chunks 0 and 1, a RID list in chunk 3), with one key and two; armed
+	// at the test's caps (chunk 1 passes through) and at one slot, where
+	// every unit passes through.
+	snap := preAggTable(t).Snapshot(storage.LatestSCN)
+	for _, keys := range []int{1, 2} {
+		for _, slots := range []int{40 * (2*keys - 1), 1} {
+			for _, filtered := range []bool{false, true} {
+				op := PreAggOp{Slots: slots}
+				for k := 0; k < keys; k++ {
+					op.Keys = append(op.Keys, PreAggKey{Col: k, Scan: k, Width: coltypes.W1})
+				}
+				for _, k := range preAggKinds {
+					op.States = append(op.States, PreAggState{Kind: k, Col: 2})
+				}
+				ctx := qef.NewContext(qef.ModeDPU)
+				sink := NewCollectSink(make([]Col, keys+len(preAggKinds)))
+				if err := TableScan(ctx, snap, []int{0, 1, 2, 3}, 64, nil, func() qef.Operator {
+					p := op
+					p.Next = sink
+					if !filtered {
+						return &p
+					}
+					return &FilterOp{Pred: &ConstCmp{Col: 3, Op: plan.NE, Val: 0}, Next: &p}
+				}); err != nil {
+					t.Fatal(err)
+				}
+				pin(fmt.Sprintf("preagg/keys=%d/slots=%d/filtered=%v", keys, slots, filtered), ctx, sink.Relation())
+			}
+		}
+	}
+
+	// The merger over batches of partial rows with 0 to 2 keys of mixed
+	// widths, duplicate keys across batches.
+	for nk := 0; nk <= 2; nk++ {
+		m := NewGroupMerger(nk, specs)
+		rng := rand.New(rand.NewSource(int64(47 + nk)))
+		for batch := 0; batch < 5; batch++ {
+			n := 1 + rng.Intn(200)
+			cols := make([]coltypes.Data, nk+len(specs))
+			for c := range cols {
+				w := coltypes.W8
+				if c < nk {
+					w = []coltypes.Width{coltypes.W1, coltypes.W4}[c]
+				}
+				cols[c] = coltypes.New(w, n)
+				for i := 0; i < n; i++ {
+					v := rng.Int63n(1<<20) - 1<<19
+					if c < nk {
+						v = int64(rng.Intn(9) - 4)
+					}
+					cols[c].Set(i, v)
+				}
+			}
+			m.Fold(cols[:nk], cols[nk:])
+		}
+		pin(fmt.Sprintf("merger/keys=%d", nk), nil, m.Relation(make([]Col, nk), nil))
+	}
+
+	names := make([]string, 0, len(got))
+	for name := range got {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		g, w := got[name], aggPins[name]
+		if g != w {
+			t.Errorf("aggregate pin moved:\n\t%q: {%d, %#x},", name, g.cycles, g.bag)
+		}
+	}
+	if len(aggPins) != len(got) {
+		t.Errorf("%d aggregate pins, %d cases", len(aggPins), len(got))
+	}
 }
