@@ -57,41 +57,42 @@ func (g *GroupTable) Key(k int, gid int) int64 { return g.keys[k*g.cap+gid] }
 // keyCol returns key column k of every group, by group id.
 func (g *GroupTable) keyCol(k int) []int64 { return g.keys[k*g.cap : k*g.cap+g.n] }
 
-// FindOrAdd returns the dense group id of the key tuple, adding it when
-// new. Returns -1 when the table is full (the caller re-partitions, the
+// findGroups writes to gids[i] the dense group id of row i — its hash hv[i],
+// its key column k at keys[k][i] — adding each group it has not seen. It
+// returns false when the table is full (the caller re-partitions, the
 // runtime adaptation of §5.4).
-func (g *GroupTable) FindOrAdd(h uint32, key []int64) int {
-	slot := h & g.mask
-	for {
-		s := g.slots[slot]
-		if s == 0 {
+func (g *GroupTable) findGroups(gids, hv []uint32, keys [][]int64) bool {
+	for i, h := range hv {
+		slot := h & g.mask
+		for g.slots[slot] != 0 && !g.holds(int(g.slots[slot]-1), h, keys, i) {
+			slot = (slot + 1) & g.mask
+		}
+		if g.slots[slot] == 0 { // a new group
 			if g.n >= g.cap {
-				return -1
+				return false
 			}
-			gid := g.n
+			g.slots[slot], g.hashes[g.n] = uint32(g.n+1), h
+			for k, col := range keys {
+				g.keys[k*g.cap+g.n] = col[i]
+			}
 			g.n++
-			g.slots[slot] = uint32(gid + 1)
-			g.hashes[gid] = h
-			for k, v := range key {
-				g.keys[k*g.cap+gid] = v
-			}
-			return gid
 		}
-		gid := int(s - 1)
-		if g.hashes[gid] == h {
-			match := true
-			for k, v := range key {
-				if g.keys[k*g.cap+gid] != v {
-					match = false
-					break
-				}
-			}
-			if match {
-				return gid
-			}
-		}
-		slot = (slot + 1) & g.mask
+		gids[i] = g.slots[slot] - 1
 	}
+	return true
+}
+
+// holds reports whether group gid has row i's hash h and key.
+func (g *GroupTable) holds(gid int, h uint32, keys [][]int64, i int) bool {
+	if g.hashes[gid] != h {
+		return false
+	}
+	for k, col := range keys {
+		if g.keys[k*g.cap+gid] != col[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func nextPow2(n int) int {
@@ -118,9 +119,9 @@ type GroupByOp struct {
 	MaxGroups int
 	Merger    *GroupMerger
 
-	table  *GroupTable
-	aggs   [][]int64 // one per-group accumulator per spec
-	keyBuf []int64
+	table *GroupTable
+	aggs  [][]int64 // one per-group accumulator per spec
+	keys  [][]int64 // a block of selected rows' keys, widened
 }
 
 // DMEMSize: the group table and per-spec accumulators (unit lifetime) — 32
@@ -141,7 +142,10 @@ func (g *GroupByOp) Open(tc *qef.TaskCtx) error {
 	for i, spec := range g.Specs {
 		g.aggs[i] = spec.Kind.newAcc(make([]int64, g.MaxGroups))
 	}
-	g.keyBuf = make([]int64, len(g.GroupCols))
+	g.keys = make([][]int64, len(g.GroupCols))
+	for k := range g.keys {
+		g.keys[k] = make([]int64, 64)
+	}
 	return nil
 }
 
@@ -154,34 +158,31 @@ func (g *GroupByOp) Produce(tc *qef.TaskCtx, t *qef.Tile) error {
 		keyData[i] = t.Cols[c]
 	}
 	hv := primitives.HashColumns(tc.Core, keyData, tc.Pool.U32(t.N)[:0])
-	rows := t.AppendSelRIDs(tc.Pool.U32(t.N)[:0])
-	gids := tc.Pool.U32(len(rows))
-	for j, r := range rows {
-		for k, d := range keyData {
-			g.keyBuf[k] = d.Get(int(r))
+	// The selected rows' group ids, 64 rows at a time: their hashes and
+	// keys gathered, each key column through its width's own loop.
+	gids := tc.Pool.U32(t.QualifyingRows())
+	var hashes [64]uint32
+	blocks, n := rowBlocks{t: t}, 0
+	for rows, ok := blocks.next(); ok; rows, ok = blocks.next() {
+		for j, r := range rows {
+			hashes[j] = hv[r]
 		}
-		gid := g.table.FindOrAdd(hv[r], g.keyBuf)
-		if gid < 0 {
+		for k, d := range keyData {
+			widenGather(g.keys[k], d, rows)
+		}
+		if !g.table.findGroups(gids[n:], hashes[:len(rows)], g.keys) {
 			return ErrGroupOverflow
 		}
-		gids[j] = uint32(gid)
+		n += len(rows)
 	}
 	if c := tc.Core; c != nil {
-		c.Charge(dpu.Cycles(3 * len(rows))) // table probe loop
+		c.Charge(dpu.Cycles(3 * n)) // table probe loop
 	}
-	dense := t.Dense()
 	slots := g.Prog.Slots(tc)
 	for s, spec := range g.Specs {
 		var vals []int64
 		if spec.Kind != AggCountStar {
-			vals = slots.Get(tc, t, spec.Arg)
-		}
-		if spec.Kind != AggCountStar && !dense {
-			sub := tc.Pool.I64(len(rows))
-			for j, r := range rows {
-				sub[j] = vals[r]
-			}
-			vals = sub
+			vals = gather(tc, t, slots.Get(tc, t, spec.Arg), false)
 		}
 		spec.Kind.accumulate(tc.Core, g.aggs[s], gids, vals)
 	}
@@ -232,49 +233,33 @@ func NewGroupMerger(nKeys int, specs []AggSpec) *GroupMerger {
 }
 
 // Fold merges rows into the groups: row i has key column k's value in
-// keys[k] and spec s's partial value in vals[s]. A new key starts its group
-// with the row's partials; a known one folds them in: MIN keeps the smaller,
-// MAX the larger, every other kind adds.
+// keys[k] and spec s's partial value in vals[s]. Each spec folds with its
+// merge kind (AggKind.Merge) from the kind's identity: a new key's group
+// takes the row's partials.
 func (m *GroupMerger) Fold(keys, vals []coltypes.Data) {
-	var n int
-	switch {
-	case len(keys) > 0:
-		n = keys[0].Len()
-	case len(vals) > 0:
-		n = vals[0].Len()
+	hv := primitives.HashColumns(nil, keys, nil)
+	if len(keys) == 0 && len(vals) > 0 { // one group
+		hv = make([]uint32, vals[0].Len())
 	}
-	hv := primitives.HashColumns(nil, keys, nil) // nil with no keys: one group
+	keyCols, valCols, gids := widened(keys), widened(vals), make([]uint32, len(hv))
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.reserve(n)
-	key := make([]int64, m.NKeys)
-	for i := 0; i < n; i++ {
-		var h uint32
-		if hv != nil {
-			h = hv[i]
-		}
-		for k, d := range keys {
-			key[k] = d.Get(i)
-		}
-		before := m.table.NumGroups()
-		gid := m.table.FindOrAdd(h, key)
-		for s, spec := range m.Specs {
-			v := vals[s].Get(i)
-			if gid == before {
-				m.accs[s] = append(m.accs[s], v)
-				continue
-			}
-			acc := &m.accs[s][gid]
-			switch spec.Kind {
-			case AggMin:
-				*acc = min(*acc, v)
-			case AggMax:
-				*acc = max(*acc, v)
-			default: // sums and counts add up
-				*acc += v
-			}
-		}
+	m.reserve(len(hv))
+	m.table.findGroups(gids, hv, keyCols)
+	for s, spec := range m.Specs {
+		merge, acc := spec.Kind.Merge(), m.accs[s]
+		m.accs[s] = append(acc, merge.newAcc(make([]int64, m.table.NumGroups()-len(acc)))...)
+		merge.accumulate(nil, m.accs[s], gids, valCols[s])
 	}
+}
+
+// widened returns the columns widened to 64 bits.
+func widened(cols []coltypes.Data) [][]int64 {
+	out := make([][]int64, len(cols))
+	for i, d := range cols {
+		out[i] = primitives.WidenToI64(nil, d, nil)
+	}
+	return out
 }
 
 // reserve re-lays the table for n more groups, every group keeping its id.
@@ -284,13 +269,11 @@ func (m *GroupMerger) reserve(n int) {
 		return
 	}
 	grown := NewGroupTable(max(t.n+n, 2*t.cap), m.NKeys)
-	key := make([]int64, m.NKeys)
-	for gid := 0; gid < t.n; gid++ {
-		for k := range key {
-			key[k] = t.Key(k, gid)
-		}
-		grown.FindOrAdd(t.hashes[gid], key)
+	keys := make([][]int64, m.NKeys)
+	for k := range keys {
+		keys[k] = t.keyCol(k)
 	}
+	grown.findGroups(make([]uint32, t.n), t.hashes[:t.n], keys)
 	m.table = grown
 }
 

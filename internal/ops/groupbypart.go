@@ -19,9 +19,6 @@ func GroupByPartitioned(ctx *qef.Context, rel *Relation, groupCols []int, specs 
 		return nil, err
 	}
 	defer parts.Release() // after RunParallel; the collector holds copies
-	if maxGroupsPerPart <= 0 {
-		maxGroupsPerPart = 4096
-	}
 	out := &groupCollector{
 		nKeys: len(groupCols),
 		specs: specs,
@@ -74,19 +71,11 @@ func groupOnePartition(tc *qef.TaskCtx, unit int, cols []coltypes.Data, hv []uin
 	for k, g := range groupCols {
 		keys[k] = primitives.WidenToI64(nil, cols[g], tc.Pool.I64(n))
 	}
-	keyBuf := tc.Pool.I64(len(groupCols))
 	gids := tc.Pool.U32(n)
-	for i := 0; i < n; i++ {
-		for k, col := range keys {
-			keyBuf[k] = col[i]
-		}
-		gid := table.FindOrAdd(hv[i], keyBuf)
-		if gid < 0 {
-			// NDV above estimate: split this partition further and retry
-			// each half with a fresh table.
-			return regroupSplit(tc, unit, cols, hv, usedBits, groupCols, specs, prog, maxGroups, out)
-		}
-		gids[i] = uint32(gid)
+	if !table.findGroups(gids, hv, keys) {
+		// NDV above estimate: split this partition further and retry each
+		// half with a fresh table.
+		return regroupSplit(tc, unit, cols, hv, usedBits, groupCols, specs, prog, maxGroups, out)
 	}
 	if c := tc.Core; c != nil {
 		c.Charge(dpu.Cycles(3 * n))

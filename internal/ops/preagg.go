@@ -2,7 +2,6 @@ package ops
 
 import (
 	"fmt"
-	mathbits "math/bits"
 
 	"rapid/internal/bits"
 	"rapid/internal/coltypes"
@@ -73,7 +72,7 @@ func (p *PreAggOp) DMEMSize(tileRows int) int {
 	}
 	size := p.Slots*perSlot + bits.VectorSizeBytes(p.Slots)
 	for _, s := range p.States {
-		if s.Kind == AggCount || s.Kind == AggCountStar {
+		if s.Kind.counts() {
 			return size + tileRows
 		}
 	}
@@ -130,9 +129,11 @@ func (p *PreAggOp) Produce(tc *qef.TaskCtx, t *qef.Tile) error {
 		return p.passThrough(tc, t)
 	}
 	primitives.ChargeTileOverhead(tc.Core)
-	n, err := p.fold(t)
-	if err != nil {
-		return err
+	blocks := rowBlocks{t: t}
+	for rows, ok := blocks.next(); ok; rows, ok = blocks.next() {
+		if err := p.foldBlock(t, rows); err != nil {
+			return err
+		}
 	}
 	if c := tc.Core; c != nil {
 		folds, stars := p.Folds()
@@ -140,7 +141,7 @@ func (p *PreAggOp) Produce(tc *qef.TaskCtx, t *qef.Tile) error {
 		if !t.Dense() {
 			cy += primitives.PreAggRIDCost
 		}
-		c.Charge(dpu.Cycles(cy * float64(n)))
+		c.Charge(dpu.Cycles(cy * float64(t.QualifyingRows())))
 	}
 	return nil
 }
@@ -172,51 +173,13 @@ func (p *PreAggOp) Folds() (folds, stars int) {
 	return folds, stars
 }
 
-// fold folds the tile's selected rows into the table and returns how many
-// it folded, up to 64 rows at a time (foldBlock).
-func (p *PreAggOp) fold(t *qef.Tile) (int, error) {
-	var rows [64]uint32
-	switch {
-	case t.RIDs != nil:
-		for lo := 0; lo < len(t.RIDs); lo += 64 {
-			if err := p.foldBlock(t, t.RIDs[lo:min(lo+64, len(t.RIDs))]); err != nil {
-				return 0, err
-			}
-		}
-		return len(t.RIDs), nil
-	case t.Sel != nil:
-		n := 0
-		for wi, w := range t.Sel.Words() {
-			k := 0
-			for ; w != 0; w &= w - 1 {
-				rows[k] = uint32(wi<<6 | mathbits.TrailingZeros64(w))
-				k++
-			}
-			if err := p.foldBlock(t, rows[:k]); err != nil {
-				return 0, err
-			}
-			n += k
-		}
-		return n, nil
-	}
-	for lo := 0; lo < t.N; lo += 64 {
-		hi := min(lo+64, t.N)
-		for r := lo; r < hi; r++ {
-			rows[r-lo] = uint32(r)
-		}
-		if err := p.foldBlock(t, rows[:hi-lo]); err != nil {
-			return 0, err
-		}
-	}
-	return t.N, nil
-}
-
-// foldBlock folds the tile's rows (at most 64) into the table: their slots
-// are computed once from the keys, each read through its width's own loop
-// (widenGather), and then each state folds its argument, read the same way,
-// at those slots.
+// foldBlock folds the tile's rows (at most 64) into the table: their group
+// ids, the slots, are computed once from the keys, each read through its
+// width's own loop (widenGather), and then each state accumulates its
+// argument, read the same way, at those slots. Produce bills the folds.
 func (p *PreAggOp) foldBlock(t *qef.Tile, rows []uint32) error {
-	var slots, vals [64]int64
+	var slots [64]uint32
+	var vals [64]int64
 	sl, v := slots[:len(rows)], vals[:len(rows)]
 	for k, key := range p.Keys {
 		widenGather(v, t.Cols[key.Col], rows)
@@ -226,35 +189,19 @@ func (p *PreAggOp) foldBlock(t *qef.Tile, rows []uint32) error {
 			if uint64(off) >= uint64(radix) {
 				return fmt.Errorf("ops: pre-aggregation key %d is outside its chunk's zone", k)
 			}
-			sl[i] = sl[i]*radix + off
+			sl[i] = sl[i]*uint32(radix) + uint32(off)
 		}
 	}
 	for _, slot := range sl {
 		p.occWords[slot>>6] |= 1 << (slot & 63)
 	}
 	for s, st := range p.States {
-		acc := p.table[s*p.Slots : s*p.Slots+p.span]
-		if st.Kind == AggCount || st.Kind == AggCountStar { // the engine has no NULLs
-			for _, slot := range sl {
-				acc[slot]++
-			}
-			continue
+		var arg []int64
+		if !st.Kind.counts() { // the engine has no NULLs
+			widenGather(v, t.Cols[st.Col], rows)
+			arg = v
 		}
-		widenGather(v, t.Cols[st.Col], rows)
-		switch st.Kind {
-		case AggSum:
-			for i, slot := range sl {
-				acc[slot] += v[i]
-			}
-		case AggMin:
-			for i, slot := range sl {
-				acc[slot] = min(acc[slot], v[i])
-			}
-		case AggMax:
-			for i, slot := range sl {
-				acc[slot] = max(acc[slot], v[i])
-			}
-		}
+		st.Kind.accumulate(nil, p.table[s*p.Slots:s*p.Slots+p.span], sl, arg)
 	}
 	return nil
 }
@@ -268,7 +215,7 @@ func (p *PreAggOp) passThrough(tc *qef.TaskCtx, t *qef.Tile) error {
 		cols[k] = t.Cols[key.Col]
 	}
 	for s, st := range p.States {
-		if st.Kind == AggCount || st.Kind == AggCountStar {
+		if st.Kind.counts() {
 			cols[nk+s] = p.onesOf(t.N)
 		} else {
 			cols[nk+s] = t.Cols[st.Col]

@@ -129,10 +129,7 @@ func TestPreAggMatchesGroupBy(t *testing.T) {
 				merge := make([]AggSpec, len(preAggKinds))
 				for i, k := range preAggKinds {
 					op.States = append(op.States, PreAggState{Kind: k, Col: 2})
-					if k == AggCount || k == AggCountStar {
-						k = AggSum
-					}
-					merge[i] = AggSpec{Kind: k, Arg: m.Col(len(keys) + i)}
+					merge[i] = AggSpec{Kind: k.Merge(), Arg: m.Col(len(keys) + i)}
 				}
 				pre := NewCollectSink(make([]Col, len(keys)+len(preAggKinds)))
 				if err := TableScan(ctx, snap, []int{0, 1, 2, 3}, 64, nil, func() qef.Operator {

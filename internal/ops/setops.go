@@ -46,16 +46,12 @@ func SetOp(ctx *qef.Context, a, b *Relation, kind plan.SetOpKind) (*Relation, er
 			// the partitioning computed. B's rows go in first, so an A row is
 			// in B exactly when its group id is below inB.
 			table := NewGroupTable(na+nb, nc)
-			key := make([]int64, nc)
-			find := func(part *PartitionedRel, i int) int {
-				for c := range key {
-					key[c] = part.Cols[p][c].Get(i)
-				}
-				return table.FindOrAdd(part.Hashes[p][i], key)
+			find := func(part *PartitionedRel, n int) []uint32 {
+				gids := make([]uint32, n)
+				table.findGroups(gids, part.Hashes[p][:n], widened(part.Cols[p]))
+				return gids
 			}
-			for i := 0; i < nb; i++ {
-				find(allB, i)
-			}
+			find(allB, nb)
 			inB := table.NumGroups()
 			emitted := make([]bool, na+nb)
 			var emit []int // group ids of the output rows, in output order
@@ -65,10 +61,9 @@ func SetOp(ctx *qef.Context, a, b *Relation, kind plan.SetOpKind) (*Relation, er
 					emit = append(emit, gid)
 				}
 			}
-			for i := 0; i < na; i++ {
-				gid := find(allA, i)
-				if kind == plan.Union || (gid < inB) == (kind == plan.Intersect) {
-					keep(gid)
+			for _, gid := range find(allA, na) {
+				if kind == plan.Union || (int(gid) < inB) == (kind == plan.Intersect) {
+					keep(int(gid))
 				}
 			}
 			touched := na + nb // set build over B, probe with A

@@ -30,11 +30,7 @@ func (pa *preAgg) merge() (groupCols []int, specs []ops.AggSpec, prog *ops.Progr
 	var b ops.ProgramBuilder
 	specs = make([]ops.AggSpec, len(pa.op.States))
 	for s, st := range pa.op.States {
-		kind := st.Kind
-		if kind == ops.AggCount || kind == ops.AggCountStar {
-			kind = ops.AggSum
-		}
-		specs[s] = ops.AggSpec{Kind: kind, Arg: b.Col(nk + s)}
+		specs[s] = ops.AggSpec{Kind: st.Kind.Merge(), Arg: b.Col(nk + s)}
 	}
 	return groupCols, specs, b.Program()
 }

@@ -1,6 +1,7 @@
 package tpch
 
 import (
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -249,14 +250,21 @@ func TestQ6ReferenceValue(t *testing.T) {
 }
 
 func TestOffloadFractionIsHigh(t *testing.T) {
-	// Fig 15's premise: nearly all elapsed time is inside RAPID.
+	// Fig 15's premise: nearly all elapsed time is inside RAPID. The
+	// fraction is of wall time, so one run can be slowed on its host side by
+	// a loaded machine: the median of five is the measure.
 	db := testDB(t)
-	res, err := db.Query(mustQ(t, "Q1").SQL, hostdb.QueryOptions{Mode: hostdb.ForceOffload, RapidMode: qef.ModeX86})
-	if err != nil {
-		t.Fatal(err)
+	fractions := make([]float64, 5)
+	for i := range fractions {
+		res, err := db.Query(mustQ(t, "Q1").SQL, hostdb.QueryOptions{Mode: hostdb.ForceOffload, RapidMode: qef.ModeX86})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fractions[i] = res.RapidFraction()
 	}
-	if res.RapidFraction() < 0.5 {
-		t.Fatalf("RAPID fraction = %.2f — offload accounting broken", res.RapidFraction())
+	sort.Float64s(fractions)
+	if median := fractions[2]; median < 0.5 {
+		t.Fatalf("median RAPID fraction = %.2f (runs %.2f) — offload accounting broken", median, fractions)
 	}
 }
 
