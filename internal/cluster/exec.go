@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"rapid/internal/coltypes"
 	"rapid/internal/dpu"
 	"rapid/internal/hostdb"
 	"rapid/internal/obs"
@@ -32,9 +31,8 @@ type QueryOptions struct {
 	// stitched Chrome trace with a lane per node and flow events for every
 	// cross-node data stream.
 	Trace bool
-	// DisablePruning turns off zone-map pruning at every level (shard
-	// fragments at the coordinator, tiles inside each node). Metamorphic
-	// test lanes use it to assert pruning never changes results.
+	// DisablePruning turns off tile zone-map pruning on every node.
+	// Metamorphic test lanes use it to assert pruning never changes results.
 	DisablePruning bool
 	// NoCache bypasses the shared query cache for this query: no lookup, no
 	// publication, and no singleflight participation.
@@ -74,8 +72,8 @@ type Result struct {
 	// goes when that reader moves to Cycles (ROADMAP 10(a)).
 	TotalCycles int64
 
-	// ShardsPruned counts node fragments the coordinator skipped entirely
-	// because the shard's zone summary proved the fragment empty.
+	// ShardsPruned is always 0: the tray prunes tiles, never whole node
+	// fragments. It stays while benchmark/ reads it (ROADMAP 10(a)).
 	ShardsPruned int
 
 	Explain string // logical plan (coordinator binding)
@@ -113,9 +111,6 @@ type query struct {
 
 	traceOn bool           // record fragment profiles + exchange spans
 	trace   []obs.DistStep // stitched-trace steps, in execution order
-
-	noPrune      bool // QueryOptions.DisablePruning, fanned to every context
-	shardsPruned int  // node fragments skipped via shard zone summaries
 }
 
 func (q *query) nodes() int { return len(q.nctx) }
@@ -221,7 +216,6 @@ func (t *Tray) execute(goCtx context.Context, bound plan.Node, opts QueryOptions
 		outer: goCtx, goCtx: qctx, cancel: cancel,
 		analyze: opts.Analyze,
 		traceOn: opts.Trace,
-		noPrune: opts.DisablePruning,
 		shards:  shards,
 	}
 
@@ -265,9 +259,8 @@ func (t *Tray) execute(goCtx context.Context, bound plan.Node, opts QueryOptions
 	res := &Result{
 		Rel: rel.Flatten(), Nodes: n,
 
-		Exchanges:    q.exchanges,
-		Explain:      plan.Format(tree),
-		ShardsPruned: q.shardsPruned,
+		Exchanges: q.exchanges,
+		Explain:   plan.Format(tree),
 	}
 	for _, ex := range q.exchanges {
 		res.NetSeconds += ex.Seconds
@@ -328,7 +321,7 @@ func (q *query) exec(n plan.Node) (*ops.Relation, error) {
 			}
 			// Every node of a replicated fragment would produce the
 			// identical relation: run it once and pull a single copy.
-			parts, err := q.materialize(rec, rec.repl, "fragment")
+			parts, err := q.runNodes(rec.tree, "fragment", rec.repl)
 			if err != nil {
 				return nil, err
 			}
@@ -389,10 +382,8 @@ func (q *query) distributedGroupBy(g *plan.GroupBy, rec *recipe) (*ops.Relation,
 	case whole:
 		label, result = "group-by", "groups"
 	}
-	// prunable=false: an aggregation over an empty input still yields
-	// identity rows (scalar aggregates), so skipping the fragment would
-	// change the answer. A replicated input needs one execution, one copy.
-	parts, err := q.runNodes(tree, label, rec.repl, false)
+	// A replicated input needs one execution, one copy.
+	parts, err := q.runNodes(tree, label, rec.repl)
 	if err != nil {
 		return nil, err
 	}
@@ -409,15 +400,6 @@ func (q *query) distributedGroupBy(g *plan.GroupBy, rec *recipe) (*ops.Relation,
 	}
 	q.step("merge group-by groups=%d", out.Rows())
 	return out, nil
-}
-
-// materialize executes a recipe's tree on the nodes, returning one relation
-// per node (only node 0 when only0 — replicated fragments need a single
-// execution).
-func (q *query) materialize(rec *recipe, only0 bool, label string) ([]*ops.Relation, error) {
-	// Materialized fragments merge with union semantics, so a fragment the
-	// shard zones prove empty can be replaced by an empty relation.
-	return q.runNodes(rec.tree, label, only0, true)
 }
 
 // runFragment executes one compiled fragment on ctx. A node context
@@ -440,20 +422,16 @@ func (q *query) runFragment(ctx *qef.Context, compiled *qcomp.Compiled) (*ops.Re
 	return rel, prof, nil
 }
 
-// runNodes binds a plan tree to every node — the one place a plan becomes
+// runNodes executes a plan tree on the nodes and returns one relation per
+// node (only node 0's when only0 — replicated fragments need a single
+// execution). It binds the tree to every node — the one place a plan becomes
 // per-node, because compilation reads the shard's own statistics (build
 // sides, partition schemes) and is part of each node's bill — then compiles
 // and executes the copies concurrently, each on its own node context (its
 // scheduler's worker pool in ModeDPU). The first failing node cancels the
 // shared query context, stopping the others at their next tile or work-unit
 // boundary.
-//
-// When prunable (union-semantics fragments only), the coordinator first
-// consults each shard's zone summary: a fragment the summary proves empty is
-// never compiled, admitted or executed — its node contributes a zero-row
-// relation with the fragment's schema and burns no cycles, DMS traffic or
-// energy.
-func (q *query) runNodes(tree plan.Node, label string, only0, prunable bool) ([]*ops.Relation, error) {
+func (q *query) runNodes(tree plan.Node, label string, only0 bool) ([]*ops.Relation, error) {
 	n := q.nodes()
 	count := n
 	if only0 {
@@ -469,29 +447,12 @@ func (q *query) runNodes(tree plan.Node, label string, only0, prunable bool) ([]
 	}
 	res := make([]*ops.Relation, n)
 	errs := make([]error, count)
-	if prunable && !q.noPrune {
-		pruned := 0
-		for i := 0; i < count; i++ {
-			if qcomp.ShardZonePruned(trees[i]) {
-				res[i] = emptyRelation(trees[i].Schema())
-				pruned++
-			}
-		}
-		if pruned > 0 {
-			q.shardsPruned += pruned
-			q.reg.Counter("rapid_shards_pruned_total").Add(int64(pruned))
-			q.step("shard zones pruned %d/%d %s fragments", pruned, count, label)
-		}
-	}
 	var profs []*obs.Profile
 	if q.traceOn {
 		profs = make([]*obs.Profile, n)
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < count; i++ {
-		if res[i] != nil { // pruned
-			continue
-		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -547,20 +508,6 @@ func (q *query) pickError(errs []error) error {
 		}
 	}
 	return anyErr
-}
-
-// emptyRelation builds a zero-row relation with the given schema — the
-// stand-in result of a shard-pruned fragment, keeping column names, types
-// and dictionaries so downstream merges see the same shape as an executed
-// fragment that matched nothing.
-func emptyRelation(fields []plan.Field) *ops.Relation {
-	cols := make([]ops.Col, len(fields))
-	data := make([]coltypes.Data, len(fields))
-	for i, f := range fields {
-		cols[i] = ops.Col{Name: f.Name, Type: f.Type, Dict: f.Dict}
-		data[i] = coltypes.Of([]int64{})
-	}
-	return ops.MustRelation(cols, data)
 }
 
 func opName(n plan.Node) string {

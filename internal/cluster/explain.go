@@ -37,9 +37,8 @@ func (q *query) renderAnalyze(res *Result) string {
 		fmt.Fprintf(&b, "  node%-2d cycles=%-10d dms_rd=%-10d dms_wr=%-10d sim_us=%.2f\n",
 			i, ns.Cycles, ns.DMSReadBytes, ns.DMSWriteBytes, ns.SimSeconds*1e6)
 	}
-	if res.TilesPruned > 0 || res.ShardsPruned > 0 {
-		fmt.Fprintf(&b, "Pruning: tiles_pruned=%d shards_pruned=%d via zone maps\n",
-			res.TilesPruned, res.ShardsPruned)
+	if res.TilesPruned > 0 {
+		fmt.Fprintf(&b, "Pruning: tiles_pruned=%d via zone maps\n", res.TilesPruned)
 	}
 	fmt.Fprintf(&b, "Net: rows=%d bytes=%d tiles=%d link_us=%.2f energy_nj=%d\n",
 		res.NetRows, res.NetBytes, res.NetTiles, res.NetSeconds*1e6, res.Energy.NetFJ/1e6)

@@ -447,7 +447,7 @@ func (q *query) colocate(j *plan.Join, l, r *recipe) (*recipe, *recipe, error) {
 	n := q.nodes()
 	inner := j.Type == plan.InnerJoin
 	if l.repl {
-		rparts, err := q.materialize(r, false, "broadcast input")
+		rparts, err := q.runNodes(r.tree, "broadcast input", false)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -455,7 +455,7 @@ func (q *query) colocate(j *plan.Join, l, r *recipe) (*recipe, *recipe, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		lparts, err := q.materialize(l, false, "replicated probe")
+		lparts, err := q.runNodes(l.tree, "replicated probe", false)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -472,11 +472,11 @@ func (q *query) colocate(j *plan.Join, l, r *recipe) (*recipe, *recipe, error) {
 		return q.align(l, r, j.LeftKeys[k], true, fmt.Sprintf("left by key[%d]", k), "right (small side)")
 	}
 
-	lparts, err := q.materialize(l, false, "exchange input")
+	lparts, err := q.runNodes(l.tree, "exchange input", false)
 	if err != nil {
 		return nil, nil, err
 	}
-	rparts, err := q.materialize(r, false, "exchange input")
+	rparts, err := q.runNodes(r.tree, "exchange input", false)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -514,7 +514,7 @@ func (q *query) colocate(j *plan.Join, l, r *recipe) (*recipe, *recipe, error) {
 // wins, and broadcast only when its exact size then does too. It returns mov
 // and fix as they are afterwards.
 func (q *query) align(mov, fix *recipe, movKey int, mayBroadcast bool, shuffleLabel, broadcastLabel string) (*recipe, *recipe, error) {
-	parts, err := q.materialize(mov, false, "exchange input")
+	parts, err := q.runNodes(mov.tree, "exchange input", false)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -529,7 +529,7 @@ func (q *query) align(mov, fix *recipe, movKey int, mayBroadcast bool, shuffleLa
 			return nil, nil, err
 		}
 		if est*fanout < shuffleCost {
-			fparts, err := q.materialize(fix, false, "broadcast input")
+			fparts, err := q.runNodes(fix.tree, "broadcast input", false)
 			if err != nil {
 				return nil, nil, err
 			}

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"rapid/internal/coltypes"
 	"rapid/internal/hostdb"
 	"rapid/internal/obs"
 	"rapid/internal/ops"
@@ -35,7 +36,7 @@ func refs(idx ...int) []plan.Expr {
 // exactly when one of them is among its keys.
 func TestPartitionColumnSet(t *testing.T) {
 	hash := &storage.ShardMap{Policy: storage.HashSharded, Nodes: 4}
-	other := &storage.ShardMap{Policy: storage.RangeSharded, Nodes: 4, Bounds: []int64{10, 20, 30}}
+	other := &storage.ShardMap{Policy: storage.HashSharded, Nodes: 8}
 	l := layout{cols: []int{1}, part: hash}
 	r := layout{cols: []int{0}, part: hash}
 	join := func(typ plan.JoinType, lk, rk int) *plan.Join {
@@ -417,9 +418,14 @@ func TestBoundTreeDiffersOnlyAtItsLeaves(t *testing.T) {
 	}
 
 	_, tree, q := planned(t, tray, `SELECT l_orderkey FROM lineitem WHERE l_quantity < 5`)
+	fields := tree.Schema()
+	cols, data := make([]ops.Col, len(fields)), make([]coltypes.Data, len(fields))
+	for c, f := range fields {
+		cols[c], data[c] = ops.Col{Name: f.Name, Type: f.Type, Dict: f.Dict}, coltypes.Of([]int64{})
+	}
 	parts := make([]*ops.Relation, tray.NumNodes())
 	for i := range parts {
-		parts[i] = emptyRelation(tree.Schema())
+		parts[i] = ops.MustRelation(cols, data)
 	}
 	leaf := placed(parts, layout{}).tree
 	join := &plan.Join{Left: tree, Right: leaf, LeftKeys: []int{0}, RightKeys: []int{0}}

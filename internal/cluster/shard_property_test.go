@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"testing"
@@ -87,12 +88,12 @@ func checkShardMap(t *testing.T, tray *Tray, want [][]int64) bool {
 }
 
 // TestShardMapCompletenessProperty is the testing/quick property battery for
-// the shard loader: for random data, node counts and policies, (a) every
+// the shard loader: for random data, node counts and hash key columns, (a) every
 // host row lands on exactly one node and that node is NodeFor(key), (b) the
 // union of shards is exactly the host multiset, and (c) mutating the host
 // table and re-loading round-trips the new contents the same way.
 func TestShardMapCompletenessProperty(t *testing.T) {
-	prop := func(keys []int16, width uint8, useRange bool) bool {
+	prop := func(keys []int16, width, keyCol uint8) bool {
 		n := 2 + int(width)%7 // 2..8 nodes
 		db := hostdb.New()
 		defer db.Close()
@@ -131,14 +132,7 @@ func TestShardMapCompletenessProperty(t *testing.T) {
 			return false
 		}
 		defer tray.Close()
-		spec := &ShardSpec{Policy: storage.HashSharded, Key: 0}
-		if useRange {
-			spec.Policy = storage.RangeSharded
-			// Equal-width int16 split points: strictly ascending, len n-1.
-			for i := 1; i < n; i++ {
-				spec.Bounds = append(spec.Bounds, -32768+int64(i)*65536/int64(n))
-			}
-		}
+		spec := &ShardSpec{Policy: storage.HashSharded, Key: int(keyCol) % 3}
 		if err := tray.Load("pt", spec); err != nil {
 			t.Log(err)
 			return false
@@ -183,8 +177,8 @@ func TestShardMapCompletenessProperty(t *testing.T) {
 
 // TestTrayLoadPlacesEncodedRows: Tray.Load routes host rows as the row store
 // holds them. Over a string key (placed by dictionary code), a decimal key
-// (by unscaled value) and an integer key, for hash, range, replicated and
-// auto specs, after inserts, deletes and a key update: every live host row is
+// (by unscaled value) and an integer key, for hash, replicated and auto
+// specs, after inserts, deletes and a key update: every live host row is
 // on exactly the node NodeFor(encoded key) names — on every node when
 // replicated — and no tombstone is anywhere.
 func TestTrayLoadPlacesEncodedRows(t *testing.T) {
@@ -239,12 +233,11 @@ func TestTrayLoadPlacesEncodedRows(t *testing.T) {
 
 	const nodes = 4
 	specs := map[string]*ShardSpec{
-		"auto":           nil, // more than ReplicateMaxRows rows: hash on column 0
-		"hash(string)":   {Policy: storage.HashSharded, Key: 0},
-		"hash(decimal)":  {Policy: storage.HashSharded, Key: 1},
-		"range(int)":     {Policy: storage.RangeSharded, Key: 2, Bounds: []int64{50, 120, 250}},
-		"range(decimal)": {Policy: storage.RangeSharded, Key: 1, Bounds: []int64{1000, 2500, 4000}},
-		"replicated":     {Policy: storage.Replicated},
+		"auto":          nil, // more than ReplicateMaxRows rows: hash on column 0
+		"hash(string)":  {Policy: storage.HashSharded, Key: 0},
+		"hash(decimal)": {Policy: storage.HashSharded, Key: 1},
+		"hash(int)":     {Policy: storage.HashSharded, Key: 2},
+		"replicated":    {Policy: storage.Replicated},
 	}
 	for name, spec := range specs {
 		tray, err := New(db, Config{Nodes: nodes})
@@ -280,5 +273,37 @@ func TestTrayLoadPlacesEncodedRows(t *testing.T) {
 			t.Fatalf("%s: the shards' union (%d rows) is not the host's live rows (%d)", name, len(all), len(live))
 		}
 		tray.Close()
+	}
+}
+
+// TestTrayLoadRejectsAKeyPastTheSchema: a shard key at or past the table's
+// column count fails Load with hostdb.ErrNoSuchColumn before any row is
+// routed, leaves the table unloaded, and releases the tray for the next Load.
+func TestTrayLoadRejectsAKeyPastTheSchema(t *testing.T) {
+	db := hostdb.New()
+	defer db.Close()
+	schema := storage.MustSchema(storage.ColumnDef{Name: "id", Type: coltypes.Int()})
+	if _, err := db.CreateTable("m", schema); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Insert("m", [][]storage.Value{{storage.IntValue(1)}, {storage.IntValue(2)}}); err != nil {
+		t.Fatal(err)
+	}
+	tray, err := New(db, Config{Nodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tray.Close()
+	for _, key := range []int{1, 5} {
+		err := tray.Load("m", &ShardSpec{Policy: storage.HashSharded, Key: key})
+		if !errors.Is(err, hostdb.ErrNoSuchColumn) {
+			t.Fatalf("Key %d: Load = %v, want ErrNoSuchColumn", key, err)
+		}
+		if _, ok := tray.tables["m"]; ok {
+			t.Fatalf("Key %d: a failed Load left the table loaded", key)
+		}
+	}
+	if err := tray.Load("m", &ShardSpec{Policy: storage.HashSharded, Key: 0}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -30,8 +30,7 @@ type Config struct {
 // ShardSpec requests an explicit sharding for one table.
 type ShardSpec struct {
 	Policy storage.ShardPolicy
-	Key    int     // sharding column (HashSharded/RangeSharded)
-	Bounds []int64 // RangeSharded split points (ascending, len Nodes-1)
+	Key    int // sharding column (HashSharded)
 }
 
 // node is one tray member: a full SoC with its own scheduler/worker pool.
@@ -97,7 +96,6 @@ func (t *Tray) describeMetrics() {
 	t.reg.Describe("rapid_net_rows_total", "Rows moved across tray nodes (co-located deliveries excluded).")
 	t.reg.Describe("rapid_net_bytes_total", "Bytes moved across tray nodes in the widened 8-byte exchange format.")
 	t.reg.Describe("rapid_net_tiles_total", "Link messages (exchange tiles) sent between tray nodes.")
-	t.reg.Describe("rapid_shards_pruned_total", "Node fragments skipped before fan-out because shard zone summaries proved them empty.")
 	t.reg.Describe("rapid_tiles_pruned_total", "Storage tiles skipped by zone maps without DMEM admission, DMS traffic, cycles or energy.")
 	t.reg.Describe("rapid_net_microseconds_total", "Modeled serialized interconnect time.")
 	t.reg.Describe("rapid_net_energy_nanojoules_total", "Interconnect transfer energy (LinkFJPerByte).")
@@ -137,6 +135,16 @@ func (t *Tray) loadLocked(table string, spec *ShardSpec) error {
 	}
 	loadSCN := t.host.CurrentSCN()
 	n := len(t.nodes)
+	sm := &storage.ShardMap{Nodes: n}
+	if spec != nil {
+		sm.Policy, sm.Key = spec.Policy, spec.Key
+		if err := sm.Validate(); err != nil {
+			return err
+		}
+		if sm.Policy != storage.Replicated && sm.Key >= ht.Schema().NumCols() {
+			return fmt.Errorf("cluster: table %s shard key %d: %w", table, sm.Key, hostdb.ErrNoSuchColumn)
+		}
+	}
 
 	// Every shard builder shares the host dictionaries: identical string
 	// codes on every node make group keys, sort ranks and bound literals
@@ -146,21 +154,14 @@ func (t *Tray) loadLocked(table string, spec *ShardSpec) error {
 	for i := range builders {
 		builders[i] = storage.NewTableBuilder(table, ht.Schema(), opts)
 	}
-	sm := &storage.ShardMap{Nodes: n}
 	// The host rows are routed as they are: a shard map places by the encoded
 	// key, which is what the row store holds.
 	err = ht.ScanLive(func(rows [][]int64) error {
-		switch {
-		case spec != nil:
-			sm.Policy, sm.Key = spec.Policy, spec.Key
-			sm.Bounds = append([]int64(nil), spec.Bounds...)
-		case t.cfg.ReplicateMaxRows >= 0 && len(rows) <= t.cfg.ReplicateMaxRows:
-			sm.Policy = storage.Replicated
-		default:
-			sm.Policy, sm.Key = storage.HashSharded, 0
-		}
-		if err := sm.Validate(); err != nil {
-			return err
+		if spec == nil {
+			sm.Policy = storage.HashSharded // on column 0
+			if t.cfg.ReplicateMaxRows >= 0 && len(rows) <= t.cfg.ReplicateMaxRows {
+				sm.Policy = storage.Replicated
+			}
 		}
 		perNode := make([][][]int64, n)
 		if sm.Policy == storage.Replicated {

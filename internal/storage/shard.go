@@ -1,9 +1,6 @@
 package storage
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // ShardPolicy selects how a table's rows are distributed over the nodes of
 // a RAPID tray (paper §7.4 runs SF1000 sharded over 8 servers).
@@ -15,10 +12,6 @@ const (
 	Replicated ShardPolicy = iota
 	// HashSharded routes row r to node uint64(enc(key)) % Nodes.
 	HashSharded
-	// RangeSharded routes rows by comparing the encoded key against the
-	// ascending split Bounds (len Nodes-1): node 0 gets keys <= Bounds[0],
-	// node i gets Bounds[i-1] < key <= Bounds[i], the last node the rest.
-	RangeSharded
 )
 
 func (p ShardPolicy) String() string {
@@ -27,8 +20,6 @@ func (p ShardPolicy) String() string {
 		return "replicated"
 	case HashSharded:
 		return "hash"
-	case RangeSharded:
-		return "range"
 	}
 	return fmt.Sprintf("ShardPolicy(%d)", int(p))
 }
@@ -44,8 +35,6 @@ type ShardMap struct {
 	Key int
 	// Nodes is the tray width the map was built for.
 	Nodes int
-	// Bounds are the RangeSharded split points (ascending, len Nodes-1).
-	Bounds []int64
 }
 
 // Validate checks internal consistency.
@@ -61,23 +50,6 @@ func (m *ShardMap) Validate() error {
 			return fmt.Errorf("storage: hash shard map needs a key column")
 		}
 		return nil
-	case RangeSharded:
-		if m.Key < 0 {
-			return fmt.Errorf("storage: range shard map needs a key column")
-		}
-		if len(m.Bounds) != m.Nodes-1 {
-			return fmt.Errorf("storage: range shard map over %d nodes needs %d bounds, got %d",
-				m.Nodes, m.Nodes-1, len(m.Bounds))
-		}
-		if !sort.SliceIsSorted(m.Bounds, func(i, j int) bool { return m.Bounds[i] < m.Bounds[j] }) {
-			return fmt.Errorf("storage: range shard bounds must be strictly ascending")
-		}
-		for i := 1; i < len(m.Bounds); i++ {
-			if m.Bounds[i] == m.Bounds[i-1] {
-				return fmt.Errorf("storage: range shard bounds must be strictly ascending")
-			}
-		}
-		return nil
 	}
 	return fmt.Errorf("storage: unknown shard policy %d", int(m.Policy))
 }
@@ -85,47 +57,17 @@ func (m *ShardMap) Validate() error {
 // NodeFor returns the owning node of an encoded key value. For Replicated
 // maps every node owns the row; NodeFor returns 0 (the canonical owner).
 func (m *ShardMap) NodeFor(enc int64) int {
-	switch m.Policy {
-	case HashSharded:
+	if m.Policy == HashSharded {
 		return int(uint64(enc) % uint64(m.Nodes))
-	case RangeSharded:
-		// First bound >= key wins; past the last bound -> last node.
-		lo, hi := 0, len(m.Bounds)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if enc <= m.Bounds[mid] {
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
-		}
-		return lo
-	default:
-		return 0
 	}
+	return 0
 }
 
 // SameFunction reports whether two maps route equal key values to the same
 // node, i.e. relations partitioned by them on their join keys are
 // co-partitioned and the join needs no exchange.
 func (m *ShardMap) SameFunction(o *ShardMap) bool {
-	if m == nil || o == nil {
-		return false
-	}
-	if m.Policy != o.Policy || m.Nodes != o.Nodes {
-		return false
-	}
-	if m.Policy == RangeSharded {
-		if len(m.Bounds) != len(o.Bounds) {
-			return false
-		}
-		for i := range m.Bounds {
-			if m.Bounds[i] != o.Bounds[i] {
-				return false
-			}
-		}
-	}
-	return m.Policy == HashSharded || m.Policy == RangeSharded
+	return m != nil && o != nil && m.Policy == HashSharded && o.Policy == HashSharded && m.Nodes == o.Nodes
 }
 
 // SetShardMap records the tray shard map this table is one shard of (set by

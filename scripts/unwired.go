@@ -74,7 +74,7 @@ var kept = map[string]string{
 
 	// Option structs only tests build: every production caller takes the default.
 	"dpu.Config":        "tests shrink the SoC (1 and 4 cores, a few KiB of DMEM) to pin scheduling order and drive the DMEM-pressure paths",
-	"cluster.ShardSpec": "tests place rows by range and by a chosen hash key to reach shard pruning and the placement properties; Load(table, nil) auto-shards",
+	"cluster.ShardSpec": "the placement tests hash-shard on a chosen key or replicate (TestShardMapCompletenessProperty, TestTrayLoadPlacesEncodedRows); the frozen benchmark calls Load(table, nil), which auto-shards",
 
 	// Fields only a test reads (rule 3), each the one place a live behaviour shows.
 	"obs.Totals.DMSDescriptors": "TestTrayBillsDMSDescriptors reconciles each context's traced fragments with the descriptors the whole query billed",
