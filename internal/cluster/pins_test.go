@@ -39,6 +39,13 @@ import (
 // operator began evaluating one shared expression program with constants
 // folded: 1 - l_discount no longer scales its constant 1 to 100 with a
 // multiply on every row, 775958 → 775866 cycles; bytes are unchanged.
+//
+// Both were re-captured when a pipeline came to be lowered only where it does
+// work: the coordinator no longer streams and collects the merged groups to
+// select their columns. No node's bill and no cycle moves; the coordinator's
+// modeled time falls (Q12 74.0 → 15.0 ns, Q5 99.3 → 56.3 ns), and with it
+// the makespan and energy, and the DMEM high water is the nodes' (Q12 12288 →
+// 3072 bytes, Q5 16384 → 4096): the copy's Collect staged the widest tiles.
 func TestTrayBillPins(t *testing.T) {
 	tray := newTray(t, tpchHost(t), cluster.Config{Nodes: 4})
 	for _, pin := range []struct {
@@ -49,8 +56,8 @@ func TestTrayBillPins(t *testing.T) {
 		perNode                                     []cluster.NodeStats
 	}{
 		{
-			query: "Q12", cycles: 130069, activityFJ: 12985354750, netBytes: 192, energyNJ: 473241, dmemHighWater: 12288,
-			simSeconds: 3.835474302325582e-05, nodeSimSeconds: 2.21271011627907e-05, coordSimSeconds: 7.404186046511628e-08,
+			query: "Q12", cycles: 130069, activityFJ: 12982954750, netBytes: 192, energyNJ: 472530, dmemHighWater: 3072,
+			simSeconds: 3.82957011627907e-05, nodeSimSeconds: 2.21271011627907e-05, coordSimSeconds: 1.5e-08,
 			perNode: []cluster.NodeStats{
 				{Cycles: 34197, DMSReadBytes: 35622, DMSWriteBytes: 12224, SimSeconds: 2.10508511627907e-05},
 				{Cycles: 27818, DMSReadBytes: 34944, DMSWriteBytes: 12144, SimSeconds: 2.07008511627907e-05},
@@ -59,8 +66,8 @@ func TestTrayBillPins(t *testing.T) {
 			},
 		},
 		{
-			query: "Q5", cycles: 775866, activityFJ: 66398097500, netBytes: 9984, energyNJ: 1235819, dmemHighWater: 16384,
-			simSeconds: 9.745176821705426e-05, nodeSimSeconds: 2.5365276356589145e-05, coordSimSeconds: 9.929186046511628e-08,
+			query: "Q5", cycles: 775866, activityFJ: 66395697500, netBytes: 9984, energyNJ: 1235299, dmemHighWater: 4096,
+			simSeconds: 9.740872635658915e-05, nodeSimSeconds: 2.5365276356589145e-05, coordSimSeconds: 5.625e-08,
 			perNode: []cluster.NodeStats{
 				{Cycles: 189663, DMSReadBytes: 67530, DMSWriteBytes: 100048, SimSeconds: 2.5365276356589145e-05},
 				{Cycles: 187149, DMSReadBytes: 65170, DMSWriteBytes: 97936, SimSeconds: 2.3968028294573642e-05},

@@ -8,9 +8,7 @@ import "fmt"
 //   - a Join outputs only those columns (Out), and asks each input for them
 //     plus its own keys;
 //   - a Scan reads only the columns its ancestors read;
-//   - a Project computes only the outputs read above it, and one of bare
-//     column references over a join that renames none of them becomes the
-//     join's Out;
+//   - a Project computes only the outputs read above it;
 //   - a Filter asks its input for its own predicate's columns as well, and
 //     where such a column dies below a join, a Project of bare column
 //     references ends the filter's pipeline. QComp compiles that Project into
@@ -81,7 +79,7 @@ func narrow(n Node, need []bool) (Node, []int, error) {
 			return nil, nil, err
 		}
 		if child == v.Input && len(keep) == len(v.Exprs) {
-			return foldIntoJoin(v), identityMap(len(v.Exprs)), nil
+			return v, identityMap(len(v.Exprs)), nil
 		}
 		p := &Project{Input: child, Exprs: make([]Expr, len(keep)), Names: make([]string, len(keep))}
 		m := make([]int, len(v.Exprs))
@@ -95,7 +93,7 @@ func narrow(n Node, need []bool) (Node, []int, error) {
 				p.Names[j] = v.Names[i]
 			}
 		}
-		return foldIntoJoin(p), m, nil
+		return p, m, nil
 
 	case *GroupBy:
 		in := make([]bool, len(v.Input.Schema()))
@@ -148,37 +146,6 @@ func narrow(n Node, need []bool) (Node, []int, error) {
 	}
 	out, err := WithChildren(n, kids...)
 	return out, id, err
-}
-
-// foldIntoJoin returns a Project of bare column references straight over a
-// join as that join, outputting the Project's columns as its Out, when the
-// Project reads each column once and renames none: the join emits Out's
-// columns in Out's order, so a pass that only reorders its output is spared.
-// Any other Project is returned as it is.
-func foldIntoJoin(p *Project) Node {
-	j, ok := p.Input.(*Join)
-	if !ok {
-		return p
-	}
-	fs, ps := j.Schema(), p.Schema()
-	src := j.Out
-	if src == nil {
-		src = identityMap(len(fs))
-	}
-	out := make([]int, len(p.Exprs))
-	read := make([]bool, len(fs))
-	for i, e := range p.Exprs {
-		c, ok := e.(*ColRef)
-		if !ok || read[c.Idx] || ps[i] != fs[c.Idx] {
-			return p
-		}
-		read[c.Idx] = true
-		out[i] = src[c.Idx]
-	}
-	if j.Out == nil && len(out) == len(fs) && identity(out) {
-		return j
-	}
-	return &Join{Type: j.Type, Left: j.Left, Right: j.Right, LeftKeys: j.LeftKeys, RightKeys: j.RightKeys, Out: out}
 }
 
 // narrowJoin gives j the columns set in need as its Out, and narrows each

@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"slices"
 	"strings"
 	"testing"
 
@@ -219,63 +218,6 @@ func TestLiveKeepsAColumnOfAJoinNothingReads(t *testing.T) {
 		got := n.(*GroupBy).Input.(*Join)
 		if fs := got.Schema(); len(fs) != 1 || fs[0].Name != "day" {
 			t.Errorf("join type %d outputs %v, want its left key day alone", typ, fs)
-		}
-	}
-}
-
-// TestLiveFoldsABareProjectIntoItsJoin: a Project of bare column references
-// straight over a join, renaming nothing and reading each column once,
-// becomes the join's Out: the join emits those columns in that order, so the
-// Project's pass over the join's output is spared. A Project that renames,
-// computes or repeats a column stays.
-func TestLiveFoldsABareProjectIntoItsJoin(t *testing.T) {
-	tbl := testTable(t)
-	ref := func(n Node, i int) *ColRef {
-		f := n.Schema()[i]
-		return &ColRef{Idx: i, Name: f.Name, T: f.Type, Dict: f.Dict}
-	}
-	join := func(typ JoinType) *Join {
-		return &Join{Type: typ,
-			Left:     NewScan(tbl, storage.LatestSCN, nil),
-			Right:    NewScan(tbl, storage.LatestSCN, nil),
-			LeftKeys: []int{0}, RightKeys: []int{0}}
-	}
-	for _, c := range []struct {
-		name string
-		typ  JoinType
-		cols []int  // the Project's columns of the join's output
-		as   string // the first output's name, "" to keep it
-		eval bool   // the second output computes
-		fold bool
-	}{
-		{name: "reorder", typ: InnerJoin, cols: []int{6, 0}, fold: true},
-		{name: "semi", typ: SemiJoin, cols: []int{3, 0}, fold: true},
-		{name: "all in order", typ: InnerJoin, cols: []int{0, 1, 2, 3, 4, 5, 6, 7}, fold: true},
-		{name: "rename", typ: InnerJoin, cols: []int{6, 0}, as: "alias"},
-		{name: "compute", typ: InnerJoin, cols: []int{6, 1}, eval: true},
-		{name: "repeat", typ: InnerJoin, cols: []int{6, 6}},
-	} {
-		j := join(c.typ)
-		pr := &Project{Input: j}
-		for i, col := range c.cols {
-			var e Expr = ref(j, col)
-			if c.eval && i == 1 {
-				e = &Arith{Op: Add, L: ref(j, col), R: ref(j, col), T: ref(j, col).T}
-			}
-			pr.Exprs = append(pr.Exprs, e)
-			pr.Names = append(pr.Names, "")
-		}
-		pr.Names[0] = c.as
-		want := pr.Schema()
-		got, err := Live(pr)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if fs := got.Schema(); !slices.Equal(fs, want) {
-			t.Errorf("%s: live plan outputs %v, want %v", c.name, fs, want)
-		}
-		if _, folded := got.(*Join); folded != c.fold {
-			t.Errorf("%s: live plan is %s, folded = %v, want %v", c.name, got, folded, c.fold)
 		}
 	}
 }

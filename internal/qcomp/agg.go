@@ -126,10 +126,7 @@ func MergePartials(g *plan.GroupBy, gathered *ops.Relation) (*ops.Relation, erro
 // column per lowered state) to the requested columns out, chunk by chunk:
 // keys and plain aggregates pass through, averages are computed.
 func finalize(raw *ops.Relation, nKeys int, finals []finalSpec, out []plan.Field) (*ops.Relation, error) {
-	cols := make([]ops.Col, nKeys+len(finals))
-	for i, fld := range out[:len(cols)] {
-		cols[i] = ops.Col{Name: fld.Name, Type: fld.Type, Dict: fld.Dict}
-	}
+	cols := opsCols(out[:nKeys+len(finals)])
 	if nKeys == 0 && raw.Rows() == 0 {
 		zeros := make([]coltypes.Data, len(cols))
 		for i := range zeros {

@@ -354,11 +354,7 @@ func (p *pipelineNode) execute(ctx *qef.Context, fs filterSet) (*ops.Relation, e
 	var merger *ops.GroupMerger
 	switch p.terminal {
 	case termCollect:
-		outCols := make([]ops.Col, len(p.cols))
-		for i, c := range p.cols {
-			outCols[i] = ops.Col{Name: c.field.Name, Type: c.field.Type, Dict: c.field.Dict}
-		}
-		sink = ops.NewCollectSink(outCols)
+		sink = ops.NewCollectSink(opsCols(p.fields()))
 	default: // scalar aggregates merge as the one group of zero keys
 		merger = ops.NewGroupMerger(len(p.groupCols), p.aggSpecs)
 	}
@@ -453,12 +449,9 @@ func (p *pipelineNode) executeGroupPartFallback(ctx *qef.Context, fs filterSet) 
 	ctx.CountMetric("qcomp_group_overflow_fallbacks", 1)
 	in := *p
 	in.terminal = termCollect
-	ndv := int64(p.maxGroups()) * 4
-	if p.est > ndv {
-		ndv = p.est
-	}
+	ndv := max(int64(p.maxGroups())*4, p.est)
 	gp := &groupPartNode{
-		input:     &in,
+		input:     lowerPipeline(&in),
 		groupCols: p.groupCols,
 		specs:     p.aggSpecs,
 		prog:      p.aggProg,
@@ -519,15 +512,15 @@ func (lw *lowering) lower(n plan.Node) (physNode, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &sortNode{input: child, keys: node.Keys}, nil
+		return &sortNode{input: child, keys: node.Keys, k: -1}, nil
 	case *plan.Limit:
 		child, err := lw.node(node.Input)
 		if err != nil {
 			return nil, err
 		}
-		if s, ok := child.(*sortNode); ok {
-			// Sort + Limit fuses into the vectorized Top-K operator.
-			return &topkNode{input: s.input, keys: s.keys, k: node.K}, nil
+		if s, ok := child.(*sortNode); ok && s.k < 0 {
+			s.k = node.K // Sort + Limit fuses into the vectorized Top-K operator
+			return s, nil
 		}
 		return &limitNode{input: child, k: node.K}, nil
 	case *plan.SetOp:
@@ -587,6 +580,26 @@ func asPipeline(pn physNode) *pipelineNode {
 	return &pipelineNode{input: pn, cols: cols, est: pn.estRows()}
 }
 
+// lowerPipeline is p where it does work (a scan, a filter, an evaluation, a
+// join filter, a pre-aggregation or an aggregate); otherwise p would stream
+// a materialized relation only to collect some of its columns back, and is
+// the header move over its input instead: a relation is materialized once.
+func lowerPipeline(p *pipelineNode) physNode {
+	if p.input == nil || p.terminal != termCollect {
+		return p
+	}
+	for _, s := range p.steps {
+		if s.kind != stepProject || s.eval {
+			return p
+		}
+	}
+	keep := make([]int, len(p.cols))
+	for i := range keep {
+		keep[i] = p.scanCol(i)
+	}
+	return &headerMove{input: p.input, keep: keep, fs: p.fields()}
+}
+
 func compileFilter(f *plan.Filter, lw *lowering) (physNode, error) {
 	child, err := lw.node(f.Input)
 	if err != nil {
@@ -605,10 +618,7 @@ func compileFilter(f *plan.Filter, lw *lowering) (physNode, error) {
 	if zr, ok := p.zoneSurvivingRows(); ok && zr < est {
 		est = zr
 	}
-	if est < 1 {
-		est = 1
-	}
-	p.est = est
+	p.est = max(est, 1)
 	return p, nil
 }
 
@@ -650,7 +660,7 @@ func compileProject(pr *plan.Project, lw *lowering) (physNode, error) {
 	step.prog = ec.b.Program()
 	p.steps = append(p.steps, step)
 	p.cols = cols
-	return p, nil
+	return lowerPipeline(p), nil
 }
 
 // lowNDVMaxGroups is the largest group count handled by the in-pipeline
@@ -725,7 +735,6 @@ func compileGroupBy(g *plan.GroupBy, lw *lowering) (physNode, error) {
 	// High NDV: partitioned group-by over the materialized child, which
 	// pre-aggregates each scan unit first where its zone maps bound the keys.
 	gp := &groupPartNode{
-		input:     p,
 		groupCols: groupCols,
 		specs:     specs,
 		prog:      prog,
@@ -737,6 +746,7 @@ func compileGroupBy(g *plan.GroupBy, lw *lowering) (physNode, error) {
 		lw.preaggs[g] = pa
 		gp.groupCols, gp.specs, gp.prog = pa.merge()
 	}
+	gp.input = lowerPipeline(p)
 	return gp, nil
 }
 

@@ -66,7 +66,7 @@ func (c *Compiled) seconds(n plan.Node) float64 {
 		// ~1.65 cycles/row/core over 32 cores.
 		return max(sec, primitives.FilterCost(int(c.rows[node.Input]))/dpu.FreqHz/dpuCores)
 	case *plan.Project:
-		if extendsPipeline(node) {
+		if allBare(node) {
 			return sec
 		}
 		return sec + perRow(3, node.Input)
@@ -148,21 +148,16 @@ func (c *Compiled) keepOf(j *plan.Join) [2]float64 {
 	return [2]float64{1, 1}
 }
 
-// extendsPipeline reports whether pr is a header move priced at nothing: it
-// selects bare columns of a scan, a filter or a projection, and so extends
-// that pipeline (compileProject keeps them). Over anything else the
-// selection is a new pass over a materialized relation.
-func extendsPipeline(pr *plan.Project) bool {
+// allBare reports whether pr is a header move priced at nothing: it selects
+// bare columns, which extend the pipeline they follow or, over a
+// materialized relation, move its column headers (lowerPipeline).
+func allBare(pr *plan.Project) bool {
 	for _, e := range pr.Exprs {
 		if _, ok := e.(*plan.ColRef); !ok {
 			return false
 		}
 	}
-	switch pr.Input.(type) {
-	case *plan.Scan, *plan.Filter, *plan.Project:
-		return true
-	}
-	return false
+	return true
 }
 
 // OffloadBenefit compares RAPID offload against host-only execution for the

@@ -156,6 +156,8 @@ func traceCol(n physNode, col int, hops []filterHop) (*pipelineNode, int, []filt
 			c, in, side = c-nl, n.right, 1
 		}
 		return traceCol(in, c, append(hops, filterHop{join: n, side: side}))
+	case *headerMove:
+		return traceCol(n.input, n.keep[col], hops)
 	case *pipelineNode:
 		if n.terminal != termCollect {
 			return nil, 0, nil

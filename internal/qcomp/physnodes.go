@@ -286,10 +286,7 @@ func (n *joinNode) execute(ctx *qef.Context, fs filterSet) (*ops.Relation, error
 	if out.NumCols() != len(n.out) {
 		return nil, &WidthError{Got: out.NumCols(), Want: len(n.out)}
 	}
-	// Restore field metadata.
-	for i, f := range n.out {
-		out.Cols[i] = ops.Col{Name: f.Name, Type: f.Type, Dict: f.Dict}
-	}
+	out.Cols = opsCols(n.out) // restore field metadata
 	return out, nil
 }
 
@@ -304,23 +301,35 @@ func allIdx(n int) []int {
 // ---------------------------------------------------------------------------
 // Sort / Top-K / Limit.
 
+// sortNode sorts its input or, with k >= 0, keeps its first k rows: Sort +
+// Limit fused into the vectorized Top-K operator.
 type sortNode struct {
 	input physNode
 	keys  []plan.SortItem
+	k     int // -1: every row
 	opID  int
 }
 
 func (n *sortNode) fields() []plan.Field { return n.input.fields() }
-func (n *sortNode) estRows() int64       { return n.input.estRows() }
+func (n *sortNode) estRows() int64 {
+	if n.k >= 0 {
+		return min(int64(n.k), n.input.estRows())
+	}
+	return n.input.estRows()
+}
 func (n *sortNode) execute(ctx *qef.Context, fs filterSet) (*ops.Relation, error) {
 	rel, err := n.input.execute(ctx, fs)
 	if err != nil {
 		return nil, err
 	}
 	sp := ctx.Prof.Span(n.opID)
-	return underSpan(ctx, sp, sp, rel.Rows(), func() (*ops.Relation, error) {
+	return underSpan(ctx, sp, sp, rel.Rows(), func() (out *ops.Relation, err error) {
 		ranked, keys := rankColumns(rel, n.keys)
-		out, err := ops.SortRelation(ctx, ranked, keys)
+		if n.k >= 0 {
+			out, err = ops.TopK(ctx, ranked, keys, n.k)
+		} else {
+			out, err = ops.SortRelation(ctx, ranked, keys)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -356,31 +365,6 @@ func rankColumns(rel *ops.Relation, keys []plan.SortItem) (*ops.Relation, []plan
 		mapped[i].Col = out.NumCols() - 1
 	}
 	return out, mapped
-}
-
-type topkNode struct {
-	input physNode
-	keys  []plan.SortItem
-	k     int
-	opID  int
-}
-
-func (n *topkNode) fields() []plan.Field { return n.input.fields() }
-func (n *topkNode) estRows() int64       { return min(int64(n.k), n.input.estRows()) }
-func (n *topkNode) execute(ctx *qef.Context, fs filterSet) (*ops.Relation, error) {
-	rel, err := n.input.execute(ctx, fs)
-	if err != nil {
-		return nil, err
-	}
-	sp := ctx.Prof.Span(n.opID)
-	return underSpan(ctx, sp, sp, rel.Rows(), func() (*ops.Relation, error) {
-		ranked, keys := rankColumns(rel, n.keys)
-		out, err := ops.TopK(ctx, ranked, keys, n.k)
-		if err != nil {
-			return nil, err
-		}
-		return out.Project(allIdx(rel.NumCols())), nil
-	})
 }
 
 type limitNode struct {

@@ -86,13 +86,11 @@ func (n *joinNode) annotate(reg *spanReg, parent int) int {
 }
 
 func (n *sortNode) annotate(reg *spanReg, parent int) int {
-	n.opID = reg.add(parent, "Sort", fmt.Sprintf("(keys=%d)", len(n.keys)), obs.KindBlocking, true)
-	n.input.annotate(reg, n.opID)
-	return n.opID
-}
-
-func (n *topkNode) annotate(reg *spanReg, parent int) int {
-	n.opID = reg.add(parent, "TopK", fmt.Sprintf("(k=%d, keys=%d)", n.k, len(n.keys)), obs.KindBlocking, true)
+	if n.k >= 0 {
+		n.opID = reg.add(parent, "TopK", fmt.Sprintf("(k=%d, keys=%d)", n.k, len(n.keys)), obs.KindBlocking, true)
+	} else {
+		n.opID = reg.add(parent, "Sort", fmt.Sprintf("(keys=%d)", len(n.keys)), obs.KindBlocking, true)
+	}
 	n.input.annotate(reg, n.opID)
 	return n.opID
 }

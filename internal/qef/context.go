@@ -100,9 +100,10 @@ type Context struct {
 	// through wrapper goroutines.
 	tilesPruned atomic.Int64
 
-	// goCtx carries the query's cancellation signal; nil means "never
-	// canceled". Set once before execution via SetGoContext.
-	goCtx context.Context
+	// goCtx carries the query's cancellation signal (nil: never canceled)
+	// and deadline its deadline (zero: none), both set by SetGoContext.
+	goCtx    context.Context
+	deadline time.Time
 
 	workers int
 
@@ -173,7 +174,10 @@ func QueryContext(parent context.Context) (context.Context, context.CancelFunc) 
 
 // SetGoContext installs the query's cancellation context. Must be called
 // before execution starts; tile loops and work-unit dispatch observe it.
-func (c *Context) SetGoContext(ctx context.Context) { c.goCtx = ctx }
+func (c *Context) SetGoContext(ctx context.Context) {
+	c.goCtx = ctx
+	c.deadline, _ = ctx.Deadline()
+}
 
 // Err returns the query's cancellation status: nil while the query may keep
 // running, or the context error (context.Canceled, context.DeadlineExceeded)
@@ -501,9 +505,15 @@ func (c *Context) RunParallel(units []WorkUnit) error {
 // RunUnit executes one work unit on its task context with full per-unit
 // accounting (scratch reset, span clock, cycle/transfer overlap). It is the
 // single execution path for both the context-owned run loops and the shared
-// scheduler's workers. A canceled query fails the unit before it starts.
+// scheduler's workers. A canceled query fails the unit before it starts,
+// and so does a deadline that the clock has passed, as in QueryContext: the
+// context's timer can lag it long enough for a query to finish past it.
 func (c *Context) RunUnit(tc *TaskCtx, u WorkUnit) error {
-	if err := c.Err(); err != nil {
+	err := c.Err()
+	if err == nil && !c.deadline.IsZero() && !time.Now().Before(c.deadline) {
+		err = context.DeadlineExceeded
+	}
+	if err != nil {
 		return fmt.Errorf("qef: work unit on core %d: %w", tc.CoreID, err)
 	}
 	c.CountMetric("qef_work_units_total", 1)
@@ -522,7 +532,7 @@ func (c *Context) RunUnit(tc *TaskCtx, u WorkUnit) error {
 	if tc.Core != nil {
 		beforeCycles = tc.Core.Cycles()
 	}
-	err := u(tc)
+	err = u(tc)
 	if profiling {
 		tc.flushSpan()
 		tc.span = nil

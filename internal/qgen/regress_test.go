@@ -347,10 +347,11 @@ func TestRegressCountOverJoinReadsNoColumn(t *testing.T) {
 	}
 }
 
-// Regression: a Project of bare columns over a join folds into the join's
-// output columns (plan.Live), so the join emits the SELECT list in its order
-// and names. The folded joins answer as the host does, on one SoC and on
-// trays of 1, 2 and 4 nodes.
+// Regression: a Project of bare columns over a join, reordering, renaming
+// or repeating its columns, is a header move over the join's output
+// (qcomp.lowerPipeline): no pass reads and writes the join's rows again. The
+// moved joins answer as the host does, on one SoC and on trays of 1, 2 and 4
+// nodes.
 func TestRegressBareProjectFoldsIntoJoin(t *testing.T) {
 	rows := make([][]storage.Value, 40)
 	for i := range rows {
@@ -390,6 +391,103 @@ func TestRegressBareProjectFoldsIntoJoin(t *testing.T) {
 	} {
 		if m := r.CheckSQL(sql); m != nil {
 			t.Fatalf("%s", m.Reproducer())
+		}
+	}
+}
+
+// Regression: a consumer of a materialized relation that only selects or
+// reorders its columns takes the relation's columns as they are
+// (qcomp.lowerPipeline). Bare reorders and bare subsets over a join, a
+// partitioned group-by (t0's g0 has 12,000 values), a group-by over a join, a
+// sort and a top-k; on a tray also over exchange outputs: the gathered join
+// results, the merged groups of a0 (no partition column) and a join on c1 and
+// a0 (neither is one). The columns are stored at W1 (a0, c1), W2 (k0, k1)
+// and W4 (g0, b0, d1). Every statement answers as the host does on one SoC
+// (ModeX86, ModeDPU, the alternate layout) and on trays of 1, 2 and 4 nodes
+// in both modes, and runs on the SoC with no Stream under a Collect: nothing
+// is streamed only to be collected again. (The group-by over the join
+// overflows its low-NDV table and re-groups partitioned over the join's
+// output, the adaptation's header move.)
+func TestRegressHeaderMoves(t *testing.T) {
+	t0 := make([][]storage.Value, 12000)
+	for i := range t0 {
+		t0[i] = []storage.Value{
+			storage.IntValue(int64(i%3000 - 1500)),
+			storage.IntValue(int64(i*100 - 600000)),
+			storage.IntValue(int64(i % 100)),
+			storage.IntValue(int64(i*7919%2000003 - 1000000)),
+		}
+	}
+	t1 := make([][]storage.Value, 2000)
+	for i := range t1 {
+		t1[i] = []storage.Value{
+			storage.IntValue(int64(i - 1000)),
+			storage.IntValue(int64(i % 50)),
+			storage.IntValue(int64(i*1000 - 1000000)),
+		}
+	}
+	sc := &Scenario{Tables: []*Table{{
+		Name: "t0",
+		Cols: []Column{
+			{Name: "k0", Kind: KInt, Type: coltypes.Int(), Hi: 1500},
+			{Name: "g0", Kind: KInt, Type: coltypes.Int(), Hi: 600000},
+			{Name: "a0", Kind: KInt, Type: coltypes.Int(), Hi: 100},
+			{Name: "b0", Kind: KInt, Type: coltypes.Int(), Hi: 1000000},
+		},
+		Rows: t0,
+	}, {
+		Name: "t1",
+		Cols: []Column{
+			{Name: "k1", Kind: KInt, Type: coltypes.Int(), Hi: 1000},
+			{Name: "c1", Kind: KInt, Type: coltypes.Int(), Hi: 50},
+			{Name: "d1", Kind: KInt, Type: coltypes.Int(), Hi: 1000000},
+		},
+		Rows: t1,
+	}}}
+	r, err := NewRunner(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if err := r.EnableTrays([]int{1, 2, 4}); err != nil {
+		t.Fatal(err)
+	}
+	for _, sql := range []string{
+		"SELECT c1, a0, k0 FROM t0 JOIN t1 ON (k0 = k1)",
+		"SELECT d1 FROM t0 JOIN t1 ON (k0 = k1)",
+		"SELECT b0 AS x, g0, b0 FROM t0 JOIN t1 ON (k0 = k1)",
+		"SELECT b0, k0 FROM t0 WHERE k0 IN (SELECT k1 FROM t1 WHERE c1 < 10)",
+		"SELECT MAX(b0), g0 FROM t0 GROUP BY g0",
+		"SELECT COUNT(*) FROM t0 GROUP BY g0",
+		"SELECT SUM(d1), g0 FROM t0 JOIN t1 ON (k0 = k1) GROUP BY g0",
+		"SELECT SUM(b0), a0 FROM t0 GROUP BY a0",
+		"SELECT d1, k0 FROM t0 JOIN t1 ON (k0 = k1) ORDER BY k0, d1",
+		"SELECT g0, a0 FROM t0 ORDER BY a0, g0 LIMIT 40",
+		"SELECT MIN(b0), g0 FROM t0 GROUP BY g0 ORDER BY g0 LIMIT 25",
+		"SELECT k1, g0 FROM t0 JOIN t1 ON (a0 = c1)",
+	} {
+		if m := r.CheckSQL(sql); m != nil {
+			t.Fatalf("%s", m.Reproducer())
+		}
+		if m := checkTraysDPU(r, sql); m != nil {
+			t.Fatalf("%s", m.Reproducer())
+		}
+		res, err := r.primary.Query(sql, engines[2].opts)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		ops := res.Profile.Summary().Ops
+		for _, op := range ops {
+			if op.Name != "Stream" {
+				continue
+			}
+			up := ops[op.Parent]
+			for up.Name == "Project" {
+				up = ops[up.Parent]
+			}
+			if up.Name == "Collect" {
+				t.Errorf("%s: the SoC re-streams a materialized relation (span %d, %d rows)", sql, op.ID, op.RowsOut)
+			}
 		}
 	}
 }
