@@ -296,57 +296,20 @@ func (t *Tray) execute(goCtx context.Context, bound plan.Node, opts QueryOptions
 	return res, q, nil
 }
 
-// exec runs a plan tree and returns the combined (coordinator-side) result.
-// The largest subtrees classify accepts run per node, with the exchanges
-// their joins need; an aggregation over one distributes as whole groups or as
-// partials; everything else merges at the coordinator.
-func (q *query) exec(n plan.Node) (*ops.Relation, error) {
-	if err := q.goCtx.Err(); err != nil {
+// exec runs a plan tree and returns its result at the coordinator. Every
+// largest subtree classify accepts runs on the nodes (distribute); what is
+// left above them compiles once, over their relations, and runs as one
+// coordinator fragment — the single SoC's lowering, so a Sort under a Limit
+// fuses into Top-K there as it does on one SoC.
+func (q *query) exec(root plan.Node) (*ops.Relation, error) {
+	inputs := make(map[plan.Node]*ops.Relation)
+	if err := q.distribute(root, inputs); err != nil {
 		return nil, err
 	}
-	switch n := n.(type) {
-	case *plan.GroupBy:
-		if _, ok := classify(n.Input); ok {
-			rec, err := q.localize(n.Input)
-			if err != nil {
-				return nil, err
-			}
-			return q.distributedGroupBy(n, rec)
-		}
-	case *plan.Scan, *plan.Filter, *plan.Project, *plan.Join:
-		if _, ok := classify(n); ok {
-			rec, err := q.localize(n)
-			if err != nil {
-				return nil, err
-			}
-			// Every node of a replicated fragment would produce the
-			// identical relation: run it once and pull a single copy.
-			parts, err := q.runNodes(rec.tree, "fragment", rec.repl)
-			if err != nil {
-				return nil, err
-			}
-			if rec.repl {
-				parts = parts[:1]
-			}
-			return q.gather(parts, "result")
-		}
+	if rel, ok := inputs[root]; ok {
+		return rel, nil
 	}
-	return q.coordFragment(n)
-}
-
-// coordFragment executes one operator at the coordinator over the
-// (recursively distributed) results of its children.
-func (q *query) coordFragment(n plan.Node) (*ops.Relation, error) {
-	kids := n.Children()
-	inputs := make(map[plan.Node]*ops.Relation, len(kids))
-	for _, kid := range kids {
-		rel, err := q.exec(kid)
-		if err != nil {
-			return nil, err
-		}
-		inputs[kid] = rel
-	}
-	compiled, err := qcomp.CompileWithInputs(n, inputs)
+	compiled, err := qcomp.CompileWithInputs(root, inputs)
 	if err != nil {
 		return nil, err
 	}
@@ -355,40 +318,70 @@ func (q *query) coordFragment(n plan.Node) (*ops.Relation, error) {
 		return nil, err
 	}
 	if prof != nil {
-		q.trace = append(q.trace, obs.DistStep{Label: "coordinator " + opName(n), Coord: prof})
+		q.trace = append(q.trace, obs.DistStep{Label: "coordinator " + opName(root), Coord: prof})
 	}
-	q.step("coordinator %s rows=%d", opName(n), rel.Rows())
+	q.step("coordinator %s rows=%d", opName(root), rel.Rows())
 	return rel, nil
 }
 
-// distributedGroupBy aggregates over a node-local input. When every group is
-// complete on one node (groupLayout: a partition column among the keys, or a
-// replicated input) the node-local aggregation is final and the groups are
-// only gathered — one copy of them when replicated. Otherwise it takes two
-// phases: the nodes compute qcomp.PartialAggs, and the coordinator folds the
-// gathered partials with qcomp.MergePartials, the single SoC's merge and
-// finalization — distributed answers stay bit-identical.
-func (q *query) distributedGroupBy(g *plan.GroupBy, rec *recipe) (*ops.Relation, error) {
-	_, whole := groupLayout(g, rec.layout)
-	aggs := g.Aggs
-	if !whole {
-		aggs = qcomp.PartialAggs(g)
+// distribute runs every largest subtree of n that classify accepts, and
+// every group-by over one, on the nodes (distributed), and records its
+// coordinator-side relation in inputs.
+func (q *query) distribute(n plan.Node, inputs map[plan.Node]*ops.Relation) (err error) {
+	if err := q.goCtx.Err(); err != nil {
+		return err
 	}
-	tree := &plan.GroupBy{Input: rec.tree, Keys: g.Keys, Aggs: aggs}
-	label, result := "partial group-by", "partials"
-	switch {
-	case rec.repl:
-		label, result = "group-by (replicated)", "result"
-	case whole:
-		label, result = "group-by", "groups"
+	in := n
+	if g, ok := n.(*plan.GroupBy); ok {
+		in = g.Input
 	}
-	// A replicated input needs one execution, one copy.
-	parts, err := q.runNodes(tree, label, rec.repl)
+	if local(in) {
+		inputs[n], err = q.distributed(n, in)
+		return err
+	}
+	for _, kid := range n.Children() {
+		if err := q.distribute(kid, inputs); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// distributed runs n on the nodes, with the exchanges its joins need, and
+// gathers its result at the coordinator; in is n, or n's input when n is a
+// group-by, and classify accepts it. A replicated input would give the same
+// relation on every node: it runs once, and one copy is gathered. A group-by
+// whose every group is complete on one node (groupLayout: a partition column
+// among the keys, or a replicated input) is final on the nodes, and only its
+// groups are gathered. Otherwise it takes two phases: the nodes compute
+// qcomp.PartialAggs, and the coordinator folds the gathered partials with
+// qcomp.MergePartials, the single SoC's merge and finalization — distributed
+// answers stay bit-identical.
+func (q *query) distributed(n, in plan.Node) (*ops.Relation, error) {
+	rec, err := q.localize(in)
 	if err != nil {
 		return nil, err
 	}
-	if rec.repl {
-		parts = parts[:1]
+	g, grouped := n.(*plan.GroupBy)
+	tree, label, result, whole := rec.tree, "fragment", "result", true
+	if grouped {
+		_, whole = groupLayout(g, rec.layout)
+		aggs := g.Aggs
+		if !whole {
+			aggs = qcomp.PartialAggs(g)
+		}
+		tree = &plan.GroupBy{Input: rec.tree, Keys: g.Keys, Aggs: aggs}
+		label, result = "partial group-by", "partials"
+		switch {
+		case rec.repl:
+			label, result = "group-by (replicated)", "result"
+		case whole:
+			label, result = "group-by", "groups"
+		}
+	}
+	parts, err := q.runNodes(tree, label, rec.repl)
+	if err != nil {
+		return nil, err
 	}
 	gathered, err := q.gather(parts, result)
 	if err != nil || whole {
@@ -422,92 +415,99 @@ func (q *query) runFragment(ctx *qef.Context, compiled *qcomp.Compiled) (*ops.Re
 	return rel, prof, nil
 }
 
-// runNodes executes a plan tree on the nodes and returns one relation per
-// node (only node 0's when only0 — replicated fragments need a single
-// execution). It binds the tree to every node — the one place a plan becomes
-// per-node, because compilation reads the shard's own statistics (build
-// sides, partition schemes) and is part of each node's bill — then compiles
-// and executes the copies concurrently, each on its own node context (its
-// scheduler's worker pool in ModeDPU). The first failing node cancels the
-// shared query context, stopping the others at their next tile or work-unit
-// boundary.
+// runNodes compiles a plan tree on the nodes and runs the copies.
 func (q *query) runNodes(tree plan.Node, label string, only0 bool) ([]*ops.Relation, error) {
-	n := q.nodes()
-	count := n
+	copies, err := q.compile(tree, only0)
+	if err != nil {
+		return nil, err
+	}
+	return q.run(copies, label)
+}
+
+// compile binds a plan tree to every node — node 0 only when only0: a
+// replicated fragment needs a single execution — and compiles the copies
+// concurrently. It is the one place a plan becomes per-node: compilation
+// reads the shard's own statistics (build sides, partition schemes, group
+// table sizes), which shape each node's bill, so every copy is compiled
+// against its own shard.
+func (q *query) compile(tree plan.Node, only0 bool) ([]*qcomp.Compiled, error) {
+	copies := make([]*qcomp.Compiled, q.nodes())
 	if only0 {
-		count = 1
+		copies = copies[:1]
 	}
-	trees := make([]plan.Node, count)
-	leaves := make([]map[plan.Node]*ops.Relation, count)
-	for i := range trees {
-		var err error
-		if trees[i], leaves[i], err = q.bind(tree, i); err != nil {
-			return nil, err
+	err := q.onNodes(len(copies), func(i int) error {
+		t, inputs, err := q.bind(tree, i)
+		if err == nil {
+			copies[i], err = qcomp.CompileWithInputs(t, inputs)
 		}
-	}
-	res := make([]*ops.Relation, n)
-	errs := make([]error, count)
-	var profs []*obs.Profile
-	if q.traceOn {
-		profs = make([]*obs.Profile, n)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < count; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			compiled, err := qcomp.CompileWithInputs(trees[i], leaves[i])
-			if err == nil {
-				var prof *obs.Profile
-				if res[i], prof, err = q.runFragment(q.nctx[i], compiled); prof != nil {
-					profs[i] = prof
-				}
-			}
-			if err != nil {
-				errs[i] = err
-				q.cancel()
-			}
-		}(i)
-	}
-	wg.Wait()
-	if err := q.pickError(errs); err != nil {
+		return err
+	})
+	return copies, err
+}
+
+// run executes compiled node copies concurrently, copy i on node i's context
+// (its scheduler's worker pool in ModeDPU), and returns their relations; the
+// trace and the EXPLAIN ANALYZE report show them as one step, label.
+func (q *query) run(copies []*qcomp.Compiled, label string) ([]*ops.Relation, error) {
+	res := make([]*ops.Relation, len(copies))
+	profs := make([]*obs.Profile, q.nodes())
+	err := q.onNodes(len(copies), func(i int) (err error) {
+		res[i], profs[i], err = q.runFragment(q.nctx[i], copies[i])
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
 	if q.traceOn {
 		q.trace = append(q.trace, obs.DistStep{Label: label, NodeProfiles: profs})
 	}
-	if q.analyze {
-		rows := make([]int64, count)
-		for i := 0; i < count; i++ {
-			rows[i] = int64(res[i].Rows())
-		}
-		q.step("fragment %s rows/node=%v", label, rows)
+	rows := make([]int64, len(res))
+	for i, rel := range res {
+		rows[i] = int64(rel.Rows())
 	}
+	q.step("fragment %s rows/node=%v", label, rows)
 	return res, nil
 }
 
+// onNodes calls fn for nodes 0..count-1 concurrently. The first failing node
+// cancels the shared query context, stopping the others at their next tile
+// or work-unit boundary.
+func (q *query) onNodes(count int, fn func(i int) error) error {
+	errs := make([]error, count)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if errs[i] = fn(i); errs[i] != nil {
+				q.cancel()
+			}
+		}()
+	}
+	wg.Wait()
+	return q.pickError(errs)
+}
+
 // pickError prefers a root-cause error over the cancellations it fanned
-// out: the caller's own cancellation wins, then any non-context node error,
-// then the first context error.
+// out: any non-context node error wins, then the caller's own context error,
+// then a deadline over a cancellation. A node reads its deadline off the
+// clock, so it can fail with DeadlineExceeded before the context's timer
+// fires, and the other nodes stop with the Canceled its failure fans out.
 func (q *query) pickError(errs []error) error {
-	var anyErr error
+	var ctxErr error
 	for _, e := range errs {
-		if e == nil {
-			continue
-		}
-		if anyErr == nil {
-			anyErr = e
-		}
-		if !errors.Is(e, context.Canceled) && !errors.Is(e, context.DeadlineExceeded) {
+		switch {
+		case e == nil:
+		case !errors.Is(e, context.Canceled) && !errors.Is(e, context.DeadlineExceeded):
 			return e
+		case ctxErr == nil || errors.Is(e, context.DeadlineExceeded):
+			ctxErr = e
 		}
 	}
-	if anyErr != nil {
-		if err := q.outer.Err(); err != nil {
-			return err
-		}
+	if ctxErr != nil && q.outer.Err() != nil {
+		return q.outer.Err()
 	}
-	return anyErr
+	return ctxErr
 }
 
 func opName(n plan.Node) string {

@@ -12,11 +12,11 @@ func (engine) Analyzed(opts QueryOptions) QueryOptions {
 }
 
 // renderAnalyze renders the distributed EXPLAIN ANALYZE report: the
-// execution-order trace (node-local fragments, exchanges, coordinator
-// operators), one span per exchange with its row/byte/tile/link-time
-// accounting, the per-node resource breakdown, and the query totals. All
-// quantities are modeled, so the report is deterministic for a given query
-// and tray shape.
+// execution-order trace (node-local fragments, exchanges, partial merges and
+// the one coordinator fragment), one span per exchange with its
+// row/byte/tile/link-time accounting, the per-node resource breakdown, and
+// the query totals. All quantities are modeled, so the report is
+// deterministic for a given query and tray shape.
 func (q *query) renderAnalyze(res *Result) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Distributed Plan (nodes=%d, mode=%s)\n", res.Nodes, q.mode)

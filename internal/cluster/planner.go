@@ -222,6 +222,9 @@ func classify(n plan.Node) (layout, bool) {
 	return layout{}, false
 }
 
+// local reports whether classify accepts n.
+func local(n plan.Node) bool { _, ok := classify(n); return ok }
+
 // lift returns n with every semi or anti join whose right side, the
 // sub-query, is not node-local moved back above the chain of inner joins (and
 // semi or anti joins) it sits under. The binder places such a join directly
@@ -288,7 +291,7 @@ func filtering(j *plan.Join) bool { return j.Type == plan.SemiJoin || j.Type == 
 // node-local, and nil otherwise.
 func stranded(n plan.Node) *plan.Join {
 	if s, ok := n.(*plan.Join); ok && filtering(s) {
-		if _, local := classify(s.Right); !local {
+		if !local(s.Right) {
 			return s
 		}
 	}
@@ -399,23 +402,15 @@ func alignedKey(rec *recipe, keys []int) int {
 }
 
 // treeBytes estimates the wire size of a side that is still a tree, over
-// all nodes: the compiler's output rows of each node's copy (shard statistics
-// differ, so each copy is compiled; an exchange output spliced into it counts
-// its exact rows) at the 8-byte wire width.
-func (q *query) treeBytes(rec *recipe) (int64, error) {
+// all nodes, from its compiled copies (shard statistics differ, so each node
+// has its own): the compiler's output rows of each — an exchange output
+// spliced into it counts its exact rows — at the 8-byte wire width.
+func treeBytes(copies []*qcomp.Compiled, cols int) int64 {
 	var rows int64
-	for i := range q.nctx {
-		t, inputs, err := q.bind(rec.tree, i)
-		if err != nil {
-			return 0, err
-		}
-		c, err := qcomp.CompileWithInputs(t, inputs)
-		if err != nil {
-			return 0, err
-		}
+	for _, c := range copies {
 		rows += c.Estimate().OutputRows
 	}
-	return rows * 8 * int64(len(rec.tree.Schema())), nil
+	return rows * 8 * int64(cols)
 }
 
 // partsBytes is the exact wire size of a materialised side.
@@ -510,9 +505,9 @@ func (q *query) colocate(j *plan.Join, l, r *recipe) (*recipe, *recipe, error) {
 // that does (fix): it materialises mov, which has to happen whichever side
 // moves, and either shuffles it to fix's partition function or — when
 // allowed, and fix is fewer bytes on the link — broadcasts fix to it instead.
-// fix is still a tree, so it is materialised only when its estimated size
-// wins, and broadcast only when its exact size then does too. It returns mov
-// and fix as they are afterwards.
+// fix is still a tree: its node copies are compiled to price it, run only
+// when that estimate wins, and broadcast only when their exact size then does
+// too. It returns mov and fix as they are afterwards.
 func (q *query) align(mov, fix *recipe, movKey int, mayBroadcast bool, shuffleLabel, broadcastLabel string) (*recipe, *recipe, error) {
 	parts, err := q.runNodes(mov.tree, "exchange input", false)
 	if err != nil {
@@ -524,12 +519,12 @@ func (q *query) align(mov, fix *recipe, movKey int, mayBroadcast bool, shuffleLa
 	}
 	shuffleCost := rt.crossing * int64(exchangeRowBytes(parts[0]))
 	if fanout := int64(q.nodes() - 1); mayBroadcast {
-		est, err := q.treeBytes(fix)
+		copies, err := q.compile(fix.tree, false)
 		if err != nil {
 			return nil, nil, err
 		}
-		if est*fanout < shuffleCost {
-			fparts, err := q.runNodes(fix.tree, "broadcast input", false)
+		if treeBytes(copies, len(fix.tree.Schema()))*fanout < shuffleCost {
+			fparts, err := q.run(copies, "broadcast input")
 			if err != nil {
 				return nil, nil, err
 			}

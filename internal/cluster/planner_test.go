@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"rapid/internal/coltypes"
@@ -197,7 +198,7 @@ const (
 // threw them away and ran them again one level down. lift then moves the
 // semi-join back above the inner join, and the whole query must execute the
 // left side's exchange exactly once, run the semi-join once at the
-// coordinator, and move no more bytes and bill no more cycles than when the
+// coordinator (one semi HashJoin span in its one fragment), and move no more bytes and bill no more cycles than when the
 // binder placed the semi-join there.
 func TestClassifyRunsNothing(t *testing.T) {
 	tray := tpchTray(t)
@@ -251,8 +252,13 @@ WHERE l_partkey = p_partkey AND p_size < 20
 		if st.NodeProfiles != nil {
 			seen["fragment "+st.Label]++
 		}
-		if st.Coord != nil && st.Label == "coordinator Join" {
-			seen[st.Label]++
+		if st.Coord != nil {
+			seen["coordinator fragment"]++
+			for _, d := range st.Coord.Defs {
+				if d.Name == "HashJoin" && strings.HasPrefix(d.Detail, fmt.Sprintf("(type=%v,", plan.SemiJoin)) {
+					seen["semi-join at the coordinator"]++
+				}
+			}
 		}
 		for i, p := range st.NodeProfiles {
 			if p != nil {
@@ -268,7 +274,7 @@ WHERE l_partkey = p_partkey AND p_size < 20
 	if got := seen["fragment exchange input"]; got != 1 {
 		t.Errorf("the lineitem side was materialised for its exchange %d times, want once (steps: %v)", got, seen)
 	}
-	if got := seen["coordinator Join"]; got != 1 {
+	if got := seen["semi-join at the coordinator"]; got != 1 {
 		t.Errorf("the semi-join ran %d times at the coordinator, want once (steps: %v)", got, seen)
 	}
 	for i, ctx := range q.nctx {
@@ -442,7 +448,7 @@ func TestBoundTreeDiffersOnlyAtItsLeaves(t *testing.T) {
 }
 
 // TestTreeBytesPricesASideByTheCompilersRows: align prices a side that is
-// still a tree by the compiler's row estimate of each node's copy. 39 orders
+// still a tree by the compiler's row estimate of each node's compiled copy. 39 orders
 // pass o_orderkey < 40, 624 B at the 8-byte wire width over the 4 nodes; a
 // fixed 0.3 filter selectivity priced them at 900 rows (14.4 KB). An exchange
 // output counts its exact rows.
@@ -456,11 +462,14 @@ func TestTreeBytesPricesASideByTheCompilersRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	exact := relBytes(want.Rel)
-	got, err := q.treeBytes(&recipe{tree: tree})
-	if err != nil {
-		t.Fatal(err)
+	priced := func(tree plan.Node) int64 {
+		copies, err := q.compile(tree, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return treeBytes(copies, len(tree.Schema()))
 	}
-	if got > 2*exact || 2*got < exact {
+	if got := priced(tree); got > 2*exact || 2*got < exact {
 		t.Errorf("priced at %d B, exactly %d B: not within 2x", got, exact)
 	}
 
@@ -468,7 +477,7 @@ func TestTreeBytesPricesASideByTheCompilersRows(t *testing.T) {
 	for i := range parts {
 		parts[i] = sliceModulo(want.Rel, i, len(parts))
 	}
-	if got, err := q.treeBytes(placed(parts, layout{})); err != nil || got != partsBytes(parts) {
-		t.Errorf("exchange output priced at %d B (%v), exactly %d B", got, err, partsBytes(parts))
+	if got := priced(placed(parts, layout{}).tree); got != partsBytes(parts) {
+		t.Errorf("exchange output priced at %d B, exactly %d B", got, partsBytes(parts))
 	}
 }

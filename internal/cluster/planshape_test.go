@@ -236,3 +236,46 @@ GROUP BY c_nationkey`,
 		}
 	}
 }
+
+// TestCoordinatorCompilesOnce: on 1, 2 and 4 nodes, what a TPC-H statement
+// leaves above its node-local subtrees compiles once and runs as one
+// coordinator fragment, so the trace shows at most one coordinator step. It
+// is lowered as on one SoC: the ORDER BY … LIMIT of Q3, Q10, Q18 and Q21lite
+// is a Top-K there, never a full sort of every merged group.
+func TestCoordinatorCompilesOnce(t *testing.T) {
+	db := tpchHost(t)
+	topK := map[string]bool{"Q3": true, "Q10": true, "Q18": true, "Q21lite": true}
+	for _, nodes := range []int{1, 2, 4} {
+		tray := newTray(t, db, cluster.Config{Nodes: nodes})
+		for _, q := range tpch.Queries() {
+			res, err := tray.Query(q.SQL, cluster.QueryOptions{Mode: qef.ModeDPU, NoCache: true, Trace: true})
+			if err != nil {
+				t.Fatalf("%d nodes %s: %v", nodes, q.Name, err)
+			}
+			var coord []*obs.Profile
+			for _, st := range res.Trace {
+				if st.Coord != nil {
+					coord = append(coord, st.Coord)
+				}
+			}
+			if len(coord) > 1 {
+				t.Errorf("%d nodes %s: %d coordinator steps, want at most one", nodes, q.Name, len(coord))
+			}
+			if !topK[q.Name] {
+				continue
+			}
+			if len(coord) != 1 {
+				t.Errorf("%d nodes %s: no single coordinator fragment", nodes, q.Name)
+				continue
+			}
+			ops := map[string]int{}
+			for _, d := range coord[0].Defs {
+				ops[d.Name]++
+			}
+			if ops["TopK"] != 1 || ops["Sort"] != 0 {
+				t.Errorf("%d nodes %s: the coordinator runs %d TopK and %d Sort, want a Top-K and no sort:\n%s",
+					nodes, q.Name, ops["TopK"], ops["Sort"], coord[0].Format())
+			}
+		}
+	}
+}
