@@ -268,3 +268,24 @@ func TestTrayJournalFingerprintGroups(t *testing.T) {
 		t.Fatalf("journal cache fields = %q, %q, want miss, miss", a.Cache, b.Cache)
 	}
 }
+
+// TestTrayWarmHitAllocs pins what a warm result-cache hit through Tray.Query
+// allocates: the tray serves it before any node is admitted, so the count is
+// the lifecycle's own and does not scale with the tray or the result.
+// Captured at 2078198: 25.
+func TestTrayWarmHitAllocs(t *testing.T) {
+	_, tray, _ := cacheTray(t)
+	opts := cluster.QueryOptions{Mode: qef.ModeX86}
+	if _, err := tray.Query(trayCacheSQL, opts); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if r, err := tray.Query(trayCacheSQL, opts); err != nil || r.Cache != "hit" {
+			t.Fatalf("warm query: %v, %v", r, err)
+		}
+	})
+	t.Logf("warm tray hit: %.1f allocations", allocs)
+	if allocs > 25 {
+		t.Errorf("a warm tray hit allocates %.1f objects, want at most 25", allocs)
+	}
+}

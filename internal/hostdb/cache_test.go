@@ -454,3 +454,25 @@ func TestExplainAnalyzeShowsCacheLine(t *testing.T) {
 		t.Fatalf("hit note = %q", hit.ProfileNote)
 	}
 }
+
+// TestWarmHitAllocs pins what a warm result-cache hit through Database.Query
+// allocates: issue, normalization, lookup, the served result and the journal
+// record, and nothing that scales with the result. Most of a cached
+// workload's queries take this path. Captured at 2078198: 20.
+func TestWarmHitAllocs(t *testing.T) {
+	db := cacheTestDB(t, 500)
+	defer db.Close()
+	opts := QueryOptions{Mode: ForceOffload, RapidMode: qef.ModeX86}
+	if _, err := db.Query(cacheSQL, opts); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if r, err := db.Query(cacheSQL, opts); err != nil || r.Cache != "hit" {
+			t.Fatalf("warm query: %v, %v", r, err)
+		}
+	})
+	t.Logf("warm hit: %.1f allocations", allocs)
+	if allocs > 20 {
+		t.Errorf("a warm hit allocates %.1f objects, want at most 20", allocs)
+	}
+}
