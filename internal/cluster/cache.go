@@ -17,9 +17,11 @@ import (
 // CacheMode discriminates tray cache entries from host entries and from
 // each other: per-node execution mode plus the pruning switch (pruning is
 // results-neutral by design, but the metamorphic lanes compare the two
-// populations independently, so they get separate keys).
+// populations independently, so they get separate keys). A traced query
+// bypasses the cache like a NoCache one: its trace records one execution,
+// and a hit executes nothing.
 func (engine) CacheMode(opts QueryOptions) string {
-	if opts.NoCache {
+	if opts.NoCache || opts.Trace {
 		return ""
 	}
 	m := "tray-" + opts.Mode.String()
@@ -42,36 +44,14 @@ func (e engine) Version(name string) (qcache.Version, bool) {
 	return qcache.Version{Name: name, MutSCN: ht.MutationSCN()}, true
 }
 
-// FromCache builds the Result for a tray result-cache hit or a shared
-// singleflight execution from the template CacheEntry stored: the shared
-// relation with zero marginal cycles, network traffic, energy and admission,
-// and the saved cost carried from the producing execution.
-func (engine) FromCache(r *qcache.Result, opts QueryOptions) *Result {
-	res := *r.Payload.(*Result)
-	if opts.Analyze {
-		res.Analyze = fmt.Sprintf(
-			"Distributed Plan (nodes=%d, cached)\ncache: hit — served from result cache; saved ~%d cycles, ~%d nJ, ~%.3fms execution\n",
-			res.Nodes, r.CyclesSaved, r.EnergySavedNJ, float64(r.WallNs)/1e6)
+// CacheNote appends the cache line to the distributed EXPLAIN ANALYZE
+// report. A hit ran nothing, so its report is the line under a header.
+func (e engine) CacheNote(res *Result, opts QueryOptions, hit *qcache.Result) {
+	if !opts.Analyze {
+		return
 	}
-	return &res
-}
-
-// CacheEntry wraps a finished distributed execution as a result-cache entry
-// whose payload is the result every later hit starts from. The relation is
-// shared, never mutated — the same read-only-once-returned invariant Query
-// callers already rely on.
-func (engine) CacheEntry(res *Result) *qcache.Result {
-	return hostdb.NewCacheEntry(&Result{
-		Rel: res.Rel, Nodes: res.Nodes, Bill: res.Saved(), Explain: res.Explain,
-	}, res.Rel, res.Bill)
-}
-
-// SetCacheStatus records the cache interaction and appends it to the
-// distributed EXPLAIN ANALYZE report (only when a report was produced, so
-// cacheless trays render byte-identically to before the cache existed).
-func (engine) SetCacheStatus(res *Result, opts QueryOptions, status string) {
-	res.Cache = status
-	if opts.Analyze && res.Analyze != "" {
-		res.Analyze += fmt.Sprintf("cache: %s\n", status)
+	if hit != nil {
+		res.Analyze = fmt.Sprintf("Distributed Plan (nodes=%d, cached)\n", e.Nodes())
 	}
+	res.Analyze += hostdb.CacheLine(res.Cache, hit) + "\n"
 }

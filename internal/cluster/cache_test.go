@@ -289,3 +289,20 @@ func TestTrayWarmHitAllocs(t *testing.T) {
 		t.Errorf("a warm tray hit allocates %.1f objects, want at most 25", allocs)
 	}
 }
+
+// TestTrayNoCacheWhenTraced: a trace records one execution and a hit
+// executes nothing, so a traced query bypasses the cache and every traced
+// run returns its own trace.
+func TestTrayNoCacheWhenTraced(t *testing.T) {
+	_, tray, _ := cacheTray(t)
+	opts := cluster.QueryOptions{Mode: qef.ModeDPU, Trace: true}
+	for i := 0; i < 2; i++ {
+		res, err := tray.Query(trayCacheSQL, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Trace) == 0 || res.Cache != "bypass" {
+			t.Fatalf("traced run %d: %d trace steps, Cache = %q; want a trace and bypass", i, len(res.Trace), res.Cache)
+		}
+	}
+}

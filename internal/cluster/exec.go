@@ -29,7 +29,7 @@ type QueryOptions struct {
 	// Trace records per-node fragment profiles and exchange spans into
 	// Result.Trace, ready for obs.TraceBuilder.AddDistributedQuery — one
 	// stitched Chrome trace with a lane per node and flow events for every
-	// cross-node data stream.
+	// cross-node data stream. A traced query bypasses the result cache.
 	Trace bool
 	// DisablePruning turns off tile zone-map pruning on every node.
 	// Metamorphic test lanes use it to assert pruning never changes results.
@@ -47,26 +47,22 @@ type NodeStats struct {
 	SimSeconds    float64
 }
 
-// Result is the outcome of one distributed query. The embedded Bill is
-// the whole tray's: cycles, DMS traffic and energy over every node and the
-// coordinator, the interconnect priced in Energy.NetFJ, the idle floor of
-// all N uncore domains over the makespan, and the longest admission wait.
+// Result is the outcome of one distributed query. The Answer's Bill is the
+// whole tray's: cycles, DMS traffic and energy over every node and the
+// coordinator, the interconnect's bytes and energy (Energy.NetFJ), the idle
+// floor of all N uncore domains over the makespan, and the longest
+// admission wait. Its Explain is the logical plan of the coordinator
+// binding.
 type Result struct {
-	Rel   *ops.Relation
-	Nodes int
-	hostdb.Bill
-
-	// QueryID is the fleet-wide identifier the query was journaled under
-	// (shared with the host database's active-query table).
-	QueryID uint64
+	hostdb.Answer
 
 	NodeSimSeconds  float64 // max over nodes; SimSeconds adds NetSeconds and CoordSimSeconds
 	CoordSimSeconds float64
 	NetSeconds      float64
 
-	NetRows, NetBytes, NetTiles int64
-	Exchanges                   []*obs.ExchangeSpan
-	PerNode                     []NodeStats
+	NetRows, NetTiles int64
+	Exchanges         []*obs.ExchangeSpan
+	PerNode           []NodeStats
 
 	// TotalCycles is the bill's Cycles under the name benchmark/ reads; it
 	// goes when that reader moves to Cycles (ROADMAP 10(a)).
@@ -76,7 +72,6 @@ type Result struct {
 	// fragments. It stays while benchmark/ reads it (ROADMAP 10(a)).
 	ShardsPruned int
 
-	Explain string // logical plan (coordinator binding)
 	Analyze string // distributed EXPLAIN ANALYZE (when requested)
 
 	// Trace is the ordered fragment/exchange record for distributed trace
@@ -174,21 +169,10 @@ func (e engine) Execute(goCtx context.Context, bound plan.Node, opts QueryOption
 	return res, err
 }
 
-// Finish observes the tray latency histogram and fills the journal fields a
-// distributed execution bills.
-func (e engine) Finish(id uint64, res *Result, err error, opts QueryOptions, wall time.Duration) obs.QueryRecord {
+// Finish observes the tray latency histogram and names the per-node mode.
+func (e engine) Finish(_ *Result, _ error, opts QueryOptions, wall time.Duration) string {
 	e.t.reg.Histogram("cluster_query_seconds", obs.DefLatencyBuckets...).Observe(wall.Seconds())
-	rec := obs.QueryRecord{Mode: opts.Mode.String()}
-	if err != nil {
-		return rec
-	}
-	res.QueryID = id
-	if res.Rel != nil {
-		rec.Rows = int64(res.Rel.Rows())
-	}
-	res.Stamp(&rec)
-	rec.NetBytes = res.NetBytes
-	return rec
+	return opts.Mode.String()
 }
 
 // execute runs a coordinator-bound plan across the tray and bills it. The
@@ -257,15 +241,14 @@ func (t *Tray) execute(goCtx context.Context, bound plan.Node, opts QueryOptions
 	}
 
 	res := &Result{
-		Rel: rel.Flatten(), Nodes: n,
-
+		Answer:    hostdb.Answer{Rel: rel.Flatten(), Explain: plan.Format(tree), Offloaded: true},
 		Exchanges: q.exchanges,
-		Explain:   plan.Format(tree),
 	}
+	var netBytes int64
 	for _, ex := range q.exchanges {
 		res.NetSeconds += ex.Seconds
 		res.NetRows += ex.MovedRows
-		res.NetBytes += ex.MovedBytes
+		netBytes += ex.MovedBytes
 		res.NetTiles += ex.Tiles
 	}
 	// The bill and queue wait run over every node session and then the
@@ -285,9 +268,9 @@ func (t *Tray) execute(goCtx context.Context, bound plan.Node, opts QueryOptions
 		}
 	}
 	sim := res.NodeSimSeconds + res.NetSeconds + res.CoordSimSeconds
-	res.Bill = hostdb.Price(t.reg, opts.Mode, n, sim, res.NetBytes, usages...)
+	res.Bill = hostdb.Price(t.reg, opts.Mode, n, sim, netBytes, usages...)
 	res.QueueWait, res.TotalCycles = wait, res.Cycles
-	t.reg.Histogram("rapid_query_net_bytes", obs.DefBytesBuckets...).Observe(float64(res.NetBytes))
+	t.reg.Histogram("rapid_query_net_bytes", obs.DefBytesBuckets...).Observe(float64(netBytes))
 
 	if opts.Analyze {
 		res.Analyze = q.renderAnalyze(res)

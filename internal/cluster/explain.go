@@ -19,7 +19,7 @@ func (engine) Analyzed(opts QueryOptions) QueryOptions {
 // deterministic for a given query and tray shape.
 func (q *query) renderAnalyze(res *Result) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Distributed Plan (nodes=%d, mode=%s)\n", res.Nodes, q.mode)
+	fmt.Fprintf(&b, "Distributed Plan (nodes=%d, mode=%s)\n", q.nodes(), q.mode)
 	b.WriteString("Trace:\n")
 	for i, s := range q.steps {
 		fmt.Fprintf(&b, "  %2d. %s\n", i+1, s)

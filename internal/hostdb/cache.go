@@ -1,15 +1,11 @@
 package hostdb
 
-import (
-	"fmt"
-
-	"rapid/internal/qcache"
-)
+import "rapid/internal/qcache"
 
 // Query-cache glue of the single-SoC engine. The cache itself lives in
 // internal/qcache and the lookup / singleflight / publish logic in RunQuery
 // (DESIGN.md "Query lifecycle"); this file supplies the host-side keying,
-// version vectors, payloads and hit accounting.
+// version vectors and the report's cache line.
 
 // CacheMode discriminates result-cache entries by everything that can
 // legally change the result surface or the error contract: the requested
@@ -44,55 +40,17 @@ func (e hostEngine) Version(name string) (qcache.Version, bool) {
 	return v, true
 }
 
-// FromCache builds the QueryResult for a result-cache hit or a shared
-// singleflight execution from the template CacheEntry stored: the shared
-// relation with ~zero marginal billing (no cycles, no DMS, no energy, no
-// admission) and the saved cost carried from the producing execution.
-func (hostEngine) FromCache(r *qcache.Result, opts QueryOptions) *QueryResult {
-	res := *r.Payload.(*QueryResult)
-	if opts.Profile {
-		res.ProfileNote = fmt.Sprintf(
-			"cache: hit — served from result cache; saved ~%d cycles, ~%d nJ, ~%.3fms execution",
-			r.CyclesSaved, r.EnergySavedNJ, float64(r.WallNs)/1e6)
-	}
-	return &res
-}
-
-// CacheEntry wraps a finished miss execution as a result-cache entry whose
-// payload is the result every later hit starts from. The relation is
-// shared, never mutated (result relations are read-only once returned — the
-// same invariant Query callers already rely on). Fallback results are never
-// published: they are transitional (pending journal) and would leak
-// host-fallback answers into strict-offload keys after checkpointing.
-func (hostEngine) CacheEntry(res *QueryResult) *qcache.Result {
-	if res.FellBack {
-		return nil
-	}
-	return NewCacheEntry(&QueryResult{
-		Rel:         res.Rel,
-		Bill:        res.Saved(),
-		Offloaded:   res.Offloaded,
-		Explain:     res.Explain,
-		EstRapidSec: res.EstRapidSec,
-		EstHostSec:  res.EstHostSec,
-	}, res.Rel, res.Bill)
-}
-
-// SetCacheStatus records the cache interaction and surfaces it in EXPLAIN
-// ANALYZE output: profiled RAPID executions get a `cache:` line in the
-// profile, host-side runs get it appended to the profile note.
-func (hostEngine) SetCacheStatus(res *QueryResult, opts QueryOptions, status string) {
-	res.Cache = status
-	if !opts.Profile {
-		return
-	}
-	if res.Profile != nil {
-		res.Profile.SetCacheNote(status)
-		return
-	}
-	if res.ProfileNote != "" {
-		res.ProfileNote += "; cache: " + status
-	} else {
-		res.ProfileNote = "cache: " + status
+// CacheNote surfaces the cache interaction in the EXPLAIN ANALYZE output of
+// a profiled query: a RAPID execution's profile gets a `cache:` line, a
+// host-side run or a hit gets it in the profile note.
+func (hostEngine) CacheNote(res *QueryResult, opts QueryOptions, hit *qcache.Result) {
+	switch {
+	case !opts.Profile:
+	case res.Profile != nil:
+		res.Profile.SetCacheNote(res.Cache)
+	case res.ProfileNote != "":
+		res.ProfileNote += "; " + CacheLine(res.Cache, hit)
+	default:
+		res.ProfileNote = CacheLine(res.Cache, hit)
 	}
 }

@@ -476,3 +476,28 @@ func TestWarmHitAllocs(t *testing.T) {
 		t.Errorf("a warm hit allocates %.1f objects, want at most 20", allocs)
 	}
 }
+
+// TestCacheHitIsNotCountedAsExecution: the offloaded and host counters count
+// executions, so a hit lands in neither, and what total leaves over after
+// the failed, offloaded and host queries is the hits.
+func TestCacheHitIsNotCountedAsExecution(t *testing.T) {
+	db := cacheTestDB(t, 500)
+	defer db.Close()
+	opts := QueryOptions{Mode: ForceOffload, RapidMode: qef.ModeX86}
+	for i, want := range []string{"miss", "hit", "hit"} {
+		r, err := db.Query(cacheSQL, opts)
+		if err != nil || r.Cache != want {
+			t.Fatalf("query %d: %v, %v; want cache %s", i, r, err, want)
+		}
+	}
+	m := db.Metrics()
+	count := func(name string) int64 { return m.Counter(name).Value() }
+	total, offloaded := count("hostdb_queries_total"), count("hostdb_queries_offloaded")
+	if total != 3 || offloaded != 1 {
+		t.Fatalf("total = %d offloaded = %d, want 3 and 1", total, offloaded)
+	}
+	hits := db.QueryCache().Stats().Hits
+	if rest := total - count("hostdb_queries_failed") - offloaded - count("hostdb_queries_host"); rest != hits {
+		t.Fatalf("total - failed - offloaded - host = %d, want the %d hits", rest, hits)
+	}
+}

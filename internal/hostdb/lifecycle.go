@@ -3,6 +3,7 @@ package hostdb
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"time"
 	"unicode"
@@ -16,12 +17,35 @@ import (
 	"rapid/internal/sqlparse"
 )
 
+// Answer is the result core both engines' results embed, and all of a
+// result the lifecycle driver touches: it stamps QueryID and Cache,
+// publishes an Answer to the result cache and serves a hit as a fresh result
+// whose Answer is the entry's.
+type Answer struct {
+	Rel *ops.Relation
+	Bill
+	QueryID uint64 // fleet-wide, assigned at issue: the journal's and active-query table's key
+	Explain string // the bound logical plan
+	// Offloaded: RAPID answered. FellBack: RAPID was attempted and the host
+	// row engine answered instead; such an answer is never published.
+	Offloaded bool
+	FellBack  bool
+}
+
+func (a *Answer) answer() *Answer { return a }
+
+// result is an engine's result type R reached through its embedded Answer.
+type result[R any] interface {
+	*R
+	answer() *Answer
+}
+
 // Engine is what an execution engine supplies to RunQuery, the one query
 // lifecycle; DESIGN.md "Query lifecycle" has the stage map and the full
-// contract. O is the engine's option struct and R its result struct.
-// Implementations are stateless single-pointer adapters (the single SoC's
-// hostEngine, the tray's engine), so handing one to the driver allocates
-// nothing.
+// contract. O is the engine's option struct and R its result struct, which
+// embeds Answer. Implementations are stateless single-pointer adapters (the
+// single SoC's hostEngine, the tray's engine), so handing one to the driver
+// allocates nothing.
 type Engine[O, R any] interface {
 	// Analyzed returns opts with the engine's profiling report switched on
 	// (the EXPLAIN ANALYZE prefix).
@@ -41,19 +65,13 @@ type Engine[O, R any] interface {
 	// Execute runs a bound plan — costing, admission, execution, billing —
 	// moving h through its phases and observing ctx.
 	Execute(ctx context.Context, bound plan.Node, opts O, h obs.ActiveHandle) (*R, error)
-	// CacheEntry wraps a finished execution for the result cache (see
-	// NewCacheEntry); nil keeps it out of the cache and away from flight
-	// followers. FromCache builds the zero-billed result of a hit on it.
-	CacheEntry(res *R) *qcache.Result
-	FromCache(entry *qcache.Result, opts O) *R
-	// SetCacheStatus stamps miss|stale|bypass on an executed result and on
-	// whatever EXPLAIN ANALYZE report it carries.
-	SetCacheStatus(res *R, opts O, status string)
-	// Finish stamps the QueryID on res (nil exactly when err != nil), feeds
-	// the engine's own per-query metrics, and returns the engine-specific
-	// journal fields: Mode, Rows, Cycles, EnergyNJ, NetBytes, QueueWaitNs,
-	// DMEMHighNow, Cache. The driver fills in the rest.
-	Finish(id uint64, res *R, err error, opts O, wall time.Duration) obs.QueryRecord
+	// CacheNote writes the `cache:` line (CacheLine) of res, whose Cache
+	// is set, into the report opts asked for, if any; hit is the entry a
+	// hit was served from, nil on an execution.
+	CacheNote(res *R, opts O, hit *qcache.Result)
+	// Finish feeds the engine's own per-query metrics (res is nil exactly
+	// when err != nil) and names the mode that ran for the journal.
+	Finish(res *R, err error, opts O, wall time.Duration) string
 }
 
 // RunQuery drives one query through its whole lifecycle on engine e:
@@ -65,7 +83,7 @@ type Engine[O, R any] interface {
 // authority and active-query table, the query cache, the SCN clock and the
 // journal. Cancellation (ctx, or CancelQuery by ID) and scheduler overload
 // surface as the query's error and are journaled as canceled / shed.
-func RunQuery[O, R any](ctx context.Context, db *Database, e Engine[O, R], sql string, opts O) (*R, error) {
+func RunQuery[O, R any, P result[R]](ctx context.Context, db *Database, e Engine[O, R], sql string, opts O) (*R, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -92,17 +110,26 @@ func RunQuery[O, R any](ctx context.Context, db *Database, e Engine[O, R], sql s
 		fp = obs.Fingerprint(sql)
 	}
 
-	res, err := runCached(qctx, db, e, sql, norm, nerr == nil, opts, h)
+	res, err := runCached[O, R, P](qctx, db, e, sql, norm, nerr == nil, opts, h)
 	wall := time.Since(start)
 
 	// Completion: one journal record per issued query, terminal outcome
 	// included, whether it succeeded, shed, canceled or failed.
-	rec := e.Finish(id, res, err, opts, wall)
-	rec.ID, rec.Fingerprint, rec.SQL, rec.Nodes = id, fp, sql, e.Nodes()
-	rec.Outcome = outcomeFor(err)
-	rec.WallNs, rec.Start = int64(wall), start.UnixNano()
+	rec := obs.QueryRecord{
+		ID: id, Fingerprint: fp, SQL: sql, Nodes: e.Nodes(),
+		Mode:    e.Finish(res, err, opts, wall),
+		Outcome: outcomeFor(err),
+		WallNs:  int64(wall), Start: start.UnixNano(),
+	}
 	if err != nil {
 		rec.Error = err.Error()
+	} else {
+		a := P(res).answer()
+		a.QueryID = id
+		if a.Rel != nil {
+			rec.Rows = int64(a.Rel.Rows())
+		}
+		a.Stamp(&rec)
 	}
 	db.qjournal.Record(rec)
 	return res, err
@@ -113,7 +140,7 @@ func RunQuery[O, R any](ctx context.Context, db *Database, e Engine[O, R], sql s
 // concurrent identical misses, the execution, and validate-before-publish
 // admission of the finished result. With no cache installed it degenerates
 // to a plain bindAndExecute.
-func runCached[O, R any](ctx context.Context, db *Database, e Engine[O, R], sql string, norm sqlparse.Normalized, normOK bool, opts O, h obs.ActiveHandle) (*R, error) {
+func runCached[O, R any, P result[R]](ctx context.Context, db *Database, e Engine[O, R], sql string, norm sqlparse.Normalized, normOK bool, opts O, h obs.ActiveHandle) (*R, error) {
 	cache := db.QueryCache()
 	mode := ""
 	if cache != nil && normOK {
@@ -125,7 +152,8 @@ func runCached[O, R any](ctx context.Context, db *Database, e Engine[O, R], sql 
 		}
 		res, _, err := bindAndExecute(ctx, db, e, false, sql, opts, h)
 		if err == nil && cache != nil {
-			e.SetCacheStatus(res, opts, "bypass")
+			P(res).answer().Cache = "bypass"
+			e.CacheNote(res, opts, nil)
 		}
 		return res, err
 	}
@@ -135,7 +163,7 @@ func runCached[O, R any](ctx context.Context, db *Database, e Engine[O, R], sql 
 	var flight *qcache.Flight
 	for {
 		if r, st := cache.GetResult(key, e.Version); st == qcache.Hit {
-			return e.FromCache(r, opts), nil
+			return serve[O, R, P](e, r, opts), nil
 		} else if st == qcache.Stale {
 			status = "stale"
 		}
@@ -154,7 +182,7 @@ func runCached[O, R any](ctx context.Context, db *Database, e Engine[O, R], sql 
 		// have moved: the leader validated before it settled the flight, and
 		// this client may have arrived after a mutation in between.
 		if r, ok := f.Wait(ctx); ok && qcache.Validate(r.Versions, e.Version) {
-			return e.FromCache(r, opts), nil
+			return serve[O, R, P](e, r, opts), nil
 		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -170,18 +198,31 @@ func runCached[O, R any](ctx context.Context, db *Database, e Engine[O, R], sql 
 	if err != nil {
 		return nil, err
 	}
-	e.SetCacheStatus(res, opts, status)
+	a := P(res).answer()
+	a.Cache = status
+	e.CacheNote(res, opts, nil)
 	// Publish only when the version vector captured before parse/bind
 	// still holds after execution — an interleaved mutation voids the
-	// entry (it may mix old and new data).
-	if v0 != nil && qcache.Validate(v0, e.Version) {
-		if entry = e.CacheEntry(res); entry != nil {
-			// Followers share the entry even if admission rejects it.
-			entry.Versions, entry.WallNs = v0, int64(time.Since(execStart))
-			cache.PutResult(key, entry)
-		}
+	// entry (it may mix old and new data). A fallback answer is never
+	// published: it is transitional (pending journal) and would leak a
+	// host answer into a strict-offload key after checkpointing.
+	if v0 != nil && !a.FellBack && qcache.Validate(v0, e.Version) {
+		// Followers share the entry even if admission rejects it.
+		entry = newCacheEntry(a)
+		entry.Versions, entry.WallNs = v0, int64(time.Since(execStart))
+		cache.PutResult(key, entry)
 	}
 	return res, nil
+}
+
+// serve builds the result of a hit on entry, or of a flight follower served
+// the leader's entry: a fresh R whose Answer is the entry's — the shared
+// relation, nothing billed, the producing execution's cost as saved.
+func serve[O, R any, P result[R]](e Engine[O, R], entry *qcache.Result, opts O) *R {
+	res := new(R)
+	*P(res).answer() = *entry.Payload.(*Answer)
+	e.CacheNote(res, opts, entry)
+	return res
 }
 
 // bindAndExecute parses and binds the statement and hands the bound plan to
@@ -226,19 +267,32 @@ func captureVersions(version func(string) (qcache.Version, bool), tables []strin
 	return out
 }
 
-// NewCacheEntry wraps a finished execution as a result-cache entry: the
-// engine's payload (whatever its FromCache needs), the relation's resident
-// footprint for the byte budget, and the cost (its bill) a later hit reports
-// as saved. The driver adds the version vector and the execution wall time.
-func NewCacheEntry(payload any, rel *ops.Relation, bill Bill) *qcache.Result {
-	e := &qcache.Result{Payload: payload, Bytes: 64, CyclesSaved: bill.Cycles, EnergySavedNJ: bill.EnergyNJ}
-	if rel != nil {
+// newCacheEntry wraps a finished execution's answer as a result-cache
+// entry: the Answer every later hit starts from (the shared relation, which
+// is read-only once returned, and the bill's Saved form), the relation's
+// resident footprint for the byte budget, and the cost a hit reports as
+// saved. The caller adds the version vector and the execution wall time.
+func newCacheEntry(a *Answer) *qcache.Result {
+	payload := &Answer{Rel: a.Rel, Bill: a.Saved(), Explain: a.Explain, Offloaded: a.Offloaded}
+	e := &qcache.Result{Payload: payload, Bytes: 64, CyclesSaved: a.Cycles, EnergySavedNJ: a.EnergyNJ}
+	if a.Rel != nil {
 		// Column payloads at physical width plus a small per-column overhead.
-		for c := range rel.Cols {
-			e.Bytes += 64 + int64(rel.Col(c).SizeBytes())
+		for c := range a.Rel.Cols {
+			e.Bytes += 64 + int64(a.Rel.Col(c).SizeBytes())
 		}
 	}
 	return e
+}
+
+// CacheLine is a report's `cache:` line for a result whose Cache is status;
+// on a hit, hit is the entry it was served from and the line adds what the
+// execution behind the entry cost.
+func CacheLine(status string, hit *qcache.Result) string {
+	if hit == nil {
+		return "cache: " + status
+	}
+	return fmt.Sprintf("cache: hit — served from result cache; saved ~%d cycles, ~%d nJ, ~%.3fms execution",
+		hit.CyclesSaved, hit.EnergySavedNJ, float64(hit.WallNs)/1e6)
 }
 
 // stripExplainAnalyze detects the EXPLAIN ANALYZE prefix (two words, any

@@ -64,8 +64,7 @@ type fakeEngine struct {
 type fakeOpts struct{ Analyze, NoCache bool }
 
 type fakeResult struct {
-	ID        uint64
-	Cache     string
+	Answer
 	FromCache bool
 }
 
@@ -118,23 +117,11 @@ func (e *fakeEngine) Execute(ctx context.Context, bound plan.Node, o fakeOpts, h
 	return &fakeResult{}, nil
 }
 
-func (e *fakeEngine) CacheEntry(res *fakeResult) *qcache.Result {
-	return NewCacheEntry(res, nil, Bill{Cycles: 7, EnergyNJ: 9})
+func (e *fakeEngine) CacheNote(res *fakeResult, o fakeOpts, hit *qcache.Result) {
+	res.FromCache = hit != nil
 }
 
-func (e *fakeEngine) FromCache(r *qcache.Result, o fakeOpts) *fakeResult {
-	return &fakeResult{Cache: "hit", FromCache: true}
-}
-
-func (e *fakeEngine) SetCacheStatus(res *fakeResult, o fakeOpts, status string) { res.Cache = status }
-
-func (e *fakeEngine) Finish(id uint64, res *fakeResult, err error, o fakeOpts, wall time.Duration) obs.QueryRecord {
-	rec := obs.QueryRecord{Mode: "fake"}
-	if res != nil {
-		res.ID, rec.Cache = id, res.Cache
-	}
-	return rec
-}
+func (e *fakeEngine) Finish(*fakeResult, error, fakeOpts, time.Duration) string { return "fake" }
 
 const fakeSQL = "SELECT grp, SUM(amount) FROM events WHERE id < 900 GROUP BY grp"
 

@@ -50,14 +50,10 @@ type QueryOptions struct {
 	NoCache bool
 }
 
-// QueryResult is the outcome of one query. The embedded Bill is the RAPID
+// QueryResult is the outcome of one query. The Answer's Bill is the RAPID
 // execution's cost (zero for host-engine queries, ~zero for cache hits).
 type QueryResult struct {
-	Rel *ops.Relation
-	Bill
-
-	Offloaded bool
-	FellBack  bool
+	Answer
 	// Timing breakdown (Fig 15): wall time inside RAPID execution vs the
 	// host side (parse, optimize, result post-processing or full host
 	// execution).
@@ -67,19 +63,15 @@ type QueryResult struct {
 	// reads; it goes when that reader moves to SimSeconds (ROADMAP 10(a)).
 	RapidSimSeconds float64
 	// Cost estimates behind the offload decision; 0 under ForceHost, which
-	// takes none.
+	// takes none, and on a cache hit, which takes no decision.
 	EstRapidSec float64
 	EstHostSec  float64
-	Explain     string
 	// Profile is the per-operator profile of the RAPID execution; non-nil
 	// only when profiling was requested and the query ran on RAPID.
 	Profile *obs.Profile
 	// ProfileNote explains an absent profile when one was requested (the
 	// query stayed on the host), so EXPLAIN ANALYZE never returns silence.
 	ProfileNote string
-	// QueryID is the fleet-wide query identifier assigned at issue, the key
-	// into the query journal and the active-query table.
-	QueryID uint64
 }
 
 // RapidFraction returns the share of elapsed wall time spent in RAPID.
@@ -153,36 +145,34 @@ func (db *Database) Lookup(name string) (*storage.Table, error) {
 	return rt, nil
 }
 
-// Finish feeds the hostdb_* query counters and labels the journal record
-// with the engine that actually ran — for a failed ForceOffload query the
-// one it was forced onto, as the active-query table showed it.
-func (e hostEngine) Finish(id uint64, res *QueryResult, err error, opts QueryOptions, wall time.Duration) obs.QueryRecord {
+// Finish feeds the hostdb_* query counters and names the engine that
+// actually ran — for a failed ForceOffload query the one it was forced
+// onto, as the active-query table showed it. A hit executed nothing, so it
+// counts as neither offloaded nor host.
+func (e hostEngine) Finish(res *QueryResult, err error, opts QueryOptions, wall time.Duration) string {
 	m := e.db.metrics
 	m.Histogram("hostdb_query_seconds").Observe(wall.Seconds())
 	m.Counter("hostdb_queries_total").Inc()
-	rec := obs.QueryRecord{Mode: "host"}
-	if err != nil {
+	switch {
+	case err != nil:
 		m.Counter("hostdb_queries_failed").Inc()
 		if opts.Mode == ForceOffload {
-			rec.Mode = opts.RapidMode.String()
+			return opts.RapidMode.String()
 		}
-		return rec
-	}
-	if res.Offloaded {
+		return "host"
+	case res.Cache == "hit": // executed nothing
+	case res.Offloaded:
 		m.Counter("hostdb_queries_offloaded").Inc()
-		rec.Mode = opts.RapidMode.String()
-	} else {
-		if res.FellBack {
-			m.Counter("hostdb_queries_fellback").Inc()
-		}
+	case res.FellBack:
+		m.Counter("hostdb_queries_fellback").Inc()
+		fallthrough
+	default:
 		m.Counter("hostdb_queries_host").Inc()
 	}
-	res.QueryID = id
-	if res.Rel != nil {
-		rec.Rows = int64(res.Rel.Rows())
+	if res.Offloaded {
+		return opts.RapidMode.String()
 	}
-	res.Stamp(&rec)
-	return rec
+	return "host"
 }
 
 // Execute decides offload for a bound plan and runs it on RAPID or on the
@@ -197,7 +187,7 @@ func (e hostEngine) Execute(ctx context.Context, node plan.Node, opts QueryOptio
 	if err != nil {
 		return nil, err
 	}
-	res := &QueryResult{Explain: plan.Format(node)}
+	res := &QueryResult{Answer: Answer{Explain: plan.Format(node)}}
 	// Admissibility (§3.3): every journal entry visible to the query must
 	// already be propagated to RAPID. It is checked before the compile takes
 	// the snapshots RAPID will read, so they hold every entry it saw

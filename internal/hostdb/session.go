@@ -47,8 +47,8 @@ func (s *Session) Close() {
 }
 
 // Bill is what one RAPID execution cost, on one SoC or a whole tray. Both
-// engines' results embed it; the journal record, the cache entry and a hit's
-// saved cost are read from it.
+// engines' results embed it through Answer; the journal record, the cache
+// entry and a hit's saved cost are read from it.
 type Bill struct {
 	Cycles int64 // dpCore cycles over every context (0 in ModeX86)
 	// SimSeconds is one SoC's makespan, or the tray's slowest node plus the
@@ -64,6 +64,7 @@ type Bill struct {
 	QueueWait     time.Duration // the longest admission wait
 	DMEMHighWater int           // bytes, the largest mark of any dpCore
 	TilesPruned   int64         // storage chunks zone maps skipped
+	NetBytes      int64         // moved over the tray interconnect
 	// Cache is "hit", "miss", "stale" (the entry's versions moved), "bypass"
 	// (ineligible) or "" (no cache). Only a hit carries the Saved cost of the
 	// execution that produced its result.
@@ -80,7 +81,7 @@ type Bill struct {
 // histograms observe the exact integers added to the counters, so sums
 // reconcile (both stay below 2^53, where float64 addition is lossless).
 func Price(reg *obs.Registry, mode qef.Mode, nodes int, sim float64, netBytes int64, usages ...qef.Usage) Bill {
-	b := Bill{SimSeconds: sim}
+	b := Bill{SimSeconds: sim, NetBytes: netBytes}
 	var rd, wr, descriptors int64
 	for _, u := range usages {
 		b.Cycles += u.Cycles()
@@ -122,5 +123,5 @@ func (b *Bill) Saved() Bill {
 // Stamp copies the bill's journal fields onto rec.
 func (b *Bill) Stamp(rec *obs.QueryRecord) {
 	rec.Cycles, rec.EnergyNJ, rec.QueueWaitNs = b.Cycles, b.EnergyNJ, int64(b.QueueWait)
-	rec.DMEMHighNow, rec.Cache = int64(b.DMEMHighWater), b.Cache
+	rec.DMEMHighNow, rec.NetBytes, rec.Cache = int64(b.DMEMHighWater), b.NetBytes, b.Cache
 }

@@ -367,18 +367,11 @@ func (db *DB) queryTray(ctx context.Context, sql string, opts Options) (*Result,
 		}
 		return nil, err
 	}
-	explain := res.Explain
+	r := &hostdb.QueryResult{Answer: res.Answer, RapidWall: time.Since(start)}
 	if res.Analyze != "" {
-		explain = res.Analyze
+		r.Explain = res.Analyze
 	}
-	return &Result{r: &hostdb.QueryResult{
-		Rel:       res.Rel,
-		Bill:      res.Bill,
-		QueryID:   res.QueryID,
-		Offloaded: true,
-		RapidWall: time.Since(start),
-		Explain:   explain,
-	}}, nil
+	return &Result{r: r}, nil
 }
 
 // QueryWithCtx runs a SQL query with explicit options, observing ctx.
